@@ -593,8 +593,7 @@ class AuditScheduler:
         # The whole-segment cross-checker, with its exact serial semantics
         # (streamed plans concatenate entry references lazily here — the
         # parent already holds every chunk, so this adds no data copies).
-        cross = SyntacticChecker(verify_sender_signatures=False,
-                                 check_entry_format=False).check(plan.materialized())
+        cross = SyntacticChecker(check_entry_format=False).check(plan.materialized())
         if not cross.ok:
             return "; ".join(cross.problems[:3])
         return None

@@ -341,16 +341,7 @@ class StreamingCrossChecker:
                 self._sends[message_id] = entry
         elif entry.entry_type is EntryType.RECV:
             message_id = str(content.get("message_id"))
-            payload = content.get("payload")
-            if payload is not None:
-                from repro.crypto import hashing
-                actual = hashing.hash_bytes(bytes.fromhex(payload)).hex()
-                if actual != content.get("payload_hash"):
-                    self.problems.append(
-                        f"RECV {message_id}: logged payload does not match "
-                        f"its logged hash")
-            waiting = self._unmatched_mac_in.pop(message_id, None)
-            if waiting is None:
+            if self._unmatched_mac_in.pop(message_id, None) is None:
                 self._recvs[message_id] = entry
         elif entry.entry_type is EntryType.MACLAYER:
             message_id = str(content.get("message_id"))

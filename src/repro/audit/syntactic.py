@@ -13,23 +13,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.crypto import hashing
 from repro.crypto.keys import KeyStore
 from repro.errors import LogFormatError
+from repro.log.authenticator import recv_commitment
 from repro.log.entries import EntryType, LogEntry
 from repro.log.segments import LogSegment
 
 # Fields every entry of a given type must carry to be considered well-formed.
 _REQUIRED_FIELDS: Dict[EntryType, Set[str]] = {
     EntryType.SEND: {"destination", "payload_hash", "payload_size", "message_id"},
-    EntryType.RECV: {"source", "payload_hash", "payload_size", "message_id",
-                     "sender_signature"},
+    EntryType.RECV: {"source", "payload_size", "message_id", "sender_sequence",
+                     "sender_previous_hash", "sender_signature"},
     EntryType.ACK: {"peer", "message_id", "direction"},
     EntryType.SNAPSHOT: {"snapshot_id", "state_root", "execution_counter"},
     EntryType.TIMETRACKER: {"event_kind", "execution_counter"},
     EntryType.MACLAYER: {"direction", "message_id", "execution_counter"},
     EntryType.NONDET: {"event_kind", "execution_counter"},
 }
+
+
+def _is_legacy_recv(entry: LogEntry) -> bool:
+    """RECV content recorded while the envelope carried its own signature
+    (typed tags ``0x02``/``0x03``): it names a ``payload_hash`` and logs no
+    sender commitment.  Still decodable, but nothing this version can check
+    its ``sender_signature`` against — an unsupported format, not a forgery."""
+    return entry.entry_type is EntryType.RECV \
+        and "payload_hash" in entry.content \
+        and "sender_sequence" not in entry.content
 
 
 @dataclass
@@ -56,12 +66,12 @@ class SyntacticChecker:
 
     def __init__(self, keystore: Optional[KeyStore] = None, *,
                  require_acknowledgments: bool = False,
-                 verify_sender_signatures: bool = True,
                  check_cross_references: bool = True,
                  check_entry_format: bool = True) -> None:
         """``keystore`` may be a :class:`KeyStore` or any object with its
         ``has_identity``/``verify`` interface (e.g. the picklable
-        :class:`~repro.crypto.keys.StaticKeyView` used by audit workers).
+        :class:`~repro.crypto.keys.StaticKeyView` used by audit workers);
+        without one no sender signature is verified.
 
         ``check_cross_references`` switches the stream cross-checks
         (SEND/RECV vs MAC-layer) on or off, and ``check_entry_format`` the
@@ -74,7 +84,6 @@ class SyntacticChecker:
         """
         self.keystore = keystore
         self.require_acknowledgments = require_acknowledgments
-        self.verify_sender_signatures = verify_sender_signatures
         self.check_cross_references = check_cross_references
         self.check_entry_format = check_entry_format
 
@@ -134,6 +143,12 @@ class SyntacticChecker:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
                        f"carries unparseable content: {exc}")
             return
+        if _is_legacy_recv(entry):
+            report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
+                       f"is in the legacy RECV format, recorded before the "
+                       f"sender's commitment was logged: readable, but this "
+                       f"version cannot audit it")
+            return
         missing = required - fields
         if missing:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
@@ -143,28 +158,30 @@ class SyntacticChecker:
 
     def _check_recv_signature(self, machine: str, entry: LogEntry,
                               report: SyntacticReport) -> None:
-        """Verify the sender's signature logged with an incoming message."""
-        if not self.verify_sender_signatures or self.keystore is None:
+        """Verify the sender's commitment logged with an incoming message.
+
+        Section 4.3: ``h_i`` of the sender's SEND entry is recomputed from
+        the *logged message*, so the logged signature only verifies while the
+        log still shows what the sender committed to — the very check the
+        monitor ran on receipt.
+        """
+        if self.keystore is None:
             return
-        signature_hex = entry.content.get("sender_signature", "")
+        if not entry.content.get("sender_signature") or _is_legacy_recv(entry):
+            return  # unsigned traffic (nosig), or reported by the format check
         source = str(entry.content.get("source", ""))
-        if not signature_hex:
-            return  # unsigned traffic (nosig configurations)
         if not self.keystore.has_identity(source):
             report.add(f"entry {entry.sequence}: no certificate for sender {source!r}")
             return
-        payload_hash = bytes.fromhex(str(entry.content.get("payload_hash", "")))
-        kind = str(entry.content.get("kind", "data"))
-        signed = hashing.hash_concat(
-            source.encode("utf-8"),
-            machine.encode("utf-8"),
-            str(entry.content.get("message_id", "")).encode("utf-8"),
-            kind.encode("utf-8"),
-            payload_hash,
-        )
-        if not self.keystore.verify(source, signed, bytes.fromhex(signature_hex)):
+        try:
+            committed = recv_commitment(machine, entry.content).verify(self.keystore)
+        except LogFormatError as exc:
+            report.add(f"entry {entry.sequence}: {exc}")
+            return
+        if not committed:
             report.add(f"entry {entry.sequence}: sender signature from {source!r} "
-                       f"does not verify (possible forged message)")
+                       f"does not verify against the logged message (forged "
+                       f"message, or the entry was rewritten)")
         else:
             report.signatures_verified += 1
 
@@ -174,17 +191,9 @@ class SyntacticChecker:
                          mac_out: Dict[str, LogEntry], report: SyntacticReport) -> None:
         """Check the message stream against the MAC-layer stream (Section 4.4)."""
         for message_id, entry in mac_in.items():
-            recv = recvs.get(message_id)
-            if recv is None:
+            if message_id not in recvs:
                 report.add(f"packet {message_id} entered the AVM (sequence "
                            f"{entry.sequence}) but has no RECV entry")
-                continue
-            recv_payload = recv.content.get("payload")
-            if recv_payload is not None:
-                actual_hash = hashing.hash_bytes(bytes.fromhex(recv_payload)).hex()
-                if actual_hash != recv.content.get("payload_hash"):
-                    report.add(f"RECV {message_id}: logged payload does not match "
-                               f"its logged hash")
         for message_id, entry in mac_out.items():
             send = sends.get(message_id)
             if send is None:

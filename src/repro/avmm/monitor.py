@@ -5,9 +5,10 @@ and implements the machinery of Sections 4.3–4.4:
 
 * every nondeterministic input (clock reads, timer interrupts, packet
   deliveries, local input) is recorded with its execution timestamp;
-* every incoming and outgoing message is entered into the tamper-evident log,
-  outgoing messages carry a signature and an authenticator, incoming messages
-  are acknowledged with an authenticator of the RECV entry;
+* every incoming and outgoing message is entered into the tamper-evident log;
+  an outgoing message carries the authenticator of its SEND entry — that one
+  signature *is* the sender's commitment to the message — and an incoming
+  message is acknowledged with the authenticator of its RECV entry;
 * the AVM state is snapshotted periodically, and the hash-tree root of each
   snapshot is logged;
 * the monitor keeps the authenticators it has received from its peers so the
@@ -29,11 +30,14 @@ from typing import Any, Dict, List, Optional
 from repro.avmm.clockopt import ClockReadOptimizer
 from repro.avmm.config import AvmmConfig
 from repro.avmm.recorder import ExecutionRecorder
+from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
-from repro.errors import VMError
-from repro.log.authenticator import Authenticator
+from repro.errors import LogFormatError, VMError
+from repro.log.authenticator import (Authenticator, committed_authenticator,
+                                     recv_commitment)
 from repro.log.codec import get_codec, require_format_version
-from repro.log.entries import EntryType, ack_content, recv_content, send_content
+from repro.log.entries import (EntryType, LogEntry, ack_content, encode_content,
+                               recv_content, send_content)
 from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
@@ -63,6 +67,8 @@ class MonitorStats:
     messages_received: int = 0
     acks_sent: int = 0
     acks_received: int = 0
+    #: acks whose authenticator did not commit to the RECV of the acked message
+    acks_rejected: int = 0
     signatures_generated: int = 0
     signatures_verified: int = 0
     guest_events_delivered: int = 0
@@ -86,7 +92,7 @@ class AccountableVMM:
         self.config = config
         self.scheduler = scheduler
         self.network = network
-        self.keypair = keypair if config.signs_packets else keypair
+        self.keypair = keypair
         self.keystore = keystore
         self.perf = PerfModel.for_config(config)
         self.stats = MonitorStats()
@@ -131,6 +137,8 @@ class AccountableVMM:
         self._seen_message_ids: set[str] = set()
         #: RECV entry sequence for each message id (to re-ack retransmissions)
         self._recv_entry_for: Dict[str, int] = {}
+        #: hash of the RECV content a peer's ack must commit to, per message in flight
+        self._expected_receipts: Dict[str, bytes] = {}
         self._timer_process: Optional[Process] = None
         self._snapshot_process: Optional[Process] = None
         self._timer_ticks = 0
@@ -279,7 +287,7 @@ class AccountableVMM:
 
     def _send_guest_packet(self, packet: PacketOutput,
                            compute_seconds: float = 0.0) -> None:
-        """Log, sign and transmit a packet the guest produced."""
+        """Log, authenticate and transmit a packet the guest produced."""
         message = NetworkMessage(source=self.identity, destination=packet.destination,
                                  payload=packet.payload, kind=MessageKind.DATA,
                                  message_id=self._allocate_message_id())
@@ -289,12 +297,15 @@ class AccountableVMM:
             entry = self.log.append(EntryType.SEND, send_content(
                 destination=packet.destination, payload_hash=payload_hash,
                 payload_size=len(packet.payload), message_id=message.message_id))
-            authenticator = self.log.authenticator_for(entry)
+            authenticator = self._authenticate(entry)
             message.authenticator = authenticator.to_dict()
-            if self.config.signs_packets and self.keypair is not None:
-                message.signature = self.keypair.sign(message.signed_payload())
-                self.stats.signatures_generated += 1
-            self._charge_daemon_for_entry(entry.size_bytes(), signed=1 if message.signature else 0)
+            self._charge_daemon_for_entry(
+                entry.size_bytes(), signed=1 if authenticator.signature else 0)
+            if self.channel is not None:
+                self._expected_receipts[message.message_id] = hashing.hash_bytes(
+                    encode_content(recv_content(
+                        self.identity, packet.payload, message.message_id,
+                        message.kind.value, authenticator)))
         if self.config.record_replay_info:
             self.recorder.record_packet_out(
                 self.vm.execution_timestamp, packet.destination, payload_hash,
@@ -302,6 +313,15 @@ class AccountableVMM:
         self.stats.messages_sent += 1
         self._transmit(message, expect_ack=self.config.tamper_evident,
                        extra_delay=compute_seconds)
+
+    def _authenticate(self, entry: LogEntry) -> Authenticator:
+        """Issue the authenticator for ``entry`` — the one signature a message
+        or acknowledgment costs (none under ``avmm-nosig``, whose log has no
+        key)."""
+        authenticator = self.log.authenticator_for(entry)
+        if authenticator.signature:
+            self.stats.signatures_generated += 1
+        return authenticator
 
     def _transmit(self, message: NetworkMessage, expect_ack: bool,
                   extra_delay: float = 0.0) -> None:
@@ -334,39 +354,28 @@ class AccountableVMM:
         self._seen_message_ids.add(message.message_id)
         self.stats.messages_received += 1
 
-        if self.config.tamper_evident and duplicate:
-            # A retransmission means our acknowledgment may have been lost;
-            # re-acknowledge without logging the message a second time.
+        if duplicate:
+            # A retransmission means our acknowledgment may have been lost:
+            # re-acknowledge, without logging or delivering it a second time.
             recv_sequence = self._recv_entry_for.get(message.message_id)
             if recv_sequence is not None:
                 self._send_ack(message, entry_sequence=recv_sequence)
             return
 
-        if self.config.tamper_evident and not duplicate:
-            if message.signature and self.keystore is not None \
-                    and self.keystore.has_identity(message.source):
-                # The AVMM verifies and logs the signature so auditors can
-                # re-check it (Section 4.3); a bad signature is still logged —
-                # the syntactic check will flag it.
-                self.keystore.verify(message.source, message.signed_payload(),
-                                     message.signature)
-                self.stats.signatures_verified += 1
-            entry = self.log.append(EntryType.RECV, {
-                **recv_content(source=message.source,
-                               payload_hash=message.payload_hash(),
-                               payload_size=len(message.payload),
-                               message_id=message.message_id,
-                               sender_signature=message.signature),
-                "payload": message.payload.hex(),
-                "kind": message.kind.value,
-            })
+        if self.config.tamper_evident:
+            authenticator = self._peer_authenticator(message)
+            content = recv_content(message.source, message.payload,
+                                   message.message_id, message.kind.value,
+                                   authenticator)
+            # The commitment is logged whether or not it verifies — the
+            # syntactic check re-runs this very function and flags a bad one
+            # (Section 4.3) — but only a verified one is kept as evidence.
+            if authenticator is not None:
+                self._file_if_committed(recv_commitment(self.identity, content))
+            entry = self.log.append(EntryType.RECV, content)
             self._charge_daemon_for_entry(entry.size_bytes())
-            self._store_peer_authenticator(message)
             self._recv_entry_for[message.message_id] = entry.sequence
             self._send_ack(message, entry_sequence=entry.sequence)
-
-        if duplicate:
-            return  # retransmission: already delivered to the guest once
 
         event = PacketDelivery(source=message.source, payload=message.payload,
                                message_id=message.message_id)
@@ -382,19 +391,15 @@ class AccountableVMM:
         ack_entry = self.log.append(EntryType.ACK, ack_content(
             peer=message.source, message_id=message.message_id,
             direction="sent", acked_sequence=entry_sequence))
-        recv_entry = self.log.entry_at(entry_sequence)
-        authenticator = self.log.authenticator_for(recv_entry)
+        authenticator = self._authenticate(self.log.entry_at(entry_sequence))
         ack = NetworkMessage(source=self.identity, destination=message.source,
                              payload=b"", kind=MessageKind.ACK,
                              message_id=self._allocate_message_id(),
                              authenticator=authenticator.to_dict(),
                              headers={"acked_message_id": message.message_id})
-        if self.config.signs_packets and self.keypair is not None:
-            ack.signature = self.keypair.sign(ack.signed_payload())
-            self.stats.signatures_generated += 1
         self.stats.acks_sent += 1
-        self._charge_daemon_for_entry(ack_entry.size_bytes(),
-                                      signed=1 if ack.signature else 0)
+        self._charge_daemon_for_entry(
+            ack_entry.size_bytes(), signed=1 if authenticator.signature else 0)
         if self.channel is not None:
             delay = self.perf.ack_generation_delay()
             if delay > 0:
@@ -408,30 +413,57 @@ class AccountableVMM:
         self.stats.acks_received += 1
         acked_id = str(message.headers.get("acked_message_id", ""))
         if self.config.tamper_evident:
+            expected = self._expected_receipts.get(acked_id)
+            if expected is None:
+                return  # nothing in flight under that id: acknowledges nothing
+            authenticator = self._peer_authenticator(message)
+            # The ack must commit to RECV(m): the peer's authenticator has
+            # to verify against the RECV content an honest peer logs for
+            # what we sent.  Otherwise it acknowledges nothing — the message
+            # stays in flight and the peer ends up suspected.
+            if authenticator is None or not self._file_if_committed(
+                    committed_authenticator(
+                        message.source, authenticator.sequence,
+                        authenticator.previous_hash, authenticator.signature,
+                        EntryType.RECV, expected)):
+                self.stats.acks_rejected += 1
+                return
+            del self._expected_receipts[acked_id]
             entry = self.log.append(EntryType.ACK, ack_content(
                 peer=message.source, message_id=acked_id,
                 direction="received", acked_sequence=0))
             self._charge_daemon_for_entry(entry.size_bytes())
-            self._store_peer_authenticator(message)
-            if message.signature and self.keystore is not None \
-                    and self.keystore.has_identity(message.source):
-                self.keystore.verify(message.source, message.signed_payload(),
-                                     message.signature)
-                self.stats.signatures_verified += 1
         if self.channel is not None and acked_id:
             self.channel.acknowledge(acked_id)
 
-    def _store_peer_authenticator(self, message: NetworkMessage) -> None:
+    @staticmethod
+    def _peer_authenticator(message: NetworkMessage) -> Optional[Authenticator]:
+        """Parse the attached authenticator, once; ``None`` when there is
+        none, it is malformed, or anyone but the envelope's source issued it."""
         if not message.authenticator:
-            return
+            return None
         try:
             authenticator = Authenticator.from_dict(message.authenticator)
-        except Exception:  # noqa: BLE001 - malformed authenticators are ignored here
-            return
-        self.received_authenticators.setdefault(message.source, []).append(authenticator)
+        except LogFormatError:
+            return None
+        return authenticator if authenticator.machine == message.source else None
+
+    def _file_if_committed(self, commitment: Authenticator) -> bool:
+        """Verify a peer's rebuilt commitment and keep it as evidence;
+        returns whether it stands.  Unsigned traffic (``avmm-nosig``) and
+        peers without a certificate cannot be checked and are filed as is."""
+        peer = commitment.machine
+        if commitment.signature and self.keystore is not None \
+                and self.keystore.has_identity(peer):
+            self.stats.signatures_verified += 1
+            if not commitment.verify(self.keystore):
+                return False
+        self.received_authenticators.setdefault(peer, []).append(commitment)
+        return True
 
     def _on_give_up(self, message: NetworkMessage) -> None:
         """A peer failed to acknowledge after repeated retransmissions."""
+        self._expected_receipts.pop(message.message_id, None)
         if message.destination not in self.stats.suspected_peers:
             self.stats.suspected_peers.append(message.destination)
 

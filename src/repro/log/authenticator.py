@@ -10,12 +10,14 @@ accumulate non-repudiable commitments to its log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.crypto.signatures import BatchVerifyResult
 from repro.errors import LogFormatError
+from repro.log.entries import EntryType, encode_content, send_content
+from repro.log.hashchain import link_hash
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,15 @@ class Authenticator:
         """The byte string covered by the signature: ``s_i || h_i``."""
         return signed_payload(self.sequence, self.chain_hash)
 
+    def is_consistent(self) -> bool:
+        """Whether ``h_i`` follows from the advertised ``h_{i-1}`` and fields."""
+        return self.chain_hash == link_hash(
+            self.previous_hash, self.sequence,
+            self.entry_type.encode("utf-8"), self.content_hash)
+
     def verify(self, keystore: KeyStore) -> bool:
         """Verify the signature and internal consistency of the authenticator."""
-        recomputed = hashing.hash_concat(
-            self.previous_hash,
-            hashing.encode_int(self.sequence),
-            self.entry_type.encode("utf-8"),
-            self.content_hash,
-        )
-        if recomputed != self.chain_hash:
+        if not self.is_consistent():
             return False
         return keystore.verify(self.machine, self.signed_payload(), self.signature)
 
@@ -66,9 +68,12 @@ class Authenticator:
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "Authenticator":
         try:
+            sequence = int(data["sequence"])
+            if not 0 <= sequence < 1 << 64:
+                raise ValueError("sequence does not fit 64 bits")
             return Authenticator(
                 machine=str(data["machine"]),
-                sequence=int(data["sequence"]),
+                sequence=sequence,
                 chain_hash=bytes.fromhex(data["chain_hash"]),
                 signature=bytes.fromhex(data["signature"]),
                 previous_hash=bytes.fromhex(data["previous_hash"]),
@@ -111,13 +116,7 @@ def batch_verify_authenticators(
         if auth.machine != machine:
             raise LogFormatError(
                 f"batch mixes authenticators from {machine!r} and {auth.machine!r}")
-        recomputed = hashing.hash_concat(
-            auth.previous_hash,
-            hashing.encode_int(auth.sequence),
-            auth.entry_type.encode("utf-8"),
-            auth.content_hash,
-        )
-        if recomputed != auth.chain_hash:
+        if not auth.is_consistent():
             invalid.append(index)
         else:
             screenable.append(index)
@@ -133,17 +132,61 @@ def batch_verify_authenticators(
     return valid, invalid, stats
 
 
-def make_authenticator(keypair: KeyPair, *, sequence: int, chain_hash: bytes,
-                       previous_hash: bytes, entry_type: str,
-                       content_hash: bytes) -> Authenticator:
-    """Create and sign an authenticator for the given log entry fields."""
-    signature = keypair.sign(signed_payload(sequence, chain_hash))
+def committed_authenticator(machine: str, sequence: int, previous_hash: bytes,
+                            signature: bytes, entry_type: EntryType,
+                            content_hash: bytes) -> Authenticator:
+    """The authenticator ``machine`` must have issued for an entry, rebuilt
+    by a party that knows the entry's content (Section 4.3).
+
+    Only ``s_i``, ``h_{i-1}`` and the signature come from the peer; ``h_i``
+    is *recomputed* over the hash of content the verifier derives itself.
+    The result verifies exactly when ``machine`` signed this content at this
+    position of its log — a valid authenticator for any other entry fails.
+    """
+    type_name = entry_type.wire_name
     return Authenticator(
-        machine=keypair.identity,
-        sequence=sequence,
-        chain_hash=chain_hash,
-        signature=signature,
-        previous_hash=previous_hash,
-        entry_type=entry_type,
-        content_hash=content_hash,
-    )
+        machine=machine, sequence=sequence, signature=signature,
+        chain_hash=link_hash(previous_hash, sequence,
+                             type_name.encode("utf-8"), content_hash),
+        previous_hash=previous_hash, entry_type=type_name,
+        content_hash=content_hash)
+
+
+def recv_commitment(recipient: str, recv: Mapping[str, Any]) -> Authenticator:
+    """The sender's commitment to ``SEND(m)`` logged in a RECV entry.
+
+    ``recv`` is RECV content from ``recipient``'s log.  The SEND content is
+    derived from the logged message, so rewriting its destination, payload,
+    size or id afterwards changes ``h_i`` and the logged signature stops
+    verifying.  The monitor (on receipt) and the syntactic check (at audit)
+    both call this.  Raises :class:`LogFormatError` on malformed fields.
+    """
+    try:
+        payload = bytes.fromhex(recv["payload"])
+        return committed_authenticator(
+            str(recv["source"]), int(recv["sender_sequence"]),
+            bytes.fromhex(recv["sender_previous_hash"]),
+            bytes.fromhex(recv["sender_signature"]), EntryType.SEND,
+            hashing.hash_bytes(encode_content(send_content(
+                recipient, hashing.hash_bytes(payload), recv["payload_size"],
+                str(recv["message_id"])))))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise LogFormatError(f"malformed RECV commitment: {exc}") from exc
+
+
+def make_authenticator(keypair: Optional[KeyPair], *, sequence: int,
+                       chain_hash: bytes, previous_hash: bytes, entry_type: str,
+                       content_hash: bytes, machine: str = "") -> Authenticator:
+    """Create and sign an authenticator for the given log entry fields.
+
+    Without a ``keypair`` (``avmm-nosig``) the authenticator is issued in
+    ``machine``'s name with an empty signature — same structure, same path.
+    """
+    signature = b""
+    if keypair is not None:
+        machine = keypair.identity
+        signature = keypair.sign(signed_payload(sequence, chain_hash))
+    return Authenticator(
+        machine=machine, sequence=sequence, chain_hash=chain_hash,
+        signature=signature, previous_hash=previous_hash,
+        entry_type=entry_type, content_hash=content_hash)

@@ -162,6 +162,12 @@ class LogCodec:
         """Inverse of :meth:`encode_segment`."""
         raise NotImplementedError
 
+    def writes_layout_of(self, data: Union[bytes, memoryview]) -> bool:
+        """Whether ``data`` — a blob some codec already decoded — is laid out
+        as this instance's :meth:`encode_segment` lays segments out (same
+        format, same framing options), so it can be stored as it arrived."""
+        return bytes(data[:MAGIC_LENGTH]) == self.MAGIC
+
     # -- streaming -----------------------------------------------------------
 
     def stream_decoder(self) -> "_StreamDecoderBase":
@@ -398,14 +404,21 @@ class JsonBz2Codec(LogCodec):
         data = bytes(data)
         if not data.startswith(self.MAGIC):
             raise LogFormatError("not a VMM-compressed log (bad magic)")
+        decompressor = bz2.BZ2Decompressor()
         try:
-            encoded = bz2.decompress(data[len(self.MAGIC):])
-        except (OSError, EOFError, ValueError) as exc:
-            raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
-        try:
+            encoded = decompressor.decompress(data[len(self.MAGIC):])
             blob = json.loads(encoded.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:  # incl. JSON / UTF-8 decode errors
             raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
+        # Strict — one bzip2 stream, nothing after it, the encoder's own
+        # compact key-sorted layout: the archive stores accepted shipments
+        # byte for byte and the streaming decoder requires exactly this.
+        if not decompressor.eof or decompressor.unused_data \
+                or not (isinstance(blob, dict) and blob.keys() == {"header", "rows"}) \
+                or json.dumps(blob, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8") != encoded:
+            raise LogFormatError(
+                "corrupt VMM-encoded log: not one canonical bzip2-JSON stream")
         try:
             header = blob["header"]
             rows_codec = _RowCodec()
@@ -927,11 +940,19 @@ V3_FLAG_COMPRESSED = 0x01
 
 
 def _inflate_frame(raw: Union[bytes, memoryview]) -> bytes:
+    """Inflate one frame — strictly: one complete zlib stream filling the
+    frame, nothing after it (``zlib.decompress`` would skip trailing bytes,
+    and the archive stores accepted shipments byte for byte)."""
+    inflater = zlib.decompressobj()
     try:
-        return zlib.decompress(bytes(raw))
+        payload = inflater.decompress(raw)
     except zlib.error as exc:
         raise LogFormatError(
             f"corrupt compressed typed log frame: {exc}") from exc
+    if not inflater.eof or inflater.unused_data:
+        raise LogFormatError(
+            "corrupt compressed typed log frame: not exactly one zlib stream")
+    return payload
 
 
 def _iter_length_prefixed(body: Union[bytes, memoryview],
@@ -1062,6 +1083,12 @@ class TypedCodec(LogCodec):
                 f"found {len(entries)}")
         return LogSegment(machine=machine, start_hash=start_hash,
                           entries=entries)
+
+    def writes_layout_of(self, data: Union[bytes, memoryview]) -> bool:
+        if not super().writes_layout_of(data):
+            return False
+        flags = self._unpack_header(memoryview(data))[2]
+        return bool(flags & V3_FLAG_COMPRESSED) == self._compress
 
     def stream_decoder(self) -> "_TypedStreamDecoder":
         return _TypedStreamDecoder()

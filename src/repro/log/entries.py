@@ -240,6 +240,7 @@ TAG_MACLAYER_IN = 0x08
 TAG_MACLAYER_OUT = 0x09
 TAG_NONDET = 0x0A
 TAG_ROW = 0x0B
+TAG_RECV_COMMITMENT = 0x0C
 
 _JSON_FIRST_BYTE = 0x7B  # '{'
 
@@ -322,6 +323,9 @@ _ACK_DIRECTIONS = {"sent": b"\x00", "received": b"\x01"}
 # lowercase hex string stored as u32 length + raw bytes, "dir" the ACK
 # direction enum byte, "row" a nested flat row body, "const:X" a key whose
 # value must equal the literal X and occupies no wire bytes.
+#
+# TAG_RECV / TAG_RECV_PAYLOAD are read-only legacy (logs recorded while the
+# envelope carried its own signature); the monitor writes TAG_RECV_COMMITMENT.
 _SHAPE_SPECS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     TAG_SEND: (
         ("destination", "s"), ("message_id", "s"),
@@ -365,6 +369,11 @@ _SHAPE_SPECS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     ),
     TAG_NONDET: (
         ("event_kind", "s"), ("execution_counter", "u64"), ("data", "row"),
+    ),
+    TAG_RECV_COMMITMENT: (
+        ("source", "s"), ("message_id", "s"), ("payload_size", "u64"),
+        ("sender_sequence", "u64"), ("sender_previous_hash", "h32"),
+        ("sender_signature", "hex"), ("payload", "hex"), ("kind", "s"),
     ),
 }
 
@@ -659,15 +668,25 @@ def send_content(destination: str, payload_hash: bytes, payload_size: int,
     }
 
 
-def recv_content(source: str, payload_hash: bytes, payload_size: int,
-                 message_id: str, sender_signature: bytes) -> Dict[str, Any]:
-    """Content dictionary for a RECV entry (includes the sender's signature)."""
+def recv_content(source: str, payload: bytes, message_id: str, kind: str,
+                 sender: Optional[Any] = None) -> Dict[str, Any]:
+    """Content dictionary for a RECV entry: the message and the sender's
+    commitment to it (Section 4.3).
+
+    ``sender`` is the authenticator the message arrived with; its ``s_i``,
+    ``h_{i-1}`` and signature are logged.  ``h_i`` and the payload hash are
+    not: :func:`repro.log.authenticator.recv_commitment` recomputes both.
+    """
     return {
         "source": source,
-        "payload_hash": payload_hash.hex(),
-        "payload_size": payload_size,
         "message_id": message_id,
-        "sender_signature": sender_signature.hex(),
+        "payload_size": len(payload),
+        "sender_sequence": sender.sequence if sender else 0,
+        "sender_previous_hash":
+            (sender.previous_hash if sender else hashing.ZERO_HASH).hex(),
+        "sender_signature": sender.signature.hex() if sender else "",
+        "payload": payload.hex(),
+        "kind": kind,
     }
 
 

@@ -38,26 +38,24 @@ _WIRE_NAME_BYTES = {entry_type: entry_type.wire_name.encode("utf-8")
                     for entry_type in EntryType}
 
 
+def link_hash(previous_hash: bytes, sequence: int, type_name: bytes,
+              content_hash: bytes) -> bytes:
+    """``h_i = H(h_{i-1} || s_i || t_i || H(c_i))`` — the chain formula."""
+    return hashing.hash_concat(previous_hash, hashing.encode_int(sequence),
+                               type_name, content_hash)
+
+
 def chain_hash(previous_hash: bytes, sequence: int, entry_type: EntryType,
                content: dict) -> bytes:
     """Compute ``h_i`` from ``h_{i-1}`` and the entry fields."""
-    content_hash = hashing.hash_bytes(encode_content(content))
-    return hashing.hash_concat(
-        previous_hash,
-        hashing.encode_int(sequence),
-        _WIRE_NAME_BYTES[entry_type],
-        content_hash,
-    )
+    return link_hash(previous_hash, sequence, _WIRE_NAME_BYTES[entry_type],
+                     hashing.hash_bytes(encode_content(content)))
 
 
 def _expected_chain_hash(previous_hash: bytes, entry: LogEntry) -> bytes:
     """``h_i`` for an existing entry, using its cached content encoding."""
-    return hashing.hash_concat(
-        previous_hash,
-        hashing.encode_int(entry.sequence),
-        _WIRE_NAME_BYTES[entry.entry_type],
-        entry.content_hash(),
-    )
+    return link_hash(previous_hash, entry.sequence,
+                     _WIRE_NAME_BYTES[entry.entry_type], entry.content_hash())
 
 
 def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
@@ -79,12 +77,9 @@ def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
         legacy = encode_content_json(entry.content)
     except LogFormatError:
         return False
-    expected = hashing.hash_concat(
-        previous_hash,
-        hashing.encode_int(entry.sequence),
-        entry.entry_type.wire_name.encode("utf-8"),
-        hashing.hash_bytes(legacy),
-    )
+    expected = link_hash(previous_hash, entry.sequence,
+                         _WIRE_NAME_BYTES[entry.entry_type],
+                         hashing.hash_bytes(legacy))
     if expected != entry.chain_hash:
         return False
     seed_encoded_content(entry, legacy)

@@ -20,7 +20,7 @@ from repro.log.entries import (
     encode_content,
     seed_encoded_content,
 )
-from repro.log.hashchain import chain_hash
+from repro.log.hashchain import chain_hash, link_hash
 from repro.log.segments import LogSegment
 
 
@@ -69,12 +69,9 @@ class TamperEvidentLog:
         previous = self._current_hash
         stored_content = dict(content)
         encoded = encode_content(stored_content)
-        new_hash = hashing.hash_concat(
-            previous,
-            hashing.encode_int(sequence),
-            entry_type.wire_name.encode("utf-8"),
-            hashing.hash_bytes(encoded),
-        )
+        new_hash = link_hash(previous, sequence,
+                             entry_type.wire_name.encode("utf-8"),
+                             hashing.hash_bytes(encoded))
         entry = LogEntry(
             sequence=sequence,
             entry_type=entry_type,
@@ -104,25 +101,11 @@ class TamperEvidentLog:
         the authenticator commits to exactly what the chain hashed, without
         re-encoding — or re-materializing — the content.
         """
-        content_hash = entry.content_hash()
-        if self.keypair is not None:
-            return make_authenticator(
-                self.keypair,
-                sequence=entry.sequence,
-                chain_hash=entry.chain_hash,
-                previous_hash=entry.previous_hash,
-                entry_type=entry.entry_type.wire_name,
-                content_hash=content_hash,
-            )
-        return Authenticator(
-            machine=self.machine,
-            sequence=entry.sequence,
-            chain_hash=entry.chain_hash,
-            signature=b"",
-            previous_hash=entry.previous_hash,
+        return make_authenticator(
+            self.keypair, machine=self.machine, sequence=entry.sequence,
+            chain_hash=entry.chain_hash, previous_hash=entry.previous_hash,
             entry_type=entry.entry_type.wire_name,
-            content_hash=content_hash,
-        )
+            content_hash=entry.content_hash())
 
     # -- queries ------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Network message envelopes.
 
 An envelope carries the application payload plus the accountability headers
-the AVMM adds: the sender's signature over the payload, the sender's
-authenticator (its commitment to the SEND entry), and acknowledgment
-references.  Envelope sizes are tracked explicitly because the traffic
-overhead of per-packet signatures is one of the paper's measurements
-(Section 6.7).
+the AVMM adds: the sender's authenticator — its signed commitment to the SEND
+(or, on an acknowledgment, RECV) entry, and the only signature a message
+carries — and acknowledgment references.  Envelope sizes are tracked
+explicitly because the traffic overhead of per-packet signatures is one of
+the paper's measurements (Section 6.7).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class NetworkMessage:
     payload: bytes
     kind: MessageKind = MessageKind.DATA
     message_id: str = ""
-    signature: bytes = b""
     authenticator: Optional[Dict[str, Any]] = None
     headers: Dict[str, Any] = field(default_factory=dict)
 
@@ -90,29 +89,19 @@ class NetworkMessage:
     # -- crypto helpers -------------------------------------------------------
 
     def payload_hash(self) -> bytes:
-        """Hash of the payload (what signatures and log entries refer to)."""
+        """Hash of the payload (what log entries refer to)."""
         return hashing.hash_bytes(self.payload)
-
-    def signed_payload(self) -> bytes:
-        """Byte string covered by the sender's signature."""
-        return hashing.hash_concat(
-            self.source.encode("utf-8"),
-            self.destination.encode("utf-8"),
-            self.message_id.encode("utf-8"),
-            self.kind.value.encode("utf-8"),
-            self.payload_hash(),
-        )
 
     # -- size accounting ------------------------------------------------------
 
     def wire_size(self, encapsulate_tcp: bool = False) -> int:
         """Total bytes this envelope occupies on the wire.
 
-        Includes the payload, signature, serialised authenticator and protocol
-        headers; ``encapsulate_tcp`` adds the TCP framing the AVMM uses for
-        its daemon connection.
+        Includes the payload, serialised authenticator and protocol headers;
+        ``encapsulate_tcp`` adds the TCP framing the AVMM uses for its
+        daemon connection.
         """
-        size = IP_UDP_HEADER_BYTES + len(self.payload) + len(self.signature)
+        size = IP_UDP_HEADER_BYTES + len(self.payload)
         size += len(self.message_id) + 8  # id + kind tag
         if self.authenticator is not None:
             size += _authenticator_wire_size(self.authenticator)
@@ -130,25 +119,26 @@ class NetworkMessage:
             payload=self.payload,
             kind=self.kind,
             message_id=f"{self.message_id}-fwd-{new_destination}",
-            signature=self.signature,
             authenticator=dict(self.authenticator) if self.authenticator else None,
             headers=dict(self.headers),
         )
 
 
+# Authenticator fields that travel hex-encoded in the dict but as raw bytes
+# on the wire: three 32-byte hashes and a signature of the key's length.
+_RAW_BYTES_FIELDS = frozenset(
+    {"chain_hash", "signature", "previous_hash", "content_hash"})
+
+
 def _authenticator_wire_size(auth: Dict[str, Any]) -> int:
-    """Approximate serialised size of an attached authenticator."""
+    """Approximate serialised size of an attached authenticator, from field
+    lengths alone: raw-bytes fields count half their hex length, other
+    strings their length, integers 8 bytes."""
     size = 0
     for key, value in auth.items():
         size += len(str(key))
         if isinstance(value, str):
-            size += len(value) // 2 if _looks_hex(value) else len(value)
+            size += len(value) // 2 if key in _RAW_BYTES_FIELDS else len(value)
         else:
             size += 8
     return size
-
-
-def _looks_hex(value: str) -> bool:
-    if not value or len(value) % 2:
-        return False
-    return all(c in "0123456789abcdefABCDEF" for c in value)

@@ -178,7 +178,8 @@ class AuditIngestService:
             return
         sealed = message.headers.get("sealed_by_snapshot")
         self.ingest_segment(segment,
-                            sealed_by_snapshot=int(sealed) if sealed else None)
+                            sealed_by_snapshot=int(sealed) if sealed else None,
+                            wire=message.payload)
 
     def _on_authenticators(self, message: NetworkMessage) -> None:
         subject = str(message.headers.get("subject", ""))
@@ -268,11 +269,13 @@ class AuditIngestService:
     # -- direct ingestion (network-free path, also used by the handlers) -----
 
     def ingest_segment(self, segment: LogSegment,
-                       sealed_by_snapshot: Optional[int] = None) -> bool:
-        """Archive one sealed segment; returns ``False`` if quarantined."""
+                       sealed_by_snapshot: Optional[int] = None, *,
+                       wire: Optional[bytes] = None) -> bool:
+        """Archive one sealed segment (``wire``: the shipment it was decoded
+        from, if any); returns ``False`` if quarantined."""
         try:
             record = self.archive.append_segment(
-                segment, sealed_by_snapshot=sealed_by_snapshot)
+                segment, sealed_by_snapshot=sealed_by_snapshot, wire=wire)
         except (HashChainError, StoreError) as exc:
             self.stats.segments_rejected += 1
             first = segment.entries[0].sequence if segment.entries else 0

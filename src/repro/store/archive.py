@@ -322,7 +322,8 @@ class LogArchive:
     # -- writing -------------------------------------------------------------
 
     def append_segment(self, segment: LogSegment,
-                       sealed_by_snapshot: Optional[int] = None) -> SegmentRecord:
+                       sealed_by_snapshot: Optional[int] = None, *,
+                       wire: Optional[bytes] = None) -> SegmentRecord:
         """Archive one sealed segment; it must extend the machine's head.
 
         The entire hash chain of the segment is re-verified against the
@@ -331,6 +332,12 @@ class LogArchive:
         Raises :class:`HashChainError` for a broken/forked shipment and
         :class:`StoreError` for structural problems (empty segment, stale
         range).
+
+        ``wire`` is the blob ``segment`` was just decoded from, if any — the
+        caller vouches for that, pass nothing else.  When it is laid out as
+        the archive's own codec writes (the decoders are strict: every byte
+        of it was consumed) it is stored as it arrived instead of encoding
+        the same entries a second time.
         """
         if not segment.entries:
             raise StoreError("cannot archive an empty segment")
@@ -345,7 +352,11 @@ class LogArchive:
         end = verify_chain_incremental(segment.entries, head)
 
         raw = segment.size_bytes()
-        data = get_codec(self.format_version).encode_segment(segment)
+        codec = get_codec(self.format_version)
+        if wire is not None and codec.writes_layout_of(wire):
+            data = bytes(wire)
+        else:
+            data = codec.encode_segment(segment)
         if self.format_version == 1:
             wire_v1 = len(data)
         else:

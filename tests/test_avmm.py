@@ -177,6 +177,35 @@ class TestMonitor:
         # alpha collected an authenticator from beta's data message
         assert beta.identity in alpha.received_authenticators
 
+    def test_signatures_generated_counts_what_is_signed(self, monkeypatch):
+        # One signature per message and one per acknowledgment (Section 6.8
+        # counts four in a ping round trip) — and the counter sees them all.
+        from repro.crypto.keys import KeyPair
+        signed_by = []
+        sign = KeyPair.sign
+
+        def counting_sign(keypair, message):
+            signed_by.append(keypair.identity)
+            return sign(keypair, message)
+
+        monkeypatch.setattr(KeyPair, "sign", counting_sign)
+        scheduler, network, keystore, alpha, beta = build_echo_pair()
+        alpha.start()
+        beta.start()
+        beta.deliver_event(PacketDelivery(source="alpha", payload=b"ping",
+                                          message_id="ping-1"))
+        scheduler.run_until(0.05)
+        for monitor in (alpha, beta):
+            stats = monitor.stats
+            assert stats.messages_sent > 2 and stats.acks_sent > 2
+            assert stats.signatures_generated \
+                == stats.messages_sent + stats.acks_sent \
+                == signed_by.count(monitor.identity)
+            # ... and one verification per message or ack that came in.
+            assert stats.signatures_verified \
+                == stats.messages_received + stats.acks_received
+            assert stats.acks_rejected == 0
+
     def test_duplicate_delivery_not_replayed_to_guest(self):
         scheduler, network, keystore, alpha, beta = build_echo_pair()
         alpha.start()

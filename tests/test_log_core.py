@@ -54,7 +54,10 @@ class TestEntries:
 
     def test_content_constructors(self):
         assert send_content("bob", b"\x00" * 32, 10, "m1")["destination"] == "bob"
-        assert recv_content("bob", b"\x00" * 32, 10, "m1", b"sig")["source"] == "bob"
+        recv = recv_content("bob", b"abc", "m1", "data")
+        assert recv["source"] == "bob" and recv["payload_size"] == 3
+        assert recv["sender_sequence"] == 0 and recv["sender_signature"] == ""
+        assert "payload_hash" not in recv  # the payload already determines it
         assert ack_content("bob", "m1", "sent", 3)["direction"] == "sent"
         assert snapshot_content(1, b"\x11" * 32, 100)["snapshot_id"] == 1
         assert nondet_content("clock", 5)["execution_counter"] == 5

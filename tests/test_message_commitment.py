@@ -1,0 +1,334 @@
+"""One signature per message: the authenticator *is* the commitment (§4.3).
+
+An envelope carries no signature of its own.  The sender's authenticator
+``(s_i, h_i, sigma(s_i || h_i))`` travels with ``h_{i-1}``; the receiver
+recomputes ``h_i`` from the SEND content the message itself determines and
+verifies the signature over that, logs ``s_i``, ``h_{i-1}`` and the
+signature in its RECV entry, and an auditor repeats the very same
+computation from the log.  The original sender does the mirror-image check
+on every acknowledgment.  These tests pin what that buys:
+
+* a receiver cannot rewrite a logged message, even with its own chain
+  recomputed — the sender's signature stops verifying and the syntactic
+  check names the entry;
+* a *valid* authenticator lifted from another message of the same sender
+  proves nothing about this one;
+* an ack that commits to some other message's RECV acknowledges nothing and
+  is never filed as evidence;
+* the counters say what was signed: one signature per message and per ack;
+* ``avmm-nosig`` goes through the same code with empty signatures.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.audit.auditor import Auditor
+from repro.audit.syntactic import SyntacticChecker
+from repro.audit.verdict import Verdict
+from repro.avmm.config import AvmmConfig, Configuration
+from repro.avmm.monitor import AccountableVMM
+from repro.experiments.harness import build_trust
+from repro.log.authenticator import Authenticator, recv_commitment
+from repro.log.entries import EntryType, recv_content
+from repro.log.tamper_evident import TamperEvidentLog
+from repro.network.message import MessageKind, NetworkMessage
+from repro.network.simnet import SimulatedNetwork
+from repro.sim.scheduler import Scheduler
+from repro.vm.events import PacketDelivery
+from repro.workloads.echo import make_echo_image
+
+
+SEED_ID = "seed-1"
+
+
+class Pair:
+    """alpha and beta run echo guests; charlie is a silent third endpoint."""
+
+    def __init__(self, configuration=Configuration.AVMM_RSA768):
+        self.scheduler = Scheduler()
+        self.network = SimulatedNetwork(self.scheduler)
+        config = AvmmConfig.for_configuration(configuration,
+                                              snapshot_interval=None)
+        _, self.keypairs, self.keystore = build_trust(
+            ["alpha", "beta", "charlie"], scheme=config.signature_scheme)
+        self.image = make_echo_image()
+        self.alpha, self.beta = (
+            AccountableVMM(identity, self.image, config, self.scheduler,
+                           self.network, keypair=self.keypairs[identity],
+                           keystore=self.keystore)
+            for identity in ("alpha", "beta"))
+        self.to_charlie = []
+        self.network.register("charlie", self.to_charlie.append)
+        self.alpha.start()
+        self.beta.start()
+
+    def bounce(self, rounds_until: float = 0.05) -> None:
+        """Start an echo volley with one unauthenticated packet "from alpha"."""
+        self.beta.on_network_message(NetworkMessage(
+            source="alpha", destination="beta", payload=b"ping",
+            message_id=SEED_ID))
+        self.scheduler.run_until(rounds_until)
+
+    def alpha_sends_to_charlie(self, payload: bytes) -> NetworkMessage:
+        """Make alpha's guest send ``payload`` to the silent endpoint."""
+        before = len(self.to_charlie)
+        self.alpha.deliver_event(PacketDelivery(
+            source="charlie", payload=payload,
+            message_id=f"from-charlie-{before}"))
+        self.scheduler.run_until(self.scheduler.clock.now + 0.01)
+        assert len(self.to_charlie) == before + 1
+        return self.to_charlie[-1]
+
+
+def first_recv(monitor):
+    return next(e for e in monitor.log if e.entry_type is EntryType.RECV
+                and e.content["message_id"] != SEED_ID)
+
+
+def problems_naming(report, entry) -> list:
+    return [p for p in report.problems if p.startswith(f"entry {entry.sequence}:")]
+
+
+class TestReceiverCannotRewriteWhatItLogged:
+    def test_honest_recv_entries_verify(self):
+        pair = Pair()
+        pair.bounce()
+        for monitor in (pair.alpha, pair.beta):
+            report = SyntacticChecker(pair.keystore).check(
+                monitor.get_log_segment())
+            assert report.ok, report.problems
+            unsigned = sum(1 for e in monitor.log
+                           if e.entry_type is EntryType.RECV
+                           and e.content["message_id"] == SEED_ID)
+            assert report.signatures_verified == report.recvs - unsigned > 0
+
+    @pytest.mark.parametrize("field,forge", [
+        ("payload", lambda v: (b"pong" + bytes.fromhex(v)[4:]).hex()),
+        ("message_id", lambda v: v[:-1] + ("0" if v[-1] != "0" else "1")),
+        ("payload_size", lambda v: v + 1),
+        ("sender_sequence", lambda v: v + 1),
+        ("sender_previous_hash", lambda v: "00" * 32),
+    ])
+    def test_rewritten_field_with_recomputed_chain_is_named(self, field, forge):
+        pair = Pair()
+        pair.bounce()
+        victim = first_recv(pair.alpha)
+        forged = dict(victim.content)
+        forged[field] = forge(forged[field])
+        assert forged != victim.content
+        # The receiver rewrites its own entry and recomputes its whole chain:
+        # the log is internally consistent again.
+        pair.alpha.log.tamper_replace_entry(victim.sequence, forged,
+                                            recompute_chain=True)
+        segment = pair.alpha.get_log_segment()
+        segment.verify_hash_chain()
+        report = SyntacticChecker(pair.keystore).check(segment)
+        named = problems_naming(report, victim)
+        assert named and "beta" in named[0], report.problems
+
+    @pytest.mark.parametrize("field,value", [
+        ("sender_sequence", -1), ("sender_sequence", 1 << 64),
+        ("sender_previous_hash", "zz"), ("payload", 7), ("payload_size", "x"),
+    ])
+    def test_unparseable_commitment_is_a_report_line_not_an_exception(
+            self, field, value):
+        pair = Pair()
+        pair.bounce()
+        victim = first_recv(pair.alpha)
+        pair.alpha.log.tamper_replace_entry(
+            victim.sequence, dict(victim.content, **{field: value}),
+            recompute_chain=True)
+        report = SyntacticChecker(pair.keystore).check(
+            pair.alpha.get_log_segment())
+        assert problems_naming(report, victim), report.problems
+
+    def test_the_logged_commitment_is_the_senders_authenticator(self):
+        # What the RECV entry lets an auditor rebuild is exactly the
+        # authenticator the sender issued for its SEND entry — sequence,
+        # chain hash and signature — and what alpha filed as evidence.
+        pair = Pair()
+        pair.bounce()
+        recv = first_recv(pair.alpha)
+        rebuilt = recv_commitment("alpha", recv.content)
+        send = pair.beta.log.entry_at(rebuilt.sequence)
+        assert send.entry_type is EntryType.SEND
+        assert rebuilt.chain_hash == send.chain_hash
+        assert rebuilt.verify(pair.keystore)
+        assert rebuilt in pair.alpha.authenticators_from("beta")
+
+    def test_legacy_recv_is_reported_as_unsupported_not_as_forged(self):
+        # A log recorded while the envelope carried its own signature (typed
+        # tags 0x02/0x03) still decodes, but its sender_signature covered an
+        # envelope no one can rebuild: one "legacy format" line per entry,
+        # never a "does not verify" / "malformed commitment" accusation.
+        log = TamperEvidentLog("alpha")
+        legacy = log.append(EntryType.RECV, {
+            "source": "beta", "payload_hash": "11" * 32, "payload_size": 4,
+            "message_id": "m1", "sender_signature": "ab" * 96,
+            "payload": b"ping".hex(), "kind": "data"})
+        _, _, keystore = build_trust(["alpha", "beta"])
+        report = SyntacticChecker(keystore).check(log.full_segment())
+        assert len(report.problems) == 1, report.problems
+        assert report.problems[0].startswith(f"entry {legacy.sequence} (recv)")
+        assert "legacy RECV format" in report.problems[0]
+
+
+class TestBorrowedAuthenticator:
+    def test_valid_authenticator_of_another_message_is_flagged(self):
+        pair = Pair()
+        pair.bounce()
+        genuine = next(m for _, m in pair.network.deliveries
+                       if m.source == "beta" and m.kind is MessageKind.DATA)
+        filed_before = len(pair.alpha.authenticators_from("beta"))
+        # Same sender, a real authenticator it really signed — for a
+        # different message.
+        forged = NetworkMessage(
+            source="beta", destination="alpha", payload=b"never sent",
+            message_id="forged-1", authenticator=dict(genuine.authenticator))
+        pair.alpha.on_network_message(forged)
+        assert len(pair.alpha.authenticators_from("beta")) == filed_before, \
+            "an unverified authenticator was filed as evidence"
+        entry = next(e for e in pair.alpha.log
+                     if e.entry_type is EntryType.RECV
+                     and e.content["message_id"] == "forged-1")
+        report = SyntacticChecker(pair.keystore).check(
+            pair.alpha.get_log_segment())
+        assert problems_naming(report, entry), report.problems
+
+    @pytest.mark.parametrize("attached", [
+        {"machine": "beta", "sequence": "not-a-number"},
+        {"machine": "beta", "sequence": -1, "entry_type": "send",
+         "chain_hash": "00" * 32, "previous_hash": "00" * 32,
+         "content_hash": "00" * 32, "signature": "5a" * 96},
+        {"machine": "beta"},
+        ["not", "a", "dict"],
+        7,
+    ])
+    def test_malformed_authenticator_is_ignored_not_raised(self, attached):
+        pair = Pair()
+        pair.alpha.on_network_message(NetworkMessage(
+            source="beta", destination="alpha", payload=b"x",
+            message_id="odd-1", authenticator=attached))
+        assert pair.alpha.authenticators_from("beta") == []
+        entry = first_recv(pair.alpha)
+        assert entry.content["sender_signature"] == ""
+
+    def test_authenticator_of_a_third_machine_is_rejected(self):
+        pair = Pair()
+        pair.bounce()
+        genuine = next(m for _, m in pair.network.deliveries
+                       if m.source == "beta" and m.kind is MessageKind.DATA)
+        # charlie relays beta's authenticator under its own name.
+        pair.alpha.on_network_message(NetworkMessage(
+            source="charlie", destination="alpha", payload=genuine.payload,
+            message_id=genuine.message_id + "-relay",
+            authenticator=dict(genuine.authenticator)))
+        assert pair.alpha.authenticators_from("charlie") == []
+        assert all(a.machine == "beta"
+                   for a in pair.alpha.authenticators_from("beta"))
+
+
+class TestAckMustCommitToTheReceipt:
+    def _charlie_acks(self, pair, receipt_of, acked):
+        """charlie logs RECV(``receipt_of``) and acks message ``acked``."""
+        log = TamperEvidentLog("charlie", keypair=pair.keypairs["charlie"])
+        entry = log.append(EntryType.RECV, recv_content(
+            "alpha", receipt_of.payload, receipt_of.message_id,
+            receipt_of.kind.value,
+            Authenticator.from_dict(receipt_of.authenticator)))
+        return NetworkMessage(
+            source="charlie", destination="alpha", payload=b"",
+            kind=MessageKind.ACK,
+            authenticator=log.authenticator_for(entry).to_dict(),
+            headers={"acked_message_id": acked.message_id})
+
+    def test_ack_covering_another_messages_recv_is_rejected(self):
+        pair = Pair()
+        first = pair.alpha_sends_to_charlie(b"first")
+        second = pair.alpha_sends_to_charlie(b"second")
+        acks_logged = lambda: [e for e in pair.alpha.log  # noqa: E731
+                               if e.entry_type is EntryType.ACK
+                               and e.content["direction"] == "received"]
+
+        # A genuine, well-signed authenticator — of RECV(first) — offered
+        # as the acknowledgment of ``second``.
+        pair.alpha.on_network_message(
+            self._charlie_acks(pair, receipt_of=first, acked=second))
+        assert pair.alpha.stats.acks_rejected == 1
+        assert pair.alpha.authenticators_from("charlie") == []
+        assert acks_logged() == []
+        assert set(pair.alpha.channel.unacknowledged) == \
+            {first.message_id, second.message_id}
+
+        # The matching pair is accepted, logged and filed.
+        pair.alpha.on_network_message(
+            self._charlie_acks(pair, receipt_of=second, acked=second))
+        assert pair.alpha.stats.acks_rejected == 1
+        assert [e.content["message_id"] for e in acks_logged()] == \
+            [second.message_id]
+        (filed,) = pair.alpha.authenticators_from("charlie")
+        assert filed.entry_type == "recv" and filed.verify(pair.keystore)
+        assert pair.alpha.channel.unacknowledged == [first.message_id]
+
+    def test_ack_without_an_authenticator_acknowledges_nothing(self):
+        pair = Pair()
+        sent = pair.alpha_sends_to_charlie(b"hello")
+        pair.alpha.on_network_message(NetworkMessage(
+            source="charlie", destination="alpha", payload=b"",
+            kind=MessageKind.ACK,
+            headers={"acked_message_id": sent.message_id}))
+        assert pair.alpha.stats.acks_rejected == 1
+        assert pair.alpha.channel.unacknowledged == [sent.message_id]
+
+    def test_unanswered_sender_ends_up_suspecting_the_peer(self):
+        pair = Pair()
+        first = pair.alpha_sends_to_charlie(b"first")
+        second = pair.alpha_sends_to_charlie(b"second")
+        bad = self._charlie_acks(pair, receipt_of=first, acked=second)
+        for _ in range(3):
+            pair.alpha.on_network_message(bad)
+        pair.scheduler.run_until(5.0)
+        assert "charlie" in pair.alpha.stats.suspected_peers
+        # Nothing stays behind for messages the channel gave up on.
+        assert pair.alpha._expected_receipts == {}  # noqa: SLF001
+
+    def test_late_duplicate_ack_is_ignored(self):
+        pair = Pair()
+        sent = pair.alpha_sends_to_charlie(b"hello")
+        ack = self._charlie_acks(pair, receipt_of=sent, acked=sent)
+        pair.alpha.on_network_message(ack)
+        entries = len(pair.alpha.log)
+        pair.alpha.on_network_message(ack)
+        assert len(pair.alpha.log) == entries
+        assert len(pair.alpha.authenticators_from("charlie")) == 1
+        assert pair.alpha.stats.acks_rejected == 0
+
+
+class TestNoSig:
+    def test_avmm_nosig_runs_clean_through_the_same_path(self):
+        pair = Pair(Configuration.AVMM_NOSIG)
+        pair.bounce()
+        for monitor, peer in ((pair.alpha, "beta"), (pair.beta, "alpha")):
+            assert monitor.stats.signatures_generated == 0
+            assert monitor.stats.signatures_verified == 0
+            assert monitor.stats.acks_rejected == 0
+            assert monitor.stats.suspected_peers == []
+            assert monitor.stats.acks_received > 0
+            recvs = [e for e in monitor.log if e.entry_type is EntryType.RECV
+                     and e.content["message_id"] != SEED_ID]
+            assert recvs and all(e.content["sender_signature"] == ""
+                                 and e.content["sender_sequence"] > 0
+                                 for e in recvs)
+            # Structural authenticators are still collected, one per
+            # message and one per ack, and the peer's log matches them.
+            collected = monitor.authenticators_from(peer)
+            assert len(collected) == len(recvs) + sum(
+                1 for e in monitor.log if e.entry_type is EntryType.ACK
+                and e.content["direction"] == "received")
+            report = SyntacticChecker(pair.keystore).check(
+                monitor.get_log_segment())
+            assert report.ok, report.problems
+        auditor = Auditor("auditor", pair.keystore, pair.image)
+        result = auditor.audit(pair.beta)
+        assert result.verdict is Verdict.PASS, result.summary()

@@ -25,20 +25,34 @@ class TestNetworkMessage:
         message = NetworkMessage(source="a", destination="b", payload=b"x")
         assert len(message.payload_hash()) == 32
 
-    def test_signed_payload_covers_fields(self):
-        a = NetworkMessage(source="a", destination="b", payload=b"x", message_id="m")
-        b = NetworkMessage(source="a", destination="c", payload=b"x", message_id="m")
-        c = NetworkMessage(source="a", destination="b", payload=b"y", message_id="m")
-        assert a.signed_payload() != b.signed_payload()
-        assert a.signed_payload() != c.signed_payload()
-
     def test_wire_size_grows_with_signature_and_authenticator(self):
         bare = NetworkMessage(source="a", destination="b", payload=b"x" * 50)
+        unsigned = NetworkMessage(source="a", destination="b", payload=b"x" * 50,
+                                  authenticator={"chain_hash": "00" * 32,
+                                                 "sequence": 3, "signature": ""})
         signed = NetworkMessage(source="a", destination="b", payload=b"x" * 50,
-                                signature=b"s" * 96,
-                                authenticator={"chain_hash": "00" * 32, "sequence": 3})
-        assert signed.wire_size() > bare.wire_size()
+                                authenticator={"chain_hash": "00" * 32,
+                                               "sequence": 3,
+                                               "signature": "5a" * 96})
+        assert unsigned.wire_size() > bare.wire_size()
+        # The authenticator's signature is the only one an envelope carries,
+        # and it travels as raw bytes: 96 of them for an RSA-768 key.
+        assert signed.wire_size() == unsigned.wire_size() + 96
         assert signed.wire_size(encapsulate_tcp=True) > signed.wire_size()
+
+    def test_authenticator_is_sized_from_field_lengths(self):
+        # Hashes count 32 bytes, integers 8, other strings their length —
+        # whatever characters the hex fields hold (nothing scans them).
+        auth = {"machine": "web-server", "sequence": 7, "entry_type": "send",
+                "chain_hash": "ab" * 32, "previous_hash": "00" * 32,
+                "content_hash": "zz" * 32, "signature": "5a" * 96}
+        bare = NetworkMessage(source="a", destination="b", payload=b"",
+                              message_id="m")
+        carrying = NetworkMessage(source="a", destination="b", payload=b"",
+                                  message_id="m", authenticator=auth)
+        assert carrying.wire_size() - bare.wire_size() == \
+            sum(len(key) for key in auth) + len("web-server") + 8 \
+            + len("send") + 3 * 32 + 96
 
     def test_copy_for_forwarding(self):
         original = NetworkMessage(source="a", destination="b", payload=b"x",

@@ -396,6 +396,107 @@ class TestIngestService:
         assert service.stats.segments_rejected == 1
         assert "claims to be from" in service.quarantine[0].reason
 
+    # -- shipments stored as they arrived (no second encode) ----------------
+
+    @staticmethod
+    def _ship(service, blob, source="machine"):
+        from repro.network.message import MessageKind, NetworkMessage
+        service.on_message(NetworkMessage(
+            source, "audit-ingest", blob, kind=MessageKind.ARCHIVE_SEGMENT))
+
+    @staticmethod
+    def _stored(archive, machine="machine"):
+        return [(archive.root / record.file_name).read_bytes()
+                for record in archive.segment_records(machine)]
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_matching_format_shipment_is_stored_as_shipped(self, tmp_path,
+                                                           version):
+        from repro.log.codec import encode_segment
+        segment = build_sealed_log(segments=1).full_segment()
+        blob = encode_segment(segment, version)
+        service = AuditIngestService(
+            LogArchive(tmp_path / "a", format_version=version))
+        self._ship(service, blob)
+        assert not service.quarantine
+        assert self._stored(service.archive) == [blob]
+        # ... and it reads back, one-shot and streamed, as what was shipped.
+        reopened = LogArchive(tmp_path / "a")
+        record = reopened.segment_records("machine")[0]
+        assert reopened.read_segment(record).entries == segment.entries
+        assert list(reopened.stream_segment(record)) == segment.entries
+
+    def test_other_format_shipment_is_reencoded(self, tmp_path):
+        from repro.log.codec import encode_segment
+        segment = build_sealed_log(segments=1).full_segment()
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=1))
+        self._ship(service, encode_segment(segment, 2))
+        assert not service.quarantine
+        assert self._stored(service.archive) == [encode_segment(segment, 1)]
+
+    def test_uncompressed_v3_shipment_is_stored_in_the_archives_layout(
+            self, tmp_path):
+        from repro.log.codec import TypedCodec, encode_segment
+        segment = build_sealed_log(segments=1).full_segment()
+        raw_frames = TypedCodec(compress=False).encode_segment(segment)
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=3))
+        self._ship(service, raw_frames)
+        assert not service.quarantine
+        # Same magic, but not what the archive's codec writes: re-encoded,
+        # so the shipper does not get to pick the stored size.
+        assert self._stored(service.archive) == [encode_segment(segment, 3)]
+
+    def test_junk_padded_v3_frames_are_quarantined(self, tmp_path):
+        import struct
+        from repro.log.codec import TypedCodec, decode_segment, encode_segment
+        from repro.errors import LogFormatError
+        segment = build_sealed_log(segments=1).full_segment()
+        blob = encode_segment(segment, 3)
+        body = TypedCodec._unpack_header(memoryview(blob))[4]
+        padded, position = bytearray(blob[:body]), body
+        while position < len(blob):
+            (length,) = struct.unpack_from("<I", blob, position)
+            frame = blob[position + 4:position + 4 + length] + b"junk"
+            padded += struct.pack("<I", len(frame)) + frame
+            position += 4 + length
+        # zlib's one-shot inflate would skip the junk; the decoder must not,
+        # or a shipper could grow the archive with bytes nobody decodes.
+        with pytest.raises(LogFormatError, match="exactly one zlib stream"):
+            decode_segment(bytes(padded))
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=3))
+        self._ship(service, bytes(padded))
+        assert "undecodable segment" in service.quarantine[0].reason
+        assert service.archive.machines() == []
+
+    @pytest.mark.parametrize("mutate", [
+        lambda blob: blob + b"trailing junk",
+        lambda blob: blob + blob[8:],  # a second bzip2 stream
+    ])
+    def test_v1_shipment_with_bytes_after_its_stream_is_quarantined(
+            self, tmp_path, mutate):
+        from repro.log.codec import encode_segment
+        segment = build_sealed_log(segments=1).full_segment()
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=1))
+        self._ship(service, mutate(encode_segment(segment, 1)))
+        assert "undecodable segment" in service.quarantine[0].reason
+        assert service.archive.machines() == []
+
+    def test_v1_shipment_in_a_non_canonical_json_layout_is_quarantined(
+            self, tmp_path):
+        import bz2
+        import json
+        from repro.log.codec import JsonBz2Codec, encode_segment
+        segment = build_sealed_log(segments=1).full_segment()
+        blob = encode_segment(segment, 1)
+        text = json.loads(bz2.decompress(blob[8:]))
+        spaced = JsonBz2Codec.MAGIC + bz2.compress(
+            json.dumps(text, sort_keys=True, indent=1).encode("utf-8"), 9)
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=1))
+        self._ship(service, spaced)
+        # The streaming decoder scans the encoder's compact layout; bytes it
+        # could not read back must never reach the archive.
+        assert "undecodable segment" in service.quarantine[0].reason
+
     def test_format_ingest_report_lists_machines(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))

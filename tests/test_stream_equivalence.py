@@ -159,8 +159,7 @@ class TestReviewRegressions:
                              "payload_size": 1, "message_id": "m1"})
         segment = LogSegment(machine="mallory", entries=list(log.entries),
                              start_hash=log.entries[0].previous_hash)
-        whole = SyntacticChecker(verify_sender_signatures=False,
-                                 check_entry_format=False).check(segment)
+        whole = SyntacticChecker(check_entry_format=False).check(segment)
         assert not whole.ok  # the serial checker catches the forgery...
         checker = StreamingCrossChecker()
         for entry in segment.entries:
