@@ -50,8 +50,10 @@ def test_archive_ingest_pipeline(benchmark, repro_duration):
     assert result.verdicts_identical
     assert result.all_passed
     assert result.archive_audit_seconds == result.memory_audit_seconds
-    # The archive actually compresses (VMM pre-pass + bzip2)...
-    assert result.archive.compression_ratio < 0.6
+    # The archive actually compresses (VMM pre-pass + bzip2).  The smoke
+    # run seals a segment every 3 sim-s instead of every 10, and bzip2 does
+    # worse on segments that short (0.63 there), hence its looser threshold.
+    assert result.archive.compression_ratio < scaled(0.6, 0.7)
     # ...GC reclaims a meaningful prefix at the midpoint checkpoint...
     assert result.gc_reclaimed_fraction > 0.1
     # ...and the throughput measurement produced a real number.

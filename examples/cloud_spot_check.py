@@ -15,6 +15,7 @@ from repro.audit.spot_check import SpotChecker
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.experiments.harness import build_trust
+from repro.log.codec import modelled_compressed_log_bytes
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import Scheduler
 from repro.workloads.kvstore import make_kvserver_image
@@ -58,9 +59,10 @@ def main() -> None:
               f"estimated replay time {result.replay_seconds:.1f} s")
 
     full = auditor.audit(server)
+    full_download = modelled_compressed_log_bytes(server.get_log_segment())
     print(f"\nfor comparison, a full audit would replay "
           f"{full.cost.semantic_seconds:.1f} s of execution and download "
-          f"{full.cost.total_bytes_downloaded / 1e6:.1f} MB")
+          f"{full_download / 1e6:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from repro.avmm.monitor import AccountableVMM
 from repro.crypto.keys import KeyStore
 from repro.errors import AuditError, AuthenticatorMismatchError, HashChainError
 from repro.log.authenticator import Authenticator
-from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.segments import LogSegment
 from repro.metrics.perfmodel import CostParameters
 from repro.obs import Observability, ensure_obs
@@ -165,7 +164,8 @@ class Auditor:
             raise AuditError(
                 f"segment claims to be from {segment.machine!r}, "
                 f"but the audit target is {machine!r}")
-        cost = self._download_cost(segment, snapshot_bytes)
+        cost = AuditCost.for_download(segment.size_bytes(), snapshot_bytes,
+                                      self.cost_params)
         authenticators = self.authenticators_for(machine)
 
         # Step 1: the log must match the authenticators the machine has issued.
@@ -215,26 +215,6 @@ class Auditor:
                            reason=reason, evidence=evidence)
 
     # -- helpers ----------------------------------------------------------------------
-
-    def _download_cost(self, segment: LogSegment, snapshot_bytes: int) -> AuditCost:
-        """Model the transfer/processing cost of obtaining this segment.
-
-        The compressed size is the cost model's canonical number
-        (:func:`repro.log.codec.modelled_compressed_log_bytes`): a pure
-        function of the entries, so serial, engine and streaming audits of
-        the same log charge the same download regardless of wire format.
-        """
-        raw_bytes = segment.size_bytes()
-        compressed = modelled_compressed_log_bytes(segment)
-        params = self.cost_params
-        return AuditCost(
-            log_bytes_downloaded=raw_bytes,
-            compressed_log_bytes=compressed,
-            snapshot_bytes_downloaded=snapshot_bytes,
-            compression_seconds=raw_bytes / params.compress_bytes_per_second,
-            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
-        )
 
     def _fail(self, machine: str, segment: LogSegment, phase: AuditPhase,
               reason: str, cost: AuditCost, authenticators: List[Authenticator],

@@ -61,7 +61,6 @@ from repro.crypto.keys import StaticKeyView
 from repro.crypto.signatures import get_scheme
 from repro.errors import HashChainError, MissingSnapshotError, SegmentError
 from repro.log.authenticator import Authenticator, batch_verify_authenticators
-from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.entries import EntryType
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment, concatenate_segments, partition_segments
@@ -145,7 +144,8 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
     snapshot).  Stops at the first failing phase, like the serial auditor.
     """
     segment = job.segment
-    cost = _chunk_download_cost(segment, job.snapshot_bytes, job.cost_params)
+    cost = AuditCost.for_download(segment.size_bytes(), job.snapshot_bytes,
+                                  job.cost_params)
     outcome = ChunkOutcome(machine=job.machine, chunk_index=job.chunk_index,
                            verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
                            cost=cost)
@@ -215,21 +215,6 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
         outcome.phase = AuditPhase.SEMANTIC_CHECK
         outcome.reason = report.divergence.describe()
     return outcome
-
-
-def _chunk_download_cost(segment: LogSegment, snapshot_bytes: int,
-                         params: CostParameters) -> AuditCost:
-    """Transfer/processing cost of obtaining one chunk (cf. Auditor._download_cost)."""
-    raw_bytes = segment.size_bytes()
-    compressed = modelled_compressed_log_bytes(segment)
-    return AuditCost(
-        log_bytes_downloaded=raw_bytes,
-        compressed_log_bytes=compressed,
-        snapshot_bytes_downloaded=snapshot_bytes,
-        compression_seconds=raw_bytes / params.compress_bytes_per_second,
-        decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-        syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
-    )
 
 
 # ---------------------------------------------------------------------------

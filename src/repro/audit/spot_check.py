@@ -24,6 +24,7 @@ from repro.audit.auditor import Auditor
 from repro.audit.verdict import AuditResult
 from repro.avmm.monitor import AccountableVMM
 from repro.errors import SegmentError
+from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.segments import LogSegment, concatenate_segments
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports the auditor, not us
@@ -252,7 +253,7 @@ class SpotChecker:
             k=k,
             result=result,
             log_bytes=chunk.size_bytes(),
-            compressed_log_bytes=result.cost.compressed_log_bytes,
+            compressed_log_bytes=modelled_compressed_log_bytes(chunk),
             snapshot_bytes=snapshot_bytes,
             replay_seconds=result.cost.semantic_seconds,
         )
@@ -373,10 +374,11 @@ class SpotChecker:
                 result = auditor.audit_segment(machine, job.segment,
                                                initial_state=job.initial_state,
                                                snapshot_bytes=job.snapshot_bytes)
+            chunk = job.segment
             results.append(SpotCheckResult(
                 chunk_start_index=index, k=k, result=result,
-                log_bytes=job.segment.size_bytes(),
-                compressed_log_bytes=result.cost.compressed_log_bytes,
+                log_bytes=chunk.size_bytes(),
+                compressed_log_bytes=modelled_compressed_log_bytes(chunk),
                 snapshot_bytes=job.snapshot_bytes,
                 replay_seconds=result.cost.semantic_seconds))
         return results

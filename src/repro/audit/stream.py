@@ -31,13 +31,10 @@ run of snapshot-delimited archived segments) plus O(1) checkpoints:
 
 **Equivalence guarantee.**  A passing streamed audit produces an
 :class:`~repro.audit.verdict.AuditResult` *structurally identical* — same
-verdict, counters, replay report and modelled :class:`~repro.audit.verdict.
-AuditCost`, including the modelled compressed log size via
-:class:`~repro.log.codec.ModelledCostAccumulator` (which reproduces
-:func:`~repro.log.codec.modelled_compressed_log_bytes` exactly, whatever the
-chunking, and serves sub-segment sizes from the archive manifest instead of
-recompressing) — to what the serial materializing audit of the same archive
-produces.  Any detected fault
+verdict, counters, replay report and modelled
+:class:`~repro.audit.verdict.AuditCost` (raw bytes, snapshot bytes and
+modelled seconds; nothing on this path runs a compressor) — to what the
+serial materializing audit of the same archive produces.  Any detected fault
 (or inability to stream, e.g. an unverifiable boundary snapshot) falls back
 to the materializing serial audit so failure verdicts and evidence are
 *canonical*: exactly the optimistic-fast-path/serial-confirm design of the
@@ -62,7 +59,6 @@ from repro.errors import (
     ReproError,
     StoreError,
 )
-from repro.log.codec import ModelledCostAccumulator
 from repro.log.entries import EntryType, LogEntry
 from repro.log.hashchain import (
     ChainCheckpoint,
@@ -487,9 +483,7 @@ class StreamingAuditPipeline:
         semantic = SemanticChecker(auditor.reference_image, auditor.cost_params)
         cross = StreamingCrossChecker()
         start = target.start_checkpoint()
-        meter = ModelledCostAccumulator(
-            machine, start.chain_hash,
-            size_hint=getattr(target, "wire_size_hint", None))
+        raw_bytes = 0
 
         # Telemetry (observers only — nothing below reads these back).
         obs = self.obs
@@ -536,7 +530,7 @@ class StreamingAuditPipeline:
             entries_counter.inc(len(segment.entries))
             chunk_started = time.perf_counter() if observed else 0.0
             last_sequence = chunk.end_checkpoint.sequence
-            meter.add_many(segment.entries)
+            raw_bytes += segment.size_bytes()
             for entry in segment.entries:
                 active_buckets.add(int(entry.timestamp))
                 cross.feed(entry)
@@ -613,16 +607,8 @@ class StreamingAuditPipeline:
                                   "; ".join(cross.problems[:3]), None, None)
 
         # Assemble the serial-identical PASS result.
-        params = auditor.cost_params
-        raw_bytes = meter.raw_bytes
-        cost = AuditCost(
-            log_bytes_downloaded=raw_bytes,
-            compressed_log_bytes=meter.finish(),
-            snapshot_bytes_downloaded=snapshot_bytes,
-            compression_seconds=raw_bytes / params.compress_bytes_per_second,
-            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
-        )
+        cost = AuditCost.for_download(raw_bytes, snapshot_bytes,
+                                      auditor.cost_params)
         merged.entries_replayed = stats.entries
         merged.active_seconds = float(len(active_buckets))
         cost.semantic_seconds = semantic.estimate_timing(merged).replay_seconds

@@ -8,6 +8,7 @@ from typing import Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
 from repro.avmm.replayer import ReplayReport
+from repro.metrics.perfmodel import CostParameters
 
 
 class Verdict(enum.Enum):
@@ -29,10 +30,15 @@ class AuditPhase(enum.Enum):
 
 @dataclass
 class AuditCost:
-    """Resources an audit consumed (drives Sections 6.6, 6.12 and Figure 9)."""
+    """Resources an audit consumed (drives Sections 6.6, 6.12 and Figure 9).
+
+    Every field is either counted or modelled from the raw byte count, so
+    filling it in never runs a compressor.  The *compressed* download size
+    the paper quotes is :func:`repro.log.codec.modelled_compressed_log_bytes`
+    of the audited segment, computed by whoever reports it.
+    """
 
     log_bytes_downloaded: int = 0
-    compressed_log_bytes: int = 0
     snapshot_bytes_downloaded: int = 0
     compression_seconds: float = 0.0
     decompression_seconds: float = 0.0
@@ -46,9 +52,17 @@ class AuditCost:
     signatures_verified: int = 0
     signature_screen_operations: int = 0
 
-    @property
-    def total_bytes_downloaded(self) -> int:
-        return self.compressed_log_bytes + self.snapshot_bytes_downloaded
+    @classmethod
+    def for_download(cls, raw_bytes: int, snapshot_bytes: int,
+                     params: CostParameters) -> "AuditCost":
+        """Modelled cost of obtaining ``raw_bytes`` of log plus a snapshot."""
+        return cls(
+            log_bytes_downloaded=raw_bytes,
+            snapshot_bytes_downloaded=snapshot_bytes,
+            compression_seconds=raw_bytes / params.compress_bytes_per_second,
+            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
+            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -59,7 +73,6 @@ class AuditCost:
     def add(self, other: "AuditCost") -> None:
         """Accumulate another audit's cost into this one (chunk/fleet merge)."""
         self.log_bytes_downloaded += other.log_bytes_downloaded
-        self.compressed_log_bytes += other.compressed_log_bytes
         self.snapshot_bytes_downloaded += other.snapshot_bytes_downloaded
         self.compression_seconds += other.compression_seconds
         self.decompression_seconds += other.decompression_seconds

@@ -47,8 +47,8 @@ from typing import Callable, Dict, List, Optional
 from repro.audit.stream import StreamAuditReport, stream_audit
 from repro.experiments.harness import format_table
 from repro.experiments.parallel_audit import build_fleet
-from repro.log.codec import (ModelledCostAccumulator, SegmentStreamDecoder,
-                             TypedCodec, decode_segment, get_codec)
+from repro.log.codec import (SegmentStreamDecoder, TypedCodec,
+                             decode_segment, get_codec)
 from repro.log.entries import content_materializations_total
 from repro.log.hashchain import ChainCheckpoint, extend_checkpoint_batch
 from repro.obs import CodecMetrics, MetricsRegistry, Observability
@@ -318,22 +318,15 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
                 codec.encode_segment(segment)
 
         def verify_only() -> None:
-            # Chain verification + modelled cost accounting — the audit
-            # work that must not require content materialization.  The
-            # archive's manifest serves the v1 sizes, so AuditCost stays
-            # denominated in canonical v1 bytes for every wire format.
+            # Chain verification + raw-byte cost accounting — the audit
+            # work that must not require content materialization.
             for blob in bench_blobs:
                 segment = decode_segment(blob)
                 checkpoint = ChainCheckpoint(
                     sequence=segment.entries[0].sequence - 1,
                     chain_hash=segment.start_hash)
                 extend_checkpoint_batch(checkpoint, segment.entries)
-                cost = ModelledCostAccumulator(
-                    segment.machine, segment.start_hash,
-                    size_hint=lambda first, last, _archive=versioned:
-                        _archive.cached_wire_bytes(machine, first, last))
-                cost.add_many(segment.entries)
-                cost.finish()
+                segment.size_bytes()
 
         service = AuditIngestService(versioned)
         target = service.target_for(machine)

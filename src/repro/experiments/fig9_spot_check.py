@@ -20,6 +20,7 @@ from repro.audit.spot_check import SpotChecker
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.experiments.harness import build_trust, format_table
+from repro.log.codec import modelled_compressed_log_bytes
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import Scheduler
 from repro.workloads.kvstore import make_kvserver_image
@@ -77,7 +78,8 @@ def run_spot_check(duration: float = 300.0, snapshot_interval: float = 30.0,
     auditor.collect_from_peer(client, "db-server")
     full = auditor.audit(server)
     full_seconds = full.cost.total_seconds
-    full_bytes = max(1, full.cost.total_bytes_downloaded)
+    full_bytes = max(1, modelled_compressed_log_bytes(server.get_log_segment())
+                     + full.cost.snapshot_bytes_downloaded)
 
     checker = SpotChecker(auditor)
     segments = server.get_snapshot_segments()

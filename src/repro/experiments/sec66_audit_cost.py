@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.avmm.config import Configuration
 from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.log.codec import modelled_compressed_log_bytes
 
 
 @dataclass
@@ -52,6 +53,7 @@ def run_audit_cost(duration: float = 60.0, num_players: int = 3,
     session = GameSession(settings)
     session.run()
     result = session.audit(machine, auditor_identity="player1")
+    audited_log = session.monitors[machine].get_log_segment()
     active = result.replay_report.active_seconds if result.replay_report else 0.0
     return AuditCostResult(
         recorded_seconds=duration,
@@ -61,7 +63,7 @@ def run_audit_cost(duration: float = 60.0, num_players: int = 3,
         syntactic_seconds=result.cost.syntactic_seconds,
         semantic_seconds=result.cost.semantic_seconds,
         log_bytes=result.cost.log_bytes_downloaded,
-        compressed_bytes=result.cost.compressed_log_bytes,
+        compressed_bytes=modelled_compressed_log_bytes(audited_log),
         audit_passed=result.ok,
     )
 

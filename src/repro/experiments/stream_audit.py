@@ -13,23 +13,15 @@ audits the server's archived log twice:
   holding one chunk at a time.
 
 Both paths are timed (best of ``repetitions``) and measured with
-``tracemalloc``; the results must be *structurally identical*.  One caveat
-the numbers make visible: the modelled download cost is stated in
-v1-compressed bytes, and bzip2-9's block-transform working set is a fixed
-~7.5 MB (level × ~830 KB) regardless of input size.  The materializing
-path always pays that floor during its recompression; the streaming
-accumulator (:class:`~repro.log.codec.ModelledCostAccumulator`) usually
-answers from the archive manifest's exact-span size hints and only pays it
-on a hint miss.  The experiment therefore reports the peak ratio both raw
-and with the measured floor subtracted (``data_peak_ratio``); on a long
-run the raw ratio clears 5x as well, because the materializing path's
-O(log) terms dwarf the constant.
+``tracemalloc``; the results must be *structurally identical*.  Neither
+path runs a compressor (the modelled compressed download size is priced by
+whoever reports it, not by the audit), so the raw peak ratio is the whole
+story.
 """
 
 from __future__ import annotations
 
 import argparse
-import bz2
 import gc
 import json
 import shutil
@@ -63,8 +55,6 @@ class StreamAuditBenchResult:
     #: measured tracemalloc peaks (bytes)
     materializing_peak: int = 0
     streaming_peak: int = 0
-    #: the shared bzip2-9 compressor working set, measured in-process
-    bz2_floor: int = 0
     #: best-of-N wall clocks (seconds)
     materializing_wall: float = 0.0
     streaming_wall: float = 0.0
@@ -78,12 +68,6 @@ class StreamAuditBenchResult:
         return self.materializing_peak / max(1, self.streaming_peak)
 
     @property
-    def data_peak_ratio(self) -> float:
-        """Peak ratio with the shared bzip2-9 floor subtracted from both."""
-        return (self.materializing_peak - self.bz2_floor) \
-            / max(1, self.streaming_peak - self.bz2_floor)
-
-    @property
     def throughput_ratio(self) -> float:
         """Streaming throughput relative to materializing (1.0 = parity)."""
         if self.streaming_wall <= 0:
@@ -94,20 +78,8 @@ class StreamAuditBenchResult:
         """JSON-ready view including the derived ratios (``--json`` mode)."""
         payload = asdict(self)
         payload["peak_ratio"] = self.peak_ratio
-        payload["data_peak_ratio"] = self.data_peak_ratio
         payload["throughput_ratio"] = self.throughput_ratio
         return payload
-
-
-def _measure_bz2_floor() -> int:
-    """Traced size of one bzip2-9 compressor's block-transform arrays."""
-    gc.collect()
-    tracemalloc.start()
-    compressor = bz2.BZ2Compressor(9)
-    compressor.compress(b"x")
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
 
 
 def run_stream_audit_bench(duration: float = 50.0,
@@ -191,7 +163,6 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
     result.materializing_wall = best_wall(run_materializing)
     result.streaming_peak = traced_peak(run_streaming)
     result.materializing_peak = traced_peak(run_materializing)
-    result.bz2_floor = _measure_bz2_floor()
     return result
 
 
@@ -222,7 +193,6 @@ def main(duration: float = 50.0, payload_bytes: int = 16000,
         ("materializing peak", f"{result.materializing_peak:,} B"),
         ("streaming peak", f"{result.streaming_peak:,} B"),
         ("peak ratio", f"{result.peak_ratio:.1f}x"),
-        ("peak ratio (minus bz2-9 floor)", f"{result.data_peak_ratio:.1f}x"),
         ("materializing wall", f"{result.materializing_wall:.2f} s"),
         ("streaming wall", f"{result.streaming_wall:.2f} s"),
         ("streaming throughput", f"{result.throughput_ratio:.2f}x"),

@@ -48,10 +48,10 @@ The module also owns the audit cost model's canonical compressed-log size
 (:func:`modelled_compressed_log_bytes`): the sum, over the snapshot-delimited
 sub-segments of the audited range, of the v1-compressed size of each
 sub-segment.  It is a pure function of the entries — independent of wire
-format, chunking, and shipment history — so serial, engine and streaming
-audits of the same log model the same download cost, and archives can serve
-it from their manifests without recompressing (see
-:meth:`~repro.store.archive.LogArchive.cached_wire_bytes`).
+format, chunking, and shipment history.  Computing it runs bzip2 over the
+whole log, so no audit, ingest or migration path calls it: whoever *reports*
+the number (the spot checker, the Section 6.6 and Figure 9 experiments)
+calls it on the segment it audited.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import json
 import struct
 import zlib
 from typing import (
-    Callable,
     ClassVar,
     Dict,
     Iterable,
@@ -102,7 +101,6 @@ __all__ = [
     "decode_segment",
     "iter_snapshot_subsegments",
     "modelled_compressed_log_bytes",
-    "ModelledCostAccumulator",
 ]
 
 #: every codec magic is exactly this long, so sniffing needs 8 bytes
@@ -1300,12 +1298,7 @@ def iter_snapshot_subsegments(segment: LogSegment) -> Iterator[LogSegment]:
                          start_hash=start_hash)
 
 
-#: optional cache lookup: ``(first_sequence, last_sequence) -> bytes or None``
-SizeHint = Callable[[int, int], Optional[int]]
-
-
-def modelled_compressed_log_bytes(segment: LogSegment,
-                                  size_hint: Optional[SizeHint] = None) -> int:
+def modelled_compressed_log_bytes(segment: LogSegment) -> int:
     """The audit cost model's compressed size of downloading ``segment``.
 
     Defined as the sum over the snapshot-delimited sub-segments of the
@@ -1315,69 +1308,9 @@ def modelled_compressed_log_bytes(segment: LogSegment,
     chunked or streamed the log, and identical for every wire format the
     log happens to be stored in.
 
-    ``size_hint`` lets archives serve sub-segment sizes from their manifest
-    (:meth:`~repro.store.archive.LogArchive.cached_wire_bytes`) instead of
-    recompressing; a hint may return ``None`` for any range, in which case
-    the size is computed by compressing that sub-segment — so hints are an
-    optimisation, never a semantic change.
+    This compresses every entry, so it is for reporting a modelled figure,
+    never for a path whose wall time is measured.
     """
-    if not segment.entries:
-        return 0
-    total = 0
-    v1 = None
-    for sub in iter_snapshot_subsegments(segment):
-        cached = None
-        if size_hint is not None:
-            cached = size_hint(sub.first_sequence, sub.last_sequence)
-        if cached is None:
-            if v1 is None:
-                v1 = JsonBz2Codec()
-            cached = len(v1.encode_segment(sub))
-        total += cached
-    return total
-
-
-class ModelledCostAccumulator:
-    """:func:`modelled_compressed_log_bytes` over a *stream* of entries.
-
-    The streaming audit sees the log in chunks; because the modelled size is
-    additive across snapshot boundaries, this accumulator buffers only the
-    current snapshot-delimited sub-segment (closing it at every SNAPSHOT
-    entry) and produces exactly the number
-    :func:`modelled_compressed_log_bytes` returns for the concatenated log —
-    whatever the chunking was.  Interface-compatible with the historical
-    ``IncrementalCompressionMeter`` (``add_many`` / ``raw_bytes`` /
-    ``finish``); ``size_hint`` is the archive's manifest lookup, so a
-    cleanly-shipped log is costed without compressing anything.
-    """
-
-    def __init__(self, machine: str, start_hash: bytes,
-                 size_hint: Optional[SizeHint] = None) -> None:
-        self._machine = machine
-        self._start_hash = start_hash
-        self._size_hint = size_hint
-        self._pending: List[LogEntry] = []
-        self._compressed = 0
-        self.raw_bytes = 0
-
-    def add_many(self, entries: Iterable[LogEntry]) -> None:
-        """Account consecutive entries (log order across all calls)."""
-        for entry in entries:
-            self.raw_bytes += entry.size_bytes()
-            self._pending.append(entry)
-            if entry.entry_type is EntryType.SNAPSHOT:
-                self._close_subsegment()
-
-    def _close_subsegment(self) -> None:
-        sub = LogSegment(machine=self._machine, entries=self._pending,
-                         start_hash=self._start_hash)
-        self._compressed += modelled_compressed_log_bytes(sub,
-                                                          self._size_hint)
-        self._start_hash = sub.end_hash
-        self._pending = []
-
-    def finish(self) -> int:
-        """Close the final (tail) sub-segment; return the modelled size."""
-        if self._pending:
-            self._close_subsegment()
-        return self._compressed
+    v1 = JsonBz2Codec()
+    return sum(len(v1.encode_segment(sub))
+               for sub in iter_snapshot_subsegments(segment))

@@ -125,11 +125,11 @@ class IncrementalCompressionMeter:
     :func:`bz2.compress`.  Memory stays O(1): the bz2 state plus one encoded
     row.
 
-    The audit cost model no longer runs one of these over the whole stream —
-    it models compressed download size per snapshot-delimited sub-segment
-    (:func:`repro.log.codec.modelled_compressed_log_bytes`), usually served
-    straight from the archive manifest — but the meter remains the reference
-    implementation that the equivalence tests check both against.
+    The audit cost model does not run one of these — it models compressed
+    download size per snapshot-delimited sub-segment
+    (:func:`repro.log.codec.modelled_compressed_log_bytes`), computed by
+    whoever reports the figure — but the meter remains the streamed
+    reference the property tests check the one-shot v1 compressor against.
     """
 
     def __init__(self, machine: str, start_hash: bytes, level: int = 9) -> None:

@@ -99,20 +99,6 @@ class ArchiveBackedMachine:
         """
         return self.archive.authenticators_for(peer)
 
-    def wire_size_hint(self, first_sequence: int,
-                       last_sequence: int) -> Optional[int]:
-        """Manifest-served v1-compressed size of an exact archived range.
-
-        The audit cost model charges the v1-compressed download size per
-        snapshot-delimited sub-segment
-        (:func:`repro.log.codec.modelled_compressed_log_bytes`); when a
-        sub-segment coincides with a stored segment file the archive already
-        knows that size and the auditor skips the compression entirely.
-        ``None`` for any range the index cannot answer exactly.
-        """
-        return self.archive.cached_wire_bytes(self.identity, first_sequence,
-                                              last_sequence)
-
     # -- retention-aware helpers ---------------------------------------------
 
     def start_checkpoint(self) -> ChainCheckpoint:

@@ -357,14 +357,6 @@ class LogArchive:
             data = bytes(wire)
         else:
             data = codec.encode_segment(segment)
-        if self.format_version == 1:
-            wire_v1 = len(data)
-        else:
-            # The cost model charges the v1-compressed size whatever format
-            # the file is stored in; computing it here (once, at ingest —
-            # exactly what a v1 archive pays anyway) lets every later audit
-            # serve it from the manifest instead of recompressing.
-            wire_v1 = len(get_codec(1).encode_segment(segment))
         file_name = (f"{self._machine_dir(machine)}/segment-"
                      f"{segment.first_sequence:08d}-{segment.last_sequence:08d}"
                      f"{segment_suffix(self.format_version)}")
@@ -381,7 +373,6 @@ class LogArchive:
             stored_bytes=len(data),
             sealed_by_snapshot=sealed_by_snapshot,
             format_version=self.format_version,
-            wire_v1_bytes=wire_v1,
         )
         self._manifest.segments.append(record)
         self._index.setdefault(machine, []).append(record)
@@ -613,33 +604,6 @@ class LogArchive:
         if not segments:
             raise StoreError(f"no archived segments for {machine!r}")
         return concatenate_segments(segments)
-
-    def cached_wire_bytes(self, machine: str, first_sequence: int,
-                          last_sequence: int) -> Optional[int]:
-        """The v1-compressed size of ``[first, last]``, served from the index.
-
-        Returns a size only when some segment record covers *exactly* this
-        sequence range: an exact span match means the record's file was
-        encoded from the same entries, the same start hash and the same
-        machine name as any sub-segment an audit rebuilds for that range
-        (the archive verified the chain at ingest), so the deterministic v1
-        encoding — and hence its length — is identical.  Ranges that do not
-        line up with a stored segment (merged re-shipments, split tails)
-        return ``None`` and the caller computes the size itself; the cache
-        is a pure optimisation, never a semantic change.
-        """
-        records = self._index.get(machine, [])
-        starts = [record.first_sequence for record in records]
-        position = bisect_right(starts, first_sequence) - 1
-        if position < 0:
-            return None
-        record = records[position]
-        if record.first_sequence != first_sequence \
-                or record.last_sequence != last_sequence:
-            return None
-        if record.format_version == 1:
-            return record.stored_bytes
-        return record.wire_v1_bytes or None
 
     def reencode_segments(self, destination_root: Union[str, Path],
                           format_version: int) -> "LogArchive":

@@ -49,10 +49,6 @@ class SegmentRecord:
     sealed_by_snapshot: Optional[int] = None
     #: wire format the segment file is stored in (a codec registry version)
     format_version: int = 1
-    #: the segment's v1-compressed size — the audit cost model's canonical
-    #: compressed download size.  Equals ``stored_bytes`` for v1 files;
-    #: computed at append time for other formats (0 = unknown, legacy record)
-    wire_v1_bytes: int = 0
 
     def covers(self, sequence: int) -> bool:
         return self.first_sequence <= sequence <= self.last_sequence
@@ -73,7 +69,6 @@ class SegmentRecord:
             "stored_bytes": self.stored_bytes,
             "sealed_by_snapshot": self.sealed_by_snapshot,
             "format_version": self.format_version,
-            "wire_v1_bytes": self.wire_v1_bytes,
         }
 
     @staticmethod
@@ -97,7 +92,6 @@ class SegmentRecord:
                 stored_bytes=int(data["stored_bytes"]),
                 sealed_by_snapshot=int(sealed) if sealed is not None else None,
                 format_version=format_version,
-                wire_v1_bytes=int(data.get("wire_v1_bytes", 0)),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ArchiveIntegrityError(f"malformed segment record: {exc}") from exc

@@ -18,6 +18,7 @@ from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import EvidenceError
 from repro.game.cheats.external import LogTamperingAdversary, PacketForgingAdversary, boost_fire_commands
+from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.entries import EntryType
 
 
@@ -65,7 +66,10 @@ class TestFullAudit:
         for player, result in results.items():
             assert result.verdict is Verdict.PASS, result.summary()
             assert result.authenticators_checked > 0
-            assert result.cost.compressed_log_bytes > 0
+            audited = honest_session.monitors[player].get_log_segment()
+            assert result.cost.log_bytes_downloaded == audited.size_bytes()
+            assert 0 < modelled_compressed_log_bytes(audited) \
+                < result.cost.log_bytes_downloaded
             assert result.cost.semantic_seconds > 0
 
     def test_server_audit_passes(self, honest_session):

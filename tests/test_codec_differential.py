@@ -14,6 +14,8 @@ shipments, and diff the audits.
 from __future__ import annotations
 
 import bz2
+import json
+import shutil
 
 import pytest
 
@@ -21,7 +23,8 @@ from repro.audit.stream import stream_audit
 from repro.audit.verdict import Verdict
 from repro.errors import LogFormatError
 from repro.experiments.parallel_audit import build_fleet
-from repro.log.codec import get_codec, sniff_format_version
+from repro.log.codec import (get_codec, modelled_compressed_log_bytes,
+                             sniff_format_version)
 from repro.log.storage import segment_to_bytes
 from repro.network.message import MessageKind, NetworkMessage
 from repro.service.ingest import AuditIngestService
@@ -83,10 +86,11 @@ class TestReencodedArchiveEquivalence:
                      r2.start_hash, r2.end_hash)
                 assert r1.format_version == 1 and r2.format_version == 2
                 assert r2.file_name.endswith(".avmlogb")
-                # The v2 record caches the v1-compressed size so the audit
-                # cost model never recompresses: it must equal what the v1
-                # archive actually stored for the same entries.
-                assert r2.wire_v1_bytes == r1.stored_bytes
+                # The modelled download size is format-independent: priced
+                # from the v2-decoded entries it equals what the v1 archive
+                # actually stored for the same cleanly-shipped segment.
+                assert modelled_compressed_log_bytes(v2.read_segment(r2)) \
+                    == r1.stored_bytes
                 data = (v2.root / r2.file_name).read_bytes()
                 assert sniff_format_version(data) == 2
 
@@ -105,9 +109,10 @@ class TestReencodedArchiveEquivalence:
                      r3.start_hash, r3.end_hash)
                 assert r3.format_version == 3
                 assert r3.file_name.endswith(".avmlogt")
-                # The v1-modelled size survives the v2→v3 migration, so the
-                # audit cost model stays denominated in canonical v1 bytes.
-                assert r3.wire_v1_bytes == r1.stored_bytes
+                # ...and it survives the v2→v3 migration, so the reported
+                # figure stays denominated in canonical v1 bytes.
+                assert modelled_compressed_log_bytes(v3.read_segment(r3)) \
+                    == r1.stored_bytes
                 data = (v3.root / r3.file_name).read_bytes()
                 assert sniff_format_version(data) == 3
 
@@ -152,6 +157,25 @@ class TestReencodedArchiveEquivalence:
                 assert v1_results[machine] == other_results[machine], (
                     f"{machine}: v1 and {label} archives audit differently "
                     f"(streaming={streaming})")
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_manifest_with_the_retired_size_key_loads_and_audits(
+            self, recorded_fleet, v3_root, tmp_path, streaming):
+        """Archives written before the cost model stopped compressing carry
+        ``wire_v1_bytes`` per segment record; the key is ignored on load."""
+        fleet, root = recorded_fleet
+        legacy_root = tmp_path / "archive-v3-legacy"
+        shutil.copytree(v3_root, legacy_root)
+        manifest_path = legacy_root / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        for record in manifest["segments"]:
+            assert "wire_v1_bytes" not in record  # nothing writes it
+            record["wire_v1_bytes"] = 12345
+        manifest_path.write_text(json.dumps(manifest, indent=1,
+                                            sort_keys=True))
+        assert LogArchive(legacy_root).recovery.clean
+        assert _audit_all(fleet, legacy_root, streaming) == \
+            _audit_all(fleet, root, streaming)
 
 
 class TestMixedFormatIngest:

@@ -150,6 +150,9 @@ class TestFigure9:
         assert data_fractions == sorted(data_fractions)
         # Fixed per-chunk cost: a 1-segment chunk still costs a visible fraction.
         assert result.points[0].avg_data_fraction > 0.0
+        # The full-audit baseline's compressed download, pinned at the commit
+        # before the experiment (not the audit) started pricing it.
+        assert result.full_audit_bytes == 546086
 
 
 class TestSection65:
@@ -168,6 +171,9 @@ class TestSection66And67:
         assert result.semantic_seconds > result.syntactic_seconds
         assert result.semantic_seconds > result.compression_seconds
         assert 0.5 < result.semantic_fraction_of_recording < 2.0
+        # Pinned at the commit before the experiment (not the audit) started
+        # pricing the compressed download.
+        assert (result.log_bytes, result.compressed_bytes) == (319972, 191370)
 
     @pytest.mark.slow
     def test_traffic_overhead(self):

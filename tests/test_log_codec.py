@@ -17,7 +17,6 @@ from repro.log.codec import (
     V3_FLAG_COMPRESSED,
     BinaryCodec,
     JsonBz2Codec,
-    ModelledCostAccumulator,
     TypedCodec,
     SegmentStreamDecoder,
     codec_for_data,
@@ -297,31 +296,3 @@ class TestCostModel:
         assert whole == total
         assert modelled_compressed_log_bytes(
             LogSegment(machine="m", entries=[], start_hash=bytes(32))) == 0
-
-    def test_size_hint_is_an_optimisation_not_a_semantic_change(
-            self, sample_segment):
-        calls = []
-
-        def hint(first, last):
-            calls.append((first, last))
-            return None
-
-        assert modelled_compressed_log_bytes(sample_segment, hint) == \
-            modelled_compressed_log_bytes(sample_segment)
-        assert calls  # the hint was consulted for every sub-segment
-
-    @pytest.mark.parametrize("chunk_sizes", [[1], [3, 7], [100]])
-    def test_accumulator_equals_pure_function(self, sample_segment,
-                                              chunk_sizes):
-        meter = ModelledCostAccumulator(sample_segment.machine,
-                                        sample_segment.start_hash)
-        entries = sample_segment.entries
-        cursor = 0
-        step = 0
-        while cursor < len(entries):
-            size = chunk_sizes[step % len(chunk_sizes)]
-            meter.add_many(entries[cursor:cursor + size])
-            cursor += size
-            step += 1
-        assert meter.finish() == modelled_compressed_log_bytes(sample_segment)
-        assert meter.raw_bytes == sample_segment.size_bytes()

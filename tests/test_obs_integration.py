@@ -260,8 +260,7 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["identical"] is True
         assert payload["entries"] == result.entries
-        assert {"peak_ratio", "data_peak_ratio",
-                "throughput_ratio"} <= payload.keys()
+        assert {"peak_ratio", "throughput_ratio"} <= payload.keys()
 
     def test_adversary_matrix_json_mode(self, capsys, monkeypatch):
         report = MatrixReport()

@@ -13,11 +13,12 @@ disk, and that a chain-verify of the v3 seed parses zero content dicts.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.log.codec import sniff_format_version
+from repro.log.codec import modelled_compressed_log_bytes, sniff_format_version
 from repro.log.entries import content_materializations_total
 from repro.log.storage import segment_to_bytes
 from repro.store.archive import LogArchive
@@ -73,7 +74,6 @@ def test_seed_archive_reencodes_to_v2(seed_archive, tmp_path):
     assert segment_to_bytes(v2.materialized_log(MACHINE)) == expected
     for record in v2.segment_records(MACHINE):
         assert record.format_version == 2
-        assert record.wire_v1_bytes > 0
 
 
 @pytest.fixture()
@@ -113,6 +113,25 @@ def test_v3_seed_archive_serves_all_read_paths(seed_v3_archive):
     assert auths and all(auth.machine == MACHINE for auth in auths)
 
 
+def test_v3_seed_manifest_keeps_its_retired_size_key(seed_v3_archive):
+    # The pinned manifest was written when segment records cached their
+    # v1-compressed size; the key is still on disk, loads, and is ignored
+    # (the fixture also proves opening the archive did not rewrite it).
+    manifest = json.loads((SEED_V3_ROOT / "MANIFEST.json").read_text())
+    assert all("wire_v1_bytes" in record for record in manifest["segments"])
+    for record in seed_v3_archive.segment_records(MACHINE):
+        assert "wire_v1_bytes" not in record.to_dict()
+    # Priced from the decoded entries, the reported figure is what the
+    # retired key held and what the v1 seed stores.
+    v1_records = LogArchive(SEED_ROOT).segment_records(MACHINE)
+    for stored, record, v1_record in zip(
+            manifest["segments"], seed_v3_archive.segment_records(MACHINE),
+            v1_records):
+        assert modelled_compressed_log_bytes(
+            seed_v3_archive.read_segment(record)) \
+            == stored["wire_v1_bytes"] == v1_record.stored_bytes
+
+
 def test_v3_seed_chain_verify_is_materialization_free(seed_v3_archive):
     # The lazy-decode contract, pinned against checked-in bytes: a chain
     # verify over the v3 seed never parses a content payload.
@@ -136,7 +155,6 @@ def test_seed_archive_reencodes_to_v3_and_back(seed_archive, tmp_path):
     assert segment_to_bytes(v3.materialized_log(MACHINE)) == expected
     for record in v3.segment_records(MACHINE):
         assert record.format_version == 3
-        assert record.wire_v1_bytes > 0
     back = LogArchive(SEED_V3_ROOT).reencode_segments(
         tmp_path / "v1-again", format_version=1)
     for r1, r2 in zip(LogArchive(SEED_ROOT).segment_records(MACHINE),

@@ -12,6 +12,7 @@ import pytest
 from repro.adversary.matrix import record_scenario
 from repro.adversary.tampering import TamperingVMM
 from repro.audit.auditor import Auditor
+from repro.audit.engine import AuditScheduler
 from repro.audit.spot_check import SpotCheckReport, SpotChecker
 from repro.audit.verdict import Verdict
 
@@ -39,12 +40,12 @@ def tampered_scenario():
     return ctx, target_index
 
 
-def _make_checker(ctx):
+def _make_checker(ctx, engine=None):
     auditor = Auditor("auditor", ctx.keystore,
                       ctx.reference_images[ctx.byzantine])
     for machine in ctx.honest_machines:
         auditor.collect_from_peer(ctx.monitors[machine], ctx.byzantine)
-    return SpotChecker(auditor)
+    return SpotChecker(auditor, engine=engine)
 
 
 class TestHonestCoverageAccounting:
@@ -117,6 +118,47 @@ class TestHonestCoverageAccounting:
                                        seed=0, skip_initial=False)
         assert report.ok and report.complete
         assert report.verdict_claim() == "pass"
+
+
+class TestReportedTransferFigures:
+    """The Figure 9 quantities, pinned at the commit before the cost model
+    stopped compressing on the audit path: the checker prices each chunk's
+    compressed download itself, and every figure it prints is unchanged."""
+
+    @pytest.fixture(params=["serial", "engine"])
+    def engine(self, request):
+        if request.param == "engine":
+            return AuditScheduler(workers=2, executor="inline")
+        return None
+
+    @staticmethod
+    def _figures(results):
+        return [(r.compressed_log_bytes, r.total_bytes_transferred)
+                for r in results]
+
+    def test_honest_chunks(self, engine):
+        ctx = record_scenario(workload="kv", fleet_size=2, seed=43,
+                              duration=3.0)
+        checker = _make_checker(ctx, engine)
+        k1 = checker.check_all_chunks(ctx.monitor, k=1, skip_initial=False)
+        assert all(r.ok for r in k1)
+        assert self._figures(k1) == [
+            (6192, 6192), (8085, 536879989), (8037, 536879947),
+            (300, 536871521)]
+        k2 = checker.check_all_chunks(ctx.monitor, k=2, skip_initial=False)
+        assert self._figures(k2) == [
+            (14277, 14277), (16122, 536888026), (8337, 536880247)]
+
+    def test_a_failing_chunk_is_priced_like_a_passing_one(
+            self, tampered_scenario, engine):
+        ctx, tampered_index = tampered_scenario
+        results = _make_checker(ctx, engine).check_all_chunks(
+            ctx.monitor, k=1, skip_initial=False)
+        assert [r.ok for r in results] == [
+            index != tampered_index for index in range(len(results))]
+        assert self._figures(results) == [
+            (6181, 6181), (8094, 536879998), (8004, 536879914),
+            (8074, 536879295), (297, 536872218)]
 
 
 class TestDetectionProbability:
