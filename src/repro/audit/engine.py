@@ -28,6 +28,16 @@ over a ``concurrent.futures`` worker pool:
    cryptography) run once centrally, and chunk boundaries are stitched by
    comparing checkpoints.
 
+Execution is one code path over one kind of object, a
+``concurrent.futures`` executor: chunk jobs are submitted the moment the plan
+produces them, the parent runs its own share (the whole-log cross-reference
+check) while they are outstanding, and outcomes are gathered in plan order.
+The executors are process-wide and warm: :data:`_POOLS` hands out one per
+``(kind, workers)``, started on first use and kept until
+:func:`shutdown_worker_pools` (also registered ``atexit``), so only the first
+parallel audit of a process pays for starting workers.  ``"inline"`` is the
+same path over an executor that runs the job inside ``submit``.
+
 When anything fails, the engine re-runs the plain serial audit of that
 machine (:meth:`Auditor.audit_segment`) to produce the *canonical* evidence —
 exactly what a ``workers=1`` audit would have produced — so verdicts and
@@ -45,11 +55,16 @@ not depend on the hardware the simulation runs on.
 
 from __future__ import annotations
 
+import atexit
+import os
 import pickle
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.audit.auditor import Auditor
 from repro.audit.semantic import SemanticChecker
@@ -59,13 +74,15 @@ from repro.avmm.monitor import AccountableVMM
 from repro.avmm.replayer import ReplayReport
 from repro.crypto.keys import StaticKeyView
 from repro.crypto.signatures import get_scheme
-from repro.errors import HashChainError, MissingSnapshotError, SegmentError
+from repro.errors import (CryptoError, HashChainError, LogFormatError,
+                          MissingSnapshotError, SegmentError)
 from repro.log.authenticator import Authenticator, batch_verify_authenticators
 from repro.log.entries import EntryType
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment, concatenate_segments, partition_segments
 from repro.metrics.parallel import ParallelSchedule, schedule
 from repro.metrics.perfmodel import CostParameters
+from repro.obs import Observability
 from repro.vm.image import VMImage
 
 __all__ = [
@@ -76,8 +93,10 @@ __all__ = [
     "FleetAuditReport",
     "fetch_verified_snapshot",
     "MachineAuditReport",
+    "pool_starts_total",
     "run_chunk",
     "scheme_verify_seconds",
+    "shutdown_worker_pools",
 ]
 
 
@@ -128,6 +147,8 @@ class ChunkOutcome:
     syntactic_problems: List[str] = field(default_factory=list)
     replay_report: Optional[ReplayReport] = None
     cost: AuditCost = field(default_factory=AuditCost)
+    #: the process that ran the chunk (which worker; the parent when inline)
+    worker_pid: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -148,7 +169,7 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
                                   job.cost_params)
     outcome = ChunkOutcome(machine=job.machine, chunk_index=job.chunk_index,
                            verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-                           cost=cost)
+                           cost=cost, worker_pid=os.getpid())
 
     # Step 1a: the chunk must extend its checkpoint by an unbroken chain.
     try:
@@ -217,6 +238,252 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
     return outcome
 
 
+def _run_pickled_chunk(pickled_job: bytes) -> ChunkOutcome:
+    """:func:`run_chunk` on a job its own parent process pickled."""
+    return run_chunk(pickle.loads(pickled_job))
+
+
+# ---------------------------------------------------------------------------
+# Execution: warm executors, and one call's jobs on them
+# ---------------------------------------------------------------------------
+
+class _InlineExecutor(Executor):
+    """Runs the job inside ``submit``: the pooled code path, no concurrency."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - re-raised by result(), as a pool would
+            future.set_exception(exc)
+        return future
+
+
+class _WorkerPools:
+    """The process's executors, one per ``(kind, workers)``, started on demand.
+
+    Every :class:`AuditScheduler` and every call shares them, so worker
+    start-up is paid once per process, not once per audit.  A child created
+    by ``fork`` starts with none: the parent's executor objects are copied
+    into it but their management threads are not.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pools: Dict[Tuple[str, int], Executor] = {}
+        self._inline = _InlineExecutor()
+        #: executors started so far in this process
+        self.starts = 0
+
+    def get(self, kind: str, workers: int) -> Tuple[Executor, bool]:
+        """The executor for ``(kind, workers)``, and whether this call started it."""
+        if kind == "inline":
+            return self._inline, False
+        with self._lock:
+            pool = self._pools.get((kind, workers))
+            if pool is not None:
+                return pool, False
+            return self._start(kind, workers), True
+
+    def replace(self, kind: str, workers: int,
+                broken: Executor) -> Tuple[Executor, bool]:
+        """The executor to use now that ``broken`` has lost a worker, and
+        whether this call started it (another caller may already have)."""
+        with self._lock:
+            current = self._pools.get((kind, workers))
+            if current is not None and current is not broken:
+                return current, False
+            if current is broken:
+                # Its manager thread reaps the surviving workers; waiting
+                # for it also settles every future the pool still held.
+                broken.shutdown(wait=True)
+            return self._start(kind, workers), True
+
+    def _start(self, kind: str, workers: int) -> Executor:
+        """The one place an executor is constructed."""
+        pool = (ProcessPoolExecutor(max_workers=workers) if kind == "process"
+                else ThreadPoolExecutor(max_workers=workers))
+        self._pools[(kind, workers)] = pool
+        self.starts += 1
+        return pool
+
+    def shutdown(self) -> None:
+        with self._lock:
+            pools = list(self._pools.values())
+            self._pools.clear()
+        for pool in pools:
+            pool.shutdown(wait=True)
+
+    def forget(self) -> None:
+        """Drop every executor without touching it (after ``fork``, in the child)."""
+        self._lock = threading.Lock()
+        self._pools = {}
+        self.starts = 0
+
+
+_POOLS = _WorkerPools()
+os.register_at_fork(after_in_child=_POOLS.forget)
+
+
+def shutdown_worker_pools() -> None:
+    """Stop the engine's worker processes and threads and wait for them.
+
+    Idempotent; the next parallel audit starts fresh ones.  Registered
+    ``atexit``, so no worker outlives the interpreter either way.  Jobs
+    already submitted finish first; call it between audits, not during one.
+    """
+    _POOLS.shutdown()
+
+
+atexit.register(shutdown_worker_pools)
+
+
+def pool_starts_total() -> int:
+    """How many worker pools this process has started (1 when they stay warm)."""
+    return _POOLS.starts
+
+
+def _executor_kind(requested: str, workers: int, first_job: ChunkJob) -> str:
+    """Where a call's jobs run; decided once, when its first job is ready."""
+    if workers <= 1 or requested == "inline":
+        return "inline"
+    if requested != "auto":
+        return requested
+    # auto: processes give real parallelism, but only when jobs pickle.  Log
+    # entries, authenticators and snapshot states always do; the image (its
+    # guest factory) and the key view are what a caller can get wrong.
+    try:
+        pickle.dumps((first_job.reference_image, first_job.key_view))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return "thread"
+    return "process"
+
+
+class _LastDone:
+    """Done-callback noting when the latest job finished (``perf_counter``).
+
+    Deliberately not a method of :class:`_ChunkRun`: a future that referred
+    back to the run holding it would make a cycle, keeping every job's
+    decoded log alive until the next garbage collection.
+    """
+
+    __slots__ = ("at",)
+
+    def __init__(self) -> None:
+        self.at = 0.0
+
+    def __call__(self, _future: Future) -> None:
+        self.at = max(self.at, time.perf_counter())
+
+
+class _ChunkRun:
+    """One call's chunk jobs: submitted as they are planned, gathered in order."""
+
+    def __init__(self, requested: str, workers: int) -> None:
+        self.requested = requested
+        self.workers = workers
+        #: "inline" until a first job decides otherwise
+        self.kind = "inline"
+        self.jobs: List[ChunkJob] = []
+        self.pool_starts = 0
+        #: ``perf_counter`` marks: construction, :meth:`all_submitted`, and
+        #: :meth:`gather`'s start and end
+        self.started = self.submitted = time.perf_counter()
+        self.wait_started = self.gathered = 0.0
+        self._last_done = _LastDone()
+        self._pool: Optional[Executor] = None
+        self._futures: List[Future] = []
+        self._rebuilt = False
+
+    def submit(self, job: ChunkJob) -> None:
+        if self._pool is None:
+            self.kind = _executor_kind(self.requested, self.workers, job)
+            self._pool, started = _POOLS.get(self.kind, self.workers)
+            self.pool_starts += started
+        try:
+            future = self._submit(job)
+        except BrokenProcessPool:
+            if self._rebuilt:
+                raise
+            self._rebuild()
+            future = self._submit(job)
+        self.jobs.append(job)
+        self._futures.append(future)
+
+    def discard_from(self, start: int) -> None:
+        """Forget the jobs from position ``start`` on (their machine could
+        not be planned to the end and is audited serially instead)."""
+        for future in self._futures[start:]:
+            future.cancel()
+        del self.jobs[start:], self._futures[start:]
+
+    def all_submitted(self) -> None:
+        """Planning is over; what the caller does until :meth:`gather` is
+        its own work, overlapped with the jobs still outstanding."""
+        self.submitted = time.perf_counter()
+
+    def gather(self) -> List[ChunkOutcome]:
+        """Every job's outcome, in submission order."""
+        self.wait_started = time.perf_counter()
+        try:
+            return [future.result() for future in self._futures]
+        except BrokenProcessPool:
+            if self._rebuilt:
+                raise
+            self._rebuild()
+            return [future.result() for future in self._futures]
+        finally:
+            self.gathered = time.perf_counter()
+
+    @property
+    def parent_overlap_seconds(self) -> float:
+        """Seconds between :meth:`all_submitted` and :meth:`gather` during
+        which a job was still outstanding."""
+        return max(0.0, min(self.wait_started, self._last_done.at)
+                   - self.submitted)
+
+    def observe(self, observers: Iterable[Observability]) -> None:
+        """Record the run on each distinct bundle (telemetry only)."""
+        for obs in {id(obs): obs for obs in observers}.values():
+            obs.metrics.counter("audit.engine.pool_starts_total").inc(
+                self.pool_starts)
+            obs.tracer.event(
+                "audit.engine.submit", domain="wall", track="audit-engine",
+                timestamp=self.started, duration=self.submitted - self.started,
+                jobs=len(self.jobs), executor=self.kind)
+            obs.tracer.event(
+                "audit.engine.wait", domain="wall", track="audit-engine",
+                timestamp=self.wait_started,
+                duration=self.gathered - self.wait_started,
+                parent_overlap_seconds=self.parent_overlap_seconds)
+
+    def _submit(self, job: ChunkJob) -> Future:
+        if self.kind == "process":
+            # Pickled here rather than by the pool's feeder thread, which
+            # would be walking these entries' ``__dict__`` while the parent,
+            # already on to its cross-check, adds lazily decoded ``content``
+            # to them.
+            future = self._pool.submit(_run_pickled_chunk, pickle.dumps(job))
+        else:
+            future = self._pool.submit(run_chunk, job)
+        future.add_done_callback(self._last_done)
+        return future
+
+    def _rebuild(self) -> None:
+        """A worker died: restart the pool and re-run what it lost.
+
+        Chunk jobs are pure functions of their arguments, so running one
+        twice is harmless.  Once per call: a second break is the caller's.
+        """
+        self._rebuilt = True
+        self._pool, started = _POOLS.replace(self.kind, self.workers, self._pool)
+        self.pool_starts += started
+        self._futures = [
+            self._submit(job)
+            if isinstance(future.exception(), BrokenProcessPool) else future
+            for job, future in zip(self.jobs, self._futures)]
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -244,6 +511,9 @@ class FleetAuditReport:
     chunk_count: int = 0
     #: measured wall-clock of this engine run (hardware-dependent)
     wall_seconds: float = 0.0
+    #: measured seconds of the parent's own work (the cross-reference checks)
+    #: that ran while chunk jobs were still outstanding; 0 when inline
+    parent_overlap_seconds: float = 0.0
     #: modelled cost schedule (hardware-independent, from AuditCost totals)
     modelled: Optional[ParallelSchedule] = None
     total_cost: AuditCost = field(default_factory=AuditCost)
@@ -283,7 +553,10 @@ class AuditScheduler:
     it reproduces the serial :class:`Auditor` byte for byte; higher worker
     counts split each log at snapshot boundaries and execute chunks
     concurrently.  ``executor`` may be ``"auto"`` (process pool when the jobs
-    pickle, else threads), ``"process"``, ``"thread"`` or ``"inline"``.
+    pickle, else threads), ``"process"``, ``"thread"`` or ``"inline"``.  A
+    scheduler owns no workers: the executor comes from the process-wide
+    registry, so every instance with the same ``(kind, workers)`` shares one
+    warm pool (see :func:`shutdown_worker_pools`).
     """
 
     def __init__(self, workers: int = 1, executor: str = "auto",
@@ -319,18 +592,27 @@ class AuditScheduler:
             raise ValueError(
                 f"fleet contains duplicate audit targets: {duplicates}; "
                 f"run one fleet audit per auditor instead")
-        started = time.perf_counter()
-        plans: List[_MachinePlan] = [self._plan(assignment)
-                                     for assignment in assignments]
-        for plan in plans:
+        run = _ChunkRun(self.executor, self.workers)
+        started = run.started
+        plans: List[_MachinePlan] = []
+        for assignment in assignments:
+            plan = self._plan(assignment, run)
             plan.auditor.obs.progress.machine_started(
                 plan.machine, total_chunks=len(plan.jobs))
-        jobs: List[ChunkJob] = [job for plan in plans for job in plan.jobs]
-        outcome_list = self._execute(jobs)
+            plans.append(plan)
+        run.all_submitted()
+        # The parent's own share of each audit, done while the workers
+        # verify and replay instead of after they have gone idle again.
+        for plan in plans:
+            if plan.serial_fallback_reason is None:
+                plan.cross_reference_problem = self._cross_check(plan)
+        outcome_list = run.gather()
+        run.observe(plan.auditor.obs for plan in plans)
 
-        report = FleetAuditReport(workers=self.workers,
-                                  executor_used=self._executor_kind(jobs),
-                                  chunk_count=len(jobs))
+        report = FleetAuditReport(
+            workers=self.workers, executor_used=run.kind,
+            chunk_count=len(run.jobs),
+            parent_overlap_seconds=run.parent_overlap_seconds)
         cursor = 0
         work_items = [outcome.cost.total_seconds for outcome in outcome_list]
         for plan in plans:
@@ -366,20 +648,32 @@ class AuditScheduler:
         report.modelled = schedule(work_items, self.workers)
         return report
 
-    def run_jobs(self, jobs: Sequence[ChunkJob]) -> List[ChunkOutcome]:
+    def run_jobs(self, jobs: Sequence[ChunkJob],
+                 obs: Optional[Observability] = None) -> List[ChunkOutcome]:
         """Execute prepared chunk jobs on the pool (used by the spot checker)."""
-        return self._execute(list(jobs))
+        run = _ChunkRun(self.executor, self.workers)
+        for job in jobs:
+            run.submit(job)
+        run.all_submitted()
+        outcomes = run.gather()
+        if obs is not None:
+            run.observe([obs])
+        return outcomes
 
     # -- planning -----------------------------------------------------------
 
-    def _plan(self, assignment: AuditAssignment) -> "_MachinePlan":
+    def _plan(self, assignment: AuditAssignment,
+              run: _ChunkRun) -> "_MachinePlan":
+        """Plan one machine, submitting each chunk job to ``run`` as soon as
+        it exists."""
         auditor = assignment.auditor
         target = assignment.target
         machine = target.identity
+        first_job = len(run.jobs)
         try:
             if getattr(target, "supports_streaming", False):
-                return self._plan_streaming(assignment)
-            return self._plan_chunks(assignment)
+                return self._plan_streaming(assignment, run)
+            return self._plan_chunks(assignment, run)
         except (MissingSnapshotError, SegmentError, HashChainError) as exc:
             # The target could not produce consistent segments or a
             # verifiable snapshot at a chunk boundary (or, for a streamed
@@ -387,6 +681,7 @@ class AuditScheduler:
             # does not depend on stored snapshots (it replays from the
             # start), so fall back to it for this machine rather than
             # failing the fleet.
+            run.discard_from(first_job)
             plan = _MachinePlan(machine=machine, auditor=auditor, target=target,
                                 jobs=[], full_segment=target.get_log_segment(),
                                 serial_fallback_reason=str(exc))
@@ -402,16 +697,19 @@ class AuditScheduler:
             return target.initial_state()
         return None, 0
 
-    def _plan_streaming(self, assignment: AuditAssignment) -> "_MachinePlan":
+    def _plan_streaming(self, assignment: AuditAssignment,
+                        run: _ChunkRun) -> "_MachinePlan":
         """Build chunk jobs from an archive-backed target's entry stream.
 
         One pass over the archived segment files produces the jobs directly:
         no whole-log materialization, no second copy via
         ``get_snapshot_segments`` — the parent holds exactly the chunks the
-        workers will verify (the full segment is concatenated lazily only if
-        a failure needs the canonical serial re-audit).  Truncated archives
-        are handled by anchoring the first chunk at the retention boundary's
-        verified snapshot.
+        workers will verify (concatenated, by reference, for the parent's
+        cross-reference check and the canonical serial re-audit).  Each job
+        is submitted before the next chunk is read, so decoding chunk *k+1*
+        here overlaps chunk *k* in a worker.  Truncated archives are handled
+        by anchoring the first chunk at the retention boundary's verified
+        snapshot.
         """
         from repro.audit.stream import (
             fetch_verified_snapshot_entry,
@@ -444,7 +742,7 @@ class AuditScheduler:
                 initial_state, snapshot_bytes = fetch_verified_snapshot_entry(
                     target, previous_snapshot_entry)
             segment = chunk.segment
-            jobs.append(ChunkJob(
+            job = ChunkJob(
                 machine=machine,
                 auditor=auditor.identity,
                 chunk_index=chunk.index,
@@ -460,7 +758,9 @@ class AuditScheduler:
                 snapshot_bytes=snapshot_bytes,
                 cost_params=auditor.cost_params,
                 verify_seconds=verify_seconds,
-            ))
+            )
+            jobs.append(job)
+            run.submit(job)
             snapshot_entries = segment.entries_of_type(EntryType.SNAPSHOT)
             previous_snapshot_entry = (snapshot_entries[-1]
                                        if snapshot_entries else None)
@@ -471,7 +771,8 @@ class AuditScheduler:
                             initial_state=start_state,
                             snapshot_bytes=start_bytes)
 
-    def _plan_chunks(self, assignment: AuditAssignment) -> "_MachinePlan":
+    def _plan_chunks(self, assignment: AuditAssignment,
+                     run: _ChunkRun) -> "_MachinePlan":
         auditor = assignment.auditor
         target = assignment.target
         machine = target.identity
@@ -497,7 +798,7 @@ class AuditScheduler:
             if index > 0:
                 initial_state, snapshot_bytes = fetch_verified_snapshot(
                     target, chunks[index - 1])
-            jobs.append(ChunkJob(
+            job = ChunkJob(
                 machine=machine,
                 auditor=auditor.identity,
                 chunk_index=index,
@@ -514,7 +815,9 @@ class AuditScheduler:
                 snapshot_bytes=snapshot_bytes,
                 cost_params=auditor.cost_params,
                 verify_seconds=verify_seconds,
-            ))
+            )
+            jobs.append(job)
+            run.submit(job)
         return _MachinePlan(machine=machine, auditor=auditor, target=target,
                             jobs=jobs, full_segment=full_segment)
 
@@ -567,7 +870,27 @@ class AuditScheduler:
                                           initial_state=plan.initial_state,
                                           snapshot_bytes=plan.snapshot_bytes)
 
-    def _check_boundaries(self, plan: "_MachinePlan",
+    @staticmethod
+    def _cross_check(plan: "_MachinePlan") -> Optional[str]:
+        """The whole-segment cross-checker, with its exact serial semantics.
+
+        The parent's own share of an audit: it needs the whole log and no
+        cryptography.  It runs before the chunk outcomes are in, on entries
+        no worker has vouched for yet, so content that does not parse is a
+        problem to report here, not an exception (a worker's format sweep
+        reports the same entry, and the serial re-audit decides).
+        (Streamed plans concatenate entry references lazily — the parent
+        already holds every chunk, so this adds no data copies.)
+        """
+        try:
+            cross = SyntacticChecker(check_entry_format=False).check(
+                plan.materialized())
+        except LogFormatError as exc:
+            return str(exc)
+        return "; ".join(cross.problems[:3]) if not cross.ok else None
+
+    @staticmethod
+    def _check_boundaries(plan: "_MachinePlan",
                           outcomes: List[ChunkOutcome]) -> Optional[str]:
         """Chunk stitching: checkpoints must tile, cross-references must hold."""
         for previous, current in zip(outcomes, outcomes[1:]):
@@ -575,13 +898,7 @@ class AuditScheduler:
             if previous.end_checkpoint != expected:
                 return (f"chunk {current.chunk_index} does not extend chunk "
                         f"{previous.chunk_index} (checkpoint mismatch)")
-        # The whole-segment cross-checker, with its exact serial semantics
-        # (streamed plans concatenate entry references lazily here — the
-        # parent already holds every chunk, so this adds no data copies).
-        cross = SyntacticChecker(check_entry_format=False).check(plan.materialized())
-        if not cross.ok:
-            return "; ".join(cross.problems[:3])
-        return None
+        return plan.cross_reference_problem
 
     def _synthesise_failure(self, plan: "_MachinePlan",
                             failed: Optional[ChunkOutcome],
@@ -600,30 +917,6 @@ class AuditScheduler:
                            verdict=Verdict.FAIL, phase=phase, reason=reason,
                            evidence=evidence)
 
-    # -- execution ----------------------------------------------------------
-
-    def _executor_kind(self, jobs: Sequence[ChunkJob]) -> str:
-        if self.workers <= 1 or len(jobs) <= 1 or self.executor == "inline":
-            return "inline"
-        if self.executor in ("process", "thread"):
-            return self.executor
-        # auto: processes give real parallelism, but only when jobs pickle.
-        try:
-            pickle.dumps(jobs[0])
-        except Exception:
-            return "thread"
-        return "process"
-
-    def _execute(self, jobs: List[ChunkJob]) -> List[ChunkOutcome]:
-        kind = self._executor_kind(jobs)
-        if kind == "inline":
-            return [run_chunk(job) for job in jobs]
-        pool_size = min(self.workers, len(jobs))
-        pool_cls = ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
-        with pool_cls(max_workers=pool_size) as pool:
-            return list(pool.map(run_chunk, jobs))
-
-
 @dataclass
 class _MachinePlan:
     """Prepared work for one machine (parent-side only; never pickled)."""
@@ -633,7 +926,7 @@ class _MachinePlan:
     target: AccountableVMM
     jobs: List[ChunkJob]
     #: the whole log, or ``None`` for streamed plans, which concatenate it
-    #: lazily from the chunk jobs only if a failure needs the serial re-audit
+    #: from the chunk jobs on first use
     full_segment: Optional[LogSegment]
     #: set when chunk planning failed (e.g. unverifiable snapshot) and the
     #: whole machine must be audited serially instead
@@ -641,6 +934,8 @@ class _MachinePlan:
     #: replay start for the whole log (the GC boundary snapshot, if any)
     initial_state: Optional[Dict[str, Any]] = None
     snapshot_bytes: int = 0
+    #: what the parent's whole-log cross-reference check found, if anything
+    cross_reference_problem: Optional[str] = None
 
     def materialized(self) -> LogSegment:
         """The whole log as one segment (concatenated on first use)."""
@@ -675,7 +970,7 @@ def scheme_verify_seconds(keystore, machine: str) -> float:
     try:
         scheme_name = keystore.verify_key_for(machine).scheme_name
         return get_scheme(scheme_name).costs().verify_seconds
-    except Exception:
+    except CryptoError:  # no certificate for the machine, or an unknown scheme
         return 0.0
 
 

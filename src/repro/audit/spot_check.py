@@ -358,7 +358,7 @@ class SpotChecker:
 
         with auditor.obs.tracer.timed("audit.spot_check", track=machine,
                                       chunks=len(jobs), k=k) as timer:
-            outcomes = self.engine.run_jobs(jobs)
+            outcomes = self.engine.run_jobs(jobs, obs=auditor.obs)
         results: List[SpotCheckResult] = []
         for index, job, outcome in zip(indices, jobs, outcomes):
             if outcome.ok:

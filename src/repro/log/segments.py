@@ -9,10 +9,10 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import AuthenticatorMismatchError, SegmentError
-from repro.log.authenticator import Authenticator
+from repro.log.authenticator import Authenticator, batch_verify_authenticators
 from repro.log.entries import EntryType, LogEntry
 from repro.log.hashchain import ChainCheckpoint, verify_chain
 
@@ -81,32 +81,50 @@ class LogSegment:
         """Check the segment against previously issued authenticators.
 
         Every authenticator whose sequence number falls inside the segment
-        must match the corresponding entry's chain hash exactly; otherwise the
-        machine has tampered with (or forked) its log.  Returns the number of
-        authenticators checked.  Raises :class:`AuthenticatorMismatchError`
-        on any mismatch and :class:`HashChainError` if the chain itself is
-        broken.
+        must carry a valid signature and match the corresponding entry's
+        chain hash exactly; otherwise the machine has tampered with (or
+        forked) its log.  Signatures are verified as one batch
+        (:func:`~repro.log.authenticator.batch_verify_authenticators`); the
+        error raised is still the first problem in list order.  Returns the
+        number of authenticators checked.  Raises
+        :class:`AuthenticatorMismatchError` on any mismatch and
+        :class:`HashChainError` if the chain itself is broken.
         """
         self.verify_hash_chain()
-        if not self.entries:
-            return 0
-        by_sequence: Dict[int, LogEntry] = {e.sequence: e for e in self.entries}
-        checked = 0
-        for auth in authenticators:
-            if auth.machine != self.machine:
-                continue
-            entry = by_sequence.get(auth.sequence)
-            if entry is None:
-                continue
-            if not auth.verify(keystore):
+        covering = self._covering(authenticators)
+        _, invalid, _ = batch_verify_authenticators(
+            [auth for auth, _ in covering], keystore)
+        forged = set(invalid)
+        for index, (auth, entry) in enumerate(covering):
+            if index in forged:
                 raise AuthenticatorMismatchError(
                     f"authenticator for sequence {auth.sequence} has an invalid signature")
-            if entry.chain_hash != auth.chain_hash:
-                raise AuthenticatorMismatchError(
-                    f"log entry {auth.sequence} does not match the authenticator "
-                    f"issued by {self.machine!r} (log was tampered with or forked)")
-            checked += 1
-        return checked
+            self._require_match(auth, entry)
+        return len(covering)
+
+    def match_authenticators(self, authenticators: Iterable[Authenticator]) -> int:
+        """:meth:`verify_against_authenticators` for authenticators whose
+        signatures the caller has already verified: the chain check and the
+        chain-hash comparison only."""
+        self.verify_hash_chain()
+        covering = self._covering(authenticators)
+        for auth, entry in covering:
+            self._require_match(auth, entry)
+        return len(covering)
+
+    def _covering(self, authenticators: Iterable[Authenticator]
+                  ) -> List[Tuple[Authenticator, LogEntry]]:
+        """This machine's authenticators that cover an entry of the segment,
+        each with that entry, in list order."""
+        by_sequence: Dict[int, LogEntry] = {e.sequence: e for e in self.entries}
+        return [(auth, by_sequence[auth.sequence]) for auth in authenticators
+                if auth.machine == self.machine and auth.sequence in by_sequence]
+
+    def _require_match(self, auth: Authenticator, entry: LogEntry) -> None:
+        if entry.chain_hash != auth.chain_hash:
+            raise AuthenticatorMismatchError(
+                f"log entry {auth.sequence} does not match the authenticator "
+                f"issued by {self.machine!r} (log was tampered with or forked)")
 
     # -- serialisation ------------------------------------------------------
 

@@ -19,6 +19,7 @@ are bugs; CI runs the fast stage shuffled to flush them out):
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import sys
@@ -80,10 +81,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             "=", f"test order was shuffled — reproduce this order with "
                  f"--shuffle --shuffle-seed {seed}")
 
+from repro.audit.engine import shutdown_worker_pools
 from repro.avmm.config import Configuration
 from repro.crypto.keys import CertificateAuthority, KeyStore
 from repro.experiments.harness import GameSession, GameSessionSettings
 from repro.game.cheats.implementations import UnlimitedAmmoCheat
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_left_behind():
+    """The audit engine's worker pools are process-wide and warm; the session
+    stops them and checks that no worker process outlives it."""
+    yield
+    shutdown_worker_pools()
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"worker processes left behind: {leftover}"
 
 
 @pytest.fixture(scope="session")

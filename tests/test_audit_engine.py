@@ -7,12 +7,21 @@ log yields the same evidence as the serial path; ``workers=1`` and
 chunk-partitioning primitives behave.
 """
 
+import contextlib
+import json
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.audit.engine import (
     AuditAssignment,
     AuditScheduler,
+    _ChunkRun,
+    pool_starts_total,
     run_chunk,
+    shutdown_worker_pools,
 )
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase, Verdict
@@ -144,6 +153,99 @@ class TestIncrementalChain:
 
 
 # ---------------------------------------------------------------------------
+# Recorded sessions with one faulty machine
+# ---------------------------------------------------------------------------
+
+def _short_session(seed):
+    from repro.avmm.config import Configuration
+    from repro.experiments.harness import GameSession, GameSessionSettings
+    return GameSession(GameSessionSettings(
+        configuration=Configuration.AVMM_RSA768, num_players=2,
+        duration=4.0, seed=seed, snapshot_interval=2.0))
+
+
+def _tampered_session():
+    """player1 rewrites a SEND entry after the fact and recomputes its chain."""
+    from repro.game.cheats.external import LogTamperingAdversary
+    from repro.log.entries import EntryType
+    session = _short_session(seed=37)
+    session.run()
+    machine = "player1"
+    monitor = session.monitors[machine]
+    # Tamper with an entry that is still covered by an issued
+    # authenticator (the uncovered tail of the log is the paper's known
+    # detection window), and late enough to land in a later chunk.
+    covered = max(auth.sequence for auth in
+                  session.make_auditor("server", machine)
+                  .authenticators_for(machine))
+    victim = [entry for entry in monitor.log.entries_of_type(EntryType.SEND)
+              if entry.sequence <= covered][-1]
+    LogTamperingAdversary(monitor).rewrite_entry(
+        victim.sequence, {**victim.content, "payload_size": 4242},
+        recompute_chain=True)
+    return session, machine
+
+
+def _cross_boundary_session():
+    """player1 logs, after its first snapshot, a second SEND for a message
+    that left the AVM before it — with another payload hash.
+
+    The chain, every authenticator, each entry's format and the replay of
+    each chunk are all fine (replay is driven by the MAC-layer stream); only
+    the whole-log cross-reference check pairs the early MAC-layer entry with
+    the late SEND, across the chunk boundary the snapshot makes.
+    """
+    from repro.log.entries import EntryType
+    session = _short_session(seed=43)
+    machine = "player1"
+    monitor = session.monitors[machine]
+
+    forged = []
+
+    def forge():
+        sent = monitor.log.entries_of_type(EntryType.SEND)[0]
+        forged.append(monitor.log.append(
+            EntryType.SEND, {**sent.content, "payload_hash": "00" * 32}))
+
+    session.scheduler.schedule_at(2.5, forge, label="forge-duplicate-send")
+    session.run()
+    boundary = monitor.log.entries_of_type(EntryType.SNAPSHOT)[0].sequence
+    first_out = next(entry for entry in monitor.log.entries_of_type(EntryType.MACLAYER)
+                     if entry.content["direction"] == "out")
+    assert first_out.sequence < boundary < forged[0].sequence
+    return session, machine
+
+
+def _evidence_bytes(result):
+    evidence = result.evidence
+    return json.dumps({
+        "machine": evidence.machine, "accuser": evidence.accuser,
+        "reason": evidence.reason, "segment": evidence.segment.to_dict(),
+        "authenticators": [auth.to_dict() for auth in evidence.authenticators],
+        "image": evidence.reference_image_hash.hex(),
+        "initial_state": evidence.initial_state,
+    }, sort_keys=True).encode("utf-8")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test instead of hanging it."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _worker_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -180,27 +282,8 @@ class TestAuditScheduler:
             cheater_session.reference_images[machine])
 
     def test_tampered_log_chunked_audit_matches_serial_evidence(self):
-        from repro.avmm.config import Configuration
-        from repro.experiments.harness import GameSession, GameSessionSettings
-        from repro.game.cheats.external import LogTamperingAdversary
-        from repro.log.entries import EntryType
-        session = GameSession(GameSessionSettings(
-            configuration=Configuration.AVMM_RSA768, num_players=2,
-            duration=4.0, seed=37, snapshot_interval=2.0))
-        session.run()
-        machine = "player1"
+        session, machine = _tampered_session()
         monitor = session.monitors[machine]
-        # Tamper with an entry that is still covered by an issued
-        # authenticator (the uncovered tail of the log is the paper's known
-        # detection window), and late enough to land in a later chunk.
-        covered = max(auth.sequence for auth in
-                      session.make_auditor("server", machine)
-                      .authenticators_for(machine))
-        victim = [entry for entry in monitor.log.entries_of_type(EntryType.SEND)
-                  if entry.sequence <= covered][-1]
-        LogTamperingAdversary(monitor).rewrite_entry(
-            victim.sequence, {**victim.content, "payload_size": 4242},
-            recompute_chain=True)
         serial = session.audit(machine)
         parallel = AuditScheduler(workers=4).audit_machine(
             session.make_auditor("server", machine), monitor)
@@ -276,11 +359,7 @@ class TestAuditScheduler:
         # A target whose *stored* snapshot does not verify cannot be chunked,
         # but the serial audit replays from the start and does not need it —
         # the engine must produce the same verdict as workers=1, not crash.
-        from repro.avmm.config import Configuration
-        from repro.experiments.harness import GameSession, GameSessionSettings
-        session = GameSession(GameSessionSettings(
-            configuration=Configuration.AVMM_RSA768, num_players=2,
-            duration=4.0, seed=41, snapshot_interval=2.0))
+        session = _short_session(seed=41)
         session.run()
         machine = "player1"
         monitor = session.monitors[machine]
@@ -292,6 +371,218 @@ class TestAuditScheduler:
             session.make_auditor("server", machine), monitor)
         assert parallel.verdict is serial.verdict
         assert parallel.phase is serial.phase
+
+
+# ---------------------------------------------------------------------------
+# The execution layer: one warm pool, overlapped with the parent's work
+# ---------------------------------------------------------------------------
+
+def _fleet_audit(session, machine, **engine_args):
+    report = AuditScheduler(**engine_args).audit_fleet([AuditAssignment(
+        session.make_auditor("server", machine), session.monitors[machine])])
+    return report, report.machine_reports[machine]
+
+
+class TestWarmPool:
+    @pytest.fixture(autouse=True)
+    def no_pool_yet(self):
+        """Whatever ran before, each test here starts with no worker alive."""
+        shutdown_worker_pools()
+        assert not _worker_pids()
+
+    def test_two_schedulers_share_one_pool_and_its_workers(self, honest_session):
+        starts = pool_starts_total()
+        ran_in = []
+        for _ in range(2):
+            report, machine_report = _fleet_audit(
+                honest_session, "player1", workers=2, executor="process")
+            assert report.executor_used == "process"
+            assert machine_report.result.verdict is Verdict.PASS
+            pids = {outcome.worker_pid
+                    for outcome in machine_report.chunk_outcomes}
+            # run_chunk really ran in worker processes, not in this one
+            assert pids and pids <= _worker_pids() and os.getpid() not in pids
+            ran_in.append(_worker_pids())
+        assert ran_in[0] == ran_in[1] and len(ran_in[0]) == 2
+        assert pool_starts_total() - starts == 1
+
+    def test_killed_worker_costs_one_rebuild_and_no_verdict(self, honest_session):
+        _, before = _fleet_audit(honest_session, "player1",
+                                 workers=2, executor="process")
+        starts = pool_starts_total()
+        victim = sorted(_worker_pids())[0]
+        os.kill(victim, signal.SIGKILL)
+        with _deadline(60):
+            _, after = _fleet_audit(honest_session, "player1",
+                                    workers=2, executor="process")
+        assert after.result == before.result
+        assert after.result.verdict is Verdict.PASS
+        assert pool_starts_total() - starts == 1
+        assert victim not in _worker_pids() and len(_worker_pids()) == 2
+        # and the rebuilt pool is the warm one from here on
+        _fleet_audit(honest_session, "player1", workers=2, executor="process")
+        assert pool_starts_total() - starts == 1
+
+    @pytest.mark.parametrize("faulty, phase", [
+        (_tampered_session, AuditPhase.AUTHENTICATOR_CHECK),
+        (_cross_boundary_session, AuditPhase.SYNTACTIC_CHECK),
+    ])
+    def test_conviction_on_the_warm_overlapped_path(self, faulty, phase):
+        session, machine = faulty()
+        # warm: the process pool has served an audit before this one
+        _fleet_audit(session, "server", workers=2, executor="process")
+        results = {
+            name: _fleet_audit(session, machine, **engine_args)[1].result
+            for name, engine_args in {
+                "process": dict(workers=2, executor="process"),
+                "thread": dict(workers=2, executor="thread"),
+                "inline": dict(workers=2, executor="inline"),
+                "workers=1": dict(workers=1),
+            }.items()}
+        canonical = _evidence_bytes(session.audit(machine, "server"))
+        for name, result in results.items():
+            assert result.verdict is Verdict.FAIL, name
+            assert result.phase is phase, name
+            assert _evidence_bytes(result) == canonical, name
+        assert results["process"] == results["inline"] == results["workers=1"]
+
+    def test_cross_boundary_violation_is_the_parents_to_find(self):
+        session, machine = _cross_boundary_session()
+        _, machine_report = _fleet_audit(session, machine,
+                                         workers=2, executor="process")
+        assert len(machine_report.chunk_outcomes) == 2
+        assert all(outcome.ok for outcome in machine_report.chunk_outcomes)
+        assert machine_report.confirmed_serially
+        assert "disagree about the payload" in machine_report.result.reason
+
+    def test_unparseable_content_is_a_verdict_not_an_exception(self):
+        # The parent's cross-check now reads entries no worker has vouched
+        # for yet: stored bytes that do not parse must end in the serial
+        # audit's canonical conviction, whatever the executor.
+        from repro.log.entries import EntryType, lazy_entry
+        session = _short_session(seed=44)
+        session.run()
+        machine = "player1"
+        entries = session.monitors[machine].log._entries
+        position, victim = [
+            (position, entry) for position, entry in enumerate(entries)
+            if entry.entry_type is EntryType.SEND][-3]
+        entries[position] = lazy_entry(
+            victim.sequence, victim.entry_type,
+            b"\xee" + victim.encoded_content()[1:],   # unknown content tag
+            victim.chain_hash, victim.previous_hash, victim.timestamp)
+        results = [_fleet_audit(session, machine, **engine_args)[1].result
+                   for engine_args in (dict(workers=2, executor="process"),
+                                       dict(workers=2, executor="inline"),
+                                       dict(workers=1))]
+        assert results[0].verdict is Verdict.FAIL
+        assert results[0].phase is AuditPhase.AUTHENTICATOR_CHECK
+        assert results[0] == results[1] == results[2]
+
+    def test_forked_child_does_not_reuse_the_parents_pool(self, honest_session):
+        _fleet_audit(honest_session, "player1", workers=2, executor="process")
+        parents_workers = _worker_pids()
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            status = 1
+            try:
+                os.close(read_end)
+                report, machine_report = _fleet_audit(
+                    honest_session, "player1", workers=2, executor="process")
+                os.write(write_end, json.dumps({
+                    "verdict": machine_report.result.verdict.value,
+                    "pool_starts": pool_starts_total(),
+                    "pids": sorted({outcome.worker_pid for outcome
+                                    in machine_report.chunk_outcomes}),
+                }).encode("utf-8"))
+                shutdown_worker_pools()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with _deadline(60), os.fdopen(read_end, "rb") as pipe:
+            told = json.loads(pipe.read())
+            _, status = os.waitpid(child, 0)
+        assert status == 0
+        assert told["verdict"] == "pass"
+        assert told["pool_starts"] == 1            # its own, counted from zero
+        assert told["pids"] and not set(told["pids"]) & parents_workers
+        assert _worker_pids() == parents_workers   # ours is untouched
+
+    def test_shutdown_is_idempotent_and_the_next_audit_starts_fresh(
+            self, honest_session):
+        _fleet_audit(honest_session, "player1", workers=2, executor="process")
+        _fleet_audit(honest_session, "player1", workers=2, executor="thread")
+        old_workers = _worker_pids()
+        assert old_workers
+        shutdown_worker_pools()
+        shutdown_worker_pools()
+        assert not _worker_pids()
+        starts = pool_starts_total()
+        _, machine_report = _fleet_audit(honest_session, "player1",
+                                         workers=2, executor="process")
+        assert machine_report.result.verdict is Verdict.PASS
+        assert pool_starts_total() - starts == 1
+        assert _worker_pids() and not _worker_pids() & old_workers
+
+    def test_concurrent_callers_start_one_pool(self, honest_session):
+        import threading
+        starts = pool_starts_total()
+        verdicts = []
+
+        def audit():
+            verdicts.append(_fleet_audit(
+                honest_session, "player1", workers=2,
+                executor="process")[1].result.verdict)
+
+        callers = [threading.Thread(target=audit) for _ in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert verdicts == [Verdict.PASS] * 6
+        assert pool_starts_total() - starts == 1
+        assert len(_worker_pids()) == 2
+
+    def test_report_and_telemetry_of_a_run(self, honest_session):
+        from repro.audit.auditor import Auditor
+        from repro.obs import Observability
+        obs = Observability.make()
+        machine = "player1"
+        for _ in range(2):
+            auditor = Auditor("server", honest_session.keystore,
+                              honest_session.reference_images[machine], obs=obs)
+            for peer_identity, peer in honest_session.monitors.items():
+                if peer_identity != machine:
+                    auditor.collect_from_peer(peer, machine)
+            report = AuditScheduler(workers=2, executor="process").audit_fleet(
+                [AuditAssignment(auditor, honest_session.monitors[machine])])
+            assert 0.0 <= report.parent_overlap_seconds <= report.wall_seconds
+        assert obs.metrics.value("audit.engine.pool_starts_total") == 1
+        names = [span.name for span in obs.tracer.spans]
+        assert names.count("audit.engine.submit") == 2
+        assert names.count("audit.engine.wait") == 2
+        inline = _fleet_audit(honest_session, machine,
+                              workers=2, executor="inline")[0]
+        assert inline.parent_overlap_seconds == 0.0
+
+    def test_auto_probes_the_image_not_the_log(self, honest_session):
+        from dataclasses import replace
+        machine = "player1"
+        report, _ = _fleet_audit(honest_session, machine, workers=2)
+        assert report.executor_used == "process"
+        # An image whose guest factory is a closure cannot reach a process.
+        reference = honest_session.reference_images[machine]
+        factory = reference.guest_factory
+        auditor = honest_session.make_auditor("server", machine)
+        auditor.reference_image = replace(
+            reference, guest_factory=lambda *a, **kw: factory(*a, **kw))
+        report = AuditScheduler(workers=2).audit_fleet(
+            [AuditAssignment(auditor, honest_session.monitors[machine])])
+        assert report.executor_used == "thread"
+        assert report.all_passed
 
 
 class TestParallelSpotChecker:
@@ -319,7 +610,9 @@ class TestChunkJobPickling:
         machine = "player1"
         engine = AuditScheduler(workers=4)
         auditor = honest_session.make_auditor("server", machine)
-        plan = engine._plan(AuditAssignment(auditor, honest_session.monitors[machine]))
+        plan = engine._plan(
+            AuditAssignment(auditor, honest_session.monitors[machine]),
+            _ChunkRun("inline", 1))
         assert len(plan.jobs) > 1
         job = pickle.loads(pickle.dumps(plan.jobs[-1]))
         outcome = run_chunk(job)
