@@ -6,25 +6,27 @@ authenticators, run the syntactic check, then the semantic check.  Any failure
 produces :class:`~repro.audit.evidence.Evidence`; an unresponsive machine is
 *suspected* and the most recent authenticator becomes the evidence.
 
-With ``workers > 1`` the auditor delegates whole-machine audits to the
-parallel engine (:class:`repro.audit.engine.AuditScheduler`), which chunks
-the log at snapshot boundaries and batches signature checks; ``workers=1``
-(the default) preserves the plain serial path below.  Verdicts and evidence
-are identical either way — the engine re-runs the serial path to produce
-canonical evidence whenever a chunk fails.
+The three steps themselves are the audit kernel
+(:func:`repro.audit.kernel.run_chunk`); :meth:`Auditor.audit_segment` is the
+serial front-end — the kernel over the whole segment as one chunk — and the
+one place evidence is built, which makes its result the canonical one.  With
+``workers > 1`` whole-machine audits go to the parallel engine
+(:class:`repro.audit.engine.AuditScheduler`) instead; ``workers=1`` (the
+default) is the serial path below.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
-from repro.audit.semantic import SemanticChecker
-from repro.audit.syntactic import SyntacticChecker
-from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
+from repro.audit.kernel import (BoundaryContext, chunk_job, replay_start,
+                                run_chunk)
+from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.keys import KeyStore
-from repro.errors import AuditError, AuthenticatorMismatchError, HashChainError
+from repro.errors import AuditError
 from repro.log.authenticator import Authenticator
 from repro.log.segments import LogSegment
 from repro.metrics.perfmodel import CostParameters
@@ -103,17 +105,13 @@ class Auditor:
         path (the engine needs the machine's snapshots to chunk).
 
         Archive-backed targets (anything advertising ``supports_streaming``)
-        are audited on the streaming pipeline by default: entries are
-        decoded, chain-verified, signature-checked and replayed chunk by
-        chunk in O(chunk) memory, with verdicts, evidence and modelled costs
-        identical to the materializing path (:mod:`repro.audit.stream`).
-        (Engine-backed auditors plan their chunk jobs off the same stream
-        but keep the engine's merge semantics: verdicts and evidence match
-        the serial path, while the fast-path merged report aggregates
-        per-chunk counters.)
+        are audited on the streaming pipeline by default, in O(chunk) memory
+        and with verdicts, evidence and modelled costs identical to the
+        materializing path (:mod:`repro.audit.stream`); an engine-backed
+        auditor plans its chunk jobs off the same chunk stream.
         Pass ``streaming=False`` to force whole-log materialization — for a
-        streamable target this also bypasses the engine (whose plans are
-        built from the stream), taking the serial materializing path.
+        streamable target this also bypasses the engine, taking the serial
+        materializing path.
         """
         machine = target.identity
         streamable = getattr(target, "supports_streaming", False)
@@ -123,40 +121,32 @@ class Auditor:
             if streaming and streamable:
                 from repro.audit.stream import stream_audit
                 return stream_audit(self, target).result
+        snapshot_bytes = 0
         if segment is None:
             segment = target.get_log_segment()
-            if initial_state is None \
-                    and getattr(target, "is_truncated", None) is not None \
-                    and target.is_truncated():
+            if initial_state is None:
                 # A GC-truncated archive replays from its boundary snapshot,
                 # like a spot-check chunk (the streaming path does the same).
-                state, snapshot_bytes = target.initial_state()
-                return self.audit_segment(machine, segment,
-                                          initial_state=state,
-                                          snapshot_bytes=snapshot_bytes)
-        return self.audit_segment(machine, segment, initial_state=initial_state)
+                initial_state, snapshot_bytes = replay_start(target)
+        return self.audit_segment(machine, segment, initial_state=initial_state,
+                                  snapshot_bytes=snapshot_bytes)
 
     def audit_segment(self, machine: str, segment: LogSegment,
                       initial_state: Optional[Dict[str, Any]] = None,
-                      snapshot_bytes: int = 0) -> AuditResult:
+                      snapshot_bytes: int = 0,
+                      context: Optional[BoundaryContext] = None) -> AuditResult:
         """Audit a log segment that has already been downloaded.
 
-        This is the shared serial chokepoint (plain audits, spot-check
-        chunks, the engine's serial confirmation), so the obs wall timer
-        here guarantees ``AuditResult.wall_seconds`` is populated on
-        every front-end — the null tracer's timer still measures.
-        """
-        with self.obs.tracer.timed("audit.segment", track=machine,
-                                   machine=machine,
-                                   entries=len(segment.entries)) as timer:
-            result = self._audit_segment(machine, segment, initial_state,
-                                         snapshot_bytes)
-        result.wall_seconds = timer.seconds
-        return result
+        ``context`` is what was in flight at the segment's edges when it is
+        a chunk of a longer log (a spot check); a failure's evidence carries
+        it along with ``initial_state``.
 
-    def _audit_segment(self, machine: str, segment: LogSegment,
-                       initial_state: Optional[Dict[str, Any]] = None,
-                       snapshot_bytes: int = 0) -> AuditResult:
+        This is the shared serial chokepoint (plain audits, spot-check
+        chunks, the serial confirmation of the engine and the stream), so
+        the obs wall timer here guarantees ``AuditResult.wall_seconds`` is
+        populated on every front-end — the null tracer's timer still
+        measures.
+        """
         if segment.machine != machine:
             # A segment claiming another identity would sidestep every
             # authenticator check (none would apply) and could replay
@@ -164,43 +154,27 @@ class Auditor:
             raise AuditError(
                 f"segment claims to be from {segment.machine!r}, "
                 f"but the audit target is {machine!r}")
-        cost = AuditCost.for_download(segment.size_bytes(), snapshot_bytes,
-                                      self.cost_params)
         authenticators = self.authenticators_for(machine)
-
-        # Step 1: the log must match the authenticators the machine has issued.
-        try:
-            checked = segment.verify_against_authenticators(authenticators, self.keystore)
-        except (HashChainError, AuthenticatorMismatchError) as exc:
-            return self._fail(machine, segment, AuditPhase.AUTHENTICATOR_CHECK,
-                              str(exc), cost, authenticators, initial_state)
-
-        # Step 2: syntactic check.
-        syntactic = SyntacticChecker(self.keystore).check(segment)
-        if not syntactic.ok:
-            result = self._fail(machine, segment, AuditPhase.SYNTACTIC_CHECK,
-                                "; ".join(syntactic.problems[:3]), cost,
-                                authenticators, initial_state)
-            result.syntactic_problems = syntactic.problems
-            result.authenticators_checked = checked
-            return result
-
-        # Step 3: semantic check (deterministic replay).
-        checker = SemanticChecker(self.reference_image, self.cost_params)
-        report = checker.check(segment, initial_state=initial_state)
-        cost.semantic_seconds = checker.estimate_timing(report).replay_seconds
-        if report.diverged:
-            result = self._fail(machine, segment, AuditPhase.SEMANTIC_CHECK,
-                                report.divergence.describe(), cost,
-                                authenticators, initial_state)
-            result.replay_report = report
-            result.authenticators_checked = checked
-            return result
-
-        return AuditResult(machine=machine, auditor=self.identity,
-                           verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-                           authenticators_checked=checked,
-                           replay_report=report, cost=cost)
+        with self.obs.tracer.timed("audit.segment", track=machine,
+                                   machine=machine,
+                                   entries=len(segment.entries)) as timer:
+            outcome = run_chunk(chunk_job(
+                segment, authenticators, self.keystore, self.reference_image,
+                initial_state=initial_state, snapshot_bytes=snapshot_bytes,
+                cost_params=self.cost_params, context=context))
+        result = outcome.as_result(self.identity)
+        # the serial path reports no signature figures: the paper folds that
+        # work into the syntactic check
+        result.cost = replace(outcome.cost, signatures_verified=0,
+                              signature_screen_operations=0)
+        if not outcome.ok:
+            result.evidence = Evidence(
+                machine=machine, accuser=self.identity, reason=outcome.reason,
+                segment=segment, authenticators=authenticators,
+                reference_image_hash=self.reference_image.image_hash(),
+                initial_state=initial_state, context=context)
+        result.wall_seconds = timer.seconds
+        return result
 
     def suspect(self, machine: str, reason: str = "no response to audit challenge") -> AuditResult:
         """Report an unresponsive machine (Section 4.5: 'Alice will suspect Bob')."""
@@ -213,16 +187,3 @@ class Auditor:
                            verdict=Verdict.SUSPECTED,
                            phase=AuditPhase.AUTHENTICATOR_CHECK,
                            reason=reason, evidence=evidence)
-
-    # -- helpers ----------------------------------------------------------------------
-
-    def _fail(self, machine: str, segment: LogSegment, phase: AuditPhase,
-              reason: str, cost: AuditCost, authenticators: List[Authenticator],
-              initial_state: Optional[Dict[str, Any]]) -> AuditResult:
-        evidence = Evidence(machine=machine, accuser=self.identity, reason=reason,
-                            segment=segment, authenticators=authenticators,
-                            reference_image_hash=self.reference_image.image_hash(),
-                            initial_state=initial_state)
-        return AuditResult(machine=machine, auditor=self.identity,
-                           verdict=Verdict.FAIL, phase=phase, reason=reason,
-                           evidence=evidence, cost=cost)

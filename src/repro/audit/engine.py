@@ -11,22 +11,18 @@ single log are independently verifiable and replayable too (Section 6.12).
 over a ``concurrent.futures`` worker pool:
 
 1. each target's log is split at snapshot boundaries into at most
-   ``chunks_per_machine`` chunks (:func:`repro.log.segments.partition_segments`);
-2. every chunk becomes a self-contained, picklable :class:`ChunkJob` holding
-   the chunk segment, the matching authenticators, a
-   :class:`~repro.crypto.keys.StaticKeyView` of the public keys, the
-   reference image, and — for chunks that do not start the log — the
-   verified snapshot state at the chunk boundary;
-3. workers run :func:`run_chunk`: incremental hash-chain verification from
-   the chunk's :class:`~repro.log.hashchain.ChainCheckpoint`, batched
-   authenticator signature verification
-   (:func:`~repro.log.authenticator.batch_verify_authenticators`), the
-   per-entry syntactic checks, and deterministic replay of the chunk;
-4. the scheduler merges the per-chunk outcomes into one machine-level
-   :class:`~repro.audit.verdict.AuditResult` — the stream cross-checks that
-   cannot be chunked (they pair entries across the whole log, but need no
-   cryptography) run once centrally, and chunk boundaries are stitched by
-   comparing checkpoints.
+   ``chunks_per_machine`` chunks (:func:`repro.log.segments.partition_segments`
+   for a live log, :func:`repro.audit.stream.iter_stream_chunks` for an
+   archived one);
+2. every chunk becomes a self-contained, picklable
+   :class:`~repro.audit.kernel.ChunkJob`; what a chunk needs from its
+   predecessor — the verified snapshot state at the boundary and the RECVs
+   in flight across it — the parent threads along while it plans;
+3. workers run the audit kernel, :func:`~repro.audit.kernel.run_chunk`;
+4. the scheduler folds the outcomes into one machine-level result
+   (:func:`~repro.audit.kernel.fold_outcomes`) — the pairings of the message
+   stream with the MAC-layer stream that no single chunk holds (they span
+   the whole log, but need no cryptography) are checked once centrally.
 
 Execution is one code path over one kind of object, a
 ``concurrent.futures`` executor: chunk jobs are submitted the moment the plan
@@ -38,12 +34,11 @@ The executors are process-wide and warm: :data:`_POOLS` hands out one per
 parallel audit of a process pays for starting workers.  ``"inline"`` is the
 same path over an executor that runs the job inside ``submit``.
 
-When anything fails, the engine re-runs the plain serial audit of that
-machine (:meth:`Auditor.audit_segment`) to produce the *canonical* evidence —
-exactly what a ``workers=1`` audit would have produced — so verdicts and
-evidence are bit-identical across worker counts; only the honest fast path is
-parallel.  That mirrors standard batch-verification designs: an optimistic
-batched screen, with a fallback that isolates the culprit.
+Only the honest fast path is parallel: whatever a chunk, the fold or the
+parent's check detects is confirmed by the serial audit of that machine
+(:meth:`Auditor.audit_segment`), so verdicts and evidence are bit-identical
+across worker counts.  That mirrors standard batch-verification designs: an
+optimistic batched screen, then a pass that isolates the culprit.
 
 Costs are threaded through :class:`~repro.audit.verdict.AuditCost` so the
 Figure 8/9 experiments keep reporting paper-faithful numbers, and the fleet
@@ -64,26 +59,27 @@ from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.audit.auditor import Auditor
-from repro.audit.semantic import SemanticChecker
+from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
+                                chunk_job, fetch_verified_snapshot_entry,
+                                fold_outcomes, last_snapshot_entry, replay_start,
+                                run_chunk)
+from repro.audit.stream import iter_stream_chunks
 from repro.audit.syntactic import SyntacticChecker
-from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
+from repro.audit.verdict import AuditCost, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
-from repro.avmm.replayer import ReplayReport
-from repro.crypto.keys import StaticKeyView
 from repro.crypto.signatures import get_scheme
 from repro.errors import (CryptoError, HashChainError, LogFormatError,
                           MissingSnapshotError, SegmentError)
-from repro.log.authenticator import Authenticator, batch_verify_authenticators
-from repro.log.entries import EntryType
-from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
+from repro.log.entries import LogEntry
+from repro.log.hashchain import ChainCheckpoint
 from repro.log.segments import LogSegment, concatenate_segments, partition_segments
 from repro.metrics.parallel import ParallelSchedule, schedule
-from repro.metrics.perfmodel import CostParameters
 from repro.obs import Observability
-from repro.vm.image import VMImage
 
 __all__ = [
     "AuditAssignment",
@@ -91,151 +87,12 @@ __all__ = [
     "ChunkJob",
     "ChunkOutcome",
     "FleetAuditReport",
-    "fetch_verified_snapshot",
     "MachineAuditReport",
     "pool_starts_total",
     "run_chunk",
     "scheme_verify_seconds",
     "shutdown_worker_pools",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Work items
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChunkJob:
-    """Everything a worker needs to audit one chunk, with no live objects.
-
-    Every field pickles, so a job can cross a process boundary.  The chunk's
-    position in the log is carried by ``checkpoint`` (the chain state just
-    before its first entry); ``initial_state`` is the verified snapshot at
-    the chunk boundary, or ``None`` for the chunk that starts the log.
-    """
-
-    machine: str
-    auditor: str
-    chunk_index: int
-    segment: LogSegment
-    checkpoint: ChainCheckpoint
-    authenticators: List[Authenticator]
-    key_view: StaticKeyView
-    reference_image: VMImage
-    initial_state: Optional[Dict[str, Any]] = None
-    snapshot_bytes: int = 0
-    cost_params: CostParameters = field(default_factory=CostParameters)
-    #: modelled cost of one signature verification under the target's scheme
-    verify_seconds: float = 0.0
-    #: run the stream cross-checks inside the worker too.  Off for the
-    #: chunks of one machine-level audit (the parent runs them globally),
-    #: on for spot-check chunks, which are audited in isolation.
-    check_cross_references: bool = False
-
-
-@dataclass
-class ChunkOutcome:
-    """What a worker reports back for one chunk."""
-
-    machine: str
-    chunk_index: int
-    verdict: Verdict
-    phase: AuditPhase
-    reason: str = ""
-    end_checkpoint: Optional[ChainCheckpoint] = None
-    authenticators_checked: int = 0
-    syntactic_problems: List[str] = field(default_factory=list)
-    replay_report: Optional[ReplayReport] = None
-    cost: AuditCost = field(default_factory=AuditCost)
-    #: the process that ran the chunk (which worker; the parent when inline)
-    worker_pid: int = field(default=0, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict is Verdict.PASS
-
-
-def run_chunk(job: ChunkJob) -> ChunkOutcome:
-    """Audit one chunk.  Runs inside a worker process (or inline).
-
-    Performs the per-chunk share of the three audit steps of Section 4.5:
-    tamper check (incremental hash chain + batched authenticator check),
-    per-entry syntactic checks (stream cross-checks are the parent's job),
-    and the semantic check (deterministic replay from the chunk's verified
-    snapshot).  Stops at the first failing phase, like the serial auditor.
-    """
-    segment = job.segment
-    cost = AuditCost.for_download(segment.size_bytes(), job.snapshot_bytes,
-                                  job.cost_params)
-    outcome = ChunkOutcome(machine=job.machine, chunk_index=job.chunk_index,
-                           verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-                           cost=cost, worker_pid=os.getpid())
-
-    # Step 1a: the chunk must extend its checkpoint by an unbroken chain.
-    try:
-        outcome.end_checkpoint = verify_chain_incremental(segment.entries,
-                                                          job.checkpoint)
-    except HashChainError as exc:
-        outcome.verdict = Verdict.FAIL
-        outcome.phase = AuditPhase.AUTHENTICATOR_CHECK
-        outcome.reason = str(exc)
-        return outcome
-
-    # Step 1b: batched authenticator verification.  All signatures in the
-    # batch come from the target machine, so one screening operation usually
-    # settles the whole chunk.
-    relevant = [auth for auth in job.authenticators
-                if auth.machine == job.machine
-                and segment.entries
-                and segment.first_sequence <= auth.sequence <= segment.last_sequence]
-    valid, invalid, stats = batch_verify_authenticators(relevant, job.key_view)
-    cost.signatures_verified += stats.total
-    cost.signature_screen_operations += stats.screen_operations
-    cost.signature_seconds += job.verify_seconds * (
-        stats.screen_operations + stats.single_verifications)
-    if invalid:
-        first_bad = relevant[invalid[0]]
-        outcome.verdict = Verdict.FAIL
-        outcome.phase = AuditPhase.AUTHENTICATOR_CHECK
-        outcome.reason = (f"authenticator for sequence {first_bad.sequence} "
-                          f"has an invalid signature")
-        return outcome
-    by_sequence = {entry.sequence: entry for entry in segment.entries}
-    for auth in valid:
-        entry = by_sequence.get(auth.sequence)
-        if entry is None:
-            continue
-        if entry.chain_hash != auth.chain_hash:
-            outcome.verdict = Verdict.FAIL
-            outcome.phase = AuditPhase.AUTHENTICATOR_CHECK
-            outcome.reason = (f"log entry {auth.sequence} does not match the "
-                              f"authenticator issued by {job.machine!r} "
-                              f"(log was tampered with or forked)")
-            return outcome
-        outcome.authenticators_checked += 1
-
-    # Step 2: per-entry syntactic checks (format + sender signatures).  The
-    # cross-references span chunk boundaries and are checked by the parent.
-    syntactic = SyntacticChecker(
-        job.key_view,
-        check_cross_references=job.check_cross_references).check(segment)
-    if not syntactic.ok:
-        outcome.verdict = Verdict.FAIL
-        outcome.phase = AuditPhase.SYNTACTIC_CHECK
-        outcome.reason = "; ".join(syntactic.problems[:3])
-        outcome.syntactic_problems = syntactic.problems
-        return outcome
-
-    # Step 3: semantic check — replay the chunk from its verified snapshot.
-    checker = SemanticChecker(job.reference_image, job.cost_params)
-    report = checker.check(segment, initial_state=job.initial_state)
-    outcome.replay_report = report
-    cost.semantic_seconds = checker.estimate_timing(report).replay_seconds
-    if report.diverged:
-        outcome.verdict = Verdict.FAIL
-        outcome.phase = AuditPhase.SEMANTIC_CHECK
-        outcome.reason = report.divergence.describe()
-    return outcome
 
 
 def _run_pickled_chunk(pickled_job: bytes) -> ChunkOutcome:
@@ -522,10 +379,6 @@ class FleetAuditReport:
     def all_passed(self) -> bool:
         return all(result.verdict is Verdict.PASS for result in self.results.values())
 
-    @property
-    def modelled_speedup(self) -> float:
-        return self.modelled.speedup if self.modelled is not None else 1.0
-
     def summary(self) -> str:
         verdicts = ", ".join(f"{machine}={result.verdict.value}"
                              for machine, result in sorted(self.results.items()))
@@ -560,8 +413,7 @@ class AuditScheduler:
     """
 
     def __init__(self, workers: int = 1, executor: str = "auto",
-                 chunks_per_machine: Optional[int] = None,
-                 confirm_failures_serially: bool = True) -> None:
+                 chunks_per_machine: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         if executor not in ("auto", "process", "thread", "inline"):
@@ -570,7 +422,6 @@ class AuditScheduler:
         self.executor = executor
         #: chunks per machine; None = one chunk per worker, 1 when serial
         self.chunks_per_machine = chunks_per_machine
-        self.confirm_failures_serially = confirm_failures_serially
 
     # -- public API ---------------------------------------------------------
 
@@ -665,210 +516,95 @@ class AuditScheduler:
     def _plan(self, assignment: AuditAssignment,
               run: _ChunkRun) -> "_MachinePlan":
         """Plan one machine, submitting each chunk job to ``run`` as soon as
-        it exists."""
-        auditor = assignment.auditor
-        target = assignment.target
-        machine = target.identity
-        first_job = len(run.jobs)
-        try:
-            if getattr(target, "supports_streaming", False):
-                return self._plan_streaming(assignment, run)
-            return self._plan_chunks(assignment, run)
-        except (MissingSnapshotError, SegmentError, HashChainError) as exc:
-            # The target could not produce consistent segments or a
-            # verifiable snapshot at a chunk boundary (or, for a streamed
-            # archive, its stored chain does not verify).  The serial audit
-            # does not depend on stored snapshots (it replays from the
-            # start), so fall back to it for this machine rather than
-            # failing the fleet.
-            run.discard_from(first_job)
-            plan = _MachinePlan(machine=machine, auditor=auditor, target=target,
-                                jobs=[], full_segment=target.get_log_segment(),
-                                serial_fallback_reason=str(exc))
-            plan.initial_state, plan.snapshot_bytes = \
-                self._replay_start(target)
-            return plan
+        it exists: decoding chunk *k+1* here overlaps chunk *k* in a worker.
 
-    @staticmethod
-    def _replay_start(target) -> Tuple[Optional[Dict[str, Any]], int]:
-        """Replay start state for the whole log (GC boundary, if truncated)."""
-        if getattr(target, "is_truncated", None) is not None \
-                and target.is_truncated():
-            return target.initial_state()
-        return None, 0
-
-    def _plan_streaming(self, assignment: AuditAssignment,
-                        run: _ChunkRun) -> "_MachinePlan":
-        """Build chunk jobs from an archive-backed target's entry stream.
-
-        One pass over the archived segment files produces the jobs directly:
-        no whole-log materialization, no second copy via
-        ``get_snapshot_segments`` — the parent holds exactly the chunks the
-        workers will verify (concatenated, by reference, for the parent's
-        cross-reference check and the canonical serial re-audit).  Each job
-        is submitted before the next chunk is read, so decoding chunk *k+1*
-        here overlaps chunk *k* in a worker.  Truncated archives are handled
-        by anchoring the first chunk at the retention boundary's verified
-        snapshot.
+        The parent holds exactly the chunks the workers verify (concatenated,
+        by reference, for its cross-reference check and the serial
+        confirmation) and threads what every chunk needs from its
+        predecessor: the snapshot sealing it, verified, and the RECVs still
+        in flight at its end.
         """
-        from repro.audit.stream import (
-            fetch_verified_snapshot_entry,
-            iter_stream_chunks,
-        )
         auditor = assignment.auditor
         target = assignment.target
-        machine = target.identity
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-        key_view = auditor.keystore.static_view()
-        verify_seconds = scheme_verify_seconds(auditor.keystore, machine)
-        chunk_target = self.chunks_per_machine or max(1, self.workers)
-        start_state, start_bytes = self._replay_start(target)
-
-        jobs: List[ChunkJob] = []
-        previous_snapshot_entry = None
-        # verify_chain=False: the workers prove each chunk extends its
-        # checkpoint (run_chunk step 1a), so verifying here too would run
-        # the whole chain serially in the parent on top of that.
-        for chunk in iter_stream_chunks(target, max_chunks=chunk_target,
-                                        verify_chain=False):
-            if chunk.index == 0:
-                initial_state, snapshot_bytes = start_state, start_bytes
-            else:
-                if previous_snapshot_entry is None:
-                    raise MissingSnapshotError(
-                        "the segment preceding the chunk does not end with "
-                        "a snapshot")
-                initial_state, snapshot_bytes = fetch_verified_snapshot_entry(
-                    target, previous_snapshot_entry)
-            segment = chunk.segment
-            job = ChunkJob(
-                machine=machine,
-                auditor=auditor.identity,
-                chunk_index=chunk.index,
-                segment=segment,
-                checkpoint=chunk.start_checkpoint,
-                authenticators=[auth for auth in authenticators
-                                if segment.entries
-                                and segment.first_sequence <= auth.sequence
-                                <= segment.last_sequence],
-                key_view=key_view,
-                reference_image=auditor.reference_image,
-                initial_state=initial_state,
-                snapshot_bytes=snapshot_bytes,
-                cost_params=auditor.cost_params,
-                verify_seconds=verify_seconds,
-            )
-            jobs.append(job)
-            run.submit(job)
-            snapshot_entries = segment.entries_of_type(EntryType.SNAPSHOT)
-            previous_snapshot_entry = (snapshot_entries[-1]
-                                       if snapshot_entries else None)
-        if not jobs:
-            raise SegmentError(f"no archived segments for {machine!r}")
-        return _MachinePlan(machine=machine, auditor=auditor, target=target,
-                            jobs=jobs, full_segment=None,
-                            initial_state=start_state,
+        start_state, start_bytes = replay_start(target)
+        plan = _MachinePlan(machine=target.identity, auditor=auditor,
+                            target=target, initial_state=start_state,
                             snapshot_bytes=start_bytes)
+        make_job = job_factory(auditor, target.identity)
+        first_job = len(run.jobs)
+        state, snapshot_bytes = start_state, start_bytes
+        in_flight: List[LogEntry] = []
+        boundary: Optional[LogEntry] = None
+        try:
+            for segment, checkpoint in self._chunks(target):
+                if plan.jobs:
+                    state, snapshot_bytes = fetch_verified_snapshot_entry(
+                        target, boundary)
+                job = make_job(segment, chunk_index=len(plan.jobs),
+                               checkpoint=checkpoint, initial_state=state,
+                               snapshot_bytes=snapshot_bytes,
+                               # the parent pairs the streams, log-wide
+                               check_cross_references=False,
+                               context=BoundaryContext(in_flight))
+                plan.jobs.append(job)
+                run.submit(job)
+                # after the job is pickled: this decodes content lazily
+                in_flight = job.context.after(segment)
+                boundary = last_snapshot_entry(segment)
+        except (MissingSnapshotError, SegmentError, HashChainError,
+                LogFormatError) as exc:
+            # The target could not produce consistent segments or a
+            # verifiable snapshot at a chunk boundary, or its entries do not
+            # parse.  The serial audit does not depend on stored snapshots
+            # (it replays from the start), so fall back to it for this
+            # machine rather than failing the fleet.
+            run.discard_from(first_job)
+            plan.jobs = []
+            plan.serial_fallback_reason = str(exc)
+        return plan
 
-    def _plan_chunks(self, assignment: AuditAssignment,
-                     run: _ChunkRun) -> "_MachinePlan":
-        auditor = assignment.auditor
-        target = assignment.target
-        machine = target.identity
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-        key_view = auditor.keystore.static_view()
-        verify_seconds = scheme_verify_seconds(auditor.keystore, machine)
+    def _chunks(self, target) -> Iterator[Tuple[LogSegment, ChainCheckpoint]]:
+        """The target's log as ``(chunk, checkpoint before it)`` pairs.
 
-        segments = target.get_snapshot_segments()
-        segments = [segment for segment in segments if segment.entries]
-        if not segments:
-            full = target.get_log_segment()
-            segments = [full] if full.entries else []
-        chunk_target = self.chunks_per_machine or max(1, self.workers)
-        chunks = partition_segments(segments, chunk_target) if segments else []
-
-        jobs: List[ChunkJob] = []
-        full_segment = (concatenate_segments(chunks) if chunks
-                        else target.get_log_segment())
-        for index, chunk in enumerate(chunks):
-            initial_state: Optional[Dict[str, Any]] = None
-            snapshot_bytes = 0
-            if index > 0:
-                initial_state, snapshot_bytes = fetch_verified_snapshot(
-                    target, chunks[index - 1])
-            job = ChunkJob(
-                machine=machine,
-                auditor=auditor.identity,
-                chunk_index=index,
-                segment=chunk,
-                checkpoint=chunk.start_checkpoint(),
-                # ship only the chunk's share of the authenticators: job
-                # pickling cost then scales with chunk size, not log size
-                authenticators=[auth for auth in authenticators
-                                if chunk.first_sequence <= auth.sequence
-                                <= chunk.last_sequence],
-                key_view=key_view,
-                reference_image=auditor.reference_image,
-                initial_state=initial_state,
-                snapshot_bytes=snapshot_bytes,
-                cost_params=auditor.cost_params,
-                verify_seconds=verify_seconds,
-            )
-            jobs.append(job)
-            run.submit(job)
-        return _MachinePlan(machine=machine, auditor=auditor, target=target,
-                            jobs=jobs, full_segment=full_segment)
+        An archive-backed target is read one chunk at a time, straight off
+        its segment files; a live one hands over its snapshot-delimited
+        segments, which are tiled into the chunk budget.
+        """
+        budget = self.chunks_per_machine or max(1, self.workers)
+        if getattr(target, "supports_streaming", False):
+            if not target.archive.segment_records(target.identity):
+                raise SegmentError(f"no archived segments for {target.identity!r}")
+            for chunk in iter_stream_chunks(target, max_chunks=budget):
+                yield chunk.segment, chunk.start_checkpoint
+            return
+        segments = [segment for segment in target.get_snapshot_segments()
+                    if segment.entries]
+        for chunk in partition_segments(segments, budget):
+            yield chunk, chunk.start_checkpoint()
 
     # -- merging ------------------------------------------------------------
 
     def _merge(self, plan: "_MachinePlan",
                outcomes: List[ChunkOutcome]) -> MachineAuditReport:
-        auditor = plan.auditor
-        machine = plan.machine
-
-        if plan.serial_fallback_reason is not None:
-            result = self._confirm_serially(plan)
-            return MachineAuditReport(machine=machine, result=result,
-                                      confirmed_serially=True)
-
-        failed = next((outcome for outcome in outcomes if not outcome.ok), None)
-        boundary_reason: Optional[str] = None
-        if failed is None:
-            boundary_reason = self._check_boundaries(plan, outcomes)
-
-        if failed is not None or boundary_reason is not None:
-            # Slow path: re-run the serial audit so evidence is canonical and
-            # identical to what workers=1 would produce.
-            if self.confirm_failures_serially:
-                result = self._confirm_serially(plan)
-            else:
-                result = self._synthesise_failure(plan, failed, boundary_reason)
-            return MachineAuditReport(machine=machine, result=result,
-                                      chunk_count=len(outcomes),
-                                      chunk_outcomes=outcomes,
-                                      confirmed_serially=self.confirm_failures_serially)
-
-        # Fast path: all chunks passed; stitch counters and costs together.
-        cost = AuditCost.total(outcome.cost for outcome in outcomes)
-        replay = _merge_replay_reports(machine,
-                                       [outcome.replay_report for outcome in outcomes])
-        result = AuditResult(
-            machine=machine, auditor=auditor.identity,
-            verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-            authenticators_checked=sum(outcome.authenticators_checked
-                                       for outcome in outcomes),
-            replay_report=replay, cost=cost)
-        return MachineAuditReport(machine=machine, result=result,
+        result = None
+        if plan.serial_fallback_reason is None \
+                and plan.cross_reference_problem is None:
+            result, _ = fold_outcomes(
+                plan.machine, plan.auditor.identity,
+                zip((job.checkpoint for job in plan.jobs), outcomes))
+        confirm = result is None
+        if confirm:
+            # Slow path: the serial audit (anchored at the GC boundary, if
+            # any), so a failure's evidence is canonical and identical to
+            # what workers=1 would produce.
+            result = plan.auditor.audit_segment(
+                plan.machine, plan.materialized(),
+                initial_state=plan.initial_state,
+                snapshot_bytes=plan.snapshot_bytes)
+        return MachineAuditReport(machine=plan.machine, result=result,
                                   chunk_count=len(outcomes),
-                                  chunk_outcomes=outcomes)
-
-    def _confirm_serially(self, plan: "_MachinePlan") -> AuditResult:
-        """The canonical serial audit (anchored at the GC boundary if any)."""
-        return plan.auditor.audit_segment(plan.machine, plan.materialized(),
-                                          initial_state=plan.initial_state,
-                                          snapshot_bytes=plan.snapshot_bytes)
+                                  chunk_outcomes=outcomes,
+                                  confirmed_serially=confirm)
 
     @staticmethod
     def _cross_check(plan: "_MachinePlan") -> Optional[str]:
@@ -879,8 +615,8 @@ class AuditScheduler:
         no worker has vouched for yet, so content that does not parse is a
         problem to report here, not an exception (a worker's format sweep
         reports the same entry, and the serial re-audit decides).
-        (Streamed plans concatenate entry references lazily — the parent
-        already holds every chunk, so this adds no data copies.)
+        (The log is concatenated from the chunk jobs by reference — the
+        parent already holds every chunk, so this adds no data copies.)
         """
         try:
             cross = SyntacticChecker(check_entry_format=False).check(
@@ -889,33 +625,6 @@ class AuditScheduler:
             return str(exc)
         return "; ".join(cross.problems[:3]) if not cross.ok else None
 
-    @staticmethod
-    def _check_boundaries(plan: "_MachinePlan",
-                          outcomes: List[ChunkOutcome]) -> Optional[str]:
-        """Chunk stitching: checkpoints must tile, cross-references must hold."""
-        for previous, current in zip(outcomes, outcomes[1:]):
-            expected = plan.jobs[current.chunk_index].checkpoint
-            if previous.end_checkpoint != expected:
-                return (f"chunk {current.chunk_index} does not extend chunk "
-                        f"{previous.chunk_index} (checkpoint mismatch)")
-        return plan.cross_reference_problem
-
-    def _synthesise_failure(self, plan: "_MachinePlan",
-                            failed: Optional[ChunkOutcome],
-                            boundary_reason: Optional[str]) -> AuditResult:
-        """Failure result without the serial confirmation pass (opt-in)."""
-        from repro.audit.evidence import Evidence
-        auditor = plan.auditor
-        phase = failed.phase if failed is not None else AuditPhase.SYNTACTIC_CHECK
-        reason = failed.reason if failed is not None else (boundary_reason or "")
-        evidence = Evidence(machine=plan.machine, accuser=auditor.identity,
-                            reason=reason, segment=plan.materialized(),
-                            authenticators=auditor.authenticators_for(plan.machine),
-                            reference_image_hash=auditor.reference_image.image_hash(),
-                            initial_state=plan.initial_state)
-        return AuditResult(machine=plan.machine, auditor=auditor.identity,
-                           verdict=Verdict.FAIL, phase=phase, reason=reason,
-                           evidence=evidence)
 
 @dataclass
 class _MachinePlan:
@@ -924,10 +633,7 @@ class _MachinePlan:
     machine: str
     auditor: Auditor
     target: AccountableVMM
-    jobs: List[ChunkJob]
-    #: the whole log, or ``None`` for streamed plans, which concatenate it
-    #: from the chunk jobs on first use
-    full_segment: Optional[LogSegment]
+    jobs: List[ChunkJob] = field(default_factory=list)
     #: set when chunk planning failed (e.g. unverifiable snapshot) and the
     #: whole machine must be audited serially instead
     serial_fallback_reason: Optional[str] = None
@@ -936,33 +642,34 @@ class _MachinePlan:
     snapshot_bytes: int = 0
     #: what the parent's whole-log cross-reference check found, if anything
     cross_reference_problem: Optional[str] = None
+    _full_segment: Optional[LogSegment] = None
 
     def materialized(self) -> LogSegment:
-        """The whole log as one segment (concatenated on first use)."""
-        if self.full_segment is None:
-            self.full_segment = concatenate_segments(
-                [job.segment for job in self.jobs])
-        return self.full_segment
+        """The whole log as one segment: the chunk jobs' segments
+        concatenated on first use, or downloaded when there are none."""
+        if self._full_segment is None:
+            self._full_segment = (
+                concatenate_segments([job.segment for job in self.jobs])
+                if self.jobs else self.target.get_log_segment())
+        return self._full_segment
 
 
 # ---------------------------------------------------------------------------
 # Helpers shared with the spot checker
 # ---------------------------------------------------------------------------
 
-def fetch_verified_snapshot(target: AccountableVMM,
-                             preceding_segment: LogSegment) -> Tuple[Dict[str, Any], int]:
-    """Download and authenticate the snapshot at a chunk boundary.
-
-    The preceding chunk ends with the SNAPSHOT entry whose hash-tree root
-    must match the downloaded snapshot (Section 4.5, "Verifying the
-    snapshot").  Returns ``(state, transfer_bytes)``.
-    """
-    from repro.audit.stream import fetch_verified_snapshot_entry
-    snapshot_entries = preceding_segment.entries_of_type(EntryType.SNAPSHOT)
-    if not snapshot_entries:
-        raise MissingSnapshotError(
-            "the segment preceding the chunk does not end with a snapshot")
-    return fetch_verified_snapshot_entry(target, snapshot_entries[-1])
+def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:
+    """:func:`~repro.audit.kernel.chunk_job` for the chunks of one machine's
+    log, with what they share bound once: the machine's authenticators, a
+    picklable view of the keys, the image, and the modelled price of a
+    signature verification (the engine prices signature batches)."""
+    return partial(
+        chunk_job,
+        authenticators=auditor.authenticators_for(machine),
+        key_view=auditor.keystore.static_view(),
+        reference_image=auditor.reference_image,
+        cost_params=auditor.cost_params,
+        verify_seconds=scheme_verify_seconds(auditor.keystore, machine))
 
 
 def scheme_verify_seconds(keystore, machine: str) -> float:
@@ -972,28 +679,3 @@ def scheme_verify_seconds(keystore, machine: str) -> float:
         return get_scheme(scheme_name).costs().verify_seconds
     except CryptoError:  # no certificate for the machine, or an unknown scheme
         return 0.0
-
-
-def _merge_replay_reports(machine: str,
-                          reports: Sequence[Optional[ReplayReport]]) -> ReplayReport:
-    """Stitch per-chunk replay reports into one machine-level report.
-
-    Work counters sum across chunks.  Instruction counters are *absolute*
-    (each chunk's VM restores its counter from the boundary snapshot), so
-    the last chunk's value is the whole-log count — summing would double-
-    count every restored prefix.  ``active_seconds`` still sums per-chunk
-    bucket counts, which can exceed the whole-log count by up to one bucket
-    per boundary; the serial streaming pipeline computes it globally.
-    """
-    merged = ReplayReport(machine=machine)
-    for report in reports:
-        if report is None:
-            continue
-        merged.entries_replayed += report.entries_replayed
-        merged.events_injected += report.events_injected
-        merged.clock_reads_served += report.clock_reads_served
-        merged.outputs_checked += report.outputs_checked
-        merged.snapshots_checked += report.snapshots_checked
-        merged.instructions_executed = report.instructions_executed
-        merged.active_seconds += report.active_seconds
-    return merged

@@ -10,13 +10,16 @@ reach the same verdict, *without having to trust either Alice or Bob*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.crypto.keys import KeyStore
-from repro.errors import AuthenticatorMismatchError, EvidenceError, HashChainError
+from repro.errors import EvidenceError
 from repro.log.authenticator import Authenticator
 from repro.log.segments import LogSegment
 from repro.vm.image import VMImage
+
+if TYPE_CHECKING:  # pragma: no cover - the kernel imports this module's users
+    from repro.audit.kernel import BoundaryContext
 
 
 @dataclass
@@ -33,6 +36,9 @@ class Evidence:
     initial_state: Optional[dict] = None
     #: set when the machine refused to produce a log segment at all
     unanswered_challenge: bool = False
+    #: what was in flight at the segment's edges, when it is a chunk of a
+    #: longer log: the context the accuser audited it with
+    context: Optional["BoundaryContext"] = None
 
     def verify(self, keystore: KeyStore, reference_image: VMImage) -> bool:
         """Re-run the auditor's checks; returns ``True`` if the fault is confirmed.
@@ -61,20 +67,14 @@ class Evidence:
             return True
 
         # One signature verification each, above, and individually: a third
-        # party gets no batch screen (its product test is unrandomised).
-        try:
-            self.segment.match_authenticators(valid_auths)
-        except (HashChainError, AuthenticatorMismatchError):
-            return True  # tampered log: fault confirmed
+        # party's product test is unrandomised, so a batch screen decides
+        # nothing for it (the kernel's re-runs over signatures that each
+        # verified on their own).  From here on it is the auditor's own
+        # procedure, on the same inputs, under this party's keys and image: a
+        # tampered log, a syntactic violation or a replay divergence confirms
+        # the fault.
+        from repro.audit.kernel import chunk_job, run_chunk
 
-        # The log is genuine; the fault must show up as a replay divergence or
-        # a syntactic violation.
-        from repro.audit.semantic import SemanticChecker
-        from repro.audit.syntactic import SyntacticChecker
-
-        syntactic = SyntacticChecker(keystore).check(self.segment)
-        if not syntactic.ok:
-            return True
-        report = SemanticChecker(reference_image).check(
-            self.segment, initial_state=self.initial_state)
-        return report.diverged
+        return not run_chunk(chunk_job(
+            self.segment, valid_auths, keystore, reference_image,
+            initial_state=self.initial_state, context=self.context)).ok

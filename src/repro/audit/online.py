@@ -14,16 +14,13 @@ game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.audit.auditor import Auditor
 from repro.audit.verdict import AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports the auditor, not us
-    from repro.audit.engine import AuditScheduler
 
 
 @dataclass
@@ -41,8 +38,8 @@ class OnlineAuditor:
     """Periodically audits a running machine.
 
     Each pass re-audits the whole log-so-far, so long sessions benefit from
-    the parallel engine: pass ``engine`` (or build the auditor with
-    ``workers > 1``) and every pass is chunked over the worker pool.  The
+    the parallel engine: build the auditor with ``workers > 1`` (or an
+    ``engine``) and every pass is chunked over the worker pool.  The
     cost accounting below is unchanged either way, because the engine threads
     the same :class:`~repro.audit.verdict.AuditCost` totals through.
 
@@ -53,23 +50,17 @@ class OnlineAuditor:
     """
 
     def __init__(self, auditor: Auditor, target: AccountableVMM,
-                 scheduler: Scheduler, interval: float = 30.0,
-                 engine: Optional["AuditScheduler"] = None) -> None:
+                 scheduler: Scheduler, interval: float = 30.0) -> None:
         self.auditor = auditor
         self.target = target
         self.scheduler = scheduler
         self.interval = interval
-        self._engine = engine
         self.records: List[OnlineAuditRecord] = []
         self.detection_time: Optional[float] = None
         self.audit_cpu_seconds: float = 0.0
         self._audited_entries = 0
         self._audited_active_seconds = 0.0
         self._process: Optional[Process] = None
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        return self._engine if self._engine is not None else self.auditor.engine
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -103,11 +94,7 @@ class OnlineAuditor:
         # The auditor collects any authenticators it has not seen yet.
         self.auditor.collect_from_peer(self.target, self.target.identity)
 
-        engine = self.engine
-        if engine is not None:
-            result = engine.audit_machine(self.auditor, self.target)
-        else:
-            result = self.auditor.audit(self.target)
+        result = self.auditor.audit(self.target)
         record = OnlineAuditRecord(
             time=self.scheduler.clock.now,
             entries_audited=log_length,

@@ -7,6 +7,11 @@ replays just the chunk.  The cost is roughly proportional to the chunk size
 plus a fixed per-chunk cost for transferring the memory and disk snapshots and
 for decompression (Figure 9).
 
+A chunk goes through the same audit kernel as a whole log, under a
+:class:`~repro.audit.kernel.BoundaryContext` seeded from the segment that
+precedes it — downloaded anyway, for the SNAPSHOT entry that authenticates
+the chunk's start state.
+
 Because every k-chunk is an independent work item, spot checks are a natural
 fit for the parallel engine: construct the checker with an
 :class:`~repro.audit.engine.AuditScheduler` and :meth:`check_all_chunks`
@@ -21,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.audit.auditor import Auditor
+from repro.audit.kernel import (BoundaryContext, fetch_verified_snapshot_entry,
+                                last_snapshot_entry)
 from repro.audit.verdict import AuditResult
 from repro.avmm.monitor import AccountableVMM
 from repro.errors import SegmentError
@@ -232,29 +239,46 @@ class SpotChecker:
         """
         if not isinstance(segments, _SegmentSource):
             segments = _SegmentSource(target, k=k, segments=segments)
+        chunk, boundary = self._chunk_inputs(target, start_index, k, segments)
+        result = self.auditor.audit_segment(target.identity, chunk, **boundary)
+        return self._priced(start_index, k, chunk, result)
+
+    @staticmethod
+    def _chunk_inputs(target: AccountableVMM, start_index: int, k: int,
+                      segments: _SegmentSource):
+        """The k-chunk at ``start_index`` and — as keyword arguments of
+        :meth:`Auditor.audit_segment` and of a chunk job — what holds at its
+        boundary: the start state, checked against the SNAPSHOT entry that
+        seals the preceding segment, and the context (what that segment left
+        in flight, and whether anything follows the chunk)."""
         if start_index < 0 or start_index + k > len(segments):
             raise SegmentError(
                 f"chunk [{start_index}, {start_index + k}) outside the "
                 f"{len(segments)} available segments")
         chunk = concatenate_segments(segments.slice(start_index,
                                                     start_index + k))
-
+        context = BoundaryContext(ends_log=start_index + k == len(segments))
         initial_state: Optional[Dict[str, Any]] = None
         snapshot_bytes = 0
         if start_index > 0:
-            initial_state, snapshot_bytes = self._fetch_and_verify_snapshot(
-                target, segments.get(start_index - 1))
+            preceding = segments.get(start_index - 1)
+            initial_state, snapshot_bytes = fetch_verified_snapshot_entry(
+                target, last_snapshot_entry(preceding))
+            context.in_flight = BoundaryContext().after(preceding)
+        return chunk, dict(initial_state=initial_state,
+                           snapshot_bytes=snapshot_bytes, context=context)
 
-        result = self.auditor.audit_segment(target.identity, chunk,
-                                            initial_state=initial_state,
-                                            snapshot_bytes=snapshot_bytes)
+    @staticmethod
+    def _priced(start_index: int, k: int, chunk: LogSegment,
+                result: AuditResult) -> SpotCheckResult:
+        """The chunk's result with the Figure 9 quantities next to it."""
         return SpotCheckResult(
             chunk_start_index=start_index,
             k=k,
             result=result,
             log_bytes=chunk.size_bytes(),
             compressed_log_bytes=modelled_compressed_log_bytes(chunk),
-            snapshot_bytes=snapshot_bytes,
+            snapshot_bytes=result.cost.snapshot_bytes_downloaded,
             replay_seconds=result.cost.semantic_seconds,
         )
 
@@ -317,81 +341,27 @@ class SpotChecker:
         result (evidence included) is exactly what :meth:`check_chunk` would
         have produced.
         """
-        from repro.audit.engine import (
-            ChunkJob,
-            fetch_verified_snapshot,
-            scheme_verify_seconds,
-        )
-        from repro.audit.verdict import AuditPhase, Verdict
+        from repro.audit.engine import job_factory
 
         auditor = self.auditor
         machine = target.identity
-        key_view = auditor.keystore.static_view()
-        verify_seconds = scheme_verify_seconds(auditor.keystore, machine)
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-
-        jobs: List["ChunkJob"] = []
-        for position, index in enumerate(indices):
-            chunk = concatenate_segments(segments.slice(index, index + k))
-            initial_state: Optional[Dict[str, Any]] = None
-            snapshot_bytes = 0
-            if index > 0:
-                initial_state, snapshot_bytes = fetch_verified_snapshot(
-                    target, segments.get(index - 1))
-            jobs.append(ChunkJob(
-                machine=machine, auditor=auditor.identity,
-                chunk_index=position, segment=chunk,
-                checkpoint=chunk.start_checkpoint(),
-                # only the chunk's share, so job pickling scales with chunk
-                # size rather than log size (run_chunk re-filters anyway)
-                authenticators=[auth for auth in authenticators
-                                if chunk.first_sequence <= auth.sequence
-                                <= chunk.last_sequence],
-                key_view=key_view,
-                reference_image=auditor.reference_image,
-                initial_state=initial_state, snapshot_bytes=snapshot_bytes,
-                cost_params=auditor.cost_params,
-                verify_seconds=verify_seconds,
-                check_cross_references=True,
-            ))
+        make_job = job_factory(auditor, machine)
+        inputs = [self._chunk_inputs(target, index, k, segments)
+                  for index in indices]
+        jobs = [make_job(chunk, chunk_index=position, **boundary)
+                for position, (chunk, boundary) in enumerate(inputs)]
 
         with auditor.obs.tracer.timed("audit.spot_check", track=machine,
                                       chunks=len(jobs), k=k) as timer:
             outcomes = self.engine.run_jobs(jobs, obs=auditor.obs)
         results: List[SpotCheckResult] = []
-        for index, job, outcome in zip(indices, jobs, outcomes):
+        for index, (chunk, boundary), outcome in zip(indices, inputs, outcomes):
             if outcome.ok:
-                result = AuditResult(
-                    machine=machine, auditor=auditor.identity,
-                    verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-                    authenticators_checked=outcome.authenticators_checked,
-                    replay_report=outcome.replay_report, cost=outcome.cost)
+                result = outcome.as_result(auditor.identity)
                 # Chunks share one pool run; the pool wall is the shared
                 # measurement (serial re-audits below time themselves).
                 result.wall_seconds = timer.seconds
             else:
-                result = auditor.audit_segment(machine, job.segment,
-                                               initial_state=job.initial_state,
-                                               snapshot_bytes=job.snapshot_bytes)
-            chunk = job.segment
-            results.append(SpotCheckResult(
-                chunk_start_index=index, k=k, result=result,
-                log_bytes=chunk.size_bytes(),
-                compressed_log_bytes=modelled_compressed_log_bytes(chunk),
-                snapshot_bytes=job.snapshot_bytes,
-                replay_seconds=result.cost.semantic_seconds))
+                result = auditor.audit_segment(machine, chunk, **boundary)
+            results.append(self._priced(index, k, chunk, result))
         return results
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _fetch_and_verify_snapshot(self, target: AccountableVMM,
-                                   preceding_segment: LogSegment):
-        """Download the snapshot at the chunk boundary and authenticate it.
-
-        Delegates to the engine's shared helper (Section 4.5, "Verifying the
-        snapshot"): the preceding segment ends with the SNAPSHOT entry whose
-        hash-tree root must match the downloaded snapshot.
-        """
-        from repro.audit.engine import fetch_verified_snapshot
-        return fetch_verified_snapshot(target, preceding_segment)

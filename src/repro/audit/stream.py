@@ -4,70 +4,61 @@ The paper's accountability guarantee is only deployable at fleet scale if
 auditing a machine's log does not require holding that log in memory.  The
 materializing path (``LogArchive.materialized_log`` →
 :meth:`Auditor.audit_segment <repro.audit.auditor.Auditor.audit_segment>`)
-inflates every archived entry
-into one giant in-memory :class:`~repro.log.segments.LogSegment` before any
-check runs, so peak auditor memory grows with log *length*.  This module
-replaces it with a pull-based pipeline whose peak memory is one *chunk* (a
-run of snapshot-delimited archived segments) plus O(1) checkpoints:
+inflates every archived entry into one giant in-memory
+:class:`~repro.log.segments.LogSegment` before any check runs, so peak
+auditor memory grows with log *length*.  This module is the front-end whose
+peak memory is one *chunk* (a run of snapshot-delimited archived segments)
+plus O(1) checkpoints:
 
-1. **decode** — entries are inflated incrementally from the archive's
-   compressed segment files (:meth:`LogArchive.stream_segment
-   <repro.store.archive.LogArchive.stream_segment>`, built on the streaming
-   idiom of :func:`repro.log.storage.iter_segment_entries`);
-2. **chain verify** — each decoded segment extends a running
-   :class:`~repro.log.hashchain.ChainCheckpoint` in one batch
-   (:func:`~repro.log.hashchain.extend_checkpoint_batch`), so tamper
-   evidence needs no look-back;
-3. **commitment check** — authenticators are batch-verified in sliding
-   windows (:func:`~repro.log.authenticator.batch_verify_authenticators`) as
-   their chunk streams past;
-4. **syntactic check** — per-entry checks run chunk by chunk; the stream
-   cross-checks (SEND/RECV vs MAC-layer pairing) run in a bounded-memory
-   incremental checker that evicts matched pairs;
-5. **semantic check** — the replayer is fed chunk by chunk, each chunk
-   starting from the snapshot verified at its boundary (Section 4.5,
-   "Verifying the snapshot"), with still-in-flight RECV payloads carried
-   across the boundary.
+1. **decode** — :func:`iter_stream_chunks` inflates the archive's segment
+   files one chunk at a time (:meth:`LogArchive.stream_segment
+   <repro.store.archive.LogArchive.stream_segment>`);
+2. **audit** — each chunk goes through the audit kernel
+   (:func:`repro.audit.kernel.run_chunk`): chain from the chunk's checkpoint,
+   batched authenticator check, syntactic check, replay from the snapshot
+   verified at its boundary (Section 4.5, "Verifying the snapshot"), with
+   the RECVs still in flight at the boundary as its context;
+3. **fold** — the outcomes are folded as they come
+   (:func:`repro.audit.kernel.fold_outcomes`), and the pairing of the
+   message stream with the MAC-layer stream *across* chunks runs in a
+   bounded-memory incremental checker that evicts matched pairs.
 
 **Equivalence guarantee.**  A passing streamed audit produces an
 :class:`~repro.audit.verdict.AuditResult` *structurally identical* — same
 verdict, counters, replay report and modelled
 :class:`~repro.audit.verdict.AuditCost` (raw bytes, snapshot bytes and
 modelled seconds; nothing on this path runs a compressor) — to what the
-serial materializing audit of the same archive produces.  Any detected fault
-(or inability to stream, e.g. an unverifiable boundary snapshot) falls back
-to the materializing serial audit so failure verdicts and evidence are
-*canonical*: exactly the optimistic-fast-path/serial-confirm design of the
-parallel engine (:mod:`repro.audit.engine`).  ``tests/test_stream_equivalence
-.py`` enforces the guarantee differentially across the adversary matrix.
+serial materializing audit of the same archive produces.  Anything the stream
+detects, and any inability to stream (e.g. an unverifiable boundary
+snapshot), is confirmed by that serial audit, so failure verdicts and
+evidence are the canonical ones.  ``tests/test_stream_equivalence.py``
+enforces the guarantee differentially across the adversary matrix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.audit.evidence import Evidence
-from repro.audit.semantic import SemanticChecker
-from repro.audit.syntactic import SyntacticChecker
-from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
-from repro.avmm.replayer import ReplayReport
-from repro.errors import (
-    HashChainError,
-    MissingSnapshotError,
-    ReproError,
-    StoreError,
+from repro.audit.kernel import (
+    BoundaryContext,
+    ChunkOutcome,
+    chunk_job,
+    fetch_verified_snapshot_entry,
+    fold_outcomes,
+    last_snapshot_entry,
+    replay_start,
+    run_chunk,
 )
+from repro.audit.semantic import modelled_replay_seconds
+from repro.audit.verdict import AuditCost, AuditResult
+from repro.errors import HashChainError, ReproError, StoreError
 from repro.log.entries import EntryType, LogEntry
-from repro.log.hashchain import (
-    ChainCheckpoint,
-    extend_checkpoint,
-    extend_checkpoint_batch,
-)
+from repro.log.hashchain import ChainCheckpoint, extend_checkpoint
 from repro.log.segments import LogSegment
-from repro.log.authenticator import batch_verify_authenticators
-from repro.obs import Observability, ensure_obs
+from repro.obs import ensure_obs
 
 __all__ = [
     "ArchiveEntryStream",
@@ -81,12 +72,9 @@ __all__ = [
     "stream_audit",
 ]
 
-#: authenticators batch-verified per screening window
-DEFAULT_SIGNATURE_WINDOW = 256
-
 
 # ---------------------------------------------------------------------------
-# Stage 1+2: verified entry / chunk streams over an archive
+# Entry and chunk streams over an archive
 # ---------------------------------------------------------------------------
 
 def _records_from(archive, machine: str, start: Optional[ChainCheckpoint]):
@@ -147,15 +135,12 @@ class ArchiveEntryStream:
         self._archive = archive
         self.machine = machine
         self._records, self.checkpoint = _records_from(archive, machine, start)
-        #: records fully streamed so far (resume anchor granularity)
-        self.segments_done = 0
 
     def __iter__(self) -> Iterator[LogEntry]:
         for record in self._records:
             for entry in self._archive.stream_segment(record):
                 self.checkpoint = extend_checkpoint(self.checkpoint, entry)
                 yield entry
-            self.segments_done += 1
 
 
 @dataclass
@@ -166,8 +151,6 @@ class StreamChunk:
     segment: LogSegment
     start_checkpoint: ChainCheckpoint
     end_checkpoint: ChainCheckpoint
-    #: snapshot id sealing the chunk's last segment (None for the tail)
-    sealed_by_snapshot: Optional[int] = None
 
 
 def _chunk_record_counts(archive, machine: str, records,
@@ -204,25 +187,23 @@ def _chunk_record_counts(archive, machine: str, records,
 
 
 def iter_stream_chunks(target, max_chunks: Optional[int] = None,
-                       start: Optional[ChainCheckpoint] = None,
-                       verify_chain: bool = True) -> Iterator[StreamChunk]:
+                       start: Optional[ChainCheckpoint] = None
+                       ) -> Iterator[StreamChunk]:
     """Stream an archive-backed target's log as replayable chunks.
 
-    Each yielded :class:`StreamChunk` holds one chunk's entries (already
-    chain-verified against the previous chunk's end checkpoint); previous
-    chunks can be dropped by the consumer, so a pipeline iterating this holds
-    O(chunk) entries.  ``max_chunks=None`` yields the finest chunking (one
-    chunk per snapshot-sealed segment run); the parallel engine passes its
-    chunk budget instead.
+    Each yielded :class:`StreamChunk` holds one chunk's decoded entries;
+    previous chunks can be dropped by the consumer, so a pipeline iterating
+    this holds O(chunk) entries.  ``max_chunks=None`` yields the finest
+    chunking (one chunk per snapshot-sealed segment run); the parallel engine
+    passes its chunk budget instead.
 
-    ``verify_chain=False`` skips the per-entry chain verification and takes
-    the checkpoints from the manifest records (whose tiling was proven at
-    archive recovery, and whose first/last sequence and end hash
-    :meth:`~repro.store.archive.LogArchive.stream_segment` still checks
-    against the decoded entries).  The engine uses this when planning chunk
-    jobs — its workers re-verify every chunk's chain from the checkpoint
-    anyway, so verifying during planning would double the hash work and
-    serialize half of it.
+    The checkpoints come from the manifest records (whose tiling was proven
+    at archive recovery, and whose first/last sequence and end hash
+    :meth:`~repro.store.archive.LogArchive.stream_segment` checks against the
+    decoded entries).  Nothing here steps the hash chain: the audit kernel
+    proves that each chunk extends its start checkpoint, and the fold that
+    each chunk starts where its predecessor ended — once per entry, whoever
+    consumes the chunks.
     """
     archive = target.archive
     machine = target.identity
@@ -233,49 +214,19 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
         chunk_records = records[cursor:cursor + count]
         cursor += count
         start_checkpoint = checkpoint
-        entries: List[LogEntry] = []
-        for record in chunk_records:
-            record_entries = list(archive.stream_segment(record))
-            if verify_chain:
-                checkpoint = extend_checkpoint_batch(checkpoint,
-                                                     record_entries)
-            else:
-                checkpoint = record.end_checkpoint()
-            entries.extend(record_entries)
+        checkpoint = chunk_records[-1].end_checkpoint()
         yield StreamChunk(
             index=index,
-            segment=LogSegment(machine=machine, entries=entries,
-                               start_hash=start_checkpoint.chain_hash),
+            segment=LogSegment(
+                machine=machine, start_hash=start_checkpoint.chain_hash,
+                entries=[entry for record in chunk_records
+                         for entry in archive.stream_segment(record)]),
             start_checkpoint=start_checkpoint,
-            end_checkpoint=checkpoint,
-            sealed_by_snapshot=chunk_records[-1].sealed_by_snapshot,
-        )
-
-
-def fetch_verified_snapshot_entry(target, snapshot_entry: LogEntry
-                                  ) -> Tuple[Dict[str, Any], int]:
-    """Download and authenticate the snapshot a SNAPSHOT entry commits to.
-
-    The entry's recorded hash-tree root must match the downloaded snapshot
-    (Section 4.5, "Verifying the snapshot").  Returns
-    ``(state, transfer_bytes)``; raises :class:`MissingSnapshotError` when
-    the snapshot cannot be authenticated.
-    """
-    snapshot_id = int(snapshot_entry.content["snapshot_id"])
-    expected_root = str(snapshot_entry.content["state_root"])
-    snapshot = target.snapshots.get(snapshot_id)
-    if snapshot.state_root.hex() != expected_root:
-        raise MissingSnapshotError(
-            f"snapshot {snapshot_id} does not match the root recorded in the log")
-    if not snapshot.verify_root():
-        raise MissingSnapshotError(
-            f"snapshot {snapshot_id} failed hash-tree verification")
-    transfer_bytes = target.snapshots.transfer_cost_bytes(snapshot_id)
-    return snapshot.state, transfer_bytes
+            end_checkpoint=checkpoint)
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: bounded-memory stream cross-checks
+# Bounded-memory stream cross-checks
 # ---------------------------------------------------------------------------
 
 class StreamingCrossChecker:
@@ -385,12 +336,9 @@ class StreamStats:
     """Streaming-specific bookkeeping (not part of the canonical result)."""
 
     chunks: int = 0
-    segments: int = 0
     entries: int = 0
     #: largest number of entries resident at once (the memory bound)
     peak_chunk_entries: int = 0
-    signature_windows: int = 0
-    signature_screen_operations: int = 0
     #: why the pipeline handed over to the materializing audit (None = it
     #: streamed to the end)
     fallback_reason: Optional[str] = None
@@ -407,39 +355,28 @@ class StreamAuditReport:
     def used_fallback(self) -> bool:
         return self.stats.fallback_reason is not None
 
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
+
+class _StreamFallback(Exception):
+    """Internal: the stream detected something, or cannot go on; the
+    materializing serial audit decides."""
 
 
 class StreamingAuditPipeline:
     """Audits an archive-backed target in O(chunk) memory.
 
-    ``confirm_failures_serially`` (default) re-runs the materializing serial
-    audit whenever the stream detects anything — fault or operational
-    inability to continue — so verdicts and evidence are canonical.  With it
-    off, failures are synthesised from the streamed state: the verdict is
-    the same, but the evidence covers only the failing chunk (bounded
-    memory even under accusation).
+    Whenever the stream detects anything — a fault, or an operational
+    inability to continue — the materializing serial audit is run instead,
+    so verdicts and evidence are canonical.
     """
 
     def __init__(self, auditor, target,
-                 max_chunks: Optional[int] = None,
-                 signature_window: int = DEFAULT_SIGNATURE_WINDOW,
-                 confirm_failures_serially: bool = True,
-                 obs: Optional[Observability] = None) -> None:
-        if signature_window < 1:
-            raise ValueError(
-                f"signature window must be >= 1, got {signature_window}")
+                 max_chunks: Optional[int] = None) -> None:
         self.auditor = auditor
         self.target = target
         self.max_chunks = max_chunks
-        self.signature_window = signature_window
-        self.confirm_failures_serially = confirm_failures_serially
-        #: telemetry sink — defaults to the auditor's bundle, so an
-        #: observed auditor observes its streamed audits too
-        self.obs = ensure_obs(obs if obs is not None
-                              else getattr(auditor, "obs", None))
+        #: telemetry sink: the auditor's bundle, so an observed auditor
+        #: observes its streamed audits too
+        self.obs = ensure_obs(getattr(auditor, "obs", None))
 
     # -- public API ----------------------------------------------------------
 
@@ -457,11 +394,15 @@ class StreamingAuditPipeline:
             try:
                 result = self._stream(stats)
             except _StreamFallback as handover:
-                stats.fallback_reason = handover.reason
-                result = self._fallback(handover)
+                # The canonical result, once streaming detected something.
+                stats.fallback_reason = str(handover)
+                state, snapshot_bytes = replay_start(self.target)
+                result = self.auditor.audit_segment(
+                    machine, self.target.get_log_segment(),
+                    initial_state=state, snapshot_bytes=snapshot_bytes)
         # The pipeline's wall clock covers the whole streamed audit,
-        # including any serial-confirm fallback (whose own audit_segment
-        # timing it supersedes).
+        # including any serial confirmation (whose own audit_segment timing
+        # it supersedes).
         result.wall_seconds = timer.seconds
         obs.progress.machine_done(machine, result.verdict.value, timer.seconds)
         return StreamAuditReport(result=result, stats=stats)
@@ -472,55 +413,66 @@ class StreamingAuditPipeline:
         auditor = self.auditor
         target = self.target
         machine = target.identity
-
-        truncated = target.is_truncated()
-        initial_state, snapshot_bytes = (target.initial_state() if truncated
-                                         else (None, 0))
-        authenticators = [auth for auth in auditor.authenticators_for(machine)
-                          if auth.machine == machine]
-        syntactic = SyntacticChecker(auditor.keystore,
-                                     check_cross_references=False)
-        semantic = SemanticChecker(auditor.reference_image, auditor.cost_params)
+        start = replay_start(target)
         cross = StreamingCrossChecker()
-        start = target.start_checkpoint()
-        raw_bytes = 0
+        active_buckets: Set[int] = set()
 
-        # Telemetry (observers only — nothing below reads these back).
+        result, problem = fold_outcomes(
+            machine, auditor.identity,
+            self._audited_chunks(stats, cross, active_buckets, start))
+        if result is None:
+            raise _StreamFallback(problem)
+        last_sequence = target.start_checkpoint().sequence + stats.entries
+        cross.finish(last_sequence)
+        if not cross.ok:
+            raise _StreamFallback("; ".join(cross.problems[:3]))
+
+        # The serial-identical PASS result: one download of the whole log
+        # from its replay start, activity counted over the whole log rather
+        # than chunk by chunk, no signature figures.
+        merged = result.replay_report
+        merged.active_seconds = float(len(active_buckets))
+        result.cost = AuditCost.for_download(
+            result.cost.log_bytes_downloaded, start[1], auditor.cost_params)
+        result.cost.semantic_seconds = modelled_replay_seconds(
+            merged.active_seconds, auditor.cost_params)
+        return result
+
+    def _audited_chunks(self, stats: StreamStats,
+                        cross: "StreamingCrossChecker",
+                        active_buckets: Set[int], start
+                        ) -> Iterator[Tuple[ChainCheckpoint, ChunkOutcome]]:
+        """Decode the archive chunk by chunk and run each through the kernel.
+
+        Every entry also feeds ``cross`` and ``active_buckets``, the two
+        things a passing audit needs over the whole log.  Yields each
+        chunk's start checkpoint with its outcome; only one chunk is alive at
+        a time, the consumer folding each pair before the next is decoded.
+        """
+        auditor = self.auditor
+        target = self.target
+        machine = target.identity
+        make_job = partial(
+            chunk_job,
+            authenticators=auditor.authenticators_for(machine),
+            key_view=auditor.keystore, reference_image=auditor.reference_image,
+            cost_params=auditor.cost_params,
+            # ``cross`` pairs the streams, over the whole log
+            check_cross_references=False)
+
         obs = self.obs
-        observed = obs.enabled
-        verify_hist = obs.metrics.histogram("audit.chunk.verify_seconds")
-        signature_hist = obs.metrics.histogram("audit.chunk.signature_seconds")
-        replay_hist = obs.metrics.histogram("audit.chunk.replay_seconds")
+        decode_hist = obs.metrics.histogram("audit.chunk.decode_seconds")
+        audit_hist = obs.metrics.histogram("audit.chunk.audit_seconds")
         chunks_counter = obs.metrics.counter("audit.chunks_total")
         entries_counter = obs.metrics.counter("audit.entries_streamed_total")
 
-        merged = ReplayReport(machine=machine)
-        active_buckets: Set[int] = set()
-        authenticators_checked = 0
-        #: RECV payloads not yet consumed by a MAC-layer injection — carried
-        #: across chunk boundaries so chunked replay resolves the same
-        #: references the whole-log replay would
-        carried_payloads: Dict[str, bytes] = {}
-        previous_snapshot_entry: Optional[LogEntry] = None
-        last_sequence = start.sequence
-
-        chunks = iter_stream_chunks(target, max_chunks=self.max_chunks)
-        while True:
-            decode_started = time.perf_counter() if observed else 0.0
-            try:
-                chunk = next(chunks)
-            except StopIteration:
-                break
-            except HashChainError as exc:
-                # Same failure class the serial tamper check reports; the
-                # fallback produces the canonical evidence for it.
-                raise _StreamFallback(
-                    AuditPhase.AUTHENTICATOR_CHECK, str(exc), None, None)
-            if observed:
-                # Decode + incremental chain verification happen inside the
-                # chunk iterator's next().
-                verify_hist.observe(time.perf_counter() - decode_started)
-
+        state, snapshot_bytes = start    # where the first chunk replays from
+        in_flight: List[LogEntry] = []
+        boundary: Optional[LogEntry] = None
+        decode_started = time.perf_counter()
+        for chunk in iter_stream_chunks(target, max_chunks=self.max_chunks):
+            chunk_started = time.perf_counter()
+            decode_hist.observe(chunk_started - decode_started)
             segment = chunk.segment
             stats.chunks += 1
             stats.entries += len(segment.entries)
@@ -528,189 +480,41 @@ class StreamingAuditPipeline:
                                            len(segment.entries))
             chunks_counter.inc()
             entries_counter.inc(len(segment.entries))
-            chunk_started = time.perf_counter() if observed else 0.0
-            last_sequence = chunk.end_checkpoint.sequence
-            raw_bytes += segment.size_bytes()
             for entry in segment.entries:
                 active_buckets.add(int(entry.timestamp))
                 cross.feed(entry)
 
-            # Commitment check: windowed batch signature verification plus
-            # the chain-hash comparison against the streamed entries.
-            signature_started = time.perf_counter() if observed else 0.0
-            authenticators_checked += self._check_authenticators(
-                segment, authenticators, stats)
-            if observed:
-                signature_hist.observe(
-                    time.perf_counter() - signature_started)
-
-            # Per-entry syntactic checks (stream cross-checks run above).
-            report = syntactic.check(segment)
-            if not report.ok:
-                raise _StreamFallback(AuditPhase.SYNTACTIC_CHECK,
-                                      "; ".join(report.problems[:3]),
-                                      chunk, None)
-
-            # Semantic check: replay this chunk from its verified boundary.
-            if chunk.index == 0:
-                chunk_state = initial_state
-            else:
-                if previous_snapshot_entry is None:
-                    # Manifest marked the boundary sealed but no SNAPSHOT
-                    # entry streamed past: cannot anchor this chunk — the
-                    # materializing audit (which replays from the start)
-                    # decides canonically.
-                    raise _StreamFallback(
-                        None, "the segment preceding the chunk does not "
-                              "end with a snapshot", chunk, None)
+            if chunk.index:
+                # Replay this chunk from its verified boundary.  One that
+                # cannot be anchored is the materializing audit's (it
+                # replays from the start) to decide canonically.
                 try:
-                    chunk_state, _ = fetch_verified_snapshot_entry(
-                        target, previous_snapshot_entry)
+                    state, snapshot_bytes = fetch_verified_snapshot_entry(
+                        target, boundary)
                 except ReproError as exc:
-                    raise _StreamFallback(None, str(exc), chunk, None)
-            replay_started = time.perf_counter() if observed else 0.0
-            replay = semantic.check(segment, initial_state=chunk_state,
-                                    carried_payloads=dict(carried_payloads))
-            if observed:
-                replay_hist.observe(time.perf_counter() - replay_started)
-            self._merge_replay(merged, replay)
-            if replay.diverged:
-                raise _StreamFallback(AuditPhase.SEMANTIC_CHECK,
-                                      replay.divergence.describe(),
-                                      chunk, chunk_state)
+                    raise _StreamFallback(str(exc))
+            job = make_job(segment, chunk_index=chunk.index,
+                           checkpoint=chunk.start_checkpoint,
+                           initial_state=state, snapshot_bytes=snapshot_bytes,
+                           context=BoundaryContext(in_flight))
+            outcome = run_chunk(job)
+            audit_hist.observe(time.perf_counter() - chunk_started)
+            yield chunk.start_checkpoint, outcome
 
-            for entry in segment.entries:
-                if entry.entry_type is EntryType.RECV:
-                    payload = entry.content.get("payload")
-                    if payload is not None:
-                        carried_payloads[str(entry.content["message_id"])] = \
-                            bytes.fromhex(payload)
-                elif entry.entry_type is EntryType.MACLAYER \
-                        and entry.content.get("direction") == "in":
-                    carried_payloads.pop(str(entry.content["message_id"]), None)
-            snapshot_entries = segment.entries_of_type(EntryType.SNAPSHOT)
-            previous_snapshot_entry = (snapshot_entries[-1]
-                                       if snapshot_entries else None)
-            if observed:
-                obs.tracer.event(
-                    "audit.chunk", domain="wall", track=machine,
-                    timestamp=chunk_started,
-                    duration=time.perf_counter() - chunk_started,
-                    chunk=chunk.index, entries=len(segment.entries),
-                    checkpoint_seq=chunk.end_checkpoint.sequence)
+            in_flight = job.context.after(segment)
+            boundary = last_snapshot_entry(segment)
+            obs.tracer.event(
+                "audit.chunk", domain="wall", track=machine,
+                timestamp=chunk_started,
+                duration=time.perf_counter() - chunk_started,
+                chunk=chunk.index, entries=len(segment.entries),
+                checkpoint_seq=chunk.end_checkpoint.sequence)
             obs.progress.chunk_done(machine, entries=len(segment.entries),
                                     checkpoint_seq=chunk.end_checkpoint.sequence)
-
-        cross.finish(last_sequence)
-        if not cross.ok:
-            raise _StreamFallback(AuditPhase.SYNTACTIC_CHECK,
-                                  "; ".join(cross.problems[:3]), None, None)
-
-        # Assemble the serial-identical PASS result.
-        cost = AuditCost.for_download(raw_bytes, snapshot_bytes,
-                                      auditor.cost_params)
-        merged.entries_replayed = stats.entries
-        merged.active_seconds = float(len(active_buckets))
-        cost.semantic_seconds = semantic.estimate_timing(merged).replay_seconds
-        return AuditResult(machine=machine, auditor=auditor.identity,
-                           verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
-                           authenticators_checked=authenticators_checked,
-                           replay_report=merged, cost=cost)
-
-    def _check_authenticators(self, segment: LogSegment, authenticators,
-                              stats: StreamStats) -> int:
-        """Windowed batch verification of the chunk's authenticators."""
-        if not segment.entries:
-            return 0
-        first, last = segment.first_sequence, segment.last_sequence
-        relevant = [auth for auth in authenticators
-                    if first <= auth.sequence <= last]
-        by_sequence = {entry.sequence: entry for entry in segment.entries}
-        checked = 0
-        for cursor in range(0, len(relevant), self.signature_window):
-            window = relevant[cursor:cursor + self.signature_window]
-            valid, invalid, batch_stats = batch_verify_authenticators(
-                window, self.auditor.keystore)
-            stats.signature_windows += 1
-            stats.signature_screen_operations += batch_stats.screen_operations
-            if invalid:
-                bad = window[invalid[0]]
-                raise _StreamFallback(
-                    AuditPhase.AUTHENTICATOR_CHECK,
-                    f"authenticator for sequence {bad.sequence} has an "
-                    f"invalid signature", None, None)
-            for auth in valid:
-                entry = by_sequence.get(auth.sequence)
-                if entry is None:
-                    continue
-                if entry.chain_hash != auth.chain_hash:
-                    raise _StreamFallback(
-                        AuditPhase.AUTHENTICATOR_CHECK,
-                        f"log entry {auth.sequence} does not match the "
-                        f"authenticator issued by {segment.machine!r} "
-                        f"(log was tampered with or forked)", None, None)
-                checked += 1
-        return checked
-
-    @staticmethod
-    def _merge_replay(merged: ReplayReport, chunk_report: ReplayReport) -> None:
-        merged.events_injected += chunk_report.events_injected
-        merged.clock_reads_served += chunk_report.clock_reads_served
-        merged.outputs_checked += chunk_report.outputs_checked
-        merged.snapshots_checked += chunk_report.snapshots_checked
-        # Execution counters are absolute (restored from each boundary
-        # snapshot), so the last chunk's count IS the whole-log count.
-        merged.instructions_executed = chunk_report.instructions_executed
-
-    # -- the materializing slow path -----------------------------------------
-
-    def _fallback(self, handover: "_StreamFallback") -> AuditResult:
-        """Produce the canonical result once streaming detected something."""
-        auditor = self.auditor
-        target = self.target
-        machine = target.identity
-        if self.confirm_failures_serially:
-            if target.is_truncated():
-                state, snapshot_bytes = target.initial_state()
-            else:
-                state, snapshot_bytes = None, 0
-            return auditor.audit_segment(machine, target.get_log_segment(),
-                                         initial_state=state,
-                                         snapshot_bytes=snapshot_bytes)
-        phase = handover.phase or AuditPhase.SEMANTIC_CHECK
-        # Bounded evidence: the failing chunk (or, for a chain break
-        # detected while decoding, no segment at all — the authenticators
-        # alone carry the accusation, as for an unanswered challenge).
-        evidence = Evidence(
-            machine=machine, accuser=auditor.identity, reason=handover.reason,
-            segment=handover.chunk.segment if handover.chunk else None,
-            authenticators=auditor.authenticators_for(machine),
-            reference_image_hash=auditor.reference_image.image_hash(),
-            initial_state=handover.chunk_state)
-        return AuditResult(machine=machine, auditor=auditor.identity,
-                           verdict=Verdict.FAIL, phase=phase,
-                           reason=handover.reason, evidence=evidence)
-
-
-class _StreamFallback(Exception):
-    """Internal: the stream detected something; hand over to the slow path."""
-
-    def __init__(self, phase: Optional[AuditPhase], reason: str,
-                 chunk: Optional[StreamChunk],
-                 chunk_state: Optional[Dict[str, Any]]) -> None:
-        super().__init__(reason)
-        self.phase = phase
-        self.reason = reason
-        self.chunk = chunk
-        self.chunk_state = chunk_state
+            decode_started = time.perf_counter()
 
 
 def stream_audit(auditor, target,
-                 max_chunks: Optional[int] = None,
-                 signature_window: int = DEFAULT_SIGNATURE_WINDOW,
-                 confirm_failures_serially: bool = True) -> StreamAuditReport:
+                 max_chunks: Optional[int] = None) -> StreamAuditReport:
     """Audit an archive-backed target on the streaming pipeline."""
-    return StreamingAuditPipeline(
-        auditor, target, max_chunks=max_chunks,
-        signature_window=signature_window,
-        confirm_failures_serially=confirm_failures_serially).run()
+    return StreamingAuditPipeline(auditor, target, max_chunks=max_chunks).run()

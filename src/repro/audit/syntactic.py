@@ -11,13 +11,16 @@ needs the log and the parties' public keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.crypto.keys import KeyStore
 from repro.errors import LogFormatError
 from repro.log.authenticator import recv_commitment
 from repro.log.entries import EntryType, LogEntry
 from repro.log.segments import LogSegment
+
+if TYPE_CHECKING:  # pragma: no cover - the kernel imports this module
+    from repro.audit.kernel import BoundaryContext
 
 # Fields every entry of a given type must carry to be considered well-formed.
 _REQUIRED_FIELDS: Dict[EntryType, Set[str]] = {
@@ -49,9 +52,7 @@ class SyntacticReport:
     problems: List[str] = field(default_factory=list)
     entries_checked: int = 0
     signatures_verified: int = 0
-    sends: int = 0
     recvs: int = 0
-    acks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -65,7 +66,6 @@ class SyntacticChecker:
     """Performs the syntactic check on one log segment."""
 
     def __init__(self, keystore: Optional[KeyStore] = None, *,
-                 require_acknowledgments: bool = False,
                  check_cross_references: bool = True,
                  check_entry_format: bool = True) -> None:
         """``keystore`` may be a :class:`KeyStore` or any object with its
@@ -75,26 +75,28 @@ class SyntacticChecker:
 
         ``check_cross_references`` switches the stream cross-checks
         (SEND/RECV vs MAC-layer) on or off, and ``check_entry_format`` the
-        per-entry well-formedness checks.  The parallel audit engine splits
-        the work along exactly this line: workers run the per-entry checks
-        chunk by chunk (cross-references would see matching pairs split
-        across chunk boundaries as orphans), while the parent runs only the
-        cross-references once over the whole segment, where they are cheap
-        (no cryptography) and not duplicated.
+        per-entry well-formedness checks.  A front-end that tiles a whole
+        log into chunks splits the work along exactly this line: the
+        per-entry checks run chunk by chunk, while the cross-references run
+        once over the whole log, where they are cheap (no cryptography) and
+        see pairs that no single chunk holds.
         """
         self.keystore = keystore
-        self.require_acknowledgments = require_acknowledgments
         self.check_cross_references = check_cross_references
         self.check_entry_format = check_entry_format
 
     # -- public API ---------------------------------------------------------------
 
-    def check(self, segment: LogSegment) -> SyntacticReport:
-        """Run all syntactic checks; problems are collected, not raised."""
+    def check(self, segment: LogSegment,
+              context: Optional["BoundaryContext"] = None) -> SyntacticReport:
+        """Run all syntactic checks; problems are collected, not raised.
+
+        ``context`` says what was in flight at the segment's edges when it
+        is a chunk of a longer log (default: a whole log).
+        """
         report = SyntacticReport()
         sends: Dict[str, LogEntry] = {}
         recvs: Dict[str, LogEntry] = {}
-        acked_received: Set[str] = set()
         mac_in: Dict[str, LogEntry] = {}
         mac_out: Dict[str, LogEntry] = {}
 
@@ -103,16 +105,11 @@ class SyntacticChecker:
             if self.check_entry_format:
                 self._check_format(entry, report)
             if entry.entry_type is EntryType.SEND:
-                report.sends += 1
                 sends[str(entry.content.get("message_id"))] = entry
             elif entry.entry_type is EntryType.RECV:
                 report.recvs += 1
                 recvs[str(entry.content.get("message_id"))] = entry
                 self._check_recv_signature(segment.machine, entry, report)
-            elif entry.entry_type is EntryType.ACK:
-                report.acks += 1
-                if entry.content.get("direction") == "received":
-                    acked_received.add(str(entry.content.get("message_id")))
             elif entry.entry_type is EntryType.MACLAYER:
                 message_id = str(entry.content.get("message_id"))
                 if entry.content.get("direction") == "in":
@@ -121,12 +118,8 @@ class SyntacticChecker:
                     mac_out[message_id] = entry
 
         if self.check_cross_references:
-            self._cross_reference(segment, sends, recvs, mac_in, mac_out, report)
-        if self.require_acknowledgments:
-            for message_id, entry in sends.items():
-                if message_id not in acked_received:
-                    report.add(f"SEND {message_id} (sequence {entry.sequence}) "
-                               f"was never acknowledged")
+            self._cross_reference(segment, sends, recvs, mac_in, mac_out,
+                                  report, context)
         return report
 
     # -- individual checks -----------------------------------------------------------
@@ -188,10 +181,13 @@ class SyntacticChecker:
     @staticmethod
     def _cross_reference(segment: LogSegment, sends: Dict[str, LogEntry],
                          recvs: Dict[str, LogEntry], mac_in: Dict[str, LogEntry],
-                         mac_out: Dict[str, LogEntry], report: SyntacticReport) -> None:
+                         mac_out: Dict[str, LogEntry], report: SyntacticReport,
+                         context: Optional["BoundaryContext"] = None) -> None:
         """Check the message stream against the MAC-layer stream (Section 4.4)."""
+        in_flight = {str(entry.content.get("message_id")): entry
+                     for entry in (context.in_flight if context else ())}
         for message_id, entry in mac_in.items():
-            if message_id not in recvs:
+            if message_id not in recvs and message_id not in in_flight:
                 report.add(f"packet {message_id} entered the AVM (sequence "
                            f"{entry.sequence}) but has no RECV entry")
         for message_id, entry in mac_out.items():
@@ -203,11 +199,16 @@ class SyntacticChecker:
             if entry.content.get("payload_hash") != send.content.get("payload_hash"):
                 report.add(f"message {message_id}: SEND entry and MAC-layer entry "
                            f"disagree about the payload")
-        for message_id, entry in recvs.items():
-            if message_id not in mac_in:
-                # The packet was logged as received but never injected into the
-                # AVM.  This is legitimate only at the very end of the segment
-                # (the packet may still be "in flight" inside the monitor).
-                if entry.sequence < segment.last_sequence - 5:
-                    report.add(f"message {message_id} was received (sequence "
-                               f"{entry.sequence}) but never entered the AVM")
+        # A packet logged as received but never injected into the AVM is
+        # legitimate only while it may still be "in flight" inside the
+        # monitor: at the very end of the log, or — for a chunk the log goes
+        # on after — anywhere in the chunk, since the next chunk's audit
+        # starts with it in flight and accounts for it there.
+        pending = dict(in_flight)
+        if context is None or context.ends_log:
+            pending.update(recvs)
+        for message_id, entry in pending.items():
+            if message_id not in mac_in \
+                    and entry.sequence < segment.last_sequence - 5:
+                report.add(f"message {message_id} was received (sequence "
+                           f"{entry.sequence}) but never entered the AVM")

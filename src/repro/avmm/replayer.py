@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import hashing
 from repro.errors import ReplayInputError
@@ -204,24 +205,23 @@ class DeterministicReplayer:
 
     def replay(self, segment: LogSegment,
                initial_state: Optional[Dict[str, Any]] = None,
-               carried_payloads: Optional[Dict[str, bytes]] = None
-               ) -> ReplayReport:
+               in_flight: Sequence[LogEntry] = ()) -> ReplayReport:
         """Replay ``segment`` and cross-check it against the reference image.
 
         ``initial_state`` is the verified snapshot state at the beginning of
         the segment; when ``None`` the segment is assumed to start at the
         beginning of the execution and the reference image's initial state is
-        used (Section 4.5, "Verifying the snapshot").  ``carried_payloads``
-        maps message ids to payloads of RECV entries that precede the
-        segment — the streaming audit passes the still-in-flight window so a
-        MAC-layer injection just after a chunk boundary resolves exactly as
-        it does in a whole-log replay.
+        used (Section 4.5, "Verifying the snapshot").  ``in_flight`` are RECV
+        entries that precede the segment — a chunked audit passes the ones
+        whose packet had not entered the AVM at the chunk boundary, so a
+        MAC-layer injection just after it resolves exactly as it does in a
+        whole-log replay.
         """
         report = ReplayReport(machine=segment.machine,
                               entries_replayed=len(segment.entries))
         try:
             clock_items, upstream_items, schedule, outputs, payloads = \
-                self._build_schedule(segment, carried_payloads)
+                self._build_schedule(segment, in_flight)
         except ReplayInputError as exc:
             # A log whose replay stream references messages that were never
             # logged is inconsistent by construction (Section 4.4, "Detecting
@@ -316,8 +316,7 @@ class DeterministicReplayer:
     # -- schedule construction ----------------------------------------------------
 
     def _build_schedule(self, segment: LogSegment,
-                        carried_payloads: Optional[Dict[str, bytes]] = None
-                        ) -> Tuple[
+                        in_flight: Sequence[LogEntry] = ()) -> Tuple[
             List[_ClockItem], List[_UpstreamItem], List[Any], List[_OutputItem],
             Dict[str, bytes]]:
         """Split the log into served inputs, injections/snapshots and outputs."""
@@ -325,9 +324,9 @@ class DeterministicReplayer:
         upstream_items: List[_UpstreamItem] = []
         schedule: List[Any] = []
         outputs: List[_OutputItem] = []
-        payloads: Dict[str, bytes] = dict(carried_payloads or {})
+        payloads: Dict[str, bytes] = {}
 
-        for entry in segment.entries:
+        for entry in chain(in_flight, segment.entries):
             payloads.update(self._payload_from_recv(entry))
 
         for entry in segment.entries:

@@ -102,16 +102,6 @@ class LogSegment:
             self._require_match(auth, entry)
         return len(covering)
 
-    def match_authenticators(self, authenticators: Iterable[Authenticator]) -> int:
-        """:meth:`verify_against_authenticators` for authenticators whose
-        signatures the caller has already verified: the chain check and the
-        chain-hash comparison only."""
-        self.verify_hash_chain()
-        covering = self._covering(authenticators)
-        for auth, entry in covering:
-            self._require_match(auth, entry)
-        return len(covering)
-
     def _covering(self, authenticators: Iterable[Authenticator]
                   ) -> List[Tuple[Authenticator, LogEntry]]:
         """This machine's authenticators that cover an entry of the segment,

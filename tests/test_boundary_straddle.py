@@ -1,0 +1,244 @@
+"""Regression: a snapshot between a RECV and its injection convicts nobody.
+
+The monitor logs a RECV when a packet arrives and injects the packet into the
+AVM about a millisecond later, so a snapshot — a chunk boundary — can fall
+between the two.  Every front-end must audit such a log as what it is, an
+honest one: the chunk after the boundary starts with the RECV in flight (its
+:class:`~repro.audit.kernel.BoundaryContext`).  And the same boundary must not
+hide a cheat: when the monitor logs a RECV and never injects the packet, the
+chunk that should hold the injection reports it.
+
+The recording is a kv pair with a snapshot forced into that window; nothing
+here imports ``bench/``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.adversary.catalog import make_adversary
+from repro.adversary.matrix import CellSpec, ScenarioMatrix
+from repro.audit.engine import AuditAssignment, AuditScheduler
+from repro.audit.spot_check import SpotChecker
+from repro.audit.stream import stream_audit
+from repro.audit.verdict import AuditPhase, Verdict
+from repro.log.entries import EntryType
+from repro.network.message import MessageKind
+from repro.vm.events import PacketDelivery
+
+SEED = 5100
+SERVER = "db-server-00"
+
+
+def _build(archive_dir):
+    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    adversary = make_adversary("honest", seed=SEED)
+    spec = CellSpec("honest", "kv", "archive", 2, SEED)
+    ctx, run = matrix._build(spec, adversary, str(archive_dir))
+    return matrix, adversary, ctx, run
+
+
+def _record(archive_dir, forced_at=None, never_inject=None):
+    """Record the pair; optionally force a server snapshot at ``forced_at``
+    and make the server's monitor drop the injection of ``never_inject``."""
+    matrix, adversary, ctx, run = _build(archive_dir)
+    server = ctx.monitors[SERVER]
+    if forced_at is not None:
+        ctx.scheduler.schedule_at(forced_at, server.take_snapshot,
+                                  label="forced-snapshot")
+    if never_inject is not None:
+        deliver = server.deliver_event
+
+        def drop(event):
+            if isinstance(event, PacketDelivery) \
+                    and event.message_id == never_inject:
+                return []
+            return deliver(event)
+
+        server.deliver_event = drop
+    run()
+    matrix._drain_archive(ctx)
+    return matrix, adversary, ctx
+
+
+@pytest.fixture(scope="module")
+def window(tmp_path_factory):
+    """A mid-log packet to the server: its message id, and a time halfway
+    between its arrival and its injection.  (The simulation is seeded, so a
+    probe recording tells where the window will be.)"""
+    _, _, ctx = _record(tmp_path_factory.mktemp("probe"))
+    perf = ctx.monitors[SERVER].perf
+    at, message = next(
+        (at, message) for at, message in ctx.network.deliveries
+        if message.destination == SERVER and message.kind is MessageKind.DATA
+        and at > 1.4)
+    delay = perf.incoming_packet_delay(len(message.payload))
+    assert delay > 0
+    return message.message_id, at + delay / 2
+
+
+@pytest.fixture(scope="module")
+def honest(tmp_path_factory, window):
+    _, forced_at = window
+    return _record(tmp_path_factory.mktemp("honest"), forced_at=forced_at)
+
+
+@pytest.fixture(scope="module")
+def cheat(tmp_path_factory, window):
+    message_id, forced_at = window
+    return _record(tmp_path_factory.mktemp("cheat"), forced_at=forced_at,
+                   never_inject=message_id)
+
+
+def _in_flight_at_snapshots(monitor):
+    """``(snapshot sequence, message id)`` for every RECV that a snapshot
+    separates from its injection (or from the end of the log)."""
+    pending, found = {}, []
+    for entry in monitor.log.entries:
+        content = entry.content
+        if entry.entry_type is EntryType.RECV:
+            pending[content["message_id"]] = entry.sequence
+        elif entry.entry_type is EntryType.MACLAYER \
+                and content["direction"] == "in":
+            pending.pop(content["message_id"], None)
+        elif entry.entry_type is EntryType.SNAPSHOT:
+            found.extend((entry.sequence, message_id) for message_id in pending)
+    return found
+
+
+def _live_auditor(recording, machine=SERVER):
+    matrix, adversary, ctx = recording
+    return matrix._make_auditor(ctx, machine, adversary)
+
+
+def _archive_auditor(recording, machine=SERVER):
+    ctx = recording[2]
+    auditor = _live_auditor(recording, machine)
+    ctx.ingest.prepare_auditor(auditor, machine)
+    return auditor
+
+
+def _targets(recording, machine=SERVER):
+    ctx = recording[2]
+    return {"live": (_live_auditor, ctx.monitors[machine]),
+            "archive": (_archive_auditor, ctx.ingest.target_for(machine))}
+
+
+def test_the_recording_has_the_straddle(honest, window):
+    message_id, _ = window
+    server = honest[2].monitors[SERVER]
+    straddles = _in_flight_at_snapshots(server)
+    # (the client sends in bursts, so the packet may have company)
+    assert message_id in [mid for _, mid in straddles]
+    assert len({boundary for boundary, _ in straddles}) == 1
+    boundary = straddles[0][0]
+    first_after = server.log.entries[boundary]          # sequence boundary+1
+    assert first_after.entry_type is EntryType.MACLAYER
+    assert first_after.content["direction"] == "in"
+    assert first_after.content["message_id"] in [mid for _, mid in straddles]
+    assert 0 < boundary < len(server.log) - 50          # mid-log
+
+
+class TestHonestStraddlePasses:
+    def test_serial_and_streamed(self, honest):
+        for name, (make_auditor, target) in _targets(honest).items():
+            result = make_auditor(honest).audit(target, streaming=False)
+            assert result.verdict is Verdict.PASS, name
+        report = stream_audit(_archive_auditor(honest),
+                              honest[2].ingest.target_for(SERVER))
+        assert report.result.verdict is Verdict.PASS
+        assert report.stats.fallback_reason is None
+        assert report.stats.chunks >= 4
+
+    @pytest.mark.parametrize("source", ["live", "archive"])
+    def test_engine_at_two_chunks_and_at_the_finest(self, honest, source):
+        make_auditor, target = _targets(honest)[source]
+        finest = len(target.get_snapshot_segments())
+        assert finest >= 4
+        for chunks in (2, finest):
+            engine = AuditScheduler(workers=2, executor="inline",
+                                    chunks_per_machine=chunks)
+            report = engine.audit_fleet(
+                [AuditAssignment(make_auditor(honest), target)])
+            machine_report = report.machine_reports[SERVER]
+            assert machine_report.result.verdict is Verdict.PASS
+            assert machine_report.chunk_count == chunks
+            assert not machine_report.confirmed_serially, chunks
+
+    @pytest.mark.parametrize("source", ["live", "archive"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_spot_check(self, honest, source, k):
+        make_auditor, target = _targets(honest)[source]
+        for engine in (None, AuditScheduler(workers=2, executor="inline")):
+            checker = SpotChecker(make_auditor(honest), engine=engine)
+            results = checker.check_all_chunks(target, k=k, skip_initial=False)
+            assert len(results) >= 2
+            assert all(result.ok for result in results), \
+                [(r.chunk_start_index, r.result.reason) for r in results
+                 if not r.ok]
+
+    def test_the_honest_client_too(self, honest):
+        ctx = honest[2]
+        client = next(m for m in ctx.monitors if m != SERVER)
+        auditor = _live_auditor(honest, client)
+        assert auditor.audit(ctx.monitors[client]).verdict is Verdict.PASS
+        assert all(r.ok for r in SpotChecker(auditor).check_all_chunks(
+            ctx.monitors[client], k=1, skip_initial=False))
+
+
+class TestDroppedInjectionIsConvicted:
+    """The cheat twin: same recording, but the straddling RECV's packet
+    never enters the AVM."""
+
+    def _check(self, cheat, result, window):
+        ctx = cheat[2]
+        assert result.verdict is Verdict.FAIL
+        assert result.phase is AuditPhase.SYNTACTIC_CHECK
+        assert f"message {window[0]} was received" in result.reason
+        assert "never entered the AVM" in result.reason
+        assert result.evidence.verify(ctx.keystore,
+                                      ctx.reference_images[SERVER])
+
+    def test_the_recording_never_injects_it(self, cheat, window):
+        server = cheat[2].monitors[SERVER]
+        injected = {entry.content["message_id"]
+                    for entry in server.log.entries_of_type(EntryType.MACLAYER)
+                    if entry.content["direction"] == "in"}
+        assert window[0] not in injected
+        assert window[0] in {mid for _, mid in _in_flight_at_snapshots(server)}
+
+    def test_serial_and_streamed(self, cheat, window):
+        ctx = cheat[2]
+        self._check(cheat, _live_auditor(cheat).audit(ctx.monitors[SERVER]),
+                    window)
+        report = stream_audit(_archive_auditor(cheat),
+                              ctx.ingest.target_for(SERVER))
+        assert report.used_fallback
+        self._check(cheat, report.result, window)
+
+    @pytest.mark.parametrize("source", ["live", "archive"])
+    def test_full_coverage_spot_check(self, cheat, window, source):
+        make_auditor, target = _targets(cheat)[source]
+        for engine in (None, AuditScheduler(workers=2, executor="inline")):
+            checker = SpotChecker(make_auditor(cheat), engine=engine)
+            results = checker.check_all_chunks(target, k=1, skip_initial=False)
+            failed = [result for result in results if not result.ok]
+            # the chunk that should contain the injection, and only that one
+            assert len(failed) == 1
+            assert failed[0].chunk_start_index > 0
+            self._check(cheat, failed[0].result, window)
+            # evidence for a mid-log chunk carries the context it was
+            # audited with: the RECV, in flight at the chunk's start
+            context = failed[0].result.evidence.context
+            assert window[0] in [entry.content["message_id"]
+                                 for entry in context.in_flight]
+
+    def test_the_engine_convicts_with_the_serial_evidence(self, cheat, window):
+        ctx = cheat[2]
+        finest = len(ctx.monitors[SERVER].get_snapshot_segments())
+        engine = AuditScheduler(workers=2, executor="inline",
+                                chunks_per_machine=finest)
+        report = engine.audit_fleet(
+            [AuditAssignment(_live_auditor(cheat), ctx.monitors[SERVER])])
+        assert report.machine_reports[SERVER].confirmed_serially
+        self._check(cheat, report.results[SERVER], window)

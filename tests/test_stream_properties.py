@@ -1,12 +1,16 @@
 """Seeded-random property tests for the streaming audit pipeline.
 
-Two properties pin the stream's correctness (stdlib ``random`` only — the
+Three properties pin the stream's correctness (stdlib ``random`` only — the
 container has no network, so no hypothesis):
 
 * **Resumability** — interrupting the verified entry stream at any segment
   or chunk boundary and resuming from the persisted
   :class:`~repro.log.hashchain.ChainCheckpoint` yields exactly the entry
   sequence and checkpoints of one uninterrupted pass.
+* **Chunking invariance** — folding the audit kernel over a log cut into one
+  chunk, into every snapshot chunk, or into any merge of adjacent chunks gives
+  the same verdict and phase, checkpoints that tile, and the same replay
+  counters ("checkpoint-resume equals full replay").
 * **Corruption parity** — any single-bit flip in an archived segment file
   surfaces through the streaming reader as the same error class the
   in-memory reader raises (and, for hash-chain breaks, at the same sequence
@@ -23,7 +27,13 @@ import random
 
 import pytest
 
+from repro.adversary.catalog import make_adversary
+from repro.adversary.matrix import CellSpec, ScenarioMatrix
+from repro.audit.kernel import (BoundaryContext, chunk_job,
+                                fetch_verified_snapshot_entry, fold_outcomes,
+                                last_snapshot_entry, run_chunk)
 from repro.audit.stream import ArchiveEntryStream, iter_stream_chunks
+from repro.audit.verdict import AuditPhase
 from repro.errors import HashChainError, ReproError
 from repro.experiments.parallel_audit import build_fleet
 from repro.log.compression import (
@@ -33,7 +43,7 @@ from repro.log.compression import (
 )
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain_incremental
-from repro.log.segments import LogSegment
+from repro.log.segments import LogSegment, concatenate_segments
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
@@ -150,6 +160,109 @@ class TestResumeProperty:
                                       chain_hash=b"\x33" * 32)
         with pytest.raises(ReproError):
             list(ArchiveEntryStream(archive, machine, start=forged_head))
+
+
+# ---------------------------------------------------------------------------
+# Property: the fold of the kernel does not depend on the chunking
+# ---------------------------------------------------------------------------
+
+def _recorded(adversary_name):
+    """The kv server of one recorded pair (honest, or running a cheating
+    guest), an auditor holding its authenticators, and its segments."""
+    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=0.5)
+    adversary = make_adversary(adversary_name, seed=5200)
+    ctx, run = matrix._build(CellSpec(adversary_name, "kv", "full", 2, 5200),
+                             adversary, None)
+    adversary.install(ctx)
+    run()
+    adversary.corrupt(ctx)
+    target = ctx.monitor
+    return (matrix._make_auditor(ctx, target.identity, adversary), target,
+            target.get_snapshot_segments())
+
+
+def _fold(auditor, target, segments, tiling):
+    """Audit ``segments`` grouped as ``tiling`` (lists of adjacent segment
+    indices): every group through the kernel under the boundary state and
+    context its predecessor leaves, then the one fold."""
+    authenticators = auditor.authenticators_for(target.identity)
+    audited = []
+    state, snapshot_bytes, in_flight, boundary = None, 0, [], None
+    for index, group in enumerate(tiling):
+        chunk = concatenate_segments([segments[i] for i in group])
+        if index:
+            state, snapshot_bytes = fetch_verified_snapshot_entry(target,
+                                                                  boundary)
+        job = chunk_job(
+            chunk, authenticators, auditor.keystore, auditor.reference_image,
+            chunk_index=index, initial_state=state,
+            snapshot_bytes=snapshot_bytes,
+            context=BoundaryContext(in_flight,
+                                    ends_log=group[-1] == len(segments) - 1))
+        audited.append((job, run_chunk(job)))
+        in_flight = job.context.after(chunk)
+        boundary = last_snapshot_entry(chunk)
+    result, problem = fold_outcomes(
+        target.identity, auditor.identity,
+        [(job.checkpoint, outcome) for job, outcome in audited])
+    return audited, result, problem
+
+
+def _tilings(count, rng, merges=6):
+    """One chunk, every snapshot chunk, and random merges of adjacent ones."""
+    yield [list(range(count))]
+    yield [[index] for index in range(count)]
+    for _ in range(merges):
+        cuts = sorted(rng.sample(range(1, count), rng.randrange(1, count - 1)))
+        yield [list(range(start, stop))
+               for start, stop in zip([0] + cuts, cuts + [count])]
+
+
+COUNTERS = ("events_injected", "outputs_checked", "snapshots_checked",
+            "clock_reads_served", "instructions_executed",
+            "entries_replayed")
+
+
+class TestChunkingInvariance:
+    def test_honest_log_folds_the_same_however_it_is_cut(self):
+        auditor, target, segments = _recorded("honest")
+        assert len(segments) >= 6
+        whole = target.get_log_segment()
+        serial = auditor.audit(target)
+        # what the serial audit — the kernel over the log as one chunk —
+        # reports is what every other cut must fold to
+        reference = {name: getattr(serial.replay_report, name)
+                     for name in COUNTERS}
+        reference["authenticators"] = serial.authenticators_checked
+        reference["log_bytes"] = whole.size_bytes()
+        for tiling in _tilings(len(segments), random.Random(0xC0FFEE)):
+            audited, result, problem = _fold(auditor, target, segments, tiling)
+            assert result is not None, (tiling, problem)
+            # checkpoints tile: each chunk starts where the last one ended
+            for (_, before), (job, _) in zip(audited, audited[1:]):
+                assert job.checkpoint == before.end_checkpoint, tiling
+            assert audited[0][0].checkpoint == whole.start_checkpoint()
+            assert audited[-1][1].end_checkpoint == whole.end_checkpoint()
+            counters = {name: getattr(result.replay_report, name)
+                        for name in COUNTERS}
+            counters["authenticators"] = result.authenticators_checked
+            counters["log_bytes"] = result.cost.log_bytes_downloaded
+            assert counters == reference, tiling
+
+    def test_cheating_log_fails_the_same_however_it_is_cut(self):
+        auditor, target, segments = _recorded("cheating-guest")
+        serial = auditor.audit(target)
+        assert serial.phase is AuditPhase.SEMANTIC_CHECK
+        for tiling in _tilings(len(segments), random.Random(0xBADC0DE)):
+            audited, result, problem = _fold(auditor, target, segments, tiling)
+            assert result is None, tiling
+            failed = next(outcome for _, outcome in audited if not outcome.ok)
+            assert failed.verdict is serial.verdict, tiling
+            assert failed.phase is serial.phase, tiling
+            assert problem == failed.reason == serial.reason, tiling
+            # every chunk before the first failing one passed
+            passed = audited[:[o for _, o in audited].index(failed)]
+            assert all(outcome.ok for _, outcome in passed)
 
 
 # ---------------------------------------------------------------------------
