@@ -18,6 +18,8 @@ systematically testable surface:
   segments and snapshot deltas in flight;
 * :mod:`repro.adversary.replay` — replay-divergence injectors: hidden
   nondeterminism, unrecorded inputs, and cheating guest images;
+* :mod:`repro.adversary.accuser` — the accuser column: forged *evidence*
+  about an honest machine, which a third party must reject;
 * :mod:`repro.adversary.catalog` — the named registry;
 * :mod:`repro.adversary.matrix` — the :class:`ScenarioMatrix` runner that
   enumerates {adversary x workload x audit mode x fleet size} cells, fans

@@ -8,11 +8,11 @@ produces :class:`~repro.audit.evidence.Evidence`; an unresponsive machine is
 
 The three steps themselves are the audit kernel
 (:func:`repro.audit.kernel.run_chunk`); :meth:`Auditor.audit_segment` is the
-serial front-end — the kernel over the whole segment as one chunk — and the
-one place evidence is built, which makes its result the canonical one.  With
-``workers > 1`` whole-machine audits go to the parallel engine
-(:class:`repro.audit.engine.AuditScheduler`) instead; ``workers=1`` (the
-default) is the serial path below.
+serial front-end — the kernel over the whole segment as one chunk — and
+:meth:`Auditor.evidence_for` the one place evidence is built, on every
+front-end, from the chunk that failed.  With ``workers > 1`` whole-machine
+audits go to the parallel engine (:class:`repro.audit.engine.AuditScheduler`)
+instead; ``workers=1`` (the default) is the serial path below.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
-from repro.audit.kernel import (BoundaryContext, chunk_job, replay_start,
-                                run_chunk)
+from repro.audit.kernel import (BoundaryContext, ChunkJob, chunk_job,
+                                replay_start, run_chunk)
 from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.keys import KeyStore
@@ -106,14 +106,14 @@ class Auditor:
 
         Archive-backed targets (anything advertising ``supports_streaming``)
         are audited on the streaming pipeline by default, in O(chunk) memory
-        and with verdicts, evidence and modelled costs identical to the
-        materializing path (:mod:`repro.audit.stream`); an engine-backed
-        auditor plans its chunk jobs off the same chunk stream.
+        whether they pass or are convicted, with the materializing path's
+        verdicts and a passing audit's modelled costs
+        (:mod:`repro.audit.stream`); an engine-backed auditor plans its
+        chunk jobs off the same chunk stream.
         Pass ``streaming=False`` to force whole-log materialization — for a
         streamable target this also bypasses the engine, taking the serial
         materializing path.
         """
-        machine = target.identity
         streamable = getattr(target, "supports_streaming", False)
         if segment is None and initial_state is None:
             if self.engine is not None and (streaming or not streamable):
@@ -121,31 +121,37 @@ class Auditor:
             if streaming and streamable:
                 from repro.audit.stream import stream_audit
                 return stream_audit(self, target).result
-        snapshot_bytes = 0
+            return self.audit_whole_log(target)
         if segment is None:
             segment = target.get_log_segment()
-            if initial_state is None:
-                # A GC-truncated archive replays from its boundary snapshot,
-                # like a spot-check chunk (the streaming path does the same).
-                initial_state, snapshot_bytes = replay_start(target)
-        return self.audit_segment(machine, segment, initial_state=initial_state,
+        return self.audit_segment(target.identity, segment,
+                                  initial_state=initial_state)
+
+    def audit_whole_log(self, target: AccountableVMM) -> AuditResult:
+        """The serial front-end over ``target``'s whole log, materialized:
+        one chunk, replayed from the reference image or, for a GC-truncated
+        archive, from its boundary snapshot.  Also where the engine and the
+        stream hand a log that cannot be chunked."""
+        state, snapshot_bytes = replay_start(target)
+        return self.audit_segment(target.identity, target.get_log_segment(),
+                                  initial_state=state,
                                   snapshot_bytes=snapshot_bytes)
 
     def audit_segment(self, machine: str, segment: LogSegment,
                       initial_state: Optional[Dict[str, Any]] = None,
                       snapshot_bytes: int = 0,
-                      context: Optional[BoundaryContext] = None) -> AuditResult:
+                      context: Optional[BoundaryContext] = None,
+                      following: Iterable[LogSegment] = ()) -> AuditResult:
         """Audit a log segment that has already been downloaded.
 
         ``context`` is what was in flight at the segment's edges when it is
-        a chunk of a longer log (a spot check); a failure's evidence carries
-        it along with ``initial_state``.
+        a chunk of a longer log (a spot check), and ``following`` the
+        segments after it, should its evidence need them
+        (:meth:`evidence_for`).
 
-        This is the shared serial chokepoint (plain audits, spot-check
-        chunks, the serial confirmation of the engine and the stream), so
-        the obs wall timer here guarantees ``AuditResult.wall_seconds`` is
-        populated on every front-end — the null tracer's timer still
-        measures.
+        This is the serial front-end (plain audits of a live log, explicit
+        segments, spot-check chunks, a log that cannot be chunked): the
+        kernel over the whole segment as one chunk.
         """
         if segment.machine != machine:
             # A segment claiming another identity would sidestep every
@@ -154,27 +160,65 @@ class Auditor:
             raise AuditError(
                 f"segment claims to be from {segment.machine!r}, "
                 f"but the audit target is {machine!r}")
-        authenticators = self.authenticators_for(machine)
         with self.obs.tracer.timed("audit.segment", track=machine,
                                    machine=machine,
                                    entries=len(segment.entries)) as timer:
-            outcome = run_chunk(chunk_job(
-                segment, authenticators, self.keystore, self.reference_image,
-                initial_state=initial_state, snapshot_bytes=snapshot_bytes,
-                cost_params=self.cost_params, context=context))
+            job = chunk_job(
+                segment, self.authenticators_for(machine), self.keystore,
+                self.reference_image, initial_state=initial_state,
+                snapshot_bytes=snapshot_bytes, cost_params=self.cost_params,
+                context=context)
+            outcome = run_chunk(job)
         result = outcome.as_result(self.identity)
         # the serial path reports no signature figures: the paper folds that
         # work into the syntactic check
         result.cost = replace(outcome.cost, signatures_verified=0,
                               signature_screen_operations=0)
         if not outcome.ok:
-            result.evidence = Evidence(
-                machine=machine, accuser=self.identity, reason=outcome.reason,
-                segment=segment, authenticators=authenticators,
-                reference_image_hash=self.reference_image.image_hash(),
-                initial_state=initial_state, context=context)
+            result.evidence = self.evidence_for(job, result, following)
         result.wall_seconds = timer.seconds
         return result
+
+    def evidence_for(self, job: ChunkJob, failed: AuditResult,
+                     following: Iterable[LogSegment] = ()) -> Evidence:
+        """The failing chunk as evidence: the one place it is built, on every
+        front-end, from the chunk's job and its ``failed`` result.
+
+        It carries the chunk, authenticators that cover it (the job's), the
+        verified boundary state and the anchor from the job's context, so it
+        is the same at every worker count, costs a third party one chunk,
+        and never needs the log re-read.  An authenticator commits the
+        machine to every entry before it: once the chunk has passed the
+        tamper check, the last one on it is all a third party needs.  A
+        chunk no authenticator covers proves nothing to a third party; it is
+        extended, through ``following`` (the segments after it, in log
+        order), up to the next entry one does cover.
+        """
+        machine = job.segment.machine
+        entries, authenticators = job.segment.entries, job.authenticators
+        if authenticators and failed.phase is not AuditPhase.AUTHENTICATOR_CHECK:
+            authenticators = [max(authenticators, key=lambda a: a.sequence)]
+        elif not authenticators:
+            mine = self.authenticators_for(machine)
+            signed = {auth.sequence for auth in mine}
+            extended = list(entries)
+            for more in following:
+                cut = next((index for index, entry in enumerate(more.entries)
+                            if entry.sequence in signed), None)
+                extended += more.entries[:None if cut is None else cut + 1]
+                if cut is not None:
+                    entries = extended
+                    authenticators = [auth for auth in mine
+                                      if auth.sequence == entries[-1].sequence]
+                    break
+        return Evidence(
+            machine=machine, accuser=self.identity, reason=failed.reason,
+            # starting where the auditor knows the chunk must start
+            segment=LogSegment(machine, entries, job.checkpoint.chain_hash),
+            authenticators=authenticators,
+            reference_image_hash=self.reference_image.image_hash(),
+            initial_state=job.initial_state, anchor=job.context.anchor,
+            ends_log=job.context.ends_log)
 
     def suspect(self, machine: str, reason: str = "no response to audit challenge") -> AuditResult:
         """Report an unresponsive machine (Section 4.5: 'Alice will suspect Bob')."""

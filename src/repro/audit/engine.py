@@ -20,25 +20,26 @@ over a ``concurrent.futures`` worker pool:
    in flight across it — the parent threads along while it plans;
 3. workers run the audit kernel, :func:`~repro.audit.kernel.run_chunk`;
 4. the scheduler folds the outcomes into one machine-level result
-   (:func:`~repro.audit.kernel.fold_outcomes`) — the pairings of the message
-   stream with the MAC-layer stream that no single chunk holds (they span
-   the whole log, but need no cryptography) are checked once centrally.
+   (:func:`~repro.audit.kernel.fold_outcomes`).  Each chunk's syntactic
+   check pairs the message stream with the MAC-layer stream given what its
+   predecessor left in flight, so the chunks together pair the whole log.
 
 Execution is one code path over one kind of object, a
 ``concurrent.futures`` executor: chunk jobs are submitted the moment the plan
-produces them, the parent runs its own share (the whole-log cross-reference
-check) while they are outstanding, and outcomes are gathered in plan order.
+produces them (decoding chunk *k+1* overlaps chunk *k* in a worker) and
+outcomes are gathered in plan order.
 The executors are process-wide and warm: :data:`_POOLS` hands out one per
 ``(kind, workers)``, started on first use and kept until
 :func:`shutdown_worker_pools` (also registered ``atexit``), so only the first
 parallel audit of a process pays for starting workers.  ``"inline"`` is the
 same path over an executor that runs the job inside ``submit``.
 
-Only the honest fast path is parallel: whatever a chunk, the fold or the
-parent's check detects is confirmed by the serial audit of that machine
-(:meth:`Auditor.audit_segment`), so verdicts and evidence are bit-identical
-across worker counts.  That mirrors standard batch-verification designs: an
-optimistic batched screen, then a pass that isolates the culprit.
+A conviction is parallel too: the first failing chunk in log order is the
+verdict and its job the evidence (:meth:`Auditor.evidence_for
+<repro.audit.auditor.Auditor.evidence_for>`), so both are identical across
+worker counts without a second, serial pass.  Only a log that cannot be
+chunked at all (no verifiable boundary snapshot, entries that do not parse)
+is handed over to the serial front-end.
 
 Costs are threaded through :class:`~repro.audit.verdict.AuditCost` so the
 Figure 8/9 experiments keep reporting paper-faithful numbers, and the fleet
@@ -60,7 +61,8 @@ from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+from itertools import chain
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.audit.auditor import Auditor
@@ -69,7 +71,6 @@ from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
                                 fold_outcomes, last_snapshot_entry, replay_start,
                                 run_chunk)
 from repro.audit.stream import iter_stream_chunks
-from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditCost, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.signatures import get_scheme
@@ -77,7 +78,7 @@ from repro.errors import (CryptoError, HashChainError, LogFormatError,
                           MissingSnapshotError, SegmentError)
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint
-from repro.log.segments import LogSegment, concatenate_segments, partition_segments
+from repro.log.segments import LogSegment, partition_segments
 from repro.metrics.parallel import ParallelSchedule, schedule
 from repro.obs import Observability
 
@@ -216,23 +217,6 @@ def _executor_kind(requested: str, workers: int, first_job: ChunkJob) -> str:
     return "process"
 
 
-class _LastDone:
-    """Done-callback noting when the latest job finished (``perf_counter``).
-
-    Deliberately not a method of :class:`_ChunkRun`: a future that referred
-    back to the run holding it would make a cycle, keeping every job's
-    decoded log alive until the next garbage collection.
-    """
-
-    __slots__ = ("at",)
-
-    def __init__(self) -> None:
-        self.at = 0.0
-
-    def __call__(self, _future: Future) -> None:
-        self.at = max(self.at, time.perf_counter())
-
-
 class _ChunkRun:
     """One call's chunk jobs: submitted as they are planned, gathered in order."""
 
@@ -243,11 +227,10 @@ class _ChunkRun:
         self.kind = "inline"
         self.jobs: List[ChunkJob] = []
         self.pool_starts = 0
-        #: ``perf_counter`` marks: construction, :meth:`all_submitted`, and
-        #: :meth:`gather`'s start and end
-        self.started = self.submitted = time.perf_counter()
+        #: ``perf_counter`` marks: construction, and :meth:`gather`'s start
+        #: and end
+        self.started = time.perf_counter()
         self.wait_started = self.gathered = 0.0
-        self._last_done = _LastDone()
         self._pool: Optional[Executor] = None
         self._futures: List[Future] = []
         self._rebuilt = False
@@ -267,17 +250,19 @@ class _ChunkRun:
         self.jobs.append(job)
         self._futures.append(future)
 
+    def failed_since(self, start: int) -> bool:
+        """Whether a job from position ``start`` on is known to have failed
+        its chunk (inline, at once; on a pool, when a worker got that far)."""
+        return any(future.done() and future.exception() is None
+                   and not future.result().ok
+                   for future in self._futures[start:])
+
     def discard_from(self, start: int) -> None:
         """Forget the jobs from position ``start`` on (their machine could
         not be planned to the end and is audited serially instead)."""
         for future in self._futures[start:]:
             future.cancel()
         del self.jobs[start:], self._futures[start:]
-
-    def all_submitted(self) -> None:
-        """Planning is over; what the caller does until :meth:`gather` is
-        its own work, overlapped with the jobs still outstanding."""
-        self.submitted = time.perf_counter()
 
     def gather(self) -> List[ChunkOutcome]:
         """Every job's outcome, in submission order."""
@@ -292,13 +277,6 @@ class _ChunkRun:
         finally:
             self.gathered = time.perf_counter()
 
-    @property
-    def parent_overlap_seconds(self) -> float:
-        """Seconds between :meth:`all_submitted` and :meth:`gather` during
-        which a job was still outstanding."""
-        return max(0.0, min(self.wait_started, self._last_done.at)
-                   - self.submitted)
-
     def observe(self, observers: Iterable[Observability]) -> None:
         """Record the run on each distinct bundle (telemetry only)."""
         for obs in {id(obs): obs for obs in observers}.values():
@@ -306,25 +284,22 @@ class _ChunkRun:
                 self.pool_starts)
             obs.tracer.event(
                 "audit.engine.submit", domain="wall", track="audit-engine",
-                timestamp=self.started, duration=self.submitted - self.started,
+                timestamp=self.started,
+                duration=self.wait_started - self.started,
                 jobs=len(self.jobs), executor=self.kind)
             obs.tracer.event(
                 "audit.engine.wait", domain="wall", track="audit-engine",
                 timestamp=self.wait_started,
-                duration=self.gathered - self.wait_started,
-                parent_overlap_seconds=self.parent_overlap_seconds)
+                duration=self.gathered - self.wait_started)
 
     def _submit(self, job: ChunkJob) -> Future:
         if self.kind == "process":
             # Pickled here rather than by the pool's feeder thread, which
             # would be walking these entries' ``__dict__`` while the parent,
-            # already on to its cross-check, adds lazily decoded ``content``
-            # to them.
-            future = self._pool.submit(_run_pickled_chunk, pickle.dumps(job))
-        else:
-            future = self._pool.submit(run_chunk, job)
-        future.add_done_callback(self._last_done)
-        return future
+            # already threading the next chunk's context, adds lazily
+            # decoded ``content`` to them.
+            return self._pool.submit(_run_pickled_chunk, pickle.dumps(job))
+        return self._pool.submit(run_chunk, job)
 
     def _rebuild(self) -> None:
         """A worker died: restart the pool and re-run what it lost.
@@ -353,8 +328,9 @@ class MachineAuditReport:
     result: AuditResult
     chunk_count: int = 0
     chunk_outcomes: List[ChunkOutcome] = field(default_factory=list)
-    #: the serial auditor was re-run to produce canonical evidence
-    confirmed_serially: bool = False
+    #: why the log could not be chunked and was audited by the serial
+    #: front-end instead (None = its chunks are the audit, pass or fail)
+    unchunkable_reason: Optional[str] = None
 
 
 @dataclass
@@ -368,9 +344,6 @@ class FleetAuditReport:
     chunk_count: int = 0
     #: measured wall-clock of this engine run (hardware-dependent)
     wall_seconds: float = 0.0
-    #: measured seconds of the parent's own work (the cross-reference checks)
-    #: that ran while chunk jobs were still outstanding; 0 when inline
-    parent_overlap_seconds: float = 0.0
     #: modelled cost schedule (hardware-independent, from AuditCost totals)
     modelled: Optional[ParallelSchedule] = None
     total_cost: AuditCost = field(default_factory=AuditCost)
@@ -451,19 +424,12 @@ class AuditScheduler:
             plan.auditor.obs.progress.machine_started(
                 plan.machine, total_chunks=len(plan.jobs))
             plans.append(plan)
-        run.all_submitted()
-        # The parent's own share of each audit, done while the workers
-        # verify and replay instead of after they have gone idle again.
-        for plan in plans:
-            if plan.serial_fallback_reason is None:
-                plan.cross_reference_problem = self._cross_check(plan)
         outcome_list = run.gather()
         run.observe(plan.auditor.obs for plan in plans)
 
         report = FleetAuditReport(
             workers=self.workers, executor_used=run.kind,
-            chunk_count=len(run.jobs),
-            parent_overlap_seconds=run.parent_overlap_seconds)
+            chunk_count=len(run.jobs))
         cursor = 0
         work_items = [outcome.cost.total_seconds for outcome in outcome_list]
         for plan in plans:
@@ -472,8 +438,8 @@ class AuditScheduler:
             machine_report = self._merge(plan, machine_outcomes)
             report.machine_reports[plan.machine] = machine_report
             report.results[plan.machine] = machine_report.result
-            if machine_report.confirmed_serially:
-                # A serial (re-)audit ran in the parent for this machine; it
+            if plan.unchunkable_reason is not None:
+                # The serial front-end ran in the parent for this machine; it
                 # is one unsplittable work item, and leaving it out would make
                 # the modelled speedup look better than the audit really was.
                 work_items.append(machine_report.result.cost.total_seconds)
@@ -481,10 +447,10 @@ class AuditScheduler:
         for plan in plans:
             result = report.results[plan.machine]
             if result.wall_seconds == 0.0:
-                # Chunks of many machines interleave on one pool, so the
-                # fast path cannot attribute wall time per machine; the
-                # fleet wall is the shared measurement.  (Serial confirms
-                # already carry their own audit_segment timing.)
+                # Chunks of many machines interleave on one pool, so wall
+                # time cannot be attributed per machine; the fleet wall is
+                # the shared measurement.  (A log audited by the serial
+                # front-end carries its own audit_segment timing.)
                 result.wall_seconds = report.wall_seconds
             obs = plan.auditor.obs
             obs.progress.machine_done(plan.machine, result.verdict.value,
@@ -505,7 +471,6 @@ class AuditScheduler:
         run = _ChunkRun(self.executor, self.workers)
         for job in jobs:
             run.submit(job)
-        run.all_submitted()
         outcomes = run.gather()
         if obs is not None:
             run.observe([obs])
@@ -518,112 +483,95 @@ class AuditScheduler:
         """Plan one machine, submitting each chunk job to ``run`` as soon as
         it exists: decoding chunk *k+1* here overlaps chunk *k* in a worker.
 
-        The parent holds exactly the chunks the workers verify (concatenated,
-        by reference, for its cross-reference check and the serial
-        confirmation) and threads what every chunk needs from its
-        predecessor: the snapshot sealing it, verified, and the RECVs still
-        in flight at its end.
+        The parent threads what every chunk needs from its predecessor: the
+        snapshot sealing it, verified, and its boundary context (the RECVs
+        still in flight at its end, with the log suffix that anchors them).
         """
         auditor = assignment.auditor
         target = assignment.target
-        start_state, start_bytes = replay_start(target)
         plan = _MachinePlan(machine=target.identity, auditor=auditor,
-                            target=target, initial_state=start_state,
-                            snapshot_bytes=start_bytes)
+                            target=target)
         make_job = job_factory(auditor, target.identity)
         first_job = len(run.jobs)
-        state, snapshot_bytes = start_state, start_bytes
-        in_flight: List[LogEntry] = []
+        state, snapshot_bytes = replay_start(target)
+        context = BoundaryContext()
         boundary: Optional[LogEntry] = None
+        plan.unplanned = self._chunks(target)
         try:
-            for segment, checkpoint in self._chunks(target):
+            for segment, checkpoint, ends_log in plan.unplanned:
                 if plan.jobs:
                     state, snapshot_bytes = fetch_verified_snapshot_entry(
                         target, boundary)
+                context.ends_log = ends_log
                 job = make_job(segment, chunk_index=len(plan.jobs),
                                checkpoint=checkpoint, initial_state=state,
-                               snapshot_bytes=snapshot_bytes,
-                               # the parent pairs the streams, log-wide
-                               check_cross_references=False,
-                               context=BoundaryContext(in_flight))
+                               snapshot_bytes=snapshot_bytes, context=context)
                 plan.jobs.append(job)
                 run.submit(job)
+                if run.failed_since(first_job):
+                    # a conviction costs the chunks up to the fault, no more
+                    break
                 # after the job is pickled: this decodes content lazily
-                in_flight = job.context.after(segment)
+                context = context.after(segment)
                 boundary = last_snapshot_entry(segment)
         except (MissingSnapshotError, SegmentError, HashChainError,
                 LogFormatError) as exc:
             # The target could not produce consistent segments or a
             # verifiable snapshot at a chunk boundary, or its entries do not
-            # parse.  The serial audit does not depend on stored snapshots
-            # (it replays from the start), so fall back to it for this
-            # machine rather than failing the fleet.
+            # parse: its log is one chunk, replayed from the start, which is
+            # the serial front-end's — rather than failing the fleet.
             run.discard_from(first_job)
             plan.jobs = []
-            plan.serial_fallback_reason = str(exc)
+            plan.unchunkable_reason = str(exc)
         return plan
 
-    def _chunks(self, target) -> Iterator[Tuple[LogSegment, ChainCheckpoint]]:
-        """The target's log as ``(chunk, checkpoint before it)`` pairs.
+    def _chunks(self, target
+                ) -> Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]:
+        """The target's log as ``(chunk, checkpoint before it, whether it
+        ends the log)`` triples.
 
         An archive-backed target is read one chunk at a time, straight off
         its segment files; a live one hands over its snapshot-delimited
-        segments, which are tiled into the chunk budget.
+        segments, which are tiled into the chunk budget.  A chunk starts
+        where its predecessor ends, not where it says it does, so a chain
+        broken at a boundary fails the chunk after it.
         """
         budget = self.chunks_per_machine or max(1, self.workers)
         if getattr(target, "supports_streaming", False):
             if not target.archive.segment_records(target.identity):
                 raise SegmentError(f"no archived segments for {target.identity!r}")
             for chunk in iter_stream_chunks(target, max_chunks=budget):
-                yield chunk.segment, chunk.start_checkpoint
+                yield chunk.segment, chunk.start_checkpoint, chunk.ends_log
             return
         segments = [segment for segment in target.get_snapshot_segments()
                     if segment.entries]
-        for chunk in partition_segments(segments, budget):
-            yield chunk, chunk.start_checkpoint()
+        chunks = partition_segments(segments, budget)
+        checkpoint = chunks[0].start_checkpoint() if chunks else None
+        for chunk in chunks:
+            yield chunk, checkpoint, chunk is chunks[-1]
+            checkpoint = chunk.end_checkpoint()
 
     # -- merging ------------------------------------------------------------
 
-    def _merge(self, plan: "_MachinePlan",
+    @staticmethod
+    def _merge(plan: "_MachinePlan",
                outcomes: List[ChunkOutcome]) -> MachineAuditReport:
-        result = None
-        if plan.serial_fallback_reason is None \
-                and plan.cross_reference_problem is None:
-            result, _ = fold_outcomes(
-                plan.machine, plan.auditor.identity,
-                zip((job.checkpoint for job in plan.jobs), outcomes))
-        confirm = result is None
-        if confirm:
-            # Slow path: the serial audit (anchored at the GC boundary, if
-            # any), so a failure's evidence is canonical and identical to
-            # what workers=1 would produce.
-            result = plan.auditor.audit_segment(
-                plan.machine, plan.materialized(),
-                initial_state=plan.initial_state,
-                snapshot_bytes=plan.snapshot_bytes)
+        auditor = plan.auditor
+        if plan.unchunkable_reason is not None:
+            result = auditor.audit_whole_log(plan.target)
+        else:
+            result, failed = fold_outcomes(plan.machine, auditor.identity,
+                                           zip(plan.jobs, outcomes))
+            if failed is not None:
+                result.evidence = auditor.evidence_for(
+                    failed, result, chain(
+                        (job.segment
+                         for job in plan.jobs[failed.chunk_index + 1:]),
+                        (chunk[0] for chunk in plan.unplanned)))
         return MachineAuditReport(machine=plan.machine, result=result,
                                   chunk_count=len(outcomes),
                                   chunk_outcomes=outcomes,
-                                  confirmed_serially=confirm)
-
-    @staticmethod
-    def _cross_check(plan: "_MachinePlan") -> Optional[str]:
-        """The whole-segment cross-checker, with its exact serial semantics.
-
-        The parent's own share of an audit: it needs the whole log and no
-        cryptography.  It runs before the chunk outcomes are in, on entries
-        no worker has vouched for yet, so content that does not parse is a
-        problem to report here, not an exception (a worker's format sweep
-        reports the same entry, and the serial re-audit decides).
-        (The log is concatenated from the chunk jobs by reference — the
-        parent already holds every chunk, so this adds no data copies.)
-        """
-        try:
-            cross = SyntacticChecker(check_entry_format=False).check(
-                plan.materialized())
-        except LogFormatError as exc:
-            return str(exc)
-        return "; ".join(cross.problems[:3]) if not cross.ok else None
+                                  unchunkable_reason=plan.unchunkable_reason)
 
 
 @dataclass
@@ -635,23 +583,10 @@ class _MachinePlan:
     target: AccountableVMM
     jobs: List[ChunkJob] = field(default_factory=list)
     #: set when chunk planning failed (e.g. unverifiable snapshot) and the
-    #: whole machine must be audited serially instead
-    serial_fallback_reason: Optional[str] = None
-    #: replay start for the whole log (the GC boundary snapshot, if any)
-    initial_state: Optional[Dict[str, Any]] = None
-    snapshot_bytes: int = 0
-    #: what the parent's whole-log cross-reference check found, if anything
-    cross_reference_problem: Optional[str] = None
-    _full_segment: Optional[LogSegment] = None
-
-    def materialized(self) -> LogSegment:
-        """The whole log as one segment: the chunk jobs' segments
-        concatenated on first use, or downloaded when there are none."""
-        if self._full_segment is None:
-            self._full_segment = (
-                concatenate_segments([job.segment for job in self.jobs])
-                if self.jobs else self.target.get_log_segment())
-        return self._full_segment
+    #: whole log is audited by the serial front-end instead
+    unchunkable_reason: Optional[str] = None
+    #: the chunks planning stopped short of, a chunk having failed already
+    unplanned: Iterator[Tuple[LogSegment, ChainCheckpoint, bool]] = iter(())
 
 
 # ---------------------------------------------------------------------------

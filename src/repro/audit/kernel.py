@@ -62,17 +62,22 @@ class BoundaryContext:
     chunk never injects.  ``ends_log`` describes the far edge: while the log
     goes on, a RECV the chunk itself logs but does not inject is in flight
     for the next chunk's audit; when the chunk ends the log it is the
-    auditee's to explain.
+    auditee's to explain.  ``anchor`` is the log suffix that ends where the
+    chunk starts, from the oldest in-flight RECV through the boundary
+    SNAPSHOT entry: what ties the chunk's start state and ``in_flight`` to
+    its hash chain for a third party (:class:`~repro.audit.evidence.Evidence`).
 
     The default is a whole log audited as one chunk.
     """
 
     in_flight: List[LogEntry] = field(default_factory=list)
     ends_log: bool = True
+    anchor: List[LogEntry] = field(default_factory=list)
 
-    def after(self, segment: LogSegment) -> List[LogEntry]:
-        """The RECV entries still in flight at the end of ``segment``, a
-        chunk that started with this context: the next chunk's ``in_flight``."""
+    def after(self, segment: LogSegment) -> "BoundaryContext":
+        """The context of the chunk that follows ``segment``, a chunk that
+        started with this one: the RECVs still in flight at its end and the
+        entries from the oldest of them on (``ends_log`` is the caller's)."""
         window = {str(entry.content.get("message_id")): entry
                   for entry in self.in_flight}
         for entry in segment.entries:
@@ -81,7 +86,11 @@ class BoundaryContext:
             elif entry.entry_type is EntryType.MACLAYER \
                     and entry.content.get("direction") == "in":
                 window.pop(str(entry.content.get("message_id")), None)
-        return list(window.values())
+        oldest = min((entry.sequence for entry in window.values()),
+                     default=segment.last_sequence)
+        tail = [entry for entry in self.anchor if entry.sequence >= oldest]
+        tail += segment.entries[max(0, oldest - segment.first_sequence):]
+        return BoundaryContext(list(window.values()), anchor=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +121,6 @@ class ChunkJob:
     #: modelled cost of one signature verification under the target's scheme
     #: (0.0 on the front-ends that do not price signature batches)
     verify_seconds: float = 0.0
-    #: pair the message stream with the MAC-layer stream inside the chunk.
-    #: On for a chunk audited on its own; off for the chunks of a front-end
-    #: that tiles the whole log and pairs the streams across all of it.
-    check_cross_references: bool = True
     context: BoundaryContext = field(default_factory=BoundaryContext)
 
 
@@ -233,11 +238,10 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
     outcome.authenticators_checked = len(covering)
 
     # Step 2: syntactic check — per-entry format and sender commitments, and
-    # (unless the front-end pairs them log-wide) the message stream against
-    # the MAC-layer stream, given what was in flight when the chunk started.
-    syntactic = SyntacticChecker(
-        job.key_view, check_cross_references=job.check_cross_references
-    ).check(segment, job.context)
+    # the message stream against the MAC-layer stream, given what was in
+    # flight when the chunk started.  Chunks that tile a log, each starting
+    # with what its predecessor left in flight, pair the whole log.
+    syntactic = SyntacticChecker(job.key_view).check(segment, job.context)
     if not syntactic.ok:
         outcome.syntactic_problems = syntactic.problems
         return failed(AuditPhase.SYNTACTIC_CHECK,
@@ -256,16 +260,19 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
 
 
 def fold_outcomes(machine: str, auditor: str,
-                  audited: Iterable[Tuple[ChainCheckpoint, ChunkOutcome]]
-                  ) -> Tuple[Optional[AuditResult], str]:
-    """Fold one machine's chunk outcomes, in log order, into its PASS result.
+                  audited: Iterable[Tuple[ChunkJob, ChunkOutcome]]
+                  ) -> Tuple[AuditResult, Optional[ChunkJob]]:
+    """Fold one machine's chunk outcomes, in log order, into its result.
 
-    ``audited`` pairs each outcome with the checkpoint its chunk started
-    from.  Returns ``(result, "")``, or ``(None, why)`` at the first chunk
-    that failed or does not start where its predecessor ended — ``audited``
-    is not consumed past it, so a front-end that produces the pairs lazily
-    stops auditing there (and, the fold holding no job, keeps one chunk alive
-    at a time).  Work counters and modelled costs sum across chunks.
+    ``audited`` pairs each job with its outcome; each job's checkpoint is
+    where its predecessor's chunk ends.  Returns ``(PASS result, None)``,
+    or at the first failing chunk ``(that chunk's result, its job)``: the
+    failing chunk is the conviction, and its job is what the evidence is
+    built from.  ``audited`` is not consumed past it, so a front-end that
+    produces the pairs lazily stops auditing there (and, the fold holding no
+    job between turns, keeps one chunk alive at a time).  Work counters and
+    modelled costs sum across chunks (a conviction has cost the chunks up to
+    the fault).
     Instruction counters are *absolute* (each chunk's VM restores its counter
     from the boundary snapshot), so the last chunk's value is the whole-log
     count.  ``active_seconds`` sums per-chunk bucket counts, which can exceed
@@ -275,16 +282,13 @@ def fold_outcomes(machine: str, auditor: str,
                          verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
                          replay_report=ReplayReport(machine=machine))
     merged = result.replay_report
-    end: Optional[ChainCheckpoint] = None
-    for checkpoint, outcome in audited:
-        if not outcome.ok:
-            return None, outcome.reason
-        if end is not None and checkpoint != end:
-            return None, (f"chunk {outcome.chunk_index} does not extend its "
-                          f"predecessor (checkpoint mismatch)")
-        end = outcome.end_checkpoint
-        result.authenticators_checked += outcome.authenticators_checked
+    for job, outcome in audited:
         result.cost.add(outcome.cost)
+        if not outcome.ok:
+            failed = outcome.as_result(auditor)
+            failed.cost = result.cost
+            return failed, job
+        result.authenticators_checked += outcome.authenticators_checked
         report = outcome.replay_report
         merged.entries_replayed += report.entries_replayed
         merged.events_injected += report.events_injected
@@ -294,7 +298,8 @@ def fold_outcomes(machine: str, auditor: str,
         merged.snapshots_checked += report.snapshots_checked
         merged.instructions_executed = report.instructions_executed
         merged.active_seconds += report.active_seconds
-    return result, ""
+        del job    # not held while a lazy producer decodes the next chunk
+    return result, None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, fetch_verified_snapshot_entry,
@@ -198,6 +198,10 @@ class _SegmentSource:
     def slice(self, start: int, stop: int) -> List[LogSegment]:
         return [self.get(index) for index in range(start, stop)]
 
+    def following(self, start: int) -> Iterator[LogSegment]:
+        """The segments from ``start`` on, read as they are asked for."""
+        return (self.get(index) for index in range(start, len(self)))
+
     def entry_count(self, index: int) -> int:
         if self._segments is not None:
             return len(self._segments[index])
@@ -240,7 +244,9 @@ class SpotChecker:
         if not isinstance(segments, _SegmentSource):
             segments = _SegmentSource(target, k=k, segments=segments)
         chunk, boundary = self._chunk_inputs(target, start_index, k, segments)
-        result = self.auditor.audit_segment(target.identity, chunk, **boundary)
+        result = self.auditor.audit_segment(
+            target.identity, chunk, **boundary,
+            following=segments.following(start_index + k))
         return self._priced(start_index, k, chunk, result)
 
     @staticmethod
@@ -257,14 +263,15 @@ class SpotChecker:
                 f"{len(segments)} available segments")
         chunk = concatenate_segments(segments.slice(start_index,
                                                     start_index + k))
-        context = BoundaryContext(ends_log=start_index + k == len(segments))
+        context = BoundaryContext()
         initial_state: Optional[Dict[str, Any]] = None
         snapshot_bytes = 0
         if start_index > 0:
             preceding = segments.get(start_index - 1)
             initial_state, snapshot_bytes = fetch_verified_snapshot_entry(
                 target, last_snapshot_entry(preceding))
-            context.in_flight = BoundaryContext().after(preceding)
+            context = context.after(preceding)
+        context.ends_log = start_index + k == len(segments)
         return chunk, dict(initial_state=initial_state,
                            snapshot_bytes=snapshot_bytes, context=context)
 
@@ -337,31 +344,30 @@ class SpotChecker:
                                 segments: _SegmentSource) -> List[SpotCheckResult]:
         """Fan independent k-chunks out over the engine's worker pool.
 
-        A chunk that fails on the fast path is re-audited serially so its
-        result (evidence included) is exactly what :meth:`check_chunk` would
-        have produced.
+        A chunk that fails is convicted on its outcome, with evidence built
+        from its job exactly as :meth:`check_chunk` would have.
         """
         from repro.audit.engine import job_factory
 
         auditor = self.auditor
         machine = target.identity
         make_job = job_factory(auditor, machine)
-        inputs = [self._chunk_inputs(target, index, k, segments)
-                  for index in indices]
-        jobs = [make_job(chunk, chunk_index=position, **boundary)
-                for position, (chunk, boundary) in enumerate(inputs)]
+        jobs = []
+        for position, index in enumerate(indices):
+            chunk, boundary = self._chunk_inputs(target, index, k, segments)
+            jobs.append(make_job(chunk, chunk_index=position, **boundary))
 
         with auditor.obs.tracer.timed("audit.spot_check", track=machine,
                                       chunks=len(jobs), k=k) as timer:
             outcomes = self.engine.run_jobs(jobs, obs=auditor.obs)
         results: List[SpotCheckResult] = []
-        for index, (chunk, boundary), outcome in zip(indices, inputs, outcomes):
-            if outcome.ok:
-                result = outcome.as_result(auditor.identity)
-                # Chunks share one pool run; the pool wall is the shared
-                # measurement (serial re-audits below time themselves).
-                result.wall_seconds = timer.seconds
-            else:
-                result = auditor.audit_segment(machine, chunk, **boundary)
-            results.append(self._priced(index, k, chunk, result))
+        for index, job, outcome in zip(indices, jobs, outcomes):
+            result = outcome.as_result(auditor.identity)
+            if not outcome.ok:
+                result.evidence = auditor.evidence_for(
+                    job, result, segments.following(index + k))
+            # Chunks share one pool run; the pool wall is the shared
+            # measurement.
+            result.wall_seconds = timer.seconds
+            results.append(self._priced(index, k, job.segment, result))
         return results

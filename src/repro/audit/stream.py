@@ -1,8 +1,9 @@
 """The streaming, bounded-memory audit pipeline.
 
 The paper's accountability guarantee is only deployable at fleet scale if
-auditing a machine's log does not require holding that log in memory.  The
-materializing path (``LogArchive.materialized_log`` →
+auditing a machine's log does not require holding that log in memory — and
+that has to hold for the machine that gets convicted as much as for the
+honest one.  The materializing path (``LogArchive.materialized_log`` →
 :meth:`Auditor.audit_segment <repro.audit.auditor.Auditor.audit_segment>`)
 inflates every archived entry into one giant in-memory
 :class:`~repro.log.segments.LogSegment` before any check runs, so peak
@@ -15,35 +16,38 @@ plus O(1) checkpoints:
    <repro.store.archive.LogArchive.stream_segment>`);
 2. **audit** — each chunk goes through the audit kernel
    (:func:`repro.audit.kernel.run_chunk`): chain from the chunk's checkpoint,
-   batched authenticator check, syntactic check, replay from the snapshot
-   verified at its boundary (Section 4.5, "Verifying the snapshot"), with
-   the RECVs still in flight at the boundary as its context;
+   batched authenticator check, syntactic check (the message stream paired
+   with the MAC-layer stream, given the RECVs in flight at its start),
+   replay from the snapshot verified at its boundary (Section 4.5,
+   "Verifying the snapshot");
 3. **fold** — the outcomes are folded as they come
-   (:func:`repro.audit.kernel.fold_outcomes`), and the pairing of the
-   message stream with the MAC-layer stream *across* chunks runs in a
-   bounded-memory incremental checker that evicts matched pairs.
+   (:func:`repro.audit.kernel.fold_outcomes`); the first chunk that fails
+   is the conviction and its evidence
+   (:meth:`Auditor.evidence_for <repro.audit.auditor.Auditor.evidence_for>`),
+   and nothing after it is decoded.
 
 **Equivalence guarantee.**  A passing streamed audit produces an
 :class:`~repro.audit.verdict.AuditResult` *structurally identical* — same
 verdict, counters, replay report and modelled
 :class:`~repro.audit.verdict.AuditCost` (raw bytes, snapshot bytes and
 modelled seconds; nothing on this path runs a compressor) — to what the
-serial materializing audit of the same archive produces.  Anything the stream
-detects, and any inability to stream (e.g. an unverifiable boundary
-snapshot), is confirmed by that serial audit, so failure verdicts and
-evidence are the canonical ones.  ``tests/test_stream_equivalence.py``
-enforces the guarantee differentially across the adversary matrix.
+serial materializing audit of the same archive produces.  A failing one
+reaches the same verdict, phase and first problem, with the failing chunk
+instead of the whole log as evidence.  Only a log that cannot be chunked
+(an unverifiable boundary snapshot) is handed over to that serial audit.
+``tests/test_stream_equivalence.py`` enforces the guarantee differentially
+across the adversary matrix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.audit.kernel import (
     BoundaryContext,
+    ChunkJob,
     ChunkOutcome,
     chunk_job,
     fetch_verified_snapshot_entry,
@@ -55,7 +59,7 @@ from repro.audit.kernel import (
 from repro.audit.semantic import modelled_replay_seconds
 from repro.audit.verdict import AuditCost, AuditResult
 from repro.errors import HashChainError, ReproError, StoreError
-from repro.log.entries import EntryType, LogEntry
+from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint, extend_checkpoint
 from repro.log.segments import LogSegment
 from repro.obs import ensure_obs
@@ -65,7 +69,6 @@ __all__ = [
     "StreamChunk",
     "StreamStats",
     "StreamAuditReport",
-    "StreamingCrossChecker",
     "StreamingAuditPipeline",
     "fetch_verified_snapshot_entry",
     "iter_stream_chunks",
@@ -151,6 +154,8 @@ class StreamChunk:
     segment: LogSegment
     start_checkpoint: ChainCheckpoint
     end_checkpoint: ChainCheckpoint
+    #: nothing is archived after this chunk
+    ends_log: bool = True
 
 
 def _chunk_record_counts(archive, machine: str, records,
@@ -222,109 +227,7 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
                 entries=[entry for record in chunk_records
                          for entry in archive.stream_segment(record)]),
             start_checkpoint=start_checkpoint,
-            end_checkpoint=checkpoint)
-
-
-# ---------------------------------------------------------------------------
-# Bounded-memory stream cross-checks
-# ---------------------------------------------------------------------------
-
-class StreamingCrossChecker:
-    """Incremental version of the syntactic stream cross-checks.
-
-    :meth:`SyntacticChecker._cross_reference
-    <repro.audit.syntactic.SyntacticChecker>` pairs the SEND/RECV stream
-    with the MAC-layer stream over the *whole* segment, which needs the whole
-    segment.  This checker feeds on one entry at a time and evicts a pair as
-    soon as it matches, so on an honest log its state is the in-flight
-    message window, not the log.  It detects a **superset** of the problems
-    the whole-segment checker reports (out-of-order pairings an honest
-    recorder never produces are flagged too); the pipeline treats any
-    problem as "fall back to the materializing audit", whose whole-segment
-    checker then decides canonically — so being stricter can never flip a
-    verdict, only cost the memory win on an already-suspicious log.
-    """
-
-    def __init__(self) -> None:
-        self.problems: List[str] = []
-        self._sends: Dict[str, LogEntry] = {}
-        self._recvs: Dict[str, LogEntry] = {}
-        self._unmatched_mac_in: Dict[str, LogEntry] = {}
-        self._unmatched_mac_out: Dict[str, LogEntry] = {}
-        #: 8-byte digests of every SEND message id seen.  Eviction forgets a
-        #: matched pair, so without this a *duplicate-id* forged SEND after
-        #: the pair matched would escape the check the whole-segment checker
-        #: performs (it compares the MAC-out against the LAST send per id).
-        #: Any repeated SEND id is flagged instead — an honest recorder
-        #: never reuses one, and a flag merely routes through the canonical
-        #: fallback.  Cost: O(#sends) times ~50 B, two orders of magnitude
-        #: below the entries themselves; all other state is O(in-flight).
-        self._seen_send_ids: Set[int] = set()
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @staticmethod
-    def _id_digest(message_id: str) -> int:
-        from repro.crypto import hashing
-        return int.from_bytes(
-            hashing.hash_bytes(message_id.encode("utf-8"))[:8], "big")
-
-    def feed(self, entry: LogEntry) -> None:
-        content = entry.content
-        if entry.entry_type is EntryType.SEND:
-            message_id = str(content.get("message_id"))
-            digest = self._id_digest(message_id)
-            if digest in self._seen_send_ids:
-                self.problems.append(
-                    f"message id {message_id} appears in more than one SEND "
-                    f"entry (sequence {entry.sequence})")
-            self._seen_send_ids.add(digest)
-            waiting = self._unmatched_mac_out.pop(message_id, None)
-            if waiting is not None:
-                self._match_out(message_id, waiting, entry)
-            else:
-                self._sends[message_id] = entry
-        elif entry.entry_type is EntryType.RECV:
-            message_id = str(content.get("message_id"))
-            if self._unmatched_mac_in.pop(message_id, None) is None:
-                self._recvs[message_id] = entry
-        elif entry.entry_type is EntryType.MACLAYER:
-            message_id = str(content.get("message_id"))
-            if content.get("direction") == "in":
-                if self._recvs.pop(message_id, None) is None:
-                    self._unmatched_mac_in[message_id] = entry
-            else:
-                send = self._sends.pop(message_id, None)
-                if send is not None:
-                    self._match_out(message_id, entry, send)
-                else:
-                    self._unmatched_mac_out[message_id] = entry
-
-    def _match_out(self, message_id: str, mac_entry: LogEntry,
-                   send_entry: LogEntry) -> None:
-        if mac_entry.content.get("payload_hash") \
-                != send_entry.content.get("payload_hash"):
-            self.problems.append(
-                f"message {message_id}: SEND entry and MAC-layer entry "
-                f"disagree about the payload")
-
-    def finish(self, last_sequence: int) -> None:
-        """Flush end-of-stream checks (mirrors the whole-segment checker)."""
-        for message_id, entry in self._unmatched_mac_in.items():
-            self.problems.append(
-                f"packet {message_id} entered the AVM (sequence "
-                f"{entry.sequence}) but has no RECV entry")
-        for message_id, entry in self._unmatched_mac_out.items():
-            self.problems.append(
-                f"packet {message_id} left the AVM (sequence "
-                f"{entry.sequence}) but has no SEND entry")
-        for message_id, entry in self._recvs.items():
-            if entry.sequence < last_sequence - 5:
-                self.problems.append(
-                    f"message {message_id} was received (sequence "
-                    f"{entry.sequence}) but never entered the AVM")
+            end_checkpoint=checkpoint, ends_log=index == len(counts) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +242,25 @@ class StreamStats:
     entries: int = 0
     #: largest number of entries resident at once (the memory bound)
     peak_chunk_entries: int = 0
-    #: why the pipeline handed over to the materializing audit (None = it
-    #: streamed to the end)
-    fallback_reason: Optional[str] = None
+    #: why the log could not be chunked and went to the materializing audit
+    #: instead (None = it streamed, to the end or to the chunk that failed)
+    unchunkable_reason: Optional[str] = None
 
 
 @dataclass
 class StreamAuditReport:
-    """A streamed audit's canonical result plus the pipeline's bookkeeping."""
+    """A streamed audit's result plus the pipeline's bookkeeping."""
 
     result: AuditResult
     stats: StreamStats = field(default_factory=StreamStats)
 
-    @property
-    def used_fallback(self) -> bool:
-        return self.stats.fallback_reason is not None
 
-
-class _StreamFallback(Exception):
-    """Internal: the stream detected something, or cannot go on; the
-    materializing serial audit decides."""
+class _Unchunkable(Exception):
+    """Internal: a chunk boundary has no verifiable snapshot to replay from."""
 
 
 class StreamingAuditPipeline:
-    """Audits an archive-backed target in O(chunk) memory.
-
-    Whenever the stream detects anything — a fault, or an operational
-    inability to continue — the materializing serial audit is run instead,
-    so verdicts and evidence are canonical.
-    """
+    """Audits an archive-backed target in O(chunk) memory, pass or fail."""
 
     def __init__(self, auditor, target,
                  max_chunks: Optional[int] = None) -> None:
@@ -393,39 +286,31 @@ class StreamingAuditPipeline:
                               machine=machine) as timer:
             try:
                 result = self._stream(stats)
-            except _StreamFallback as handover:
-                # The canonical result, once streaming detected something.
-                stats.fallback_reason = str(handover)
-                state, snapshot_bytes = replay_start(self.target)
-                result = self.auditor.audit_segment(
-                    machine, self.target.get_log_segment(),
-                    initial_state=state, snapshot_bytes=snapshot_bytes)
-        # The pipeline's wall clock covers the whole streamed audit,
-        # including any serial confirmation (whose own audit_segment timing
-        # it supersedes).
+            except _Unchunkable as handover:
+                # Not a detection: without a verified state at the boundary
+                # the log is one chunk, which is the serial front-end.
+                stats.unchunkable_reason = str(handover)
+                result = self.auditor.audit_whole_log(self.target)
         result.wall_seconds = timer.seconds
         obs.progress.machine_done(machine, result.verdict.value, timer.seconds)
         return StreamAuditReport(result=result, stats=stats)
 
-    # -- the streaming fast path ---------------------------------------------
+    # -- the stream ----------------------------------------------------------
 
     def _stream(self, stats: StreamStats) -> AuditResult:
         auditor = self.auditor
         target = self.target
-        machine = target.identity
         start = replay_start(target)
-        cross = StreamingCrossChecker()
         active_buckets: Set[int] = set()
+        chunks = iter_stream_chunks(target, max_chunks=self.max_chunks)
 
-        result, problem = fold_outcomes(
-            machine, auditor.identity,
-            self._audited_chunks(stats, cross, active_buckets, start))
-        if result is None:
-            raise _StreamFallback(problem)
-        last_sequence = target.start_checkpoint().sequence + stats.entries
-        cross.finish(last_sequence)
-        if not cross.ok:
-            raise _StreamFallback("; ".join(cross.problems[:3]))
+        result, failed = fold_outcomes(
+            target.identity, auditor.identity,
+            self._audited_chunks(chunks, stats, active_buckets, start))
+        if failed is not None:
+            result.evidence = auditor.evidence_for(
+                failed, result, (chunk.segment for chunk in chunks))
+            return result
 
         # The serial-identical PASS result: one download of the whole log
         # from its replay start, activity counted over the whole log rather
@@ -438,27 +323,20 @@ class StreamingAuditPipeline:
             merged.active_seconds, auditor.cost_params)
         return result
 
-    def _audited_chunks(self, stats: StreamStats,
-                        cross: "StreamingCrossChecker",
-                        active_buckets: Set[int], start
-                        ) -> Iterator[Tuple[ChainCheckpoint, ChunkOutcome]]:
-        """Decode the archive chunk by chunk and run each through the kernel.
+    def _audited_chunks(self, chunks: Iterator[StreamChunk],
+                        stats: StreamStats, active_buckets: Set[int], start
+                        ) -> Iterator[Tuple[ChunkJob, ChunkOutcome]]:
+        """Run ``chunks`` through the kernel as they are decoded.
 
-        Every entry also feeds ``cross`` and ``active_buckets``, the two
-        things a passing audit needs over the whole log.  Yields each
-        chunk's start checkpoint with its outcome; only one chunk is alive at
-        a time, the consumer folding each pair before the next is decoded.
+        Every entry also feeds ``active_buckets``, the one thing a passing
+        audit needs over the whole log.  Yields each chunk's job with its
+        outcome; only one chunk is alive at a time, the consumer folding
+        each pair before the next is decoded.
         """
         auditor = self.auditor
         target = self.target
         machine = target.identity
-        make_job = partial(
-            chunk_job,
-            authenticators=auditor.authenticators_for(machine),
-            key_view=auditor.keystore, reference_image=auditor.reference_image,
-            cost_params=auditor.cost_params,
-            # ``cross`` pairs the streams, over the whole log
-            check_cross_references=False)
+        authenticators = auditor.authenticators_for(machine)
 
         obs = self.obs
         decode_hist = obs.metrics.histogram("audit.chunk.decode_seconds")
@@ -467,10 +345,10 @@ class StreamingAuditPipeline:
         entries_counter = obs.metrics.counter("audit.entries_streamed_total")
 
         state, snapshot_bytes = start    # where the first chunk replays from
-        in_flight: List[LogEntry] = []
+        context = BoundaryContext()
         boundary: Optional[LogEntry] = None
         decode_started = time.perf_counter()
-        for chunk in iter_stream_chunks(target, max_chunks=self.max_chunks):
+        for chunk in chunks:
             chunk_started = time.perf_counter()
             decode_hist.observe(chunk_started - decode_started)
             segment = chunk.segment
@@ -480,28 +358,26 @@ class StreamingAuditPipeline:
                                            len(segment.entries))
             chunks_counter.inc()
             entries_counter.inc(len(segment.entries))
-            for entry in segment.entries:
-                active_buckets.add(int(entry.timestamp))
-                cross.feed(entry)
+            active_buckets.update(int(entry.timestamp)
+                                  for entry in segment.entries)
 
             if chunk.index:
-                # Replay this chunk from its verified boundary.  One that
-                # cannot be anchored is the materializing audit's (it
-                # replays from the start) to decide canonically.
                 try:
                     state, snapshot_bytes = fetch_verified_snapshot_entry(
                         target, boundary)
                 except ReproError as exc:
-                    raise _StreamFallback(str(exc))
-            job = make_job(segment, chunk_index=chunk.index,
-                           checkpoint=chunk.start_checkpoint,
-                           initial_state=state, snapshot_bytes=snapshot_bytes,
-                           context=BoundaryContext(in_flight))
+                    raise _Unchunkable(str(exc))
+            context.ends_log = chunk.ends_log
+            job = chunk_job(segment, authenticators, auditor.keystore,
+                            auditor.reference_image, chunk_index=chunk.index,
+                            checkpoint=chunk.start_checkpoint,
+                            initial_state=state, snapshot_bytes=snapshot_bytes,
+                            cost_params=auditor.cost_params, context=context)
             outcome = run_chunk(job)
             audit_hist.observe(time.perf_counter() - chunk_started)
-            yield chunk.start_checkpoint, outcome
+            yield job, outcome
 
-            in_flight = job.context.after(segment)
+            context = context.after(segment)
             boundary = last_snapshot_entry(segment)
             obs.tracer.event(
                 "audit.chunk", domain="wall", track=machine,

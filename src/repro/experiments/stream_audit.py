@@ -60,7 +60,6 @@ class StreamAuditBenchResult:
     streaming_wall: float = 0.0
     #: streamed result structurally identical to the materializing one
     identical: bool = False
-    fallback_reason: Optional[str] = None
 
     @property
     def peak_ratio(self) -> float:
@@ -156,7 +155,6 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
         chunks=streamed.stats.chunks,
         peak_chunk_entries=streamed.stats.peak_chunk_entries,
         identical=(streamed.result == materialized),
-        fallback_reason=streamed.stats.fallback_reason,
     )
     # Wall clocks first (tracemalloc slows allocation-heavy code), then peaks.
     result.streaming_wall = best_wall(run_streaming)

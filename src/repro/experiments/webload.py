@@ -180,7 +180,6 @@ class AuditOutcome:
     reason: str = ""
     chunks: int = 0
     entries: int = 0
-    fallback_reason: Optional[str] = None
     #: the failure evidence re-verified by an independent third party
     evidence_verified: Optional[bool] = None
 
@@ -188,7 +187,6 @@ class AuditOutcome:
         return {"machine": self.machine, "verdict": self.verdict,
                 "phase": self.phase, "reason": self.reason,
                 "chunks": self.chunks, "entries": self.entries,
-                "fallback_reason": self.fallback_reason,
                 "evidence_verified": self.evidence_verified}
 
 
@@ -381,7 +379,6 @@ def _stream_audit_run(run: _RecordedRun,
             machine=machine, verdict=result.verdict.value,
             phase=result.phase.value, reason=result.reason,
             chunks=report.stats.chunks, entries=report.stats.entries,
-            fallback_reason=report.stats.fallback_reason,
             evidence_verified=evidence_verified))
     return outcomes
 

@@ -74,8 +74,9 @@ class ArchiveBackedMachine:
                         last_sequence: Optional[int] = None) -> LogSegment:
         """The retained log (or a sub-range of it) as one segment.
 
-        Materializes every requested entry — the streaming pipeline avoids
-        calling this outside its serial-confirmation fallback.
+        Materializes every requested entry — no audit path calls this
+        after a detection; the streaming pipeline and the engine only do for
+        a log that cannot be chunked.
         """
         if first_sequence is None and last_sequence is None:
             return self.archive.materialized_log(self.identity)

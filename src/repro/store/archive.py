@@ -595,10 +595,10 @@ class LogArchive:
     def materialized_log(self, machine: str) -> LogSegment:
         """The whole retained log, explicitly materialized in memory.
 
-        Peak memory grows with log length — the audit hot path streams
-        instead (:mod:`repro.audit.stream`); this exists for the streaming
-        pipeline's canonical-evidence fallback and for callers that really
-        want the whole log at once.
+        Peak memory grows with log length — audits stream instead
+        (:mod:`repro.audit.stream`), convictions included; this exists for a
+        log that cannot be chunked and for callers that really want the
+        whole log at once.
         """
         segments = self.segments_for(machine)
         if not segments:

@@ -6,7 +6,19 @@ equivocation proof; the slow test runs the full default matrix and asserts
 the acceptance criteria: >= 24 cells across >= 6 adversaries, >= 2 workloads
 and >= 2 audit modes, 100% detection on misbehaving cells, zero false
 accusations, and independently re-verifiable evidence for every accusation.
+A second slow test audits every cell's recording on every front-end —
+serial, engine (inline, process, finest chunking), spot check (serial and
+engine-backed) and, for archived cells, the materializing audit, the stream
+and the engine and spot checker over the archive — against
+``tests/data/conviction_pins.json``: verdict, phase and reason of every
+conviction as the serial audit reported them at the commit before chunk
+evidence replaced the serial confirmation, and checks that each conviction's
+evidence convinces a third party holding its own keystore and image.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +30,13 @@ from repro.adversary.matrix import (
     ScenarioMatrix,
     record_scenario,
 )
+from repro.audit.engine import AuditScheduler
 from repro.audit.multiparty import EquivocationProof, find_equivocation
+from repro.audit.spot_check import SpotChecker
+from repro.audit.stream import stream_audit
 from repro.audit.verdict import AuditPhase
 from repro.crypto import hashing
-from repro.errors import HashChainError
+from repro.errors import HashChainError, SnapshotError
 from repro.log.authenticator import make_authenticator
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain
@@ -262,3 +277,103 @@ class TestFullMatrix:
         assert AuditPhase.SEMANTIC_CHECK.value in phases
         assert any(cell.quarantined_shipments for cell in report.cells)
         assert any(cell.equivocation_proof for cell in report.cells)
+
+
+# ---------------------------------------------------------------------------
+# Every cell, every front-end: the pinned conviction, evidence a third party
+# confirms
+# ---------------------------------------------------------------------------
+
+CONVICTION_PINS = json.loads(
+    (Path(__file__).parent / "data" / "conviction_pins.json").read_text())
+
+
+def _first_failing(checker, target):
+    chunks = checker.check_all_chunks(target, k=1, skip_initial=False)
+    return next((chunk.result for chunk in chunks if not chunk.ok),
+                chunks[0].result)
+
+
+def _front_ends(matrix, ctx, adversary, machine, archived):
+    """name -> audit of ``machine``'s recording on that front-end."""
+    def auditor(prepared=False):
+        made = matrix._make_auditor(ctx, machine, adversary)
+        if prepared:
+            ctx.ingest.prepare_auditor(made, machine)
+        return made
+
+    def engine(**kwargs):
+        return AuditScheduler(workers=2, **kwargs)
+
+    live = ctx.monitors[machine]
+    ends = {
+        "serial": lambda: auditor().audit(live),
+        "engine-inline": lambda: engine(executor="inline")
+        .audit_machine(auditor(), live),
+        "engine-process": lambda: engine(executor="process")
+        .audit_machine(auditor(), live),
+        "engine-finest": lambda: engine(executor="inline",
+                                        chunks_per_machine=64)
+        .audit_machine(auditor(), live),
+        "spot": lambda: _first_failing(SpotChecker(auditor()), live),
+        "spot-engine": lambda: _first_failing(
+            SpotChecker(auditor(), engine=engine(executor="inline")), live),
+    }
+    if archived and not ctx.ingest.quarantine_for(machine):
+        target = ctx.ingest.target_for(machine)
+        ends.update({
+            "archive-serial": lambda: auditor(True).audit(target,
+                                                          streaming=False),
+            "stream": lambda: stream_audit(auditor(True), target).result,
+            "archive-engine": lambda: engine(executor="inline")
+            .audit_machine(auditor(True), target),
+            "archive-spot": lambda: _first_failing(
+                SpotChecker(auditor(True)), target),
+        })
+    return ends
+
+
+@pytest.mark.slow
+class TestConvictionOnEveryFrontEnd:
+    def test_pinned_verdicts_and_third_party_evidence(self):
+        matrix = ScenarioMatrix()
+        cells = matrix.default_cells()
+        assert len(cells) == 69
+        convictions = 0
+        for spec in cells:
+            adversary = make_adversary(spec.adversary, seed=spec.seed)
+            archived = spec.mode == "archive"
+            pinned = CONVICTION_PINS.get(
+                f"{spec.adversary}|{spec.workload}|{spec.mode}|"
+                f"{spec.fleet_size}", {})
+            with tempfile.TemporaryDirectory() as tmp:
+                ctx, run = matrix._build(spec, adversary,
+                                         tmp if archived else None)
+                adversary.install(ctx)
+                run()
+                if archived:
+                    matrix._drain_archive(ctx)
+                adversary.corrupt(ctx)
+                for machine in sorted(ctx.monitors):
+                    expected = pinned.get(machine, ["pass", "complete", ""])
+                    assert machine == ctx.byzantine or expected[0] == "pass"
+                    for name, audit in _front_ends(
+                            matrix, ctx, adversary, machine, archived).items():
+                        where = f"{spec.label()}: {machine} on {name}"
+                        try:
+                            result = audit()
+                        except SnapshotError:
+                            # the one cheat a chunking front-end cannot get
+                            # past: the machine serves no verifiable snapshot
+                            assert spec.adversary == "snapshot-mutation" \
+                                and machine == ctx.byzantine \
+                                and name != "serial", where
+                            continue
+                        assert [result.verdict.value, result.phase.value,
+                                result.reason] == expected, where
+                        if not result.ok:
+                            convictions += 1
+                            assert result.evidence.verify(
+                                ctx.keystore,
+                                ctx.reference_images[machine]), where
+        assert convictions >= 53 * 6

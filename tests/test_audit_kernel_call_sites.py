@@ -6,6 +6,11 @@ front-end — serial, engine, stream, spot check, online — and a third party's
 ``Evidence.verify`` are ways of calling it.  These tests count: every replay
 and every syntactic check an audit performs happens inside a kernel run, and
 the source has one call site for each step.  A fifth copy fails here by name.
+
+They also count *entries*: a conviction costs the auditor the chunks up to
+the fault and a third party the evidence's own entries.  A second pass over
+the log after a detection — a serial confirmation, a whole-log replay of the
+evidence — fails ``TestNoSecondPass`` by name.
 """
 
 from __future__ import annotations
@@ -32,19 +37,29 @@ AUDIT_SOURCES = sorted(
     .glob("*.py"))
 
 
-@pytest.fixture(scope="module")
-def scenario(tmp_path_factory):
-    """One honest client and one cheating server, recorded into an archive."""
+def _record(archive_dir, adversary_name):
     matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
-    adversary = make_adversary("cheating-guest", seed=5300)
-    spec = CellSpec("cheating-guest", "kv", "archive", 2, 5300)
-    ctx, run = matrix._build(spec, adversary,
-                             str(tmp_path_factory.mktemp("call-sites")))
+    adversary = make_adversary(adversary_name, seed=5300)
+    spec = CellSpec(adversary_name, "kv", "archive", 2, 5300)
+    ctx, run = matrix._build(spec, adversary, str(archive_dir))
     adversary.install(ctx)
     run()
     matrix._drain_archive(ctx)
     adversary.corrupt(ctx)
     return matrix, adversary, ctx
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    """One honest client and one cheating server, recorded into an archive."""
+    return _record(tmp_path_factory.mktemp("call-sites"), "cheating-guest")
+
+
+@pytest.fixture(scope="module")
+def late_fault(tmp_path_factory):
+    """The same pair, but the server's fault happens mid-run, mid-log."""
+    return _record(tmp_path_factory.mktemp("late-fault"),
+                   "hidden-nondeterminism")
 
 
 @pytest.fixture()
@@ -61,6 +76,7 @@ def calls(monkeypatch) -> Counter:
 
     def run_chunk(job):
         counted["kernel"] += 1
+        counted["entries through the kernel"] += len(job.segment.entries)
         depth.append(job)
         try:
             return real_run(job)
@@ -83,16 +99,8 @@ def calls(monkeypatch) -> Counter:
                         step("replay", DeterministicReplayer.replay))
     monkeypatch.setattr(kernel, "batch_verify_authenticators",
                         step("tamper", kernel.batch_verify_authenticators))
-    real_check = SyntacticChecker.check
-
-    def check(self, segment, context=None):
-        # the engine parent's whole-log cross-reference pass is not step 2:
-        # it checks no entry's format and no signature
-        if self.check_entry_format:
-            counted["syntactic in kernel" if depth else "syntactic"] += 1
-        return real_check(self, segment, context)
-
-    monkeypatch.setattr(SyntacticChecker, "check", check)
+    monkeypatch.setattr(SyntacticChecker, "check",
+                        step("syntactic", SyntacticChecker.check))
     return counted
 
 
@@ -110,7 +118,7 @@ def _assert_all_in_kernel(calls, at_least=1):
     assert 0 < calls["replay in kernel"] <= calls["kernel"]
     assert calls["syntactic in kernel"] <= calls["kernel"]
     outside = {name: n for name, n in calls.items()
-               if name != "kernel" and not name.endswith(" in kernel")}
+               if name != "kernel" and not name.endswith(" kernel")}
     assert not outside, f"audit steps performed outside the kernel: {outside}"
 
 
@@ -127,16 +135,22 @@ class TestEveryFrontEndReachesTheKernel:
         engine = AuditScheduler(workers=2, executor="inline")
         for machine, monitor in sorted(ctx.monitors.items()):
             engine.audit_machine(_auditor(scenario, machine), monitor)
-        # two chunks per machine, plus the cheater's serial confirmation
-        _assert_all_in_kernel(calls, at_least=2 * len(ctx.monitors) + 1)
+        # at most two chunks per machine: the honest one's both, the
+        # cheater's up to the one that fails — and no second pass
+        _assert_all_in_kernel(calls, at_least=len(ctx.monitors) + 1)
+        assert calls["kernel"] <= 2 * len(ctx.monitors)
 
     def test_stream(self, scenario, calls):
         ctx = scenario[2]
+        chunks = 0
         for machine in sorted(ctx.monitors):
             report = stream_audit(_auditor(scenario, machine, archived=True),
                                   ctx.ingest.target_for(machine))
-            assert report.used_fallback == (machine == ctx.byzantine)
-        _assert_all_in_kernel(calls, at_least=2 * len(ctx.monitors))
+            assert report.stats.unchunkable_reason is None
+            assert report.result.ok == (machine != ctx.byzantine)
+            chunks += report.stats.chunks
+        _assert_all_in_kernel(calls, at_least=len(ctx.monitors) + 1)
+        assert calls["kernel"] == chunks   # every chunk once, none again
 
     def test_spot_check(self, scenario, calls):
         ctx = scenario[2]
@@ -167,6 +181,94 @@ class TestEveryFrontEndReachesTheKernel:
                                       ctx.reference_images[cheater])
         assert calls["kernel"] == before + 1
         _assert_all_in_kernel(calls)
+
+
+class TestNoSecondPass:
+    """A conviction costs the auditor the chunks up to the fault and a third
+    party the evidence's own entries; nothing reads the log a second time."""
+
+    @pytest.fixture()
+    def no_materialization(self, monkeypatch):
+        from repro.service.target import ArchiveBackedMachine
+        from repro.store.archive import LogArchive
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole log was materialized")
+
+        monkeypatch.setattr(LogArchive, "materialized_log", refuse)
+        monkeypatch.setattr(LogArchive, "segments_for", refuse)
+        monkeypatch.setattr(ArchiveBackedMachine, "get_log_segment", refuse)
+
+    @pytest.mark.parametrize("engine", [None, "inline"], ids=["stream", "engine"])
+    def test_conviction_of_an_archive_target(self, late_fault, calls, engine,
+                                             no_materialization):
+        ctx = late_fault[2]
+        cheater = ctx.byzantine
+        target = ctx.ingest.target_for(cheater)
+        auditor = _auditor(late_fault, cheater, archived=True)
+        if engine:
+            # the finest chunking: one snapshot-sealed segment run per chunk
+            auditor._engine = AuditScheduler(workers=2, executor=engine,
+                                             chunks_per_machine=64)
+        result = auditor.audit(target)
+        assert result.verdict is Verdict.FAIL
+        evidence = result.evidence
+        total = target.archive.entry_count(cheater)
+        up_to_the_fault = evidence.segment.last_sequence \
+            - target.start_checkpoint().sequence
+        assert evidence.anchor and up_to_the_fault < total   # a mid-log chunk
+        assert calls["entries through the kernel"] <= up_to_the_fault
+        _assert_all_in_kernel(calls)
+
+        # the third party: its own entries, once
+        before = calls["entries through the kernel"]
+        assert evidence.verify(ctx.keystore, ctx.reference_images[cheater])
+        assert calls["entries through the kernel"] - before \
+            == len(evidence.segment.entries) < total
+        # and only the authenticators on them, not the machine's whole list
+        covered = range(evidence.segment.first_sequence,
+                        evidence.segment.last_sequence + 1)
+        assert evidence.authenticators
+        assert all(a.sequence in covered for a in evidence.authenticators)
+        assert len(evidence.authenticators) \
+            < len(auditor.authenticators_for(cheater))
+
+
+    @pytest.mark.parametrize("engine", [None, "inline"], ids=["stream", "engine"])
+    def test_an_uncovered_failing_chunk_reaches_the_next_authenticator(
+            self, late_fault, engine):
+        """Evidence no authenticator covers would die with a third party
+        ("no valid authenticator"); it is extended, not re-audited."""
+        ctx = late_fault[2]
+        cheater = ctx.byzantine
+        target = ctx.ingest.target_for(cheater)
+
+        def audit(keep):
+            auditor = _auditor(late_fault, cheater, archived=True)
+            auditor.collected_authenticators[cheater] = [
+                auth for auth in auditor.authenticators_for(cheater)
+                if keep(auth.sequence)]
+            if engine:
+                auditor._engine = AuditScheduler(workers=2, executor=engine,
+                                                 chunks_per_machine=64)
+            return auditor, auditor.audit(target)
+
+        _, covered = audit(lambda sequence: True)
+        chunk = covered.evidence.segment
+        # an auditor who holds no authenticator on the failing chunk
+        auditor, result = audit(
+            lambda sequence: sequence > chunk.last_sequence + 3)
+        assert (result.verdict, result.phase, result.reason) \
+            == (covered.verdict, covered.phase, covered.reason)
+        evidence = result.evidence
+        reached = min(auth.sequence
+                      for auth in auditor.authenticators_for(cheater))
+        assert evidence.segment.first_sequence == chunk.first_sequence
+        assert evidence.segment.last_sequence == reached > chunk.last_sequence
+        assert evidence.authenticators
+        assert {auth.sequence for auth in evidence.authenticators} == {reached}
+        assert evidence.anchor == covered.evidence.anchor
+        assert evidence.verify(ctx.keystore, ctx.reference_images[cheater])
 
 
 def _call_sites(name):

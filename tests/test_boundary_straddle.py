@@ -10,19 +10,29 @@ chunk that should hold the injection reports it.
 
 The recording is a kv pair with a snapshot forced into that window; nothing
 here imports ``bench/``.
+
+The same boundary is the one an *accuser* can lie about: evidence for the
+chunk after it is anchored to the chain, and every forgery of its start —
+the accuser adversaries of :mod:`repro.adversary.accuser` — is rejected.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.adversary.accuser import ACCUSER_ADVERSARIES
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
-from repro.audit.engine import AuditAssignment, AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler, _ChunkRun
+from repro.audit.evidence import Evidence
 from repro.audit.spot_check import SpotChecker
 from repro.audit.stream import stream_audit
-from repro.audit.verdict import AuditPhase, Verdict
+from repro.audit.verdict import AuditPhase, AuditResult, Verdict
+from repro.errors import EvidenceError
 from repro.log.entries import EntryType
+from repro.log.hashchain import chain_hash
 from repro.network.message import MessageKind
 from repro.vm.events import PacketDelivery
 
@@ -147,7 +157,7 @@ class TestHonestStraddlePasses:
         report = stream_audit(_archive_auditor(honest),
                               honest[2].ingest.target_for(SERVER))
         assert report.result.verdict is Verdict.PASS
-        assert report.stats.fallback_reason is None
+        assert report.stats.unchunkable_reason is None
         assert report.stats.chunks >= 4
 
     @pytest.mark.parametrize("source", ["live", "archive"])
@@ -163,7 +173,7 @@ class TestHonestStraddlePasses:
             machine_report = report.machine_reports[SERVER]
             assert machine_report.result.verdict is Verdict.PASS
             assert machine_report.chunk_count == chunks
-            assert not machine_report.confirmed_serially, chunks
+            assert machine_report.unchunkable_reason is None, chunks
 
     @pytest.mark.parametrize("source", ["live", "archive"])
     @pytest.mark.parametrize("k", [1, 3])
@@ -213,8 +223,9 @@ class TestDroppedInjectionIsConvicted:
                     window)
         report = stream_audit(_archive_auditor(cheat),
                               ctx.ingest.target_for(SERVER))
-        assert report.used_fallback
+        assert report.stats.unchunkable_reason is None
         self._check(cheat, report.result, window)
+        self._check_anchor(report.result.evidence, window)
 
     @pytest.mark.parametrize("source", ["live", "archive"])
     def test_full_coverage_spot_check(self, cheat, window, source):
@@ -227,18 +238,111 @@ class TestDroppedInjectionIsConvicted:
             assert len(failed) == 1
             assert failed[0].chunk_start_index > 0
             self._check(cheat, failed[0].result, window)
-            # evidence for a mid-log chunk carries the context it was
-            # audited with: the RECV, in flight at the chunk's start
-            context = failed[0].result.evidence.context
-            assert window[0] in [entry.content["message_id"]
-                                 for entry in context.in_flight]
+            self._check_anchor(failed[0].result.evidence, window)
 
-    def test_the_engine_convicts_with_the_serial_evidence(self, cheat, window):
+    def _check_anchor(self, evidence, window):
+        """Evidence for a mid-log chunk is anchored: it carries the log from
+        the RECV, in flight at the chunk's start, through the boundary
+        snapshot, and that suffix ends where the chunk starts."""
+        anchor = evidence.anchor
+        assert anchor[0].entry_type is EntryType.RECV
+        assert anchor[0].content["message_id"] == window[0]
+        assert anchor[-1].entry_type is EntryType.SNAPSHOT
+        assert anchor[-1].chain_hash == evidence.segment.start_hash
+        assert anchor[-1].sequence + 1 == evidence.segment.first_sequence
+
+    def test_the_engine_convicts_on_the_failing_chunk(self, cheat, window):
         ctx = cheat[2]
         finest = len(ctx.monitors[SERVER].get_snapshot_segments())
         engine = AuditScheduler(workers=2, executor="inline",
                                 chunks_per_machine=finest)
         report = engine.audit_fleet(
             [AuditAssignment(_live_auditor(cheat), ctx.monitors[SERVER])])
-        assert report.machine_reports[SERVER].confirmed_serially
+        machine_report = report.machine_reports[SERVER]
+        assert machine_report.unchunkable_reason is None
+        # it stopped at the chunk that should hold the injection
+        assert 1 < machine_report.chunk_count < finest
+        assert not machine_report.chunk_outcomes[-1].ok
         self._check(cheat, report.results[SERVER], window)
+        self._check_anchor(report.results[SERVER].evidence, window)
+
+
+class TestAccuserAdversaries:
+    """The machine is honest; the cheat is in the evidence.  Expected
+    outcome: evidence rejected — an ``EvidenceError``, never ``True``."""
+
+    @pytest.fixture(scope="class")
+    def accusation(self, honest):
+        """Genuine evidence for the genuine chunk that starts with the
+        straddling RECV in flight, as an auditor who (wrongly) accused the
+        honest server would package it."""
+        ctx = honest[2]
+        auditor = _live_auditor(honest)
+        plan = AuditScheduler(workers=2, chunks_per_machine=64)._plan(
+            AuditAssignment(auditor, ctx.monitors[SERVER]),
+            _ChunkRun("inline", 1))
+        job = next(job for job in plan.jobs if job.context.in_flight)
+        assert job.chunk_index > 0 and job.initial_state is not None
+        accusation = AuditResult(SERVER, auditor.identity, Verdict.FAIL,
+                                 AuditPhase.SEMANTIC_CHECK, "an accusation")
+        return auditor.evidence_for(job, accusation), \
+            ctx.keystore, ctx.reference_images[SERVER]
+
+    def test_honest_evidence_of_the_chunk_convicts_nobody(self, accusation,
+                                                          window):
+        evidence, keystore, image = accusation
+        assert evidence.anchor[0].entry_type is EntryType.RECV
+        assert window[0] in [entry.content["message_id"]
+                             for entry in evidence.anchor
+                             if entry.entry_type is EntryType.RECV]
+        assert evidence.verify(keystore, image) is False
+
+    @pytest.mark.parametrize("name", sorted(ACCUSER_ADVERSARIES))
+    def test_forgery_is_rejected(self, accusation, name):
+        evidence, keystore, image = accusation
+        forged = ACCUSER_ADVERSARIES[name](evidence)
+        assert forged != evidence
+        with pytest.raises(EvidenceError):
+            forged.verify(keystore, image)
+
+    def test_altered_recv_with_the_chain_recomputed(self, accusation):
+        """Rehashing the anchor onward from the altered RECV makes it a
+        chain again — one that no longer ends where the chunk starts."""
+        evidence, keystore, image = accusation
+        altered = ACCUSER_ADVERSARIES["altered-in-flight-recv"](evidence)
+        rehashed, previous = [], altered.anchor[0].previous_hash
+        for entry in altered.anchor:
+            entry = replace(entry, previous_hash=previous)
+            entry = replace(entry, chain_hash=chain_hash(
+                previous, entry.sequence, entry.entry_type, entry.content))
+            rehashed.append(entry)
+            previous = entry.chain_hash
+        with pytest.raises(EvidenceError, match="at the segment's start"):
+            replace(evidence, anchor=rehashed).verify(keystore, image)
+
+    def test_an_anchor_from_elsewhere_or_without_its_snapshot(self, accusation,
+                                                              honest):
+        evidence, keystore, image = accusation
+        log = honest[2].monitors[SERVER].log
+        with pytest.raises(EvidenceError):          # ends before the boundary
+            replace(evidence, anchor=evidence.anchor[:-1]).verify(keystore, image)
+        elsewhere = log.segment(3, 6).entries       # a chain, but not this one
+        with pytest.raises(EvidenceError):
+            replace(evidence, anchor=elsewhere).verify(keystore, image)
+
+    def test_second_half_of_an_honest_log_is_not_a_log(self, honest):
+        """``Evidence(segment=log.segment(n // 2, n))`` used to replay from
+        the reference image, diverge, and confirm."""
+        ctx = honest[2]
+        auditor = _live_auditor(honest)
+        log = ctx.monitors[SERVER].log
+        evidence = Evidence(
+            machine=SERVER, accuser="mallory", reason="an accusation",
+            segment=log.segment(len(log) // 2, len(log)),
+            authenticators=auditor.authenticators_for(SERVER),
+            reference_image_hash=ctx.reference_images[SERVER].image_hash())
+        with pytest.raises(EvidenceError, match="where the log starts"):
+            evidence.verify(ctx.keystore, ctx.reference_images[SERVER])
+        # ...while the log from its start is evidence, of nothing
+        assert replace(evidence, segment=log.full_segment()).verify(
+            ctx.keystore, ctx.reference_images[SERVER]) is False

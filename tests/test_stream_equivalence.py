@@ -1,10 +1,16 @@
 """Differential tests: streaming audit == materializing audit.
 
 The streaming pipeline's contract (:mod:`repro.audit.stream`) is that a
-streamed audit of an archived log is *structurally identical* — verdict,
-phase, reason, counters, replay report, evidence and modelled costs — to the
-serial materializing audit of the same archive, which in turn equals the
-in-memory audit of the live machine (established in PR 2).  The fast tests
+passing streamed audit of an archived log is *structurally identical* —
+verdict, counters, replay report and modelled costs — to the serial
+materializing audit of the same archive, which in turn equals the in-memory
+audit of the live machine (established in PR 2); and that a failing one
+reaches the same verdict, phase and reason with the failing chunk, not the
+whole log, as evidence a third party confirms.  (Re-pinned when the serial
+confirmation went: every cell's verdict, phase and reason were recorded at
+the parent commit and are the materializing audit's, asserted equal below;
+what changed is the evidence and the counters of a conviction, which now
+describe the chunks up to the fault.)  The fast tests
 check this on a small archived fleet, on truncated (GC'd) archives, on the
 engine and spot-check front-ends, and on a representative subset of
 adversary scenarios; the slow tests sweep every adversary class over both
@@ -63,7 +69,7 @@ class TestArchivedFleetEquivalence:
                                   service.target_for(machine))
             in_memory = fleet.make_auditor(machine).audit(
                 fleet.monitors[machine])
-            assert report.stats.fallback_reason is None
+            assert report.stats.unchunkable_reason is None
             assert report.result == materialized, \
                 f"stream vs materializing diverged for {machine}"
             assert report.result == in_memory, \
@@ -136,12 +142,11 @@ class TestArchivedFleetEquivalence:
 class TestReviewRegressions:
     """Pinned fixes from the pre-merge review of the streaming pipeline."""
 
-    def test_duplicate_send_id_is_flagged_by_the_stream_checker(self):
+    def test_duplicate_send_id_is_flagged_in_a_later_chunk(self):
         """A forged duplicate-id SEND after its pair matched must be flagged
-        (eviction would otherwise forget the pair the whole-segment checker
-        compares it against, letting a tampered log pass only when
-        streamed)."""
-        from repro.audit.stream import StreamingCrossChecker
+        (a chunk does not see the pair the whole-segment checker compares
+        it against; a tampered log must not pass only when streamed)."""
+        from repro.audit.kernel import BoundaryContext
         from repro.audit.syntactic import SyntacticChecker
         from repro.log.entries import EntryType
         from repro.log.segments import LogSegment
@@ -158,18 +163,23 @@ class TestReviewRegressions:
                              "payload_size": 1, "message_id": "m1"})
         segment = LogSegment(machine="mallory", entries=list(log.entries),
                              start_hash=log.entries[0].previous_hash)
-        whole = SyntacticChecker(check_entry_format=False).check(segment)
+        whole = SyntacticChecker().check(segment)
         assert not whole.ok  # the serial checker catches the forgery...
-        checker = StreamingCrossChecker()
-        for entry in segment.entries:
-            checker.feed(entry)
-        checker.finish(forged.sequence)
-        assert not checker.ok  # ...and so must the streaming one
+        assert "disagree about the payload" in whole.problems[0]
+        # ...and so must the chunk the forgery lands in, without the pair
+        first = LogSegment("mallory", segment.entries[:2], segment.start_hash)
+        later = LogSegment("mallory", segment.entries[2:],
+                           segment.entries[1].chain_hash)
+        assert SyntacticChecker().check(
+            first, BoundaryContext(ends_log=False)).ok
+        chunk = SyntacticChecker().check(later, BoundaryContext().after(first))
+        assert [problem for problem in chunk.problems
+                if "was sent" in problem and "never left the AVM" in problem]
 
-    def test_unverifiable_boundary_snapshot_falls_back(self, archived_fleet,
-                                                       monkeypatch):
-        """Any inability to anchor a chunk hands over to the materializing
-        audit instead of raising out of the pipeline."""
+    def test_unverifiable_boundary_snapshot_is_handed_over(
+            self, archived_fleet, monkeypatch):
+        """A log that cannot be chunked goes to the materializing audit
+        instead of raising out of the pipeline."""
         import repro.audit.stream as stream_module
         from repro.errors import MissingSnapshotError
 
@@ -183,7 +193,8 @@ class TestReviewRegressions:
         machine = fleet.machines[0]
         report = stream_audit(_prepared_auditor(fleet, service, machine),
                               service.target_for(machine))
-        assert report.used_fallback
+        assert report.stats.unchunkable_reason == \
+            "simulated unverifiable snapshot"
         materialized = _prepared_auditor(fleet, service, machine).audit(
             service.target_for(machine), streaming=False)
         assert report.result == materialized
@@ -254,7 +265,7 @@ class TestTruncatedArchiveEquivalence:
                 report = stream_audit(
                     _prepared_auditor(fleet, service, machine),
                     service.target_for(machine))
-                assert report.stats.fallback_reason is None
+                assert report.stats.unchunkable_reason is None
                 assert report.result == materialized, \
                     f"truncated stream vs materializing diverged for {machine}"
                 assert report.result.verdict is Verdict.PASS
@@ -278,6 +289,23 @@ def _run_archived_scenario(adversary_name: str, workload: str, seed: int,
     matrix._drain_archive(ctx)
     adversary.corrupt(ctx)
     return matrix, adversary, ctx
+
+
+def _same_conviction(streamed, materialized, ctx, where: str) -> None:
+    """Verdict, phase and reason of the materializing audit, on the failing
+    chunk: a run of the whole log's entries, confirmed by a third party."""
+    assert (streamed.verdict, streamed.phase, streamed.reason) == (
+        materialized.verdict, materialized.phase, materialized.reason), where
+    chunk = streamed.evidence.segment.entries
+    whole = materialized.evidence.segment.entries
+    first = chunk[0].sequence - whole[0].sequence
+    assert chunk == whole[first:first + len(chunk)], where
+    assert bool(streamed.evidence.anchor) == (first > 0), where
+    assert streamed.cost.log_bytes_downloaded \
+        <= materialized.cost.log_bytes_downloaded, where
+    for evidence in (streamed.evidence, materialized.evidence):
+        assert evidence.verify(
+            ctx.keystore, ctx.reference_images[streamed.machine]), where
 
 
 def _compare_cell(adversary_name: str, workload: str, seed: int) -> None:
@@ -310,11 +338,14 @@ def _compare_cell(adversary_name: str, workload: str, seed: int) -> None:
                     f"materializing raised {materialized_error!r}, "
                     f"streaming raised {streamed_error!r}")
                 continue
-            if streamed != materialized:
+            if materialized.ok and streamed != materialized:
                 pytest.fail(
                     f"cell [{cell}] machine {machine}: structural divergence\n"
                     f"  materializing: {materialized}\n"
                     f"  streaming:     {streamed}")
+            if not materialized.ok:
+                _same_conviction(streamed, materialized, ctx,
+                                 f"cell [{cell}] machine {machine}")
 
 
 #: representative fast subset: one honest control, one in-log fault (replay
@@ -347,7 +378,7 @@ def test_sixteen_machine_archived_fleet_differential(tmp_path):
         in_memory = fleet.make_auditor(machine).audit(fleet.monitors[machine])
         report = stream_audit(_prepared_auditor(fleet, service, machine),
                               service.target_for(machine))
-        assert report.stats.fallback_reason is None
+        assert report.stats.unchunkable_reason is None
         if report.result != in_memory:
             pytest.fail(f"16-machine fleet, machine {machine}: streaming vs "
                         f"in-memory divergence\n  in-memory: {in_memory}\n"

@@ -6,7 +6,10 @@ compressor, so there is no constant working set to discount), while the
 materializing path — which inflates the whole archived log before any check
 runs — blows through the same bound.  The slow test pins this on a
 200-snapshot archived run; the fast variant is the same assertion at smoke
-scale.
+scale.  The promise holds for the machine that gets convicted as much as
+for the honest one: the *convicted* variants audit a server whose fault is
+two thirds into its log and hold the conviction — evidence included — to the
+same bound.
 """
 
 from __future__ import annotations
@@ -16,10 +19,15 @@ import tracemalloc
 
 import pytest
 
+from dataclasses import replace
+
+from repro.adversary.guests import CheatingKvServerGuest
 from repro.audit.stream import stream_audit
+from repro.audit.verdict import AuditPhase, Verdict
 from repro.experiments.parallel_audit import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
+from repro.workloads.kvstore import KvServerGuest
 from repro.workloads.sqlbench import SqlBenchSettings
 
 #: the traced peak must stay under this multiple of the largest chunk's raw
@@ -37,7 +45,21 @@ def _traced_peak(fn) -> int:
     return peak
 
 
-def _run_memory_bound_check(tmp_path, duration: float, snapshots: int):
+class _LateSweetener(CheatingKvServerGuest):
+    """The agreed image answers SELECTs its own way from request
+    ``FROM_REQUEST`` on; a server that keeps answering like the stock image
+    stops matching the reference there, two thirds into its log."""
+
+    FROM_REQUEST = 0
+
+    def execute(self, query):
+        if query.get("request_id", 0) < self.FROM_REQUEST:
+            return KvServerGuest.execute(self, query)
+        return super().execute(query)
+
+
+def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
+                            convicted: bool = False):
     snapshot_interval = duration / snapshots
     root = tmp_path / "archive"
     fleet = build_fleet(num_machines=2, duration=duration, seed=19,
@@ -57,16 +79,33 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int):
     chunks = max(4, len(records) // 4)
     chunk_raw = -(-sum(r.raw_bytes for r in records) // chunks)  # ceil
 
+    reference = fleet.reference_images[machine]
+    if convicted:   # same disk, another query engine (24 requests a second)
+        _LateSweetener.FROM_REQUEST = round(duration * 24 * 2 / 3)
+        reference = replace(reference, guest_factory=_LateSweetener)
+
     def prepared_auditor():
         auditor = fleet.make_auditor(machine, collect=False)
+        auditor.reference_image = reference
         service.prepare_auditor(auditor, machine)
         return auditor
 
     target = service.target_for(machine)
     streamed = stream_audit(prepared_auditor(), target, max_chunks=chunks)
-    assert streamed.stats.fallback_reason is None
+    assert streamed.stats.unchunkable_reason is None
     materialized = prepared_auditor().audit(target, streaming=False)
-    assert streamed.result == materialized
+    if convicted:
+        result = streamed.result
+        assert result.verdict is materialized.verdict is Verdict.FAIL
+        assert result.phase is materialized.phase is AuditPhase.SEMANTIC_CHECK
+        assert result.reason == materialized.reason
+        # a late chunk, not the log: what the third party replays is small
+        evidence = result.evidence
+        assert evidence.segment.first_sequence > records[-1].last_sequence // 2
+        assert len(evidence.segment.entries) <= streamed.stats.peak_chunk_entries
+        assert evidence.verify(fleet.keystore, reference)
+    else:
+        assert streamed.result == materialized
 
     # Prepare the auditors (and their O(log) authenticator stores — input
     # state both paths share) outside the traced region, so the peaks
@@ -99,3 +138,16 @@ def test_stream_memory_bound_200_snapshots(tmp_path):
 def test_stream_memory_bound_smoke(tmp_path):
     """Smoke-sized variant of the 200-snapshot bound (fast stage)."""
     _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40)
+
+
+@pytest.mark.slow
+def test_convicted_stream_memory_bound_200_snapshots(tmp_path):
+    """The failing log is held to the passing log's bound."""
+    _run_memory_bound_check(tmp_path, duration=50.0, snapshots=200,
+                            convicted=True)
+
+
+def test_convicted_stream_memory_bound_smoke(tmp_path):
+    """Smoke-sized variant of the failing-log bound (fast stage)."""
+    _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40,
+                            convicted=True)

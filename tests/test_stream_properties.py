@@ -187,25 +187,22 @@ def _fold(auditor, target, segments, tiling):
     context its predecessor leaves, then the one fold."""
     authenticators = auditor.authenticators_for(target.identity)
     audited = []
-    state, snapshot_bytes, in_flight, boundary = None, 0, [], None
+    state, snapshot_bytes, context, boundary = None, 0, BoundaryContext(), None
     for index, group in enumerate(tiling):
         chunk = concatenate_segments([segments[i] for i in group])
         if index:
             state, snapshot_bytes = fetch_verified_snapshot_entry(target,
                                                                   boundary)
+        context.ends_log = group[-1] == len(segments) - 1
         job = chunk_job(
             chunk, authenticators, auditor.keystore, auditor.reference_image,
             chunk_index=index, initial_state=state,
-            snapshot_bytes=snapshot_bytes,
-            context=BoundaryContext(in_flight,
-                                    ends_log=group[-1] == len(segments) - 1))
+            snapshot_bytes=snapshot_bytes, context=context)
         audited.append((job, run_chunk(job)))
-        in_flight = job.context.after(chunk)
+        context = context.after(chunk)
         boundary = last_snapshot_entry(chunk)
-    result, problem = fold_outcomes(
-        target.identity, auditor.identity,
-        [(job.checkpoint, outcome) for job, outcome in audited])
-    return audited, result, problem
+    result, failed = fold_outcomes(target.identity, auditor.identity, audited)
+    return audited, result, failed
 
 
 def _tilings(count, rng, merges=6):
@@ -236,8 +233,8 @@ class TestChunkingInvariance:
         reference["authenticators"] = serial.authenticators_checked
         reference["log_bytes"] = whole.size_bytes()
         for tiling in _tilings(len(segments), random.Random(0xC0FFEE)):
-            audited, result, problem = _fold(auditor, target, segments, tiling)
-            assert result is not None, (tiling, problem)
+            audited, result, failed = _fold(auditor, target, segments, tiling)
+            assert failed is None and result.ok, (tiling, result.reason)
             # checkpoints tile: each chunk starts where the last one ended
             for (_, before), (job, _) in zip(audited, audited[1:]):
                 assert job.checkpoint == before.end_checkpoint, tiling
@@ -253,16 +250,21 @@ class TestChunkingInvariance:
         auditor, target, segments = _recorded("cheating-guest")
         serial = auditor.audit(target)
         assert serial.phase is AuditPhase.SEMANTIC_CHECK
+        keystore, image = auditor.keystore, auditor.reference_image
         for tiling in _tilings(len(segments), random.Random(0xBADC0DE)):
-            audited, result, problem = _fold(auditor, target, segments, tiling)
-            assert result is None, tiling
+            audited, result, job = _fold(auditor, target, segments, tiling)
             failed = next(outcome for _, outcome in audited if not outcome.ok)
-            assert failed.verdict is serial.verdict, tiling
-            assert failed.phase is serial.phase, tiling
-            assert problem == failed.reason == serial.reason, tiling
+            assert job is audited[failed.chunk_index][0], tiling
+            assert result.verdict is failed.verdict is serial.verdict, tiling
+            assert result.phase is failed.phase is serial.phase, tiling
+            assert result.reason == failed.reason == serial.reason, tiling
             # every chunk before the first failing one passed
-            passed = audited[:[o for _, o in audited].index(failed)]
-            assert all(outcome.ok for _, outcome in passed)
+            assert all(outcome.ok
+                       for _, outcome in audited[:failed.chunk_index])
+            # and the failing chunk alone convinces a third party
+            evidence = auditor.evidence_for(job, result)
+            assert evidence.segment.entries == job.segment.entries
+            assert evidence.verify(keystore, image), tiling
 
 
 # ---------------------------------------------------------------------------

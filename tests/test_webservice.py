@@ -236,7 +236,7 @@ class TestWebloadDifferential:
         assert result.honest_pass
         assert {o.machine for o in result.honest_audits} == \
             {"web-server", "web-client"}
-        assert all(o.fallback_reason is None for o in result.honest_audits)
+        assert all(o.chunks >= 1 for o in result.honest_audits)
 
     def test_cheat_detected_with_verified_evidence(self, result):
         assert result.cheat_detected
