@@ -17,7 +17,7 @@ from repro.crypto.keys import KeyPair, KeyStore
 from repro.crypto.signatures import BatchVerifyResult
 from repro.errors import LogFormatError
 from repro.log.entries import EntryType, encode_content, send_content
-from repro.log.hashchain import link_hash
+from repro.log.hashchain import entry_link_hash, link_hash
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,14 @@ class Authenticator:
         """The byte string covered by the signature: ``s_i || h_i``."""
         return signed_payload(self.sequence, self.chain_hash)
 
+    def implied_chain_hash(self) -> bytes:
+        """The ``h_i`` that follows from the advertised ``h_{i-1}`` and fields."""
+        return link_hash(self.previous_hash, self.sequence,
+                         self.entry_type.encode("utf-8"), self.content_hash)
+
     def is_consistent(self) -> bool:
-        """Whether ``h_i`` follows from the advertised ``h_{i-1}`` and fields."""
-        return self.chain_hash == link_hash(
-            self.previous_hash, self.sequence,
-            self.entry_type.encode("utf-8"), self.content_hash)
+        """Whether ``chain_hash`` is the one the other fields imply."""
+        return self.chain_hash == self.implied_chain_hash()
 
     def verify(self, keystore: KeyStore) -> bool:
         """Verify the signature and internal consistency of the authenticator."""
@@ -143,12 +146,11 @@ def committed_authenticator(machine: str, sequence: int, previous_hash: bytes,
     The result verifies exactly when ``machine`` signed this content at this
     position of its log — a valid authenticator for any other entry fails.
     """
-    type_name = entry_type.wire_name
     return Authenticator(
         machine=machine, sequence=sequence, signature=signature,
-        chain_hash=link_hash(previous_hash, sequence,
-                             type_name.encode("utf-8"), content_hash),
-        previous_hash=previous_hash, entry_type=type_name,
+        chain_hash=entry_link_hash(previous_hash, sequence, entry_type,
+                                   content_hash),
+        previous_hash=previous_hash, entry_type=entry_type.wire_name,
         content_hash=content_hash)
 
 

@@ -3,20 +3,20 @@
 Every byte of tamper-evident log that crosses a machine boundary — shipped to
 the archive service, stored in a segment file, or streamed to an auditor —
 goes through a :class:`LogCodec`.  A codec owns one *wire format*, named by an
-integer ``format_version`` and an 8-byte magic, and provides four layers of
+integer ``format_version`` and an 8-byte magic, and provides two layers of
 API:
 
-* **entry level** — :meth:`~LogCodec.encode_entry` / :meth:`~LogCodec.
-  decode_entry` turn one :class:`~repro.log.entries.LogEntry` into its wire
-  payload and back;
-* **framing** — :meth:`~LogCodec.frame` wraps a payload into a
-  self-delimiting frame and :meth:`~LogCodec.iter_frames` splits a decoded
-  segment body back into payloads;
 * **segment level** — :meth:`~LogCodec.encode_segment` / :meth:`~LogCodec.
   decode_segment` handle a whole :class:`~repro.log.segments.LogSegment`
-  (header + frames);
+  (header + rows or frames);
 * **streaming** — :meth:`~LogCodec.stream_decoder` returns an incremental
   decoder that yields entries as byte chunks arrive, in O(chunk) memory.
+
+Rows and frames are private to each format: what one of them leaves out
+follows from the one before it (v1 delta counters and dense sequence
+numbers, and in v1 and v3 the hash chain itself — ``h`` / ``p`` are written
+only at *chain breaks*, where they differ from what the reader recomputes),
+so a row means nothing outside its segment.
 
 Three formats are registered:
 
@@ -36,7 +36,8 @@ Three formats are registered:
   :mod:`repro.log.entries` — seed the entry without being parsed, deferring
   materialization to first ``content`` access), and the header carries a
   flags byte enabling optional per-frame ``zlib`` level-1 compression (on
-  by default for archives, off for latency-critical decode paths).
+  by default for archives, off for latency-critical decode paths) and —
+  flag bit 1, what this writer always sets — frames without the chain.
 
 The registry (:func:`get_codec`, :func:`codec_for_data`) keys codecs by
 ``format_version`` and sniffs stored blobs by magic; every
@@ -72,15 +73,18 @@ from typing import (
     Union,
 )
 
+from repro.crypto import hashing
 from repro.errors import LogFormatError
 from repro.log.entries import (
     EntryType,
     LogEntry,
     count_materialization,
     decode_content,
+    encode_content,
     lazy_entry,
     seed_encoded_content,
 )
+from repro.log.hashchain import entry_link_hash
 from repro.log.segments import LogSegment
 
 __all__ = [
@@ -114,12 +118,9 @@ MAGIC_LENGTH = 8
 class LogCodec:
     """One wire format for tamper-evident log segments.
 
-    Codec instances are cheap and *stateful at the entry level*: the v1
-    row codec delta-encodes execution counters across
-    :meth:`encode_entry` / :meth:`decode_entry` calls, so use a fresh
-    instance (``get_codec(version)``) per segment.  The segment-level
-    methods reset their own state and are safe to call repeatedly on one
-    instance.
+    Codec instances are cheap and carry no per-segment state: every
+    :meth:`encode_segment` / :meth:`decode_segment` call and every stream
+    decoder starts its own delta and chain state from the segment header.
     """
 
     #: integer wire-format version (the registry key)
@@ -128,27 +129,6 @@ class LogCodec:
     MAGIC: ClassVar[bytes]
     #: archive segment-file suffix for this format
     SUFFIX: ClassVar[str]
-
-    # -- entry level ---------------------------------------------------------
-
-    def encode_entry(self, entry: LogEntry) -> bytes:
-        """One entry's wire payload (no framing)."""
-        raise NotImplementedError
-
-    def decode_entry(self, payload: Union[bytes, memoryview]) -> LogEntry:
-        """Inverse of :meth:`encode_entry` (same instance, same order)."""
-        raise NotImplementedError
-
-    # -- framing -------------------------------------------------------------
-
-    def frame(self, payload: bytes) -> bytes:
-        """Wrap one payload into a self-delimiting frame."""
-        raise NotImplementedError
-
-    def iter_frames(self, body: Union[bytes, memoryview]
-                    ) -> Iterator[Union[bytes, memoryview]]:
-        """Split a segment body (everything after the header) into payloads."""
-        raise NotImplementedError
 
     # -- segment level -------------------------------------------------------
 
@@ -212,11 +192,8 @@ def require_format_version(value, *, what: str = "log",
 
 
 def get_codec(format_version: int) -> LogCodec:
-    """A fresh codec instance for ``format_version``.
-
-    Fresh because entry-level encode/decode carries per-segment state
-    (delta counters); raises :class:`LogFormatError` for unknown versions.
-    """
+    """A codec instance for ``format_version``; raises
+    :class:`LogFormatError` for unknown versions."""
     require_format_version(format_version, what="log codec")
     return _REGISTRY[format_version]()
 
@@ -271,32 +248,43 @@ class _StreamDecoderBase:
 # format_version=1 — the VMM-specific JSON pre-pass + bzip2 pipeline
 # ---------------------------------------------------------------------------
 #
-# One entry <-> one compact JSON row.  The row codec carries the
-# delta-encoding state (previous execution counter, previous sequence number)
-# across rows, so the whole-segment encoder and the streaming
-# encoder/decoder produce and consume *identical* rows: the streaming paths
-# are byte-exact with the materializing ones by construction.
+# One entry <-> one compact JSON row.  The row codec carries what a row leaves
+# out (execution-counter delta, dense sequence number, the hash chain) from
+# row to row, so the whole-segment decoder and the streaming decoder consume
+# *identical* rows: the streaming path is byte-exact with the materializing
+# one by construction.
 
 def _encode_v1_header(machine: str, start_hash: bytes) -> Dict:
     return {"machine": machine, "start_hash": start_hash.hex()}
 
 
-class _RowCodec:
-    """Stateful per-entry row encoder/decoder (delta counters, dense seqs)."""
+def _dump_compact(value) -> bytes:
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
-    def __init__(self) -> None:
-        self._encode_counter = 0
-        self._encode_sequence: Optional[int] = None
-        self._decode_counter = 0
-        self._decode_sequence: Optional[int] = None
+
+class _RowCodec:
+    """Stateful row encoder *or* decoder for one segment, rows in order."""
+
+    def __init__(self, start_hash: bytes) -> None:
+        self._counter = 0
+        self._sequence: Optional[int] = None
+        self._chain = start_hash  # chain hash of the row before
+
+    @classmethod
+    def for_header(cls, header: Dict) -> "_RowCodec":
+        try:
+            return cls(bytes.fromhex(header["start_hash"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
 
     def encode_row(self, entry: LogEntry) -> Dict:
         row: Dict = {"t": entry.entry_type.wire_name}
         # Sequence numbers are dense; store only breaks in density.
-        if not (self._encode_sequence is not None
-                and entry.sequence == self._encode_sequence + 1):
+        if not (self._sequence is not None
+                and entry.sequence == self._sequence + 1):
             row["s"] = entry.sequence
-        self._encode_sequence = entry.sequence
+        self._sequence = entry.sequence
         # Timestamps are bookkeeping only; store them verbatim so the
         # round-trip is bit-exact (they still compress well under bzip2).
         if entry.timestamp:
@@ -304,38 +292,56 @@ class _RowCodec:
         content = dict(entry.content)
         # Execution counters in replay entries are monotone; delta-encode.
         counter = content.get("execution_counter")
-        if isinstance(counter, int):
-            row["dc"] = counter - self._encode_counter
-            self._encode_counter = counter
+        if type(counter) is int:
+            row["dc"] = counter - self._counter
+            self._counter = counter
             content.pop("execution_counter")
         row["c"] = content
-        # Chain hashes are recomputable from content during decode *only*
-        # if we keep them; we keep them (lossless requirement) but they
-        # compress well under bzip2 because they are high-entropy anyway.
-        row["h"] = entry.chain_hash.hex()
-        row["p"] = entry.previous_hash.hex()
+        # The chain follows from the rows; store only its breaks.  Every
+        # reader recomputes it anyway and pins it to signed authenticators,
+        # and 64 random bytes per row are what bzip2 cannot shrink.  A
+        # tampered log keeps its wrong hashes, exactly where they are wrong.
+        if entry.previous_hash != self._chain:
+            row["p"] = entry.previous_hash.hex()
+        if entry.chain_hash != entry_link_hash(
+                entry.previous_hash, entry.sequence, entry.entry_type,
+                entry.canonical_content_hash()):
+            row["h"] = entry.chain_hash.hex()
+        self._chain = entry.chain_hash
         return row
 
     def decode_row(self, row: Dict) -> LogEntry:
-        if "s" in row:
-            sequence = row["s"]
-        else:
-            sequence = (self._decode_sequence + 1
-                        if self._decode_sequence is not None else 1)
-        self._decode_sequence = sequence
-        content = dict(row["c"])
-        if "dc" in row:
-            self._decode_counter += row["dc"]
-            content["execution_counter"] = self._decode_counter
-        count_materialization()
-        return LogEntry(
-            sequence=sequence,
-            entry_type=EntryType(row["t"]),
-            content=content,
-            chain_hash=bytes.fromhex(row["h"]),
-            previous_hash=bytes.fromhex(row["p"]),
-            timestamp=float(row.get("ts", 0.0)),
-        )
+        try:
+            if "s" in row:
+                sequence = row["s"]
+            else:
+                sequence = (self._sequence + 1
+                            if self._sequence is not None else 1)
+            self._sequence = sequence
+            content = dict(row["c"])
+            if "dc" in row:
+                self._counter += row["dc"]
+                content["execution_counter"] = self._counter
+            count_materialization()
+            entry_type = EntryType(row["t"])
+            previous = bytes.fromhex(row["p"]) if "p" in row else self._chain
+            encoded = content_hash = None
+            if "h" in row:
+                self._chain = bytes.fromhex(row["h"])
+            else:
+                encoded = encode_content(content)
+                content_hash = hashing.hash_bytes(encoded)
+                self._chain = entry_link_hash(previous, sequence, entry_type,
+                                              content_hash)
+            entry = LogEntry(sequence=sequence, entry_type=entry_type,
+                             content=content, chain_hash=self._chain,
+                             previous_hash=previous,
+                             timestamp=float(row.get("ts", 0.0)))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise LogFormatError(f"corrupt v1 log row: {exc}") from exc
+        if encoded is not None:
+            seed_encoded_content(entry, encoded, content_hash, canonical=True)
+        return entry
 
 
 @register_codec
@@ -346,57 +352,16 @@ class JsonBz2Codec(LogCodec):
     MAGIC = b"AVMLOGZ1"
     SUFFIX = ".avmlogz"
 
-    def __init__(self) -> None:
-        self._rows = _RowCodec()
-
-    # -- entry level ---------------------------------------------------------
-
-    def encode_entry(self, entry: LogEntry) -> bytes:
-        row = self._rows.encode_row(entry)
-        return json.dumps(row, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-
-    def decode_entry(self, payload: Union[bytes, memoryview]) -> LogEntry:
-        try:
-            row = json.loads(bytes(payload).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise LogFormatError(f"corrupt v1 log row: {exc}") from exc
-        if not isinstance(row, dict):
-            raise LogFormatError("corrupt v1 log row: not an object")
-        try:
-            return self._rows.decode_row(row)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise LogFormatError(f"corrupt v1 log row: {exc}") from exc
-
-    # -- framing -------------------------------------------------------------
-    #
-    # v1 rows are elements of one JSON array, so they are self-delimiting by
-    # the JSON grammar: frame() is the identity and iter_frames() re-splits
-    # the (decompressed) blob body with a C-level raw_decode scan.
-
-    def frame(self, payload: bytes) -> bytes:
-        return payload
-
-    def iter_frames(self, body: Union[bytes, memoryview]
-                    ) -> Iterator[bytes]:
-        text = bytes(body).decode("utf-8")
-        scanner = _BlobScanner()
-        for row in scanner.feed(text):
-            yield json.dumps(row, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-        scanner.finish()
-
-    # -- segment level -------------------------------------------------------
+    @staticmethod
+    def prepass(segment: LogSegment) -> bytes:
+        """The VMM-specific pre-pass: what bzip2 is then run over."""
+        rows = _RowCodec(segment.start_hash)
+        return _dump_compact({
+            "header": _encode_v1_header(segment.machine, segment.start_hash),
+            "rows": [rows.encode_row(entry) for entry in segment.entries]})
 
     def encode_segment(self, segment: LogSegment) -> bytes:
-        rows_codec = _RowCodec()
-        rows = [rows_codec.encode_row(entry) for entry in segment.entries]
-        blob = {"header": _encode_v1_header(segment.machine,
-                                            segment.start_hash),
-                "rows": rows}
-        encoded = json.dumps(blob, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-        return self.MAGIC + bz2.compress(encoded, 9)
+        return self.MAGIC + bz2.compress(self.prepass(segment), 9)
 
     def decode_segment(self, data: Union[bytes, memoryview]) -> LogSegment:
         data = bytes(data)
@@ -413,18 +378,17 @@ class JsonBz2Codec(LogCodec):
         # byte for byte and the streaming decoder requires exactly this.
         if not decompressor.eof or decompressor.unused_data \
                 or not (isinstance(blob, dict) and blob.keys() == {"header", "rows"}) \
-                or json.dumps(blob, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8") != encoded:
+                or _dump_compact(blob) != encoded:
             raise LogFormatError(
                 "corrupt VMM-encoded log: not one canonical bzip2-JSON stream")
         try:
             header = blob["header"]
-            rows_codec = _RowCodec()
-            entries = [rows_codec.decode_row(row) for row in blob["rows"]]
+            rows = _RowCodec.for_header(header)
             return LogSegment(machine=str(header["machine"]),
                               start_hash=bytes.fromhex(header["start_hash"]),
-                              entries=entries)
-        except (KeyError, ValueError, TypeError) as exc:
+                              entries=[rows.decode_row(row)
+                                       for row in blob["rows"]])
+        except (KeyError, TypeError) as exc:
             raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
 
     def stream_decoder(self) -> "_JsonStreamDecoder":
@@ -443,12 +407,9 @@ class _JsonStreamDecoder(_StreamDecoderBase):
     :class:`LogFormatError`, exactly like the materializing decoder would.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._codec = _RowCodec()
-
     def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
         chunk_iter = iter(chunks)
+        rows: Optional[_RowCodec] = None
         magic_buffer = b""
         magic = JsonBz2Codec.MAGIC
         while len(magic_buffer) < len(magic):
@@ -464,17 +425,20 @@ class _JsonStreamDecoder(_StreamDecoderBase):
         scanner = _BlobScanner()
 
         def feed(compressed: bytes) -> Iterator[LogEntry]:
+            nonlocal rows
             if not compressed:
                 return
             text = utf8.decode(decompressor.decompress(compressed))
             for row in scanner.feed(text):
                 # The header precedes the first row in the encoded blob, so
                 # it is available before (not merely after) any entry is
-                # yielded — callers validate metadata up front.
-                if self.header is None:
+                # yielded — callers validate metadata up front, and the
+                # chain starts from its ``start_hash``.
+                if rows is None:
                     self.header = scanner.header
+                    rows = _RowCodec.for_header(self.header)
                 self.entry_count += 1
-                yield self._codec.decode_row(row)
+                yield rows.decode_row(row)
             if self.header is None and scanner.header is not None:
                 self.header = scanner.header
 
@@ -611,29 +575,47 @@ class _BlobScanner:
 
 
 # ---------------------------------------------------------------------------
-# format_version=2 — struct-packed binary, length-prefixed, zero-copy decode
+# format_version=2 and 3 — struct-packed binary, length-prefixed frames
 # ---------------------------------------------------------------------------
 #
 # Layout (all integers little-endian, documented field by field in
 # docs/log-format.md):
 #
-#   magic     8s   b"AVMLOGB2"
-#   header    <HH  format_version (=2), machine_len
+#   magic     8s   b"AVMLOGB2" / b"AVMLOGT3"
+#   header    <HH  format_version, machine_len
 #             machine_len bytes of UTF-8 machine name
 #             32s  start_hash
+#             <B   flags — v3 only (bit 0: frames are zlib level-1
+#                  compressed; bit 1: frames leave the chain out)
 #             <I   entry_count
-#   frame*    <I   payload_len, then payload_len payload bytes
-#   payload   <QBd32s32sI  sequence, entry-type tag, timestamp, chain_hash,
-#                          previous_hash, content_len
-#             content_len bytes: the entry content's *canonical* encoding
-#             (repro.log.entries.encode_content), verbatim
+#   frame*    <I   stored_len, then stored_len stored bytes — the entry
+#             payload verbatim, or (v3, flag bit 0) its zlib level-1 deflate
+#   payload   explicit (v2; v3 without flag bit 1):
+#               <QBd32s32sI  sequence, entry-type tag, timestamp, chain_hash,
+#                            previous_hash, content_len
+#             chain left out (v3 with flag bit 1 — what the writer writes):
+#               <QBdI        sequence, entry-type tag | presence bits,
+#                            timestamp, content_len
+#               32s          chain_hash, only if tag bit 7 is set
+#               32s          previous_hash, only if tag bit 6 is set
+#             then content_len bytes: the entry content's *canonical*
+#             encoding (repro.log.entries.encode_content — typed tag or JSON
+#             fallback), verbatim
 #
 # The content bytes are exactly what the hash chain covers (h_i commits to
 # H(content bytes)), so decode seeds the entry's encoded-content cache with
 # them and chain verification never re-canonicalises: a tampered or
 # non-canonical content serialisation hashes differently and fails the chain
 # check, which is the same tamper-evidence argument the JSON format relies
-# on.
+# on.  v2 parses the content eagerly.  v3 never parses it during decode: the
+# entry is constructed lazily (repro.log.entries.lazy_entry) and materializes
+# its dict only when a consumer reads ``content``; chain verification,
+# authenticator checks and cost accounting touch only ``encoded_content()``,
+# so a verification-only pass performs zero content parses.  A v3 frame that
+# leaves a hash out has it recomputed over those same verbatim bytes (still
+# no parse): ``previous_hash`` is the chain hash of the frame before (the
+# header's ``start_hash`` for the first), ``chain_hash`` follows from it by
+# the chain formula — so only a chain *break* costs bytes.
 
 #: fixed entry-type tag table — wire-stable, append-only
 _TYPE_TAGS: Dict[EntryType, int] = {
@@ -652,289 +634,86 @@ _TAG_TYPES: Dict[int, EntryType] = {tag: entry_type
                                     for entry_type, tag in _TYPE_TAGS.items()}
 
 _V2_FIXED = struct.Struct("<QBd32s32sI")
+_V3_FIXED = struct.Struct("<QBdI")
 _V2_HEADER_PREFIX = struct.Struct("<HH")
 _V2_LENGTH = struct.Struct("<I")
 _HASH_LENGTH = 32
+#: v3 header flag bit 0 — every frame body is zlib.compress(payload, 1)
+V3_FLAG_COMPRESSED = 0x01
+#: v3 header flag bit 1 — frames use the ``_V3_FIXED`` layout: ``h`` / ``p``
+#: only where the tag byte's presence bits say so (a pre-flag reader rejects
+#: the header, typed, instead of misreading the frames)
+V3_FLAG_CHAIN_BREAKS_ONLY = 0x02
+_TAG_HAS_CHAIN_HASH = 0x80
+_TAG_HAS_PREVIOUS_HASH = 0x40
 
 
-@register_codec
-class BinaryCodec(LogCodec):
-    """``format_version=2``: packed binary frames, zero-copy decode."""
-
-    format_version = 2
-    MAGIC = b"AVMLOGB2"
-    SUFFIX = ".avmlogb"
-
-    # -- entry level ---------------------------------------------------------
-
-    def encode_entry(self, entry: LogEntry) -> bytes:
-        tag = _TYPE_TAGS.get(entry.entry_type)
-        if tag is None:  # pragma: no cover - the tag table covers the enum
-            raise LogFormatError(
-                f"no v2 wire tag for entry type {entry.entry_type!r}")
-        content = entry.encoded_content()
-        if len(entry.chain_hash) != _HASH_LENGTH \
-                or len(entry.previous_hash) != _HASH_LENGTH:
-            raise LogFormatError(
-                f"entry {entry.sequence} carries a non-{_HASH_LENGTH}-byte "
-                f"chain hash")
+def _pack_payload(entry: LogEntry,
+                  running: Optional[bytes] = None) -> bytes:
+    """One entry's frame payload: explicit layout, or — ``running`` being the
+    chain hash of the frame before — the layout that stores chain breaks."""
+    tag = _TYPE_TAGS[entry.entry_type]
+    content = entry.encoded_content()
+    if len(entry.chain_hash) != _HASH_LENGTH \
+            or len(entry.previous_hash) != _HASH_LENGTH:
+        raise LogFormatError(
+            f"entry {entry.sequence} carries a non-{_HASH_LENGTH}-byte "
+            f"chain hash")
+    if running is None:
         return _V2_FIXED.pack(entry.sequence, tag, entry.timestamp,
                               entry.chain_hash, entry.previous_hash,
                               len(content)) + content
-
-    def decode_entry(self, payload: Union[bytes, memoryview]) -> LogEntry:
-        size = len(payload)
-        if size < _V2_FIXED.size:
-            raise LogFormatError(
-                f"binary log frame too short ({size} bytes)")
-        try:
-            sequence, tag, timestamp, chain_hash, previous_hash, content_len \
-                = _V2_FIXED.unpack_from(payload, 0)
-        except struct.error as exc:  # pragma: no cover - length checked above
-            raise LogFormatError(f"corrupt binary log frame: {exc}") from exc
-        if _V2_FIXED.size + content_len != size:
-            raise LogFormatError(
-                f"binary log frame advertises {content_len} content bytes "
-                f"but carries {size - _V2_FIXED.size}")
-        entry_type = _TAG_TYPES.get(tag)
-        if entry_type is None:
-            raise LogFormatError(f"unknown binary entry-type tag {tag}")
-        content_bytes = bytes(payload[_V2_FIXED.size:])
-        try:
-            content = decode_content(content_bytes)
-        except LogFormatError as exc:
-            raise LogFormatError(
-                f"binary log frame carries undecodable content: {exc}") from exc
-        count_materialization()
-        entry = LogEntry(sequence=sequence, entry_type=entry_type,
-                         content=content, chain_hash=chain_hash,
-                         previous_hash=previous_hash, timestamp=timestamp)
-        # The chain hash commits to H(content bytes); seeding the cache with
-        # the wire bytes means verification hashes them directly — tampered
-        # or non-canonical bytes fail the chain check, never pass silently.
-        seed_encoded_content(entry, content_bytes)
-        return entry
-
-    # -- framing -------------------------------------------------------------
-
-    def frame(self, payload: bytes) -> bytes:
-        return _V2_LENGTH.pack(len(payload)) + payload
-
-    def iter_frames(self, body: Union[bytes, memoryview]
-                    ) -> Iterator[memoryview]:
-        view = memoryview(body)
-        position = 0
-        total = len(view)
-        while position < total:
-            if total - position < _V2_LENGTH.size:
-                raise LogFormatError(
-                    "truncated binary log (dangling frame length)")
-            (length,) = _V2_LENGTH.unpack_from(view, position)
-            position += _V2_LENGTH.size
-            if total - position < length:
-                raise LogFormatError(
-                    "truncated binary log (frame shorter than advertised)")
-            yield view[position:position + length]
-            position += length
-
-    # -- segment level -------------------------------------------------------
-
-    def encode_segment(self, segment: LogSegment) -> bytes:
-        parts = [self.MAGIC, self._pack_header(segment.machine,
-                                               segment.start_hash,
-                                               len(segment.entries))]
-        pack_length = _V2_LENGTH.pack
-        append = parts.append
-        for entry in segment.entries:
-            payload = self.encode_entry(entry)
-            append(pack_length(len(payload)))
-            append(payload)
-        return b"".join(parts)
-
-    def decode_segment(self, data: Union[bytes, memoryview]) -> LogSegment:
-        view = memoryview(data)
-        if bytes(view[:MAGIC_LENGTH]) != self.MAGIC:
-            raise LogFormatError("not a binary log segment (bad magic)")
-        machine, start_hash, entry_count, body_start = \
-            self._unpack_header(view)
-        entries: List[LogEntry] = []
-        for payload in self.iter_frames(view[body_start:]):
-            entries.append(self.decode_entry(payload))
-        if len(entries) != entry_count:
-            raise LogFormatError(
-                f"entry count mismatch: header says {entry_count}, "
-                f"found {len(entries)}")
-        return LogSegment(machine=machine, start_hash=start_hash,
-                          entries=entries)
-
-    def stream_decoder(self) -> "_BinaryStreamDecoder":
-        return _BinaryStreamDecoder()
-
-    # -- header helpers ------------------------------------------------------
-
-    @staticmethod
-    def _pack_header(machine: str, start_hash: bytes,
-                     entry_count: int) -> bytes:
-        machine_bytes = machine.encode("utf-8")
-        if len(machine_bytes) > 0xFFFF:
-            raise LogFormatError("machine name too long for the v2 header")
-        if len(start_hash) != _HASH_LENGTH:
-            raise LogFormatError(
-                f"start hash must be {_HASH_LENGTH} bytes")
-        return (_V2_HEADER_PREFIX.pack(BinaryCodec.format_version,
-                                       len(machine_bytes))
-                + machine_bytes + start_hash
-                + _V2_LENGTH.pack(entry_count))
-
-    @staticmethod
-    def _unpack_header(view: memoryview):
-        """Parse the post-magic header; returns machine, hash, count, offset.
-
-        Raises :class:`LogFormatError` when the buffer cannot possibly hold
-        the full header (callers with partial buffers check
-        :meth:`_header_size_hint` first).
-        """
-        offset = MAGIC_LENGTH
-        if len(view) < offset + _V2_HEADER_PREFIX.size:
-            raise LogFormatError("truncated binary log header")
-        version, machine_len = _V2_HEADER_PREFIX.unpack_from(view, offset)
-        require_format_version(version, what="binary log segment",
-                               supported=(BinaryCodec.format_version,))
-        offset += _V2_HEADER_PREFIX.size
-        end = offset + machine_len + _HASH_LENGTH + _V2_LENGTH.size
-        if len(view) < end:
-            raise LogFormatError("truncated binary log header")
-        try:
-            machine = bytes(view[offset:offset + machine_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LogFormatError(
-                f"binary log header machine name is not UTF-8: {exc}") from exc
-        offset += machine_len
-        start_hash = bytes(view[offset:offset + _HASH_LENGTH])
-        offset += _HASH_LENGTH
-        (entry_count,) = _V2_LENGTH.unpack_from(view, offset)
-        return machine, start_hash, entry_count, end
-
-    @staticmethod
-    def _header_size_hint(buffer: Union[bytes, bytearray]) -> Optional[int]:
-        """Total header size once enough bytes are buffered, else ``None``."""
-        need = MAGIC_LENGTH + _V2_HEADER_PREFIX.size
-        if len(buffer) < need:
-            return None
-        _, machine_len = _V2_HEADER_PREFIX.unpack_from(buffer, MAGIC_LENGTH)
-        return need + machine_len + _HASH_LENGTH + _V2_LENGTH.size
+    hashes = b""
+    if entry.chain_hash != entry_link_hash(
+            entry.previous_hash, entry.sequence, entry.entry_type,
+            entry.content_hash()):
+        tag |= _TAG_HAS_CHAIN_HASH
+        hashes = entry.chain_hash
+    if entry.previous_hash != running:
+        tag |= _TAG_HAS_PREVIOUS_HASH
+        hashes += entry.previous_hash
+    return _V3_FIXED.pack(entry.sequence, tag, entry.timestamp,
+                          len(content)) + hashes + content
 
 
-class _BinaryStreamDecoder(_StreamDecoderBase):
-    """Incrementally decode a v2 segment from a byte stream, zero-copy.
-
-    Complete frames are unpacked with ``struct.unpack_from`` straight out of
-    the accumulation buffer through a :class:`memoryview` — no per-frame
-    slice copies; the only copy is the content bytes that outlive the buffer
-    (they seed the entry's encoded-content cache).  Consumed prefixes are
-    compacted away after every chunk, so peak memory is one chunk plus one
-    partial frame.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._declared_count: Optional[int] = None
-
-    def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
-        codec = BinaryCodec()
-        buffer = bytearray()
-        header_done = False
-        for piece in chunks:
-            buffer += piece
-            if not header_done:
-                if len(buffer) >= MAGIC_LENGTH \
-                        and not buffer.startswith(BinaryCodec.MAGIC):
-                    raise LogFormatError(
-                        "not a binary log segment (bad magic)")
-                header_size = BinaryCodec._header_size_hint(buffer)
-                if header_size is None or len(buffer) < header_size:
-                    continue
-                machine, start_hash, count, _ = \
-                    BinaryCodec._unpack_header(memoryview(buffer))
-                self.header = _encode_v1_header(machine, start_hash)
-                self._declared_count = count
-                del buffer[:header_size]
-                header_done = True
-            # Drain every complete frame currently buffered.  The views are
-            # created and dropped inside _drain_frames, so the compaction
-            # (and the next chunk append) never hits an exported buffer.
-            for entry in self._drain_frames(codec, buffer):
-                self.entry_count += 1
-                yield entry
-        if not header_done:
-            if len(buffer) >= MAGIC_LENGTH \
-                    and not buffer.startswith(BinaryCodec.MAGIC):
-                raise LogFormatError("not a binary log segment (bad magic)")
-            raise LogFormatError("truncated binary log header")
-        if buffer:
-            raise LogFormatError(
-                "truncated binary log (stream ended mid-frame)")
-        if self._declared_count is not None \
-                and self.entry_count != self._declared_count:
-            raise LogFormatError(
-                f"entry count mismatch: header says {self._declared_count}, "
-                f"found {self.entry_count}")
-
-    @staticmethod
-    def _drain_frames(codec: BinaryCodec,
-                      buffer: bytearray) -> List[LogEntry]:
-        drained: List[LogEntry] = []
-        position = 0
-        total = len(buffer)
-        view = memoryview(buffer)
-        try:
-            while total - position >= _V2_LENGTH.size:
-                (length,) = _V2_LENGTH.unpack_from(view, position)
-                if total - position - _V2_LENGTH.size < length:
-                    break
-                start = position + _V2_LENGTH.size
-                drained.append(codec.decode_entry(view[start:start + length]))
-                position = start + length
-        finally:
-            view.release()
-        if position:
-            del buffer[:position]
-        return drained
-
-
-# ---------------------------------------------------------------------------
-# format_version=3 — typed content, lazy decode, optional zlib frames
-# ---------------------------------------------------------------------------
-#
-# Layout (all integers little-endian, documented field by field in
-# docs/log-format.md):
-#
-#   magic     8s   b"AVMLOGT3"
-#   header    <HH  format_version (=3), machine_len
-#             machine_len bytes of UTF-8 machine name
-#             32s  start_hash
-#             <B   flags (bit 0: frames are zlib level-1 compressed)
-#             <I   entry_count
-#   frame*    <I   stored_len, then stored_len stored bytes — the entry
-#             payload verbatim, or its zlib level-1 deflate when flag bit 0
-#             is set
-#   payload   <QBd32s32sI  sequence, entry-type tag, timestamp, chain_hash,
-#                          previous_hash, content_len
-#             content_len bytes: the entry content's *canonical* encoding
-#             (repro.log.entries.encode_content — typed tag or JSON
-#             fallback), verbatim
-#
-# Same tamper-evidence argument as v2 — the chain hash commits to
-# H(content bytes) and decode seeds the cache with the wire bytes — but the
-# content bytes are never parsed during decode: the entry is constructed
-# lazily (repro.log.entries.lazy_entry) and materializes its dict only when
-# a consumer reads ``content``.  Chain verification, authenticator checks
-# and cost accounting touch only ``encoded_content()``, so a
-# verification-only pass performs zero content parses.
-
-_V3_FLAGS = struct.Struct("<B")
-#: v3 header flag bit 0 — every frame body is zlib.compress(payload, 1)
-V3_FLAG_COMPRESSED = 0x01
+def _unpack_payload(payload: Union[bytes, memoryview], what: str,
+                    running: Optional[bytes] = None) -> tuple:
+    """Inverse of :func:`_pack_payload` (``running``: as there), as the
+    arguments of :func:`~repro.log.entries.lazy_entry`: the content stays
+    the verbatim wire bytes, hashed only if a left-out hash needed it."""
+    fixed = _V2_FIXED if running is None else _V3_FIXED
+    size = len(payload)
+    if size < fixed.size:
+        raise LogFormatError(f"{what} log frame too short ({size} bytes)")
+    offset = fixed.size
+    if running is None:
+        sequence, tag, timestamp, chain_hash, previous_hash, content_len \
+            = fixed.unpack_from(payload, 0)
+    else:
+        sequence, tag, timestamp, content_len = fixed.unpack_from(payload, 0)
+        chain_hash, previous_hash = None, running
+        if tag & _TAG_HAS_CHAIN_HASH:
+            chain_hash = bytes(payload[offset:offset + _HASH_LENGTH])
+            offset += _HASH_LENGTH
+        if tag & _TAG_HAS_PREVIOUS_HASH:
+            previous_hash = bytes(payload[offset:offset + _HASH_LENGTH])
+            offset += _HASH_LENGTH
+        tag &= ~(_TAG_HAS_CHAIN_HASH | _TAG_HAS_PREVIOUS_HASH)
+    if offset + content_len != size:
+        raise LogFormatError(
+            f"{what} log frame advertises {content_len} content bytes "
+            f"but carries {size - offset}")
+    entry_type = _TAG_TYPES.get(tag)
+    if entry_type is None:
+        raise LogFormatError(f"unknown binary entry-type tag {tag}")
+    content_bytes = bytes(payload[offset:])
+    content_hash = None
+    if chain_hash is None:
+        content_hash = hashing.hash_bytes(content_bytes)
+        chain_hash = entry_link_hash(previous_hash, sequence, entry_type,
+                                     content_hash)
+    return (sequence, entry_type, content_bytes, chain_hash, previous_hash,
+            timestamp, content_hash)
 
 
 def _inflate_frame(raw: Union[bytes, memoryview]) -> bytes:
@@ -953,128 +732,107 @@ def _inflate_frame(raw: Union[bytes, memoryview]) -> bytes:
     return payload
 
 
-def _iter_length_prefixed(body: Union[bytes, memoryview],
-                          what: str = "typed") -> Iterator[memoryview]:
-    view = memoryview(body)
-    position = 0
-    total = len(view)
-    while position < total:
-        if total - position < _V2_LENGTH.size:
-            raise LogFormatError(
-                f"truncated {what} log (dangling frame length)")
-        (length,) = _V2_LENGTH.unpack_from(view, position)
-        position += _V2_LENGTH.size
-        if total - position < length:
-            raise LogFormatError(
-                f"truncated {what} log (frame shorter than advertised)")
-        yield view[position:position + length]
-        position += length
+class _FramedCodec(LogCodec):
+    """What v2 and v3 share: the header, the length-prefixed frames, and one
+    decode loop each for a whole blob and for a byte stream."""
 
+    #: "binary" / "typed" — how error messages name the format
+    _WHAT: ClassVar[str]
+    #: the header flag bits a reader accepts; ``None``: no flags byte (v2)
+    _KNOWN_FLAGS: ClassVar[Optional[int]] = None
 
-@register_codec
-class TypedCodec(LogCodec):
-    """``format_version=3``: typed content frames, lazy materialization.
+    def _payloads(self, segment: LogSegment) -> Iterator[bytes]:
+        """The stored frame bodies of ``segment``, in order."""
+        raise NotImplementedError
 
-    ``compress=True`` (the default, what archives and shippers get from
-    ``get_codec(3)``) deflates every frame with zlib level 1 — cheap to
-    produce, and it wins back the stored-bytes regression the uncompressed
-    v2 format paid relative to v1's bzip2 pipeline.  Pass ``compress=False``
-    for raw frames when decode latency matters more than storage (the codec
-    benchmark's decode path).  Decoding honours the *header* flag, whatever
-    the instance was constructed with.
-    """
+    @classmethod
+    def _payload_decoder(cls, flags: int, start_hash: bytes):
+        """``stored frame body -> LogEntry`` for one segment, frames in
+        order (it carries the chain state a frame may lean on)."""
+        raise NotImplementedError
 
-    format_version = 3
-    MAGIC = b"AVMLOGT3"
-    SUFFIX = ".avmlogt"
-
-    def __init__(self, compress: bool = True) -> None:
-        self._compress = compress
-
-    # -- entry level ---------------------------------------------------------
-
-    def encode_entry(self, entry: LogEntry) -> bytes:
-        tag = _TYPE_TAGS.get(entry.entry_type)
-        if tag is None:  # pragma: no cover - the tag table covers the enum
-            raise LogFormatError(
-                f"no v3 wire tag for entry type {entry.entry_type!r}")
-        content = entry.encoded_content()
-        if len(entry.chain_hash) != _HASH_LENGTH \
-                or len(entry.previous_hash) != _HASH_LENGTH:
-            raise LogFormatError(
-                f"entry {entry.sequence} carries a non-{_HASH_LENGTH}-byte "
-                f"chain hash")
-        return _V2_FIXED.pack(entry.sequence, tag, entry.timestamp,
-                              entry.chain_hash, entry.previous_hash,
-                              len(content)) + content
-
-    def decode_entry(self, payload: Union[bytes, memoryview]) -> LogEntry:
-        size = len(payload)
-        if size < _V2_FIXED.size:
-            raise LogFormatError(
-                f"typed log frame too short ({size} bytes)")
-        sequence, tag, timestamp, chain_hash, previous_hash, content_len \
-            = _V2_FIXED.unpack_from(payload, 0)
-        if _V2_FIXED.size + content_len != size:
-            raise LogFormatError(
-                f"typed log frame advertises {content_len} content bytes "
-                f"but carries {size - _V2_FIXED.size}")
-        entry_type = _TAG_TYPES.get(tag)
-        if entry_type is None:
-            raise LogFormatError(f"unknown binary entry-type tag {tag}")
-        # No content parse here: the verbatim canonical bytes seed the
-        # entry, and materialization is deferred to first content access.
-        return lazy_entry(sequence=sequence, entry_type=entry_type,
-                          encoded_content=bytes(payload[_V2_FIXED.size:]),
-                          chain_hash=chain_hash,
-                          previous_hash=previous_hash,
-                          timestamp=timestamp)
-
-    # -- framing -------------------------------------------------------------
-
-    def frame(self, payload: bytes) -> bytes:
-        if self._compress:
-            payload = zlib.compress(payload, 1)
-        return _V2_LENGTH.pack(len(payload)) + payload
-
-    def iter_frames(self, body: Union[bytes, memoryview]
-                    ) -> Iterator[Union[bytes, memoryview]]:
-        if self._compress:
-            for raw in _iter_length_prefixed(body):
-                yield _inflate_frame(raw)
-        else:
-            yield from _iter_length_prefixed(body)
-
-    # -- segment level -------------------------------------------------------
+    def _header_flags(self) -> bytes:
+        """The header's flags byte as this writer sets it (v2 has none)."""
+        return b""
 
     def encode_segment(self, segment: LogSegment) -> bytes:
-        flags = V3_FLAG_COMPRESSED if self._compress else 0
-        parts = [self.MAGIC, self._pack_header(segment.machine,
-                                               segment.start_hash,
-                                               len(segment.entries), flags)]
+        machine_bytes = segment.machine.encode("utf-8")
+        if len(machine_bytes) > 0xFFFF:
+            raise LogFormatError(
+                f"machine name too long for the v{self.format_version} header")
+        if len(segment.start_hash) != _HASH_LENGTH:
+            raise LogFormatError(f"start hash must be {_HASH_LENGTH} bytes")
+        parts = [self.MAGIC,
+                 _V2_HEADER_PREFIX.pack(self.format_version, len(machine_bytes)),
+                 machine_bytes, segment.start_hash, self._header_flags(),
+                 _V2_LENGTH.pack(len(segment.entries))]
         pack_length = _V2_LENGTH.pack
-        deflate = zlib.compress if self._compress else None
-        append = parts.append
-        for entry in segment.entries:
-            payload = self.encode_entry(entry)
-            if deflate is not None:
-                payload = deflate(payload, 1)
-            append(pack_length(len(payload)))
-            append(payload)
+        for payload in self._payloads(segment):
+            parts.append(pack_length(len(payload)))
+            parts.append(payload)
         return b"".join(parts)
+
+    @classmethod
+    def _header_size(cls, buffer: Union[bytes, bytearray, memoryview]
+                     ) -> Optional[int]:
+        """Total header size once enough bytes are buffered, else ``None``."""
+        need = MAGIC_LENGTH + _V2_HEADER_PREFIX.size
+        if len(buffer) < need:
+            return None
+        _, machine_len = _V2_HEADER_PREFIX.unpack_from(buffer, MAGIC_LENGTH)
+        return need + machine_len + _HASH_LENGTH + _V2_LENGTH.size \
+            + (0 if cls._KNOWN_FLAGS is None else 1)
+
+    @classmethod
+    def _unpack_header(cls, view: memoryview):
+        """Parse magic + header; returns machine, start hash, flags, entry
+        count and the offset of the first frame."""
+        if bytes(view[:MAGIC_LENGTH]) != cls.MAGIC:
+            raise LogFormatError(f"not a {cls._WHAT} log segment (bad magic)")
+        end = cls._header_size(view)
+        if end is None or len(view) < end:
+            raise LogFormatError(f"truncated {cls._WHAT} log header")
+        version, machine_len = _V2_HEADER_PREFIX.unpack_from(view, MAGIC_LENGTH)
+        require_format_version(version, what=f"{cls._WHAT} log segment",
+                               supported=(cls.format_version,))
+        offset = MAGIC_LENGTH + _V2_HEADER_PREFIX.size
+        try:
+            machine = bytes(view[offset:offset + machine_len]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(
+                f"{cls._WHAT} log header machine name is not UTF-8: "
+                f"{exc}") from exc
+        offset += machine_len
+        start_hash = bytes(view[offset:offset + _HASH_LENGTH])
+        flags = 0
+        if cls._KNOWN_FLAGS is not None:
+            flags = view[offset + _HASH_LENGTH]
+            if flags & ~cls._KNOWN_FLAGS:
+                raise LogFormatError(
+                    f"unknown v{cls.format_version} header flags "
+                    f"0x{flags:02x}")
+        (entry_count,) = _V2_LENGTH.unpack_from(view, end - _V2_LENGTH.size)
+        return machine, start_hash, flags, entry_count, end
 
     def decode_segment(self, data: Union[bytes, memoryview]) -> LogSegment:
         view = memoryview(data)
-        if bytes(view[:MAGIC_LENGTH]) != self.MAGIC:
-            raise LogFormatError("not a typed log segment (bad magic)")
-        machine, start_hash, flags, entry_count, body_start = \
+        machine, start_hash, flags, entry_count, position = \
             self._unpack_header(view)
-        # Honour the stored flag: a codec constructed either way decodes
-        # blobs written either way.
-        self._compress = bool(flags & V3_FLAG_COMPRESSED)
+        decode = self._payload_decoder(flags, start_hash)
         entries: List[LogEntry] = []
-        for payload in self.iter_frames(view[body_start:]):
-            entries.append(self.decode_entry(payload))
+        total = len(view)
+        while position < total:
+            if total - position < _V2_LENGTH.size:
+                raise LogFormatError(
+                    f"truncated {self._WHAT} log (dangling frame length)")
+            (length,) = _V2_LENGTH.unpack_from(view, position)
+            position += _V2_LENGTH.size
+            if total - position < length:
+                raise LogFormatError(
+                    f"truncated {self._WHAT} log (frame shorter than "
+                    f"advertised)")
+            entries.append(decode(view[position:position + length]))
+            position += length
         if len(entries) != entry_count:
             raise LogFormatError(
                 f"entry count mismatch: header says {entry_count}, "
@@ -1082,127 +840,159 @@ class TypedCodec(LogCodec):
         return LogSegment(machine=machine, start_hash=start_hash,
                           entries=entries)
 
+    def stream_decoder(self) -> "_FramedStreamDecoder":
+        return _FramedStreamDecoder(type(self))
+
+
+@register_codec
+class BinaryCodec(_FramedCodec):
+    """``format_version=2``: packed binary frames, zero-copy decode."""
+
+    format_version = 2
+    MAGIC = b"AVMLOGB2"
+    SUFFIX = ".avmlogb"
+    _WHAT = "binary"
+
+    def _payloads(self, segment: LogSegment) -> Iterator[bytes]:
+        return map(_pack_payload, segment.entries)
+
+    @classmethod
+    def _payload_decoder(cls, flags: int, start_hash: bytes):
+        return cls._eager_entry
+
+    @staticmethod
+    def _eager_entry(raw: Union[bytes, memoryview]) -> LogEntry:
+        sequence, entry_type, content_bytes, chain_hash, previous_hash, \
+            timestamp, _ = _unpack_payload(raw, "binary")
+        try:
+            content = decode_content(content_bytes)
+        except LogFormatError as exc:
+            raise LogFormatError(
+                f"binary log frame carries undecodable content: {exc}") from exc
+        count_materialization()
+        entry = LogEntry(sequence=sequence, entry_type=entry_type,
+                         content=content, chain_hash=chain_hash,
+                         previous_hash=previous_hash, timestamp=timestamp)
+        # The chain hash commits to H(content bytes); seeding the cache with
+        # the wire bytes means verification hashes them directly — tampered
+        # or non-canonical bytes fail the chain check, never pass silently.
+        seed_encoded_content(entry, content_bytes)
+        return entry
+
+
+@register_codec
+class TypedCodec(_FramedCodec):
+    """``format_version=3``: typed content frames, lazy materialization.
+
+    ``compress=True`` (the default, what archives and shippers get from
+    ``get_codec(3)``) deflates every frame with zlib level 1 — cheap to
+    produce, and it wins back the stored-bytes regression the uncompressed
+    v2 format paid relative to v1's bzip2 pipeline.  Pass ``compress=False``
+    for raw frames when decode latency matters more than storage (the codec
+    benchmark's decode path).  Decoding honours the *header* flags, whatever
+    the instance was constructed with — including blobs written before
+    frames could leave the chain out.
+    """
+
+    format_version = 3
+    MAGIC = b"AVMLOGT3"
+    SUFFIX = ".avmlogt"
+    _WHAT = "typed"
+    _KNOWN_FLAGS = V3_FLAG_COMPRESSED | V3_FLAG_CHAIN_BREAKS_ONLY
+
+    def __init__(self, compress: bool = True) -> None:
+        self._compress = compress
+
+    def _header_flags(self) -> bytes:
+        return bytes((V3_FLAG_CHAIN_BREAKS_ONLY
+                      | (V3_FLAG_COMPRESSED if self._compress else 0),))
+
+    def _payloads(self, segment: LogSegment) -> Iterator[bytes]:
+        running = segment.start_hash
+        for entry in segment.entries:
+            payload = _pack_payload(entry, running)
+            running = entry.chain_hash
+            yield zlib.compress(payload, 1) if self._compress else payload
+
+    @classmethod
+    def _payload_decoder(cls, flags: int, start_hash: bytes):
+        running = start_hash if flags & V3_FLAG_CHAIN_BREAKS_ONLY else None
+        compressed = flags & V3_FLAG_COMPRESSED
+
+        def decode(raw: Union[bytes, memoryview]) -> LogEntry:
+            nonlocal running
+            # No content parse here: the verbatim canonical bytes seed the
+            # entry, and materialization is deferred to first content access.
+            entry = lazy_entry(*_unpack_payload(
+                _inflate_frame(raw) if compressed else raw, "typed", running))
+            if running is not None:
+                running = entry.chain_hash
+            return entry
+        return decode
+
     def writes_layout_of(self, data: Union[bytes, memoryview]) -> bool:
         if not super().writes_layout_of(data):
             return False
         flags = self._unpack_header(memoryview(data))[2]
         return bool(flags & V3_FLAG_COMPRESSED) == self._compress
 
-    def stream_decoder(self) -> "_TypedStreamDecoder":
-        return _TypedStreamDecoder()
 
-    # -- header helpers ------------------------------------------------------
+class _FramedStreamDecoder(_StreamDecoderBase):
+    """Incrementally decode a v2 or v3 segment from a byte stream, zero-copy.
 
-    @staticmethod
-    def _pack_header(machine: str, start_hash: bytes, entry_count: int,
-                     flags: int) -> bytes:
-        machine_bytes = machine.encode("utf-8")
-        if len(machine_bytes) > 0xFFFF:
-            raise LogFormatError("machine name too long for the v3 header")
-        if len(start_hash) != _HASH_LENGTH:
-            raise LogFormatError(
-                f"start hash must be {_HASH_LENGTH} bytes")
-        return (_V2_HEADER_PREFIX.pack(TypedCodec.format_version,
-                                       len(machine_bytes))
-                + machine_bytes + start_hash + _V3_FLAGS.pack(flags)
-                + _V2_LENGTH.pack(entry_count))
-
-    @staticmethod
-    def _unpack_header(view: memoryview):
-        """Parse the post-magic header; returns machine, hash, flags, count, offset."""
-        offset = MAGIC_LENGTH
-        if len(view) < offset + _V2_HEADER_PREFIX.size:
-            raise LogFormatError("truncated typed log header")
-        version, machine_len = _V2_HEADER_PREFIX.unpack_from(view, offset)
-        require_format_version(version, what="typed log segment",
-                               supported=(TypedCodec.format_version,))
-        offset += _V2_HEADER_PREFIX.size
-        end = offset + machine_len + _HASH_LENGTH + _V3_FLAGS.size \
-            + _V2_LENGTH.size
-        if len(view) < end:
-            raise LogFormatError("truncated typed log header")
-        try:
-            machine = bytes(view[offset:offset + machine_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LogFormatError(
-                f"typed log header machine name is not UTF-8: {exc}") from exc
-        offset += machine_len
-        start_hash = bytes(view[offset:offset + _HASH_LENGTH])
-        offset += _HASH_LENGTH
-        (flags,) = _V3_FLAGS.unpack_from(view, offset)
-        if flags & ~V3_FLAG_COMPRESSED:
-            raise LogFormatError(f"unknown v3 header flags 0x{flags:02x}")
-        offset += _V3_FLAGS.size
-        (entry_count,) = _V2_LENGTH.unpack_from(view, offset)
-        return machine, start_hash, flags, entry_count, end
-
-    @staticmethod
-    def _header_size_hint(buffer: Union[bytes, bytearray]) -> Optional[int]:
-        """Total header size once enough bytes are buffered, else ``None``."""
-        need = MAGIC_LENGTH + _V2_HEADER_PREFIX.size
-        if len(buffer) < need:
-            return None
-        _, machine_len = _V2_HEADER_PREFIX.unpack_from(buffer, MAGIC_LENGTH)
-        return need + machine_len + _HASH_LENGTH + _V3_FLAGS.size \
-            + _V2_LENGTH.size
-
-
-class _TypedStreamDecoder(_StreamDecoderBase):
-    """Incrementally decode a v3 segment from a byte stream.
-
-    Identical buffering strategy to :class:`_BinaryStreamDecoder` — complete
-    frames are unpacked straight out of the accumulation buffer through a
-    :class:`memoryview`, consumed prefixes are compacted away — plus the v3
-    specifics: the header flags select per-frame inflation, and entries come
-    out lazy (content bytes seeded, not parsed).
+    Complete frames are unpacked with ``struct.unpack_from`` straight out of
+    the accumulation buffer through a :class:`memoryview` — no per-frame
+    slice copies; the only copy is the content bytes that outlive the buffer
+    (they seed the entry's encoded-content cache).  Consumed prefixes are
+    compacted away after every chunk, so peak memory is one chunk plus one
+    partial frame.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, codec_class: Type[_FramedCodec]) -> None:
         super().__init__()
-        self._declared_count: Optional[int] = None
-        self._compressed = False
+        self._codec_class = codec_class
 
     def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
-        codec = TypedCodec()
+        codec, what = self._codec_class, self._codec_class._WHAT
         buffer = bytearray()
-        header_done = False
+        declared_count = 0
+        decode = None
         for piece in chunks:
             buffer += piece
-            if not header_done:
+            if decode is None:
                 if len(buffer) >= MAGIC_LENGTH \
-                        and not buffer.startswith(TypedCodec.MAGIC):
-                    raise LogFormatError(
-                        "not a typed log segment (bad magic)")
-                header_size = TypedCodec._header_size_hint(buffer)
+                        and not buffer.startswith(codec.MAGIC):
+                    break
+                header_size = codec._header_size(buffer)
                 if header_size is None or len(buffer) < header_size:
                     continue
-                machine, start_hash, flags, count, _ = \
-                    TypedCodec._unpack_header(memoryview(buffer))
+                with memoryview(buffer) as view:
+                    machine, start_hash, flags, declared_count, _ = \
+                        codec._unpack_header(view)
                 self.header = _encode_v1_header(machine, start_hash)
-                self._declared_count = count
-                self._compressed = bool(flags & V3_FLAG_COMPRESSED)
+                decode = codec._payload_decoder(flags, start_hash)
                 del buffer[:header_size]
-                header_done = True
-            for entry in self._drain_frames(codec, buffer, self._compressed):
+            # Drain every complete frame currently buffered.  The views are
+            # created and dropped inside _drain_frames, so the compaction
+            # (and the next chunk append) never hits an exported buffer.
+            for entry in self._drain_frames(decode, buffer):
                 self.entry_count += 1
                 yield entry
-        if not header_done:
+        if decode is None:
             if len(buffer) >= MAGIC_LENGTH \
-                    and not buffer.startswith(TypedCodec.MAGIC):
-                raise LogFormatError("not a typed log segment (bad magic)")
-            raise LogFormatError("truncated typed log header")
+                    and not buffer.startswith(codec.MAGIC):
+                raise LogFormatError(f"not a {what} log segment (bad magic)")
+            raise LogFormatError(f"truncated {what} log header")
         if buffer:
             raise LogFormatError(
-                "truncated typed log (stream ended mid-frame)")
-        if self._declared_count is not None \
-                and self.entry_count != self._declared_count:
+                f"truncated {what} log (stream ended mid-frame)")
+        if self.entry_count != declared_count:
             raise LogFormatError(
-                f"entry count mismatch: header says {self._declared_count}, "
+                f"entry count mismatch: header says {declared_count}, "
                 f"found {self.entry_count}")
 
     @staticmethod
-    def _drain_frames(codec: TypedCodec, buffer: bytearray,
-                      compressed: bool) -> List[LogEntry]:
+    def _drain_frames(decode, buffer: bytearray) -> List[LogEntry]:
         drained: List[LogEntry] = []
         position = 0
         total = len(buffer)
@@ -1215,12 +1005,7 @@ class _TypedStreamDecoder(_StreamDecoderBase):
                 start = position + _V2_LENGTH.size
                 # Keep the slice a temporary: a lingering local would hold a
                 # buffer export and break the compaction below.
-                if compressed:
-                    drained.append(codec.decode_entry(
-                        _inflate_frame(view[start:start + length])))
-                else:
-                    drained.append(codec.decode_entry(
-                        view[start:start + length]))
+                drained.append(decode(view[start:start + length]))
                 position = start + length
         finally:
             view.release()

@@ -21,13 +21,13 @@ streams *any* registered format by sniffing the magic.
 from __future__ import annotations
 
 import bz2
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.log.codec import (
     JsonBz2Codec,
     SegmentStreamDecoder,
+    _dump_compact,
     _encode_v1_header,
     _RowCodec,
 )
@@ -98,13 +98,7 @@ class VmmLogCompressor:
         from repro.log.storage import segment_to_bytes
 
         raw = segment_to_bytes(segment)
-        codec = _RowCodec()
-        rows = [codec.encode_row(entry) for entry in segment.entries]
-        blob = {"header": _encode_v1_header(segment.machine,
-                                            segment.start_hash),
-                "rows": rows}
-        encoded = json.dumps(blob, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
+        encoded = JsonBz2Codec.prepass(segment)
         compressed = self.MAGIC + bzip2_compress(encoded)
         return CompressionStats(raw_bytes=len(raw),
                                 vmm_encoded_bytes=len(encoded),
@@ -135,12 +129,11 @@ class IncrementalCompressionMeter:
     def __init__(self, machine: str, start_hash: bytes, level: int = 9) -> None:
         self._compressor = bz2.BZ2Compressor(level)
         self._count = len(VmmLogCompressor.MAGIC)
-        self._codec = _RowCodec()
+        self._codec = _RowCodec(start_hash)
         self._first_row = True
         self.raw_bytes = 0
-        header = json.dumps(_encode_v1_header(machine, start_hash),
-                            sort_keys=True, separators=(",", ":"))
-        self._feed(f'{{"header":{header},"rows":['.encode("utf-8"))
+        header = _dump_compact(_encode_v1_header(machine, start_hash))
+        self._feed(b'{"header":' + header + b',"rows":[')
 
     def _feed(self, data: bytes) -> None:
         self._count += len(self._compressor.compress(data))
@@ -161,10 +154,10 @@ class IncrementalCompressionMeter:
         rows = [self._codec.encode_row(entry) for entry in entries]
         if not rows:
             return
-        joined = json.dumps(rows, sort_keys=True, separators=(",", ":"))[1:-1]
-        prefix = "" if self._first_row else ","
+        joined = _dump_compact(rows)[1:-1]
+        prefix = b"" if self._first_row else b","
         self._first_row = False
-        self._feed(f"{prefix}{joined}".encode("utf-8"))
+        self._feed(prefix + joined)
         self.raw_bytes += sum(entry.size_bytes() for entry in entries)
 
     def finish(self) -> int:

@@ -82,12 +82,26 @@ class LogEntry:
         cached = self.__dict__.get("_encoded_content")
         if cached is None:
             cached = encode_content(self.content)
-            object.__setattr__(self, "_encoded_content", cached)
+            seed_encoded_content(self, cached, canonical=True)
         return cached
 
     def content_hash(self) -> bytes:
-        """Hash of the canonical encoding of the entry content."""
-        return hashing.hash_bytes(self.encoded_content())
+        """Hash of the cached content encoding, memoised beside it (same
+        non-field cache, so ``dataclasses.replace`` drops both)."""
+        cached = self.__dict__.get("_content_hash")
+        if cached is None:
+            cached = hashing.hash_bytes(self.encoded_content())
+            self.__dict__["_content_hash"] = cached
+        return cached
+
+    def canonical_content_hash(self) -> bytes:
+        """``H(encode_content(content))`` — what a reader that rebuilds the
+        entry from its content *dict* (a v1 row) will hash.  It is
+        :meth:`content_hash` unless the cache holds wire bytes nobody
+        re-canonicalised (a legacy canonical-JSON log, a forged frame)."""
+        if self.__dict__.get("_canonical", True):
+            return self.content_hash()
+        return hashing.hash_bytes(encode_content(self.content))
 
     def size_bytes(self) -> int:
         """Approximate on-disk size of the entry (content + fixed overhead)."""
@@ -137,16 +151,22 @@ class LogEntry:
         raise AttributeError(name)
 
 
-def seed_encoded_content(entry: LogEntry, data: bytes) -> None:
+def seed_encoded_content(entry: LogEntry, data: bytes,
+                         content_hash: Optional[bytes] = None,
+                         canonical: bool = False) -> None:
     """Pre-populate ``entry``'s encoded-content cache with known-good bytes.
 
     Used by writers that just produced the canonical encoding (the recorder
-    hashes it into the chain as the entry is appended) and by the binary
-    codec, whose wire frames carry the canonical bytes verbatim — chain
-    verification then hashes exactly the bytes that came off the wire, so a
-    non-canonical or tampered serialisation can never verify.
+    hashes it into the chain as the entry is appended — ``canonical=True``)
+    and by the binary codecs, whose wire frames carry the canonical bytes
+    verbatim — chain verification then hashes exactly the bytes that came off
+    the wire, so a non-canonical or tampered serialisation can never verify.
+    ``content_hash`` is ``H(data)`` when the caller already computed it.
     """
-    object.__setattr__(entry, "_encoded_content", bytes(data))
+    cache = entry.__dict__
+    cache["_encoded_content"] = bytes(data)
+    cache["_content_hash"] = content_hash
+    cache["_canonical"] = canonical
 
 
 class _MaterializationStats:
@@ -180,22 +200,22 @@ def count_materialization() -> None:
 
 def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
                chain_hash: bytes, previous_hash: bytes,
-               timestamp: float = 0.0) -> LogEntry:
+               timestamp: float = 0.0,
+               content_hash: Optional[bytes] = None) -> LogEntry:
     """Construct a :class:`LogEntry` whose content is parsed on first access.
 
-    The verbatim canonical bytes are seeded into the encoded-content cache;
-    ``entry.content`` stays unset until a consumer reads it, at which point
-    :meth:`LogEntry.__getattr__` decodes the cached bytes.  Hash-chain and
-    authenticator verification operate on ``encoded_content()`` alone, so a
-    verification-only pass performs zero content parses.
+    The verbatim canonical bytes are seeded into the encoded-content cache
+    (with their hash, when the decoder computed it to fill an elided chain
+    hash); ``entry.content`` stays unset until a consumer reads it, at which
+    point :meth:`LogEntry.__getattr__` decodes the cached bytes.  Hash-chain
+    and authenticator verification operate on ``encoded_content()`` alone, so
+    a verification-only pass performs zero content parses.
     """
     entry = LogEntry.__new__(LogEntry)
-    object.__setattr__(entry, "sequence", sequence)
-    object.__setattr__(entry, "entry_type", entry_type)
-    object.__setattr__(entry, "chain_hash", chain_hash)
-    object.__setattr__(entry, "previous_hash", previous_hash)
-    object.__setattr__(entry, "timestamp", timestamp)
-    object.__setattr__(entry, "_encoded_content", bytes(encoded_content))
+    entry.__dict__.update(sequence=sequence, entry_type=entry_type,
+                          chain_hash=chain_hash, previous_hash=previous_hash,
+                          timestamp=timestamp)
+    seed_encoded_content(entry, encoded_content, content_hash)
     return entry
 
 

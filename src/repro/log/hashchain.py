@@ -45,17 +45,26 @@ def link_hash(previous_hash: bytes, sequence: int, type_name: bytes,
                                type_name, content_hash)
 
 
+def entry_link_hash(previous_hash: bytes, sequence: int,
+                    entry_type: EntryType, content_hash: bytes) -> bytes:
+    """:func:`link_hash` for an :class:`EntryType` (its wire name encoded
+    once) — what the recorder, the verifier and the codecs that leave the
+    chain out of the bytes all compute."""
+    return link_hash(previous_hash, sequence, _WIRE_NAME_BYTES[entry_type],
+                     content_hash)
+
+
 def chain_hash(previous_hash: bytes, sequence: int, entry_type: EntryType,
                content: dict) -> bytes:
     """Compute ``h_i`` from ``h_{i-1}`` and the entry fields."""
-    return link_hash(previous_hash, sequence, _WIRE_NAME_BYTES[entry_type],
-                     hashing.hash_bytes(encode_content(content)))
+    return entry_link_hash(previous_hash, sequence, entry_type,
+                           hashing.hash_bytes(encode_content(content)))
 
 
 def _expected_chain_hash(previous_hash: bytes, entry: LogEntry) -> bytes:
     """``h_i`` for an existing entry, using its cached content encoding."""
-    return link_hash(previous_hash, entry.sequence,
-                     _WIRE_NAME_BYTES[entry.entry_type], entry.content_hash())
+    return entry_link_hash(previous_hash, entry.sequence, entry.entry_type,
+                           entry.content_hash())
 
 
 def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
@@ -77,12 +86,11 @@ def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
         legacy = encode_content_json(entry.content)
     except LogFormatError:
         return False
-    expected = link_hash(previous_hash, entry.sequence,
-                         _WIRE_NAME_BYTES[entry.entry_type],
-                         hashing.hash_bytes(legacy))
-    if expected != entry.chain_hash:
+    legacy_hash = hashing.hash_bytes(legacy)
+    if entry_link_hash(previous_hash, entry.sequence, entry.entry_type,
+                       legacy_hash) != entry.chain_hash:
         return False
-    seed_encoded_content(entry, legacy)
+    seed_encoded_content(entry, legacy, legacy_hash)
     return True
 
 

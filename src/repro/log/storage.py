@@ -10,6 +10,7 @@ by a header object.  JSON keeps the format debuggable; the compression module
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Union
 
@@ -161,10 +162,19 @@ def _iter_entries(handle: IO[str]) -> Iterator[LogEntry]:
 
 
 def authenticators_to_bytes(authenticators: Iterable[Authenticator]) -> bytes:
-    """Serialise a collection of authenticators to JSON-lines bytes."""
+    """Serialise a collection of authenticators to JSON-lines bytes.
+
+    ``chain_hash`` is written only where it does *not* follow from the fields
+    beside it (:meth:`Authenticator.is_consistent`): the reader recomputes a
+    consistent one, and a forged one survives storage as forged.
+    """
     lines = [json.dumps({"format_version": _FORMAT_VERSION, "kind": "authenticators"},
                         sort_keys=True)]
-    lines.extend(json.dumps(auth.to_dict(), sort_keys=True) for auth in authenticators)
+    for auth in authenticators:
+        row = auth.to_dict()
+        if auth.is_consistent():
+            del row["chain_hash"]
+        lines.append(json.dumps(row, sort_keys=True))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -191,7 +201,13 @@ def authenticators_from_bytes(data: bytes) -> List[Authenticator]:
         if not line.strip():
             continue
         try:
-            result.append(Authenticator.from_dict(json.loads(line)))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"bad authenticator line: {exc}") from exc
+        if isinstance(row, dict) and "chain_hash" not in row:
+            auth = Authenticator.from_dict({**row, "chain_hash": ""})
+            auth = replace(auth, chain_hash=auth.implied_chain_hash())
+        else:
+            auth = Authenticator.from_dict(row)
+        result.append(auth)
     return result

@@ -20,7 +20,7 @@ from repro.log.entries import (
     encode_content,
     seed_encoded_content,
 )
-from repro.log.hashchain import chain_hash, link_hash
+from repro.log.hashchain import chain_hash, entry_link_hash
 from repro.log.segments import LogSegment
 
 
@@ -69,9 +69,9 @@ class TamperEvidentLog:
         previous = self._current_hash
         stored_content = dict(content)
         encoded = encode_content(stored_content)
-        new_hash = link_hash(previous, sequence,
-                             entry_type.wire_name.encode("utf-8"),
-                             hashing.hash_bytes(encoded))
+        content_hash = hashing.hash_bytes(encoded)
+        new_hash = entry_link_hash(previous, sequence, entry_type,
+                                   content_hash)
         entry = LogEntry(
             sequence=sequence,
             entry_type=entry_type,
@@ -81,8 +81,9 @@ class TamperEvidentLog:
             timestamp=self._clock(),
         )
         # The chain hash above committed to exactly these bytes; cache them
-        # so verification and shipping never re-canonicalise the content.
-        seed_encoded_content(entry, encoded)
+        # and their hash so verification, authenticators and shipping never
+        # re-canonicalise or re-hash the content.
+        seed_encoded_content(entry, encoded, content_hash, canonical=True)
         self._entries.append(entry)
         self._current_hash = new_hash
         self._next_sequence += 1

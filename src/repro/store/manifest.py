@@ -257,7 +257,10 @@ class Manifest:
         """Atomically (re)write the manifest under ``root``."""
         root = Path(root)
         path = root / MANIFEST_NAME
-        data = json.dumps(self.to_dict(), sort_keys=True, indent=1).encode("utf-8")
+        # Compact, so the C encoder does it: the manifest is rewritten at
+        # every commit, and ``indent`` would force json's pure-Python path.
+        data = json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         return atomic_write(path, data)
 
     @staticmethod

@@ -16,15 +16,19 @@ from __future__ import annotations
 import bz2
 import json
 import shutil
+import struct
+import zlib
 
 import pytest
 
 from repro.audit.stream import stream_audit
-from repro.audit.verdict import Verdict
-from repro.errors import LogFormatError
+from repro.audit.verdict import AuditPhase, Verdict
+from repro.errors import ArchiveIntegrityError
 from repro.experiments.parallel_audit import build_fleet
-from repro.log.codec import (get_codec, modelled_compressed_log_bytes,
+from repro.log.codec import (MAGIC_LENGTH, TypedCodec, get_codec,
+                             modelled_compressed_log_bytes,
                              sniff_format_version)
+from repro.log.entries import decode_content, encode_content
 from repro.log.storage import segment_to_bytes
 from repro.network.message import MessageKind, NetworkMessage
 from repro.service.ingest import AuditIngestService
@@ -278,3 +282,86 @@ class TestStoredFileTamper:
         assert excinfo.type.__module__.startswith("repro") or \
             isinstance(excinfo.value, (OSError, EOFError, ValueError)), \
             f"unexpected escape: {excinfo.value!r}"
+
+
+def _rewrite_stored_content(data: bytes, index: int) -> bytes:
+    """What an attacker with write access to a segment file can do to a
+    short-form blob: alter entry ``index``'s content bytes and re-compress
+    validly, touching nothing else (there is no stored hash to fix up)."""
+    if sniff_format_version(data) == 1:
+        blob = json.loads(bz2.decompress(data[MAGIC_LENGTH:]))
+        assert not {"h", "p"} & blob["rows"][index].keys()
+        blob["rows"][index]["c"]["rewritten"] = 1
+        return data[:MAGIC_LENGTH] + bz2.compress(json.dumps(
+            blob, sort_keys=True, separators=(",", ":")).encode("utf-8"), 9)
+    position = TypedCodec._header_size(data)
+    for _ in range(index):
+        position += 4 + struct.unpack_from("<I", data, position)[0]
+    (length,) = struct.unpack_from("<I", data, position)
+    payload = zlib.decompress(data[position + 4:position + 4 + length])
+    sequence, tag, timestamp, _ = struct.unpack_from("<QBdI", payload)
+    assert not tag & 0xC0
+    content = encode_content({**decode_content(payload[21:]), "rewritten": 1})
+    frame = zlib.compress(struct.pack("<QBdI", sequence, tag, timestamp,
+                                      len(content)) + content, 1)
+    return (data[:position] + struct.pack("<I", len(frame)) + frame
+            + data[position + 4 + length:])
+
+
+class TestStoredContentRewrite:
+    """Stored content altered behind a valid compression stream.
+
+    While every row carried its own ``h`` the rewrite failed the chain check
+    *at that entry*.  Now the row decodes into a self-consistent chain — a
+    different one — and is refused at the next **pinned** hash instead: the
+    manifest's ``end_hash`` when the segment is read, or, if the manifest was
+    rewritten to match, the first signed authenticator at or after it.
+    Either way before any verdict on the machine's behaviour.
+    """
+
+    @pytest.mark.parametrize("format_version", [1, 3])
+    def test_refused_at_the_next_pinned_hash(self, recorded_fleet, v3_root,
+                                             tmp_path, format_version):
+        fleet, root = recorded_fleet
+        work_root = tmp_path / f"rewrite-v{format_version}"
+        shutil.copytree(root if format_version == 1 else v3_root, work_root)
+        machine = fleet.machines[0]
+        archive = LogArchive(work_root)
+        # The machine's last segment, at an entry a peer holds a signature
+        # for: no later file has to be rewritten for the manifest to tile.
+        record = archive.segment_records(machine)[-1]
+        committed = {auth.sequence
+                     for auth in archive.authenticators_for(machine)}
+        index = next(i for i, entry
+                     in enumerate(archive.read_segment(record).entries)
+                     if entry.sequence in committed)
+        path = work_root / record.file_name
+        path.write_bytes(_rewrite_stored_content(path.read_bytes(), index))
+        forked = get_codec(format_version).decode_segment(path.read_bytes())
+        forked.verify_hash_chain()  # nothing *inside* the file contradicts it
+        assert forked.end_hash != record.end_hash
+
+        # 1. Manifest intact: refused at its end hash, on both read paths
+        #    and therefore by every audit front-end.
+        archive = LogArchive(work_root)
+        with pytest.raises(ArchiveIntegrityError, match="manifest record"):
+            archive.read_segment(record)
+        with pytest.raises(ArchiveIntegrityError, match="manifest record"):
+            list(archive.stream_segment(record))
+        for streaming in (False, True):
+            with pytest.raises(ArchiveIntegrityError):
+                _audit_all(fleet, work_root, streaming)
+
+        # 2. Manifest rewritten to match: the archive opens clean, and the
+        #    audit convicts at the authenticator check.
+        manifest_path = work_root / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        for stored in manifest["segments"]:
+            if stored["file"] == record.file_name:
+                stored["end_hash"] = forked.end_hash.hex()
+        manifest_path.write_text(json.dumps(manifest))
+        assert LogArchive(work_root).recovery.clean
+        for streaming in (False, True):
+            result = _audit_all(fleet, work_root, streaming)[machine]
+            assert result.verdict is Verdict.FAIL
+            assert result.phase is AuditPhase.AUTHENTICATOR_CHECK

@@ -150,9 +150,9 @@ class TestFigure9:
         assert data_fractions == sorted(data_fractions)
         # Fixed per-chunk cost: a 1-segment chunk still costs a visible fraction.
         assert result.points[0].avg_data_fraction > 0.0
-        # The full-audit baseline's compressed download, pinned at the commit
-        # before the experiment (not the audit) started pricing it.
-        assert result.full_audit_bytes == 546086
+        # The full-audit baseline's compressed download: what the v1 writer
+        # stores for the log.
+        assert result.full_audit_bytes == 235666
 
 
 class TestSection65:
@@ -171,9 +171,9 @@ class TestSection66And67:
         assert result.semantic_seconds > result.syntactic_seconds
         assert result.semantic_seconds > result.compression_seconds
         assert 0.5 < result.semantic_fraction_of_recording < 2.0
-        # Pinned at the commit before the experiment (not the audit) started
-        # pricing the compressed download.
-        assert (result.log_bytes, result.compressed_bytes) == (319972, 191370)
+        # The raw size is the log's; the compressed size is what the v1
+        # writer stores for it.
+        assert (result.log_bytes, result.compressed_bytes) == (319972, 58461)
 
     @pytest.mark.slow
     def test_traffic_overhead(self):

@@ -117,6 +117,35 @@ class TestStorage:
         restored = authenticators_from_bytes(authenticators_to_bytes(auths))
         assert restored[0].to_dict() == auths[0].to_dict()
 
+    def test_stored_batch_keeps_chain_hash_only_where_it_is_forged(self, ca):
+        """Same rule as the log rows: ``chain_hash`` follows from the fields
+        beside it, so only an authenticator whose does *not* stores one."""
+        import json
+        from dataclasses import replace
+        log = TamperEvidentLog("alice", keypair=ca.issue("alice"))
+        for index in range(3):
+            log.append(EntryType.NONDET, nondet_content("x", index))
+        honest = [log.authenticator_for(entry) for entry in log.entries]
+        forged = replace(honest[1], chain_hash=bytes(32))
+        batch = [honest[0], forged, honest[2]]
+        data = authenticators_to_bytes(batch)
+        rows = [json.loads(line) for line in data.splitlines()[1:]]
+        assert ["chain_hash" in row for row in rows] == [False, True, False]
+        restored = authenticators_from_bytes(data)
+        assert restored == batch
+        assert [auth.is_consistent() for auth in restored] == \
+            [True, False, True]
+        # A batch stored before the rule (every chain hash written) loads.
+        lines = [data.splitlines()[0].decode()] + [
+            json.dumps(auth.to_dict(), sort_keys=True) for auth in batch]
+        assert authenticators_from_bytes(
+            ("\n".join(lines) + "\n").encode()) == batch
+        # A row missing a field the hash is derived from is still malformed.
+        del rows[0]["content_hash"]
+        with pytest.raises(LogFormatError, match="malformed authenticator"):
+            authenticators_from_bytes(
+                (lines[0] + "\n" + json.dumps(rows[0]) + "\n").encode())
+
     def test_authenticator_rejects_wrong_kind(self):
         with pytest.raises(LogFormatError):
             authenticators_from_bytes(b'{"kind": "log_segment"}\n')

@@ -121,9 +121,10 @@ class TestHonestCoverageAccounting:
 
 
 class TestReportedTransferFigures:
-    """The Figure 9 quantities, pinned at the commit before the cost model
-    stopped compressing on the audit path: the checker prices each chunk's
-    compressed download itself, and every figure it prints is unchanged."""
+    """The Figure 9 quantities, pinned: the checker prices each chunk's
+    compressed download itself (``modelled_compressed_log_bytes`` — *what
+    the v1 writer stores*, so these move only when that writer does;
+    CHANGES.md records each re-pin) plus the boundary snapshot."""
 
     @pytest.fixture(params=["serial", "engine"])
     def engine(self, request):
@@ -143,11 +144,11 @@ class TestReportedTransferFigures:
         k1 = checker.check_all_chunks(ctx.monitor, k=1, skip_initial=False)
         assert all(r.ok for r in k1)
         assert self._figures(k1) == [
-            (6192, 6192), (8085, 536879989), (8037, 536879947),
-            (300, 536871521)]
+            (3186, 3186), (4026, 536875930), (3984, 536875894),
+            (228, 536871449)]
         k2 = checker.check_all_chunks(ctx.monitor, k=2, skip_initial=False)
         assert self._figures(k2) == [
-            (14277, 14277), (16122, 536888026), (8337, 536880247)]
+            (7212, 7212), (8010, 536879914), (4212, 536876122)]
 
     def test_a_failing_chunk_is_priced_like_a_passing_one(
             self, tampered_scenario, engine):
@@ -157,8 +158,8 @@ class TestReportedTransferFigures:
         assert [r.ok for r in results] == [
             index != tampered_index for index in range(len(results))]
         assert self._figures(results) == [
-            (6181, 6181), (8094, 536879998), (8004, 536879914),
-            (8074, 536879295), (297, 536872218)]
+            (3178, 3178), (4010, 536875914), (3943, 536875853),
+            (4027, 536875248), (223, 536872144)]
 
 
 class TestDetectionProbability:

@@ -238,6 +238,22 @@ class TestCrashRecoveryAndCorruption:
         with pytest.raises(ArchiveIntegrityError):
             LogArchive(root)
 
+    def test_manifest_is_compact_and_an_indented_one_still_opens(self, tmp_path):
+        # Written through json's C encoder (no indent); archives written
+        # before that — both seed archives — carry an indented manifest.
+        import json
+        root = tmp_path / "a"
+        archive_sealed_log(LogArchive(root), build_sealed_log())
+        path = root / MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text and '": ' not in text
+        before = LogArchive(root).materialized_log("machine")
+        path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True),
+                        encoding="utf-8")
+        reopened = LogArchive(root)
+        assert reopened.recovery.clean
+        assert reopened.materialized_log("machine") == before
+
     def test_corrupt_auth_batch_is_detected(self, tmp_path, ca):
         root = tmp_path / "a"
         alice = ca.issue("alice")
