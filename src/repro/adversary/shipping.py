@@ -10,9 +10,9 @@ uses) and corrupt selected message kinds before they reach the wire:
 * :class:`LyingShipperSegments` rewrites an entry inside each compressed
   ``ARCHIVE_SEGMENT``, so the archive sees a chain that does not extend the
   machine's archived head;
-* :class:`LyingShipperSnapshots` rewrites ``ARCHIVE_SNAPSHOT`` delta
-  payloads to reference a base snapshot the archive never saw, the
-  dangling-delta attack the ingest service quarantines.
+* :class:`LyingShipperSnapshots` re-encodes ``ARCHIVE_SNAPSHOT`` delta page
+  files to name a base snapshot the archive never saw, the dangling-delta
+  attack the ingest service quarantines.
 
 Regular peer traffic (DATA/ACK) passes through untouched — the machine keeps
 playing honestly; only its shipped history lies.
@@ -20,15 +20,17 @@ playing honestly; only its shipped history lies.
 
 from __future__ import annotations
 
-import json
 import random
+from dataclasses import replace
 from typing import Callable, Tuple
 
 from repro.adversary.base import Adversary, ScenarioContext
+from repro.errors import SnapshotError
 from repro.log.compression import VmmLogCompressor
 from repro.log.segments import LogSegment
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
+from repro.vm.snapshot import IncrementalSnapshot
 
 
 class CorruptingNetworkHandle:
@@ -105,7 +107,6 @@ class LyingShipperSegments(_LyingShipper):
             return
         index = rng.randrange(len(segment.entries))
         entry = segment.entries[index]
-        from dataclasses import replace
         tampered = replace(entry, content={**entry.content,
                                            "shipped_lie": rng.randrange(1 << 30)})
         entries = list(segment.entries)
@@ -125,10 +126,11 @@ class LyingShipperSnapshots(_LyingShipper):
     def corrupt_message(self, message: NetworkMessage,
                         rng: random.Random) -> None:
         try:
-            payload = json.loads(message.payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):  # pragma: no cover
+            snapshot = IncrementalSnapshot.from_bytes(message.payload)
+        except SnapshotError:  # pragma: no cover - only our own shipments arrive
             return
-        if payload.get("kind") != "delta":
+        if snapshot.base_snapshot_id is None:
             return  # the anchoring keyframe ships clean; the lie needs a chain
-        payload["base_snapshot_id"] = 990000 + rng.randrange(1 << 12)
-        message.payload = json.dumps(payload, sort_keys=True).encode("utf-8")
+        message.payload = replace(
+            snapshot,
+            base_snapshot_id=990000 + rng.randrange(1 << 12)).to_bytes()

@@ -23,7 +23,6 @@ recording features off, which lets every experiment use identical wiring.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -635,9 +634,9 @@ class AccountableVMM:
         return True
 
     def _flush_snapshot_ships(self, new_snapshot_id: Optional[int] = None) -> bool:
-        """Ship queued (and the new) snapshot payloads, in order.
+        """Ship queued (and the new) snapshot page files, in order.
 
-        Keyframes ship their full state; everything in between ships only
+        Keyframes ship every page; everything in between ships only
         its changed pages (Section 4.4: *to save space, snapshots are
         incremental*) and the archive re-materialises on demand.  Because a
         delta is useless without its base, a dropped shipment queues the id
@@ -651,11 +650,11 @@ class AccountableVMM:
             return False
         while self._pending_snapshot_ships:
             snapshot_id = self._pending_snapshot_ships[0]
-            payload = self.snapshots.ship_payload(
-                snapshot_id, force_keyframe=not self._snapshot_ship_anchored)
             accepted = self.network.send(NetworkMessage(
                 source=self.identity, destination=self._archive_destination,
-                payload=json.dumps(payload, sort_keys=True).encode("utf-8"),
+                payload=self.snapshots.ship_payload(
+                    snapshot_id,
+                    force_keyframe=not self._snapshot_ship_anchored),
                 message_id=self._allocate_message_id(),
                 kind=MessageKind.ARCHIVE_SNAPSHOT))
             if not accepted:

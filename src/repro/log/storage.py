@@ -2,9 +2,11 @@
 
 Logs travel over the (simulated) network during audits and can be persisted to
 disk for offline auditing, so both byte-level and file-level round-trips are
-supported.  The wire format is JSON-lines: one JSON object per entry, preceded
+supported.  Segments here are JSON-lines: one JSON object per entry, preceded
 by a header object.  JSON keeps the format debuggable; the compression module
-(:mod:`repro.log.compression`) handles making it small.
+(:mod:`repro.log.compression`) handles making it small.  Authenticator
+batches are packed (:func:`authenticators_to_bytes`): they are hashes and
+signatures, which no compressor shrinks.
 """
 
 from __future__ import annotations
@@ -161,25 +163,147 @@ def _iter_entries(handle: IO[str]) -> Iterator[LogEntry]:
             f"entry count mismatch: header says {expected}, found {count}")
 
 
-def authenticators_to_bytes(authenticators: Iterable[Authenticator]) -> bytes:
-    """Serialise a collection of authenticators to JSON-lines bytes.
+#: the packed authenticator batch — on the wire (archive shipments, shard
+#: gossip) and on disk (``auths-N.avmauth``); docs/log-archive.md
+AUTH_BATCH_MAGIC = b"AVMAUTH1"
+#: top bit of a row's type byte: an explicit ``chain_hash`` follows
+_ROW_HAS_CHAIN_HASH = 0x80
 
-    ``chain_hash`` is written only where it does *not* follow from the fields
-    beside it (:meth:`Authenticator.is_consistent`): the reader recomputes a
-    consistent one, and a forged one survives storage as forged.
+
+def _put_varint(out: bytearray, value: int) -> None:
+    if not 0 <= value < 1 << 64:
+        raise LogFormatError(f"{value} does not fit an unsigned 64-bit varint")
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _put_bytes(out: bytearray, value: bytes) -> None:
+    _put_varint(out, len(value))
+    out += value
+
+
+class _Reader:
+    """Bounds-checked cursor over an untrusted packed batch."""
+
+    def __init__(self, data: bytes, offset: int) -> None:
+        self.data, self.offset = data, offset
+
+    def left(self) -> int:
+        return len(self.data) - self.offset
+
+    def byte(self) -> int:
+        if not self.left():
+            raise LogFormatError("truncated authenticator batch")
+        self.offset += 1
+        return self.data[self.offset - 1]
+
+    def varint(self) -> int:
+        value = 0
+        for shift in range(0, 64, 7):
+            byte = self.byte()
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                if value < 1 << 64 and (byte or not shift):  # canonical
+                    return value
+                break
+        raise LogFormatError("overlong varint")
+
+    def count(self) -> int:
+        """A varint counting things of at least a byte each: never more
+        than the bytes that remain."""
+        value = self.varint()
+        if value > self.left():
+            raise LogFormatError(
+                f"{value} announced with {self.left()} bytes left")
+        return value
+
+    def bytes(self) -> bytes:
+        length = self.count()
+        self.offset += length
+        return self.data[self.offset - length:self.offset]
+
+    def strings(self) -> List[str]:
+        try:
+            return [self.bytes().decode("utf-8") for _ in range(self.count())]
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"string table is not UTF-8: {exc}") from exc
+
+
+def authenticators_to_bytes(authenticators: Iterable[Authenticator]) -> bytes:
+    """Serialise a collection of authenticators to one packed batch.
+
+    Magic, the machine and entry-type names (once each, not per row), then
+    per row: machine index, sequence, type index, ``previous_hash``,
+    ``content_hash``, signature — uncompressed, hashes and signatures being
+    entropy.  ``chain_hash`` is written only where it does *not* follow from
+    the fields beside it (:meth:`Authenticator.is_consistent`): the reader
+    recomputes a consistent one, and a forged one survives storage as forged.
     """
-    lines = [json.dumps({"format_version": _FORMAT_VERSION, "kind": "authenticators"},
-                        sort_keys=True)]
-    for auth in authenticators:
-        row = auth.to_dict()
-        if auth.is_consistent():
-            del row["chain_hash"]
-        lines.append(json.dumps(row, sort_keys=True))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    batch = list(authenticators)
+    machines = {name: index for index, name in enumerate(
+        dict.fromkeys(auth.machine for auth in batch))}
+    types = {name: index for index, name in enumerate(
+        dict.fromkeys(auth.entry_type for auth in batch))}
+    if len(types) > _ROW_HAS_CHAIN_HASH:
+        raise LogFormatError(
+            f"{len(types)} entry types do not fit one authenticator batch")
+    out = bytearray(AUTH_BATCH_MAGIC)
+    for table in (machines, types):
+        _put_varint(out, len(table))
+        for name in table:
+            _put_bytes(out, name.encode("utf-8"))
+    _put_varint(out, len(batch))
+    for auth in batch:
+        _put_varint(out, machines[auth.machine])
+        _put_varint(out, auth.sequence)  # 64 bits: what the chain can hash
+        consistent = auth.is_consistent()
+        out.append(types[auth.entry_type]
+                   | (0 if consistent else _ROW_HAS_CHAIN_HASH))
+        _put_bytes(out, auth.previous_hash)
+        _put_bytes(out, auth.content_hash)
+        if not consistent:
+            _put_bytes(out, auth.chain_hash)
+        _put_bytes(out, auth.signature)
+    return bytes(out)
 
 
 def authenticators_from_bytes(data: bytes) -> List[Authenticator]:
-    """Parse authenticators serialised by :func:`authenticators_to_bytes`."""
+    """Parse a batch serialised by :func:`authenticators_to_bytes` — strict
+    (every index, length and count is checked against the tables and the
+    bytes that remain; no trailing bytes), failing only with
+    :class:`LogFormatError`.  Sniffs the magic: a batch without it is read
+    as the JSON-lines form older archives hold."""
+    if not data.startswith(AUTH_BATCH_MAGIC):
+        return _authenticators_from_json_lines(data)
+    reader = _Reader(data, len(AUTH_BATCH_MAGIC))
+    machines, types = reader.strings(), reader.strings()
+    result = []
+    for _ in range(reader.count()):
+        machine, sequence, tag = reader.varint(), reader.varint(), reader.byte()
+        type_index = tag & ~_ROW_HAS_CHAIN_HASH
+        if machine >= len(machines) or type_index >= len(types):
+            raise LogFormatError(
+                f"authenticator row names machine {machine} / entry type "
+                f"{type_index} outside the batch's tables")
+        auth = Authenticator(
+            machine=machines[machine], sequence=sequence, chain_hash=b"",
+            signature=b"", previous_hash=reader.bytes(),
+            entry_type=types[type_index], content_hash=reader.bytes())
+        chain_hash = reader.bytes() if tag & _ROW_HAS_CHAIN_HASH \
+            else auth.implied_chain_hash()
+        result.append(replace(auth, chain_hash=chain_hash,
+                              signature=reader.bytes()))
+    if reader.left():
+        raise LogFormatError(
+            f"{reader.left()} trailing bytes after the batch")
+    return result
+
+
+def _authenticators_from_json_lines(data: bytes) -> List[Authenticator]:
+    """The pre-packed batch form: a JSON header line, one JSON row per line
+    (``chain_hash`` left out where consistent)."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

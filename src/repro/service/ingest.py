@@ -5,8 +5,9 @@ segment shipping hook (:meth:`repro.avmm.monitor.AccountableVMM.
 attach_archive_shipper`).  It registers as an endpoint on the simulated
 network and consumes three message kinds:
 
-* ``ARCHIVE_SNAPSHOT`` — the VM state at a seal boundary, stored so
-  archive-backed audits can start replay mid-log;
+* ``ARCHIVE_SNAPSHOT`` — the VM state at a seal boundary (a snapshot page
+  file, :meth:`repro.vm.snapshot.IncrementalSnapshot.to_bytes`), stored as it
+  arrived so archive-backed audits can start replay mid-log;
 * ``ARCHIVE_SEGMENT`` — a sealed, compressed log segment, appended to the
   durable :class:`~repro.store.archive.LogArchive` (which re-verifies the
   hash chain at the door — a shipment that does not extend the machine's
@@ -45,6 +46,7 @@ from repro.network.simnet import SimulatedNetwork
 from repro.obs import Observability, ensure_obs
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
+from repro.vm.snapshot import IncrementalSnapshot
 
 DEFAULT_INGEST_IDENTITY = "audit-ingest"
 
@@ -194,37 +196,16 @@ class AuditIngestService:
 
     def _on_snapshot(self, message: NetworkMessage) -> None:
         try:
-            payload = json.loads(message.payload.decode("utf-8"))
-            kind = str(payload.get("kind", "keyframe"))
-            if kind == "delta":
-                self.ingest_snapshot_delta(
-                    machine=message.source,
-                    snapshot_id=int(payload["snapshot_id"]),
-                    base_snapshot_id=int(payload["base_snapshot_id"]),
-                    changed_pages={
-                        int(index): bytes.fromhex(page)
-                        for index, page in dict(payload["changed_pages"]).items()},
-                    page_count=int(payload["page_count"]),
-                    state_root=bytes.fromhex(payload["state_root"]),
-                    transfer_bytes=int(payload["transfer_bytes"]),
-                    execution=dict(payload.get("execution", {})),
-                    page_size=int(payload.get("page_size", 0)) or None,
-                )
-            else:
-                self.ingest_snapshot(
-                    machine=message.source,
-                    snapshot_id=int(payload["snapshot_id"]),
-                    state=dict(payload["state"]),
-                    state_root=bytes.fromhex(payload["state_root"]),
-                    transfer_bytes=int(payload["transfer_bytes"]),
-                    execution=dict(payload.get("execution", {})),
-                    page_size=int(payload.get("page_size", 0)) or None,
-                    page_count=int(payload.get("page_count", 0)) or None,
-                )
-        except (ValueError, KeyError, TypeError, SnapshotError, StoreError) as exc:
-            # SnapshotError covers a delta whose base never arrived (e.g. a
-            # lossy link dropped it): unusable, so quarantined — the source
-            # re-ships the chain in order and the archive stays hole-free.
+            self.archive.store_snapshot_delta(
+                message.source,
+                IncrementalSnapshot.from_bytes(message.payload),
+                wire=message.payload)
+            self.stats.snapshots_ingested += 1
+        except (SnapshotError, StoreError) as exc:
+            # SnapshotError also covers a delta whose base never arrived
+            # (e.g. a lossy link dropped it): unusable, so quarantined — the
+            # source re-ships the chain in order and the archive stays
+            # hole-free.
             self._record_quarantine(QuarantinedShipment(
                 machine=message.source,
                 reason=f"undecodable snapshot: {exc}"))
@@ -302,29 +283,10 @@ class AuditIngestService:
 
     def ingest_snapshot(self, machine: str, snapshot_id: int, state: dict,
                         state_root: bytes, transfer_bytes: int,
-                        execution: Optional[dict] = None,
-                        page_size: Optional[int] = None,
-                        page_count: Optional[int] = None) -> None:
+                        execution: Optional[dict] = None) -> None:
         """Archive the full VM state (a keyframe) at a seal boundary."""
-        kwargs = {"page_size": page_size} if page_size else {}
         self.archive.store_snapshot(machine, snapshot_id, state, state_root,
-                                    transfer_bytes, execution=execution,
-                                    page_count=page_count, **kwargs)
-        self.stats.snapshots_ingested += 1
-
-    def ingest_snapshot_delta(self, machine: str, snapshot_id: int,
-                              base_snapshot_id: int,
-                              changed_pages: Dict[int, bytes],
-                              page_count: int, state_root: bytes,
-                              transfer_bytes: int,
-                              execution: Optional[dict] = None,
-                              page_size: Optional[int] = None) -> None:
-        """Archive an incremental snapshot (changed pages over its base)."""
-        kwargs = {"page_size": page_size} if page_size else {}
-        self.archive.store_snapshot_delta(
-            machine, snapshot_id, base_snapshot_id, changed_pages,
-            page_count, state_root, transfer_bytes, execution=execution,
-            **kwargs)
+                                    transfer_bytes, execution=execution)
         self.stats.snapshots_ingested += 1
 
     # -- the audit queue -----------------------------------------------------

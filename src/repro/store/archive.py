@@ -9,7 +9,12 @@ boundaries Section 6.12 uses for spot-check chunks), serialised by a
 versioned wire codec (:mod:`repro.log.codec` — JSON+bzip2 ``v1`` by default,
 the packed binary ``v2`` opt-in per archive), and indexed by a manifest
 (:mod:`repro.store.manifest`) that records every segment's sequence range,
-wire format and the chain hashes at both ends.
+wire format and the chain hashes at both ends.  Beside the segments sit
+packed authenticator batches (``.avmauth``, :func:`repro.log.storage.
+authenticators_to_bytes`) and snapshot page files (``.avmsnap``,
+:meth:`repro.vm.snapshot.IncrementalSnapshot.to_bytes`); the ``.jsonl.bz2``
+/ ``.json`` files of older archives are only ever read
+(``docs/log-archive.md``).
 
 Properties the archive guarantees:
 
@@ -17,12 +22,14 @@ Properties the archive guarantees:
   extends the machine's archived head by an unbroken hash chain — the
   archive re-verifies every entry's chain hash at ingest, so a tampered
   shipment is rejected at the door, not discovered at audit time.
-* **Crash recovery.**  Data files are written via temp-file + rename before
-  the manifest references them, and the manifest itself is replaced
-  atomically.  Opening an archive replays the manifest, proves each
-  machine's segments tile into one unbroken chain (start/end hashes and
-  dense sequence ranges — no decompression needed), and discards orphan
-  files left by a crash between the two write steps.
+* **Crash recovery.**  Data files are written via temp-file + fsync + rename
+  before the manifest references them, and each commit is one fsynced line
+  appended to the manifest's journal (the checkpoint beside it is replaced
+  atomically, and rarely).  Opening an archive loads the checkpoint, replays
+  the journal, proves each machine's segments tile into one unbroken chain
+  (start/end hashes and dense sequence ranges — no decompression needed),
+  and discards a torn last journal line and the orphan files left by a
+  crash between the two write steps.
 * **Indexed range lookup.**  The per-machine index is kept sorted, so the
   segment covering a sequence number is a binary search away regardless of
   how many segment files the machine has accumulated.
@@ -63,16 +70,20 @@ from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment, concatenate_segments
 from repro.log.storage import authenticators_from_bytes, authenticators_to_bytes
 from repro.store.manifest import (
+    JOURNAL_NAME,
     MANIFEST_NAME,
     AuthBatchRecord,
     Manifest,
     SegmentRecord,
     SnapshotRecord,
     atomic_write,
+    fsync_directory,
 )
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.snapshot import (
+    DEFAULT_KEYFRAME_INTERVAL,
     PAGE_SIZE,
+    SNAPSHOT_MAGIC,
     IncrementalSnapshot,
     Snapshot,
     apply_delta,
@@ -80,16 +91,42 @@ from repro.vm.snapshot import (
     serialize_state,
 )
 
-_AUTH_SUFFIX = ".jsonl.bz2"
-_SNAPSHOT_SUFFIX = ".json"
-_AUTH_NAME_RE = re.compile(r"^auths-(\d+)\.jsonl\.bz2$")
+_AUTH_SUFFIX = ".avmauth"
+_SNAPSHOT_SUFFIX = ".avmsnap"
+#: what archives written before the packed forms hold (read, never written)
+_LEGACY_AUTH_SUFFIX = ".jsonl.bz2"
+_AUTH_NAME_RE = re.compile(r"^auths-(\d+)\.(avmauth|jsonl\.bz2)$")
 #: file names the archive itself writes — the orphan sweep only ever touches
 #: these, so opening an archive in the wrong directory cannot destroy
 #: unrelated data.  Covers every codec's segment suffix (.avmlogz = v1
 #: JSON+bz2, .avmlogb = v2 binary, .avmlogt = v3 typed).
 _OWNED_NAME_RE = re.compile(
-    r"^(segment-\d+-\d+\.(avmlogz|avmlogb|avmlogt)|auths-\d+\.jsonl\.bz2"
-    r"|snapshot-\d+(-kf)?\.json)$")
+    r"^(segment-\d+-\d+\.(avmlogz|avmlogb|avmlogt)"
+    r"|auths-\d+\.(avmauth|jsonl\.bz2)|snapshot-\d+(-kf)?\.(avmsnap|json))$")
+
+
+def _legacy_json_snapshot(record: SnapshotRecord,
+                          data: bytes) -> IncrementalSnapshot:
+    """A snapshot file from before the page file (``.json``): a keyframe is
+    its raw state, a delta its changed pages as hex."""
+    payload = json.loads(data.decode("utf-8"))
+    page_size = record.page_size or PAGE_SIZE
+    if record.kind == "delta":
+        if payload.get("kind") != "delta":
+            raise ValueError(f"expected a delta, found {payload.get('kind')!r}")
+        changed = {int(index): bytes.fromhex(page)
+                   for index, page in dict(payload["changed_pages"]).items()}
+        page_count = int(payload["page_count"])
+    else:
+        changed = dict(enumerate(paginate(
+            serialize_state(dict(payload["state"])), page_size)))
+        page_count = len(changed)
+    return IncrementalSnapshot(
+        snapshot_id=record.snapshot_id,
+        execution=ExecutionTimestamp.from_dict(record.execution),
+        base_snapshot_id=record.base_snapshot_id, changed_pages=changed,
+        page_count=page_count, state_root=record.state_root,
+        page_size=page_size, transfer_bytes=record.transfer_bytes)
 
 
 @dataclass
@@ -156,27 +193,24 @@ class LogArchive:
         self.format_version = require_format_version(format_version,
                                                      what="log codec")
         self.set_observability(obs)
-        self._manifest = Manifest.load(self.root)
+        self._manifest, swept = Manifest.load(self.root)
         self._index: Dict[str, List[SegmentRecord]] = {}
         self._auth_index: Dict[str, List[AuthBatchRecord]] = {}
         self._snapshot_index: Dict[str, Dict[int, SnapshotRecord]] = {}
         self._auth_counters: Dict[str, int] = {}
         # Stat-validated parse caches for immutable archive files: repeated
-        # audits through one archive re-read the same authenticator batches,
-        # keyframes and deltas every run otherwise.  Keyframe pages are the
-        # full serialised state, so that cache is LRU-bounded; the others
-        # hold small parsed records.
+        # audits through one archive re-read the same authenticator batches
+        # and snapshot page files every run otherwise.  A keyframe's file is
+        # the full serialised state, so that cache is LRU-bounded.
         self._auth_batch_cache: Dict[
             str, Tuple[Tuple[int, int], List[Authenticator]]] = {}
-        self._keyframe_page_cache: Dict[
-            str, Tuple[Tuple[int, int], Tuple[bytes, ...]]] = {}
-        self._delta_cache: Dict[
+        self._snapshot_file_cache: Dict[
             str, Tuple[Tuple[int, int], IncrementalSnapshot]] = {}
         self._snapshot_pages_cache: Dict[
             Tuple[str, int],
             Tuple[Tuple[Tuple[str, Tuple[int, int]], ...],
                   Tuple[bytes, ...]]] = {}
-        self.recovery = self._recover(deep_verify=deep_verify)
+        self.recovery = self._recover(deep_verify, swept)
 
     def set_observability(self, obs) -> None:
         """(Re)bind this archive's telemetry instruments to ``obs``.
@@ -197,8 +231,8 @@ class LogArchive:
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self, deep_verify: bool) -> RecoveryReport:
-        report = RecoveryReport()
+    def _recover(self, deep_verify: bool, swept: List[str]) -> RecoveryReport:
+        report = RecoveryReport(orphan_files=swept)
         for record in self._manifest.segments:
             self._index.setdefault(record.machine, []).append(record)
         for batch in self._manifest.auth_batches:
@@ -214,31 +248,33 @@ class LogArchive:
         referenced.update(batch.file_name for batch in self._manifest.auth_batches)
         referenced.update(snap.file_name for snap in self._manifest.snapshots)
         for path in sorted(self.root.rglob("*")):
-            if not path.is_file() or path.name == MANIFEST_NAME:
+            if not path.is_file() or path.name in (MANIFEST_NAME, JOURNAL_NAME):
                 continue
             relative = path.relative_to(self.root).as_posix()
             if relative in referenced:
                 if not path.stat().st_size:
                     raise ArchiveIntegrityError(
                         f"archived file {relative} is empty on disk")
+                referenced.discard(relative)
                 continue
             if not (_OWNED_NAME_RE.match(path.name)
                     or path.name.endswith(".tmp")):
                 continue  # not ours — never delete foreign files
-            # Orphan: written but never committed to the manifest (or a
-            # leftover .tmp from a torn atomic write).  Recovery discards it —
-            # the manifest never referenced it, so the archive behaves as if
-            # the shipment had never arrived and ingest can accept it afresh.
+            # Orphan: written but never committed to the manifest's journal
+            # (or a leftover .tmp from a torn atomic write).  Recovery
+            # discards it — no record ever referenced it, so the archive
+            # behaves as if the shipment had never arrived and ingest can
+            # accept it afresh.
             path.unlink()
             report.orphan_files.append(relative)
+        if referenced:
+            raise ArchiveIntegrityError(
+                f"manifest references missing file {min(referenced)}")
 
         for machine, records in self._index.items():
             records.sort(key=lambda record: record.first_sequence)
             expected = self.start_checkpoint(machine)
             for record in records:
-                if not (self.root / record.file_name).exists():
-                    raise ArchiveIntegrityError(
-                        f"manifest references missing file {record.file_name}")
                 if record.first_sequence != expected.sequence + 1 \
                         or record.start_hash != expected.chain_hash:
                     raise ArchiveIntegrityError(
@@ -262,15 +298,6 @@ class LogArchive:
                 report.segments += 1
                 report.entries += record.entry_count
             report.chains_verified += 1
-        for batch in self._manifest.auth_batches:
-            if not (self.root / batch.file_name).exists():
-                raise ArchiveIntegrityError(
-                    f"manifest references missing file {batch.file_name}")
-        for machine_snaps in self._snapshot_index.values():
-            for snap in machine_snaps.values():
-                if not (self.root / snap.file_name).exists():
-                    raise ArchiveIntegrityError(
-                        f"manifest references missing file {snap.file_name}")
         report.machines = len(self._index)
         return report
 
@@ -360,7 +387,7 @@ class LogArchive:
         file_name = (f"{self._machine_dir(machine)}/segment-"
                      f"{segment.first_sequence:08d}-{segment.last_sequence:08d}"
                      f"{segment_suffix(self.format_version)}")
-        atomic_write(self.root / file_name, data)
+        self._write_data_file(file_name, data)
         record = SegmentRecord(
             machine=machine,
             file_name=file_name,
@@ -374,9 +401,8 @@ class LogArchive:
             sealed_by_snapshot=sealed_by_snapshot,
             format_version=self.format_version,
         )
-        self._manifest.segments.append(record)
         self._index.setdefault(machine, []).append(record)
-        self._manifest.write(self.root)
+        self._manifest.commit(self.root, "segment", record)
         self._m_segments_written.inc()
         self._m_raw_bytes_written.inc(raw)
         self._m_bytes_written.inc(len(data))
@@ -399,8 +425,7 @@ class LogArchive:
         index = self._auth_counters.get(machine, 0) + 1
         self._auth_counters[machine] = index
         file_name = f"{self._machine_dir(machine)}/auths-{index:06d}{_AUTH_SUFFIX}"
-        atomic_write(self.root / file_name,
-                     bz2.compress(authenticators_to_bytes(batch)))
+        self._write_data_file(file_name, authenticators_to_bytes(batch))
         record = AuthBatchRecord(
             machine=machine,
             file_name=file_name,
@@ -408,103 +433,78 @@ class LogArchive:
             min_sequence=min(auth.sequence for auth in batch),
             max_sequence=max(auth.sequence for auth in batch),
         )
-        self._manifest.auth_batches.append(record)
         self._auth_index.setdefault(machine, []).append(record)
-        self._manifest.write(self.root)
+        self._manifest.commit(self.root, "auth_batch", record)
         return record
 
     def store_snapshot(self, machine: str, snapshot_id: int,
                        state: Dict[str, Any], state_root: bytes,
                        transfer_bytes: int,
                        execution: Optional[Dict[str, int]] = None,
-                       page_size: int = PAGE_SIZE,
-                       page_count: Optional[int] = None) -> SnapshotRecord:
-        """Archive a full (keyframe) snapshot: a replay start point.
+                       page_size: int = PAGE_SIZE) -> SnapshotRecord:
+        """Archive a full state as a keyframe: a replay start point."""
+        pages = paginate(serialize_state(state), page_size)
+        return self.store_snapshot_delta(machine, IncrementalSnapshot(
+            snapshot_id=snapshot_id,
+            execution=ExecutionTimestamp.from_dict(execution or {}),
+            base_snapshot_id=None, changed_pages=dict(enumerate(pages)),
+            page_count=len(pages), state_root=state_root,
+            page_size=page_size, transfer_bytes=transfer_bytes))
 
-        ``page_count`` is the source manager's page geometry; when omitted
-        (legacy callers) it is recomputed from the canonical serialisation.
+    def store_snapshot_delta(self, machine: str,
+                             snapshot: IncrementalSnapshot, *,
+                             wire: Optional[bytes] = None) -> SnapshotRecord:
+        """Archive one snapshot page file: changed pages over its base.
+
+        Section 4.4's space saving, end to end: between keyframes (the
+        deltas that name no base and carry every page) the archive stores
+        only what changed; :meth:`load_snapshot` replays the chain when an
+        audit needs the full state.  A base must already be archived — a
+        delta whose base is missing could never be materialised, so it is
+        rejected (:class:`SnapshotError`) for the ingest layer to
+        quarantine.  ``wire``: as for :meth:`append_segment`.
         """
-        existing = self._snapshot_index.get(machine, {}).get(snapshot_id)
+        known = self._snapshot_index.get(machine, {})
+        existing = known.get(snapshot.snapshot_id)
         if existing is not None:
             return existing
-        file_name = (f"{self._machine_dir(machine)}/snapshot-"
-                     f"{snapshot_id:06d}{_SNAPSHOT_SUFFIX}")
-        if page_count is None:
-            page_count = len(paginate(serialize_state(state), page_size))
-        payload = serialize_state({
-            "machine": machine,
-            "snapshot_id": snapshot_id,
-            "kind": "keyframe",
-            "state": state,
-            "state_root": state_root.hex(),
-            "transfer_bytes": transfer_bytes,
-            "execution": execution or {},
-        })
-        atomic_write(self.root / file_name, payload)
-        record = SnapshotRecord(
-            machine=machine, snapshot_id=snapshot_id, file_name=file_name,
-            state_root=state_root, transfer_bytes=transfer_bytes,
-            execution=dict(execution or {}),
-            kind="keyframe", base_snapshot_id=None,
-            page_count=page_count, page_size=page_size,
-        )
-        self._manifest.snapshots.append(record)
-        self._snapshot_index.setdefault(machine, {})[snapshot_id] = record
-        self._manifest.write(self.root)
-        self._m_snapshots_written.inc()
-        return record
-
-    def store_snapshot_delta(self, machine: str, snapshot_id: int,
-                             base_snapshot_id: int,
-                             changed_pages: Dict[int, bytes],
-                             page_count: int, state_root: bytes,
-                             transfer_bytes: int,
-                             execution: Optional[Dict[str, int]] = None,
-                             page_size: int = PAGE_SIZE) -> SnapshotRecord:
-        """Archive an incremental snapshot: changed pages over its base.
-
-        Section 4.4's space saving, end to end: between keyframes the
-        archive stores only what changed; :meth:`load_snapshot` replays the
-        chain (verifying page count and Merkle root at every step) when an
-        audit actually needs the full state.  The base snapshot must already
-        be archived — a delta whose base is missing could never be
-        materialised, so it is rejected (:class:`SnapshotError`) for the
-        ingest layer to quarantine.
-        """
-        existing = self._snapshot_index.get(machine, {}).get(snapshot_id)
-        if existing is not None:
-            return existing
-        if base_snapshot_id not in self._snapshot_index.get(machine, {}):
+        if snapshot.base_snapshot_id is not None \
+                and snapshot.base_snapshot_id not in known:
             raise SnapshotError(
-                f"delta snapshot {snapshot_id} of {machine!r} references "
-                f"base {base_snapshot_id}, which is not archived")
-        file_name = (f"{self._machine_dir(machine)}/snapshot-"
-                     f"{snapshot_id:06d}{_SNAPSHOT_SUFFIX}")
-        payload = serialize_state({
-            "machine": machine,
-            "snapshot_id": snapshot_id,
-            "kind": "delta",
-            "base_snapshot_id": base_snapshot_id,
-            "changed_pages": {str(index): page.hex()
-                              for index, page in sorted(changed_pages.items())},
-            "page_count": page_count,
-            "state_root": state_root.hex(),
-            "transfer_bytes": transfer_bytes,
-            "execution": execution or {},
-        })
-        atomic_write(self.root / file_name, payload)
-        record = SnapshotRecord(
-            machine=machine, snapshot_id=snapshot_id, file_name=file_name,
-            state_root=state_root, transfer_bytes=transfer_bytes,
-            execution=dict(execution or {}),
-            kind="delta", base_snapshot_id=base_snapshot_id,
-            page_count=page_count, page_size=page_size,
-        )
-        self._manifest.snapshots.append(record)
-        self._snapshot_index.setdefault(machine, {})[snapshot_id] = record
-        self._manifest.write(self.root)
+                f"delta snapshot {snapshot.snapshot_id} of {machine!r} "
+                f"references base {snapshot.base_snapshot_id}, which is not "
+                f"archived")
+        record = self._write_snapshot_file(machine, snapshot, wire=wire)
+        self._snapshot_index.setdefault(machine, {})[snapshot.snapshot_id] = record
+        self._manifest.commit(self.root, "snapshot", record)
         self._m_snapshots_written.inc()
         return record
+
+    def _write_snapshot_file(self, machine: str, snapshot: IncrementalSnapshot,
+                             tag: str = "", wire: Optional[bytes] = None
+                             ) -> SnapshotRecord:
+        """Write ``snapshot``'s page file; the caller commits the record."""
+        file_name = (f"{self._machine_dir(machine)}/snapshot-"
+                     f"{snapshot.snapshot_id:06d}{tag}{_SNAPSHOT_SUFFIX}")
+        self._write_data_file(
+            file_name, bytes(wire) if wire is not None else snapshot.to_bytes())
+        base = snapshot.base_snapshot_id
+        return SnapshotRecord(
+            machine=machine, snapshot_id=snapshot.snapshot_id,
+            file_name=file_name, state_root=snapshot.state_root,
+            transfer_bytes=snapshot.transfer_bytes,
+            execution=snapshot.execution.to_dict(),
+            kind="keyframe" if base is None else "delta",
+            base_snapshot_id=base, page_count=snapshot.page_count,
+            page_size=snapshot.page_size)
+
+    def _write_data_file(self, file_name: str, data: bytes) -> None:
+        """Write one data file durably, before any record names it."""
+        path = self.root / file_name
+        new_directory = not path.parent.exists()
+        atomic_write(path, data)
+        if new_directory:
+            fsync_directory(self.root)  # the machine directory's own name
 
     # -- reading -------------------------------------------------------------
 
@@ -623,40 +623,15 @@ class LogArchive:
             # earliest segment extends the checkpoint, not genesis.
             retained = self.retained_checkpoint(machine)
             if retained is not None:
-                destination._manifest.retained[machine] = retained
+                destination.adopt_retention_checkpoint(machine, retained)
             for record in self._index.get(machine, []):
                 destination.append_segment(
                     self.read_segment(record),
                     sealed_by_snapshot=record.sealed_by_snapshot)
             for batch in self._auth_index.get(machine, []):
-                try:
-                    data = (self.root / batch.file_name).read_bytes()
-                    auths = authenticators_from_bytes(bz2.decompress(data))
-                except (OSError, EOFError, ValueError, LogFormatError) as exc:
-                    raise ArchiveIntegrityError(
-                        f"corrupt authenticator batch {batch.file_name}: "
-                        f"{exc}") from exc
-                destination.store_authenticators(machine, auths)
-            snaps = self._snapshot_index.get(machine, {})
-            for snapshot_id in sorted(snaps):
-                snap = snaps[snapshot_id]
-                if snap.kind == "keyframe":
-                    snapshot = self.load_snapshot(machine, snapshot_id)
-                    destination.store_snapshot(
-                        machine, snapshot_id, snapshot.state,
-                        snap.state_root, snap.transfer_bytes,
-                        execution=dict(snap.execution),
-                        page_size=snap.page_size or PAGE_SIZE,
-                        page_count=snap.page_count or None)
-                else:
-                    delta = self._read_delta(snap)
-                    destination.store_snapshot_delta(
-                        machine, snapshot_id, delta.base_snapshot_id,
-                        delta.changed_pages, delta.page_count,
-                        snap.state_root, snap.transfer_bytes,
-                        execution=dict(snap.execution),
-                        page_size=snap.page_size or PAGE_SIZE)
-        destination._manifest.write(destination.root)
+                destination.store_authenticators(
+                    machine, self._read_auth_batch(batch))
+            self.copy_snapshots_to(destination, machine)
         return destination
 
     def record_covering(self, machine: str, sequence: int) -> SegmentRecord:
@@ -694,30 +669,30 @@ class LogArchive:
                           start_hash=entries[0].previous_hash)
 
     def authenticators_for(self, machine: str) -> List[Authenticator]:
-        """All retained authenticators issued by ``machine``, shipment order.
-
-        Batch files are immutable once shipped (growth appends new files),
-        so each file's bz2+JSON parse is cached against its stat signature;
-        auditing the same archive repeatedly pays the decompression once.
-        """
+        """All retained authenticators issued by ``machine``, shipment order."""
         result: List[Authenticator] = []
         for batch in self._auth_index.get(machine, []):
-            try:
-                path = self.root / batch.file_name
-                stat = path.stat()
-                signature = (stat.st_mtime_ns, stat.st_size)
-                cached = self._auth_batch_cache.get(batch.file_name)
-                if cached is not None and cached[0] == signature:
-                    result.extend(cached[1])
-                    continue
-                parsed = authenticators_from_bytes(
-                    bz2.decompress(path.read_bytes()))
-                self._auth_batch_cache[batch.file_name] = (signature, parsed)
-                result.extend(parsed)
-            except (OSError, EOFError, ValueError, LogFormatError) as exc:
-                raise ArchiveIntegrityError(
-                    f"corrupt authenticator batch {batch.file_name}: {exc}") from exc
+            result.extend(self._read_auth_batch(batch))
         return result
+
+    def _read_auth_batch(self, batch: AuthBatchRecord) -> List[Authenticator]:
+        """One archived batch, parsed.  Batch files are immutable once
+        shipped (growth appends new files), so the parse is cached against
+        the file's stat signature."""
+        try:
+            signature = self._file_signature(batch.file_name)
+            cached = self._auth_batch_cache.get(batch.file_name)
+            if cached is not None and cached[0] == signature:
+                return cached[1]
+            data = (self.root / batch.file_name).read_bytes()
+            if batch.file_name.endswith(_LEGACY_AUTH_SUFFIX):
+                data = bz2.decompress(data)
+            parsed = authenticators_from_bytes(data)
+        except (OSError, EOFError, ValueError, LogFormatError) as exc:
+            raise ArchiveIntegrityError(
+                f"corrupt authenticator batch {batch.file_name}: {exc}") from exc
+        self._auth_batch_cache[batch.file_name] = (signature, parsed)
+        return parsed
 
     def snapshot_store(self, machine: str) -> "ArchiveSnapshotStore":
         """A snapshot-manager view over the machine's archived snapshots."""
@@ -726,13 +701,12 @@ class LogArchive:
     def load_snapshot(self, machine: str, snapshot_id: int) -> Snapshot:
         """Rebuild a full :class:`~repro.vm.snapshot.Snapshot` from the archive.
 
-        A keyframe is re-paginated from its canonical state serialisation; a
-        delta is materialised by walking back to the nearest archived
-        keyframe and replaying the changed-page chain forward, verifying
-        page count and Merkle root at every step — so Merkle-root
-        verification works exactly as on the source machine and a corrupt
-        chain surfaces as :class:`SnapshotError`, never as a silently-wrong
-        state.
+        A keyframe's file carries every page; a delta is materialised by
+        walking back to the nearest archived keyframe and replaying the
+        changed-page chain forward, verifying page count and Merkle root at
+        every step — so Merkle-root verification works exactly as on the
+        source machine and a corrupt chain surfaces as
+        :class:`SnapshotError`, never as a silently-wrong state.
         """
         record = self._snapshot_index.get(machine, {}).get(snapshot_id)
         if record is None:
@@ -760,10 +734,12 @@ class LogArchive:
                     f"references missing base {base.base_snapshot_id}")
             base = parent
         if pages is None:
-            pages = self._keyframe_pages(base)
+            keyframe = self._read_snapshot_file(base)  # carries every page
+            pages = [keyframe.changed_pages[index]
+                     for index in range(keyframe.page_count)]
             deps.append((base.file_name, self._file_signature(base.file_name)))
         for delta_record in reversed(chain):
-            pages = apply_delta(pages, self._read_delta(delta_record))
+            pages = apply_delta(pages, self._read_snapshot_file(delta_record))
             deps.append((delta_record.file_name,
                          self._file_signature(delta_record.file_name)))
         if record.kind == "delta" and chain:
@@ -773,19 +749,18 @@ class LogArchive:
                    > self._SNAPSHOT_PAGES_CACHE_LIMIT):
                 self._snapshot_pages_cache.pop(
                     next(iter(self._snapshot_pages_cache)))
-        execution = ExecutionTimestamp(
-            instruction_count=int(record.execution.get("instructions", 0)),
-            branch_count=int(record.execution.get("branches", 0)))
         # state=None: the Snapshot parses its state dict lazily from the
         # canonical pages, so every caller gets a fresh dict even when the
-        # pages came out of the keyframe cache.
-        return Snapshot(snapshot_id=snapshot_id, execution=execution,
+        # pages came out of a cache.
+        return Snapshot(snapshot_id=snapshot_id,
+                        execution=ExecutionTimestamp.from_dict(record.execution),
                         pages=pages, state_root=record.state_root,
                         state=None)
 
-    #: keyframes held in the page cache (full serialised states — bounded
-    #: so a long archive walk cannot accumulate every keyframe in memory)
-    _KEYFRAME_CACHE_LIMIT = 4
+    #: parsed snapshot files held: one keyframe interval's chain (a keyframe's
+    #: is a full serialised state — bounded so that a long archive walk
+    #: cannot accumulate every one in memory)
+    _SNAPSHOT_FILE_CACHE_LIMIT = DEFAULT_KEYFRAME_INTERVAL
 
     #: reconstructed delta snapshots held in the pages memo (see
     #: :meth:`_cached_snapshot_pages`)
@@ -826,75 +801,35 @@ class LogArchive:
             self._snapshot_pages_cache.pop((machine, snapshot_id))
         return deps, pages
 
-    def _keyframe_pages(self, base: SnapshotRecord) -> List[bytes]:
-        """The page list of an archived keyframe, via a stat-validated cache.
-
-        Keyframe files are immutable once written, so re-reading,
-        re-parsing and re-paginating them for every snapshot fetch of an
-        audit is pure waste; the cache keeps the canonical page tuple of
-        the most recently used keyframes and is invalidated by mtime/size.
-        """
-        path = self.root / base.file_name
+    def _read_snapshot_file(self, record: SnapshotRecord) -> IncrementalSnapshot:
+        """One archived snapshot file, decoded.  Snapshot files are
+        immutable and a chain walk re-reads the same ones a fetch at a time,
+        so the decoded form is cached against the file's stat signature
+        (LRU); :func:`apply_delta` treats a delta as read-only, so sharing
+        the cached instance is safe."""
+        cache = self._snapshot_file_cache
         try:
-            stat = path.stat()
-            signature = (stat.st_mtime_ns, stat.st_size)
-            cached = self._keyframe_page_cache.get(base.file_name)
+            signature = self._file_signature(record.file_name)
+            cached = cache.pop(record.file_name, None)
             if cached is not None and cached[0] == signature:
-                # Refresh LRU position.
-                self._keyframe_page_cache[base.file_name] = \
-                    self._keyframe_page_cache.pop(base.file_name)
-                return list(cached[1])
-            payload = json.loads(path.read_text("utf-8"))
-            state = dict(payload["state"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ArchiveIntegrityError(
-                f"corrupt archived snapshot {base.file_name}: {exc}") from exc
-        page_size = base.page_size or PAGE_SIZE
-        pages = paginate(serialize_state(state), page_size)
-        self._keyframe_page_cache[base.file_name] = (signature, tuple(pages))
-        while len(self._keyframe_page_cache) > self._KEYFRAME_CACHE_LIMIT:
-            self._keyframe_page_cache.pop(
-                next(iter(self._keyframe_page_cache)))
-        return pages
-
-    def _read_delta(self, record: SnapshotRecord) -> IncrementalSnapshot:
-        """Load one delta-snapshot file back into its in-memory form.
-
-        Delta files are immutable; reconstructing a snapshot chain walks
-        the same deltas a fetch at a time, so the parsed form is cached
-        against the file's stat signature.  :func:`apply_delta` treats the
-        delta as read-only, so sharing the cached instance is safe.
-        """
-        try:
-            path = self.root / record.file_name
-            stat = path.stat()
-            signature = (stat.st_mtime_ns, stat.st_size)
-            cached = self._delta_cache.get(record.file_name)
-            if cached is not None and cached[0] == signature:
+                cache[record.file_name] = cached  # refresh LRU position
                 return cached[1]
-            payload = json.loads(path.read_text("utf-8"))
-            if payload.get("kind") != "delta":
-                raise ValueError(f"expected a delta, found {payload.get('kind')!r}")
-            changed = {int(index): bytes.fromhex(page)
-                       for index, page in dict(payload["changed_pages"]).items()}
-            page_count = int(payload["page_count"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            data = (self.root / record.file_name).read_bytes()
+            snapshot = IncrementalSnapshot.from_bytes(data) \
+                if data.startswith(SNAPSHOT_MAGIC) \
+                else _legacy_json_snapshot(record, data)
+        except (OSError, ValueError, KeyError, TypeError, SnapshotError) as exc:
             raise ArchiveIntegrityError(
-                f"corrupt archived snapshot delta {record.file_name}: "
-                f"{exc}") from exc
-        delta = IncrementalSnapshot(
-            snapshot_id=record.snapshot_id,
-            execution=ExecutionTimestamp(
-                instruction_count=int(record.execution.get("instructions", 0)),
-                branch_count=int(record.execution.get("branches", 0))),
-            base_snapshot_id=record.base_snapshot_id,
-            changed_pages=changed,
-            page_count=page_count,
-            state_root=record.state_root,
-            page_size=record.page_size or PAGE_SIZE,
-        )
-        self._delta_cache[record.file_name] = (signature, delta)
-        return delta
+                f"corrupt archived snapshot {record.file_name}: {exc}") from exc
+        if (snapshot.snapshot_id, snapshot.base_snapshot_id, snapshot.state_root) \
+                != (record.snapshot_id, record.base_snapshot_id, record.state_root):
+            raise ArchiveIntegrityError(
+                f"archived snapshot {record.file_name} does not match its "
+                f"manifest record")
+        cache[record.file_name] = (signature, snapshot)
+        while len(cache) > self._SNAPSHOT_FILE_CACHE_LIMIT:
+            cache.pop(next(iter(cache)))
+        return snapshot
 
     def snapshot_transfer_bytes(self, machine: str, snapshot_id: int) -> int:
         record = self._snapshot_index.get(machine, {}).get(snapshot_id)
@@ -941,26 +876,10 @@ class LogArchive:
         already = set(destination._snapshot_index.get(machine, {}))
         snaps = self._snapshot_index.get(machine, {})
         for snapshot_id in sorted(snaps):
-            if snapshot_id in already:
-                continue
-            snap = snaps[snapshot_id]
-            if snap.kind == "keyframe":
-                snapshot = self.load_snapshot(machine, snapshot_id)
-                destination.store_snapshot(
-                    machine, snapshot_id, snapshot.state,
-                    snap.state_root, snap.transfer_bytes,
-                    execution=dict(snap.execution),
-                    page_size=snap.page_size or PAGE_SIZE,
-                    page_count=snap.page_count or None)
-            else:
-                delta = self._read_delta(snap)
+            if snapshot_id not in already:
                 destination.store_snapshot_delta(
-                    machine, snapshot_id, delta.base_snapshot_id,
-                    delta.changed_pages, delta.page_count,
-                    snap.state_root, snap.transfer_bytes,
-                    execution=dict(snap.execution),
-                    page_size=snap.page_size or PAGE_SIZE)
-            copied += 1
+                    machine, self._read_snapshot_file(snaps[snapshot_id]))
+                copied += 1
         return copied
 
     def adopt_retention_checkpoint(self, machine: str,
@@ -990,7 +909,7 @@ class LogArchive:
                 f"cannot adopt a retention checkpoint for {machine!r}: "
                 f"segments are already archived here")
         self._manifest.retained[machine] = checkpoint
-        self._manifest.write(self.root)
+        self._manifest.checkpoint(self.root)
 
     def forget_machine(self, machine: str,
                        keep_authenticators: bool = True) -> int:
@@ -1025,7 +944,7 @@ class LogArchive:
                 batch for batch in self._manifest.auth_batches
                 if batch.machine != machine]
         self._manifest.retained.pop(machine, None)
-        self._manifest.write(self.root)
+        self._manifest.checkpoint(self.root)
         removed = 0
         for file_name in ([record.file_name for record in records]
                           + [snap.file_name for snap in snaps.values()]
@@ -1033,8 +952,7 @@ class LogArchive:
             (self.root / file_name).unlink(missing_ok=True)
             removed += 1
         for snap in snaps.values():
-            self._keyframe_page_cache.pop(snap.file_name, None)
-            self._delta_cache.pop(snap.file_name, None)
+            self._snapshot_file_cache.pop(snap.file_name, None)
         for batch in batches:
             self._auth_batch_cache.pop(batch.file_name, None)
         self._snapshot_pages_cache = {
@@ -1110,7 +1028,7 @@ class LogArchive:
         self._manifest.retained[machine] = checkpoint
         # Commit the manifest first: a crash after this point leaves orphan
         # data files, which the next open discards.
-        self._manifest.write(self.root)
+        self._manifest.checkpoint(self.root)
         for record in dropped:
             (self.root / record.file_name).unlink(missing_ok=True)
         for batch in dropped_auths:
@@ -1136,25 +1054,13 @@ class LogArchive:
         if record is None or record.kind == "keyframe":
             return None
         snapshot = self.load_snapshot(machine, snapshot_id)  # verifies chain
-        file_name = (f"{self._machine_dir(machine)}/snapshot-"
-                     f"{snapshot_id:06d}-kf{_SNAPSHOT_SUFFIX}")
-        atomic_write(self.root / file_name, serialize_state({
-            "machine": machine,
-            "snapshot_id": snapshot_id,
-            "kind": "keyframe",
-            "state": snapshot.state,
-            "state_root": record.state_root.hex(),
-            "transfer_bytes": record.transfer_bytes,
-            "execution": record.execution,
-        }))
-        new_record = SnapshotRecord(
-            machine=machine, snapshot_id=snapshot_id, file_name=file_name,
-            state_root=record.state_root, transfer_bytes=record.transfer_bytes,
-            execution=dict(record.execution),
-            kind="keyframe", base_snapshot_id=None,
-            page_count=len(snapshot.pages),
+        new_record = self._write_snapshot_file(machine, IncrementalSnapshot(
+            snapshot_id=snapshot_id, execution=snapshot.execution,
+            base_snapshot_id=None,
+            changed_pages=dict(enumerate(snapshot.pages)),
+            page_count=len(snapshot.pages), state_root=record.state_root,
             page_size=record.page_size or PAGE_SIZE,
-        )
+            transfer_bytes=record.transfer_bytes), tag="-kf")
         self._snapshot_index[machine][snapshot_id] = new_record
         self._manifest.snapshots = [
             new_record if (snap.machine == machine

@@ -1,13 +1,17 @@
 """The archive manifest: the durable index of everything the archive holds.
 
-The manifest is the single source of truth for the on-disk archive.  Data
-files (compressed segments, authenticator batches, snapshots) are written
-first, to temporary names, and renamed into place; only then is the manifest
-rewritten — atomically, via a temporary file and :func:`os.replace` — to
-reference them.  A crash between the two steps therefore leaves at worst an
-*orphan* data file that no manifest references, and recovery simply discards
-it: the archive never observes a manifest entry whose data is missing unless
-the disk itself was corrupted.
+The manifest is the single source of truth for the on-disk archive, kept as
+a *checkpoint* (``MANIFEST.json``) plus an append-only *journal*
+(``MANIFEST.journal``) of the records committed since.  Data files
+(segments, authenticator batches, snapshots) are written first, to temporary
+names, fsynced and renamed into place; only then does :meth:`Manifest.commit`
+append one checksummed line to the journal and fsync it — O(1) bytes per
+commit.  A crash between the two steps leaves at worst an *orphan* data file
+that no record references, or a torn last journal line, and recovery simply
+discards both.  The rare whole-index rewrites (GC, shard handoff) write a
+new checkpoint of the next *generation* and unlink the journal, whose first
+line names the generation it extends — so a crash between those two steps
+leaves a stale journal that the next open ignores and sweeps.
 
 Per-segment records carry the sequence range and the chain hashes at both
 ends, so recovery can prove that a machine's archived segments tile into one
@@ -19,16 +23,20 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ArchiveIntegrityError
-from repro.log.codec import require_format_version
+from repro.log.codec import _dump_compact, require_format_version
 from repro.log.hashchain import ChainCheckpoint
 
-MANIFEST_FORMAT_VERSION = 1
+#: 2 = a journal may extend the checkpoint; a reader that knows only 1 would
+#: miss the journaled records and sweep their files, so it must refuse
+MANIFEST_FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
+JOURNAL_NAME = "MANIFEST.journal"
 
 
 @dataclass(frozen=True)
@@ -199,6 +207,29 @@ class SnapshotRecord:
             raise ArchiveIntegrityError(f"malformed snapshot record: {exc}") from exc
 
 
+def _journal_line(record: Dict[str, Any]) -> bytes:
+    body = _dump_compact(record)
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _parse_journal_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """The record of one (newline-stripped) journal line, ``None`` if it is
+    not exactly what :func:`_journal_line` writes."""
+    try:
+        if line[8:9] != b" " or int(line[:8], 16) != zlib.crc32(line[9:]):
+            return None
+        record = json.loads(line[9:])
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
+#: journal record kind -> (record class, the Manifest list it extends)
+_JOURNALED = {"segment": (SegmentRecord, "segments"),
+              "auth_batch": (AuthBatchRecord, "auth_batches"),
+              "snapshot": (SnapshotRecord, "snapshots")}
+
+
 @dataclass
 class Manifest:
     """Everything the archive knows, in manifest (JSON) form."""
@@ -209,11 +240,16 @@ class Manifest:
     #: per machine, the checkpoint the log was truncated to (Section 4.2);
     #: entries at or below this sequence have been garbage-collected
     retained: Dict[str, ChainCheckpoint] = field(default_factory=dict)
+    #: generation of the on-disk checkpoint this state extends; 0: there is
+    #: none a journal could extend (a new archive, or one written before the
+    #: journal) and the first commit writes it
+    generation: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "format_version": MANIFEST_FORMAT_VERSION,
             "kind": "avm_log_archive",
+            "generation": self.generation,
             "segments": [record.to_dict() for record in self.segments],
             "auth_batches": [record.to_dict() for record in self.auth_batches],
             "snapshots": [record.to_dict() for record in self.snapshots],
@@ -232,7 +268,7 @@ class Manifest:
         # single helper so every unsupported-version failure in the repo is
         # one well-typed LogFormatError.
         require_format_version(data.get("format_version"), what="manifest",
-                               supported=(MANIFEST_FORMAT_VERSION,))
+                               supported=(1, MANIFEST_FORMAT_VERSION))
         try:
             retained = {
                 str(machine): ChainCheckpoint(
@@ -247,40 +283,123 @@ class Manifest:
                 snapshots=[SnapshotRecord.from_dict(record)
                            for record in data.get("snapshots", [])],
                 retained=retained,
+                generation=int(data.get("generation", 0)),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ArchiveIntegrityError(f"malformed manifest: {exc}") from exc
 
     # -- persistence ---------------------------------------------------------
 
-    def write(self, root: Union[str, Path]) -> Path:
-        """Atomically (re)write the manifest under ``root``."""
+    def commit(self, root: Union[str, Path], kind: str, record) -> None:
+        """Add one record to the index, durably: one journal line, one fsync.
+
+        The record's data file must already be durable.  The commit is on
+        disk when this returns; a crash inside it leaves a torn last line,
+        which :meth:`load` drops (the data file is then an orphan).
+        """
         root = Path(root)
-        path = root / MANIFEST_NAME
-        # Compact, so the C encoder does it: the manifest is rewritten at
-        # every commit, and ``indent`` would force json's pure-Python path.
-        data = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return atomic_write(path, data)
+        if not self.generation:
+            self.checkpoint(root)
+        line = _journal_line({kind: record.to_dict()})
+        # A journal on disk is this generation's: load and checkpoint leave
+        # no other behind.
+        created = not (root / JOURNAL_NAME).exists()
+        if created:
+            line = _journal_line({"generation": self.generation}) + line
+        with open(root / JOURNAL_NAME, "ab") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if created:
+            fsync_directory(root)
+        getattr(self, _JOURNALED[kind][1]).append(record)
+
+    def checkpoint(self, root: Union[str, Path]) -> None:
+        """Write the whole index as the next generation's checkpoint.
+
+        What a rewrite that is not an append needs (GC, handoff), and what
+        opens a journal's generation.  The journal of the generation before
+        is unlinked only once the checkpoint that absorbed it is durable.
+        """
+        root = Path(root)
+        self.generation += 1
+        atomic_write(root / MANIFEST_NAME, _dump_compact(self.to_dict()))
+        fsync_directory(root)
+        (root / JOURNAL_NAME).unlink(missing_ok=True)
 
     @staticmethod
-    def load(root: Union[str, Path]) -> "Manifest":
-        """Load the manifest under ``root`` (empty archive if none exists)."""
-        path = Path(root) / MANIFEST_NAME
-        if not path.exists():
-            return Manifest()
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ArchiveIntegrityError(f"corrupt manifest at {path}: {exc}") from exc
-        return Manifest.from_dict(data)
+    def load(root: Union[str, Path]) -> Tuple["Manifest", List[str]]:
+        """Load the checkpoint under ``root`` and replay its journal.
+
+        Returns the manifest (empty if there is no archive yet) and the
+        names swept: a journal of another generation, or one whose very
+        first line is torn, extends nothing and is unlinked.  A torn *last*
+        line is cut off (its commit never returned); damage before the last
+        line raises :class:`ArchiveIntegrityError` and deletes nothing.
+        """
+        root = Path(root)
+        path = root / MANIFEST_NAME
+        manifest = Manifest()
+        if path.exists():
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ArchiveIntegrityError(
+                    f"corrupt manifest at {path}: {exc}") from exc
+            manifest = Manifest.from_dict(data)
+        journal = root / JOURNAL_NAME
+        if not journal.exists():
+            return manifest, []
+        raw = journal.read_bytes()
+        lines = raw.split(b"\n")
+        torn = len(lines.pop())  # bytes after the last newline: a cut line
+        records = [_parse_journal_line(line) for line in lines]
+        if not torn and records and records[-1] is None:
+            # a whole last line that fails its checksum is a torn write too
+            torn = len(lines[-1]) + 1
+            records.pop()
+        if not records:
+            journal.unlink()  # torn inside its first line: extends nothing
+            return manifest, [JOURNAL_NAME]
+        generation = (records[0] or {}).get("generation")
+        if not isinstance(generation, int) or generation > manifest.generation:
+            raise ArchiveIntegrityError(
+                f"journal {journal} does not extend its checkpoint "
+                f"(generation {manifest.generation}): first line "
+                f"{lines[0][:60]!r}")
+        if generation < manifest.generation:
+            journal.unlink()  # absorbed by the checkpoint written after it
+            return manifest, [JOURNAL_NAME]
+        for number, record in enumerate(records[1:], start=2):
+            try:
+                (kind, body), = record.items()
+                record_class, attribute = _JOURNALED[kind]
+            except (AttributeError, KeyError, ValueError):
+                raise ArchiveIntegrityError(
+                    f"journal {journal} is damaged at line {number} (of "
+                    f"{len(records)}): {lines[number - 1][:60]!r}") from None
+            getattr(manifest, attribute).append(record_class.from_dict(body))
+        if torn:
+            os.truncate(journal, len(raw) - torn)
+        return manifest, []
+
+
+def fsync_directory(path: Union[str, Path]) -> None:
+    """Make the names just created or renamed inside ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def atomic_write(path: Union[str, Path], data: bytes) -> Path:
     """Write ``data`` to ``path`` via a temporary file + rename.
 
     The rename is atomic on POSIX, so readers (and crash recovery) only ever
-    see the old file or the complete new one — never a torn write.
+    see the old file or the complete new one — never a torn write.  The
+    rename itself is durable once the directory is fsynced
+    (:func:`fsync_directory`), which the caller does where a name is new.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

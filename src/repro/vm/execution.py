@@ -36,8 +36,10 @@ class ExecutionTimestamp:
 
     @staticmethod
     def from_dict(data: dict) -> "ExecutionTimestamp":
-        return ExecutionTimestamp(instruction_count=int(data["instructions"]),
-                                  branch_count=int(data["branches"]))
+        """Inverse of :meth:`to_dict`; a counter left out is zero."""
+        return ExecutionTimestamp(
+            instruction_count=int(data.get("instructions", 0)),
+            branch_count=int(data.get("branches", 0)))
 
 
 #: the execution timestamp at the very beginning of a run

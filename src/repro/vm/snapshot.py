@@ -29,10 +29,13 @@ The manager implements the paper's design literally:
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.crypto.hashing import HASH_SIZE_BYTES
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import SnapshotError
 from repro.vm.execution import ExecutionTimestamp
@@ -51,6 +54,20 @@ DEFAULT_KEYFRAME_INTERVAL = 16
 # main memory (512 MB) for every snapshot; we carry that figure in the cost
 # model so the Figure 9 fixed per-chunk cost has the right magnitude.
 FULL_MEMORY_DUMP_BYTES = 512 * 1024 * 1024
+
+#: the snapshot page file — keyframes and deltas, on the wire and in the
+#: archive (docs/snapshots.md): the fixed header below, then one
+#: ``(index, length)``-prefixed raw page per page carried, under zlib when
+#: the flags byte says so
+SNAPSHOT_MAGIC = b"AVMSNAP1"
+SNAPSHOT_FLAG_DEFLATE = 0x01
+#: caps on the header's own fields, so a reader's bounds follow from it
+MAX_PAGE_SIZE = 1 << 20
+MAX_PAGE_COUNT = 1 << 24
+#: magic, flags, snapshot id, base id (-1: none — a keyframe), page count,
+#: page size, pages carried, instructions, branches, transfer bytes, root
+_PAGE_FILE_HEADER = struct.Struct("<8sBQqIIIQQQ32s")
+_PAGE_HEADER = struct.Struct("<II")
 
 
 def serialize_state(state: Dict[str, Any]) -> bytes:
@@ -77,13 +94,11 @@ class Snapshot:
 
     def __init__(self, snapshot_id: int, execution: ExecutionTimestamp,
                  pages: List[bytes], state_root: bytes,
-                 state: Optional[Dict[str, Any]] = None,
-                 memory_dump_bytes: int = FULL_MEMORY_DUMP_BYTES) -> None:
+                 state: Optional[Dict[str, Any]] = None) -> None:
         self.snapshot_id = snapshot_id
         self.execution = execution
         self.pages = pages
         self.state_root = state_root
-        self.memory_dump_bytes = memory_dump_bytes
         self._state = state
 
     @property
@@ -118,17 +133,99 @@ class IncrementalSnapshot:
 
     snapshot_id: int
     execution: ExecutionTimestamp
+    #: the snapshot ``changed_pages`` applies on top of; ``None`` for a
+    #: keyframe, which carries every page
     base_snapshot_id: Optional[int]
     changed_pages: Dict[int, bytes]
     page_count: int
     state_root: bytes
     page_size: int = PAGE_SIZE
-    memory_dump_bytes: int = FULL_MEMORY_DUMP_BYTES
+    #: what an auditor downloads to start replay here, as the source
+    #: machine's manager priced it (a delta re-shipped as a keyframe still
+    #: costs its delta)
+    transfer_bytes: int = 0
 
     @property
     def incremental_bytes(self) -> int:
         """Size of the incremental (changed-page) data."""
         return sum(len(page) for page in self.changed_pages.values())
+
+    def to_bytes(self) -> bytes:
+        """This snapshot as a page file (pages in index order, deflated)."""
+        base = -1 if self.base_snapshot_id is None else self.base_snapshot_id
+        if len(self.state_root) != HASH_SIZE_BYTES:  # "32s" would pad or cut
+            raise SnapshotError(f"snapshot {self.snapshot_id} carries a "
+                                f"{len(self.state_root)}-byte state root")
+        try:
+            header = _PAGE_FILE_HEADER.pack(
+                SNAPSHOT_MAGIC, SNAPSHOT_FLAG_DEFLATE, self.snapshot_id, base,
+                self.page_count, self.page_size, len(self.changed_pages),
+                self.execution.instruction_count, self.execution.branch_count,
+                self.transfer_bytes, self.state_root)
+            body = b"".join(
+                part for index, page in sorted(self.changed_pages.items())
+                for part in (_PAGE_HEADER.pack(index, len(page)), page))
+        except struct.error as exc:
+            raise SnapshotError(f"snapshot {self.snapshot_id} does not fit "
+                                f"a page file: {exc}") from exc
+        return header + zlib.compress(body)
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "IncrementalSnapshot":
+        """Strict, bounded inverse of :meth:`to_bytes`.
+
+        Untrusted input: nothing is allocated on the header's word — the
+        body may inflate to at most what the (capped) geometry allows, every
+        page is checked against the bytes that remain — and every refusal is
+        a :class:`SnapshotError`.
+        """
+        if len(data) < _PAGE_FILE_HEADER.size \
+                or data[:len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+            raise SnapshotError("not a snapshot page file")
+        (_, flags, snapshot_id, base, page_count, page_size, carried,
+         instructions, branches, transfer_bytes, state_root) = \
+            _PAGE_FILE_HEADER.unpack_from(data)
+
+        def refused(why: str) -> SnapshotError:
+            return SnapshotError(f"page file of snapshot {snapshot_id}: {why}")
+        if flags & ~SNAPSHOT_FLAG_DEFLATE \
+                or not (0 < page_size <= MAX_PAGE_SIZE
+                        and 0 < page_count <= MAX_PAGE_COUNT
+                        and carried <= page_count and base >= -1) \
+                or (base < 0 and carried != page_count):  # a keyframe: all
+            raise refused(f"impossible header (flags {flags:#04x}, {carried} "
+                          f"of {page_count} pages of {page_size} bytes, "
+                          f"base {base})")
+        body = memoryview(data)[_PAGE_FILE_HEADER.size:]
+        limit = carried * (_PAGE_HEADER.size + page_size)
+        if flags & SNAPSHOT_FLAG_DEFLATE:
+            inflater = zlib.decompressobj()
+            try:
+                body = inflater.decompress(body, limit + 1)
+            except zlib.error as exc:
+                raise refused(str(exc)) from exc
+            if not inflater.eof or inflater.unused_data:
+                raise refused(f"not one zlib stream of at most {limit} bytes")
+        pages: Dict[int, bytes] = {}
+        offset = 0
+        for _ in range(carried):
+            if offset + _PAGE_HEADER.size > len(body):
+                raise refused(f"{len(pages)} pages carried, not {carried}")
+            index, length = _PAGE_HEADER.unpack_from(body, offset)
+            offset += _PAGE_HEADER.size + length
+            if index >= page_count or index in pages or length > page_size \
+                    or offset > len(body):
+                raise refused(f"bad page {index} ({length} bytes)")
+            pages[index] = bytes(body[offset - length:offset])
+        if offset != len(body):
+            raise refused(f"{len(body) - offset} trailing bytes")
+        return IncrementalSnapshot(
+            snapshot_id=snapshot_id,
+            execution=ExecutionTimestamp(instructions, branches),
+            base_snapshot_id=base if base >= 0 else None,
+            changed_pages=pages, page_count=page_count,
+            state_root=state_root, page_size=page_size,
+            transfer_bytes=transfer_bytes)
 
 
 def apply_delta(pages: List[bytes], delta: IncrementalSnapshot) -> List[bytes]:
@@ -144,6 +241,12 @@ def apply_delta(pages: List[bytes], delta: IncrementalSnapshot) -> List[bytes]:
     if delta.page_count < 1:
         raise SnapshotError(
             f"delta {delta.snapshot_id} advertises page count {delta.page_count}")
+    if delta.page_count - len(result) > len(delta.changed_pages):
+        # refused before the list is grown on the delta's word
+        raise SnapshotError(
+            f"delta {delta.snapshot_id} grows the snapshot to "
+            f"{delta.page_count} pages but supplies "
+            f"{len(delta.changed_pages)}")
     if delta.page_count < len(result):
         del result[delta.page_count:]
     elif delta.page_count > len(result):
@@ -345,6 +448,7 @@ class SnapshotManager:
         """
         snapshot_id = self._next_id
         pages, changed, root = self._hasher.update(state, dirty_paths)
+        dirty_bytes = sum(len(page) for page in changed.values())
         delta = IncrementalSnapshot(
             snapshot_id=snapshot_id,
             execution=execution,
@@ -353,6 +457,7 @@ class SnapshotManager:
             page_count=len(pages),
             state_root=root,
             page_size=self.page_size,
+            transfer_bytes=dirty_bytes + FULL_MEMORY_DUMP_BYTES,
         )
         self._deltas[snapshot_id] = delta
         self._executions[snapshot_id] = execution
@@ -362,7 +467,7 @@ class SnapshotManager:
         self._next_id += 1
         self.stats.takes += 1
         self.stats.pages_hashed += len(changed)
-        self.stats.dirty_bytes_total += delta.incremental_bytes
+        self.stats.dirty_bytes_total += dirty_bytes
         return Snapshot(snapshot_id=snapshot_id, execution=execution,
                         pages=list(pages), state_root=root)
 
@@ -452,10 +557,8 @@ class SnapshotManager:
                             include_memory_dump: bool = True) -> int:
         """Bytes an auditor must download to start replay at ``snapshot_id``."""
         incremental = self.get_incremental(snapshot_id)
-        cost = incremental.incremental_bytes
-        if include_memory_dump:
-            cost += incremental.memory_dump_bytes
-        return cost
+        return incremental.transfer_bytes if include_memory_dump \
+            else incremental.incremental_bytes
 
     # -- memory accounting ----------------------------------------------------
 
@@ -479,32 +582,19 @@ class SnapshotManager:
     # -- shipping (archive / ingest payloads) ---------------------------------
 
     def ship_payload(self, snapshot_id: int,
-                     force_keyframe: bool = False) -> Dict[str, Any]:
-        """The wire payload for shipping ``snapshot_id`` to an archive.
+                     force_keyframe: bool = False) -> bytes:
+        """The page file that ships ``snapshot_id`` to an archive.
 
-        Keyframes ship the full state; everything else ships only its delta
-        (changed pages + page count), per Section 4.4's space argument.  The
-        archive re-materialises on demand from its own copy of the chain.
-        ``force_keyframe`` ships the full state regardless — the anchor a
-        shipper needs for the first snapshot a fresh archive ever sees,
-        whose delta base the archive would not hold.
+        A snapshot ships as the manager keeps it — its changed pages over
+        its base (Section 4.4's space argument); the archive re-materialises
+        on demand from its own copy of the chain.  A keyframe — and, with
+        ``force_keyframe``, the first snapshot a fresh archive ever sees,
+        whose base it would not hold — ships every page and names no base.
         """
         delta = self.get_incremental(snapshot_id)
-        payload: Dict[str, Any] = {
-            "snapshot_id": snapshot_id,
-            "state_root": delta.state_root.hex(),
-            "transfer_bytes": self.transfer_cost_bytes(snapshot_id),
-            "execution": delta.execution.to_dict(),
-            "page_count": delta.page_count,
-            "page_size": self.page_size,
-        }
-        if force_keyframe or self.is_keyframe(snapshot_id):
-            payload["kind"] = "keyframe"
-            payload["state"] = self.get(snapshot_id).state
-        else:
-            payload["kind"] = "delta"
-            payload["base_snapshot_id"] = delta.base_snapshot_id
-            payload["changed_pages"] = {
-                str(index): page.hex()
-                for index, page in sorted(delta.changed_pages.items())}
-        return payload
+        if delta.base_snapshot_id is not None \
+                and (force_keyframe or self.is_keyframe(snapshot_id)):
+            delta = replace(
+                delta, base_snapshot_id=None,
+                changed_pages=dict(enumerate(self.get(snapshot_id).pages)))
+        return delta.to_bytes()

@@ -314,8 +314,8 @@ class TestStoredContentRewrite:
     While every row carried its own ``h`` the rewrite failed the chain check
     *at that entry*.  Now the row decodes into a self-consistent chain — a
     different one — and is refused at the next **pinned** hash instead: the
-    manifest's ``end_hash`` when the segment is read, or, if the manifest was
-    rewritten to match, the first signed authenticator at or after it.
+    manifest's ``end_hash`` when the segment is read, or, if the manifest
+    (the segment's journal record) was rewritten to match, the first signed authenticator at or after it.
     Either way before any verdict on the machine's behaviour.
     """
 
@@ -354,13 +354,21 @@ class TestStoredContentRewrite:
 
         # 2. Manifest rewritten to match: the archive opens clean, and the
         #    audit convicts at the authenticator check.
-        manifest_path = work_root / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        for stored in manifest["segments"]:
-            if stored["file"] == record.file_name:
+        #    (its record sits in the journal: one line, checksum redone).
+        journal_path = work_root / "MANIFEST.journal"
+        lines = journal_path.read_bytes().splitlines()
+        for number, line in enumerate(lines):
+            stored = json.loads(line[9:]).get("segment")
+            if stored and stored["file"] == record.file_name:
                 stored["end_hash"] = forked.end_hash.hex()
-        manifest_path.write_text(json.dumps(manifest))
-        assert LogArchive(work_root).recovery.clean
+                body = json.dumps({"segment": stored}, sort_keys=True,
+                                  separators=(",", ":")).encode()
+                lines[number] = b"%08x %s" % (zlib.crc32(body), body)
+        journal_path.write_bytes(b"\n".join(lines) + b"\n")
+        reopened = LogArchive(work_root)
+        assert reopened.recovery.clean
+        assert reopened.segment_records(machine)[-1].end_hash \
+            == forked.end_hash
         for streaming in (False, True):
             result = _audit_all(fleet, work_root, streaming)[machine]
             assert result.verdict is Verdict.FAIL

@@ -117,6 +117,18 @@ class TestStorage:
         restored = authenticators_from_bytes(authenticators_to_bytes(auths))
         assert restored[0].to_dict() == auths[0].to_dict()
 
+    @staticmethod
+    def _json_lines(batch, leave_out_consistent=True):
+        """The batch form archives held before the packed one."""
+        import json
+        lines = ['{"format_version": 1, "kind": "authenticators"}']
+        for auth in batch:
+            row = auth.to_dict()
+            if leave_out_consistent and auth.is_consistent():
+                del row["chain_hash"]
+            lines.append(json.dumps(row, sort_keys=True))
+        return ("\n".join(lines) + "\n").encode()
+
     def test_stored_batch_keeps_chain_hash_only_where_it_is_forged(self, ca):
         """Same rule as the log rows: ``chain_hash`` follows from the fields
         beside it, so only an authenticator whose does *not* stores one."""
@@ -129,22 +141,27 @@ class TestStorage:
         forged = replace(honest[1], chain_hash=bytes(32))
         batch = [honest[0], forged, honest[2]]
         data = authenticators_to_bytes(batch)
-        rows = [json.loads(line) for line in data.splitlines()[1:]]
-        assert ["chain_hash" in row for row in rows] == [False, True, False]
+        # one length byte and 32 hash bytes more than the honest batch; the
+        # last row's consistent chain hash (nobody's previous hash) is absent
+        assert len(data) == len(authenticators_to_bytes(honest)) + 33
+        assert forged.chain_hash in data
+        assert honest[2].chain_hash not in data
         restored = authenticators_from_bytes(data)
         assert restored == batch
         assert [auth.is_consistent() for auth in restored] == \
             [True, False, True]
-        # A batch stored before the rule (every chain hash written) loads.
-        lines = [data.splitlines()[0].decode()] + [
-            json.dumps(auth.to_dict(), sort_keys=True) for auth in batch]
+        # The JSON-lines batches of older archives load: under the same
+        # rule, and from before it (every chain hash written).
+        assert authenticators_from_bytes(self._json_lines(batch)) == batch
         assert authenticators_from_bytes(
-            ("\n".join(lines) + "\n").encode()) == batch
+            self._json_lines(batch, leave_out_consistent=False)) == batch
         # A row missing a field the hash is derived from is still malformed.
-        del rows[0]["content_hash"]
+        lines = self._json_lines(batch).decode().splitlines()
+        row = json.loads(lines[1])
+        del row["content_hash"]
         with pytest.raises(LogFormatError, match="malformed authenticator"):
             authenticators_from_bytes(
-                (lines[0] + "\n" + json.dumps(rows[0]) + "\n").encode())
+                (lines[0] + "\n" + json.dumps(row) + "\n").encode())
 
     def test_authenticator_rejects_wrong_kind(self):
         with pytest.raises(LogFormatError):
@@ -161,10 +178,15 @@ class TestStorage:
         alice = ca.issue("alice")
         log = TamperEvidentLog("alice", keypair=alice)
         log.append(EntryType.NONDET, nondet_content("x", 1))
-        data = authenticators_to_bytes([log.authenticator_for(log.entry_at(1))])
-        data = data.replace(b'"format_version": 1', b'"format_version": 99', 1)
+        batch = [log.authenticator_for(log.entry_at(1))]
+        data = self._json_lines(batch).replace(
+            b'"format_version": 1', b'"format_version": 99', 1)
         with pytest.raises(LogFormatError, match="format version"):
             authenticators_from_bytes(data)
+        # the packed form's version is its magic: another one is no batch
+        with pytest.raises(LogFormatError):
+            authenticators_from_bytes(
+                authenticators_to_bytes(batch).replace(b"AVMAUTH1", b"AVMAUTH2"))
 
 
 class TestStreamingReader:

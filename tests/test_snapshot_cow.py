@@ -410,10 +410,9 @@ class TestVmDirtyTracking:
 
 def _ship_all(manager, service, machine="m"):
     for snapshot_id in manager.snapshot_ids():
-        payload = manager.ship_payload(snapshot_id)
         service.on_message(NetworkMessage(
             source=machine, destination=service.identity,
-            payload=json.dumps(payload, sort_keys=True).encode("utf-8"),
+            payload=manager.ship_payload(snapshot_id),
             kind=MessageKind.ARCHIVE_SNAPSHOT))
 
 
@@ -452,10 +451,9 @@ class TestArchiveDeltaChain:
     def test_delta_without_base_quarantined(self, tmp_path):
         manager, _ = self._manager_with_history()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        payload = manager.ship_payload(6)  # delta; base 5 never shipped
         service.on_message(NetworkMessage(
             source="m", destination=service.identity,
-            payload=json.dumps(payload, sort_keys=True).encode("utf-8"),
+            payload=manager.ship_payload(6),  # delta; base 5 never shipped
             kind=MessageKind.ARCHIVE_SNAPSHOT))
         assert len(service.quarantine) == 1
         assert "base" in service.quarantine[0].reason
@@ -468,11 +466,16 @@ class TestArchiveDeltaChain:
         record = archive._snapshot_index["m"][6]  # noqa: SLF001 - test hook
         assert record.kind == "delta"
         path = archive.root / record.file_name
-        payload = json.loads(path.read_text("utf-8"))
-        first = sorted(payload["changed_pages"])[0]
-        payload["changed_pages"][first] = b"EVIL".hex()
-        path.write_text(json.dumps(payload), "utf-8")
-        with pytest.raises((SnapshotError, ArchiveIntegrityError)):
+        # A well-formed page file with one page's content swapped: only the
+        # Merkle root can tell.
+        delta = IncrementalSnapshot.from_bytes(path.read_bytes())
+        delta.changed_pages[min(delta.changed_pages)] = b"EVIL"
+        path.write_bytes(delta.to_bytes())
+        with pytest.raises(SnapshotError, match="hash-tree"):
+            archive.load_snapshot("m", 7)
+        # ... and a damaged one is refused by the reader.
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ArchiveIntegrityError, match="corrupt"):
             archive.load_snapshot("m", 7)
 
     def test_truncation_boundary_becomes_keyframe(self, tmp_path):

@@ -28,7 +28,7 @@ from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
 from repro.store import LogArchive
-from repro.store.manifest import MANIFEST_NAME
+from repro.store.manifest import JOURNAL_NAME, MANIFEST_NAME
 
 
 def build_sealed_log(machine="machine", segments=3, entries_per_segment=6):
@@ -239,11 +239,18 @@ class TestCrashRecoveryAndCorruption:
             LogArchive(root)
 
     def test_manifest_is_compact_and_an_indented_one_still_opens(self, tmp_path):
-        # Written through json's C encoder (no indent); archives written
-        # before that — both seed archives — carry an indented manifest.
+        # Written through json's C encoder (no indent), checkpoint and
+        # journal records alike; archives written before that — both seed
+        # archives — carry an indented manifest.
         import json
         root = tmp_path / "a"
-        archive_sealed_log(LogArchive(root), build_sealed_log())
+        archive = LogArchive(root)
+        archive_sealed_log(archive, build_sealed_log())
+        journal = (root / JOURNAL_NAME).read_text(encoding="utf-8")
+        assert '": ' not in journal and journal.count("\n") == 1 + 6
+        archive.adopt_retention_checkpoint("other", archive.head_checkpoint(
+            "machine"))  # a whole-index rewrite: checkpoint, journal gone
+        assert not (root / JOURNAL_NAME).exists()
         path = root / MANIFEST_NAME
         text = path.read_text(encoding="utf-8")
         assert "\n" not in text and '": ' not in text
@@ -262,9 +269,167 @@ class TestCrashRecoveryAndCorruption:
         archive = LogArchive(root)
         record = archive.store_authenticators(
             "alice", [log.authenticator_for(entry)])
-        (root / record.file_name).write_bytes(b"not bzip2 at all")
+        (root / record.file_name).write_bytes(b"not a batch at all")
         with pytest.raises(ArchiveIntegrityError):
             LogArchive(root).authenticators_for("alice")
+
+
+class TestJournalRecovery:
+    """``MANIFEST.json`` is a checkpoint, ``MANIFEST.journal`` the commits
+    since: what a crash at each step of a commit or a checkpoint leaves, and
+    that opening recovers from it (docs/log-archive.md, "Write protocol")."""
+
+    @staticmethod
+    def _recorded(root):
+        log = build_sealed_log()
+        archive = LogArchive(root)
+        archive_sealed_log(archive, log)  # 3 snapshots + 3 segments
+        return log, archive, (root / JOURNAL_NAME).read_bytes()
+
+    @staticmethod
+    def _listing(root):
+        return {path.relative_to(root).as_posix(): path.read_bytes()
+                for path in root.rglob("*") if path.is_file()}
+
+    def test_a_commit_is_two_fsyncs_data_file_first(self, tmp_path, monkeypatch):
+        import os
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        log = build_sealed_log()
+        archive = LogArchive(tmp_path / "a")
+        first, second = log.segments_between_snapshots()[:2]
+        archive.append_segment(first, sealed_by_snapshot=None)
+        # Once per name: the machine directory, the checkpoint that opens
+        # generation 1, the journal — each followed by its directory.
+        assert synced == [
+            "segment-00000001-00000007.avmlogz.tmp", "a",
+            MANIFEST_NAME + ".tmp", "a", JOURNAL_NAME, "a"]
+        del synced[:]
+        archive.append_segment(second, sealed_by_snapshot=None)
+        assert synced == ["segment-00000008-00000014.avmlogz.tmp", JOURNAL_NAME]
+        # ... and the record is on disk when the call returns.
+        assert LogArchive(tmp_path / "a").entry_count("machine") == 14
+
+    def test_torn_last_record_is_dropped_at_every_cut(self, tmp_path):
+        root = tmp_path / "a"
+        log, archive, journal = self._recorded(root)
+        last = archive.segment_records("machine")[-1]
+        data = (root / last.file_name).read_bytes()
+        start = journal.rindex(b"\n", 0, len(journal) - 1) + 1
+        assert last.file_name.encode() in journal[start:]
+        flipped = bytearray(journal)
+        flipped[start + 20] ^= 0x40  # whole last line, checksum off: torn too
+        for torn in [journal[:cut] for cut in range(start, len(journal))] \
+                + [bytes(flipped)]:
+            (root / JOURNAL_NAME).write_bytes(torn)
+            (root / last.file_name).write_bytes(data)
+            reopened = LogArchive(root)
+            # every earlier commit intact, the torn one gone with its file
+            assert reopened.recovery.orphan_files == [last.file_name]
+            assert reopened.segment_records("machine") == \
+                archive.segment_records("machine")[:-1]
+            assert reopened.snapshot_store("machine").snapshot_ids() == [1, 2, 3]
+            assert (root / JOURNAL_NAME).read_bytes() == journal[:start]
+            # ... and the same shipment is accepted afresh
+            reopened.append_segment(log.segments_between_snapshots()[-1],
+                                    sealed_by_snapshot=3)
+            assert (root / JOURNAL_NAME).read_bytes() == journal
+        assert LogArchive(root).materialized_log("machine").entries == \
+            log.entries
+
+    def test_damage_before_the_last_record_is_refused_and_nothing_deleted(
+            self, tmp_path):
+        root = tmp_path / "a"
+        _, _, journal = self._recorded(root)
+        start = journal.rindex(b"\n", 0, len(journal) - 1) + 1
+        for offset in range(0, start, 11):
+            damaged = bytearray(journal)
+            damaged[offset] ^= 0x01
+            (root / JOURNAL_NAME).write_bytes(bytes(damaged))
+            before = self._listing(root)
+            with pytest.raises(ArchiveIntegrityError, match="journal"):
+                LogArchive(root)
+            assert self._listing(root) == before
+
+    def test_stale_generation_journal_is_ignored_and_swept(self, tmp_path):
+        root = tmp_path / "a"
+        _, archive, journal = self._recorded(root)
+        records = archive.segment_records("machine")
+        archive.truncate("machine", records[0].last_sequence)
+        assert not (root / JOURNAL_NAME).exists()
+        # The crash between "checkpoint written" and "journal unlinked": the
+        # journal of the generation the checkpoint absorbed is still there,
+        # naming files the truncation deleted.
+        (root / JOURNAL_NAME).write_bytes(journal)
+        reopened = LogArchive(root)
+        assert reopened.recovery.orphan_files == [JOURNAL_NAME]
+        assert not (root / JOURNAL_NAME).exists()
+        assert reopened.segment_records("machine") == records[1:]
+        assert reopened.retained_checkpoint("machine") == \
+            records[0].end_checkpoint()
+        # So does one whose own first line never made it to disk whole.
+        (root / JOURNAL_NAME).write_bytes(journal[:17])
+        assert LogArchive(root).recovery.orphan_files == [JOURNAL_NAME]
+        # A journal *ahead* of its checkpoint means the checkpoint was lost.
+        (root / JOURNAL_NAME).write_bytes(
+            journal.replace(b'{"generation":1}', b'{"generation":9}'))
+        with pytest.raises(ArchiveIntegrityError, match="journal"):
+            LogArchive(root)
+
+    def test_replaying_the_journal_is_deterministic(self, tmp_path):
+        import hashlib
+        import json
+        from repro.store.manifest import Manifest
+        root = tmp_path / "a"
+        _, archive, _ = self._recorded(root)
+
+        def digest(manifest):
+            return hashlib.sha256(json.dumps(
+                manifest.to_dict(), sort_keys=True).encode()).hexdigest()
+        assert {digest(Manifest.load(root)[0]) for _ in range(5)} == \
+            {digest(archive._manifest)}
+
+    def test_whole_index_rewrites_checkpoint_and_appends_resume(self, tmp_path):
+        import json
+        import zlib
+        root = tmp_path / "a"
+        log, archive, _ = self._recorded(root)
+        other = build_sealed_log(machine="other", segments=1)
+        archive_sealed_log(archive, other)
+        records = archive.segment_records("machine")
+        archive.truncate("machine", records[1].last_sequence)
+        assert archive.forget_machine("other") == 2
+        stored = json.loads((root / MANIFEST_NAME).read_text())
+        assert stored["generation"] == 3 and not (root / JOURNAL_NAME).exists()
+        reopened = LogArchive(root)
+        assert reopened.recovery.clean and reopened.machines() == ["machine"]
+        assert reopened.segment_records("machine") == records[2:]
+        # The next append opens a journal of the checkpoint's generation.
+        archive_sealed_log(reopened, other)
+        assert (root / JOURNAL_NAME).read_bytes().startswith(
+            b"%08x " % zlib.crc32(b'{"generation":3}'))
+        again = LogArchive(root)
+        assert again.recovery.clean
+        assert again.materialized_log("other").entries == other.entries
+
+    def test_a_reader_of_format_1_refuses_a_new_archive(self, tmp_path):
+        import json
+        from repro.errors import LogFormatError
+        from repro.log.codec import require_format_version
+        root = tmp_path / "a"
+        self._recorded(root)
+        stored = json.loads((root / MANIFEST_NAME).read_text())
+        # What the reader before the journal does first; were it to go on, it
+        # would see none of the journaled records and sweep their files.
+        assert stored["segments"] == [] and stored["format_version"] == 2
+        with pytest.raises(LogFormatError, match="manifest"):
+            require_format_version(stored["format_version"], what="manifest",
+                                   supported=(1,))
 
 
 class TestRetentionGC:
@@ -395,6 +560,30 @@ class TestIngestService:
             NetworkMessage("m", "audit-ingest", b'{"snapshot_id": 1}',
                            kind=MessageKind.ARCHIVE_SNAPSHOT),
         ]
+        # ... and for both packed blob kinds: garbage, truncated, wrong
+        # magic, and a well-formed delta whose base never came.
+        from repro.log.storage import authenticators_to_bytes
+        from repro.vm.execution import ExecutionTimestamp
+        from repro.vm.snapshot import SnapshotManager
+        manager = SnapshotManager(page_size=64)
+        for step in range(2):
+            manager.take({"rows": ["x" * 200], "step": step},
+                         ExecutionTimestamp(step, step))
+        page_file = manager.ship_payload(1)
+        log = build_sealed_log(segments=1)
+        batch = authenticators_to_bytes(
+            [log.authenticator_for(entry) for entry in log.entries])
+        for kind, blob in ((MessageKind.ARCHIVE_SNAPSHOT, page_file),
+                           (MessageKind.ARCHIVE_AUTHENTICATORS, batch)):
+            garbage += [
+                NetworkMessage("m", "audit-ingest", payload, kind=kind,
+                               headers={"subject": "m"})
+                for payload in (blob[:8] + b"\x00\xffgarbage",
+                                blob[:len(blob) // 2],
+                                blob[:7] + b"9" + blob[8:])]
+        garbage.append(NetworkMessage("m", "audit-ingest",
+                                      manager.ship_payload(2),
+                                      kind=MessageKind.ARCHIVE_SNAPSHOT))
         for message in garbage:
             service.on_message(message)  # must never raise
         assert len(service.quarantine) == len(garbage)
@@ -740,16 +929,8 @@ class TestArchiveParseCaches:
             state = {"counter": index,
                      "items": {f"key-{j}": j * (index + 1) for j in range(40)}}
             snapshot = manager.take(state, ExecutionTimestamp(index * 10, index))
-            delta = manager._deltas[snapshot.snapshot_id]
-            if snapshot.snapshot_id == 1:
-                archive.store_snapshot(
-                    machine, 1, state, snapshot.state_root, 500,
-                    page_size=manager.page_size, page_count=delta.page_count)
-            else:
-                archive.store_snapshot_delta(
-                    machine, snapshot.snapshot_id, delta.base_snapshot_id,
-                    delta.changed_pages, delta.page_count,
-                    delta.state_root, 100, page_size=delta.page_size)
+            archive.store_snapshot_delta(
+                machine, manager.get_incremental(snapshot.snapshot_id))
         return archive, manager
 
     def test_cached_snapshot_fetches_match_fresh_archive(self, tmp_path):
@@ -780,7 +961,7 @@ class TestArchiveParseCaches:
         # memo would happily keep serving snapshot 4 without noticing.
         victim = archive.root / \
             archive._snapshot_index["machine"][3].file_name
-        victim.write_text(victim.read_text("utf-8")[:40])
+        victim.write_bytes(victim.read_bytes()[:-7])
         with pytest.raises(ArchiveIntegrityError):
             archive.load_snapshot("machine", 4)
 
@@ -789,18 +970,18 @@ class TestArchiveParseCaches:
         archive.load_snapshot("machine", 1)
         victim = archive.root / \
             archive._snapshot_index["machine"][1].file_name
-        victim.write_text("{not json")
+        victim.write_bytes(b"not a page file")
         with pytest.raises(ArchiveIntegrityError):
             archive.load_snapshot("machine", 1)
 
     def test_caches_stay_bounded(self, tmp_path):
         archive, _ = self._snapshot_chain(tmp_path / "a", snapshots=12)
+        archive._SNAPSHOT_FILE_CACHE_LIMIT = 5  # below the 12 files walked
         for snapshot_id in range(2, 13):
             archive.load_snapshot("machine", snapshot_id)
         assert len(archive._snapshot_pages_cache) <= \
             archive._SNAPSHOT_PAGES_CACHE_LIMIT
-        assert len(archive._keyframe_page_cache) <= \
-            archive._KEYFRAME_CACHE_LIMIT
+        assert len(archive._snapshot_file_cache) == 5
 
     def test_authenticator_cache_matches_and_invalidates(self, tmp_path, ca):
         alice = ca.issue("alice")
