@@ -108,6 +108,8 @@ class Adversary:
     expects_quarantine = False
     #: detection additionally yields a standalone equivocation proof
     expects_equivocation_proof = False
+    #: detection is an honest peer giving up on it at run time (Section 4.3)
+    expects_suspicion = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro.adversary.acks import ACK_ADVERSARIES
 from repro.adversary.base import Adversary
 from repro.adversary.equivocation import (
     EquivocatingPeer,
@@ -59,15 +60,18 @@ _REGISTRY: Dict[str, Callable[[int], Adversary]] = {
         HiddenNondeterminismAdversary,
         UnrecordedInputAdversary,
         CheatingGuestAdversary,
-    )
+    ) + ACK_ADVERSARIES
 }
+#: the acknowledgment adversaries run one kv cell each and come last
+#: everywhere, so the seeds of the older cells stay what they were
+ACK_ADVERSARY_NAMES = tuple(cls.name for cls in ACK_ADVERSARIES)
 
 
 def adversary_names() -> List[str]:
-    """Every registered adversary, the honest control first."""
-    names = sorted(_REGISTRY)
-    names.remove(HonestControl.name)
-    return [HonestControl.name] + names
+    """Every registered adversary: the honest control, the grid's in
+    alphabetical order, then the acknowledgment adversaries."""
+    grid = sorted(set(_REGISTRY) - {HonestControl.name, *ACK_ADVERSARY_NAMES})
+    return [HonestControl.name, *grid, *ACK_ADVERSARY_NAMES]
 
 
 def make_adversary(name: str, seed: int = 0) -> Adversary:

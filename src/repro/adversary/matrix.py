@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.adversary.base import Adversary, ScenarioContext
-from repro.adversary.catalog import adversary_names, make_adversary
+from repro.adversary.catalog import (ACK_ADVERSARY_NAMES, adversary_names,
+                                     make_adversary)
 from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.multiparty import find_equivocation
@@ -85,6 +86,8 @@ class CellOutcome:
     false_accusations: List[str] = field(default_factory=list)
     quarantined_shipments: int = 0
     equivocation_proof: bool = False
+    #: honest machines that gave up on the byzantine one at run time
+    suspected_by: List[str] = field(default_factory=list)
     #: simulated time at which an online audit first saw the fault
     detection_time: Optional[float] = None
     #: every promise of the cell held
@@ -116,6 +119,7 @@ class CellOutcome:
             "false_accusations": list(self.false_accusations),
             "quarantined_shipments": self.quarantined_shipments,
             "equivocation_proof": self.equivocation_proof,
+            "suspected_by": list(self.suspected_by),
             "detection_time": self.detection_time,
             "expectation_met": self.expectation_met,
         }
@@ -206,6 +210,8 @@ class ScenarioMatrix:
         cells: List[CellSpec] = []
         seed = self.base_seed
         for name in adversary_names():
+            if name in ACK_ADVERSARY_NAMES:
+                continue
             adversary = make_adversary(name)
             for workload in WORKLOADS:
                 base_size = 2 if workload == "kv" else 3
@@ -214,7 +220,9 @@ class ScenarioMatrix:
                     seed += 1
         for name, workload, size in (("honest", "kv", 4),
                                      ("tamper-modify", "kv", 4),
-                                     ("honest", "game", 4)):
+                                     ("honest", "game", 4),
+                                     *((name, "kv", 2)
+                                       for name in ACK_ADVERSARY_NAMES)):
             cells.append(CellSpec(name, workload, "full", size, seed))
             seed += 1
         return cells
@@ -552,14 +560,23 @@ class ScenarioMatrix:
         outcome.equivocation_proof = (proof is not None
                                       and proof.verify(ctx.keystore))
 
+        # Who gave up retransmitting to whom (Section 4.3): an honest
+        # machine may only ever suspect the byzantine one.
+        suspects = {machine: ctx.monitors[machine].stats.suspected_peers
+                    for machine in ctx.honest_machines}
+        outcome.suspected_by = [m for m in suspects if byzantine in suspects[m]]
+
         outcome.detected = (
             (byz_result is not None and byz_result.verdict is not Verdict.PASS)
             or outcome.quarantined_shipments > 0
-            or outcome.equivocation_proof)
+            or outcome.equivocation_proof
+            # suspicion detects only where it is the promised surface
+            or (adversary.expects_suspicion and bool(outcome.suspected_by)))
         outcome.false_accusations = [
             machine for machine in ctx.honest_machines
-            if results.get(machine) is not None
-            and results[machine].verdict is not Verdict.PASS]
+            if (results.get(machine) is not None
+                and results[machine].verdict is not Verdict.PASS)
+            or any(machine in suspected for suspected in suspects.values())]
 
         # Re-verify the accusation like an independent third party would.
         if byz_result is not None and byz_result.verdict is not Verdict.PASS:
@@ -590,6 +607,8 @@ class ScenarioMatrix:
         if adversary.expects_quarantine and outcome.quarantined_shipments == 0:
             return False
         if adversary.expects_equivocation_proof and not outcome.equivocation_proof:
+            return False
+        if adversary.expects_suspicion and not outcome.suspected_by:
             return False
         if (adversary.expected_phases and byz_result is not None
                 and byz_result.verdict is Verdict.FAIL

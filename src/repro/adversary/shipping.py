@@ -26,7 +26,7 @@ from typing import Callable, Tuple
 
 from repro.adversary.base import Adversary, ScenarioContext
 from repro.errors import SnapshotError
-from repro.log.compression import VmmLogCompressor
+from repro.log.codec import get_codec
 from repro.log.segments import LogSegment
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
@@ -98,9 +98,9 @@ class LyingShipperSegments(_LyingShipper):
 
     def corrupt_message(self, message: NetworkMessage,
                         rng: random.Random) -> None:
-        compressor = VmmLogCompressor()
+        codec = get_codec(1)
         try:
-            segment = compressor.decompress(message.payload)
+            segment = codec.decode_segment(message.payload)
         except Exception:  # pragma: no cover - only our own shipments arrive
             return
         if not segment.entries:
@@ -111,7 +111,7 @@ class LyingShipperSegments(_LyingShipper):
                                            "shipped_lie": rng.randrange(1 << 30)})
         entries = list(segment.entries)
         entries[index] = tampered
-        message.payload = compressor.compress(
+        message.payload = codec.encode_segment(
             LogSegment(machine=segment.machine, entries=entries,
                        start_hash=segment.start_hash))
 

@@ -7,8 +7,10 @@ and implements the machinery of Sections 4.3–4.4:
   deliveries, local input) is recorded with its execution timestamp;
 * every incoming and outgoing message is entered into the tamper-evident log;
   an outgoing message carries the authenticator of its SEND entry — that one
-  signature *is* the sender's commitment to the message — and an incoming
-  message is acknowledged with the authenticator of its RECV entry;
+  signature *is* the sender's commitment to the message — and, through an
+  ack run, acknowledges every RECV entry still owed to that peer; only a
+  RECV that waited :attr:`AccountableVMM.ack_hold` for such a message gets
+  a standalone acknowledgment (docs/message-protocol.md);
 * the AVM state is snapshotted periodically, and the hash-tree root of each
   snapshot is logged;
 * the monitor keeps the authenticators it has received from its peers so the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.avmm.clockopt import ClockReadOptimizer
 from repro.avmm.config import AvmmConfig
@@ -32,8 +34,9 @@ from repro.avmm.recorder import ExecutionRecorder
 from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.errors import LogFormatError, VMError
-from repro.log.authenticator import (Authenticator, committed_authenticator,
-                                     recv_commitment)
+from repro.log.authenticator import (MAX_ACK_RUN_LINKS, AckRun, Authenticator,
+                                     build_run, chain_run,
+                                     committed_authenticator, recv_commitment)
 from repro.log.codec import get_codec, require_format_version
 from repro.log.entries import (EntryType, LogEntry, ack_content, encode_content,
                                recv_content, send_content)
@@ -47,7 +50,7 @@ from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.clock import HostClock
 from repro.sim.process import Process
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import ScheduledEvent, Scheduler
 from repro.vm.events import GuestEvent, KeyboardInput, PacketDelivery, TimerInterrupt
 from repro.vm.guest import FrameOutput, Output, PacketOutput
 from repro.vm.image import VMImage
@@ -64,9 +67,14 @@ class MonitorStats:
 
     messages_sent: int = 0
     messages_received: int = 0
+    #: messages acknowledged / own messages a peer acknowledged
     acks_sent: int = 0
     acks_received: int = 0
-    #: acks whose authenticator did not commit to the RECV of the acked message
+    #: of ``acks_sent``, those that rode a DATA message under its signature
+    acks_piggybacked: int = 0
+    #: standalone ACK envelopes sent, each under a signature of its own
+    acks_standalone: int = 0
+    #: acknowledgments refused whole (run or signed entry did not check out)
     acks_rejected: int = 0
     signatures_generated: int = 0
     signatures_verified: int = 0
@@ -100,6 +108,9 @@ class AccountableVMM:
         metrics = self.obs.metrics
         self._m_log_entries = metrics.counter("monitor.log_entries_total")
         self._m_log_bytes = metrics.counter("monitor.log_bytes_total")
+        self._m_acks_piggybacked = metrics.counter(
+            "monitor.acks_piggybacked_total")
+        self._m_acks_standalone = metrics.counter("monitor.acks_standalone_total")
         self._m_log_length = metrics.gauge("monitor.log_length")
         self._m_snapshots = metrics.counter("monitor.snapshots_total")
         self._m_segments_shipped = metrics.counter("monitor.segments_shipped_total")
@@ -136,8 +147,17 @@ class AccountableVMM:
         self._seen_message_ids: set[str] = set()
         #: RECV entry sequence for each message id (to re-ack retransmissions)
         self._recv_entry_for: Dict[str, int] = {}
-        #: hash of the RECV content a peer's ack must commit to, per message in flight
-        self._expected_receipts: Dict[str, bytes] = {}
+        #: per peer and message in flight to it: the hash of the RECV
+        #: content the peer's acknowledgment must commit to
+        self._expected_receipts: Dict[str, Dict[str, bytes]] = {}
+        #: the same for the last MAX_ACK_RUN_LINKS messages each peer has
+        #: acknowledged: a late run naming them still chains, and clears
+        #: nothing twice
+        self._cleared_receipts: Dict[str, Dict[str, bytes]] = {}
+        #: RECV entries not yet acknowledged, per peer (sequence -> message
+        #: id, oldest first), and the hold timer running for each such peer
+        self._owed: Dict[str, Dict[int, str]] = {}
+        self._ack_timers: Dict[str, ScheduledEvent] = {}
         self._timer_process: Optional[Process] = None
         self._snapshot_process: Optional[Process] = None
         self._timer_ticks = 0
@@ -300,34 +320,36 @@ class AccountableVMM:
             message.authenticator = authenticator.to_dict()
             self._charge_daemon_for_entry(
                 entry.size_bytes(), signed=1 if authenticator.signature else 0)
+            # The signature the message needs anyway also acknowledges,
+            # through the run, everything owed to its destination.
+            message.ack_run = self._acknowledge(packet.destination, entry)
             if self.channel is not None:
-                self._expected_receipts[message.message_id] = hashing.hash_bytes(
-                    encode_content(recv_content(
-                        self.identity, packet.payload, message.message_id,
-                        message.kind.value, authenticator)))
+                self._expected_receipts.setdefault(packet.destination, {})[
+                    message.message_id] = hashing.hash_bytes(
+                        encode_content(recv_content(
+                            self.identity, packet.payload, message.message_id,
+                            message.kind.value, authenticator)))
         if self.config.record_replay_info:
             self.recorder.record_packet_out(
                 self.vm.execution_timestamp, packet.destination, payload_hash,
                 len(packet.payload), message.message_id)
         self.stats.messages_sent += 1
-        self._transmit(message, expect_ack=self.config.tamper_evident,
-                       extra_delay=compute_seconds)
+        self._transmit(message, self.perf.outgoing_packet_delay(
+            len(packet.payload)) + compute_seconds, self.config.tamper_evident)
 
     def _authenticate(self, entry: LogEntry) -> Authenticator:
         """Issue the authenticator for ``entry`` — the one signature a message
-        or acknowledgment costs (none under ``avmm-nosig``, whose log has no
-        key)."""
+        or standalone acknowledgment costs (none under ``avmm-nosig``, whose
+        log has no key)."""
         authenticator = self.log.authenticator_for(entry)
         if authenticator.signature:
             self.stats.signatures_generated += 1
         return authenticator
 
-    def _transmit(self, message: NetworkMessage, expect_ack: bool,
-                  extra_delay: float = 0.0) -> None:
+    def _transmit(self, message: NetworkMessage, delay: float,
+                  expect_ack: bool) -> None:
         if self.channel is None:
             return
-        delay = self.perf.outgoing_packet_delay(len(message.payload)) \
-            + extra_delay
         if delay > 0:
             self.scheduler.schedule_after(
                 delay, lambda: self.channel.send(message, expect_ack=expect_ack),
@@ -342,41 +364,46 @@ class AccountableVMM:
         if message.kind is MessageKind.ACK:
             self._handle_ack(message)
             return
-        if message.kind in (MessageKind.DATA, MessageKind.PING, MessageKind.PONG):
+        if message.kind is MessageKind.DATA:
             self._handle_data(message)
-            return
-        # Audit-protocol messages are handled by the audit layer, which
-        # registers its own endpoints; the monitor ignores them.
 
     def _handle_data(self, message: NetworkMessage) -> None:
+        peer = message.source
         duplicate = message.message_id in self._seen_message_ids
         self._seen_message_ids.add(message.message_id)
         self.stats.messages_received += 1
 
         if duplicate:
             # A retransmission means our acknowledgment may have been lost:
-            # re-acknowledge, without logging or delivering it a second time.
-            recv_sequence = self._recv_entry_for.get(message.message_id)
-            if recv_sequence is not None:
-                self._send_ack(message, entry_sequence=recv_sequence)
+            # re-acknowledge at once, without logging or delivering it a
+            # second time.
+            sequence = self._recv_entry_for.get(message.message_id)
+            if sequence is not None:
+                self._owed.get(peer, {}).pop(sequence, None)  # not twice
+                self._acknowledge(peer, owed={sequence: message.message_id})
             return
 
         if self.config.tamper_evident:
             authenticator = self._peer_authenticator(message)
-            content = recv_content(message.source, message.payload,
-                                   message.message_id, message.kind.value,
-                                   authenticator)
+            content = recv_content(peer, message.payload, message.message_id,
+                                   message.kind.value, authenticator)
             # The commitment is logged whether or not it verifies — the
             # syntactic check re-runs this very function and flags a bad one
             # (Section 4.3) — but only a verified one is kept as evidence.
-            if authenticator is not None:
-                self._file_if_committed(recv_commitment(self.identity, content))
+            committed = authenticator is not None and self._file_if_committed(
+                recv_commitment(self.identity, content))
             entry = self.log.append(EntryType.RECV, content)
             self._charge_daemon_for_entry(entry.size_bytes())
             self._recv_entry_for[message.message_id] = entry.sequence
-            self._send_ack(message, entry_sequence=entry.sequence)
+            self._owe(peer, entry.sequence, message.message_id)
+            if message.ack_run is not None:
+                # The verification above covers the run too, if it chains
+                # to the entry that was signed: all of it, or nothing.
+                self._acknowledged(peer, chain_run(
+                    message.ack_run, authenticator, self._receipt_of(peer))
+                    if committed else None)
 
-        event = PacketDelivery(source=message.source, payload=message.payload,
+        event = PacketDelivery(source=peer, payload=message.payload,
                                message_id=message.message_id)
         delay = self.perf.incoming_packet_delay(len(message.payload))
         if delay > 0:
@@ -385,55 +412,122 @@ class AccountableVMM:
         else:
             self.deliver_event(event)
 
-    def _send_ack(self, message: NetworkMessage, entry_sequence: int) -> None:
-        """Acknowledge an incoming message with an authenticator of its RECV entry."""
-        ack_entry = self.log.append(EntryType.ACK, ack_content(
-            peer=message.source, message_id=message.message_id,
-            direction="sent", acked_sequence=entry_sequence))
-        authenticator = self._authenticate(self.log.entry_at(entry_sequence))
-        ack = NetworkMessage(source=self.identity, destination=message.source,
-                             payload=b"", kind=MessageKind.ACK,
-                             message_id=self._allocate_message_id(),
-                             authenticator=authenticator.to_dict(),
-                             headers={"acked_message_id": message.message_id})
-        self.stats.acks_sent += 1
-        self._charge_daemon_for_entry(
-            ack_entry.size_bytes(), signed=1 if authenticator.signature else 0)
-        if self.channel is not None:
-            delay = self.perf.ack_generation_delay()
-            if delay > 0:
-                self.scheduler.schedule_after(
-                    delay, lambda: self.channel.send(ack, expect_ack=False),
-                    label=f"{self.identity}.ack:{message.message_id}")
-            else:
-                self.channel.send(ack, expect_ack=False)
+    # ------------------------------------------------------------------ acknowledging
+
+    @property
+    def ack_hold(self) -> float:
+        """How long a RECV waits for a DATA message to ride before it is
+        acknowledged standalone: a quarter of the retransmission interval,
+        so holding never causes one (docs/message-protocol.md)."""
+        return self.config.retransmit_interval / 4
+
+    def _owe(self, peer: str, sequence: int, message_id: str) -> None:
+        """Note a RECV entry the next signed envelope to ``peer`` acknowledges."""
+        owed = self._owed.get(peer)  # may be empty: a duplicate re-acked it
+        if owed and sequence - next(iter(owed)) > MAX_ACK_RUN_LINKS:
+            self._acknowledge(peer)  # early, rather than outgrow a run
+        self._owed.setdefault(peer, {})[sequence] = message_id
+        if peer not in self._ack_timers:
+            self._ack_timers[peer] = self.scheduler.schedule_after(
+                self.ack_hold, lambda: self._acknowledge(peer),
+                label=f"{self.identity}.ack-hold:{peer}")
+
+    def _acknowledge(self, peer: str, carrier: Optional[LogEntry] = None,
+                     owed: Optional[Dict[int, str]] = None) -> Optional[AckRun]:
+        """Acknowledge ``owed`` (default: all that is owed to ``peer``): on
+        ``carrier``, the SEND entry just signed for a message to ``peer``,
+        by the run returned for it; else by a standalone ACK signed at the
+        last owed RECV.  The run is the log from the oldest owed RECV up to
+        the signed entry."""
+        if owed is None:
+            timer = self._ack_timers.pop(peer, None)
+            if timer is not None:
+                timer.cancel()
+            owed = self._owed.pop(peer, {})
+        if not owed:
+            return None
+        first, last = next(iter(owed)), next(reversed(owed))
+        if carrier is not None and carrier.sequence - first > MAX_ACK_RUN_LINKS:
+            self._acknowledge(peer, owed=owed)  # too far back to ride
+            return None
+        signed = carrier or self.log.entry_at(last)
+        run = build_run([self.log.entry_at(sequence) for sequence
+                         in range(first, signed.sequence)], owed)
+        signatures = 0
+        if carrier is None:
+            authenticator = self._authenticate(signed)
+            signatures = 1 if authenticator.signature else 0
+            self._transmit(NetworkMessage(
+                source=self.identity, destination=peer, payload=b"",
+                kind=MessageKind.ACK, message_id=self._allocate_message_id(),
+                authenticator=authenticator.to_dict(), ack_run=run,
+                headers={"acked_message_id": owed[last]}),
+                self.perf.ack_generation_delay(), expect_ack=False)
+            self.stats.acks_standalone += 1
+            self._m_acks_standalone.inc()
+        else:
+            self.stats.acks_piggybacked += len(owed)
+            self._m_acks_piggybacked.inc(len(owed))
+        self.stats.acks_sent += len(owed)
+        for sequence, message_id in owed.items():
+            entry = self.log.append(EntryType.ACK, ack_content(
+                peer=peer, message_id=message_id, direction="sent",
+                acked_sequence=sequence))
+            self._charge_daemon_for_entry(entry.size_bytes(), signed=signatures)
+            signatures = 0
+        return run
 
     def _handle_ack(self, message: NetworkMessage) -> None:
-        self.stats.acks_received += 1
+        peer = message.source
         acked_id = str(message.headers.get("acked_message_id", ""))
-        if self.config.tamper_evident:
-            expected = self._expected_receipts.get(acked_id)
-            if expected is None:
-                return  # nothing in flight under that id: acknowledges nothing
-            authenticator = self._peer_authenticator(message)
-            # The ack must commit to RECV(m): the peer's authenticator has
-            # to verify against the RECV content an honest peer logs for
-            # what we sent.  Otherwise it acknowledges nothing — the message
-            # stays in flight and the peer ends up suspected.
-            if authenticator is None or not self._file_if_committed(
-                    committed_authenticator(
-                        message.source, authenticator.sequence,
-                        authenticator.previous_hash, authenticator.signature,
-                        EntryType.RECV, expected)):
-                self.stats.acks_rejected += 1
-                return
-            del self._expected_receipts[acked_id]
+        expected = self._expected_receipts.get(peer, {}).get(acked_id)
+        if expected is None:
+            return  # nothing in flight under that id: acknowledges nothing
+        authenticator = self._peer_authenticator(message)
+        # The signed entry must be RECV(m) as an honest peer logs it for
+        # what we sent, and the run, if any, has to chain to it.  Otherwise
+        # nothing is acknowledged: the messages stay in flight and the peer
+        # ends up suspected.
+        acked = chain_run(message.ack_run, authenticator,
+                          self._receipt_of(peer)) if authenticator else None
+        if acked is not None and self._file_if_committed(committed_authenticator(
+                peer, authenticator.sequence, authenticator.previous_hash,
+                authenticator.signature, EntryType.RECV, expected)):
+            acked.append(acked_id)
+        else:
+            acked = None
+        self._acknowledged(peer, acked)
+
+    def _receipt_of(self, peer: str) -> Callable[[str], Optional[bytes]]:
+        """RECV content hashes an ack run from ``peer`` may name, by message
+        id: what is in flight to it, and what it acknowledged lately (the
+        run of a retransmitted carrier is late, not forged)."""
+        in_flight = self._expected_receipts.get(peer, {})
+        cleared = self._cleared_receipts.get(peer, {})
+        return lambda message_id: in_flight.get(message_id) \
+            or cleared.get(message_id)
+
+    def _acknowledged(self, peer: str, message_ids: Optional[List[str]]) -> None:
+        """``peer`` verifiably logged RECV of each: stop retransmitting —
+        or (``None``) its acknowledgment had to be refused whole."""
+        if message_ids is None:
+            self.stats.acks_rejected += 1
+            return
+        cleared = self._cleared_receipts.setdefault(peer, {})
+        for message_id in message_ids:
+            receipt = self._expected_receipts[peer].pop(message_id, None)
+            if receipt is None:
+                continue  # acknowledged before, or twice in one run
+            cleared[message_id] = receipt
+            if len(cleared) > MAX_ACK_RUN_LINKS:
+                del cleared[next(iter(cleared))]
+            self.stats.acks_received += 1
             entry = self.log.append(EntryType.ACK, ack_content(
-                peer=message.source, message_id=acked_id,
-                direction="received", acked_sequence=0))
+                peer=peer, message_id=message_id, direction="received",
+                acked_sequence=0))
             self._charge_daemon_for_entry(entry.size_bytes())
-        if self.channel is not None and acked_id:
-            self.channel.acknowledge(acked_id)
+            if self.channel is not None:
+                self.channel.acknowledge(message_id)
 
     @staticmethod
     def _peer_authenticator(message: NetworkMessage) -> Optional[Authenticator]:
@@ -462,16 +556,16 @@ class AccountableVMM:
 
     def _on_give_up(self, message: NetworkMessage) -> None:
         """A peer failed to acknowledge after repeated retransmissions."""
-        self._expected_receipts.pop(message.message_id, None)
+        self._expected_receipts.get(message.destination, {}).pop(
+            message.message_id, None)
         if message.destination not in self.stats.suspected_peers:
             self.stats.suspected_peers.append(message.destination)
 
     # ------------------------------------------------------------------ daemon accounting
 
-    def _charge_daemon_for_entry(self, entry_bytes: int, signed: int = 0,
-                                 verified: int = 0) -> None:
+    def _charge_daemon_for_entry(self, entry_bytes: int, signed: int = 0) -> None:
         self.stats.daemon_cpu_seconds += self.perf.daemon_cpu_for_log(entry_bytes)
-        self.stats.daemon_cpu_seconds += self.perf.daemon_cpu_for_signatures(signed, verified)
+        self.stats.daemon_cpu_seconds += self.perf.daemon_cpu_for_signatures(signed, 0)
         self.stats.vmm_cpu_seconds += self.perf.vmm_cpu_for_recording(1, entry_bytes)
         # Log-append telemetry: every message-path append charges here, so
         # this is the counting chokepoint (recorder-internal entries are
@@ -724,4 +818,8 @@ class AccountableVMM:
             "messages_sent": self.stats.messages_sent,
             "messages_received": self.stats.messages_received,
             "signatures_generated": self.stats.signatures_generated,
+            "acks_sent": self.stats.acks_sent,
+            "acks_piggybacked": self.stats.acks_piggybacked,
+            "acks_standalone": self.stats.acks_standalone,
         }
+

@@ -47,11 +47,6 @@ def encode_int(value: int, width: int = 8) -> bytes:
     return int(value).to_bytes(width, "big")
 
 
-def encode_str(value: str) -> bytes:
-    """Encode a string as UTF-8 bytes."""
-    return value.encode("utf-8")
-
-
 def hash_object(obj: Any) -> bytes:
     """Hash an arbitrary JSON-serialisable object canonically.
 

@@ -48,6 +48,8 @@ def _detection_summary(report: MatrixReport, adversary: str) -> Tuple[str, ...]:
             surfaces.add("quarantine")
         if cell.equivocation_proof:
             surfaces.add("equivocation-proof")
+        if cell.suspected_by:
+            surfaces.add("suspected-at-run-time")
     evidence = all(cell.evidence_verified for cell in cells if cell.detected)
     false_accusations = sum(len(cell.false_accusations) for cell in cells)
     if expected:

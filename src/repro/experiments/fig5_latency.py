@@ -3,8 +3,8 @@
 The paper measures the RTT of 100 ICMP echo requests between machines on the
 same gigabit switch: ~0.19 ms on bare hardware, ~0.53 ms with the VMM,
 ~0.62 ms with recording, >2 ms with the logging daemon and ~5 ms with 768-bit
-RSA signatures (four signatures per exchange: ping, pong and both
-acknowledgments).
+RSA signatures (four signatures per exchange in the paper: ping, pong and
+both acknowledgments; three here — the pong carries the ping's).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Section 6.7 — network traffic overhead.
 
 Counterstrike clients send tiny packets (50–60 bytes, ~26 packets/s), so the
-AVMM's fixed per-packet overhead — a signature on every packet and on every
-acknowledgment, plus TCP encapsulation — increases the raw IP-level traffic of
+AVMM's fixed per-packet overhead — a signature on every packet, the ack run
+it carries, plus TCP encapsulation — increases the raw IP-level traffic of
 the machine hosting the game roughly tenfold (22 kbps -> 215.5 kbps in the
 paper) while remaining far below broadband capacity in absolute terms.
 """

@@ -10,13 +10,14 @@ accumulate non-repudiable commitments to its log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.crypto.signatures import BatchVerifyResult
 from repro.errors import LogFormatError
-from repro.log.entries import EntryType, encode_content, send_content
+from repro.log.entries import EntryType, LogEntry, encode_content, send_content
 from repro.log.hashchain import entry_link_hash, link_hash
 
 
@@ -152,6 +153,93 @@ def committed_authenticator(machine: str, sequence: int, previous_hash: bytes,
                                    content_hash),
         previous_hash=previous_hash, entry_type=entry_type.wire_name,
         content_hash=content_hash)
+
+
+#: most log entries one ack run may span: what a receiver hashes on a peer's
+#: word is bounded, and a sender acknowledges early rather than exceed it
+MAX_ACK_RUN_LINKS = 256
+
+#: one entry of the acknowledger's log between the oldest RECV it owes and the
+#: signed entry: "your message, this id" (the recipient recomputes that RECV's
+#: content hash itself) or ``(entry type wire name, content hash)``
+AckLink = Union[str, Tuple[str, bytes]]
+
+
+@dataclass(frozen=True)
+class AckRun:
+    """Entries ``first_sequence … k-1`` of the sender's log, ``k`` being the
+    entry its authenticator signs: rolled forward from ``start_hash``
+    (``h_{first_sequence-1}``) they must end in the authenticator's
+    ``previous_hash``, so the one signature acknowledges every "yours" link
+    (:func:`build_run` makes one, :func:`chain_run` checks it)."""
+
+    first_sequence: int
+    start_hash: bytes
+    links: Tuple[AckLink, ...]
+
+    def wire_size(self) -> int:
+        """Raw bytes: sequence, hash, count, then a tag byte per link plus
+        the message id, or a type byte and the 32-byte content hash."""
+        return 8 + len(self.start_hash) + 2 + sum(
+            1 + (len(link) if isinstance(link, str) else 1 + len(link[1]))
+            for link in self.links)
+
+
+def build_run(entries: Sequence[LogEntry],
+              owed: Mapping[int, str]) -> Optional[AckRun]:
+    """The run over ``entries`` — ``a … k-1`` of the acknowledger's log, in
+    order — where ``owed`` maps the sequences of the RECV entries being
+    acknowledged to their message ids; ``None`` when the signed entry is
+    the oldest owed RECV itself."""
+    if not entries:
+        return None
+    return AckRun(entries[0].sequence, entries[0].previous_hash, tuple(
+        owed.get(entry.sequence)
+        or (entry.entry_type.wire_name, entry.content_hash())
+        for entry in entries))
+
+
+def chain_run(run: Optional[AckRun], signed: Authenticator,
+              receipt_of: Callable[[str], Optional[bytes]]) -> Optional[List[str]]:
+    """The messages an ack run acknowledges, if it chains to ``signed``.
+
+    Rolls :func:`entry_link_hash` forward from the run's ``h_{a-1}`` over
+    entries ``a … k-1``, ``k`` being the entry ``signed`` commits to; a
+    "yours" link is a RECV whose content hash ``receipt_of(message id)``
+    supplies — the verifier's own, never the peer's.  If that gives the
+    ``h_{k-1}`` ``signed`` advertises, its one signature covers the run and
+    the "yours" ids are returned (none without a run).  ``None`` otherwise,
+    and — before anything is hashed — for a run not typed as declared, empty
+    or over :data:`MAX_ACK_RUN_LINKS`, not ending at ``k``, or naming a
+    message ``receipt_of`` does not know.
+    """
+    def is_hash(value) -> bool:
+        return isinstance(value, bytes) and len(value) == len(hashing.ZERO_HASH)
+
+    if run is None:
+        return []
+    if not (isinstance(run, AckRun) and type(run.first_sequence) is int
+            and is_hash(run.start_hash) and isinstance(run.links, tuple)
+            and 0 < len(run.links) <= MAX_ACK_RUN_LINKS
+            and 0 < run.first_sequence == signed.sequence - len(run.links)):
+        return None
+    resolved: List[Tuple[EntryType, bytes]] = []
+    for link in run.links:
+        if isinstance(link, str):
+            link = (EntryType.RECV.wire_name, receipt_of(link))
+        try:
+            wire_name, content_hash = link
+            resolved.append((EntryType(wire_name), content_hash))
+        except (TypeError, ValueError):
+            return None
+        if not is_hash(content_hash):
+            return None
+    chained = run.start_hash
+    for sequence, link in enumerate(resolved, run.first_sequence):
+        chained = entry_link_hash(chained, sequence, *link)
+    if chained != signed.previous_hash:
+        return None
+    return [link for link in run.links if isinstance(link, str)]
 
 
 def recv_commitment(recipient: str, recv: Mapping[str, Any]) -> Authenticator:

@@ -2,26 +2,17 @@
 
 Section 6.4 reports log sizes *after applying bzip2 and a lossless,
 VMM-specific (but application-independent) compression algorithm* that brings
-growth from ~8 MB/min down to ~2.47 MB/min.  We provide both stages:
-
-* :func:`bzip2_compress` / :func:`bzip2_decompress` — plain bzip2.
-* :class:`VmmLogCompressor` — a lossless, VMM-specific pre-pass that exploits
-  the structure of replay entries (monotone execution counters, near-constant
-  clock deltas, repeated field names) by delta-encoding counters and
-  dictionary-encoding entry payload keys before the generic compressor runs.
-
-The wire format itself now lives in :mod:`repro.log.codec` as
-``format_version=1`` (:class:`~repro.log.codec.JsonBz2Codec`), alongside the
-binary ``format_version=2`` codec; this module keeps the historical
-compression-centric API — :class:`VmmLogCompressor` delegates to the v1
-codec, and :class:`~repro.log.codec.SegmentStreamDecoder` (re-exported here)
-streams *any* registered format by sniffing the magic.
+growth from ~8 MB/min down to ~2.47 MB/min.  Both stages are the
+``format_version=1`` wire codec (:class:`~repro.log.codec.JsonBz2Codec`: a
+delta / dictionary pre-pass over the replay entries, then bzip2); what is
+left here is the streamed meter of that codec's output size, and
+:class:`~repro.log.codec.SegmentStreamDecoder` (re-exported), which streams
+*any* registered format by sniffing the magic.
 """
 
 from __future__ import annotations
 
 import bz2
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.log.codec import (
@@ -32,83 +23,17 @@ from repro.log.codec import (
     _RowCodec,
 )
 from repro.log.entries import LogEntry
-from repro.log.segments import LogSegment
 
 __all__ = [
-    "bzip2_compress",
-    "bzip2_decompress",
-    "CompressionStats",
-    "VmmLogCompressor",
     "SegmentStreamDecoder",
     "IncrementalCompressionMeter",
-    "compress_segment",
-    "decompress_segment",
 ]
-
-
-def bzip2_compress(data: bytes, level: int = 9) -> bytes:
-    """Compress ``data`` with bzip2."""
-    return bz2.compress(data, level)
-
-
-def bzip2_decompress(data: bytes) -> bytes:
-    """Decompress bzip2 data."""
-    return bz2.decompress(data)
-
-
-@dataclass(frozen=True)
-class CompressionStats:
-    """Outcome of compressing a log segment."""
-
-    raw_bytes: int
-    vmm_encoded_bytes: int
-    compressed_bytes: int
-
-    @property
-    def ratio(self) -> float:
-        """Compressed size divided by raw size (smaller is better)."""
-        if self.raw_bytes == 0:
-            return 1.0
-        return self.compressed_bytes / self.raw_bytes
-
-
-class VmmLogCompressor:
-    """Two-stage compressor: VMM-specific delta/dictionary pre-pass + bzip2.
-
-    The pre-pass is lossless: :meth:`decompress` reproduces the exact segment
-    bytes produced by :func:`repro.log.storage.segment_to_bytes`.  This class
-    is now a compression-flavoured veneer over the ``format_version=1`` codec
-    (:class:`repro.log.codec.JsonBz2Codec`).
-    """
-
-    MAGIC = JsonBz2Codec.MAGIC
-
-    def compress(self, segment: LogSegment) -> bytes:
-        """Compress a segment; returns the compressed byte string."""
-        return JsonBz2Codec().encode_segment(segment)
-
-    def decompress(self, data: bytes) -> LogSegment:
-        """Reverse :meth:`compress`."""
-        return JsonBz2Codec().decode_segment(data)
-
-    def stats(self, segment: LogSegment) -> CompressionStats:
-        """Compute raw / pre-pass / compressed sizes for a segment."""
-        # Imported lazily: storage sits above the codec layer (it routes its
-        # format_version checks through the codec registry).
-        from repro.log.storage import segment_to_bytes
-
-        raw = segment_to_bytes(segment)
-        encoded = JsonBz2Codec.prepass(segment)
-        compressed = self.MAGIC + bzip2_compress(encoded)
-        return CompressionStats(raw_bytes=len(raw),
-                                vmm_encoded_bytes=len(encoded),
-                                compressed_bytes=len(compressed))
 
 
 # -- streaming compressed-size metering --------------------------------------
 
 class IncrementalCompressionMeter:
-    """Byte-exact ``len(VmmLogCompressor().compress(segment))``, streamed.
+    """Byte-exact ``len(JsonBz2Codec().encode_segment(segment))``, streamed.
 
     Reproduces the exact byte count of the one-shot v1 compressor while
     seeing one entry at a time: it re-emits the compact key-sorted JSON the
@@ -128,7 +53,7 @@ class IncrementalCompressionMeter:
 
     def __init__(self, machine: str, start_hash: bytes, level: int = 9) -> None:
         self._compressor = bz2.BZ2Compressor(level)
-        self._count = len(VmmLogCompressor.MAGIC)
+        self._count = len(JsonBz2Codec.MAGIC)
         self._codec = _RowCodec(start_hash)
         self._first_row = True
         self.raw_bytes = 0
@@ -166,12 +91,3 @@ class IncrementalCompressionMeter:
         self._count += len(self._compressor.flush())
         return self._count
 
-
-def compress_segment(segment: LogSegment) -> bytes:
-    """Module-level convenience wrapper around :class:`VmmLogCompressor`."""
-    return VmmLogCompressor().compress(segment)
-
-
-def decompress_segment(data: bytes) -> LogSegment:
-    """Module-level convenience wrapper around :class:`VmmLogCompressor`."""
-    return VmmLogCompressor().decompress(data)

@@ -659,20 +659,6 @@ def _default(value: Any) -> Any:
     raise TypeError(f"cannot encode {type(value)!r} in log entry content")
 
 
-def decode_bytes_fields(content: Dict[str, Any]) -> Dict[str, Any]:
-    """Undo the ``{"__bytes__": ...}`` encoding produced by :func:`encode_content`."""
-    def convert(value: Any) -> Any:
-        if isinstance(value, dict):
-            if set(value.keys()) == {"__bytes__"}:
-                return bytes.fromhex(value["__bytes__"])
-            return {k: convert(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [convert(v) for v in value]
-        return value
-
-    return {k: convert(v) for k, v in content.items()}
-
-
 # ---------------------------------------------------------------------------
 # Convenience constructors for the common entry payloads.
 # ---------------------------------------------------------------------------

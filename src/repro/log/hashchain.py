@@ -124,11 +124,6 @@ class ChainCheckpoint:
         return ChainCheckpoint(sequence=0, chain_hash=hashing.ZERO_HASH)
 
     @staticmethod
-    def from_entry(entry: LogEntry) -> "ChainCheckpoint":
-        """Checkpoint after a verified entry."""
-        return ChainCheckpoint(sequence=entry.sequence, chain_hash=entry.chain_hash)
-
-    @staticmethod
     def from_authenticator(auth: "Authenticator") -> "ChainCheckpoint":
         """Checkpoint after the entry a (verified) authenticator commits to."""
         return ChainCheckpoint(sequence=auth.sequence, chain_hash=auth.chain_hash)

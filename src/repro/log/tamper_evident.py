@@ -126,10 +126,6 @@ class TamperEvidentLog:
         """Chain hash of the most recent entry (``0`` for an empty log)."""
         return self._current_hash
 
-    @property
-    def next_sequence(self) -> int:
-        return self._next_sequence
-
     def entry_at(self, sequence: int) -> LogEntry:
         """Return the entry with the given sequence number."""
         index = sequence - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.log.compression import VmmLogCompressor
+from repro.log.codec import get_codec
 from repro.log.entries import ACCOUNTABILITY_ENTRY_TYPES, REPLAY_ENTRY_TYPES, EntryType
 from repro.log.tamper_evident import TamperEvidentLog
 
@@ -104,7 +104,7 @@ def log_content_breakdown(log: TamperEvidentLog, duration_seconds: float,
     total = sum(categories.values())
     compressed = 0
     if len(log) > 0:
-        compressed = len(VmmLogCompressor().compress(log.full_segment()))
+        compressed = len(get_codec(1).encode_segment(log.full_segment()))
     return LogContentBreakdown(
         machine=machine or log.machine,
         duration_seconds=duration_seconds,

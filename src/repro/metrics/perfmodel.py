@@ -7,7 +7,7 @@ its 2.8 GHz Core i7 testbed:
 
 * bare-hardware ping RTT ≈ 0.19 ms, rising to ≈ 0.5 ms with virtualisation,
   ≈ 0.6 ms with recording, > 2 ms with the logging daemon and ≈ 5 ms with
-  768-bit RSA signatures (Figure 5);
+  768-bit RSA signatures (Figure 5; the pong carries the ping's ack);
 * frame rate ≈ 158 fps bare, dropping ~11 % when recording is enabled and
   ~13 % for the full AVMM (Figure 7);
 * the logging daemon keeps one hyperthread below 8 % utilisation (Figure 6).
@@ -108,9 +108,9 @@ class PerfModel:
 
     # -- latency charges ---------------------------------------------------------
 
-    def outgoing_packet_delay(self, payload_size: int = 0, *,
-                              signatures: int = 1) -> float:
-        """Latency added to a packet leaving the guest before it hits the wire."""
+    def outgoing_packet_delay(self, payload_size: int = 0) -> float:
+        """Latency added to a packet leaving the guest before it hits the
+        wire: one signature, which also covers the acknowledgments it carries."""
         delay = 0.0
         if self.virtualized:
             delay += self.params.virtualization_packet_overhead
@@ -120,12 +120,12 @@ class PerfModel:
         if self.tamper_evident:
             delay += self.params.daemon_ipc_delay
             if self.signs_packets:
-                delay += self.params.sign_seconds * signatures
+                delay += self.params.sign_seconds
         return delay
 
-    def incoming_packet_delay(self, payload_size: int = 0, *,
-                              verifications: int = 1) -> float:
-        """Latency added to a packet between arrival and injection into the guest."""
+    def incoming_packet_delay(self, payload_size: int = 0) -> float:
+        """Latency added to a packet between arrival and injection into the
+        guest: one verification, ack run included."""
         delay = 0.0
         if self.virtualized:
             delay += self.params.virtualization_packet_overhead
@@ -135,11 +135,12 @@ class PerfModel:
         if self.tamper_evident:
             delay += self.params.daemon_ipc_delay
             if self.signs_packets:
-                delay += self.params.verify_seconds * verifications
+                delay += self.params.verify_seconds
         return delay
 
     def ack_generation_delay(self) -> float:
-        """Latency to produce an acknowledgment (includes signing it)."""
+        """Latency to produce a *standalone* acknowledgment (includes signing
+        it); one that rides a data message costs that message nothing."""
         if not self.tamper_evident:
             return 0.0
         delay = self.params.daemon_ipc_delay * 0.5

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ChannelError
-from repro.network.message import MessageKind, NetworkMessage
+from repro.network.message import NetworkMessage
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import ScheduledEvent
 
@@ -64,7 +64,7 @@ class ReliableChannel:
                 f"channel for {self.identity!r} cannot send messages from "
                 f"{message.source!r}")
         self.network.send(message)
-        if expect_ack and message.kind is not MessageKind.ACK:
+        if expect_ack:
             pending = _PendingMessage(message=message, attempts=1)
             self._pending[message.message_id] = pending
             self._schedule_retransmit(pending)

@@ -2,21 +2,23 @@
 
 An envelope carries the application payload plus the accountability headers
 the AVMM adds: the sender's authenticator — its signed commitment to the SEND
-(or, on an acknowledgment, RECV) entry, and the only signature a message
-carries — and acknowledgment references.  Envelope sizes are tracked
-explicitly because the traffic overhead of per-packet signatures is one of
-the paper's measurements (Section 6.7).
+(or, on a standalone acknowledgment, RECV) entry, and the only signature a
+message carries — and the :class:`AckRun` that lets that one signature also
+acknowledge everything the sender owes the recipient
+(docs/message-protocol.md).  Envelope sizes are tracked explicitly because
+the traffic overhead of per-packet signatures is one of the paper's
+measurements (Section 6.7).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.crypto import hashing
+from repro.log.authenticator import AckRun
 
 # IP + UDP header bytes counted for raw traffic accounting, matching the
 # paper's "raw, IP-level network traffic" measurement.
@@ -27,42 +29,11 @@ TCP_HEADER_BYTES = 40
 _message_counter = itertools.count(1)
 
 
-def reset_message_ids() -> None:
-    """Restart the *fallback* message-id counter (deprecated shim).
-
-    Message ids are normally allocated per network instance
-    (:meth:`repro.network.simnet.SimulatedNetwork.allocate_message_id`), so
-    two fleets built in the same process record identical id strings with
-    identical seeds and nothing needs resetting.  The process-global counter
-    here only backs messages constructed without an explicit id outside any
-    network (unit tests, ad-hoc envelopes); this shim restarts it for
-    callers that predate per-network allocation.  Never call it
-    mid-simulation: colliding ids would confuse ack matching.
-
-    .. deprecated:: every in-tree caller has migrated to per-network ids;
-       the shim warns and will be removed once out-of-tree users catch up.
-    """
-    warnings.warn(
-        "reset_message_ids() is deprecated: message ids are allocated "
-        "per network instance (SimulatedNetwork.allocate_message_id); "
-        "the process-global fallback counter no longer needs resetting",
-        DeprecationWarning, stacklevel=2)
-    global _message_counter
-    _message_counter = itertools.count(1)
-
-
 class MessageKind(enum.Enum):
     """What role an envelope plays in the protocol."""
 
     DATA = "data"                     # application payload (game packet, query)
-    ACK = "ack"                       # acknowledgment carrying an authenticator
-    AUDIT_REQUEST = "audit_request"   # auditor asks for a log segment
-    AUDIT_RESPONSE = "audit_response" # machine returns a log segment / snapshot
-    CHALLENGE = "challenge"           # forwarded challenge (multi-party, Section 4.6)
-    CHALLENGE_RESPONSE = "challenge_response"
-    EVIDENCE = "evidence"             # evidence distributed to other parties
-    PING = "ping"                     # latency measurement (Figure 5)
-    PONG = "pong"
+    ACK = "ack"                       # standalone acknowledgment (no DATA to ride)
     # Archive-ingest stream (machines shipping sealed log state to the
     # durable archive service; see repro.service.ingest).
     ARCHIVE_SEGMENT = "archive_segment"          # compressed sealed segment
@@ -81,6 +52,8 @@ class NetworkMessage:
     message_id: str = ""
     authenticator: Optional[Dict[str, Any]] = None
     headers: Dict[str, Any] = field(default_factory=dict)
+    #: cumulative acknowledgment riding the authenticator (signed envelopes)
+    ack_run: Optional[AckRun] = None
 
     def __post_init__(self) -> None:
         if not self.message_id:
@@ -107,21 +80,11 @@ class NetworkMessage:
             size += _authenticator_wire_size(self.authenticator)
         for key, value in self.headers.items():
             size += len(str(key)) + len(str(value))
+        if self.ack_run is not None:
+            size += self.ack_run.wire_size()
         if encapsulate_tcp:
             size += TCP_HEADER_BYTES
         return size
-
-    def copy_for_forwarding(self, new_destination: str) -> "NetworkMessage":
-        """Copy the envelope addressed to another party (challenge forwarding)."""
-        return NetworkMessage(
-            source=self.source,
-            destination=new_destination,
-            payload=self.payload,
-            kind=self.kind,
-            message_id=f"{self.message_id}-fwd-{new_destination}",
-            authenticator=dict(self.authenticator) if self.authenticator else None,
-            headers=dict(self.headers),
-        )
 
 
 # Authenticator fields that travel hex-encoded in the dict but as raw bytes

@@ -109,9 +109,6 @@ class SimulatedNetwork:
         self._partitioned.discard((a, b))
         self._partitioned.discard((b, a))
 
-    def is_registered(self, identity: str) -> bool:
-        return identity in self._endpoints
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, message: NetworkMessage) -> bool:

@@ -11,12 +11,17 @@ serial, engine (inline, process, finest chunking), spot check (serial and
 engine-backed) and, for archived cells, the materializing audit, the stream
 and the engine and spot checker over the archive — against
 ``tests/data/conviction_pins.json``: verdict, phase and reason of every
-conviction as the serial audit reported them at the commit before chunk
-evidence replaced the serial confirmation, and checks that each conviction's
-evidence convinces a third party holding its own keystore and image.
+conviction as the serial audit reports them (``--regenerate-pins``, see
+:func:`regenerate_pins`, re-pins the sequence numbers the reasons quote and
+nothing else; verdict, phase and reason class are those of the commit before
+chunk evidence replaced the serial confirmation), and checks that each
+conviction's evidence convinces a third party holding its own keystore and
+image.
 """
 
 import json
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -165,6 +170,9 @@ class TestRepresentativeCells:
         CellSpec("lying-shipper-segments", "kv", "archive", 2, 2004),
         CellSpec("hidden-nondeterminism", "kv", "spot", 2, 2005),
         CellSpec("snapshot-mutation", "kv", "spot", 2, 2006),
+        CellSpec("forged-ack-link", "kv", "full", 2, 2012),
+        CellSpec("phantom-ack", "kv", "full", 2, 2013),
+        CellSpec("withheld-acks", "kv", "full", 2, 2014),
     ], ids=lambda spec: f"{spec.adversary}-{spec.mode}")
     def test_cell_meets_expectations(self, matrix, spec):
         outcome = matrix.run_cell(spec)
@@ -204,6 +212,65 @@ class TestRepresentativeCells:
         assert first.phase == second.phase
 
 
+class TestAcknowledgmentCells:
+    """What the three acknowledgment adversaries look like from the honest
+    side (the cells themselves run in ``TestRepresentativeCells``)."""
+
+    @staticmethod
+    def _recorded(name, seed):
+        matrix = ScenarioMatrix()
+        adversary = make_adversary(name, seed=seed)
+        ctx, run = matrix._build(CellSpec(name, "kv", "full", 2, seed),
+                                 adversary, None)
+        adversary.install(ctx)
+        run()
+        adversary.corrupt(ctx)
+        return matrix, ctx, adversary, ctx.monitors[ctx.honest_machines[0]]
+
+    def test_forged_link_is_refused_at_run_time_and_ends_in_suspicion(self):
+        matrix, ctx, adversary, client = self._recorded("forged-ack-link", 2015)
+        assert client.stats.acks_rejected > 0
+        assert client.stats.acks_received == 0
+        assert client.stats.suspected_peers == [ctx.byzantine]
+        assert client.channel.retransmissions > 0 and client.channel.gave_up_on
+        # The forger's messages were judged on their own commitment, as ever:
+        # delivered, filed, and its honest log matches every one of them.
+        filed = client.authenticators_from(ctx.byzantine)
+        assert filed and all(a.entry_type == "send" for a in filed)
+        assert matrix._make_auditor(ctx, ctx.byzantine, adversary).audit(
+            ctx.monitor).ok
+
+    def test_withheld_acks_end_in_suspicion_without_a_single_rejection(self):
+        _, ctx, _, client = self._recorded("withheld-acks", 2016)
+        assert client.stats.acks_rejected == 0 == client.stats.acks_received
+        assert client.stats.suspected_peers == [ctx.byzantine]
+        assert not any(e.entry_type is EntryType.ACK
+                       and e.content["direction"] == "sent"
+                       for e in ctx.monitor.log)
+
+    def test_phantom_ack_is_convicted_by_the_carriers_authenticator(self):
+        matrix, ctx, adversary, client = self._recorded("phantom-ack", 2017)
+        phantom = ctx.notes["phantom_sequence"]
+        # At run time the acknowledgment verified: nothing was refused, and
+        # nobody holds an authenticator for the RECV entry itself ...
+        assert client.stats.acks_rejected == 0
+        assert client.stats.suspected_peers == []
+        held = sorted(a.sequence for a in client.authenticators_from(ctx.byzantine))
+        assert phantom not in held
+        presented = ctx.monitor.log.entry_at(phantom)
+        assert presented.entry_type is EntryType.RECV
+        assert bytes.fromhex(presented.content["payload"]) == b"never received"
+        # ... the next signed entry commits to it all the same.
+        result = matrix._make_auditor(ctx, ctx.byzantine, adversary).audit(
+            ctx.monitor)
+        assert (result.verdict.value, result.phase) == \
+            ("fail", AuditPhase.AUTHENTICATOR_CHECK)
+        named = int(re.search(r"log entry (\d+) ", result.reason).group(1))
+        assert named > phantom and named in held
+        assert result.evidence.verify(ctx.keystore,
+                                      ctx.reference_images[ctx.byzantine])
+
+
 # ---------------------------------------------------------------------------
 # The catalog and helpers
 # ---------------------------------------------------------------------------
@@ -226,7 +293,12 @@ class TestCatalog:
 
     def test_default_cells_satisfy_acceptance_floor(self):
         cells = ScenarioMatrix().default_cells()
-        assert len(cells) >= 24
+        assert len(cells) == 72
+        # The acknowledgment cells come last: the 69 before them keep the
+        # seeds (and so the recordings) they had.
+        assert [(cell.adversary, cell.seed) for cell in cells[68:]] == [
+            ("honest", 1068), ("forged-ack-link", 1069),
+            ("phantom-ack", 1070), ("withheld-acks", 1071)]
         assert len({cell.adversary for cell in cells}) >= 7
         assert {cell.workload for cell in cells} == set(WORKLOADS)
         assert len({cell.mode for cell in cells}) >= 2
@@ -284,8 +356,59 @@ class TestFullMatrix:
 # confirms
 # ---------------------------------------------------------------------------
 
-CONVICTION_PINS = json.loads(
-    (Path(__file__).parent / "data" / "conviction_pins.json").read_text())
+PINS_PATH = Path(__file__).parent / "data" / "conviction_pins.json"
+CONVICTION_PINS = json.loads(PINS_PATH.read_text())
+
+
+def _pin_key(spec):
+    return f"{spec.adversary}|{spec.workload}|{spec.mode}|{spec.fleet_size}"
+
+
+def _recorded_cells(matrix):
+    """Every default cell, recorded and corrupted, ready to be audited."""
+    for spec in matrix.default_cells():
+        adversary = make_adversary(spec.adversary, seed=spec.seed)
+        archived = spec.mode == "archive"
+        with tempfile.TemporaryDirectory() as tmp:
+            ctx, run = matrix._build(spec, adversary, tmp if archived else None)
+            adversary.install(ctx)
+            run()
+            if archived:
+                matrix._drain_archive(ctx)
+            adversary.corrupt(ctx)
+            yield spec, ctx, adversary, archived
+
+
+def regenerate_pins():
+    """``PYTHONPATH=src python tests/test_adversary_matrix.py
+    --regenerate-pins``: re-pin every conviction as the serial audit reports
+    it.  Reasons quote log sequence numbers, which move whenever the
+    recorded logs do; verdict, phase and the reason *with its digits masked*
+    may not, and a pin may not disappear — then nothing is written."""
+    matrix = ScenarioMatrix()
+    pins = {}
+    for spec, ctx, adversary, _ in _recorded_cells(matrix):
+        for machine in sorted(ctx.monitors):
+            result = matrix._make_auditor(ctx, machine, adversary).audit(
+                ctx.monitors[machine])
+            if not result.ok:
+                pins.setdefault(_pin_key(spec), {})[machine] = [
+                    result.verdict.value, result.phase.value, result.reason]
+
+    def masked(pin):
+        return {machine: [verdict, phase, re.sub(r"\d+", "#", reason)]
+                for machine, (verdict, phase, reason) in pin.items()}
+
+    moved = [key for key, pin in CONVICTION_PINS.items()
+             if masked(pin) != masked(pins.get(key, {}))]
+    print(f"{len(CONVICTION_PINS)} pins before, {len(pins)} now; new: "
+          f"{sorted(set(pins) - set(CONVICTION_PINS)) or '-'}; same verdict, "
+          f"phase and masked reason: {len(CONVICTION_PINS) - len(moved)}; "
+          f"sequence numbers moved in "
+          f"{sum(pins.get(k) != v for k, v in CONVICTION_PINS.items())}")
+    if moved:
+        raise SystemExit(f"class of conviction changed, not re-pinned: {moved}")
+    PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True))
 
 
 def _first_failing(checker, target):
@@ -337,43 +460,37 @@ def _front_ends(matrix, ctx, adversary, machine, archived):
 class TestConvictionOnEveryFrontEnd:
     def test_pinned_verdicts_and_third_party_evidence(self):
         matrix = ScenarioMatrix()
-        cells = matrix.default_cells()
-        assert len(cells) == 69
-        convictions = 0
-        for spec in cells:
-            adversary = make_adversary(spec.adversary, seed=spec.seed)
-            archived = spec.mode == "archive"
-            pinned = CONVICTION_PINS.get(
-                f"{spec.adversary}|{spec.workload}|{spec.mode}|"
-                f"{spec.fleet_size}", {})
-            with tempfile.TemporaryDirectory() as tmp:
-                ctx, run = matrix._build(spec, adversary,
-                                         tmp if archived else None)
-                adversary.install(ctx)
-                run()
-                if archived:
-                    matrix._drain_archive(ctx)
-                adversary.corrupt(ctx)
-                for machine in sorted(ctx.monitors):
-                    expected = pinned.get(machine, ["pass", "complete", ""])
-                    assert machine == ctx.byzantine or expected[0] == "pass"
-                    for name, audit in _front_ends(
-                            matrix, ctx, adversary, machine, archived).items():
-                        where = f"{spec.label()}: {machine} on {name}"
-                        try:
-                            result = audit()
-                        except SnapshotError:
-                            # the one cheat a chunking front-end cannot get
-                            # past: the machine serves no verifiable snapshot
-                            assert spec.adversary == "snapshot-mutation" \
-                                and machine == ctx.byzantine \
-                                and name != "serial", where
-                            continue
-                        assert [result.verdict.value, result.phase.value,
-                                result.reason] == expected, where
-                        if not result.ok:
-                            convictions += 1
-                            assert result.evidence.verify(
-                                ctx.keystore,
-                                ctx.reference_images[machine]), where
-        assert convictions >= 53 * 6
+        cells = convictions = 0
+        for spec, ctx, adversary, archived in _recorded_cells(matrix):
+            cells += 1
+            pinned = CONVICTION_PINS.get(_pin_key(spec), {})
+            for machine in sorted(ctx.monitors):
+                expected = pinned.get(machine, ["pass", "complete", ""])
+                assert machine == ctx.byzantine or expected[0] == "pass"
+                for name, audit in _front_ends(
+                        matrix, ctx, adversary, machine, archived).items():
+                    where = f"{spec.label()}: {machine} on {name}"
+                    try:
+                        result = audit()
+                    except SnapshotError:
+                        # the one cheat a chunking front-end cannot get
+                        # past: the machine serves no verifiable snapshot
+                        assert spec.adversary == "snapshot-mutation" \
+                            and machine == ctx.byzantine \
+                            and name != "serial", where
+                        continue
+                    assert [result.verdict.value, result.phase.value,
+                            result.reason] == expected, where
+                    if not result.ok:
+                        convictions += 1
+                        assert result.evidence.verify(
+                            ctx.keystore,
+                            ctx.reference_images[machine]), where
+        assert cells == 72 and len(CONVICTION_PINS) == 54
+        assert convictions >= 54 * 6
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate-pins"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --regenerate-pins")
+    regenerate_pins()

@@ -178,9 +178,12 @@ class TestMonitor:
         assert beta.identity in alpha.received_authenticators
 
     def test_signatures_generated_counts_what_is_signed(self, monkeypatch):
-        # One signature per message and one per acknowledgment (Section 6.8
-        # counts four in a ping round trip) — and the counter sees them all.
+        # One signature per signed envelope — a DATA message, whose signature
+        # also acknowledges what is owed to its destination, or a standalone
+        # ACK — and the counter sees them all (Section 6.8 counted four in a
+        # ping round trip; the pong now carries the ping's acknowledgment).
         from repro.crypto.keys import KeyPair
+        from repro.network.message import MessageKind
         signed_by = []
         sign = KeyPair.sign
 
@@ -197,14 +200,23 @@ class TestMonitor:
         scheduler.run_until(0.05)
         for monitor in (alpha, beta):
             stats = monitor.stats
+            acks_in = sum(1 for _, m in network.deliveries
+                          if m.destination == monitor.identity
+                          and m.kind is MessageKind.ACK)
             assert stats.messages_sent > 2 and stats.acks_sent > 2
+            # every echo rides the next one; at most the last is still owed
+            assert stats.acks_piggybacked == stats.acks_sent \
+                >= stats.messages_received - 1
             assert stats.signatures_generated \
-                == stats.messages_sent + stats.acks_sent \
+                == stats.messages_sent + stats.acks_standalone \
                 == signed_by.count(monitor.identity)
-            # ... and one verification per message or ack that came in.
+            # ... and one verification per signed envelope that came in.
             assert stats.signatures_verified \
-                == stats.messages_received + stats.acks_received
+                == stats.messages_received + acks_in
             assert stats.acks_rejected == 0
+            # holding an acknowledgment never causes a retransmission
+            assert monitor.channel.retransmissions == 0
+            assert stats.suspected_peers == []
 
     def test_duplicate_delivery_not_replayed_to_guest(self):
         scheduler, network, keystore, alpha, beta = build_echo_pair()

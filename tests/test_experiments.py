@@ -151,8 +151,9 @@ class TestFigure9:
         # Fixed per-chunk cost: a 1-segment chunk still costs a visible fraction.
         assert result.points[0].avg_data_fraction > 0.0
         # The full-audit baseline's compressed download: what the v1 writer
-        # stores for the log.
-        assert result.full_audit_bytes == 235666
+        # stores for the log (235666 while ACK entries were logged at RECV
+        # time and every ack was an envelope with an id of its own).
+        assert result.full_audit_bytes == 234286
 
 
 class TestSection65:
@@ -172,8 +173,10 @@ class TestSection66And67:
         assert result.semantic_seconds > result.compression_seconds
         assert 0.5 < result.semantic_fraction_of_recording < 2.0
         # The raw size is the log's; the compressed size is what the v1
-        # writer stores for it.
-        assert (result.log_bytes, result.compressed_bytes) == (319972, 58461)
+        # writer stores for it.  (319972, 58461) before acknowledgments rode
+        # the next data message: one ACK pair is still held at the horizon,
+        # and the ACK entries sit elsewhere in the log and name other ids.
+        assert (result.log_bytes, result.compressed_bytes) == (319788, 57909)
 
     @pytest.mark.slow
     def test_traffic_overhead(self):

@@ -211,9 +211,9 @@ class TestPerNetworkMessageIds:
 
     def test_same_seed_fleets_identical_without_global_reset(self):
         # Two same-seed recordings in one process must produce identical
-        # chains even though no one called reset_message_ids() in between —
-        # the ids that land in RECV/ACK entries come from each recording's
-        # own network, not a process-global counter.
+        # chains with nothing reset in between — the ids that land in
+        # RECV/ACK entries come from each recording's own network, not a
+        # process-global counter.
         heads = []
         for _ in range(2):
             fleet = build_fleet(num_machines=2, duration=1.0, seed=13,
@@ -221,16 +221,6 @@ class TestPerNetworkMessageIds:
             heads.append({machine: fleet.monitors[machine].log.head_hash
                           for machine in fleet.machines})
         assert heads[0] == heads[1]
-
-    def test_reset_shim_still_governs_fallback_counter_but_warns(self):
-        from repro.network.message import reset_message_ids
-        with pytest.warns(DeprecationWarning, match="per network instance"):
-            reset_message_ids()
-        first = NetworkMessage(source="a", destination="b", payload=b"x")
-        with pytest.warns(DeprecationWarning):
-            reset_message_ids()
-        second = NetworkMessage(source="a", destination="b", payload=b"y")
-        assert first.message_id == second.message_id
 
 
 # -- N shards vs one service: structural identity (satellite) ----------------

@@ -118,14 +118,14 @@ class TestAdversaryDrivenQuarantine:
 
     def test_equivocating_shipment_source_is_quarantined(self, archive):
         """A shipment whose payload claims another machine's identity."""
-        from repro.log.compression import VmmLogCompressor
+        from repro.log.codec import JsonBz2Codec
         from repro.network.message import MessageKind, NetworkMessage
 
         service = AuditIngestService(archive)
         log = _log_with_entries(machine="impersonated")
         message = NetworkMessage(
             source="liar", destination=service.identity,
-            payload=VmmLogCompressor().compress(log.segment(1, 3)),
+            payload=JsonBz2Codec().encode_segment(log.segment(1, 3)),
             kind=MessageKind.ARCHIVE_SEGMENT)
         service.on_message(message)
         assert service.quarantined_machines() == ["liar"]

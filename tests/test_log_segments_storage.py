@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LogFormatError, SegmentError
-from repro.log.compression import VmmLogCompressor, bzip2_compress, bzip2_decompress
+from repro.log.codec import JsonBz2Codec
 from repro.log.entries import EntryType, nondet_content, snapshot_content
 from repro.log.segments import concatenate_segments, make_chunks
 from repro.log.storage import (
@@ -249,30 +249,25 @@ class TestLogPicklability:
 
 
 class TestCompression:
-    def test_bzip2_roundtrip(self):
-        data = b"hello " * 1000
-        assert bzip2_decompress(bzip2_compress(data)) == data
-
     def test_vmm_compressor_roundtrip(self):
         segment = build_log_with_snapshots().full_segment()
-        compressor = VmmLogCompressor()
-        restored = compressor.decompress(compressor.compress(segment))
+        compressor = JsonBz2Codec()
+        restored = compressor.decode_segment(compressor.encode_segment(segment))
         assert restored.to_dict() == segment.to_dict()
 
     def test_vmm_compressor_shrinks_replay_logs(self):
         segment = build_log_with_snapshots(segments=8, entries_per_segment=40).full_segment()
-        stats = VmmLogCompressor().stats(segment)
-        assert stats.compressed_bytes < stats.raw_bytes
-        assert 0 < stats.ratio < 1
+        compressed = JsonBz2Codec().encode_segment(segment)
+        assert 0 < len(compressed) < len(segment_to_bytes(segment))
 
     def test_vmm_compressor_rejects_bad_magic(self):
         with pytest.raises(LogFormatError):
-            VmmLogCompressor().decompress(b"not-a-compressed-log")
+            JsonBz2Codec().decode_segment(b"not-a-compressed-log")
 
     def test_compressed_segment_chain_still_verifies(self):
         segment = build_log_with_snapshots().full_segment()
-        compressor = VmmLogCompressor()
-        restored = compressor.decompress(compressor.compress(segment))
+        compressor = JsonBz2Codec()
+        restored = compressor.decode_segment(compressor.encode_segment(segment))
         restored.verify_hash_chain()
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 9),
@@ -290,6 +285,6 @@ class TestCompression:
                 "value": value,
             })
         segment = log.full_segment()
-        compressor = VmmLogCompressor()
-        restored = compressor.decompress(compressor.compress(segment))
+        compressor = JsonBz2Codec()
+        restored = compressor.decode_segment(compressor.encode_segment(segment))
         assert restored.to_dict() == segment.to_dict()

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ChannelError, DeliveryError
+from repro.log.authenticator import AckRun
 from repro.network.channel import ReliableChannel
-from repro.network.message import MessageKind, NetworkMessage
+from repro.network.message import NetworkMessage
 from repro.network.simnet import LinkSpec, SimulatedNetwork
 from repro.sim.scheduler import Scheduler
 
@@ -54,14 +55,17 @@ class TestNetworkMessage:
             sum(len(key) for key in auth) + len("web-server") + 8 \
             + len("send") + 3 * 32 + 96
 
-    def test_copy_for_forwarding(self):
-        original = NetworkMessage(source="a", destination="b", payload=b"x",
-                                  kind=MessageKind.CHALLENGE)
-        forwarded = original.copy_for_forwarding("c")
-        assert forwarded.destination == "c"
-        assert forwarded.source == "a"
-        assert forwarded.payload == original.payload
-        assert forwarded.message_id != original.message_id
+    def test_ack_run_is_counted_as_raw_bytes(self):
+        bare = NetworkMessage(source="a", destination="b", payload=b"",
+                              message_id="m")
+        run = AckRun(first_sequence=7, start_hash=b"\x11" * 32, links=(
+            "m0000000042", ("nondet", b"\x22" * 32), "m0000000043"))
+        carrying = NetworkMessage(source="a", destination="b", payload=b"",
+                                  message_id="m", ack_run=run)
+        # sequence + h_{a-1} + count, a tag byte per link, then the message
+        # id or a type byte and the content hash: 34 B for an opaque link.
+        assert run.wire_size() == 8 + 32 + 2 + (1 + 11) + (1 + 1 + 32) + (1 + 11)
+        assert carrying.wire_size() - bare.wire_size() == run.wire_size()
 
 
 class TestSimulatedNetwork:

@@ -123,8 +123,10 @@ class TestHonestCoverageAccounting:
 class TestReportedTransferFigures:
     """The Figure 9 quantities, pinned: the checker prices each chunk's
     compressed download itself (``modelled_compressed_log_bytes`` — *what
-    the v1 writer stores*, so these move only when that writer does;
-    CHANGES.md records each re-pin) plus the boundary snapshot."""
+    the v1 writer stores*, so these move only when that writer or the
+    recorded log does — PR 23 logs ``ACK sent`` entries when the carrier is
+    signed, not at RECV time, and numbers fewer envelopes; CHANGES.md records
+    each re-pin) plus the boundary snapshot."""
 
     @pytest.fixture(params=["serial", "engine"])
     def engine(self, request):
@@ -144,11 +146,11 @@ class TestReportedTransferFigures:
         k1 = checker.check_all_chunks(ctx.monitor, k=1, skip_initial=False)
         assert all(r.ok for r in k1)
         assert self._figures(k1) == [
-            (3186, 3186), (4026, 536875930), (3984, 536875894),
-            (228, 536871449)]
+            (3177, 3177), (4020, 536875924), (3957, 536875867),
+            (227, 536871448)]
         k2 = checker.check_all_chunks(ctx.monitor, k=2, skip_initial=False)
         assert self._figures(k2) == [
-            (7212, 7212), (8010, 536879914), (4212, 536876122)]
+            (7197, 7197), (7977, 536879881), (4184, 536876094)]
 
     def test_a_failing_chunk_is_priced_like_a_passing_one(
             self, tampered_scenario, engine):
@@ -158,8 +160,8 @@ class TestReportedTransferFigures:
         assert [r.ok for r in results] == [
             index != tampered_index for index in range(len(results))]
         assert self._figures(results) == [
-            (3178, 3178), (4010, 536875914), (3943, 536875853),
-            (4027, 536875248), (223, 536872144)]
+            (3181, 3181), (3983, 536875887), (3972, 536875882),
+            (3993, 536875214), (224, 536872145)]
 
 
 class TestDetectionProbability:

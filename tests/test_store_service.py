@@ -186,21 +186,21 @@ class TestCrashRecoveryAndCorruption:
         assert foreign.exists() and top_level.exists()
 
     def test_deep_verify_catches_forged_content_with_kept_hashes(self, tmp_path):
-        from repro.log.compression import VmmLogCompressor
+        from repro.log.codec import JsonBz2Codec
         from repro.log.entries import LogEntry
         root = tmp_path / "a"
         records = archive_sealed_log(LogArchive(root), build_sealed_log())
         # Forge an entry's *content* inside the file while keeping the
         # recorded chain-hash fields, so all metadata still matches.
-        compressor = VmmLogCompressor()
+        compressor = JsonBz2Codec()
         path = root / records[0].file_name
-        segment = compressor.decompress(path.read_bytes())
+        segment = compressor.decode_segment(path.read_bytes())
         victim = segment.entries[1]
         segment.entries[1] = LogEntry(
             sequence=victim.sequence, entry_type=victim.entry_type,
             content={"forged": True}, chain_hash=victim.chain_hash,
             previous_hash=victim.previous_hash, timestamp=victim.timestamp)
-        path.write_bytes(compressor.compress(segment))
+        path.write_bytes(compressor.encode_segment(segment))
         assert LogArchive(root).recovery.clean  # metadata-only open passes
         with pytest.raises(ArchiveIntegrityError, match="hash-chain"):
             LogArchive(root, deep_verify=True)
@@ -542,7 +542,7 @@ class TestIngestService:
         assert service.archive.entry_count("machine") == len(segments[0].entries)
 
     def test_garbage_network_payloads_quarantine_not_crash(self, tmp_path):
-        from repro.log.compression import VmmLogCompressor
+        from repro.log.codec import JsonBz2Codec
         from repro.network.message import MessageKind, NetworkMessage
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         garbage = [
@@ -550,7 +550,7 @@ class TestIngestService:
             NetworkMessage("m", "audit-ingest", b"not compressed",
                            kind=MessageKind.ARCHIVE_SEGMENT),
             NetworkMessage("m", "audit-ingest",
-                           VmmLogCompressor.MAGIC + b"\x00\x01garbage",
+                           JsonBz2Codec.MAGIC + b"\x00\x01garbage",
                            kind=MessageKind.ARCHIVE_SEGMENT),
             NetworkMessage("m", "audit-ingest", b"\xff\xfe\xfd",
                            kind=MessageKind.ARCHIVE_AUTHENTICATORS,
@@ -590,13 +590,13 @@ class TestIngestService:
         assert service.archive.machines() == []
 
     def test_claimed_identity_mismatch_is_quarantined(self, tmp_path):
-        from repro.log.compression import VmmLogCompressor
+        from repro.log.codec import JsonBz2Codec
         from repro.network.message import MessageKind, NetworkMessage
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         segment = build_sealed_log(segments=1).full_segment()
         service.on_message(NetworkMessage(
             "impostor", "audit-ingest",
-            VmmLogCompressor().compress(segment),
+            JsonBz2Codec().encode_segment(segment),
             kind=MessageKind.ARCHIVE_SEGMENT))
         assert service.stats.segments_rejected == 1
         assert "claims to be from" in service.quarantine[0].reason

@@ -36,10 +36,10 @@ from repro.audit.stream import ArchiveEntryStream, iter_stream_chunks
 from repro.audit.verdict import AuditPhase
 from repro.errors import HashChainError, ReproError
 from repro.experiments.parallel_audit import build_fleet
+from repro.log.codec import JsonBz2Codec
 from repro.log.compression import (
     IncrementalCompressionMeter,
     SegmentStreamDecoder,
-    VmmLogCompressor,
 )
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain_incremental
@@ -366,7 +366,7 @@ def _random_segment(rng: random.Random, entries: int) -> LogSegment:
 
 class TestCodecProperties:
     def test_meter_matches_one_shot_compression(self):
-        compressor = VmmLogCompressor()
+        compressor = JsonBz2Codec()
         rng = random.Random(42)
         for _ in range(8):
             segment = _random_segment(rng, rng.randrange(1, 120))
@@ -374,15 +374,15 @@ class TestCodecProperties:
                                                 segment.start_hash)
             for entry in segment.entries:
                 meter.add(entry)
-            assert meter.finish() == len(compressor.compress(segment))
+            assert meter.finish() == len(compressor.encode_segment(segment))
             assert meter.raw_bytes == segment.size_bytes()
 
     def test_stream_decoder_matches_one_shot_decode(self):
-        compressor = VmmLogCompressor()
+        compressor = JsonBz2Codec()
         rng = random.Random(43)
         for _ in range(6):
             segment = _random_segment(rng, rng.randrange(1, 80))
-            data = compressor.compress(segment)
+            data = compressor.encode_segment(segment)
             size = rng.choice([1, 7, 64, 4096, len(data)])
             decoder = SegmentStreamDecoder()
             chunks = [data[i:i + size] for i in range(0, len(data), size)]
