@@ -47,6 +47,7 @@ from repro.metrics.perfmodel import PerfModel
 from repro.obs import Observability, ensure_obs
 from repro.network.channel import ReliableChannel
 from repro.network.message import MessageKind, NetworkMessage
+from repro.network.shipment import PartKind, ShipmentPart, encode_shipment
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.clock import HostClock
 from repro.sim.process import Process
@@ -169,8 +170,9 @@ class AccountableVMM:
         self._archive_format_version = 1
         self._shipped_through = 0
         self._shipped_auth_counts: Dict[str, int] = {}
-        #: snapshot ids whose shipment was dropped and must be re-sent in
-        #: order — the archive's delta chain tolerates no holes
+        #: snapshot ids not shipped yet, in order — the one just taken, and
+        #: those of dropped shipments: the archive's delta chain tolerates
+        #: no holes
         self._pending_snapshot_ships: List[int] = []
         #: False until the archive holds a snapshot to base deltas on; the
         #: first shipment after (re)attaching is forced to be a keyframe
@@ -603,7 +605,7 @@ class AccountableVMM:
             "monitor.snapshot", track=self.identity,
             duration=snapshot_cost, snapshot_id=snapshot.snapshot_id,
             dirty_bytes=delta.incremental_bytes, pages=delta.page_count)
-        self._ship_sealed_segment(snapshot.snapshot_id)
+        self._ship(snapshot.snapshot_id)
         return snapshot.snapshot_id
 
     # ------------------------------------------------------------------ archive shipping
@@ -618,13 +620,14 @@ class AccountableVMM:
         wire codec selected by ``format_version`` (see
         :mod:`repro.log.codec`; the ingest service sniffs the codec magic,
         so mixed-format fleets interoperate) and sent to ``destination``
-        (an :class:`~repro.service.ingest.AuditIngestService` endpoint),
-        preceded by the snapshot state so the archive can later start
-        replays at the boundary.  With ``ship_authenticators`` the
-        authenticators collected from peers ride along, filed under their
-        issuer.  Shipping is fire-and-forget over the ordinary simulated
-        network; the archive verifies the hash chain on arrival, so a lost
-        or tampered shipment is detected, never silently archived.
+        (an :class:`~repro.service.ingest.AuditIngestService` endpoint) as
+        one ``ARCHIVE_SHIPMENT`` (:mod:`repro.network.shipment`), together
+        with the snapshot's page file, so the archive can later start
+        replays at the boundary, and — with ``ship_authenticators`` — the
+        authenticators collected from peers, filed under their issuer.
+        Shipping is fire-and-forget over the ordinary simulated network;
+        the archive verifies the hash chain on arrival, so a lost or
+        tampered shipment is detected, never silently archived.
         """
         self._archive_destination = destination
         self._archive_ship_authenticators = ship_authenticators
@@ -676,109 +679,73 @@ class AccountableVMM:
         return True
 
     def ship_archive_tail(self) -> bool:
-        """Ship the unsealed tail of the log (entries after the last seal).
-
-        Called at the end of a run so the archive holds the *whole* log, not
-        just the snapshot-sealed prefix.  Also retries snapshot shipments a
-        lossy link dropped earlier.  Returns ``True`` if anything was
-        shipped (pending peer authenticators and snapshots count too).
+        """Ship the unsealed tail of the log (entries after the last seal) at
+        the end of a run, so that the archive holds the *whole* log — and
+        whatever a lossy link dropped earlier.  Returns ``True`` if anything
+        was shipped (pending peer authenticators and snapshots count too).
         """
-        pending_before = len(self._pending_snapshot_ships)
-        self._flush_snapshot_ships()
-        # Progress = queue got shorter, even if a later drop kept it nonempty
-        # (a lossy link may need one round per queued snapshot).
-        flushed = len(self._pending_snapshot_ships) < pending_before
-        shipped = self._ship_sealed_segment(None)
-        return self._ship_peer_authenticators() > 0 or shipped or flushed
+        return self._ship(None)
 
-    def _ship_sealed_segment(self, snapshot_id: Optional[int]) -> bool:
+    def _ship(self, snapshot_id: Optional[int]) -> bool:
+        """Send everything the archive does not hold yet as one shipment: the
+        queued snapshot page files (keyframes ship every page, the rest only
+        their changed pages — Section 4.4: *to save space, snapshots are
+        incremental* — and the first one a (re)attached archive sees is
+        forced to be a keyframe: a delta is useless without its base), the
+        log since the last shipment as one segment sealed by ``snapshot_id``,
+        and the authenticators newly collected from each peer.  One message
+        is one unit of loss: dropped at send time (loss, partition), no
+        cursor moves, and the next seal or tail ships the same state plus
+        what was logged since — the archive requires contiguity and a
+        hole-free delta chain, so it only ever lags.
+        """
         if self._archive_destination is None or self.network is None \
                 or not self.config.tamper_evident:
             return False
-        last = len(self.log)
-        if last <= self._shipped_through:
-            return False
-        segment = self.log.segment(self._shipped_through + 1, last)
-        flushed = self._flush_snapshot_ships(snapshot_id)
-        snapshot_delivered = flushed and snapshot_id is not None
-        # Only advertise the seal if the snapshot actually went out: a
-        # segment without its boundary snapshot must not become a GC/chunk
-        # boundary on the archive side.
-        headers = {"sealed_by_snapshot": snapshot_id} if snapshot_delivered else {}
-        payload = get_codec(self._archive_format_version).encode_segment(segment)
-        accepted = self.network.send(NetworkMessage(
-            source=self.identity, destination=self._archive_destination,
-            payload=payload, message_id=self._allocate_message_id(),
-            kind=MessageKind.ARCHIVE_SEGMENT, headers=headers))
-        if not accepted:
-            # Dropped at send time (loss/partition): keep the shipping cursor
-            # where it is so the next seal or tail re-ships these entries —
-            # the archive requires contiguity, so skipping would wedge it.
-            return False
-        self._shipped_through = last
-        self._m_segments_shipped.inc()
-        self._m_shipped_bytes.inc(len(payload))
-        self._m_log_length.set(len(self.log))
-        self.obs.tracer.event(
-            "monitor.ship_segment", track=self.identity,
-            entries=len(segment.entries), wire_bytes=len(payload),
-            sealed_by_snapshot=snapshot_id if snapshot_delivered else None)
-        if self._archive_ship_authenticators:
-            self._ship_peer_authenticators()
-        return True
-
-    def _flush_snapshot_ships(self, new_snapshot_id: Optional[int] = None) -> bool:
-        """Ship queued (and the new) snapshot page files, in order.
-
-        Keyframes ship every page; everything in between ships only
-        its changed pages (Section 4.4: *to save space, snapshots are
-        incremental*) and the archive re-materialises on demand.  Because a
-        delta is useless without its base, a dropped shipment queues the id
-        and every later snapshot waits behind it — the archive's chain
-        never acquires holes, it only lags.  Returns ``True`` when the
-        queue fully drained.
-        """
-        if new_snapshot_id is not None:
-            self._pending_snapshot_ships.append(new_snapshot_id)
-        if self._archive_destination is None or self.network is None:
-            return False
-        while self._pending_snapshot_ships:
-            snapshot_id = self._pending_snapshot_ships[0]
-            accepted = self.network.send(NetworkMessage(
-                source=self.identity, destination=self._archive_destination,
-                payload=self.snapshots.ship_payload(
-                    snapshot_id,
-                    force_keyframe=not self._snapshot_ship_anchored),
-                message_id=self._allocate_message_id(),
-                kind=MessageKind.ARCHIVE_SNAPSHOT))
-            if not accepted:
-                return False
-            self._snapshot_ship_anchored = True
-            self._pending_snapshot_ships.pop(0)
-        return True
-
-    def _ship_peer_authenticators(self) -> int:
-        """Ship authenticators newly collected from peers; returns the count."""
-        if self._archive_destination is None or self.network is None \
-                or not self._archive_ship_authenticators:
-            return 0
-        shipped = 0
-        for peer, collected in sorted(self.received_authenticators.items()):
+        if snapshot_id is not None:
+            self._pending_snapshot_ships.append(snapshot_id)
+        parts = [ShipmentPart(PartKind.SNAPSHOT, self.snapshots.ship_payload(
+            pending, force_keyframe=not (self._snapshot_ship_anchored or index)))
+            for index, pending in enumerate(self._pending_snapshot_ships)]
+        last, entries = len(self.log), 0
+        if last > self._shipped_through:
+            segment = self.log.segment(self._shipped_through + 1, last)
+            entries = len(segment.entries)
+            parts.append(ShipmentPart(
+                PartKind.SEGMENT,
+                get_codec(self._archive_format_version).encode_segment(segment),
+                sealed_by_snapshot=snapshot_id))
+        collected = {peer: len(auths) for peer, auths
+                     in sorted(self.received_authenticators.items())} \
+            if self._archive_ship_authenticators else {}
+        for peer, count in collected.items():
             already = self._shipped_auth_counts.get(peer, 0)
-            fresh = collected[already:]
-            if not fresh:
-                continue
-            accepted = self.network.send(NetworkMessage(
+            if count > already:
+                parts.append(ShipmentPart(
+                    PartKind.AUTHENTICATORS, authenticators_to_bytes(
+                        self.received_authenticators[peer][already:]),
+                    subject=peer))
+        if not parts:
+            return False
+        payload = encode_shipment(parts)
+        if not self.network.send(NetworkMessage(
                 source=self.identity, destination=self._archive_destination,
-                payload=authenticators_to_bytes(fresh),
-                message_id=self._allocate_message_id(),
-                kind=MessageKind.ARCHIVE_AUTHENTICATORS,
-                headers={"subject": peer}))
-            if not accepted:
-                continue  # dropped: re-ship from the same offset next time
-            self._shipped_auth_counts[peer] = len(collected)
-            shipped += len(fresh)
-        return shipped
+                payload=payload, message_id=self._allocate_message_id(),
+                kind=MessageKind.ARCHIVE_SHIPMENT)):
+            return False
+        self._snapshot_ship_anchored |= bool(self._pending_snapshot_ships)
+        self._pending_snapshot_ships.clear()
+        self._shipped_through = last
+        self._shipped_auth_counts.update(collected)
+        if entries:
+            self._m_segments_shipped.inc()
+        self._m_shipped_bytes.inc(len(payload))
+        self._m_log_length.set(last)
+        self.obs.tracer.event(
+            "monitor.ship", track=self.identity, parts=len(parts),
+            entries=entries, wire_bytes=len(payload),
+            sealed_by_snapshot=snapshot_id)
+        return True
 
     # ------------------------------------------------------------------ audit serving
 

@@ -281,7 +281,7 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
     reports: Dict[int, StreamAuditReport] = {}
     for version in FORMAT_VERSIONS:
         versioned = LogArchive(roots[version])
-        stored_blobs = [(versioned.root / record.file_name).read_bytes()
+        stored_blobs = [versioned.stored_bytes_of(record)
                         for record in versioned.segment_records(machine)]
         segments = [decode_segment(blob) for blob in stored_blobs]
         codec = get_codec(version)

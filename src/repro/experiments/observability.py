@@ -43,7 +43,7 @@ from repro.workloads.sqlbench import SqlBenchSettings
 #: pipeline layer (record -> ship -> ingest -> audit)
 TRACE_LAYERS: Dict[str, tuple] = {
     "monitor": ("monitor.snapshot",),
-    "shipper": ("monitor.ship_segment",),
+    "shipper": ("monitor.ship",),
     "ingest": ("ingest.",),
     "audit": ("audit.",),
 }

@@ -100,7 +100,6 @@ __all__ = [
     "sniff_format_version",
     "supported_format_versions",
     "require_format_version",
-    "segment_suffix",
     "encode_segment",
     "decode_segment",
     "iter_snapshot_subsegments",
@@ -109,6 +108,16 @@ __all__ = [
 
 #: every codec magic is exactly this long, so sniffing needs 8 bytes
 MAGIC_LENGTH = 8
+#: a bound, not an option: what one compressed unit (a v1 segment's bzip2
+#: body, a v2 / v3 frame) may inflate to — before any chain check has run
+MAX_INFLATED_BYTES = 256 << 20
+
+
+def _bounded(inflated: bytes, so_far: int = 0) -> bytes:
+    if max(len(inflated), so_far) > MAX_INFLATED_BYTES:
+        raise LogFormatError(
+            f"compressed log data inflates past {MAX_INFLATED_BYTES} bytes")
+    return inflated
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +136,6 @@ class LogCodec:
     format_version: ClassVar[int]
     #: 8-byte magic prefix of every stored/shipped blob in this format
     MAGIC: ClassVar[bytes]
-    #: archive segment-file suffix for this format
-    SUFFIX: ClassVar[str]
 
     # -- segment level -------------------------------------------------------
 
@@ -210,12 +217,6 @@ def sniff_format_version(data: Union[bytes, memoryview]) -> int:
 def codec_for_data(data: Union[bytes, memoryview]) -> LogCodec:
     """A fresh codec matching a blob's magic."""
     return get_codec(sniff_format_version(data))
-
-
-def segment_suffix(format_version: int) -> str:
-    """The archive segment-file suffix for a format version."""
-    require_format_version(format_version, what="log codec")
-    return _REGISTRY[format_version].SUFFIX
 
 
 def encode_segment(segment: LogSegment, format_version: int = 1) -> bytes:
@@ -350,7 +351,6 @@ class JsonBz2Codec(LogCodec):
 
     format_version = 1
     MAGIC = b"AVMLOGZ1"
-    SUFFIX = ".avmlogz"
 
     @staticmethod
     def prepass(segment: LogSegment) -> bytes:
@@ -369,7 +369,8 @@ class JsonBz2Codec(LogCodec):
             raise LogFormatError("not a VMM-compressed log (bad magic)")
         decompressor = bz2.BZ2Decompressor()
         try:
-            encoded = decompressor.decompress(data[len(self.MAGIC):])
+            encoded = _bounded(decompressor.decompress(
+                data[len(self.MAGIC):], MAX_INFLATED_BYTES + 1))
             blob = json.loads(encoded.decode("utf-8"))
         except (OSError, ValueError) as exc:  # incl. JSON / UTF-8 decode errors
             raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
@@ -424,21 +425,28 @@ class _JsonStreamDecoder(_StreamDecoderBase):
         utf8 = codecs.getincrementaldecoder("utf-8")()
         scanner = _BlobScanner()
 
+        inflated = 0
+
         def feed(compressed: bytes) -> Iterator[LogEntry]:
-            nonlocal rows
-            if not compressed:
-                return
-            text = utf8.decode(decompressor.decompress(compressed))
-            for row in scanner.feed(text):
-                # The header precedes the first row in the encoded blob, so
-                # it is available before (not merely after) any entry is
-                # yielded — callers validate metadata up front, and the
-                # chain starts from its ``start_hash``.
-                if rows is None:
-                    self.header = scanner.header
-                    rows = _RowCodec.for_header(self.header)
-                self.entry_count += 1
-                yield rows.decode_row(row)
+            nonlocal rows, inflated
+            # A piece at a time, so that a chunk that inflates a thousandfold
+            # is held a piece at a time too — and refused past the bound.
+            while compressed or not (decompressor.needs_input
+                                     or decompressor.eof):
+                piece = decompressor.decompress(compressed, 1 << 20)
+                compressed = b""
+                inflated += len(piece)
+                _bounded(piece, inflated)
+                for row in scanner.feed(utf8.decode(piece)):
+                    # The header precedes the first row in the encoded blob,
+                    # so it is available before (not merely after) any entry
+                    # is yielded — callers validate metadata up front, and
+                    # the chain starts from its ``start_hash``.
+                    if rows is None:
+                        self.header = scanner.header
+                        rows = _RowCodec.for_header(self.header)
+                    self.entry_count += 1
+                    yield rows.decode_row(row)
             if self.header is None and scanner.header is not None:
                 self.header = scanner.header
 
@@ -722,7 +730,7 @@ def _inflate_frame(raw: Union[bytes, memoryview]) -> bytes:
     and the archive stores accepted shipments byte for byte)."""
     inflater = zlib.decompressobj()
     try:
-        payload = inflater.decompress(raw)
+        payload = _bounded(inflater.decompress(raw, MAX_INFLATED_BYTES + 1))
     except zlib.error as exc:
         raise LogFormatError(
             f"corrupt compressed typed log frame: {exc}") from exc
@@ -850,7 +858,6 @@ class BinaryCodec(_FramedCodec):
 
     format_version = 2
     MAGIC = b"AVMLOGB2"
-    SUFFIX = ".avmlogb"
     _WHAT = "binary"
 
     def _payloads(self, segment: LogSegment) -> Iterator[bytes]:
@@ -896,7 +903,6 @@ class TypedCodec(_FramedCodec):
 
     format_version = 3
     MAGIC = b"AVMLOGT3"
-    SUFFIX = ".avmlogt"
     _WHAT = "typed"
     _KNOWN_FLAGS = V3_FLAG_COMPRESSED | V3_FLAG_CHAIN_BREAKS_ONLY
 

@@ -34,11 +34,10 @@ class MessageKind(enum.Enum):
 
     DATA = "data"                     # application payload (game packet, query)
     ACK = "ack"                       # standalone acknowledgment (no DATA to ride)
-    # Archive-ingest stream (machines shipping sealed log state to the
-    # durable archive service; see repro.service.ingest).
-    ARCHIVE_SEGMENT = "archive_segment"          # compressed sealed segment
-    ARCHIVE_AUTHENTICATORS = "archive_auths"     # batch of peer authenticators
-    ARCHIVE_SNAPSHOT = "archive_snapshot"        # VM state at a seal boundary
+    # Archive-ingest stream: everything one seal or tail produces — snapshot
+    # page files, the sealed segment, peer authenticator batches — as the
+    # parts of one container (repro.network.shipment, repro.service.ingest).
+    ARCHIVE_SHIPMENT = "archive_shipment"
 
 
 @dataclass

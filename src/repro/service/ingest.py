@@ -3,18 +3,25 @@
 :class:`AuditIngestService` is the datacenter-side counterpart of the AVMM's
 segment shipping hook (:meth:`repro.avmm.monitor.AccountableVMM.
 attach_archive_shipper`).  It registers as an endpoint on the simulated
-network and consumes three message kinds:
+network and consumes one message kind, ``ARCHIVE_SHIPMENT``
+(:mod:`repro.network.shipment`): everything one seal or tail of a machine's
+log produced, as typed parts —
 
-* ``ARCHIVE_SNAPSHOT`` — the VM state at a seal boundary (a snapshot page
-  file, :meth:`repro.vm.snapshot.IncrementalSnapshot.to_bytes`), stored as it
+* *snapshot* parts — the VM state at a seal boundary (a snapshot page file,
+  :meth:`repro.vm.snapshot.IncrementalSnapshot.to_bytes`), stored as it
   arrived so archive-backed audits can start replay mid-log;
-* ``ARCHIVE_SEGMENT`` — a sealed, compressed log segment, appended to the
+* the *segment* — a sealed, compressed log segment, appended to the
   durable :class:`~repro.store.archive.LogArchive` (which re-verifies the
-  hash chain at the door — a shipment that does not extend the machine's
+  hash chain at the door — a segment that does not extend the machine's
   archived head is quarantined, not stored);
-* ``ARCHIVE_AUTHENTICATORS`` — authenticators a machine collected from its
+* *authenticator* batches — authenticators a machine collected from its
   peers, filed under their issuer so auditors can later check any machine's
   archived log against the commitments it gave out.
+
+Every part is decoded and judged on its own — a refused one is quarantined,
+the accepted ones still land — and the accepted parts are stored as one
+group: one write, one commit record, one fsync
+(:meth:`~repro.store.archive.LogArchive.shipment`).
 
 Every successfully archived segment enqueues its machine on the per-machine
 audit queue; :meth:`audit_pending` drains the queue by feeding the archived
@@ -42,10 +49,12 @@ from repro.log.codec import decode_segment
 from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_from_bytes
 from repro.network.message import MessageKind, NetworkMessage
+from repro.network.shipment import PartKind, ShipmentPart, decode_shipment
 from repro.network.simnet import SimulatedNetwork
 from repro.obs import Observability, ensure_obs
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
+from repro.store.manifest import fsync_directory, write_durably
 from repro.vm.snapshot import IncrementalSnapshot
 
 DEFAULT_INGEST_IDENTITY = "audit-ingest"
@@ -144,20 +153,28 @@ class AuditIngestService:
         """Delivery callback registered with the simulated network."""
         self.stats.messages_received += 1
         self._m_messages.inc()
-        if message.kind is MessageKind.ARCHIVE_SEGMENT:
-            self._on_segment(message)
-        elif message.kind is MessageKind.ARCHIVE_AUTHENTICATORS:
-            self._on_authenticators(message)
-        elif message.kind is MessageKind.ARCHIVE_SNAPSHOT:
-            self._on_snapshot(message)
-        # Anything else is not part of the ingest protocol; ignore it.
+        if message.kind is not MessageKind.ARCHIVE_SHIPMENT:
+            return  # not part of the ingest protocol; ignore it
+        source = message.source
+        try:
+            parts = decode_shipment(message.payload)
+        except LogFormatError as exc:
+            self._record_quarantine(QuarantinedShipment(
+                machine=source, reason=f"undecodable shipment: {exc}"))
+            return
+        handlers = {PartKind.SNAPSHOT: self._on_snapshot,
+                    PartKind.SEGMENT: self._on_segment,
+                    PartKind.AUTHENTICATORS: self._on_authenticators}
+        with self.archive.shipment(source):
+            for part in parts:
+                handlers[part.kind](source, part)
 
-    def _on_segment(self, message: NetworkMessage) -> None:
+    def _on_segment(self, source: str, part: ShipmentPart) -> None:
         decode_started = time.perf_counter()
         try:
             # Sniffs the codec magic, so shipments in any registered wire
             # format (mixed-format fleets included) land in one archive.
-            segment = decode_segment(message.payload)
+            segment = decode_segment(part.payload)
         except (LogFormatError, OSError, EOFError, ValueError, KeyError,
                 TypeError, struct.error) as exc:
             # bz2 raises OSError/EOFError on garbage, the JSON decoder
@@ -166,71 +183,76 @@ class AuditIngestService:
             # callback.
             self.stats.segments_rejected += 1
             self._record_quarantine(QuarantinedShipment(
-                machine=message.source, reason=f"undecodable segment: {exc}"))
+                machine=source, reason=f"undecodable segment: {exc}"))
             return
         self._m_decode.observe(time.perf_counter() - decode_started)
         self.obs.tracer.event(
-            "ingest.segment", track=self.identity, source=message.source,
-            payload_bytes=len(message.payload), entries=len(segment.entries))
-        if segment.machine != message.source:
+            "ingest.segment", track=self.identity, source=source,
+            payload_bytes=len(part.payload), entries=len(segment.entries))
+        if segment.machine != source:
             self.stats.segments_rejected += 1
             self._record_quarantine(QuarantinedShipment(
-                machine=message.source,
+                machine=source,
                 reason=f"shipment claims to be from {segment.machine!r}"))
             return
-        sealed = message.headers.get("sealed_by_snapshot")
         self.ingest_segment(segment,
-                            sealed_by_snapshot=int(sealed) if sealed else None,
-                            wire=message.payload)
+                            sealed_by_snapshot=part.sealed_by_snapshot,
+                            wire=part.payload)
 
-    def _on_authenticators(self, message: NetworkMessage) -> None:
-        subject = str(message.headers.get("subject", ""))
+    def _on_authenticators(self, source: str, part: ShipmentPart) -> None:
         try:
-            batch = authenticators_from_bytes(message.payload)
+            batch = authenticators_from_bytes(part.payload)
         except (LogFormatError, ValueError, KeyError, TypeError) as exc:
             self._record_quarantine(QuarantinedShipment(
-                machine=message.source,
+                machine=source,
                 reason=f"undecodable authenticator batch: {exc}"))
             return
-        self.ingest_authenticators(subject or message.source, batch)
+        self.ingest_authenticators(part.subject or source, batch)
 
-    def _on_snapshot(self, message: NetworkMessage) -> None:
+    def _on_snapshot(self, source: str, part: ShipmentPart) -> None:
         try:
             self.archive.store_snapshot_delta(
-                message.source,
-                IncrementalSnapshot.from_bytes(message.payload),
-                wire=message.payload)
+                source, IncrementalSnapshot.from_bytes(part.payload),
+                wire=part.payload)
             self.stats.snapshots_ingested += 1
         except (SnapshotError, StoreError) as exc:
             # SnapshotError also covers a delta whose base never arrived
-            # (e.g. a lossy link dropped it): unusable, so quarantined — the
-            # source re-ships the chain in order and the archive stays
-            # hole-free.
+            # (e.g. its own part was refused): unusable, so quarantined —
+            # the archive's chain stays hole-free.
             self._record_quarantine(QuarantinedShipment(
-                machine=message.source,
-                reason=f"undecodable snapshot: {exc}"))
+                machine=source, reason=f"undecodable snapshot: {exc}"))
 
     # -- quarantine persistence ----------------------------------------------
 
     def _record_quarantine(self, shipment: QuarantinedShipment) -> None:
-        """Remember a refused shipment, durably.
+        """Remember a refused shipment, durably: the line is fsynced before
+        this returns, so a crash cannot forget the refusal.
 
         The single quarantine chokepoint, so ``ingest.quarantined_total``
-        counts exactly one increment per refused shipment.
+        counts exactly one increment per refused part.
         """
         self._m_quarantined.inc()
         self.obs.tracer.event("ingest.quarantine", track=self.identity,
                               machine=shipment.machine, reason=shipment.reason)
         self.quarantine.append(shipment)
-        with self._quarantine_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(shipment.to_dict(), sort_keys=True) + "\n")
+        # (after a torn last line — a crash inside this write — start afresh)
+        line = "\n" * self._torn_tail + json.dumps(
+            shipment.to_dict(), sort_keys=True) + "\n"
+        self._torn_tail = False
+        created = not self._quarantine_path.exists()
+        write_durably(self._quarantine_path, line.encode("utf-8"), created)
+        if created:
+            fsync_directory(self._quarantine_path.parent)
 
     def _load_quarantine(self) -> List[QuarantinedShipment]:
         """Reload quarantine records persisted by a previous incarnation."""
+        self._torn_tail = False
         if not self._quarantine_path.exists():
             return []
         records: List[QuarantinedShipment] = []
-        for line in self._quarantine_path.read_text("utf-8").splitlines():
+        text = self._quarantine_path.read_text("utf-8", errors="replace")
+        self._torn_tail = not text.endswith("\n")
+        for line in text.splitlines():
             if not line.strip():
                 continue
             try:

@@ -178,6 +178,7 @@ class HandoffReport:
     segments_already_present: int = 0
     snapshots_copied: int = 0
     retention_adopted: bool = False
+    #: records the source released (segments and snapshots)
     source_files_removed: int = 0
     #: head sequence of the machine's chain on the destination afterwards
     destination_head_sequence: int = 0
@@ -218,8 +219,9 @@ def migrate_machine(machine: str, source: AuditShard,
        destination head are skipped (resume case).
     4. **Queue bookkeeping** — migrated segments enter the destination's
        audit queue; the machine leaves the source's.
-    5. **Forget** the machine on the source (manifest-commit-first, so a
-       crash mid-delete leaves orphans for the next open's sweep).
+    5. **Forget** the machine on the source (its file is rewritten without
+       the chain and the checkpoint switched before the old one is
+       unlinked, so a crash leaves an orphan for the next open's sweep).
        Authenticator batches *about* the machine stay on the source: they
        are its peers' evidence, pooled fleet-wide by coordinator gossip.
 

@@ -4,11 +4,13 @@ The paper's machines keep their tamper-evident logs until a mutually-agreed
 checkpoint lets them truncate (Section 4.2); at datacenter scale that means
 a durable, indexed, garbage-collected archive rather than a log in RAM.
 
-* :mod:`repro.store.manifest` — the atomic on-disk index (segment ranges,
-  chain hashes, authenticator batches, snapshots, retention checkpoints).
-* :mod:`repro.store.archive` — :class:`LogArchive`: append-only compressed
-  segment files rolled at snapshot boundaries, chain-verified ingest,
-  crash recovery, binary-search range lookup and checkpoint GC.
+* :mod:`repro.store.manifest` — the on-disk formats: a machine's append-only
+  frame file (each frame's header is its index record: segment ranges, chain
+  hashes, authenticator batches, snapshots) and the checkpoint that names
+  the files and retention anchors.
+* :mod:`repro.store.archive` — :class:`LogArchive`: one durable commit per
+  shipment, chain-verified ingest, crash recovery, binary-search range
+  lookup and checkpoint GC.
 """
 
 from repro.store.archive import (
@@ -19,7 +21,6 @@ from repro.store.archive import (
 )
 from repro.store.manifest import (
     AuthBatchRecord,
-    Manifest,
     SegmentRecord,
     SnapshotRecord,
 )
@@ -29,7 +30,6 @@ __all__ = [
     "ArchiveStats",
     "AuthBatchRecord",
     "LogArchive",
-    "Manifest",
     "RecoveryReport",
     "SegmentRecord",
     "SnapshotRecord",

@@ -1,61 +1,93 @@
-"""The archive manifest: the durable index of everything the archive holds.
+"""The archive's on-disk formats: the frame file and the checkpoint.
 
-The manifest is the single source of truth for the on-disk archive, kept as
-a *checkpoint* (``MANIFEST.json``) plus an append-only *journal*
-(``MANIFEST.journal``) of the records committed since.  Data files
-(segments, authenticator batches, snapshots) are written first, to temporary
-names, fsynced and renamed into place; only then does :meth:`Manifest.commit`
-append one checksummed line to the journal and fsync it — O(1) bytes per
-commit.  A crash between the two steps leaves at worst an *orphan* data file
-that no record references, or a torn last journal line, and recovery simply
-discards both.  The rare whole-index rewrites (GC, shard handoff) write a
-new checkpoint of the next *generation* and unlink the journal, whose first
-line names the generation it extends — so a crash between those two steps
-leaves a stale journal that the next open ignores and sweeps.
+A machine's archive is **one append-only file per generation**
+(``<machine>/frames-<generation>.avmf``): a header naming the machine, then
+*groups* — the frames of one shipment closed by a commit record.  A frame is
+a packed header that *is* the index record (:class:`SegmentRecord`,
+:class:`SnapshotRecord`, :class:`AuthBatchRecord` — no file name, no machine
+name, no hex) followed by the payload as shipped; the commit record carries
+the group's number, its frame count and a checksum over its frame headers,
+each of which carries its payload's.  A group is one ``write`` and one
+``os.fsync`` (:func:`write_durably`) and is visible only once its commit
+record is: :func:`read_frames` walks the headers without reading a payload,
+stops at the first byte that is not a committed group, and tells a torn tail
+(no later commit record: the caller cuts it) from damage (refused).
 
-Per-segment records carry the sequence range and the chain hashes at both
-ends, so recovery can prove that a machine's archived segments tile into one
-unbroken hash chain *without decompressing a single data file* — and range
-lookups can binary-search the index instead of scanning files.
+``MANIFEST.json`` is the rarely written *checkpoint* — generation, each
+machine's current frame file and retention anchor (:func:`write_checkpoint`)
+— replaced atomically (:func:`atomic_write`) when a machine is created and
+when frames are rewritten into the next generation (GC, handoff, migration).
+Archives written before the frame file are read, never written, by
+:mod:`repro.store.legacy` (docs/log-archive.md).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ArchiveIntegrityError
+from repro.errors import ArchiveIntegrityError, LogFormatError
 from repro.log.codec import _dump_compact, require_format_version
 from repro.log.hashchain import ChainCheckpoint
+from repro.log.storage import _put_bytes, _put_varint, _Reader
 
-#: 2 = a journal may extend the checkpoint; a reader that knows only 1 would
-#: miss the journaled records and sweep their files, so it must refuse
-MANIFEST_FORMAT_VERSION = 2
+#: 3 = frame files; a reader that knows only 1 or 2 would find no records
+#: and sweep the frame files, so it must refuse
+MANIFEST_FORMAT_VERSION = 3
 MANIFEST_NAME = "MANIFEST.json"
+#: the commit journal of a format-2 archive (read, never written)
 JOURNAL_NAME = "MANIFEST.journal"
+FRAMES_MAGIC = b"AVMFRAM1"
+#: every frame: kind, header length, payload length, payload crc32
+_PREFIX = struct.Struct("<BHII")
+#: a commit record: 0, frames in the group, group number, crc32 of the
+#: group's prefixes and headers (seeded with the file header's), crc32 of
+#: this record up to here
+_COMMIT = struct.Struct("<BHQII")
+COMMIT_SIZE = _COMMIT.size
+#: a bound, not an option: no frame header is longer
+MAX_FRAME_HEADER = 1024
 
 
 @dataclass(frozen=True)
-class SegmentRecord:
-    """Index entry for one archived log segment."""
+class _Stored:
+    """What every index record says about its payload's place on disk."""
 
     machine: str
-    file_name: str
+    #: the file holding the payload (relative to the archive root) and
+    #: where it starts; ``checksum`` is its crc32 — ``None`` for the
+    #: per-record file of an older archive: the whole file, unchecked
+    file_name: str = field(default="", kw_only=True)
+    offset: int = field(default=0, kw_only=True)
+    stored_bytes: int = field(default=0, kw_only=True)
+    checksum: Optional[int] = field(default=None, kw_only=True)
+    #: number of the group that committed it (archive-wide arrival order)
+    commit: int = field(default=0, kw_only=True)
+
+    def label(self) -> str:
+        where = "" if self.checksum is None else f"@{self.offset}"
+        return f"{self.file_name}{where}"
+
+
+@dataclass(frozen=True)
+class SegmentRecord(_Stored):
+    """Index entry for one archived log segment."""
+
     first_sequence: int
     last_sequence: int
     start_hash: bytes
     end_hash: bytes
     entry_count: int
     raw_bytes: int
-    stored_bytes: int
     #: id of the snapshot whose SNAPSHOT entry seals this segment, or None
     #: for the tail segment shipped after the last snapshot
     sealed_by_snapshot: Optional[int] = None
-    #: wire format the segment file is stored in (a codec registry version)
+    #: wire format the payload is stored in (a codec registry version)
     format_version: int = 1
 
     def covers(self, sequence: int) -> bool:
@@ -64,330 +96,316 @@ class SegmentRecord:
     def end_checkpoint(self) -> ChainCheckpoint:
         return ChainCheckpoint(sequence=self.last_sequence, chain_hash=self.end_hash)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "machine": self.machine,
-            "file": self.file_name,
-            "first_sequence": self.first_sequence,
-            "last_sequence": self.last_sequence,
-            "start_hash": self.start_hash.hex(),
-            "end_hash": self.end_hash.hex(),
-            "entry_count": self.entry_count,
-            "raw_bytes": self.raw_bytes,
-            "stored_bytes": self.stored_bytes,
-            "sealed_by_snapshot": self.sealed_by_snapshot,
-            "format_version": self.format_version,
-        }
+    def header(self) -> bytes:
+        """Packed; ``start_hash`` is the end hash of the segment before (the
+        retention anchor for the first) and is not stored."""
+        out = bytearray([self.format_version])
+        sealed = self.sealed_by_snapshot
+        for value in (self.first_sequence, self.entry_count, self.raw_bytes,
+                      0 if sealed is None else sealed + 1):
+            _put_varint(out, value)
+        _put_bytes(out, self.end_hash)
+        return bytes(out)
 
     @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "SegmentRecord":
-        # Routed through the codec registry (outside the try: an unknown
-        # wire format is a LogFormatError, not a malformed record).
-        format_version = require_format_version(
-            data.get("format_version", 1) if isinstance(data, dict) else 1,
-            what="archived segment")
-        try:
-            sealed = data.get("sealed_by_snapshot")
-            return SegmentRecord(
-                machine=str(data["machine"]),
-                file_name=str(data["file"]),
-                first_sequence=int(data["first_sequence"]),
-                last_sequence=int(data["last_sequence"]),
-                start_hash=bytes.fromhex(data["start_hash"]),
-                end_hash=bytes.fromhex(data["end_hash"]),
-                entry_count=int(data["entry_count"]),
-                raw_bytes=int(data["raw_bytes"]),
-                stored_bytes=int(data["stored_bytes"]),
-                sealed_by_snapshot=int(sealed) if sealed is not None else None,
-                format_version=format_version,
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ArchiveIntegrityError(f"malformed segment record: {exc}") from exc
+    def parse(reader: _Reader, start_hash: bytes, **stored) -> "SegmentRecord":
+        format_version = require_format_version(reader.byte(),
+                                                what="archived segment")
+        first, count, raw, sealed = (reader.varint() for _ in range(4))
+        if not count:
+            raise LogFormatError("a segment frame of no entries")
+        return SegmentRecord(
+            first_sequence=first, last_sequence=first + count - 1,
+            start_hash=start_hash, end_hash=reader.bytes(), entry_count=count,
+            raw_bytes=raw, sealed_by_snapshot=sealed - 1 if sealed else None,
+            format_version=format_version, **stored)
+
 
 
 @dataclass(frozen=True)
-class AuthBatchRecord:
-    """Index entry for one archived batch of authenticators.
+class AuthBatchRecord(_Stored):
+    """Index entry for one archived batch of authenticators ``machine``
+    issued (its *subject*; the frame sits in the file of whoever shipped it).
 
-    Batches arrive from the fleet in shipment order and are replayed in the
-    same order, so the concatenation of the retained batches reproduces the
-    collector's authenticator list exactly.
+    Batches are replayed in arrival order — ``(commit, offset)`` — so the
+    concatenation of the retained batches reproduces the collectors'
+    authenticator lists exactly.
     """
 
-    machine: str
-    file_name: str
     count: int
     min_sequence: int
     max_sequence: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "machine": self.machine,
-            "file": self.file_name,
-            "count": self.count,
-            "min_sequence": self.min_sequence,
-            "max_sequence": self.max_sequence,
-        }
+    def header(self) -> bytes:
+        out = bytearray()
+        _put_bytes(out, self.machine.encode("utf-8"))
+        for value in (self.count, self.min_sequence, self.max_sequence):
+            _put_varint(out, value)
+        return bytes(out)
 
     @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "AuthBatchRecord":
+    def parse(reader: _Reader, **stored) -> "AuthBatchRecord":
         try:
-            return AuthBatchRecord(
-                machine=str(data["machine"]),
-                file_name=str(data["file"]),
-                count=int(data["count"]),
-                min_sequence=int(data["min_sequence"]),
-                max_sequence=int(data["max_sequence"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ArchiveIntegrityError(f"malformed auth batch record: {exc}") from exc
+            stored["machine"] = reader.bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"batch subject is not UTF-8: {exc}") from exc
+        return AuthBatchRecord(count=reader.varint(),
+                               min_sequence=reader.varint(),
+                               max_sequence=reader.varint(), **stored)
+
 
 
 @dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(_Stored):
     """Index entry for one archived snapshot (replay start for a chunk).
 
     Snapshots are archived the way Section 4.4 ships them: periodic
-    *keyframes* carry the full serialised state, everything in between is a
-    *delta* — the pages changed since ``base_snapshot_id`` — and the archive
+    *keyframes* carry every page, everything in between is a *delta* — the
+    pages changed since ``base_snapshot_id`` — and the archive
     re-materialises full state on demand by replaying the chain.
     """
 
-    machine: str
     snapshot_id: int
-    file_name: str
     state_root: bytes
     #: download cost an auditor pays to start replay here, as reported by the
     #: source machine's snapshot manager — stored verbatim so archive-backed
     #: audits charge exactly what in-memory audits charge
     transfer_bytes: int
     execution: Dict[str, int] = field(default_factory=dict)
-    #: "keyframe" (full state) or "delta" (changed pages over the base)
-    kind: str = "keyframe"
     #: the snapshot a delta applies on top of (``None`` for keyframes)
     base_snapshot_id: Optional[int] = None
     #: page geometry of the source manager (0 = unknown, legacy record)
     page_count: int = 0
     page_size: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "machine": self.machine,
-            "snapshot_id": self.snapshot_id,
-            "file": self.file_name,
-            "state_root": self.state_root.hex(),
-            "transfer_bytes": self.transfer_bytes,
-            "execution": self.execution,
-            "kind": self.kind,
-            "base_snapshot_id": self.base_snapshot_id,
-            "page_count": self.page_count,
-            "page_size": self.page_size,
-        }
+    @property
+    def kind(self) -> str:
+        """"keyframe" (every page) or "delta" (changed pages over the base)."""
+        return "keyframe" if self.base_snapshot_id is None else "delta"
+
+    def header(self) -> bytes:
+        out = bytearray()
+        base = self.base_snapshot_id
+        for value in (self.snapshot_id, 0 if base is None else base + 1,
+                      self.page_count, self.page_size,
+                      self.execution.get("instructions", 0),
+                      self.execution.get("branches", 0), self.transfer_bytes):
+            _put_varint(out, value)
+        _put_bytes(out, self.state_root)
+        return bytes(out)
 
     @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "SnapshotRecord":
-        try:
-            kind = str(data.get("kind", "keyframe"))
-            if kind not in ("keyframe", "delta"):
-                raise ValueError(f"unknown snapshot kind {kind!r}")
-            base = data.get("base_snapshot_id")
-            return SnapshotRecord(
-                machine=str(data["machine"]),
-                snapshot_id=int(data["snapshot_id"]),
-                file_name=str(data["file"]),
-                state_root=bytes.fromhex(data["state_root"]),
-                transfer_bytes=int(data["transfer_bytes"]),
-                execution=dict(data.get("execution", {})),
-                kind=kind,
-                base_snapshot_id=int(base) if base is not None else None,
-                page_count=int(data.get("page_count", 0)),
-                page_size=int(data.get("page_size", 0)),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ArchiveIntegrityError(f"malformed snapshot record: {exc}") from exc
+    def parse(reader: _Reader, **stored) -> "SnapshotRecord":
+        (snapshot_id, base, page_count, page_size, instructions, branches,
+         transfer_bytes) = (reader.varint() for _ in range(7))
+        return SnapshotRecord(
+            snapshot_id=snapshot_id, state_root=reader.bytes(),
+            transfer_bytes=transfer_bytes,
+            execution={"instructions": instructions, "branches": branches},
+            base_snapshot_id=base - 1 if base else None,
+            page_count=page_count, page_size=page_size, **stored)
 
 
-def _journal_line(record: Dict[str, Any]) -> bytes:
-    body = _dump_compact(record)
-    return b"%08x %s\n" % (zlib.crc32(body), body)
+# -- the frame file -------------------------------------------------------------
+
+#: frame kind on disk -> the record class whose packed header it carries
+_FRAME_KINDS = {1: SegmentRecord, 2: SnapshotRecord, 3: AuthBatchRecord}
+_KIND_OF = {record_class: kind for kind, record_class in _FRAME_KINDS.items()}
 
 
-def _parse_journal_line(line: bytes) -> Optional[Dict[str, Any]]:
-    """The record of one (newline-stripped) journal line, ``None`` if it is
-    not exactly what :func:`_journal_line` writes."""
-    try:
-        if line[8:9] != b" " or int(line[:8], 16) != zlib.crc32(line[9:]):
-            return None
-        record = json.loads(line[9:])
-    except ValueError:
+def file_header(holder: str) -> bytes:
+    """What a frame file starts with; its crc32 seeds every group checksum,
+    so a group cut out of another machine's file does not commit here."""
+    out = bytearray(FRAMES_MAGIC)
+    _put_bytes(out, holder.encode("utf-8"))
+    return bytes(out)
+
+
+def frame_head(record, payload: bytes) -> bytes:
+    """Prefix and packed header of ``record``'s frame; ``payload`` follows."""
+    header = record.header()
+    return _PREFIX.pack(_KIND_OF[type(record)], len(header), len(payload),
+                        zlib.crc32(payload)) + header
+
+
+def commit_record(frames: int, number: int, group_crc: int) -> bytes:
+    body = _COMMIT.pack(0, frames, number, group_crc, 0)[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _parse_commit(raw: bytes) -> Optional[Tuple[int, int, int]]:
+    """``(frames, number, group crc)`` if ``raw`` is a whole commit record."""
+    if len(raw) < COMMIT_SIZE or raw[0]:
         return None
-    return record if isinstance(record, dict) else None
+    _, frames, number, group_crc, own_crc = _COMMIT.unpack_from(raw)
+    if own_crc != zlib.crc32(raw[:COMMIT_SIZE - 4]):
+        return None
+    return frames, number, group_crc
 
 
-#: journal record kind -> (record class, the Manifest list it extends)
-_JOURNALED = {"segment": (SegmentRecord, "segments"),
-              "auth_batch": (AuthBatchRecord, "auth_batches"),
-              "snapshot": (SnapshotRecord, "snapshots")}
+def read_frames(root: Path, file_name: str, holder: str,
+                anchor: bytes) -> Tuple[List[Any], int, int]:
+    """Walk ``file_name``'s frame headers; no payload is read.
 
-
-@dataclass
-class Manifest:
-    """Everything the archive knows, in manifest (JSON) form."""
-
-    segments: List[SegmentRecord] = field(default_factory=list)
-    auth_batches: List[AuthBatchRecord] = field(default_factory=list)
-    snapshots: List[SnapshotRecord] = field(default_factory=list)
-    #: per machine, the checkpoint the log was truncated to (Section 4.2);
-    #: entries at or below this sequence have been garbage-collected
-    retained: Dict[str, ChainCheckpoint] = field(default_factory=dict)
-    #: generation of the on-disk checkpoint this state extends; 0: there is
-    #: none a journal could extend (a new archive, or one written before the
-    #: journal) and the first commit writes it
-    generation: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format_version": MANIFEST_FORMAT_VERSION,
-            "kind": "avm_log_archive",
-            "generation": self.generation,
-            "segments": [record.to_dict() for record in self.segments],
-            "auth_batches": [record.to_dict() for record in self.auth_batches],
-            "snapshots": [record.to_dict() for record in self.snapshots],
-            "retained": {machine: {"sequence": checkpoint.sequence,
-                                   "chain_hash": checkpoint.chain_hash.hex()}
-                         for machine, checkpoint in sorted(self.retained.items())},
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "Manifest":
-        if not isinstance(data, dict) or data.get("kind") != "avm_log_archive":
-            kind = data.get("kind") if isinstance(data, dict) else None
-            raise ArchiveIntegrityError(f"not an archive manifest: kind={kind!r}")
-        # The manifest has its own version space (it indexes archives, it is
-        # not a wire codec), but the check routes through the codec layer's
-        # single helper so every unsupported-version failure in the repo is
-        # one well-typed LogFormatError.
-        require_format_version(data.get("format_version"), what="manifest",
-                               supported=(1, MANIFEST_FORMAT_VERSION))
-        try:
-            retained = {
-                str(machine): ChainCheckpoint(
-                    sequence=int(checkpoint["sequence"]),
-                    chain_hash=bytes.fromhex(checkpoint["chain_hash"]))
-                for machine, checkpoint in dict(data.get("retained", {})).items()}
-            return Manifest(
-                segments=[SegmentRecord.from_dict(record)
-                          for record in data.get("segments", [])],
-                auth_batches=[AuthBatchRecord.from_dict(record)
-                              for record in data.get("auth_batches", [])],
-                snapshots=[SnapshotRecord.from_dict(record)
-                           for record in data.get("snapshots", [])],
-                retained=retained,
-                generation=int(data.get("generation", 0)),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ArchiveIntegrityError(f"malformed manifest: {exc}") from exc
-
-    # -- persistence ---------------------------------------------------------
-
-    def commit(self, root: Union[str, Path], kind: str, record) -> None:
-        """Add one record to the index, durably: one journal line, one fsync.
-
-        The record's data file must already be durable.  The commit is on
-        disk when this returns; a crash inside it leaves a torn last line,
-        which :meth:`load` drops (the data file is then an orphan).
-        """
-        root = Path(root)
-        if not self.generation:
-            self.checkpoint(root)
-        line = _journal_line({kind: record.to_dict()})
-        # A journal on disk is this generation's: load and checkpoint leave
-        # no other behind.
-        created = not (root / JOURNAL_NAME).exists()
-        if created:
-            line = _journal_line({"generation": self.generation}) + line
-        with open(root / JOURNAL_NAME, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            fsync_directory(root)
-        getattr(self, _JOURNALED[kind][1]).append(record)
-
-    def checkpoint(self, root: Union[str, Path]) -> None:
-        """Write the whole index as the next generation's checkpoint.
-
-        What a rewrite that is not an append needs (GC, handoff), and what
-        opens a journal's generation.  The journal of the generation before
-        is unlinked only once the checkpoint that absorbed it is durable.
-        """
-        root = Path(root)
-        self.generation += 1
-        atomic_write(root / MANIFEST_NAME, _dump_compact(self.to_dict()))
-        fsync_directory(root)
-        (root / JOURNAL_NAME).unlink(missing_ok=True)
-
-    @staticmethod
-    def load(root: Union[str, Path]) -> Tuple["Manifest", List[str]]:
-        """Load the checkpoint under ``root`` and replay its journal.
-
-        Returns the manifest (empty if there is no archive yet) and the
-        names swept: a journal of another generation, or one whose very
-        first line is torn, extends nothing and is unlinked.  A torn *last*
-        line is cut off (its commit never returned); damage before the last
-        line raises :class:`ArchiveIntegrityError` and deletes nothing.
-        """
-        root = Path(root)
-        path = root / MANIFEST_NAME
-        manifest = Manifest()
-        if path.exists():
+    Returns the records of its committed groups (segments chained from
+    ``anchor``, the holder's retention hash), the offset its last committed
+    group ends at, and its size.  Untrusted bytes: every length is checked
+    against the bytes that remain before anything is read.  Whatever follows
+    the last committed group is a torn or uncommitted tail — the one append
+    a crash interrupted — for the caller to cut, unless a whole commit record
+    sits somewhere in it: then committed groups were damaged, and that is
+    refused (:class:`ArchiveIntegrityError`).
+    """
+    def refused(why: str) -> ArchiveIntegrityError:
+        return ArchiveIntegrityError(f"frame file {file_name}: {why}")
+    try:
+        handle = open(root / file_name, "rb")
+    except OSError as exc:
+        raise refused(f"listed in the checkpoint, missing on disk: {exc}")
+    with handle:
+        size = os.fstat(handle.fileno()).st_size
+        head = file_header(holder)
+        if handle.read(len(head)) != head:
+            raise refused(f"does not start as {holder!r}'s frame file")
+        seed = zlib.crc32(head)
+        records: List[Any] = []
+        end = position = len(head)
+        group: List[Any] = []
+        crc, chain, last_number = seed, anchor, 0
+        while position < size:
+            handle.seek(position)
+            prefix = handle.read(_PREFIX.size)
+            if prefix[:1] == b"\0":
+                commit = _parse_commit(prefix + handle.read(
+                    COMMIT_SIZE - _PREFIX.size))
+                if commit is None or commit != (len(group), commit[1], crc) \
+                        or not group or commit[1] <= last_number:
+                    break
+                end = position = position + COMMIT_SIZE
+                records += [replace(record, commit=commit[1])
+                            for record in group]
+                group, crc, last_number = [], seed, commit[1]
+                continue
+            if len(prefix) < _PREFIX.size:
+                break
+            kind, header_length, stored_bytes, checksum = _PREFIX.unpack(prefix)
+            offset = position + _PREFIX.size + header_length
+            if kind not in _FRAME_KINDS or header_length > MAX_FRAME_HEADER \
+                    or offset + stored_bytes > size:
+                break
+            header = handle.read(header_length)
+            reader = _Reader(header, 0)
+            stored = dict(machine=holder, file_name=file_name, offset=offset,
+                          stored_bytes=stored_bytes, checksum=checksum)
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ArchiveIntegrityError(
-                    f"corrupt manifest at {path}: {exc}") from exc
-            manifest = Manifest.from_dict(data)
-        journal = root / JOURNAL_NAME
-        if not journal.exists():
-            return manifest, []
-        raw = journal.read_bytes()
-        lines = raw.split(b"\n")
-        torn = len(lines.pop())  # bytes after the last newline: a cut line
-        records = [_parse_journal_line(line) for line in lines]
-        if not torn and records and records[-1] is None:
-            # a whole last line that fails its checksum is a torn write too
-            torn = len(lines[-1]) + 1
-            records.pop()
-        if not records:
-            journal.unlink()  # torn inside its first line: extends nothing
-            return manifest, [JOURNAL_NAME]
-        generation = (records[0] or {}).get("generation")
-        if not isinstance(generation, int) or generation > manifest.generation:
-            raise ArchiveIntegrityError(
-                f"journal {journal} does not extend its checkpoint "
-                f"(generation {manifest.generation}): first line "
-                f"{lines[0][:60]!r}")
-        if generation < manifest.generation:
-            journal.unlink()  # absorbed by the checkpoint written after it
-            return manifest, [JOURNAL_NAME]
-        for number, record in enumerate(records[1:], start=2):
-            try:
-                (kind, body), = record.items()
-                record_class, attribute = _JOURNALED[kind]
-            except (AttributeError, KeyError, ValueError):
-                raise ArchiveIntegrityError(
-                    f"journal {journal} is damaged at line {number} (of "
-                    f"{len(records)}): {lines[number - 1][:60]!r}") from None
-            getattr(manifest, attribute).append(record_class.from_dict(body))
-        if torn:
-            os.truncate(journal, len(raw) - torn)
-        return manifest, []
+                record = SegmentRecord.parse(reader, chain, **stored) \
+                    if kind == 1 else _FRAME_KINDS[kind].parse(reader, **stored)
+            except LogFormatError:
+                break
+            if reader.left():
+                break
+            if kind == 1:
+                chain = record.end_hash
+            group.append(record)
+            crc = zlib.crc32(prefix + header, crc)
+            position = offset + stored_bytes
+        if end < size:
+            handle.seek(end)
+            tail = handle.read()
+            at = tail.find(b"\0")
+            while at >= 0:
+                if _parse_commit(tail[at:at + COMMIT_SIZE]) is not None:
+                    raise refused(
+                        f"damaged between offset {end} and the commit "
+                        f"record at {end + at}")
+                at = tail.find(b"\0", at + 1)
+    return records, end, size
 
+
+# -- the checkpoint -------------------------------------------------------------
+
+def read_checkpoint(root: Path) -> Optional[Dict[str, Any]]:
+    """``MANIFEST.json`` as written (``None``: no archive here yet), its
+    kind and format version checked."""
+    path = Path(root) / MANIFEST_NAME
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ArchiveIntegrityError(f"corrupt manifest at {path}: {exc}") from exc
+    if not isinstance(data, dict) or data.get("kind") != "avm_log_archive":
+        kind = data.get("kind") if isinstance(data, dict) else None
+        raise ArchiveIntegrityError(f"not an archive manifest: kind={kind!r}")
+    # The manifest has its own version space (it indexes archives, it is
+    # not a wire codec), but the check routes through the codec layer's
+    # single helper so every unsupported-version failure in the repo is
+    # one well-typed LogFormatError.
+    require_format_version(data.get("format_version"), what="manifest",
+                           supported=(1, 2, MANIFEST_FORMAT_VERSION))
+    return data
+
+
+def _retained_from(data: Any) -> Optional[ChainCheckpoint]:
+    if data is None:
+        return None
+    return ChainCheckpoint(sequence=int(data["sequence"]),
+                           chain_hash=bytes.fromhex(data["chain_hash"]))
+
+
+def parse_checkpoint(data: Dict[str, Any]) -> Tuple[
+        int, Dict[str, str], Dict[str, ChainCheckpoint]]:
+    """``(generation, frame file per machine, retention anchors)``."""
+    try:
+        files = {str(machine): str(entry["file"])
+                 for machine, entry in data["machines"].items()
+                 if entry.get("file") is not None}
+        retained = {str(machine): _retained_from(entry["retained"])
+                    for machine, entry in data["machines"].items()
+                    if entry.get("retained") is not None}
+        return int(data["generation"]), files, retained
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise ArchiveIntegrityError(f"malformed manifest: {exc}") from exc
+
+
+def write_checkpoint(root: Path, generation: int, files: Dict[str, str],
+                     retained: Dict[str, ChainCheckpoint]) -> None:
+    """Replace ``MANIFEST.json``, durably (the rename included)."""
+    def anchor(checkpoint: Optional[ChainCheckpoint]):
+        return checkpoint and {"sequence": checkpoint.sequence,
+                               "chain_hash": checkpoint.chain_hash.hex()}
+    atomic_write(Path(root) / MANIFEST_NAME, _dump_compact({
+        "format_version": MANIFEST_FORMAT_VERSION, "kind": "avm_log_archive",
+        "generation": generation,
+        "machines": {machine: {"file": files.get(machine),
+                               "retained": anchor(retained.get(machine))}
+                     for machine in sorted({*files, *retained})}}))
+    fsync_directory(root)
+
+
+# -- durable writes ---------------------------------------------------------------
 
 def fsync_directory(path: Union[str, Path]) -> None:
     """Make the names just created or renamed inside ``path`` durable."""
     fd = os.open(path, os.O_RDONLY)
     try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_durably(path: Union[str, Path], data: bytes, create: bool) -> None:
+    """Append ``data`` to ``path`` (``create``: start it afresh) and fsync.
+
+    Everything the store writes goes through ``os.write`` / ``os.fsync`` by
+    those names, so a test (or a tracer) that patches them sees every byte.
+    """
+    fd = os.open(path, os.O_WRONLY | (os.O_CREAT | os.O_TRUNC if create
+                                      else os.O_APPEND), 0o644)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
         os.fsync(fd)
     finally:
         os.close(fd)
@@ -399,14 +417,11 @@ def atomic_write(path: Union[str, Path], data: bytes) -> Path:
     The rename is atomic on POSIX, so readers (and crash recovery) only ever
     see the old file or the complete new one — never a torn write.  The
     rename itself is durable once the directory is fsynced
-    (:func:`fsync_directory`), which the caller does where a name is new.
+    (:func:`fsync_directory`), which the caller does.  What a rewrite that
+    is not an append needs: the checkpoint, and a generation's frame file.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
+    write_durably(tmp, data, create=True)
     os.replace(tmp, path)
     return path

@@ -1,4 +1,4 @@
-"""The archive's two packed file kinds, as formats: round-trip, strict, bounded.
+"""The archive's packed formats: round-trip, strict, bounded.
 
 The snapshot page file (:meth:`repro.vm.snapshot.IncrementalSnapshot.to_bytes`
 — keyframes and deltas, on the wire and on disk) and the packed authenticator
@@ -17,28 +17,36 @@ import bz2
 import json
 import shutil
 import struct
+import tempfile
 import tracemalloc
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.engine import AuditScheduler
 from repro.audit.stream import stream_audit
-from repro.errors import LogFormatError, SnapshotError
+from repro.errors import LogFormatError, SnapshotError, StoreError
 from repro.experiments.parallel_audit import build_fleet
 from repro.log.authenticator import Authenticator
 from repro.log.entries import EntryType, nondet_content
 from repro.log.storage import (AUTH_BATCH_MAGIC, authenticators_from_bytes,
                                authenticators_to_bytes)
 from repro.log.tamper_evident import TamperEvidentLog
+from repro.network.message import MessageKind, NetworkMessage
+from repro.network.shipment import (PartKind, ShipmentPart, decode_shipment,
+                                    encode_shipment)
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
+from repro.store.manifest import COMMIT_SIZE, file_header, read_frames
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.snapshot import (SNAPSHOT_MAGIC, IncrementalSnapshot,
-                               SnapshotManager, apply_delta, serialize_state)
+                               SnapshotManager, apply_delta)
+
+from archive_tools import World, ship, summary, write_legacy_layout
 
 _HEADER = struct.Struct("<8sBQqIIIQQQ32s")  # the page file's, spelled out
 
@@ -317,57 +325,250 @@ def test_single_byte_mutations_of_a_batch_fail_typed(offset, value):
 
 
 # ---------------------------------------------------------------------------
-# What older archives hold still opens, audits the same, and accepts appends
+# The shipment container and the frame file: untrusted bytes, strict and
+# bounded from their first commit
 # ---------------------------------------------------------------------------
 
-def _rewrite_as_before_the_packed_forms(root):
-    """Rewrite a freshly recorded archive, in place, into the files an
-    archive of the previous format holds: hex-in-JSON snapshot files,
-    JSON-lines batches under bz2, one indented format-1 manifest, no journal
-    — the deleted writers, kept here as the reference."""
-    archive = LogArchive(root)
-    manifest = archive._manifest.to_dict()  # noqa: SLF001 - the index, whole
-    manifest["format_version"] = 1
-    del manifest["generation"]
-    for stored in manifest["snapshots"]:
-        path = root / stored["file"]
-        snapshot = IncrementalSnapshot.from_bytes(path.read_bytes())
-        common = {"machine": stored["machine"],
-                  "snapshot_id": snapshot.snapshot_id,
-                  "state_root": snapshot.state_root.hex(),
-                  "transfer_bytes": snapshot.transfer_bytes,
-                  "execution": snapshot.execution.to_dict()}
-        if snapshot.base_snapshot_id is None:
-            pages = [snapshot.changed_pages[i]
-                     for i in range(snapshot.page_count)]
-            payload = {**common, "kind": "keyframe",
-                       "state": json.loads(b"".join(pages))}
-        else:
-            payload = {**common, "kind": "delta",
-                       "base_snapshot_id": snapshot.base_snapshot_id,
-                       "page_count": snapshot.page_count,
-                       "changed_pages": {
-                           str(index): page.hex() for index, page
-                           in sorted(snapshot.changed_pages.items())}}
-        path.unlink()
-        stored["file"] = stored["file"].replace(".avmsnap", ".json")
-        (root / stored["file"]).write_bytes(serialize_state(payload))
-    for stored in manifest["auth_batches"]:
-        path = root / stored["file"]
-        lines = ['{"format_version": 1, "kind": "authenticators"}']
-        for auth in authenticators_from_bytes(path.read_bytes()):
-            row = auth.to_dict()
-            if auth.is_consistent():
-                del row["chain_hash"]
-            lines.append(json.dumps(row, sort_keys=True))
-        path.unlink()
-        stored["file"] = stored["file"].replace(".avmauth", ".jsonl.bz2")
-        (root / stored["file"]).write_bytes(
-            bz2.compress(("\n".join(lines) + "\n").encode()))
-    (root / "MANIFEST.journal").unlink()
-    (root / "MANIFEST.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True))
+_WORLD = World()
+_GENUINE_SHIPMENT = _WORLD.shipments["beta"][0].payload
+_GENUINE_PARTS = decode_shipment(_GENUINE_SHIPMENT)
 
+
+def _traced(attempt, cap=4_000_000):
+    tracemalloc.start()
+    try:
+        return attempt()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < cap, peak
+
+
+class TestShipmentContainer:
+    def test_round_trip(self):
+        assert [part.kind for part in _GENUINE_PARTS] == [
+            PartKind.SNAPSHOT, PartKind.SEGMENT, PartKind.AUTHENTICATORS]
+        assert _GENUINE_PARTS[1].sealed_by_snapshot == 1
+        assert _GENUINE_PARTS[2].subject == "alpha"
+        assert encode_shipment(_GENUINE_PARTS) == _GENUINE_SHIPMENT
+        odd = [ShipmentPart(PartKind.SEGMENT, b"", sealed_by_snapshot=0),
+               ShipmentPart(PartKind.SNAPSHOT, b"x"),
+               ShipmentPart(PartKind.SNAPSHOT, b"x"),
+               ShipmentPart(PartKind.AUTHENTICATORS, b"", subject="")]
+        assert decode_shipment(encode_shipment(odd)) == odd
+        for twice in (odd[:1] * 2, odd[3:] * 2):
+            with pytest.raises(LogFormatError, match="a second"):
+                decode_shipment(encode_shipment(twice))
+        assert decode_shipment(encode_shipment([])) == []
+
+    def test_strict(self):
+        data = _GENUINE_SHIPMENT
+        body = len(b"AVMSHIP1")
+        refused = {
+            "wrong magic": b"AVMSHIP9" + data[body:],
+            "magic only": data[:body],
+            "truncated": data[:-1],
+            "trailing byte": data + b"\0",
+            "one part too many announced": (
+                data[:body] + bytes([data[body] + 1]) + data[body + 1:]),
+            "one part too few announced": (
+                data[:body] + bytes([data[body] - 1]) + data[body + 1:]),
+            "unknown part kind": data[:body + 1] + b"\x09" + data[body + 2:],
+            "part kind zero": data[:body + 1] + b"\x00" + data[body + 2:],
+            "payload longer than the shipment": (
+                data[:body + 2] + b"\xff\xff\x7f" + data[body + 4:]),
+            "part count beyond the bytes": data[:body] + b"\xff\xff\xff\x7f",
+            "part count beyond the bound": (
+                data[:body] + b"\x81\x20" + bytes(5000)),
+            "overlong varint": data[:body] + b"\x83\x00" + data[body + 1:],
+            "subject not UTF-8": encode_shipment([ShipmentPart(
+                PartKind.AUTHENTICATORS, b"", subject="s")])[:-3]
+            + b"\x01\xff\x00",
+        }
+        for what, blob in refused.items():
+            with pytest.raises(LogFormatError):
+                decode_shipment(blob)
+                pytest.fail(f"accepted: {what}")
+
+    def test_nothing_is_allocated_on_a_count_s_word(self):
+        for claim in (b"AVMSHIP1" + b"\xff" * 9 + b"\x01",
+                      b"AVMSHIP1\x01\x01" + b"\xff" * 8 + b"\x7f"):
+            with pytest.raises(LogFormatError):
+                _traced(lambda: decode_shipment(claim.ljust(1024, b"\0")))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_a_small_bomb_is_refused_inside_the_bound(self, version,
+                                                      monkeypatch, tmp_path):
+        """The segment decoders inflate a shipper's bytes before any chain
+        check runs: a blob of a few kB that inflates to 64 MB is refused
+        typed, at ``MAX_INFLATED_BYTES`` — a bound, not an option; shrunk
+        here so that the allocation cap can show it is what stops it."""
+        from repro.log import codec
+        monkeypatch.setattr(codec, "MAX_INFLATED_BYTES", 1 << 20)
+        segment = _WORLD.logs["alpha"].segment(1, 6)
+        genuine = codec.encode_segment(segment, version)
+        assert codec.decode_segment(genuine) == segment
+        if version == 1:
+            bomb = genuine[:8] + bz2.compress(
+                b'{"header":{"machine":"' + b"a" * (64 << 20), 9)
+        else:
+            header = codec.TypedCodec._header_size(genuine)
+            frame = zlib.compress(bytes(64 << 20), 9)
+            bomb = genuine[:header] + struct.pack("<I", len(frame)) + frame
+        assert len(bomb) < 80_000
+        cap = 8 << 20  # a few copies of the bound; the bomb is 64 MB
+        with pytest.raises(LogFormatError, match="inflates past"):
+            _traced(lambda: codec.decode_segment(bomb), cap)
+        with pytest.raises(LogFormatError, match="inflates past"):
+            _traced(lambda: list(codec.SegmentStreamDecoder().entries(
+                iter([bomb[:100], bomb[100:]]))), cap)
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        _traced(lambda: ship(service, "alpha", segment=bomb), cap)
+        assert "inflates past" in service.quarantine[0].reason
+        assert service.archive.machines() == []
+
+
+def _mutations(draw, units, blob_of):
+    """A structure-aware mutation of ``units`` (parts or groups), as bytes:
+    flip, truncate, duplicate, drop, reorder, or lie in a length."""
+    how = draw(st.sampled_from(
+        ["flip", "truncate", "duplicate", "drop", "swap", "lie"]))
+    units = list(units)
+    index = draw(st.integers(0, len(units) - 1))
+    if how == "duplicate":
+        units.insert(index, units[index])
+    elif how == "drop":
+        del units[index]
+    elif how == "swap" and len(units) > 1:
+        other = draw(st.integers(0, len(units) - 1))
+        units[index], units[other] = units[other], units[index]
+    blob = bytearray(blob_of(units))
+    if how in ("flip", "lie", "swap") and blob:
+        # (a lie: a byte in the first few of a unit, where the lengths are)
+        offset = draw(st.integers(0, min(len(blob) - 1, 40) if how == "lie"
+                                  else len(blob) - 1))
+        blob[offset] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del blob[draw(st.integers(0, len(blob))):]
+    return how, bytes(blob)
+
+
+def _only_genuine(archive, genuine, altered):
+    """Everything ``archive`` holds is what the genuine archive holds.  With
+    bytes ``altered`` that holds for what the hash chain protects, the log:
+    a page file or a batch altered into another well-formed one is *its*
+    claim — under another id, about another sequence — for the hash tree
+    (when the snapshot is materialised) and the audit's signature check to
+    judge, as they judge what an honest-looking liar ships."""
+    try:
+        held = summary(archive)
+    except SnapshotError:
+        assert altered
+        return None
+    for machine, state in held.items():
+        theirs = genuine[machine]
+        for ours, genuine_segment in zip(state["segments"], theirs["segments"]):
+            # (which snapshot seals it is the shipper's word, too)
+            assert ours[:3] == genuine_segment[:3]
+        assert len(state["segments"]) <= len(theirs["segments"])
+        if not altered:
+            assert state["segments"] == \
+                theirs["segments"][:len(state["segments"])]
+            assert state["snapshots"].items() <= theirs["snapshots"].items()
+            assert all(auth in theirs["authenticators"]
+                       for auth in state["authenticators"])
+    return held
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_shipment_is_refused_quarantined_or_genuine(data):
+    how, mutated = _mutations(data.draw, _GENUINE_PARTS, encode_shipment)
+    with tempfile.TemporaryDirectory() as tmp:
+        genuine = AuditIngestService(LogArchive(Path(tmp) / "genuine"))
+        genuine.on_message(_WORLD.shipments["beta"][0])
+        service = AuditIngestService(LogArchive(Path(tmp) / "mutated"))
+        _traced(lambda: service.on_message(NetworkMessage(  # never raises
+            "beta", "audit-ingest", mutated,
+            kind=MessageKind.ARCHIVE_SHIPMENT)))
+        expected = summary(genuine.archive)
+        altered = how in ("flip", "lie", "swap")
+        held = _only_genuine(LogArchive(Path(tmp) / "mutated"), expected,
+                             altered)
+        # nothing refused and no byte altered: every genuine part landed (a
+        # duplicated snapshot or a reordering of independent parts changes
+        # nothing) — unless one was left out, which is a smaller shipment,
+        # not a damaged one
+        if not service.quarantine and how in ("duplicate", "truncate"):
+            assert held == expected
+        assert LogArchive(Path(tmp) / "mutated").recovery.clean
+
+
+def _groups_of(root, machine):
+    """``machine``'s frame file as ``[file header, group, group, …]``."""
+    file_name = LogArchive(root).segment_records(machine)[0].file_name
+    raw = (root / file_name).read_bytes()
+    records, end, _ = read_frames(root, file_name, machine, bytes(32))
+    assert end == len(raw)
+    cuts = [len(file_header(machine))]
+    for record, following in zip(records, records[1:] + [None]):
+        if following is None or following.commit != record.commit:
+            cuts.append(record.offset + record.stored_bytes + COMMIT_SIZE)
+    return [raw[:cuts[0]]] + [raw[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.fixture(scope="module")
+def genuine_archive(tmp_path_factory):
+    """A recorded archive, alpha's file group by group, and what the archive
+    holds with alpha's file cut after each of its commits."""
+    root = tmp_path_factory.mktemp("frames") / "genuine"
+    _WORLD.ingest(root)
+    groups = _groups_of(root, "alpha")
+    states = []
+    for committed in range(1, len(groups) + 1):
+        cut = root.with_name(f"cut-{committed}")
+        shutil.copytree(root, cut)
+        (cut / "alpha" / "frames-000001.avmf").write_bytes(
+            b"".join(groups[:committed]))
+        states.append(summary(LogArchive(cut)))
+    assert states[-1] == summary(LogArchive(root))
+    return root, groups, _groups_of(root, "beta")[1:], states
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_frame_file_is_refused_cut_or_genuine(data, genuine_archive):
+    root, groups, foreign, states = genuine_archive
+    if data.draw(st.booleans()):  # a committed group of another machine's file
+        position = data.draw(st.integers(1, len(groups)))
+        mutated = b"".join(groups[:position]
+                           + [data.draw(st.sampled_from(foreign))]
+                           + groups[position:])
+    else:
+        mutated = groups[0] + _mutations(data.draw, groups[1:], b"".join)[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "a"
+        shutil.copytree(root, work)
+        (work / "alpha" / "frames-000001.avmf").write_bytes(mutated)
+
+        def opened_and_read():
+            archive = LogArchive(work)
+            for record in archive._all_records():  # noqa: SLF001
+                archive.stored_bytes_of(record)
+            return archive
+        try:
+            archive = _traced(opened_and_read)
+        except StoreError:   # typed refusal (ArchiveIntegrityError is one)
+            return
+        # ... or what it serves is the genuine archive as of one of its
+        # commits: whole, or with a (torn) tail cut
+        assert summary(archive) in states
+
+
+# ---------------------------------------------------------------------------
+# What older archives hold still opens, audits the same, and accepts appends
+# ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
@@ -376,8 +577,11 @@ def recorded(tmp_path_factory):
                         snapshot_interval=1.0, archive=LogArchive(root))
     old_root = root.with_name("archive-old-forms")
     shutil.copytree(root, old_root)
-    _rewrite_as_before_the_packed_forms(old_root)
-    return fleet, root, old_root
+    write_legacy_layout(old_root, packed=False)        # format 1, old forms
+    journal_root = root.with_name("archive-journal")
+    shutil.copytree(root, journal_root)
+    write_legacy_layout(journal_root, journal=True)    # format 2, packed
+    return fleet, root, old_root, journal_root
 
 
 def _audits(fleet, root):
@@ -400,38 +604,75 @@ def _audits(fleet, root):
 
 
 class TestOlderArchiveForms:
-    def test_the_rewrite_produced_the_old_forms(self, recorded):
-        _, root, old_root = recorded
-        names = {path.suffix for path in root.rglob("*") if path.is_file()}
-        old_names = {path.name.split(".", 1)[1]
-                     for path in old_root.rglob("*") if path.is_file()}
-        assert {".avmsnap", ".avmauth", ".journal"} <= names
-        assert old_names == {"json", "jsonl.bz2", "avmlogz"}
-        kinds = {snap.kind for snap in
-                 LogArchive(old_root)._manifest.snapshots}  # noqa: SLF001
-        assert kinds == {"keyframe", "delta"}
+    def test_the_rewrite_produced_the_old_layouts(self, recorded):
+        _, root, old_root, journal_root = recorded
+        def suffixes(where):
+            return {path.name.split(".", 1)[1]
+                    for path in where.rglob("*") if path.is_file()}
+        assert suffixes(root) == {"json", "avmf"}
+        assert suffixes(old_root) == {"json", "jsonl.bz2", "avmlogz"}
+        assert suffixes(journal_root) == {"json", "journal", "avmsnap",
+                                          "avmauth", "avmlogz"}
+        for layout, version in ((old_root, 1), (journal_root, 2)):
+            assert json.loads((layout / "MANIFEST.json").read_text())[
+                "format_version"] == version
+            kinds = {snap.kind for snaps in LogArchive(layout)
+                     ._snapshot_index.values()  # noqa: SLF001
+                     for snap in snaps.values()}
+            assert kinds == {"keyframe", "delta"}
 
     def test_same_contents_and_same_audits_on_every_front_end(self, recorded):
-        fleet, root, old_root = recorded
-        new, old = LogArchive(root), LogArchive(old_root)
-        assert old.recovery.clean
-        for machine in fleet.machines:
-            assert old.authenticators_for(machine) == \
-                new.authenticators_for(machine)
-            for snapshot_id in new.snapshot_store(machine).snapshot_ids():
-                ours = new.load_snapshot(machine, snapshot_id)
-                theirs = old.load_snapshot(machine, snapshot_id)
-                assert theirs.pages == ours.pages and theirs.verify_root()
-                assert old.snapshot_transfer_bytes(machine, snapshot_id) == \
-                    new.snapshot_transfer_bytes(machine, snapshot_id)
+        fleet, root, *older = recorded
+        new = LogArchive(root)
         concluded = _audits(fleet, root)
         assert {verdict.value for verdict, *_ in concluded.values()} == {"pass"}
-        assert _audits(fleet, old_root) == concluded
+        for old_root in older:
+            before = {path: path.read_bytes()
+                      for path in old_root.rglob("*") if path.is_file()}
+            old = LogArchive(old_root)
+            assert old.recovery.clean
+            for machine in fleet.machines:
+                assert old.authenticators_for(machine) == \
+                    new.authenticators_for(machine)
+                assert [(r.first_sequence, r.end_hash, r.sealed_by_snapshot)
+                        for r in old.segment_records(machine)] == \
+                    [(r.first_sequence, r.end_hash, r.sealed_by_snapshot)
+                     for r in new.segment_records(machine)]
+                for snapshot_id in new.snapshot_store(machine).snapshot_ids():
+                    ours = new.load_snapshot(machine, snapshot_id)
+                    theirs = old.load_snapshot(machine, snapshot_id)
+                    assert theirs.pages == ours.pages and theirs.verify_root()
+                    assert old.snapshot_transfer_bytes(machine, snapshot_id) \
+                        == new.snapshot_transfer_bytes(machine, snapshot_id)
+            assert _audits(fleet, old_root) == concluded
+            # ... all of it read-only
+            assert {path: path.read_bytes() for path in old_root.rglob("*")
+                    if path.is_file()} == before
 
-    def test_appends_checkpoint_once_then_journal(self, recorded, tmp_path):
-        fleet, _, old_root = recorded
+    def test_a_torn_journal_tail_and_its_orphan_are_left_alone(self, recorded,
+                                                               tmp_path):
+        _, _, _, journal_root = recorded
+        work = tmp_path / "torn"
+        shutil.copytree(journal_root, work)
+        whole = LogArchive(work)
+        journal = (work / "MANIFEST.journal").read_bytes()
+        (work / "MANIFEST.journal").write_bytes(journal[:-9])
+        torn = LogArchive(work)  # the last commit never returned: not there
+        assert torn.recovery.clean
+        assert sum(1 for _ in torn._all_records()) == \
+            sum(1 for _ in whole._all_records()) - 1  # noqa: SLF001
+        assert (work / "MANIFEST.journal").read_bytes() == journal[:-9]
+        damaged = bytearray(journal)
+        damaged[len(journal) // 2] ^= 1
+        (work / "MANIFEST.journal").write_bytes(bytes(damaged))
+        with pytest.raises(Exception, match="journal"):
+            LogArchive(work)
+
+    @pytest.mark.parametrize("layout", [1, 2])
+    def test_the_first_append_migrates_once(self, recorded, tmp_path, layout):
+        fleet = recorded[0]
         work = tmp_path / "appended"
-        shutil.copytree(old_root, work)
+        shutil.copytree(recorded[1 + layout], work)
         before = _audits(fleet, work)
         archive = LogArchive(work)
         machine = fleet.machines[0]
@@ -439,21 +680,60 @@ class TestOlderArchiveForms:
         archive.store_authenticators(machine, auths)       # first append
         checkpoint = (work / "MANIFEST.json").read_bytes()
         stored = json.loads(checkpoint)
-        assert (stored["format_version"], stored["generation"]) == (2, 1)
-        assert len((work / "MANIFEST.journal").read_bytes().splitlines()) == 2
-        archive.store_authenticators(machine, auths)       # second: journal only
+        assert (stored["format_version"], stored["generation"]) == (3, 1)
+        # every per-record file and the journal are gone: one frame file
+        # per machine holds what they held
+        assert sorted(path.relative_to(work).as_posix()
+                      for path in work.rglob("*") if path.is_file()) == sorted(
+            ["MANIFEST.json"] + [entry["file"] for entry
+                                 in stored["machines"].values()])
+        sizes = {path: path.stat().st_size for path in work.rglob("*.avmf")}
+        archive.store_authenticators(machine, auths)       # second: an append
         assert (work / "MANIFEST.json").read_bytes() == checkpoint
-        assert len((work / "MANIFEST.journal").read_bytes().splitlines()) == 3
+        assert sum(path.stat().st_size > size
+                   for path, size in sizes.items()) == 1
         reopened = LogArchive(work)
         assert reopened.recovery.clean
         assert reopened.authenticators_for(machine)[-6:] == auths + auths
         # (the six extra authenticators are six more signatures to check)
         assert {key: value[:3] for key, value in _audits(fleet, work).items()} \
             == {key: value[:3] for key, value in before.items()}
-        # GC of an old-form archive: its delta boundary becomes a page file
+        # GC of a migrated archive: its delta boundary becomes a keyframe
         sealed = [record for record in reopened.segment_records(machine)
                   if record.sealed_by_snapshot]
         reopened.truncate(machine, sealed[2].last_sequence)
         state, _ = LogArchive(work).initial_state_for(machine)
         assert state == fleet.monitors[machine].snapshots.get(
             sealed[2].sealed_by_snapshot).state
+
+    def test_a_refused_shipment_mutates_nothing(self, recorded, tmp_path):
+        _, _, old_root, _ = recorded
+        work = tmp_path / "refused"
+        shutil.copytree(old_root, work)
+        before = {path: path.read_bytes() for path in work.rglob("*")
+                  if path.is_file()}
+        service = AuditIngestService(LogArchive(work))
+        ship(service, "db-client-00", segment=b"garbage",
+             snapshots=[b"garbage"], authenticators={"x": b"garbage"})
+        assert len(service.quarantine) == 3
+        (work / "quarantine.jsonl").unlink()
+        assert {path: path.read_bytes() for path in work.rglob("*")
+                if path.is_file()} == before
+
+    def test_gc_is_a_first_mutation_too(self, recorded, tmp_path):
+        fleet, _, old_root, _ = recorded
+        work = tmp_path / "truncated"
+        shutil.copytree(old_root, work)
+        archive = LogArchive(work)
+        machine = fleet.machines[0]
+        sealed = [record for record in archive.segment_records(machine)
+                  if record.sealed_by_snapshot]
+        checkpoint = archive.truncate(machine, sealed[1].last_sequence)
+        assert checkpoint.sequence == sealed[1].last_sequence
+        reopened = LogArchive(work)
+        assert reopened.recovery.clean
+        assert reopened.retained_checkpoint(machine) == checkpoint
+        assert not list(work.rglob("*.avmlogz"))
+        for other in fleet.machines[1:]:
+            assert reopened.materialized_log(other).entries == \
+                fleet.monitors[other].log.full_segment().entries

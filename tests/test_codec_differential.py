@@ -30,9 +30,10 @@ from repro.log.codec import (MAGIC_LENGTH, TypedCodec, get_codec,
                              sniff_format_version)
 from repro.log.entries import decode_content, encode_content
 from repro.log.storage import segment_to_bytes
-from repro.network.message import MessageKind, NetworkMessage
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
+
+from archive_tools import replace_payload, ship, write_legacy_layout
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +90,12 @@ class TestReencodedArchiveEquivalence:
                     (r2.first_sequence, r2.last_sequence,
                      r2.start_hash, r2.end_hash)
                 assert r1.format_version == 1 and r2.format_version == 2
-                assert r2.file_name.endswith(".avmlogb")
                 # The modelled download size is format-independent: priced
                 # from the v2-decoded entries it equals what the v1 archive
                 # actually stored for the same cleanly-shipped segment.
                 assert modelled_compressed_log_bytes(v2.read_segment(r2)) \
                     == r1.stored_bytes
-                data = (v2.root / r2.file_name).read_bytes()
+                data = v2.stored_bytes_of(r2)
                 assert sniff_format_version(data) == 2
 
     def test_v3_files_are_typed_and_indexed_as_v3(self, recorded_fleet,
@@ -112,12 +112,11 @@ class TestReencodedArchiveEquivalence:
                     (r3.first_sequence, r3.last_sequence,
                      r3.start_hash, r3.end_hash)
                 assert r3.format_version == 3
-                assert r3.file_name.endswith(".avmlogt")
                 # ...and it survives the v2→v3 migration, so the reported
                 # figure stays denominated in canonical v1 bytes.
                 assert modelled_compressed_log_bytes(v3.read_segment(r3)) \
                     == r1.stored_bytes
-                data = (v3.root / r3.file_name).read_bytes()
+                data = v3.stored_bytes_of(r3)
                 assert sniff_format_version(data) == 3
 
     def test_materialized_logs_are_identical(self, recorded_fleet, v2_root,
@@ -144,10 +143,9 @@ class TestReencodedArchiveEquivalence:
             originals = v1.segment_records(machine)
             returned = back.segment_records(machine)
             # v1 encoding is deterministic, so the round-trip reproduces the
-            # original segment files byte for byte.
+            # original stored segments byte for byte.
             for r1, r2 in zip(originals, returned):
-                assert (v1.root / r1.file_name).read_bytes() == \
-                    (back.root / r2.file_name).read_bytes()
+                assert v1.stored_bytes_of(r1) == back.stored_bytes_of(r2)
 
     @pytest.mark.parametrize("streaming", [False, True])
     def test_audits_are_structurally_identical(self, recorded_fleet, v2_root,
@@ -166,12 +164,15 @@ class TestReencodedArchiveEquivalence:
     def test_manifest_with_the_retired_size_key_loads_and_audits(
             self, recorded_fleet, v3_root, tmp_path, streaming):
         """Archives written before the cost model stopped compressing carry
-        ``wire_v1_bytes`` per segment record; the key is ignored on load."""
+        ``wire_v1_bytes`` per segment record of their (format-1) manifest;
+        the key is ignored on load."""
         fleet, root = recorded_fleet
         legacy_root = tmp_path / "archive-v3-legacy"
         shutil.copytree(v3_root, legacy_root)
+        write_legacy_layout(legacy_root)
         manifest_path = legacy_root / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
+        assert manifest["format_version"] == 1 and manifest["segments"]
         for record in manifest["segments"]:
             assert "wire_v1_bytes" not in record  # nothing writes it
             record["wire_v1_bytes"] = 12345
@@ -195,12 +196,9 @@ class TestMixedFormatIngest:
         codec = get_codec(ship_version)
         for machine in fleet.machines:
             for record in v1.segment_records(machine):
-                sealed = record.sealed_by_snapshot
-                headers = {"sealed_by_snapshot": sealed} if sealed else {}
-                ingest.on_message(NetworkMessage(
-                    source=machine, destination=ingest.identity,
-                    payload=codec.encode_segment(v1.read_segment(record)),
-                    kind=MessageKind.ARCHIVE_SEGMENT, headers=headers))
+                ship(ingest, machine,
+                     segment=codec.encode_segment(v1.read_segment(record)),
+                     sealed_by_snapshot=record.sealed_by_snapshot)
         assert ingest.stats.segments_rejected == 0
         replayed = LogArchive(replayed_root)
         for machine in fleet.machines:
@@ -210,10 +208,7 @@ class TestMixedFormatIngest:
     @pytest.mark.parametrize("magic", [b"AVMLOGB2", b"AVMLOGT3"])
     def test_garbage_shipment_is_quarantined(self, tmp_path, magic):
         ingest = AuditIngestService(LogArchive(tmp_path / "q"))
-        ingest.on_message(NetworkMessage(
-            source="mallory", destination=ingest.identity,
-            payload=magic + b"\x01\x02\x03",
-            kind=MessageKind.ARCHIVE_SEGMENT))
+        ship(ingest, "mallory", segment=magic + b"\x01\x02\x03")
         assert ingest.stats.segments_rejected == 1
         assert any("undecodable segment" in q.reason
                    for q in ingest.quarantine)
@@ -258,7 +253,7 @@ class TestAdversaryMatrixAcrossFormats:
 
 
 class TestStoredFileTamper:
-    """Flipping bytes in stored segment files is caught in every format."""
+    """Flipping bytes in stored segments is caught in every format."""
 
     @pytest.mark.parametrize("format_version", [1, 2, 3])
     def test_flipped_stored_byte_is_detected(self, recorded_fleet, v2_root,
@@ -271,11 +266,12 @@ class TestStoredFileTamper:
             format_version=format_version)
         machine = fleet.machines[0]
         record = work.segment_records(machine)[0]
-        path = work.root / record.file_name
-        raw = bytearray(path.read_bytes())
-        # Flip a byte well inside the body (past magic and header).
+        raw = bytearray(work.stored_bytes_of(record))
+        # Flip a byte well inside the body (past magic and header) — with
+        # the frame's checksums redone, so that the codec has to catch it.
         raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
+        replace_payload(work.root, record, bytes(raw))
+        work = LogArchive(work.root)
         with pytest.raises(Exception) as excinfo:
             segment = work.read_segment(record)
             segment.verify_hash_chain()
@@ -314,8 +310,8 @@ class TestStoredContentRewrite:
     While every row carried its own ``h`` the rewrite failed the chain check
     *at that entry*.  Now the row decodes into a self-consistent chain — a
     different one — and is refused at the next **pinned** hash instead: the
-    manifest's ``end_hash`` when the segment is read, or, if the manifest
-    (the segment's journal record) was rewritten to match, the first signed authenticator at or after it.
+    frame header's ``end_hash`` when the segment is read, or, if that was
+    rewritten to match, the first signed authenticator at or after it.
     Either way before any verdict on the machine's behaviour.
     """
 
@@ -335,36 +331,29 @@ class TestStoredContentRewrite:
         index = next(i for i, entry
                      in enumerate(archive.read_segment(record).entries)
                      if entry.sequence in committed)
-        path = work_root / record.file_name
-        path.write_bytes(_rewrite_stored_content(path.read_bytes(), index))
-        forked = get_codec(format_version).decode_segment(path.read_bytes())
-        forked.verify_hash_chain()  # nothing *inside* the file contradicts it
+        rewritten = _rewrite_stored_content(
+            archive.stored_bytes_of(record), index)
+        forked = get_codec(format_version).decode_segment(rewritten)
+        forked.verify_hash_chain()  # nothing *inside* the blob contradicts it
         assert forked.end_hash != record.end_hash
 
-        # 1. Manifest intact: refused at its end hash, on both read paths
-        #    and therefore by every audit front-end.
+        # 1. Frame header intact (checksums redone): refused at its end hash,
+        #    on both read paths and therefore by every audit front-end.
+        replace_payload(work_root, record, rewritten)
         archive = LogArchive(work_root)
-        with pytest.raises(ArchiveIntegrityError, match="manifest record"):
+        record = archive.segment_records(machine)[-1]
+        with pytest.raises(ArchiveIntegrityError, match="index record"):
             archive.read_segment(record)
-        with pytest.raises(ArchiveIntegrityError, match="manifest record"):
+        with pytest.raises(ArchiveIntegrityError, match="index record"):
             list(archive.stream_segment(record))
         for streaming in (False, True):
             with pytest.raises(ArchiveIntegrityError):
                 _audit_all(fleet, work_root, streaming)
 
-        # 2. Manifest rewritten to match: the archive opens clean, and the
-        #    audit convicts at the authenticator check.
-        #    (its record sits in the journal: one line, checksum redone).
-        journal_path = work_root / "MANIFEST.journal"
-        lines = journal_path.read_bytes().splitlines()
-        for number, line in enumerate(lines):
-            stored = json.loads(line[9:]).get("segment")
-            if stored and stored["file"] == record.file_name:
-                stored["end_hash"] = forked.end_hash.hex()
-                body = json.dumps({"segment": stored}, sort_keys=True,
-                                  separators=(",", ":")).encode()
-                lines[number] = b"%08x %s" % (zlib.crc32(body), body)
-        journal_path.write_bytes(b"\n".join(lines) + b"\n")
+        # 2. Frame header rewritten to match: the archive opens clean, and
+        #    the audit convicts at the authenticator check.
+        replace_payload(work_root, record, rewritten,
+                        end_hash=forked.end_hash)
         reopened = LogArchive(work_root)
         assert reopened.recovery.clean
         assert reopened.segment_records(machine)[-1].end_hash \

@@ -33,7 +33,6 @@ from repro.experiments.harness import build_trust
 from repro.experiments.parallel_audit import build_fleet, drain_fleet_to_archive
 from repro.log.authenticator import make_authenticator
 from repro.log.hashchain import ChainCheckpoint
-from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
 from repro.service.fleet import FleetCoordinator, modelled_shard_scaling
 from repro.service.shard import ShardRing, migrate_machine
@@ -41,6 +40,8 @@ from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
 from repro.workloads.kvstore import make_kvserver_image
 from repro.workloads.sqlbench import SqlBenchSettings, make_sqlbench_image
+
+from archive_tools import shipment
 
 
 def fleet_machine_names(count):
@@ -322,10 +323,8 @@ def test_sharded_audit_structurally_identical_to_single_service(tmp_path):
     for fleet in (single, sharded):
         service = (fleet.ingest if fleet.coordinator is None
                    else fleet.coordinator.shard_for_machine(liar).service)
-        service.on_message(NetworkMessage(
-            source=liar, destination=service.identity,
-            payload=b"not a log segment",
-            kind=MessageKind.ARCHIVE_SEGMENT, message_id="mx"))
+        service.on_message(shipment(liar, service.identity, message_id="mx",
+                                    segment=b"not a log segment"))
     baseline = single_service_audit(single)
     outcome = coordinator_audit(sharded)
     assert outcome.results == baseline
@@ -485,9 +484,8 @@ class TestShardHandoff:
         source = coordinator.shard_for_machine(machine)
         destination = next(shard for shard in coordinator.shards
                            if shard.identity != source.identity)
-        source.service.on_message(NetworkMessage(
-            source=machine, destination=source.identity, payload=b"garbage",
-            kind=MessageKind.ARCHIVE_SEGMENT, message_id="mq"))
+        source.service.on_message(shipment(
+            machine, source.identity, message_id="mq", segment=b"garbage"))
         with pytest.raises(StoreError, match="quarantined"):
             migrate_machine(machine, source, destination)
 

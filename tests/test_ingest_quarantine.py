@@ -16,6 +16,8 @@ from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService, QuarantinedShipment
 from repro.store.archive import LogArchive
 
+from archive_tools import World, ship, shipment
+
 
 @pytest.fixture()
 def archive(tmp_path):
@@ -119,14 +121,40 @@ class TestAdversaryDrivenQuarantine:
     def test_equivocating_shipment_source_is_quarantined(self, archive):
         """A shipment whose payload claims another machine's identity."""
         from repro.log.codec import JsonBz2Codec
-        from repro.network.message import MessageKind, NetworkMessage
 
         service = AuditIngestService(archive)
         log = _log_with_entries(machine="impersonated")
-        message = NetworkMessage(
-            source="liar", destination=service.identity,
-            payload=JsonBz2Codec().encode_segment(log.segment(1, 3)),
-            kind=MessageKind.ARCHIVE_SEGMENT)
-        service.on_message(message)
+        ship(service, "liar",
+             segment=JsonBz2Codec().encode_segment(log.segment(1, 3)))
         assert service.quarantined_machines() == ["liar"]
         assert "claims to be from" in service.quarantine_for("liar")[0].reason
+
+
+def test_a_shipper_that_leaves_the_snapshot_part_out(tmp_path):
+    """Withholding is not a decoding failure: the segment lands, sealed by a
+    snapshot the archive does not hold — which is then neither a GC boundary
+    nor a chunk boundary, and everything based on it is refused."""
+    from repro.audit.stream import _chunk_record_counts
+    from repro.network.shipment import PartKind, decode_shipment
+    world = World()
+    service = AuditIngestService(LogArchive(tmp_path / "archive"))
+    for seal, message in enumerate(world.shipments["alpha"]):
+        parts = decode_shipment(message.payload)
+        if seal == 1:
+            parts = [part for part in parts
+                     if part.kind is not PartKind.SNAPSHOT]
+        service.on_message(shipment("alpha", parts=parts))
+    # snapshots 3 and 4 are deltas down a chain the archive has a hole in
+    assert [record.reason.split(":")[0] for record in service.quarantine] == \
+        ["undecodable snapshot"] * 2
+    assert all("base" in record.reason for record in service.quarantine)
+    archive = LogArchive(tmp_path / "archive")
+    records = archive.segment_records("alpha")
+    assert [record.sealed_by_snapshot for record in records] == [1, 2, 3, 4]
+    assert archive.snapshot_store("alpha").snapshot_ids() == [1]
+    assert archive.head_checkpoint("alpha").sequence == len(world.logs["alpha"])
+    # one replayable boundary: the audit takes the rest as one chunk ...
+    assert _chunk_record_counts(archive, "alpha", records, None) == [1, 3]
+    # ... and GC cannot pass it
+    checkpoint = archive.truncate("alpha", records[-1].last_sequence)
+    assert checkpoint == records[0].end_checkpoint()

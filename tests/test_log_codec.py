@@ -36,7 +36,6 @@ from repro.log.codec import (
     iter_snapshot_subsegments,
     modelled_compressed_log_bytes,
     require_format_version,
-    segment_suffix,
     sniff_format_version,
     supported_format_versions,
 )
@@ -91,11 +90,6 @@ class TestRegistry:
         assert len(magics) == 3
         for magic in magics:
             assert len(magic) == MAGIC_LENGTH
-
-    def test_suffixes(self):
-        assert segment_suffix(1) == ".avmlogz"
-        assert segment_suffix(2) == ".avmlogb"
-        assert segment_suffix(3) == ".avmlogt"
 
     def test_sniffing(self, sample_segment):
         for version in (1, 2, 3):

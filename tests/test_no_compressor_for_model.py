@@ -131,7 +131,7 @@ class TestIngestCompressesOnlyWhatItStores:
         archive = LogArchive(tmp_path / "v3", format_version=3)
         record = archive.append_segment(decode_segment(wire), wire=wire)
         assert not compressor_calls
-        assert (archive.root / record.file_name).read_bytes() == wire
+        assert archive.stored_bytes_of(record) == wire
 
     def test_v3_shipment_into_a_v1_archive_is_compressed_once(
             self, shipment, tmp_path, compressor_calls):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_seed_archive_serves_all_read_paths(seed_archive):
     total = 0
     for record in records:
         assert record.format_version == 1
-        data = (seed_archive.root / record.file_name).read_bytes()
+        data = seed_archive.stored_bytes_of(record)
         assert sniff_format_version(data) == 1
         # One-shot and streaming decode agree entry for entry.
         segment = seed_archive.read_segment(record)
@@ -104,7 +105,7 @@ def test_v3_seed_archive_serves_all_read_paths(seed_v3_archive):
     total = 0
     for record in records:
         assert record.format_version == 3
-        data = (seed_v3_archive.root / record.file_name).read_bytes()
+        data = seed_v3_archive.stored_bytes_of(record)
         assert sniff_format_version(data) == 3
         segment = seed_v3_archive.read_segment(record)
         streamed = list(seed_v3_archive.stream_segment(record))
@@ -123,7 +124,7 @@ def test_v3_seed_manifest_keeps_its_retired_size_key(seed_v3_archive):
     manifest = json.loads((SEED_V3_ROOT / "MANIFEST.json").read_text())
     assert all("wire_v1_bytes" in record for record in manifest["segments"])
     for record in seed_v3_archive.segment_records(MACHINE):
-        assert "wire_v1_bytes" not in record.to_dict()
+        assert not hasattr(record, "wire_v1_bytes")
     # The retired key held what the v1 writer of its day stored — the v1
     # seed's own file sizes, a pin on published bytes.  The figure reported
     # today is what *today's* v1 writer stores for the same entries (no p at
@@ -186,6 +187,40 @@ def test_seed_archive_reencodes_to_v3_and_back(seed_archive, tmp_path):
     for seed_record, record, digest in zip(
             seed_archive.segment_records(MACHINE),
             back.segment_records(MACHINE), SEED_SHORT_FORM_V1_DIGESTS):
-        data = (back.root / record.file_name).read_bytes()
+        data = back.stored_bytes_of(record)
         assert hashlib.sha256(data).hexdigest() == digest
         assert len(data) < seed_record.stored_bytes
+
+
+@pytest.mark.parametrize("seed_root", [SEED_ROOT, SEED_V3_ROOT])
+def test_seed_archives_migrate_on_their_first_append(seed_root, tmp_path):
+    # Read-only until then (the fixtures above prove opening writes nothing);
+    # the first append rewrites the per-record files into one frame file,
+    # once, and everything reads back as it did.
+    work = tmp_path / "seed"
+    shutil.copytree(seed_root, work)
+    archive = LogArchive(work)
+    assert archive.recovery.clean
+    records = archive.segment_records(MACHINE)
+    stored = [archive.stored_bytes_of(record) for record in records]
+    auths = archive.authenticators_for(MACHINE)
+    expected = (seed_root / "expected_segment.jsonl").read_bytes()
+    archive.store_authenticators(MACHINE, auths[:2])
+    assert sorted(path.relative_to(work).as_posix()
+                  for path in work.rglob("*") if path.is_file()) == [
+        "MANIFEST.json", "expected_segment.jsonl",
+        f"{MACHINE}/frames-000001.avmf"]
+    assert json.loads((work / "MANIFEST.json").read_text())[
+        "format_version"] == 3
+    for reopened in (archive, LogArchive(work)):
+        assert reopened.recovery.clean
+        assert segment_to_bytes(reopened.materialized_log(MACHINE)) == expected
+        assert [reopened.stored_bytes_of(record) for record
+                in reopened.segment_records(MACHINE)] == stored
+        assert [(r.first_sequence, r.last_sequence, r.start_hash, r.end_hash,
+                 r.sealed_by_snapshot, r.format_version, r.raw_bytes)
+                for r in reopened.segment_records(MACHINE)] == \
+            [(r.first_sequence, r.last_sequence, r.start_hash, r.end_hash,
+              r.sealed_by_snapshot, r.format_version, r.raw_bytes)
+             for r in records]
+        assert reopened.authenticators_for(MACHINE) == auths + auths[:2]

@@ -16,7 +16,6 @@ from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ArchiveIntegrityError, SnapshotError
-from repro.network.message import MessageKind, NetworkMessage
 from repro.service.ingest import AuditIngestService
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
@@ -34,6 +33,8 @@ from repro.vm.snapshot import (
 from repro.vm.state_store import CachedStateSerializer, DirtyTrackingStore
 from repro.workloads.echo import make_echo_image
 from repro.workloads.kvstore import make_kvserver_image
+
+from archive_tools import replace_payload, scribble, ship
 
 
 def ts(i):
@@ -410,10 +411,7 @@ class TestVmDirtyTracking:
 
 def _ship_all(manager, service, machine="m"):
     for snapshot_id in manager.snapshot_ids():
-        service.on_message(NetworkMessage(
-            source=machine, destination=service.identity,
-            payload=manager.ship_payload(snapshot_id),
-            kind=MessageKind.ARCHIVE_SNAPSHOT))
+        ship(service, machine, snapshots=[manager.ship_payload(snapshot_id)])
 
 
 class TestArchiveDeltaChain:
@@ -451,10 +449,8 @@ class TestArchiveDeltaChain:
     def test_delta_without_base_quarantined(self, tmp_path):
         manager, _ = self._manager_with_history()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        service.on_message(NetworkMessage(
-            source="m", destination=service.identity,
-            payload=manager.ship_payload(6),  # delta; base 5 never shipped
-            kind=MessageKind.ARCHIVE_SNAPSHOT))
+        # a delta; its base, 5, never shipped
+        ship(service, "m", snapshots=[manager.ship_payload(6)])
         assert len(service.quarantine) == 1
         assert "base" in service.quarantine[0].reason
 
@@ -465,18 +461,25 @@ class TestArchiveDeltaChain:
         _ship_all(manager, service)
         record = archive._snapshot_index["m"][6]  # noqa: SLF001 - test hook
         assert record.kind == "delta"
-        path = archive.root / record.file_name
-        # A well-formed page file with one page's content swapped: only the
-        # Merkle root can tell.
-        delta = IncrementalSnapshot.from_bytes(path.read_bytes())
+        # A well-formed page file with one page's content swapped (and the
+        # frame's checksums redone): only the Merkle root can tell.
+        delta = IncrementalSnapshot.from_bytes(archive.stored_bytes_of(record))
         delta.changed_pages[min(delta.changed_pages)] = b"EVIL"
-        path.write_bytes(delta.to_bytes())
+        replace_payload(archive.root, record, delta.to_bytes())
+        archive = LogArchive(archive.root)
         with pytest.raises(SnapshotError, match="hash-tree"):
             archive.load_snapshot("m", 7)
-        # ... and a damaged one is refused by the reader.
-        path.write_bytes(path.read_bytes()[:-3])
+        # ... and a damaged one is refused by the reader: by the page file's
+        # decoder, and before it by the frame's checksum.
+        record = archive._snapshot_index["m"][6]  # noqa: SLF001 - test hook
+        replace_payload(archive.root, record,
+                        archive.stored_bytes_of(record)[:-3])
         with pytest.raises(ArchiveIntegrityError, match="corrupt"):
-            archive.load_snapshot("m", 7)
+            LogArchive(archive.root).load_snapshot("m", 7)
+        scribble(archive.root, LogArchive(archive.root)  # noqa: SLF001
+                 ._snapshot_index["m"][5], b"\0\0\0", at=90)
+        with pytest.raises(ArchiveIntegrityError, match="checksum"):
+            LogArchive(archive.root).load_snapshot("m", 7)
 
     def test_truncation_boundary_becomes_keyframe(self, tmp_path):
         from repro.log.entries import EntryType, snapshot_content
@@ -580,9 +583,9 @@ class TestMonitorIntegration:
             assert entry.content["state_root"] == \
                 monitor.snapshots.get_incremental(snapshot_id).state_root.hex()
 
-    def test_partial_snapshot_queue_drain_counts_as_progress(self, tmp_path):
-        """A lossy link that lets only one queued snapshot through per round
-        must read as progress, or the drain loop gives up spuriously."""
+    def test_a_dropped_shipment_moves_no_cursor(self, tmp_path):
+        """A shipment is one message: dropped, nothing it carried counts as
+        shipped; accepted, everything queued behind the drops goes with it."""
         scheduler, network, monitor, service = _build_shipping_monitor(tmp_path)
         monitor.attach_archive_shipper(service.identity)
         monitor.start()
@@ -590,30 +593,31 @@ class TestMonitorIntegration:
         scheduler.run_until(3.1)  # 3 snapshots, every shipment dropped
         monitor.stop()
         assert len(monitor._pending_snapshot_ships) == 3  # noqa: SLF001
+        assert monitor.shipped_through == 0
+        assert not monitor.ship_archive_tail()  # still partitioned
+        assert len(monitor._pending_snapshot_ships) == 3  # noqa: SLF001
+        assert not monitor.archive_shipping_complete
         network.heal_partition("kv", service.identity)
 
-        # Let exactly one send through, then drop everything again.
-        original_send = network.send
-        budget = {"left": 1}
-
-        def flaky_send(message):
-            if budget["left"] <= 0:
-                return False
-            budget["left"] -= 1
-            return original_send(message)
-
-        network.send = flaky_send
-        assert monitor.ship_archive_tail()  # one snapshot shipped = progress
-        assert len(monitor._pending_snapshot_ships) == 2  # noqa: SLF001
-        assert not monitor.archive_shipping_complete
-
-        network.send = original_send
-        while not monitor.archive_shipping_complete:
-            monitor.ship_archive_tail()
+        sent = network.stats_for("kv").messages_sent
+        assert monitor.ship_archive_tail()
+        assert network.stats_for("kv").messages_sent == sent + 1
+        assert monitor.archive_shipping_complete
+        assert not monitor.ship_archive_tail()  # nothing left to ship
         scheduler.run_until(scheduler.clock.now + 1.0)
         assert not service.quarantine
         assert service.archive.snapshot_store("kv").snapshot_ids() == \
             monitor.snapshots.snapshot_ids()
+        # one group: the three page files (the first forced to a keyframe)
+        # and one segment spanning all three seals — a tail, so not a GC
+        # boundary, exactly as when the link dropped them one by one
+        (record,) = service.archive.segment_records("kv")
+        assert record.last_sequence == len(monitor.log)
+        assert record.sealed_by_snapshot is None
+        commits = {snap.commit for snap in
+                   service.archive._snapshot_index["kv"].values()}  # noqa: SLF001
+        assert commits == {record.commit}
+        assert LogArchive(service.archive.root).recovery.clean
 
     def test_mid_run_attach_ships_keyframe_anchor(self, tmp_path):
         """Attaching the shipper after snapshots already exist must anchor

@@ -28,7 +28,9 @@ from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
 from repro.store import LogArchive
-from repro.store.manifest import JOURNAL_NAME, MANIFEST_NAME
+from repro.store.manifest import MANIFEST_NAME
+
+from archive_tools import replace_payload, scribble, ship
 
 
 def build_sealed_log(machine="machine", segments=3, entries_per_segment=6):
@@ -160,19 +162,27 @@ class TestArchiveRoundTrip:
 
 
 class TestCrashRecoveryAndCorruption:
+    """What opening finds on disk (tests/test_crash_matrix.py enumerates how
+    a crash gets it there)."""
+
     def test_orphan_files_are_discarded(self, tmp_path):
         root = tmp_path / "a"
         archive_sealed_log(LogArchive(root), build_sealed_log())
-        orphan = root / "machine" / "segment-99999990-99999999.avmlogz"
-        orphan.write_bytes(b"half-written segment data")
-        leftover_tmp = root / (MANIFEST_NAME + ".tmp")
-        leftover_tmp.write_bytes(b"{ torn manifest write")
+        orphans = {
+            # a generation whose checkpoint never landed, a per-record file
+            # a migration had not unlinked yet, two torn atomic writes
+            "machine/frames-000099.avmf": b"half a generation",
+            "machine/frames-000099.avmf.tmp": b"half a",
+            "machine/segment-99999990-99999999.avmlogz": b"migrated",
+            MANIFEST_NAME + ".tmp": b"{ torn manifest write"}
+        for name, data in orphans.items():
+            (root / name).write_bytes(data)
         reopened = LogArchive(root)
-        assert sorted(reopened.recovery.orphan_files) == [
-            MANIFEST_NAME + ".tmp",
-            "machine/segment-99999990-99999999.avmlogz"]
-        assert not orphan.exists() and not leftover_tmp.exists()
+        assert sorted(reopened.recovery.orphan_files) == sorted(orphans)
+        assert not reopened.recovery.clean
+        assert not any((root / name).exists() for name in orphans)
         assert reopened.materialized_log("machine").entries
+        assert LogArchive(root).recovery.clean
 
     def test_foreign_files_are_never_deleted(self, tmp_path):
         root = tmp_path / "a"
@@ -189,47 +199,52 @@ class TestCrashRecoveryAndCorruption:
         from repro.log.codec import JsonBz2Codec
         from repro.log.entries import LogEntry
         root = tmp_path / "a"
-        records = archive_sealed_log(LogArchive(root), build_sealed_log())
-        # Forge an entry's *content* inside the file while keeping the
-        # recorded chain-hash fields, so all metadata still matches.
+        archive = LogArchive(root)
+        records = archive_sealed_log(archive, build_sealed_log())
+        # Forge an entry's *content* inside the frame while keeping the
+        # recorded chain-hash fields, so all metadata still matches (and
+        # redo the frame's checksums, as someone who can write the file can).
         compressor = JsonBz2Codec()
-        path = root / records[0].file_name
-        segment = compressor.decode_segment(path.read_bytes())
+        segment = compressor.decode_segment(archive.stored_bytes_of(records[0]))
         victim = segment.entries[1]
         segment.entries[1] = LogEntry(
             sequence=victim.sequence, entry_type=victim.entry_type,
             content={"forged": True}, chain_hash=victim.chain_hash,
             previous_hash=victim.previous_hash, timestamp=victim.timestamp)
-        path.write_bytes(compressor.encode_segment(segment))
+        replace_payload(root, records[0], compressor.encode_segment(segment))
         assert LogArchive(root).recovery.clean  # metadata-only open passes
         with pytest.raises(ArchiveIntegrityError, match="hash-chain"):
             LogArchive(root, deep_verify=True)
 
-    def test_missing_data_file_is_detected(self, tmp_path):
+    def test_missing_frame_file_is_detected(self, tmp_path):
         root = tmp_path / "a"
         records = archive_sealed_log(LogArchive(root), build_sealed_log())
         (root / records[1].file_name).unlink()
-        with pytest.raises(ArchiveIntegrityError, match="missing|contiguous"):
+        with pytest.raises(ArchiveIntegrityError, match="missing"):
             LogArchive(root)
 
-    def test_truncated_segment_file_is_detected(self, tmp_path):
+    def test_file_of_another_machine_is_refused(self, tmp_path):
+        root = tmp_path / "a"
+        archive = LogArchive(root)
+        records = archive_sealed_log(archive, build_sealed_log())
+        other = archive_sealed_log(archive, build_sealed_log(machine="other"))
+        (root / records[0].file_name).write_bytes(
+            (root / other[0].file_name).read_bytes())
+        with pytest.raises(ArchiveIntegrityError, match="'machine'"):
+            LogArchive(root)
+
+    def test_damaged_payload_is_detected(self, tmp_path):
         root = tmp_path / "a"
         records = archive_sealed_log(LogArchive(root), build_sealed_log())
-        path = root / records[0].file_name
-        path.write_bytes(path.read_bytes()[:20])
+        scribble(root, records[0], b"\xff", at=records[0].stored_bytes // 2)
+        archive = LogArchive(root)  # payloads are not read at open...
+        assert archive.recovery.clean
+        with pytest.raises(ArchiveIntegrityError):  # ...reading is checked
+            archive.read_segment(records[0])
+        with pytest.raises(ArchiveIntegrityError):
+            list(archive.stream_segment(records[0]))
         with pytest.raises(ArchiveIntegrityError):
             LogArchive(root, deep_verify=True)
-
-    def test_bitflipped_segment_file_is_detected(self, tmp_path):
-        root = tmp_path / "a"
-        records = archive_sealed_log(LogArchive(root), build_sealed_log())
-        path = root / records[0].file_name
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        archive = LogArchive(root)  # shallow open is fine...
-        with pytest.raises(ArchiveIntegrityError):  # ...reading is not
-            archive.read_segment(records[0])
 
     def test_corrupt_manifest_is_detected(self, tmp_path):
         root = tmp_path / "a"
@@ -239,21 +254,19 @@ class TestCrashRecoveryAndCorruption:
             LogArchive(root)
 
     def test_manifest_is_compact_and_an_indented_one_still_opens(self, tmp_path):
-        # Written through json's C encoder (no indent), checkpoint and
-        # journal records alike; archives written before that — both seed
-        # archives — carry an indented manifest.
+        # Written through json's C encoder (no indent); it names files and
+        # anchors, no record.
         import json
         root = tmp_path / "a"
         archive = LogArchive(root)
         archive_sealed_log(archive, build_sealed_log())
-        journal = (root / JOURNAL_NAME).read_text(encoding="utf-8")
-        assert '": ' not in journal and journal.count("\n") == 1 + 6
-        archive.adopt_retention_checkpoint("other", archive.head_checkpoint(
-            "machine"))  # a whole-index rewrite: checkpoint, journal gone
-        assert not (root / JOURNAL_NAME).exists()
         path = root / MANIFEST_NAME
         text = path.read_text(encoding="utf-8")
         assert "\n" not in text and '": ' not in text
+        assert json.loads(text) == {
+            "format_version": 3, "kind": "avm_log_archive", "generation": 1,
+            "machines": {"machine": {"file": "machine/frames-000001.avmf",
+                                     "retained": None}}}
         before = LogArchive(root).materialized_log("machine")
         path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True),
                         encoding="utf-8")
@@ -269,184 +282,45 @@ class TestCrashRecoveryAndCorruption:
         archive = LogArchive(root)
         record = archive.store_authenticators(
             "alice", [log.authenticator_for(entry)])
-        (root / record.file_name).write_bytes(b"not a batch at all")
-        with pytest.raises(ArchiveIntegrityError):
+        scribble(root, record, b"not a batch at all")
+        with pytest.raises(ArchiveIntegrityError,
+                           match="corrupt authenticator batch"):
             LogArchive(root).authenticators_for("alice")
 
-
-class TestJournalRecovery:
-    """``MANIFEST.json`` is a checkpoint, ``MANIFEST.journal`` the commits
-    since: what a crash at each step of a commit or a checkpoint leaves, and
-    that opening recovers from it (docs/log-archive.md, "Write protocol")."""
-
-    @staticmethod
-    def _recorded(root):
-        log = build_sealed_log()
-        archive = LogArchive(root)
-        archive_sealed_log(archive, log)  # 3 snapshots + 3 segments
-        return log, archive, (root / JOURNAL_NAME).read_bytes()
-
-    @staticmethod
-    def _listing(root):
-        return {path.relative_to(root).as_posix(): path.read_bytes()
-                for path in root.rglob("*") if path.is_file()}
-
-    def test_a_commit_is_two_fsyncs_data_file_first(self, tmp_path, monkeypatch):
-        import os
-        synced = []
-        real_fsync = os.fsync
-
-        def recording_fsync(fd):
-            synced.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
-            real_fsync(fd)
-        monkeypatch.setattr(os, "fsync", recording_fsync)
-        log = build_sealed_log()
-        archive = LogArchive(tmp_path / "a")
-        first, second = log.segments_between_snapshots()[:2]
-        archive.append_segment(first, sealed_by_snapshot=None)
-        # Once per name: the machine directory, the checkpoint that opens
-        # generation 1, the journal — each followed by its directory.
-        assert synced == [
-            "segment-00000001-00000007.avmlogz.tmp", "a",
-            MANIFEST_NAME + ".tmp", "a", JOURNAL_NAME, "a"]
-        del synced[:]
-        archive.append_segment(second, sealed_by_snapshot=None)
-        assert synced == ["segment-00000008-00000014.avmlogz.tmp", JOURNAL_NAME]
-        # ... and the record is on disk when the call returns.
-        assert LogArchive(tmp_path / "a").entry_count("machine") == 14
-
-    def test_torn_last_record_is_dropped_at_every_cut(self, tmp_path):
-        root = tmp_path / "a"
-        log, archive, journal = self._recorded(root)
-        last = archive.segment_records("machine")[-1]
-        data = (root / last.file_name).read_bytes()
-        start = journal.rindex(b"\n", 0, len(journal) - 1) + 1
-        assert last.file_name.encode() in journal[start:]
-        flipped = bytearray(journal)
-        flipped[start + 20] ^= 0x40  # whole last line, checksum off: torn too
-        for torn in [journal[:cut] for cut in range(start, len(journal))] \
-                + [bytes(flipped)]:
-            (root / JOURNAL_NAME).write_bytes(torn)
-            (root / last.file_name).write_bytes(data)
-            reopened = LogArchive(root)
-            # every earlier commit intact, the torn one gone with its file
-            assert reopened.recovery.orphan_files == [last.file_name]
-            assert reopened.segment_records("machine") == \
-                archive.segment_records("machine")[:-1]
-            assert reopened.snapshot_store("machine").snapshot_ids() == [1, 2, 3]
-            assert (root / JOURNAL_NAME).read_bytes() == journal[:start]
-            # ... and the same shipment is accepted afresh
-            reopened.append_segment(log.segments_between_snapshots()[-1],
-                                    sealed_by_snapshot=3)
-            assert (root / JOURNAL_NAME).read_bytes() == journal
-        assert LogArchive(root).materialized_log("machine").entries == \
-            log.entries
-
-    def test_damage_before_the_last_record_is_refused_and_nothing_deleted(
+    def test_machine_names_with_one_sanitised_form_get_a_file_each(
             self, tmp_path):
         root = tmp_path / "a"
-        _, _, journal = self._recorded(root)
-        start = journal.rindex(b"\n", 0, len(journal) - 1) + 1
-        for offset in range(0, start, 11):
-            damaged = bytearray(journal)
-            damaged[offset] ^= 0x01
-            (root / JOURNAL_NAME).write_bytes(bytes(damaged))
-            before = self._listing(root)
-            with pytest.raises(ArchiveIntegrityError, match="journal"):
-                LogArchive(root)
-            assert self._listing(root) == before
-
-    def test_stale_generation_journal_is_ignored_and_swept(self, tmp_path):
-        root = tmp_path / "a"
-        _, archive, journal = self._recorded(root)
-        records = archive.segment_records("machine")
-        archive.truncate("machine", records[0].last_sequence)
-        assert not (root / JOURNAL_NAME).exists()
-        # The crash between "checkpoint written" and "journal unlinked": the
-        # journal of the generation the checkpoint absorbed is still there,
-        # naming files the truncation deleted.
-        (root / JOURNAL_NAME).write_bytes(journal)
+        archive = LogArchive(root)
+        for machine in ("a/b", "a_b"):
+            archive_sealed_log(archive, build_sealed_log(machine=machine))
         reopened = LogArchive(root)
-        assert reopened.recovery.orphan_files == [JOURNAL_NAME]
-        assert not (root / JOURNAL_NAME).exists()
-        assert reopened.segment_records("machine") == records[1:]
-        assert reopened.retained_checkpoint("machine") == \
-            records[0].end_checkpoint()
-        # So does one whose own first line never made it to disk whole.
-        (root / JOURNAL_NAME).write_bytes(journal[:17])
-        assert LogArchive(root).recovery.orphan_files == [JOURNAL_NAME]
-        # A journal *ahead* of its checkpoint means the checkpoint was lost.
-        (root / JOURNAL_NAME).write_bytes(
-            journal.replace(b'{"generation":1}', b'{"generation":9}'))
-        with pytest.raises(ArchiveIntegrityError, match="journal"):
-            LogArchive(root)
-
-    def test_replaying_the_journal_is_deterministic(self, tmp_path):
-        import hashlib
-        import json
-        from repro.store.manifest import Manifest
-        root = tmp_path / "a"
-        _, archive, _ = self._recorded(root)
-
-        def digest(manifest):
-            return hashlib.sha256(json.dumps(
-                manifest.to_dict(), sort_keys=True).encode()).hexdigest()
-        assert {digest(Manifest.load(root)[0]) for _ in range(5)} == \
-            {digest(archive._manifest)}
-
-    def test_whole_index_rewrites_checkpoint_and_appends_resume(self, tmp_path):
-        import json
-        import zlib
-        root = tmp_path / "a"
-        log, archive, _ = self._recorded(root)
-        other = build_sealed_log(machine="other", segments=1)
-        archive_sealed_log(archive, other)
-        records = archive.segment_records("machine")
-        archive.truncate("machine", records[1].last_sequence)
-        assert archive.forget_machine("other") == 2
-        stored = json.loads((root / MANIFEST_NAME).read_text())
-        assert stored["generation"] == 3 and not (root / JOURNAL_NAME).exists()
-        reopened = LogArchive(root)
-        assert reopened.recovery.clean and reopened.machines() == ["machine"]
-        assert reopened.segment_records("machine") == records[2:]
-        # The next append opens a journal of the checkpoint's generation.
-        archive_sealed_log(reopened, other)
-        assert (root / JOURNAL_NAME).read_bytes().startswith(
-            b"%08x " % zlib.crc32(b'{"generation":3}'))
-        again = LogArchive(root)
-        assert again.recovery.clean
-        assert again.materialized_log("other").entries == other.entries
-
-    def test_a_reader_of_format_1_refuses_a_new_archive(self, tmp_path):
-        import json
-        from repro.errors import LogFormatError
-        from repro.log.codec import require_format_version
-        root = tmp_path / "a"
-        self._recorded(root)
-        stored = json.loads((root / MANIFEST_NAME).read_text())
-        # What the reader before the journal does first; were it to go on, it
-        # would see none of the journaled records and sweep their files.
-        assert stored["segments"] == [] and stored["format_version"] == 2
-        with pytest.raises(LogFormatError, match="manifest"):
-            require_format_version(stored["format_version"], what="manifest",
-                                   supported=(1,))
+        assert reopened.recovery.clean and reopened.machines() == ["a/b", "a_b"]
+        for machine in ("a/b", "a_b"):
+            assert reopened.materialized_log(machine).machine == machine
 
 
 class TestRetentionGC:
-    def test_truncate_drops_files_and_survives_reopen(self, tmp_path):
+    def test_truncate_rewrites_the_file_and_survives_reopen(self, tmp_path):
         root = tmp_path / "a"
         log = build_sealed_log(segments=4)
         archive = LogArchive(root)
         records = archive_sealed_log(archive, log)
-        before = {(root / record.file_name).exists() for record in records}
-        assert before == {True}
+        before = root / records[0].file_name
+        size_before = before.stat().st_size
+        assert {record.file_name for record in records} == \
+            {"machine/frames-000001.avmf"}
         checkpoint = archive.truncate("machine", records[1].last_sequence)
         assert checkpoint.sequence == records[1].last_sequence
-        assert not (root / records[0].file_name).exists()
-        assert not (root / records[1].file_name).exists()
-        assert (root / records[2].file_name).exists()
+        # The retained frames moved to the next generation's file; the one
+        # they came from is gone, and so is what it alone held.
+        kept = archive.segment_records("machine")
+        assert {record.file_name for record in kept} == \
+            {"machine/frames-000002.avmf"}
+        assert not before.exists()
+        assert (root / kept[0].file_name).stat().st_size < size_before
         reopened = LogArchive(root)
         assert reopened.recovery.clean
+        assert reopened.segment_records("machine") == kept
         assert reopened.retained_checkpoint("machine") == checkpoint
         suffix = reopened.materialized_log("machine")
         assert suffix.first_sequence == checkpoint.sequence + 1
@@ -544,21 +418,18 @@ class TestIngestService:
     def test_garbage_network_payloads_quarantine_not_crash(self, tmp_path):
         from repro.log.codec import JsonBz2Codec
         from repro.network.message import MessageKind, NetworkMessage
+        from repro.network.shipment import PartKind, ShipmentPart
+        from archive_tools import shipment
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         garbage = [
             # bad magic, truncated bz2 stream, undecodable bytes
-            NetworkMessage("m", "audit-ingest", b"not compressed",
-                           kind=MessageKind.ARCHIVE_SEGMENT),
-            NetworkMessage("m", "audit-ingest",
-                           JsonBz2Codec.MAGIC + b"\x00\x01garbage",
-                           kind=MessageKind.ARCHIVE_SEGMENT),
-            NetworkMessage("m", "audit-ingest", b"\xff\xfe\xfd",
-                           kind=MessageKind.ARCHIVE_AUTHENTICATORS,
-                           headers={"subject": "m"}),
-            NetworkMessage("m", "audit-ingest", b"{not json",
-                           kind=MessageKind.ARCHIVE_SNAPSHOT),
-            NetworkMessage("m", "audit-ingest", b'{"snapshot_id": 1}',
-                           kind=MessageKind.ARCHIVE_SNAPSHOT),
+            ShipmentPart(PartKind.SEGMENT, b"not compressed"),
+            ShipmentPart(PartKind.SEGMENT,
+                         JsonBz2Codec.MAGIC + b"\x00\x01garbage"),
+            ShipmentPart(PartKind.AUTHENTICATORS, b"\xff\xfe\xfd",
+                         subject="m"),
+            ShipmentPart(PartKind.SNAPSHOT, b"{not json"),
+            ShipmentPart(PartKind.SNAPSHOT, b'{"snapshot_id": 1}'),
         ]
         # ... and for both packed blob kinds: garbage, truncated, wrong
         # magic, and a well-formed delta whose base never came.
@@ -573,31 +444,75 @@ class TestIngestService:
         log = build_sealed_log(segments=1)
         batch = authenticators_to_bytes(
             [log.authenticator_for(entry) for entry in log.entries])
-        for kind, blob in ((MessageKind.ARCHIVE_SNAPSHOT, page_file),
-                           (MessageKind.ARCHIVE_AUTHENTICATORS, batch)):
+        for kind, blob in ((PartKind.SNAPSHOT, page_file),
+                           (PartKind.AUTHENTICATORS, batch)):
             garbage += [
-                NetworkMessage("m", "audit-ingest", payload, kind=kind,
-                               headers={"subject": "m"})
+                ShipmentPart(kind, payload, subject="m")
                 for payload in (blob[:8] + b"\x00\xffgarbage",
                                 blob[:len(blob) // 2],
                                 blob[:7] + b"9" + blob[8:])]
-        garbage.append(NetworkMessage("m", "audit-ingest",
-                                      manager.ship_payload(2),
-                                      kind=MessageKind.ARCHIVE_SNAPSHOT))
-        for message in garbage:
-            service.on_message(message)  # must never raise
+        garbage.append(ShipmentPart(PartKind.SNAPSHOT, manager.ship_payload(2)))
+        # one at a time, then all of them in one shipment: never raises,
+        # each part is refused on its own
+        for part in garbage:
+            service.on_message(shipment("m", parts=[part]))
         assert len(service.quarantine) == len(garbage)
+        # (a shipment holds one segment and one batch per subject)
+        from dataclasses import replace
+        together = [replace(part, subject=f"m{index}") for index, part
+                    in enumerate(garbage[1:])]
+        service.on_message(shipment("m", parts=together))
+        refused = len(garbage) + len(together)
+        assert len(service.quarantine) == refused
+        # ... and so is a container that is not one, and another kind
+        for payload in (b"", b"AVMSHIP1", b"AVMSHIP1\xff\xff\x03",
+                        shipment("m", parts=garbage).payload,  # two segments
+                        shipment("m", parts=together).payload + b"\0"):
+            service.on_message(NetworkMessage(
+                "m", "audit-ingest", payload,
+                kind=MessageKind.ARCHIVE_SHIPMENT))
+        assert len(service.quarantine) == refused + 5
+        assert "undecodable shipment" in service.quarantine[-1].reason
+        service.on_message(NetworkMessage("m", "audit-ingest", b"hello"))
+        assert len(service.quarantine) == refused + 5
         assert service.archive.machines() == []
+        assert not (tmp_path / "a" / MANIFEST_NAME).exists()
+
+    def test_a_refused_part_does_not_take_the_shipment_with_it(self, tmp_path):
+        from repro.log.codec import encode_segment
+        from repro.log.storage import authenticators_to_bytes
+        log = build_sealed_log(segments=2)
+        first, second = log.segments_between_snapshots()
+        auths = [log.authenticator_for(entry) for entry in log.entries]
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        ship(service, "machine", segment=encode_segment(first),
+             snapshots=[b"not a page file"], sealed_by_snapshot=1,
+             authenticators={"machine": authenticators_to_bytes(auths[:3])})
+        assert [q.reason[:20] for q in service.quarantine] == \
+            ["undecodable snapshot"]
+        reopened = LogArchive(tmp_path / "a")
+        assert reopened.entry_count("machine") == len(first.entries)
+        assert reopened.authenticators_for("machine") == auths[:3]
+        # ... the segment is sealed by a snapshot the archive does not hold:
+        # not a GC boundary
+        assert reopened.segment_records("machine")[0].sealed_by_snapshot == 1
+        assert reopened.truncate("machine", first.last_sequence).sequence == 0
+        # ... and a refused segment leaves the batch that rode with it
+        ship(service, "machine", segment=b"garbage",
+             authenticators={"machine": authenticators_to_bytes(auths[3:5])})
+        ship(service, "machine", segment=encode_segment(second))
+        assert len(service.quarantine) == 2 and service.stats.segments_rejected == 1
+        reopened = LogArchive(tmp_path / "a")
+        assert reopened.recovery.clean
+        assert reopened.materialized_log("machine").entries == log.entries
+        assert reopened.authenticators_for("machine") == auths[:5]
 
     def test_claimed_identity_mismatch_is_quarantined(self, tmp_path):
         from repro.log.codec import JsonBz2Codec
-        from repro.network.message import MessageKind, NetworkMessage
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         segment = build_sealed_log(segments=1).full_segment()
-        service.on_message(NetworkMessage(
-            "impostor", "audit-ingest",
-            JsonBz2Codec().encode_segment(segment),
-            kind=MessageKind.ARCHIVE_SEGMENT))
+        ship(service, "impostor",
+             segment=JsonBz2Codec().encode_segment(segment))
         assert service.stats.segments_rejected == 1
         assert "claims to be from" in service.quarantine[0].reason
 
@@ -605,13 +520,11 @@ class TestIngestService:
 
     @staticmethod
     def _ship(service, blob, source="machine"):
-        from repro.network.message import MessageKind, NetworkMessage
-        service.on_message(NetworkMessage(
-            source, "audit-ingest", blob, kind=MessageKind.ARCHIVE_SEGMENT))
+        ship(service, source, segment=blob)
 
     @staticmethod
     def _stored(archive, machine="machine"):
-        return [(archive.root / record.file_name).read_bytes()
+        return [archive.stored_bytes_of(record)
                 for record in archive.segment_records(machine)]
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -911,14 +824,10 @@ class TestFleetArchiveTamperEvidence:
                                    fleet.reference_images[machine])
 
 
-class TestArchiveParseCaches:
-    """The stat-validated parse caches for immutable archive files.
-
-    Repeated audits through one archive must not re-read authenticator
-    batches, keyframes or delta chains — but the caches have to be
-    invisible: cached fetches return structurally equal, *independent*
-    results, and any change to an underlying file forces a fresh parse.
-    """
+class TestSnapshotPagesMemo:
+    """The memo of reconstructed delta snapshots, keyed by the frame's
+    ``(file, offset)`` — committed frames are immutable, so there is nothing
+    to validate it against; it only has to be invisible and bounded."""
 
     def _snapshot_chain(self, root, machine="machine", snapshots=4):
         from repro.vm.execution import ExecutionTimestamp
@@ -946,54 +855,28 @@ class TestArchiveParseCaches:
 
     def test_cached_fetches_return_independent_state_dicts(self, tmp_path):
         archive, _ = self._snapshot_chain(tmp_path / "a")
-        for snapshot_id in (1, 4):  # keyframe cache and pages memo
+        for snapshot_id in (1, 4):  # read afresh, and out of the memo
             first = archive.load_snapshot("machine", snapshot_id)
             second = archive.load_snapshot("machine", snapshot_id)
             first.state["counter"] = -999
             assert second.state["counter"] != -999, (
                 f"snapshot {snapshot_id}: cached fetches share a state dict")
 
-    def test_pages_memo_is_invalidated_when_a_chain_file_changes(
-            self, tmp_path):
-        archive, _ = self._snapshot_chain(tmp_path / "a")
+    def test_a_rewritten_generation_is_not_served_from_the_memo(self, tmp_path):
+        archive, manager = self._snapshot_chain(tmp_path / "a")
         archive.load_snapshot("machine", 4)  # warm the memo
-        # Corrupt a file in the *middle* of the dependency chain; a stale
-        # memo would happily keep serving snapshot 4 without noticing.
-        victim = archive.root / \
-            archive._snapshot_index["machine"][3].file_name
-        victim.write_bytes(victim.read_bytes()[:-7])
-        with pytest.raises(ArchiveIntegrityError):
+        stale = set(archive._snapshot_pages_cache)
+        assert archive.forget_machine("machine") == 4
+        with pytest.raises(Exception, match="no archived snapshot"):
             archive.load_snapshot("machine", 4)
+        archive.store_snapshot_delta("machine", manager.get_incremental(1))
+        assert archive.load_snapshot("machine", 1).state == manager.get(1).state
+        assert not stale & {(r.file_name, r.offset) for r
+                            in archive._snapshot_index["machine"].values()}
 
-    def test_keyframe_cache_is_invalidated_on_rewrite(self, tmp_path):
-        archive, _ = self._snapshot_chain(tmp_path / "a")
-        archive.load_snapshot("machine", 1)
-        victim = archive.root / \
-            archive._snapshot_index["machine"][1].file_name
-        victim.write_bytes(b"not a page file")
-        with pytest.raises(ArchiveIntegrityError):
-            archive.load_snapshot("machine", 1)
-
-    def test_caches_stay_bounded(self, tmp_path):
+    def test_memo_stays_bounded(self, tmp_path):
         archive, _ = self._snapshot_chain(tmp_path / "a", snapshots=12)
-        archive._SNAPSHOT_FILE_CACHE_LIMIT = 5  # below the 12 files walked
         for snapshot_id in range(2, 13):
             archive.load_snapshot("machine", snapshot_id)
-        assert len(archive._snapshot_pages_cache) <= \
+        assert len(archive._snapshot_pages_cache) == \
             archive._SNAPSHOT_PAGES_CACHE_LIMIT
-        assert len(archive._snapshot_file_cache) == 5
-
-    def test_authenticator_cache_matches_and_invalidates(self, tmp_path, ca):
-        alice = ca.issue("alice")
-        log = TamperEvidentLog("alice", keypair=alice)
-        auths = [log.authenticator_for(
-                     log.append(EntryType.NONDET, nondet_content("x", i)))
-                 for i in range(6)]
-        archive = LogArchive(tmp_path / "a")
-        record = archive.store_authenticators("alice", auths)
-        assert archive.authenticators_for("alice") == auths
-        assert archive.authenticators_for("alice") == auths  # cache hit
-        (archive.root / record.file_name).write_bytes(b"\x00garbage")
-        with pytest.raises(ArchiveIntegrityError,
-                           match="corrupt authenticator batch"):
-            archive.authenticators_for("alice")

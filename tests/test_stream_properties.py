@@ -48,6 +48,8 @@ from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
 
+from archive_tools import replace_payload
+
 
 @pytest.fixture(scope="module")
 def archived_run(tmp_path_factory):
@@ -298,11 +300,13 @@ class TestBitFlipParity:
             record = rng.choice(records)
             path = archive.root / record.file_name
             original = path.read_bytes()
-            position = rng.randrange(len(original))
+            position = rng.randrange(record.stored_bytes)
             bit = 1 << rng.randrange(8)
-            corrupted = bytearray(original)
+            corrupted = bytearray(archive.stored_bytes_of(record))
             corrupted[position] ^= bit
-            path.write_bytes(bytes(corrupted))
+            # (with the frame's checksums redone: the decoders, not the
+            # crc32 in front of them, are what is being compared)
+            replace_payload(archive.root, record, bytes(corrupted))
             try:
                 fresh = LogArchive(archive.root)
                 materializing_entries = materializing_error = None
@@ -317,7 +321,7 @@ class TestBitFlipParity:
                     streaming_error = exc
 
                 context = (f"trial {trial}: flip bit {bit:#x} at byte "
-                           f"{position} of {record.file_name}")
+                           f"{position} of {record.label()}")
                 if materializing_error is None:
                     assert streaming_error is None, \
                         f"{context}: streaming raised {streaming_error!r}, " \
