@@ -1,8 +1,8 @@
 """Streaming bounded-memory audit vs the materializing path.
 
 Audits one machine's archived log both ways (see
-:mod:`repro.experiments.stream_audit`) and asserts the streaming pipeline's
-contract: structurally identical results, >= 5x lower peak traced memory
+:mod:`repro.experiments.stream_audit`) and asserts the audit engine's
+contract at one inline worker: structurally identical results, >= 5x lower peak traced memory
 (neither path runs a compressor, so the raw tracemalloc ratio is the
 figure), and throughput within 0.9x of the materializing path.
 """

@@ -25,12 +25,7 @@ from repro.audit.evidence import Evidence
 from repro.audit.online import OnlineAuditor
 from repro.audit.semantic import SemanticChecker
 from repro.audit.spot_check import SpotChecker, SpotCheckResult
-from repro.audit.stream import (
-    ArchiveEntryStream,
-    StreamAuditReport,
-    StreamingAuditPipeline,
-    stream_audit,
-)
+from repro.audit.stream import ArchiveEntryStream
 from repro.audit.syntactic import SyntacticChecker, SyntacticReport
 from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
 
@@ -46,9 +41,6 @@ __all__ = [
     "SpotChecker",
     "SpotCheckResult",
     "ArchiveEntryStream",
-    "StreamAuditReport",
-    "StreamingAuditPipeline",
-    "stream_audit",
     "SyntacticChecker",
     "SyntacticReport",
     "AuditResult",

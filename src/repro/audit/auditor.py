@@ -10,9 +10,10 @@ The three steps themselves are the audit kernel
 (:func:`repro.audit.kernel.run_chunk`); :meth:`Auditor.audit_segment` is the
 serial front-end — the kernel over the whole segment as one chunk — and
 :meth:`Auditor.evidence_for` the one place evidence is built, on every
-front-end, from the chunk that failed.  With ``workers > 1`` whole-machine
-audits go to the parallel engine (:class:`repro.audit.engine.AuditScheduler`)
-instead; ``workers=1`` (the default) is the serial path below.
+front-end, from the chunk that failed.  Whole-machine audits of an archive,
+or by an auditor with ``workers > 1`` (or an ``engine``), go to the audit
+engine (:class:`repro.audit.engine.AuditScheduler`) instead; a live log
+audited at ``workers=1`` (the default) takes the serial path below.
 """
 
 from __future__ import annotations
@@ -96,32 +97,23 @@ class Auditor:
 
     def audit(self, target: AccountableVMM,
               segment: Optional[LogSegment] = None,
-              initial_state: Optional[Dict[str, Any]] = None,
-              streaming: bool = True) -> AuditResult:
+              initial_state: Optional[Dict[str, Any]] = None) -> AuditResult:
         """Run a full audit of ``target`` (or of a specific segment of its log).
 
-        Whole-machine audits run on the parallel engine when one is
-        configured; audits of an explicit segment always take the serial
-        path (the engine needs the machine's snapshots to chunk).
-
-        Archive-backed targets (anything advertising ``supports_streaming``)
-        are audited on the streaming pipeline by default, in O(chunk) memory
-        whether they pass or are convicted, with the materializing path's
-        verdicts and a passing audit's modelled costs
-        (:mod:`repro.audit.stream`); an engine-backed auditor plans its
-        chunk jobs off the same chunk stream.
-        Pass ``streaming=False`` to force whole-log materialization — for a
-        streamable target this also bypasses the engine, taking the serial
-        materializing path.
+        A whole-machine audit goes through the audit engine
+        (:class:`~repro.audit.engine.AuditScheduler`) when the auditor has an
+        engine or the target is archive-backed (``supports_streaming``) — at
+        one inline worker, an archive is audited one snapshot-sealed chunk
+        at a time, in O(chunk) memory whether it passes or is convicted.  A
+        live log without an engine, and an explicit segment, take the serial
+        path.
         """
-        streamable = getattr(target, "supports_streaming", False)
         if segment is None and initial_state is None:
-            if self.engine is not None and (streaming or not streamable):
-                return self.engine.audit_machine(self, target)
-            if streaming and streamable:
-                from repro.audit.stream import stream_audit
-                return stream_audit(self, target).result
-            return self.audit_whole_log(target)
+            if self.engine is None \
+                    and not getattr(target, "supports_streaming", False):
+                return self.audit_whole_log(target)
+            from repro.audit.engine import AuditScheduler
+            return (self.engine or AuditScheduler()).audit_machine(self, target)
         if segment is None:
             segment = target.get_log_segment()
         return self.audit_segment(target.identity, segment,
@@ -130,8 +122,8 @@ class Auditor:
     def audit_whole_log(self, target: AccountableVMM) -> AuditResult:
         """The serial front-end over ``target``'s whole log, materialized:
         one chunk, replayed from the reference image or, for a GC-truncated
-        archive, from its boundary snapshot.  Also where the engine and the
-        stream hand a log that cannot be chunked."""
+        archive, from its boundary snapshot.  Also where the engine hands a
+        log that cannot be chunked."""
         state, snapshot_bytes = replay_start(target)
         return self.audit_segment(target.identity, target.get_log_segment(),
                                   initial_state=state,

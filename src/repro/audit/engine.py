@@ -1,52 +1,46 @@
-"""The parallel, batched audit engine.
+"""The audit engine: every whole-machine audit runs on this one loop.
 
 Section 6.6 puts the price tag on accountability: auditing a machine means
 downloading its log, verifying it against the authenticators, and replaying
-it — and the semantic check alone takes about as long as the recorded play
-time.  The same section's remedy is that audits parallelise perfectly: other
-machines' logs are independent, and with periodic snapshots the chunks of a
-single log are independently verifiable and replayable too (Section 6.12).
+it.  Its remedy is that audits parallelise: other machines' logs are
+independent, and with periodic snapshots so are the chunks of one log
+(Sections 3.5 and 6.12).  :class:`AuditScheduler` drives both axes:
 
-:class:`AuditScheduler` exploits both axes.  It fans a fleet of audits out
-over a ``concurrent.futures`` worker pool:
-
-1. each target's log is split at snapshot boundaries into at most
-   ``chunks_per_machine`` chunks (:func:`repro.log.segments.partition_segments`
-   for a live log, :func:`repro.audit.stream.iter_stream_chunks` for an
-   archived one);
+1. each target's log is cut at snapshot boundaries into chunks
+   (:func:`repro.log.segments.partition_segments` for a live log,
+   :func:`repro.audit.stream.iter_stream_chunks` for an archived one);
 2. every chunk becomes a self-contained, picklable
-   :class:`~repro.audit.kernel.ChunkJob`; what a chunk needs from its
-   predecessor — the verified snapshot state at the boundary and the RECVs
-   in flight across it — the parent threads along while it plans;
-3. workers run the audit kernel, :func:`~repro.audit.kernel.run_chunk`;
-4. the scheduler folds the outcomes into one machine-level result
-   (:func:`~repro.audit.kernel.fold_outcomes`).  Each chunk's syntactic
-   check pairs the message stream with the MAC-layer stream given what its
-   predecessor left in flight, so the chunks together pair the whole log.
+   :class:`~repro.audit.kernel.ChunkJob`; what it needs from its predecessor
+   — the verified snapshot state at the boundary and the RECVs in flight
+   across it — the parent threads along while it plans;
+3. the jobs run the audit kernel, :func:`~repro.audit.kernel.run_chunk`, on
+   a ``concurrent.futures`` executor;
+4. their outcomes are folded in log order as they complete
+   (:func:`~repro.audit.kernel.fold_outcomes`).
 
-Execution is one code path over one kind of object, a
-``concurrent.futures`` executor: chunk jobs are submitted the moment the plan
-produces them (decoding chunk *k+1* overlaps chunk *k* in a worker) and
-outcomes are gathered in plan order.
-The executors are process-wide and warm: :data:`_POOLS` hands out one per
-``(kind, workers)``, started on first use and kept until
-:func:`shutdown_worker_pools` (also registered ``atexit``), so only the first
-parallel audit of a process pays for starting workers.  ``"inline"`` is the
-same path over an executor that runs the job inside ``submit``.
+Planning runs ahead of the fold by a fixed window — two jobs per worker on
+a pool, so decoding chunk *k+1* overlaps chunk *k* in a worker; one on the
+``"inline"`` executor, which runs a job inside ``submit`` — and a folded job
+is dropped at once, so what the parent holds is bounded by the window, not
+by the log, at every worker count (``docs/streaming-audit.md``).  The pools
+are process-wide and warm (:data:`_POOLS`, one per ``(kind, workers)``,
+until :func:`shutdown_worker_pools`, also registered ``atexit``).
 
-A conviction is parallel too: the first failing chunk in log order is the
-verdict and its job the evidence (:meth:`Auditor.evidence_for
-<repro.audit.auditor.Auditor.evidence_for>`), so both are identical across
-worker counts without a second, serial pass.  Only a log that cannot be
-chunked at all (no verifiable boundary snapshot, entries that do not parse)
-is handed over to the serial front-end.
-
-Costs are threaded through :class:`~repro.audit.verdict.AuditCost` so the
-Figure 8/9 experiments keep reporting paper-faithful numbers, and the fleet
-report carries the *modelled* serial-vs-parallel wall-clock
-(:mod:`repro.metrics.parallel`) alongside the measured one, because the
-modelled number — like every other number this reproduction reports — must
-not depend on the hardware the simulation runs on.
+A machine stops being planned at its first failing chunk in log order: it is
+the verdict and its job the evidence (:meth:`Auditor.evidence_for
+<repro.audit.auditor.Auditor.evidence_for>`).  A log that cannot be chunked
+is handed to the serial front-end (:meth:`Auditor.audit_whole_log
+<repro.audit.auditor.Auditor.audit_whole_log>`) unless a chunk before that
+point failed.  No timing enters either rule.  Nor does the worker count
+enter the cost: a machine's :class:`~repro.audit.verdict.AuditResult`
+carries no signature figures, as the serial front-end's does not; a pass
+costs the whole log's serial figure (one download from its replay start,
+replay priced on its active seconds) and so equals ``audit_whole_log``'s;
+a conviction costs the chunks up to the fault.  Per-chunk costs, signature
+batches priced, stay on :attr:`MachineAuditReport.chunk_outcomes`, and the
+fleet's ``total_cost`` and *modelled* serial-vs-parallel wall-clock
+(:mod:`repro.metrics.parallel`) are built from them — hardware-independent,
+like every other number this reproduction reports.
 """
 
 from __future__ import annotations
@@ -56,26 +50,29 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
 from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
                                 chunk_job, fetch_verified_snapshot_entry,
                                 fold_outcomes, last_snapshot_entry, replay_start,
                                 run_chunk)
+from repro.audit.semantic import modelled_replay_seconds
 from repro.audit.stream import iter_stream_chunks
 from repro.audit.verdict import AuditCost, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.signatures import get_scheme
 from repro.errors import (CryptoError, HashChainError, LogFormatError,
-                          MissingSnapshotError, SegmentError)
+                          MissingSnapshotError, SegmentError, SnapshotError,
+                          StoreError)
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint
 from repro.log.segments import LogSegment, partition_segments
@@ -94,6 +91,12 @@ __all__ = [
     "scheme_verify_seconds",
     "shutdown_worker_pools",
 ]
+
+
+#: what, raised while a log is planned, hands it to the serial front-end: no
+#: verifiable snapshot at a chunk boundary, entries that do not parse or chain
+_HAND_OVER = (MissingSnapshotError, SnapshotError, SegmentError,
+              HashChainError, LogFormatError)
 
 
 def _run_pickled_chunk(pickled_job: bytes) -> ChunkOutcome:
@@ -217,65 +220,68 @@ def _executor_kind(requested: str, workers: int, first_job: ChunkJob) -> str:
     return "process"
 
 
+@dataclass
+class _Submitted:
+    """A job on the executor whose outcome has not been taken back yet."""
+
+    owner: object
+    job: ChunkJob
+    future: Future
+    #: ``perf_counter`` mark of its submission
+    at: float
+
+
 class _ChunkRun:
-    """One call's chunk jobs: submitted as they are planned, gathered in order."""
+    """One call's chunk jobs: submitted as they are planned, their outcomes
+    taken back in submission order."""
 
     def __init__(self, requested: str, workers: int) -> None:
         self.requested = requested
         self.workers = workers
         #: "inline" until a first job decides otherwise
         self.kind = "inline"
-        self.jobs: List[ChunkJob] = []
+        self.submitted = 0
         self.pool_starts = 0
-        #: ``perf_counter`` marks: construction, and :meth:`gather`'s start
-        #: and end
-        self.started = time.perf_counter()
-        self.wait_started = self.gathered = 0.0
+        #: submitted jobs not taken back yet, oldest first
+        self.pending: Deque[_Submitted] = deque()
+        #: ``perf_counter`` marks: construction, the last submission and the
+        #: last outcome taken back
+        self.started = self.last_submit = self.last_taken = time.perf_counter()
         self._pool: Optional[Executor] = None
-        self._futures: List[Future] = []
         self._rebuilt = False
 
-    def submit(self, job: ChunkJob) -> None:
+    @property
+    def bound(self) -> int:
+        """How many submitted jobs may wait to be taken back: two per worker
+        on a pool, so the workers never run dry while the parent decodes;
+        one inline, where a job has run by the time it is submitted."""
+        return 1 if self.kind == "inline" else 2 * self.workers
+
+    def submit(self, job: ChunkJob, owner: object = None) -> None:
         if self._pool is None:
             self.kind = _executor_kind(self.requested, self.workers, job)
             self._pool, started = _POOLS.get(self.kind, self.workers)
             self.pool_starts += started
-        try:
-            future = self._submit(job)
-        except BrokenProcessPool:
-            if self._rebuilt:
-                raise
-            self._rebuild()
-            future = self._submit(job)
-        self.jobs.append(job)
-        self._futures.append(future)
+        future = self._rebuilt_once(lambda: self._submit(job))
+        self.last_submit = time.perf_counter()
+        self.pending.append(_Submitted(owner, job, future, self.last_submit))
+        self.submitted += 1
 
-    def failed_since(self, start: int) -> bool:
-        """Whether a job from position ``start`` on is known to have failed
-        its chunk (inline, at once; on a pool, when a worker got that far)."""
-        return any(future.done() and future.exception() is None
-                   and not future.result().ok
-                   for future in self._futures[start:])
+    def take(self) -> Tuple[_Submitted, ChunkOutcome]:
+        """The oldest submitted job and its outcome, waiting for it."""
+        outcome = self._rebuilt_once(lambda: self.pending[0].future.result())
+        self.last_taken = time.perf_counter()
+        return self.pending.popleft(), outcome
 
-    def discard_from(self, start: int) -> None:
-        """Forget the jobs from position ``start`` on (their machine could
-        not be planned to the end and is audited serially instead)."""
-        for future in self._futures[start:]:
-            future.cancel()
-        del self.jobs[start:], self._futures[start:]
-
-    def gather(self) -> List[ChunkOutcome]:
-        """Every job's outcome, in submission order."""
-        self.wait_started = time.perf_counter()
-        try:
-            return [future.result() for future in self._futures]
-        except BrokenProcessPool:
-            if self._rebuilt:
-                raise
-            self._rebuild()
-            return [future.result() for future in self._futures]
-        finally:
-            self.gathered = time.perf_counter()
+    def drop(self, owner: object) -> List[ChunkJob]:
+        """Cancel ``owner``'s jobs at the head of the queue; returns them.
+        They follow a failing chunk: what they return or raise is no audit's."""
+        dropped = []
+        while self.pending and self.pending[0].owner is owner:
+            submitted = self.pending.popleft()
+            submitted.future.cancel()
+            dropped.append(submitted.job)
+        return dropped
 
     def observe(self, observers: Iterable[Observability]) -> None:
         """Record the run on each distinct bundle (telemetry only)."""
@@ -285,12 +291,12 @@ class _ChunkRun:
             obs.tracer.event(
                 "audit.engine.submit", domain="wall", track="audit-engine",
                 timestamp=self.started,
-                duration=self.wait_started - self.started,
-                jobs=len(self.jobs), executor=self.kind)
+                duration=self.last_submit - self.started,
+                jobs=self.submitted, executor=self.kind)
             obs.tracer.event(
                 "audit.engine.wait", domain="wall", track="audit-engine",
-                timestamp=self.wait_started,
-                duration=self.gathered - self.wait_started)
+                timestamp=self.last_submit,
+                duration=max(0.0, self.last_taken - self.last_submit))
 
     def _submit(self, job: ChunkJob) -> Future:
         if self.kind == "process":
@@ -301,19 +307,28 @@ class _ChunkRun:
             return self._pool.submit(_run_pickled_chunk, pickle.dumps(job))
         return self._pool.submit(run_chunk, job)
 
-    def _rebuild(self) -> None:
-        """A worker died: restart the pool and re-run what it lost.
+    def _rebuilt_once(self, attempt: Callable[[], object]):
+        """``attempt()``, tried again on a rebuilt pool if a worker died.
 
         Chunk jobs are pure functions of their arguments, so running one
         twice is harmless.  Once per call: a second break is the caller's.
         """
+        try:
+            return attempt()
+        except BrokenProcessPool:
+            if self._rebuilt:
+                raise
+            self._rebuild()
+            return attempt()
+
+    def _rebuild(self) -> None:
+        """Restart the pool and re-submit the jobs it lost."""
         self._rebuilt = True
         self._pool, started = _POOLS.replace(self.kind, self.workers, self._pool)
         self.pool_starts += started
-        self._futures = [
-            self._submit(job)
-            if isinstance(future.exception(), BrokenProcessPool) else future
-            for job, future in zip(self.jobs, self._futures)]
+        for submitted in self.pending:
+            if isinstance(submitted.future.exception(), BrokenProcessPool):
+                submitted.future = self._submit(submitted.job)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +337,23 @@ class _ChunkRun:
 
 @dataclass
 class MachineAuditReport:
-    """One machine's merged audit, with the engine's bookkeeping."""
+    """One machine's audit, with the engine's bookkeeping."""
 
     machine: str
     result: AuditResult
-    chunk_count: int = 0
+    #: the chunks folded, in log order, up to and including a failing one;
+    #: their costs price the signature batches
     chunk_outcomes: List[ChunkOutcome] = field(default_factory=list)
+    #: entries in those chunks, and in the largest of them (the memory bound)
+    entries: int = 0
+    peak_chunk_entries: int = 0
     #: why the log could not be chunked and was audited by the serial
     #: front-end instead (None = its chunks are the audit, pass or fail)
     unchunkable_reason: Optional[str] = None
+
+    @property
+    def chunk_count(self) -> int:
+        return len(self.chunk_outcomes)
 
 
 @dataclass
@@ -344,7 +367,7 @@ class FleetAuditReport:
     chunk_count: int = 0
     #: measured wall-clock of this engine run (hardware-dependent)
     wall_seconds: float = 0.0
-    #: modelled cost schedule (hardware-independent, from AuditCost totals)
+    #: modelled cost schedule (hardware-independent, from the chunk costs)
     modelled: Optional[ParallelSchedule] = None
     total_cost: AuditCost = field(default_factory=AuditCost)
 
@@ -368,21 +391,70 @@ class AuditAssignment:
     target: AccountableVMM
 
 
+class _MachineAudit:
+    """One machine's audit in progress (parent side; never pickled)."""
+
+    def __init__(self, auditor: Auditor, target,
+                 chunks: Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]
+                 ) -> None:
+        self.auditor = auditor
+        self.target = target
+        self.machine = target.identity
+        #: the log as ``(chunk, checkpoint before it, whether it ends the
+        #: log)``; what planning has not reached is what evidence extends into
+        self.chunks = chunks
+        #: filled in chunk by chunk; its result is the fold's
+        self.report = MachineAuditReport(self.machine, result=None)
+        #: the one-second buckets holding an entry: the log's active seconds
+        self.active: Set[int] = set()
+        #: transfer bytes of the snapshot the log's replay starts from
+        self.start_bytes = 0
+        #: folded (planning stops)
+        self.done = False
+        metrics = auditor.obs.metrics
+        self._audit_seconds = metrics.histogram("audit.chunk.audit_seconds")
+        self._chunks_total = metrics.counter("audit.chunks_total")
+
+    def note(self, submitted: _Submitted,
+             outcome: ChunkOutcome) -> Tuple[ChunkJob, ChunkOutcome]:
+        """Book a chunk on its way into the fold; returns the fold's pair."""
+        job = submitted.job
+        entries = job.segment.entries
+        report = self.report
+        report.chunk_outcomes.append(outcome)
+        report.entries += len(entries)
+        report.peak_chunk_entries = max(report.peak_chunk_entries, len(entries))
+        self.active.update(int(entry.timestamp) for entry in entries)
+        now = time.perf_counter()
+        self._audit_seconds.observe(now - submitted.at)
+        self._chunks_total.inc()
+        obs = self.auditor.obs
+        obs.tracer.event(
+            "audit.chunk", domain="wall", track=self.machine,
+            timestamp=submitted.at, duration=now - submitted.at,
+            chunk=job.chunk_index, entries=len(entries),
+            checkpoint_seq=job.segment.last_sequence)
+        obs.progress.chunk_done(self.machine, entries=len(entries),
+                                checkpoint_seq=job.segment.last_sequence)
+        return job, outcome
+
+
 # ---------------------------------------------------------------------------
-# The scheduler
+# The engine
 # ---------------------------------------------------------------------------
 
 class AuditScheduler:
-    """Schedules chunked audits of many machines over a worker pool.
+    """The audit engine: chunked audits of many machines over an executor.
 
-    ``workers=1`` (the default) keeps everything inline and single-chunk, so
-    it reproduces the serial :class:`Auditor` byte for byte; higher worker
-    counts split each log at snapshot boundaries and execute chunks
-    concurrently.  ``executor`` may be ``"auto"`` (process pool when the jobs
-    pickle, else threads), ``"process"``, ``"thread"`` or ``"inline"``.  A
-    scheduler owns no workers: the executor comes from the process-wide
-    registry, so every instance with the same ``(kind, workers)`` shares one
-    warm pool (see :func:`shutdown_worker_pools`).
+    With one worker (the default) the jobs run inline: a live log is one
+    chunk — the serial audit — and an archived one is cut at every archived
+    sealing snapshot, so it is audited one chunk at a time.  Otherwise each
+    log is cut into ``chunks_per_machine`` chunks (one per worker by
+    default) that run concurrently.  ``executor`` may be ``"auto"`` (process
+    pool when the jobs pickle, else threads), ``"process"``, ``"thread"`` or
+    ``"inline"``.  A scheduler owns no workers: the executor comes from the
+    process-wide registry, so every instance with the same ``(kind,
+    workers)`` shares one warm pool (see :func:`shutdown_worker_pools`).
     """
 
     def __init__(self, workers: int = 1, executor: str = "auto",
@@ -393,7 +465,7 @@ class AuditScheduler:
             raise ValueError(f"unknown executor kind {executor!r}")
         self.workers = workers
         self.executor = executor
-        #: chunks per machine; None = one chunk per worker, 1 when serial
+        #: chunks per machine; None = the rule above
         self.chunks_per_machine = chunks_per_machine
 
     # -- public API ---------------------------------------------------------
@@ -404,7 +476,7 @@ class AuditScheduler:
         return report.results[target.identity]
 
     def audit_fleet(self, assignments: Sequence[AuditAssignment]) -> FleetAuditReport:
-        """Audit every assignment, fanning chunks out over the worker pool.
+        """Audit every assignment, the machines' chunks sharing one executor.
 
         Each target may appear at most once — the report is keyed by machine
         identity, so several auditors auditing the same machine must run as
@@ -416,54 +488,60 @@ class AuditScheduler:
             raise ValueError(
                 f"fleet contains duplicate audit targets: {duplicates}; "
                 f"run one fleet audit per auditor instead")
-        run = _ChunkRun(self.executor, self.workers)
-        started = run.started
-        plans: List[_MachinePlan] = []
         for assignment in assignments:
-            plan = self._plan(assignment, run)
-            plan.auditor.obs.progress.machine_started(
-                plan.machine, total_chunks=len(plan.jobs))
-            plans.append(plan)
-        outcome_list = run.gather()
-        run.observe(plan.auditor.obs for plan in plans)
+            target = assignment.target
+            if getattr(target, "supports_streaming", False) \
+                    and not target.archive.segment_records(target.identity):
+                # an operational error, not a verdict
+                raise StoreError(f"no archived segments for {target.identity!r}")
+        run = _ChunkRun(self.executor, self.workers)
+        audits = [_MachineAudit(assignment.auditor, assignment.target,
+                                self._chunks(assignment.target))
+                  for assignment in assignments]
+        planner = chain.from_iterable(self._plan(audit, run) for audit in audits)
+        reports = [self._fold(audit, run, planner) for audit in audits]
+        run.observe(audit.auditor.obs for audit in audits)
 
-        report = FleetAuditReport(
+        fleet = FleetAuditReport(
             workers=self.workers, executor_used=run.kind,
-            chunk_count=len(run.jobs))
-        cursor = 0
-        work_items = [outcome.cost.total_seconds for outcome in outcome_list]
-        for plan in plans:
-            machine_outcomes = outcome_list[cursor:cursor + len(plan.jobs)]
-            cursor += len(plan.jobs)
-            machine_report = self._merge(plan, machine_outcomes)
-            report.machine_reports[plan.machine] = machine_report
-            report.results[plan.machine] = machine_report.result
-            if plan.unchunkable_reason is not None:
+            wall_seconds=time.perf_counter() - run.started)
+        chunk_costs: List[AuditCost] = []
+        whole_logs: List[AuditCost] = []
+        machine_costs: List[AuditCost] = []
+        for audit, report in zip(audits, reports):
+            result = report.result
+            fleet.machine_reports[report.machine] = report
+            fleet.results[report.machine] = result
+            fleet.chunk_count += report.chunk_count
+            if report.unchunkable_reason is None:
+                costs = [outcome.cost for outcome in report.chunk_outcomes]
+                chunk_costs += costs
+            else:
                 # The serial front-end ran in the parent for this machine; it
                 # is one unsplittable work item, and leaving it out would make
                 # the modelled speedup look better than the audit really was.
-                work_items.append(machine_report.result.cost.total_seconds)
-        report.wall_seconds = time.perf_counter() - started
-        for plan in plans:
-            result = report.results[plan.machine]
+                costs = [result.cost]
+                whole_logs += costs
+            machine_costs.append(AuditCost.total(costs))
             if result.wall_seconds == 0.0:
-                # Chunks of many machines interleave on one pool, so wall
+                # Chunks of many machines interleave on one executor, so wall
                 # time cannot be attributed per machine; the fleet wall is
                 # the shared measurement.  (A log audited by the serial
                 # front-end carries its own audit_segment timing.)
-                result.wall_seconds = report.wall_seconds
-            obs = plan.auditor.obs
-            obs.progress.machine_done(plan.machine, result.verdict.value,
+                result.wall_seconds = fleet.wall_seconds
+            obs = audit.auditor.obs
+            obs.progress.machine_done(report.machine, result.verdict.value,
                                       result.wall_seconds)
             obs.tracer.event(
-                "audit.engine.machine", domain="wall", track=plan.machine,
-                timestamp=started, duration=report.wall_seconds,
-                chunks=len(plan.jobs), executor=report.executor_used,
+                "audit.engine.machine", domain="wall", track=report.machine,
+                timestamp=run.started, duration=fleet.wall_seconds,
+                chunks=report.chunk_count, executor=run.kind,
                 verdict=result.verdict.value)
-        report.total_cost = AuditCost.total(
-            result.cost for result in report.results.values())
-        report.modelled = schedule(work_items, self.workers)
-        return report
+        fleet.total_cost = AuditCost.total(machine_costs)
+        fleet.modelled = schedule(
+            [cost.total_seconds for cost in chunk_costs + whole_logs],
+            self.workers)
+        return fleet
 
     def run_jobs(self, jobs: Sequence[ChunkJob],
                  obs: Optional[Observability] = None) -> List[ChunkOutcome]:
@@ -471,59 +549,12 @@ class AuditScheduler:
         run = _ChunkRun(self.executor, self.workers)
         for job in jobs:
             run.submit(job)
-        outcomes = run.gather()
+        outcomes = [run.take()[1] for _ in jobs]
         if obs is not None:
             run.observe([obs])
         return outcomes
 
     # -- planning -----------------------------------------------------------
-
-    def _plan(self, assignment: AuditAssignment,
-              run: _ChunkRun) -> "_MachinePlan":
-        """Plan one machine, submitting each chunk job to ``run`` as soon as
-        it exists: decoding chunk *k+1* here overlaps chunk *k* in a worker.
-
-        The parent threads what every chunk needs from its predecessor: the
-        snapshot sealing it, verified, and its boundary context (the RECVs
-        still in flight at its end, with the log suffix that anchors them).
-        """
-        auditor = assignment.auditor
-        target = assignment.target
-        plan = _MachinePlan(machine=target.identity, auditor=auditor,
-                            target=target)
-        make_job = job_factory(auditor, target.identity)
-        first_job = len(run.jobs)
-        state, snapshot_bytes = replay_start(target)
-        context = BoundaryContext()
-        boundary: Optional[LogEntry] = None
-        plan.unplanned = self._chunks(target)
-        try:
-            for segment, checkpoint, ends_log in plan.unplanned:
-                if plan.jobs:
-                    state, snapshot_bytes = fetch_verified_snapshot_entry(
-                        target, boundary)
-                context.ends_log = ends_log
-                job = make_job(segment, chunk_index=len(plan.jobs),
-                               checkpoint=checkpoint, initial_state=state,
-                               snapshot_bytes=snapshot_bytes, context=context)
-                plan.jobs.append(job)
-                run.submit(job)
-                if run.failed_since(first_job):
-                    # a conviction costs the chunks up to the fault, no more
-                    break
-                # after the job is pickled: this decodes content lazily
-                context = context.after(segment)
-                boundary = last_snapshot_entry(segment)
-        except (MissingSnapshotError, SegmentError, HashChainError,
-                LogFormatError) as exc:
-            # The target could not produce consistent segments or a
-            # verifiable snapshot at a chunk boundary, or its entries do not
-            # parse: its log is one chunk, replayed from the start, which is
-            # the serial front-end's — rather than failing the fleet.
-            run.discard_from(first_job)
-            plan.jobs = []
-            plan.unchunkable_reason = str(exc)
-        return plan
 
     def _chunks(self, target
                 ) -> Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]:
@@ -536,10 +567,11 @@ class AuditScheduler:
         where its predecessor ends, not where it says it does, so a chain
         broken at a boundary fails the chunk after it.
         """
-        budget = self.chunks_per_machine or max(1, self.workers)
-        if getattr(target, "supports_streaming", False):
-            if not target.archive.segment_records(target.identity):
-                raise SegmentError(f"no archived segments for {target.identity!r}")
+        archived = getattr(target, "supports_streaming", False)
+        # None: the finest chunking, one archived sealing snapshot per chunk
+        budget = self.chunks_per_machine or (
+            None if archived and self.workers == 1 else self.workers)
+        if archived:
             for chunk in iter_stream_chunks(target, max_chunks=budget):
                 yield chunk.segment, chunk.start_checkpoint, chunk.ends_log
             return
@@ -551,42 +583,98 @@ class AuditScheduler:
             yield chunk, checkpoint, chunk is chunks[-1]
             checkpoint = chunk.end_checkpoint()
 
-    # -- merging ------------------------------------------------------------
+    def _plan(self, audit: _MachineAudit, run: _ChunkRun) -> Iterator[ChunkJob]:
+        """Plan one machine, submitting each chunk job to ``run`` and then
+        yielding it: the fold pulls the plan, so planning stops at a failing
+        chunk and decoding chunk *k+1* overlaps chunk *k* in a worker.
+
+        The parent threads what every chunk needs from its predecessor: the
+        snapshot sealing it, verified, and its boundary context (the RECVs
+        still in flight at its end, with the log suffix that anchors them).
+        """
+        auditor, target = audit.auditor, audit.target
+        auditor.obs.progress.machine_started(audit.machine)
+        decode_seconds = auditor.obs.metrics.histogram(
+            "audit.chunk.decode_seconds")
+        make_job = job_factory(auditor, audit.machine)
+        state, snapshot_bytes = replay_start(target)
+        audit.start_bytes = snapshot_bytes
+        context = BoundaryContext()
+        boundary: Optional[LogEntry] = None
+        decoding = time.perf_counter()
+        try:
+            for index, (segment, checkpoint, ends_log) in enumerate(audit.chunks):
+                decode_seconds.observe(time.perf_counter() - decoding)
+                if index:
+                    state, snapshot_bytes = fetch_verified_snapshot_entry(
+                        target, boundary)
+                context.ends_log = ends_log
+                job = make_job(segment, chunk_index=index,
+                               checkpoint=checkpoint, initial_state=state,
+                               snapshot_bytes=snapshot_bytes, context=context)
+                run.submit(job, owner=audit)
+                yield job
+                if audit.done:   # a chunk failed: nothing after it is planned
+                    return
+                # after the job is pickled: this decodes content lazily
+                context = context.after(segment)
+                boundary = last_snapshot_entry(segment)
+                del job, segment   # the fold holds a chunk while it needs it
+                decoding = time.perf_counter()
+        except _HAND_OVER as exc:
+            # The target could not produce consistent chunks or a verifiable
+            # snapshot at a chunk boundary, or its entries do not parse: if
+            # every chunk before this point passes, its log is one chunk,
+            # replayed from the start, which is the serial front-end's.
+            audit.report.unchunkable_reason = str(exc)
+
+    # -- folding ------------------------------------------------------------
 
     @staticmethod
-    def _merge(plan: "_MachinePlan",
-               outcomes: List[ChunkOutcome]) -> MachineAuditReport:
-        auditor = plan.auditor
-        if plan.unchunkable_reason is not None:
-            result = auditor.audit_whole_log(plan.target)
+    def _taken(audit: _MachineAudit, run: _ChunkRun, planner: Iterator[ChunkJob]
+               ) -> Iterator[Tuple[ChunkJob, ChunkOutcome]]:
+        """``audit``'s jobs with their outcomes, in log order, as they
+        complete; planning — of this machine, then of the next — runs ahead
+        of them by at most ``run.bound`` jobs."""
+        while True:
+            while len(run.pending) < run.bound \
+                    and next(planner, None) is not None:
+                pass
+            if not run.pending or run.pending[0].owner is not audit:
+                return
+            yield audit.note(*run.take())
+
+    def _fold(self, audit: _MachineAudit, run: _ChunkRun,
+              planner: Iterator[ChunkJob]) -> MachineAuditReport:
+        auditor, report = audit.auditor, audit.report
+        result, failed = fold_outcomes(audit.machine, auditor.identity,
+                                       self._taken(audit, run, planner))
+        audit.done = True
+        if failed is not None:
+            # a conviction costs the chunks up to the fault
+            report.unchunkable_reason = None
+            result.cost = replace(result.cost, signature_seconds=0.0,
+                                  signatures_verified=0,
+                                  signature_screen_operations=0)
+            result.evidence = auditor.evidence_for(failed, result, chain(
+                (job.segment for job in run.drop(audit)),
+                (segment for segment, _, _ in audit.chunks)))
+        elif report.unchunkable_reason is not None:
+            report.chunk_outcomes = []
+            result = auditor.audit_whole_log(audit.target)
         else:
-            result, failed = fold_outcomes(plan.machine, auditor.identity,
-                                           zip(plan.jobs, outcomes))
-            if failed is not None:
-                result.evidence = auditor.evidence_for(
-                    failed, result, chain(
-                        (job.segment
-                         for job in plan.jobs[failed.chunk_index + 1:]),
-                        (chunk[0] for chunk in plan.unplanned)))
-        return MachineAuditReport(machine=plan.machine, result=result,
-                                  chunk_count=len(outcomes),
-                                  chunk_outcomes=outcomes,
-                                  unchunkable_reason=plan.unchunkable_reason)
-
-
-@dataclass
-class _MachinePlan:
-    """Prepared work for one machine (parent-side only; never pickled)."""
-
-    machine: str
-    auditor: Auditor
-    target: AccountableVMM
-    jobs: List[ChunkJob] = field(default_factory=list)
-    #: set when chunk planning failed (e.g. unverifiable snapshot) and the
-    #: whole log is audited by the serial front-end instead
-    unchunkable_reason: Optional[str] = None
-    #: the chunks planning stopped short of, a chunk having failed already
-    unplanned: Iterator[Tuple[LogSegment, ChainCheckpoint, bool]] = iter(())
+            # The serial front-end's pass: one download of the whole log from
+            # its replay start, replay priced on the whole log's activity
+            # rather than chunk by chunk, no signature figures.
+            replayed = result.replay_report
+            replayed.active_seconds = float(len(audit.active))
+            result.cost = AuditCost.for_download(
+                result.cost.log_bytes_downloaded, audit.start_bytes,
+                auditor.cost_params)
+            result.cost.semantic_seconds = modelled_replay_seconds(
+                replayed.active_seconds, auditor.cost_params)
+        report.result = result
+        return report
 
 
 # ---------------------------------------------------------------------------

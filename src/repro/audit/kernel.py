@@ -7,10 +7,11 @@ snapshot-delimited chunk of a log can be audited that way on its own.
 :func:`run_chunk` is that procedure for one chunk; every audit front-end is a
 way of cutting a log into chunks, running them through it and folding the
 outcomes back together (:func:`fold_outcomes`).  The serial auditor runs the
-whole segment as one chunk; the engine maps the kernel over a worker pool, the
-stream folds it inline over an archive, the spot checker runs it on sampled
-chunks; a third party verifying :class:`~repro.audit.evidence.Evidence` runs
-it under its own keys and reference image.
+whole segment as one chunk; the audit engine maps it over an executor — inline
+at one worker, which is how an archive is audited one chunk at a time — and
+folds the outcomes in log order; the spot checker runs it on sampled chunks; a
+third party verifying :class:`~repro.audit.evidence.Evidence` runs it under
+its own keys and reference image.
 
 A chunk is not quite self-contained: the monitor logs a RECV when a packet
 arrives and injects the packet into the AVM about a millisecond later, so a

@@ -40,13 +40,13 @@ class OnlineAuditor:
     Each pass re-audits the whole log-so-far, so long sessions benefit from
     the parallel engine: build the auditor with ``workers > 1`` (or an
     ``engine``) and every pass is chunked over the worker pool.  The
-    cost accounting below is unchanged either way, because the engine threads
-    the same :class:`~repro.audit.verdict.AuditCost` totals through.
+    cost accounting below is unchanged either way: a passing result is the
+    same at every worker count.
 
     Archive-backed targets (:class:`~repro.service.target.
-    ArchiveBackedMachine`) stream: every pass decodes, verifies and replays
-    the archived log chunk by chunk (:mod:`repro.audit.stream`), so an
-    online auditor watching a long archived history keeps O(chunk) memory.
+    ArchiveBackedMachine`) go to the audit engine at any worker count: every
+    pass reads the archived log chunk by chunk, so an online auditor watching
+    a long archived history keeps O(chunk) memory.
     """
 
     def __init__(self, auditor: Auditor, target: AccountableVMM,

@@ -1,78 +1,38 @@
-"""The streaming, bounded-memory audit pipeline.
+"""An archived log as a stream of entries and of audit-sized chunks.
 
 The paper's accountability guarantee is only deployable at fleet scale if
-auditing a machine's log does not require holding that log in memory — and
-that has to hold for the machine that gets convicted as much as for the
-honest one.  The materializing path (``LogArchive.materialized_log`` →
-:meth:`Auditor.audit_segment <repro.audit.auditor.Auditor.audit_segment>`)
-inflates every archived entry into one giant in-memory
-:class:`~repro.log.segments.LogSegment` before any check runs, so peak
-auditor memory grows with log *length*.  This module is the front-end whose
-peak memory is one *chunk* (a run of snapshot-delimited archived segments)
-plus O(1) checkpoints:
+auditing a machine's log does not require holding that log in memory.  The
+materializing path (``LogArchive.materialized_log``) inflates every archived
+entry into one in-memory :class:`~repro.log.segments.LogSegment`, so its peak
+memory grows with log *length*.  This module reads the archive's segment
+files incrementally instead (:meth:`LogArchive.stream_segment
+<repro.store.archive.LogArchive.stream_segment>`):
 
-1. **decode** — :func:`iter_stream_chunks` inflates the archive's segment
-   files one chunk at a time (:meth:`LogArchive.stream_segment
-   <repro.store.archive.LogArchive.stream_segment>`);
-2. **audit** — each chunk goes through the audit kernel
-   (:func:`repro.audit.kernel.run_chunk`): chain from the chunk's checkpoint,
-   batched authenticator check, syntactic check (the message stream paired
-   with the MAC-layer stream, given the RECVs in flight at its start),
-   replay from the snapshot verified at its boundary (Section 4.5,
-   "Verifying the snapshot");
-3. **fold** — the outcomes are folded as they come
-   (:func:`repro.audit.kernel.fold_outcomes`); the first chunk that fails
-   is the conviction and its evidence
-   (:meth:`Auditor.evidence_for <repro.audit.auditor.Auditor.evidence_for>`),
-   and nothing after it is decoded.
+* :class:`ArchiveEntryStream` yields the retained entries one at a time,
+  chain-verified and resumable at any segment boundary;
+* :func:`iter_stream_chunks` yields them a chunk at a time — a run of
+  archived segments that ends at an archived sealing snapshot, so the next
+  chunk has a verified replay start.
 
-**Equivalence guarantee.**  A passing streamed audit produces an
-:class:`~repro.audit.verdict.AuditResult` *structurally identical* — same
-verdict, counters, replay report and modelled
-:class:`~repro.audit.verdict.AuditCost` (raw bytes, snapshot bytes and
-modelled seconds; nothing on this path runs a compressor) — to what the
-serial materializing audit of the same archive produces.  A failing one
-reaches the same verdict, phase and first problem, with the failing chunk
-instead of the whole log as evidence.  Only a log that cannot be chunked
-(an unverifiable boundary snapshot) is handed over to that serial audit.
-``tests/test_stream_equivalence.py`` enforces the guarantee differentially
-across the adversary matrix.
+The audit engine (:class:`repro.audit.engine.AuditScheduler`) plans its chunk
+jobs off :func:`iter_stream_chunks`, which is how an archived log is audited
+in O(chunk) memory, pass or fail (``docs/streaming-audit.md``).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
-from repro.audit.kernel import (
-    BoundaryContext,
-    ChunkJob,
-    ChunkOutcome,
-    chunk_job,
-    fetch_verified_snapshot_entry,
-    fold_outcomes,
-    last_snapshot_entry,
-    replay_start,
-    run_chunk,
-)
-from repro.audit.semantic import modelled_replay_seconds
-from repro.audit.verdict import AuditCost, AuditResult
-from repro.errors import HashChainError, ReproError, StoreError
+from repro.errors import HashChainError, StoreError
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint, extend_checkpoint
 from repro.log.segments import LogSegment
-from repro.obs import ensure_obs
 
 __all__ = [
     "ArchiveEntryStream",
     "StreamChunk",
-    "StreamStats",
-    "StreamAuditReport",
-    "StreamingAuditPipeline",
-    "fetch_verified_snapshot_entry",
     "iter_stream_chunks",
-    "stream_audit",
 ]
 
 
@@ -150,7 +110,6 @@ class ArchiveEntryStream:
 class StreamChunk:
     """One audit-sized chunk of the stream (a run of archived segments)."""
 
-    index: int
     segment: LogSegment
     start_checkpoint: ChainCheckpoint
     end_checkpoint: ChainCheckpoint
@@ -197,10 +156,10 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
     """Stream an archive-backed target's log as replayable chunks.
 
     Each yielded :class:`StreamChunk` holds one chunk's decoded entries;
-    previous chunks can be dropped by the consumer, so a pipeline iterating
+    previous chunks can be dropped, so a consumer iterating
     this holds O(chunk) entries.  ``max_chunks=None`` yields the finest
-    chunking (one chunk per snapshot-sealed segment run); the parallel engine
-    passes its chunk budget instead.
+    chunking (one chunk per snapshot-sealed segment run), otherwise adjacent
+    runs are merged into at most ``max_chunks`` chunks.
 
     The checkpoints come from the manifest records (whose tiling was proven
     at archive recovery, and whose first/last sequence and end hash
@@ -221,176 +180,9 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
         start_checkpoint = checkpoint
         checkpoint = chunk_records[-1].end_checkpoint()
         yield StreamChunk(
-            index=index,
             segment=LogSegment(
                 machine=machine, start_hash=start_checkpoint.chain_hash,
                 entries=[entry for record in chunk_records
                          for entry in archive.stream_segment(record)]),
             start_checkpoint=start_checkpoint,
             end_checkpoint=checkpoint, ends_log=index == len(counts) - 1)
-
-
-# ---------------------------------------------------------------------------
-# The pipeline
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StreamStats:
-    """Streaming-specific bookkeeping (not part of the canonical result)."""
-
-    chunks: int = 0
-    entries: int = 0
-    #: largest number of entries resident at once (the memory bound)
-    peak_chunk_entries: int = 0
-    #: why the log could not be chunked and went to the materializing audit
-    #: instead (None = it streamed, to the end or to the chunk that failed)
-    unchunkable_reason: Optional[str] = None
-
-
-@dataclass
-class StreamAuditReport:
-    """A streamed audit's result plus the pipeline's bookkeeping."""
-
-    result: AuditResult
-    stats: StreamStats = field(default_factory=StreamStats)
-
-
-class _Unchunkable(Exception):
-    """Internal: a chunk boundary has no verifiable snapshot to replay from."""
-
-
-class StreamingAuditPipeline:
-    """Audits an archive-backed target in O(chunk) memory, pass or fail."""
-
-    def __init__(self, auditor, target,
-                 max_chunks: Optional[int] = None) -> None:
-        self.auditor = auditor
-        self.target = target
-        self.max_chunks = max_chunks
-        #: telemetry sink: the auditor's bundle, so an observed auditor
-        #: observes its streamed audits too
-        self.obs = ensure_obs(getattr(auditor, "obs", None))
-
-    # -- public API ----------------------------------------------------------
-
-    def run(self) -> StreamAuditReport:
-        machine = self.target.identity
-        if not self.target.archive.segment_records(machine):
-            # Mirror the materializing path byte for byte: an empty archive
-            # is an operational error, not a verdict.
-            raise StoreError(f"no archived segments for {machine!r}")
-        stats = StreamStats()
-        obs = self.obs
-        obs.progress.machine_started(machine)
-        with obs.tracer.timed("audit.stream", track=machine,
-                              machine=machine) as timer:
-            try:
-                result = self._stream(stats)
-            except _Unchunkable as handover:
-                # Not a detection: without a verified state at the boundary
-                # the log is one chunk, which is the serial front-end.
-                stats.unchunkable_reason = str(handover)
-                result = self.auditor.audit_whole_log(self.target)
-        result.wall_seconds = timer.seconds
-        obs.progress.machine_done(machine, result.verdict.value, timer.seconds)
-        return StreamAuditReport(result=result, stats=stats)
-
-    # -- the stream ----------------------------------------------------------
-
-    def _stream(self, stats: StreamStats) -> AuditResult:
-        auditor = self.auditor
-        target = self.target
-        start = replay_start(target)
-        active_buckets: Set[int] = set()
-        chunks = iter_stream_chunks(target, max_chunks=self.max_chunks)
-
-        result, failed = fold_outcomes(
-            target.identity, auditor.identity,
-            self._audited_chunks(chunks, stats, active_buckets, start))
-        if failed is not None:
-            result.evidence = auditor.evidence_for(
-                failed, result, (chunk.segment for chunk in chunks))
-            return result
-
-        # The serial-identical PASS result: one download of the whole log
-        # from its replay start, activity counted over the whole log rather
-        # than chunk by chunk, no signature figures.
-        merged = result.replay_report
-        merged.active_seconds = float(len(active_buckets))
-        result.cost = AuditCost.for_download(
-            result.cost.log_bytes_downloaded, start[1], auditor.cost_params)
-        result.cost.semantic_seconds = modelled_replay_seconds(
-            merged.active_seconds, auditor.cost_params)
-        return result
-
-    def _audited_chunks(self, chunks: Iterator[StreamChunk],
-                        stats: StreamStats, active_buckets: Set[int], start
-                        ) -> Iterator[Tuple[ChunkJob, ChunkOutcome]]:
-        """Run ``chunks`` through the kernel as they are decoded.
-
-        Every entry also feeds ``active_buckets``, the one thing a passing
-        audit needs over the whole log.  Yields each chunk's job with its
-        outcome; only one chunk is alive at a time, the consumer folding
-        each pair before the next is decoded.
-        """
-        auditor = self.auditor
-        target = self.target
-        machine = target.identity
-        authenticators = auditor.authenticators_for(machine)
-
-        obs = self.obs
-        decode_hist = obs.metrics.histogram("audit.chunk.decode_seconds")
-        audit_hist = obs.metrics.histogram("audit.chunk.audit_seconds")
-        chunks_counter = obs.metrics.counter("audit.chunks_total")
-        entries_counter = obs.metrics.counter("audit.entries_streamed_total")
-
-        state, snapshot_bytes = start    # where the first chunk replays from
-        context = BoundaryContext()
-        boundary: Optional[LogEntry] = None
-        decode_started = time.perf_counter()
-        for chunk in chunks:
-            chunk_started = time.perf_counter()
-            decode_hist.observe(chunk_started - decode_started)
-            segment = chunk.segment
-            stats.chunks += 1
-            stats.entries += len(segment.entries)
-            stats.peak_chunk_entries = max(stats.peak_chunk_entries,
-                                           len(segment.entries))
-            chunks_counter.inc()
-            entries_counter.inc(len(segment.entries))
-            active_buckets.update(int(entry.timestamp)
-                                  for entry in segment.entries)
-
-            if chunk.index:
-                try:
-                    state, snapshot_bytes = fetch_verified_snapshot_entry(
-                        target, boundary)
-                except ReproError as exc:
-                    raise _Unchunkable(str(exc))
-            context.ends_log = chunk.ends_log
-            job = chunk_job(segment, authenticators, auditor.keystore,
-                            auditor.reference_image, chunk_index=chunk.index,
-                            checkpoint=chunk.start_checkpoint,
-                            initial_state=state, snapshot_bytes=snapshot_bytes,
-                            cost_params=auditor.cost_params, context=context)
-            outcome = run_chunk(job)
-            audit_hist.observe(time.perf_counter() - chunk_started)
-            yield job, outcome
-
-            context = context.after(segment)
-            boundary = last_snapshot_entry(segment)
-            obs.tracer.event(
-                "audit.chunk", domain="wall", track=machine,
-                timestamp=chunk_started,
-                duration=time.perf_counter() - chunk_started,
-                chunk=chunk.index, entries=len(segment.entries),
-                checkpoint_seq=chunk.end_checkpoint.sequence)
-            obs.progress.chunk_done(machine, entries=len(segment.entries),
-                                    checkpoint_seq=chunk.end_checkpoint.sequence)
-            decode_started = time.perf_counter()
-
-
-def stream_audit(auditor, target,
-                 max_chunks: Optional[int] = None) -> StreamAuditReport:
-    """Audit an archive-backed target on the streaming pipeline."""
-    return StreamingAuditPipeline(auditor, target, max_chunks=max_chunks).run()

@@ -17,9 +17,9 @@ stages the codec sits on:
 * **verify-only** — decode + hash-chain verification + modelled cost
   accounting, with the number of content materializations the pass needed.
   v1/v2 parse every entry's content; v3's lazy entries do zero;
-* **audit** — the end-to-end streaming audit
-  (:func:`~repro.audit.stream.stream_audit`) of the same machine from each
-  archive.
+* **audit** — the end-to-end chunk-by-chunk audit (the audit engine at one
+  inline worker, :class:`~repro.audit.engine.AuditScheduler`) of the same
+  machine from each archive.
 
 Every wall clock is the best of ``repetitions`` runs.  The audits must be
 structurally identical across all three formats — same verdict, counters,
@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.audit.stream import StreamAuditReport, stream_audit
+from repro.audit.engine import (AuditAssignment, AuditScheduler,
+                                MachineAuditReport)
 from repro.experiments.harness import format_table
 from repro.experiments.parallel_audit import build_fleet
 from repro.log.codec import (SegmentStreamDecoder, TypedCodec,
@@ -278,7 +279,7 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
     registry = MetricsRegistry()
     codec_metrics = CodecMetrics(Observability(metrics=registry))
 
-    reports: Dict[int, StreamAuditReport] = {}
+    reports: Dict[int, MachineAuditReport] = {}
     for version in FORMAT_VERSIONS:
         versioned = LogArchive(roots[version])
         stored_blobs = [versioned.stored_bytes_of(record)
@@ -331,10 +332,11 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
         service = AuditIngestService(versioned)
         target = service.target_for(machine)
 
-        def run_streaming() -> StreamAuditReport:
+        def run_streaming() -> MachineAuditReport:
             auditor = fleet.make_auditor(machine, collect=False)
             service.prepare_auditor(auditor, machine)
-            return stream_audit(auditor, target, max_chunks=chunks)
+            return AuditScheduler(chunks_per_machine=chunks).audit_fleet(
+                [AuditAssignment(auditor, target)]).machine_reports[machine]
 
         reports[version] = run_streaming()
         point.decode_wall = _best_wall(decode_all, repetitions)

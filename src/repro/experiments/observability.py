@@ -3,13 +3,13 @@
 Two halves, one experiment:
 
 * **Observed fleet** — records an archive-backed fleet with telemetry
-  enabled, stream-audits every machine from the archive, and exports the
+  enabled, audits every machine from the archive, and exports the
   run as a Chrome ``trace_event`` file (open it in ``about:tracing`` or
   `Perfetto <https://ui.perfetto.dev>`_) plus a JSONL span log.  The
   trace must cover all four pipeline layers — monitor (record), shipper,
   ingest and audit — and validate against the trace-event schema.
 
-* **Overhead head-to-head** — records and stream-audits the
+* **Overhead head-to-head** — records and audits the
   streaming-audit bench's byte-dense workload twice, once with telemetry
   off (the :data:`~repro.obs.NULL_OBS` no-op path) and once with it on,
   and compares best-of-N audit wall clocks.  The contract: audit results
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.audit.stream import stream_audit
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.verdict import AuditResult
 from repro.experiments.harness import format_table
 from repro.experiments.parallel_audit import build_fleet
@@ -108,7 +108,7 @@ def run_observed_fleet(num_machines: int = 4, duration: float = 12.0,
                        trace_path: Optional[str] = None,
                        jsonl_path: Optional[str] = None,
                        root: Optional[str] = None) -> ObservedFleetResult:
-    """Record, archive and stream-audit a fleet with telemetry enabled."""
+    """Record, archive and audit a fleet with telemetry enabled."""
     workdir = Path(root) if root is not None else Path(
         tempfile.mkdtemp(prefix="avm-obs-fleet-"))
     cleanup = root is None
@@ -139,7 +139,7 @@ def _run_observed(num_machines: int, duration: float, seed: int,
     for machine in fleet.machines:
         auditor = fleet.make_auditor(machine, collect=False)
         fleet.ingest.prepare_auditor(auditor, machine)
-        stream_audit(auditor, fleet.ingest.target_for(machine))
+        auditor.audit(fleet.ingest.target_for(machine))
 
     result = ObservedFleetResult(num_machines=num_machines,
                                  duration=duration,
@@ -271,7 +271,8 @@ def _run_overhead(duration: float, payload_bytes: int,
                           target=target):
             auditor = fleet.make_auditor(machine, collect=False)
             service.prepare_auditor(auditor, machine)
-            return stream_audit(auditor, target, max_chunks=chunks)
+            return AuditScheduler(chunks_per_machine=chunks).audit_fleet(
+                [AuditAssignment(auditor, target)]).machine_reports[machine]
 
         report = run_streaming()  # warm-up; also the identity sample
         results[mode] = report.result
@@ -279,7 +280,7 @@ def _run_overhead(duration: float, payload_bytes: int,
         if mode == "off":
             result.record_wall_off = record_wall
             result.entries = archive.entry_count(machine)
-            result.chunks = report.stats.chunks
+            result.chunks = report.chunk_count
         else:
             result.record_wall_on = record_wall
             on_fleet = fleet

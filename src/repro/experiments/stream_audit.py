@@ -8,9 +8,9 @@ audits the server's archived log twice:
 * **materializing** — the pre-streaming path: every archived entry is
   inflated into one in-memory segment before any check runs, so peak memory
   grows with log length;
-* **streaming** — the bounded-memory pipeline (:mod:`repro.audit.stream`):
-  decode, chain-verify, window-batched signature checks and chunked replay,
-  holding one chunk at a time.
+* **streaming** — the audit engine at one inline worker
+  (:class:`~repro.audit.engine.AuditScheduler`): decode, chain-verify,
+  batched signature checks and replay, one archived chunk at a time.
 
 Both paths are timed (best of ``repetitions``) and measured with
 ``tracemalloc``; the results must be *structurally identical*.  Neither
@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.audit.stream import StreamAuditReport, stream_audit
+from repro.audit.engine import (AuditAssignment, AuditScheduler,
+                                MachineAuditReport)
 from repro.audit.verdict import AuditResult
 from repro.experiments.harness import format_table
 from repro.experiments.parallel_audit import build_fleet
@@ -124,10 +125,12 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
     target = service.target_for(machine)
 
     def run_materializing() -> AuditResult:
-        return prepared_auditor().audit(target, streaming=False)
+        return prepared_auditor().audit_whole_log(target)
 
-    def run_streaming() -> StreamAuditReport:
-        return stream_audit(prepared_auditor(), target, max_chunks=chunks)
+    def run_streaming() -> MachineAuditReport:
+        return AuditScheduler(chunks_per_machine=chunks).audit_fleet(
+            [AuditAssignment(prepared_auditor(), target)]
+        ).machine_reports[machine]
 
     def best_wall(fn) -> float:
         walls = []
@@ -152,8 +155,8 @@ def _run(duration: float, payload_bytes: int, snapshot_interval: float,
         segments=len(records),
         entries=archive.entry_count(machine),
         raw_bytes=sum(record.raw_bytes for record in records),
-        chunks=streamed.stats.chunks,
-        peak_chunk_entries=streamed.stats.peak_chunk_entries,
+        chunks=streamed.chunk_count,
+        peak_chunk_entries=streamed.peak_chunk_entries,
         identical=(streamed.result == materialized),
     )
     # Wall clocks first (tracemalloc slows allocation-heavy code), then peaks.

@@ -16,7 +16,7 @@ throughput plus p50/p95/p99/p999 round-trip latency for both, answering
 The accountable run then proves the audit path end to end: segments ship to
 an :class:`~repro.service.ingest.AuditIngestService` during the run, the
 archive is drained, and the server and client are audited through the
-bounded-memory streaming pipeline (record → ship → ingest → stream-audit).
+audit engine one chunk at a time (record → ship → ingest → audit).
 Finally the whole load is replayed against the *cheating* service image
 (:mod:`repro.adversary.guests`) that serves cached responses past their
 TTL; replay against the honest reference image convicts it, with evidence a
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.adversary.guests import make_cheating_webservice_image
 from repro.audit.auditor import Auditor
-from repro.audit.stream import stream_audit
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.experiments.harness import build_trust, format_table
@@ -172,7 +172,7 @@ class ConfigurationPoint:
 
 @dataclass
 class AuditOutcome:
-    """One machine's trip through the streaming audit pipeline."""
+    """One machine's trip through the chunk-by-chunk archive audit."""
 
     machine: str
     verdict: str
@@ -210,7 +210,7 @@ class WebloadResult:
 
     @property
     def honest_pass(self) -> bool:
-        """Every honest machine passed the streaming audit."""
+        """Every honest machine passed the archive audit."""
         return bool(self.honest_audits) and all(
             outcome.verdict == "pass" for outcome in self.honest_audits)
 
@@ -366,8 +366,9 @@ def _stream_audit_run(run: _RecordedRun,
         auditor = Auditor("auditor", run.keystore,
                           run.reference_images[machine])
         run.ingest.prepare_auditor(auditor, machine)
-        report = stream_audit(auditor, run.ingest.target_for(machine),
-                              max_chunks=max_chunks)
+        report = AuditScheduler(chunks_per_machine=max_chunks).audit_fleet(
+            [AuditAssignment(auditor, run.ingest.target_for(machine))]
+        ).machine_reports[machine]
         result = report.result
         evidence_verified: Optional[bool] = None
         if result.evidence is not None:
@@ -378,7 +379,7 @@ def _stream_audit_run(run: _RecordedRun,
         outcomes.append(AuditOutcome(
             machine=machine, verdict=result.verdict.value,
             phase=result.phase.value, reason=result.reason,
-            chunks=report.stats.chunks, entries=report.stats.entries,
+            chunks=report.chunk_count, entries=report.entries,
             evidence_verified=evidence_verified))
     return outcomes
 

@@ -25,11 +25,10 @@ group: one write, one commit record, one fsync
 
 Every successfully archived segment enqueues its machine on the per-machine
 audit queue; :meth:`audit_pending` drains the queue by feeding the archived
-logs straight into PR 1's :class:`~repro.audit.engine.AuditScheduler` via
-:class:`~repro.service.target.ArchiveBackedMachine` targets.  Machines whose
-archive has been truncated by retention GC are audited on the serial path
-with the boundary snapshot as the replay start — the same protocol a spot
-check uses for a mid-log chunk.
+logs straight into the audit engine, :class:`~repro.audit.engine.AuditScheduler`,
+via :class:`~repro.service.target.ArchiveBackedMachine` targets.  A machine
+whose archive has been truncated by retention GC replays from the boundary
+snapshot — the same protocol a spot check uses for a mid-log chunk.
 """
 
 from __future__ import annotations
@@ -357,15 +356,12 @@ class AuditIngestService:
         The auditor first collects the machine's archived authenticators
         (pass ``collect=False`` when the caller already pooled
         authenticators from elsewhere — e.g. the fleet coordinator's
-        cross-shard gossip — to avoid collecting them twice).
-        A serial auditor streams the archived log chunk by chunk in
-        O(chunk) memory (:mod:`repro.audit.stream`); an engine-backed
-        auditor runs chunk-parallel with the jobs planned straight off the
-        stream (the parent holds every chunk for dispatch, so its residency
-        is the log — the worker pool is the memory boundary there).  A
-        truncated archive is anchored at the retention boundary's snapshot,
-        like a spot-check chunk.  Either way the machine leaves the pending
-        queue.
+        cross-shard gossip — to avoid collecting them twice).  The audit
+        engine reads the archived log chunk by chunk: a serial auditor holds
+        one chunk at a time, an engine-backed one a window of two per
+        worker.  A truncated archive is anchored at the retention
+        boundary's snapshot, like a spot-check chunk.  Either way the
+        machine leaves the pending queue.
         """
         if collect:
             self.prepare_auditor(auditor, machine)
@@ -376,11 +372,9 @@ class AuditIngestService:
 
     def assignments(self, make_auditor: Callable[[str], Auditor]
                     ) -> List[AuditAssignment]:
-        """Fleet assignments for every pending, untruncated machine."""
+        """Fleet assignments for every pending machine."""
         result = []
         for machine in self.pending_machines():
-            if self.target_for(machine).is_truncated():
-                continue
             auditor = make_auditor(machine)
             self.prepare_auditor(auditor, machine)
             result.append(AuditAssignment(auditor, self.target_for(machine)))
@@ -389,23 +383,16 @@ class AuditIngestService:
     def audit_pending(self, make_auditor: Callable[[str], Auditor],
                       engine: Optional[AuditScheduler] = None
                       ) -> Dict[str, AuditResult]:
-        """Drain the audit queue; returns per-machine results.
-
-        Untruncated machines go through the (possibly parallel) fleet
-        scheduler in one batch; truncated ones take the serial
-        snapshot-anchored path.  All audited machines are dequeued.
-        """
-        results: Dict[str, AuditResult] = {}
+        """Drain the audit queue in one fleet call (on ``engine``, or one
+        inline worker); returns per-machine results.  Truncated archives are
+        anchored at their retention boundary like any other start."""
         fleet = self.assignments(make_auditor)
-        if fleet:
-            scheduler = engine or AuditScheduler(workers=1)
-            report = scheduler.audit_fleet(fleet)
-            results.update(report.results)
-            for machine in report.results:
-                self._pending.pop(machine, None)
-            self._update_queue_depth()
-        for machine in self.pending_machines():
-            results[machine] = self.audit_machine(make_auditor(machine), machine)
+        if not fleet:
+            return {}
+        results = (engine or AuditScheduler()).audit_fleet(fleet).results
+        for machine in results:
+            self._pending.pop(machine, None)
+        self._update_queue_depth()
         return results
 
 

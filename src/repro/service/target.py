@@ -11,10 +11,12 @@ without changing a line of audit code — the auditor cannot tell whether the
 segments it verifies came from a live machine or from disk, and because the
 archive round-trip is bit-exact, verdicts and evidence are identical.
 
-Archive-backed targets additionally advertise ``supports_streaming``: the
-default audit path decodes, verifies and replays their logs chunk by chunk
-(:mod:`repro.audit.stream`) instead of materializing the whole retained log,
-so peak auditor memory is O(chunk) rather than O(log).
+Archive-backed targets additionally advertise ``supports_streaming``:
+``Auditor.audit`` sends them to the audit engine
+(:class:`~repro.audit.engine.AuditScheduler`), which decodes, verifies and
+replays their logs chunk by chunk (:mod:`repro.audit.stream`) instead of
+materializing the whole retained log, so peak auditor memory is O(chunk)
+rather than O(log).
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ class _ArchiveLogView:
 class ArchiveBackedMachine:
     """An audit target served from the durable archive instead of a live VMM."""
 
-    #: auditors stream this target's log instead of materializing it
-    #: (:mod:`repro.audit.stream`); duck-typed so audit code never has to
-    #: import the store layer
+    #: the audit engine reads this target's log chunk by chunk instead of
+    #: materializing it (:mod:`repro.audit.stream`); duck-typed so audit
+    #: code never has to import the store layer
     supports_streaming = True
 
     def __init__(self, archive: LogArchive, identity: str) -> None:
@@ -75,8 +77,8 @@ class ArchiveBackedMachine:
         """The retained log (or a sub-range of it) as one segment.
 
         Materializes every requested entry — no audit path calls this
-        after a detection; the streaming pipeline and the engine only do for
-        a log that cannot be chunked.
+        after a detection; the audit engine only does for a log that cannot
+        be chunked.
         """
         if first_sequence is None and last_sequence is None:
             return self.archive.materialized_log(self.identity)

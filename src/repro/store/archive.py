@@ -668,8 +668,9 @@ class LogArchive:
 
     def materialized_log(self, machine: str) -> LogSegment:
         """The whole retained log, materialized: peak memory grows with its
-        length.  Audits stream instead (:mod:`repro.audit.stream`); this is
-        for a log that cannot be chunked and callers that want it whole."""
+        length.  The audit engine reads it chunk by chunk instead
+        (:mod:`repro.audit.stream`); this is for a log that cannot be
+        chunked and callers that want it whole."""
         segments = self.segments_for(machine)
         if not segments:
             raise StoreError(f"no archived segments for {machine!r}")

@@ -8,8 +8,9 @@ and >= 2 audit modes, 100% detection on misbehaving cells, zero false
 accusations, and independently re-verifiable evidence for every accusation.
 A second slow test audits every cell's recording on every front-end —
 serial, engine (inline, process, finest chunking), spot check (serial and
-engine-backed) and, for archived cells, the materializing audit, the stream
-and the engine and spot checker over the archive — against
+engine-backed) and, for archived cells, the materializing audit, the default
+``Auditor.audit`` (the engine at one inline worker) and the engine and spot
+checker over the archive — against
 ``tests/data/conviction_pins.json``: verdict, phase and reason of every
 conviction as the serial audit reports them (``--regenerate-pins``, see
 :func:`regenerate_pins`, re-pins the sequence numbers the reasons quote and
@@ -38,7 +39,6 @@ from repro.adversary.matrix import (
 from repro.audit.engine import AuditScheduler
 from repro.audit.multiparty import EquivocationProof, find_equivocation
 from repro.audit.spot_check import SpotChecker
-from repro.audit.stream import stream_audit
 from repro.audit.verdict import AuditPhase
 from repro.crypto import hashing
 from repro.errors import HashChainError, SnapshotError
@@ -445,9 +445,8 @@ def _front_ends(matrix, ctx, adversary, machine, archived):
     if archived and not ctx.ingest.quarantine_for(machine):
         target = ctx.ingest.target_for(machine)
         ends.update({
-            "archive-serial": lambda: auditor(True).audit(target,
-                                                          streaming=False),
-            "stream": lambda: stream_audit(auditor(True), target).result,
+            "archive-serial": lambda: auditor(True).audit_whole_log(target),
+            "archive-default": lambda: auditor(True).audit(target),
             "archive-engine": lambda: engine(executor="inline")
             .audit_machine(auditor(True), target),
             "archive-spot": lambda: _first_failing(

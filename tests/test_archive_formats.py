@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.engine import AuditScheduler
-from repro.audit.stream import stream_audit
 from repro.errors import LogFormatError, SnapshotError, StoreError
 from repro.experiments.parallel_audit import build_fleet
 from repro.log.authenticator import Authenticator
@@ -588,9 +587,9 @@ def _audits(fleet, root):
     """{(front-end, machine): what the audit concluded}."""
     service = AuditIngestService(LogArchive(root))
     front_ends = {
-        "serial": lambda auditor, target: auditor.audit(target, streaming=False),
-        "stream": lambda auditor, target: stream_audit(auditor, target).result,
-        "engine": AuditScheduler(workers=1).audit_machine,
+        "serial": lambda auditor, target: auditor.audit_whole_log(target),
+        "default": lambda auditor, target: auditor.audit(target),
+        "engine": AuditScheduler(workers=2, executor="inline").audit_machine,
     }
     concluded = {}
     for machine in fleet.machines:

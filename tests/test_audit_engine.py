@@ -26,6 +26,7 @@ from repro.audit.engine import (
     AuditAssignment,
     AuditScheduler,
     _ChunkRun,
+    _MachineAudit,
     pool_starts_total,
     run_chunk,
     shutdown_worker_pools,
@@ -657,11 +658,11 @@ class TestChunkJobPickling:
         import pickle
         machine = "player1"
         engine = AuditScheduler(workers=4)
-        auditor = honest_session.make_auditor("server", machine)
-        plan = engine._plan(
-            AuditAssignment(auditor, honest_session.monitors[machine]),
-            _ChunkRun("inline", 1))
-        assert len(plan.jobs) > 1
-        job = pickle.loads(pickle.dumps(plan.jobs[-1]))
+        target = honest_session.monitors[machine]
+        audit = _MachineAudit(honest_session.make_auditor("server", machine),
+                              target, engine._chunks(target))
+        jobs = list(engine._plan(audit, _ChunkRun("inline", 1)))
+        assert len(jobs) > 1
+        job = pickle.loads(pickle.dumps(jobs[-1]))
         outcome = run_chunk(job)
         assert outcome.ok, outcome.reason

@@ -2,10 +2,12 @@
 
 "Tamper check → syntactic check → replay" used to exist in four copies that
 drifted apart.  Now it is :func:`repro.audit.kernel.run_chunk`, and every
-front-end — serial, engine, stream, spot check, online — and a third party's
-``Evidence.verify`` are ways of calling it.  These tests count: every replay
-and every syntactic check an audit performs happens inside a kernel run, and
-the source has one call site for each step.  A fifth copy fails here by name.
+front-end — serial, the audit engine, spot check, online — and a third
+party's ``Evidence.verify`` are ways of calling it.  These tests count: every
+replay and every syntactic check an audit performs happens inside a kernel
+run, and the source has one call site for each step.  A fifth copy fails
+here by name.  The engine loop is written once too: one place folds chunk
+outcomes and one reads an archive's chunks.
 
 They also count *entries*: a conviction costs the auditor the chunks up to
 the fault and a third party the evidence's own entries.  A second pass over
@@ -24,10 +26,9 @@ import pytest
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit import kernel
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
-from repro.audit.stream import stream_audit
 from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import Verdict
 from repro.avmm.replayer import DeterministicReplayer
@@ -92,8 +93,7 @@ def calls(monkeypatch) -> Counter:
     # every importer-by-name of run_chunk, and the kernel module itself
     import repro.audit.auditor as auditor_module
     import repro.audit.engine as engine_module
-    import repro.audit.stream as stream_module
-    for module in (kernel, auditor_module, engine_module, stream_module):
+    for module in (kernel, auditor_module, engine_module):
         monkeypatch.setattr(module, "run_chunk", run_chunk)
     monkeypatch.setattr(DeterministicReplayer, "replay",
                         step("replay", DeterministicReplayer.replay))
@@ -141,14 +141,17 @@ class TestEveryFrontEndReachesTheKernel:
         assert calls["kernel"] <= 2 * len(ctx.monitors)
 
     def test_stream(self, scenario, calls):
+        """An archive at one worker: the engine, one chunk per archived
+        sealing snapshot."""
         ctx = scenario[2]
         chunks = 0
         for machine in sorted(ctx.monitors):
-            report = stream_audit(_auditor(scenario, machine, archived=True),
-                                  ctx.ingest.target_for(machine))
-            assert report.stats.unchunkable_reason is None
+            report = AuditScheduler().audit_fleet([AuditAssignment(
+                _auditor(scenario, machine, archived=True),
+                ctx.ingest.target_for(machine))]).machine_reports[machine]
+            assert report.unchunkable_reason is None
             assert report.result.ok == (machine != ctx.byzantine)
-            chunks += report.stats.chunks
+            chunks += report.chunk_count
         _assert_all_in_kernel(calls, at_least=len(ctx.monitors) + 1)
         assert calls["kernel"] == chunks   # every chunk once, none again
 
@@ -199,7 +202,8 @@ class TestNoSecondPass:
         monkeypatch.setattr(LogArchive, "segments_for", refuse)
         monkeypatch.setattr(ArchiveBackedMachine, "get_log_segment", refuse)
 
-    @pytest.mark.parametrize("engine", [None, "inline"], ids=["stream", "engine"])
+    @pytest.mark.parametrize("engine", [None, "inline"],
+                             ids=["default", "engine"])
     def test_conviction_of_an_archive_target(self, late_fault, calls, engine,
                                              no_materialization):
         ctx = late_fault[2]
@@ -234,7 +238,8 @@ class TestNoSecondPass:
             < len(auditor.authenticators_for(cheater))
 
 
-    @pytest.mark.parametrize("engine", [None, "inline"], ids=["stream", "engine"])
+    @pytest.mark.parametrize("engine", [None, "inline"],
+                             ids=["default", "engine"])
     def test_an_uncovered_failing_chunk_reaches_the_next_authenticator(
             self, late_fault, engine):
         """Evidence no authenticator covers would die with a third party
@@ -291,6 +296,13 @@ class TestOneCallSitePerStep:
     def test_called_once_and_from_the_kernel(self, name):
         sites = _call_sites(name)
         assert len(sites) == 1 and sites[0].startswith("kernel.py:"), sites
+
+    @pytest.mark.parametrize("name", ["fold_outcomes", "iter_stream_chunks"])
+    def test_one_audit_loop(self, name):
+        """Chunk outcomes are folded in one place and an archive's chunks
+        read in one: the engine's, whatever the worker count."""
+        sites = _call_sites(name)
+        assert len(sites) == 1 and sites[0].startswith("engine.py:"), sites
 
     def test_the_kernel_is_a_leaf(self):
         """It imports no front-end, so every front-end can import it."""

@@ -25,10 +25,10 @@ import pytest
 from repro.adversary.accuser import ACCUSER_ADVERSARIES
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
-from repro.audit.engine import AuditAssignment, AuditScheduler, _ChunkRun
+from repro.audit.engine import (AuditAssignment, AuditScheduler, _ChunkRun,
+                                _MachineAudit)
 from repro.audit.evidence import Evidence
 from repro.audit.spot_check import SpotChecker
-from repro.audit.stream import stream_audit
 from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.errors import EvidenceError
 from repro.log.entries import EntryType
@@ -128,6 +128,12 @@ def _archive_auditor(recording, machine=SERVER):
     return auditor
 
 
+def _streamed(auditor, target):
+    """The engine at one inline worker: one chunk per archived snapshot."""
+    return AuditScheduler().audit_fleet([AuditAssignment(auditor, target)]) \
+        .machine_reports[target.identity]
+
+
 def _targets(recording, machine=SERVER):
     ctx = recording[2]
     return {"live": (_live_auditor, ctx.monitors[machine]),
@@ -152,13 +158,13 @@ def test_the_recording_has_the_straddle(honest, window):
 class TestHonestStraddlePasses:
     def test_serial_and_streamed(self, honest):
         for name, (make_auditor, target) in _targets(honest).items():
-            result = make_auditor(honest).audit(target, streaming=False)
+            result = make_auditor(honest).audit_whole_log(target)
             assert result.verdict is Verdict.PASS, name
-        report = stream_audit(_archive_auditor(honest),
-                              honest[2].ingest.target_for(SERVER))
+        report = _streamed(_archive_auditor(honest),
+                           honest[2].ingest.target_for(SERVER))
         assert report.result.verdict is Verdict.PASS
-        assert report.stats.unchunkable_reason is None
-        assert report.stats.chunks >= 4
+        assert report.unchunkable_reason is None
+        assert report.chunk_count >= 4
 
     @pytest.mark.parametrize("source", ["live", "archive"])
     def test_engine_at_two_chunks_and_at_the_finest(self, honest, source):
@@ -221,9 +227,9 @@ class TestDroppedInjectionIsConvicted:
         ctx = cheat[2]
         self._check(cheat, _live_auditor(cheat).audit(ctx.monitors[SERVER]),
                     window)
-        report = stream_audit(_archive_auditor(cheat),
-                              ctx.ingest.target_for(SERVER))
-        assert report.stats.unchunkable_reason is None
+        report = _streamed(_archive_auditor(cheat),
+                           ctx.ingest.target_for(SERVER))
+        assert report.unchunkable_reason is None
         self._check(cheat, report.result, window)
         self._check_anchor(report.result.evidence, window)
 
@@ -278,10 +284,11 @@ class TestAccuserAdversaries:
         honest server would package it."""
         ctx = honest[2]
         auditor = _live_auditor(honest)
-        plan = AuditScheduler(workers=2, chunks_per_machine=64)._plan(
-            AuditAssignment(auditor, ctx.monitors[SERVER]),
-            _ChunkRun("inline", 1))
-        job = next(job for job in plan.jobs if job.context.in_flight)
+        engine = AuditScheduler(workers=2, chunks_per_machine=64)
+        target = ctx.monitors[SERVER]
+        audit = _MachineAudit(auditor, target, engine._chunks(target))
+        job = next(job for job in engine._plan(audit, _ChunkRun("inline", 1))
+                   if job.context.in_flight)
         assert job.chunk_index > 0 and job.initial_state is not None
         accusation = AuditResult(SERVER, auditor.identity, Verdict.FAIL,
                                  AuditPhase.SEMANTIC_CHECK, "an accusation")

@@ -21,7 +21,6 @@ import zlib
 
 import pytest
 
-from repro.audit.stream import stream_audit
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import ArchiveIntegrityError
 from repro.experiments.parallel_audit import build_fleet
@@ -61,7 +60,8 @@ def v3_root(v2_root, tmp_path_factory):
 
 
 def _audit_all(fleet, root, streaming: bool):
-    """Audit every machine of an archive; returns {machine: AuditResult}."""
+    """Audit every machine of an archive — chunk by chunk on the engine, or
+    materialized on the serial front-end; returns {machine: AuditResult}."""
     results = {}
     service = AuditIngestService(LogArchive(root))
     for machine in fleet.machines:
@@ -69,9 +69,9 @@ def _audit_all(fleet, root, streaming: bool):
         service.prepare_auditor(auditor, machine)
         target = service.target_for(machine)
         if streaming:
-            results[machine] = stream_audit(auditor, target).result
+            results[machine] = auditor.audit(target)
         else:
-            results[machine] = auditor.audit(target, streaming=False)
+            results[machine] = auditor.audit_whole_log(target)
     return results
 
 

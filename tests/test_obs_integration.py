@@ -3,15 +3,16 @@
 Four contracts, end to end:
 
 * ``AuditResult.wall_seconds`` is populated by every audit front-end
-  (serial, streaming, spot-check, engine) through the one shared obs
-  timer, and never participates in structural equality;
+  (serial, the engine on an archive or a fleet, spot-check) through the
+  one shared obs timer, and never participates in structural equality;
 * the ingest service counts quarantines exactly once (single chokepoint)
   and tracks queue depth, proven against a lying shipper;
 * **determinism** — audit outcomes are structurally identical with
   telemetry off, on, and sampled at any stride, across the adversary
   matrix's archive mode;
-* the disabled fast path is genuinely free: a streaming audit under
-  ``NULL_OBS`` makes no per-entry allocations in the obs layer, and an
+* the disabled fast path is genuinely free: a chunk-by-chunk archive
+  audit under ``NULL_OBS`` makes no per-entry allocations in the obs
+  layer, and an
   observed fleet run exports a valid Chrome trace covering
   monitor -> shipper -> ingest -> audit.
 """
@@ -30,9 +31,8 @@ import repro.obs
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, MatrixReport, ScenarioMatrix
 from repro.audit.auditor import Auditor
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
-from repro.audit.stream import stream_audit
 from repro.experiments import adversary_matrix
 from repro.experiments import stream_audit as stream_audit_experiment
 from repro.experiments.observability import run_observed_fleet
@@ -61,6 +61,12 @@ def _prepared(fleet, service, machine, obs=None):
     return auditor
 
 
+def _engine_report(auditor, target):
+    """The engine's report on one archived machine, at one inline worker."""
+    return AuditScheduler().audit_fleet([AuditAssignment(auditor, target)]) \
+        .machine_reports[target.identity]
+
+
 # ---------------------------------------------------------------------------
 # Satellite 1: wall_seconds on every front-end, excluded from equality
 # ---------------------------------------------------------------------------
@@ -77,10 +83,10 @@ class TestWallSeconds:
         fleet, root = archived_fleet
         service = AuditIngestService(LogArchive(root))
         machine = fleet.machines[0]
-        report = stream_audit(_prepared(fleet, service, machine),
-                              service.target_for(machine))
-        assert report.result.ok
-        assert report.result.wall_seconds > 0.0
+        result = _prepared(fleet, service, machine).audit(
+            service.target_for(machine))
+        assert result.ok
+        assert result.wall_seconds > 0.0
 
     def test_engine_fleet_audit_populates_wall_seconds(self, archived_fleet):
         fleet, _ = archived_fleet
@@ -182,13 +188,13 @@ class TestTelemetryDifferential:
         fleet, root = archived_fleet
         service = AuditIngestService(LogArchive(root))
         for machine in fleet.machines:
-            baseline = stream_audit(_prepared(fleet, service, machine),
-                                    service.target_for(machine)).result
+            baseline = _prepared(fleet, service, machine).audit(
+                service.target_for(machine))
             obs = Observability.make()
             observed_service = AuditIngestService(LogArchive(root), obs=obs)
-            observed = stream_audit(
-                _prepared(fleet, observed_service, machine, obs=obs),
-                observed_service.target_for(machine)).result
+            observed = _prepared(fleet, observed_service, machine,
+                                 obs=obs).audit(
+                observed_service.target_for(machine))
             assert observed == baseline, \
                 f"telemetry changed the audit of {machine}"
             assert obs.metrics.value("audit.chunks_total") > 0
@@ -206,16 +212,16 @@ class TestDisabledFastPath:
         machine = fleet.machines[0]
         target = service.target_for(machine)
         # Warm up imports and caches outside the traced window.
-        stream_audit(_prepared(fleet, service, machine), target)
+        _engine_report(_prepared(fleet, service, machine), target)
 
         obs_dir = os.path.dirname(repro.obs.__file__)
         tracemalloc.start(10)
-        report = stream_audit(_prepared(fleet, service, machine), target)
+        report = _engine_report(_prepared(fleet, service, machine), target)
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
 
         assert report.result.ok
-        assert report.stats.entries > 100  # a real, multi-entry audit
+        assert report.entries > 100  # a real, multi-entry audit
         stats = snapshot.filter_traces(
             [tracemalloc.Filter(True, os.path.join(obs_dir, "*"))]
         ).statistics("filename")

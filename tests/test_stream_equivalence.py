@@ -1,12 +1,13 @@
-"""Differential tests: streaming audit == materializing audit.
+"""Differential tests: the audit engine == the materializing audit.
 
-The streaming pipeline's contract (:mod:`repro.audit.stream`) is that a
-passing streamed audit of an archived log is *structurally identical* —
-verdict, counters, replay report and modelled costs — to the serial
-materializing audit of the same archive, which in turn equals the in-memory
-audit of the live machine (established in PR 2); and that a failing one
-reaches the same verdict, phase and reason with the failing chunk, not the
-whole log, as evidence a third party confirms.  (Re-pinned when the serial
+The engine's contract (:mod:`repro.audit.engine`) is that a passing audit of
+an archived log — streamed one chunk at a time at one inline worker, or
+chunked over a pool — is *structurally identical* — verdict, counters,
+replay report and modelled costs — to the serial materializing audit of the
+same archive (``Auditor.audit_whole_log``), which in turn equals the
+in-memory audit of the live machine; and that a failing one reaches the
+same verdict, phase and reason with the failing chunk, not the whole log,
+as evidence a third party confirms.  (Re-pinned when the serial
 confirmation went: every cell's verdict, phase and reason were recorded at
 the parent commit and are the materializing audit's, asserted equal below;
 what changed is the evidence and the counters of a conviction, which now
@@ -28,7 +29,6 @@ from repro.adversary.catalog import adversary_names, make_adversary
 from repro.adversary.matrix import WORKLOADS, CellSpec, ScenarioMatrix
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
-from repro.audit.stream import stream_audit
 from repro.audit.verdict import Verdict
 from repro.errors import ReproError
 from repro.experiments.parallel_audit import build_fleet
@@ -58,18 +58,24 @@ def _prepared_auditor(fleet, service, machine):
     return auditor
 
 
+def _engine_report(auditor, target, **engine):
+    """The engine's report on one machine (one inline worker by default)."""
+    return AuditScheduler(**engine).audit_fleet(
+        [AuditAssignment(auditor, target)]).machine_reports[target.identity]
+
+
 class TestArchivedFleetEquivalence:
     def test_streaming_equals_materializing_and_memory(self, archived_fleet):
         fleet, root = archived_fleet
         service = _service(root)
         for machine in fleet.machines:
-            materialized = _prepared_auditor(fleet, service, machine).audit(
-                service.target_for(machine), streaming=False)
-            report = stream_audit(_prepared_auditor(fleet, service, machine),
-                                  service.target_for(machine))
+            materialized = _prepared_auditor(fleet, service, machine) \
+                .audit_whole_log(service.target_for(machine))
+            report = _engine_report(_prepared_auditor(fleet, service, machine),
+                             service.target_for(machine))
             in_memory = fleet.make_auditor(machine).audit(
                 fleet.monitors[machine])
-            assert report.stats.unchunkable_reason is None
+            assert report.unchunkable_reason is None
             assert report.result == materialized, \
                 f"stream vs materializing diverged for {machine}"
             assert report.result == in_memory, \
@@ -79,25 +85,30 @@ class TestArchivedFleetEquivalence:
         fleet, root = archived_fleet
         service = _service(root)
         machine = fleet.machines[0]
-        report = stream_audit(_prepared_auditor(fleet, service, machine),
-                              service.target_for(machine))
+        report = _engine_report(_prepared_auditor(fleet, service, machine),
+                         service.target_for(machine))
         assert report.result.verdict is Verdict.PASS
-        assert report.stats.chunks > 1
-        assert report.stats.peak_chunk_entries < report.stats.entries
+        assert report.chunk_count > 1
+        assert report.peak_chunk_entries < report.entries
 
     def test_default_audit_path_streams(self, archived_fleet):
-        """``Auditor.audit`` of an archive target takes the streaming path
-        (same result object, produced without whole-log materialization)."""
+        """``Auditor.audit`` of an archive target takes the engine at one
+        inline worker (same result object, produced without whole-log
+        materialization)."""
         fleet, root = archived_fleet
         service = _service(root)
         machine = fleet.machines[0]
         default = service.audit_machine(
             fleet.make_auditor(machine, collect=False), machine)
-        report = stream_audit(_prepared_auditor(fleet, service, machine),
-                              service.target_for(machine))
+        report = _engine_report(_prepared_auditor(fleet, service, machine),
+                         service.target_for(machine))
         assert default == report.result
 
-    def test_engine_from_archive_matches_serial(self, archived_fleet):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_engine_from_archive_matches_serial(self, archived_fleet, workers):
+        """The whole result, costs included, at any worker count: chunk VMs
+        restore absolute instruction counters from boundary snapshots and
+        the cost is the whole log's, so nothing depends on the chunking."""
         fleet, root = archived_fleet
         service = _service(root)
         assignments = []
@@ -105,21 +116,14 @@ class TestArchivedFleetEquivalence:
             auditor = _prepared_auditor(fleet, service, machine)
             assignments.append(
                 AuditAssignment(auditor, service.target_for(machine)))
-        engine_report = AuditScheduler(workers=2, executor="thread") \
+        engine_report = AuditScheduler(workers=workers, executor="thread") \
             .audit_fleet(assignments)
         assert engine_report.chunk_count > len(fleet.machines)
         for machine in fleet.machines:
-            serial = _prepared_auditor(fleet, service, machine).audit(
-                service.target_for(machine), streaming=False)
-            assert engine_report.results[machine].verdict is serial.verdict
-            assert engine_report.results[machine].verdict is Verdict.PASS
-            # Chunk VMs restore absolute instruction counters from boundary
-            # snapshots; the merged fast-path report must not double-count.
-            merged = engine_report.results[machine].replay_report
-            assert merged.instructions_executed == \
-                serial.replay_report.instructions_executed
-            assert merged.entries_replayed == \
-                serial.replay_report.entries_replayed
+            serial = _prepared_auditor(fleet, service, machine) \
+                .audit_whole_log(service.target_for(machine))
+            assert serial.verdict is Verdict.PASS
+            assert engine_report.results[machine] == serial
 
     def test_spot_checker_lazy_source_matches(self, archived_fleet):
         fleet, root = archived_fleet
@@ -179,40 +183,24 @@ class TestReviewRegressions:
     def test_unverifiable_boundary_snapshot_is_handed_over(
             self, archived_fleet, monkeypatch):
         """A log that cannot be chunked goes to the materializing audit
-        instead of raising out of the pipeline."""
-        import repro.audit.stream as stream_module
+        instead of raising out of the engine."""
+        import repro.audit.engine as engine_module
         from repro.errors import MissingSnapshotError
 
         def refuse(target, snapshot_entry):
             raise MissingSnapshotError("simulated unverifiable snapshot")
 
-        monkeypatch.setattr(stream_module, "fetch_verified_snapshot_entry",
+        monkeypatch.setattr(engine_module, "fetch_verified_snapshot_entry",
                             refuse)
         fleet, root = archived_fleet
         service = _service(root)
         machine = fleet.machines[0]
-        report = stream_audit(_prepared_auditor(fleet, service, machine),
-                              service.target_for(machine))
-        assert report.stats.unchunkable_reason == \
-            "simulated unverifiable snapshot"
-        materialized = _prepared_auditor(fleet, service, machine).audit(
-            service.target_for(machine), streaming=False)
+        report = _engine_report(_prepared_auditor(fleet, service, machine),
+                         service.target_for(machine))
+        assert report.unchunkable_reason == "simulated unverifiable snapshot"
+        materialized = _prepared_auditor(fleet, service, machine) \
+            .audit_whole_log(service.target_for(machine))
         assert report.result == materialized
-
-    def test_streaming_false_bypasses_the_engine(self, archived_fleet):
-        """``streaming=False`` forces the serial materializing path even when
-        the auditor has an engine (whose plans are stream-built)."""
-        fleet, root = archived_fleet
-        service = _service(root)
-        machine = fleet.machines[0]
-        engine_backed = fleet.make_auditor(machine, collect=False)
-        engine_backed.workers = 2
-        service.prepare_auditor(engine_backed, machine)
-        forced = engine_backed.audit(service.target_for(machine),
-                                     streaming=False)
-        serial = _prepared_auditor(fleet, service, machine).audit(
-            service.target_for(machine), streaming=False)
-        assert forced == serial
 
     def test_explicit_initial_state_wins_on_truncated_targets(
             self, archived_fleet, tmp_path):
@@ -232,8 +220,7 @@ class TestReviewRegressions:
         # were target.initial_state() to silently win, the audit would PASS.
         with pytest.raises(ReproError):
             _prepared_auditor(fleet, service, machine).audit(
-                service.target_for(machine), initial_state=wrong_state,
-                streaming=False)
+                service.target_for(machine), initial_state=wrong_state)
 
 
 def test_full_segment_shim_is_gone(archived_fleet):
@@ -261,15 +248,68 @@ class TestTruncatedArchiveEquivalence:
                 archive.truncate(machine, head.sequence // 2)
                 assert archive.retained_checkpoint(machine) is not None
                 materialized = _prepared_auditor(fleet, service, machine) \
-                    .audit(service.target_for(machine), streaming=False)
-                report = stream_audit(
-                    _prepared_auditor(fleet, service, machine),
-                    service.target_for(machine))
-                assert report.stats.unchunkable_reason is None
+                    .audit_whole_log(service.target_for(machine))
+                report = _engine_report(_prepared_auditor(fleet, service, machine),
+                                 service.target_for(machine))
+                assert report.unchunkable_reason is None
                 assert report.result == materialized, \
                     f"truncated stream vs materializing diverged for {machine}"
                 assert report.result.verdict is Verdict.PASS
                 assert report.result.cost.snapshot_bytes_downloaded > 0
+
+    @pytest.mark.parametrize("engine", [None, 2], ids=["default", "2-workers"])
+    def test_audit_pending_drains_truncated_and_whole_in_one_call(
+            self, archived_fleet, tmp_path, engine):
+        """A truncated and an untruncated machine, drained together, audit
+        exactly as they do one by one: the engine anchors the truncated log
+        at its retention boundary itself."""
+        import shutil
+        fleet, root = archived_fleet
+        shutil.copytree(root, tmp_path / "archive")
+        archive = LogArchive(tmp_path / "archive")
+        truncated, whole = fleet.machines[:2]
+        archive.truncate(truncated,
+                         archive.head_checkpoint(truncated).sequence // 2)
+        assert archive.retained_checkpoint(truncated) is not None
+        service = AuditIngestService(archive)
+        for machine in (truncated, whole):
+            service.enqueue_pending(machine)
+
+        def make_auditor(machine):
+            return fleet.make_auditor(machine, collect=False)
+
+        drained = service.audit_pending(
+            make_auditor, engine=engine and AuditScheduler(
+                workers=engine, executor="thread"))
+        assert service.pending_machines() == []
+        one_by_one = {machine: service.audit_machine(make_auditor(machine),
+                                                     machine)
+                      for machine in (truncated, whole)}
+        assert drained == one_by_one
+        assert all(result.ok for result in drained.values())
+        assert drained[truncated].cost.snapshot_bytes_downloaded > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_empty_archive_is_an_error_before_any_work(
+        archived_fleet, tmp_path, monkeypatch, workers):
+    import repro.audit.engine as engine_module
+    from repro.errors import StoreError
+    fleet, root = archived_fleet
+    service = _service(root)
+    audited, absent = fleet.machines[:2]
+    ran = []
+    monkeypatch.setattr(engine_module, "run_chunk", ran.append)
+    empty = AuditIngestService(LogArchive(tmp_path / "empty"))
+    assignments = [
+        AuditAssignment(_prepared_auditor(fleet, service, audited),
+                        service.target_for(audited)),
+        AuditAssignment(fleet.make_auditor(absent, collect=False),
+                        empty.target_for(absent))]
+    engine = AuditScheduler(workers=workers, executor="thread")
+    with pytest.raises(StoreError, match="no archived segments"):
+        engine.audit_fleet(assignments)
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +362,12 @@ def _compare_cell(adversary_name: str, workload: str, seed: int) -> None:
                 return auditor
 
             try:
-                materialized = _prepared().audit(target, streaming=False)
+                materialized = _prepared().audit_whole_log(target)
                 materialized_error = None
             except ReproError as exc:
                 materialized, materialized_error = None, exc
             try:
-                streamed = stream_audit(_prepared(), target).result
+                streamed = _prepared().audit(target)
                 streamed_error = None
             except ReproError as exc:
                 streamed, streamed_error = None, exc
@@ -360,6 +400,43 @@ def test_adversary_cell_differential_fast(adversary_name, workload):
     _compare_cell(adversary_name, workload, seed=5000)
 
 
+@pytest.mark.parametrize("adversary_name,workload", _FAST_CELLS)
+def test_the_engine_is_the_same_on_every_executor(adversary_name, workload):
+    """A pass is ``audit_whole_log``'s at every worker count and executor; a
+    conviction, at one chunking, is one result — verdict, phase, reason,
+    cost and evidence — whatever runs the chunks."""
+    with tempfile.TemporaryDirectory(prefix="engine-diff-") as tmp:
+        matrix, adversary, ctx = _run_archived_scenario(
+            adversary_name, workload, 5000, tmp)
+        for machine in sorted(ctx.monitors):
+            if ctx.ingest.quarantine_for(machine):
+                continue
+            target = ctx.ingest.target_for(machine)
+
+            def audit(**engine):
+                auditor = matrix._make_auditor(ctx, machine, adversary)
+                ctx.ingest.prepare_auditor(auditor, machine)
+                if not engine:
+                    return auditor.audit_whole_log(target)
+                return AuditScheduler(**engine).audit_machine(auditor, target)
+
+            serial = audit()
+            for chunks in ((None,) if serial.ok else (None, 64)):
+                results = {
+                    (workers, executor): audit(
+                        workers=workers, executor=executor,
+                        chunks_per_machine=chunks)
+                    for workers in (1, 2, 4)
+                    for executor in ("inline", "thread", "process")}
+                reference = serial if serial.ok \
+                    else results[1, "inline"] if chunks else None
+                for where, result in results.items():
+                    where = f"{adversary_name}: {machine} on {where}"
+                    assert result.verdict is serial.verdict, where
+                    if reference is not None:
+                        assert result == reference, where
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("adversary_name", adversary_names())
@@ -376,16 +453,23 @@ def test_sixteen_machine_archived_fleet_differential(tmp_path):
     service = _service(root)
     for machine in fleet.machines:
         in_memory = fleet.make_auditor(machine).audit(fleet.monitors[machine])
-        report = stream_audit(_prepared_auditor(fleet, service, machine),
-                              service.target_for(machine))
-        assert report.stats.unchunkable_reason is None
+        report = _engine_report(_prepared_auditor(fleet, service, machine),
+                         service.target_for(machine))
+        assert report.unchunkable_reason is None
         if report.result != in_memory:
             pytest.fail(f"16-machine fleet, machine {machine}: streaming vs "
                         f"in-memory divergence\n  in-memory: {in_memory}\n"
                         f"  streaming: {report.result}")
-    # ...and the parallel engine agrees from the same archive.
-    assignments = [AuditAssignment(_prepared_auditor(fleet, service, machine),
-                                   service.target_for(machine))
-                   for machine in fleet.machines]
-    engine_report = AuditScheduler(workers=4).audit_fleet(assignments)
-    assert engine_report.all_passed
+    # ...and the parallel engine agrees from the same archive, exactly.
+    for workers in (2, 4):
+        assignments = [
+            AuditAssignment(_prepared_auditor(fleet, service, machine),
+                            service.target_for(machine))
+            for machine in fleet.machines]
+        engine_report = AuditScheduler(workers=workers).audit_fleet(
+            assignments)
+        for machine in fleet.machines:
+            serial = _prepared_auditor(fleet, service, machine) \
+                .audit_whole_log(service.target_for(machine))
+            assert engine_report.results[machine] == serial, \
+                f"{workers} workers, machine {machine}"

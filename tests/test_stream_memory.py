@@ -1,15 +1,18 @@
-"""tracemalloc memory-bound regression tests for the streaming audit.
+"""tracemalloc memory-bound regression tests for the audit engine.
 
-The pipeline's promise is O(chunk) residency: peak traced memory must stay
-under a fixed multiple of the chunk size (nothing on the audit path runs a
-compressor, so there is no constant working set to discount), while the
-materializing path — which inflates the whole archived log before any check
-runs — blows through the same bound.  The slow test pins this on a
-200-snapshot archived run; the fast variant is the same assertion at smoke
-scale.  The promise holds for the machine that gets convicted as much as
-for the honest one: the *convicted* variants audit a server whose fault is
-two thirds into its log and hold the conviction — evidence included — to the
-same bound.
+The engine's promise is residency bounded by its window, not by the log: it
+holds at most ``in_flight`` submitted chunks (one on the inline executor,
+two per worker on a pool) plus the one it is decoding, so peak traced memory
+must stay under a fixed multiple of the chunk size times that window
+(nothing on the audit path runs a compressor, so there is no constant
+working set to discount), while the materializing path — which inflates the
+whole archived log before any check runs — blows through the same bound.
+Each test runs at one inline worker and at two thread workers.  The slow
+tests pin this on a 200-snapshot archived run; the fast variants are the
+same assertion at smoke scale.  The promise holds for the machine that gets
+convicted as much as for the honest one: the *convicted* variants audit a
+server whose fault is two thirds into its log and hold the conviction —
+evidence included — to the same bound.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import pytest
 from dataclasses import replace
 
 from repro.adversary.guests import CheatingKvServerGuest
-from repro.audit.stream import stream_audit
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.experiments.parallel_audit import build_fleet
 from repro.service.ingest import AuditIngestService
@@ -31,9 +34,12 @@ from repro.workloads.kvstore import KvServerGuest
 from repro.workloads.sqlbench import SqlBenchSettings
 
 #: the traced peak must stay under this multiple of the largest chunk's raw
-#: bytes, plus a small fixed pipeline overhead
+#: bytes per chunk in flight, plus a small fixed overhead
 CHUNK_MULTIPLE = 6
 FIXED_OVERHEAD = 1_200_000
+
+WORKERS = pytest.mark.parametrize("workers,executor",
+                                  [(1, "inline"), (2, "thread")])
 
 
 def _traced_peak(fn) -> int:
@@ -59,6 +65,7 @@ class _LateSweetener(CheatingKvServerGuest):
 
 
 def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
+                            workers: int, executor: str,
                             convicted: bool = False):
     snapshot_interval = duration / snapshots
     root = tmp_path / "archive"
@@ -75,9 +82,13 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
     records = archive.segment_records(machine)
     assert len(archive.snapshot_store(machine).snapshot_ids()) >= snapshots
 
-    #: chunk the stream ~4 segments at a time; the bound scales with this
+    #: chunk the log ~4 segments at a time; the bound scales with this
     chunks = max(4, len(records) // 4)
     chunk_raw = -(-sum(r.raw_bytes for r in records) // chunks)  # ceil
+    #: jobs submitted and not yet folded (``_ChunkRun.bound``)
+    in_flight = 1 if executor == "inline" else 2 * workers
+    engine = AuditScheduler(workers=workers, executor=executor,
+                            chunks_per_machine=chunks)
 
     reference = fleet.reference_images[machine]
     if convicted:   # same disk, another query engine (24 requests a second)
@@ -90,10 +101,15 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
         service.prepare_auditor(auditor, machine)
         return auditor
 
+    def engine_report(auditor):
+        return engine.audit_fleet([AuditAssignment(auditor, target)]) \
+            .machine_reports[machine]
+
     target = service.target_for(machine)
-    streamed = stream_audit(prepared_auditor(), target, max_chunks=chunks)
-    assert streamed.stats.unchunkable_reason is None
-    materialized = prepared_auditor().audit(target, streaming=False)
+    streamed = engine_report(prepared_auditor())
+    assert streamed.unchunkable_reason is None
+    assert streamed.chunk_count <= chunks
+    materialized = prepared_auditor().audit_whole_log(target)
     if convicted:
         result = streamed.result
         assert result.verdict is materialized.verdict is Verdict.FAIL
@@ -102,7 +118,7 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
         # a late chunk, not the log: what the third party replays is small
         evidence = result.evidence
         assert evidence.segment.first_sequence > records[-1].last_sequence // 2
-        assert len(evidence.segment.entries) <= streamed.stats.peak_chunk_entries
+        assert len(evidence.segment.entries) <= streamed.peak_chunk_entries
         assert evidence.verify(fleet.keystore, reference)
     else:
         assert streamed.result == materialized
@@ -111,17 +127,17 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
     # state both paths share) outside the traced region, so the peaks
     # measure what the *audit* holds.
     stream_auditor = prepared_auditor()
-    stream_peak = _traced_peak(
-        lambda: stream_audit(stream_auditor, target, max_chunks=chunks))
+    stream_peak = _traced_peak(lambda: engine_report(stream_auditor))
     materializing_auditor = prepared_auditor()
     materializing_peak = _traced_peak(
-        lambda: materializing_auditor.audit(target, streaming=False))
-    bound = CHUNK_MULTIPLE * chunk_raw + FIXED_OVERHEAD
+        lambda: materializing_auditor.audit_whole_log(target))
+    bound = CHUNK_MULTIPLE * chunk_raw * in_flight + FIXED_OVERHEAD
 
     assert stream_peak <= bound, (
-        f"streaming audit of {len(records)} segments used "
-        f"{stream_peak:,} B; bound was {bound:,} B "
-        f"({CHUNK_MULTIPLE}x the {chunk_raw:,} B chunk)")
+        f"engine audit of {len(records)} segments on {workers} {executor} "
+        f"workers used {stream_peak:,} B; bound was {bound:,} B "
+        f"({CHUNK_MULTIPLE}x the {chunk_raw:,} B chunk x {in_flight} "
+        f"in flight)")
     assert materializing_peak > bound, (
         f"materializing path stayed under the chunk bound "
         f"({materializing_peak:,} B <= {bound:,} B) — the bound no longer "
@@ -130,24 +146,33 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
 
 
 @pytest.mark.slow
-def test_stream_memory_bound_200_snapshots(tmp_path):
-    """A 200-snapshot archived run: streaming stays O(chunk), full doesn't."""
-    _run_memory_bound_check(tmp_path, duration=50.0, snapshots=200)
+@WORKERS
+def test_stream_memory_bound_200_snapshots(tmp_path, workers, executor):
+    """A 200-snapshot archived run: the engine stays O(window), full doesn't."""
+    _run_memory_bound_check(tmp_path, duration=50.0, snapshots=200,
+                            workers=workers, executor=executor)
 
 
-def test_stream_memory_bound_smoke(tmp_path):
+@WORKERS
+def test_stream_memory_bound_smoke(tmp_path, workers, executor):
     """Smoke-sized variant of the 200-snapshot bound (fast stage)."""
-    _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40)
+    _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40,
+                            workers=workers, executor=executor)
 
 
 @pytest.mark.slow
-def test_convicted_stream_memory_bound_200_snapshots(tmp_path):
+@WORKERS
+def test_convicted_stream_memory_bound_200_snapshots(tmp_path, workers,
+                                                     executor):
     """The failing log is held to the passing log's bound."""
     _run_memory_bound_check(tmp_path, duration=50.0, snapshots=200,
+                            workers=workers, executor=executor,
                             convicted=True)
 
 
-def test_convicted_stream_memory_bound_smoke(tmp_path):
+@WORKERS
+def test_convicted_stream_memory_bound_smoke(tmp_path, workers, executor):
     """Smoke-sized variant of the failing-log bound (fast stage)."""
     _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40,
+                            workers=workers, executor=executor,
                             convicted=True)
