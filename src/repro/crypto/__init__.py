@@ -4,9 +4,9 @@ The paper's AVMM relies on three cryptographic primitives (Section 4.1):
 
 * a hash function that is pre-image, second-pre-image and collision resistant
   — provided by :mod:`repro.crypto.hashing` (SHA-256);
-* certified keypairs used to sign messages — provided by
-  :mod:`repro.crypto.rsa` (from-scratch RSA) and :mod:`repro.crypto.keys`
-  (certificates and a keystore acting as the certification authority);
+* certified keypairs used to sign messages — provided by :mod:`repro.crypto.rsa`
+  (from-scratch RSA over libcrypto's exponentiation, :mod:`repro.crypto.modexp`)
+  and :mod:`repro.crypto.keys` (certificates and a keystore acting as the CA);
 * hash trees over VM state used to authenticate snapshots — provided by
   :mod:`repro.crypto.merkle`.
 

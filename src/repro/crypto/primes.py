@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.crypto.modexp import modexp
 from repro.errors import KeyGenerationError
 
 # Small primes used for fast trial division before Miller-Rabin.
@@ -47,7 +48,7 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
         r += 1
 
     def composite_witness(a: int) -> bool:
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x == 1 or x == n - 1:
             return False
         for _ in range(r - 1):

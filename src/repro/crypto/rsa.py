@@ -1,4 +1,4 @@
-"""RSA key generation, signing and verification, from scratch.
+"""RSA key generation, signing and verification.
 
 The paper's prototype signs every outgoing packet and acknowledgment with a
 768-bit RSA key (Section 6.2).  We implement hash-then-sign RSA with a simple
@@ -7,6 +7,10 @@ with counter-mode hashing to the modulus size and signed with the private
 exponent.  This is adequate for the reproduction's purpose (non-repudiation
 among simulated parties and a realistic cost model), and the key size is
 configurable so experiments can compare RSA-768 against larger keys.
+
+The encoding, CRT signing and seeded key generation are written from scratch;
+each modular exponentiation is libcrypto's (:mod:`repro.crypto.modexp`),
+byte-identical to ``pow``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import hashing
+from repro.crypto.modexp import modexp
 from repro.crypto.primes import generate_prime
 from repro.errors import KeyGenerationError, SignatureError
 
@@ -44,7 +49,7 @@ class RsaPublicKey:
         sig_int = int.from_bytes(signature, "big")
         if sig_int >= self.modulus:
             return False
-        recovered = pow(sig_int, self.exponent, self.modulus)
+        recovered = modexp(sig_int, self.exponent, self.modulus)
         expected = encode_digest(message, self.modulus)
         return recovered == expected
 
@@ -60,35 +65,29 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key; carries the matching public key.
+    """RSA private key; carries the matching public key and its factors.
 
-    When the prime factorisation is available (keys made by
-    :func:`generate_keypair`), signing uses the CRT decomposition — two
-    half-size exponentiations plus a recombination, ~3-4x faster than a
-    single ``pow(m, d, n)`` and byte-identical in output.  Keys restored
-    without the factors (``prime_p is None``) fall back to the direct form.
+    Signing uses the CRT decomposition: two half-size exponentiations plus a
+    Garner recombination, byte-identical to ``pow(m, d, n)``.
     """
 
     modulus: int
     exponent: int  # private exponent d
     public: RsaPublicKey
-    prime_p: int | None = None
-    prime_q: int | None = None
-    exponent_dp: int | None = None  # d mod (p-1)
-    exponent_dq: int | None = None  # d mod (q-1)
-    q_inverse: int | None = None    # q^-1 mod p
+    prime_p: int
+    prime_q: int
+    exponent_dp: int  # d mod (p-1)
+    exponent_dq: int  # d mod (q-1)
+    q_inverse: int    # q^-1 mod p
 
     def sign(self, message: bytes) -> bytes:
         """Sign ``message`` (hash-then-sign)."""
         digest_int = encode_digest(message, self.modulus)
-        if self.prime_p is not None:
-            sig_p = pow(digest_int % self.prime_p, self.exponent_dp, self.prime_p)
-            sig_q = pow(digest_int % self.prime_q, self.exponent_dq, self.prime_q)
-            # Garner recombination: sig = sig_q + q * ((sig_p - sig_q) / q mod p)
-            sig_int = sig_q + self.prime_q * (
-                ((sig_p - sig_q) * self.q_inverse) % self.prime_p)
-        else:
-            sig_int = pow(digest_int, self.exponent, self.modulus)
+        sig_p = modexp(digest_int, self.exponent_dp, self.prime_p)
+        sig_q = modexp(digest_int, self.exponent_dq, self.prime_q)
+        # Garner recombination: sig = sig_q + q * ((sig_p - sig_q) / q mod p)
+        sig_int = sig_q + self.prime_q * (
+            ((sig_p - sig_q) * self.q_inverse) % self.prime_p)
         return sig_int.to_bytes(self.public.byte_length(), "big")
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import hashing
+from repro.crypto.modexp import modexp
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, encode_digest, generate_keypair
 from repro.errors import SignatureError
 
@@ -165,7 +166,7 @@ class RsaVerifyKey(VerifyKey):
             for _, sig_int, digest_int in batch:
                 sig_product = (sig_product * sig_int) % n
                 digest_product = (digest_product * digest_int) % n
-            return pow(sig_product, e, n) == digest_product
+            return modexp(sig_product, e, n) == digest_product
 
         def isolate(batch: Sequence[Tuple[int, int, int]]) -> None:
             nonlocal singles
@@ -175,7 +176,7 @@ class RsaVerifyKey(VerifyKey):
                 # A single pair: the screen *is* the verification.
                 singles += 1
                 index, sig_int, digest_int = batch[0]
-                if pow(sig_int, e, n) != digest_int:
+                if modexp(sig_int, e, n) != digest_int:
                     invalid.append(index)
                 return
             if screen(batch):

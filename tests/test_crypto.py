@@ -1,11 +1,15 @@
 """Tests for the cryptographic substrate: hashing, primes, RSA, keys, schemes."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto import hashing
+from repro.crypto import modexp as native
 from repro.crypto.keys import CertificateAuthority, KeyStore
 from repro.crypto.primes import generate_prime, is_probable_prime
-from repro.crypto.rsa import RsaPrivateKey, generate_keypair
+from repro.crypto.rsa import encode_digest, generate_keypair
 from repro.crypto.signatures import NullScheme, RsaScheme, SimulatedEsignScheme, get_scheme
 from repro.errors import CertificateError, KeyGenerationError, SignatureError
 
@@ -93,14 +97,12 @@ class TestRsa:
         assert len(keypair.sign(b"x")) == keypair.public.byte_length()
 
     def test_crt_signature_matches_direct_exponentiation(self, keypair):
-        # Generated keys carry CRT factors; a key stripped down to (n, d)
-        # must produce byte-identical signatures on the slow path.
-        assert keypair.prime_p is not None
-        plain = RsaPrivateKey(modulus=keypair.modulus,
-                              exponent=keypair.exponent,
-                              public=keypair.public)
+        # The CRT signature must be byte-identical to the textbook m^d mod n.
         for message in (b"", b"hello", b"x" * 1000):
-            assert keypair.sign(message) == plain.sign(message)
+            digest = encode_digest(message, keypair.modulus)
+            direct = pow(digest, keypair.exponent, keypair.modulus)
+            assert keypair.sign(message) == direct.to_bytes(
+                keypair.public.byte_length(), "big")
 
     def test_deterministic_keygen(self):
         a = generate_keypair(bits=512, seed=5)
@@ -119,6 +121,126 @@ class TestRsa:
     def test_too_small_modulus_rejected(self):
         with pytest.raises(KeyGenerationError):
             generate_keypair(bits=128)
+
+
+#: ``generate_keypair(768, seed)`` -> (modulus, signature of _PIN_MESSAGE),
+#: as hex, computed with the builtin ``pow`` before the native exponentiation
+#: existed: a kernel that ever diverges from ``pow`` fails here by seed.
+_PIN_MESSAGE = b"accountable virtual machines"
+_PINS = {
+    1: ("99406889e6fcc606888e83d386054ae0c210390b48b15a6ddb2573becec39265"
+        "269215eed8db9803c144fdd52e95feae7da778ff0f3d6dcb0515109221da67c9"
+        "bad79aef7fcc5769397cdb8ca07f497d8cb1d8fe6462706d6d0d41b1bb14faab",
+        "485d8115ddcec5ea10674ed4049c5f8245d3f93317fe6fd68c1b86bcabbbd694"
+        "41b15903a4778aca344426e435acecd7bc6fe3304dc075c1f9f36157e66f8d62"
+        "8ca5dd6e56cfb935e4b96c385f5eb3fa139bf1709addafe31eebe6f3d58e19e5"),
+    42: ("8363e45743f7d53cd55b57f1f399221b203ebc3c638fd4d48ca7a0324aa78764"
+         "09f5f031283b7cffd1c6cf18c259f030e607c40be2fc971dd188d8c4a0a18a0e"
+         "a3756b196e60e738235c9ca2ec77da9629a1ab399d936aa562abc86251808f2d",
+         "727a0855935f3ad7813c3f4d19cc2b9ce06929e8088531796370330b02daa4de"
+         "cb0a8c68685f3aca04d44d0361c7140afbb2535ce86559fafff559455d214857"
+         "8686d8c61ed71f7e9d55e9ac6a66c9b4c69ffcaaae6025cc4ebc4be2adbe3a18"),
+    2010: ("a3edd75815e9da14b0f58535f0d734b03b4f5e111fe8e4957ca0a592f9cbcf15"
+           "976ce45c2e22040a279ab2bac75b4f892f4d02ea97d938d24c141ef82a51fbd3"
+           "fb5c29b2c2e8a0e8a1149495ca137370001f7a4fe8bab249f4876ea723b5677f",
+           "69b7f7e59a0c69f042d8974a5c6ebc147cd98f986cdf510b64b80d3b8c403aed"
+           "e9c91846b62ab678247761374003bfae033e699b858665f2ea3ae138135759f3"
+           "b91c81c7e4d0a435a51675e82f0d8b74333008ee3a51068dbec619ac067aab66"),
+}
+
+
+@pytest.fixture(params=["native", "fallback"])
+def backend(request, monkeypatch):
+    """Run a test on libcrypto (where this build has it) and on ``pow``."""
+    if request.param == "fallback":
+        monkeypatch.setattr(native, "_libcrypto", lambda: None)
+    return request.param
+
+
+def _batch_with_culprit(key, count=16, culprit=11):
+    """``count`` signed messages under ``key``, one signature swapped."""
+    items = [(b"message %d" % i, key.sign(b"message %d" % i)) for i in range(count)]
+    items[culprit] = (items[culprit][0], key.sign(b"forged"))
+    return items
+
+
+class TestModexp:
+    def test_modexp_matches_pow(self, backend):
+        rng = random.Random(2010)
+        for bits in (64, 127, 384, 768, 1024, 2048):
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            bases = (0, 1, n - 1, n, n + 1, 3 * n + 7, -5,
+                     rng.randrange(n), rng.getrandbits(2 * bits))
+            # Public exponents up to 64 bits take the variable-time ladder,
+            # longer ones the constant-time one: both sides of the cut.
+            exponents = (0, 1, 65537, (1 << 64) - 1, 1 << 64,
+                         rng.getrandbits(bits) | (1 << (bits - 1)))
+            for base in bases:
+                for exponent in exponents:
+                    assert native.modexp(base, exponent, n) == pow(base, exponent, n), (
+                        bits, base, exponent)
+
+    def test_modexp_rejects_what_it_cannot_compute(self, backend):
+        for modulus in (-7, 0, 1, 2, 10, 1 << 768):
+            with pytest.raises(ValueError):
+                native.modexp(3, 5, modulus)
+        with pytest.raises(ValueError):
+            native.modexp(3, -1, 7)
+
+    @pytest.mark.parametrize("seed", sorted(_PINS), ids=lambda seed: f"seed-{seed}")
+    def test_modexp_pinned_key_and_signature(self, backend, seed):
+        modulus, signature = _PINS[seed]
+        key = generate_keypair(768, seed=seed)
+        assert format(key.modulus, "x") == modulus
+        assert key.sign(_PIN_MESSAGE).hex() == signature
+        assert key.public.verify(_PIN_MESSAGE, bytes.fromhex(signature))
+
+    def test_modexp_fallback_gives_the_same_keys_and_verdicts(self, monkeypatch):
+        def run():
+            key = RsaScheme(768).generate("alice", seed=7)
+            items = _batch_with_culprit(key)
+            return (key._private, [signature for _, signature in items],
+                    key.verify_key.verify_many(items))
+
+        native_run = run()
+        monkeypatch.setattr(native, "_libcrypto", lambda: None)
+        fallback_run = run()
+        assert native_run == fallback_run
+        batch = fallback_run[2]
+        assert batch.invalid_indices == (11,)
+        assert batch.screen_operations > 1  # the culprit was bisected out
+
+    def test_modexp_threads_agree_with_the_serial_run(self):
+        # ctypes releases the GIL around each libcrypto call, and the audit
+        # engine's thread executor runs verify_many concurrently.
+        key = RsaScheme(768).generate("alice", seed=7)
+        messages = [b"message %d" % i for i in range(12)]
+        items = _batch_with_culprit(key, count=12, culprit=5)
+        expected = ([key.sign(m) for m in messages], key.verify_key.verify_many(items))
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(3):
+                    results.append(([key.sign(m) for m in messages],
+                                    key.verify_key.verify_many(items)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 8 * 3
+        assert all(result == expected for result in results)
 
 
 class TestSignatureSchemes:
