@@ -62,7 +62,6 @@ class HiddenNondeterminismAdversary(Adversary):
             # A table no query ever touches: nothing overwrites the poke, so
             # the next snapshot root provably differs from the replayed one.
             guest.tables["__shadow__"] = {"poked": self.rng.randrange(1 << 30)}
-            guest.tables.mark_dirty("__shadow__")
         else:
             guest.local_ammo += 50 + self.rng.randrange(50)
         ctx.notes["mutated_at"] = ctx.scheduler.clock.now

@@ -578,18 +578,15 @@ class AccountableVMM:
     # ------------------------------------------------------------------ snapshots
 
     def take_snapshot(self) -> int:
-        """Take a copy-on-write snapshot now; returns the snapshot id.
+        """Take an incremental snapshot now; returns the snapshot id.
 
-        The VM reports what changed since the previous snapshot
-        (:meth:`~repro.vm.machine.VirtualMachine.get_dirty_state`), so
-        serialisation, page diffing and the hash-tree update all cost
-        O(dirty), not O(state) — and the performance-model charge scales
-        with the dirty bytes accordingly (Section 4.4).
+        The whole VM state is serialised and its pages diffed against the
+        previous snapshot's; the hash tree is repaired at the changed pages
+        only, and the performance-model charge scales with the changed
+        bytes (Section 4.4).
         """
-        view = self.vm.get_dirty_state()
-        snapshot = self.snapshots.take(view.state, self.vm.execution_timestamp,
-                                       dirty_paths=view.dirty_paths)
-        self.vm.mark_snapshot_taken()
+        snapshot = self.snapshots.take(self.vm.get_full_state(),
+                                       self.vm.execution_timestamp)
         delta = self.snapshots.get_incremental(snapshot.snapshot_id)
         snapshot_cost = self.perf.vmm_cpu_for_snapshot(
             delta.incremental_bytes, delta.page_count)

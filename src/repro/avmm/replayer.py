@@ -232,10 +232,9 @@ class DeterministicReplayer:
 
         vm = VirtualMachine(self.reference_image, nondet_source=clock_source)
         output_cursor = 0
-        # Replay-side hash-tree maintenance mirrors the recording side: the
-        # tree over the replayed state is *updated* at each SNAPSHOT entry
-        # (O(dirty x log n)), not rebuilt from scratch, so long replays with
-        # many snapshot checks stay proportional to what the guest changed.
+        # Replay-side hash-tree maintenance mirrors the recording side: at
+        # each SNAPSHOT entry the replayed state is serialised, its pages
+        # diffed, and the tree *repaired* at the changed pages only.
         state_hasher = IncrementalStateHasher()
 
         if initial_state is not None:
@@ -422,9 +421,7 @@ class DeterministicReplayer:
     @staticmethod
     def _check_snapshot(vm: VirtualMachine, item: _SnapshotItem,
                         state_hasher: IncrementalStateHasher) -> Optional[Divergence]:
-        view = vm.get_dirty_state()
-        _, _, root_bytes = state_hasher.update(view.state, view.dirty_paths)
-        vm.mark_snapshot_taken()
+        _, _, root_bytes = state_hasher.update(vm.get_full_state())
         root = root_bytes.hex()
         if root != item.state_root:
             return Divergence(

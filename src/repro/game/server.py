@@ -9,13 +9,13 @@ state and identical outgoing snapshots.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.game import protocol
 from repro.game.engine import GameEngine
 from repro.game.state import GameMap, GameState
 from repro.vm.events import GuestEvent, KeyboardInput, PacketDelivery, TimerInterrupt
-from repro.vm.guest import GuestDirtyKey, GuestProgram, MachineApi
+from repro.vm.guest import GuestProgram, MachineApi
 
 
 class GameServerGuest(GuestProgram):
@@ -36,15 +36,11 @@ class GameServerGuest(GuestProgram):
         self.clients: List[str] = []
         self._pending_commands: List[Dict[str, Any]] = []
         self._started_at: float = 0.0
-        #: state keys touched since the last snapshot (copy-on-write support)
-        self._dirty: Set[str] = {"game", "clients", "pending_commands",
-                                 "started_at", "respawn_at"}
 
     # -- guest interface -----------------------------------------------------------
 
     def on_start(self, api: MachineApi) -> None:
         self._started_at = api.read_clock()
-        self._dirty.add("started_at")
         api.set_timer(self.TICK_INTERVAL)
 
     def on_event(self, api: MachineApi, event: GuestEvent) -> None:
@@ -75,24 +71,11 @@ class GameServerGuest(GuestProgram):
         self.clients = list(state["clients"])
         self._pending_commands = list(state["pending_commands"])
         self._started_at = float(state["started_at"])
-        self._dirty.update(("game", "clients", "pending_commands",
-                            "started_at", "respawn_at"))
-
-    def snapshot_dirty_keys(self) -> Optional[Set[GuestDirtyKey]]:
-        return {(key,) for key in self._dirty}
-
-    def snapshot_mark_clean(self) -> None:
-        self._dirty.clear()
 
     # -- internals -----------------------------------------------------------------------
 
     def _on_tick(self, api: MachineApi) -> None:
         api.consume_cycles(self.CYCLES_PER_TICK)
-        # A tick advances the world and may move respawn bookkeeping; pending
-        # commands are consumed (cleared) if there were any.
-        self._dirty.update(("game", "respawn_at"))
-        if self._pending_commands:
-            self._dirty.add("pending_commands")
         self._apply_pending_commands()
         self.engine.advance_tick()
         if self.state.tick % self.SNAPSHOT_EVERY_TICKS == 0 and self.clients:
@@ -110,17 +93,14 @@ class GameServerGuest(GuestProgram):
         if packet["type"] == protocol.PACKET_JOIN:
             player = str(packet["player"])
             self.engine.join(player)
-            self._dirty.update(("game", "respawn_at"))
             if event.source not in self.clients:
                 self.clients.append(event.source)
-                self._dirty.add("clients")
             # Confirm the join with an immediate snapshot to the new client.
             api.send_packet(event.source,
                             protocol.snapshot_packet(self.state.to_dict(),
                                                      self.state.tick))
         elif packet["type"] == protocol.PACKET_COMMANDS:
             self._pending_commands.append(packet)
-            self._dirty.add("pending_commands")
 
     def _apply_pending_commands(self) -> None:
         for packet in self._pending_commands:

@@ -15,7 +15,6 @@ Sub-modules:
 * :mod:`repro.log.tamper_evident` — the append-only log object.
 * :mod:`repro.log.segments` — segment/chunk extraction for audits.
 * :mod:`repro.log.storage` — (de)serialisation.
-* :mod:`repro.log.compression` — the streamed size meter of the v1 codec.
 """
 
 from repro.log.authenticator import Authenticator

@@ -3,8 +3,8 @@
 Logs travel over the (simulated) network during audits and can be persisted to
 disk for offline auditing, so both byte-level and file-level round-trips are
 supported.  Segments here are JSON-lines: one JSON object per entry, preceded
-by a header object.  JSON keeps the format debuggable; the compression module
-(:mod:`repro.log.compression`) handles making it small.  Authenticator
+by a header object.  JSON keeps the format debuggable; the wire codecs
+(:mod:`repro.log.codec`) handle making it small.  Authenticator
 batches are packed (:func:`authenticators_to_bytes`): they are hashes and
 signatures, which no compressor shrinks.
 """

@@ -31,11 +31,6 @@ from repro.vm.snapshot import (
     SnapshotManager,
     apply_delta,
 )
-from repro.vm.state_store import (
-    CachedStateSerializer,
-    DirtyStateView,
-    DirtyTrackingStore,
-)
 
 __all__ = [
     "GuestEvent",
@@ -58,7 +53,4 @@ __all__ = [
     "IncrementalStateHasher",
     "SnapshotManager",
     "apply_delta",
-    "CachedStateSerializer",
-    "DirtyStateView",
-    "DirtyTrackingStore",
 ]

@@ -35,8 +35,6 @@ class VirtualDisk:
         self._blocks: Dict[int, bytes] = dict(initial_blocks or {})
         self._reads = 0
         self._writes = 0
-        self._dirty_blocks: set[int] = set()
-        self._fully_dirty = True  # nothing snapshotted yet
 
     def read(self, block: int) -> bytes:
         if block < 0:
@@ -52,7 +50,6 @@ class VirtualDisk:
                 f"block write of {len(data)} bytes exceeds block size {self.BLOCK_SIZE}")
         self._writes += 1
         self._blocks[block] = bytes(data)
-        self._dirty_blocks.add(block)
 
     @property
     def reads(self) -> int:
@@ -68,20 +65,6 @@ class VirtualDisk:
 
     def set_state(self, state: Dict[str, str]) -> None:
         self._blocks = {int(block): bytes.fromhex(data) for block, data in state.items()}
-        self._fully_dirty = True
-
-    # -- dirty tracking (copy-on-write snapshots) ----------------------------
-
-    def dirty_blocks(self) -> Optional[set[int]]:
-        """Blocks written since the last snapshot; ``None`` = everything."""
-        if self._fully_dirty:
-            return None
-        return set(self._dirty_blocks)
-
-    def mark_snapshot_clean(self) -> None:
-        """Forget recorded dirt (called right after a snapshot)."""
-        self._dirty_blocks.clear()
-        self._fully_dirty = False
 
 
 class VirtualNic:
@@ -152,5 +135,6 @@ class FrameCounter:
     def frames(self) -> int:
         return self._frames
 
-    def reset(self) -> None:
-        self._frames = 0
+    def restore(self, frames: int) -> None:
+        """Set the count restored from a snapshot."""
+        self._frames = frames

@@ -14,14 +14,10 @@ timing must come through the API (``read_clock``) so the AVMM can record it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Any, Dict
 
 from repro.crypto import hashing
 from repro.vm.events import GuestEvent
-
-#: a dirty key reported by a guest: a top-level state key, or a nested key
-#: path into the state dict (e.g. ``("tables", "t42")``)
-GuestDirtyKey = Union[str, Tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +174,6 @@ class GuestProgram:
     def state_digest(self) -> bytes:
         """Stable hash of the guest state (used in snapshot cross-checks)."""
         return hashing.hash_object(self.get_state())
-
-    # -- dirty tracking (copy-on-write snapshots, Section 4.4) ----------------
-
-    def snapshot_dirty_keys(self) -> Optional[Set[GuestDirtyKey]]:
-        """State keys changed since the last snapshot, or ``None`` if unknown.
-
-        Guests that keep their state in a :class:`~repro.vm.state_store.
-        DirtyTrackingStore` (or otherwise track what their event handlers
-        touch) override this so the AVMM's snapshot work is proportional to
-        the change, not to the state size.  ``None`` — the safe default —
-        makes the snapshot pipeline treat the whole guest state as dirty.
-        """
-        return None
-
-    def snapshot_mark_clean(self) -> None:
-        """Forget accumulated dirt; called right after a snapshot is taken."""
 
     # -- identity ------------------------------------------------------------
 

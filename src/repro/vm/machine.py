@@ -20,7 +20,6 @@ from repro.vm.events import GuestEvent
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.guest import DiskWriteOutput, MachineApi, Output
 from repro.vm.image import VMImage
-from repro.vm.state_store import DirtyPath, DirtyStateView
 
 # Abstract instruction costs charged for each API operation.  The absolute
 # values only matter for the performance model; what matters for replay is
@@ -143,11 +142,6 @@ class VirtualMachine:
         self._clock_read_hook: Optional[Callable[[ExecutionTimestamp, float], float]] = None
         self._upstream_call_hook: Optional[
             Callable[[ExecutionTimestamp, str, bytes, UpstreamResponse], None]] = None
-        #: dirty tracking for copy-on-write snapshots (Section 4.4): which
-        #: top-level state keys changed since the last snapshot
-        self._dirty_keys: set[str] = set()
-        self._all_dirty = True  # no snapshot taken yet
-        self._guest_ran = False
 
     # -- execution ----------------------------------------------------------
 
@@ -165,8 +159,6 @@ class VirtualMachine:
         if self._started:
             raise VMError("virtual machine already started")
         self._started = True
-        self._all_dirty = True
-        self._guest_ran = True
         self._output_buffer = []
         try:
             self.guest.on_start(self._api)
@@ -180,8 +172,6 @@ class VirtualMachine:
             raise VMError("virtual machine has not been started")
         self._branch_count += 1
         self._instruction_count += _COST_EVENT_DELIVERY
-        self._dirty_keys.update(("instruction_count", "branch_count"))
-        self._guest_ran = True
         self._output_buffer = []
         if isinstance(event, type(None)):  # pragma: no cover - defensive
             raise VMError("cannot deliver a null event")
@@ -238,57 +228,15 @@ class VirtualMachine:
             "started": self._started,
         }
 
-    def get_dirty_state(self) -> DirtyStateView:
-        """The full state plus which parts changed since the last snapshot.
-
-        This is the copy-on-write hot path (Section 4.4): the snapshot
-        manager re-serialises only the returned dirty paths.  Pair every
-        consumed view with :meth:`mark_snapshot_taken`, which resets the
-        dirt accounting.
-        """
-        state = self.get_full_state()
-        if self._all_dirty:
-            return DirtyStateView(state=state, dirty_paths=None)
-        paths: set[DirtyPath] = {(key,) for key in self._dirty_keys}
-        if self._guest_ran:
-            guest_keys = self.guest.snapshot_dirty_keys()
-            if guest_keys is None:
-                paths.add(("guest",))
-            else:
-                for key in guest_keys:
-                    if isinstance(key, tuple):
-                        paths.add(("guest",) + key)
-                    else:
-                        paths.add(("guest", key))
-        dirty_blocks = self.disk.dirty_blocks()
-        if dirty_blocks is None:
-            paths.add(("disk",))
-        else:
-            paths.update(("disk", str(block)) for block in dirty_blocks)
-        return DirtyStateView(state=state, dirty_paths=paths)
-
-    def mark_snapshot_taken(self) -> None:
-        """Reset dirty tracking after a snapshot consumed the current dirt."""
-        self._dirty_keys.clear()
-        self._all_dirty = False
-        self._guest_ran = False
-        self.guest.snapshot_mark_clean()
-        self.disk.mark_snapshot_clean()
-
     def set_full_state(self, state: Dict[str, Any]) -> None:
         """Restore state captured by :meth:`get_full_state`."""
-        self._all_dirty = True
         try:
             self.guest.set_state(state["guest"])
             self.disk.set_state(state["disk"])
             self._instruction_count = int(state["instruction_count"])
             self._branch_count = int(state["branch_count"])
             self._started = bool(state["started"])
-            frames = int(state["frames"])
-            self.frame_counter.reset()
-            for _ in range(0):  # frame counter value restored directly below
-                pass
-            self.frame_counter._frames = frames  # noqa: SLF001 - device-internal restore
+            self.frame_counter.restore(int(state["frames"]))
             interval = state.get("timer_interval")
             self.timer.interval = float(interval) if interval is not None else None
         except (KeyError, TypeError, ValueError) as exc:
@@ -311,7 +259,6 @@ class VirtualMachine:
 
     def _do_render_frame(self, scene_complexity: int) -> int:
         self._instruction_count += _COST_RENDER_BASE + max(0, scene_complexity)
-        self._dirty_keys.add("frames")
         frame = self.frame_counter.render(scene_complexity)
         self._output_buffer.append(frame)
         return frame.frame_number
@@ -347,7 +294,6 @@ class VirtualMachine:
 
     def _do_set_timer(self, interval: float) -> None:
         self._instruction_count += 1
-        self._dirty_keys.add("timer_interval")
         self.timer.request(interval)
 
 

@@ -1,4 +1,4 @@
-"""VM snapshots with hash trees — copy-on-write and incremental.
+"""VM snapshots with hash trees, stored as page deltas.
 
 Section 4.4: *To enable spot checking and incremental audits, the AVMM
 periodically takes a snapshot of the AVM's current state.  To save space,
@@ -12,9 +12,8 @@ either the whole snapshot or individual pages with inclusion proofs.
 
 The manager implements the paper's design literally:
 
-* serialisation is *cached per state key* (:class:`~repro.vm.state_store.
-  CachedStateSerializer`), so taking a snapshot re-encodes only the keys the
-  VM reports dirty;
+* every snapshot serialises the whole state and diffs its pages against the
+  previous snapshot's, so a snapshot *records* only the pages that changed;
 * one persistent :class:`~repro.crypto.merkle.MerkleTree` per machine is
   *updated* (``update_leaf``/``append_leaf``/``truncate``, O(log n) each)
   instead of rebuilt from all leaves;
@@ -39,7 +38,6 @@ from repro.crypto.hashing import HASH_SIZE_BYTES
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import SnapshotError
 from repro.vm.execution import ExecutionTimestamp
-from repro.vm.state_store import CachedStateSerializer, DirtyPaths
 
 PAGE_SIZE = 4096
 
@@ -274,106 +272,48 @@ class IncrementalStateHasher:
     """Maintains canonical pages and their Merkle tree across state changes.
 
     One instance follows one machine's state.  Each :meth:`update` call
-    serialises only the dirty keys (cached fragments for the rest), turns
-    the dirty byte spans into candidate pages, byte-compares just those
-    candidates against the previous pages, and repairs the persistent tree
-    with O(changed x log n) hash work.  The replayer uses a private instance
-    the same way, so replay-side snapshot checks are incremental too.
+    serialises the whole state, paginates it, byte-compares every page
+    against the previous page list, and repairs the persistent tree with
+    O(changed x log n) hash work.  The replayer keeps a private instance per
+    replay, so both sides compute the root by the same steps.
+
+    Nothing is told what changed: the diff finds it, so the logged root is
+    always the root of the state the machine holds.
     """
 
     def __init__(self, page_size: int = PAGE_SIZE) -> None:
         if page_size <= 0:
             raise SnapshotError(f"page size must be positive, got {page_size}")
         self.page_size = page_size
-        self._serializer = CachedStateSerializer()
         self._tree: Optional[MerkleTree] = None
         self._pages: Optional[List[bytes]] = None
-        self._buffer: Optional[bytearray] = None
 
     @property
     def pages(self) -> Optional[List[bytes]]:
-        """The current page list (live; treat as read-only)."""
+        """The current page list (treat as read-only)."""
         return self._pages
 
-    def update(self, state: Dict[str, Any], dirty_paths: DirtyPaths = None
+    def update(self, state: Dict[str, Any]
                ) -> Tuple[List[bytes], Dict[int, bytes], bytes]:
         """Bring pages and tree up to date with ``state``.
 
-        Returns ``(pages, changed_pages, root)`` where ``changed_pages``
-        has exactly the semantics of the historical full diff: a page is
-        included iff its bytes differ from the previous snapshot's page at
-        the same index, or it lies beyond the previous page count.
-
-        Steady state (no key churn, no value resized): the serializer hands
-        back in-place patches, applied to the working buffer without any
-        full-buffer copy; only pages overlapping a patch are re-sliced,
-        re-compared and re-hashed.
+        Returns ``(pages, changed_pages, root)``: a page is in
+        ``changed_pages`` iff its bytes differ from the previous snapshot's
+        page at the same index, or it lies beyond the previous page count.
         """
-        serialized = self._serializer.serialize(state, dirty_paths)
-        if serialized.data is None and self._buffer is not None \
-                and self._pages is not None:
-            return self._update_patched(serialized)
-        data = serialized.data if serialized.data is not None \
-            else self._serializer.materialize()
-        pages = paginate(data, self.page_size)
-        changed = self._diff_pages(pages, serialized.dirty_spans)
+        pages = paginate(serialize_state(state), self.page_size)
+        changed = self._diff_pages(pages)
         self._apply_to_tree(pages, changed)
         self._pages = pages
-        self._buffer = bytearray(data)
         assert self._tree is not None
         return pages, changed, self._tree.root
 
-    def _update_patched(self, serialized) -> Tuple[List[bytes],
-                                                   Dict[int, bytes], bytes]:
-        """Apply in-place patches: O(dirty bytes + touched pages)."""
-        buffer = self._buffer
-        pages = self._pages
-        page_size = self.page_size
-        for offset, fragment in serialized.patches or ():
-            buffer[offset:offset + len(fragment)] = fragment
-        candidates = set()
-        for start, end in serialized.dirty_spans or ():
-            if end <= start:
-                continue
-            first = max(0, start) // page_size
-            last = min(end - 1, len(pages) * page_size) // page_size
-            candidates.update(range(first, min(last + 1, len(pages))))
-        changed: Dict[int, bytes] = {}
-        for index in sorted(candidates):
-            page = bytes(buffer[index * page_size:(index + 1) * page_size])
-            if page != pages[index]:
-                changed[index] = page
-        tree = self._tree
-        for index, page in changed.items():
-            pages[index] = page
-            tree.update_leaf(index, page)
-        return pages, changed, tree.root
-
     # -- internals -----------------------------------------------------------
 
-    def _diff_pages(self, pages: List[bytes],
-                    dirty_spans: Optional[List[Tuple[int, int]]]
-                    ) -> Dict[int, bytes]:
-        previous = self._pages
-        if previous is None:
-            return dict(enumerate(pages))
-        if dirty_spans is None:
-            candidates = range(len(pages))
-        else:
-            indices = set(range(len(previous), len(pages)))
-            for start, end in dirty_spans:
-                if end <= start:
-                    continue
-                first = max(0, start) // self.page_size
-                last = min(end - 1, len(pages) * self.page_size) // self.page_size
-                indices.update(range(first, min(last + 1, len(pages))))
-            candidates = sorted(indices)
-        changed: Dict[int, bytes] = {}
-        for i in candidates:
-            page = pages[i]
-            if i >= len(previous) or previous[i] != page:
-                changed[i] = page
-        return changed
+    def _diff_pages(self, pages: List[bytes]) -> Dict[int, bytes]:
+        previous = self._pages or []
+        return {i: page for i, page in enumerate(pages)
+                if i >= len(previous) or previous[i] != page}
 
     def _apply_to_tree(self, pages: List[bytes],
                        changed: Dict[int, bytes]) -> None:
@@ -405,7 +345,7 @@ class SnapshotStats:
 
 
 class SnapshotManager:
-    """Takes copy-on-write snapshots and reconstructs full state for audits.
+    """Takes incremental snapshots and reconstructs full state for audits.
 
     Storage layout: every snapshot is a delta (changed pages); every
     ``keyframe_interval``-th snapshot additionally pins its full page list.
@@ -435,19 +375,16 @@ class SnapshotManager:
 
     # -- taking snapshots -----------------------------------------------------
 
-    def take(self, state: Dict[str, Any], execution: ExecutionTimestamp,
-             dirty_paths: DirtyPaths = None) -> Snapshot:
-        """Snapshot ``state``; work is proportional to the dirty portion.
+    def take(self, state: Dict[str, Any],
+             execution: ExecutionTimestamp) -> Snapshot:
+        """Snapshot ``state``: serialise it, keep the pages that changed.
 
-        ``dirty_paths`` is the set of state keys (or nested key paths) that
-        changed since the previous snapshot, as produced by
-        :meth:`repro.vm.machine.VirtualMachine.get_dirty_state`.  ``None``
-        (the legacy call shape) re-serialises everything — still correct,
-        and still cheaper than the historical full rebuild because the
-        Merkle tree is repaired rather than reconstructed.
+        Serialisation and the page diff cost O(state); hashing and storage
+        cost O(changed pages), because the Merkle tree is repaired rather
+        than rebuilt and only the changed pages are kept (Section 4.4).
         """
         snapshot_id = self._next_id
-        pages, changed, root = self._hasher.update(state, dirty_paths)
+        pages, changed, root = self._hasher.update(state)
         dirty_bytes = sum(len(page) for page in changed.values())
         delta = IncrementalSnapshot(
             snapshot_id=snapshot_id,
@@ -567,7 +504,7 @@ class SnapshotManager:
 
         Counts keyframe pages, delta pages, the current working page list
         and the materialisation cache.  Bounded by O(keyframes + deltas) —
-        the point of the copy-on-write layout — where the historical design
+        the point of the delta layout — where the historical design
         held every full snapshot forever.
         """
         total = sum(len(page) for pages in self._keyframes.values()

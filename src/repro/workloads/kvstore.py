@@ -9,22 +9,20 @@ incremental sizes), persists some of it to the virtual disk, and answers the
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict
 
 from repro.errors import GuestError
 from repro.vm.events import GuestEvent, PacketDelivery, TimerInterrupt
-from repro.vm.guest import GuestDirtyKey, GuestProgram, MachineApi
+from repro.vm.guest import GuestProgram, MachineApi
 from repro.vm.image import VMImage
-from repro.vm.state_store import DirtyTrackingStore
 
 
 class KvServerGuest(GuestProgram):
     """In-memory table store with simple INSERT/SELECT/UPDATE/DELETE commands.
 
-    The tables live in a :class:`~repro.vm.state_store.DirtyTrackingStore`,
-    so a copy-on-write snapshot re-serialises only the tables an operation
-    actually touched — this guest is the "large, mostly idle state" of the
-    Section 6.12 spot-check workload, where that matters most.
+    The tables are a plain dict of dicts: this guest is the "large, mostly
+    idle state" of the Section 6.12 spot-check workload, whose snapshots
+    record only the pages an operation changed.
     """
 
     name = "kv-server"
@@ -33,10 +31,9 @@ class KvServerGuest(GuestProgram):
     CHECKPOINT_EVERY_TICKS = 20
 
     def __init__(self) -> None:
-        self.tables: DirtyTrackingStore = DirtyTrackingStore()
+        self.tables: Dict[str, Dict[str, Any]] = {}
         self.operations = 0
         self.ticks = 0
-        self._dirty_scalars: Set[str] = {"operations", "ticks"}
 
     # -- guest interface ------------------------------------------------------------
 
@@ -51,30 +48,18 @@ class KvServerGuest(GuestProgram):
             self._on_query(api, event)
 
     def get_state(self) -> Dict[str, Any]:
-        return {"tables": self.tables.as_dict(), "operations": self.operations,
+        return {"tables": self.tables, "operations": self.operations,
                 "ticks": self.ticks}
 
     def set_state(self, state: Dict[str, Any]) -> None:
-        self.tables.replace(state["tables"])
+        self.tables = dict(state["tables"])
         self.operations = int(state["operations"])
         self.ticks = int(state["ticks"])
-        self._dirty_scalars.update(("operations", "ticks"))
-
-    def snapshot_dirty_keys(self) -> Optional[Set[GuestDirtyKey]]:
-        dirty: Set[GuestDirtyKey] = {("tables", name)
-                                     for name in self.tables.dirty_keys()}
-        dirty.update((name,) for name in self._dirty_scalars)
-        return dirty
-
-    def snapshot_mark_clean(self) -> None:
-        self.tables.mark_clean()
-        self._dirty_scalars.clear()
 
     # -- internals ---------------------------------------------------------------------
 
     def _on_tick(self, api: MachineApi) -> None:
         self.ticks += 1
-        self._dirty_scalars.add("ticks")
         api.consume_cycles(50)
         if self.ticks % self.CHECKPOINT_EVERY_TICKS == 0:
             # Checkpoint the row counts to the virtual disk, like a database
@@ -91,7 +76,6 @@ class KvServerGuest(GuestProgram):
             raise GuestError(f"malformed query: {exc}") from exc
         result = self.execute(query)
         self.operations += 1
-        self._dirty_scalars.add("operations")
         api.send_packet(event.source, json.dumps(
             {"request_id": query.get("request_id"), "result": result},
             sort_keys=True, separators=(",", ":")).encode("utf-8"))
@@ -106,19 +90,16 @@ class KvServerGuest(GuestProgram):
         key = str(query.get("key", ""))
         if op == "insert":
             table[key] = query.get("value")
-            self.tables.mark_dirty(table_name)
             return {"inserted": 1}
         if op == "select":
             return {"row": table.get(key)}
         if op == "update":
             if key in table:
                 table[key] = query.get("value")
-                self.tables.mark_dirty(table_name)
                 return {"updated": 1}
             return {"updated": 0}
         if op == "delete":
             if table.pop(key, None) is not None:
-                self.tables.mark_dirty(table_name)
                 return {"deleted": 1}
             return {"deleted": 0}
         if op == "count":

@@ -23,14 +23,13 @@ import json
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import GuestError
 from repro.vm.events import GuestEvent, KeyboardInput, PacketDelivery, TimerInterrupt
-from repro.vm.guest import GuestDirtyKey, GuestProgram, MachineApi
+from repro.vm.guest import GuestProgram, MachineApi
 from repro.vm.image import VMImage
 from repro.vm.machine import UpstreamResponse
-from repro.vm.state_store import DirtyTrackingStore
 
 
 @dataclass(frozen=True)
@@ -55,23 +54,19 @@ class WebServiceGuest(GuestProgram):
     Requests arrive as JSON packets (``{"id", "method", "path"}``); the
     router dispatches to the service layer, which may consult an upstream
     backend through the machine API.  Cacheable responses are stored in a
-    :class:`~repro.vm.state_store.DirtyTrackingStore` keyed by
-    ``"METHOD path"`` so copy-on-write snapshots re-serialise only the
-    entries a request actually touched.
+    dict keyed by ``"METHOD path"``.
     """
 
     name = "web-service"
 
     def __init__(self, settings: Optional[WebServiceSettings] = None) -> None:
         self.settings = settings or WebServiceSettings()
-        self.cache: DirtyTrackingStore = DirtyTrackingStore()
-        self.orders: DirtyTrackingStore = DirtyTrackingStore()
+        self.cache: Dict[str, List[Any]] = {}
+        self.orders: Dict[str, Dict[str, str]] = {}
         self.requests = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.ticks = 0
-        self._dirty_scalars: Set[str] = {"requests", "cache_hits",
-                                         "cache_misses", "ticks"}
         #: (method, path prefix, handler, cacheable) — first match wins
         self._routes: List[Tuple[str, str, Any, bool]] = [
             ("GET", "/api/item/", self._handle_item, True),
@@ -93,31 +88,17 @@ class WebServiceGuest(GuestProgram):
             self._on_request(api, event)
 
     def get_state(self) -> Dict[str, Any]:
-        return {"cache": self.cache.as_dict(), "orders": self.orders.as_dict(),
+        return {"cache": self.cache, "orders": self.orders,
                 "requests": self.requests, "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses, "ticks": self.ticks}
 
     def set_state(self, state: Dict[str, Any]) -> None:
-        self.cache.replace(state["cache"])
-        self.orders.replace(state["orders"])
+        self.cache = dict(state["cache"])
+        self.orders = dict(state["orders"])
         self.requests = int(state["requests"])
         self.cache_hits = int(state["cache_hits"])
         self.cache_misses = int(state["cache_misses"])
         self.ticks = int(state["ticks"])
-        self._dirty_scalars.update(("requests", "cache_hits",
-                                    "cache_misses", "ticks"))
-
-    def snapshot_dirty_keys(self) -> Optional[Set[GuestDirtyKey]]:
-        dirty: Set[GuestDirtyKey] = {("cache", key)
-                                     for key in self.cache.dirty_keys()}
-        dirty.update(("orders", key) for key in self.orders.dirty_keys())
-        dirty.update((name,) for name in self._dirty_scalars)
-        return dirty
-
-    def snapshot_mark_clean(self) -> None:
-        self.cache.mark_clean()
-        self.orders.mark_clean()
-        self._dirty_scalars.clear()
 
     def config_fingerprint(self) -> Dict[str, Any]:
         return {"cache_ttl": self.settings.cache_ttl,
@@ -136,7 +117,6 @@ class WebServiceGuest(GuestProgram):
         method = str(request.get("method", "GET"))
         path = str(request.get("path", "/"))
         self.requests += 1
-        self._dirty_scalars.add("requests")
 
         handler, cacheable = self._route(method, path)
         cache_key = f"{method} {path}"
@@ -146,13 +126,11 @@ class WebServiceGuest(GuestProgram):
             if entry is not None and self._cache_fresh(entry, now):
                 # Cache hit: the handler (and its upstream call) is skipped.
                 self.cache_hits += 1
-                self._dirty_scalars.add("cache_hits")
                 api.consume_cycles(self.settings.cache_hit_cycles)
                 self._respond(api, event, request, int(entry[1]),
                               str(entry[2]), "hit")
                 return
             self.cache_misses += 1
-            self._dirty_scalars.add("cache_misses")
 
         status, body = handler(api, request, path)
         if cacheable:
@@ -239,7 +217,6 @@ class WebServiceGuest(GuestProgram):
 
     def _on_tick(self, api: MachineApi) -> None:
         self.ticks += 1
-        self._dirty_scalars.add("ticks")
         api.consume_cycles(30)
         now = api.read_clock()
         expired = [key for key, entry in self.cache.items()

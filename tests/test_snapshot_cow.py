@@ -1,8 +1,9 @@
-"""Tests for the copy-on-write snapshot engine (Section 4.4).
+"""Tests for the incremental snapshot engine (Section 4.4).
 
-Covers the incremental Merkle tree, the cached canonical serializer, the
-keyframe + delta-chain storage of :class:`~repro.vm.snapshot.SnapshotManager`
-(including verified shrink handling), VM/guest dirty tracking, the archive's
+Covers the incremental Merkle tree, the keyframe + delta-chain storage of
+:class:`~repro.vm.snapshot.SnapshotManager` (including verified shrink
+handling), VM snapshots against a from-scratch serialisation, the root a
+snapshot logs being the root of the state the machine holds, the archive's
 delta-chain materialisation, and the picklable monitor log clock.
 """
 
@@ -14,8 +15,10 @@ import pytest
 
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
+from repro.avmm.replayer import DeterministicReplayer, _SnapshotItem
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ArchiveIntegrityError, SnapshotError
+from repro.log.entries import EntryType
 from repro.service.ingest import AuditIngestService
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
@@ -30,7 +33,6 @@ from repro.vm.snapshot import (
     paginate,
     serialize_state,
 )
-from repro.vm.state_store import CachedStateSerializer, DirtyTrackingStore
 from repro.workloads.echo import make_echo_image
 from repro.workloads.kvstore import make_kvserver_image
 
@@ -103,98 +105,6 @@ class TestMerkleIncremental:
 
 
 # ---------------------------------------------------------------------------
-# Cached canonical serializer
-# ---------------------------------------------------------------------------
-
-def apply_serialized(out, previous):
-    """Resolve a SerializedState to full bytes (rebuilt or patched)."""
-    if out.data is not None:
-        return out.data
-    buffer = bytearray(previous)
-    for offset, fragment in out.patches:
-        buffer[offset:offset + len(fragment)] = fragment
-    return bytes(buffer)
-
-
-class TestCachedStateSerializer:
-    def test_matches_serialize_state(self):
-        serializer = CachedStateSerializer()
-        state = {"b": [1, {"x": 2}], "a": {"nested": {"k": "v"}}, "n": None,
-                 "f": 1.5, "u": "snowman ☃", "e": {}, "t": True}
-        assert serializer.serialize(state).data == serialize_state(state)
-
-    def test_non_string_keyed_dicts_fall_back(self):
-        serializer = CachedStateSerializer()
-        state = {"blocks": {2: "b", 10: "a"}}
-        previous = serializer.serialize(state).data
-        assert previous == serialize_state(state)
-        state["blocks"][7] = "c"
-        out = serializer.serialize(state, {("blocks",)})
-        assert apply_serialized(out, previous) == serialize_state(state)
-
-    def test_dirty_spans_cover_all_byte_differences(self):
-        rng = random.Random(99)
-        serializer = CachedStateSerializer()
-        state = {"guest": {"tables": {f"t{i}": {"k": "v" * i} for i in range(12)},
-                           "ops": 0},
-                 "counter": 0, "tail": "z" * 100}
-        previous = serializer.serialize(state).data
-        for step in range(200):
-            dirty = set()
-            state["counter"] += rng.choice((1, 10 ** rng.randrange(1, 6)))
-            dirty.add(("counter",))
-            if rng.random() < 0.6:
-                name = f"t{rng.randrange(15)}"
-                tables = state["guest"]["tables"]
-                if name in tables and rng.random() < 0.35:
-                    del tables[name]
-                else:
-                    tables[name] = {"k": "x" * rng.randrange(0, 80)}
-                dirty.add(("guest", "tables", name))
-            out = serializer.serialize(state, dirty)
-            reference = serialize_state(state)
-            current = apply_serialized(out, previous)
-            assert current == reference, step
-            # Every byte that differs from the previous serialisation must
-            # fall inside a reported dirty span.
-            covered = set()
-            for start, end in out.dirty_spans:
-                covered.update(range(max(0, start), end))
-            limit = max(len(current), len(previous))
-            for position in range(limit):
-                old = previous[position] if position < len(previous) else None
-                new = current[position] if position < len(current) else None
-                if old != new:
-                    assert position in covered, (step, position)
-            previous = reference
-
-    def test_unknown_dirt_reserializes_everything(self):
-        serializer = CachedStateSerializer()
-        state = {"a": 1}
-        serializer.serialize(state, set())
-        state["a"] = 2  # mutated without reporting...
-        out = serializer.serialize(state)  # ...but None = no-information
-        assert out.data == serialize_state(state)
-        assert out.dirty_spans is None
-
-
-class TestDirtyTrackingStore:
-    def test_tracks_writes_deletes_and_marks(self):
-        store = DirtyTrackingStore({"a": 1})
-        assert store.dirty_keys() == {"a"}
-        store.mark_clean()
-        store["b"] = 2
-        del store["a"]
-        store.setdefault("c", 3)
-        store.setdefault("b", 99)  # no-op: must not dirty
-        assert store.dirty_keys() == {"a", "b", "c"}
-        store.mark_clean()
-        store.mark_dirty("b")
-        assert store.dirty_keys() == {"b"}
-        assert dict(store.items()) == {"b": 2, "c": 3}
-
-
-# ---------------------------------------------------------------------------
 # Delta application (shrink handling) and chain verification
 # ---------------------------------------------------------------------------
 
@@ -262,14 +172,12 @@ class TestSnapshotManagerCow:
         expected = []
         for step in range(23):
             state["n"] += 1
-            dirty = {("n",)}
             name = f"r{rng.randrange(40)}"
             if name in state["rows"] and rng.random() < 0.4:
                 del state["rows"][name]
             else:
                 state["rows"][name] = "y" * rng.randrange(0, 90)
-            dirty.add(("rows", name))
-            manager.take(state, ts(step), dirty_paths=dirty)
+            manager.take(state, ts(step))
             expected.append(json.loads(serialize_state(state)))
         # every snapshot id, including mid-chain ids materialised after the
         # tiny LRU evicted them, must reconstruct the exact historical state
@@ -287,11 +195,11 @@ class TestSnapshotManagerCow:
         state = {"k": "a" * 200}
         manager.take(state, ts(1))
         state["k"] = "b" * 200
-        manager.take(state, ts(2), dirty_paths={("k",)})
+        manager.take(state, ts(2))
         state["k"] = "c" * 150  # shrink
-        victim = manager.take(state, ts(3), dirty_paths={("k",)})
+        victim = manager.take(state, ts(3))
         state["k"] = "d" * 150
-        manager.take(state, ts(4), dirty_paths={("k",)})  # victim not latest
+        manager.take(state, ts(4))  # victim not latest
         delta = manager.get_incremental(victim.snapshot_id)
         first = min(delta.changed_pages)
         delta.changed_pages[first] = b"tampered!" * 3
@@ -307,15 +215,14 @@ class TestSnapshotManagerCow:
         for step in range(200):
             state["n"] = step
             state["blob"][f"b{step % 50}"] = "w" * 100
-            manager.take(state, ts(step),
-                         dirty_paths={("n",), ("blob", f"b{step % 50}")})
+            manager.take(state, ts(step))
         # 200 full snapshots would hold ~200 x state_bytes; the CoW layout
         # holds 8 keyframes + small deltas + the working copy + the LRU.
         full_retention = 200 * state_bytes
         assert manager.resident_bytes() < full_retention / 10
         assert manager.count == 200
 
-    def test_legacy_take_signature_still_works(self):
+    def test_take_then_reconstruct(self):
         manager = SnapshotManager(page_size=64)
         state = {"a": 1, "nested": {"b": [1, 2, 3]}}
         snapshot = manager.take(state, ts(10))
@@ -324,7 +231,7 @@ class TestSnapshotManagerCow:
 
 
 # ---------------------------------------------------------------------------
-# VM + guest dirty tracking feeding the manager
+# VM state feeding the manager
 # ---------------------------------------------------------------------------
 
 def _query(op, table, key, value=None):
@@ -334,7 +241,19 @@ def _query(op, table, key, value=None):
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-class TestVmDirtyTracking:
+def _held_root(vm):
+    """The root of the state ``vm`` holds, from a from-scratch serialisation."""
+    return MerkleTree(paginate(serialize_state(vm.get_full_state()))).root
+
+
+def _rewrite_idle_row_in_place(vm):
+    """Rewrite the ``idle`` table's row at equal length, outside any handler
+    (no later query touches that table)."""
+    row = vm.guest.tables["idle"]
+    row["k"] = "b" * len(row["k"])
+
+
+class TestVmSnapshots:
     def test_randomized_vm_equivalence(self):
         rng = random.Random(7)
         vm = VirtualMachine(make_kvserver_image(),
@@ -357,10 +276,8 @@ class TestVmDirtyTracking:
                     source="client", payload=_query(op, table, key, value),
                     message_id=f"m{step}"))
             if step % 5 == 4:
-                view = vm.get_dirty_state()
-                snapshot = manager.take(view.state, vm.execution_timestamp,
-                                        dirty_paths=view.dirty_paths)
-                vm.mark_snapshot_taken()
+                snapshot = manager.take(vm.get_full_state(),
+                                        vm.execution_timestamp)
                 reference_pages = paginate(
                     serialize_state(vm.get_full_state()), 128)
                 assert snapshot.pages == reference_pages, step
@@ -376,20 +293,14 @@ class TestVmDirtyTracking:
                             nondet_source=FixedNondeterminismSource())
         vm.start()
         manager = SnapshotManager(page_size=64)
-        view = vm.get_dirty_state()
-        manager.take(view.state, vm.execution_timestamp,
-                     dirty_paths=view.dirty_paths)
-        vm.mark_snapshot_taken()
+        manager.take(vm.get_full_state(), vm.execution_timestamp)
         # No events in between: the second snapshot must ship zero pages.
-        view = vm.get_dirty_state()
-        assert view.dirty_paths == set()
-        second = manager.take(view.state, vm.execution_timestamp,
-                              dirty_paths=view.dirty_paths)
+        second = manager.take(vm.get_full_state(), vm.execution_timestamp)
         assert manager.get_incremental(second.snapshot_id).changed_pages == {}
 
     def test_replayer_incremental_root_matches(self):
-        # The hasher the replayer now uses must agree with a scratch rebuild
-        # at every snapshot point of a live guest run.
+        # The hasher the replayer uses must agree with a scratch rebuild at
+        # every snapshot point of a live guest run.
         vm = VirtualMachine(make_kvserver_image(),
                             nondet_source=FixedNondeterminismSource(default=2.0))
         vm.start()
@@ -398,11 +309,53 @@ class TestVmDirtyTracking:
             vm.deliver_event(PacketDelivery(
                 source="c", payload=_query("insert", "t0", f"k{step}", "x" * 30),
                 message_id=f"m{step}"))
-            view = vm.get_dirty_state()
-            _, _, root = hasher.update(view.state, view.dirty_paths)
-            vm.mark_snapshot_taken()
-            assert root == MerkleTree.root_of(
-                paginate(serialize_state(vm.get_full_state())))
+            _, _, root = hasher.update(vm.get_full_state())
+            assert root == _held_root(vm)
+
+
+class TestSnapshotRootIsTheStateHeld:
+    """A snapshot commits to the state the machine holds, however that state
+    was written: a root of anything else convicts an honest machine."""
+
+    def test_logged_root_covers_an_in_place_write(self):
+        scheduler, monitor = _build_monitor()
+        monitor.start()
+
+        def query(op, table, value, message_id):
+            monitor.deliver_event(PacketDelivery(
+                source="client", payload=_query(op, table, "k", value),
+                message_id=message_id))
+        query("insert", "idle", "a" * 24, "m0")
+        query("insert", "busy", "x", "m1")
+        monitor.take_snapshot()
+        _rewrite_idle_row_in_place(monitor.vm)
+        query("update", "busy", "y", "m2")
+        monitor.take_snapshot()
+        seal = [entry for entry in monitor.log
+                if entry.entry_type is EntryType.SNAPSHOT][-1]
+        assert seal.content["state_root"] == _held_root(monitor.vm).hex()
+
+    def test_replayed_root_covers_an_in_place_write(self):
+        vm = VirtualMachine(make_kvserver_image(),
+                            nondet_source=FixedNondeterminismSource())
+        vm.start()
+        hasher = IncrementalStateHasher()
+
+        def query(op, table, value, message_id):
+            vm.deliver_event(PacketDelivery(
+                source="client", payload=_query(op, table, "k", value),
+                message_id=message_id))
+
+        def check(snapshot_id):
+            item = _SnapshotItem(sequence=snapshot_id, snapshot_id=snapshot_id,
+                                 state_root=_held_root(vm).hex())
+            return DeterministicReplayer._check_snapshot(vm, item, hasher)
+        query("insert", "idle", "a" * 24, "m0")
+        query("insert", "busy", "x", "m1")
+        assert check(1) is None
+        _rewrite_idle_row_in_place(vm)
+        query("update", "busy", "y", "m2")
+        assert check(2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +375,7 @@ class TestArchiveDeltaChain:
         for step in range(steps):
             state["n"] = step
             state["rows"][f"r{step % 14}"] = "y" * (10 + step)
-            manager.take(state, ts(step),
-                         dirty_paths={("n",), ("rows", f"r{step % 14}")})
+            manager.take(state, ts(step))
             states.append(json.loads(serialize_state(state)))
         return manager, states
 
@@ -482,7 +434,7 @@ class TestArchiveDeltaChain:
             LogArchive(archive.root).load_snapshot("m", 7)
 
     def test_truncation_boundary_becomes_keyframe(self, tmp_path):
-        from repro.log.entries import EntryType, snapshot_content
+        from repro.log.entries import snapshot_content
         from repro.log.tamper_evident import TamperEvidentLog
 
         manager, states = self._manager_with_history(steps=3)
@@ -575,7 +527,6 @@ class TestMonitorIntegration:
         assert first.base_snapshot_id is None
         assert monitor.stats.vmm_cpu_seconds > 0
         # roots logged in the tamper-evident stream match the managers' roots
-        from repro.log.entries import EntryType
         seals = [e for e in monitor.log if e.entry_type is EntryType.SNAPSHOT]
         assert len(seals) == monitor.snapshots.count
         for entry in seals:

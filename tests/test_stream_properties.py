@@ -36,11 +36,7 @@ from repro.audit.stream import ArchiveEntryStream, iter_stream_chunks
 from repro.audit.verdict import AuditPhase
 from repro.errors import HashChainError, ReproError
 from repro.experiments.parallel_audit import build_fleet
-from repro.log.codec import JsonBz2Codec
-from repro.log.compression import (
-    IncrementalCompressionMeter,
-    SegmentStreamDecoder,
-)
+from repro.log.codec import JsonBz2Codec, SegmentStreamDecoder
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain_incremental
 from repro.log.segments import LogSegment, concatenate_segments
@@ -49,6 +45,7 @@ from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
 
 from archive_tools import replace_payload
+from compression_meter import IncrementalCompressionMeter
 
 
 @pytest.fixture(scope="module")

@@ -146,8 +146,9 @@ class TestDevices:
         first = counter.render(3)
         second = counter.render(3)
         assert (first.frame_number, second.frame_number) == (1, 2)
-        counter.reset()
-        assert counter.frames == 0
+        counter.restore(7)
+        assert counter.frames == 7
+        assert counter.render().frame_number == 8
 
 
 class TestVirtualMachine:
