@@ -222,12 +222,63 @@ class TestSnapshotManagerCow:
         assert manager.resident_bytes() < full_retention / 10
         assert manager.count == 200
 
-    def test_take_then_reconstruct(self):
+    def test_legacy_take_signature_still_works(self):
+        # take(state, execution) is the whole signature: no dirt to report.
         manager = SnapshotManager(page_size=64)
         state = {"a": 1, "nested": {"b": [1, 2, 3]}}
         snapshot = manager.take(state, ts(10))
         assert snapshot.verify_root()
         assert manager.reconstruct_state(snapshot.snapshot_id) == state
+
+    def test_changed_pages_cover_all_byte_differences(self):
+        rng = random.Random(99)
+        manager = SnapshotManager(page_size=32, keyframe_interval=7)
+        state = {"guest": {"tables": {f"t{i}": {"k": "v" * i} for i in range(12)},
+                           "ops": 0},
+                 "counter": 0, "tail": "z" * 100}
+        previous = paginate(serialize_state(state), 32)
+        manager.take(state, ts(0))
+        for step in range(1, 200):
+            state["counter"] += rng.choice((1, 10 ** rng.randrange(1, 6)))
+            if rng.random() < 0.6:
+                name = f"t{rng.randrange(15)}"
+                tables = state["guest"]["tables"]
+                if name in tables and rng.random() < 0.35:
+                    del tables[name]
+                else:
+                    tables[name] = {"k": "x" * rng.randrange(0, 80)}
+            manager.take(state, ts(step))
+            current = paginate(serialize_state(state), 32)
+            delta = manager.get_incremental(step + 1)
+            # Exactly the pages whose bytes differ from the previous
+            # snapshot's are shipped, each as it now reads.
+            differing = {index: page for index, page in enumerate(current)
+                         if index >= len(previous) or previous[index] != page}
+            assert delta.changed_pages == differing, step
+            assert delta.page_count == len(current), step
+            previous = current
+
+    def test_non_string_keyed_dicts(self):
+        manager = SnapshotManager(page_size=16)
+        state = {"blocks": {2: "b", 10: "a"}}
+        first = manager.take(state, ts(1))
+        assert first.pages == paginate(serialize_state(state), 16)
+        state["blocks"][7] = "c"
+        second = manager.take(state, ts(2))
+        assert second.pages == paginate(serialize_state(state), 16)
+        assert manager.reconstruct_state(second.snapshot_id) == \
+            json.loads(serialize_state(state))
+
+    def test_unreported_in_place_write_is_in_the_next_snapshot(self):
+        manager = SnapshotManager(page_size=64)
+        state = {"a": {"row": "x" * 40}, "b": 1}
+        manager.take(state, ts(1))
+        state["a"]["row"] = "y" * 40  # same length, nothing told the manager
+        second = manager.take(state, ts(2))
+        assert manager.get_incremental(second.snapshot_id).changed_pages
+        assert second.state_root == \
+            MerkleTree.root_of(paginate(serialize_state(state), 64))
+        assert manager.reconstruct_state(second.snapshot_id) == state
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +304,10 @@ def _rewrite_idle_row_in_place(vm):
     row["k"] = "b" * len(row["k"])
 
 
-class TestVmSnapshots:
+class TestVmDirtyTracking:
+    """Dirty pages are found by diffing: each take serialises the VM's whole
+    state and keeps the pages that differ from the previous snapshot's."""
+
     def test_randomized_vm_equivalence(self):
         rng = random.Random(7)
         vm = VirtualMachine(make_kvserver_image(),
