@@ -12,8 +12,8 @@ Run with:  python examples/cheat_detection.py
 from repro.audit.multiparty import distribute_evidence
 from repro.audit.verdict import Verdict
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings
 from repro.game.cheats import UnlimitedAmmoCheat
+from repro.game.session import GameSession, GameSessionSettings
 
 
 def main() -> None:

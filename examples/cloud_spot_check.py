@@ -14,7 +14,7 @@ from repro.audit.auditor import Auditor
 from repro.audit.spot_check import SpotChecker
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
-from repro.experiments.harness import build_trust
+from repro.crypto.keys import build_trust
 from repro.log.codec import modelled_compressed_log_bytes
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import Scheduler

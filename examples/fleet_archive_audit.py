@@ -16,8 +16,8 @@ import tempfile
 from pathlib import Path
 
 from repro.audit.engine import AuditAssignment, AuditScheduler
-from repro.experiments.parallel_audit import build_fleet
 from repro.service import AuditIngestService, format_ingest_report
+from repro.service.fleet import build_fleet
 from repro.store import LogArchive
 
 

@@ -10,8 +10,8 @@ Run with:  python examples/online_auditing.py
 
 from repro.audit.online import OnlineAuditor
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings
 from repro.game.cheats import AimbotCheat
+from repro.game.session import GameSession, GameSessionSettings
 from repro.metrics.framerate import FrameRateModel
 
 

@@ -12,7 +12,7 @@ Run with:  python examples/parallel_fleet_audit.py
 """
 
 from repro.audit.engine import AuditScheduler
-from repro.experiments.parallel_audit import build_fleet
+from repro.service.fleet import build_fleet
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ Run with:  python examples/quickstart.py
 from repro.audit import Auditor
 from repro.audit.verdict import Verdict
 from repro.avmm import AccountableVMM, AvmmConfig, Configuration
-from repro.experiments.harness import build_trust
+from repro.crypto.keys import build_trust
 from repro.network import SimulatedNetwork
 from repro.sim import Scheduler
 from repro.vm.events import PacketDelivery

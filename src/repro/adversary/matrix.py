@@ -37,8 +37,9 @@ from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
+from repro.crypto.keys import build_trust
 from repro.errors import ReproError
-from repro.experiments.harness import GameSession, GameSessionSettings, build_trust
+from repro.game.session import GameSession, GameSessionSettings
 from repro.network.simnet import SimulatedNetwork
 from repro.obs import Observability, ensure_obs
 from repro.service.ingest import AuditIngestService

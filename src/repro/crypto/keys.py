@@ -239,6 +239,17 @@ class StaticKeyView:
         return sorted(self.keys)
 
 
+def build_trust(identities: Sequence[str], scheme: str = "rsa768",
+                seed: int = 0) -> Tuple[CertificateAuthority, Dict[str, KeyPair], KeyStore]:
+    """Create a CA, issue a certified key pair per identity, build a keystore."""
+    ca = CertificateAuthority(scheme=scheme if scheme != "nosig" else "rsa768", seed=seed)
+    keypairs = {identity: ca.issue(identity) for identity in identities}
+    keystore = KeyStore(ca)
+    for keypair in keypairs.values():
+        keystore.add_certificate(keypair.certificate)
+    return ca, keypairs, keystore
+
+
 def _derive_seed(base: int, identity: str) -> int:
     digest = hashing.hash_concat(hashing.encode_int(base), identity.encode("utf-8"))
     return int.from_bytes(digest[:8], "big")

@@ -19,14 +19,9 @@ the examples and EXPERIMENTS.md use the same code paths.
 | Section 6.6 (audit cost)      | :mod:`repro.experiments.sec66_audit_cost` |
 | Section 6.7 (network traffic) | :mod:`repro.experiments.sec67_traffic` |
 
-Beyond the paper: :mod:`repro.experiments.parallel_audit` (the batch-audit
-engine speedup), :mod:`repro.experiments.archive_ingest` (the durable
-archive + audit-ingest pipeline lifecycle),
-:mod:`repro.experiments.stream_audit` (streaming vs materializing audit)
-and :mod:`repro.experiments.webload` (the accountable web service under
-open-loop heavy-tailed load).
+The adversary scenario matrix (:mod:`repro.experiments.adversary_matrix`)
+is the one module beyond the paper.  System benchmarks live in ``bench/``
+(the benchmark of record).  Library code — fleets, game sessions, trust
+setup — lives in the library packages, and no library package imports
+this one.
 """
-
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
-
-__all__ = ["GameSession", "GameSessionSettings", "format_table"]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.experiments.harness import format_table
+from repro.game.session import GameSession, GameSessionSettings
 
 
 @dataclass

@@ -14,7 +14,8 @@ from typing import Dict, List
 
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
-from repro.experiments.harness import build_trust, format_table
+from repro.crypto.keys import build_trust
+from repro.experiments.harness import format_table
 from repro.metrics.latency import LatencyRecorder, RttSummary, summarize_rtts
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import Scheduler

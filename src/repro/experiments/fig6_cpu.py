@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.experiments.harness import format_table
+from repro.game.session import GameSession, GameSessionSettings
 from repro.metrics.cpu import CpuModel, CpuUtilization
 
 

@@ -15,8 +15,9 @@ from typing import Dict, List, Optional
 
 from repro.audit.online import OnlineAuditor
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.experiments.harness import format_table
 from repro.game.cheats.implementations import UnlimitedAmmoCheat
+from repro.game.session import GameSession, GameSessionSettings
 
 
 @dataclass

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.experiments.harness import format_table
+from repro.game.session import GameSession, GameSessionSettings
 from repro.log.codec import modelled_compressed_log_bytes
 
 

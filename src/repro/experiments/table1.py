@@ -15,10 +15,11 @@ from typing import List, Optional
 
 from repro.audit.verdict import Verdict
 from repro.avmm.config import Configuration
-from repro.experiments.harness import GameSession, GameSessionSettings, format_table
+from repro.experiments.harness import format_table
 from repro.game.cheats.base import Cheat
 from repro.game.cheats.catalog import CHEAT_CATALOG, CatalogSummary, catalog_summary
 from repro.game.cheats.implementations import implemented_cheats
+from repro.game.session import GameSession, GameSessionSettings
 
 
 @dataclass

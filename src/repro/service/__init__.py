@@ -20,8 +20,6 @@ and convicts cross-shard equivocation from gossiped authenticators.  See
 from repro.service.fleet import (
     FleetAuditOutcome,
     FleetCoordinator,
-    ShardScalePoint,
-    modelled_shard_scaling,
 )
 from repro.service.ingest import (
     DEFAULT_INGEST_IDENTITY,
@@ -49,8 +47,6 @@ __all__ = [
     "IngestStats",
     "QuarantinedShipment",
     "ShardRing",
-    "ShardScalePoint",
     "format_ingest_report",
     "migrate_machine",
-    "modelled_shard_scaling",
 ]

@@ -22,31 +22,39 @@
   *withhold* evidence, but can neither fabricate a conviction nor launder
   a false one.
 
-The modelled-cost scaling story lives in :func:`modelled_shard_scaling`:
-real per-machine :class:`~repro.audit.verdict.AuditCost` totals are placed
-onto rings of increasing shard count, and the fleet audit makespan (the
-slowest shard's serial sum) is compared against the one-shard serial cost —
-the near-linear curve ``benchmarks/bench_fleet_shard.py`` asserts.
+:func:`build_fleet` records a fleet of kv-server / sql-bench pairs, ready
+to audit: unarchived, streamed into one
+:class:`~repro.service.ingest.AuditIngestService`, or sharded through a
+coordinator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.audit.auditor import Auditor
+from repro.audit.engine import AuditAssignment
 from repro.audit.multiparty import EquivocationProof, find_equivocation
 from repro.audit.verdict import AuditCost, AuditResult, Verdict
-from repro.crypto.keys import KeyStore
+from repro.avmm.config import AvmmConfig, Configuration
+from repro.avmm.monitor import AccountableVMM
+from repro.crypto.keys import KeyStore, build_trust
 from repro.errors import StoreError
 from repro.log.authenticator import Authenticator
 from repro.log.storage import authenticators_from_bytes
 from repro.network.simnet import SimulatedNetwork
-from repro.obs import Observability, ensure_obs
+from repro.obs import NULL_OBS, Observability, ensure_obs
+from repro.service.ingest import DEFAULT_INGEST_IDENTITY, AuditIngestService
 from repro.service.shard import (AuditShard, DEFAULT_RING_REPLICAS,
                                  HandoffReport, ShardRing, migrate_machine)
+from repro.sim.scheduler import Scheduler
+from repro.store.archive import LogArchive
+from repro.vm.image import VMImage
+from repro.workloads.kvstore import make_kvserver_image
+from repro.workloads.sqlbench import SqlBenchSettings, make_sqlbench_image
 
 DEFAULT_SHARD_PREFIX = "audit-shard"
 
@@ -87,10 +95,6 @@ class FleetAuditOutcome:
 
     def total_cost(self) -> AuditCost:
         return AuditCost.total(result.cost for result in self.results.values())
-
-    def per_machine_cost_seconds(self) -> Dict[str, float]:
-        return {machine: result.cost.total_seconds
-                for machine, result in self.results.items()}
 
 
 class FleetCoordinator:
@@ -331,62 +335,174 @@ class FleetCoordinator:
         return report
 
 
-# -- modelled scaling --------------------------------------------------------
+# -- recording a fleet -------------------------------------------------------
 
 @dataclass
-class ShardScalePoint:
-    """Modelled fleet-audit cost at one shard count."""
+class AuditFleet:
+    """A recorded fleet, ready to be audited."""
 
-    shards: int
-    serial_seconds: float        # one shard audits everything, in sequence
-    makespan_seconds: float      # slowest shard under consistent-hash placement
-    max_shard_machines: int
+    monitors: Dict[str, AccountableVMM]
+    reference_images: Dict[str, VMImage]
+    keystore: KeyStore
+    #: peer that holds each machine's authenticators (its pair partner)
+    peers: Dict[str, str]
+    #: the audit-ingest service, when the fleet was recorded with an archive
+    ingest: Optional[AuditIngestService] = None
+    scheduler: Optional[Scheduler] = None
+    #: telemetry sink the fleet was recorded under; auditors inherit it
+    obs: Observability = NULL_OBS
+    #: the sharded-ingest coordinator, when one was attached instead of a
+    #: single archive
+    coordinator: Optional[FleetCoordinator] = None
+    #: per-identity signing keys (the fleet's trust setup); adversarial
+    #: harnesses use these to forge validly-signed alternate chains
+    keypairs: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def speedup(self) -> float:
-        return (self.serial_seconds / self.makespan_seconds
-                if self.makespan_seconds > 0 else 1.0)
+    def machines(self) -> List[str]:
+        return sorted(self.monitors)
 
-    @property
-    def efficiency(self) -> float:
-        return self.speedup / self.shards if self.shards else 0.0
+    def make_auditor(self, target: str, identity: str = "auditor",
+                     collect: bool = True) -> Auditor:
+        """An external auditor holding the authenticators the peer collected.
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"shards": self.shards,
-                "serial_seconds": self.serial_seconds,
-                "makespan_seconds": self.makespan_seconds,
-                "max_shard_machines": self.max_shard_machines,
-                "speedup": self.speedup,
-                "efficiency": self.efficiency}
+        ``collect=False`` returns the auditor empty-handed — the right
+        starting point for archive-backed audits, where the ingest service
+        supplies the archived authenticators instead of a live peer.
+        """
+        auditor = Auditor(identity, self.keystore, self.reference_images[target],
+                          obs=self.obs)
+        if collect:
+            auditor.collect_from_peer(self.monitors[self.peers[target]], target)
+        return auditor
+
+    def assignments(self) -> List[AuditAssignment]:
+        return [AuditAssignment(self.make_auditor(machine), self.monitors[machine])
+                for machine in self.machines]
 
 
-def modelled_shard_scaling(per_machine_seconds: Dict[str, float],
-                           shard_counts: Sequence[int],
-                           replicas: int = DEFAULT_RING_REPLICAS,
-                           identity_prefix: str = DEFAULT_SHARD_PREFIX
-                           ) -> List[ShardScalePoint]:
-    """Modelled audit cost of the same fleet at several shard counts.
+def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
+                snapshot_interval: Optional[float] = 10.0,
+                archive: Optional[LogArchive] = None,
+                ingest_identity: str = DEFAULT_INGEST_IDENTITY,
+                client_settings: Optional[SqlBenchSettings] = None,
+                ship_format_version: int = 1,
+                coordinator: Optional[FleetCoordinator] = None,
+                obs: Optional[Observability] = None) -> AuditFleet:
+    """Record a fleet of ``num_machines`` (server+client pairs) for auditing.
 
-    Places every machine onto a consistent-hash ring of each size and sums
-    its *measured* modelled audit cost per shard; the makespan is the
-    slowest shard (shards audit in parallel, each serially).  This is the
-    honest version of the scaling claim: it inherits whatever imbalance the
-    real placement function produces instead of assuming perfect spread.
+    With an ``archive``, an :class:`~repro.service.ingest.AuditIngestService`
+    joins the network under ``ingest_identity`` and every monitor streams its
+    sealed segments (plus boundary snapshots and collected peer
+    authenticators) to it during the run; the unsealed log tails are shipped
+    and drained before the fleet is returned, so the archive holds each
+    machine's complete log.  ``client_settings`` overrides the benchmark
+    clients' workload shape (its ``server`` field is replaced per pair), e.g.
+    fatter row payloads, so raw log bytes grow without growing entry counts.  ``ship_format_version`` selects the
+    wire codec the monitors ship segments in (:mod:`repro.log.codec`); the
+    archive's own ``format_version`` independently controls the stored
+    format, so mixed ship/store configurations are expressible.
+
+    With a ``coordinator`` (mutually exclusive with ``archive``), the fleet
+    records *sharded*: every shard's ingest endpoint joins the network and
+    each monitor ships to its consistent-hash home shard
+    (:meth:`~repro.service.fleet.FleetCoordinator.attach_fleet`) — the
+    fleet-scale topology of ``docs/fleet-sharding.md``.  ``obs``
+    threads one telemetry sink (:mod:`repro.obs`) through every monitor, the
+    ingest service, and the auditors the fleet later makes — observers only,
+    it never changes what gets recorded or audited.
     """
-    serial = sum(per_machine_seconds.values())
-    points: List[ShardScalePoint] = []
-    for count in shard_counts:
-        ring = ShardRing((f"{identity_prefix}-{index:02d}"
-                          for index in range(count)), replicas=replicas)
-        loads: Dict[str, float] = {sid: 0.0 for sid in ring.shard_ids()}
-        machines: Dict[str, int] = {sid: 0 for sid in ring.shard_ids()}
-        for machine, seconds in per_machine_seconds.items():
-            shard_id = ring.shard_for(machine)
-            loads[shard_id] += seconds
-            machines[shard_id] += 1
-        points.append(ShardScalePoint(
-            shards=count,
-            serial_seconds=serial,
-            makespan_seconds=max(loads.values()) if loads else 0.0,
-            max_shard_machines=max(machines.values()) if machines else 0))
-    return points
+    if num_machines < 2 or num_machines % 2:
+        raise ValueError(f"fleet size must be an even number >= 2, got {num_machines}")
+    obs = ensure_obs(obs)
+    scheduler = Scheduler()
+    if obs.enabled and getattr(obs.tracer, "sim_time", None) is None:
+        # Bind the sim clock domain to this fleet's clock so sim-domain
+        # events (snapshots, shipments, ingests) carry simulated timestamps.
+        obs.tracer.sim_time = scheduler.clock.read
+    network = SimulatedNetwork(scheduler)
+    config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768,
+                                          snapshot_interval=snapshot_interval)
+
+    pairs = [(f"db-server-{index:02d}", f"db-client-{index:02d}")
+             for index in range(num_machines // 2)]
+    identities = [identity for pair in pairs for identity in pair]
+    _, keypairs, keystore = build_trust(identities + ["auditor"],
+                                        scheme=config.signature_scheme, seed=seed)
+
+    monitors: Dict[str, AccountableVMM] = {}
+    reference_images: Dict[str, VMImage] = {}
+    peers: Dict[str, str] = {}
+    for index, (server, client) in enumerate(pairs):
+        server_image = make_kvserver_image()
+        if client_settings is None:
+            pair_settings = SqlBenchSettings(server=server)
+        else:
+            pair_settings = replace(client_settings, server=server)
+        client_image = make_sqlbench_image(pair_settings)
+        reference_images[server] = server_image
+        reference_images[client] = client_image
+        peers[server] = client
+        peers[client] = server
+        monitors[server] = AccountableVMM(
+            server, server_image, config, scheduler, network,
+            keypair=keypairs[server], keystore=keystore,
+            clock_offset=0.0005 * index, obs=obs)
+        monitors[client] = AccountableVMM(
+            client, client_image, config, scheduler, network,
+            keypair=keypairs[client], keystore=keystore,
+            clock_offset=0.0005 * index + 0.0002, obs=obs)
+
+    if archive is not None and coordinator is not None:
+        raise ValueError("pass either archive= (single service) or "
+                         "coordinator= (sharded fleet), not both")
+    ingest: Optional[AuditIngestService] = None
+    if archive is not None:
+        ingest = AuditIngestService(archive, identity=ingest_identity,
+                                    network=network, obs=obs)
+        for monitor in monitors.values():
+            monitor.attach_archive_shipper(
+                ingest_identity, format_version=ship_format_version)
+    elif coordinator is not None:
+        coordinator.connect(network)
+        coordinator.attach_fleet(monitors.values(),
+                                 format_version=ship_format_version)
+
+    for monitor in monitors.values():
+        monitor.start()
+    scheduler.run_until(duration)
+    for monitor in monitors.values():
+        monitor.stop()
+    if ingest is not None or coordinator is not None:
+        drain_fleet_to_archive(scheduler, monitors)
+    return AuditFleet(monitors=monitors, reference_images=reference_images,
+                      keystore=keystore, peers=peers, ingest=ingest,
+                      scheduler=scheduler, obs=obs, coordinator=coordinator,
+                      keypairs=keypairs)
+
+
+def drain_fleet_to_archive(scheduler: Scheduler,
+                           monitors: Dict[str, AccountableVMM],
+                           settle: float = 1.0, max_rounds: int = 5) -> None:
+    """Flush in-flight traffic, ship the log tails, and deliver everything.
+
+    Delivering a straggler message can append new log entries (a RECV plus
+    its ACK), so tail shipping repeats until a whole round ships nothing —
+    at that point every monitor's archive mirrors its log exactly.  Raises
+    :class:`~repro.errors.StoreError` if the fleet is still producing or
+    dropping shipments after ``max_rounds`` (e.g. an unhealed partition to
+    the ingest endpoint) rather than returning an incomplete archive.
+    """
+    scheduler.run_until(scheduler.clock.now + settle)
+    for _ in range(max_rounds):
+        shipped = [monitor.ship_archive_tail() for monitor in monitors.values()]
+        scheduler.run_until(scheduler.clock.now + settle)
+        if not any(shipped):
+            break
+    unshipped = sorted(monitor.identity for monitor in monitors.values()
+                       if not monitor.archive_shipping_complete)
+    if unshipped:
+        raise StoreError(
+            f"archive drain did not converge: {unshipped} still have "
+            f"unshipped log entries or authenticators after "
+            f"{max_rounds} rounds")

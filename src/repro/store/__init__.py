@@ -15,7 +15,6 @@ a durable, indexed, garbage-collected archive rather than a log in RAM.
 
 from repro.store.archive import (
     ArchiveSnapshotStore,
-    ArchiveStats,
     LogArchive,
     RecoveryReport,
 )
@@ -27,7 +26,6 @@ from repro.store.manifest import (
 
 __all__ = [
     "ArchiveSnapshotStore",
-    "ArchiveStats",
     "AuthBatchRecord",
     "LogArchive",
     "RecoveryReport",

@@ -110,27 +110,6 @@ class RecoveryReport:
         return not self.orphan_files and not self.torn_tails
 
 
-@dataclass
-class ArchiveStats:
-    """Aggregate archive contents (drives the ingest benchmark's table)."""
-
-    machines: int = 0
-    segment_files: int = 0
-    entries: int = 0
-    raw_bytes: int = 0
-    stored_bytes: int = 0
-    auth_batches: int = 0
-    authenticators: int = 0
-    snapshots: int = 0
-
-    @property
-    def compression_ratio(self) -> float:
-        """Stored size over raw size (smaller is better)."""
-        if self.raw_bytes == 0:
-            return 1.0
-        return self.stored_bytes / self.raw_bytes
-
-
 class _Group:
     """The frames of one append, staged: one write, one commit record."""
 
@@ -329,18 +308,6 @@ class LogArchive:
     def retained_checkpoint(self, machine: str) -> Optional[ChainCheckpoint]:
         """The truncation checkpoint, or ``None`` if never truncated."""
         return self._retained.get(machine)
-
-    def stats(self) -> ArchiveStats:
-        segments = [r for records in self._index.values() for r in records]
-        batches = [b for held in self._auth_index.values() for b in held]
-        return ArchiveStats(
-            machines=len(self.machines()), segment_files=len(segments),
-            entries=sum(record.entry_count for record in segments),
-            raw_bytes=sum(record.raw_bytes for record in segments),
-            stored_bytes=sum(record.stored_bytes for record in segments),
-            auth_batches=len(batches),
-            authenticators=sum(batch.count for batch in batches),
-            snapshots=sum(map(len, self._snapshot_index.values())))
 
     # -- writing: the shipment append ------------------------------------------
 

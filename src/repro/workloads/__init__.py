@@ -7,8 +7,9 @@
   round-trip-time measurements (Figure 5).
 * :mod:`repro.workloads.webservice` — the accountable HTTP-style API
   service (routed endpoints, TTL response cache, recorded upstream-call
-  nondeterminism) driven open-loop by :mod:`repro.experiments.webload`
-  (see ``docs/webservice-workload.md``).
+  nondeterminism), driven open-loop by the benchmark of record's
+  ``web_honest`` / ``web_cheat`` workloads (see
+  ``docs/webservice-workload.md``).
 """
 
 from repro.workloads.echo import EchoGuest, make_echo_image

@@ -84,8 +84,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from repro.audit.engine import shutdown_worker_pools
 from repro.avmm.config import Configuration
 from repro.crypto.keys import CertificateAuthority, KeyStore
-from repro.experiments.harness import GameSession, GameSessionSettings
 from repro.game.cheats.implementations import UnlimitedAmmoCheat
+from repro.game.session import GameSession, GameSessionSettings
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
-from repro.experiments.harness import build_trust
+from repro.crypto.keys import build_trust
 from repro.log.authenticator import (MAX_ACK_RUN_LINKS, Authenticator,
                                      chain_run)
 from repro.log.entries import EntryType

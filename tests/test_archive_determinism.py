@@ -22,11 +22,11 @@ from pathlib import Path
 _RECORD = """
 import hashlib, json, sys
 from pathlib import Path
-from repro.experiments.webload import LoadModel, run_webload
+from bench.harness import record
+from bench.workloads import WORKLOADS
 from repro.store.archive import LogArchive
 root = Path(sys.argv[1])
-run_webload(LoadModel(users=25, seed=42), snapshot_interval=0.2,
-            root=str(root))
+assert record(WORKLOADS["web_honest"](42, 0.4).build(True, root / "honest-archive"))
 LogArchive(root / "honest-archive").reencode_segments(
     root / "honest-archive-v3", format_version=3)
 print(json.dumps({path.relative_to(root).as_posix():
@@ -36,10 +36,10 @@ print(json.dumps({path.relative_to(root).as_posix():
 
 
 def _digests(root: Path, hash_seed: str) -> dict:
-    src = Path(__file__).resolve().parent.parent / "src"
+    repo = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join(
-               [str(src), os.environ.get("PYTHONPATH", "")])}
+               [str(repo / "src"), str(repo), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _RECORD, str(root)],
                           env=env, capture_output=True, text=True,
                           timeout=120)

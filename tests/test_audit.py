@@ -117,7 +117,7 @@ class TestFullAudit:
     def test_log_tampering_caught_by_authenticator_check(self):
         # A dedicated (mutable) session: Bob rewrites his own log after the fact.
         from repro.avmm.config import Configuration
-        from repro.experiments.harness import GameSession, GameSessionSettings
+        from repro.game.session import GameSession, GameSessionSettings
         session = GameSession(GameSessionSettings(
             configuration=Configuration.AVMM_RSA768, num_players=2,
             duration=4.0, seed=31, snapshot_interval=None))
@@ -215,7 +215,7 @@ class TestExternalAdversaries:
         # Class-2 detection: the guest image is the reference image, but the
         # machine's outgoing packets are rewritten outside the AVM.
         from repro.avmm.config import Configuration
-        from repro.experiments.harness import GameSession, GameSessionSettings
+        from repro.game.session import GameSession, GameSessionSettings
         settings = GameSessionSettings(configuration=Configuration.AVMM_RSA768,
                                        num_players=2, duration=5.0, seed=21,
                                        snapshot_interval=None)

@@ -166,7 +166,7 @@ class TestIncrementalChain:
 
 def _short_session(seed):
     from repro.avmm.config import Configuration
-    from repro.experiments.harness import GameSession, GameSessionSettings
+    from repro.game.session import GameSession, GameSessionSettings
     return GameSession(GameSessionSettings(
         configuration=Configuration.AVMM_RSA768, num_players=2,
         duration=4.0, seed=seed, snapshot_interval=2.0))
@@ -334,6 +334,19 @@ class TestAuditScheduler:
             < report.total_cost.signatures_verified
         for machine_report in report.machine_reports.values():
             assert machine_report.unchunkable_reason is None
+
+    def test_fleet_modelled_speedup_at_four_workers(self):
+        from repro.service.fleet import build_fleet
+        fleet = build_fleet(num_machines=8, duration=8.0)
+        serial = AuditScheduler(workers=1).audit_fleet(fleet.assignments())
+        parallel = AuditScheduler(workers=4).audit_fleet(fleet.assignments())
+        verdicts = {machine: result.verdict
+                    for machine, result in serial.results.items()}
+        assert set(verdicts.values()) == {Verdict.PASS}
+        assert {machine: result.verdict
+                for machine, result in parallel.results.items()} == verdicts
+        # near-linear: eight independent logs spread over four workers
+        assert parallel.modelled.speedup >= 2.5
 
     def test_executor_modes_agree(self, honest_session):
         machine = "player1"

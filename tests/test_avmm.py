@@ -7,15 +7,15 @@ from repro.avmm.config import ALL_CONFIGURATIONS, AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.avmm.recorder import ExecutionRecorder
 from repro.avmm.replayer import DeterministicReplayer
-from repro.experiments.harness import build_trust
+from repro.crypto.keys import build_trust
 from repro.log.entries import EntryType
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.network.simnet import SimulatedNetwork
 from repro.sim.scheduler import Scheduler
 from repro.vm.events import KeyboardInput, PacketDelivery, TimerInterrupt
 from repro.vm.execution import ExecutionTimestamp
-from repro.workloads.echo import EchoGuest, make_echo_image
 from repro.vm.image import VMImage
+from repro.workloads.echo import EchoGuest, make_echo_image
 
 
 class TestConfig:

@@ -25,12 +25,12 @@ import pytest
 
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import ArchiveIntegrityError
-from repro.experiments.parallel_audit import build_fleet
 from repro.log.codec import (MAGIC_LENGTH, V3_FLAG_CHAIN_BREAKS_ONLY,
                              TypedCodec, decode_segment, get_codec,
                              modelled_compressed_log_bytes,
                              sniff_format_version)
 from repro.log.entries import decode_content, encode_content
+from repro.service.fleet import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 from repro.store.manifest import (SegmentRecord, parse_checkpoint,

@@ -28,13 +28,13 @@ from repro.audit.verdict import AuditPhase, Verdict
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto import hashing
+from repro.crypto.keys import build_trust
 from repro.errors import LogFormatError, RetentionError, StoreError
-from repro.experiments.harness import build_trust
-from repro.experiments.parallel_audit import build_fleet, drain_fleet_to_archive
 from repro.log.authenticator import make_authenticator
 from repro.log.hashchain import ChainCheckpoint
 from repro.network.simnet import SimulatedNetwork
-from repro.service.fleet import FleetCoordinator, modelled_shard_scaling
+from repro.service.fleet import (FleetCoordinator, build_fleet,
+                                 drain_fleet_to_archive)
 from repro.service.shard import ShardRing, migrate_machine
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
@@ -87,16 +87,6 @@ class TestShardRing:
         ring.remove_shard("shard-0")
         with pytest.raises(ValueError):
             ring.remove_shard("shard-0")
-
-    def test_modelled_scaling_monotone_and_serial_exact(self):
-        costs = {machine: 1.0 + (index % 7) * 0.1
-                 for index, machine in enumerate(fleet_machine_names(200))}
-        points = modelled_shard_scaling(costs, (1, 2, 4, 8))
-        assert points[0].makespan_seconds == pytest.approx(sum(costs.values()))
-        makespans = [point.makespan_seconds for point in points]
-        assert makespans == sorted(makespans, reverse=True)
-        assert all(point.serial_seconds == pytest.approx(sum(costs.values()))
-                   for point in points)
 
 
 # -- EquivocationProof wire form (satellite: third-party verifiable) ---------
@@ -356,7 +346,7 @@ def test_sharded_audit_structurally_identical_to_single_service(tmp_path):
 
 def test_cheating_guest_fails_semantically_in_both_pipelines(
         tmp_path, monkeypatch):
-    from repro.experiments import parallel_audit
+    from repro.service import fleet as fleet_module
 
     def build_cheating(which):
         calls = {"count": 0}
@@ -367,7 +357,7 @@ def test_cheating_guest_fails_semantically_in_both_pipelines(
                 return make_cheating_kvserver_image()
             return make_kvserver_image(*args, **kwargs)
 
-        monkeypatch.setattr(parallel_audit, "make_kvserver_image", patched)
+        monkeypatch.setattr(fleet_module, "make_kvserver_image", patched)
         kwargs = dict(num_machines=4, duration=1.5, seed=31,
                       snapshot_interval=0.5)
         if which == "single":

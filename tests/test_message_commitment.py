@@ -35,7 +35,7 @@ from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import Verdict
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
-from repro.experiments.harness import build_trust
+from repro.crypto.keys import build_trust
 from repro.log.authenticator import (MAX_ACK_RUN_LINKS, Authenticator,
                                      build_run, recv_commitment)
 from repro.log.entries import EntryType, recv_content

@@ -34,12 +34,11 @@ from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
 from repro.experiments import adversary_matrix
-from repro.experiments import stream_audit as stream_audit_experiment
-from repro.experiments.observability import run_observed_fleet
-from repro.experiments.parallel_audit import build_fleet
-from repro.obs import Observability
+from repro.obs import Observability, validate_chrome_trace
+from repro.service.fleet import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
+from repro.workloads.sqlbench import SqlBenchSettings
 
 
 @pytest.fixture(scope="module")
@@ -237,22 +236,47 @@ class TestDisabledFastPath:
 # ---------------------------------------------------------------------------
 
 class TestObservedFleet:
+    #: span-name prefixes that must all appear in a fleet trace, one per
+    #: pipeline layer (record -> ship -> ingest -> audit)
+    TRACE_LAYERS = {
+        "monitor": ("monitor.snapshot",),
+        "shipper": ("monitor.ship",),
+        "ingest": ("ingest.",),
+        "audit": ("audit.",),
+    }
+
     def test_trace_covers_all_layers_and_validates(self, tmp_path):
-        result = run_observed_fleet(num_machines=2, duration=4.0,
-                                    payload_bytes=800,
-                                    trace_path=str(tmp_path / "trace.json"),
-                                    root=str(tmp_path))
-        assert result.all_passed, result.verdicts
-        assert result.all_layers_covered, result.layer_coverage
-        assert result.trace_valid, result.trace_errors[:5]
-        assert result.spans_recorded > 0
-        metrics = result.metrics
+        obs = Observability.make()
+        fleet = build_fleet(
+            num_machines=2, duration=4.0, seed=23, snapshot_interval=2.0,
+            archive=LogArchive(tmp_path / "archive"),
+            client_settings=SqlBenchSettings(
+                server="", operations_per_tick=3, tick_interval=0.25,
+                rows_per_phase=4, payload_bytes=800),
+            obs=obs)
+        for machine in fleet.machines:
+            auditor = fleet.make_auditor(machine, collect=False)
+            fleet.ingest.prepare_auditor(auditor, machine)
+            auditor.audit(fleet.ingest.target_for(machine))
+
+        verdicts = {entry["machine"]: entry.get("verdict")
+                    for entry in obs.progress.snapshot()}
+        assert verdicts and set(verdicts.values()) == {"pass"}, verdicts
+        names = [span.name for span in obs.tracer.spans]
+        assert names
+        for layer, prefixes in self.TRACE_LAYERS.items():
+            assert any(name.startswith(prefixes) for name in names), layer
+        trace = tmp_path / "trace.json"
+        obs.tracer.export_chrome_trace(trace)
+        errors = validate_chrome_trace(json.loads(trace.read_text(encoding="utf-8")))
+        assert not errors, errors[:5]
+        metrics = obs.metrics.snapshot()
         assert metrics["monitor.log_entries_total"] > 0
         assert metrics["monitor.segments_shipped_total"] > 0
         assert metrics["ingest.segments_ingested_total"] > 0
         assert metrics["archive.segments_written_total"] > 0
         assert metrics["audit.chunks_total"] > 0
-        assert result.peak_rss_bytes > 0
+        assert obs.progress.peak_rss > 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +284,6 @@ class TestObservedFleet:
 # ---------------------------------------------------------------------------
 
 class TestJsonOutput:
-    def test_stream_audit_json_mode(self, capsys):
-        result = stream_audit_experiment.main(
-            argv=["--duration", "4.0", "--payload-bytes", "1000", "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["identical"] is True
-        assert payload["entries"] == result.entries
-        assert {"peak_ratio", "throughput_ratio"} <= payload.keys()
-
     def test_adversary_matrix_json_mode(self, capsys, monkeypatch):
         report = MatrixReport()
         monkeypatch.setattr(adversary_matrix, "run_matrix",

@@ -22,11 +22,11 @@ from repro.errors import (
     RetentionError,
     StoreError,
 )
-from repro.experiments.parallel_audit import build_fleet
 from repro.log.entries import EntryType, nondet_content, snapshot_content
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
+from repro.service.fleet import build_fleet
 from repro.store import LogArchive
 from repro.store.manifest import MANIFEST_NAME
 

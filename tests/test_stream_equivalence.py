@@ -31,7 +31,7 @@ from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import Verdict
 from repro.errors import ReproError
-from repro.experiments.parallel_audit import build_fleet
+from repro.service.fleet import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 

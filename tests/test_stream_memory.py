@@ -27,7 +27,7 @@ from dataclasses import replace
 from repro.adversary.guests import CheatingKvServerGuest
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.verdict import AuditPhase, Verdict
-from repro.experiments.parallel_audit import build_fleet
+from repro.service.fleet import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 from repro.workloads.kvstore import KvServerGuest

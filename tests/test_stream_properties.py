@@ -35,12 +35,12 @@ from repro.audit.kernel import (BoundaryContext, chunk_job,
 from repro.audit.stream import ArchiveEntryStream, iter_stream_chunks
 from repro.audit.verdict import AuditPhase
 from repro.errors import HashChainError, ReproError
-from repro.experiments.parallel_audit import build_fleet
 from repro.log.codec import JsonBz2Codec, SegmentStreamDecoder
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain_incremental
 from repro.log.segments import LogSegment, concatenate_segments
 from repro.log.tamper_evident import TamperEvidentLog
+from repro.service.fleet import build_fleet
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
 

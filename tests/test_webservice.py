@@ -6,13 +6,15 @@ Covers the three layers the webservice tentpole added:
   upstream work), eviction, state round-trips;
 * the upstream-call nondeterminism channel — recorded on the live path,
   re-served by replay, and checked for timing / question / count mismatches;
-* the end-to-end differential — the honest open-loop run passes the
-  streaming audit under accountability on and off with identical responses,
-  while the stale-cache cheat image is convicted with evidence an
-  independent third party can verify.
+* the end-to-end differential — the benchmark of record's ``web_honest``
+  plan gets identical responses with accountability on and off and its
+  archive passes the audit, while ``web_cheat``'s stale-cache image is
+  convicted with evidence an independent third party can verify.
 """
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.avmm.replayer import _ReplayClockSource, _UpstreamItem
 from repro.crypto import hashing
 from repro.errors import VMError
 from repro.vm.execution import ExecutionTimestamp
-from repro.experiments.webload import LoadModel, run_webload
 from repro.vm.events import KeyboardInput, PacketDelivery, TimerInterrupt
 from repro.vm.machine import (FixedNondeterminismSource,
                               LiveNondeterminismSource, UpstreamResponse,
@@ -32,6 +33,13 @@ from repro.workloads.webservice import (SimulatedUpstreamBackend,
                                         WebServiceSettings,
                                         make_webclient_image,
                                         make_webservice_image)
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:  # bench/ is a package beside tests/, not under src/
+    sys.path.insert(0, str(ROOT))
+
+from bench.harness import record  # noqa: E402
+from bench.workloads import CLIENT, SERVER, WORKLOADS, web_responses  # noqa: E402
 
 
 def boot(image, upstream_responses=None, clock_values=None):
@@ -212,38 +220,51 @@ class TestUpstreamChannel:
 
 
 class TestWebloadDifferential:
+    SEED, SCALE = 11, 0.4  # 46 requests
+
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
-        model = LoadModel(users=60, seed=11, arrival_rate=400.0)
-        return run_webload(model,
-                           root=str(tmp_path_factory.mktemp("webload")))
+        runs = {}
+        for name in ("web_honest", "web_cheat"):
+            workload = WORKLOADS[name](self.SEED, self.SCALE)
+            root = tmp_path_factory.mktemp(name) / "archive"
+            accountable = workload.build(True, root)
+            assert record(accountable)
+            bare = workload.build(False, None, trust=accountable.trust)
+            record(bare)
+            audits, healthy = workload.audit(accountable, root, False)
+            runs[name] = (accountable, bare,
+                          {audit.machine: audit for audit in audits}, healthy)
+        return runs
 
     def test_honest_on_off_structurally_identical(self, result):
-        assert result.statuses_identical
-        bare = result.point("bare-hw")
-        avmm = result.point("avmm-rsa768")
-        assert bare.responses_received == avmm.responses_received \
-            == result.total_requests
+        accountable, bare, _, _ = result["web_honest"]
+        statuses, _ = web_responses(accountable)
+        bare_statuses, _ = web_responses(bare)
+        assert statuses == bare_statuses
+        assert set(statuses) == set(accountable.sent_at) == set(bare.sent_at)
 
     def test_accountability_costs_latency_not_responses(self, result):
-        bare = result.point("bare-hw")
-        avmm = result.point("avmm-rsa768")
-        assert avmm.rtt.p50 > bare.rtt.p50
-        for rtt in (bare.rtt, avmm.rtt):
-            assert rtt.p50 <= rtt.p95 <= rtt.p99 <= rtt.p999
+        accountable, bare, _, _ = result["web_honest"]
+        _, p99 = web_responses(accountable)
+        _, bare_p99 = web_responses(bare)
+        assert p99 > bare_p99 > 0
 
     def test_honest_run_passes_streaming_audit(self, result):
-        assert result.honest_pass
-        assert {o.machine for o in result.honest_audits} == \
-            {"web-server", "web-client"}
-        assert all(o.chunks >= 1 for o in result.honest_audits)
+        _, _, audits, healthy = result["web_honest"]
+        assert healthy
+        assert set(audits) == {SERVER, CLIENT}
+        for audit in audits.values():
+            assert audit.result.verdict.value == "pass", audit.result.reason
+            assert audit.result.replay_report.entries_replayed > 0
 
     def test_cheat_detected_with_verified_evidence(self, result):
-        assert result.cheat_detected
-        server = next(o for o in result.cheat_audits
-                      if o.machine == "web-server")
-        assert server.verdict == "fail"
+        _, _, audits, _ = result["web_cheat"]
+        server = audits[SERVER]
+        assert server.result.verdict.value == "fail"
         assert server.evidence_verified is True
 
     def test_zero_false_accusations(self, result):
-        assert result.false_accusations == 0
+        assert result["web_cheat"][2][CLIENT].result.verdict.value == "pass"
+        assert all(audit.result.verdict.value == "pass"
+                   for audit in result["web_honest"][2].values())
