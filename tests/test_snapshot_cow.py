@@ -222,6 +222,37 @@ class TestSnapshotManagerCow:
         assert manager.resident_bytes() < full_retention / 10
         assert manager.count == 200
 
+    def test_resident_bytes_are_keyframes_deltas_and_working_copy(self):
+        # A kv-server-shaped state of many mostly-idle tables, one table
+        # rewritten per snapshot: the spot-check regime of Section 6.
+        tables, row_bytes, keyframe_interval, cache = 500, 256, 25, 2
+        state = {
+            "guest": {"tables": {f"table-{i:04d}": {"row": "x" * row_bytes}
+                                 for i in range(tables)},
+                      "operations": 10_000_000},
+            "instruction_count": 10 ** 12,
+        }
+        manager = SnapshotManager(keyframe_interval=keyframe_interval,
+                                  materialized_cache=cache)
+        state_bytes = len(serialize_state(state))
+        for step in range(200):
+            if step:
+                state["guest"]["tables"][f"table-{step % tables:04d}"] = {
+                    "row": "abcdefghij"[step % 10] * row_bytes}
+                state["guest"]["operations"] += 1
+                state["instruction_count"] += 137
+            manager.take(state, ts(step))
+        ids = manager.snapshot_ids()
+        keyframes = sum(1 for sid in ids if manager.is_keyframe(sid))
+        delta_bytes = sum(manager.get_incremental(sid).incremental_bytes
+                          for sid in ids)
+        # Nothing but keyframes, deltas, the working copy and the LRU stays
+        # resident.
+        cap = (keyframes + 1 + cache) * state_bytes + delta_bytes
+        assert keyframes == 200 // keyframe_interval
+        assert manager.resident_bytes() <= cap * 1.05
+        assert manager.get(ids[len(ids) // 2]).verify_root()
+
     def test_legacy_take_signature_still_works(self):
         # take(state, execution) is the whole signature: no dirt to report.
         manager = SnapshotManager(page_size=64)
