@@ -16,13 +16,15 @@ Rows and frames are private to each format: what one of them leaves out
 follows from the one before it (v1 delta counters and dense sequence
 numbers, and in v1 and v3 the hash chain itself — ``h`` / ``p`` are written
 only at *chain breaks*, where they differ from what the reader recomputes),
-so a row means nothing outside its segment.
+so a row means nothing outside its segment.  A link the reader recomputes is
+memoised on its entry, so the chain check that follows does not hash it again.
 
 Two formats exist, one encoder and one decoder each:
 
 * ``format_version=1`` (:class:`JsonBz2Codec`, magic ``AVMLOGZ1``) — the
   original VMM-specific JSON pre-pass + bzip2 pipeline.  Byte-for-byte
-  compatible with every archive written before this module existed.
+  compatible with every archive written before this module existed.  Its
+  one, strict reader is the streaming one; the segment-level decode drains it.
 * ``format_version=3`` (:class:`TypedCodec`, magic ``AVMLOGT3``) — a
   little-endian header and length-prefixed frames walked through a
   ``memoryview``.  Decode is *lazy*: the frame's verbatim canonical content
@@ -58,6 +60,8 @@ import codecs
 import json
 import struct
 import zlib
+from hashlib import sha256
+from itertools import chain
 from typing import (
     ClassVar,
     Dict,
@@ -77,9 +81,8 @@ from repro.log.entries import (
     count_materialization,
     encode_content,
     lazy_entry,
-    seed_encoded_content,
 )
-from repro.log.hashchain import entry_link_hash
+from repro.log.hashchain import entry_link_hash, memoise_link
 from repro.log.segments import LogSegment
 
 __all__ = [
@@ -207,6 +210,16 @@ def decode_segment(data: Union[bytes, memoryview]) -> LogSegment:
     return codec_for_data(data).decode_segment(data)
 
 
+def _prefix(chunks: Iterator[bytes]) -> bytes:
+    """The first chunks of a stream, joined, until they hold a magic."""
+    prefix = b""
+    for piece in chunks:
+        prefix += piece
+        if len(prefix) >= MAGIC_LENGTH:
+            break
+    return prefix
+
+
 class _StreamDecoderBase:
     """Protocol of the per-format incremental decoders.
 
@@ -229,17 +242,28 @@ class _StreamDecoderBase:
 #
 # One entry <-> one compact JSON row.  The row codec carries what a row leaves
 # out (execution-counter delta, dense sequence number, the hash chain) from
-# row to row, so the whole-segment decoder and the streaming decoder consume
-# *identical* rows: the streaming path is byte-exact with the materializing
-# one by construction.
+# row to row.  There is one reader, the streaming one; the whole-segment
+# decoder drains it, so the ingest door and the auditor accept exactly the
+# same bytes.
+
+#: the writer's layout, compact and key-sorted; the reader re-runs it over
+#: what it parsed (no cycles, so none to look for) to require that layout
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_SCAN = json.JSONDecoder().raw_decode
+_V1_HEAD, _V1_ROWS, _V1_TAIL = '{"header":', ',"rows":[', "}"
+_WIRE_TYPES = {entry_type.wire_name: entry_type for entry_type in EntryType}
+
 
 def _encode_v1_header(machine: str, start_hash: bytes) -> Dict:
     return {"machine": machine, "start_hash": start_hash.hex()}
 
 
 def _dump_compact(value) -> bytes:
-    return json.dumps(value, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _COMPACT.encode(value).encode("utf-8")
+
+
+def _noncanonical(what: str) -> LogFormatError:
+    return LogFormatError(f"corrupt VMM-encoded log: {what} not as the writer lays it out")
 
 
 class _RowCodec:
@@ -290,36 +314,42 @@ class _RowCodec:
         return row
 
     def decode_row(self, row: Dict) -> LogEntry:
+        """The entry a parsed row stands for; the row is the reader's own,
+        so its content dict becomes the entry's, uncopied."""
         try:
+            content = row["c"]
+            if type(content) is not dict or type(row.get("s", 0)) is not int \
+                    or type(row.get("dc", 0)) is not int:
+                raise TypeError("'s' and 'dc' must be ints, 'c' an object")
             if "s" in row:
                 sequence = row["s"]
             else:
                 sequence = (self._sequence + 1
                             if self._sequence is not None else 1)
             self._sequence = sequence
-            content = dict(row["c"])
             if "dc" in row:
                 self._counter += row["dc"]
                 content["execution_counter"] = self._counter
             count_materialization()
-            entry_type = EntryType(row["t"])
+            entry_type = _WIRE_TYPES[row["t"]]
             previous = bytes.fromhex(row["p"]) if "p" in row else self._chain
-            encoded = content_hash = None
+            entry = LogEntry.__new__(LogEntry)
+            fields = entry.__dict__
+            fields.update(sequence=sequence, entry_type=entry_type,
+                          content=content, previous_hash=previous,
+                          timestamp=float(row.get("ts", 0.0)))
             if "h" in row:
-                self._chain = bytes.fromhex(row["h"])
-            else:
-                encoded = encode_content(content)
-                content_hash = hashing.hash_bytes(encoded)
-                self._chain = entry_link_hash(previous, sequence, entry_type,
-                                              content_hash)
-            entry = LogEntry(sequence=sequence, entry_type=entry_type,
-                             content=content, chain_hash=self._chain,
-                             previous_hash=previous,
-                             timestamp=float(row.get("ts", 0.0)))
+                fields["chain_hash"] = self._chain = bytes.fromhex(row["h"])
+                return entry
+            encoded = encode_content(content)
+            content_hash = sha256(encoded).digest()
+            self._chain = entry_link_hash(previous, sequence, entry_type,
+                                          content_hash)
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise LogFormatError(f"corrupt v1 log row: {exc}") from exc
-        if encoded is not None:
-            seed_encoded_content(entry, encoded, content_hash, canonical=True)
+        fields.update(chain_hash=self._chain, _encoded_content=encoded,
+                      _content_hash=content_hash, _canonical=True)
+        memoise_link(entry)
         return entry
 
 
@@ -341,222 +371,148 @@ class JsonBz2Codec(LogCodec):
         return self.MAGIC + bz2.compress(self.prepass(segment), 9)
 
     def decode_segment(self, data: Union[bytes, memoryview]) -> LogSegment:
-        data = bytes(data)
-        if not data.startswith(self.MAGIC):
-            raise LogFormatError("not a VMM-compressed log (bad magic)")
-        decompressor = bz2.BZ2Decompressor()
+        decoder = _JsonStreamDecoder()
+        entries = list(decoder.entries((data,)))
         try:
-            encoded = _bounded(decompressor.decompress(
-                data[len(self.MAGIC):], MAX_INFLATED_BYTES + 1))
-            blob = json.loads(encoded.decode("utf-8"))
-        except (OSError, ValueError) as exc:  # incl. JSON / UTF-8 decode errors
-            raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
-        # Strict — one bzip2 stream, nothing after it, the encoder's own
-        # compact key-sorted layout: the archive stores accepted shipments
-        # byte for byte and the streaming decoder requires exactly this.
-        if not decompressor.eof or decompressor.unused_data \
-                or not (isinstance(blob, dict) and blob.keys() == {"header", "rows"}) \
-                or _dump_compact(blob) != encoded:
-            raise LogFormatError(
-                "corrupt VMM-encoded log: not one canonical bzip2-JSON stream")
-        try:
-            header = blob["header"]
-            rows = _RowCodec.for_header(header)
-            return LogSegment(machine=str(header["machine"]),
-                              start_hash=bytes.fromhex(header["start_hash"]),
-                              entries=[rows.decode_row(row)
-                                       for row in blob["rows"]])
-        except (KeyError, TypeError) as exc:
+            return LogSegment(
+                machine=str(decoder.header["machine"]),
+                start_hash=bytes.fromhex(decoder.header["start_hash"]),
+                entries=entries)
+        except KeyError as exc:
             raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
 
     def stream_decoder(self) -> "_JsonStreamDecoder":
         return _JsonStreamDecoder()
 
 
-class _JsonStreamDecoder(_StreamDecoderBase):
-    """Incrementally decode a v1 (VMM-compressed) segment from a byte stream.
+def _v1_text(compressed: bytes, chunks: Iterator[bytes]) -> Iterator[str]:
+    """The decompressed text of a v1 body, a piece at a time — strictly:
+    one bzip2 stream with nothing after it, UTF-8, at most
+    :data:`MAX_INFLATED_BYTES`.  A piece is at most 1 MiB, so a chunk that
+    inflates a thousandfold is held a piece at a time too."""
+    decompressor = bz2.BZ2Decompressor()
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    inflated = 0
+    try:
+        while compressed is not None:
+            while compressed or not (decompressor.needs_input
+                                     or decompressor.eof):
+                if decompressor.eof:
+                    raise EOFError("bytes after the bzip2 stream")
+                piece = decompressor.decompress(compressed, 1 << 20)
+                compressed = b""
+                if decompressor.unused_data:
+                    raise EOFError("bytes after the bzip2 stream")
+                inflated += len(piece)
+                yield utf8.decode(_bounded(piece, inflated))
+            compressed = next(chunks, None)
+        utf8.decode(b"", final=True)
+    except (OSError, EOFError, UnicodeDecodeError) as exc:
+        raise LogFormatError(f"corrupt VMM-encoded log: {exc}") from exc
+    if not decompressor.eof:
+        raise LogFormatError(
+            "truncated VMM-compressed log (bzip2 stream did not end)")
 
-    Feeds the bzip2 stream through :class:`bz2.BZ2Decompressor` chunk by
-    chunk and scans the decompressed text with a small string-and-depth-aware
-    state machine, yielding one :class:`~repro.log.entries.LogEntry` at a
-    time; at no point is more than one compressed chunk plus one row held.
-    The strict layout produced by the compact, key-sorted encoder
-    (``{"header":{...},"rows":[...]}``) is *required*; anything else raises
-    :class:`LogFormatError`, exactly like the materializing decoder would.
+
+def _v1_header(text: str):
+    """``(header, offset of the first row)`` once ``text`` holds the header
+    and the rows' opening, ``(None, 0)`` while it may still."""
+    if not text.startswith(_V1_HEAD):
+        if _V1_HEAD.startswith(text):
+            return None, 0
+        raise _noncanonical("blob")
+    try:
+        header, end = _SCAN(text, len(_V1_HEAD))
+    except json.JSONDecodeError:
+        return None, 0  # incomplete, or corrupt: the end of the text decides
+    if not text.startswith(_V1_ROWS, end):
+        if _V1_ROWS.startswith(text[end:]):
+            return None, 0
+        raise _noncanonical("blob")
+    if type(header) is not dict \
+            or _COMPACT.encode(header) != text[len(_V1_HEAD):end]:
+        raise _noncanonical("header")
+    return header, end + len(_V1_ROWS)
+
+
+def _v1_rows(text: str, position: int, first: bool):
+    """The complete rows from ``position`` on, each with the ``,`` or ``]``
+    after it: ``(rows, offset after the last separator, whether it was
+    the closing ``]``)``.  ``first``: no row has been read yet, so the
+    ``]`` of an empty list may come instead."""
+    if first and text.startswith("]", position):
+        return [], position + 1, True
+    rows: List[Dict] = []
+    end = len(text)
+    while True:
+        try:
+            row, position_after = _SCAN(text, position)
+        except json.JSONDecodeError:
+            return rows, position, False  # incomplete, or corrupt: as above
+        if position_after == end:
+            return rows, position, False  # its separator is still to come
+        if type(row) is not dict:
+            raise _noncanonical("a row")
+        rows.append(row)
+        separator = text[position_after]
+        position = position_after + 1
+        if separator == "]":
+            return rows, position, True
+        if separator != ",":
+            raise _noncanonical("rows")
+
+
+class _JsonStreamDecoder(_StreamDecoderBase):
+    """Decode a v1 (VMM-compressed) segment from a byte stream — the one v1
+    reader.
+
+    An index walk over the decompressed text: ``raw_decode`` parses the
+    header and each row in place, and the text is compacted once per
+    decompressed piece, not per row.  The strict layout of the compact,
+    key-sorted encoder (``{"header":{...},"rows":[...]}``) is *required* —
+    the header, and each piece's batch of rows, must re-encode to exactly the
+    text they were parsed from, one ``JSONEncoder.encode`` per piece; ``s``
+    and ``dc`` must be ``int`` and ``c`` an object.  Anything else raises
+    :class:`LogFormatError`, exactly like the materializing decoder, which
+    drains this one.  At most one compressed chunk, one decompressed piece
+    and its rows are held.
     """
 
     def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
-        chunk_iter = iter(chunks)
-        rows: Optional[_RowCodec] = None
-        magic_buffer = b""
-        magic = JsonBz2Codec.MAGIC
-        while len(magic_buffer) < len(magic):
-            piece = next(chunk_iter, None)
-            if piece is None:
-                break
-            magic_buffer += piece
-        if not magic_buffer.startswith(magic):
+        chunks = iter(chunks)
+        head = _prefix(chunks)
+        if not head.startswith(JsonBz2Codec.MAGIC):
             raise LogFormatError("not a VMM-compressed log (bad magic)")
-
-        decompressor = bz2.BZ2Decompressor()
-        utf8 = codecs.getincrementaldecoder("utf-8")()
-        scanner = _BlobScanner()
-
-        inflated = 0
-
-        def feed(compressed: bytes) -> Iterator[LogEntry]:
-            nonlocal rows, inflated
-            # A piece at a time, so that a chunk that inflates a thousandfold
-            # is held a piece at a time too — and refused past the bound.
-            while compressed or not (decompressor.needs_input
-                                     or decompressor.eof):
-                piece = decompressor.decompress(compressed, 1 << 20)
-                compressed = b""
-                inflated += len(piece)
-                _bounded(piece, inflated)
-                for row in scanner.feed(utf8.decode(piece)):
-                    # The header precedes the first row in the encoded blob,
-                    # so it is available before (not merely after) any entry
-                    # is yielded — callers validate metadata up front, and
-                    # the chain starts from its ``start_hash``.
-                    if rows is None:
-                        self.header = scanner.header
-                        rows = _RowCodec.for_header(self.header)
-                    self.entry_count += 1
-                    yield rows.decode_row(row)
-            if self.header is None and scanner.header is not None:
-                self.header = scanner.header
-
-        yield from feed(magic_buffer[len(magic):])
-        for piece in chunk_iter:
-            yield from feed(piece)
-        utf8.decode(b"", final=True)
-        if not decompressor.eof:
-            raise LogFormatError(
-                "truncated VMM-compressed log (bzip2 stream did not end)")
-        scanner.finish()
-        if self.header is None:
-            self.header = scanner.header
-
-
-class _BlobScanner:
-    """State machine over ``{"header":H,"rows":[R,R,...]}`` text.
-
-    Consumes arbitrarily split text fragments and emits each complete row as
-    a parsed dict.  Values are extracted with
-    :meth:`json.JSONDecoder.raw_decode` (a C-level scan, so streaming decode
-    keeps one-shot parsing speed); a decode error is indistinguishable from
-    a value split across fragments, so errors are held until the stream ends
-    — a malformed blob therefore raises :class:`LogFormatError` at
-    :meth:`finish`, like the one-shot decoder raises on its single parse.
-    """
-
-    _HEADER_PREFIX = '{"header":'
-    _ROWS_PREFIX = ',"rows":['
-
-    def __init__(self) -> None:
-        self.header: Optional[Dict] = None
-        self._decoder = json.JSONDecoder()
-        self._buffer = ""
-        self._state = "prefix"  # prefix -> header -> rows_prefix -> rows
-        #                          -> rows_separator -> suffix -> done
-
-    def feed(self, text: str) -> Iterator[Dict]:
-        self._buffer += text
-        while True:
-            if self._state == "prefix":
-                if not self._advance_literal(self._HEADER_PREFIX):
-                    return
-                self._state = "header"
-            elif self._state == "header":
-                value = self._extract_value()
-                if value is None:
-                    return
-                self.header = self._as_dict(value, "header")
-                self._state = "rows_prefix"
-            elif self._state == "rows_prefix":
-                if not self._advance_literal(self._ROWS_PREFIX):
-                    return
-                self._state = "rows"
-            elif self._state == "rows":
-                if not self._buffer:
-                    return
-                if self._buffer[0] == "]":
-                    self._buffer = self._buffer[1:]
-                    self._state = "suffix"
+        text, position, closed = "", 0, False
+        rows: Optional[_RowCodec] = None
+        for piece in _v1_text(head[MAGIC_LENGTH:], chunks):
+            text = text[position:] + piece
+            position = 0
+            if rows is None:
+                # The header precedes the first row, so callers can check
+                # it before any entry, and the chain starts from it.
+                header, position = _v1_header(text)
+                if header is None:
                     continue
-                value = self._extract_value()
-                if value is None:
-                    return
-                yield self._as_dict(value, "row")
-                self._state = "rows_separator"
-            elif self._state == "rows_separator":
-                if not self._buffer:
-                    return
-                head = self._buffer[0]
-                self._buffer = self._buffer[1:]
-                if head == ",":
-                    self._state = "rows"
-                elif head == "]":
-                    self._state = "suffix"
-                else:
-                    raise LogFormatError(
-                        f"corrupt VMM-encoded log: expected ',' or ']', "
-                        f"found {head!r}")
-            elif self._state == "suffix":
-                if not self._buffer:
-                    return
-                if self._buffer[0] != "}":
-                    raise LogFormatError(
-                        "corrupt VMM-encoded log: trailing data after rows")
-                self._buffer = self._buffer[1:]
-                self._state = "done"
-            else:  # done
-                if self._buffer.strip():
-                    raise LogFormatError(
-                        "corrupt VMM-encoded log: data after the closing brace")
-                self._buffer = ""
-                return
-
-    def finish(self) -> None:
-        if self._state != "done" or self._buffer.strip():
+                rows = _RowCodec.for_header(header)
+                self.header = header
+            if closed:
+                if not _V1_TAIL.startswith(text[position:]):
+                    raise _noncanonical("blob")
+                continue
+            start = position
+            batch, position, closed = _v1_rows(
+                text, position, first=not self.entry_count)
+            if batch and _COMPACT.encode(batch)[1:-1] \
+                    != text[start:position - 1]:
+                raise _noncanonical("rows")
+            for row in batch:
+                entry = rows.decode_row(row)
+                self.entry_count += 1
+                yield entry
+        if not closed or text[position:] != _V1_TAIL:
             raise LogFormatError(
                 "corrupt VMM-encoded log: stream ended mid-structure")
-
-    def _advance_literal(self, literal: str) -> bool:
-        if len(self._buffer) < len(literal):
-            if not literal.startswith(self._buffer):
-                raise LogFormatError(
-                    f"corrupt VMM-encoded log: expected {literal!r}")
-            return False
-        if not self._buffer.startswith(literal):
-            raise LogFormatError(
-                f"corrupt VMM-encoded log: expected {literal!r}")
-        self._buffer = self._buffer[len(literal):]
-        return True
-
-    def _extract_value(self):
-        """Pop one complete JSON value off the buffer, or ``None`` for more.
-
-        ``None`` also covers a malformed value — the distinction between
-        "split across fragments" and "corrupt" is only decidable at stream
-        end, where :meth:`finish` raises.
-        """
-        if not self._buffer:
-            return None
-        try:
-            value, end = self._decoder.raw_decode(self._buffer)
-        except json.JSONDecodeError:
-            return None
-        self._buffer = self._buffer[end:]
-        return value
-
-    @staticmethod
-    def _as_dict(value, what: str) -> Dict:
-        if not isinstance(value, dict):
-            raise LogFormatError(
-                f"corrupt VMM-encoded log: {what} is not an object")
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +681,11 @@ def _frame_decoder(flags: int, start_hash: bytes):
         nonlocal running
         # No content parse here: the verbatim canonical bytes seed the
         # entry, and materialization is deferred to first content access.
-        entry = lazy_entry(*_unpack_payload(
-            _inflate_frame(raw) if compressed else raw, running))
+        fields = _unpack_payload(_inflate_frame(raw) if compressed else raw,
+                                 running)
+        entry = lazy_entry(*fields)
+        if fields[-1] is not None:  # hashed: the chain hash was derived
+            memoise_link(entry)
         if running is not None:
             running = entry.chain_hash
         return entry
@@ -935,24 +894,14 @@ class SegmentStreamDecoder(_StreamDecoderBase):
     """
 
     def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
-        chunk_iter = iter(chunks)
-        prefix = b""
-        while len(prefix) < MAGIC_LENGTH:
-            piece = next(chunk_iter, None)
-            if piece is None:
-                break
-            prefix += piece
+        chunks = iter(chunks)
+        prefix = _prefix(chunks)
         if len(prefix) < MAGIC_LENGTH:
             # Too short to carry any magic; report it the way the original
             # (v1-only) decoder always has.
             raise LogFormatError("not a VMM-compressed log (bad magic)")
         inner = get_codec(sniff_format_version(prefix)).stream_decoder()
-
-        def replay() -> Iterator[bytes]:
-            yield prefix
-            yield from chunk_iter
-
-        for entry in inner.entries(replay()):
+        for entry in inner.entries(chain((prefix,), chunks)):
             self.header = inner.header
             self.entry_count = inner.entry_count
             yield entry

@@ -13,6 +13,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto import hashing
@@ -237,7 +238,8 @@ def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
 # any mismatch it falls through — first to the generic row codec (flat
 # str->scalar dicts, the shared encoding for sqlbench rows/counters and kv
 # ops), then to JSON — so ``decode_content(encode_content(d)) == d`` holds
-# for every encodable dict, whichever tier it lands on.
+# for every encodable dict, whichever tier it lands on.  Each shape's checks
+# and packs are compiled into one function at import (``_compile_packer``).
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct("<H")
@@ -294,27 +296,6 @@ def _pack_short_str(value: Any) -> bytes:
     return _U16.pack(len(data)) + data
 
 
-def _pack_u64(value: Any) -> bytes:
-    if type(value) is not int or not 0 <= value <= _U64_MAX:
-        raise _Untypeable
-    return _U64.pack(value)
-
-
-def _pack_f64(value: Any) -> bytes:
-    if type(value) is not float:
-        raise _Untypeable
-    return _F64.pack(value)
-
-
-def _pack_hash32(value: Any) -> bytes:
-    if type(value) is not str:
-        raise _Untypeable
-    raw = _hash32_or_none(value)
-    if raw is None:
-        raise _Untypeable
-    return raw
-
-
 def _pack_hexblob(value: Any) -> bytes:
     if type(value) is not str or len(value) % 2:
         raise _Untypeable
@@ -326,14 +307,6 @@ def _pack_hexblob(value: Any) -> bytes:
         raise _Untypeable
     return _U32.pack(len(raw)) + raw
 
-
-_FIELD_PACKERS = {
-    "s": _pack_short_str,
-    "u64": _pack_u64,
-    "f64": _pack_f64,
-    "h32": _pack_hash32,
-    "hex": _pack_hexblob,
-}
 
 _ACK_DIRECTIONS = {"sent": b"\x00", "received": b"\x01"}
 
@@ -397,11 +370,6 @@ _SHAPE_SPECS: Dict[int, Tuple[Tuple[str, str], ...]] = {
     ),
 }
 
-_SHAPE_BY_KEYS = {
-    frozenset(key for key, _ in spec): (tag, spec)
-    for tag, spec in _SHAPE_SPECS.items()
-}
-
 
 def _pack_row_value(value: Any) -> bytes:
     if value is None:
@@ -447,25 +415,67 @@ def _pack_row_body(mapping: Dict[str, Any]) -> bytes:
     return b"".join(parts)
 
 
-def _pack_shape(tag: int, spec: Tuple[Tuple[str, str], ...],
-                content: Dict[str, Any]) -> bytes:
-    parts = [bytes((tag,))]
-    for key, kind in spec:
-        value = content[key]
-        if kind == "dir":
-            if type(value) is not str or value not in _ACK_DIRECTIONS:
-                raise _Untypeable
-            parts.append(_ACK_DIRECTIONS[value])
-        elif kind == "row":
-            if type(value) is not dict:
-                raise _Untypeable
-            parts.append(_pack_row_body(value))
-        elif kind.startswith("const:"):
-            if value != kind[6:]:
-                raise _Untypeable
-        else:
-            parts.append(_FIELD_PACKERS[kind](value))
-    return b"".join(parts)
+#: per field kind of a shape spec: its struct code if it is fixed-width,
+#: then the compiled packer's statements over the field's value ``{v}`` —
+#: they raise :class:`_Untypeable` wherever it would not decode back
+#: exactly, and leave ``{v}`` bound to what goes on the wire
+_KIND_CODE = {
+    "s": ("", "if type({v}) is not str: raise _Untypeable",
+          "try: {v} = {v}.encode('utf-8')",
+          "except UnicodeEncodeError: raise _Untypeable from None",
+          "if len({v}) > 0xFFFF: raise _Untypeable",
+          "{v} = _U16.pack(len({v})) + {v}"),
+    "u64": ("Q", "if type({v}) is not int or not 0 <= {v} <= _U64_MAX: "
+                 "raise _Untypeable"),
+    "f64": ("d", "if type({v}) is not float: raise _Untypeable"),
+    "h32": ("32s", "if type({v}) is not str: raise _Untypeable",
+            "{v} = _hash32_or_none({v})", "if {v} is None: raise _Untypeable"),
+    "hex": ("", "{v} = _pack_hexblob({v})"),
+    "dir": ("", "if type({v}) is not str or {v} not in _ACK_DIRECTIONS: "
+                "raise _Untypeable", "{v} = _ACK_DIRECTIONS[{v}]"),
+    "row": ("", "if type({v}) is not dict: raise _Untypeable",
+            "{v} = _pack_row_body({v})"),
+}
+
+
+def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...]):
+    """``content -> typed bytes`` for one shape, compiled once at import.
+
+    The spec's checks run field by field, in spec order; each run of
+    adjacent fixed-width fields then packs through one ``struct.Struct``.
+    Raises :class:`_Untypeable` where a field does not fit, so that
+    :func:`encode_content` falls through to the next tier.
+    """
+    namespace = dict(_Untypeable=_Untypeable, _U16=_U16, _U64_MAX=_U64_MAX,
+                     _ACK_DIRECTIONS=_ACK_DIRECTIONS,
+                     _hash32_or_none=_hash32_or_none,
+                     _pack_hexblob=_pack_hexblob, _pack_row_body=_pack_row_body)
+    lines, fields = [], []  # fields: (struct code, value name)
+    for index, (key, kind) in enumerate(spec):
+        v = f"v{index}"
+        lines.append(f"{v} = content[{key!r}]")
+        if kind.startswith("const:"):
+            lines.append(f"if {v} != {kind[6:]!r}: raise _Untypeable")
+            continue
+        code, *checks = _KIND_CODE[kind]
+        lines += [check.format(v=v) for check in checks]
+        fields.append((code, v))
+    wire = [repr(bytes((tag,)))]
+    for fixed, run in groupby(fields, key=lambda field: bool(field[0])):
+        codes, names = zip(*run)
+        if fixed:
+            packer = f"_S{len(namespace)}"
+            namespace[packer] = struct.Struct("<" + "".join(codes))
+            names = [f"{packer}.pack({', '.join(names)})"]
+        wire += names
+    exec("def pack(content):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return b''.join(({', '.join(wire)},))\n", namespace)
+    return namespace["pack"]
+
+
+#: each dedicated shape's compiled packer, by the key set of its content
+_PACKER_BY_KEYS = {frozenset(key for key, _ in spec): _compile_packer(tag, spec)
+                   for tag, spec in _SHAPE_SPECS.items()}
 
 
 class _ContentReader:
@@ -595,10 +605,10 @@ def encode_content(content: Dict[str, Any]) -> bytes:
     produces equal canonical bytes and equal chain hashes.
     """
     if isinstance(content, dict):
-        shape = _SHAPE_BY_KEYS.get(frozenset(content))
-        if shape is not None:
+        pack = _PACKER_BY_KEYS.get(frozenset(content))
+        if pack is not None:
             try:
-                return _pack_shape(shape[0], shape[1], content)
+                return pack(content)
             except _Untypeable:
                 pass
         try:

@@ -19,6 +19,7 @@ for the whole log.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.crypto import hashing
@@ -32,26 +33,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.log.authenticator import Authenticator
 
 
-#: the UTF-8 wire names, encoded once — ``_expected_chain_hash`` runs once
-#: per entry on the audit hot path
-_WIRE_NAME_BYTES = {entry_type: entry_type.wire_name.encode("utf-8")
-                    for entry_type in EntryType}
+def _framed(part: bytes) -> bytes:
+    """``part`` behind its length, as ``hashing.hash_concat`` frames it."""
+    return len(part).to_bytes(8, "big") + part
+
+
+_SEQUENCE_FRAME = (8).to_bytes(8, "big")
+#: each entry type's UTF-8 wire name, framed once
+_FRAMED_TYPE = {entry_type: _framed(entry_type.wire_name.encode("utf-8"))
+                for entry_type in EntryType}
+
+
+def _link(previous_hash: bytes, sequence: int, framed_type: bytes,
+          content_hash: bytes) -> bytes:
+    # Byte for byte hash_concat(previous_hash, encode_int(sequence),
+    # type_name, content_hash), as one buffer and one SHA-256 call.
+    return sha256(b"".join((
+        len(previous_hash).to_bytes(8, "big"), previous_hash,
+        _SEQUENCE_FRAME, int(sequence).to_bytes(8, "big"), framed_type,
+        len(content_hash).to_bytes(8, "big"), content_hash))).digest()
 
 
 def link_hash(previous_hash: bytes, sequence: int, type_name: bytes,
               content_hash: bytes) -> bytes:
     """``h_i = H(h_{i-1} || s_i || t_i || H(c_i))`` — the chain formula."""
-    return hashing.hash_concat(previous_hash, hashing.encode_int(sequence),
-                               type_name, content_hash)
+    return _link(previous_hash, sequence, _framed(type_name), content_hash)
 
 
 def entry_link_hash(previous_hash: bytes, sequence: int,
                     entry_type: EntryType, content_hash: bytes) -> bytes:
-    """:func:`link_hash` for an :class:`EntryType` (its wire name encoded
+    """:func:`link_hash` for an :class:`EntryType` (its wire name framed
     once) — what the recorder, the verifier and the codecs that leave the
     chain out of the bytes all compute."""
-    return link_hash(previous_hash, sequence, _WIRE_NAME_BYTES[entry_type],
-                     content_hash)
+    return _link(previous_hash, sequence, _FRAMED_TYPE[entry_type],
+                 content_hash)
 
 
 def chain_hash(previous_hash: bytes, sequence: int, entry_type: EntryType,
@@ -59,12 +74,6 @@ def chain_hash(previous_hash: bytes, sequence: int, entry_type: EntryType,
     """Compute ``h_i`` from ``h_{i-1}`` and the entry fields."""
     return entry_link_hash(previous_hash, sequence, entry_type,
                            hashing.hash_bytes(encode_content(content)))
-
-
-def _expected_chain_hash(previous_hash: bytes, entry: LogEntry) -> bytes:
-    """``h_i`` for an existing entry, using its cached content encoding."""
-    return entry_link_hash(previous_hash, entry.sequence, entry.entry_type,
-                           entry.content_hash())
 
 
 def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
@@ -94,9 +103,28 @@ def _legacy_json_matches(previous_hash: bytes, entry: LogEntry) -> bool:
     return True
 
 
+def memoise_link(entry: LogEntry) -> None:
+    """Record that a decoder just derived ``entry.chain_hash`` from the
+    entry's own fields (``entry_link_hash`` over its previous hash, sequence,
+    type and cached content hash), so the chain check that follows need not
+    hash the link again.  The memo sits beside the content caches: not a
+    field, so ``dataclasses.replace`` drops it, and it holds the fields it
+    was derived from, so an in-place write to any of them defeats it."""
+    fields = entry.__dict__
+    fields["_link"] = (fields["previous_hash"], fields["sequence"],
+                       fields["entry_type"], fields["_content_hash"],
+                       fields["chain_hash"])
+
+
 def _matches_chain(previous_hash: bytes, entry: LogEntry) -> bool:
     """True when ``entry`` hashes to its recorded chain value."""
-    if _expected_chain_hash(previous_hash, entry) == entry.chain_hash:
+    fields = entry.__dict__
+    if fields.get("_link") == (previous_hash, entry.sequence,
+                               entry.entry_type, fields.get("_content_hash"),
+                               entry.chain_hash):
+        return True
+    if entry_link_hash(previous_hash, entry.sequence, entry.entry_type,
+                       entry.content_hash()) == entry.chain_hash:
         return True
     return _legacy_json_matches(previous_hash, entry)
 

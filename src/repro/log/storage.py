@@ -9,11 +9,11 @@ archive's frame headers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, List
 
 from repro.errors import LogFormatError
 from repro.log.authenticator import Authenticator
+from repro.log.hashchain import link_hash
 
 #: the packed authenticator batch — on the wire (archive shipments, shard
 #: gossip) and on disk (an archive frame's payload); docs/log-archive.md
@@ -52,12 +52,21 @@ class _Reader:
         return self.data[self.offset - 1]
 
     def varint(self) -> int:
+        """A canonical unsigned 64-bit varint; one byte takes no loop."""
+        data, offset = self.data, self.offset
+        if offset < len(data) and data[offset] < 0x80:
+            self.offset = offset + 1
+            return data[offset]
         value = 0
         for shift in range(0, 64, 7):
-            byte = self.byte()
+            if offset >= len(data):
+                raise LogFormatError("truncated authenticator batch")
+            byte = data[offset]
+            offset += 1
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 if value < 1 << 64 and (byte or not shift):  # canonical
+                    self.offset = offset
                     return value
                 break
         raise LogFormatError("overlong varint")
@@ -131,6 +140,7 @@ def authenticators_from_bytes(data: bytes) -> List[Authenticator]:
         raise LogFormatError("not a packed authenticator batch (bad magic)")
     reader = _Reader(data, len(AUTH_BATCH_MAGIC))
     machines, types = reader.strings(), reader.strings()
+    type_names = [name.encode("utf-8") for name in types]
     result = []
     for _ in range(reader.count()):
         machine, sequence, tag = reader.varint(), reader.varint(), reader.byte()
@@ -139,14 +149,15 @@ def authenticators_from_bytes(data: bytes) -> List[Authenticator]:
             raise LogFormatError(
                 f"authenticator row names machine {machine} / entry type "
                 f"{type_index} outside the batch's tables")
-        auth = Authenticator(
-            machine=machines[machine], sequence=sequence, chain_hash=b"",
-            signature=b"", previous_hash=reader.bytes(),
-            entry_type=types[type_index], content_hash=reader.bytes())
+        previous_hash, content_hash = reader.bytes(), reader.bytes()
         chain_hash = reader.bytes() if tag & _ROW_HAS_CHAIN_HASH \
-            else auth.implied_chain_hash()
-        result.append(replace(auth, chain_hash=chain_hash,
-                              signature=reader.bytes()))
+            else link_hash(previous_hash, sequence, type_names[type_index],
+                           content_hash)
+        result.append(Authenticator(
+            machine=machines[machine], sequence=sequence,
+            chain_hash=chain_hash, signature=reader.bytes(),
+            previous_hash=previous_hash, entry_type=types[type_index],
+            content_hash=content_hash))
     if reader.left():
         raise LogFormatError(
             f"{reader.left()} trailing bytes after the batch")

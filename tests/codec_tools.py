@@ -7,7 +7,13 @@
   the *explicit* frame layout (header flag bit 1 clear, every ``h`` / ``p``
   written out): how the v3 seed archive stores its segments, and what every
   v3 writer produced before the chain was stored only at its breaks.  The
-  reader keeps that branch for the seed; nothing in ``src/`` writes it.
+  reader keeps that branch for the seed; nothing in ``src/`` writes it;
+* references — :func:`reference_encode_content` (the per-field shape
+  interpreter), :func:`reference_link_hash` (``hash_concat`` part by part)
+  and :func:`reference_authenticators_from_bytes` (a method call per byte):
+  what ``src/`` ran before the compiled packers, the one-buffer link hash
+  and the fast-path batch reader, which must match them byte for byte and
+  error for error.
 """
 
 from __future__ import annotations
@@ -15,8 +21,14 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from dataclasses import replace
 
+from repro.crypto import hashing
+from repro.errors import LogFormatError
+from repro.log import entries as _entries
+from repro.log.authenticator import Authenticator
 from repro.log.codec import _TYPE_TAGS, V3_FLAG_COMPRESSED, TypedCodec
+from repro.log.storage import AUTH_BATCH_MAGIC
 
 
 def segment_to_bytes(segment) -> bytes:
@@ -71,3 +83,157 @@ class ExplicitTypedCodec(TypedCodec):
 
     def encode_segment(self, segment) -> bytes:
         return explicit_v3_blob(segment, self._compress)
+
+
+# -- references ---------------------------------------------------------------------
+
+def _ref_u64(value) -> bytes:
+    if type(value) is not int or not 0 <= value <= _entries._U64_MAX:
+        raise _entries._Untypeable
+    return _entries._U64.pack(value)
+
+
+def _ref_f64(value) -> bytes:
+    if type(value) is not float:
+        raise _entries._Untypeable
+    return _entries._F64.pack(value)
+
+
+def _ref_hash32(value) -> bytes:
+    if type(value) is not str:
+        raise _entries._Untypeable
+    raw = _entries._hash32_or_none(value)
+    if raw is None:
+        raise _entries._Untypeable
+    return raw
+
+
+_REFERENCE_FIELD_PACKERS = {
+    "s": _entries._pack_short_str,
+    "u64": _ref_u64,
+    "f64": _ref_f64,
+    "h32": _ref_hash32,
+    "hex": _entries._pack_hexblob,
+}
+
+
+def reference_pack_shape(tag, spec, content) -> bytes:
+    """The per-field interpreter the compiled packers replaced."""
+    parts = [bytes((tag,))]
+    for key, kind in spec:
+        value = content[key]
+        if kind == "dir":
+            if type(value) is not str or value not in _entries._ACK_DIRECTIONS:
+                raise _entries._Untypeable
+            parts.append(_entries._ACK_DIRECTIONS[value])
+        elif kind == "row":
+            if type(value) is not dict:
+                raise _entries._Untypeable
+            parts.append(_entries._pack_row_body(value))
+        elif kind.startswith("const:"):
+            if value != kind[6:]:
+                raise _entries._Untypeable
+        else:
+            parts.append(_REFERENCE_FIELD_PACKERS[kind](value))
+    return b"".join(parts)
+
+
+_REFERENCE_SHAPES = {frozenset(key for key, _ in spec): (tag, spec)
+                     for tag, spec in _entries._SHAPE_SPECS.items()}
+
+
+def reference_encode_content(content) -> bytes:
+    """:func:`repro.log.entries.encode_content` over the interpreter."""
+    if isinstance(content, dict):
+        shape = _REFERENCE_SHAPES.get(frozenset(content))
+        if shape is not None:
+            try:
+                return reference_pack_shape(shape[0], shape[1], content)
+            except _entries._Untypeable:
+                pass
+        try:
+            return b"\x0b" + _entries._pack_row_body(content)
+        except _entries._Untypeable:
+            pass
+    return _entries.encode_content_json(content)
+
+
+def reference_link_hash(previous_hash, sequence, type_name, content_hash):
+    """The chain formula as ``hash_concat`` computes it, part by part."""
+    return hashing.hash_concat(previous_hash, hashing.encode_int(sequence),
+                               type_name, content_hash)
+
+
+class ReferenceReader:
+    """The packed-batch cursor as it was: a method call per byte."""
+
+    def __init__(self, data: bytes, offset: int) -> None:
+        self.data, self.offset = data, offset
+
+    def left(self) -> int:
+        return len(self.data) - self.offset
+
+    def byte(self) -> int:
+        if not self.left():
+            raise LogFormatError("truncated authenticator batch")
+        self.offset += 1
+        return self.data[self.offset - 1]
+
+    def varint(self) -> int:
+        value = 0
+        for shift in range(0, 64, 7):
+            byte = self.byte()
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                if value < 1 << 64 and (byte or not shift):  # canonical
+                    return value
+                break
+        raise LogFormatError("overlong varint")
+
+    def count(self) -> int:
+        value = self.varint()
+        if value > self.left():
+            raise LogFormatError(
+                f"{value} announced with {self.left()} bytes left")
+        return value
+
+    def bytes(self) -> bytes:
+        length = self.count()
+        self.offset += length
+        return self.data[self.offset - length:self.offset]
+
+    def strings(self):
+        try:
+            return [self.bytes().decode("utf-8") for _ in range(self.count())]
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"string table is not UTF-8: {exc}") from exc
+
+
+def reference_authenticators_from_bytes(data: bytes, reader=ReferenceReader):
+    """The packed authenticator reader as it was: an ``Authenticator`` per
+    row, then ``dataclasses.replace`` for its chain hash and signature."""
+    if not data.startswith(AUTH_BATCH_MAGIC):
+        raise LogFormatError("not a packed authenticator batch (bad magic)")
+    reader = reader(data, len(AUTH_BATCH_MAGIC))
+    machines, types = reader.strings(), reader.strings()
+    result = []
+    for _ in range(reader.count()):
+        machine, sequence, tag = reader.varint(), reader.varint(), reader.byte()
+        type_index = tag & ~0x80
+        if machine >= len(machines) or type_index >= len(types):
+            raise LogFormatError(
+                f"authenticator row names machine {machine} / entry type "
+                f"{type_index} outside the batch's tables")
+        auth = Authenticator(
+            machine=machines[machine], sequence=sequence, chain_hash=b"",
+            signature=b"", previous_hash=reader.bytes(),
+            entry_type=types[type_index], content_hash=reader.bytes())
+        chain_hash = reader.bytes() if tag & 0x80 else reference_link_hash(
+            auth.previous_hash, auth.sequence, auth.entry_type.encode("utf-8"),
+            auth.content_hash)
+        result.append(replace(auth, chain_hash=chain_hash,
+                              signature=reader.bytes()))
+    if reader.left():
+        raise LogFormatError(
+            f"{reader.left()} trailing bytes after the batch")
+    return result

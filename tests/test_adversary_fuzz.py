@@ -337,3 +337,30 @@ class TestHashChainRoundTripFuzz:
                                    hashing.hash_bytes(b"y"))
             with pytest.raises(HashChainError):
                 segment.verify_hash_chain()
+
+    @pytest.mark.parametrize("format_version", [1, 3])
+    def test_decoded_entries_refuse_any_in_place_write(self, ca,
+                                                       format_version):
+        """A decoded entry's memoised link is no licence: a field written
+        in place after decode still breaks the chain."""
+        from repro.log.hashchain import verify_entry
+        rng = random.Random(0xBEEF + format_version)
+        codec = get_codec(format_version)
+        keypair = ca.issue("chain-fuzz")
+        for round_index in range(10):
+            log = TamperEvidentLog("chain-fuzz", keypair=keypair)
+            for index in range(rng.randrange(5, 15)):
+                log.append(rng.choice(list(EntryType)),
+                           {"i": index, "r": rng.randrange(1 << 20)})
+            segment = codec.decode_segment(
+                codec.encode_segment(log.full_segment()))
+            segment.verify_hash_chain()  # honest round-trip holds
+            entry = segment.entries[rng.randrange(len(segment.entries))]
+            field, value = rng.choice([
+                ("sequence", entry.sequence + 1),
+                ("previous_hash", hashing.hash_bytes(b"x")),
+                ("chain_hash", hashing.hash_bytes(b"y"))])
+            object.__setattr__(entry, field, value)
+            assert not verify_entry(entry)
+            with pytest.raises(HashChainError):
+                segment.verify_hash_chain()

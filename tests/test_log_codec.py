@@ -2,8 +2,10 @@
 
 Covers the registry, every codec's two API layers (segment, streaming), the
 single-error taxonomy, the cache-seeding contract that makes zero-copy v3
-decode safe against stale-cache masking, and the rule that v1 rows and v3
-frames store the hash chain only where it breaks.  The v3 reader's second
+decode safe against stale-cache masking, the rule that v1 rows and v3
+frames store the hash chain only where it breaks, the one v1 reader's
+strictness wherever it reads (the door, the stream, the archive), and the
+rule that decode plus chain check hash each link once.  The v3 reader's second
 frame layout — every hash written out, the v3 seed archive's — runs as the
 ``"3-explicit"`` cell, written by the test writer in ``codec_tools``.
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary.tampering import TamperingVMM
 from repro.crypto import hashing
-from repro.errors import LogFormatError
+from repro.errors import ArchiveIntegrityError, LogFormatError
 from repro.log import codec as codec_module
 from repro.log.codec import (
     MAGIC_LENGTH,
@@ -43,7 +45,10 @@ from repro.log.codec import (
 from repro.log.entries import EntryType, snapshot_content
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
+from repro.service.ingest import AuditIngestService
+from repro.store.archive import LogArchive
 
+from archive_tools import replace_payload, ship
 from codec_tools import ExplicitTypedCodec, retired_v2_blob
 
 
@@ -280,6 +285,47 @@ class TestTypedFormatErrors:
                 assert decoded.entries == sample_segment.entries
 
 
+def _v1_rewritten(segment: LogSegment, first_row) -> bytes:
+    """``segment``'s v1 blob with its first row's text replaced by
+    ``first_row(row dict, row text)`` — everything else as the writer lays
+    it out."""
+    body = json.loads(JsonBz2Codec.prepass(segment))
+    rows = [json.dumps(row, sort_keys=True, separators=(",", ":"))
+            for row in body["rows"]]
+    rows[0] = first_row(body["rows"][0], rows[0])
+    text = '{"header":' + json.dumps(
+        body["header"], sort_keys=True, separators=(",", ":")) \
+        + ',"rows":[' + ",".join(rows) + "]}"
+    return JsonBz2Codec.MAGIC + bz2.compress(text.encode("utf-8"), 9)
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+#: v1 blobs the writer never writes: each must be refused by every reader
+_NONCANONICAL_V1 = {
+    "bytes after the bzip2 stream":
+        lambda segment: get_codec(1).encode_segment(segment) + b"\x00junk",
+    "a space after a colon in a row": lambda segment: _v1_rewritten(
+        segment, lambda row, text: text.replace(":", ": ", 1)),
+    "unsorted keys": lambda segment: _v1_rewritten(
+        segment, lambda row, text: _compact(dict(reversed(row.items())))),
+    # ...which decodes to exactly the entries of the honest blob.
+    "a duplicate key": lambda segment: _v1_rewritten(
+        segment, lambda row, text: '{"c":' + _compact(row["c"]) + ","
+        + text[1:]),
+    '"c" as a list of pairs': lambda segment: _v1_rewritten(
+        segment, lambda row, text: _compact(
+            {**row, "c": sorted(row["c"].items())})),
+    '"s": 1.0': lambda segment: _v1_rewritten(
+        segment, lambda row, text: _compact({**row, "s": float(row["s"])})),
+    "a comma before the closing bracket": lambda segment:
+        JsonBz2Codec.MAGIC + bz2.compress(
+            JsonBz2Codec.prepass(segment)[:-2] + b",]}", 9),
+}
+
+
 class TestV1Errors:
     def test_bad_magic(self):
         with pytest.raises(LogFormatError, match="magic"):
@@ -290,6 +336,77 @@ class TestV1Errors:
         with pytest.raises(LogFormatError, match="corrupt"):
             JsonBz2Codec().decode_segment(
                 data[:MAGIC_LENGTH] + b"garbage-after-magic")
+
+    @pytest.mark.parametrize("mutation", sorted(_NONCANONICAL_V1))
+    def test_both_decoders_refuse_a_noncanonical_blob(self, sample_segment,
+                                                      mutation):
+        data = _NONCANONICAL_V1[mutation](sample_segment)
+        with pytest.raises(LogFormatError):
+            decode_segment(data)
+        with pytest.raises(LogFormatError):
+            list(SegmentStreamDecoder().entries([data]))
+        with pytest.raises(LogFormatError):
+            _decode_streamed(data)
+
+    @pytest.mark.parametrize("mutation", sorted(_NONCANONICAL_V1))
+    def test_the_ingest_door_quarantines_a_noncanonical_blob(
+            self, sample_segment, tmp_path, mutation):
+        service = AuditIngestService(
+            LogArchive(tmp_path / "a", format_version=1))
+        ship(service, sample_segment.machine,
+             segment=_NONCANONICAL_V1[mutation](sample_segment))
+        assert "undecodable segment" in service.quarantine[0].reason
+        assert service.archive.machines() == []
+
+    @pytest.mark.parametrize("mutation", sorted(_NONCANONICAL_V1))
+    def test_the_archive_stream_refuses_a_noncanonical_payload(
+            self, sample_segment, tmp_path, mutation):
+        archive = LogArchive(tmp_path / "a", format_version=1)
+        record = archive.append_segment(sample_segment)
+        replace_payload(archive.root, record,
+                        _NONCANONICAL_V1[mutation](sample_segment))
+        archive = LogArchive(tmp_path / "a")
+        (record,) = archive.segment_records(sample_segment.machine)
+        with pytest.raises(ArchiveIntegrityError):
+            list(archive.stream_segment(record))
+
+
+class TestV1TextSplits:
+    """bzip2 hands the reader whole blocks (up to 900 kB of text), so only a
+    long segment splits its text between pieces; here the text is re-cut at
+    random, a few characters a piece, so that every structure — the header's
+    literal, a row, a separator, the closing brace — straddles a cut."""
+
+    @staticmethod
+    def _resplit(monkeypatch, seed: int) -> None:
+        rng, real = random.Random(seed), codec_module._v1_text
+
+        def pieces(compressed, chunks):
+            text, position = "".join(real(compressed, chunks)), 0
+            while position < len(text):
+                size = rng.randint(1, 24)
+                yield text[position:position + size]
+                position += size
+        monkeypatch.setattr(codec_module, "_v1_text", pieces)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_cut_reads_the_same_entries(self, sample_segment, monkeypatch,
+                                            seed):
+        data = get_codec(1).encode_segment(sample_segment)
+        self._resplit(monkeypatch, seed)
+        assert decode_segment(data).entries == sample_segment.entries
+        empty = LogSegment(machine="m", entries=[],
+                           start_hash=sample_segment.start_hash)
+        assert decode_segment(get_codec(1).encode_segment(empty)) == empty
+
+    @pytest.mark.parametrize("mutation", sorted(_NONCANONICAL_V1))
+    def test_any_cut_refuses_what_the_writer_never_writes(
+            self, sample_segment, monkeypatch, mutation):
+        data = _NONCANONICAL_V1[mutation](sample_segment)
+        for seed in range(3):
+            self._resplit(monkeypatch, seed)
+            with pytest.raises(LogFormatError):
+                decode_segment(data)
 
 
 class TestCacheSeeding:
@@ -561,3 +678,79 @@ class TestOldWriterBlobs:
         assert len(short) < len(old) - 60 * len(sample_segment.entries)
         assert _explicit_hashes(short) == {}
         assert decode_segment(short).entries == sample_segment.entries
+
+
+def _with_legacy_links(segment: LogSegment, every: int = 7) -> LogSegment:
+    """``segment`` re-chained so that every ``every``-th entry commits to
+    its content's pre-typed canonical JSON: honest, and a chain break a v1
+    row must store (v3 carries the committed bytes themselves)."""
+    from repro.log.entries import encode_content_json, lazy_entry
+    from repro.log.hashchain import chain_hash, entry_link_hash
+    entries, running = [], segment.start_hash
+    for index, entry in enumerate(segment.entries):
+        if index % every == 3:
+            wire = encode_content_json(entry.content)
+            entry = lazy_entry(
+                entry.sequence, entry.entry_type, wire, entry_link_hash(
+                    running, entry.sequence, entry.entry_type,
+                    hashing.hash_bytes(wire)), running, entry.timestamp)
+        else:
+            entry = replace(entry, previous_hash=running, chain_hash=chain_hash(
+                running, entry.sequence, entry.entry_type, entry.content))
+        entries.append(entry)
+        running = entry.chain_hash
+    return LogSegment(machine=segment.machine, entries=entries,
+                      start_hash=segment.start_hash)
+
+
+class TestEachLinkOnce:
+    """A decoder that derives ``h_i`` memoises the link it hashed, so
+    decoding and verifying a segment hashes each link once; where a reader
+    did not derive it — a stored chain break, a live log — the chain check
+    hashes it."""
+
+    @staticmethod
+    def _count_links(monkeypatch) -> list:
+        from repro.log import hashchain
+        calls, real = [], hashchain.entry_link_hash
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(hashchain, "entry_link_hash", counting)
+        monkeypatch.setattr(codec_module, "entry_link_hash", counting)
+        return calls
+
+    @pytest.mark.parametrize("wire", sorted(_SHORT_FORM_CODECS))
+    def test_decode_and_verify_hash_each_link_once(self, sample_segment,
+                                                   monkeypatch, wire):
+        from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
+        segment = _with_legacy_links(sample_segment)
+        data = _SHORT_FORM_CODECS[wire]().encode_segment(segment)
+        breaks = len(_explicit_hashes(data))
+        assert breaks == (5 if wire == "v1" else 0)
+        calls = self._count_links(monkeypatch)
+        decode_segment(data).verify_hash_chain()
+        assert len(calls) == len(segment.entries) + breaks
+        del calls[:]
+        verify_chain_incremental(_decode_streamed(data), ChainCheckpoint(
+            segment.entries[0].sequence - 1, segment.start_hash))
+        assert len(calls) == len(segment.entries) + breaks
+
+    def test_a_live_log_hashes_every_link(self, monkeypatch):
+        segment = _build_log().full_segment()
+        calls = self._count_links(monkeypatch)
+        segment.verify_hash_chain()
+        assert sorted(calls) == [entry.sequence for entry in segment.entries]
+
+    @pytest.mark.parametrize("wire", sorted(_SHORT_FORM_CODECS))
+    def test_replace_drops_the_memo(self, sample_segment, monkeypatch, wire):
+        codec = _SHORT_FORM_CODECS[wire]()
+        decoded = codec.decode_segment(codec.encode_segment(sample_segment))
+        assert all("_link" in entry.__dict__ for entry in decoded.entries)
+        copies = [replace(entry) for entry in decoded.entries]
+        assert not any("_link" in entry.__dict__ for entry in copies)
+        calls = self._count_links(monkeypatch)
+        LogSegment(machine=decoded.machine, entries=copies,
+                   start_hash=decoded.start_hash).verify_hash_chain()
+        assert len(calls) == len(copies)
