@@ -27,9 +27,11 @@ def main() -> None:
     )
     session = GameSession(settings)
 
+    peers = [monitor for name, monitor in session.monitors.items()
+             if name != cheater]
     online = OnlineAuditor(session.make_auditor("player2", cheater),
                            session.monitors[cheater], session.scheduler,
-                           interval=6.0)
+                           peers, interval=6.0)
     online.start()
     print("playing while player2 audits player1 online every 6 seconds...")
     session.run()

@@ -42,6 +42,7 @@ from repro.errors import ReproError
 from repro.game.session import GameSession, GameSessionSettings
 from repro.network.simnet import SimulatedNetwork
 from repro.obs import Observability, ensure_obs
+from repro.service.fleet import DRAIN_MAX_ROUNDS, DRAIN_SETTLE_SECONDS
 from repro.service.ingest import AuditIngestService
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
@@ -379,22 +380,24 @@ class ScenarioMatrix:
         for machine in sorted(ctx.monitors):
             auditor = Auditor("auditor", ctx.keystore,
                               ctx.reference_images[machine])
+            peers = [ctx.monitors[peer] for peer in sorted(ctx.monitors)
+                     if peer != machine]
             watcher = OnlineAuditor(auditor, ctx.monitors[machine],
-                                    ctx.scheduler, interval=self.duration / 2)
+                                    ctx.scheduler, peers,
+                                    interval=self.duration / 2)
             watcher.start()
             online[machine] = watcher
         return online
 
-    def _drain_archive(self, ctx: ScenarioContext, settle: float = 1.0,
-                       max_rounds: int = 5) -> None:
+    def _drain_archive(self, ctx: ScenarioContext) -> None:
         """Tolerant tail shipping: lying shippers never converge — that is
         the point — so unlike the honest fleet drain this never raises."""
         scheduler = ctx.scheduler
-        scheduler.run_until(scheduler.clock.now + settle)
-        for _ in range(max_rounds):
+        scheduler.run_until(scheduler.clock.now + DRAIN_SETTLE_SECONDS)
+        for _ in range(DRAIN_MAX_ROUNDS):
             shipped = [monitor.ship_archive_tail()
                        for monitor in ctx.monitors.values()]
-            scheduler.run_until(scheduler.clock.now + settle)
+            scheduler.run_until(scheduler.clock.now + DRAIN_SETTLE_SECONDS)
             if not any(shipped):
                 break
 
@@ -617,14 +620,3 @@ class ScenarioMatrix:
             return False
         return True
 
-
-def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7,
-                    duration: float = 4.0, snapshot_interval: float = 1.0
-                    ) -> ScenarioContext:
-    """Record one honest fleet and return its context (test/tooling helper)."""
-    matrix = ScenarioMatrix(duration=duration,
-                            snapshot_interval=snapshot_interval)
-    spec = CellSpec("honest", workload, "full", fleet_size, seed)
-    ctx, run = matrix._build(spec, make_adversary("honest", seed), None)
-    run()
-    return ctx

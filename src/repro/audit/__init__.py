@@ -25,7 +25,6 @@ from repro.audit.evidence import Evidence
 from repro.audit.online import OnlineAuditor
 from repro.audit.semantic import SemanticChecker
 from repro.audit.spot_check import SpotChecker, SpotCheckResult
-from repro.audit.stream import ArchiveEntryStream
 from repro.audit.syntactic import SyntacticChecker, SyntacticReport
 from repro.audit.verdict import AuditCost, AuditPhase, AuditResult, Verdict
 
@@ -40,7 +39,6 @@ __all__ = [
     "SemanticChecker",
     "SpotChecker",
     "SpotCheckResult",
-    "ArchiveEntryStream",
     "SyntacticChecker",
     "SyntacticReport",
     "AuditResult",

@@ -19,7 +19,7 @@ audited at ``workers=1`` (the default) takes the serial path below.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.audit.evidence import Evidence
 from repro.audit.kernel import (BoundaryContext, ChunkJob, chunk_job,
@@ -58,7 +58,10 @@ class Auditor:
         self.workers = workers
         self._engine = engine
         self.obs = ensure_obs(obs)
-        self.collected_authenticators: Dict[str, List[Authenticator]] = {}
+        #: per machine, each held authenticator under its
+        #: ``(sequence, chain_hash, signature)``
+        self.collected_authenticators: Dict[
+            str, Dict[Tuple[int, bytes, bytes], Authenticator]] = {}
 
     @property
     def engine(self) -> Optional["AuditScheduler"]:
@@ -72,14 +75,15 @@ class Auditor:
 
     def collect_authenticators(self, machine: str,
                                authenticators: Iterable[Authenticator]) -> int:
-        """Store authenticators issued by ``machine`` (e.g. detached from messages)."""
-        store = self.collected_authenticators.setdefault(machine, [])
+        """Store authenticators issued by ``machine`` (e.g. detached from
+        messages); one the auditor already holds is not stored again."""
+        held = self.collected_authenticators.setdefault(machine, {})
         added = 0
         for auth in authenticators:
-            if auth.machine != machine:
-                continue
-            store.append(auth)
-            added += 1
+            key = (auth.sequence, auth.chain_hash, auth.signature)
+            if auth.machine == machine and key not in held:
+                held[key] = auth
+                added += 1
         return added
 
     def collect_from_peer(self, peer: AccountableVMM, machine: str) -> int:
@@ -91,7 +95,7 @@ class Auditor:
         return self.collect_authenticators(machine, peer.authenticators_from(machine))
 
     def authenticators_for(self, machine: str) -> List[Authenticator]:
-        return list(self.collected_authenticators.get(machine, []))
+        return list(self.collected_authenticators.get(machine, {}).values())
 
     # -- audits ---------------------------------------------------------------------
 

@@ -1,90 +1,24 @@
 """Multi-party protocol (Section 4.6).
 
-Three additions are needed beyond the two-party case:
-
-1. **Authenticator collection** — before auditing Bob, Alice gathers the
-   authenticators other users have received from Bob
-   (:func:`collect_authenticators_for`).
-2. **Challenge forwarding** — if Bob ignores Alice's audit request, Alice
-   forwards the challenge to the other nodes, who stop communicating with Bob
-   until he answers (:class:`ChallengeCoordinator`).
-3. **Evidence distribution** — once Alice has evidence, she sends it to the
-   other interested parties, each of whom verifies it independently
-   (:func:`distribute_evidence`).
+Beyond the two-party case, Alice gathers the authenticators other users have
+received from Bob before auditing him
+(:meth:`repro.audit.auditor.Auditor.collect_from_peer`); pooled, they convict
+a machine that forked its log without its cooperation
+(:func:`find_equivocation`).  Once Alice has evidence, she sends it to the
+other interested parties, each of whom verifies it independently
+(:func:`distribute_evidence`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
-from repro.avmm.monitor import AccountableVMM
 from repro.crypto.keys import KeyStore
 from repro.errors import LogFormatError
 from repro.log.authenticator import Authenticator
 from repro.vm.image import VMImage
-
-_challenge_ids = itertools.count(1)
-
-
-@dataclass
-class Challenge:
-    """An unanswered audit request forwarded to the other parties."""
-
-    challenge_id: int
-    challenger: str
-    machine: str
-    description: str
-    issued_at: float
-    answered: bool = False
-    response: Optional[str] = None
-
-
-class ChallengeCoordinator:
-    """Shared bookkeeping of outstanding challenges.
-
-    Every node consults :meth:`is_blocked` before communicating with a peer;
-    a machine with an outstanding challenge is ignored until it answers, at
-    which point the response is forwarded to the original challenger.
-    """
-
-    def __init__(self) -> None:
-        self._challenges: Dict[int, Challenge] = {}
-
-    def issue(self, challenger: str, machine: str, description: str,
-              now: float = 0.0) -> Challenge:
-        """Record that ``challenger`` could not get an answer from ``machine``."""
-        challenge = Challenge(challenge_id=next(_challenge_ids),
-                              challenger=challenger, machine=machine,
-                              description=description, issued_at=now)
-        self._challenges[challenge.challenge_id] = challenge
-        return challenge
-
-    def is_blocked(self, machine: str) -> bool:
-        """True when the machine has at least one unanswered challenge."""
-        return any(c.machine == machine and not c.answered
-                   for c in self._challenges.values())
-
-    def outstanding_for(self, machine: str) -> List[Challenge]:
-        return [c for c in self._challenges.values()
-                if c.machine == machine and not c.answered]
-
-    def respond(self, machine: str, response: str) -> List[Challenge]:
-        """The challenged machine answers; all its challenges are cleared.
-
-        Returns the challenges that were answered so the caller can forward
-        the response to each original challenger.
-        """
-        answered = []
-        for challenge in self._challenges.values():
-            if challenge.machine == machine and not challenge.answered:
-                challenge.answered = True
-                challenge.response = response
-                answered.append(challenge)
-        return answered
-
 
 @dataclass(frozen=True)
 class EquivocationProof:
@@ -181,15 +115,6 @@ def find_equivocation(authenticators: Iterable[Authenticator],
                                          first=previous, second=auth)
         bucket.append(auth)
     return None
-
-
-def collect_authenticators_for(machine: str,
-                               holders: Iterable[AccountableVMM]) -> List[Authenticator]:
-    """Gather every authenticator the given parties hold about ``machine``."""
-    collected: List[Authenticator] = []
-    for holder in holders:
-        collected.extend(holder.authenticators_from(machine))
-    return collected
 
 
 def distribute_evidence(evidence: Evidence, verifiers: Iterable[tuple[str, KeyStore]],

@@ -3,8 +3,9 @@
 During a long or high-stakes game session players can audit each other *while
 the game is still in progress* so cheating is detected as soon as the
 cheater's externally visible behaviour deviates from the reference execution.
-:class:`OnlineAuditor` periodically re-audits the target's log-so-far and
-records when (in simulated time) a fault first became detectable.
+:class:`OnlineAuditor` periodically re-audits the target's log-so-far, against
+the authenticators its sources hold by then, and records when (in simulated
+time) a fault first became detectable.
 
 The auditor's CPU consumption is tracked so the Figure 8 experiment can charge
 it against the player's machine when the audit runs concurrently with the
@@ -14,7 +15,7 @@ game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.audit.auditor import Auditor
 from repro.audit.verdict import AuditResult, Verdict
@@ -43,6 +44,11 @@ class OnlineAuditor:
     cost accounting below is unchanged either way: a passing result is the
     same at every worker count.
 
+    Before each pass the auditor collects what ``sources`` hold about the
+    target (Section 4.6): for a live target, its peers — the parties the
+    target sent authenticators to; for an archive-backed target, the target
+    itself, which serves every authenticator the fleet shipped about it.
+
     Archive-backed targets (:class:`~repro.service.target.
     ArchiveBackedMachine`) go to the audit engine at any worker count: every
     pass reads the archived log chunk by chunk, so an online auditor watching
@@ -50,9 +56,11 @@ class OnlineAuditor:
     """
 
     def __init__(self, auditor: Auditor, target: AccountableVMM,
-                 scheduler: Scheduler, interval: float = 30.0) -> None:
+                 scheduler: Scheduler, sources: Iterable[AccountableVMM],
+                 interval: float = 30.0) -> None:
         self.auditor = auditor
         self.target = target
+        self.sources = list(sources)
         self.scheduler = scheduler
         self.interval = interval
         self.records: List[OnlineAuditRecord] = []
@@ -92,7 +100,8 @@ class OnlineAuditor:
         if new_entries <= 0:
             return None
         # The auditor collects any authenticators it has not seen yet.
-        self.auditor.collect_from_peer(self.target, self.target.identity)
+        for source in self.sources:
+            self.auditor.collect_from_peer(source, self.target.identity)
 
         result = self.auditor.audit(self.target)
         record = OnlineAuditRecord(

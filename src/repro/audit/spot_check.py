@@ -20,9 +20,7 @@ fans the chunks out over its worker pool.
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 from repro.audit.auditor import Auditor
@@ -64,95 +62,6 @@ class SpotCheckResult:
         return self.result.ok
 
 
-@dataclass
-class SpotCheckReport:
-    """Outcome of a *sampled* spot check, with honest coverage accounting.
-
-    A spot check that samples some chunks and finds no fault has *not*
-    audited the machine — it has audited the sampled fraction of its log.
-    This report keeps the two claims apart: :attr:`ok` says the sampled
-    chunks passed, :attr:`complete` says whether the sample actually covered
-    every segment, and :meth:`verdict_claim` never reports an unqualified
-    "pass" for a partial sample.  A tampered chunk outside the sample
-    therefore can never be laundered into a clean bill of health.
-    """
-
-    machine: str
-    k: int
-    #: snapshot-delimited segments the log splits into
-    segments_total: int
-    #: chunk start indices that were actually audited
-    checked_indices: List[int] = field(default_factory=list)
-    results: List[SpotCheckResult] = field(default_factory=list)
-    #: distinct segments covered by the sampled chunks
-    segments_checked: int = 0
-    entries_total: int = 0
-    entries_checked: int = 0
-
-    @property
-    def chunks_checked(self) -> int:
-        return len(self.results)
-
-    @property
-    def ok(self) -> bool:
-        """All *sampled* chunks passed (says nothing about unsampled ones)."""
-        return all(result.ok for result in self.results)
-
-    @property
-    def complete(self) -> bool:
-        """True only when every segment of the log was covered."""
-        return self.segments_checked >= self.segments_total
-
-    @property
-    def segment_coverage(self) -> float:
-        """Fraction of snapshot-delimited segments the sample covered."""
-        if self.segments_total <= 0:
-            return 1.0
-        return self.segments_checked / self.segments_total
-
-    @property
-    def entry_coverage(self) -> float:
-        """Fraction of log entries the sample covered."""
-        if self.entries_total <= 0:
-            return 1.0
-        return self.entries_checked / self.entries_total
-
-    def verdict_claim(self) -> str:
-        """The strongest claim this check honestly supports.
-
-        ``"fail"`` — a sampled chunk produced a fault (evidence attached to
-        its result); ``"pass"`` — every segment was audited and passed;
-        ``"pass-sampled"`` — the sampled chunks passed, but only
-        :attr:`segment_coverage` of the log was looked at.
-        """
-        if not self.ok:
-            return "fail"
-        return "pass" if self.complete else "pass-sampled"
-
-    @staticmethod
-    def detection_probability(segments_total: int, k: int,
-                              sample_size: int) -> float:
-        """A-priori chance a uniformly sampled spot check hits one bad segment.
-
-        With ``N`` segments, chunk size ``k`` and ``n`` sampled chunk starts
-        (without replacement), a single tampered segment in the interior is
-        covered by up to ``k`` starts; the hypergeometric miss probability
-        gives ``p = 1 - C(N', n) / C(N'+c, n)`` with ``N'`` the non-covering
-        starts.  This is the Figure 9 trade-off: cost scales with ``n * k``,
-        detection probability with how much of the log the sample covers.
-        """
-        starts_total = max(0, segments_total - k + 1)
-        if starts_total == 0 or sample_size <= 0:
-            return 0.0
-        sample_size = min(sample_size, starts_total)
-        covering = min(k, starts_total)
-        missing = starts_total - covering
-        if sample_size > missing:
-            return 1.0
-        miss = math.comb(missing, sample_size) / math.comb(starts_total, sample_size)
-        return 1.0 - miss
-
-
 class _SegmentSource:
     """Lazy access to a target's snapshot-delimited segments.
 
@@ -160,8 +69,7 @@ class _SegmentSource:
     archive-backed target (``supports_streaming``) is served record by
     record from disk instead, with a small sliding cache sized to the chunk
     being checked — so a spot check of one k-chunk decompresses k+1
-    segments, not the whole log, and entry counts come from the manifest
-    index without touching segment files at all.
+    segments, not the whole log.
     """
 
     def __init__(self, target: AccountableVMM, k: int = 1,
@@ -201,14 +109,6 @@ class _SegmentSource:
     def following(self, start: int) -> Iterator[LogSegment]:
         """The segments from ``start`` on, read as they are asked for."""
         return (self.get(index) for index in range(start, len(self)))
-
-    def entry_count(self, index: int) -> int:
-        if self._segments is not None:
-            return len(self._segments[index])
-        return self._records[index].entry_count
-
-    def total_entries(self) -> int:
-        return sum(self.entry_count(index) for index in range(len(self)))
 
 
 class SpotChecker:
@@ -288,37 +188,6 @@ class SpotChecker:
             snapshot_bytes=result.cost.snapshot_bytes_downloaded,
             replay_seconds=result.cost.semantic_seconds,
         )
-
-    def sample_chunks(self, target: AccountableVMM, k: int, sample_size: int,
-                      seed: int = 0, skip_initial: bool = True) -> SpotCheckReport:
-        """Audit a random sample of k-chunks and report coverage honestly.
-
-        ``sample_size`` chunk start indices are drawn without replacement
-        from a ``random.Random(seed)`` stream, so the sample is reproducible.
-        The returned :class:`SpotCheckReport` separates "the sampled chunks
-        passed" from "the machine passed": a fault in an unsampled chunk is
-        *not* vouched for — :meth:`SpotCheckReport.verdict_claim` stays
-        ``"pass-sampled"`` and the coverage fractions say how much of the
-        log was actually checked.
-        """
-        segments = _SegmentSource(target, k=k)
-        start = 1 if skip_initial else 0
-        indices = list(range(start, len(segments) - k + 1))
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(indices, min(sample_size, len(indices)))) \
-            if indices else []
-        results = [self.check_chunk(target, index, k, segments=segments)
-                   for index in chosen]
-        covered = {index + offset for index in chosen for offset in range(k)}
-        report = SpotCheckReport(
-            machine=target.identity, k=k,
-            segments_total=len(segments),
-            checked_indices=chosen, results=results,
-            segments_checked=len(covered),
-            entries_total=segments.total_entries(),
-            entries_checked=sum(segments.entry_count(index)
-                                for index in covered))
-        return report
 
     def check_all_chunks(self, target: AccountableVMM, k: int,
                          skip_initial: bool = True) -> List[SpotCheckResult]:

@@ -8,11 +8,9 @@ memory grows with log *length*.  This module reads the archive's segment
 files incrementally instead (:meth:`LogArchive.stream_segment
 <repro.store.archive.LogArchive.stream_segment>`):
 
-* :class:`ArchiveEntryStream` yields the retained entries one at a time,
-  chain-verified and resumable at any segment boundary;
-* :func:`iter_stream_chunks` yields them a chunk at a time — a run of
-  archived segments that ends at an archived sealing snapshot, so the next
-  chunk has a verified replay start.
+:func:`iter_stream_chunks` yields the retained entries a chunk at a time —
+a run of archived segments that ends at an archived sealing snapshot, so the
+next chunk has a verified replay start — resumable at any chunk boundary.
 
 The audit engine (:class:`repro.audit.engine.AuditScheduler`) plans its chunk
 jobs off :func:`iter_stream_chunks`, which is how an archived log is audited
@@ -25,12 +23,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.errors import HashChainError, StoreError
-from repro.log.entries import LogEntry
-from repro.log.hashchain import ChainCheckpoint, extend_checkpoint
+from repro.log.hashchain import ChainCheckpoint
 from repro.log.segments import LogSegment
 
 __all__ = [
-    "ArchiveEntryStream",
     "StreamChunk",
     "iter_stream_chunks",
 ]
@@ -78,32 +74,6 @@ def _records_from(archive, machine: str, start: Optional[ChainCheckpoint]):
             f"resume checkpoint for {machine!r} at sequence {start.sequence} "
             f"does not match the archived chain")
     return remaining, start
-
-
-class ArchiveEntryStream:
-    """A resumable, chain-verified, pull-based entry stream.
-
-    Iterating yields every retained entry of ``machine`` in order, decoding
-    the archive's segment files incrementally and proving after each entry
-    that it extends :attr:`checkpoint` — which therefore always holds the
-    chain state after the last yielded entry.  Interrupt the iteration at any
-    segment boundary, persist the checkpoint, and construct a new stream with
-    ``start=checkpoint``: the entries and checkpoints that follow are
-    identical to an uninterrupted pass (property-tested in
-    ``tests/test_stream_properties.py``).
-    """
-
-    def __init__(self, archive, machine: str,
-                 start: Optional[ChainCheckpoint] = None) -> None:
-        self._archive = archive
-        self.machine = machine
-        self._records, self.checkpoint = _records_from(archive, machine, start)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        for record in self._records:
-            for entry in self._archive.stream_segment(record):
-                self.checkpoint = extend_checkpoint(self.checkpoint, entry)
-                yield entry
 
 
 @dataclass

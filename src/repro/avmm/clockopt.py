@@ -72,13 +72,3 @@ class ClockReadOptimizer:
         result = value + self._accumulated_delay
         self._last_value = result
         return result
-
-    @property
-    def injected_delay(self) -> float:
-        """Total artificial delay injected so far (seconds)."""
-        return self._accumulated_delay
-
-    def reset(self) -> None:
-        """Forget the consecutive-read state (e.g. at a snapshot boundary)."""
-        self._last_value = None
-        self._consecutive = 0

@@ -16,7 +16,7 @@ auditing lag compensation).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -65,15 +65,6 @@ class AvmmConfig:
     def signs_packets(self) -> bool:
         """Whether outgoing packets and acks carry real signatures."""
         return self.tamper_evident and self.signature_scheme != "nosig"
-
-    @property
-    def is_accountable(self) -> bool:
-        """Whether the machine produces auditable output (log + authenticators)."""
-        return self.tamper_evident and self.record_replay_info
-
-    def with_overrides(self, **kwargs) -> "AvmmConfig":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
     # -- factory -------------------------------------------------------------
 

@@ -166,7 +166,6 @@ class AccountableVMM:
 
         #: archive shipping state (attach_archive_shipper)
         self._archive_destination: Optional[str] = None
-        self._archive_ship_authenticators = True
         self._archive_format_version = 1
         self._shipped_through = 0
         self._shipped_auth_counts: Dict[str, int] = {}
@@ -608,7 +607,6 @@ class AccountableVMM:
     # ------------------------------------------------------------------ archive shipping
 
     def attach_archive_shipper(self, destination: str,
-                               ship_authenticators: bool = True,
                                format_version: int = 1) -> None:
         """Stream sealed log state to an archive service (Section 4.2 durably).
 
@@ -620,14 +618,13 @@ class AccountableVMM:
         (an :class:`~repro.service.ingest.AuditIngestService` endpoint) as
         one ``ARCHIVE_SHIPMENT`` (:mod:`repro.network.shipment`), together
         with the snapshot's page file, so the archive can later start
-        replays at the boundary, and — with ``ship_authenticators`` — the
-        authenticators collected from peers, filed under their issuer.
+        replays at the boundary, and the authenticators collected from
+        peers, filed under their issuer.
         Shipping is fire-and-forget over the ordinary simulated network;
         the archive verifies the hash chain on arrival, so a lost or
         tampered shipment is detected, never silently archived.
         """
         self._archive_destination = destination
-        self._archive_ship_authenticators = ship_authenticators
         self._archive_format_version = require_format_version(
             format_version, what="log codec")
         # A (re)attached archive holds none of our snapshots yet: the next
@@ -646,11 +643,6 @@ class AccountableVMM:
         return self._archive_destination
 
     @property
-    def archive_ship_authenticators(self) -> bool:
-        """Whether the attached shipper also ships collected authenticators."""
-        return self._archive_ship_authenticators
-
-    @property
     def archive_format_version(self) -> int:
         """Wire format the attached shipper encodes segments with."""
         return self._archive_format_version
@@ -659,9 +651,9 @@ class AccountableVMM:
     def archive_shipping_complete(self) -> bool:
         """True when everything shippable has been accepted by the network.
 
-        Covers both the log (entries up to the head) and, when enabled, the
-        authenticators collected from peers — a dropped authenticator batch
-        leaves this ``False`` until a re-ship succeeds.
+        Covers both the log (entries up to the head) and the authenticators
+        collected from peers — a dropped authenticator batch leaves this
+        ``False`` until a re-ship succeeds.
         """
         if self._archive_destination is None or not self.config.tamper_evident:
             return True
@@ -669,10 +661,9 @@ class AccountableVMM:
             return False
         if self._pending_snapshot_ships:
             return False
-        if self._archive_ship_authenticators:
-            for peer, collected in self.received_authenticators.items():
-                if self._shipped_auth_counts.get(peer, 0) < len(collected):
-                    return False
+        for peer, collected in self.received_authenticators.items():
+            if self._shipped_auth_counts.get(peer, 0) < len(collected):
+                return False
         return True
 
     def ship_archive_tail(self) -> bool:
@@ -713,8 +704,7 @@ class AccountableVMM:
                 get_codec(self._archive_format_version).encode_segment(segment),
                 sealed_by_snapshot=snapshot_id))
         collected = {peer: len(auths) for peer, auths
-                     in sorted(self.received_authenticators.items())} \
-            if self._archive_ship_authenticators else {}
+                     in sorted(self.received_authenticators.items())}
         for peer, count in collected.items():
             already = self._shipped_auth_counts.get(peer, 0)
             if count > already:

@@ -20,7 +20,7 @@ from repro.crypto.signatures import (
     VerifyKey,
     get_scheme,
 )
-from repro.errors import CertificateError, SignatureError
+from repro.errors import CertificateError
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,6 @@ class KeyStore:
             return BatchVerifyResult(total=len(items),
                                      invalid_indices=tuple(range(len(items))))
         return key.verify_many(items)
-
-    def require_valid(self, identity: str, message: bytes, signature: bytes,
-                      what: str = "signature") -> None:
-        """Verify a signature and raise :class:`SignatureError` if it is bad."""
-        if not self.verify(identity, message, signature):
-            raise SignatureError(f"invalid {what} from {identity!r}")
 
     def identities(self) -> list[str]:
         """Identities with a registered certificate, sorted."""

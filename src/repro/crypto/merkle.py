@@ -11,7 +11,7 @@ letting a third party check the remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.crypto import hashing
 from repro.errors import SnapshotError
@@ -100,11 +100,6 @@ class MerkleTree:
         return MerkleProof(index=index, leaf_hash=self._leaf_hashes[index],
                            path=tuple(path), tree_size=self.size)
 
-    @staticmethod
-    def root_of(leaves: Iterable[bytes]) -> bytes:
-        """Convenience: the root hash of ``leaves`` without keeping the tree."""
-        return MerkleTree(list(leaves)).root
-
     # -- incremental maintenance (Section 4.4: *after each snapshot, it
     # -- updates the tree*) --------------------------------------------------
 
@@ -178,22 +173,3 @@ class MerkleTree:
                 self._levels[level + 1][parent_index] = parent
             index = parent_index
             level += 1
-
-
-def verify_partial_state(root: bytes, pages: Dict[int, bytes],
-                         proofs: Dict[int, MerkleProof]) -> bool:
-    """Verify a *partial* snapshot download.
-
-    ``pages`` maps leaf index -> page bytes, ``proofs`` maps leaf index ->
-    inclusion proof.  Returns ``True`` only if every supplied page hashes to
-    its proof's leaf hash and every proof verifies against ``root``.
-    """
-    for index, page in pages.items():
-        proof = proofs.get(index)
-        if proof is None:
-            return False
-        if hashing.hash_concat(_LEAF_PREFIX, page) != proof.leaf_hash:
-            return False
-        if not proof.verify(root):
-            return False
-    return True

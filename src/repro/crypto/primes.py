@@ -71,15 +71,19 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
     return True
 
 
-def generate_prime(bits: int, rng: random.Random, max_attempts: int = 100_000) -> int:
+#: candidates :func:`generate_prime` draws before it gives up
+PRIME_ATTEMPTS = 100_000
+
+
+def generate_prime(bits: int, rng: random.Random) -> int:
     """Generate a random prime with exactly ``bits`` bits."""
     if bits < 8:
         raise KeyGenerationError(f"prime size too small: {bits} bits")
-    for _ in range(max_attempts):
+    for _ in range(PRIME_ATTEMPTS):
         candidate = rng.getrandbits(bits)
         candidate |= (1 << (bits - 1))  # force the top bit (exact size)
         candidate |= 1                  # force odd
         if is_probable_prime(candidate, rng=rng):
             return candidate
     raise KeyGenerationError(
-        f"could not find a {bits}-bit prime after {max_attempts} attempts")
+        f"could not find a {bits}-bit prime after {PRIME_ATTEMPTS} attempts")

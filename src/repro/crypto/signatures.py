@@ -54,10 +54,6 @@ class BatchVerifyResult:
     def ok(self) -> bool:
         return not self.invalid_indices
 
-    @property
-    def valid_count(self) -> int:
-        return self.total - len(self.invalid_indices)
-
 
 class SignatureScheme:
     """Interface every signature scheme implements."""

@@ -45,10 +45,6 @@ class HashChainError(LogError):
     """The hash chain of a log segment is broken."""
 
 
-class AuthenticatorMismatchError(LogError):
-    """A log segment does not match a previously issued authenticator."""
-
-
 class LogFormatError(LogError):
     """A log entry or serialized log is malformed."""
 
@@ -85,21 +81,6 @@ class ReplayError(ReproError):
     """Base class for deterministic-replay failures."""
 
 
-class ReplayDivergenceError(ReplayError):
-    """Replay produced output that differs from the recorded log.
-
-    This is the signal the auditor relies on: a divergence means there is no
-    correct execution of the reference image consistent with the log.
-    """
-
-    def __init__(self, message: str, *, sequence: int | None = None,
-                 expected: object = None, actual: object = None) -> None:
-        super().__init__(message)
-        self.sequence = sequence
-        self.expected = expected
-        self.actual = actual
-
-
 class ReplayInputError(ReplayError):
     """The recorded log does not contain the inputs replay requires."""
 
@@ -120,10 +101,6 @@ class AuditError(ReproError):
 
 class EvidenceError(AuditError):
     """A piece of evidence is malformed or cannot be verified."""
-
-
-class MissingAuthenticatorError(AuditError):
-    """The auditor does not hold the authenticators required for the audit."""
 
 
 class MissingSnapshotError(AuditError):

@@ -47,9 +47,11 @@ def run_online_audit(duration: float = 40.0, num_players: int = 3, seed: int = 4
 
     # Player 2 audits player 1 online, while the game runs.
     target = "player1"
+    peers = [monitor for name, monitor in session.monitors.items()
+             if name != target]
     online = OnlineAuditor(session.make_auditor("player2", target),
                            session.monitors[target], session.scheduler,
-                           interval=audit_interval)
+                           peers, interval=audit_interval)
     online.start(delay=audit_interval)
     session.run()
     online.stop()

@@ -40,11 +40,6 @@ class Table1Result:
     summary: CatalogSummary
     functional_checks: List[FunctionalCheckResult] = field(default_factory=list)
 
-    @property
-    def all_functional_checks_passed(self) -> bool:
-        return all(r.cheater_detected and r.honest_players_passed
-                   for r in self.functional_checks)
-
 
 def run_functional_check(cheat: Cheat, duration: float = 10.0,
                          num_players: int = 3, seed: int = 7) -> FunctionalCheckResult:

@@ -20,7 +20,7 @@ them.
 """
 
 from repro.game.cheats.base import Cheat, CheatClass, CheatSpec
-from repro.game.cheats.catalog import CHEAT_CATALOG, catalog_summary, get_cheat_spec
+from repro.game.cheats.catalog import CHEAT_CATALOG, catalog_summary
 from repro.game.cheats.implementations import (
     AimbotCheat,
     NoRecoilCheat,
@@ -32,7 +32,6 @@ from repro.game.cheats.implementations import (
     WallhackCheat,
     implemented_cheats,
 )
-from repro.game.cheats.external import PacketForgingAdversary
 
 __all__ = [
     "Cheat",
@@ -40,7 +39,6 @@ __all__ = [
     "CheatSpec",
     "CHEAT_CATALOG",
     "catalog_summary",
-    "get_cheat_spec",
     "AimbotCheat",
     "WallhackCheat",
     "UnlimitedAmmoCheat",
@@ -50,5 +48,4 @@ __all__ = [
     "NoRecoilCheat",
     "TriggerBotCheat",
     "implemented_cheats",
-    "PacketForgingAdversary",
 ]

@@ -67,14 +67,6 @@ CHEAT_CATALOG: List[CheatSpec] = [
 ]
 
 
-def get_cheat_spec(name: str) -> CheatSpec:
-    """Look up a catalogue entry by name."""
-    for spec in CHEAT_CATALOG:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no cheat named {name!r} in the catalogue")
-
-
 @dataclass(frozen=True)
 class CatalogSummary:
     """The aggregated numbers Table 1 reports."""

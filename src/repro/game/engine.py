@@ -117,42 +117,6 @@ class GameEngine:
             del self._respawn_at[player_id]
         return respawned
 
-    # -- queries -------------------------------------------------------------------
-
-    def visible_players(self, observer_id: str) -> List[str]:
-        """Players the observer can see (line of sight not blocked by walls).
-
-        The *full* state is nevertheless sent to every client — like the real
-        game, the client renders only what is visible, which is exactly the
-        information a wallhack exposes (Section 5.3).
-        """
-        observer = self._require_player(observer_id)
-        visible = []
-        for other in self.state.players.values():
-            if other.player_id == observer_id or not other.alive:
-                continue
-            if not self._blocked_by_wall(observer.x, observer.y, other.x, other.y):
-                visible.append(other.player_id)
-        return sorted(visible)
-
-    def nearest_opponent(self, player_id: str) -> Optional[str]:
-        """The closest living opponent (used by aimbots for target acquisition)."""
-        player = self._require_player(player_id)
-        best: Optional[Tuple[float, str]] = None
-        for other in self.state.players.values():
-            if other.player_id == player_id or not other.alive:
-                continue
-            distance = math.hypot(other.x - player.x, other.y - player.y)
-            if best is None or distance < best[0]:
-                best = (distance, other.player_id)
-        return best[1] if best else None
-
-    def angle_to(self, from_id: str, to_id: str) -> float:
-        """Exact facing angle from one player to another."""
-        source = self._require_player(from_id)
-        target = self._require_player(to_id)
-        return math.atan2(target.y - source.y, target.x - source.x) % (2.0 * math.pi)
-
     # -- internals -------------------------------------------------------------------
 
     def _require_player(self, player_id: str) -> PlayerState:
@@ -163,17 +127,6 @@ class GameEngine:
 
     def _inside_wall(self, x: float, y: float) -> bool:
         return any(wall.contains(x, y) for wall in self.state.game_map.walls)
-
-    def _blocked_by_wall(self, x0: float, y0: float, x1: float, y1: float) -> bool:
-        """Sampled line-of-sight test between two points."""
-        steps = 32
-        for i in range(1, steps):
-            t = i / steps
-            x = x0 + (x1 - x0) * t
-            y = y0 + (y1 - y0) * t
-            if self._inside_wall(x, y):
-                return True
-        return False
 
     def _hitscan(self, shooter: PlayerState):
         """Trace the shot; returns the hit player, a wall, or ``None``."""

@@ -17,7 +17,6 @@ PACKET_JOIN = "join"
 PACKET_COMMANDS = "commands"
 PACKET_SNAPSHOT = "snapshot"
 PACKET_DELTA = "delta"
-PACKET_SCORE = "score"
 
 
 def encode_packet(packet: Dict[str, Any]) -> bytes:
@@ -76,11 +75,6 @@ def compact_player(player_dict: Dict[str, Any]) -> Dict[str, Any]:
         "ammo": player_dict["ammo"],
         "alive": player_dict["alive"],
     }
-
-
-def score_packet(scores: Dict[str, Dict[str, int]], tick: int) -> bytes:
-    """Server -> client: end-of-round scoreboard."""
-    return encode_packet({"type": PACKET_SCORE, "tick": tick, "scores": scores})
 
 
 # -- client commands -------------------------------------------------------------

@@ -158,7 +158,3 @@ class GameSession:
         """Modelled frame rate for one player machine (Figure 7 / 8)."""
         return FrameRateModel().compute(self.monitors[machine],
                                         self.settings.duration, **kwargs)
-
-    def traffic_kbps(self, machine: str) -> float:
-        """Average outbound IP-level traffic of one machine (Section 6.7)."""
-        return self.network.stats_for(machine).sent_kbps(self.settings.duration)

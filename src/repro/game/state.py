@@ -8,7 +8,7 @@ is allowed; all decisions are functions of the state and the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,6 @@ class GameState:
         player = PlayerState(player_id=player_id, x=spawn[0], y=spawn[1])
         self.players[player_id] = player
         return player
-
-    def living_players(self) -> List[PlayerState]:
-        return [p for p in self.players.values() if p.alive]
 
     def to_dict(self) -> Dict[str, Any]:
         return {

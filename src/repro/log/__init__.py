@@ -19,7 +19,7 @@ Sub-modules:
 
 from repro.log.authenticator import Authenticator
 from repro.log.entries import EntryType, LogEntry
-from repro.log.hashchain import chain_hash, verify_chain
+from repro.log.hashchain import chain_hash, verify_chain_incremental
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 
@@ -28,7 +28,7 @@ __all__ = [
     "EntryType",
     "LogEntry",
     "chain_hash",
-    "verify_chain",
+    "verify_chain_incremental",
     "LogSegment",
     "TamperEvidentLog",
 ]

@@ -176,8 +176,7 @@ class _MaterializationStats:
     Incremented by every codec path that turns canonical content bytes into
     a ``content`` dictionary: the v1 row decoder and the lazy v3 accessor.
     A chain-verify-only pass over a v3 stream should leave this untouched;
-    :mod:`repro.obs` snapshots it into the
-    ``codec.content_materializations_total`` counter.
+    the count is read through :func:`content_materializations_total`.
     """
 
     __slots__ = ("count",)

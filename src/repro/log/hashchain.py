@@ -5,8 +5,7 @@ Because the hash is second-pre-image resistant, modifying, reordering or
 dropping any entry breaks the chain and is detected when the segment is
 checked against a previously issued authenticator.
 
-Verification comes in two forms.  :func:`verify_chain` checks a segment in
-one pass.  :func:`verify_chain_incremental` checks a segment given a
+:func:`verify_chain_incremental` checks a segment given a
 :class:`ChainCheckpoint` — the ``(sequence, chain hash)`` pair immediately
 before its first entry, e.g. taken from the preceding chunk's last entry or
 from an authenticator the auditor already holds.  That is what lets the
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 from repro.crypto import hashing
 from repro.errors import HashChainError, LogFormatError
@@ -28,9 +27,6 @@ from repro.log.entries import (
     EntryType, LogEntry, encode_content, encode_content_json,
     seed_encoded_content,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from repro.log.authenticator import Authenticator
 
 
 def _framed(part: bytes) -> bytes:
@@ -151,43 +147,15 @@ class ChainCheckpoint:
         """The checkpoint before the very first log entry (``h_0 = 0``)."""
         return ChainCheckpoint(sequence=0, chain_hash=hashing.ZERO_HASH)
 
-    @staticmethod
-    def from_authenticator(auth: "Authenticator") -> "ChainCheckpoint":
-        """Checkpoint after the entry a (verified) authenticator commits to."""
-        return ChainCheckpoint(sequence=auth.sequence, chain_hash=auth.chain_hash)
-
-
-def extend_checkpoint(checkpoint: ChainCheckpoint,
-                      entry: LogEntry) -> ChainCheckpoint:
-    """Verify that one entry extends ``checkpoint``; return the new checkpoint.
-
-    This is the single step of :func:`verify_chain_incremental`, exposed so a
-    *streaming* verifier (:mod:`repro.audit.stream`) can check entries as they
-    are decoded, holding only the current checkpoint — O(1) state no matter
-    how long the log is.  Raises :class:`HashChainError` on any break.
-    """
-    if entry.sequence != checkpoint.sequence + 1:
-        raise HashChainError(
-            f"non-contiguous sequence numbers: "
-            f"{checkpoint.sequence} -> {entry.sequence}")
-    if entry.previous_hash != checkpoint.chain_hash:
-        raise HashChainError(
-            f"chain break at sequence {entry.sequence}: previous hash mismatch")
-    if not verify_entry(entry):
-        raise HashChainError(
-            f"entry {entry.sequence} does not hash to its recorded chain value")
-    return ChainCheckpoint(sequence=entry.sequence, chain_hash=entry.chain_hash)
 
 
 def extend_checkpoint_batch(checkpoint: ChainCheckpoint,
                             entries: Sequence[LogEntry]) -> ChainCheckpoint:
     """Verify that a batch of entries extends ``checkpoint``, in one pass.
 
-    Semantically identical to folding :func:`extend_checkpoint` over the
-    batch — same checks, same error messages, same resulting checkpoint —
-    but the chain state is threaded through two locals instead of a
-    :class:`ChainCheckpoint` allocation per entry, which matters when the
-    streaming audit steps the chain over decoded record batches.  Raises
+    The chain state is threaded through two locals, not a
+    :class:`ChainCheckpoint` per entry, which matters when the streaming
+    audit steps the chain over decoded record batches.  Raises
     :class:`HashChainError` on any break.
     """
     sequence = checkpoint.sequence
@@ -224,33 +192,3 @@ def verify_chain_incremental(entries: Sequence[LogEntry],
     Raises :class:`HashChainError` on any break.
     """
     return extend_checkpoint_batch(checkpoint, entries)
-
-
-def verify_chain(entries: Sequence[LogEntry], *,
-                 expected_start_hash: bytes | None = None) -> None:
-    """Verify that ``entries`` form an unbroken hash chain.
-
-    ``expected_start_hash`` is the chain value immediately *before* the first
-    entry (``h_{i-1}``); when auditing a segment that does not start at the
-    beginning of the log it comes from the preceding snapshot entry or an
-    earlier authenticator.  Raises :class:`HashChainError` on any break.
-    """
-    if not entries:
-        return
-    if expected_start_hash is not None \
-            and entries[0].previous_hash != expected_start_hash:
-        raise HashChainError(
-            f"chain break at sequence {entries[0].sequence}: previous hash mismatch")
-    start = ChainCheckpoint(sequence=entries[0].sequence - 1,
-                            chain_hash=entries[0].previous_hash)
-    verify_chain_incremental(entries, start)
-
-
-def is_chain_intact(entries: Iterable[LogEntry], *,
-                    expected_start_hash: bytes | None = None) -> bool:
-    """Boolean form of :func:`verify_chain`."""
-    try:
-        verify_chain(list(entries), expected_start_hash=expected_start_hash)
-    except HashChainError:
-        return False
-    return True

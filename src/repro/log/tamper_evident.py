@@ -89,12 +89,6 @@ class TamperEvidentLog:
         self._next_sequence += 1
         return entry
 
-    def append_with_authenticator(self, entry_type: EntryType,
-                                  content: Dict[str, Any]) -> tuple[LogEntry, Authenticator]:
-        """Append an entry and produce the authenticator that commits to it."""
-        entry = self.append(entry_type, content)
-        return entry, self.authenticator_for(entry)
-
     def authenticator_for(self, entry: LogEntry) -> Authenticator:
         """Create an authenticator for an already-appended entry.
 
@@ -235,21 +229,12 @@ class TamperEvidentLog:
             previous = new_hash
         self._current_hash = previous
 
-    def tamper_drop_entry(self, sequence: int) -> None:
-        """Maliciously remove an entry (sequence numbers become non-contiguous)."""
-        index = sequence - 1
-        if index < 0 or index >= len(self._entries):
-            raise SegmentError(f"no log entry with sequence {sequence}")
-        del self._entries[index]
-
     def tamper_remove_entry(self, sequence: int) -> None:
         """Remove an entry and renumber the suffix to hide the gap.
 
         The machine presents a log whose sequence numbers are dense again,
         but the renumbered entries keep their original hashes — so the chain
-        no longer verifies at the removal point.  (Contrast with
-        :meth:`tamper_drop_entry`, which leaves the numbering gap and makes
-        the machine unable to even *produce* a well-formed segment.)
+        no longer verifies at the removal point.
         """
         index = sequence - 1
         if index < 0 or index >= len(self._entries):

@@ -20,11 +20,10 @@ from repro.metrics.framerate import FrameRateModel, FrameRateSample
 from repro.metrics.latency import LatencyRecorder, summarize_rtts
 from repro.metrics.cpu import CpuModel, CpuUtilization
 from repro.metrics.logstats import LogGrowthSeries, log_content_breakdown
-from repro.metrics.parallel import ParallelSchedule, SpeedupCurve, schedule
+from repro.metrics.parallel import ParallelSchedule, schedule
 
 __all__ = [
     "ParallelSchedule",
-    "SpeedupCurve",
     "schedule",
     "CostParameters",
     "PerfModel",

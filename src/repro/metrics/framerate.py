@@ -27,12 +27,6 @@ class FrameRateSample:
     audit_seconds: float
     frames_per_second: float
 
-    @property
-    def overhead_fraction(self) -> float:
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.game_thread_overhead_seconds / self.duration_seconds
-
 
 class FrameRateModel:
     """Computes achieved frame rates from monitor work counters."""

@@ -14,8 +14,8 @@ the real worker pool, for flavour).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,3 @@ def schedule(durations: Sequence[float], workers: int) -> ParallelSchedule:
         makespan_seconds=float(max(loads)) if durations else 0.0,
         per_worker_seconds=tuple(loads),
     )
-
-
-@dataclass
-class SpeedupCurve:
-    """Modelled speedup at several worker counts for one set of work items."""
-
-    durations: List[float] = field(default_factory=list)
-
-    def add(self, duration: float) -> None:
-        self.durations.append(duration)
-
-    def at(self, workers: int) -> ParallelSchedule:
-        return schedule(self.durations, workers)
-
-    def table(self, worker_counts: Sequence[int]) -> Dict[int, ParallelSchedule]:
-        """Schedules for every requested worker count (drives bench tables)."""
-        return {workers: schedule(self.durations, workers)
-                for workers in worker_counts}

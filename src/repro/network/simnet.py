@@ -62,8 +62,9 @@ class SimulatedNetwork:
         self.default_link = default_link or LinkSpec()
         self._rng = rng or RngStream(seed=0, name="network")
         self._endpoints: Dict[str, DeliveryCallback] = {}
-        self._links: Dict[Tuple[str, str], LinkSpec] = {}
-        self._partitioned: Set[Tuple[str, str]] = set()
+        #: directed ``(source, destination)`` links that drop every message
+        #: at send time (a partition; add both directions to cut both ways)
+        self.cut_links: Set[Tuple[str, str]] = set()
         self._stats: Dict[str, NetworkStats] = {}
         self._delivery_log: List[Tuple[float, NetworkMessage]] = []
         self._tcp_endpoints: Set[str] = set()
@@ -91,24 +92,6 @@ class SimulatedNetwork:
         if uses_tcp:
             self._tcp_endpoints.add(identity)
 
-    def unregister(self, identity: str) -> None:
-        self._endpoints.pop(identity, None)
-
-    def set_link(self, source: str, destination: str, link: LinkSpec) -> None:
-        """Override link characteristics for a directed pair."""
-        self._links[(source, destination)] = link
-
-    def partition(self, a: str, b: str, bidirectional: bool = True) -> None:
-        """Cut connectivity between two endpoints."""
-        self._partitioned.add((a, b))
-        if bidirectional:
-            self._partitioned.add((b, a))
-
-    def heal_partition(self, a: str, b: str) -> None:
-        """Restore connectivity between two endpoints."""
-        self._partitioned.discard((a, b))
-        self._partitioned.discard((b, a))
-
     # -- sending ---------------------------------------------------------------
 
     def send(self, message: NetworkMessage) -> bool:
@@ -125,10 +108,10 @@ class SimulatedNetwork:
         source_stats.messages_sent += 1
         source_stats.bytes_sent += wire_size
 
-        if (message.source, message.destination) in self._partitioned:
+        if (message.source, message.destination) in self.cut_links:
             source_stats.messages_dropped += 1
             return False
-        link = self._links.get((message.source, message.destination), self.default_link)
+        link = self.default_link
         if link.loss_rate > 0 and self._rng.random() < link.loss_rate:
             source_stats.messages_dropped += 1
             return False

@@ -23,15 +23,15 @@ from repro.obs.progress import (AuditProgress, MachineProgress,
                                 NULL_PROGRESS, NullAuditProgress,
                                 peak_rss_bytes)
 from repro.obs.registry import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
-                                MetricsRegistry, NANOSECOND_BUCKETS,
+                                MetricsRegistry,
                                 NULL_COUNTER, NULL_GAUGE,
                                 NULL_HISTOGRAM, NULL_REGISTRY, ScopedMetrics)
 from repro.obs.trace import (NULL_TRACER, NullTracer, SIM, Span, Tracer,
                              WALL, WallTimer, validate_chrome_trace)
 
 __all__ = [
-    "AuditProgress", "CodecMetrics", "Counter", "DEFAULT_BUCKETS", "Gauge",
-    "Histogram", "MachineProgress", "MetricsRegistry", "NANOSECOND_BUCKETS",
+    "AuditProgress", "Counter", "DEFAULT_BUCKETS", "Gauge",
+    "Histogram", "MachineProgress", "MetricsRegistry",
     "NULL_COUNTER", "NULL_GAUGE",
     "NULL_HISTOGRAM", "NULL_OBS", "NULL_PROGRESS", "NULL_REGISTRY",
     "NULL_TRACER", "NullAuditProgress", "NullTracer", "Observability",
@@ -64,10 +64,6 @@ class Observability:
                                  sample_stride=sample_stride),
                    progress=AuditProgress(on_update=progress_callback))
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return NULL_OBS
-
 
 class _NullObservability(Observability):
     """The shared disabled bundle (pickles back to the singleton)."""
@@ -91,41 +87,3 @@ def _null_obs() -> _NullObservability:
 def ensure_obs(obs: Optional[Observability]) -> Observability:
     """``obs`` itself, or the shared disabled bundle when ``None``."""
     return obs if obs is not None else NULL_OBS
-
-
-class CodecMetrics:
-    """Codec-layer instruments bound onto an :class:`Observability` bundle.
-
-    ``codec.content_materializations_total`` mirrors the process-global
-    content-parse count from :mod:`repro.log.entries` (the codec layer has
-    no obs handle of its own — entries decode in tight loops across many
-    components — so the count is folded in by :meth:`sync_materializations`
-    at measurement boundaries).  ``codec.decode_ns_per_entry`` is a
-    nanosecond-scale histogram of per-entry decode latency, observed once
-    per decoded blob by whoever timed the decode.
-    """
-
-    def __init__(self, obs: Optional[Observability] = None) -> None:
-        from repro.log.entries import content_materializations_total
-        obs = ensure_obs(obs)
-        self.materializations = obs.metrics.counter(
-            "codec.content_materializations_total")
-        self.decode_ns_per_entry = obs.metrics.histogram(
-            "codec.decode_ns_per_entry", bounds=NANOSECOND_BUCKETS)
-        self._baseline = content_materializations_total()
-
-    def sync_materializations(self) -> int:
-        """Fold the parses since the last sync into the counter; return them."""
-        from repro.log.entries import content_materializations_total
-        total = content_materializations_total()
-        delta = total - self._baseline
-        self._baseline = total
-        if delta:
-            self.materializations.inc(delta)
-        return delta
-
-    def observe_decode(self, wall_seconds: float, entry_count: int) -> None:
-        """Record a decode's mean per-entry latency (in nanoseconds)."""
-        if entry_count > 0:
-            self.decode_ns_per_entry.observe(
-                wall_seconds * 1e9 / entry_count)

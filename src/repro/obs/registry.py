@@ -23,12 +23,6 @@ Number = Union[int, float]
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0004, 0.0016, 0.0064, 0.0256, 0.1024, 0.4096, 1.6384, 6.5536)
 
-#: bucket bounds for per-entry decode latency histograms (nanoseconds scale;
-#: a v3 lazy decode lands in the lowest buckets, a v1 row parse in the upper)
-NANOSECOND_BUCKETS: Tuple[float, ...] = (
-    250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0,
-    64000.0, 128000.0)
-
 
 class Counter:
     """A monotonically increasing counter."""
@@ -60,9 +54,6 @@ class Gauge:
 
     def inc(self, amount: Number = 1) -> None:
         self.set(self.value + amount)
-
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -145,9 +136,6 @@ class _NullGauge:
         pass
 
     def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
         pass
 
     def __reduce__(self):

@@ -230,14 +230,6 @@ class Tracer:
 
     # -- exporters ----------------------------------------------------------------
 
-    def export_jsonl(self, path: Union[str, Path]) -> Path:
-        """One span per line, in recording order."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            for span in self.spans:
-                handle.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        return path
-
     def chrome_trace_events(self) -> List[Dict[str, object]]:
         """Spans as Chrome ``trace_event`` dicts (``X`` complete events).
 

@@ -48,8 +48,8 @@ from repro.log.storage import authenticators_from_bytes
 from repro.network.simnet import SimulatedNetwork
 from repro.obs import NULL_OBS, Observability, ensure_obs
 from repro.service.ingest import DEFAULT_INGEST_IDENTITY, AuditIngestService
-from repro.service.shard import (AuditShard, DEFAULT_RING_REPLICAS,
-                                 HandoffReport, ShardRing, migrate_machine)
+from repro.service.shard import (AuditShard, HandoffReport, ShardRing,
+                                 migrate_machine)
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
 from repro.vm.image import VMImage
@@ -57,6 +57,11 @@ from repro.workloads.kvstore import make_kvserver_image
 from repro.workloads.sqlbench import SqlBenchSettings, make_sqlbench_image
 
 DEFAULT_SHARD_PREFIX = "audit-shard"
+
+#: a drain round: ship every tail, then let the network settle this long
+DRAIN_SETTLE_SECONDS = 1.0
+#: rounds a drain may take before the fleet counts as not converging
+DRAIN_MAX_ROUNDS = 5
 
 
 @dataclass
@@ -101,7 +106,6 @@ class FleetCoordinator:
     """Places machines on shards, merges verdicts, convicts across shards."""
 
     def __init__(self, shards: Sequence[AuditShard],
-                 replicas: int = DEFAULT_RING_REPLICAS,
                  obs: Optional[Observability] = None) -> None:
         if not shards:
             raise StoreError("a fleet needs at least one shard")
@@ -110,8 +114,7 @@ class FleetCoordinator:
         self._by_identity = {shard.identity: shard for shard in self.shards}
         if len(self._by_identity) != len(self.shards):
             raise StoreError("shard identities must be unique")
-        self.ring = ShardRing((shard.identity for shard in self.shards),
-                              replicas=replicas)
+        self.ring = ShardRing(shard.identity for shard in self.shards)
         #: machines explicitly moved off their ring shard by rebalance()
         self._placement_overrides: Dict[str, str] = {}
         self.obs = ensure_obs(obs)
@@ -128,7 +131,6 @@ class FleetCoordinator:
               network: Optional[SimulatedNetwork] = None,
               format_version: int = 1,
               identity_prefix: str = DEFAULT_SHARD_PREFIX,
-              replicas: int = DEFAULT_RING_REPLICAS,
               obs: Optional[Observability] = None) -> "FleetCoordinator":
         """A coordinator over ``shard_count`` fresh shards under ``root``."""
         if shard_count < 1:
@@ -140,7 +142,7 @@ class FleetCoordinator:
                               network=network, format_version=format_version,
                               obs=obs)
             for index in range(shard_count)]
-        return cls(shards, replicas=replicas, obs=obs)
+        return cls(shards, obs=obs)
 
     # -- placement -----------------------------------------------------------
 
@@ -162,14 +164,12 @@ class FleetCoordinator:
         for shard in self.shards:
             shard.service.connect(network)
 
-    def attach_fleet(self, monitors: Iterable, format_version: int = 1,
-                     ship_authenticators: bool = True) -> None:
+    def attach_fleet(self, monitors: Iterable, format_version: int = 1) -> None:
         """Point each monitor's archive shipper at its home shard."""
         for monitor in monitors:
             destination = self.shard_for_machine(monitor.identity).identity
-            monitor.attach_archive_shipper(
-                destination, ship_authenticators=ship_authenticators,
-                format_version=format_version)
+            monitor.attach_archive_shipper(destination,
+                                           format_version=format_version)
 
     def machines(self) -> List[str]:
         """Every machine any shard must produce a verdict for, sorted."""
@@ -329,9 +329,7 @@ class FleetCoordinator:
         self._m_migrations.inc()
         if monitor is not None:
             monitor.attach_archive_shipper(
-                target.identity,
-                ship_authenticators=monitor.archive_ship_authenticators,
-                format_version=monitor.archive_format_version)
+                target.identity, format_version=monitor.archive_format_version)
         return report
 
 
@@ -482,21 +480,21 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
 
 
 def drain_fleet_to_archive(scheduler: Scheduler,
-                           monitors: Dict[str, AccountableVMM],
-                           settle: float = 1.0, max_rounds: int = 5) -> None:
+                           monitors: Dict[str, AccountableVMM]) -> None:
     """Flush in-flight traffic, ship the log tails, and deliver everything.
 
     Delivering a straggler message can append new log entries (a RECV plus
     its ACK), so tail shipping repeats until a whole round ships nothing —
     at that point every monitor's archive mirrors its log exactly.  Raises
     :class:`~repro.errors.StoreError` if the fleet is still producing or
-    dropping shipments after ``max_rounds`` (e.g. an unhealed partition to
-    the ingest endpoint) rather than returning an incomplete archive.
+    dropping shipments after :data:`DRAIN_MAX_ROUNDS` (e.g. an unhealed
+    partition to the ingest endpoint) rather than returning an incomplete
+    archive.
     """
-    scheduler.run_until(scheduler.clock.now + settle)
-    for _ in range(max_rounds):
+    scheduler.run_until(scheduler.clock.now + DRAIN_SETTLE_SECONDS)
+    for _ in range(DRAIN_MAX_ROUNDS):
         shipped = [monitor.ship_archive_tail() for monitor in monitors.values()]
-        scheduler.run_until(scheduler.clock.now + settle)
+        scheduler.run_until(scheduler.clock.now + DRAIN_SETTLE_SECONDS)
         if not any(shipped):
             break
     unshipped = sorted(monitor.identity for monitor in monitors.values()
@@ -505,4 +503,4 @@ def drain_fleet_to_archive(scheduler: Scheduler,
         raise StoreError(
             f"archive drain did not converge: {unshipped} still have "
             f"unshipped log entries or authenticators after "
-            f"{max_rounds} rounds")
+            f"{DRAIN_MAX_ROUNDS} rounds")

@@ -302,14 +302,6 @@ class AuditIngestService:
         self.stats.authenticators_ingested += added
         return added
 
-    def ingest_snapshot(self, machine: str, snapshot_id: int, state: dict,
-                        state_root: bytes, transfer_bytes: int,
-                        execution: Optional[dict] = None) -> None:
-        """Archive the full VM state (a keyframe) at a seal boundary."""
-        self.archive.store_snapshot(machine, snapshot_id, state, state_root,
-                                    transfer_bytes, execution=execution)
-        self.stats.snapshots_ingested += 1
-
     # -- the audit queue -----------------------------------------------------
 
     def _update_queue_depth(self) -> None:

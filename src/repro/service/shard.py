@@ -45,7 +45,7 @@ from repro.store.archive import LogArchive
 
 #: virtual nodes per shard on the ring; 64 keeps the max/mean load ratio of
 #: a 1,000-machine fleet within a few percent at 4–16 shards
-DEFAULT_RING_REPLICAS = 64
+RING_REPLICAS = 64
 
 
 def _ring_point(key: str) -> int:
@@ -56,18 +56,14 @@ def _ring_point(key: str) -> int:
 class ShardRing:
     """Consistent-hash machine→shard placement.
 
-    Each shard contributes ``replicas`` virtual points; a machine lands on
+    Each shard contributes :data:`RING_REPLICAS` virtual points; a machine lands on
     the first shard point clockwise from its own hash.  Placement is a pure
     function of the shard ids and the machine name — every party (machines
     attaching shippers, shards, the coordinator) computes the same answer
     with no directory service, across processes and runs.
     """
 
-    def __init__(self, shard_ids: Iterable[str] = (),
-                 replicas: int = DEFAULT_RING_REPLICAS) -> None:
-        if replicas < 1:
-            raise ValueError(f"ring replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self, shard_ids: Iterable[str] = ()) -> None:
         self._shard_ids: List[str] = []
         self._points: List[Tuple[int, str]] = []
         for shard_id in shard_ids:
@@ -83,17 +79,10 @@ class ShardRing:
         if shard_id in self._shard_ids:
             raise ValueError(f"shard {shard_id!r} is already on the ring")
         self._shard_ids.append(shard_id)
-        for replica in range(self.replicas):
+        for replica in range(RING_REPLICAS):
             self._points.append(
                 (_ring_point(f"shard:{shard_id}:{replica}"), shard_id))
         self._points.sort()
-
-    def remove_shard(self, shard_id: str) -> None:
-        if shard_id not in self._shard_ids:
-            raise ValueError(f"shard {shard_id!r} is not on the ring")
-        self._shard_ids.remove(shard_id)
-        self._points = [point for point in self._points
-                        if point[1] != shard_id]
 
     def shard_for(self, machine: str) -> str:
         """The shard id owning ``machine`` (deterministic, directory-free)."""
@@ -104,14 +93,6 @@ class ShardRing:
         if position == len(self._points):
             position = 0  # wrap past twelve o'clock
         return self._points[position][1]
-
-    def assignment_counts(self, machines: Iterable[str]) -> Dict[str, int]:
-        """How many of ``machines`` each shard owns (balance diagnostics)."""
-        counts = {shard_id: 0 for shard_id in self._shard_ids}
-        for machine in machines:
-            counts[self.shard_for(machine)] += 1
-        return counts
-
 
 class AuditShard:
     """One ingest shard: a service identity plus its own archive root."""

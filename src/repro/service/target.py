@@ -67,11 +67,6 @@ class ArchiveBackedMachine:
     def snapshots(self) -> ArchiveSnapshotStore:
         return self.archive.snapshot_store(self.identity)
 
-    def entry_stream(self, start: Optional[ChainCheckpoint] = None):
-        """A chain-verified, resumable stream of this machine's entries."""
-        from repro.audit.stream import ArchiveEntryStream
-        return ArchiveEntryStream(self.archive, self.identity, start=start)
-
     def get_log_segment(self, first_sequence: Optional[int] = None,
                         last_sequence: Optional[int] = None) -> LogSegment:
         """The retained log (or a sub-range of it) as one segment.

@@ -53,12 +53,6 @@ class SimClock:
             )
         self._now = float(timestamp)
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds (must be >= 0)."""
-        if delta < 0:
-            raise SimulationError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += float(delta)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"
 

@@ -32,14 +32,6 @@ class RngStream:
         """Uniform integer in ``[low, high]`` (inclusive)."""
         return self._rng.randint(low, high)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed sample with the given rate."""
-        return self._rng.expovariate(rate)
-
-    def gauss(self, mean: float, stddev: float) -> float:
-        """Normally distributed sample."""
-        return self._rng.gauss(mean, stddev)
-
     def choice(self, options: Sequence[T]) -> T:
         """Uniformly pick one element of ``options``."""
         return self._rng.choice(options)

@@ -75,6 +75,9 @@ from repro.vm.snapshot import (PAGE_SIZE, IncrementalSnapshot, Snapshot,
 #: so opening an archive in the wrong directory cannot destroy foreign data
 _OWNED_NAME_RE = re.compile(r"^frames-\d+\.avmf$")
 
+#: how much of a stored segment :meth:`LogArchive.stream_segment` reads at once
+STREAM_CHUNK_BYTES = 1 << 16
+
 
 def _snapshot_record(machine: str, snapshot: IncrementalSnapshot,
                      **stored) -> SnapshotRecord:
@@ -558,8 +561,7 @@ class LogArchive:
         self._m_bytes_read.inc(record.stored_bytes)
         return segment
 
-    def stream_segment(self, record: SegmentRecord,
-                       chunk_bytes: int = 1 << 16) -> Iterator[LogEntry]:
+    def stream_segment(self, record: SegmentRecord) -> Iterator[LogEntry]:
         """Stream one archived segment's entries without materializing it.
 
         Decodes the stored bytes incrementally
@@ -568,7 +570,7 @@ class LogArchive:
         as the entries stream past (header before the first, sequences and
         end hash on the way, count at exhaustion) and fail the same way,
         :class:`ArchiveIntegrityError`.  The hash chain is *not* verified
-        here — :func:`repro.log.hashchain.extend_checkpoint` does that.
+        here — the audit kernel does that.
         """
         decoder = SegmentStreamDecoder()
         self._m_segments_read.inc()
@@ -577,7 +579,7 @@ class LogArchive:
         mismatch = _mismatch(record)
         try:
             for entry in decoder.entries(self._stored_chunks(
-                    record, "archived segment", chunk_bytes)):
+                    record, "archived segment", STREAM_CHUNK_BYTES)):
                 if decoder.entry_count == 1:
                     header = decoder.header or {}
                     if str(header.get("machine")) != record.machine \

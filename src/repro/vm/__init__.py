@@ -14,7 +14,6 @@ so the AVMM can either record them (live run) or re-inject them (replay).
 """
 
 from repro.vm.events import (
-    ClockReadRequest,
     GuestEvent,
     KeyboardInput,
     PacketDelivery,
@@ -37,7 +36,6 @@ __all__ = [
     "PacketDelivery",
     "TimerInterrupt",
     "KeyboardInput",
-    "ClockReadRequest",
     "ExecutionTimestamp",
     "GuestProgram",
     "MachineApi",

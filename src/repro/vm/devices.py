@@ -4,9 +4,9 @@ The devices are deliberately simple: the point of the reproduction is the
 *accountability machinery around* the VM, so each device does just enough to
 exercise the relevant recording/replay path:
 
-* :class:`VirtualDisk` — deterministic block store initialised from the image
-  (reads need not be logged, Section 4.4).
-* :class:`VirtualNic` — collects outbound packets for the VMM to pick up.
+* :class:`VirtualDisk` — block store initialised from the image, written by
+  the guest; its blocks are part of the snapshot state.
+* :class:`VirtualNic` — builds outbound packets and counts the traffic.
 * :class:`VirtualTimer` — remembers the interrupt interval the guest asked for.
 * :class:`FrameCounter` — counts rendered frames (the paper's performance
   metric, measured in their setup with an AMX Mod X script).
@@ -15,32 +15,24 @@ exercise the relevant recording/replay path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import DeviceError
 from repro.vm.guest import FrameOutput, PacketOutput
 
 
 class VirtualDisk:
-    """A block-addressed virtual disk.
+    """A block-addressed virtual disk, initialised from the image.
 
-    Reads of blocks never written return the image's initial content (or empty
-    bytes); those values are reproducible from the image and therefore do not
-    need to be recorded in the log.
+    Its content is reproducible from the image and the guest's writes, so
+    nothing about it needs to be recorded in the log (Section 4.4).
     """
 
     BLOCK_SIZE = 4096
 
     def __init__(self, initial_blocks: Optional[Dict[int, bytes]] = None) -> None:
         self._blocks: Dict[int, bytes] = dict(initial_blocks or {})
-        self._reads = 0
         self._writes = 0
-
-    def read(self, block: int) -> bytes:
-        if block < 0:
-            raise DeviceError(f"negative disk block {block}")
-        self._reads += 1
-        return self._blocks.get(block, b"")
 
     def write(self, block: int, data: bytes) -> None:
         if block < 0:
@@ -50,10 +42,6 @@ class VirtualDisk:
                 f"block write of {len(data)} bytes exceeds block size {self.BLOCK_SIZE}")
         self._writes += 1
         self._blocks[block] = bytes(data)
-
-    @property
-    def reads(self) -> int:
-        return self._reads
 
     @property
     def writes(self) -> int:
@@ -68,19 +56,17 @@ class VirtualDisk:
 
 
 class VirtualNic:
-    """Outbound packet queue filled by the guest, drained by the VMM."""
+    """The guest's network card: packet records and traffic counters."""
 
     def __init__(self) -> None:
-        self._outbound: List[PacketOutput] = []
         self._packets_sent = 0
         self._packets_received = 0
         self._bytes_sent = 0
         self._bytes_received = 0
 
     def transmit(self, destination: str, payload: bytes) -> PacketOutput:
-        """Queue a packet for transmission; returns the output record."""
+        """Count a packet for transmission; returns the output record."""
         packet = PacketOutput(destination=destination, payload=bytes(payload))
-        self._outbound.append(packet)
         self._packets_sent += 1
         self._bytes_sent += len(payload)
         return packet
@@ -89,11 +75,6 @@ class VirtualNic:
         """Account for an inbound packet delivered to the guest."""
         self._packets_received += 1
         self._bytes_received += payload_size
-
-    def drain(self) -> List[PacketOutput]:
-        """Remove and return all queued outbound packets."""
-        packets, self._outbound = self._outbound, []
-        return packets
 
     @property
     def stats(self) -> Dict[str, int]:

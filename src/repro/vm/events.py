@@ -46,12 +46,6 @@ class PacketDelivery(GuestEvent):
             "message_id": self.message_id,
         }
 
-    @staticmethod
-    def from_payload(data: Dict[str, Any]) -> "PacketDelivery":
-        return PacketDelivery(source=str(data["source"]),
-                              payload=bytes.fromhex(data["payload"]),
-                              message_id=str(data["message_id"]))
-
 
 @dataclass(frozen=True)
 class TimerInterrupt(GuestEvent):
@@ -63,10 +57,6 @@ class TimerInterrupt(GuestEvent):
 
     def to_payload(self) -> Dict[str, Any]:
         return {"tick_number": self.tick_number}
-
-    @staticmethod
-    def from_payload(data: Dict[str, Any]) -> "TimerInterrupt":
-        return TimerInterrupt(tick_number=int(data["tick_number"]))
 
 
 @dataclass(frozen=True)
@@ -85,34 +75,3 @@ class KeyboardInput(GuestEvent):
 
     def to_payload(self) -> Dict[str, Any]:
         return {"command": self.command, "device": self.device}
-
-    @staticmethod
-    def from_payload(data: Dict[str, Any]) -> "KeyboardInput":
-        return KeyboardInput(command=str(data["command"]),
-                             device=str(data.get("device", "keyboard")))
-
-
-@dataclass(frozen=True)
-class ClockReadRequest:
-    """A synchronous clock read issued by the guest.
-
-    Not a :class:`GuestEvent` — the guest asks, the machine answers.  The
-    *answer* is the nondeterministic input that gets logged.
-    """
-
-    execution_instructions: int
-
-
-EVENT_KINDS = {
-    PacketDelivery.kind: PacketDelivery,
-    TimerInterrupt.kind: TimerInterrupt,
-    KeyboardInput.kind: KeyboardInput,
-}
-
-
-def event_from_payload(kind: str, payload: Dict[str, Any]) -> GuestEvent:
-    """Reconstruct an event recorded in the log."""
-    cls = EVENT_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown guest event kind {kind!r}")
-    return cls.from_payload(payload)

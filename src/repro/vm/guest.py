@@ -111,10 +111,6 @@ class MachineApi:
         """Render one display frame; returns the frame number."""
         raise NotImplementedError
 
-    def read_disk(self, block: int) -> bytes:
-        """Read a block from the virtual disk (deterministic, from the image)."""
-        raise NotImplementedError
-
     def write_disk(self, block: int, data: bytes) -> None:
         """Write a block to the virtual disk."""
         raise NotImplementedError
@@ -170,10 +166,6 @@ class GuestProgram:
     def set_state(self, state: Dict[str, Any]) -> None:
         """Restore state previously returned by :meth:`get_state`."""
         raise NotImplementedError
-
-    def state_digest(self) -> bytes:
-        """Stable hash of the guest state (used in snapshot cross-checks)."""
-        return hashing.hash_object(self.get_state())
 
     # -- identity ------------------------------------------------------------
 

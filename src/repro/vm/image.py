@@ -62,7 +62,3 @@ class VMImage:
             "disk": {str(block): data.hex() for block, data in sorted(self.disk_blocks.items())},
             "allow_software_installation": self.allow_software_installation,
         })
-
-    def same_as(self, other: "VMImage") -> bool:
-        """True when both images would produce identical executions."""
-        return self.image_hash() == other.image_hash()

@@ -263,10 +263,6 @@ class VirtualMachine:
         self._output_buffer.append(frame)
         return frame.frame_number
 
-    def _do_read_disk(self, block: int) -> bytes:
-        self._instruction_count += _COST_DISK_OP
-        return self.disk.read(block)
-
     def _do_write_disk(self, block: int, data: bytes) -> None:
         self._instruction_count += _COST_DISK_OP + len(data) // 256
         self.disk.write(block, data)
@@ -311,9 +307,6 @@ class _Api(MachineApi):
 
     def render_frame(self, scene_complexity: int = 0) -> int:
         return self._vm._do_render_frame(scene_complexity)
-
-    def read_disk(self, block: int) -> bytes:
-        return self._vm._do_read_disk(block)
 
     def write_disk(self, block: int, data: bytes) -> None:
         self._vm._do_write_disk(block, data)

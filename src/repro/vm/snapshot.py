@@ -20,7 +20,7 @@ The manager implements the paper's design literally:
 * storage is a **delta chain**: every snapshot is kept as its changed pages
   (:class:`IncrementalSnapshot`); full page lists exist only at periodic
   *keyframes* plus a small LRU of materialised states, so resident memory is
-  bounded for unbounded runs.  :meth:`SnapshotManager.reconstruct_state`
+  bounded for unbounded runs.  :meth:`SnapshotManager.get`
   materialises any snapshot on demand by replaying the delta chain from the
   nearest keyframe, verifying the page count and Merkle root at every step.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import HASH_SIZE_BYTES
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.errors import SnapshotError
 from repro.vm.execution import ExecutionTimestamp
 
@@ -105,15 +105,6 @@ class Snapshot:
         if self._state is None:
             self._state = json.loads(b"".join(self.pages).decode("utf-8"))
         return self._state
-
-    @property
-    def disk_bytes(self) -> int:
-        """Size of the (serialised) disk/state pages."""
-        return sum(len(page) for page in self.pages)
-
-    def proof_for_page(self, index: int) -> MerkleProof:
-        """Merkle inclusion proof for one page."""
-        return MerkleTree(self.pages).proof(index)
 
     def verify_root(self) -> bool:
         """Recompute the Merkle root and compare with the recorded one."""
@@ -476,20 +467,6 @@ class SnapshotManager:
             return None
         return self.get(max(self._deltas))
 
-    def reconstruct_state(self, snapshot_id: int) -> Dict[str, Any]:
-        """Return the full VM state stored at ``snapshot_id``.
-
-        Materialised from the keyframe + delta chain; every applied delta is
-        verified against its recorded page count and Merkle root, so a
-        corrupted chain raises :class:`SnapshotError` rather than yielding a
-        silently-wrong state.
-        """
-        snapshot = self.get(snapshot_id)
-        if not snapshot.verify_root():
-            raise SnapshotError(
-                f"snapshot {snapshot_id} failed hash-tree verification")
-        return snapshot.state
-
     def transfer_cost_bytes(self, snapshot_id: int,
                             include_memory_dump: bool = True) -> int:
         """Bytes an auditor must download to start replay at ``snapshot_id``."""
@@ -512,8 +489,8 @@ class SnapshotManager:
         total += sum(delta.incremental_bytes for delta in self._deltas.values())
         if self._hasher.pages is not None:
             total += sum(len(page) for page in self._hasher.pages)
-        total += sum(snapshot.disk_bytes
-                     for snapshot in self._materialized.values())
+        total += sum(len(page) for snapshot in self._materialized.values()
+                     for page in snapshot.pages)
         return total
 
     # -- shipping (archive / ingest payloads) ---------------------------------

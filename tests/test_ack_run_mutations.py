@@ -54,7 +54,7 @@ class World:
         for identity, monitor in self.monitors.items():
             monitor.start()
             if identity != "alpha":
-                self.network.partition(identity, "alpha", bidirectional=False)
+                self.network.cut_links.add((identity, "alpha"))
         self.alpha = self.monitors["alpha"]
         self.sent = 0
 
@@ -210,7 +210,7 @@ def test_standalone_cumulative_ack_from_a_real_monitor_round_trips():
     # acknowledges both.
     world = World()
     ids = world.alpha_sends("beta", 2)
-    world.network.heal_partition("beta", "alpha")
+    world.network.cut_links.discard(("beta", "alpha"))
     world.scheduler.run_until(world.scheduler.clock.now + 2 * world.alpha.ack_hold)
     (ack,) = (m for _, m in world.network.deliveries if m.kind is MessageKind.ACK)
     assert [link for link in ack.ack_run.links if isinstance(link, str)] == ids[:1]
@@ -228,7 +228,7 @@ def test_standalone_cumulative_ack_from_a_real_monitor_round_trips():
 def test_sender_acknowledges_standalone_rather_than_outgrow_a_run():
     world = World()
     beta = world.monitors["beta"]
-    world.network.heal_partition("beta", "alpha")
+    world.network.cut_links.discard(("beta", "alpha"))
 
     def busy(entries):
         for index in range(entries):

@@ -6,10 +6,9 @@ commitments).  These tests flip single bits in the serialised forms and
 assert that *every* mutation either
 
 * fails to parse with :class:`~repro.errors.LogFormatError`, or
-* fails verification with the right error class
-  (:class:`~repro.errors.HashChainError` /
-  :class:`~repro.errors.AuthenticatorMismatchError` for segments, a False
-  verdict or a :class:`~repro.errors.CryptoError` for authenticators), or
+* fails verification: the audit kernel's first step, the check against
+  the chain and the authenticators, for segments; a False verdict or a
+  :class:`~repro.errors.CryptoError` for authenticators, or
 * provably changed nothing that the tamper-evident envelope covers (the
   only such field is the bookkeeping timestamp, which the paper keeps out
   of the hash chain by design — TimeTracker entries carry the real timing).
@@ -23,9 +22,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.audit.kernel import chunk_job, run_chunk
+from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto import hashing
 from repro.errors import (
-    AuthenticatorMismatchError,
     CryptoError,
     HashChainError,
     LogFormatError,
@@ -34,11 +34,13 @@ from repro.log import codec as codec_module
 from repro.log.authenticator import Authenticator, batch_verify_authenticators
 from repro.log.codec import MAGIC_LENGTH, TypedCodec, get_codec
 from repro.log.entries import EntryType
+from repro.log.hashchain import verify_chain_incremental
 from repro.log.storage import (
     authenticators_from_bytes,
     authenticators_to_bytes,
 )
 from repro.log.tamper_evident import TamperEvidentLog
+from repro.workloads.echo import make_echo_image
 
 from codec_tools import ExplicitTypedCodec
 
@@ -63,12 +65,12 @@ def recorded(ca):
     for index in range(24):
         entry_type = rng.choice([EntryType.SEND, EntryType.RECV,
                                  EntryType.ACK, EntryType.TIMETRACKER])
-        entry, auth = log.append_with_authenticator(entry_type, {
+        entry = log.append(entry_type, {
             "index": index,
             "payload_hash": hashing.hash_bytes(bytes([index])).hex(),
             "value": rng.random(),
         })
-        authenticators.append(auth)
+        authenticators.append(log.authenticator_for(entry))
     return log, authenticators, keypair
 
 
@@ -77,6 +79,22 @@ def fuzz_keystore(ca, keystore, recorded):
     _, _, keypair = recorded
     keystore.add_certificate(keypair.certificate)
     return keystore
+
+
+def _tamper_check_fails(segment, authenticators, keystore) -> bool:
+    """Whether the audit kernel convicts ``segment`` at its first step, the
+    check against the chain and the authenticators."""
+    outcome = run_chunk(chunk_job(segment, authenticators, keystore,
+                                  make_echo_image()))
+    if outcome.phase is not AuditPhase.AUTHENTICATOR_CHECK:
+        return False
+    assert outcome.verdict is Verdict.FAIL
+    assert ("does not hash to its recorded chain value" in outcome.reason
+            or "previous hash mismatch" in outcome.reason
+            or "non-contiguous sequence numbers" in outcome.reason
+            or outcome.reason.endswith("has an invalid signature")
+            or outcome.reason.endswith("(log was tampered with or forked)"))
+    return True
 
 
 def _entries_equal_modulo_timestamp(original, mutated) -> bool:
@@ -109,9 +127,7 @@ class TestSegmentBitFlips:
             # canonical encoding — no wire adversary can do that.)
             segment.entries[sequence - 1] = replace(
                 entry, content={**entry.content, "index": -1})
-            with pytest.raises((HashChainError, AuthenticatorMismatchError)):
-                segment.verify_against_authenticators(authenticators,
-                                                      fuzz_keystore)
+            assert _tamper_check_fails(segment, authenticators, fuzz_keystore)
 
 
 def _wire_codec(wire: str):
@@ -167,10 +183,7 @@ class TestWireCodecBitFlips:
             if mutated.machine != segment.machine:
                 verify_rejected += 1
                 continue
-            try:
-                mutated.verify_against_authenticators(authenticators,
-                                                      fuzz_keystore)
-            except (HashChainError, AuthenticatorMismatchError):
+            if _tamper_check_fails(mutated, authenticators, fuzz_keystore):
                 verify_rejected += 1
                 continue
 
@@ -242,9 +255,7 @@ class TestWireCodecBitFlips:
                     continue
             assert mutated is not None, \
                 "no single-byte content change produced a parseable segment"
-        with pytest.raises((HashChainError, AuthenticatorMismatchError)):
-            mutated.verify_against_authenticators(authenticators,
-                                                  fuzz_keystore)
+        assert _tamper_check_fails(mutated, authenticators, fuzz_keystore)
 
 
 class TestAuthenticatorBitFlips:
@@ -317,7 +328,7 @@ class TestHashChainRoundTripFuzz:
                 log.append(rng.choice(list(EntryType)),
                            {"i": index, "r": rng.randrange(1 << 20)})
             segment = log.full_segment()
-            segment.verify_hash_chain()  # honest round-trip holds
+            verify_chain_incremental(segment.entries, segment.start_checkpoint())  # honest round-trip holds
 
             victim = rng.randrange(len(segment.entries))
             entry = segment.entries[victim]
@@ -336,7 +347,7 @@ class TestHashChainRoundTripFuzz:
                 object.__setattr__(entry, "chain_hash",
                                    hashing.hash_bytes(b"y"))
             with pytest.raises(HashChainError):
-                segment.verify_hash_chain()
+                verify_chain_incremental(segment.entries, segment.start_checkpoint())
 
     @pytest.mark.parametrize("format_version", [1, 3])
     def test_decoded_entries_refuse_any_in_place_write(self, ca,
@@ -354,7 +365,7 @@ class TestHashChainRoundTripFuzz:
                            {"i": index, "r": rng.randrange(1 << 20)})
             segment = codec.decode_segment(
                 codec.encode_segment(log.full_segment()))
-            segment.verify_hash_chain()  # honest round-trip holds
+            verify_chain_incremental(segment.entries, segment.start_checkpoint())  # honest round-trip holds
             entry = segment.entries[rng.randrange(len(segment.entries))]
             field, value = rng.choice([
                 ("sequence", entry.sequence + 1),
@@ -363,4 +374,4 @@ class TestHashChainRoundTripFuzz:
             object.__setattr__(entry, field, value)
             assert not verify_entry(entry)
             with pytest.raises(HashChainError):
-                segment.verify_hash_chain()
+                verify_chain_incremental(segment.entries, segment.start_checkpoint())

@@ -34,7 +34,6 @@ from repro.adversary.matrix import (
     WORKLOADS,
     CellSpec,
     ScenarioMatrix,
-    record_scenario,
 )
 from repro.audit.engine import AuditScheduler
 from repro.audit.multiparty import EquivocationProof, find_equivocation
@@ -44,8 +43,10 @@ from repro.crypto import hashing
 from repro.errors import HashChainError, SnapshotError
 from repro.log.authenticator import make_authenticator
 from repro.log.entries import EntryType
-from repro.log.hashchain import verify_chain
+from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.tamper_evident import TamperEvidentLog
+
+from scenario_tools import record_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +67,14 @@ class TestTamperPrimitives:
         assert len(log) == 7
         assert [e.sequence for e in log] == list(range(1, 8))
         with pytest.raises(HashChainError):
-            verify_chain(log.entries, expected_start_hash=hashing.ZERO_HASH)
+            verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
 
     def test_swap_keeps_numbering_but_breaks_chain(self):
         log = _small_log()
         log.tamper_swap_entries(3, 4)
         assert [e.sequence for e in log] == list(range(1, 9))
         with pytest.raises(HashChainError):
-            verify_chain(log.entries, expected_start_hash=hashing.ZERO_HASH)
+            verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
 
     def test_insert_recomputes_a_consistent_but_different_chain(self):
         log = _small_log()
@@ -81,7 +82,7 @@ class TestTamperPrimitives:
         log.tamper_insert_entry(3, EntryType.ANNOTATION, {"forged": True})
         assert len(log) == 9
         # Internally consistent...
-        verify_chain(log.entries, expected_start_hash=hashing.ZERO_HASH)
+        verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
         # ...but every hash from the insertion point differs from history.
         assert log.entry_at(4).chain_hash != before[3]
 
@@ -93,7 +94,7 @@ class TestTamperPrimitives:
         forked = log.append(EntryType.ANNOTATION, {"fork": True})
         assert forked.sequence == 6
         assert forked.chain_hash != abandoned
-        verify_chain(log.entries, expected_start_hash=hashing.ZERO_HASH)
+        verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,19 @@ These are integration-level tests that reuse the session fixtures from
 ``conftest.py`` (a short honest game and a short game with a cheater).
 """
 
+import json
+
 import pytest
 
+from repro.audit.auditor import Auditor
 from repro.audit.evidence import Evidence
-from repro.audit.multiparty import (
-    ChallengeCoordinator,
-    collect_authenticators_for,
-    distribute_evidence,
-)
+from repro.audit.multiparty import distribute_evidence
+from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
 from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import EvidenceError
-from repro.game.cheats.external import LogTamperingAdversary, PacketForgingAdversary, boost_fire_commands
+from repro.vm.guest import PacketOutput
 from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.entries import EntryType
 
@@ -124,11 +124,10 @@ class TestFullAudit:
         session.run()
         target = "player1"
         monitor = session.monitors[target]
-        adversary = LogTamperingAdversary(monitor)
         victim_entry = monitor.log.entries_of_type(EntryType.SEND)[0]
-        adversary.rewrite_entry(victim_entry.sequence,
-                                {**victim_entry.content, "payload_size": 9999},
-                                recompute_chain=True)
+        monitor.log.tamper_replace_entry(
+            victim_entry.sequence, {**victim_entry.content, "payload_size": 9999},
+            recompute_chain=True)
         result = session.audit(target)
         assert result.verdict is Verdict.FAIL
         assert result.phase is AuditPhase.AUTHENTICATOR_CHECK
@@ -184,21 +183,13 @@ class TestSpotChecking:
 
 class TestMultiParty:
     def test_collect_authenticators_from_peers(self, honest_session):
-        holders = [honest_session.monitors[i] for i in honest_session.identities
-                   if i != "player1"]
-        collected = collect_authenticators_for("player1", holders)
-        assert collected
-        assert all(auth.machine == "player1" for auth in collected)
-
-    def test_challenge_blocks_until_answered(self):
-        coordinator = ChallengeCoordinator()
-        challenge = coordinator.issue("alice", "bob", "produce log segment 1..100")
-        assert coordinator.is_blocked("bob")
-        assert not coordinator.is_blocked("charlie")
-        answered = coordinator.respond("bob", "here is the segment")
-        assert challenge in answered
-        assert not coordinator.is_blocked("bob")
-        assert challenge.response == "here is the segment"
+        auditor = honest_session.make_auditor("player2", "player1")
+        held = auditor.authenticators_for("player1")
+        assert held
+        assert all(auth.machine == "player1" for auth in held)
+        # the server's are among them: each party collects from every peer
+        server = honest_session.monitors["server"].authenticators_from("player1")
+        assert server and {a.sequence for a in server} <= {a.sequence for a in held}
 
     def test_evidence_distribution(self, cheater_session):
         result = cheater_session.audit("player1")
@@ -207,6 +198,95 @@ class TestMultiParty:
         verdicts = distribute_evidence(result.evidence, verifiers,
                                        cheater_session.reference_images["player1"])
         assert verdicts == {"player2": True, "server": True}
+
+
+def _keys(authenticators):
+    return [(a.sequence, a.chain_hash, a.signature) for a in authenticators]
+
+
+class TestOnlineSources:
+    """An online pass checks the log against what the target's peers hold
+    (Section 4.6), and collecting again adds no duplicate."""
+
+    def test_a_live_pass_checks_the_peers_authenticators(self, honest_session):
+        target = "player2"
+        auditor = Auditor("player1", honest_session.keystore,
+                          honest_session.reference_images[target])
+        peers = [monitor for name, monitor in honest_session.monitors.items()
+                 if name != target]
+        record = OnlineAuditor(auditor, honest_session.monitors[target],
+                               honest_session.scheduler, peers).run_once()
+        held = {key for peer in peers
+                for key in _keys(peer.authenticators_from(target))}
+        assert record.verdict is Verdict.PASS
+        assert record.result.authenticators_checked == len(held) > 0
+
+    def test_passes_during_a_run_hold_each_authenticator_once(self):
+        from repro.avmm.config import Configuration
+        from repro.game.session import GameSession, GameSessionSettings
+        session = GameSession(GameSessionSettings(
+            configuration=Configuration.AVMM_RSA768, num_players=2,
+            duration=8.0, seed=42, snapshot_interval=None))
+        target = "player1"
+        auditor = Auditor("server", session.keystore,
+                          session.reference_images[target])
+        peers = [monitor for name, monitor in session.monitors.items()
+                 if name != target]
+        online = OnlineAuditor(auditor, session.monitors[target],
+                               session.scheduler, peers, interval=2.0)
+        online.start()
+        session.run()
+        checked = [r.result.authenticators_checked for r in online.records]
+        assert len(checked) >= 3 and 0 < checked[0] < checked[-1]
+        assert checked == sorted(checked)
+        held = _keys(auditor.authenticators_for(target))
+        assert len(held) == len(set(held)) == checked[-1]
+
+    def test_collecting_what_is_held_adds_nothing(self, honest_session):
+        auditor = honest_session.make_auditor("player1", "player2")
+        before = auditor.authenticators_for("player2")
+        for peer in honest_session.monitors.values():
+            assert auditor.collect_from_peer(peer, "player2") == 0
+        assert auditor.authenticators_for("player2") == before
+
+
+class PacketForgingAdversary:
+    """Rewrites selected outgoing packets *after* the guest produced them.
+
+    This models a cheat implemented entirely outside the AVM (or a tampered
+    AVMM, Section 3.4): the guest's execution is untouched, but the
+    machine's network-visible behaviour no longer corresponds to it.  The
+    SEND entries then describe packets the reference execution never
+    produced, so replay diverges — a class-2 detection that works no matter
+    how the cheat is implemented.
+    """
+
+    def __init__(self, monitor, transform) -> None:
+        self.transform = transform
+        self.packets_forged = 0
+        self._original_send = monitor._send_guest_packet
+        monitor._send_guest_packet = self._forged_send
+
+    def _forged_send(self, packet: PacketOutput,
+                     compute_seconds: float = 0.0) -> None:
+        forged_payload = self.transform(packet.payload)
+        if forged_payload != packet.payload:
+            self.packets_forged += 1
+        self._original_send(PacketOutput(destination=packet.destination,
+                                         payload=forged_payload),
+                            compute_seconds)
+
+
+def boost_fire_commands(payload: bytes) -> bytes:
+    """Inject extra fire commands into command packets."""
+    try:
+        packet = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return payload
+    if packet.get("type") != "commands":
+        return payload
+    packet["commands"] = packet.get("commands", []) + [{"action": "fire"}] * 2
+    return json.dumps(packet, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 class TestExternalAdversaries:

@@ -156,7 +156,7 @@ class TestIncrementalChain:
                       key=lambda a: a.sequence)[0]
         suffix = monitor.log.segment(auth.sequence + 1, len(monitor.log))
         end = verify_chain_incremental(
-            suffix.entries, ChainCheckpoint.from_authenticator(auth))
+            suffix.entries, ChainCheckpoint(auth.sequence, auth.chain_hash))
         assert end.sequence == len(monitor.log)
 
 
@@ -174,7 +174,6 @@ def _short_session(seed):
 
 def _tampered_session():
     """player1 rewrites a SEND entry after the fact and recomputes its chain."""
-    from repro.game.cheats.external import LogTamperingAdversary
     from repro.log.entries import EntryType
     session = _short_session(seed=37)
     session.run()
@@ -188,7 +187,7 @@ def _tampered_session():
                   .authenticators_for(machine))
     victim = [entry for entry in monitor.log.entries_of_type(EntryType.SEND)
               if entry.sequence <= covered][-1]
-    LogTamperingAdversary(monitor).rewrite_entry(
+    monitor.log.tamper_replace_entry(
         victim.sequence, {**victim.content, "payload_size": 4242},
         recompute_chain=True)
     return session, machine

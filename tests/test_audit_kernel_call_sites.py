@@ -33,9 +33,9 @@ from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import Verdict
 from repro.avmm.replayer import DeterministicReplayer
 
-AUDIT_SOURCES = sorted(
-    (Path(__file__).resolve().parents[1] / "src" / "repro" / "audit")
-    .glob("*.py"))
+REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
+AUDIT_SOURCES = sorted((REPRO / "audit").glob("*.py"))
+ALL_SOURCES = sorted(REPRO.rglob("*.py"))
 
 
 def _record(archive_dir, adversary_name):
@@ -169,8 +169,10 @@ class TestEveryFrontEndReachesTheKernel:
     def test_online(self, scenario, calls):
         ctx = scenario[2]
         honest = next(m for m in sorted(ctx.monitors) if m != ctx.byzantine)
+        peers = [ctx.monitors[peer] for peer in sorted(ctx.monitors)
+                 if peer != honest]
         watcher = OnlineAuditor(_auditor(scenario, honest),
-                                ctx.monitors[honest], ctx.scheduler)
+                                ctx.monitors[honest], ctx.scheduler, peers)
         assert watcher.run_once().verdict is Verdict.PASS
         _assert_all_in_kernel(calls)
 
@@ -250,9 +252,10 @@ class TestNoSecondPass:
 
         def audit(keep):
             auditor = _auditor(late_fault, cheater, archived=True)
-            auditor.collected_authenticators[cheater] = [
-                auth for auth in auditor.authenticators_for(cheater)
-                if keep(auth.sequence)]
+            kept = [auth for auth in auditor.authenticators_for(cheater)
+                    if keep(auth.sequence)]
+            del auditor.collected_authenticators[cheater]
+            auditor.collect_authenticators(cheater, kept)
             if engine:
                 auditor._engine = AuditScheduler(workers=2, executor=engine,
                                                  chunks_per_machine=64)
@@ -276,33 +279,43 @@ class TestNoSecondPass:
         assert evidence.verify(ctx.keystore, ctx.reference_images[cheater])
 
 
-def _call_sites(name):
-    """``path:line`` of every call of ``name`` under ``src/repro/audit/``."""
+def _call_sites(name, sources=AUDIT_SOURCES):
+    """``path:line`` (under ``src/repro/``) of every call of ``name`` in
+    ``sources``."""
     sites = []
-    for path in AUDIT_SOURCES:
+    for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = node.func
                 called = getattr(callee, "id", getattr(callee, "attr", None))
                 if called == name:
-                    sites.append(f"{path.name}:{node.lineno}")
+                    sites.append(f"{path.relative_to(REPRO)}:{node.lineno}")
     return sites
 
 
 class TestOneCallSitePerStep:
     @pytest.mark.parametrize("name", [
-        "SemanticChecker", "batch_verify_authenticators",
-        "verify_chain_incremental", "ChunkJob"])
+        "SemanticChecker", "SyntacticChecker", "batch_verify_authenticators"])
+    def test_called_once_in_all_of_src_and_from_the_kernel(self, name):
+        """The tamper check, the syntactic check and replay have one call
+        site in the whole library: no module outside the audit package
+        checks a log against its authenticators on its own."""
+        sites = _call_sites(name, ALL_SOURCES)
+        assert len(sites) == 1 and sites[0].startswith("audit/kernel.py:"), sites
+
+    @pytest.mark.parametrize("name", ["verify_chain_incremental", "ChunkJob"])
     def test_called_once_and_from_the_kernel(self, name):
+        # the archive verifies chains at ingest and at open on its own, so
+        # the chain step is counted under src/repro/audit/ only
         sites = _call_sites(name)
-        assert len(sites) == 1 and sites[0].startswith("kernel.py:"), sites
+        assert len(sites) == 1 and sites[0].startswith("audit/kernel.py:"), sites
 
     @pytest.mark.parametrize("name", ["fold_outcomes", "iter_stream_chunks"])
     def test_one_audit_loop(self, name):
         """Chunk outcomes are folded in one place and an archive's chunks
         read in one: the engine's, whatever the worker count."""
         sites = _call_sites(name)
-        assert len(sites) == 1 and sites[0].startswith("engine.py:"), sites
+        assert len(sites) == 1 and sites[0].startswith("audit/engine.py:"), sites
 
     def test_the_kernel_is_a_leaf(self):
         """It imports no front-end, so every front-end can import it."""

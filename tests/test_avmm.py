@@ -28,16 +28,15 @@ class TestConfig:
         assert not config.record_replay_info
         assert not config.tamper_evident
         assert not config.signs_packets
-        assert not config.is_accountable
 
     def test_vmware_rec_records_but_is_not_accountable(self):
         config = AvmmConfig.for_configuration(Configuration.VMWARE_REC)
         assert config.record_replay_info and not config.tamper_evident
-        assert not config.is_accountable
 
     def test_avmm_nosig_is_accountable_without_signatures(self):
         config = AvmmConfig.for_configuration(Configuration.AVMM_NOSIG)
-        assert config.is_accountable and not config.signs_packets
+        assert config.record_replay_info and config.tamper_evident
+        assert not config.signs_packets
 
     def test_avmm_rsa768_signs(self):
         config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768)
@@ -47,7 +46,6 @@ class TestConfig:
         config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768,
                                               snapshot_interval=1.0)
         assert config.snapshot_interval == 1.0
-        assert config.with_overrides(audit_slowdown=0.05).audit_slowdown == 0.05
 
 
 class TestClockOptimizer:
@@ -89,15 +87,6 @@ class TestClockOptimizer:
             reads += 1
             now = optimizer.observe(reads * 2e-6)
         assert reads < 20  # without the optimiser this would be ~1000 reads
-
-    def test_reset_forgets_history(self):
-        optimizer = ClockReadOptimizer()
-        optimizer.observe(1.0)
-        optimizer.observe(1.000001)
-        optimizer.reset()
-        before = optimizer.stats.reads_delayed
-        optimizer.observe(1.000002)
-        assert optimizer.stats.reads_delayed == before
 
 
 class TestRecorder:

@@ -30,6 +30,7 @@ from repro.log.codec import (MAGIC_LENGTH, V3_FLAG_CHAIN_BREAKS_ONLY,
                              modelled_compressed_log_bytes,
                              sniff_format_version)
 from repro.log.entries import decode_content, encode_content
+from repro.log.hashchain import verify_chain_incremental
 from repro.service.fleet import build_fleet
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
@@ -282,7 +283,7 @@ class TestStoredFileTamper:
         work = LogArchive(work.root)
         with pytest.raises(Exception) as excinfo:
             segment = work.read_segment(record)
-            segment.verify_hash_chain()
+            verify_chain_incremental(segment.entries, segment.start_checkpoint())
         assert excinfo.type.__module__.startswith("repro") or \
             isinstance(excinfo.value, (OSError, EOFError, ValueError)), \
             f"unexpected escape: {excinfo.value!r}"
@@ -342,7 +343,7 @@ class TestStoredContentRewrite:
         rewritten = _rewrite_stored_content(
             archive.stored_bytes_of(record), index)
         forked = get_codec(format_version).decode_segment(rewritten)
-        forked.verify_hash_chain()  # nothing *inside* the blob contradicts it
+        verify_chain_incremental(forked.entries, forked.start_checkpoint())  # nothing *inside* the blob contradicts it
         assert forked.end_hash != record.end_hash
 
         # 1. Frame header intact (checksums redone): refused at its end hash,

@@ -317,11 +317,10 @@ class TestCertificates:
         store.add_certificate(ca.issue("alice").certificate)
         assert store.has_identity("alice")
 
-    def test_require_valid_raises(self, ca, keystore):
+    def test_verify_rejects_a_bad_signature(self, ca, keystore):
         alice = ca.issue("alice")
-        keystore.require_valid("alice", b"m", alice.sign(b"m"))
-        with pytest.raises(SignatureError):
-            keystore.require_valid("alice", b"m", b"bad")
+        assert keystore.verify("alice", b"m", alice.sign(b"m"))
+        assert not keystore.verify("alice", b"m", b"bad")
 
     def test_identities_sorted(self, keystore):
         identities = keystore.identities()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import MerkleTree, verify_partial_state
+from repro.crypto.merkle import MerkleTree
 from repro.errors import SnapshotError
 
 
@@ -45,27 +45,11 @@ class TestMerkleTree:
         with pytest.raises(SnapshotError):
             tree.proof(1)
 
-    def test_root_of_helper(self):
-        assert MerkleTree.root_of([b"a", b"b"]) == MerkleTree([b"a", b"b"]).root
-
-    def test_partial_state_verification(self):
+    def test_proof_is_for_its_leaf_only(self):
         pages = [bytes([i]) * 4 for i in range(5)]
         tree = MerkleTree(pages)
-        subset = {1: pages[1], 3: pages[3]}
-        proofs = {1: tree.proof(1), 3: tree.proof(3)}
-        assert verify_partial_state(tree.root, subset, proofs)
-
-    def test_partial_state_detects_modified_page(self):
-        pages = [bytes([i]) * 4 for i in range(5)]
-        tree = MerkleTree(pages)
-        subset = {1: b"XXXX"}
-        proofs = {1: tree.proof(1)}
-        assert not verify_partial_state(tree.root, subset, proofs)
-
-    def test_partial_state_requires_proofs(self):
-        pages = [b"a", b"b"]
-        tree = MerkleTree(pages)
-        assert not verify_partial_state(tree.root, {0: pages[0]}, {})
+        assert tree.proof(1).leaf_hash == tree.leaf_hash(1)
+        assert MerkleTree([b"XXXX"] + pages[1:]).leaf_hash(0) != tree.leaf_hash(0)
 
 
 class TestMerkleProperties:

@@ -32,7 +32,8 @@ class TestHarness:
             cheater_session.reference_images["player2"]
 
     def test_session_traffic_accounting(self, honest_session):
-        assert honest_session.traffic_kbps("server") > 0
+        stats = honest_session.network.stats_for("server")
+        assert stats.sent_kbps(honest_session.settings.duration) > 0
 
 
 class TestTable1:
@@ -127,9 +128,11 @@ class TestFigure8:
 
     def test_online_auditor_passes_honest_machine(self, honest_session):
         target = "player2"
+        peers = [monitor for name, monitor in honest_session.monitors.items()
+                 if name != target]
         online = OnlineAuditor(honest_session.make_auditor("player1", target),
                                honest_session.monitors[target],
-                               honest_session.scheduler, interval=5.0)
+                               honest_session.scheduler, peers, interval=5.0)
         record = online.run_once()
         assert record is not None
         assert record.verdict is Verdict.PASS

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -58,8 +59,9 @@ class TestShardRing:
 
     def test_balance_at_fleet_scale(self):
         ring = ShardRing([f"shard-{i}" for i in range(4)])
-        counts = ring.assignment_counts(fleet_machine_names(1000))
-        assert sum(counts.values()) == 1000
+        counts = Counter(ring.shard_for(machine)
+                         for machine in fleet_machine_names(1000))
+        assert sum(counts.values()) == 1000 and len(counts) == 4
         # 64 vnodes keep max/mean within ~1.3x at this scale.
         assert max(counts.values()) / (1000 / 4) < 1.35
 
@@ -84,9 +86,6 @@ class TestShardRing:
         ring.add_shard("shard-0")
         with pytest.raises(ValueError):
             ring.add_shard("shard-0")
-        ring.remove_shard("shard-0")
-        with pytest.raises(ValueError):
-            ring.remove_shard("shard-0")
 
 
 # -- EquivocationProof wire form (satellite: third-party verifiable) ---------

@@ -43,6 +43,7 @@ from repro.log.codec import (
     supported_format_versions,
 )
 from repro.log.entries import EntryType, snapshot_content
+from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService
@@ -124,7 +125,7 @@ class TestSegmentRoundTrip:
         assert decoded.machine == sample_segment.machine
         assert decoded.start_hash == sample_segment.start_hash
         assert decoded.entries == sample_segment.entries
-        decoded.verify_hash_chain()
+        verify_chain_incremental(decoded.entries, decoded.start_checkpoint())
 
     def test_empty_segment_round_trips(self, format_version):
         empty = LogSegment(machine="empty", entries=[],
@@ -604,12 +605,13 @@ class TestNoStoredHashes:
         entry = lazy_entry(7, EntryType.SEND, wire_bytes, link_hash(
             start, 7, b"send", hashing.hash_bytes(wire_bytes)), start)
         segment = LogSegment(machine="old", entries=[entry], start_hash=start)
-        segment.verify_hash_chain()
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())
         codec = _SHORT_FORM_CODECS[wire]()
         data = codec.encode_segment(segment)
         assert _explicit_hashes(data) == ({0: "h"} if wire == "v1" else {})
-        assert codec.decode_segment(data).entries == [entry]
-        codec.decode_segment(data).verify_hash_chain()
+        decoded = codec.decode_segment(data)
+        assert decoded.entries == [entry]
+        verify_chain_incremental(decoded.entries, decoded.start_checkpoint())
 
     def test_truncated_or_garbled_short_form_is_a_format_error(
             self, sample_segment, wire):
@@ -724,13 +726,13 @@ class TestEachLinkOnce:
     @pytest.mark.parametrize("wire", sorted(_SHORT_FORM_CODECS))
     def test_decode_and_verify_hash_each_link_once(self, sample_segment,
                                                    monkeypatch, wire):
-        from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
         segment = _with_legacy_links(sample_segment)
         data = _SHORT_FORM_CODECS[wire]().encode_segment(segment)
         breaks = len(_explicit_hashes(data))
         assert breaks == (5 if wire == "v1" else 0)
         calls = self._count_links(monkeypatch)
-        decode_segment(data).verify_hash_chain()
+        decoded = decode_segment(data)
+        verify_chain_incremental(decoded.entries, decoded.start_checkpoint())
         assert len(calls) == len(segment.entries) + breaks
         del calls[:]
         verify_chain_incremental(_decode_streamed(data), ChainCheckpoint(
@@ -740,7 +742,7 @@ class TestEachLinkOnce:
     def test_a_live_log_hashes_every_link(self, monkeypatch):
         segment = _build_log().full_segment()
         calls = self._count_links(monkeypatch)
-        segment.verify_hash_chain()
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())
         assert sorted(calls) == [entry.sequence for entry in segment.entries]
 
     @pytest.mark.parametrize("wire", sorted(_SHORT_FORM_CODECS))
@@ -751,6 +753,5 @@ class TestEachLinkOnce:
         copies = [replace(entry) for entry in decoded.entries]
         assert not any("_link" in entry.__dict__ for entry in copies)
         calls = self._count_links(monkeypatch)
-        LogSegment(machine=decoded.machine, entries=copies,
-                   start_hash=decoded.start_hash).verify_hash_chain()
+        verify_chain_incremental(copies, decoded.start_checkpoint())
         assert len(calls) == len(copies)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.audit.kernel import chunk_job, run_chunk
+from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto import hashing
 from repro.errors import (
-    AuthenticatorMismatchError,
     HashChainError,
     LogFormatError,
     SegmentError,
@@ -20,8 +21,17 @@ from repro.log.entries import (
     send_content,
     snapshot_content,
 )
-from repro.log.hashchain import chain_hash, is_chain_intact, verify_chain, verify_entry
+from repro.log.hashchain import (ChainCheckpoint, chain_hash,
+                                 verify_chain_incremental, verify_entry)
 from repro.log.tamper_evident import TamperEvidentLog
+from repro.workloads.echo import make_echo_image
+
+
+def tamper_check(segment, authenticators, keystore):
+    """The audit kernel's outcome for ``segment``: its first step checks the
+    segment against the authenticators."""
+    return run_chunk(chunk_job(segment, authenticators, keystore,
+                               make_echo_image()))
 
 
 def make_log(machine="alice", keypair=None, entries=10):
@@ -86,24 +96,27 @@ class TestHashChain:
 
     def test_verify_chain_accepts_valid_log(self):
         log = make_log(entries=20)
-        verify_chain(log.entries, expected_start_hash=hashing.ZERO_HASH)
-        assert is_chain_intact(log.entries)
+        end = verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
+        assert end == ChainCheckpoint(20, log.entries[-1].chain_hash)
 
     def test_verify_chain_detects_content_tampering(self):
         log = make_log(entries=5)
         log.tamper_replace_entry(3, {"event_kind": "tick", "execution_counter": 999,
                                      "data": {}}, recompute_chain=False)
-        assert not is_chain_intact(log.entries)
+        with pytest.raises(HashChainError, match="entry 3 does not hash"):
+            verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
 
-    def test_verify_chain_detects_dropped_entry(self):
+    def test_verify_chain_detects_removed_entry(self):
         log = make_log(entries=5)
-        log.tamper_drop_entry(3)
-        assert not is_chain_intact(log.entries)
+        log.tamper_remove_entry(3)
+        with pytest.raises(HashChainError):
+            verify_chain_incremental(log.entries, ChainCheckpoint.genesis())
 
     def test_verify_chain_detects_wrong_start_hash(self):
         log = make_log(entries=3)
-        with pytest.raises(HashChainError):
-            verify_chain(log.entries, expected_start_hash=b"\x01" * 32)
+        with pytest.raises(HashChainError, match="previous hash mismatch"):
+            verify_chain_incremental(log.entries,
+                                     ChainCheckpoint(0, b"\x01" * 32))
 
 
 class TestTamperEvidentLog:
@@ -141,7 +154,7 @@ class TestTamperEvidentLog:
         assert segment.first_sequence == 3
         assert segment.last_sequence == 7
         assert segment.start_hash == log.entry_at(2).chain_hash
-        segment.verify_hash_chain()
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())
 
     def test_segment_bad_ranges(self):
         log = make_log(entries=5)
@@ -217,8 +230,9 @@ class TestAuthenticators:
         alice = ca.issue("alice")
         log = make_log("alice", keypair=alice, entries=8)
         authenticators = [log.authenticator_for(log.entry_at(i)) for i in (2, 5, 8)]
-        segment = log.full_segment()
-        assert segment.verify_against_authenticators(authenticators, keystore) == 3
+        outcome = tamper_check(log.full_segment(), authenticators, keystore)
+        assert outcome.phase is not AuditPhase.AUTHENTICATOR_CHECK
+        assert outcome.authenticators_checked == 3
 
     def test_tampered_log_fails_authenticator_check(self, ca, keystore):
         alice = ca.issue("alice")
@@ -228,9 +242,13 @@ class TestAuthenticators:
         # no longer matches the previously issued authenticators.
         log.tamper_replace_entry(4, nondet_content("tick", 999), recompute_chain=True)
         segment = log.full_segment()
-        segment.verify_hash_chain()  # chain alone looks fine
-        with pytest.raises(AuthenticatorMismatchError):
-            segment.verify_against_authenticators(authenticators, keystore)
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())  # chain alone looks fine
+        outcome = tamper_check(segment, authenticators, keystore)
+        assert (outcome.verdict, outcome.phase) == (
+            Verdict.FAIL, AuditPhase.AUTHENTICATOR_CHECK)
+        assert outcome.reason == (
+            "log entry 5 does not match the authenticator issued by 'alice' "
+            "(log was tampered with or forked)")
 
     def test_unsigned_log_produces_empty_signature_authenticators(self):
         log = make_log("alice", keypair=None, entries=2)

@@ -7,7 +7,8 @@ from repro.errors import LogFormatError, SegmentError
 from repro.log.codec import (JsonBz2Codec, SegmentStreamDecoder, TypedCodec,
                              decode_segment, get_codec)
 from repro.log.entries import EntryType, nondet_content, snapshot_content
-from repro.log.segments import concatenate_segments, make_chunks
+from repro.log.hashchain import verify_chain_incremental
+from repro.log.segments import concatenate_segments
 from repro.log.storage import authenticators_from_bytes, authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
 
@@ -34,7 +35,7 @@ class TestSegments:
         segments = log.segments_between_snapshots()
         chunk = concatenate_segments(segments[:2])
         assert len(chunk) == len(segments[0]) + len(segments[1])
-        chunk.verify_hash_chain()
+        verify_chain_incremental(chunk.entries, chunk.start_checkpoint())
 
     def test_concatenate_rejects_gap(self):
         log = build_log_with_snapshots()
@@ -52,17 +53,6 @@ class TestSegments:
     def test_concatenate_empty_rejected(self):
         with pytest.raises(SegmentError):
             concatenate_segments([])
-
-    def test_make_chunks_counts(self):
-        log = build_log_with_snapshots(segments=5)
-        segments = log.segments_between_snapshots()
-        assert len(make_chunks(segments, 1)) == len(segments)
-        assert len(make_chunks(segments, 2)) == len(segments) - 1
-        assert len(make_chunks(segments, 2, skip_initial=True)) == len(segments) - 2
-
-    def test_make_chunks_rejects_zero_k(self):
-        with pytest.raises(SegmentError):
-            make_chunks([], 0)
 
     def test_segment_size_bytes(self):
         log = build_log_with_snapshots(segments=1)
@@ -251,7 +241,7 @@ class TestCompression:
         segment = build_log_with_snapshots().full_segment()
         compressor = JsonBz2Codec()
         restored = compressor.decode_segment(compressor.encode_segment(segment))
-        restored.verify_hash_chain()
+        verify_chain_incremental(restored.entries, restored.start_checkpoint())
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 9),
                               st.floats(min_value=0, max_value=1e6,

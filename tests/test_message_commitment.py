@@ -39,6 +39,7 @@ from repro.crypto.keys import build_trust
 from repro.log.authenticator import (MAX_ACK_RUN_LINKS, Authenticator,
                                      build_run, recv_commitment)
 from repro.log.entries import EntryType, recv_content
+from repro.log.hashchain import verify_chain_incremental
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
@@ -137,7 +138,7 @@ class TestReceiverCannotRewriteWhatItLogged:
         pair.alpha.log.tamper_replace_entry(victim.sequence, forged,
                                             recompute_chain=True)
         segment = pair.alpha.get_log_segment()
-        segment.verify_hash_chain()
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())
         report = SyntacticChecker(pair.keystore).check(segment)
         named = problems_naming(report, victim)
         assert named and "beta" in named[0], report.problems
@@ -343,7 +344,7 @@ class TestAckMustCommitToTheReceipt:
         pair = Pair()
         to_charlie = pair.alpha_sends_to_charlie(b"for charlie")
         # ... and, its echo to beta lost, one in flight to beta as well.
-        pair.network.partition("alpha", "beta", bidirectional=False)
+        pair.network.cut_links.add(("alpha", "beta"))
         pair.bounce()
         (for_beta,) = (pending.message for pending
                        in pair.alpha.channel._pending.values()  # noqa: SLF001
@@ -402,10 +403,9 @@ class TestHoldAndLoss:
         pair = Pair()
         # beta's echoes carry its acknowledgments; cut beta -> alpha for a
         # moment so that one carrier (and the message it is) gets lost.
-        pair.scheduler.schedule_at(0.010, lambda: pair.network.partition(
-            "beta", "alpha", bidirectional=False))
-        pair.scheduler.schedule_at(0.050, lambda: pair.network.heal_partition(
-            "beta", "alpha"))
+        cut = pair.network.cut_links
+        pair.scheduler.schedule_at(0.010, lambda: cut.add(("beta", "alpha")))
+        pair.scheduler.schedule_at(0.050, cut.clear)
         pair.bounce(2.0)
         # alpha retransmitted what the lost carrier would have acknowledged
         # and beta re-acknowledged it at once, standalone; beta

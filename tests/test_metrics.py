@@ -58,7 +58,7 @@ class TestFrameRateModel:
         sample = honest_session.frame_rate("player1")
         bare_max = 1.0 / CostParameters().frame_cpu_seconds
         assert 0 < sample.frames_per_second < bare_max
-        assert 0 < sample.overhead_fraction < 0.5
+        assert 0 < sample.game_thread_overhead_seconds < 0.5 * sample.duration_seconds
 
     def test_pinned_daemon_costs_frames(self, honest_session):
         normal = honest_session.frame_rate("player1")

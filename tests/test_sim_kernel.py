@@ -25,19 +25,10 @@ class TestSimClock:
         clock.advance_to(3.5)
         assert clock.now == 3.5
 
-    def test_advance_by(self):
-        clock = SimClock(1.0)
-        clock.advance_by(0.5)
-        assert clock.now == 1.5
-
     def test_cannot_go_backwards(self):
         clock = SimClock(2.0)
         with pytest.raises(SimulationError):
             clock.advance_to(1.0)
-
-    def test_cannot_advance_by_negative(self):
-        with pytest.raises(SimulationError):
-            SimClock().advance_by(-0.1)
 
 
 class TestHostClock:

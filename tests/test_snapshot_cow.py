@@ -39,6 +39,10 @@ from repro.workloads.kvstore import make_kvserver_image
 from archive_tools import replace_payload, scribble, ship
 
 
+def merkle_root(leaves) -> bytes:
+    return MerkleTree(list(leaves)).root
+
+
 def ts(i):
     return ExecutionTimestamp(i, 0)
 
@@ -53,7 +57,7 @@ class TestMerkleIncremental:
         tree = MerkleTree(leaves)
         leaves[2] = b"C!"
         tree.update_leaf(2, b"C!")
-        assert tree.root == MerkleTree.root_of(leaves)
+        assert tree.root == merkle_root(leaves)
 
     def test_append_leaf_matches_rebuild(self):
         leaves = [b"only"]
@@ -61,14 +65,14 @@ class TestMerkleIncremental:
         for extra in (b"x", b"y", b"z", b"w"):
             leaves.append(extra)
             tree.append_leaf(extra)
-            assert tree.root == MerkleTree.root_of(leaves)
+            assert tree.root == merkle_root(leaves)
 
     def test_truncate_matches_rebuild(self):
         leaves = [bytes([i]) for i in range(11)]
         tree = MerkleTree(list(leaves))
         for size in (7, 4, 3, 1):
             tree.truncate(size)
-            assert tree.root == MerkleTree.root_of(leaves[:size])
+            assert tree.root == merkle_root(leaves[:size])
 
     def test_truncate_bounds_checked(self):
         tree = MerkleTree([b"a", b"b"])
@@ -99,7 +103,7 @@ class TestMerkleIncremental:
                 size = rng.randrange(1, len(leaves))
                 del leaves[size:]
                 tree.truncate(size)
-            assert tree.root == MerkleTree.root_of(leaves), step
+            assert tree.root == merkle_root(leaves), step
             probe = rng.randrange(len(leaves))
             assert tree.proof(probe).verify(tree.root), step
 
@@ -115,7 +119,7 @@ class TestApplyDelta:
         return IncrementalSnapshot(
             snapshot_id=snapshot_id, execution=ts(1), base_snapshot_id=1,
             changed_pages=changed, page_count=len(pages),
-            state_root=MerkleTree.root_of(pages), page_size=4)
+            state_root=merkle_root(pages), page_size=4)
 
     def test_shrink_is_verified_not_silently_truncated(self):
         base = [b"aaaa", b"bbbb", b"cccc", b"dddd"]
@@ -182,10 +186,10 @@ class TestSnapshotManagerCow:
         # every snapshot id, including mid-chain ids materialised after the
         # tiny LRU evicted them, must reconstruct the exact historical state
         for snapshot_id in manager.snapshot_ids():
-            assert manager.reconstruct_state(snapshot_id) == \
+            assert manager.get(snapshot_id).state == \
                 expected[snapshot_id - 1]
             root = manager.get_incremental(snapshot_id).state_root
-            reference = MerkleTree.root_of(
+            reference = merkle_root(
                 paginate(serialize_state(expected[snapshot_id - 1]), 64))
             assert root == reference
 
@@ -205,7 +209,7 @@ class TestSnapshotManagerCow:
         delta.changed_pages[first] = b"tampered!" * 3
         manager.get(2)  # fill + roll the 1-entry LRU so 3 re-materialises
         with pytest.raises(SnapshotError):
-            manager.reconstruct_state(victim.snapshot_id)
+            manager.get(victim.snapshot_id).state
 
     def test_resident_bytes_bounded(self):
         manager = SnapshotManager(page_size=256, keyframe_interval=25,
@@ -253,13 +257,31 @@ class TestSnapshotManagerCow:
         assert manager.resident_bytes() <= cap * 1.05
         assert manager.get(ids[len(ids) // 2]).verify_root()
 
+    def test_resident_bytes_count_the_materialised_lru(self):
+        manager = SnapshotManager(page_size=64, keyframe_interval=10,
+                                  materialized_cache=2)
+        state = {"k": "a" * 300, "n": 0}
+        for step in range(12):
+            state["n"] = step
+            manager.take(state, ts(step))
+        before = manager.resident_bytes()
+        first = manager.get(3)
+        second = manager.get(7)
+        held = sum(len(page) for page in first.pages + second.pages)
+        assert held > 0
+        assert manager.resident_bytes() == before + held
+        manager.get(5)  # the two-entry LRU drops snapshot 3
+        assert manager.resident_bytes() == before + held - sum(
+            len(page) for page in first.pages) + sum(
+            len(page) for page in manager.get(5).pages)
+
     def test_legacy_take_signature_still_works(self):
         # take(state, execution) is the whole signature: no dirt to report.
         manager = SnapshotManager(page_size=64)
         state = {"a": 1, "nested": {"b": [1, 2, 3]}}
         snapshot = manager.take(state, ts(10))
         assert snapshot.verify_root()
-        assert manager.reconstruct_state(snapshot.snapshot_id) == state
+        assert manager.get(snapshot.snapshot_id).state == state
 
     def test_changed_pages_cover_all_byte_differences(self):
         rng = random.Random(99)
@@ -297,7 +319,7 @@ class TestSnapshotManagerCow:
         state["blocks"][7] = "c"
         second = manager.take(state, ts(2))
         assert second.pages == paginate(serialize_state(state), 16)
-        assert manager.reconstruct_state(second.snapshot_id) == \
+        assert manager.get(second.snapshot_id).state == \
             json.loads(serialize_state(state))
 
     def test_unreported_in_place_write_is_in_the_next_snapshot(self):
@@ -308,8 +330,8 @@ class TestSnapshotManagerCow:
         second = manager.take(state, ts(2))
         assert manager.get_incremental(second.snapshot_id).changed_pages
         assert second.state_root == \
-            MerkleTree.root_of(paginate(serialize_state(state), 64))
-        assert manager.reconstruct_state(second.snapshot_id) == state
+            merkle_root(paginate(serialize_state(state), 64))
+        assert manager.get(second.snapshot_id).state == state
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +389,10 @@ class TestVmDirtyTracking:
                     serialize_state(vm.get_full_state()), 128)
                 assert snapshot.pages == reference_pages, step
                 assert snapshot.state_root == \
-                    MerkleTree.root_of(reference_pages), step
+                    merkle_root(reference_pages), step
                 expected.append(json.loads(serialize_state(vm.get_full_state())))
         for snapshot_id in manager.snapshot_ids():
-            assert manager.reconstruct_state(snapshot_id) == \
+            assert manager.get(snapshot_id).state == \
                 expected[snapshot_id - 1]
 
     def test_idle_vm_produces_empty_delta(self):
@@ -625,7 +647,7 @@ class TestMonitorIntegration:
         scheduler, network, monitor, service = _build_shipping_monitor(tmp_path)
         monitor.attach_archive_shipper(service.identity)
         monitor.start()
-        network.partition("kv", service.identity)
+        network.cut_links.add(("kv", service.identity))
         scheduler.run_until(3.1)  # 3 snapshots, every shipment dropped
         monitor.stop()
         assert len(monitor._pending_snapshot_ships) == 3  # noqa: SLF001
@@ -633,7 +655,7 @@ class TestMonitorIntegration:
         assert not monitor.ship_archive_tail()  # still partitioned
         assert len(monitor._pending_snapshot_ships) == 3  # noqa: SLF001
         assert not monitor.archive_shipping_complete
-        network.heal_partition("kv", service.identity)
+        network.cut_links.clear()
 
         sent = network.stats_for("kv").messages_sent
         assert monitor.ship_archive_tail()
@@ -675,4 +697,4 @@ class TestMonitorIntegration:
             restored = service.archive.load_snapshot("kv", snapshot_id)
             assert restored.verify_root()
             assert restored.state == \
-                monitor.snapshots.reconstruct_state(snapshot_id)
+                monitor.snapshots.get(snapshot_id).state

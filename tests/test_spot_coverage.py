@@ -1,22 +1,21 @@
-"""Regression tests: spot-check probability accounting is honest.
+"""Spot checks over every chunk (Figure 9): they find a tamper in the one
+chunk that holds it, and price each chunk the same whether it passes or not.
 
-A sampled spot check must never convert "the sampled chunks passed" into
-"the machine passed".  The scenario: a machine tampers with exactly one
-snapshot-delimited segment; a sample that misses that segment must report a
-qualified pass (``pass-sampled``) with its true coverage — and the same
-checker, pointed at the full log, must find the fault.
+The scenario: a machine tampers with exactly one snapshot-delimited segment
+after the fact; only the chunk that covers it can fail.
 """
+
+import random
 
 import pytest
 
-from repro.adversary.matrix import record_scenario
 from repro.adversary.tampering import TamperingVMM
 from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditScheduler
-from repro.audit.spot_check import SpotCheckReport, SpotChecker
+from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import Verdict
 
-import random
+from scenario_tools import record_scenario
 
 
 @pytest.fixture(scope="module")
@@ -48,29 +47,7 @@ def _make_checker(ctx, engine=None):
     return SpotChecker(auditor, engine=engine)
 
 
-class TestHonestCoverageAccounting:
-    def test_missed_tamper_is_not_reported_as_a_machine_pass(
-            self, tampered_scenario):
-        ctx, tampered_index = tampered_scenario
-        checker = _make_checker(ctx)
-        segments = ctx.monitor.get_snapshot_segments()
-
-        # Pick a seed whose 1-chunk sample provably misses the tampered
-        # segment (deterministic: the sampler is random.Random(seed)).
-        seed = next(
-            s for s in range(100)
-            if tampered_index not in random.Random(s).sample(
-                range(1, len(segments)), 1))
-        report = checker.sample_chunks(ctx.monitor, k=1, sample_size=1,
-                                       seed=seed)
-
-        assert tampered_index not in report.checked_indices
-        assert report.ok  # the sampled chunk really did pass...
-        assert not report.complete  # ...but the check knows it saw a fraction
-        assert report.verdict_claim() == "pass-sampled"
-        assert report.segment_coverage < 1.0
-        assert report.entry_coverage < 1.0
-
+class TestEveryChunk:
     def test_full_coverage_finds_the_tamper(self, tampered_scenario):
         ctx, tampered_index = tampered_scenario
         checker = _make_checker(ctx)
@@ -80,44 +57,6 @@ class TestHonestCoverageAccounting:
         assert failing
         assert any(r.chunk_start_index == tampered_index for r in failing)
         assert all(r.result.verdict is Verdict.FAIL for r in failing)
-
-    def test_sample_covering_the_tamper_reports_fail(self, tampered_scenario):
-        ctx, tampered_index = tampered_scenario
-        checker = _make_checker(ctx)
-        segments = ctx.monitor.get_snapshot_segments()
-        seed = next(
-            s for s in range(100)
-            if tampered_index in random.Random(s).sample(
-                range(1, len(segments)), 1))
-        report = checker.sample_chunks(ctx.monitor, k=1, sample_size=1,
-                                       seed=seed)
-        assert not report.ok
-        assert report.verdict_claim() == "fail"
-
-    def test_complete_sample_upgrades_to_unqualified_verdict(
-            self, tampered_scenario):
-        ctx, _ = tampered_scenario
-        checker = _make_checker(ctx)
-        segments = ctx.monitor.get_snapshot_segments()
-        report = checker.sample_chunks(ctx.monitor, k=1,
-                                       sample_size=len(segments),
-                                       seed=0, skip_initial=False)
-        assert report.complete
-        assert report.segment_coverage == 1.0
-        # Full coverage sees the tamper, so the unqualified claim is "fail" —
-        # never "pass" while any segment is tampered.
-        assert report.verdict_claim() == "fail"
-
-    def test_honest_machine_full_sample_passes_unqualified(self):
-        ctx = record_scenario(workload="kv", fleet_size=2, seed=43,
-                              duration=3.0)
-        checker = _make_checker(ctx)
-        segments = ctx.monitor.get_snapshot_segments()
-        report = checker.sample_chunks(ctx.monitor, k=1,
-                                       sample_size=len(segments),
-                                       seed=0, skip_initial=False)
-        assert report.ok and report.complete
-        assert report.verdict_claim() == "pass"
 
 
 class TestReportedTransferFigures:
@@ -162,23 +101,3 @@ class TestReportedTransferFigures:
         assert self._figures(results) == [
             (3181, 3181), (3983, 536875887), (3972, 536875882),
             (3993, 536875214), (224, 536872145)]
-
-
-class TestDetectionProbability:
-    def test_probability_grows_with_sample_size_and_saturates(self):
-        p = [SpotCheckReport.detection_probability(20, k=1, sample_size=n)
-             for n in range(0, 21)]
-        assert p[0] == 0.0
-        assert all(b >= a for a, b in zip(p, p[1:]))
-        assert p[20] == 1.0
-        assert abs(p[1] - 1 / 20) < 1e-9
-
-    def test_bigger_chunks_raise_coverage_per_sample(self):
-        small = SpotCheckReport.detection_probability(20, k=1, sample_size=2)
-        large = SpotCheckReport.detection_probability(20, k=4, sample_size=2)
-        assert large > small
-
-    def test_degenerate_inputs(self):
-        assert SpotCheckReport.detection_probability(0, 1, 1) == 0.0
-        assert SpotCheckReport.detection_probability(5, 1, 0) == 0.0
-        assert SpotCheckReport.detection_probability(3, 8, 1) == 0.0

@@ -23,6 +23,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.log.entries import EntryType, nondet_content, snapshot_content
+from repro.log.hashchain import verify_chain_incremental
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
@@ -103,7 +104,7 @@ class TestArchiveRoundTrip:
         assert record.first_sequence <= 15 <= record.last_sequence
         chunk = archive.read_range("machine", 3, 17)
         assert [e.sequence for e in chunk.entries] == list(range(3, 18))
-        chunk.verify_hash_chain()
+        verify_chain_incremental(chunk.entries, chunk.start_checkpoint())
         with pytest.raises(StoreError):
             archive.record_covering("machine", 10_000)
 
@@ -330,7 +331,7 @@ class TestRetentionGC:
         assert reopened.retained_checkpoint("machine") == checkpoint
         suffix = reopened.materialized_log("machine")
         assert suffix.first_sequence == checkpoint.sequence + 1
-        suffix.verify_hash_chain()
+        verify_chain_incremental(suffix.entries, suffix.start_checkpoint())
 
     def test_truncate_lands_on_sealed_boundary(self, tmp_path):
         log = build_sealed_log(segments=3, entries_per_segment=6)
@@ -715,8 +716,8 @@ class TestFleetArchiveEquivalence:
         service = AuditIngestService(LogArchive(root))
         machine = fleet.machines[0]
         auditor = fleet.make_auditor(machine, collect=False)
-        online = OnlineAuditor(auditor, service.target_for(machine),
-                               fleet.scheduler)
+        target = service.target_for(machine)
+        online = OnlineAuditor(auditor, target, fleet.scheduler, [target])
         record = online.run_once()
         assert record is not None and record.verdict is Verdict.PASS
         assert online.lag_entries == 0
@@ -765,13 +766,13 @@ class TestLossyShipping:
         archive = fleet.ingest.archive
         assert monitor.shipped_through == len(monitor.log)
 
-        network.partition(machine, fleet.ingest.identity)
+        network.cut_links.add((machine, fleet.ingest.identity))
         monitor.log.append(EntryType.NONDET, nc("late-event", 1))
         assert not monitor.ship_archive_tail()  # dropped at send time
         assert monitor.shipped_through == len(monitor.log) - 1
         assert not monitor.archive_shipping_complete
 
-        network.heal_partition(machine, fleet.ingest.identity)
+        network.cut_links.clear()
         assert monitor.ship_archive_tail()
         assert monitor.archive_shipping_complete
         fleet.scheduler.run_until(fleet.scheduler.clock.now + 1.0)
@@ -811,7 +812,7 @@ class TestFleetArchiveTamperEvidence:
                 if seals and seals[-1] is segment.entries[-1]:
                     sealed_by = int(seals[-1].content["snapshot_id"])
                     snapshot = mon.snapshots.get(sealed_by)
-                    service.ingest_snapshot(
+                    service.archive.store_snapshot(
                         name, sealed_by, snapshot.state, snapshot.state_root,
                         mon.snapshots.transfer_cost_bytes(sealed_by),
                         execution=snapshot.execution.to_dict())

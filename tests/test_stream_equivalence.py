@@ -137,10 +137,10 @@ class TestArchivedFleetEquivalence:
                                     segments=target.get_snapshot_segments())
         assert lazy.result == eager.result
         assert lazy.log_bytes == eager.log_bytes
-        report = checker.sample_chunks(target, k=2, sample_size=2, seed=3)
-        assert report.ok
-        assert report.entries_total == sum(
-            len(s) for s in target.get_snapshot_segments())
+        every = checker.check_all_chunks(target, k=2, skip_initial=False)
+        assert all(result.ok for result in every)
+        assert [result.chunk_start_index for result in every] == list(
+            range(len(target.get_snapshot_segments()) - 1))
 
 
 class TestReviewRegressions:

@@ -3,10 +3,11 @@
 Three properties pin the stream's correctness (stdlib ``random`` only — the
 container has no network, so no hypothesis):
 
-* **Resumability** — interrupting the verified entry stream at any segment
-  or chunk boundary and resuming from the persisted
+* **Resumability** — interrupting the chunk stream at any chunk boundary
+  and resuming from the persisted
   :class:`~repro.log.hashchain.ChainCheckpoint` yields exactly the entry
-  sequence and checkpoints of one uninterrupted pass.
+  sequence and checkpoints of one uninterrupted pass; a checkpoint off a
+  segment boundary, or off the archived chain, is refused.
 * **Chunking invariance** — folding the audit kernel over a log cut into one
   chunk, into every snapshot chunk, or into any merge of adjacent chunks gives
   the same verdict and phase, checkpoints that tile, and the same replay
@@ -32,7 +33,7 @@ from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.kernel import (BoundaryContext, chunk_job,
                                 fetch_verified_snapshot_entry, fold_outcomes,
                                 last_snapshot_entry, run_chunk)
-from repro.audit.stream import ArchiveEntryStream, iter_stream_chunks
+from repro.audit.stream import iter_stream_chunks
 from repro.audit.verdict import AuditPhase
 from repro.errors import HashChainError, ReproError
 from repro.log.codec import JsonBz2Codec, SegmentStreamDecoder
@@ -65,57 +66,6 @@ def archived_run(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 class TestResumeProperty:
-    def _boundaries(self, archive, machine):
-        """(checkpoint, entries_before) at every segment boundary."""
-        boundaries = [(archive.start_checkpoint(machine), 0)]
-        count = 0
-        for record in archive.segment_records(machine):
-            count += record.entry_count
-            boundaries.append((record.end_checkpoint(), count))
-        return boundaries
-
-    def test_resume_at_random_segment_boundaries(self, archived_run):
-        archive, machine = archived_run
-        full = list(ArchiveEntryStream(archive, machine))
-        boundaries = self._boundaries(archive, machine)
-        rng = random.Random(0xA5)
-        for checkpoint, consumed in rng.sample(boundaries,
-                                               min(6, len(boundaries))):
-            resumed_stream = ArchiveEntryStream(archive, machine,
-                                                start=checkpoint)
-            resumed = list(resumed_stream)
-            assert resumed == full[consumed:], \
-                f"resume at sequence {checkpoint.sequence} diverged"
-            if resumed:
-                assert resumed_stream.checkpoint.sequence == full[-1].sequence
-            else:  # empty suffix keeps the start checkpoint
-                assert resumed_stream.checkpoint == checkpoint
-
-    def test_interrupt_then_resume_equals_one_pass(self, archived_run):
-        """Consume a random number of whole segments, persist the checkpoint,
-        resume: concatenation equals the uninterrupted pass, checkpoint
-        trajectories included."""
-        archive, machine = archived_run
-        records = archive.segment_records(machine)
-        full_stream = ArchiveEntryStream(archive, machine)
-        full = list(full_stream)
-        rng = random.Random(0x5EED)
-        for _ in range(5):
-            cut = rng.randrange(1, len(records))
-            first_stream = ArchiveEntryStream(archive, machine)
-            consumed = []
-            iterator = iter(first_stream)
-            target_count = sum(record.entry_count for record in records[:cut])
-            for _ in range(target_count):
-                consumed.append(next(iterator))
-            checkpoint = first_stream.checkpoint
-            assert checkpoint == records[cut - 1].end_checkpoint()
-            rest = list(ArchiveEntryStream(archive, machine, start=checkpoint))
-            assert consumed + rest == full
-            # Chain checkpoints agree with a scratch verification pass.
-            assert verify_chain_incremental(
-                rest, checkpoint) == full_stream.checkpoint
-
     def test_resume_chunk_iterator_at_chunk_boundaries(self, archived_run):
         archive, machine = archived_run
         target = ArchiveBackedMachine(archive, machine)
@@ -138,8 +88,9 @@ class TestResumeProperty:
         from repro.log.hashchain import ChainCheckpoint
         mid = ChainCheckpoint(sequence=wide[0].first_sequence,
                               chain_hash=b"\x00" * 32)
+        target = ArchiveBackedMachine(archive, machine)
         with pytest.raises(ReproError):
-            list(ArchiveEntryStream(archive, machine, start=mid))
+            list(iter_stream_chunks(target, start=mid))
         # Mid-segment inside the LAST record and past-the-end checkpoints
         # must also refuse — an empty stream would let the suffix pass as
         # "fully audited".
@@ -147,18 +98,18 @@ class TestResumeProperty:
         inside_last = ChainCheckpoint(sequence=head.sequence - 1,
                                       chain_hash=b"\x11" * 32)
         with pytest.raises(ReproError):
-            list(ArchiveEntryStream(archive, machine, start=inside_last))
+            list(iter_stream_chunks(target, start=inside_last))
         beyond = ChainCheckpoint(sequence=head.sequence + 99,
                                  chain_hash=b"\x22" * 32)
         with pytest.raises(ReproError):
-            list(ArchiveEntryStream(archive, machine, start=beyond))
+            list(iter_stream_chunks(target, start=beyond))
         # Resume exactly at the head is the legitimate empty suffix...
-        assert list(ArchiveEntryStream(archive, machine, start=head)) == []
+        assert list(iter_stream_chunks(target, start=head)) == []
         # ...but only with the matching chain hash.
         forged_head = ChainCheckpoint(sequence=head.sequence,
                                       chain_hash=b"\x33" * 32)
         with pytest.raises(ReproError):
-            list(ArchiveEntryStream(archive, machine, start=forged_head))
+            list(iter_stream_chunks(target, start=forged_head))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +233,11 @@ def _read_materializing(archive, machine):
 
 
 def _read_streaming(archive, machine):
-    return list(ArchiveEntryStream(archive, machine))
+    entries = []
+    for chunk in iter_stream_chunks(ArchiveBackedMachine(archive, machine)):
+        verify_chain_incremental(chunk.segment.entries, chunk.start_checkpoint)
+        entries.extend(chunk.segment.entries)
+    return entries
 
 
 class TestBitFlipParity:
