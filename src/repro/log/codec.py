@@ -31,10 +31,11 @@ Two formats exist, one encoder and one decoder each:
   bytes — typed-tagged by the content codec in :mod:`repro.log.entries` —
   seed the entry without being parsed, deferring materialization to first
   ``content`` access, and the chain hash is verified over those exact
-  bytes.  The header carries a flags byte enabling optional per-frame
-  ``zlib`` level-1 compression (on by default for archives, off for
-  latency-critical decode paths) and — flag bit 1, what this writer always
-  sets — frames without the chain.
+  bytes.  The writer deflates all of a segment's frames as one ``zlib``
+  stream (header flag bit 2), so redundancy across frames compresses too,
+  and writes frames without the chain (flag bit 1).  Flag bit 0 — each
+  frame deflated on its own, what archives written before the one stream
+  hold — is read, never written.
 
 The registry (:func:`get_codec`, :func:`codec_for_data`) keys codecs by
 ``format_version`` and sniffs stored blobs by magic (any other magic — the
@@ -105,8 +106,11 @@ __all__ = [
 #: every codec magic is exactly this long, so sniffing needs 8 bytes
 MAGIC_LENGTH = 8
 #: a bound, not an option: what one compressed unit (a v1 segment's bzip2
-#: body, a v3 frame) may inflate to — before any chain check has run
+#: body, a v3 segment's zlib body, one frame of the per-frame v3 layout) may
+#: inflate to — before any chain check has run
 MAX_INFLATED_BYTES = 256 << 20
+#: the most a streaming reader inflates from its input at a time
+_PIECE = 1 << 20
 
 
 def _bounded(inflated: bytes, so_far: int = 0) -> bytes:
@@ -145,8 +149,8 @@ class LogCodec:
 
     def writes_layout_of(self, data: Union[bytes, memoryview]) -> bool:
         """Whether ``data`` — a blob some codec already decoded — is laid out
-        as this instance's :meth:`encode_segment` lays segments out (same
-        format, same framing options), so it can be stored as it arrived."""
+        as :meth:`encode_segment` lays segments out (same format, same
+        layout flags), so it can be stored as it arrived."""
         return bytes(data[:MAGIC_LENGTH]) == self.MAGIC
 
     # -- streaming -----------------------------------------------------------
@@ -388,8 +392,8 @@ class JsonBz2Codec(LogCodec):
 def _v1_text(compressed: bytes, chunks: Iterator[bytes]) -> Iterator[str]:
     """The decompressed text of a v1 body, a piece at a time — strictly:
     one bzip2 stream with nothing after it, UTF-8, at most
-    :data:`MAX_INFLATED_BYTES`.  A piece is at most 1 MiB, so a chunk that
-    inflates a thousandfold is held a piece at a time too."""
+    :data:`MAX_INFLATED_BYTES`.  A piece is at most :data:`_PIECE`, so a
+    chunk that inflates a thousandfold is held a piece at a time too."""
     decompressor = bz2.BZ2Decompressor()
     utf8 = codecs.getincrementaldecoder("utf-8")()
     inflated = 0
@@ -399,7 +403,7 @@ def _v1_text(compressed: bytes, chunks: Iterator[bytes]) -> Iterator[str]:
                                      or decompressor.eof):
                 if decompressor.eof:
                     raise EOFError("bytes after the bzip2 stream")
-                piece = decompressor.decompress(compressed, 1 << 20)
+                piece = decompressor.decompress(compressed, _PIECE)
                 compressed = b""
                 if decompressor.unused_data:
                     raise EOFError("bytes after the bzip2 stream")
@@ -526,11 +530,16 @@ class _JsonStreamDecoder(_StreamDecoderBase):
 #   header    <HH  format_version, machine_len
 #             machine_len bytes of UTF-8 machine name
 #             32s  start_hash
-#             <B   flags (bit 0: frames are zlib level-1 compressed;
-#                  bit 1: frames leave the chain out)
+#             <B   flags (bit 0: each frame is its own zlib stream;
+#                  bit 1: frames leave the chain out;
+#                  bit 2: the body is one zlib stream over the frames)
 #             <I   entry_count
+#   body      the frames — or (flag bit 2, what the writer writes) one zlib
+#             level-6 stream whose inflated bytes are the frames, with
+#             nothing after it
 #   frame*    <I   stored_len, then stored_len stored bytes — the entry
-#             payload verbatim, or (flag bit 0) its zlib level-1 deflate
+#             payload verbatim, or (flag bit 0 — blobs written before the
+#             one stream; read, never written) its own zlib deflate
 #   payload   chain left out (flag bit 1 — what the writer writes):
 #               <QBdI        sequence, entry-type tag | presence bits,
 #                            timestamp, content_len
@@ -580,13 +589,20 @@ _FIXED = struct.Struct("<QBdI")
 _HEADER_PREFIX = struct.Struct("<HH")
 _LENGTH = struct.Struct("<I")
 _HASH_LENGTH = 32
-#: v3 header flag bit 0 — every frame body is zlib.compress(payload, 1)
+#: v3 header flag bit 0 — every frame body is its own zlib stream (the
+#: layout before :data:`V3_FLAG_ONE_STREAM`; read, never written)
 V3_FLAG_COMPRESSED = 0x01
 #: v3 header flag bit 1 — frames use the ``_FIXED`` layout: ``h`` / ``p``
 #: only where the tag byte's presence bits say so (a pre-flag reader rejects
 #: the header, typed, instead of misreading the frames)
 V3_FLAG_CHAIN_BREAKS_ONLY = 0x02
-_KNOWN_FLAGS = V3_FLAG_COMPRESSED | V3_FLAG_CHAIN_BREAKS_ONLY
+#: v3 header flag bit 2 — the body after the header is one zlib stream over
+#: the raw frames
+V3_FLAG_ONE_STREAM = 0x04
+_KNOWN_FLAGS = V3_FLAG_COMPRESSED | V3_FLAG_CHAIN_BREAKS_ONLY \
+    | V3_FLAG_ONE_STREAM
+#: the only layout :meth:`TypedCodec.encode_segment` writes
+_WRITTEN_FLAGS = V3_FLAG_CHAIN_BREAKS_ONLY | V3_FLAG_ONE_STREAM
 _TAG_HAS_CHAIN_HASH = 0x80
 _TAG_HAS_PREVIOUS_HASH = 0x40
 
@@ -655,20 +671,33 @@ def _unpack_payload(payload: Union[bytes, memoryview],
             timestamp, content_hash)
 
 
-def _inflate_frame(raw: Union[bytes, memoryview]) -> bytes:
-    """Inflate one frame — strictly: one complete zlib stream filling the
-    frame, nothing after it (``zlib.decompress`` would skip trailing bytes,
-    and the archive stores accepted shipments byte for byte)."""
+def _inflated(compressed: Union[bytes, memoryview],
+              chunks: Iterator[bytes]) -> Iterator[bytes]:
+    """One zlib stream — a one-stream v3 body, or one frame of the per-frame
+    layout — inflated a piece at a time as its chunks arrive.  Strictly: one
+    complete stream with nothing after it (``zlib.decompress`` would skip
+    trailing bytes, and the archive stores accepted shipments byte for
+    byte), at most :data:`MAX_INFLATED_BYTES` over the whole stream.  A
+    piece is at most :data:`_PIECE`, so nothing is allocated past the bound
+    plus a piece."""
     inflater = zlib.decompressobj()
+    inflated = 0
     try:
-        payload = _bounded(inflater.decompress(raw, MAX_INFLATED_BYTES + 1))
+        while compressed is not None:
+            piece = inflater.decompress(compressed, _PIECE)
+            compressed = inflater.unconsumed_tail
+            if inflater.unused_data:
+                raise LogFormatError("corrupt compressed typed log: "
+                                     "not exactly one zlib stream")
+            if piece:
+                inflated += len(piece)
+                yield _bounded(piece, inflated)
+            if not compressed and len(piece) < _PIECE:
+                compressed = next(chunks, None)
     except zlib.error as exc:
-        raise LogFormatError(
-            f"corrupt compressed typed log frame: {exc}") from exc
-    if not inflater.eof or inflater.unused_data:
-        raise LogFormatError(
-            "corrupt compressed typed log frame: not exactly one zlib stream")
-    return payload
+        raise LogFormatError(f"corrupt compressed typed log: {exc}") from exc
+    if not inflater.eof:
+        raise LogFormatError("truncated typed log (zlib stream did not end)")
 
 
 def _frame_decoder(flags: int, start_hash: bytes):
@@ -681,8 +710,9 @@ def _frame_decoder(flags: int, start_hash: bytes):
         nonlocal running
         # No content parse here: the verbatim canonical bytes seed the
         # entry, and materialization is deferred to first content access.
-        fields = _unpack_payload(_inflate_frame(raw) if compressed else raw,
-                                 running)
+        if compressed:
+            raw = b"".join(_inflated(raw, iter(())))
+        fields = _unpack_payload(raw, running)
         entry = lazy_entry(*fields)
         if fields[-1] is not None:  # hashed: the chain hash was derived
             memoise_link(entry)
@@ -695,20 +725,17 @@ def _frame_decoder(flags: int, start_hash: bytes):
 class TypedCodec(LogCodec):
     """``format_version=3``: typed content frames, lazy materialization.
 
-    ``compress=True`` (the default, what archives and shippers get from
-    ``get_codec(3)``) deflates every frame with zlib level 1 — cheap to
-    produce, and it brings stored bytes near v1's bzip2 pipeline.  Pass
-    ``compress=False`` for raw frames when decode latency matters more than
-    storage.  Decoding honours the *header* flags, whatever the instance was
-    constructed with — including blobs written before frames could leave the
-    chain out.
+    The writer deflates all of a segment's frames as one zlib level-6
+    stream, so the redundancy across frames compresses too: on ``db_fat``
+    that stores under half the bytes of deflating each frame on its own, and
+    encodes faster.  Decoding honours the *header* flags, so the layouts
+    older archives hold — each frame its own zlib stream, raw frames, frames
+    with every hash written out — read forever; :meth:`writes_layout_of`
+    accepts only the one-stream layout, so the ingest door re-encodes them.
     """
 
     format_version = 3
     MAGIC = b"AVMLOGT3"
-
-    def __init__(self, compress: bool = True) -> None:
-        self._compress = compress
 
     def encode_segment(self, segment: LogSegment) -> bytes:
         machine_bytes = segment.machine.encode("utf-8")
@@ -716,21 +743,20 @@ class TypedCodec(LogCodec):
             raise LogFormatError("machine name too long for the v3 header")
         if len(segment.start_hash) != _HASH_LENGTH:
             raise LogFormatError(f"start hash must be {_HASH_LENGTH} bytes")
-        flags = V3_FLAG_CHAIN_BREAKS_ONLY \
-            | (V3_FLAG_COMPRESSED if self._compress else 0)
-        parts = [self.MAGIC,
-                 _HEADER_PREFIX.pack(self.format_version, len(machine_bytes)),
-                 machine_bytes, segment.start_hash, bytes((flags,)),
-                 _LENGTH.pack(len(segment.entries))]
+        frames: List[bytes] = []
         running = segment.start_hash
         for entry in segment.entries:
             payload = _pack_payload(entry, running)
             running = entry.chain_hash
-            if self._compress:
-                payload = zlib.compress(payload, 1)
-            parts.append(_LENGTH.pack(len(payload)))
-            parts.append(payload)
-        return b"".join(parts)
+            frames += (_LENGTH.pack(len(payload)), payload)
+        # Level 6: level 1 stores 14% more, level 9 saves 0.2% for about 40%
+        # more encode time (docs/log-format.md, "The compression flags").
+        return b"".join((
+            self.MAGIC,
+            _HEADER_PREFIX.pack(self.format_version, len(machine_bytes)),
+            machine_bytes, segment.start_hash, bytes((_WRITTEN_FLAGS,)),
+            _LENGTH.pack(len(segment.entries)),
+            zlib.compress(b"".join(frames), 6)))
 
     @staticmethod
     def _header_size(buffer: Union[bytes, bytearray, memoryview]
@@ -745,7 +771,7 @@ class TypedCodec(LogCodec):
     @classmethod
     def _unpack_header(cls, view: memoryview):
         """Parse magic + header; returns machine, start hash, flags, entry
-        count and the offset of the first frame."""
+        count and the offset of the body."""
         if bytes(view[:MAGIC_LENGTH]) != cls.MAGIC:
             raise LogFormatError("not a typed log segment (bad magic)")
         end = cls._header_size(view)
@@ -765,85 +791,68 @@ class TypedCodec(LogCodec):
         flags = view[offset + _HASH_LENGTH]
         if flags & ~_KNOWN_FLAGS:
             raise LogFormatError(f"unknown v3 header flags 0x{flags:02x}")
+        if flags & V3_FLAG_COMPRESSED and flags & V3_FLAG_ONE_STREAM:
+            raise LogFormatError(
+                f"v3 header flags 0x{flags:02x} set both compression bits")
         (entry_count,) = _LENGTH.unpack_from(view, end - _LENGTH.size)
         return machine, start_hash, flags, entry_count, end
 
     def decode_segment(self, data: Union[bytes, memoryview]) -> LogSegment:
-        view = memoryview(data)
-        machine, start_hash, flags, entry_count, position = \
-            self._unpack_header(view)
-        decode = _frame_decoder(flags, start_hash)
-        entries: List[LogEntry] = []
-        total = len(view)
-        while position < total:
-            if total - position < _LENGTH.size:
-                raise LogFormatError(
-                    "truncated typed log (dangling frame length)")
-            (length,) = _LENGTH.unpack_from(view, position)
-            position += _LENGTH.size
-            if total - position < length:
-                raise LogFormatError(
-                    "truncated typed log (frame shorter than advertised)")
-            entries.append(decode(view[position:position + length]))
-            position += length
-        if len(entries) != entry_count:
-            raise LogFormatError(
-                f"entry count mismatch: header says {entry_count}, "
-                f"found {len(entries)}")
-        return LogSegment(machine=machine, start_hash=start_hash,
+        decoder = _TypedStreamDecoder()
+        entries = list(decoder.entries((data,)))
+        return LogSegment(machine=decoder.header["machine"],
+                          start_hash=bytes.fromhex(decoder.header["start_hash"]),
                           entries=entries)
 
     def writes_layout_of(self, data: Union[bytes, memoryview]) -> bool:
-        if not super().writes_layout_of(data):
-            return False
-        flags = self._unpack_header(memoryview(data))[2]
-        return bool(flags & V3_FLAG_COMPRESSED) == self._compress
+        return super().writes_layout_of(data) and \
+            self._unpack_header(memoryview(data))[2] == _WRITTEN_FLAGS
 
     def stream_decoder(self) -> "_TypedStreamDecoder":
         return _TypedStreamDecoder()
 
 
 class _TypedStreamDecoder(_StreamDecoderBase):
-    """Incrementally decode a v3 segment from a byte stream, zero-copy.
+    """Decode a v3 segment from a byte stream — the one v3 reader.
 
-    Complete frames are unpacked with ``struct.unpack_from`` straight out of
-    the accumulation buffer through a :class:`memoryview` — no per-frame
-    slice copies; the only copy is the content bytes that outlive the buffer
-    (they seed the entry's encoded-content cache).  Consumed prefixes are
-    compacted away after every chunk, so peak memory is one chunk plus one
-    partial frame.
+    A one-stream body is inflated a piece at a time as its chunks arrive
+    (:func:`_inflated`).  Complete frames are unpacked with
+    ``struct.unpack_from`` straight out of the accumulation buffer through a
+    :class:`memoryview` — no per-frame slice copies; the only copy is the
+    content bytes that outlive the buffer (they seed the entry's
+    encoded-content cache).  Consumed prefixes are compacted away after
+    every piece, so peak memory is one chunk, one inflated piece and one
+    partial frame.  The whole-segment decoder drains this one, so the ingest
+    door and the auditor accept exactly the same bytes.
     """
 
     def entries(self, chunks: Iterable[bytes]) -> Iterator[LogEntry]:
-        buffer = bytearray()
-        declared_count = 0
-        decode = None
+        chunks = iter(chunks)
+        head = b""
         for piece in chunks:
+            head += piece
+            if len(head) >= MAGIC_LENGTH \
+                    and not head.startswith(TypedCodec.MAGIC):
+                break
+            size = TypedCodec._header_size(head)
+            if size is not None and len(head) >= size:
+                break
+        machine, start_hash, flags, declared_count, size = \
+            TypedCodec._unpack_header(memoryview(head))
+        self.header = _encode_v1_header(machine, start_hash)
+        decode = _frame_decoder(flags, start_hash)
+        body = memoryview(head)[size:]
+        pieces = _inflated(body, chunks) \
+            if flags & V3_FLAG_ONE_STREAM else chain((body,), chunks)
+        del head, body  # the first chunk is held no longer than the others
+        buffer = bytearray()
+        for piece in pieces:
             buffer += piece
-            if decode is None:
-                if len(buffer) >= MAGIC_LENGTH \
-                        and not buffer.startswith(TypedCodec.MAGIC):
-                    break
-                header_size = TypedCodec._header_size(buffer)
-                if header_size is None or len(buffer) < header_size:
-                    continue
-                with memoryview(buffer) as view:
-                    machine, start_hash, flags, declared_count, _ = \
-                        TypedCodec._unpack_header(view)
-                self.header = _encode_v1_header(machine, start_hash)
-                decode = _frame_decoder(flags, start_hash)
-                del buffer[:header_size]
-            # Drain every complete frame currently buffered.  The views are
-            # created and dropped inside _drain_frames, so the compaction
-            # (and the next chunk append) never hits an exported buffer.
+            # The views are created and dropped inside _drain_frames, so the
+            # compaction (and the next append) never hits an exported buffer.
             for entry in self._drain_frames(decode, buffer):
                 self.entry_count += 1
                 yield entry
-        if decode is None:
-            if len(buffer) >= MAGIC_LENGTH \
-                    and not buffer.startswith(TypedCodec.MAGIC):
-                raise LogFormatError("not a typed log segment (bad magic)")
-            raise LogFormatError("truncated typed log header")
         if buffer:
             raise LogFormatError("truncated typed log (stream ended mid-frame)")
         if self.entry_count != declared_count:

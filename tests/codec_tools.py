@@ -3,11 +3,14 @@
 * :func:`segment_to_bytes` — a segment as JSON lines, a header object then
   one object per entry: what each seed archive's ``expected_segment.jsonl``
   holds, and an exact, readable comparison of two decoded logs;
-* :func:`explicit_v3_blob` / :class:`ExplicitTypedCodec` — a v3 segment in
-  the *explicit* frame layout (header flag bit 1 clear, every ``h`` / ``p``
-  written out): how the v3 seed archive stores its segments, and what every
-  v3 writer produced before the chain was stored only at its breaks.  The
-  reader keeps that branch for the seed; nothing in ``src/`` writes it;
+* :func:`per_frame_v3_blob` / :class:`PerFrameTypedCodec` — a v3 segment
+  whose frames are not one zlib stream: raw, or each deflated on its own
+  (header flag bit 0), what every v3 writer produced before the one stream;
+  and :class:`ExplicitTypedCodec`, the same in the *explicit* frame layout
+  (header flag bit 1 clear, every ``h`` / ``p`` written out): how the v3
+  seed archive stores its segments, and what every v3 writer produced
+  before the chain was stored only at its breaks.  The reader keeps those
+  branches for the seed and older archives; nothing in ``src/`` writes them;
 * references — :func:`reference_encode_content` (the per-field shape
   interpreter), :func:`reference_link_hash` (``hash_concat`` part by part)
   and :func:`reference_authenticators_from_bytes` (a method call per byte):
@@ -27,7 +30,8 @@ from repro.crypto import hashing
 from repro.errors import LogFormatError
 from repro.log import entries as _entries
 from repro.log.authenticator import Authenticator
-from repro.log.codec import _TYPE_TAGS, V3_FLAG_COMPRESSED, TypedCodec
+from repro.log.codec import (_TYPE_TAGS, V3_FLAG_CHAIN_BREAKS_ONLY,
+                             V3_FLAG_COMPRESSED, TypedCodec, _pack_payload)
 from repro.log.storage import AUTH_BATCH_MAGIC
 
 
@@ -56,13 +60,22 @@ def explicit_payload(entry) -> bytes:
                        len(content)) + content
 
 
-def explicit_v3_blob(segment, compress: bool = False) -> bytes:
+def per_frame_v3_blob(segment, compress: bool = False,
+                      explicit: bool = False) -> bytes:
+    """``segment`` as v3 frames that are not one zlib stream: raw, or
+    (``compress``) each deflated on its own at level 1; ``explicit``: every
+    hash written out, else only the chain's breaks."""
+    flags = (V3_FLAG_COMPRESSED if compress else 0) \
+        | (0 if explicit else V3_FLAG_CHAIN_BREAKS_ONLY)
     machine = segment.machine.encode("utf-8")
     parts = [TypedCodec.MAGIC, struct.pack("<HH", 3, len(machine)), machine,
-             segment.start_hash, bytes([V3_FLAG_COMPRESSED if compress else 0]),
+             segment.start_hash, bytes([flags]),
              struct.pack("<I", len(segment.entries))]
+    running = segment.start_hash
     for entry in segment.entries:
-        payload = explicit_payload(entry)
+        payload = explicit_payload(entry) if explicit \
+            else _pack_payload(entry, running)
+        running = entry.chain_hash
         if compress:
             payload = zlib.compress(payload, 1)
         parts += [struct.pack("<I", len(payload)), payload]
@@ -72,17 +85,30 @@ def explicit_v3_blob(segment, compress: bool = False) -> bytes:
 def retired_v2_blob(segment) -> bytes:
     """What the retired format 2 wrote: the explicit layout under its own
     magic and version, with no flags byte."""
-    explicit = explicit_v3_blob(segment)
+    explicit = per_frame_v3_blob(segment, explicit=True)
     flags_at = TypedCodec._header_size(explicit) - 5
     return (b"AVMLOGB2" + struct.pack("<H", 2) + explicit[10:flags_at]
             + explicit[flags_at + 1:])
 
 
-class ExplicitTypedCodec(TypedCodec):
-    """:class:`TypedCodec` whose writer emits the explicit layout."""
+class PerFrameTypedCodec(TypedCodec):
+    """:class:`TypedCodec` whose writer emits a per-frame layout —
+    ``compress`` (the default): each frame deflated on its own, as v3
+    archives were written before the one stream."""
+
+    explicit = False
+
+    def __init__(self, compress: bool = True) -> None:
+        self.compress = compress
 
     def encode_segment(self, segment) -> bytes:
-        return explicit_v3_blob(segment, self._compress)
+        return per_frame_v3_blob(segment, self.compress, self.explicit)
+
+
+class ExplicitTypedCodec(PerFrameTypedCodec):
+    """:class:`PerFrameTypedCodec` in the explicit frame layout."""
+
+    explicit = True
 
 
 # -- references ---------------------------------------------------------------------

@@ -18,6 +18,7 @@ No new dependencies: plain ``random.Random`` with fixed seeds.
 
 import random
 import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -42,7 +43,7 @@ from repro.log.storage import (
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.workloads.echo import make_echo_image
 
-from codec_tools import ExplicitTypedCodec
+from codec_tools import ExplicitTypedCodec, PerFrameTypedCodec
 
 TRIALS = 200
 
@@ -131,11 +132,12 @@ class TestSegmentBitFlips:
 
 
 def _wire_codec(wire: str):
-    """A fresh codec per call — TypedCodec carries a compression flag."""
+    """The codec per wire: the two writers, and the raw per-frame layouts
+    the v3 reader keeps for older blobs (the explicit one is the seed's)."""
     return {
         "v1": get_codec(1),
         "v3-explicit": ExplicitTypedCodec(compress=False),
-        "v3-raw": TypedCodec(compress=False),
+        "v3-raw": PerFrameTypedCodec(compress=False),
         "v3-zlib": TypedCodec(),
     }[wire]
 
@@ -208,7 +210,7 @@ class TestWireCodecBitFlips:
         codec = _wire_codec(wire)
         segment = log.full_segment()
         data = codec.encode_segment(segment)
-        if wire in ("v1", "v3-zlib"):
+        if wire == "v1":
             # Tamper inside the compressed body, then re-decode: either the
             # compression stream dies (parse reject) or the chain check
             # fires.  Content access on a surviving flip may itself raise
@@ -229,24 +231,28 @@ class TestWireCodecBitFlips:
                 pytest.skip("every flip died in decompression — covered "
                             "by the sweep")
         else:
-            # Both raw v3 layouts store the recorder's committed content
-            # bytes verbatim behind a frame prefix (the recorder commits the
-            # typed encoding to every wire): walk the first frame's content
-            # bytes from the tail until a one-byte change both parses and
-            # alters the materialized content (e.g. inside a hash field's
-            # raw bytes).
+            # Every v3 layout stores the recorder's committed content bytes
+            # verbatim behind a frame prefix (the recorder commits the typed
+            # encoding to every wire) — the written one inside its one zlib
+            # stream, which a tamperer simply deflates again: walk the first
+            # frame's content bytes from the tail until a one-byte change
+            # both parses and alters the materialized content (e.g. inside a
+            # hash field's raw bytes).
             header_end = (MAGIC_LENGTH + 4
                           + len(segment.machine.encode("utf-8")) + 32 + 1 + 4)
-            (frame_len,) = struct.unpack_from("<I", data, header_end)
-            content_start = header_end + 4 \
-                + codec_module._EXPLICIT_FIXED.size
+            head, frames = data[:header_end], data[header_end:]
+            if wire == "v3-zlib":
+                frames = zlib.decompress(frames)
+            (frame_len,) = struct.unpack_from("<I", frames)
+            content_start = 4 + codec_module._EXPLICIT_FIXED.size
             mutated = None
-            for offset in range(header_end + 4 + frame_len - 1,
-                                content_start - 1, -1):
-                raw = bytearray(data)
+            for offset in range(4 + frame_len - 1, content_start - 1, -1):
+                raw = bytearray(frames)
                 raw[offset] ^= 0x01
+                if wire == "v3-zlib":
+                    raw = zlib.compress(raw)
                 try:
-                    candidate = codec.decode_segment(bytes(raw))
+                    candidate = codec.decode_segment(head + bytes(raw))
                     if (candidate.entries[0].content
                             != segment.entries[0].content):
                         mutated = candidate

@@ -47,7 +47,7 @@ from repro.vm.snapshot import (SNAPSHOT_MAGIC, IncrementalSnapshot,
                                SnapshotManager, apply_delta)
 
 from archive_tools import World, ship, shipment, summary
-from codec_tools import retired_v2_blob, segment_to_bytes
+from codec_tools import per_frame_v3_blob, retired_v2_blob, segment_to_bytes
 
 _HEADER = struct.Struct("<8sBQqIIIQQQ32s")  # the page file's, spelled out
 
@@ -397,24 +397,31 @@ class TestShipmentContainer:
             with pytest.raises(LogFormatError):
                 _traced(lambda: decode_shipment(claim.ljust(1024, b"\0")))
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 3, "3-per-frame"])
     def test_a_small_bomb_is_refused_inside_the_bound(self, version,
                                                       monkeypatch, tmp_path):
         """The segment decoders inflate a shipper's bytes before any chain
         check runs: a blob of a few kB that inflates to 64 MB is refused
         typed, at ``MAX_INFLATED_BYTES`` — a bound, not an option; shrunk
-        here so that the allocation cap can show it is what stops it."""
+        here so that the allocation cap can show it is what stops it.  The
+        bound counts the whole body: v1's bzip2 stream, v3's one zlib
+        stream (inflated a piece of the bound's size at a time, so only
+        the sum can trip it), or one frame of v3's per-frame layout."""
         monkeypatch.setattr(codec, "MAX_INFLATED_BYTES", 1 << 20)
         segment = _WORLD.logs["alpha"].segment(1, 6)
-        genuine = codec.encode_segment(segment, version)
+        genuine = codec.encode_segment(segment, 1 if version == 1 else 3)
         assert codec.decode_segment(genuine) == segment
+        header = codec.TypedCodec._header_size(genuine)
         if version == 1:
             bomb = genuine[:8] + bz2.compress(
                 b'{"header":{"machine":"' + b"a" * (64 << 20), 9)
+        elif version == 3:  # (one frame announcing all of it)
+            bomb = genuine[:header] + zlib.compress(
+                struct.pack("<I", 64 << 20) + bytes(64 << 20), 9)
         else:
-            header = codec.TypedCodec._header_size(genuine)
             frame = zlib.compress(bytes(64 << 20), 9)
-            bomb = genuine[:header] + struct.pack("<I", len(frame)) + frame
+            bomb = per_frame_v3_blob(segment, compress=True)[:header] \
+                + struct.pack("<I", len(frame)) + frame
         assert len(bomb) < 80_000
         cap = 8 << 20  # a few copies of the bound; the bomb is 64 MB
         with pytest.raises(LogFormatError, match="inflates past"):

@@ -38,7 +38,7 @@ from repro.store.manifest import (SegmentRecord, parse_checkpoint,
                                   read_checkpoint)
 
 from archive_tools import rebuild_frame_file, replace_payload, ship
-from codec_tools import ExplicitTypedCodec, explicit_v3_blob, segment_to_bytes
+from codec_tools import ExplicitTypedCodec, per_frame_v3_blob, segment_to_bytes
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def _explicit(record, payload):
     if not isinstance(record, SegmentRecord):
         return record, payload
     return (replace(record, format_version=3),
-            explicit_v3_blob(decode_segment(payload)))
+            per_frame_v3_blob(decode_segment(payload), explicit=True))
 
 
 @pytest.fixture(scope="module")
@@ -299,18 +299,20 @@ def _rewrite_stored_content(data: bytes, index: int) -> bytes:
         blob["rows"][index]["c"]["rewritten"] = 1
         return data[:MAGIC_LENGTH] + bz2.compress(json.dumps(
             blob, sort_keys=True, separators=(",", ":")).encode("utf-8"), 9)
-    position = TypedCodec._header_size(data)
+    header = TypedCodec._header_size(data)
+    frames, position = zlib.decompress(data[header:]), 0
     for _ in range(index):
-        position += 4 + struct.unpack_from("<I", data, position)[0]
-    (length,) = struct.unpack_from("<I", data, position)
-    payload = zlib.decompress(data[position + 4:position + 4 + length])
+        position += 4 + struct.unpack_from("<I", frames, position)[0]
+    (length,) = struct.unpack_from("<I", frames, position)
+    payload = frames[position + 4:position + 4 + length]
     sequence, tag, timestamp, _ = struct.unpack_from("<QBdI", payload)
     assert not tag & 0xC0
     content = encode_content({**decode_content(payload[21:]), "rewritten": 1})
-    frame = zlib.compress(struct.pack("<QBdI", sequence, tag, timestamp,
-                                      len(content)) + content, 1)
-    return (data[:position] + struct.pack("<I", len(frame)) + frame
-            + data[position + 4 + length:])
+    frame = struct.pack("<QBdI", sequence, tag, timestamp,
+                        len(content)) + content
+    return data[:header] + zlib.compress(
+        frames[:position] + struct.pack("<I", len(frame)) + frame
+        + frames[position + 4 + length:])
 
 
 class TestStoredContentRewrite:

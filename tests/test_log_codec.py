@@ -16,6 +16,7 @@ import random
 import struct
 import zlib
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from repro.log.codec import (
     MAGIC_LENGTH,
     V3_FLAG_CHAIN_BREAKS_ONLY,
     V3_FLAG_COMPRESSED,
+    V3_FLAG_ONE_STREAM,
     JsonBz2Codec,
     TypedCodec,
     SegmentStreamDecoder,
@@ -50,7 +52,8 @@ from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
 from archive_tools import replace_payload, ship
-from codec_tools import ExplicitTypedCodec, retired_v2_blob
+from codec_tools import (ExplicitTypedCodec, PerFrameTypedCodec,
+                         per_frame_v3_blob, retired_v2_blob)
 
 
 def _build_log(entries: int = 30, snapshot_every: int = 10,
@@ -257,33 +260,40 @@ class TestTypedFormatErrors:
             get_codec(3).decode_segment(bytes(data))
 
     def test_corrupt_compressed_frame(self, sample_segment):
-        data = bytearray(TypedCodec(compress=True)
-                         .encode_segment(sample_segment))
+        data = bytearray(PerFrameTypedCodec().encode_segment(sample_segment))
         # Clobber the first frame body (after header + 4-byte frame length).
         offset = self._header_end(sample_segment) + 4
         data[offset:offset + 4] = b"\xde\xad\xbe\xef"
         with pytest.raises(LogFormatError,
-                           match="corrupt compressed typed log frame"):
+                           match="corrupt compressed typed log"):
+            TypedCodec().decode_segment(bytes(data))
+
+    def test_corrupt_compressed_body(self, sample_segment):
+        data = bytearray(get_codec(3).encode_segment(sample_segment))
+        # Clobber the zlib stream's header, just after the v3 header.
+        offset = self._header_end(sample_segment)
+        data[offset:offset + 4] = b"\xde\xad\xbe\xef"
+        with pytest.raises(LogFormatError, match="corrupt compressed typed log"):
             TypedCodec().decode_segment(bytes(data))
 
     def test_unknown_type_tag(self):
         segment = _build_log(entries=1, snapshot_every=0).full_segment()
-        data = bytearray(TypedCodec(compress=False).encode_segment(segment))
+        data = bytearray(PerFrameTypedCodec(compress=False)
+                         .encode_segment(segment))
         # header, the frame's u32 length, then the u64 sequence: the tag
         # byte (its two high bits say which hashes follow; 0x2E is no type)
         data[self._header_end(segment) + 4 + 8] = 0x2E
         with pytest.raises(LogFormatError, match="tag"):
             get_codec(3).decode_segment(bytes(data))
 
-    def test_decode_honours_header_flag_not_constructor(self, sample_segment):
-        raw = TypedCodec(compress=False).encode_segment(sample_segment)
-        compressed = TypedCodec(compress=True).encode_segment(sample_segment)
-        assert len(compressed) < len(raw)
-        for blob in (raw, compressed):
-            for codec in (TypedCodec(compress=False),
-                          TypedCodec(compress=True)):
-                decoded = codec.decode_segment(blob)
-                assert decoded.entries == sample_segment.entries
+    def test_decode_honours_the_header_flags(self, sample_segment):
+        raw = per_frame_v3_blob(sample_segment)
+        per_frame = per_frame_v3_blob(sample_segment, compress=True)
+        one_stream = get_codec(3).encode_segment(sample_segment)
+        assert len(one_stream) < len(per_frame) < len(raw)
+        for blob in (raw, per_frame, one_stream):
+            assert TypedCodec().decode_segment(blob).entries == \
+                sample_segment.entries
 
 
 def _v1_rewritten(segment: LogSegment, first_row) -> bytes:
@@ -410,6 +420,110 @@ class TestV1TextSplits:
                 decode_segment(data)
 
 
+def _recut(data: bytes, seed: int):
+    """``data`` in pieces of 1 to 24 bytes, cut at random."""
+    rng, position = random.Random(seed), 0
+    while position < len(data):
+        size = rng.randint(1, 24)
+        yield data[position:position + size]
+        position += size
+
+
+def _v3_with(segment: LogSegment, *, flags=None, count=None) -> bytes:
+    """``segment``'s v3 blob with its header's flags or entry count
+    replaced."""
+    blob = bytearray(get_codec(3).encode_segment(segment))
+    end = TypedCodec._header_size(blob)
+    if flags is not None:
+        blob[end - 5] = flags
+    if count is not None:
+        blob[end - 4:end] = struct.pack("<I", count)
+    return bytes(blob)
+
+
+#: one-stream v3 blobs the writer never writes, and what refuses them:
+#: both readers, with the same error
+_BROKEN_V3 = {
+    "bytes after the zlib stream": (
+        lambda segment: get_codec(3).encode_segment(segment) + b"\x00junk",
+        "not exactly one zlib stream"),
+    "a truncated zlib stream": (
+        lambda segment: get_codec(3).encode_segment(segment)[:-3],
+        "zlib stream did not end"),
+    "flags 0x05": (lambda segment: _v3_with(
+        segment, flags=V3_FLAG_COMPRESSED | V3_FLAG_ONE_STREAM),
+        "both compression bits"),
+    "an entry-count mismatch": (lambda segment: _v3_with(
+        segment, count=len(segment.entries) + 1), "entry count mismatch"),
+}
+
+
+class TestV3BodySplits:
+    """The v3 body is one zlib stream, inflated a piece at a time as chunks
+    arrive; here the stored blob is re-cut at random, a few bytes a piece,
+    so that the header, the zlib stream's own header and trailer, a frame's
+    length prefix and its payload each straddle a cut."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_cut_reads_the_same_entries(self, sample_segment, seed):
+        for segment in (sample_segment, LogSegment(
+                machine="m", entries=[], start_hash=sample_segment.start_hash)):
+            data = get_codec(3).encode_segment(segment)
+            decoder = get_codec(3).stream_decoder()
+            assert list(decoder.entries(_recut(data, seed))) == \
+                segment.entries
+            assert decoder.header == {"machine": segment.machine,
+                                      "start_hash": segment.start_hash.hex()}
+
+    @pytest.mark.parametrize("mutation", sorted(_BROKEN_V3))
+    def test_any_cut_refuses_what_the_writer_never_writes(
+            self, sample_segment, mutation):
+        broken, error = _BROKEN_V3[mutation]
+        data = broken(sample_segment)
+        with pytest.raises(LogFormatError, match=error) as whole:
+            decode_segment(data)
+        for seed in range(3):
+            with pytest.raises(LogFormatError) as cut:
+                list(get_codec(3).stream_decoder().entries(
+                    _recut(data, seed)))
+            assert str(cut.value) == str(whole.value)
+
+
+class TestPerFrameIsReadOnly:
+    """Each frame deflated on its own — the v3 layout before the one
+    stream — is read forever and written never: not by the writer, not by
+    the ingest door (test_store_service), not by a migration."""
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_writes_layout_of_refuses_a_per_frame_blob(
+            self, sample_segment, compress, explicit):
+        codec = get_codec(3)
+        per_frame = per_frame_v3_blob(sample_segment, compress, explicit)
+        assert decode_segment(per_frame).entries == sample_segment.entries
+        assert not codec.writes_layout_of(per_frame)
+        assert codec.writes_layout_of(codec.encode_segment(sample_segment))
+
+    def test_reencoding_the_v3_seed_archive_writes_one_stream(self, tmp_path):
+        seed = LogArchive(Path(__file__).parent / "data" / "seed_v3_archive")
+        migrated = seed.reencode_segments(tmp_path / "v3", format_version=3)
+        (machine,) = seed.machines()
+        records = migrated.segment_records(machine)
+        assert len(records) == len(seed.segment_records(machine))
+        for record, seed_record in zip(records,
+                                       seed.segment_records(machine)):
+            data = migrated.stored_bytes_of(record)
+            assert TypedCodec._unpack_header(memoryview(data))[2] == \
+                V3_FLAG_CHAIN_BREAKS_ONLY | V3_FLAG_ONE_STREAM
+            assert len(data) < seed_record.stored_bytes
+            assert migrated.read_segment(record).entries == \
+                seed.read_segment(seed_record).entries
+        log = migrated.materialized_log(machine)
+        assert verify_chain_incremental(
+            log.entries, log.start_checkpoint()).chain_hash == \
+            records[-1].end_hash
+
+
 class TestCacheSeeding:
     def test_explicit_v3_decode_verifies_wire_bytes_not_reencoding(
             self, sample_segment):
@@ -469,6 +583,8 @@ def _explicit_hashes(data: bytes) -> dict:
         position = TypedCodec._header_size(data)
         flags = data[position - 5]
         assert flags & V3_FLAG_CHAIN_BREAKS_ONLY
+        if flags & V3_FLAG_ONE_STREAM:
+            data, position = zlib.decompress(data[position:]), 0
         marks = []
         while position < len(data):
             (length,) = struct.unpack_from("<I", data, position)
@@ -502,7 +618,7 @@ def _chain_breaks(segment: LogSegment) -> dict:
 
 _SHORT_FORM_CODECS = {
     "v1": lambda: get_codec(1),
-    "v3-raw": lambda: TypedCodec(compress=False),
+    "v3-raw": lambda: PerFrameTypedCodec(compress=False),
     "v3-zlib": lambda: TypedCodec(),
 }
 
@@ -629,7 +745,7 @@ class TestNoStoredHashes:
         else:
             # The first frame claims an explicit chain hash it has no room
             # for: the content length no longer adds up.
-            raw = TypedCodec(compress=False).encode_segment(sample_segment)
+            raw = per_frame_v3_blob(sample_segment)
             garbled = bytearray(raw)
             garbled[TypedCodec._header_size(raw) + 4 + 8] |= 0x80
             garbled = bytes(garbled)
@@ -674,8 +790,8 @@ class TestOldWriterBlobs:
         old = b"".join(parts)
         for decoded in (decode_segment(old).entries, _decode_streamed(old)):
             assert decoded == sample_segment.entries
-        codec = TypedCodec(compress=bool(flags))
-        assert codec.writes_layout_of(old)  # stored as it arrived, if shipped
+        codec = get_codec(3)
+        assert not codec.writes_layout_of(old)  # re-encoded, if shipped
         short = codec.encode_segment(decode_segment(old))
         assert len(short) < len(old) - 60 * len(sample_segment.entries)
         assert _explicit_hashes(short) == {}

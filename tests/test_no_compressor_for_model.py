@@ -21,10 +21,11 @@ from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditScheduler
 from repro.audit.verdict import Verdict
-from repro.log.codec import (TypedCodec, decode_segment, get_codec,
-                             iter_snapshot_subsegments)
+from repro.log.codec import decode_segment, get_codec, iter_snapshot_subsegments
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
+
+from codec_tools import per_frame_v3_blob
 
 COMPRESSORS = ((bz2, "compress"), (bz2, "BZ2Compressor"),
                (zlib, "compress"), (zlib, "compressobj"))
@@ -143,10 +144,10 @@ class TestIngestCompressesOnlyWhatItStores:
 
     def test_raw_frame_v3_shipment_is_deflated_not_bzipped(
             self, shipment, tmp_path, compressor_calls):
-        wire = TypedCodec(compress=False).encode_segment(shipment)
+        wire = per_frame_v3_blob(shipment)
         assert not compressor_calls
         archive = LogArchive(tmp_path / "v3", format_version=3)
         archive.append_segment(decode_segment(wire), wire=wire)
-        # Only the frames it writes (zlib); never bzip2 for a size it
+        # Only the one stream it writes (zlib); never bzip2 for a size it
         # would merely record.
-        assert set(compressor_calls) == {"zlib.compress"}
+        assert compressor_calls == {"zlib.compress": 1}

@@ -534,19 +534,14 @@ class TestIngestService:
         return [archive.stored_bytes_of(record)
                 for record in archive.segment_records(machine)]
 
-    @pytest.mark.parametrize("version", [1, 3, "3-explicit"])
+    @pytest.mark.parametrize("version", [1, 3])
     def test_matching_format_shipment_is_stored_as_shipped(self, tmp_path,
                                                            version):
         from repro.log.codec import encode_segment
-        from codec_tools import ExplicitTypedCodec
         segment = build_sealed_log(segments=1).full_segment()
-        # (a v3 blob in the explicit layout, its frames compressed like the
-        # archive's: what v3 writers shipped before the chain was stored
-        # only at its breaks)
-        blob = encode_segment(segment, version) if version != "3-explicit" \
-            else ExplicitTypedCodec().encode_segment(segment)
+        blob = encode_segment(segment, version)
         service = AuditIngestService(LogArchive(
-            tmp_path / "a", format_version=1 if version == 1 else 3))
+            tmp_path / "a", format_version=version))
         self._ship(service, blob)
         assert not service.quarantine
         assert self._stored(service.archive) == [blob]
@@ -566,9 +561,10 @@ class TestIngestService:
 
     def test_uncompressed_v3_shipment_is_stored_in_the_archives_layout(
             self, tmp_path):
-        from repro.log.codec import TypedCodec, encode_segment
+        from repro.log.codec import encode_segment
+        from codec_tools import per_frame_v3_blob
         segment = build_sealed_log(segments=1).full_segment()
-        raw_frames = TypedCodec(compress=False).encode_segment(segment)
+        raw_frames = per_frame_v3_blob(segment)
         service = AuditIngestService(LogArchive(tmp_path / "a", format_version=3))
         self._ship(service, raw_frames)
         assert not service.quarantine
@@ -576,12 +572,42 @@ class TestIngestService:
         # so the shipper does not get to pick the stored size.
         assert self._stored(service.archive) == [encode_segment(segment, 3)]
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_per_frame_v3_shipment_is_stored_as_one_stream(self, tmp_path,
+                                                           explicit):
+        """Each frame deflated on its own — what v3 writers shipped before
+        the one stream (``explicit``: and before the chain was stored only
+        at its breaks) — is read, never stored: the archive re-encodes it,
+        and it reads back as the same entries and the same chain."""
+        from repro.log.codec import (TypedCodec, V3_FLAG_CHAIN_BREAKS_ONLY,
+                                     V3_FLAG_ONE_STREAM, encode_segment)
+        from codec_tools import per_frame_v3_blob
+        segment = build_sealed_log(segments=1).full_segment()
+        per_frame = per_frame_v3_blob(segment, compress=True,
+                                      explicit=explicit)
+        service = AuditIngestService(LogArchive(tmp_path / "a", format_version=3))
+        self._ship(service, per_frame)
+        assert not service.quarantine
+        (stored,) = self._stored(service.archive)
+        assert stored == encode_segment(segment, 3)
+        assert TypedCodec._unpack_header(memoryview(stored))[2] == \
+            V3_FLAG_CHAIN_BREAKS_ONLY | V3_FLAG_ONE_STREAM
+        reopened = LogArchive(tmp_path / "a")
+        (record,) = reopened.segment_records("machine")
+        assert reopened.read_segment(record).entries == segment.entries
+        assert list(reopened.stream_segment(record)) == segment.entries
+        log = reopened.materialized_log("machine")
+        assert verify_chain_incremental(
+            log.entries, log.start_checkpoint()).chain_hash == \
+            segment.entries[-1].chain_hash == record.end_hash
+
     def test_junk_padded_v3_frames_are_quarantined(self, tmp_path):
         import struct
-        from repro.log.codec import TypedCodec, decode_segment, encode_segment
+        from repro.log.codec import TypedCodec, decode_segment
         from repro.errors import LogFormatError
+        from codec_tools import PerFrameTypedCodec
         segment = build_sealed_log(segments=1).full_segment()
-        blob = encode_segment(segment, 3)
+        blob = PerFrameTypedCodec().encode_segment(segment)
         body = TypedCodec._unpack_header(memoryview(blob))[4]
         padded, position = bytearray(blob[:body]), body
         while position < len(blob):
