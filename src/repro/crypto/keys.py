@@ -168,9 +168,9 @@ class KeyStore:
         """Batch-verify many ``(message, signature)`` pairs from one identity.
 
         Delegates to the scheme's :meth:`VerifyKey.verify_many`, which for RSA
-        screens the whole batch with a single modular exponentiation and only
-        falls back to bisection when the screen fails.  An unknown identity
-        makes every pair invalid, mirroring :meth:`verify`.
+        is a product screen that accepts cancelling signature pairs
+        :meth:`verify` rejects.  An unknown identity makes every pair invalid,
+        mirroring :meth:`verify`.
         """
         try:
             key = self.verify_key_for(identity)

@@ -121,17 +121,15 @@ class RsaVerifyKey(VerifyKey):
         return self.public.verify(message, signature)
 
     def verify_many(self, items: Sequence[Tuple[bytes, bytes]]) -> BatchVerifyResult:
-        """Batch verification via the multiplicative RSA screening test.
+        """The multiplicative RSA screen: weaker than verifying each pair.
 
         With full-domain-hash RSA, ``s_i^e = FDH(m_i) (mod n)`` for every
         valid pair, so ``(prod s_i)^e = prod FDH(m_i) (mod n)``: one modular
-        exponentiation screens the whole batch.  When the screen fails, the
-        batch is bisected and each half is screened again, isolating the
-        failing authenticator(s) with O(f log N) exponentiations for f
-        culprits instead of N.  (Production batch verifiers additionally
-        randomise the exponents to defeat crafted cancellations; the audit
-        engine's adversaries tamper with logs, not with batch algebra, so the
-        plain screen is faithful enough for the reproduction.)
+        exponentiation screens the batch, and a failing screen is bisected to
+        its f culprits in O(f log N) exponentiations.  Factors that cancel in
+        the product pass: valid ``s_1``, ``s_2`` sent as ``s_1·r`` and
+        ``s_2·r⁻¹ mod n`` are accepted here and rejected by :meth:`verify`
+        (``test_verify_many_rejects_cancelling_pair``, an expected failure).
         """
         n = self.public.modulus
         e = self.public.exponent

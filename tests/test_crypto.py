@@ -1,7 +1,10 @@
 """Tests for the cryptographic substrate: hashing, primes, RSA, keys, schemes."""
 
+import multiprocessing
+import pickle
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -164,6 +167,24 @@ def _batch_with_culprit(key, count=16, culprit=11):
     return items
 
 
+def _sign_and_verify(pair, messages):
+    """In a worker process: ``pair``'s signatures and their verdicts."""
+    signatures = [pair.sign(m) for m in messages]
+    return signatures, [pair.verify_key.verify(m, s) for m, s in zip(messages, signatures)]
+
+
+def _cancelling_batch(key, count=4):
+    """Signed messages whose first two signatures are ``s1·r`` and ``s2·r⁻¹``."""
+    n = key.verify_key.public.modulus
+    items = [(b"message %d" % i, key.sign(b"message %d" % i)) for i in range(count)]
+    r = 0x5EED_CAFE
+    for index, factor in ((0, r), (1, pow(r, -1, n))):
+        message, signature = items[index]
+        forged = int.from_bytes(signature, "big") * factor % n
+        items[index] = (message, forged.to_bytes(len(signature), "big"))
+    return items
+
+
 class TestModexp:
     def test_modexp_matches_pow(self, backend):
         rng = random.Random(2010)
@@ -242,6 +263,89 @@ class TestModexp:
         assert len(results) == 8 * 3
         assert all(result == expected for result in results)
 
+    def test_modexp_table_stays_bounded_and_evicts_to_the_same_value(self, backend):
+        # Distinct moduli beyond the table's bound, interleaved with two key
+        # moduli used over and over, on the <= 64-bit and the long ladder.
+        key = generate_keypair(768, seed=7)
+        repeated = ((key.modulus, key.public.exponent), (key.prime_p, key.exponent_dp))
+        rng = random.Random(33)
+        sweep = []
+        for _ in range(native.TABLE_BOUND // 2 + 20):
+            modulus = rng.getrandbits(256) | (1 << 255) | 1
+            sweep += [(modulus, 65537), (modulus, rng.getrandbits(256) | (1 << 255))]
+        first = {}
+        for m, e in repeated:
+            native.modexp(3, e, m)
+        kept = {pair: native._table.get(pair) for pair in repeated}
+        for modulus, exponent in sweep:
+            for m, e in ((modulus, exponent), *repeated):
+                base = rng.getrandbits(m.bit_length() + 8)
+                value = native.modexp(base, e, m)
+                assert value == pow(base, e, m), (m, e)
+                first.setdefault((m, e), (base, value))
+            assert len(native._table) <= native.TABLE_BOUND
+        evicted = [pair for pair in first if pair not in native._table]
+        if backend == "native":
+            assert len(evicted) >= len(sweep) - native.TABLE_BOUND
+            # the least recently used go: the key entries were never rebuilt
+            assert all(native._table[pair] is kept[pair] for pair in repeated)
+        for m, e in evicted:
+            base, value = first[(m, e)]
+            assert native.modexp(base, e, m) == value
+
+    def test_modexp_threads_race_to_prepare_a_new_modulus(self, monkeypatch):
+        # A key no one has used yet: all 8 threads miss the table at once.
+        key = RsaScheme(768).generate("modexp-race", seed=20_101_017)
+        messages = [b"race %d" % i for i in range(10)]
+        with monkeypatch.context() as patch:  # the serial run, on pow
+            patch.setattr(native, "_libcrypto", lambda: None)
+            expected = [key.sign(m) for m in messages]
+        private = key._private
+        assert not {(private.modulus, private.public.exponent),
+                    (private.prime_p, private.exponent_dp),
+                    (private.prime_q, private.exponent_dq)} & set(native._table)
+        results, errors = [], []
+
+        def worker():
+            try:
+                signatures = [key.sign(m) for m in messages]
+                results.append((signatures, [key.verify_key.verify(m, s)
+                                             for m, s in zip(messages, signatures)]))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == [(expected, [True] * len(messages))] * 8
+
+    def test_modexp_keys_pickle_after_signing(self, ca, keystore):
+        pair, view = ca.issue("alice"), keystore.static_view()
+        signature = pair.sign(b"pickled")
+        pair_copy, view_copy = pickle.loads(pickle.dumps((pair, view)))
+        assert (pair_copy, view_copy) == (pair, view)
+        assert pair_copy.sign(b"pickled") == signature
+        assert view_copy.verify("alice", b"pickled", signature)
+
+    def test_modexp_fork_worker_signs_like_the_parent(self, ca):
+        pair = ca.issue("alice")
+        messages = [b"fork %d" % i for i in range(6)]
+        signatures = [pair.sign(m) for m in messages]  # the parent's table is warm
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            signed, verified = pool.submit(_sign_and_verify, pair, messages).result(timeout=120)
+        assert signed == signatures
+        assert verified == [True] * len(messages)
+
 
 class TestSignatureSchemes:
     def test_get_scheme_rsa(self):
@@ -282,6 +386,18 @@ class TestSignatureSchemes:
 
     def test_rsa_cost_scales_with_key_size(self):
         assert get_scheme("rsa2048").costs().sign_seconds > get_scheme("rsa768").costs().sign_seconds
+
+    def test_verify_rejects_each_cancelling_signature(self):
+        key = RsaScheme(768).generate("alice", seed=7)
+        items = _cancelling_batch(key)
+        assert [key.verify_key.verify(m, s) for m, s in items] == [False, False, True, True]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: verify_many is a product screen, and factors r and "
+        "r^-1 that cancel in the product pass it"))
+    def test_verify_many_rejects_cancelling_pair(self):
+        key = RsaScheme(768).generate("alice", seed=7)
+        assert key.verify_key.verify_many(_cancelling_batch(key)).invalid_indices == (0, 1)
 
 
 class TestCertificates:
