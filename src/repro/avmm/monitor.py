@@ -36,10 +36,10 @@ from repro.crypto.keys import KeyPair, KeyStore
 from repro.errors import LogFormatError, VMError
 from repro.log.authenticator import (MAX_ACK_RUN_LINKS, AckRun, Authenticator,
                                      build_run, chain_run,
-                                     committed_authenticator, recv_commitment)
+                                     committed_authenticator, send_commitment)
 from repro.log.codec import get_codec, require_format_version
-from repro.log.entries import (EntryType, LogEntry, ack_content, encode_content,
-                               recv_content, send_content)
+from repro.log.entries import (EntryType, LogEntry, ack_content,
+                               encode_recv_content, send_content)
 from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
@@ -327,9 +327,9 @@ class AccountableVMM:
             if self.channel is not None:
                 self._expected_receipts.setdefault(packet.destination, {})[
                     message.message_id] = hashing.hash_bytes(
-                        encode_content(recv_content(
+                        encode_recv_content(
                             self.identity, packet.payload, message.message_id,
-                            message.kind.value, authenticator)))
+                            message.kind.value, authenticator))
         if self.config.record_replay_info:
             self.recorder.record_packet_out(
                 self.vm.execution_timestamp, packet.destination, payload_hash,
@@ -386,14 +386,19 @@ class AccountableVMM:
 
         if self.config.tamper_evident:
             authenticator = self._peer_authenticator(message)
-            content = recv_content(peer, message.payload, message.message_id,
-                                   message.kind.value, authenticator)
             # The commitment is logged whether or not it verifies — the
-            # syntactic check re-runs this very function and flags a bad one
-            # (Section 4.3) — but only a verified one is kept as evidence.
+            # syntactic check re-runs this very check from the logged fields
+            # (recv_commitment) and flags a bad one (Section 4.3) — but only
+            # a verified one is kept as evidence.
             committed = authenticator is not None and self._file_if_committed(
-                recv_commitment(self.identity, content))
-            entry = self.log.append(EntryType.RECV, content)
+                send_commitment(
+                    self.identity, peer, message.message_id,
+                    message.payload_hash(), len(message.payload),
+                    authenticator.sequence, authenticator.previous_hash,
+                    authenticator.signature))
+            entry = self.log.append(EntryType.RECV, encode_recv_content(
+                peer, message.payload, message.message_id, message.kind.value,
+                authenticator))
             self._charge_daemon_for_entry(entry.size_bytes())
             self._recv_entry_for[message.message_id] = entry.sequence
             self._owe(peer, entry.sequence, message.message_id)

@@ -242,24 +242,44 @@ def chain_run(run: Optional[AckRun], signed: Authenticator,
     return [link for link in run.links if isinstance(link, str)]
 
 
+def send_commitment(recipient: str, source: str, message_id: str,
+                    payload_hash: bytes, payload_size: int, sequence: int,
+                    previous_hash: bytes, signature: bytes) -> Authenticator:
+    """The authenticator ``source`` must have issued for ``SEND(m)``, where
+    ``m`` went to ``recipient`` with this id, payload hash and size, signed
+    as entry ``sequence`` after ``previous_hash`` (Section 4.3).
+
+    The SEND content is derived from the message, so the result verifies
+    only if ``source`` signed exactly that message.  The monitor calls this
+    on receipt with the payload it holds; :func:`recv_commitment` with the
+    fields a RECV entry logged.
+    """
+    return committed_authenticator(
+        source, sequence, previous_hash, signature, EntryType.SEND,
+        hashing.hash_bytes(encode_content(send_content(
+            recipient, payload_hash, payload_size, message_id))))
+
+
 def recv_commitment(recipient: str, recv: Mapping[str, Any]) -> Authenticator:
     """The sender's commitment to ``SEND(m)`` logged in a RECV entry.
 
-    ``recv`` is RECV content from ``recipient``'s log.  The SEND content is
-    derived from the logged message, so rewriting its destination, payload,
-    size or id afterwards changes ``h_i`` and the logged signature stops
-    verifying.  The monitor (on receipt) and the syntactic check (at audit)
-    both call this.  Raises :class:`LogFormatError` on malformed fields.
+    ``recv`` is RECV content from ``recipient``'s log; its fields are parsed
+    and handed to :func:`send_commitment`, the check the monitor ran on
+    receipt.  Rewriting the logged destination, payload, size or id
+    afterwards changes ``h_i``, and the logged signature stops verifying.
+    The syntactic check calls this at audit.  Raises
+    :class:`LogFormatError` on malformed fields.
     """
     try:
         payload = bytes.fromhex(recv["payload"])
-        return committed_authenticator(
-            str(recv["source"]), int(recv["sender_sequence"]),
-            bytes.fromhex(recv["sender_previous_hash"]),
-            bytes.fromhex(recv["sender_signature"]), EntryType.SEND,
-            hashing.hash_bytes(encode_content(send_content(
-                recipient, hashing.hash_bytes(payload), recv["payload_size"],
-                str(recv["message_id"])))))
+        return send_commitment(
+            recipient, source=str(recv["source"]),
+            sequence=int(recv["sender_sequence"]),
+            previous_hash=bytes.fromhex(recv["sender_previous_hash"]),
+            signature=bytes.fromhex(recv["sender_signature"]),
+            payload_hash=hashing.hash_bytes(payload),
+            payload_size=recv["payload_size"],
+            message_id=str(recv["message_id"]))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise LogFormatError(f"malformed RECV commitment: {exc}") from exc
 

@@ -201,7 +201,8 @@ def count_materialization() -> None:
 def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
                chain_hash: bytes, previous_hash: bytes,
                timestamp: float = 0.0,
-               content_hash: Optional[bytes] = None) -> LogEntry:
+               content_hash: Optional[bytes] = None,
+               canonical: bool = False) -> LogEntry:
     """Construct a :class:`LogEntry` whose content is parsed on first access.
 
     The verbatim canonical bytes are seeded into the encoded-content cache
@@ -209,13 +210,20 @@ def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
     hash); ``entry.content`` stays unset until a consumer reads it, at which
     point :meth:`LogEntry.__getattr__` decodes the cached bytes.  Hash-chain
     and authenticator verification operate on ``encoded_content()`` alone, so
-    a verification-only pass performs zero content parses.
+    a verification-only pass performs zero content parses.  ``canonical``
+    as in :func:`seed_encoded_content`.
     """
     entry = LogEntry.__new__(LogEntry)
-    entry.__dict__.update(sequence=sequence, entry_type=entry_type,
-                          chain_hash=chain_hash, previous_hash=previous_hash,
-                          timestamp=timestamp)
-    seed_encoded_content(entry, encoded_content, content_hash)
+    # One key at a time, always in this order, so that every entry's
+    # ``__dict__`` shares the class's key table: a live log holds one entry
+    # per event, and ``__dict__.update`` would give each a table of its own.
+    fields = entry.__dict__
+    fields["sequence"] = sequence
+    fields["entry_type"] = entry_type
+    fields["chain_hash"] = chain_hash
+    fields["previous_hash"] = previous_hash
+    fields["timestamp"] = timestamp
+    seed_encoded_content(entry, encoded_content, content_hash, canonical)
     return entry
 
 
@@ -239,6 +247,14 @@ def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
 # ops), then to JSON — so ``decode_content(encode_content(d)) == d`` holds
 # for every encodable dict, whichever tier it lands on.  Each shape's checks
 # and packs are compiled into one function at import (``_compile_packer``).
+#
+# The RECV shape has a second packer compiled from the same spec: one whose
+# hex fields arrive as raw bytes (``_RAW_KIND_CODE``), so a message's payload
+# goes from the envelope into the entry without a hex round trip
+# (``encode_recv_content``).  It claims exactly the fields the dict packer
+# would, and on ``_Untypeable`` it builds the dict and calls
+# ``encode_content``: its bytes equal ``encode_content(recv_content(...))``
+# whichever tier that lands on.
 # ---------------------------------------------------------------------------
 
 _U16 = struct.Struct("<H")
@@ -436,8 +452,19 @@ _KIND_CODE = {
             "{v} = _pack_row_body({v})"),
 }
 
+#: :data:`_KIND_CODE` for a packer given raw fields: a "h32" or "hex" value
+#: arrives as the ``bytes`` whose ``.hex()`` the content dict would hold, so
+#: it is length-checked and packed as it is, never hex-converted
+_RAW_KIND_CODE = dict(
+    _KIND_CODE,
+    h32=("32s", "if type({v}) is not bytes or len({v}) != 32: "
+                "raise _Untypeable"),
+    hex=("", "if type({v}) is not bytes or len({v}) > 0xFFFFFFFF: "
+             "raise _Untypeable", "{v} = _U32.pack(len({v})) + {v}"))
 
-def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...]):
+
+def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...],
+                    kind_code: Dict[str, Tuple[str, ...]] = _KIND_CODE):
     """``content -> typed bytes`` for one shape, compiled once at import.
 
     The spec's checks run field by field, in spec order; each run of
@@ -445,7 +472,8 @@ def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...]):
     Raises :class:`_Untypeable` where a field does not fit, so that
     :func:`encode_content` falls through to the next tier.
     """
-    namespace = dict(_Untypeable=_Untypeable, _U16=_U16, _U64_MAX=_U64_MAX,
+    namespace = dict(_Untypeable=_Untypeable, _U16=_U16, _U32=_U32,
+                     _U64_MAX=_U64_MAX,
                      _ACK_DIRECTIONS=_ACK_DIRECTIONS,
                      _hash32_or_none=_hash32_or_none,
                      _pack_hexblob=_pack_hexblob, _pack_row_body=_pack_row_body)
@@ -456,7 +484,7 @@ def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...]):
         if kind.startswith("const:"):
             lines.append(f"if {v} != {kind[6:]!r}: raise _Untypeable")
             continue
-        code, *checks = _KIND_CODE[kind]
+        code, *checks = kind_code[kind]
         lines += [check.format(v=v) for check in checks]
         fields.append((code, v))
     wire = [repr(bytes((tag,)))]
@@ -475,6 +503,10 @@ def _compile_packer(tag: int, spec: Tuple[Tuple[str, str], ...]):
 #: each dedicated shape's compiled packer, by the key set of its content
 _PACKER_BY_KEYS = {frozenset(key for key, _ in spec): _compile_packer(tag, spec)
                    for tag, spec in _SHAPE_SPECS.items()}
+
+#: the RECV shape the monitor writes, over raw fields (:func:`encode_recv_content`)
+_pack_recv_raw = _compile_packer(
+    TAG_RECV_COMMITMENT, _SHAPE_SPECS[TAG_RECV_COMMITMENT], _RAW_KIND_CODE)
 
 
 class _ContentReader:
@@ -691,6 +723,8 @@ def recv_content(source: str, payload: bytes, message_id: str, kind: str,
     ``sender`` is the authenticator the message arrived with; its ``s_i``,
     ``h_{i-1}`` and signature are logged.  ``h_i`` and the payload hash are
     not: :func:`repro.log.authenticator.recv_commitment` recomputes both.
+    The monitor packs its encoding from the same fields without building
+    this dict (:func:`encode_recv_content`).
     """
     return {
         "source": source,
@@ -703,6 +737,32 @@ def recv_content(source: str, payload: bytes, message_id: str, kind: str,
         "payload": payload.hex(),
         "kind": kind,
     }
+
+
+def encode_recv_content(source: str, payload: bytes, message_id: str,
+                        kind: str, sender: Optional[Any] = None) -> bytes:
+    """``encode_content(recv_content(...))``, packed from the raw fields.
+
+    Both ends of a message build its RECV entry this way: the sender to hash
+    the receipt it expects, the receiver to append the entry.  The payload,
+    ``h_{i-1}`` and signature are packed as the bytes they are, so neither
+    party hex-converts the payload.  Where a field does not fit the
+    typed shape (a source over 64 KiB, a string that is not UTF-8, a hash
+    that is not 32 bytes) the content dict is built and encoded after all,
+    so the bytes are always the ones a reader rebuilding the dict hashes.
+    """
+    try:
+        return _pack_recv_raw({
+            "source": source, "message_id": message_id,
+            "payload_size": len(payload),
+            "sender_sequence": sender.sequence if sender else 0,
+            "sender_previous_hash":
+                sender.previous_hash if sender else hashing.ZERO_HASH,
+            "sender_signature": sender.signature if sender else b"",
+            "payload": payload, "kind": kind})
+    except _Untypeable:
+        return encode_content(recv_content(source, payload, message_id, kind,
+                                           sender))
 
 
 def ack_content(peer: str, message_id: str, direction: str,

@@ -8,7 +8,7 @@ for audits and spot checks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.crypto import hashing
 from repro.crypto.keys import KeyPair
@@ -18,7 +18,7 @@ from repro.log.entries import (
     EntryType,
     LogEntry,
     encode_content,
-    seed_encoded_content,
+    lazy_entry,
 )
 from repro.log.hashchain import chain_hash, entry_link_hash
 from repro.log.segments import LogSegment
@@ -63,27 +63,34 @@ class TamperEvidentLog:
 
     # -- appending ----------------------------------------------------------
 
-    def append(self, entry_type: EntryType, content: Dict[str, Any]) -> LogEntry:
-        """Append an entry and return it (with its chain hash filled in)."""
+    def append(self, entry_type: EntryType,
+               content: Union[Dict[str, Any], bytes]) -> LogEntry:
+        """Append an entry and return it (with its chain hash filled in).
+
+        ``content`` is the entry's content dict, or its canonical encoding:
+        ``bytes`` equal to ``encode_content`` of that dict, as
+        :func:`~repro.log.entries.encode_recv_content` packs a RECV.  Bytes
+        are hashed and kept as they are, and ``entry.content`` is parsed
+        from them only if something reads it.
+        """
         sequence = self._next_sequence
         previous = self._current_hash
-        stored_content = dict(content)
-        encoded = encode_content(stored_content)
+        stored_content = None
+        if isinstance(content, bytes):
+            encoded = content
+        else:
+            stored_content = dict(content)
+            encoded = encode_content(stored_content)
         content_hash = hashing.hash_bytes(encoded)
         new_hash = entry_link_hash(previous, sequence, entry_type,
                                    content_hash)
-        entry = LogEntry(
-            sequence=sequence,
-            entry_type=entry_type,
-            content=stored_content,
-            chain_hash=new_hash,
-            previous_hash=previous,
-            timestamp=self._clock(),
-        )
         # The chain hash above committed to exactly these bytes; cache them
         # and their hash so verification, authenticators and shipping never
         # re-canonicalise or re-hash the content.
-        seed_encoded_content(entry, encoded, content_hash, canonical=True)
+        entry = lazy_entry(sequence, entry_type, encoded, new_hash, previous,
+                           self._clock(), content_hash, canonical=True)
+        if stored_content is not None:
+            entry.__dict__["content"] = stored_content
         self._entries.append(entry)
         self._current_hash = new_hash
         self._next_sequence += 1

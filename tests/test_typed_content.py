@@ -20,7 +20,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.crypto import hashing
 from repro.log import entries as entries_module
@@ -44,6 +44,7 @@ from repro.log.entries import (
     decode_content,
     encode_content,
     encode_content_json,
+    encode_recv_content,
     lazy_entry,
     recv_content,
     seed_encoded_content,
@@ -218,6 +219,71 @@ class TestRecvCommitmentTag:
         assert wire[0] == tag
         assert decode_content(wire) == content
         assert encode_content(decode_content(wire)) == wire
+
+
+def _sender(sequence, previous_hash, signature):
+    return Authenticator(
+        machine="m1", sequence=sequence, chain_hash=b"", signature=signature,
+        previous_hash=previous_hash, entry_type="send", content_hash=b"")
+
+
+#: text that sometimes holds a lone surrogate, which only JSON can carry
+_TEXT = st.text(max_size=12) | st.builds(
+    "{}{}{}".format, st.text(max_size=6),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.text(max_size=6))
+
+#: a sender's commitment: none (unsigned), or fields that fit the typed shape
+#: or do not (a sequence over 64 bits, ``h_{i-1}`` not 32 bytes)
+_SENDERS = st.none() | st.builds(
+    _sender,
+    st.integers(min_value=0, max_value=(1 << 64) - 1) | st.just(1 << 64),
+    st.binary(min_size=32, max_size=32) | st.binary(max_size=40),
+    st.binary(max_size=96))
+
+
+class TestRawRecvEncoder:
+    """``encode_recv_content`` packs RECV content from the raw message
+    fields; it must be ``encode_content(recv_content(...))`` byte for byte,
+    on every tier the dict would land on."""
+
+    @staticmethod
+    def check(source, payload, message_id, kind, sender):
+        expected = recv_content(source, payload, message_id, kind, sender)
+        wire = encode_recv_content(source, payload, message_id, kind, sender)
+        assert wire == encode_content(expected)
+        assert decode_content(wire) == expected
+        return wire
+
+    @given(source=_TEXT, payload=st.binary(max_size=300), message_id=_TEXT,
+           kind=_TEXT, sender=_SENDERS)
+    @example(source="m1", payload=b"", message_id="m1-1", kind="data",
+             sender=None)
+    @example(source="s" * 0x10001, payload=b"\x00" * 40, message_id="m1-1",
+             kind="data", sender=_sender(3, bytes(32), b"\x01" * 96))
+    def test_equals_the_dict_encoding(self, source, payload, message_id,
+                                      kind, sender):
+        self.check(source, payload, message_id, kind, sender)
+
+    @pytest.mark.parametrize("source,message_id,kind,sender,tier", [
+        ("m1", "m1-1", "data", None, TAG_RECV_COMMITMENT),
+        ("m1", "m1-1", "data", _sender(7, bytes(32), b"sig"),
+         TAG_RECV_COMMITMENT),
+        ("s" * 0x10001, "m1-1", "data", None, TAG_ROW),
+        ("m1", "m1-1", "data", _sender(7, bytes(31), b"sig"), TAG_ROW),
+        ("m1\udc80", "m1-1", "data", None, ord("{")),
+        ("m1", "m1-\ud800", "data", None, ord("{")),
+        ("m1", "m1-1", "\udfff", None, ord("{")),
+        ("m1", "m1-1", "data", _sender(1 << 64, bytes(32), b""), ord("{")),
+    ], ids=["unsigned", "signed", "source-over-64KiB", "short-hash",
+            "surrogate-source", "surrogate-id", "surrogate-kind",
+            "sequence-over-64-bits"])
+    def test_every_tier(self, source, message_id, kind, sender, tier):
+        wire = self.check(source, b"\xca\xfe" * 600, message_id, kind, sender)
+        assert wire[0] == tier
+
+    def test_a_bytes_like_payload_takes_the_dict_path(self):
+        self.check("m1", bytearray(b"row"), "m1-1", "data", None)
 
 
 @pytest.fixture
