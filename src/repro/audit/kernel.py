@@ -81,10 +81,11 @@ class BoundaryContext:
         entries from the oldest of them on (``ends_log`` is the caller's)."""
         window = {str(entry.content.get("message_id")): entry
                   for entry in self.in_flight}
+        recv, maclayer = EntryType.RECV, EntryType.MACLAYER
         for entry in segment.entries:
-            if entry.entry_type is EntryType.RECV:
+            if entry.entry_type is recv:
                 window[str(entry.content.get("message_id"))] = entry
-            elif entry.entry_type is EntryType.MACLAYER \
+            elif entry.entry_type is maclayer \
                     and entry.content.get("direction") == "in":
                 window.pop(str(entry.content.get("message_id")), None)
         oldest = min((entry.sequence for entry in window.values()),
@@ -336,8 +337,13 @@ def fetch_verified_snapshot_entry(target, snapshot_entry: Optional[LogEntry]
     if snapshot_entry is None:
         raise MissingSnapshotError(
             "the segment preceding the chunk does not end with a snapshot")
-    snapshot_id = int(snapshot_entry.content["snapshot_id"])
-    expected_root = str(snapshot_entry.content["state_root"])
+    try:
+        snapshot_id = int(snapshot_entry.content["snapshot_id"])
+        expected_root = str(snapshot_entry.content["state_root"])
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise MissingSnapshotError(
+            f"SNAPSHOT entry {snapshot_entry.sequence} names no snapshot: "
+            f"{type(exc).__name__}: {exc}") from exc
     snapshot = target.snapshots.get(snapshot_id)
     if snapshot.state_root.hex() != expected_root:
         raise MissingSnapshotError(

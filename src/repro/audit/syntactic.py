@@ -11,6 +11,7 @@ needs the log and the parties' public keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.crypto.keys import KeyStore
@@ -33,16 +34,16 @@ _REQUIRED_FIELDS: Dict[EntryType, Set[str]] = {
     EntryType.MACLAYER: {"direction", "message_id", "execution_counter"},
     EntryType.NONDET: {"event_kind", "execution_counter"},
 }
+_RECV = EntryType.RECV
 
 
-def _is_legacy_recv(entry: LogEntry) -> bool:
-    """RECV content recorded while the envelope carried its own signature
-    (typed tags ``0x02``/``0x03``): it names a ``payload_hash`` and logs no
-    sender commitment.  Still decodable, but nothing this version can check
-    its ``sender_signature`` against — an unsupported format, not a forgery."""
-    return entry.entry_type is EntryType.RECV \
-        and "payload_hash" in entry.content \
-        and "sender_sequence" not in entry.content
+def _is_legacy_recv(content: Dict) -> bool:
+    """Whether a RECV entry's ``content`` was recorded while the envelope
+    carried its own signature (typed tags ``0x02``/``0x03``): it names a
+    ``payload_hash`` and logs no sender commitment.  Still decodable, but
+    nothing this version can check its ``sender_signature`` against — an
+    unsupported format, not a forgery."""
+    return "payload_hash" in content and "sender_sequence" not in content
 
 
 @dataclass
@@ -83,15 +84,17 @@ class SyntacticChecker:
         recvs: Dict[str, LogEntry] = {}
         mac_in: Dict[str, LogEntry] = {}
         mac_out: Dict[str, LogEntry] = {}
+        send, recv, maclayer = EntryType.SEND, EntryType.RECV, EntryType.MACLAYER
 
         for entry in segment.entries:
             self._check_format(entry, report)
-            if entry.entry_type is EntryType.SEND:
+            entry_type = entry.entry_type
+            if entry_type is send:
                 sends[str(entry.content.get("message_id"))] = entry
-            elif entry.entry_type is EntryType.RECV:
+            elif entry_type is recv:
                 recvs[str(entry.content.get("message_id"))] = entry
                 self._check_recv_signature(segment.machine, entry, report)
-            elif entry.entry_type is EntryType.MACLAYER:
+            elif entry_type is maclayer:
                 message_id = str(entry.content.get("message_id"))
                 if entry.content.get("direction") == "in":
                     mac_in[message_id] = entry
@@ -106,9 +109,8 @@ class SyntacticChecker:
 
     @staticmethod
     def _check_format(entry: LogEntry, report: SyntacticReport) -> None:
-        required = _REQUIRED_FIELDS.get(entry.entry_type, set())
         try:
-            fields = set(entry.content)
+            content = entry.content
         except LogFormatError as exc:
             # A lazily-decoded entry whose wire content bytes do not parse:
             # the chain check already proves them inauthentic, but the format
@@ -116,18 +118,22 @@ class SyntacticChecker:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
                        f"carries unparseable content: {exc}")
             return
-        if _is_legacy_recv(entry):
+        entry_type = entry.entry_type
+        if entry_type is _RECV and _is_legacy_recv(content):
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
                        f"is in the legacy RECV format, recorded before the "
                        f"sender's commitment was logged: readable, but this "
                        f"version cannot audit it")
             return
-        missing = required - fields
-        if missing:
+        required = _REQUIRED_FIELDS.get(entry_type)
+        if required is not None and not content.keys() >= required:
             report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
-                       f"is missing fields {sorted(missing)}")
+                       f"is missing fields {sorted(required - set(content))}")
         if entry.sequence < 1:
             report.add(f"entry has invalid sequence number {entry.sequence}")
+        if not isfinite(entry.timestamp):  # not chained: anyone can set one
+            report.add(f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
+                       f"has a non-finite timestamp {entry.timestamp!r}")
 
     def _check_recv_signature(self, machine: str, entry: LogEntry,
                               report: SyntacticReport) -> None:
@@ -140,7 +146,7 @@ class SyntacticChecker:
         """
         if self.keystore is None:
             return
-        if not entry.content.get("sender_signature") or _is_legacy_recv(entry):
+        if not entry.content.get("sender_signature") or _is_legacy_recv(entry.content):
             return  # unsigned traffic (nosig), or reported by the format check
         source = str(entry.content.get("source", ""))
         if not self.keystore.has_identity(source):

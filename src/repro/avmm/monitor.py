@@ -265,10 +265,10 @@ class AccountableVMM:
         """Record and deliver one asynchronous event to the guest."""
         if self.config.record_replay_info:
             self.recorder.record_guest_event(self.vm.execution_timestamp, event)
-        before = self.vm.execution_timestamp.instruction_count
+        before = self.vm.instruction_count
         outputs = self.vm.deliver_event(event)
         compute_seconds = self.perf.guest_cpu_for_instructions(
-            self.vm.execution_timestamp.instruction_count - before)
+            self.vm.instruction_count - before)
         self.stats.guest_events_delivered += 1
         self._charge_event_delivery()
         self._handle_outputs(outputs, compute_seconds)

@@ -220,7 +220,7 @@ class DeterministicReplayer:
         report = ReplayReport(machine=segment.machine,
                               entries_replayed=len(segment.entries))
         try:
-            clock_items, upstream_items, schedule, outputs, payloads = \
+            clock_items, upstream_items, schedule, outputs, active_seconds = \
                 self._build_schedule(segment, in_flight)
         except ReplayInputError as exc:
             # A log whose replay stream references messages that were never
@@ -245,7 +245,7 @@ class DeterministicReplayer:
         else:
             start_outputs = [o for o in vm.start() if isinstance(o, PacketOutput)]
 
-        report.active_seconds = self._active_seconds(segment.entries)
+        report.active_seconds = active_seconds
 
         divergence = self._check_outputs(start_outputs, outputs, output_cursor, report)
         output_cursor += len(start_outputs)
@@ -263,12 +263,12 @@ class DeterministicReplayer:
                 continue
 
             # Event injection: the execution timestamp must match the recording.
-            if vm.execution_timestamp.instruction_count != item.expected_instructions:
+            if vm.instruction_count != item.expected_instructions:
                 report.divergence = Divergence(
                     reason="event injected at a different execution point than recorded",
                     sequence=item.sequence,
                     expected=item.expected_instructions,
-                    actual=vm.execution_timestamp.instruction_count)
+                    actual=vm.instruction_count)
                 return report
             try:
                 produced = vm.deliver_event(item.event)
@@ -279,11 +279,13 @@ class DeterministicReplayer:
                 return report
             report.events_injected += 1
             packet_outputs = [o for o in produced if isinstance(o, PacketOutput)]
-            divergence = self._check_outputs(packet_outputs, outputs, output_cursor, report)
-            output_cursor += len(packet_outputs)
-            if divergence is not None:
-                report.divergence = divergence
-                return report
+            if packet_outputs:
+                divergence = self._check_outputs(packet_outputs, outputs,
+                                                 output_cursor, report)
+                output_cursor += len(packet_outputs)
+                if divergence is not None:
+                    report.divergence = divergence
+                    return report
             if clock_source.divergence is not None:
                 report.divergence = clock_source.divergence
                 return report
@@ -292,7 +294,7 @@ class DeterministicReplayer:
         # clock reads or upstream calls left over.
         report.clock_reads_served = clock_source.served
         report.upstream_calls_served = clock_source.upstream_served
-        report.instructions_executed = vm.execution_timestamp.instruction_count
+        report.instructions_executed = vm.instruction_count
         if output_cursor < len(outputs):
             report.divergence = Divergence(
                 reason="log records messages the reference execution never sent",
@@ -317,84 +319,97 @@ class DeterministicReplayer:
     def _build_schedule(self, segment: LogSegment,
                         in_flight: Sequence[LogEntry] = ()) -> Tuple[
             List[_ClockItem], List[_UpstreamItem], List[Any], List[_OutputItem],
-            Dict[str, bytes]]:
-        """Split the log into served inputs, injections/snapshots and outputs."""
+            float]:
+        """Split the log into served inputs, injections/snapshots and
+        outputs, and count its active seconds.
+
+        The one parser of replay inputs: an entry field that does not
+        convert is a :class:`ReplayInputError` naming the entry.
+        """
         clock_items: List[_ClockItem] = []
         upstream_items: List[_UpstreamItem] = []
         schedule: List[Any] = []
         outputs: List[_OutputItem] = []
         payloads: Dict[str, bytes] = {}
-
-        for entry in chain(in_flight, segment.entries):
-            payloads.update(self._payload_from_recv(entry))
-
-        for entry in segment.entries:
-            content = entry.content
-            if entry.entry_type is EntryType.TIMETRACKER:
-                kind = content.get("event_kind")
-                if kind == "clock_read":
-                    clock_items.append(_ClockItem(
-                        sequence=entry.sequence,
-                        expected_instructions=int(content["execution_counter"]),
-                        value=float(content["value"])))
-                elif kind == "timer_interrupt":
-                    schedule.append(_InjectItem(
-                        sequence=entry.sequence,
-                        expected_instructions=int(content["execution_counter"]),
-                        event=TimerInterrupt(tick_number=int(content["tick_number"]))))
-            elif entry.entry_type is EntryType.MACLAYER:
-                if content.get("direction") == "in":
-                    message_id = str(content["message_id"])
-                    payload = payloads.get(message_id)
-                    if payload is None:
-                        raise ReplayInputError(
-                            f"MAC-layer entry {entry.sequence} references message "
-                            f"{message_id!r} with no matching RECV entry")
-                    schedule.append(_InjectItem(
-                        sequence=entry.sequence,
-                        expected_instructions=int(content["execution_counter"]),
-                        event=PacketDelivery(source=str(content["source"]),
-                                             payload=payload,
-                                             message_id=message_id)))
-                else:
-                    outputs.append(_OutputItem(
-                        sequence=entry.sequence,
-                        destination=str(content["destination"]),
-                        payload_hash=str(content["payload_hash"]),
-                        payload_size=int(content["payload_size"])))
-            elif entry.entry_type is EntryType.NONDET:
-                kind = content.get("event_kind")
-                if kind == "keyboard_input":
-                    data = content.get("data", {})
-                    schedule.append(_InjectItem(
-                        sequence=entry.sequence,
-                        expected_instructions=int(content["execution_counter"]),
-                        event=KeyboardInput(command=str(data.get("command", "")),
-                                            device=str(data.get("device", "keyboard")))))
-                elif kind == "upstream_call":
-                    data = content.get("data", {})
-                    upstream_items.append(_UpstreamItem(
-                        sequence=entry.sequence,
-                        expected_instructions=int(content["execution_counter"]),
-                        service=str(data.get("service", "")),
-                        request_hash=str(data.get("request_hash", "")),
-                        body=bytes.fromhex(str(data.get("body", ""))),
-                        latency_cycles=int(data.get("latency_cycles", 0))))
-            elif entry.entry_type is EntryType.SNAPSHOT:
-                schedule.append(_SnapshotItem(
-                    sequence=entry.sequence,
-                    snapshot_id=int(content["snapshot_id"]),
-                    state_root=str(content["state_root"])))
-        return clock_items, upstream_items, schedule, outputs, payloads
-
-    @staticmethod
-    def _payload_from_recv(entry: LogEntry) -> Dict[str, bytes]:
-        if entry.entry_type is not EntryType.RECV:
-            return {}
-        payload_hex = entry.content.get("payload")
-        if payload_hex is None:
-            return {}
-        return {str(entry.content["message_id"]): bytes.fromhex(payload_hex)}
+        buckets = set()
+        recv, timetracker, maclayer, nondet, snapshot = (
+            EntryType.RECV, EntryType.TIMETRACKER, EntryType.MACLAYER,
+            EntryType.NONDET, EntryType.SNAPSHOT)
+        entry = None
+        try:
+            for entry in chain(in_flight, segment.entries):
+                if entry.entry_type is recv:
+                    content = entry.content
+                    payload_hex = content.get("payload")
+                    if payload_hex is not None:
+                        payloads[str(content["message_id"])] = \
+                            bytes.fromhex(payload_hex)
+            for entry in segment.entries:
+                # Replay skips the periods the CPU was idle (Section 6.6):
+                # "active" is the number of distinct one-second buckets
+                # that hold at least one log entry.
+                buckets.add(int(entry.timestamp))
+                entry_type = entry.entry_type
+                if entry_type is timetracker:
+                    content = entry.content
+                    kind = content.get("event_kind")
+                    if kind == "clock_read":
+                        clock_items.append(_ClockItem(
+                            entry.sequence, int(content["execution_counter"]),
+                            float(content["value"])))
+                    elif kind == "timer_interrupt":
+                        schedule.append(_InjectItem(
+                            entry.sequence, int(content["execution_counter"]),
+                            TimerInterrupt(int(content["tick_number"]))))
+                elif entry_type is maclayer:
+                    content = entry.content
+                    if content.get("direction") == "in":
+                        message_id = str(content["message_id"])
+                        payload = payloads.get(message_id)
+                        if payload is None:
+                            raise ReplayInputError(
+                                f"MAC-layer entry {entry.sequence} references "
+                                f"message {message_id!r} with no matching "
+                                f"RECV entry")
+                        schedule.append(_InjectItem(
+                            entry.sequence, int(content["execution_counter"]),
+                            PacketDelivery(str(content["source"]), payload,
+                                           message_id)))
+                    else:
+                        outputs.append(_OutputItem(
+                            entry.sequence, str(content["destination"]),
+                            str(content["payload_hash"]),
+                            int(content["payload_size"])))
+                elif entry_type is nondet:
+                    content = entry.content
+                    kind = content.get("event_kind")
+                    if kind == "keyboard_input":
+                        data = content.get("data", {})
+                        schedule.append(_InjectItem(
+                            entry.sequence, int(content["execution_counter"]),
+                            KeyboardInput(str(data.get("command", "")),
+                                          str(data.get("device", "keyboard")))))
+                    elif kind == "upstream_call":
+                        data = content.get("data", {})
+                        upstream_items.append(_UpstreamItem(
+                            entry.sequence, int(content["execution_counter"]),
+                            str(data.get("service", "")),
+                            str(data.get("request_hash", "")),
+                            bytes.fromhex(str(data.get("body", ""))),
+                            int(data.get("latency_cycles", 0))))
+                elif entry_type is snapshot:
+                    content = entry.content
+                    schedule.append(_SnapshotItem(
+                        entry.sequence, int(content["snapshot_id"]),
+                        str(content["state_root"])))
+        except (KeyError, ValueError, TypeError, OverflowError,
+                AttributeError) as exc:
+            raise ReplayInputError(
+                f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
+                f"carries a replay input that does not parse: "
+                f"{type(exc).__name__}: {exc}") from exc
+        return (clock_items, upstream_items, schedule, outputs,
+                float(len(buckets)))
 
     # -- checks ----------------------------------------------------------------------
 
@@ -430,16 +445,3 @@ class DeterministicReplayer:
                 expected=item.state_root,
                 actual=root)
         return None
-
-    # -- helpers ------------------------------------------------------------------------
-
-    @staticmethod
-    def _active_seconds(entries: List[LogEntry]) -> float:
-        """Seconds of recorded activity, skipping idle periods.
-
-        The paper notes that replay skips time periods during which the CPU
-        was idle (Section 6.6); we approximate "active" as the number of
-        distinct one-second buckets that contain at least one log entry.
-        """
-        buckets = {int(entry.timestamp) for entry in entries}
-        return float(len(buckets))

@@ -63,6 +63,7 @@ import struct
 import zlib
 from hashlib import sha256
 from itertools import chain
+from math import isfinite
 from typing import (
     ClassVar,
     Dict,
@@ -337,11 +338,14 @@ class _RowCodec:
             count_materialization()
             entry_type = _WIRE_TYPES[row["t"]]
             previous = bytes.fromhex(row["p"]) if "p" in row else self._chain
+            timestamp = float(row.get("ts", 0.0))
+            if not isfinite(timestamp):
+                raise ValueError(f"non-finite timestamp {timestamp!r}")
             entry = LogEntry.__new__(LogEntry)
             fields = entry.__dict__
             fields.update(sequence=sequence, entry_type=entry_type,
                           content=content, previous_hash=previous,
-                          timestamp=float(row.get("ts", 0.0)))
+                          timestamp=timestamp)
             if "h" in row:
                 fields["chain_hash"] = self._chain = bytes.fromhex(row["h"])
                 return entry
@@ -658,6 +662,10 @@ def _unpack_payload(payload: Union[bytes, memoryview],
         raise LogFormatError(
             f"typed log frame advertises {content_len} content bytes "
             f"but carries {size - offset}")
+    if not isfinite(timestamp):
+        raise LogFormatError(
+            f"typed log frame of entry {sequence} carries a non-finite "
+            f"timestamp {timestamp!r}")
     entry_type = _TAG_TYPES.get(tag)
     if entry_type is None:
         raise LogFormatError(f"unknown typed entry-type tag {tag}")

@@ -34,6 +34,11 @@ class EntryType(enum.Enum):
     RESPONSE = "response"          # response to an audit challenge
     ANNOTATION = "annotation"      # free-form marker (experiment bookkeeping)
 
+    # Members are singletons compared by identity, so identity is an exact
+    # hash, and a dict keyed by entry type (a link, a required-field set per
+    # entry) skips ``Enum.__hash__``, which hashes the name in Python.
+    __hash__ = object.__hash__
+
     @property
     def wire_name(self) -> str:
         return self.value
@@ -50,6 +55,11 @@ ACCOUNTABILITY_ENTRY_TYPES = frozenset({
     EntryType.SEND, EntryType.RECV, EntryType.ACK, EntryType.SNAPSHOT,
     EntryType.CHALLENGE, EntryType.RESPONSE,
 })
+
+
+#: what :meth:`LogEntry.size_bytes` adds to the content bytes: sequence (8)
+#: + type tag (up to 12) + chain hash (32) + timestamp (8)
+ENTRY_OVERHEAD_BYTES = 8 + 12 + 32 + 8
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class LogEntry:
 
     def size_bytes(self) -> int:
         """Approximate on-disk size of the entry (content + fixed overhead)."""
-        # sequence (8) + type tag (up to 12) + chain hash (32) + timestamp (8)
-        return len(self.encoded_content()) + 8 + 12 + 32 + 8
+        return len(self.encoded_content()) + ENTRY_OVERHEAD_BYTES
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise to a plain dictionary."""

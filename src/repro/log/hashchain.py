@@ -17,6 +17,7 @@ for the whole log.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Sequence
@@ -35,9 +36,6 @@ def _framed(part: bytes) -> bytes:
 
 
 _SEQUENCE_FRAME = (8).to_bytes(8, "big")
-#: each entry type's UTF-8 wire name, framed once
-_FRAMED_TYPE = {entry_type: _framed(entry_type.wire_name.encode("utf-8"))
-                for entry_type in EntryType}
 
 
 def _link(previous_hash: bytes, sequence: int, framed_type: bytes,
@@ -48,6 +46,17 @@ def _link(previous_hash: bytes, sequence: int, framed_type: bytes,
         len(previous_hash).to_bytes(8, "big"), previous_hash,
         _SEQUENCE_FRAME, int(sequence).to_bytes(8, "big"), framed_type,
         len(content_hash).to_bytes(8, "big"), content_hash))).digest()
+
+
+def _type_link(entry_type: EntryType):
+    """``(framed wire name, packer)`` for one entry type; the packer lays
+    out the buffer :func:`_link` joins when both hashes are 32 bytes long:
+    ``pack(32, previous_hash, 8, sequence, framed, 32, content_hash)``."""
+    framed = _framed(entry_type.wire_name.encode("utf-8"))
+    return framed, struct.Struct(f">Q32sQQ{len(framed)}sQ32s").pack
+
+
+_TYPE_LINK = {entry_type: _type_link(entry_type) for entry_type in EntryType}
 
 
 def link_hash(previous_hash: bytes, sequence: int, type_name: bytes,
@@ -61,8 +70,14 @@ def entry_link_hash(previous_hash: bytes, sequence: int,
     """:func:`link_hash` for an :class:`EntryType` (its wire name framed
     once) — what the recorder, the verifier and the codecs that leave the
     chain out of the bytes all compute."""
-    return _link(previous_hash, sequence, _FRAMED_TYPE[entry_type],
-                 content_hash)
+    framed, pack = _TYPE_LINK[entry_type]
+    if len(previous_hash) == 32 and len(content_hash) == 32:
+        try:
+            return sha256(pack(32, previous_hash, 8, sequence, framed,
+                               32, content_hash)).digest()
+        except struct.error:
+            pass  # not a 64-bit sequence, or not bytes: as _link fails
+    return _link(previous_hash, sequence, framed, content_hash)
 
 
 def chain_hash(previous_hash: bytes, sequence: int, entry_type: EntryType,
@@ -115,9 +130,11 @@ def memoise_link(entry: LogEntry) -> None:
 def _matches_chain(previous_hash: bytes, entry: LogEntry) -> bool:
     """True when ``entry`` hashes to its recorded chain value."""
     fields = entry.__dict__
-    if fields.get("_link") == (previous_hash, entry.sequence,
-                               entry.entry_type, fields.get("_content_hash"),
-                               entry.chain_hash):
+    memo = fields.get("_link")
+    if memo is not None and memo == (previous_hash, entry.sequence,
+                                     entry.entry_type,
+                                     fields.get("_content_hash"),
+                                     entry.chain_hash):
         return True
     if entry_link_hash(previous_hash, entry.sequence, entry.entry_type,
                        entry.content_hash()) == entry.chain_hash:

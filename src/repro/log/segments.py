@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.errors import SegmentError
-from repro.log.entries import EntryType, LogEntry
+from repro.log.entries import ENTRY_OVERHEAD_BYTES, EntryType, LogEntry
 from repro.log.hashchain import ChainCheckpoint
 
 
@@ -68,7 +68,10 @@ class LogSegment:
         return [e for e in self.entries if e.entry_type is entry_type]
 
     def size_bytes(self) -> int:
-        return sum(entry.size_bytes() for entry in self.entries)
+        """``sum(entry.size_bytes() for entry in self.entries)``."""
+        entries = self.entries
+        return sum(map(len, map(LogEntry.encoded_content, entries))) \
+            + ENTRY_OVERHEAD_BYTES * len(entries)
 
     # -- serialisation ------------------------------------------------------
 

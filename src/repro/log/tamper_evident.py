@@ -167,7 +167,9 @@ class TamperEvidentLog:
         if first_sequence > last_sequence:
             raise SegmentError(
                 f"segment start {first_sequence} is after end {last_sequence}")
-        entries = [self.entry_at(s) for s in range(first_sequence, last_sequence + 1)]
+        entries = self._entries[first_sequence - 1:last_sequence]
+        if entries[-1].sequence != last_sequence:  # pragma: no cover - defensive
+            raise SegmentError(f"log is not densely numbered near {last_sequence}")
         start_hash = entries[0].previous_hash
         return LogSegment(machine=self.machine, entries=entries,
                           start_hash=start_hash)

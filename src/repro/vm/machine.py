@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import GuestError, VMError
 from repro.vm.devices import FrameCounter, VirtualDisk, VirtualNic, VirtualTimer
-from repro.vm.events import GuestEvent
+from repro.vm.events import GuestEvent, PacketDelivery, TimerInterrupt
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.guest import DiskWriteOutput, MachineApi, Output
 from repro.vm.image import VMImage
@@ -151,6 +151,12 @@ class VirtualMachine:
         return ExecutionTimestamp(self._instruction_count, self._branch_count)
 
     @property
+    def instruction_count(self) -> int:
+        """The instruction count of :attr:`execution_timestamp`, without
+        building the timestamp."""
+        return self._instruction_count
+
+    @property
     def started(self) -> bool:
         return self._started
 
@@ -173,9 +179,6 @@ class VirtualMachine:
         self._branch_count += 1
         self._instruction_count += _COST_EVENT_DELIVERY
         self._output_buffer = []
-        if isinstance(event, type(None)):  # pragma: no cover - defensive
-            raise VMError("cannot deliver a null event")
-        from repro.vm.events import PacketDelivery  # local import to avoid cycle noise
         if isinstance(event, PacketDelivery):
             self.nic.note_received(len(event.payload))
         try:
@@ -183,7 +186,6 @@ class VirtualMachine:
         except Exception as exc:  # noqa: BLE001 - guest code is untrusted
             raise GuestError(
                 f"guest {self.guest.name!r} failed handling {event.kind}: {exc}") from exc
-        from repro.vm.events import TimerInterrupt
         if isinstance(event, TimerInterrupt):
             self.timer.note_tick()
         return self._drain_outputs()

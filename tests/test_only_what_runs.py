@@ -62,7 +62,7 @@ ALLOWED = {
     "repro.service.ingest:AuditIngestService.audit_pending":
         "docs/log-archive.md:315 — draining the audit queue in one fleet call",
     "repro.store.archive:LogArchive.reencode_segments":
-        "docs/log-format.md:407 — the v1 -> v3 archive migration",
+        "docs/log-format.md:417 — the v1 -> v3 archive migration",
     # accessors
     "repro.audit.online:OnlineAuditor.fault_detected": ACCESSOR,
     "repro.avmm.monitor:AccountableVMM.archive_destination": ACCESSOR,
