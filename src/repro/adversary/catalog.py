@@ -15,6 +15,7 @@ from repro.adversary.base import Adversary
 from repro.adversary.equivocation import (
     EquivocatingPeer,
     ForgedAuthenticatorAdversary,
+    JunkAuthenticators,
 )
 from repro.adversary.replay import (
     ALL_MODES,
@@ -60,18 +61,20 @@ _REGISTRY: Dict[str, Callable[[int], Adversary]] = {
         HiddenNondeterminismAdversary,
         UnrecordedInputAdversary,
         CheatingGuestAdversary,
-    ) + ACK_ADVERSARIES
+    ) + ACK_ADVERSARIES + (JunkAuthenticators,)
 }
-#: the acknowledgment adversaries run one kv cell each and come last
-#: everywhere, so the seeds of the older cells stay what they were
+#: adversaries added after the grid, whose cells come last everywhere so the
+#: seeds of the older cells stay what they were: the acknowledgment ones (one
+#: kv cell each), then the rest
 ACK_ADVERSARY_NAMES = tuple(cls.name for cls in ACK_ADVERSARIES)
+LATE_ADVERSARY_NAMES = ACK_ADVERSARY_NAMES + (JunkAuthenticators.name,)
 
 
 def adversary_names() -> List[str]:
     """Every registered adversary: the honest control, the grid's in
-    alphabetical order, then the acknowledgment adversaries."""
-    grid = sorted(set(_REGISTRY) - {HonestControl.name, *ACK_ADVERSARY_NAMES})
-    return [HonestControl.name, *grid, *ACK_ADVERSARY_NAMES]
+    alphabetical order, then the late ones in order."""
+    grid = sorted(set(_REGISTRY) - {HonestControl.name, *LATE_ADVERSARY_NAMES})
+    return [HonestControl.name, *grid, *LATE_ADVERSARY_NAMES]
 
 
 def make_adversary(name: str, seed: int = 0) -> Adversary:

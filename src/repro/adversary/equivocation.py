@@ -15,16 +15,23 @@ signed commitments to the same sequence number without convicting himself:
   :class:`~repro.audit.multiparty.EquivocationProof` — two valid signatures
   by Bob on conflicting ``(sequence, chain hash)`` pairs — which convicts
   him from his signed authenticators alone, with no log download or replay.
+
+:class:`JunkAuthenticators` hands the auditors of an honest peer spoiled
+copies of its authenticators, which must count for nothing.
 """
 
 from __future__ import annotations
 
-from typing import List
+import random
+from dataclasses import replace
+from typing import List, Tuple
 
 from repro.adversary.base import Adversary, ScenarioContext
+from repro.adversary.replay import ALL_MODES
 from repro.audit.verdict import AuditPhase
 from repro.crypto import hashing
 from repro.log.authenticator import Authenticator, make_authenticator
+from repro.service.fleet import DRAIN_SETTLE_SECONDS
 
 
 def alternate_authenticators(log, keypair, rng, start_sequence: int,
@@ -57,11 +64,28 @@ def alternate_authenticators(log, keypair, rng, start_sequence: int,
     return forged
 
 
-def _alternate_authenticators(ctx: ScenarioContext, rng, start_sequence: int,
-                              count: int) -> List[Authenticator]:
-    """Scenario-context shim over :func:`alternate_authenticators`."""
-    return alternate_authenticators(ctx.monitor.log, ctx.keypair, rng,
-                                    start_sequence, count)
+def flipped_signature(auth: Authenticator, rng: random.Random) -> Authenticator:
+    """``auth`` with one bit of its signature flipped."""
+    signature = bytearray(auth.signature)
+    bit = rng.randrange(len(signature) * 8)
+    signature[bit // 8] ^= 1 << bit % 8
+    return replace(auth, signature=bytes(signature))
+
+
+def cancelling_twins(first: Authenticator, second: Authenticator, keys,
+                     rng: random.Random) -> Tuple[Authenticator, Authenticator]:
+    """``first`` and ``second`` with their RSA signatures blinded into
+    ``s₁·r`` and ``s₂·r⁻¹ mod n``: neither verifies, yet their product is
+    the product of two valid signatures, so a product screen accepts them.
+    ``keys`` supplies the issuer's public modulus."""
+    modulus = keys.verify_key_for(first.machine).public.modulus
+    factor = rng.randrange(2, modulus - 1)
+
+    def blinded(auth: Authenticator, by: int) -> Authenticator:
+        value = int.from_bytes(auth.signature, "big") * by % modulus
+        return replace(auth, signature=value.to_bytes(len(auth.signature), "big"))
+
+    return blinded(first, factor), blinded(second, pow(factor, -1, modulus))
 
 
 class ForgedAuthenticatorAdversary(Adversary):
@@ -74,7 +98,8 @@ class ForgedAuthenticatorAdversary(Adversary):
 
     def corrupt(self, ctx: ScenarioContext) -> None:
         sequence = self.pick_committed_sequence(ctx)
-        forged = _alternate_authenticators(ctx, self.rng, sequence, 1)[0]
+        forged = alternate_authenticators(ctx.monitor.log, ctx.keypair,
+                                          self.rng, sequence, 1)[0]
         # The peer "received" this with some earlier message; it will hand it
         # to any auditor that collects from it (Section 4.6).
         victim = ctx.monitors[ctx.honest_machines[0]]
@@ -101,9 +126,37 @@ class EquivocatingPeer(Adversary):
     def corrupt(self, ctx: ScenarioContext) -> None:
         start = self.pick_committed_sequence(ctx)
         span = min(self.FORK_SPAN, len(ctx.monitor.log) - start + 1)
-        self._alternate = _alternate_authenticators(ctx, self.rng, start, span)
+        self._alternate = alternate_authenticators(
+            ctx.monitor.log, ctx.keypair, self.rng, start, span)
         ctx.notes["equivocation_start"] = start
 
     def extra_auditor_authenticators(self, ctx: ScenarioContext
                                      ) -> List[Authenticator]:
         return list(self._alternate)
+
+
+class JunkAuthenticators(Adversary):
+    """Passes on to the peer's auditors (Section 4.6), and in archive mode
+    ships, three of an honest peer's authenticators spoiled: one with a
+    signature bit flipped, two blinded into :func:`cancelling_twins`.  None
+    verifies, so nobody is detected and nobody is accused."""
+
+    name = "junk-authenticators"
+    description = "hand auditors a peer's authenticators with spoiled signatures"
+    modes = ALL_MODES
+    expects_detection = False
+    expected_phases = ()
+
+    def corrupt(self, ctx: ScenarioContext) -> None:
+        victim = next(machine for machine in ctx.honest_machines
+                      if len(ctx.monitor.authenticators_from(machine)) >= 3)
+        first, second, third = self.rng.sample(
+            ctx.monitor.authenticators_from(victim), 3)
+        ctx.monitor.received_authenticators[victim] += [
+            flipped_signature(first, self.rng),
+            *cancelling_twins(second, third, ctx.keystore, self.rng)]
+        if ctx.ingest is not None:
+            ctx.monitor.ship_archive_tail()
+            ctx.scheduler.run_until(ctx.scheduler.clock.now
+                                    + DRAIN_SETTLE_SECONDS)
+        ctx.notes["junk_victim"] = victim

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.adversary.base import Adversary, ScenarioContext
-from repro.adversary.catalog import (ACK_ADVERSARY_NAMES, adversary_names,
+from repro.adversary.catalog import (ACK_ADVERSARY_NAMES,
+                                     LATE_ADVERSARY_NAMES, adversary_names,
                                      make_adversary)
 from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditAssignment, AuditScheduler
@@ -208,26 +209,24 @@ class ScenarioMatrix:
 
     def default_cells(self) -> List[CellSpec]:
         """The full matrix: every adversary x workload x applicable mode,
-        plus a handful of larger-fleet cells for the fleet-size axis."""
-        cells: List[CellSpec] = []
-        seed = self.base_seed
-        for name in adversary_names():
-            if name in ACK_ADVERSARY_NAMES:
-                continue
-            adversary = make_adversary(name)
+        plus a handful of larger-fleet cells for the fleet-size axis.  The
+        acknowledgment adversaries' cells and then the late adversaries'
+        come last, so every older cell keeps its seed."""
+        def grid(name: str):
             for workload in WORKLOADS:
-                base_size = 2 if workload == "kv" else 3
-                for mode in adversary.modes:
-                    cells.append(CellSpec(name, workload, mode, base_size, seed))
-                    seed += 1
-        for name, workload, size in (("honest", "kv", 4),
-                                     ("tamper-modify", "kv", 4),
-                                     ("honest", "game", 4),
-                                     *((name, "kv", 2)
-                                       for name in ACK_ADVERSARY_NAMES)):
-            cells.append(CellSpec(name, workload, "full", size, seed))
-            seed += 1
-        return cells
+                for mode in make_adversary(name).modes:
+                    yield name, workload, mode, 2 if workload == "kv" else 3
+
+        shapes = [shape for name in adversary_names()
+                  if name not in LATE_ADVERSARY_NAMES for shape in grid(name)]
+        shapes += [(name, workload, "full", size) for name, workload, size in (
+            ("honest", "kv", 4), ("tamper-modify", "kv", 4),
+            ("honest", "game", 4),
+            *((name, "kv", 2) for name in ACK_ADVERSARY_NAMES))]
+        shapes += [shape for name in LATE_ADVERSARY_NAMES
+                   if name not in ACK_ADVERSARY_NAMES for shape in grid(name)]
+        return [CellSpec(*shape, seed)
+                for seed, shape in enumerate(shapes, self.base_seed)]
 
     def smoke_cells(self) -> List[CellSpec]:
         """One cheap kv cell per adversary (CI bench smoke subset)."""

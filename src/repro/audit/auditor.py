@@ -168,8 +168,7 @@ class Auditor:
         result = outcome.as_result(self.identity)
         # the serial path reports no signature figures: the paper folds that
         # work into the syntactic check
-        result.cost = replace(outcome.cost, signatures_verified=0,
-                              signature_screen_operations=0)
+        result.cost = replace(outcome.cost, signatures_verified=0)
         if not outcome.ok:
             result.evidence = self.evidence_for(job, result, following)
         result.wall_seconds = timer.seconds

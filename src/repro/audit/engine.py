@@ -36,8 +36,8 @@ enter the cost: a machine's :class:`~repro.audit.verdict.AuditResult`
 carries no signature figures, as the serial front-end's does not; a pass
 costs the whole log's serial figure (one download from its replay start,
 replay priced on its active seconds) and so equals ``audit_whole_log``'s;
-a conviction costs the chunks up to the fault.  Per-chunk costs, signature
-batches priced, stay on :attr:`MachineAuditReport.chunk_outcomes`, and the
+a conviction costs the chunks up to the fault.  Per-chunk costs, each
+signature priced, stay on :attr:`MachineAuditReport.chunk_outcomes`, and the
 fleet's ``total_cost`` and *modelled* serial-vs-parallel wall-clock
 (:mod:`repro.metrics.parallel`) are built from them — hardware-independent,
 like every other number this reproduction reports.
@@ -342,7 +342,7 @@ class MachineAuditReport:
     machine: str
     result: AuditResult
     #: the chunks folded, in log order, up to and including a failing one;
-    #: their costs price the signature batches
+    #: their costs price each signature verified
     chunk_outcomes: List[ChunkOutcome] = field(default_factory=list)
     #: entries in those chunks, and in the largest of them (the memory bound)
     entries: int = 0
@@ -654,8 +654,7 @@ class AuditScheduler:
             # a conviction costs the chunks up to the fault
             report.unchunkable_reason = None
             result.cost = replace(result.cost, signature_seconds=0.0,
-                                  signatures_verified=0,
-                                  signature_screen_operations=0)
+                                  signatures_verified=0)
             result.evidence = auditor.evidence_for(failed, result, chain(
                 (job.segment for job in run.drop(audit)),
                 (segment for segment, _, _ in audit.chunks)))
@@ -685,7 +684,7 @@ def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:
     """:func:`~repro.audit.kernel.chunk_job` for the chunks of one machine's
     log, with what they share bound once: the machine's authenticators, a
     picklable view of the keys, the image, and the modelled price of a
-    signature verification (the engine prices signature batches)."""
+    signature verification (the engine prices signatures)."""
     return partial(
         chunk_job,
         authenticators=auditor.authenticators_for(machine),

@@ -90,9 +90,8 @@ class Evidence:
         covered = range(0)
         if answered and segment.entries:
             covered = range(segment.first_sequence, segment.last_sequence + 1)
-        # One signature verification each, and individually: a third party's
-        # product test is unrandomised, so a batch screen decides nothing for
-        # it.  Only authenticators on the segment count.
+        # Each signature verified on its own, as the audit does; only valid
+        # authenticators on the segment count.
         valid_auths = [a for a in self.authenticators
                        if (not answered or a.sequence in covered)
                        and a.machine == self.machine and a.verify(keystore)]

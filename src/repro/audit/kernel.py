@@ -121,7 +121,7 @@ class ChunkJob:
     snapshot_bytes: int = 0
     cost_params: CostParameters = field(default_factory=CostParameters)
     #: modelled cost of one signature verification under the target's scheme
-    #: (0.0 on the front-ends that do not price signature batches)
+    #: (0.0 on the front-ends that do not price signatures)
     verify_seconds: float = 0.0
     context: BoundaryContext = field(default_factory=BoundaryContext)
 
@@ -194,6 +194,8 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
 
     Stops at the first failing phase and reports the first problem in it.
     Pure in its argument, so it runs as well in a worker process as inline.
+    Raises :class:`~repro.errors.CertificateError` when authenticators cover
+    the chunk and the keys hold no certificate for its machine.
     """
     segment = job.segment
     cost = AuditCost.for_download(segment.size_bytes(), job.snapshot_bytes,
@@ -214,30 +216,23 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
     except HashChainError as exc:
         return failed(AuditPhase.AUTHENTICATOR_CHECK, str(exc))
 
-    # Step 1b: every authenticator that covers an entry of the chunk must be
-    # signed by the machine and commit to that very entry.  The signatures
-    # all come from one machine, so one screening operation usually settles
-    # the batch; the problem reported is still the first in list order.
+    # Step 1b: every valid authenticator that covers an entry of the chunk
+    # must commit to that very entry; one that does not verify on its own
+    # proves nothing about the machine and is ignored.
     by_sequence = {entry.sequence: entry for entry in segment.entries}
     covering = [auth for auth in job.authenticators
                 if auth.sequence in by_sequence]
-    _, invalid, stats = batch_verify_authenticators(covering, job.key_view)
-    cost.signatures_verified += stats.total
-    cost.signature_screen_operations += stats.screen_operations
-    cost.signature_seconds += job.verify_seconds * (
-        stats.screen_operations + stats.single_verifications)
-    forged = set(invalid)
-    for index, auth in enumerate(covering):
-        if index in forged:
-            return failed(AuditPhase.AUTHENTICATOR_CHECK,
-                          f"authenticator for sequence {auth.sequence} has "
-                          f"an invalid signature")
+    valid = batch_verify_authenticators(covering, job.key_view,
+                                        segment.machine)
+    cost.signatures_verified += len(covering)
+    cost.signature_seconds += job.verify_seconds * len(covering)
+    for auth in valid:
         if by_sequence[auth.sequence].chain_hash != auth.chain_hash:
             return failed(AuditPhase.AUTHENTICATOR_CHECK,
                           f"log entry {auth.sequence} does not match the "
                           f"authenticator issued by {segment.machine!r} "
                           f"(log was tampered with or forked)")
-    outcome.authenticators_checked = len(covering)
+    outcome.authenticators_checked = len(valid)
 
     # Step 2: syntactic check — per-entry format and sender commitments, and
     # the message stream against the MAC-layer stream, given what was in

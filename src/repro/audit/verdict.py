@@ -44,13 +44,12 @@ class AuditCost:
     decompression_seconds: float = 0.0
     syntactic_seconds: float = 0.0
     semantic_seconds: float = 0.0
-    #: modelled cost of checking authenticator signatures; stays 0.0 on the
-    #: serial path (the paper folds it into the syntactic check) and is filled
-    #: in by the batch-verifying engine, where it is the part batching shrinks
+    #: modelled cost of checking authenticator signatures, the scheme's verify
+    #: cost per signature verified; 0.0 on the serial path (the paper folds it
+    #: into the syntactic check), filled in per chunk by the engine
     signature_seconds: float = 0.0
-    #: authenticator signatures checked / batched screening passes used
+    #: authenticator signatures checked, each verified on its own
     signatures_verified: int = 0
-    signature_screen_operations: int = 0
 
     @classmethod
     def for_download(cls, raw_bytes: int, snapshot_bytes: int,
@@ -80,7 +79,6 @@ class AuditCost:
         self.semantic_seconds += other.semantic_seconds
         self.signature_seconds += other.signature_seconds
         self.signatures_verified += other.signatures_verified
-        self.signature_screen_operations += other.signature_screen_operations
 
     @classmethod
     def total(cls, costs: Iterable["AuditCost"]) -> "AuditCost":

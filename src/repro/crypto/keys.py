@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 from repro.crypto import hashing
-from repro.crypto.signatures import (
-    BatchVerifyResult,
-    SignatureScheme,
-    SigningKey,
-    VerifyKey,
-    get_scheme,
-)
+from repro.crypto.signatures import SignatureScheme, SigningKey, VerifyKey, get_scheme
 from repro.errors import CertificateError
 
 
@@ -163,22 +157,6 @@ class KeyStore:
             return False
         return key.verify(message, signature)
 
-    def verify_many(self, identity: str,
-                    items: Sequence[Tuple[bytes, bytes]]) -> BatchVerifyResult:
-        """Batch-verify many ``(message, signature)`` pairs from one identity.
-
-        Delegates to the scheme's :meth:`VerifyKey.verify_many`, which for RSA
-        is a product screen that accepts cancelling signature pairs
-        :meth:`verify` rejects.  An unknown identity makes every pair invalid,
-        mirroring :meth:`verify`.
-        """
-        try:
-            key = self.verify_key_for(identity)
-        except CertificateError:
-            return BatchVerifyResult(total=len(items),
-                                     invalid_indices=tuple(range(len(items))))
-        return key.verify_many(items)
-
     def identities(self) -> list[str]:
         """Identities with a registered certificate, sorted."""
         return sorted(self._certificates)
@@ -188,8 +166,8 @@ class KeyStore:
 
         The parallel audit engine ships one of these to its worker processes:
         it satisfies the verifier interface the checkers use
-        (:meth:`has_identity` / :meth:`verify` / :meth:`verify_many`) without
-        dragging along the certificate authority's signing key.
+        (:meth:`has_identity` / :meth:`verify`) without dragging along the
+        certificate authority's signing key.
         """
         return StaticKeyView(keys={identity: certificate.verify_key
                                    for identity, certificate in self._certificates.items()})
@@ -209,25 +187,11 @@ class StaticKeyView:
     def has_identity(self, identity: str) -> bool:
         return identity in self.keys
 
-    def verify_key_for(self, identity: str) -> VerifyKey:
-        key = self.keys.get(identity)
-        if key is None:
-            raise CertificateError(f"no verification key for {identity!r}")
-        return key
-
     def verify(self, identity: str, message: bytes, signature: bytes) -> bool:
         key = self.keys.get(identity)
         if key is None:
             return False
         return key.verify(message, signature)
-
-    def verify_many(self, identity: str,
-                    items: Sequence[Tuple[bytes, bytes]]) -> BatchVerifyResult:
-        key = self.keys.get(identity)
-        if key is None:
-            return BatchVerifyResult(total=len(items),
-                                     invalid_indices=tuple(range(len(items))))
-        return key.verify_many(items)
 
     def identities(self) -> list[str]:
         return sorted(self.keys)

@@ -126,9 +126,8 @@ def encode_digest(message: bytes, modulus: int) -> int:
 
     Counter-mode expansion of the digest gives a full-domain-hash-style
     encoding; the top byte is cleared so the value is always below the
-    modulus.  Exposed publicly because batch verification
-    (:meth:`repro.crypto.signatures.RsaVerifyKey.verify_many`) screens
-    products of these encodings against products of signatures.
+    modulus.  A signature ``s`` of ``message`` is valid exactly when
+    ``s^e mod n`` equals this value (:meth:`RsaPublicKey.verify`).
     """
     target_len = (modulus.bit_length() + 7) // 8
     digest = hashing.hash_bytes(message)

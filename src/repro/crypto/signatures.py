@@ -16,11 +16,10 @@ lightweight stand-ins with the appropriate cost and security semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.crypto import hashing
-from repro.crypto.modexp import modexp
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, encode_digest, generate_keypair
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.errors import SignatureError
 
 
@@ -31,28 +30,6 @@ class SchemeCosts:
     sign_seconds: float
     verify_seconds: float
     signature_bytes: int
-
-
-@dataclass(frozen=True)
-class BatchVerifyResult:
-    """Outcome of verifying many ``(message, signature)`` pairs at once.
-
-    ``screen_operations`` counts the batched screening passes (for RSA: one
-    modular exponentiation each, regardless of how many pairs the pass
-    covers) and ``single_verifications`` counts the one-by-one fallback
-    verifications used to isolate culprits.  The audit engine charges its
-    cost model from these two counters, which is where the batch-verify
-    speedup of a large audit comes from.
-    """
-
-    total: int
-    invalid_indices: Tuple[int, ...] = ()
-    screen_operations: int = 0
-    single_verifications: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.invalid_indices
 
 
 class SignatureScheme:
@@ -92,19 +69,6 @@ class VerifyKey:
     def verify(self, message: bytes, signature: bytes) -> bool:
         raise NotImplementedError
 
-    def verify_many(self, items: Sequence[Tuple[bytes, bytes]]) -> BatchVerifyResult:
-        """Verify many ``(message, signature)`` pairs issued under this key.
-
-        The generic implementation simply verifies one by one; schemes with a
-        cheaper batched check (RSA) override it.  The result pinpoints every
-        failing pair, so a single bad signature in a large batch never makes
-        the whole batch indistinguishably invalid.
-        """
-        invalid = tuple(i for i, (message, signature) in enumerate(items)
-                        if not self.verify(message, signature))
-        return BatchVerifyResult(total=len(items), invalid_indices=invalid,
-                                 single_verifications=len(items))
-
     def fingerprint(self) -> str:
         raise NotImplementedError
 
@@ -119,78 +83,6 @@ class RsaVerifyKey(VerifyKey):
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         return self.public.verify(message, signature)
-
-    def verify_many(self, items: Sequence[Tuple[bytes, bytes]]) -> BatchVerifyResult:
-        """The multiplicative RSA screen: weaker than verifying each pair.
-
-        With full-domain-hash RSA, ``s_i^e = FDH(m_i) (mod n)`` for every
-        valid pair, so ``(prod s_i)^e = prod FDH(m_i) (mod n)``: one modular
-        exponentiation screens the batch, and a failing screen is bisected to
-        its f culprits in O(f log N) exponentiations.  Factors that cancel in
-        the product pass: valid ``s_1``, ``s_2`` sent as ``s_1·r`` and
-        ``s_2·r⁻¹ mod n`` are accepted here and rejected by :meth:`verify`
-        (``test_verify_many_rejects_cancelling_pair``, an expected failure).
-        """
-        n = self.public.modulus
-        e = self.public.exponent
-        sig_length = self.public.byte_length()
-
-        # Structural pre-screen: wrong-length or out-of-range signatures are
-        # culprits outright and would poison the product, so set them aside.
-        invalid: List[int] = []
-        screenable: List[Tuple[int, int, int]] = []  # (index, sig_int, digest_int)
-        for index, (message, signature) in enumerate(items):
-            if len(signature) != sig_length:
-                invalid.append(index)
-                continue
-            sig_int = int.from_bytes(signature, "big")
-            if sig_int >= n:
-                invalid.append(index)
-                continue
-            screenable.append((index, sig_int, encode_digest(message, n)))
-
-        screens = 0
-        singles = 0
-
-        def screen(batch: Sequence[Tuple[int, int, int]]) -> bool:
-            nonlocal screens
-            screens += 1
-            sig_product = 1
-            digest_product = 1
-            for _, sig_int, digest_int in batch:
-                sig_product = (sig_product * sig_int) % n
-                digest_product = (digest_product * digest_int) % n
-            return modexp(sig_product, e, n) == digest_product
-
-        def isolate(batch: Sequence[Tuple[int, int, int]]) -> None:
-            nonlocal singles
-            if not batch:
-                return
-            if len(batch) == 1:
-                # A single pair: the screen *is* the verification.
-                singles += 1
-                index, sig_int, digest_int = batch[0]
-                if modexp(sig_int, e, n) != digest_int:
-                    invalid.append(index)
-                return
-            if screen(batch):
-                return
-            middle = len(batch) // 2
-            isolate(batch[:middle])
-            isolate(batch[middle:])
-
-        if screenable:
-            if screen(screenable):
-                pass  # everything valid in one exponentiation
-            else:
-                middle = len(screenable) // 2
-                isolate(screenable[:middle])
-                isolate(screenable[middle:])
-
-        return BatchVerifyResult(total=len(items),
-                                 invalid_indices=tuple(sorted(invalid)),
-                                 screen_operations=screens,
-                                 single_verifications=singles)
 
     def fingerprint(self) -> str:
         return self.public.fingerprint()

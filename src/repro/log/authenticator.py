@@ -15,8 +15,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.crypto import hashing
 from repro.crypto.keys import KeyPair, KeyStore
-from repro.crypto.signatures import BatchVerifyResult
-from repro.errors import LogFormatError
+from repro.errors import CertificateError, LogFormatError
 from repro.log.entries import EntryType, LogEntry, encode_content, send_content
 from repro.log.hashchain import entry_link_hash, link_hash
 
@@ -93,47 +92,22 @@ def signed_payload(sequence: int, chain_hash: bytes) -> bytes:
     return hashing.hash_concat(hashing.encode_int(sequence), chain_hash)
 
 
-def batch_verify_authenticators(
-        authenticators: Sequence[Authenticator],
-        keystore) -> Tuple[List[Authenticator], List[int], BatchVerifyResult]:
-    """Verify many authenticators from one machine with batched signatures.
+def batch_verify_authenticators(authenticators: Sequence[Authenticator],
+                                keystore, machine: str) -> List[Authenticator]:
+    """The authenticators ``machine`` issued whose :meth:`Authenticator.verify`
+    holds, in order — one ``keystore.verify`` each: the audit's one rule.
 
-    Splits verification into its two parts: the internal consistency check
-    (recompute ``h_i`` from the advertised fields — pure hashing, done per
-    authenticator) and the signature check, which is delegated to the
-    keystore's verify-many API so a whole batch usually costs one screening
-    operation.  Returns ``(valid, invalid_indices, signature_stats)``; a
-    single bad authenticator in a large batch is pinpointed, not smeared over
-    the batch.
-
-    ``keystore`` may be a :class:`~repro.crypto.keys.KeyStore` or the
-    picklable :class:`~repro.crypto.keys.StaticKeyView` the audit engine
-    ships to worker processes.  All authenticators must come from the same
-    machine (callers group them per target first).
+    An invalid authenticator (inconsistent, badly signed, one factor of a
+    pair whose product would verify) proves nothing about ``machine`` and is
+    left out.  ``keystore`` may be a :class:`~repro.crypto.keys.KeyStore` or
+    the picklable :class:`~repro.crypto.keys.StaticKeyView`.  Raises
+    :class:`~repro.errors.CertificateError` when ``machine`` issued some and
+    the keys hold no certificate for it: nothing could be checked.
     """
-    if not authenticators:
-        return [], [], BatchVerifyResult(total=0)
-    machine = authenticators[0].machine
-    invalid: List[int] = []
-    screenable: List[int] = []
-    for index, auth in enumerate(authenticators):
-        if auth.machine != machine:
-            raise LogFormatError(
-                f"batch mixes authenticators from {machine!r} and {auth.machine!r}")
-        if not auth.is_consistent():
-            invalid.append(index)
-        else:
-            screenable.append(index)
-
-    items = [(authenticators[i].signed_payload(), authenticators[i].signature)
-             for i in screenable]
-    stats = keystore.verify_many(machine, items)
-    invalid.extend(screenable[bad] for bad in stats.invalid_indices)
-    invalid.sort()
-    bad_set = set(invalid)
-    valid = [auth for index, auth in enumerate(authenticators)
-             if index not in bad_set]
-    return valid, invalid, stats
+    issued = [auth for auth in authenticators if auth.machine == machine]
+    if issued and not keystore.has_identity(machine):
+        raise CertificateError(f"no certificate registered for {machine!r}")
+    return [auth for auth in issued if auth.verify(keystore)]
 
 
 def committed_authenticator(machine: str, sequence: int, previous_hash: bytes,

@@ -93,7 +93,6 @@ def _tamper_check_fails(segment, authenticators, keystore) -> bool:
     assert ("does not hash to its recorded chain value" in outcome.reason
             or "previous hash mismatch" in outcome.reason
             or "non-contiguous sequence numbers" in outcome.reason
-            or outcome.reason.endswith("has an invalid signature")
             or outcome.reason.endswith("(log was tampered with or forked)"))
     return True
 
@@ -299,7 +298,7 @@ class TestAuthenticatorBitFlips:
         assert parse_rejected > 0
         assert verify_rejected > 0
 
-    def test_batch_verification_pinpoints_the_mutated_authenticator(
+    def test_verification_leaves_out_the_mutated_authenticator(
             self, recorded, fuzz_keystore):
         _, authenticators, _ = recorded
         rng = random.Random(0xBEEF)
@@ -310,10 +309,9 @@ class TestAuthenticatorBitFlips:
             tampered = batch[victim].to_dict()
             tampered["chain_hash"] = hashing.hash_bytes(b"not-the-chain").hex()
             batch[victim] = Authenticator.from_dict(tampered)
-            valid, invalid, _ = batch_verify_authenticators(batch,
-                                                            fuzz_keystore)
-            assert invalid == [victim]
-            assert len(valid) == len(batch) - 1
+            assert batch_verify_authenticators(
+                batch, fuzz_keystore, "fuzz-machine") == \
+                authenticators[:victim] + authenticators[victim + 1:]
 
     def test_roundtrip_of_untampered_authenticators(self, recorded,
                                                     fuzz_keystore):

@@ -174,6 +174,8 @@ class TestRepresentativeCells:
         CellSpec("forged-ack-link", "kv", "full", 2, 2012),
         CellSpec("phantom-ack", "kv", "full", 2, 2013),
         CellSpec("withheld-acks", "kv", "full", 2, 2014),
+        CellSpec("junk-authenticators", "kv", "full", 2, 2018),
+        CellSpec("junk-authenticators", "game", "archive", 3, 2019),
     ], ids=lambda spec: f"{spec.adversary}-{spec.mode}")
     def test_cell_meets_expectations(self, matrix, spec):
         outcome = matrix.run_cell(spec)
@@ -294,12 +296,17 @@ class TestCatalog:
 
     def test_default_cells_satisfy_acceptance_floor(self):
         cells = ScenarioMatrix().default_cells()
-        assert len(cells) == 72
-        # The acknowledgment cells come last: the 69 before them keep the
-        # seeds (and so the recordings) they had.
-        assert [(cell.adversary, cell.seed) for cell in cells[68:]] == [
+        assert len(cells) == 80
+        # The acknowledgment cells come after the grid, the junk cells after
+        # them: every cell before keeps the seed (and so the recording) it had.
+        assert [(cell.adversary, cell.seed) for cell in cells[68:72]] == [
             ("honest", 1068), ("forged-ack-link", 1069),
             ("phantom-ack", 1070), ("withheld-acks", 1071)]
+        assert [(cell.workload, cell.mode, cell.seed) for cell in cells[72:]
+                if cell.adversary == "junk-authenticators"] == [
+            (workload, mode, seed) for seed, (workload, mode) in enumerate(
+                ((workload, mode) for workload in WORKLOADS for mode in MODES),
+                1072)]
         assert len({cell.adversary for cell in cells}) >= 7
         assert {cell.workload for cell in cells} == set(WORKLOADS)
         assert len({cell.mode for cell in cells}) >= 2
@@ -486,7 +493,7 @@ class TestConvictionOnEveryFrontEnd:
                         assert result.evidence.verify(
                             ctx.keystore,
                             ctx.reference_images[machine]), where
-        assert cells == 72 and len(CONVICTION_PINS) == 54
+        assert cells == 80 and len(CONVICTION_PINS) == 54
         assert convictions >= 54 * 6
 
 

@@ -1,7 +1,7 @@
 """Tests for the parallel batch-audit engine and its crypto/log substrate.
 
-Covers the acceptance points of the engine design: batch signature
-verification pinpoints a single bad signature; a chunked audit of a tampered
+Covers the acceptance points of the engine design: each signature is
+verified on its own and a single bad one is left out; a chunked audit of a tampered
 log reaches the serial path's verdict, phase and reason with the failing
 chunk as evidence, identical on every executor; ``workers=1`` and
 ``workers=4`` produce identical verdicts; and the incremental hash-chain /
@@ -33,7 +33,7 @@ from repro.audit.engine import (
 )
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase, Verdict
-from repro.crypto.signatures import BatchVerifyResult
+from repro.crypto.signatures import get_scheme
 from repro.errors import HashChainError
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
@@ -41,65 +41,61 @@ from repro.log.segments import concatenate_segments, partition_segments
 
 
 # ---------------------------------------------------------------------------
-# Batch signature verification
+# Signature verification: each signature on its own
 # ---------------------------------------------------------------------------
 
-class TestBatchVerify:
+class TestPerItemVerify:
     def _signed_items(self, ca, identity="alice", count=12):
         keypair = ca.issue(identity)
         messages = [f"packet-{index}".encode("utf-8") for index in range(count)]
         return messages, [(message, keypair.sign(message)) for message in messages]
 
-    def test_all_valid_batch_costs_one_screen(self, ca, keystore):
+    @staticmethod
+    def _verdicts(keys, identity, items):
+        return [keys.verify(identity, message, signature)
+                for message, signature in items]
+
+    def test_all_valid_signatures_verify(self, ca, keystore):
         _, items = self._signed_items(ca)
-        result = keystore.verify_many("alice", items)
-        assert result.ok
-        assert result.screen_operations == 1
-        assert result.single_verifications == 0
+        assert all(self._verdicts(keystore, "alice", items))
 
     def test_single_bad_signature_is_pinpointed(self, ca, keystore):
         messages, items = self._signed_items(ca)
         items[7] = (messages[7], items[6][1])  # signature for the wrong message
-        result = keystore.verify_many("alice", items)
-        assert result.invalid_indices == (7,)
-        # Bisection isolates the culprit without verifying everything singly.
-        assert result.single_verifications < len(items)
+        verdicts = self._verdicts(keystore, "alice", items)
+        assert [i for i, ok in enumerate(verdicts) if not ok] == [7]
 
     def test_multiple_bad_signatures_all_found(self, ca, keystore):
         messages, items = self._signed_items(ca, count=16)
         items[0] = (messages[0], items[1][1])
         items[9] = (messages[9], b"\x07" * len(items[9][1]))
         items[15] = (messages[15], items[14][1])
-        result = keystore.verify_many("alice", items)
-        assert result.invalid_indices == (0, 9, 15)
+        verdicts = self._verdicts(keystore, "alice", items)
+        assert [i for i, ok in enumerate(verdicts) if not ok] == [0, 9, 15]
 
-    def test_structurally_broken_signature_skips_the_screen(self, ca, keystore):
+    def test_structurally_broken_signature_fails_alone(self, ca, keystore):
         messages, items = self._signed_items(ca, count=5)
         items[2] = (messages[2], b"short")
-        result = keystore.verify_many("alice", items)
-        assert result.invalid_indices == (2,)
-        assert result.screen_operations == 1  # the other four in one screen
+        assert self._verdicts(keystore, "alice", items) == [
+            True, True, False, True, True]
 
     def test_unknown_identity_rejects_everything(self, ca, keystore):
         _, items = self._signed_items(ca)
-        result = keystore.verify_many("nobody", items)
-        assert not result.ok
-        assert result.invalid_indices == tuple(range(len(items)))
+        assert not any(self._verdicts(keystore, "nobody", items))
 
     def test_static_view_matches_keystore(self, ca, keystore):
         messages, items = self._signed_items(ca)
         items[3] = (messages[3], items[2][1])
         view = keystore.static_view()
-        assert view.verify_many("alice", items).invalid_indices == \
-            keystore.verify_many("alice", items).invalid_indices
+        assert self._verdicts(view, "alice", items) == \
+            self._verdicts(keystore, "alice", items)
 
     def test_empty_batch(self, keystore):
-        result = keystore.verify_many("alice", [])
-        assert result == BatchVerifyResult(total=0)
+        assert batch_verify_authenticators([], keystore, "alice") == []
 
 
 class TestBatchVerifyAuthenticators:
-    def test_bad_authenticator_is_pinpointed(self, honest_session):
+    def test_bad_authenticator_is_left_out(self, honest_session):
         machine = "player1"
         auditor = honest_session.make_auditor("player2", machine)
         auths = auditor.authenticators_for(machine)
@@ -107,22 +103,17 @@ class TestBatchVerifyAuthenticators:
         from dataclasses import replace
         forged = replace(auths[2], signature=auths[3].signature)
         batch = auths[:2] + [forged] + auths[3:]
-        valid, invalid, stats = batch_verify_authenticators(
-            batch, honest_session.keystore)
-        assert invalid == [2]
-        assert len(valid) == len(batch) - 1
-        assert stats.total == len(batch)
+        assert batch_verify_authenticators(
+            batch, honest_session.keystore, machine) == auths[:2] + auths[3:]
 
-    def test_inconsistent_chain_hash_fails_without_signature_check(self, honest_session):
+    def test_inconsistent_chain_hash_is_left_out(self, honest_session):
         machine = "player1"
         auditor = honest_session.make_auditor("player2", machine)
         auths = auditor.authenticators_for(machine)
         from dataclasses import replace
         broken = replace(auths[0], chain_hash=b"\x00" * 32)
-        valid, invalid, stats = batch_verify_authenticators(
-            [broken] + auths[1:], honest_session.keystore)
-        assert invalid == [0]
-        assert stats.total == len(auths) - 1  # the broken one never reaches the screen
+        assert batch_verify_authenticators(
+            [broken] + auths[1:], honest_session.keystore, machine) == auths[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +319,10 @@ class TestAuditScheduler:
         assert report.modelled.serial_seconds > 0
         assert report.modelled.makespan_seconds <= report.modelled.serial_seconds
         assert report.total_cost.signatures_verified > 0
-        # batching: far fewer screening operations than signatures checked
-        assert report.total_cost.signature_screen_operations \
-            < report.total_cost.signatures_verified
+        # each signature verified on its own, each priced once
+        verify_seconds = get_scheme("rsa768").costs().verify_seconds
+        assert report.total_cost.signature_seconds == pytest.approx(
+            verify_seconds * report.total_cost.signatures_verified)
         for machine_report in report.machine_reports.values():
             assert machine_report.unchunkable_reason is None
 

@@ -28,6 +28,7 @@ from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.engine import (AuditAssignment, AuditScheduler, _ChunkRun,
                                 _MachineAudit)
 from repro.audit.evidence import Evidence
+from repro.audit.multiparty import distribute_evidence
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.errors import EvidenceError
@@ -307,16 +308,41 @@ class TestAccuserAdversaries:
     @pytest.mark.parametrize("name", sorted(ACCUSER_ADVERSARIES))
     def test_forgery_is_rejected(self, accusation, name):
         evidence, keystore, image = accusation
-        forged = ACCUSER_ADVERSARIES[name](evidence)
+        forged = ACCUSER_ADVERSARIES[name](evidence, keystore)
         assert forged != evidence
         with pytest.raises(EvidenceError):
             forged.verify(keystore, image)
+        with pytest.raises(EvidenceError):
+            distribute_evidence(forged, [("carol", keystore)], image)
+
+    def test_cancelling_twins_of_a_tamper_check_accusation(self, accusation,
+                                                           honest):
+        """Evidence of the tamper check carries every covering
+        authenticator; replaced pairwise by cancelling twins, whose product
+        verifies as the genuine pair's does, none of them counts."""
+        evidence, keystore, image = accusation
+        auditor = _live_auditor(honest)
+        covered = range(evidence.segment.first_sequence,
+                        evidence.segment.last_sequence + 1)
+        held = [auth for auth in auditor.authenticators_for(SERVER)
+                if auth.sequence in covered]
+        assert len(held) >= 2
+        genuine = replace(evidence, authenticators=held)
+        assert genuine.verify(keystore, image) is False
+        forged = ACCUSER_ADVERSARIES["cancelling-authenticators"](genuine,
+                                                                  keystore)
+        assert len(forged.authenticators) == len(held)
+        with pytest.raises(EvidenceError, match="no valid authenticator"):
+            forged.verify(keystore, image)
+        with pytest.raises(EvidenceError, match="no valid authenticator"):
+            distribute_evidence(forged, [("carol", keystore)], image)
 
     def test_altered_recv_with_the_chain_recomputed(self, accusation):
         """Rehashing the anchor onward from the altered RECV makes it a
         chain again — one that no longer ends where the chunk starts."""
         evidence, keystore, image = accusation
-        altered = ACCUSER_ADVERSARIES["altered-in-flight-recv"](evidence)
+        altered = ACCUSER_ADVERSARIES["altered-in-flight-recv"](evidence,
+                                                                keystore)
         rehashed, previous = [], altered.anchor[0].previous_hash
         for entry in altered.anchor:
             entry = replace(entry, previous_hash=previous)

@@ -15,6 +15,13 @@ from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import encode_digest, generate_keypair
 from repro.crypto.signatures import NullScheme, RsaScheme, SimulatedEsignScheme, get_scheme
 from repro.errors import CertificateError, KeyGenerationError, SignatureError
+from repro.adversary.equivocation import cancelling_twins
+from repro.audit.kernel import chunk_job, run_chunk
+from repro.audit.verdict import AuditPhase
+from repro.log.authenticator import batch_verify_authenticators
+from repro.log.entries import EntryType
+from repro.log.tamper_evident import TamperEvidentLog
+from repro.workloads.echo import make_echo_image
 
 import random
 
@@ -167,6 +174,11 @@ def _batch_with_culprit(key, count=16, culprit=11):
     return items
 
 
+def _verdicts(key, items):
+    """Each ``(message, signature)`` pair verified on its own under ``key``."""
+    return [key.verify_key.verify(message, signature) for message, signature in items]
+
+
 def _sign_and_verify(pair, messages):
     """In a worker process: ``pair``'s signatures and their verdicts."""
     signatures = [pair.sign(m) for m in messages]
@@ -221,30 +233,29 @@ class TestModexp:
             key = RsaScheme(768).generate("alice", seed=7)
             items = _batch_with_culprit(key)
             return (key._private, [signature for _, signature in items],
-                    key.verify_key.verify_many(items))
+                    _verdicts(key, items))
 
         native_run = run()
         monkeypatch.setattr(native, "_libcrypto", lambda: None)
         fallback_run = run()
         assert native_run == fallback_run
-        batch = fallback_run[2]
-        assert batch.invalid_indices == (11,)
-        assert batch.screen_operations > 1  # the culprit was bisected out
+        verdicts = fallback_run[2]
+        assert [i for i, ok in enumerate(verdicts) if not ok] == [11]
 
     def test_modexp_threads_agree_with_the_serial_run(self):
         # ctypes releases the GIL around each libcrypto call, and the audit
-        # engine's thread executor runs verify_many concurrently.
+        # engine's thread executor verifies signatures concurrently.
         key = RsaScheme(768).generate("alice", seed=7)
         messages = [b"message %d" % i for i in range(12)]
         items = _batch_with_culprit(key, count=12, culprit=5)
-        expected = ([key.sign(m) for m in messages], key.verify_key.verify_many(items))
+        expected = ([key.sign(m) for m in messages], _verdicts(key, items))
         results, errors = [], []
 
         def worker():
             try:
                 for _ in range(3):
                     results.append(([key.sign(m) for m in messages],
-                                    key.verify_key.verify_many(items)))
+                                    _verdicts(key, items)))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -392,12 +403,23 @@ class TestSignatureSchemes:
         items = _cancelling_batch(key)
         assert [key.verify_key.verify(m, s) for m, s in items] == [False, False, True, True]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: verify_many is a product screen, and factors r and "
-        "r^-1 that cancel in the product pass it"))
-    def test_verify_many_rejects_cancelling_pair(self):
-        key = RsaScheme(768).generate("alice", seed=7)
-        assert key.verify_key.verify_many(_cancelling_batch(key)).invalid_indices == (0, 1)
+    def test_audit_kernel_counts_no_cancelling_pair(self, ca):
+        """The pair a product screen accepted and counted: the kernel
+        verifies each signature on its own, so neither counts, and the chunk
+        passes its tamper check on the other two."""
+        keypair = ca.issue("cancel-kernel")
+        keys = KeyStore(ca)
+        keys.add_certificate(keypair.certificate)
+        log = TamperEvidentLog("cancel-kernel", keypair=keypair, clock=lambda: 1.0)
+        genuine = [log.authenticator_for(log.append(EntryType.ANNOTATION, {"index": i}))
+                   for i in range(4)]
+        twins = cancelling_twins(genuine[0], genuine[1], keys, random.Random(7))
+        batch = [*twins, *genuine[2:]]
+        assert batch_verify_authenticators(batch, keys, "cancel-kernel") == genuine[2:]
+        outcome = run_chunk(chunk_job(log.full_segment(), batch, keys.static_view(),
+                                      make_echo_image()))
+        assert outcome.phase is not AuditPhase.AUTHENTICATOR_CHECK, outcome.reason
+        assert outcome.authenticators_checked == 2
 
 
 class TestCertificates:
