@@ -42,7 +42,6 @@ from repro.crypto.keys import build_trust
 from repro.errors import ReproError
 from repro.game.session import GameSession, GameSessionSettings
 from repro.network.simnet import SimulatedNetwork
-from repro.obs import Observability, ensure_obs
 from repro.service.fleet import DRAIN_MAX_ROUNDS, DRAIN_SETTLE_SECONDS
 from repro.service.ingest import AuditIngestService
 from repro.sim.scheduler import Scheduler
@@ -191,8 +190,7 @@ class ScenarioMatrix:
 
     def __init__(self, workers: int = 2, executor: str = "thread",
                  duration: float = 4.0, snapshot_interval: float = 1.0,
-                 base_seed: int = 1000, ship_format_version: int = 1,
-                 obs: Optional[Observability] = None) -> None:
+                 base_seed: int = 1000, ship_format_version: int = 1) -> None:
         self.workers = workers
         self.executor = executor
         self.duration = duration
@@ -201,9 +199,6 @@ class ScenarioMatrix:
         #: wire codec the archive-mode fleets ship segments in
         #: (:mod:`repro.log.codec`); detection rows must not depend on it
         self.ship_format_version = ship_format_version
-        #: telemetry sink shared by every cell's auditors and ingest
-        #: services; observers only — detection rows must not depend on it
-        self.obs = ensure_obs(obs)
 
     # -- cell enumeration ---------------------------------------------------
 
@@ -366,8 +361,7 @@ class ScenarioMatrix:
                         ) -> Optional[AuditIngestService]:
         if archive_dir is None:
             return None
-        ingest = AuditIngestService(LogArchive(archive_dir), network=network,
-                                    obs=self.obs)
+        ingest = AuditIngestService(LogArchive(archive_dir), network=network)
         for monitor in monitors.values():
             monitor.attach_archive_shipper(
                 ingest.identity, format_version=self.ship_format_version)
@@ -409,8 +403,7 @@ class ScenarioMatrix:
         This is the multi-party collection step of Section 4.6 — and, for an
         equivocating target, the step that pools its conflicting views.
         """
-        auditor = Auditor("auditor", ctx.keystore, ctx.reference_images[machine],
-                          obs=self.obs)
+        auditor = Auditor("auditor", ctx.keystore, ctx.reference_images[machine])
         for peer in sorted(ctx.monitors):
             if peer != machine:
                 auditor.collect_from_peer(ctx.monitors[peer], machine)

@@ -31,7 +31,6 @@ from repro.errors import AuditError
 from repro.log.authenticator import Authenticator
 from repro.log.segments import LogSegment
 from repro.metrics.perfmodel import CostParameters
-from repro.obs import Observability, ensure_obs
 from repro.vm.image import VMImage
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the auditor<->engine import cycle
@@ -49,15 +48,13 @@ class Auditor:
     def __init__(self, identity: str, keystore: KeyStore, reference_image: VMImage,
                  cost_params: Optional[CostParameters] = None,
                  workers: int = 1,
-                 engine: Optional["AuditScheduler"] = None,
-                 obs: Optional[Observability] = None) -> None:
+                 engine: Optional["AuditScheduler"] = None) -> None:
         self.identity = identity
         self.keystore = keystore
         self.reference_image = reference_image
         self.cost_params = cost_params or CostParameters()
         self.workers = workers
         self._engine = engine
-        self.obs = ensure_obs(obs)
         #: per machine, each held authenticator under its
         #: ``(sequence, chain_hash, signature)``
         self.collected_authenticators: Dict[
@@ -156,22 +153,18 @@ class Auditor:
             raise AuditError(
                 f"segment claims to be from {segment.machine!r}, "
                 f"but the audit target is {machine!r}")
-        with self.obs.tracer.timed("audit.segment", track=machine,
-                                   machine=machine,
-                                   entries=len(segment.entries)) as timer:
-            job = chunk_job(
-                segment, self.authenticators_for(machine), self.keystore,
-                self.reference_image, initial_state=initial_state,
-                snapshot_bytes=snapshot_bytes, cost_params=self.cost_params,
-                context=context)
-            outcome = run_chunk(job)
+        job = chunk_job(
+            segment, self.authenticators_for(machine), self.keystore,
+            self.reference_image, initial_state=initial_state,
+            snapshot_bytes=snapshot_bytes, cost_params=self.cost_params,
+            context=context)
+        outcome = run_chunk(job)
         result = outcome.as_result(self.identity)
         # the serial path reports no signature figures: the paper folds that
         # work into the syntactic check
         result.cost = replace(outcome.cost, signatures_verified=0)
         if not outcome.ok:
             result.evidence = self.evidence_for(job, result, following)
-        result.wall_seconds = timer.seconds
         return result
 
     def evidence_for(self, job: ChunkJob, failed: AuditResult,

@@ -49,7 +49,6 @@ import atexit
 import os
 import pickle
 import threading
-import time
 from collections import deque
 from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
@@ -57,8 +56,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
-from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
@@ -77,7 +76,6 @@ from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint
 from repro.log.segments import LogSegment, partition_segments
 from repro.metrics.parallel import ParallelSchedule, schedule
-from repro.obs import Observability
 
 __all__ = [
     "AuditAssignment",
@@ -136,29 +134,28 @@ class _WorkerPools:
         #: executors started so far in this process
         self.starts = 0
 
-    def get(self, kind: str, workers: int) -> Tuple[Executor, bool]:
-        """The executor for ``(kind, workers)``, and whether this call started it."""
+    def get(self, kind: str, workers: int) -> Executor:
+        """The executor for ``(kind, workers)``, started if need be."""
         if kind == "inline":
-            return self._inline, False
+            return self._inline
         with self._lock:
             pool = self._pools.get((kind, workers))
             if pool is not None:
-                return pool, False
-            return self._start(kind, workers), True
+                return pool
+            return self._start(kind, workers)
 
-    def replace(self, kind: str, workers: int,
-                broken: Executor) -> Tuple[Executor, bool]:
-        """The executor to use now that ``broken`` has lost a worker, and
-        whether this call started it (another caller may already have)."""
+    def replace(self, kind: str, workers: int, broken: Executor) -> Executor:
+        """The executor to use now that ``broken`` has lost a worker
+        (another caller may already have started it)."""
         with self._lock:
             current = self._pools.get((kind, workers))
             if current is not None and current is not broken:
-                return current, False
+                return current
             if current is broken:
                 # Its manager thread reaps the surviving workers; waiting
                 # for it also settles every future the pool still held.
                 broken.shutdown(wait=True)
-            return self._start(kind, workers), True
+            return self._start(kind, workers)
 
     def _start(self, kind: str, workers: int) -> Executor:
         """The one place an executor is constructed."""
@@ -227,8 +224,6 @@ class _Submitted:
     owner: object
     job: ChunkJob
     future: Future
-    #: ``perf_counter`` mark of its submission
-    at: float
 
 
 class _ChunkRun:
@@ -240,13 +235,8 @@ class _ChunkRun:
         self.workers = workers
         #: "inline" until a first job decides otherwise
         self.kind = "inline"
-        self.submitted = 0
-        self.pool_starts = 0
         #: submitted jobs not taken back yet, oldest first
         self.pending: Deque[_Submitted] = deque()
-        #: ``perf_counter`` marks: construction, the last submission and the
-        #: last outcome taken back
-        self.started = self.last_submit = self.last_taken = time.perf_counter()
         self._pool: Optional[Executor] = None
         self._rebuilt = False
 
@@ -260,17 +250,13 @@ class _ChunkRun:
     def submit(self, job: ChunkJob, owner: object = None) -> None:
         if self._pool is None:
             self.kind = _executor_kind(self.requested, self.workers, job)
-            self._pool, started = _POOLS.get(self.kind, self.workers)
-            self.pool_starts += started
+            self._pool = _POOLS.get(self.kind, self.workers)
         future = self._rebuilt_once(lambda: self._submit(job))
-        self.last_submit = time.perf_counter()
-        self.pending.append(_Submitted(owner, job, future, self.last_submit))
-        self.submitted += 1
+        self.pending.append(_Submitted(owner, job, future))
 
     def take(self) -> Tuple[_Submitted, ChunkOutcome]:
         """The oldest submitted job and its outcome, waiting for it."""
         outcome = self._rebuilt_once(lambda: self.pending[0].future.result())
-        self.last_taken = time.perf_counter()
         return self.pending.popleft(), outcome
 
     def drop(self, owner: object) -> List[ChunkJob]:
@@ -282,21 +268,6 @@ class _ChunkRun:
             submitted.future.cancel()
             dropped.append(submitted.job)
         return dropped
-
-    def observe(self, observers: Iterable[Observability]) -> None:
-        """Record the run on each distinct bundle (telemetry only)."""
-        for obs in {id(obs): obs for obs in observers}.values():
-            obs.metrics.counter("audit.engine.pool_starts_total").inc(
-                self.pool_starts)
-            obs.tracer.event(
-                "audit.engine.submit", domain="wall", track="audit-engine",
-                timestamp=self.started,
-                duration=self.last_submit - self.started,
-                jobs=self.submitted, executor=self.kind)
-            obs.tracer.event(
-                "audit.engine.wait", domain="wall", track="audit-engine",
-                timestamp=self.last_submit,
-                duration=max(0.0, self.last_taken - self.last_submit))
 
     def _submit(self, job: ChunkJob) -> Future:
         if self.kind == "process":
@@ -324,8 +295,7 @@ class _ChunkRun:
     def _rebuild(self) -> None:
         """Restart the pool and re-submit the jobs it lost."""
         self._rebuilt = True
-        self._pool, started = _POOLS.replace(self.kind, self.workers, self._pool)
-        self.pool_starts += started
+        self._pool = _POOLS.replace(self.kind, self.workers, self._pool)
         for submitted in self.pending:
             if isinstance(submitted.future.exception(), BrokenProcessPool):
                 submitted.future = self._submit(submitted.job)
@@ -365,8 +335,6 @@ class FleetAuditReport:
     workers: int = 1
     executor_used: str = "inline"
     chunk_count: int = 0
-    #: measured wall-clock of this engine run (hardware-dependent)
-    wall_seconds: float = 0.0
     #: modelled cost schedule (hardware-independent, from the chunk costs)
     modelled: Optional[ParallelSchedule] = None
     total_cost: AuditCost = field(default_factory=AuditCost)
@@ -411,9 +379,6 @@ class _MachineAudit:
         self.start_bytes = 0
         #: folded (planning stops)
         self.done = False
-        metrics = auditor.obs.metrics
-        self._audit_seconds = metrics.histogram("audit.chunk.audit_seconds")
-        self._chunks_total = metrics.counter("audit.chunks_total")
 
     def note(self, submitted: _Submitted,
              outcome: ChunkOutcome) -> Tuple[ChunkJob, ChunkOutcome]:
@@ -425,17 +390,6 @@ class _MachineAudit:
         report.entries += len(entries)
         report.peak_chunk_entries = max(report.peak_chunk_entries, len(entries))
         self.active.update(int(entry.timestamp) for entry in entries)
-        now = time.perf_counter()
-        self._audit_seconds.observe(now - submitted.at)
-        self._chunks_total.inc()
-        obs = self.auditor.obs
-        obs.tracer.event(
-            "audit.chunk", domain="wall", track=self.machine,
-            timestamp=submitted.at, duration=now - submitted.at,
-            chunk=job.chunk_index, entries=len(entries),
-            checkpoint_seq=job.segment.last_sequence)
-        obs.progress.chunk_done(self.machine, entries=len(entries),
-                                checkpoint_seq=job.segment.last_sequence)
         return job, outcome
 
 
@@ -500,15 +454,12 @@ class AuditScheduler:
                   for assignment in assignments]
         planner = chain.from_iterable(self._plan(audit, run) for audit in audits)
         reports = [self._fold(audit, run, planner) for audit in audits]
-        run.observe(audit.auditor.obs for audit in audits)
 
-        fleet = FleetAuditReport(
-            workers=self.workers, executor_used=run.kind,
-            wall_seconds=time.perf_counter() - run.started)
+        fleet = FleetAuditReport(workers=self.workers, executor_used=run.kind)
         chunk_costs: List[AuditCost] = []
         whole_logs: List[AuditCost] = []
         machine_costs: List[AuditCost] = []
-        for audit, report in zip(audits, reports):
+        for report in reports:
             result = report.result
             fleet.machine_reports[report.machine] = report
             fleet.results[report.machine] = result
@@ -523,36 +474,18 @@ class AuditScheduler:
                 costs = [result.cost]
                 whole_logs += costs
             machine_costs.append(AuditCost.total(costs))
-            if result.wall_seconds == 0.0:
-                # Chunks of many machines interleave on one executor, so wall
-                # time cannot be attributed per machine; the fleet wall is
-                # the shared measurement.  (A log audited by the serial
-                # front-end carries its own audit_segment timing.)
-                result.wall_seconds = fleet.wall_seconds
-            obs = audit.auditor.obs
-            obs.progress.machine_done(report.machine, result.verdict.value,
-                                      result.wall_seconds)
-            obs.tracer.event(
-                "audit.engine.machine", domain="wall", track=report.machine,
-                timestamp=run.started, duration=fleet.wall_seconds,
-                chunks=report.chunk_count, executor=run.kind,
-                verdict=result.verdict.value)
         fleet.total_cost = AuditCost.total(machine_costs)
         fleet.modelled = schedule(
             [cost.total_seconds for cost in chunk_costs + whole_logs],
             self.workers)
         return fleet
 
-    def run_jobs(self, jobs: Sequence[ChunkJob],
-                 obs: Optional[Observability] = None) -> List[ChunkOutcome]:
+    def run_jobs(self, jobs: Sequence[ChunkJob]) -> List[ChunkOutcome]:
         """Execute prepared chunk jobs on the pool (used by the spot checker)."""
         run = _ChunkRun(self.executor, self.workers)
         for job in jobs:
             run.submit(job)
-        outcomes = [run.take()[1] for _ in jobs]
-        if obs is not None:
-            run.observe([obs])
-        return outcomes
+        return [run.take()[1] for _ in jobs]
 
     # -- planning -----------------------------------------------------------
 
@@ -593,18 +526,13 @@ class AuditScheduler:
         still in flight at its end, with the log suffix that anchors them).
         """
         auditor, target = audit.auditor, audit.target
-        auditor.obs.progress.machine_started(audit.machine)
-        decode_seconds = auditor.obs.metrics.histogram(
-            "audit.chunk.decode_seconds")
         make_job = job_factory(auditor, audit.machine)
         state, snapshot_bytes = replay_start(target)
         audit.start_bytes = snapshot_bytes
         context = BoundaryContext()
         boundary: Optional[LogEntry] = None
-        decoding = time.perf_counter()
         try:
             for index, (segment, checkpoint, ends_log) in enumerate(audit.chunks):
-                decode_seconds.observe(time.perf_counter() - decoding)
                 if index:
                     state, snapshot_bytes = fetch_verified_snapshot_entry(
                         target, boundary)
@@ -620,7 +548,6 @@ class AuditScheduler:
                 context = context.after(segment)
                 boundary = last_snapshot_entry(segment)
                 del job, segment   # the fold holds a chunk while it needs it
-                decoding = time.perf_counter()
         except _HAND_OVER as exc:
             # The target could not produce consistent chunks or a verifiable
             # snapshot at a chunk boundary, or its entries do not parse: if

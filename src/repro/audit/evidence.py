@@ -90,29 +90,54 @@ class Evidence:
         covered = range(0)
         if answered and segment.entries:
             covered = range(segment.first_sequence, segment.last_sequence + 1)
-        # Each signature verified on its own, as the audit does; only valid
-        # authenticators on the segment count.
-        valid_auths = [a for a in self.authenticators
-                       if (not answered or a.sequence in covered)
-                       and a.machine == self.machine and a.verify(keystore)]
-        if not valid_auths:
-            raise EvidenceError("evidence contains no valid authenticator")
+        # Only the machine's own authenticators on the segment can count, and
+        # only valid ones: each signature is verified on its own, as the
+        # audit does, and once — here or in the kernel, whichever needs it.
+        issued = [a for a in self.authenticators
+                  if (not answered or a.sequence in covered)
+                  and a.machine == self.machine]
+        none_valid = EvidenceError("evidence contains no valid authenticator")
+
+        def any_valid() -> bool:
+            return any(auth.verify(keystore) for auth in issued)
+
+        if not issued or not keystore.has_identity(self.machine):
+            raise none_valid
         if not answered:
             # The authenticators prove that log entries up to the covered
             # sequence numbers must exist; the machine's failure to produce
             # them is itself the fault (Section 4.5, "Verifying the log").
+            if not any_valid():
+                raise none_valid
             return True
+        try:
+            checkpoint, context = self._anchored_start()
+        except EvidenceError:
+            if not any_valid():
+                raise none_valid from None
+            raise
 
         # From here on it is the auditor's own procedure, on inputs tied to
         # the machine's chain, under this party's keys and image: a tampered
         # log, a syntactic violation or a replay divergence confirms the fault.
         from repro.audit.kernel import chunk_job, run_chunk
+        from repro.audit.verdict import AuditPhase
 
-        checkpoint, context = self._anchored_start()
-        return not run_chunk(chunk_job(
-            segment, valid_auths, keystore, reference_image,
+        outcome = run_chunk(chunk_job(
+            segment, issued, keystore, reference_image,
             checkpoint=checkpoint, initial_state=self.initial_state,
-            context=context)).ok
+            context=context))
+        if outcome.end_checkpoint is None:
+            # the chain broke before the kernel checked a signature
+            valid = any_valid()
+        else:
+            # the kernel checked each one: it counted the valid ones, or a
+            # valid one convicted the chunk
+            valid = outcome.authenticators_checked > 0 \
+                or outcome.phase is AuditPhase.AUTHENTICATOR_CHECK
+        if not valid:
+            raise none_valid
+        return not outcome.ok
 
     def _anchored_start(self) -> "tuple[ChainCheckpoint, BoundaryContext]":
         """Where the segment starts, proven: the chain state before its first

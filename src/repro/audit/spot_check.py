@@ -226,17 +226,12 @@ class SpotChecker:
             chunk, boundary = self._chunk_inputs(target, index, k, segments)
             jobs.append(make_job(chunk, chunk_index=position, **boundary))
 
-        with auditor.obs.tracer.timed("audit.spot_check", track=machine,
-                                      chunks=len(jobs), k=k) as timer:
-            outcomes = self.engine.run_jobs(jobs, obs=auditor.obs)
+        outcomes = self.engine.run_jobs(jobs)
         results: List[SpotCheckResult] = []
         for index, job, outcome in zip(indices, jobs, outcomes):
             result = outcome.as_result(auditor.identity)
             if not outcome.ok:
                 result.evidence = auditor.evidence_for(
                     job, result, segments.following(index + k))
-            # Chunks share one pool run; the pool wall is the shared
-            # measurement.
-            result.wall_seconds = timer.seconds
             results.append(self._priced(index, k, job.segment, result))
         return results

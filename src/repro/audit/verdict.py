@@ -103,11 +103,6 @@ class AuditResult:
     replay_report: Optional[ReplayReport] = None
     evidence: Optional[Evidence] = None
     cost: AuditCost = field(default_factory=AuditCost)
-    #: measured wall-clock seconds the audit took (perf_counter, set by
-    #: every front-end via the shared obs timer).  Excluded from equality:
-    #: results are compared structurally across serial/engine/streaming
-    #: paths, and wall time is measurement, not substance.
-    wall_seconds: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:

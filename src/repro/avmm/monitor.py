@@ -44,7 +44,6 @@ from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.metrics.perfmodel import PerfModel
-from repro.obs import Observability, ensure_obs
 from repro.network.channel import ReliableChannel
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.shipment import PartKind, ShipmentPart, encode_shipment
@@ -93,8 +92,7 @@ class AccountableVMM:
                  scheduler: Scheduler, network: Optional[SimulatedNetwork] = None,
                  keypair: Optional[KeyPair] = None,
                  keystore: Optional[KeyStore] = None,
-                 clock_offset: float = 0.0, clock_drift: float = 0.0,
-                 obs: Optional[Observability] = None) -> None:
+                 clock_offset: float = 0.0, clock_drift: float = 0.0) -> None:
         self.identity = identity
         self.image = image
         self.config = config
@@ -104,18 +102,6 @@ class AccountableVMM:
         self.keystore = keystore
         self.perf = PerfModel.for_config(config)
         self.stats = MonitorStats()
-        # Telemetry (sim-clock domain: everything here happens in-simulation).
-        self.obs = ensure_obs(obs)
-        metrics = self.obs.metrics
-        self._m_log_entries = metrics.counter("monitor.log_entries_total")
-        self._m_log_bytes = metrics.counter("monitor.log_bytes_total")
-        self._m_acks_piggybacked = metrics.counter(
-            "monitor.acks_piggybacked_total")
-        self._m_acks_standalone = metrics.counter("monitor.acks_standalone_total")
-        self._m_log_length = metrics.gauge("monitor.log_length")
-        self._m_snapshots = metrics.counter("monitor.snapshots_total")
-        self._m_segments_shipped = metrics.counter("monitor.segments_shipped_total")
-        self._m_shipped_bytes = metrics.counter("monitor.shipped_bytes_total")
 
         self.host_clock = HostClock(scheduler.clock, offset=clock_offset,
                                     drift=clock_drift)
@@ -470,10 +456,8 @@ class AccountableVMM:
                 headers={"acked_message_id": owed[last]}),
                 self.perf.ack_generation_delay(), expect_ack=False)
             self.stats.acks_standalone += 1
-            self._m_acks_standalone.inc()
         else:
             self.stats.acks_piggybacked += len(owed)
-            self._m_acks_piggybacked.inc(len(owed))
         self.stats.acks_sent += len(owed)
         for sequence, message_id in owed.items():
             entry = self.log.append(EntryType.ACK, ack_content(
@@ -573,11 +557,6 @@ class AccountableVMM:
         self.stats.daemon_cpu_seconds += self.perf.daemon_cpu_for_log(entry_bytes)
         self.stats.daemon_cpu_seconds += self.perf.daemon_cpu_for_signatures(signed, 0)
         self.stats.vmm_cpu_seconds += self.perf.vmm_cpu_for_recording(1, entry_bytes)
-        # Log-append telemetry: every message-path append charges here, so
-        # this is the counting chokepoint (recorder-internal entries are
-        # reflected by the monitor.log_length gauge at seal time).
-        self._m_log_entries.inc()
-        self._m_log_bytes.inc(entry_bytes)
 
     # ------------------------------------------------------------------ snapshots
 
@@ -592,20 +571,10 @@ class AccountableVMM:
         snapshot = self.snapshots.take(self.vm.get_full_state(),
                                        self.vm.execution_timestamp)
         delta = self.snapshots.get_incremental(snapshot.snapshot_id)
-        snapshot_cost = self.perf.vmm_cpu_for_snapshot(
+        self.stats.vmm_cpu_seconds += self.perf.vmm_cpu_for_snapshot(
             delta.incremental_bytes, delta.page_count)
-        self.stats.vmm_cpu_seconds += snapshot_cost
         self.recorder.record_snapshot(snapshot.snapshot_id, snapshot.state_root,
                                       snapshot.execution)
-        self._m_snapshots.inc()
-        self._m_log_length.set(len(self.log))
-        # Sim-domain span whose duration is the *modelled* snapshot charge —
-        # the simulator executes the take atomically, but the trace shows
-        # what it cost in simulated time.
-        self.obs.tracer.event(
-            "monitor.snapshot", track=self.identity,
-            duration=snapshot_cost, snapshot_id=snapshot.snapshot_id,
-            dirty_bytes=delta.incremental_bytes, pages=delta.page_count)
         self._ship(snapshot.snapshot_id)
         return snapshot.snapshot_id
 
@@ -700,10 +669,9 @@ class AccountableVMM:
         parts = [ShipmentPart(PartKind.SNAPSHOT, self.snapshots.ship_payload(
             pending, force_keyframe=not (self._snapshot_ship_anchored or index)))
             for index, pending in enumerate(self._pending_snapshot_ships)]
-        last, entries = len(self.log), 0
+        last = len(self.log)
         if last > self._shipped_through:
             segment = self.log.segment(self._shipped_through + 1, last)
-            entries = len(segment.entries)
             parts.append(ShipmentPart(
                 PartKind.SEGMENT,
                 get_codec(self._archive_format_version).encode_segment(segment),
@@ -729,14 +697,6 @@ class AccountableVMM:
         self._pending_snapshot_ships.clear()
         self._shipped_through = last
         self._shipped_auth_counts.update(collected)
-        if entries:
-            self._m_segments_shipped.inc()
-        self._m_shipped_bytes.inc(len(payload))
-        self._m_log_length.set(last)
-        self.obs.tracer.event(
-            "monitor.ship", track=self.identity, parts=len(parts),
-            entries=entries, wire_bytes=len(payload),
-            sealed_by_snapshot=snapshot_id)
         return True
 
     # ------------------------------------------------------------------ audit serving

@@ -46,7 +46,6 @@ from repro.errors import StoreError
 from repro.log.authenticator import Authenticator
 from repro.log.storage import authenticators_from_bytes
 from repro.network.simnet import SimulatedNetwork
-from repro.obs import NULL_OBS, Observability, ensure_obs
 from repro.service.ingest import DEFAULT_INGEST_IDENTITY, AuditIngestService
 from repro.service.shard import (AuditShard, HandoffReport, ShardRing,
                                  migrate_machine)
@@ -105,8 +104,7 @@ class FleetAuditOutcome:
 class FleetCoordinator:
     """Places machines on shards, merges verdicts, convicts across shards."""
 
-    def __init__(self, shards: Sequence[AuditShard],
-                 obs: Optional[Observability] = None) -> None:
+    def __init__(self, shards: Sequence[AuditShard]) -> None:
         if not shards:
             raise StoreError("a fleet needs at least one shard")
         self.shards: List[AuditShard] = sorted(shards,
@@ -117,21 +115,12 @@ class FleetCoordinator:
         self.ring = ShardRing(shard.identity for shard in self.shards)
         #: machines explicitly moved off their ring shard by rebalance()
         self._placement_overrides: Dict[str, str] = {}
-        self.obs = ensure_obs(obs)
-        metrics = self.obs.metrics.scoped("fleet.")
-        self._m_shards = metrics.gauge("shards")
-        self._m_shards.set(len(self.shards))
-        self._m_audited = metrics.counter("machines_audited_total")
-        self._m_convicted = metrics.counter("equivocations_convicted_total")
-        self._m_migrations = metrics.counter("migrations_total")
-        self._m_forks = metrics.counter("cross_shard_forks_total")
 
     @classmethod
     def build(cls, root: Union[str, Path], shard_count: int,
               network: Optional[SimulatedNetwork] = None,
               format_version: int = 1,
-              identity_prefix: str = DEFAULT_SHARD_PREFIX,
-              obs: Optional[Observability] = None) -> "FleetCoordinator":
+              identity_prefix: str = DEFAULT_SHARD_PREFIX) -> "FleetCoordinator":
         """A coordinator over ``shard_count`` fresh shards under ``root``."""
         if shard_count < 1:
             raise StoreError(f"shard_count must be >= 1, got {shard_count}")
@@ -139,10 +128,9 @@ class FleetCoordinator:
         shards = [
             AuditShard.create(f"{identity_prefix}-{index:02d}",
                               root / f"{identity_prefix}-{index:02d}",
-                              network=network, format_version=format_version,
-                              obs=obs)
+                              network=network, format_version=format_version)
             for index in range(shard_count)]
-        return cls(shards, obs=obs)
+        return cls(shards)
 
     # -- placement -----------------------------------------------------------
 
@@ -225,7 +213,6 @@ class FleetCoordinator:
             received = EquivocationProof.from_dict(json.loads(wire))
             if received.verify(keystore):
                 convictions[machine] = received
-                self._m_convicted.inc()
         return convictions
 
     def cross_shard_chain_check(self) -> List[str]:
@@ -260,7 +247,6 @@ class FleetCoordinator:
                     machine, sequence, sequence).entries[-1].chain_hash
                 if first_hash != second_hash:
                     forked.append(machine)
-                    self._m_forks.inc()
                     break
         return forked
 
@@ -302,7 +288,6 @@ class FleetCoordinator:
                         auditor, machine, collect=False)
                 outcome.results[machine] = result
                 outcome.shard_of[machine] = shard.identity
-                self._m_audited.inc()
         outcome.convictions = self.equivocation_sweep(keystore, gossip)
         outcome.cross_shard_forks = self.cross_shard_chain_check()
         return outcome
@@ -326,7 +311,6 @@ class FleetCoordinator:
         target = self.shard(destination)
         report = migrate_machine(machine, source, target)
         self._placement_overrides[machine] = target.identity
-        self._m_migrations.inc()
         if monitor is not None:
             monitor.attach_archive_shipper(
                 target.identity, format_version=monitor.archive_format_version)
@@ -347,8 +331,6 @@ class AuditFleet:
     #: the audit-ingest service, when the fleet was recorded with an archive
     ingest: Optional[AuditIngestService] = None
     scheduler: Optional[Scheduler] = None
-    #: telemetry sink the fleet was recorded under; auditors inherit it
-    obs: Observability = NULL_OBS
     #: the sharded-ingest coordinator, when one was attached instead of a
     #: single archive
     coordinator: Optional[FleetCoordinator] = None
@@ -368,8 +350,7 @@ class AuditFleet:
         starting point for archive-backed audits, where the ingest service
         supplies the archived authenticators instead of a live peer.
         """
-        auditor = Auditor(identity, self.keystore, self.reference_images[target],
-                          obs=self.obs)
+        auditor = Auditor(identity, self.keystore, self.reference_images[target])
         if collect:
             auditor.collect_from_peer(self.monitors[self.peers[target]], target)
         return auditor
@@ -385,8 +366,7 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
                 ingest_identity: str = DEFAULT_INGEST_IDENTITY,
                 client_settings: Optional[SqlBenchSettings] = None,
                 ship_format_version: int = 1,
-                coordinator: Optional[FleetCoordinator] = None,
-                obs: Optional[Observability] = None) -> AuditFleet:
+                coordinator: Optional[FleetCoordinator] = None) -> AuditFleet:
     """Record a fleet of ``num_machines`` (server+client pairs) for auditing.
 
     With an ``archive``, an :class:`~repro.service.ingest.AuditIngestService`
@@ -405,19 +385,11 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
     records *sharded*: every shard's ingest endpoint joins the network and
     each monitor ships to its consistent-hash home shard
     (:meth:`~repro.service.fleet.FleetCoordinator.attach_fleet`) — the
-    fleet-scale topology of ``docs/fleet-sharding.md``.  ``obs``
-    threads one telemetry sink (:mod:`repro.obs`) through every monitor, the
-    ingest service, and the auditors the fleet later makes — observers only,
-    it never changes what gets recorded or audited.
+    fleet-scale topology of ``docs/fleet-sharding.md``.
     """
     if num_machines < 2 or num_machines % 2:
         raise ValueError(f"fleet size must be an even number >= 2, got {num_machines}")
-    obs = ensure_obs(obs)
     scheduler = Scheduler()
-    if obs.enabled and getattr(obs.tracer, "sim_time", None) is None:
-        # Bind the sim clock domain to this fleet's clock so sim-domain
-        # events (snapshots, shipments, ingests) carry simulated timestamps.
-        obs.tracer.sim_time = scheduler.clock.read
     network = SimulatedNetwork(scheduler)
     config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768,
                                           snapshot_interval=snapshot_interval)
@@ -445,11 +417,11 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
         monitors[server] = AccountableVMM(
             server, server_image, config, scheduler, network,
             keypair=keypairs[server], keystore=keystore,
-            clock_offset=0.0005 * index, obs=obs)
+            clock_offset=0.0005 * index)
         monitors[client] = AccountableVMM(
             client, client_image, config, scheduler, network,
             keypair=keypairs[client], keystore=keystore,
-            clock_offset=0.0005 * index + 0.0002, obs=obs)
+            clock_offset=0.0005 * index + 0.0002)
 
     if archive is not None and coordinator is not None:
         raise ValueError("pass either archive= (single service) or "
@@ -457,7 +429,7 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
     ingest: Optional[AuditIngestService] = None
     if archive is not None:
         ingest = AuditIngestService(archive, identity=ingest_identity,
-                                    network=network, obs=obs)
+                                    network=network)
         for monitor in monitors.values():
             monitor.attach_archive_shipper(
                 ingest_identity, format_version=ship_format_version)
@@ -475,7 +447,7 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
         drain_fleet_to_archive(scheduler, monitors)
     return AuditFleet(monitors=monitors, reference_images=reference_images,
                       keystore=keystore, peers=peers, ingest=ingest,
-                      scheduler=scheduler, obs=obs, coordinator=coordinator,
+                      scheduler=scheduler, coordinator=coordinator,
                       keypairs=keypairs)
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -50,7 +49,6 @@ from repro.log.storage import authenticators_from_bytes
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.shipment import PartKind, ShipmentPart, decode_shipment
 from repro.network.simnet import SimulatedNetwork
-from repro.obs import Observability, ensure_obs
 from repro.service.target import ArchiveBackedMachine
 from repro.store.archive import LogArchive
 from repro.store.manifest import fsync_directory, write_durably
@@ -106,29 +104,11 @@ class AuditIngestService:
 
     def __init__(self, archive: LogArchive,
                  identity: str = DEFAULT_INGEST_IDENTITY,
-                 network: Optional[SimulatedNetwork] = None,
-                 obs: Optional[Observability] = None) -> None:
+                 network: Optional[SimulatedNetwork] = None) -> None:
         self.archive = archive
         self.identity = identity
         self.network = network
         self.stats = IngestStats()
-        self.obs = ensure_obs(obs)
-        if self.obs.enabled and not archive.obs.enabled:
-            # An observed service observes its archive's disk traffic too.
-            archive.set_observability(self.obs)
-        # Instruments are namespaced per service identity so that several
-        # services (fleet shards) sharing one MetricsRegistry cannot clobber
-        # each other through the name cache.  The default single-service
-        # identity keeps the historical bare names (``ingest.queue_depth``
-        # etc.) so existing dashboards/tests keep working.
-        prefix = ("ingest." if identity == DEFAULT_INGEST_IDENTITY
-                  else f"ingest.{identity}.")
-        metrics = self.obs.metrics.scoped(prefix)
-        self._m_messages = metrics.counter("messages_total")
-        self._m_segments = metrics.counter("segments_ingested_total")
-        self._m_quarantined = metrics.counter("quarantined_total")
-        self._m_queue_depth = metrics.gauge("queue_depth")
-        self._m_decode = metrics.histogram("decode_seconds")
         self._quarantine_path = Path(archive.root) / "quarantine.jsonl"
         self.quarantine: List[QuarantinedShipment] = self._load_quarantine()
         #: machines with archived-but-unaudited segments, with segment counts
@@ -151,7 +131,6 @@ class AuditIngestService:
     def on_message(self, message: NetworkMessage) -> None:
         """Delivery callback registered with the simulated network."""
         self.stats.messages_received += 1
-        self._m_messages.inc()
         if message.kind is not MessageKind.ARCHIVE_SHIPMENT:
             return  # not part of the ingest protocol; ignore it
         source = message.source
@@ -169,7 +148,6 @@ class AuditIngestService:
                 handlers[part.kind](source, part)
 
     def _on_segment(self, source: str, part: ShipmentPart) -> None:
-        decode_started = time.perf_counter()
         try:
             # Sniffs the codec magic, so shipments in any registered wire
             # format (mixed-format fleets included) land in one archive.
@@ -184,10 +162,6 @@ class AuditIngestService:
             self._record_quarantine(QuarantinedShipment(
                 machine=source, reason=f"undecodable segment: {exc}"))
             return
-        self._m_decode.observe(time.perf_counter() - decode_started)
-        self.obs.tracer.event(
-            "ingest.segment", track=self.identity, source=source,
-            payload_bytes=len(part.payload), entries=len(segment.entries))
         if segment.machine != source:
             self.stats.segments_rejected += 1
             self._record_quarantine(QuarantinedShipment(
@@ -225,14 +199,7 @@ class AuditIngestService:
 
     def _record_quarantine(self, shipment: QuarantinedShipment) -> None:
         """Remember a refused shipment, durably: the line is fsynced before
-        this returns, so a crash cannot forget the refusal.
-
-        The single quarantine chokepoint, so ``ingest.quarantined_total``
-        counts exactly one increment per refused part.
-        """
-        self._m_quarantined.inc()
-        self.obs.tracer.event("ingest.quarantine", track=self.identity,
-                              machine=shipment.machine, reason=shipment.reason)
+        this returns, so a crash cannot forget the refusal."""
         self.quarantine.append(shipment)
         # (after a torn last line — a crash inside this write — start afresh)
         line = "\n" * self._torn_tail + json.dumps(
@@ -290,9 +257,7 @@ class AuditIngestService:
         self.stats.entries_ingested += record.entry_count
         self.stats.raw_bytes_ingested += record.raw_bytes
         self.stats.stored_bytes += record.stored_bytes
-        self._m_segments.inc()
         self._pending[segment.machine] = self._pending.get(segment.machine, 0) + 1
-        self._update_queue_depth()
         return True
 
     def ingest_authenticators(self, machine, authenticators) -> int:
@@ -303,10 +268,6 @@ class AuditIngestService:
         return added
 
     # -- the audit queue -----------------------------------------------------
-
-    def _update_queue_depth(self) -> None:
-        """Mirror the audit queue (total unaudited segments) into the gauge."""
-        self._m_queue_depth.set(sum(self._pending.values()))
 
     def pending_machines(self) -> List[str]:
         """Machines with archived segments not yet covered by an audit."""
@@ -325,12 +286,10 @@ class AuditIngestService:
         """
         if segments > 0:
             self._pending[machine] = self._pending.get(machine, 0) + segments
-            self._update_queue_depth()
 
     def drop_pending(self, machine: str) -> None:
         """Remove ``machine`` from the audit queue (it left this shard)."""
         self._pending.pop(machine, None)
-        self._update_queue_depth()
 
     def target_for(self, machine: str) -> ArchiveBackedMachine:
         """An audit target serving ``machine``'s log from the archive."""
@@ -359,7 +318,6 @@ class AuditIngestService:
             self.prepare_auditor(auditor, machine)
         result = auditor.audit(self.target_for(machine))
         self._pending.pop(machine, None)
-        self._update_queue_depth()
         return result
 
     def assignments(self, make_auditor: Callable[[str], Auditor]
@@ -384,7 +342,6 @@ class AuditIngestService:
         results = (engine or AuditScheduler()).audit_fleet(fleet).results
         for machine in results:
             self._pending.pop(machine, None)
-        self._update_queue_depth()
         return results
 
 

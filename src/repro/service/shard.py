@@ -32,14 +32,13 @@ destination holds everything.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.crypto.hashing import hash_bytes
 from repro.errors import StoreError
 from repro.network.simnet import SimulatedNetwork
-from repro.obs import Observability, ensure_obs
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
@@ -98,21 +97,18 @@ class AuditShard:
     """One ingest shard: a service identity plus its own archive root."""
 
     def __init__(self, identity: str, archive: LogArchive,
-                 network: Optional[SimulatedNetwork] = None,
-                 obs: Optional[Observability] = None) -> None:
+                 network: Optional[SimulatedNetwork] = None) -> None:
         self.identity = identity
         self.archive = archive
-        self.obs = ensure_obs(obs)
         self.service = AuditIngestService(
-            archive, identity=identity, network=network, obs=obs)
+            archive, identity=identity, network=network)
 
     @classmethod
     def create(cls, identity: str, root: Union[str, Path],
                network: Optional[SimulatedNetwork] = None,
-               format_version: int = 1,
-               obs: Optional[Observability] = None) -> "AuditShard":
+               format_version: int = 1) -> "AuditShard":
         return cls(identity, LogArchive(Path(root), format_version=format_version),
-                   network=network, obs=obs)
+                   network=network)
 
     def archived_machines(self) -> List[str]:
         """Machines whose chain (segments) lives on this shard, sorted."""

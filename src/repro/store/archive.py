@@ -130,7 +130,7 @@ class LogArchive:
     """A durable archive of tamper-evident logs for a fleet of machines."""
 
     def __init__(self, root: Union[str, Path], deep_verify: bool = False,
-                 format_version: int = 1, obs=None) -> None:
+                 format_version: int = 1) -> None:
         """Open (or create) the archive rooted at ``root``.
 
         Opening reads the checkpoint and walks every machine's frame
@@ -139,14 +139,12 @@ class LogArchive:
         ``deep_verify`` also decodes every segment and re-verifies its hash
         chain entry by entry.  ``format_version`` selects the wire codec
         *new* segments are written with (:mod:`repro.log.codec`); reading
-        follows each record's own, so one archive can hold a mix.  ``obs``
-        (an :class:`repro.obs.Observability`) meters disk traffic.
+        follows each record's own, so one archive can hold a mix.
         """
         self.root = Path(root)
         os.makedirs(self.root, exist_ok=True)
         self.format_version = require_format_version(format_version,
                                                      what="log codec")
-        self.set_observability(obs)
         self._generation = 0
         #: per machine that shipped here (a *holder*): its current frame
         #: file (relative to the root) and where that file's next group goes
@@ -162,17 +160,6 @@ class LogArchive:
         #: — committed frames are immutable, so an entry never goes stale
         self._snapshot_pages_cache: Dict[Tuple[str, int], Tuple[bytes, ...]] = {}
         self.recovery = self._recover(deep_verify)
-
-    def set_observability(self, obs) -> None:
-        """(Re)bind this archive's telemetry instruments to ``obs`` — once,
-        not per segment; a service built around an unobserved archive
-        adopts it into its own metrics registry this way."""
-        from repro.obs import ensure_obs
-        self.obs = ensure_obs(obs)
-        for name in ("segments_written", "raw_bytes_written", "bytes_written",
-                     "segments_read", "bytes_read", "snapshots_written"):
-            setattr(self, f"_m_{name}",
-                    self.obs.metrics.counter(f"archive.{name}_total"))
 
     # -- recovery ------------------------------------------------------------
 
@@ -453,11 +440,6 @@ class LogArchive:
             entry_count=len(segment.entries), raw_bytes=raw,
             sealed_by_snapshot=sealed_by_snapshot,
             format_version=self.format_version), data)
-        self._m_segments_written.inc()
-        self._m_raw_bytes_written.inc(raw)
-        self._m_bytes_written.inc(len(data))
-        self.obs.metrics.counter(
-            f"archive.segments_written.v{self.format_version}").inc()
         return record
 
     def store_authenticators(self, machine: str,
@@ -511,11 +493,9 @@ class LogArchive:
                 f"delta snapshot {snapshot.snapshot_id} of {machine!r} "
                 f"references base {snapshot.base_snapshot_id}, which is not "
                 f"archived")
-        record = self._stage(
+        return self._stage(
             _snapshot_record(machine, snapshot),
             bytes(wire) if wire is not None else snapshot.to_bytes())
-        self._m_snapshots_written.inc()
-        return record
 
     # -- reading -------------------------------------------------------------
 
@@ -557,8 +537,6 @@ class LogArchive:
                 or segment.start_hash != record.start_hash \
                 or segment.end_hash != record.end_hash:
             raise _mismatch(record)
-        self._m_segments_read.inc()
-        self._m_bytes_read.inc(record.stored_bytes)
         return segment
 
     def stream_segment(self, record: SegmentRecord) -> Iterator[LogEntry]:
@@ -573,8 +551,6 @@ class LogArchive:
         here — the audit kernel does that.
         """
         decoder = SegmentStreamDecoder()
-        self._m_segments_read.inc()
-        self._m_bytes_read.inc(record.stored_bytes)
         last_entry: Optional[LogEntry] = None
         mismatch = _mismatch(record)
         try:

@@ -33,6 +33,7 @@ from repro.adversary.matrix import (
     MODES,
     WORKLOADS,
     CellSpec,
+    MatrixReport,
     ScenarioMatrix,
 )
 from repro.audit.engine import AuditScheduler
@@ -41,6 +42,7 @@ from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase
 from repro.crypto import hashing
 from repro.errors import HashChainError, SnapshotError
+from repro.experiments import adversary_matrix
 from repro.log.authenticator import make_authenticator
 from repro.log.entries import EntryType
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
@@ -199,6 +201,24 @@ class TestRepresentativeCells:
         assert outcome.verdict == "suspected"
         assert outcome.expectation_met, outcome.describe()
 
+    def test_lying_shipper_segments_are_quarantined(self):
+        matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+        name = "lying-shipper-segments"
+        adversary = make_adversary(name, seed=4321)
+        assert "archive" in adversary.modes
+        spec = CellSpec(name, "kv", "archive", 2, 4321)
+        with tempfile.TemporaryDirectory(prefix="lying-shipper-") as tmp:
+            ctx, run = matrix._build(spec, adversary, tmp)
+            adversary.install(ctx)
+            run()
+            matrix._drain_archive(ctx)
+            adversary.corrupt(ctx)
+            assert ctx.ingest is not None
+            quarantined = sum(len(ctx.ingest.quarantine_for(machine))
+                              for machine in ctx.monitors)
+            assert ctx.ingest.stats.messages_received > 0
+        assert quarantined > 0
+
     def test_online_cell_records_detection_time(self, matrix):
         outcome = matrix.run_cell(CellSpec("unrecorded-input", "kv", "online",
                                            2, 2009))
@@ -213,6 +233,23 @@ class TestRepresentativeCells:
         assert first.verdict == second.verdict
         assert first.reason == second.reason
         assert first.phase == second.phase
+
+
+class TestArchiveCellDeterminism:
+    """An archive cell's whole outcome — verdicts, quarantine, evidence — is a
+    function of its spec: two fresh matrices in one process agree field for
+    field, with no global state reset between them."""
+
+    @pytest.mark.parametrize("adversary_name", (
+        "honest", "cheating-guest", "lying-shipper-segments"))
+    def test_archive_cells_identical_across_runs(self, adversary_name):
+        assert "archive" in make_adversary(adversary_name).modes
+        spec = CellSpec(adversary_name, "kv", "archive", 2, 2024)
+        first, second = (
+            ScenarioMatrix(duration=3.0, snapshot_interval=1.0).run_cell(spec)
+            for _ in range(2))
+        assert first.expectation_met, first.describe()
+        assert first.to_dict() == second.to_dict()
 
 
 class TestAcknowledgmentCells:
@@ -501,3 +538,29 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate-pins"]:
         raise SystemExit(f"usage: {sys.argv[0]} --regenerate-pins")
     regenerate_pins()
+
+
+# ---------------------------------------------------------------------------
+# --json output modes
+# ---------------------------------------------------------------------------
+
+class TestJsonOutput:
+    def test_adversary_matrix_json_mode(self, capsys, monkeypatch):
+        report = MatrixReport()
+        monkeypatch.setattr(adversary_matrix, "run_matrix",
+                            lambda **kwargs: report)
+        adversary_matrix.main(["--json", "--smoke"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cells"] == []
+        assert payload["ok"] is True
+        assert payload["smoke"] is True
+
+    def test_matrix_report_to_dict_round_trips(self):
+        matrix = ScenarioMatrix(duration=2.0, snapshot_interval=1.0)
+        outcome = matrix.run_cell(CellSpec("honest", "kv", "full", 2, 77))
+        payload = MatrixReport(cells=[outcome]).to_dict()
+        json.dumps(payload)  # JSON-ready
+        (cell,) = payload["cells"]
+        assert cell["adversary"] == "honest"
+        assert cell["expectation_met"] is True
+        assert payload["ok"] is True

@@ -604,22 +604,20 @@ class TestWarmPool:
 
     def test_report_and_telemetry_of_a_run(self, honest_session):
         from repro.audit.auditor import Auditor
-        from repro.obs import Observability
-        obs = Observability.make()
         machine = "player1"
+        starts = pool_starts_total()
         for _ in range(2):
             auditor = Auditor("server", honest_session.keystore,
-                              honest_session.reference_images[machine], obs=obs)
+                              honest_session.reference_images[machine])
             for peer_identity, peer in honest_session.monitors.items():
                 if peer_identity != machine:
                     auditor.collect_from_peer(peer, machine)
             report = AuditScheduler(workers=2, executor="process").audit_fleet(
                 [AuditAssignment(auditor, honest_session.monitors[machine])])
-            assert report.wall_seconds > 0.0
-        assert obs.metrics.value("audit.engine.pool_starts_total") == 1
-        names = [span.name for span in obs.tracer.spans]
-        assert names.count("audit.engine.submit") == 2
-        assert names.count("audit.engine.wait") == 2
+            assert report.executor_used == "process"
+            assert report.results[machine].verdict is Verdict.PASS
+        # two runs on fresh schedulers, one pool start: the pool stays warm
+        assert pool_starts_total() - starts == 1
 
     def test_auto_probes_the_image_not_the_log(self, honest_session):
         from dataclasses import replace

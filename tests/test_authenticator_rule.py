@@ -7,8 +7,9 @@ the audited machine issued whose :meth:`Authenticator.verify` holds.  An
 invalid one — a flipped signature bit, one of a blinded pair whose product
 still verifies, an inconsistent chain hash — proves nothing about the machine
 and is ignored; only a valid authenticator the log contradicts convicts.
-Here: the rule as a property, the missing certificate as a refusal, and a
-peer's junk handed to the auditor of an honest machine on every audit path.
+Here: the rule as a property, the missing certificate as a refusal, a
+peer's junk handed to the auditor of an honest machine on every audit path,
+and a third party re-verifying evidence at one verification per authenticator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.audit.kernel import chunk_job, run_chunk
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto import hashing
 from repro.crypto.keys import KeyStore
-from repro.errors import CertificateError
+from repro.crypto.rsa import RsaPublicKey
+from repro.errors import CertificateError, EvidenceError
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.entries import EntryType
 from repro.log.tamper_evident import TamperEvidentLog
@@ -217,3 +219,64 @@ class TestJunkOnEveryPath:
         assert f"log entry {ctx.notes['forged_sequence']} " in result.reason
         assert result.evidence.verify(ctx.keystore,
                                       ctx.reference_images[ctx.byzantine])
+
+
+# ---------------------------------------------------------------------------
+# A third party verifies each authenticator once
+# ---------------------------------------------------------------------------
+
+class TestEvidenceVerifiesEachAuthenticatorOnce:
+    @pytest.fixture(scope="class")
+    def conviction(self):
+        """A ``tamper-modify`` kv conviction: evidence, keys and image."""
+        spec = CellSpec("tamper-modify", "kv", "full", 2, 1100)
+        matrix = ScenarioMatrix()
+        adversary = make_adversary(spec.adversary, seed=spec.seed)
+        ctx, run = matrix._build(spec, adversary, None)
+        adversary.install(ctx)
+        run()
+        adversary.corrupt(ctx)
+        result = matrix._audit(spec, ctx, adversary, {})[ctx.byzantine]
+        assert result.phase is AuditPhase.AUTHENTICATOR_CHECK
+        return result.evidence, ctx.keystore, ctx.reference_images[ctx.byzantine]
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The signatures every ``RsaPublicKey.verify`` call is given."""
+        calls = []
+        verify = RsaPublicKey.verify
+
+        def counting(self, message, signature):
+            calls.append(signature)
+            return verify(self, message, signature)
+        monkeypatch.setattr(RsaPublicKey, "verify", counting)
+        return calls
+
+    @staticmethod
+    def _covering(evidence):
+        segment = evidence.segment
+        return [auth for auth in evidence.authenticators
+                if auth.machine == evidence.machine
+                and segment.first_sequence <= auth.sequence
+                <= segment.last_sequence]
+
+    def test_one_verification_per_covering_authenticator(self, conviction,
+                                                         monkeypatch):
+        evidence, keystore, image = conviction
+        covering = self._covering(evidence)
+        assert len(covering) > 1
+        calls = self._counted(monkeypatch)
+        assert evidence.verify(keystore, image) is True
+        assert len(calls) == len(covering)
+
+    def test_no_valid_one_is_refused_each_verified_once(self, conviction,
+                                                        monkeypatch):
+        evidence, keystore, image = conviction
+        rng = random.Random(7)
+        spoiled = replace(evidence, authenticators=[
+            flipped_signature(auth, rng) for auth in evidence.authenticators])
+        calls = self._counted(monkeypatch)
+        with pytest.raises(EvidenceError, match="no valid authenticator"):
+            spoiled.verify(keystore, image)
+        for auth in self._covering(spoiled):
+            assert calls.count(auth.signature) == 1

@@ -151,44 +151,7 @@ class TestEquivocationProofWire:
                 EquivocationProof.from_dict(breakage)
 
 
-# -- per-service metrics / per-network message ids (satellites) --------------
-
-class TestScopedInstruments:
-    def test_shard_services_do_not_clobber_each_other(self, tmp_path):
-        from repro.obs import Observability
-        from repro.service.ingest import AuditIngestService
-        obs = Observability.make()
-        first = AuditIngestService(LogArchive(tmp_path / "a"),
-                                   identity="shard-a", obs=obs)
-        second = AuditIngestService(LogArchive(tmp_path / "b"),
-                                    identity="shard-b", obs=obs)
-        first._m_messages.inc()
-        first._m_messages.inc()
-        second._m_messages.inc()
-        assert obs.metrics.value("ingest.shard-a.messages_total") == 2
-        assert obs.metrics.value("ingest.shard-b.messages_total") == 1
-        # Distinct instruments, not one shared via the registry name cache.
-        assert first._m_messages is not second._m_messages
-
-    def test_default_identity_keeps_historical_bare_names(self, tmp_path):
-        from repro.obs import Observability
-        from repro.service.ingest import AuditIngestService
-        obs = Observability.make()
-        service = AuditIngestService(LogArchive(tmp_path / "arch"), obs=obs)
-        service._m_messages.inc()
-        assert obs.metrics.value("ingest.messages_total") == 1
-
-    def test_scoped_wrapper_reads_back_through_registry(self):
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-        scoped = registry.scoped("fleet.")
-        scoped.counter("migrations_total").inc(3)
-        scoped.gauge("shards").set(4)
-        assert registry.value("fleet.migrations_total") == 3
-        assert scoped.value("shards") == 4
-        assert scoped.get("migrations_total") is registry.get(
-            "fleet.migrations_total")
-
+# -- per-network message ids -------------------------------------------------
 
 class TestPerNetworkMessageIds:
     def test_independent_networks_allocate_independently(self):

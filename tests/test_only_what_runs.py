@@ -47,12 +47,6 @@ ACCESSOR = "a read-only accessor tests use to observe code that runs"
 #: kept with it.
 ALLOWED = {
     # documented entry points
-    "repro.obs:Observability.make":
-        "docs/observability.md:24 — an enabled telemetry bundle",
-    "repro.obs.trace:Tracer.export_chrome_trace":
-        "docs/observability.md:30 — the Chrome trace-event export",
-    "repro.obs.trace:validate_chrome_trace":
-        "docs/observability.md:74 — the export's schema check",
     "repro.vm.snapshot:SnapshotManager.resident_bytes":
         "docs/snapshots.md:64 — the snapshot manager's memory bound",
     "repro.service.fleet:FleetAuditOutcome.verdict_for":
@@ -64,6 +58,7 @@ ALLOWED = {
     "repro.store.archive:LogArchive.reencode_segments":
         "docs/log-format.md:417 — the v1 -> v3 archive migration",
     # accessors
+    "repro.audit.engine:pool_starts_total": ACCESSOR,
     "repro.audit.online:OnlineAuditor.fault_detected": ACCESSOR,
     "repro.avmm.monitor:AccountableVMM.archive_destination": ACCESSOR,
     "repro.avmm.monitor:AccountableVMM.shipped_through": ACCESSOR,

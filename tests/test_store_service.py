@@ -653,6 +653,42 @@ class TestIngestService:
         # could not read back must never reach the archive.
         assert "undecodable segment" in service.quarantine[0].reason
 
+    def test_pending_queue_fills_on_shipment_and_drains_on_audit(
+            self, tmp_path):
+        fleet = build_fleet(num_machines=2, duration=2.0, seed=5,
+                            snapshot_interval=1.0,
+                            archive=LogArchive(tmp_path / "a"))
+        service = fleet.ingest
+        assert service.pending_machines() == sorted(fleet.machines)
+        for machine in fleet.machines:
+            assert service.pending_segments(machine) == \
+                len(service.archive.segments_for(machine))
+        results = service.audit_pending(
+            lambda machine: fleet.make_auditor(machine, collect=False))
+        assert sorted(results) == sorted(fleet.machines)
+        assert all(result.ok for result in results.values())
+        assert service.pending_machines() == []
+        assert service.audit_pending(fleet.make_auditor) == {}
+
+    def test_shard_services_keep_their_own_state(self, tmp_path):
+        log = build_sealed_log()
+        segments = log.segments_between_snapshots()
+        first = AuditIngestService(LogArchive(tmp_path / "a"),
+                                   identity="shard-a")
+        second = AuditIngestService(LogArchive(tmp_path / "b"),
+                                    identity="shard-b")
+        assert first.ingest_segment(segments[0])
+        assert first.ingest_segment(segments[1])
+        assert not second.ingest_segment(segments[2])  # no chain to extend
+        assert first.pending_segments("machine") == 2
+        assert first.stats.segments_ingested == 2
+        assert not first.quarantine and first.stats.segments_rejected == 0
+        assert second.pending_machines() == []
+        assert second.stats.segments_ingested == 0
+        assert second.quarantined_machines() == ["machine"]
+        assert first.archive.entry_count("machine") == \
+            len(segments[0].entries) + len(segments[1].entries)
+
     def test_format_ingest_report_lists_machines(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
@@ -668,6 +704,57 @@ class TestArchivePicklableLog:
         archive_sealed_log(archive, build_sealed_log())
         segment = archive.materialized_log("machine")
         assert pickle.loads(pickle.dumps(segment)).entries == segment.entries
+
+
+# ---------------------------------------------------------------------------
+# Every front-end audits the same recording the same way twice
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_archived_fleet(tmp_path_factory):
+    root = tmp_path_factory.mktemp("repeat-fleet") / "archive"
+    fleet = build_fleet(num_machines=4, duration=6.0, seed=11,
+                        snapshot_interval=2.0, archive=LogArchive(root))
+    return fleet, root
+
+
+def _serial(fleet, root):
+    machine = fleet.machines[0]
+    return [fleet.make_auditor(machine).audit(fleet.monitors[machine])]
+
+
+def _archive(fleet, root):
+    service = AuditIngestService(LogArchive(root))  # a reopened archive
+    return [service.audit_machine(fleet.make_auditor(machine, collect=False),
+                                  machine)
+            for machine in fleet.machines]
+
+
+def _engine(fleet, root):
+    report = AuditScheduler(workers=2, executor="thread").audit_fleet(
+        fleet.assignments())
+    return [report.results[machine] for machine in fleet.machines]
+
+
+def _spot_check(fleet, root):
+    machine = fleet.machines[0]
+    return [chunk.result for chunk in SpotChecker(fleet.make_auditor(machine))
+            .check_all_chunks(fleet.monitors[machine], k=1)]
+
+
+class TestFrontEndsRepeat:
+    """An audit result is a function of the recording: a second audit by a
+    fresh auditor equals the first field for field, on every front-end."""
+
+    @pytest.mark.parametrize("front_end", [_serial, _archive, _engine,
+                                           _spot_check],
+                             ids=["serial", "archive", "engine", "spot-check"])
+    def test_second_audit_equals_the_first(self, small_archived_fleet,
+                                           front_end):
+        fleet, root = small_archived_fleet
+        first = front_end(fleet, root)
+        assert first and all(result.ok for result in first)
+        assert front_end(fleet, root) == first
 
 
 # ---------------------------------------------------------------------------
