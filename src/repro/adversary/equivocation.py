@@ -43,7 +43,7 @@ def alternate_authenticators(log, keypair, rng, start_sequence: int,
     certified key — it differs from the genuine history only in the content
     it commits to, which is exactly what equivocation means.  Exposed for
     any harness that needs a forked-but-validly-signed view of a log (the
-    scenario matrix and the fleet-sharding experiments both do).
+    scenario matrix's forged-authenticator and equivocating-peer cells do).
     """
     entry = log.entry_at(start_sequence)
     previous = entry.previous_hash

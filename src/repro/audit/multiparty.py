@@ -51,8 +51,8 @@ class EquivocationProof:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready wire form, reusing the authenticator wire encoding.
 
-        Proofs travel between mutually-distrusting parties (shard → fleet
-        coordinator → third-party verifiers), so the wire form carries
+        Proofs travel between mutually-distrusting parties (the auditor
+        that found one → third-party verifiers), so the wire form carries
         everything :meth:`verify` needs — the receiver re-checks the proof
         against its *own* keystore and never trusts the sender.
         """

@@ -612,16 +612,6 @@ class AccountableVMM:
         return self._shipped_through
 
     @property
-    def archive_destination(self) -> Optional[str]:
-        """Current archive-shipper endpoint (``None`` when not attached)."""
-        return self._archive_destination
-
-    @property
-    def archive_format_version(self) -> int:
-        """Wire format the attached shipper encodes segments with."""
-        return self._archive_format_version
-
-    @property
     def archive_shipping_complete(self) -> bool:
         """True when everything shippable has been accepted by the network.
 

@@ -15,8 +15,8 @@ from repro.errors import LogFormatError
 from repro.log.authenticator import Authenticator
 from repro.log.hashchain import link_hash
 
-#: the packed authenticator batch — on the wire (archive shipments, shard
-#: gossip) and on disk (an archive frame's payload); docs/log-archive.md
+#: the packed authenticator batch — on the wire (archive shipments) and on
+#: disk (an archive frame's payload); docs/log-archive.md
 AUTH_BATCH_MAGIC = b"AVMAUTH1"
 #: top bit of a row's type byte: an explicit ``chain_hash`` follows
 _ROW_HAS_CHAIN_HASH = 0x80

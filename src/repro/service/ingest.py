@@ -24,10 +24,12 @@ group: one write, one commit record, one fsync
 (:meth:`~repro.store.archive.LogArchive.shipment`).
 
 Every successfully archived segment enqueues its machine on the per-machine
-audit queue; :meth:`audit_pending` drains the queue by feeding the archived
-logs straight into the audit engine, :class:`~repro.audit.engine.AuditScheduler`,
-via :class:`~repro.service.target.ArchiveBackedMachine` targets.  A machine
-whose archive has been truncated by retention GC replays from the boundary
+audit queue, and a service opened over an existing archive starts with every
+archived machine queued; :meth:`audit_pending` drains the queue by feeding
+the archived logs straight into the audit engine,
+:class:`~repro.audit.engine.AuditScheduler`, via
+:class:`~repro.service.target.ArchiveBackedMachine` targets.  A machine whose
+archive has been truncated by retention GC replays from the boundary
 snapshot — the same protocol a spot check uses for a mid-log chunk.
 """
 
@@ -111,20 +113,16 @@ class AuditIngestService:
         self.stats = IngestStats()
         self._quarantine_path = Path(archive.root) / "quarantine.jsonl"
         self.quarantine: List[QuarantinedShipment] = self._load_quarantine()
-        #: machines with archived-but-unaudited segments, with segment counts
+        #: machines with archived-but-unaudited segments, with segment
+        #: counts; rebuilt from the archive's index, so a reopened service
+        #: owes every archived machine an audit
         self._pending: Dict[str, int] = {}
+        for machine in archive.machines():
+            records = archive.segment_records(machine)
+            if records:
+                self._pending[machine] = len(records)
         if network is not None:
             network.register(identity, self.on_message)
-
-    def connect(self, network: SimulatedNetwork) -> None:
-        """Register this service's endpoint on ``network`` after the fact.
-
-        Lets a fleet of shards be constructed before the simulated network
-        exists (e.g. :meth:`repro.service.fleet.FleetCoordinator.build`) and
-        wired up when the experiment assembles its topology.
-        """
-        self.network = network
-        network.register(self.identity, self.on_message)
 
     # -- network ingestion ---------------------------------------------------
 
@@ -276,21 +274,6 @@ class AuditIngestService:
     def pending_segments(self, machine: str) -> int:
         return self._pending.get(machine, 0)
 
-    def enqueue_pending(self, machine: str, segments: int = 1) -> None:
-        """Mark ``machine`` as having unaudited archived segments.
-
-        Used by shard handoff: segments migrated into this shard's archive
-        arrive through :meth:`repro.store.archive.LogArchive.append_segment`
-        directly (raising on any chain break rather than quarantining), so
-        the audit queue is updated explicitly.
-        """
-        if segments > 0:
-            self._pending[machine] = self._pending.get(machine, 0) + segments
-
-    def drop_pending(self, machine: str) -> None:
-        """Remove ``machine`` from the audit queue (it left this shard)."""
-        self._pending.pop(machine, None)
-
     def target_for(self, machine: str) -> ArchiveBackedMachine:
         """An audit target serving ``machine``'s log from the archive."""
         return ArchiveBackedMachine(self.archive, machine)
@@ -300,22 +283,17 @@ class AuditIngestService:
         return auditor.collect_authenticators(
             machine, self.archive.authenticators_for(machine))
 
-    def audit_machine(self, auditor: Auditor, machine: str,
-                      collect: bool = True) -> AuditResult:
+    def audit_machine(self, auditor: Auditor, machine: str) -> AuditResult:
         """Audit one machine straight from the archive.
 
-        The auditor first collects the machine's archived authenticators
-        (pass ``collect=False`` when the caller already pooled
-        authenticators from elsewhere — e.g. the fleet coordinator's
-        cross-shard gossip — to avoid collecting them twice).  The audit
-        engine reads the archived log chunk by chunk: a serial auditor holds
-        one chunk at a time, an engine-backed one a window of two per
-        worker.  A truncated archive is anchored at the retention
+        The auditor first collects the machine's archived authenticators.
+        The audit engine reads the archived log chunk by chunk: a serial
+        auditor holds one chunk at a time, an engine-backed one a window of
+        two per worker.  A truncated archive is anchored at the retention
         boundary's snapshot, like a spot-check chunk.  Either way the
         machine leaves the pending queue.
         """
-        if collect:
-            self.prepare_auditor(auditor, machine)
+        self.prepare_auditor(auditor, machine)
         result = auditor.audit(self.target_for(machine))
         self._pending.pop(machine, None)
         return result

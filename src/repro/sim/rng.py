@@ -48,10 +48,6 @@ class RngStream:
         """Return an integer with ``bits`` random bits."""
         return self._rng.getrandbits(bits)
 
-    def fork(self, name: str) -> "RngStream":
-        """Create a child stream whose seed is derived from this stream's seed."""
-        return RngStream(_derive_seed(self.seed, name), name=f"{self.name}/{name}")
-
 
 class RngRegistry:
     """Hands out named :class:`RngStream` objects with derived seeds."""

@@ -770,15 +770,15 @@ class LogArchive:
                 f"hash-tree verification")
         return snapshot.state, self.snapshot_transfer_bytes(machine, boundary_id)
 
-    # -- shard handoff -------------------------------------------------------
+    # -- copying into another archive (reencode_segments) ---------------------
 
     def copy_snapshots_to(self, destination: "LogArchive",
                           machine: str) -> int:
         """Copy ``machine``'s archived snapshots into another archive, as one
         group: keyframe/delta structure, transfer costs and execution
         timestamps preserved, ascending ids (a delta's base precedes it).
-        What the destination already holds is skipped, so an interrupted
-        shard handoff resumes safely.  Returns the number copied."""
+        What the destination already holds is skipped.  Returns the number
+        copied."""
         copied = 0
         already = set(destination._snapshot_index.get(machine, {}))
         snaps = self._snapshot_index.get(machine, {})
@@ -794,19 +794,19 @@ class LogArchive:
                                    checkpoint: ChainCheckpoint) -> None:
         """Install another archive's retention anchor for ``machine``.
 
-        The first step of a shard handoff: a truncated source's earliest
-        segment extends its retention checkpoint, not genesis, so the
-        destination adopts the anchor *before* any segment arrives.
-        Idempotent for the checkpoint already installed (an interrupted
-        handoff re-runs); a *conflicting* anchor, or any once segments
-        exist, is refused (:class:`RetentionError`) — moving the anchor
-        would fork the archived chain.
+        The first step of :meth:`reencode_segments`: a truncated source's
+        earliest segment extends its retention checkpoint, not genesis, so
+        the destination adopts the anchor *before* any segment arrives.
+        Idempotent for the checkpoint already installed; a *conflicting*
+        anchor, or any once segments exist, is refused
+        (:class:`RetentionError`) — moving the anchor would fork the
+        archived chain.
         """
         current = self._retained.get(machine)
         if current is not None:
             if current.sequence == checkpoint.sequence \
                     and current.chain_hash == checkpoint.chain_hash:
-                return  # handoff resume: already adopted
+                return  # already adopted
             raise RetentionError(
                 f"cannot adopt retention checkpoint {checkpoint.sequence} for "
                 f"{machine!r}: a different anchor (sequence "
@@ -817,24 +817,6 @@ class LogArchive:
                 f"segments are already archived here")
         self._retained[machine] = checkpoint
         self._checkpoint()
-
-    def forget_machine(self, machine: str) -> int:
-        """Release ``machine``'s archived chain (the source side of a handoff).
-
-        Drops the machine's segments, snapshots and retention anchor once
-        they have been migrated to another shard's archive — its file is
-        rewritten without them — and returns the number of records
-        released.  Authenticator batches *about* the machine stay: they are
-        evidence collected from this shard's own reporters, valid wherever
-        the chain lives, and the fleet coordinator pools them across shards.
-        """
-        released: List[Any] = [*self._index.pop(machine, []),
-                               *self._snapshot_index.pop(machine, {}).values()]
-        if not released and machine not in self._retained:
-            return 0
-        self._retained.pop(machine, None)
-        self._rewrite({self._holder_of(record) for record in released})
-        return len(released)
 
     # -- rewriting: the next generation ----------------------------------------
 

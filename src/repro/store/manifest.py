@@ -16,7 +16,7 @@ stops at the first byte that is not a committed group, and tells a torn tail
 ``MANIFEST.json`` is the rarely written *checkpoint* — generation, each
 machine's current frame file and retention anchor (:func:`write_checkpoint`)
 — replaced atomically (:func:`atomic_write`) when a machine is created and
-when frames are rewritten into the next generation (GC, handoff).  A
+when frames are rewritten into the next generation (GC).  A
 checkpoint of any other format — the per-record archives of formats 1 and 2
 — is refused, typed, before anything on disk is touched (docs/log-archive.md).
 """

@@ -38,7 +38,6 @@ from repro.log.tamper_evident import TamperEvidentLog
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.shipment import (PartKind, ShipmentPart, decode_shipment,
                                     encode_shipment)
-from repro.service.fleet import FleetCoordinator
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import _OWNED_NAME_RE, LogArchive
 from repro.store.manifest import COMMIT_SIZE, file_header, read_frames
@@ -693,15 +692,3 @@ class TestRetiredFormats:
         else:
             assert landed.entry_count("beta") == 6
             assert held["beta"]["authenticators"] == []
-
-    @pytest.mark.parametrize("compress", [False, True],
-                             ids=["json-lines", "bzip2-json-lines"])
-    def test_shard_gossip_refuses_a_json_lines_batch(self, compress):
-        log = _WORLD.logs["alpha"]
-        own = [log.authenticator_for(entry) for entry in log.entries[:3]]
-        packed = {"shard-0": {"alpha": authenticators_to_bytes(own)}}
-        assert FleetCoordinator.pool_gossip(packed, "alpha") == own
-        wire = _json_lines_batch(own)
-        with pytest.raises(LogFormatError, match="magic"):
-            FleetCoordinator.pool_gossip({**packed, "shard-1": {
-                "alpha": bz2.compress(wire) if compress else wire}}, "alpha")

@@ -11,13 +11,17 @@ import pytest
 
 from repro.audit.auditor import Auditor
 from repro.audit.evidence import Evidence
-from repro.audit.multiparty import distribute_evidence
+from repro.audit.multiparty import (EquivocationProof, distribute_evidence,
+                                    find_equivocation)
 from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
 from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditPhase, Verdict
-from repro.errors import EvidenceError
+from repro.crypto import hashing
+from repro.crypto.keys import KeyStore
+from repro.errors import EvidenceError, LogFormatError
 from repro.vm.guest import PacketOutput
+from repro.log.authenticator import make_authenticator
 from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.entries import EntryType
 
@@ -307,3 +311,65 @@ class TestExternalAdversaries:
         result = session.audit("player1")
         assert result.verdict is Verdict.FAIL
         assert session.audit("player2").verdict is Verdict.PASS
+
+
+# -- EquivocationProof wire form: third-party verifiable ---------------------
+
+@pytest.fixture(scope="module")
+def proof_parts(ca):
+    """A genuine equivocation: two valid signatures on conflicting hashes."""
+    keypair = ca.issue("mallory")
+    keystore = KeyStore(ca)
+    keystore.add_certificate(keypair.certificate)
+    previous = hashing.hash_bytes(b"prefix")
+    auths = []
+    for branch in (b"left", b"right"):
+        content = hashing.hash_bytes(b"content:" + branch)
+        chain = hashing.hash_concat(previous, hashing.encode_int(9),
+                                    "send".encode("utf-8"), content)
+        auths.append(make_authenticator(keypair, sequence=9, chain_hash=chain,
+                                        previous_hash=previous,
+                                        entry_type="send",
+                                        content_hash=content))
+    proof = find_equivocation(auths, keystore)
+    assert proof is not None and proof.verify(keystore)
+    return proof, keystore
+
+
+class TestEquivocationProofWire:
+    def test_round_trip_preserves_verification(self, proof_parts):
+        proof, keystore = proof_parts
+        wire = json.dumps(proof.to_dict(), sort_keys=True)
+        received = EquivocationProof.from_dict(json.loads(wire))
+        assert received == proof
+        assert received.verify(keystore)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.__setitem__("machine", "alice"),
+        lambda d: d.__setitem__("sequence", 10),
+        lambda d: d["first"].__setitem__("chain_hash",
+                                         d["second"]["chain_hash"]),
+        lambda d: d["first"].__setitem__("signature",
+                                         d["second"]["signature"]),
+        lambda d: d["second"].__setitem__("sequence", 10),
+        lambda d: d["second"].__setitem__("machine", "alice"),
+        lambda d: d["second"].__setitem__("content_hash",
+                                          d["first"]["content_hash"]),
+    ])
+    def test_any_mutated_field_fails_verification(self, proof_parts, mutate):
+        proof, keystore = proof_parts
+        payload = json.loads(json.dumps(proof.to_dict()))
+        mutate(payload)
+        assert not EquivocationProof.from_dict(payload).verify(keystore)
+
+    def test_malformed_payloads_raise_log_format_error(self, proof_parts):
+        proof, _ = proof_parts
+        good = proof.to_dict()
+        for breakage in (
+                {**good, "kind": "not-a-proof"},
+                {**good, "sequence": "not-an-int"},
+                {key: value for key, value in good.items() if key != "first"},
+                {**good, "second": {"machine": "mallory"}},
+        ):
+            with pytest.raises(LogFormatError):
+                EquivocationProof.from_dict(breakage)

@@ -2,7 +2,7 @@
 
 For each mutating operation of :mod:`repro.store` and of the ingest service —
 the shipment append (onto a new machine, onto an existing one), the
-checkpoint, GC, forgetting a machine, re-encoding into another archive, an
+checkpoint, GC, re-encoding into another archive, an
 append onto a checked-in seed archive, the quarantine write and recovery
 itself — the operation runs once under :class:`crash_harness.FaultyOS` to
 enumerate its calls, then once more per call (and per byte class of every
@@ -243,24 +243,6 @@ class TestCrashMatrix:
         assert trace == [("write", "alpha/frames-000003.avmf"),
                          ("fsync", "alpha/frames-000003.avmf")]
 
-    def test_forgetting_a_machine(self, world, tmp_path):
-        base = tmp_path / "base"
-        world.ingest(base, seals=2)
-        before = summary(LogArchive(base))
-
-        def action(root):
-            assert LogArchive(root).forget_machine("alpha") == 4
-
-        run_matrix(tmp_path, base, action,
-                   lambda after: [before, after], redo=action)
-        after = LogArchive(tmp_path / "clean")
-        # what alpha *shipped* about beta stays; what it logged is gone
-        assert after.segment_records("alpha") == []
-        assert after.authenticators_for("beta") == \
-            before["beta"]["authenticators"]
-        assert after.authenticators_for("alpha") == \
-            before["alpha"]["authenticators"]
-
     def test_reencode_into_another_archive(self, world, tmp_path):
         source = tmp_path / "source"
         world.ingest(source, seals=3)
@@ -484,17 +466,22 @@ class TestByHand:
         archive = LogArchive(root)
         records = archive.segment_records("alpha")
         archive.truncate("alpha", records[1].last_sequence)
-        assert archive.forget_machine("beta") == 6
+        beta = archive.segment_records("beta")
+        beta_anchor = archive.truncate("beta", beta[0].last_sequence)
         stored = json.loads((root / MANIFEST_NAME).read_text())
-        assert stored["generation"] == 4  # two machines, GC, forgetting
+        assert stored["generation"] == 4  # two machines, then GC of each
         assert stored["machines"]["alpha"]["file"] == "alpha/frames-000003.avmf"
         assert stored["machines"]["beta"]["file"] == "beta/frames-000004.avmf"
         reopened = LogArchive(root)
         assert reopened.recovery.clean
         assert [r.first_sequence for r in reopened.segment_records("alpha")] \
             == [records[2].first_sequence]
-        # beta's own chain is gone; what it shipped about alpha is not
-        assert reopened.segment_records("beta") == []
+        # beta's chain starts at its anchor; what it shipped about alpha's
+        # retained range is still there
+        assert [r.first_sequence for r in reopened.segment_records("beta")] \
+            == [r.first_sequence for r in beta[1:]]
+        assert reopened.retained_checkpoint("beta") == beta_anchor
+        assert beta_anchor.sequence == beta[0].last_sequence
         assert reopened.authenticators_for("alpha")
         # The next append goes to the file of the generation in force.
         deliver(world.shipments["alpha"][3])(root)

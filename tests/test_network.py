@@ -7,6 +7,7 @@ from repro.log.authenticator import AckRun
 from repro.network.channel import ReliableChannel
 from repro.network.message import NetworkMessage
 from repro.network.simnet import LinkSpec, SimulatedNetwork
+from repro.service.fleet import build_fleet
 from repro.sim.scheduler import Scheduler
 
 
@@ -185,3 +186,26 @@ class TestReliableChannel:
         channel.send(NetworkMessage(source="alice", destination="bob", payload=b"x"),
                      expect_ack=False)
         assert channel.unacknowledged == []
+
+
+class TestPerNetworkMessageIds:
+    def test_independent_networks_allocate_independently(self):
+        first = SimulatedNetwork(Scheduler())
+        second = SimulatedNetwork(Scheduler())
+        assert [first.allocate_message_id() for _ in range(3)] == \
+            ["m0000000001", "m0000000002", "m0000000003"]
+        # A fresh network starts from 1 regardless of traffic elsewhere.
+        assert second.allocate_message_id() == "m0000000001"
+
+    def test_same_seed_fleets_identical_without_global_reset(self):
+        # Two same-seed recordings in one process must produce identical
+        # chains with nothing reset in between — the ids that land in
+        # RECV/ACK entries come from each recording's own network, not a
+        # process-global counter.
+        heads = []
+        for _ in range(2):
+            fleet = build_fleet(num_machines=2, duration=1.0, seed=13,
+                                snapshot_interval=0.5)
+            heads.append({machine: fleet.monitors[machine].log.head_hash
+                          for machine in fleet.machines})
+        assert heads[0] == heads[1]

@@ -219,13 +219,6 @@ class TestRng:
         assert reg.stream("x") is reg.stream("x")
         assert "x" in reg
 
-    def test_fork_derives_new_stream(self):
-        parent = RngStream(seed=1, name="parent")
-        child1 = parent.fork("c")
-        child2 = parent.fork("c")
-        assert child1.seed == child2.seed
-        assert child1.seed != parent.seed
-
     def test_uniform_respects_bounds(self):
         stream = RngStream(seed=2)
         for _ in range(100):

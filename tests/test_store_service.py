@@ -16,6 +16,7 @@ from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import Verdict
+from repro.crypto import hashing
 from repro.errors import (
     ArchiveIntegrityError,
     HashChainError,
@@ -23,7 +24,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.log.entries import EntryType, nondet_content, snapshot_content
-from repro.log.hashchain import verify_chain_incremental
+from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
@@ -370,6 +371,37 @@ class TestRetentionGC:
         with pytest.raises(RetentionError):
             archive.truncate("machine", records[0].last_sequence)
 
+    def test_retention_checkpoint_adoption_guards_forks(self, tmp_path):
+        empty = LogArchive(tmp_path / "dst")
+        anchor = ChainCheckpoint(sequence=10,
+                                 chain_hash=hashing.hash_bytes(b"anchor"))
+        empty.adopt_retention_checkpoint("m", anchor)
+        empty.adopt_retention_checkpoint("m", anchor)  # idempotent-if-equal
+        assert empty.retained_checkpoint("m") == anchor
+        conflicting = ChainCheckpoint(
+            sequence=10, chain_hash=hashing.hash_bytes(b"other"))
+        with pytest.raises(RetentionError):
+            empty.adopt_retention_checkpoint("m", conflicting)
+
+    def test_no_retention_checkpoint_is_adopted_under_archived_segments(
+            self, tmp_path):
+        archive = LogArchive(tmp_path / "a")
+        records = archive_sealed_log(archive, build_sealed_log())
+        with pytest.raises(RetentionError, match="already archived"):
+            archive.adopt_retention_checkpoint(
+                "machine", records[0].end_checkpoint())
+        assert archive.retained_checkpoint("machine") is None
+
+    def test_copying_snapshots_skips_what_the_destination_holds(
+            self, tmp_path):
+        source = LogArchive(tmp_path / "src")
+        archive_sealed_log(source, build_sealed_log())
+        destination = LogArchive(tmp_path / "dst")
+        assert source.copy_snapshots_to(destination, "machine") == 3
+        assert source.copy_snapshots_to(destination, "machine") == 0
+        assert destination.snapshot_store("machine").snapshot_ids() == \
+            source.snapshot_store("machine").snapshot_ids() == [1, 2, 3]
+
     def test_gc_keeps_boundary_snapshot_and_auths_in_range(self, tmp_path, ca):
         key = ca.issue("machine")
         log = TamperEvidentLog("machine", keypair=key)
@@ -670,13 +702,26 @@ class TestIngestService:
         assert service.pending_machines() == []
         assert service.audit_pending(fleet.make_auditor) == {}
 
-    def test_shard_services_keep_their_own_state(self, tmp_path):
+    def test_audit_machine_checks_the_archived_authenticators(self, tmp_path):
+        # The auditor starts empty-handed: every commitment it checks came
+        # out of the archive.
+        fleet = build_fleet(num_machines=2, duration=1.0, seed=5,
+                            snapshot_interval=0.5,
+                            archive=LogArchive(tmp_path / "a"))
+        for machine in fleet.machines:
+            held = fleet.ingest.archive.authenticators_for(machine)
+            result = fleet.ingest.audit_machine(
+                fleet.make_auditor(machine, collect=False), machine)
+            assert result.ok
+            assert result.authenticators_checked == len(held) > 0
+
+    def test_two_services_keep_their_own_state(self, tmp_path):
         log = build_sealed_log()
         segments = log.segments_between_snapshots()
         first = AuditIngestService(LogArchive(tmp_path / "a"),
-                                   identity="shard-a")
+                                   identity="ingest-a")
         second = AuditIngestService(LogArchive(tmp_path / "b"),
-                                    identity="shard-b")
+                                    identity="ingest-b")
         assert first.ingest_segment(segments[0])
         assert first.ingest_segment(segments[1])
         assert not second.ingest_segment(segments[2])  # no chain to extend
@@ -696,6 +741,108 @@ class TestIngestService:
             service.ingest_segment(segment)
         report = format_ingest_report(service)
         assert "machine" in report and "segments" in report
+
+
+class TestReopenedQueue:
+    """The audit queue is not stored: a service opened over an archive
+    rebuilds it from the segment index, one count per segment record of
+    every machine that has any."""
+
+    @pytest.mark.parametrize("engine", [None, 2], ids=["default", "2-workers"])
+    def test_a_reopened_service_still_owes_every_archived_machine_an_audit(
+            self, tmp_path, engine):
+        fleet = build_fleet(num_machines=4, duration=1.5, seed=5,
+                            snapshot_interval=0.5,
+                            archive=LogArchive(tmp_path / "a"))
+        reopened = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert reopened.pending_machines() == fleet.machines
+        for machine in fleet.machines:
+            assert reopened.pending_segments(machine) == \
+                fleet.ingest.pending_segments(machine) == \
+                len(reopened.archive.segment_records(machine))
+        results = reopened.audit_pending(
+            lambda machine: fleet.make_auditor(machine, collect=False),
+            engine=engine and AuditScheduler(workers=engine,
+                                             executor="thread"))
+        assert sorted(results) == fleet.machines
+        assert all(result.ok for result in results.values())
+        assert reopened.pending_machines() == []
+
+    def test_a_machine_audited_before_a_restart_is_queued_again(
+            self, tmp_path):
+        fleet = build_fleet(num_machines=2, duration=1.0, seed=5,
+                            snapshot_interval=0.5,
+                            archive=LogArchive(tmp_path / "a"))
+        audited, waiting = fleet.machines
+        assert fleet.ingest.audit_machine(
+            fleet.make_auditor(audited, collect=False), audited).ok
+        assert fleet.ingest.pending_machines() == [waiting]
+        reopened = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert reopened.pending_machines() == fleet.machines
+
+    @pytest.mark.parametrize("format_version", [1, 3])
+    def test_every_archived_segment_is_queued(self, tmp_path, format_version):
+        archive_sealed_log(LogArchive(tmp_path / "a",
+                                      format_version=format_version),
+                           build_sealed_log())
+        service = AuditIngestService(
+            LogArchive(tmp_path / "a", format_version=format_version))
+        assert service.pending_machines() == ["machine"]
+        assert service.pending_segments("machine") == 3
+
+    def test_an_empty_archive_queues_nothing(self, tmp_path):
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert service.pending_machines() == []
+
+    def test_ingest_after_a_reopen_adds_to_the_rebuilt_count(self, tmp_path):
+        segments = build_sealed_log().segments_between_snapshots()
+        first = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert first.ingest_segment(segments[0])
+        assert first.ingest_segment(segments[1])
+        reopened = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert not reopened.ingest_segment(segments[0])  # not the head
+        assert reopened.ingest_segment(segments[2])
+        assert reopened.pending_segments("machine") == 3
+
+    def test_a_machine_known_only_by_authenticators_is_not_queued(
+            self, tmp_path, ca):
+        issuer = TamperEvidentLog("issuer", keypair=ca.issue("issuer"))
+        entry = issuer.append(EntryType.NONDET, nondet_content("x", 1))
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        for segment in build_sealed_log().segments_between_snapshots():
+            assert service.ingest_segment(segment)
+        service.ingest_authenticators("issuer",
+                                      [issuer.authenticator_for(entry)])
+        reopened = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert reopened.archive.machines() == ["issuer", "machine"]
+        assert reopened.pending_machines() == ["machine"]
+
+    def test_a_quarantined_machine_without_segments_is_not_queued(
+            self, tmp_path):
+        segments = build_sealed_log().segments_between_snapshots()
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert not service.ingest_segment(segments[1])  # extends no chain
+        reopened = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert reopened.quarantined_machines() == ["machine"]
+        assert reopened.pending_machines() == []
+
+    def test_a_truncated_machine_is_queued_with_its_retained_segments(
+            self, tmp_path):
+        archive = LogArchive(tmp_path / "a")
+        records = archive_sealed_log(archive, build_sealed_log(segments=4))
+        archive.truncate("machine", records[1].last_sequence)
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert service.pending_segments("machine") == 2
+
+    def test_a_torn_tail_is_cut_before_the_queue_is_built(self, tmp_path):
+        records = archive_sealed_log(LogArchive(tmp_path / "a"),
+                                     build_sealed_log())
+        frames = tmp_path / "a" / records[-1].file_name
+        with open(frames, "r+b") as handle:  # the last commit record, torn
+            handle.truncate(frames.stat().st_size - 3)
+        service = AuditIngestService(LogArchive(tmp_path / "a"))
+        assert service.archive.recovery.torn_tails
+        assert service.pending_segments("machine") == 2
 
 
 class TestArchivePicklableLog:
@@ -989,13 +1136,18 @@ class TestSnapshotPagesMemo:
 
     def test_a_rewritten_generation_is_not_served_from_the_memo(self, tmp_path):
         archive, manager = self._snapshot_chain(tmp_path / "a")
+        # segments sealed by snapshots 1-4, so GC has boundaries to land on
+        records = [archive.append_segment(segment, sealed_by_snapshot=index + 1)
+                   for index, segment in enumerate(build_sealed_log(
+                       segments=4).segments_between_snapshots())]
         archive.load_snapshot("machine", 4)  # warm the memo
         stale = set(archive._snapshot_pages_cache)
-        assert archive.forget_machine("machine") == 4
+        archive.truncate("machine", records[1].last_sequence)
         with pytest.raises(Exception, match="no archived snapshot"):
-            archive.load_snapshot("machine", 4)
-        archive.store_snapshot_delta("machine", manager.get_incremental(1))
-        assert archive.load_snapshot("machine", 1).state == manager.get(1).state
+            archive.load_snapshot("machine", 1)
+        # snapshot 2 is now a keyframe in the next generation's file, and 4
+        # is rebuilt on it
+        assert archive.load_snapshot("machine", 4).state == manager.get(4).state
         assert not stale & {(r.file_name, r.offset) for r
                             in archive._snapshot_index["machine"].values()}
 

@@ -260,20 +260,19 @@ class TestTruncatedArchiveEquivalence:
     @pytest.mark.parametrize("engine", [None, 2], ids=["default", "2-workers"])
     def test_audit_pending_drains_truncated_and_whole_in_one_call(
             self, archived_fleet, tmp_path, engine):
-        """A truncated and an untruncated machine, drained together, audit
-        exactly as they do one by one: the engine anchors the truncated log
-        at its retention boundary itself."""
+        """One truncated machine and the untruncated rest, drained together
+        from a service opened over the archive, audit exactly as they do one
+        by one: the engine anchors the truncated log at its retention
+        boundary itself."""
         import shutil
         fleet, root = archived_fleet
         shutil.copytree(root, tmp_path / "archive")
         archive = LogArchive(tmp_path / "archive")
-        truncated, whole = fleet.machines[:2]
+        truncated = fleet.machines[0]
         archive.truncate(truncated,
                          archive.head_checkpoint(truncated).sequence // 2)
         assert archive.retained_checkpoint(truncated) is not None
         service = AuditIngestService(archive)
-        for machine in (truncated, whole):
-            service.enqueue_pending(machine)
 
         def make_auditor(machine):
             return fleet.make_auditor(machine, collect=False)
@@ -281,10 +280,11 @@ class TestTruncatedArchiveEquivalence:
         drained = service.audit_pending(
             make_auditor, engine=engine and AuditScheduler(
                 workers=engine, executor="thread"))
+        assert sorted(drained) == fleet.machines
         assert service.pending_machines() == []
         one_by_one = {machine: service.audit_machine(make_auditor(machine),
                                                      machine)
-                      for machine in (truncated, whole)}
+                      for machine in fleet.machines}
         assert drained == one_by_one
         assert all(result.ok for result in drained.values())
         assert drained[truncated].cost.snapshot_bytes_downloaded > 0
