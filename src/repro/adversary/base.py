@@ -159,6 +159,3 @@ class Adversary:
         lo = int(len(sequences) * lower)
         hi = max(lo + 1, int(len(sequences) * upper))
         return sequences[self.rng.randrange(lo, min(hi, len(sequences)))]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<{type(self).__name__} name={self.name!r} seed={self.seed}>"

@@ -182,17 +182,16 @@ class MatrixReport:
 class ScenarioMatrix:
     """Builds, runs and checks matrix cells.
 
-    ``workers``/``executor`` configure the :class:`AuditScheduler` the
-    ``full`` mode fans fleet audits over (threads by default: the cells are
-    small and process spin-up would dominate).  All scenario content is
-    derived deterministically from each cell's seed.
+    ``workers`` is how many chunks per machine the ``full`` mode's
+    :class:`AuditScheduler` cuts a log into; they run inline (the cells are
+    small, and a process pool would cost more than it saves).  All scenario
+    content is derived deterministically from each cell's seed.
     """
 
-    def __init__(self, workers: int = 2, executor: str = "thread",
+    def __init__(self, workers: int = 2,
                  duration: float = 4.0, snapshot_interval: float = 1.0,
                  base_seed: int = 1000, ship_format_version: int = 1) -> None:
         self.workers = workers
-        self.executor = executor
         self.duration = duration
         self.snapshot_interval = snapshot_interval
         self.base_seed = base_seed
@@ -428,8 +427,8 @@ class ScenarioMatrix:
 
     def _audit_full(self, ctx: ScenarioContext,
                     adversary: Adversary) -> Dict[str, AuditResult]:
-        """Fleet audit on the parallel engine (PR 1's scheduler pool)."""
-        engine = AuditScheduler(workers=self.workers, executor=self.executor)
+        """Fleet audit on the engine, ``workers`` chunks per machine, inline."""
+        engine = AuditScheduler(workers=self.workers, executor="inline")
         assignments = [AuditAssignment(self._make_auditor(ctx, machine, adversary),
                                        ctx.monitors[machine])
                        for machine in sorted(ctx.monitors)]

@@ -11,9 +11,9 @@ The three steps themselves are the audit kernel
 serial front-end — the kernel over the whole segment as one chunk — and
 :meth:`Auditor.evidence_for` the one place evidence is built, on every
 front-end, from the chunk that failed.  Whole-machine audits of an archive,
-or by an auditor with ``workers > 1`` (or an ``engine``), go to the audit
-engine (:class:`repro.audit.engine.AuditScheduler`) instead; a live log
-audited at ``workers=1`` (the default) takes the serial path below.
+or by an auditor given an ``engine``, go to the audit engine
+(:class:`repro.audit.engine.AuditScheduler`) instead; a live log audited by
+an auditor without one takes the serial path below.
 """
 
 from __future__ import annotations
@@ -40,33 +40,23 @@ if TYPE_CHECKING:  # pragma: no cover - avoid the auditor<->engine import cycle
 class Auditor:
     """An auditing party (Alice, or any player auditing another).
 
-    ``workers`` selects how many audit workers full-machine audits may use;
-    alternatively an explicit :class:`~repro.audit.engine.AuditScheduler`
-    can be supplied via ``engine`` (it wins over ``workers``).
+    ``engine`` is the :class:`~repro.audit.engine.AuditScheduler` its
+    whole-machine audits run on; without one a live log is audited serially.
     """
 
     def __init__(self, identity: str, keystore: KeyStore, reference_image: VMImage,
                  cost_params: Optional[CostParameters] = None,
-                 workers: int = 1,
                  engine: Optional["AuditScheduler"] = None) -> None:
         self.identity = identity
         self.keystore = keystore
         self.reference_image = reference_image
         self.cost_params = cost_params or CostParameters()
-        self.workers = workers
-        self._engine = engine
+        #: the audit engine backing this auditor (None: the serial path)
+        self.engine = engine
         #: per machine, each held authenticator under its
         #: ``(sequence, chain_hash, signature)``
         self.collected_authenticators: Dict[
             str, Dict[Tuple[int, bytes, bytes], Authenticator]] = {}
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        """The audit engine backing this auditor (``None`` on the serial path)."""
-        if self._engine is None and self.workers > 1:
-            from repro.audit.engine import AuditScheduler
-            self._engine = AuditScheduler(workers=self.workers)
-        return self._engine
 
     # -- authenticator collection -------------------------------------------------
 

@@ -23,8 +23,8 @@ a pool, so decoding chunk *k+1* overlaps chunk *k* in a worker; one on the
 ``"inline"`` executor, which runs a job inside ``submit`` — and a folded job
 is dropped at once, so what the parent holds is bounded by the window, not
 by the log, at every worker count (``docs/streaming-audit.md``).  The pools
-are process-wide and warm (:data:`_POOLS`, one per ``(kind, workers)``,
-until :func:`shutdown_worker_pools`, also registered ``atexit``).
+are process-wide and warm (:data:`_POOLS`, one per worker count, until
+:func:`shutdown_worker_pools`, also registered ``atexit``).
 
 A machine stops being planned at its first failing chunk in log order: it is
 the verdict and its job the evidence (:meth:`Auditor.evidence_for
@@ -50,8 +50,7 @@ import os
 import pickle
 import threading
 from collections import deque
-from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -119,7 +118,7 @@ class _InlineExecutor(Executor):
 
 
 class _WorkerPools:
-    """The process's executors, one per ``(kind, workers)``, started on demand.
+    """The process's worker pools, one per worker count, started on demand.
 
     Every :class:`AuditScheduler` and every call shares them, so worker
     start-up is paid once per process, not once per audit.  A child created
@@ -129,39 +128,34 @@ class _WorkerPools:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pools: Dict[Tuple[str, int], Executor] = {}
-        self._inline = _InlineExecutor()
-        #: executors started so far in this process
+        self._pools: Dict[int, ProcessPoolExecutor] = {}
+        #: pools started so far in this process
         self.starts = 0
 
-    def get(self, kind: str, workers: int) -> Executor:
-        """The executor for ``(kind, workers)``, started if need be."""
-        if kind == "inline":
-            return self._inline
+    def get(self, workers: int) -> ProcessPoolExecutor:
+        """The pool of ``workers`` processes, started if need be."""
         with self._lock:
-            pool = self._pools.get((kind, workers))
+            pool = self._pools.get(workers)
             if pool is not None:
                 return pool
-            return self._start(kind, workers)
+            return self._start(workers)
 
-    def replace(self, kind: str, workers: int, broken: Executor) -> Executor:
-        """The executor to use now that ``broken`` has lost a worker
-        (another caller may already have started it)."""
+    def replace(self, workers: int, broken: Executor) -> ProcessPoolExecutor:
+        """The pool to use now that ``broken`` has lost a worker (another
+        caller may already have started it)."""
         with self._lock:
-            current = self._pools.get((kind, workers))
+            current = self._pools.get(workers)
             if current is not None and current is not broken:
                 return current
             if current is broken:
                 # Its manager thread reaps the surviving workers; waiting
                 # for it also settles every future the pool still held.
                 broken.shutdown(wait=True)
-            return self._start(kind, workers)
+            return self._start(workers)
 
-    def _start(self, kind: str, workers: int) -> Executor:
-        """The one place an executor is constructed."""
-        pool = (ProcessPoolExecutor(max_workers=workers) if kind == "process"
-                else ThreadPoolExecutor(max_workers=workers))
-        self._pools[(kind, workers)] = pool
+    def _start(self, workers: int) -> ProcessPoolExecutor:
+        """The one place a pool is constructed."""
+        pool = self._pools[workers] = ProcessPoolExecutor(max_workers=workers)
         self.starts += 1
         return pool
 
@@ -180,11 +174,12 @@ class _WorkerPools:
 
 
 _POOLS = _WorkerPools()
+_INLINE = _InlineExecutor()
 os.register_at_fork(after_in_child=_POOLS.forget)
 
 
 def shutdown_worker_pools() -> None:
-    """Stop the engine's worker processes and threads and wait for them.
+    """Stop the engine's worker processes and wait for them.
 
     Idempotent; the next parallel audit starts fresh ones.  Registered
     ``atexit``, so no worker outlives the interpreter either way.  Jobs
@@ -201,22 +196,6 @@ def pool_starts_total() -> int:
     return _POOLS.starts
 
 
-def _executor_kind(requested: str, workers: int, first_job: ChunkJob) -> str:
-    """Where a call's jobs run; decided once, when its first job is ready."""
-    if workers <= 1 or requested == "inline":
-        return "inline"
-    if requested != "auto":
-        return requested
-    # auto: processes give real parallelism, but only when jobs pickle.  Log
-    # entries, authenticators and snapshot states always do; the image (its
-    # guest factory) and the key view are what a caller can get wrong.
-    try:
-        pickle.dumps((first_job.reference_image, first_job.key_view))
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return "thread"
-    return "process"
-
-
 @dataclass
 class _Submitted:
     """A job on the executor whose outcome has not been taken back yet."""
@@ -231,10 +210,8 @@ class _ChunkRun:
     taken back in submission order."""
 
     def __init__(self, requested: str, workers: int) -> None:
-        self.requested = requested
         self.workers = workers
-        #: "inline" until a first job decides otherwise
-        self.kind = "inline"
+        self.kind = "inline" if workers <= 1 or requested == "inline" else "process"
         #: submitted jobs not taken back yet, oldest first
         self.pending: Deque[_Submitted] = deque()
         self._pool: Optional[Executor] = None
@@ -249,8 +226,8 @@ class _ChunkRun:
 
     def submit(self, job: ChunkJob, owner: object = None) -> None:
         if self._pool is None:
-            self.kind = _executor_kind(self.requested, self.workers, job)
-            self._pool = _POOLS.get(self.kind, self.workers)
+            self._pool = (_INLINE if self.kind == "inline"
+                          else _POOLS.get(self.workers))
         future = self._rebuilt_once(lambda: self._submit(job))
         self.pending.append(_Submitted(owner, job, future))
 
@@ -295,7 +272,7 @@ class _ChunkRun:
     def _rebuild(self) -> None:
         """Restart the pool and re-submit the jobs it lost."""
         self._rebuilt = True
-        self._pool = _POOLS.replace(self.kind, self.workers, self._pool)
+        self._pool = _POOLS.replace(self.workers, self._pool)
         for submitted in self.pending:
             if isinstance(submitted.future.exception(), BrokenProcessPool):
                 submitted.future = self._submit(submitted.job)
@@ -342,13 +319,6 @@ class FleetAuditReport:
     @property
     def all_passed(self) -> bool:
         return all(result.verdict is Verdict.PASS for result in self.results.values())
-
-    def summary(self) -> str:
-        verdicts = ", ".join(f"{machine}={result.verdict.value}"
-                             for machine, result in sorted(self.results.items()))
-        return (f"fleet audit: {len(self.results)} machines, "
-                f"{self.chunk_count} chunks on {self.workers} workers "
-                f"({self.executor_used}); {verdicts}")
 
 
 @dataclass
@@ -404,18 +374,20 @@ class AuditScheduler:
     chunk — the serial audit — and an archived one is cut at every archived
     sealing snapshot, so it is audited one chunk at a time.  Otherwise each
     log is cut into ``chunks_per_machine`` chunks (one per worker by
-    default) that run concurrently.  ``executor`` may be ``"auto"`` (process
-    pool when the jobs pickle, else threads), ``"process"``, ``"thread"`` or
-    ``"inline"``.  A scheduler owns no workers: the executor comes from the
-    process-wide registry, so every instance with the same ``(kind,
-    workers)`` shares one warm pool (see :func:`shutdown_worker_pools`).
+    default) that run concurrently.  ``executor`` is ``"process"`` (a pool of
+    ``workers`` processes, the default) or ``"inline"`` (the same chunks,
+    run one by one in this process); with one worker it is always inline.
+    A job is pickled when it is submitted to the pool, so one that does not
+    pickle fails there.  A scheduler owns no workers: the pool comes from
+    the process-wide registry, so every instance with the same worker count
+    shares one warm pool (see :func:`shutdown_worker_pools`).
     """
 
-    def __init__(self, workers: int = 1, executor: str = "auto",
+    def __init__(self, workers: int = 1, executor: str = "process",
                  chunks_per_machine: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
-        if executor not in ("auto", "process", "thread", "inline"):
+        if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor kind {executor!r}")
         self.workers = workers
         self.executor = executor
@@ -479,13 +451,6 @@ class AuditScheduler:
             [cost.total_seconds for cost in chunk_costs + whole_logs],
             self.workers)
         return fleet
-
-    def run_jobs(self, jobs: Sequence[ChunkJob]) -> List[ChunkOutcome]:
-        """Execute prepared chunk jobs on the pool (used by the spot checker)."""
-        run = _ChunkRun(self.executor, self.workers)
-        for job in jobs:
-            run.submit(job)
-        return [run.take()[1] for _ in jobs]
 
     # -- planning -----------------------------------------------------------
 
@@ -604,7 +569,7 @@ class AuditScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared with the spot checker
+# Helpers
 # ---------------------------------------------------------------------------
 
 def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:

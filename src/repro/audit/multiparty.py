@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
 from repro.crypto.keys import KeyStore
-from repro.errors import LogFormatError
 from repro.log.authenticator import Authenticator
 from repro.vm.image import VMImage
 
@@ -47,45 +46,6 @@ class EquivocationProof:
             and self.first.verify(keystore)
             and self.second.verify(keystore)
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready wire form, reusing the authenticator wire encoding.
-
-        Proofs travel between mutually-distrusting parties (the auditor
-        that found one → third-party verifiers), so the wire form carries
-        everything :meth:`verify` needs — the receiver re-checks the proof
-        against its *own* keystore and never trusts the sender.
-        """
-        return {
-            "kind": "equivocation_proof",
-            "machine": self.machine,
-            "sequence": self.sequence,
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "EquivocationProof":
-        """Rebuild a proof from its wire form.
-
-        Raises :class:`~repro.errors.LogFormatError` on structurally invalid
-        input; a *well-formed but false* proof decodes fine and is rejected
-        by :meth:`verify` instead.
-        """
-        try:
-            if payload.get("kind", "equivocation_proof") != "equivocation_proof":
-                raise ValueError(f"unexpected kind {payload.get('kind')!r}")
-            return cls(
-                machine=str(payload["machine"]),
-                sequence=int(payload["sequence"]),
-                first=Authenticator.from_dict(payload["first"]),
-                second=Authenticator.from_dict(payload["second"]),
-            )
-        except LogFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(
-                f"malformed equivocation proof: {exc}") from exc
 
 
 def find_equivocation(authenticators: Iterable[Authenticator],

@@ -39,20 +39,16 @@ class OnlineAuditor:
     """Periodically audits a running machine.
 
     Each pass re-audits the whole log-so-far, so long sessions benefit from
-    the parallel engine: build the auditor with ``workers > 1`` (or an
-    ``engine``) and every pass is chunked over the worker pool.  The
-    cost accounting below is unchanged either way: a passing result is the
-    same at every worker count.
+    the parallel engine: give the auditor an ``engine``
+    (:class:`~repro.audit.engine.AuditScheduler` with ``workers > 1``) and
+    every pass is chunked over its worker pool.  The cost accounting below
+    is unchanged either way: a passing result is the same at every worker
+    count.
 
     Before each pass the auditor collects what ``sources`` hold about the
-    target (Section 4.6): for a live target, its peers — the parties the
-    target sent authenticators to; for an archive-backed target, the target
-    itself, which serves every authenticator the fleet shipped about it.
-
-    Archive-backed targets (:class:`~repro.service.target.
-    ArchiveBackedMachine`) go to the audit engine at any worker count: every
-    pass reads the archived log chunk by chunk, so an online auditor watching
-    a long archived history keeps O(chunk) memory.
+    target (Section 4.6): its peers, the parties the target sent
+    authenticators to.  The target is a live machine: the pass length is its
+    ``log``'s.
     """
 
     def __init__(self, auditor: Auditor, target: AccountableVMM,

@@ -11,17 +11,12 @@ A chunk goes through the same audit kernel as a whole log, under a
 :class:`~repro.audit.kernel.BoundaryContext` seeded from the segment that
 precedes it — downloaded anyway, for the SNAPSHOT entry that authenticates
 the chunk's start state.
-
-Because every k-chunk is an independent work item, spot checks are a natural
-fit for the parallel engine: construct the checker with an
-:class:`~repro.audit.engine.AuditScheduler` and :meth:`check_all_chunks`
-fans the chunks out over its worker pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, fetch_verified_snapshot_entry,
@@ -31,9 +26,6 @@ from repro.avmm.monitor import AccountableVMM
 from repro.errors import SegmentError
 from repro.log.codec import modelled_compressed_log_bytes
 from repro.log.segments import LogSegment, concatenate_segments
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports the auditor, not us
-    from repro.audit.engine import AuditScheduler
 
 
 @dataclass
@@ -112,23 +104,15 @@ class _SegmentSource:
 
 
 class SpotChecker:
-    """Audits k-chunks of a machine's log.
+    """Audits k-chunks of a machine's log, one after another.
 
-    ``engine`` (or the auditor's own engine, when it has one) parallelises
-    :meth:`check_all_chunks`; single-chunk checks always run serially.
     Archive-backed targets are read lazily: each chunk's segments are
     decompressed on demand (:class:`_SegmentSource`), so checking a few
     chunks of a long archived log never materializes the log.
     """
 
-    def __init__(self, auditor: Auditor,
-                 engine: Optional["AuditScheduler"] = None) -> None:
+    def __init__(self, auditor: Auditor) -> None:
         self.auditor = auditor
-        self._engine = engine
-
-    @property
-    def engine(self) -> Optional["AuditScheduler"]:
-        return self._engine if self._engine is not None else self.auditor.engine
 
     # -- public API ------------------------------------------------------------------
 
@@ -153,10 +137,10 @@ class SpotChecker:
     def _chunk_inputs(target: AccountableVMM, start_index: int, k: int,
                       segments: _SegmentSource):
         """The k-chunk at ``start_index`` and — as keyword arguments of
-        :meth:`Auditor.audit_segment` and of a chunk job — what holds at its
-        boundary: the start state, checked against the SNAPSHOT entry that
-        seals the preceding segment, and the context (what that segment left
-        in flight, and whether anything follows the chunk)."""
+        :meth:`Auditor.audit_segment` — what holds at its boundary: the start
+        state, checked against the SNAPSHOT entry that seals the preceding
+        segment, and the context (what that segment left in flight, and
+        whether anything follows the chunk)."""
         if start_index < 0 or start_index + k > len(segments):
             raise SegmentError(
                 f"chunk [{start_index}, {start_index + k}) outside the "
@@ -195,43 +179,10 @@ class SpotChecker:
 
         ``skip_initial`` excludes chunks that start at the very beginning of
         the log, as the paper does: they are atypical because no snapshot has
-        to be transferred and there is little activity yet.  With an engine
-        attached, the chunks run concurrently on its worker pool; the results
-        are returned in chunk order either way.
+        to be transferred and there is little activity yet.  Results are
+        returned in chunk order.
         """
         segments = _SegmentSource(target, k=k)
         start = 1 if skip_initial else 0
-        indices = list(range(start, len(segments) - k + 1))
-        engine = self.engine
-        if engine is None or engine.workers <= 1 or len(indices) <= 1:
-            return [self.check_chunk(target, index, k, segments=segments)
-                    for index in indices]
-        return self._check_chunks_on_engine(target, k, indices, segments)
-
-    def _check_chunks_on_engine(self, target: AccountableVMM, k: int,
-                                indices: List[int],
-                                segments: _SegmentSource) -> List[SpotCheckResult]:
-        """Fan independent k-chunks out over the engine's worker pool.
-
-        A chunk that fails is convicted on its outcome, with evidence built
-        from its job exactly as :meth:`check_chunk` would have.
-        """
-        from repro.audit.engine import job_factory
-
-        auditor = self.auditor
-        machine = target.identity
-        make_job = job_factory(auditor, machine)
-        jobs = []
-        for position, index in enumerate(indices):
-            chunk, boundary = self._chunk_inputs(target, index, k, segments)
-            jobs.append(make_job(chunk, chunk_index=position, **boundary))
-
-        outcomes = self.engine.run_jobs(jobs)
-        results: List[SpotCheckResult] = []
-        for index, job, outcome in zip(indices, jobs, outcomes):
-            result = outcome.as_result(auditor.identity)
-            if not outcome.ok:
-                result.evidence = auditor.evidence_for(
-                    job, result, segments.following(index + k))
-            results.append(self._priced(index, k, job.segment, result))
-        return results
+        return [self.check_chunk(target, index, k, segments=segments)
+                for index in range(start, len(segments) - k + 1)]

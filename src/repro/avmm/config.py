@@ -45,7 +45,7 @@ class AvmmConfig:
     record_replay_info: bool = True
     #: maintain the tamper-evident log, acknowledgments and authenticators
     tamper_evident: bool = True
-    #: signature scheme name ('rsa768', 'rsa2048', 'esign2046-sim', 'nosig')
+    #: signature scheme name ('rsa768', 'rsa2048', 'nosig')
     signature_scheme: str = "rsa768"
     #: take an incremental snapshot every this many simulated seconds (None = off)
     snapshot_interval: Optional[float] = 300.0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.avmm.clockopt import ClockReadOptimizer
 from repro.avmm.config import AvmmConfig
@@ -191,10 +191,6 @@ class AccountableVMM:
             self._timer_process.stop()
         if self._snapshot_process is not None:
             self._snapshot_process.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     # ------------------------------------------------------------------ clock reads
 
@@ -714,21 +710,3 @@ class AccountableVMM:
     def guest(self):
         """The guest program running inside the AVM."""
         return self.vm.guest
-
-    def describe(self) -> Dict[str, Any]:
-        """Summary used in experiment reports."""
-        return {
-            "identity": self.identity,
-            "configuration": self.config.configuration.label,
-            "image": self.image.name,
-            "log_entries": len(self.log),
-            "log_bytes": self.log.size_bytes(),
-            "snapshots": self.snapshots.count,
-            "messages_sent": self.stats.messages_sent,
-            "messages_received": self.stats.messages_received,
-            "signatures_generated": self.stats.signatures_generated,
-            "acks_sent": self.stats.acks_sent,
-            "acks_piggybacked": self.stats.acks_piggybacked,
-            "acks_standalone": self.stats.acks_standalone,
-        }
-

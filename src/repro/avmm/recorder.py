@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.crypto import hashing
+from repro.errors import VMError
 from repro.log.entries import EntryType, nondet_content, snapshot_content
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.vm.events import GuestEvent, KeyboardInput, PacketDelivery, TimerInterrupt
@@ -166,11 +167,7 @@ class ExecutionRecorder:
         elif isinstance(event, KeyboardInput):
             self.record_keyboard_input(execution, event)
         else:
-            self._append(EntryType.NONDET, nondet_content(
-                event_kind=event.kind,
-                execution_counter=execution.instruction_count,
-                data=event.to_payload(),
-            ))
+            raise VMError(f"no log record for a {event.kind!r} event")
 
     # -- snapshots ----------------------------------------------------------------
 

@@ -72,11 +72,6 @@ class ReplayReport:
     def diverged(self) -> bool:
         return self.divergence is not None
 
-    @property
-    def ok(self) -> bool:
-        return self.divergence is None
-
-
 # Items in the replay schedule -------------------------------------------------
 
 @dataclass

@@ -10,8 +10,8 @@ The paper's AVMM relies on three cryptographic primitives (Section 4.1):
 * hash trees over VM state used to authenticate snapshots — provided by
   :mod:`repro.crypto.merkle`.
 
-Signature *schemes* (RSA-768, RSA-2048, a simulated ESIGN and a null scheme
-used by the ``avmm-nosig`` configuration) are selected through
+Signature *schemes* (RSA at any key size, and a null scheme used by the
+``avmm-nosig`` configuration) are selected through
 :mod:`repro.crypto.signatures` so experiments can swap them per configuration.
 """
 
@@ -24,13 +24,12 @@ from repro.crypto.hashing import (
     hash_object,
 )
 from repro.crypto.keys import Certificate, CertificateAuthority, KeyPair, KeyStore
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.crypto.signatures import (
     NullScheme,
     RsaScheme,
     SignatureScheme,
-    SimulatedEsignScheme,
     get_scheme,
 )
 
@@ -45,14 +44,12 @@ __all__ = [
     "CertificateAuthority",
     "KeyPair",
     "KeyStore",
-    "MerkleProof",
     "MerkleTree",
     "RsaPrivateKey",
     "RsaPublicKey",
     "generate_keypair",
     "SignatureScheme",
     "RsaScheme",
-    "SimulatedEsignScheme",
     "NullScheme",
     "get_scheme",
 ]

@@ -53,12 +53,5 @@ def hash_object(obj: Any) -> bytes:
     Used for structured payloads (game state digests, snapshot metadata)
     where a stable, order-independent encoding matters.
     """
-    encoded = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                         default=_json_default).encode("utf-8")
+    encoded = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hash_bytes(encoded)
-
-
-def _json_default(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return value.hex()
-    raise TypeError(f"cannot canonically encode {type(value)!r}")

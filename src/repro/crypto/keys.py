@@ -50,10 +50,6 @@ class KeyPair:
         """Sign ``message`` with the party's private key."""
         return self.signing_key.sign(message)
 
-    @property
-    def verify_key(self) -> VerifyKey:
-        return self.signing_key.verify_key
-
 
 class CertificateAuthority:
     """Issues certified key pairs for parties.
@@ -70,11 +66,6 @@ class CertificateAuthority:
         self._ca_key = self.scheme.generate(identity, seed=_derive_seed(seed, identity))
         self._seed = seed
         self._issued: Dict[str, KeyPair] = {}
-
-    @property
-    def verify_key(self) -> VerifyKey:
-        """The CA's public verification key."""
-        return self._ca_key.verify_key
 
     def issue(self, identity: str) -> KeyPair:
         """Generate and certify a key pair for ``identity``.
@@ -157,10 +148,6 @@ class KeyStore:
             return False
         return key.verify(message, signature)
 
-    def identities(self) -> list[str]:
-        """Identities with a registered certificate, sorted."""
-        return sorted(self._certificates)
-
     def static_view(self) -> "StaticKeyView":
         """A picklable, read-only snapshot of the registered verification keys.
 
@@ -192,9 +179,6 @@ class StaticKeyView:
         if key is None:
             return False
         return key.verify(message, signature)
-
-    def identities(self) -> list[str]:
-        return sorted(self.keys)
 
 
 def build_trust(identities: Sequence[str], scheme: str = "rsa768",

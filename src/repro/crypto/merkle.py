@@ -10,7 +10,6 @@ letting a third party check the remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.crypto import hashing
@@ -18,35 +17,6 @@ from repro.errors import SnapshotError
 
 _LEAF_PREFIX = b"\x00leaf"
 _NODE_PREFIX = b"\x01node"
-
-
-@dataclass(frozen=True)
-class MerkleProof:
-    """Inclusion proof for a single leaf.
-
-    ``path`` lists sibling hashes from the leaf up to (not including) the
-    root; ``index`` is the leaf position, which determines on which side each
-    sibling sits.
-    """
-
-    index: int
-    leaf_hash: bytes
-    path: tuple[bytes, ...]
-    tree_size: int
-
-    def verify(self, root: bytes) -> bool:
-        """Check the proof against an expected root hash."""
-        if self.index < 0 or self.index >= self.tree_size:
-            return False
-        node = self.leaf_hash
-        index = self.index
-        for sibling in self.path:
-            if index % 2 == 1:
-                node = hashing.hash_concat(_NODE_PREFIX, sibling, node)
-            else:
-                node = hashing.hash_concat(_NODE_PREFIX, node, sibling)
-            index //= 2
-        return node == root
 
 
 class MerkleTree:
@@ -81,24 +51,6 @@ class MerkleTree:
     def size(self) -> int:
         """Number of leaves."""
         return len(self._leaf_hashes)
-
-    def leaf_hash(self, index: int) -> bytes:
-        return self._leaf_hashes[index]
-
-    def proof(self, index: int) -> MerkleProof:
-        """Inclusion proof for the leaf at ``index``."""
-        if index < 0 or index >= self.size:
-            raise SnapshotError(f"leaf index {index} out of range (size {self.size})")
-        path: List[bytes] = []
-        level_index = index
-        for level in self._levels[:-1]:
-            sibling_index = level_index ^ 1
-            if sibling_index >= len(level):
-                sibling_index = level_index  # unpaired node pairs with itself
-            path.append(level[sibling_index])
-            level_index //= 2
-        return MerkleProof(index=index, leaf_hash=self._leaf_hashes[index],
-                           path=tuple(path), tree_size=self.size)
 
     # -- incremental maintenance (Section 4.4: *after each snapshot, it
     # -- updates the tree*) --------------------------------------------------

@@ -5,12 +5,11 @@ signed:
 
 * ``avmm-rsa768`` — 768-bit RSA on every packet and acknowledgment;
 * ``avmm-nosig``  — the AVMM machinery without signatures;
-* Section 6.8 additionally points at ESIGN as a faster alternative.
 
 :func:`get_scheme` returns a :class:`SignatureScheme` by name.  Every scheme
 reports a *cost model* (seconds to sign/verify) used by the performance model;
-the RSA scheme actually performs modular exponentiation, the others are
-lightweight stand-ins with the appropriate cost and security semantics.
+the RSA scheme actually performs modular exponentiation; the null scheme
+only reports a zero cost, for the configurations that do not sign.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.crypto import hashing
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.errors import SignatureError
 
@@ -119,72 +117,10 @@ class RsaScheme(SignatureScheme):
                            signature_bytes=self.bits // 8)
 
 
-# ---------------------------------------------------------------------------
-# Simulated ESIGN (fast scheme referenced in Section 6.8)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _MacVerifyKey(VerifyKey):
-    """Verification key for hash-based stand-in schemes.
-
-    The stand-in schemes bind signatures to the signer's secret material via a
-    keyed hash.  Verification recomputes the tag from the *public* portion,
-    which is enough for the simulation's integrity checks (no simulated party
-    knows another party's secret), while keeping the cost profile of a fast
-    signature scheme.
-    """
-
-    key_material: bytes = b""
-
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        expected = hashing.hash_concat(self.key_material, message)
-        return signature == expected
-
-    def fingerprint(self) -> str:
-        return hashing.hash_hex(self.key_material)[:16]
-
-
-@dataclass
-class _MacSigningKey(SigningKey):
-    key_material: bytes = b""
-
-    def sign(self, message: bytes) -> bytes:
-        return hashing.hash_concat(self.key_material, message)
-
-
-class SimulatedEsignScheme(SignatureScheme):
-    """A fast scheme with ESIGN-like cost (~125 us for sign or verify)."""
-
-    name = "esign2046-sim"
-
-    def generate(self, identity: str, seed: Optional[int] = None) -> _MacSigningKey:
-        material = hashing.hash_concat(b"esign", identity.encode("utf-8"),
-                                       hashing.encode_int(seed or 0))
-        verify = _MacVerifyKey(identity=identity, scheme_name=self.name,
-                               key_material=material)
-        return _MacSigningKey(identity=identity, scheme_name=self.name,
-                              _private=material, verify_key=verify,
-                              key_material=material)
-
-    def costs(self) -> SchemeCosts:
-        return SchemeCosts(sign_seconds=1.25e-4, verify_seconds=1.25e-4,
-                           signature_bytes=2046 // 8)
-
-
 class NullScheme(SignatureScheme):
     """No signatures at all — the ``avmm-nosig`` configuration."""
 
     name = "nosig"
-
-    def generate(self, identity: str, seed: Optional[int] = None) -> _MacSigningKey:
-        verify = _MacVerifyKey(identity=identity, scheme_name=self.name,
-                               key_material=b"")
-        key = _MacSigningKey(identity=identity, scheme_name=self.name,
-                             _private=b"", verify_key=verify, key_material=b"")
-        # Null signatures are empty and always verify.
-        key.sign = lambda message: b""          # type: ignore[method-assign]
-        object.__setattr__(verify, "verify", lambda message, signature: True)
-        return key
 
     def costs(self) -> SchemeCosts:
         return SchemeCosts(sign_seconds=0.0, verify_seconds=0.0, signature_bytes=0)
@@ -196,8 +132,7 @@ _SCHEMES: Dict[str, SignatureScheme] = {}
 def get_scheme(name: str) -> SignatureScheme:
     """Return the signature scheme registered under ``name``.
 
-    Recognised names: ``rsa768``, ``rsa1024``, ``rsa2048``, ``esign2046-sim``,
-    ``nosig``.
+    Recognised names: ``rsa768``, ``rsa1024``, ``rsa2048``, ``nosig``.
     """
     if name not in _SCHEMES:
         if name.startswith("rsa"):
@@ -206,8 +141,6 @@ def get_scheme(name: str) -> SignatureScheme:
             except ValueError as exc:
                 raise SignatureError(f"unknown signature scheme {name!r}") from exc
             _SCHEMES[name] = RsaScheme(bits)
-        elif name == SimulatedEsignScheme.name:
-            _SCHEMES[name] = SimulatedEsignScheme()
         elif name == NullScheme.name:
             _SCHEMES[name] = NullScheme()
         else:

@@ -29,7 +29,6 @@ from repro.game.cheats.implementations import (
     TriggerBotCheat,
     UnlimitedAmmoCheat,
     UnlimitedHealthCheat,
-    WallhackCheat,
     implemented_cheats,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "CHEAT_CATALOG",
     "catalog_summary",
     "AimbotCheat",
-    "WallhackCheat",
     "UnlimitedAmmoCheat",
     "UnlimitedHealthCheat",
     "TeleportCheat",

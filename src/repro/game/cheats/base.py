@@ -64,6 +64,3 @@ class Cheat:
     def patch_image(self, settings: ClientSettings) -> VMImage:
         """Build the cheater's client image for the given player settings."""
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return f"{type(self).__name__} ({self.spec_name})"

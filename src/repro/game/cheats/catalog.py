@@ -29,7 +29,7 @@ CHEAT_CATALOG: List[CheatSpec] = [
     CheatSpec("triggerbot", "fires automatically when an opponent is under the crosshair",
               _C1, implementation="TriggerBotCheat"),
     CheatSpec("wallhack", "renders opaque surfaces transparent", _C1,
-              requires_opengl=True, implementation="WallhackCheat"),
+              requires_opengl=True),
     CheatSpec("asus-driver-wallhack", "transparent textures via a modified graphics driver",
               _C1, requires_opengl=True),
     CheatSpec("esp-overlay", "draws opponent positions, health and weapons on screen",

@@ -38,8 +38,6 @@ def _cheat_image(settings: ClientSettings, guest_class, cheat_name: str) -> VMIm
 # ---------------------------------------------------------------------------
 
 class _AimbotClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "aimbot"
 
     def hook_transform_commands(self, commands: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Before every fire command, snap the aim onto the nearest opponent."""
@@ -79,33 +77,10 @@ class AimbotCheat(Cheat):
 
 
 # ---------------------------------------------------------------------------
-# Wallhack: sees opponents through opaque walls (secrecy violation).
-# ---------------------------------------------------------------------------
-
-class _WallhackClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "wallhack"
-
-    def hook_visible_players(self) -> List[str]:
-        players = self.last_snapshot.get("players", {})
-        return sorted(pid for pid in players if pid != self.settings.player_id)
-
-
-class WallhackCheat(Cheat):
-    spec_name = "wallhack"
-    cheat_class = CheatClass.INSTALLED_IN_AVM
-
-    def patch_image(self, settings: ClientSettings) -> VMImage:
-        return _cheat_image(settings, _WallhackClient, "wallhack")
-
-
-# ---------------------------------------------------------------------------
 # Unlimited ammunition: fires with an empty magazine (class 1 AND class 2).
 # ---------------------------------------------------------------------------
 
 class _UnlimitedAmmoClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "unlimited-ammo"
 
     def hook_allow_fire(self) -> bool:
         return True
@@ -129,8 +104,6 @@ class UnlimitedAmmoCheat(Cheat):
 # ---------------------------------------------------------------------------
 
 class _UnlimitedHealthClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "unlimited-health"
 
     def _on_packet(self, api, event) -> None:  # noqa: D401 - see base class
         super()._on_packet(api, event)
@@ -155,8 +128,6 @@ class UnlimitedHealthCheat(Cheat):
 # ---------------------------------------------------------------------------
 
 class _TeleportClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "teleport"
 
     def hook_transform_commands(self, commands: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         transformed = []
@@ -183,8 +154,6 @@ class TeleportCheat(Cheat):
 # ---------------------------------------------------------------------------
 
 class _SpeedHackClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "speedhack"
 
     def hook_move_scale(self) -> float:
         return 3.0
@@ -203,8 +172,6 @@ class SpeedHackCheat(Cheat):
 # ---------------------------------------------------------------------------
 
 class _NoRecoilClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "no-recoil"
 
     def hook_transform_commands(self, commands: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         # Strip the recoil-compensation jitter the real client would add and
@@ -230,8 +197,6 @@ class NoRecoilCheat(Cheat):
 # ---------------------------------------------------------------------------
 
 class _TriggerBotClient(GameClientGuest):
-    def hook_fingerprint(self) -> str:
-        return "triggerbot"
 
     def _on_tick(self, api) -> None:  # noqa: D401 - see base class
         if self.hook_visible_players() and self.hook_allow_fire():
@@ -253,7 +218,6 @@ def implemented_cheats() -> List[Cheat]:
     """All cheats with a runnable implementation, in catalogue order."""
     return [
         AimbotCheat(),
-        WallhackCheat(),
         UnlimitedAmmoCheat(),
         UnlimitedHealthCheat(),
         TeleportCheat(),

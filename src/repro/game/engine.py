@@ -107,7 +107,9 @@ class GameEngine:
         for player_id, when in sorted(self._respawn_at.items()):
             if self.state.tick >= when:
                 player = self.state.players[player_id]
-                spawn = self.state.game_map.spawn_for(player.deaths + hash_index(player_id))
+                # a small per-player offset spreads the respawn points
+                spawn = self.state.game_map.spawn_for(
+                    player.deaths + sum(player_id.encode("utf-8")) % 8)
                 player.x, player.y = spawn
                 player.health = MAX_HEALTH
                 player.ammo = RELOAD_AMOUNT
@@ -145,8 +147,3 @@ class GameEngine:
                     return other
             distance += step
         return None
-
-
-def hash_index(player_id: str) -> int:
-    """Small deterministic integer derived from a player id (spawn selection)."""
-    return sum(player_id.encode("utf-8")) % 8

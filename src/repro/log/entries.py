@@ -118,32 +118,6 @@ class LogEntry:
         """Approximate on-disk size of the entry (content + fixed overhead)."""
         return len(self.encoded_content()) + ENTRY_OVERHEAD_BYTES
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise to a plain dictionary."""
-        return {
-            "sequence": self.sequence,
-            "type": self.entry_type.wire_name,
-            "content": self.content,
-            "chain_hash": self.chain_hash.hex(),
-            "previous_hash": self.previous_hash.hex(),
-            "timestamp": self.timestamp,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "LogEntry":
-        """Reconstruct an entry from :meth:`to_dict` output."""
-        try:
-            return LogEntry(
-                sequence=int(data["sequence"]),
-                entry_type=EntryType(data["type"]),
-                content=dict(data["content"]),
-                chain_hash=bytes.fromhex(data["chain_hash"]),
-                previous_hash=bytes.fromhex(data["previous_hash"]),
-                timestamp=float(data.get("timestamp", 0.0)),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise LogFormatError(f"malformed log entry: {exc}") from exc
-
     def __getattr__(self, name: str) -> Any:
         # Lazy content materialization: entries decoded from the v3 wire
         # format carry only the verbatim canonical bytes (seeded into
@@ -661,15 +635,15 @@ def encode_content(content: Dict[str, Any]) -> bytes:
 def encode_content_json(content: Dict[str, Any]) -> bytes:
     """Canonical JSON encoding of entry content (the pre-typed-codec rule).
 
-    Keys are sorted and bytes values are hex-encoded so the encoding is stable
-    across processes and Python versions.  Logs recorded before the typed
-    fast path existed committed their hash chains to these bytes; chain
-    verification falls back to them when the typed encoding does not match
-    (:func:`repro.log.hashchain.verify_entry`).
+    Keys are sorted so the encoding is stable across processes and Python
+    versions; content holds JSON values only (a bytes value is refused).
+    Logs recorded before the typed fast path existed committed their hash
+    chains to these bytes; chain verification falls back to them when the
+    typed encoding does not match (:func:`repro.log.hashchain.verify_entry`).
     """
     try:
-        return json.dumps(content, sort_keys=True, separators=(",", ":"),
-                          default=_default).encode("utf-8")
+        return json.dumps(content, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise LogFormatError(f"log entry content is not serialisable: {exc}") from exc
 
@@ -701,12 +675,6 @@ def decode_content(data: bytes) -> Dict[str, Any]:
     if spec is None:
         raise LogFormatError(f"unknown typed-content tag 0x{tag:02x}")
     return _unpack_shape(spec, data)
-
-
-def _default(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    raise TypeError(f"cannot encode {type(value)!r} in log entry content")
 
 
 # ---------------------------------------------------------------------------

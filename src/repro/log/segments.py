@@ -10,10 +10,10 @@ authenticator check, the syntactic check and replay of one are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import SegmentError
-from repro.log.entries import ENTRY_OVERHEAD_BYTES, EntryType, LogEntry
+from repro.log.entries import ENTRY_OVERHEAD_BYTES, LogEntry
 from repro.log.hashchain import ChainCheckpoint
 
 
@@ -26,12 +26,6 @@ class LogSegment:
     start_hash: bytes
 
     # -- basic queries ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     @property
     def first_sequence(self) -> int:
@@ -64,9 +58,6 @@ class LogSegment:
         return ChainCheckpoint(sequence=self.last_sequence,
                                chain_hash=self.end_hash)
 
-    def entries_of_type(self, entry_type: EntryType) -> List[LogEntry]:
-        return [e for e in self.entries if e.entry_type is entry_type]
-
     def size_bytes(self) -> int:
         """``sum(entry.size_bytes() for entry in self.entries)``."""
         entries = self.entries
@@ -74,22 +65,6 @@ class LogSegment:
             + ENTRY_OVERHEAD_BYTES * len(entries)
 
     # -- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "machine": self.machine,
-            "start_hash": self.start_hash.hex(),
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-    @staticmethod
-    def from_dict(data: Dict) -> "LogSegment":
-        return LogSegment(
-            machine=str(data["machine"]),
-            start_hash=bytes.fromhex(data["start_hash"]),
-            entries=[LogEntry.from_dict(e) for e in data["entries"]],
-        )
-
 
 def concatenate_segments(segments: Sequence[LogSegment]) -> LogSegment:
     """Join consecutive segments into one (used to build chunks).

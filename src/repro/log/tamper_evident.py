@@ -24,15 +24,6 @@ from repro.log.hashchain import chain_hash, entry_link_hash
 from repro.log.segments import LogSegment
 
 
-def _zero_clock() -> float:
-    """Default clock: timestamps are bookkeeping only, so 0.0 is fine.
-
-    A module-level function (not a lambda) so a log — and anything holding
-    one — stays picklable under the process-pool audit path.
-    """
-    return 0.0
-
-
 class TamperEvidentLog:
     """A machine's tamper-evident log.
 
@@ -47,16 +38,16 @@ class TamperEvidentLog:
         signatures.
     clock:
         Optional callable returning the current (host) time for entry
-        timestamps; timestamps are bookkeeping only and are *not* part of the
-        hash chain, mirroring the paper where timing lives in dedicated
-        TimeTracker entries.
+        timestamps (``float``, always 0.0, when omitted); timestamps are
+        bookkeeping only and are *not* part of the hash chain, mirroring the
+        paper where timing lives in dedicated TimeTracker entries.
     """
 
     def __init__(self, machine: str, keypair: Optional[KeyPair] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.machine = machine
         self.keypair = keypair
-        self._clock = clock if clock is not None else _zero_clock
+        self._clock = clock if clock is not None else float
         self._entries: List[LogEntry] = []
         self._current_hash: bytes = hashing.ZERO_HASH
         self._next_sequence = 1

@@ -74,10 +74,6 @@ class LatencyRecorder:
         return [s for s in self._samples.values() if s.received_at is not None]
 
     @property
-    def pending(self) -> int:
-        return sum(1 for s in self._samples.values() if s.received_at is None)
-
-    @property
     def unmatched_received(self) -> int:
         """Replies that matched no outstanding request (duplicate or unknown)."""
         return self._unmatched_received
@@ -99,12 +95,6 @@ class RttSummary:
     p50: float = 0.0
     p99: float = 0.0
     p999: float = 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"count": self.count, "mean": self.mean, "p05": self.p05,
-                "p50": self.p50, "median": self.median, "p95": self.p95,
-                "p99": self.p99, "p999": self.p999}
-
 
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of ``values`` (fraction in [0, 1])."""

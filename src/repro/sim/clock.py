@@ -53,9 +53,6 @@ class SimClock:
             )
         self._now = float(timestamp)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f})"
-
 
 @dataclass
 class HostClock:

@@ -55,15 +55,6 @@ class Process:
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def state(self) -> ProcessState:
-        return self._state
-
-    @property
-    def ticks(self) -> int:
-        """Number of ticks executed so far."""
-        return self._ticks
-
     def start(self, delay: float = 0.0) -> None:
         """Start ticking ``delay`` seconds from now."""
         if self._state is ProcessState.RUNNING:

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Sequence, TypeVar
-
-T = TypeVar("T")
-
+from typing import Dict
 
 class RngStream:
     """A seeded pseudo-random stream with a small convenience API."""
@@ -28,25 +25,9 @@ class RngStream:
         """Uniform float in ``[low, high)``."""
         return self._rng.uniform(low, high)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` (inclusive)."""
-        return self._rng.randint(low, high)
-
-    def choice(self, options: Sequence[T]) -> T:
-        """Uniformly pick one element of ``options``."""
-        return self._rng.choice(options)
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
-
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._rng.random()
-
-    def getrandbits(self, bits: int) -> int:
-        """Return an integer with ``bits`` random bits."""
-        return self._rng.getrandbits(bits)
 
 
 class RngRegistry:
@@ -61,9 +42,6 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = RngStream(_derive_seed(self.seed, name), name=name)
         return self._streams[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
 
 
 def _derive_seed(base_seed: int, name: str) -> int:

@@ -68,11 +68,6 @@ class Scheduler:
     # -- execution ----------------------------------------------------------
 
     @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    @property
     def events_run(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_run
@@ -111,15 +106,4 @@ class Scheduler:
                 executed += 1
         if self.clock.now < end_time:
             self.clock.advance_to(end_time)
-        return executed
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Run until the queue is empty (bounded by ``max_events``)."""
-        executed = 0
-        while executed < max_events and self.step():
-            executed += 1
-        if executed >= max_events and self.pending:
-            raise SchedulingError(
-                f"run_all exceeded max_events={max_events} with events still pending"
-            )
         return executed

@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -61,7 +60,7 @@ from repro.log.codec import (SegmentStreamDecoder, get_codec,
                              require_format_version)
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
-from repro.log.segments import LogSegment, concatenate_segments
+from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_from_bytes, authenticators_to_bytes
 from repro.store.manifest import (
     AuthBatchRecord, SegmentRecord, SnapshotRecord, atomic_write,
@@ -278,10 +277,6 @@ class LogArchive:
     def segment_records(self, machine: str) -> List[SegmentRecord]:
         """This machine's segment index, oldest first (a copy)."""
         return list(self._index.get(machine, []))
-
-    def entry_count(self, machine: str) -> int:
-        """Number of archived (retained) log entries for ``machine``."""
-        return sum(record.entry_count for record in self._index.get(machine, []))
 
     def start_checkpoint(self, machine: str) -> ChainCheckpoint:
         """Chain state just before the first retained entry (GC trust anchor)."""
@@ -582,21 +577,6 @@ class LogArchive:
                 or last_entry.chain_hash != record.end_hash:
             raise mismatch
 
-    def segments_for(self, machine: str) -> List[LogSegment]:
-        """All retained segments of ``machine``, oldest first."""
-        return [self.read_segment(record)
-                for record in self._index.get(machine, [])]
-
-    def materialized_log(self, machine: str) -> LogSegment:
-        """The whole retained log, materialized: peak memory grows with its
-        length.  The audit engine reads it chunk by chunk instead
-        (:mod:`repro.audit.stream`); this is for a log that cannot be
-        chunked and callers that want it whole."""
-        segments = self.segments_for(machine)
-        if not segments:
-            raise StoreError(f"no archived segments for {machine!r}")
-        return concatenate_segments(segments)
-
     def reencode_segments(self, destination_root: Union[str, Path],
                           format_version: int) -> "LogArchive":
         """Copy this archive to ``destination_root`` in another wire format.
@@ -625,37 +605,6 @@ class LogArchive:
                         machine, self._read_auth_batch(batch))
                 self.copy_snapshots_to(destination, machine)
         return destination
-
-    def record_covering(self, machine: str, sequence: int) -> SegmentRecord:
-        """Index lookup: the segment record containing ``sequence`` — a
-        binary search, logarithmic in the machine's segment *count*."""
-        records = self._index.get(machine, [])
-        starts = [record.first_sequence for record in records]
-        position = bisect_right(starts, sequence) - 1
-        if position < 0 or not records[position].covers(sequence):
-            raise StoreError(
-                f"no archived entry {sequence} for {machine!r} "
-                f"(retained range starts after GC checkpoint "
-                f"{self.start_checkpoint(machine).sequence})")
-        return records[position]
-
-    def read_range(self, machine: str, first_sequence: int,
-                   last_sequence: int) -> LogSegment:
-        """Extract ``[first_sequence, last_sequence]`` from the archive."""
-        if first_sequence > last_sequence:
-            raise StoreError(
-                f"range start {first_sequence} is after end {last_sequence}")
-        records = self._index.get(machine, [])
-        first_record = self.record_covering(machine, first_sequence)
-        last_record = self.record_covering(machine, last_sequence)
-        start = records.index(first_record)
-        stop = records.index(last_record) + 1
-        chunk = concatenate_segments([self.read_segment(record)
-                                      for record in records[start:stop]])
-        entries = [entry for entry in chunk.entries
-                   if first_sequence <= entry.sequence <= last_sequence]
-        return LogSegment(machine=machine, entries=entries,
-                          start_hash=entries[0].previous_hash)
 
     def authenticators_for(self, machine: str) -> List[Authenticator]:
         """All retained authenticators issued by ``machine``, shipment order."""
@@ -947,10 +896,6 @@ class ArchiveSnapshotStore:
     def __init__(self, archive: LogArchive, machine: str) -> None:
         self._archive = archive
         self._machine = machine
-
-    @property
-    def count(self) -> int:
-        return len(self._archive._snapshot_index.get(self._machine, {}))
 
     def snapshot_ids(self) -> List[int]:
         return sorted(self._archive._snapshot_index.get(self._machine, {}))

@@ -86,9 +86,6 @@ class SegmentRecord(_Stored):
     #: wire format the payload is stored in (a codec registry version)
     format_version: int = 1
 
-    def covers(self, sequence: int) -> bool:
-        return self.first_sequence <= sequence <= self.last_sequence
-
     def end_checkpoint(self) -> ChainCheckpoint:
         return ChainCheckpoint(sequence=self.last_sequence, chain_hash=self.end_hash)
 

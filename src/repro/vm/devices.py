@@ -76,15 +76,6 @@ class VirtualNic:
         self._packets_received += 1
         self._bytes_received += payload_size
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "packets_sent": self._packets_sent,
-            "packets_received": self._packets_received,
-            "bytes_sent": self._bytes_sent,
-            "bytes_received": self._bytes_received,
-        }
-
 
 @dataclass
 class VirtualTimer:

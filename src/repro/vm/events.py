@@ -10,23 +10,12 @@ same point during replay (Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
-
-from repro.crypto import hashing
 
 
 class GuestEvent:
     """Base class for asynchronous events delivered to a guest."""
 
     kind: str = "event"
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Serialisable representation recorded in the log."""
-        raise NotImplementedError
-
-    def digest(self) -> bytes:
-        """Stable hash of the event (used for cross-checking during replay)."""
-        return hashing.hash_object({"kind": self.kind, **self.to_payload()})
 
 
 @dataclass(frozen=True)
@@ -39,13 +28,6 @@ class PacketDelivery(GuestEvent):
 
     kind = "packet"
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "payload": self.payload.hex(),
-            "message_id": self.message_id,
-        }
-
 
 @dataclass(frozen=True)
 class TimerInterrupt(GuestEvent):
@@ -54,9 +36,6 @@ class TimerInterrupt(GuestEvent):
     tick_number: int
 
     kind = "timer"
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"tick_number": self.tick_number}
 
 
 @dataclass(frozen=True)
@@ -72,6 +51,3 @@ class KeyboardInput(GuestEvent):
     device: str = "keyboard"
 
     kind = "input"
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"command": self.command, "device": self.device}

@@ -12,24 +12,14 @@ event is injected, and replay injects it at exactly the same point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 
-@total_ordering
 @dataclass(frozen=True)
 class ExecutionTimestamp:
     """A precise point in a guest's execution."""
 
     instruction_count: int
     branch_count: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.instruction_count, self.branch_count)
-
-    def __lt__(self, other: "ExecutionTimestamp") -> bool:
-        if not isinstance(other, ExecutionTimestamp):
-            return NotImplemented
-        return self.as_tuple() < other.as_tuple()
 
     def to_dict(self) -> dict:
         return {"instructions": self.instruction_count, "branches": self.branch_count}

@@ -29,9 +29,6 @@ class Output:
 
     kind: str = "output"
 
-    def digest(self) -> bytes:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PacketOutput(Output):
@@ -41,13 +38,6 @@ class PacketOutput(Output):
     payload: bytes
 
     kind = "packet_out"
-
-    def digest(self) -> bytes:
-        return hashing.hash_object({
-            "kind": self.kind,
-            "destination": self.destination,
-            "payload": self.payload.hex(),
-        })
 
 
 @dataclass(frozen=True)
@@ -63,13 +53,6 @@ class FrameOutput(Output):
 
     kind = "frame_out"
 
-    def digest(self) -> bytes:
-        return hashing.hash_object({
-            "kind": self.kind,
-            "frame_number": self.frame_number,
-            "scene_complexity": self.scene_complexity,
-        })
-
 
 @dataclass(frozen=True)
 class DiskWriteOutput(Output):
@@ -79,14 +62,6 @@ class DiskWriteOutput(Output):
     data: bytes
 
     kind = "disk_write"
-
-    def digest(self) -> bytes:
-        return hashing.hash_object({
-            "kind": self.kind,
-            "block": self.block,
-            "data": self.data.hex(),
-        })
-
 
 # ---------------------------------------------------------------------------
 # Machine API

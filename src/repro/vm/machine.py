@@ -95,45 +95,17 @@ class LiveNondeterminismSource(NondeterminismSource):
         return self._upstream_backend(service, request)
 
 
-class FixedNondeterminismSource(NondeterminismSource):
-    """Testing source that returns a constant or scripted sequence of values."""
-
-    def __init__(self, values: Optional[List[float]] = None, default: float = 0.0,
-                 upstream_responses: Optional[List[UpstreamResponse]] = None) -> None:
-        self._values = list(values or [])
-        self._default = default
-        self._index = 0
-        self._upstream = list(upstream_responses or [])
-        self._upstream_index = 0
-
-    def clock_read(self, timestamp: ExecutionTimestamp) -> float:
-        if self._index < len(self._values):
-            value = self._values[self._index]
-            self._index += 1
-            return value
-        return self._default
-
-    def upstream_call(self, timestamp: ExecutionTimestamp, service: str,
-                      request: bytes) -> UpstreamResponse:
-        if self._upstream_index < len(self._upstream):
-            response = self._upstream[self._upstream_index]
-            self._upstream_index += 1
-            return response
-        return UpstreamResponse(body=b"", latency_cycles=0)
-
-
 class VirtualMachine:
     """Executes one guest program deterministically."""
 
-    def __init__(self, image: VMImage,
-                 nondet_source: Optional[NondeterminismSource] = None) -> None:
+    def __init__(self, image: VMImage, nondet_source: NondeterminismSource) -> None:
         self.image = image
         self.guest = image.instantiate()
         self.disk = VirtualDisk(image.initial_disk())
         self.nic = VirtualNic()
         self.timer = VirtualTimer()
         self.frame_counter = FrameCounter()
-        self.nondet_source = nondet_source or FixedNondeterminismSource()
+        self.nondet_source = nondet_source
         self._instruction_count = 0
         self._branch_count = 0
         self._started = False
@@ -155,10 +127,6 @@ class VirtualMachine:
         """The instruction count of :attr:`execution_timestamp`, without
         building the timestamp."""
         return self._instruction_count
-
-    @property
-    def started(self) -> bool:
-        return self._started
 
     def start(self) -> List[Output]:
         """Run the guest's start-up code; returns any outputs it produced."""

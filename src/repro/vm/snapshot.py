@@ -408,9 +408,6 @@ class SnapshotManager:
     def count(self) -> int:
         return len(self._deltas)
 
-    def snapshot_ids(self) -> List[int]:
-        return sorted(self._deltas)
-
     def get(self, snapshot_id: int) -> Snapshot:
         """Materialise the full snapshot ``snapshot_id`` (LRU-cached)."""
         cached = self._materialized.get(snapshot_id)
@@ -461,11 +458,6 @@ class SnapshotManager:
         if snapshot_id not in self._deltas:
             raise SnapshotError(f"no snapshot with id {snapshot_id}")
         return snapshot_id in self._keyframes
-
-    def latest(self) -> Optional[Snapshot]:
-        if not self._deltas:
-            return None
-        return self.get(max(self._deltas))
 
     def transfer_cost_bytes(self, snapshot_id: int,
                             include_memory_dump: bool = True) -> int:

@@ -76,9 +76,6 @@ class PingSenderGuest(GuestProgram):
         self.pings_sent = int(state["pings_sent"])
         self.replies_received = int(state["replies_received"])
 
-    def config_fingerprint(self) -> Dict[str, Any]:
-        return {"target": self.target}
-
 
 def make_echo_image(name: str = "echo-official") -> VMImage:
     """Image containing the echo responder."""

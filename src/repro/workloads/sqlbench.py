@@ -75,11 +75,6 @@ class SqlBenchClientGuest(GuestProgram):
         self.responses = int(state["responses"])
         self.ticks = int(state["ticks"])
 
-    def config_fingerprint(self) -> Dict[str, Any]:
-        return {"server": self.settings.server,
-                "operations_per_tick": self.settings.operations_per_tick,
-                "rows_per_phase": self.settings.rows_per_phase}
-
     # -- workload generation ------------------------------------------------------------
 
     def next_query(self) -> Dict[str, Any]:

@@ -261,9 +261,6 @@ class WebClientGuest(GuestProgram):
         self.requests_sent = int(state["requests_sent"])
         self.responses_received = int(state["responses_received"])
 
-    def config_fingerprint(self) -> Dict[str, Any]:
-        return {"server": self.server}
-
 
 class SimulatedUpstreamBackend:
     """Host-side model of the service's external dependencies.

@@ -1,7 +1,7 @@
 """Accuser adversaries: the machine is honest, the cheat is in the evidence.
 
-The other adversaries here are a machine's operator lying to his auditors.
-These are an *auditor* lying to a third party: each takes anchored evidence
+The adversaries of :mod:`repro.adversary` are a machine's operator lying to
+his auditors.  These are an *auditor* lying to a third party: each takes anchored evidence
 for a genuine chunk of an honest log (and the public keys) and forges where
 it starts, which a chunk cannot carry in its own chain, or its signatures.
 The expected outcome is not a verdict but *evidence rejected*:

@@ -5,7 +5,10 @@
   shipments they send, :func:`summary` what an archive holds, layout aside;
 * :func:`rebuild_frame_file`, :func:`replace_payload` and :func:`scribble`
   do to a frame file what someone with write access to the disk could — the
-  first two redo every checksum, the last one does not.
+  first two redo every checksum, the last one does not;
+* :func:`archived_segments`, :func:`archived_log` and
+  :func:`archived_entry_count` read back what an archive holds for a
+  machine, whole.
 """
 
 from __future__ import annotations
@@ -26,8 +29,28 @@ from repro.store.manifest import (commit_record, file_header, frame_head,
                                   parse_checkpoint, read_checkpoint,
                                   read_frames)
 from repro.service.ingest import AuditIngestService
+from repro.service.target import ArchiveBackedMachine
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.snapshot import SnapshotManager
+
+
+# -- reading an archive back whole ------------------------------------------------
+
+def archived_segments(archive, machine):
+    """Every retained segment of ``machine``, oldest first."""
+    return [archive.read_segment(record)
+            for record in archive.segment_records(machine)]
+
+
+def archived_log(archive, machine):
+    """The retained log of ``machine`` as one segment (``StoreError`` if
+    there is none): what a log that cannot be chunked is audited from."""
+    return ArchiveBackedMachine(archive, machine).get_log_segment()
+
+
+def archived_entry_count(archive, machine) -> int:
+    """Retained log entries of ``machine``, from the index alone."""
+    return sum(record.entry_count for record in archive.segment_records(machine))
 
 # -- the wire ---------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Test tools for the log wire formats: writers ``src/`` no longer has.
 
 * :func:`segment_to_bytes` — a segment as JSON lines, a header object then
-  one object per entry: what each seed archive's ``expected_segment.jsonl``
-  holds, and an exact, readable comparison of two decoded logs;
+  one object per entry (:func:`entry_to_dict`): what each seed archive's
+  ``expected_segment.jsonl`` holds, and an exact, readable comparison of two
+  decoded logs;
 * :func:`per_frame_v3_blob` / :class:`PerFrameTypedCodec` — a v3 segment
   whose frames are not one zlib stream: raw, or each deflated on its own
   (header flag bit 0), what every v3 writer produced before the one stream;
@@ -35,6 +36,18 @@ from repro.log.codec import (_TYPE_TAGS, V3_FLAG_CHAIN_BREAKS_ONLY,
 from repro.log.storage import AUTH_BATCH_MAGIC
 
 
+def entry_to_dict(entry) -> dict:
+    """An entry as a plain, JSON-ready dictionary."""
+    return {
+        "sequence": entry.sequence,
+        "type": entry.entry_type.wire_name,
+        "content": entry.content,
+        "chain_hash": entry.chain_hash.hex(),
+        "previous_hash": entry.previous_hash.hex(),
+        "timestamp": entry.timestamp,
+    }
+
+
 def segment_to_bytes(segment) -> bytes:
     header = {
         "format_version": 1,
@@ -44,7 +57,7 @@ def segment_to_bytes(segment) -> bytes:
         "entry_count": len(segment.entries),
     }
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(entry.to_dict(), sort_keys=True)
+    lines.extend(json.dumps(entry_to_dict(entry), sort_keys=True)
                  for entry in segment.entries)
     return ("\n".join(lines) + "\n").encode("utf-8")
 

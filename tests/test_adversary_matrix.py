@@ -484,8 +484,6 @@ def _front_ends(matrix, ctx, adversary, machine, archived):
                                         chunks_per_machine=64)
         .audit_machine(auditor(), live),
         "spot": lambda: _first_failing(SpotChecker(auditor()), live),
-        "spot-engine": lambda: _first_failing(
-            SpotChecker(auditor(), engine=engine(executor="inline")), live),
     }
     if archived and not ctx.ingest.quarantine_for(machine):
         target = ctx.ingest.target_for(machine)
@@ -531,7 +529,9 @@ class TestConvictionOnEveryFrontEnd:
                             ctx.keystore,
                             ctx.reference_images[machine]), where
         assert cells == 80 and len(CONVICTION_PINS) == 54
-        assert convictions >= 54 * 6
+        # five live front-ends, and four more on archived cells, convict the
+        # pinned cells (a chunking front-end skips the snapshot-mutation one)
+        assert convictions >= 54 * 5
 
 
 if __name__ == "__main__":

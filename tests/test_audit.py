@@ -6,20 +6,20 @@ These are integration-level tests that reuse the session fixtures from
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.audit.auditor import Auditor
 from repro.audit.evidence import Evidence
-from repro.audit.multiparty import (EquivocationProof, distribute_evidence,
-                                    find_equivocation)
+from repro.audit.multiparty import distribute_evidence, find_equivocation
 from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
 from repro.audit.syntactic import SyntacticChecker
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto import hashing
 from repro.crypto.keys import KeyStore
-from repro.errors import EvidenceError, LogFormatError
+from repro.errors import EvidenceError
 from repro.vm.guest import PacketOutput
 from repro.log.authenticator import make_authenticator
 from repro.log.codec import modelled_compressed_log_bytes
@@ -31,13 +31,13 @@ class TestSyntacticCheck:
         checker = SyntacticChecker(honest_session.keystore)
         segment = honest_session.monitors["server"].get_log_segment()
         assert len(segment.entries) > 100
-        assert segment.entries_of_type(EntryType.RECV)   # signatures to check
+        # signatures to check
+        assert any(entry.entry_type is EntryType.RECV for entry in segment.entries)
         report = checker.check(segment)
         assert report.ok, report.problems
 
     def test_detects_forged_sender_signature(self, honest_session):
         # Work on a *copy* of the segment so the shared session stays pristine.
-        from dataclasses import replace
         from repro.log.segments import LogSegment
         segment = honest_session.monitors["player1"].get_log_segment()
         entries = list(segment.entries)
@@ -313,7 +313,7 @@ class TestExternalAdversaries:
         assert session.audit("player2").verdict is Verdict.PASS
 
 
-# -- EquivocationProof wire form: third-party verifiable ---------------------
+# -- EquivocationProof: third-party verifiable from its fields alone ---------
 
 @pytest.fixture(scope="module")
 def proof_parts(ca):
@@ -336,40 +336,17 @@ def proof_parts(ca):
     return proof, keystore
 
 
-class TestEquivocationProofWire:
-    def test_round_trip_preserves_verification(self, proof_parts):
-        proof, keystore = proof_parts
-        wire = json.dumps(proof.to_dict(), sort_keys=True)
-        received = EquivocationProof.from_dict(json.loads(wire))
-        assert received == proof
-        assert received.verify(keystore)
-
+class TestEquivocationProofFields:
     @pytest.mark.parametrize("mutate", [
-        lambda d: d.__setitem__("machine", "alice"),
-        lambda d: d.__setitem__("sequence", 10),
-        lambda d: d["first"].__setitem__("chain_hash",
-                                         d["second"]["chain_hash"]),
-        lambda d: d["first"].__setitem__("signature",
-                                         d["second"]["signature"]),
-        lambda d: d["second"].__setitem__("sequence", 10),
-        lambda d: d["second"].__setitem__("machine", "alice"),
-        lambda d: d["second"].__setitem__("content_hash",
-                                          d["first"]["content_hash"]),
+        lambda p: replace(p, machine="alice"),
+        lambda p: replace(p, sequence=10),
+        lambda p: replace(p, first=replace(p.first, chain_hash=p.second.chain_hash)),
+        lambda p: replace(p, first=replace(p.first, signature=p.second.signature)),
+        lambda p: replace(p, second=replace(p.second, sequence=10)),
+        lambda p: replace(p, second=replace(p.second, machine="alice")),
+        lambda p: replace(p, second=replace(p.second,
+                                            content_hash=p.first.content_hash)),
     ])
     def test_any_mutated_field_fails_verification(self, proof_parts, mutate):
         proof, keystore = proof_parts
-        payload = json.loads(json.dumps(proof.to_dict()))
-        mutate(payload)
-        assert not EquivocationProof.from_dict(payload).verify(keystore)
-
-    def test_malformed_payloads_raise_log_format_error(self, proof_parts):
-        proof, _ = proof_parts
-        good = proof.to_dict()
-        for breakage in (
-                {**good, "kind": "not-a-proof"},
-                {**good, "sequence": "not-an-int"},
-                {key: value for key, value in good.items() if key != "first"},
-                {**good, "second": {"machine": "mallory"}},
-        ):
-            with pytest.raises(LogFormatError):
-                EquivocationProof.from_dict(breakage)
+        assert not mutate(proof).verify(keystore)

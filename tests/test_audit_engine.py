@@ -22,6 +22,8 @@ import signal
 
 import pytest
 
+from codec_tools import entry_to_dict, segment_to_bytes
+
 from repro.audit.engine import (
     AuditAssignment,
     AuditScheduler,
@@ -31,7 +33,6 @@ from repro.audit.engine import (
     run_chunk,
     shutdown_worker_pools,
 )
-from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto.signatures import get_scheme
 from repro.errors import HashChainError
@@ -126,7 +127,7 @@ class TestIncrementalChain:
         segments = honest_session.monitors["server"].get_snapshot_segments()
         chunks = partition_segments(segments, 3)
         assert 1 < len(chunks) <= 3
-        assert concatenate_segments(chunks).to_dict() == segment.to_dict()
+        assert concatenate_segments(chunks) == segment
         checkpoint = ChainCheckpoint.genesis()
         for chunk in chunks:
             assert chunk.start_checkpoint() == checkpoint
@@ -218,11 +219,12 @@ def _evidence_bytes(result):
     evidence = result.evidence
     return json.dumps({
         "machine": evidence.machine, "accuser": evidence.accuser,
-        "reason": evidence.reason, "segment": evidence.segment.to_dict(),
+        "reason": evidence.reason,
+        "segment": segment_to_bytes(evidence.segment).decode("utf-8"),
         "authenticators": [auth.to_dict() for auth in evidence.authenticators],
         "image": evidence.reference_image_hash.hex(),
         "initial_state": evidence.initial_state,
-        "anchor": [entry.to_dict() for entry in evidence.anchor],
+        "anchor": [entry_to_dict(entry) for entry in evidence.anchor],
         "ends_log": evidence.ends_log,
     }, sort_keys=True).encode("utf-8")
 
@@ -342,7 +344,7 @@ class TestAuditScheduler:
     def test_executor_modes_agree(self, honest_session):
         machine = "player1"
         results = {}
-        for executor in ("inline", "thread", "process"):
+        for executor in ("inline", "process"):
             engine = AuditScheduler(workers=2, executor=executor)
             results[executor] = engine.audit_machine(
                 honest_session.make_auditor("server", machine),
@@ -352,11 +354,12 @@ class TestAuditScheduler:
         counts = {result.authenticators_checked for result in results.values()}
         assert len(counts) == 1
 
-    def test_auditor_workers_parameter_uses_engine(self, honest_session):
+    def test_an_auditor_given_an_engine_audits_on_it(self, honest_session):
         from repro.audit.auditor import Auditor
         machine = "player1"
         auditor = Auditor("server", honest_session.keystore,
-                          honest_session.reference_images[machine], workers=4)
+                          honest_session.reference_images[machine],
+                          engine=AuditScheduler(workers=4))
         for peer_identity, peer in honest_session.monitors.items():
             if peer_identity != machine:
                 auditor.collect_from_peer(peer, machine)
@@ -471,7 +474,6 @@ class TestWarmPool:
             for name, engine_args in {
                 # one chunk per snapshot: the fault is in the second
                 "process": dict(workers=2, executor="process", **FINEST),
-                "thread": dict(workers=2, executor="thread", **FINEST),
                 "inline": dict(workers=2, executor="inline", **FINEST),
                 "workers=1": dict(workers=1),
             }.items()}
@@ -483,7 +485,7 @@ class TestWarmPool:
                 session.keystore, session.reference_images[machine]), name
         assert _evidence_bytes(results["workers=1"]) == _evidence_bytes(serial)
         assert results["workers=1"].reason == serial.reason
-        assert results["process"] == results["thread"] == results["inline"]
+        assert results["process"] == results["inline"]
         assert _is_a_chunk_of(results["process"], serial)
         assert results["process"].evidence.anchor    # the second chunk's
 
@@ -569,7 +571,6 @@ class TestWarmPool:
     def test_shutdown_is_idempotent_and_the_next_audit_starts_fresh(
             self, honest_session):
         _fleet_audit(honest_session, "player1", workers=2, executor="process")
-        _fleet_audit(honest_session, "player1", workers=2, executor="thread")
         old_workers = _worker_pids()
         assert old_workers
         shutdown_worker_pools()
@@ -619,40 +620,45 @@ class TestWarmPool:
         # two runs on fresh schedulers, one pool start: the pool stays warm
         assert pool_starts_total() - starts == 1
 
-    def test_auto_probes_the_image_not_the_log(self, honest_session):
+    def test_a_job_that_does_not_pickle_fails_at_submit(self, honest_session):
+        import pickle
         from dataclasses import replace
         machine = "player1"
         report, _ = _fleet_audit(honest_session, machine, workers=2)
         assert report.executor_used == "process"
-        # An image whose guest factory is a closure cannot reach a process.
+        # An image whose guest factory is a closure cannot reach a process:
+        # the audit fails when its first job is submitted, on no other
+        # executor.
         reference = honest_session.reference_images[machine]
         factory = reference.guest_factory
         auditor = honest_session.make_auditor("server", machine)
         auditor.reference_image = replace(
             reference, guest_factory=lambda *a, **kw: factory(*a, **kw))
-        report = AuditScheduler(workers=2).audit_fleet(
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            AuditScheduler(workers=2).audit_fleet(
+                [AuditAssignment(auditor, honest_session.monitors[machine])])
+        # inline, the same image audits: it never leaves the process
+        report = AuditScheduler(workers=2, executor="inline").audit_fleet(
             [AuditAssignment(auditor, honest_session.monitors[machine])])
-        assert report.executor_used == "thread"
         assert report.all_passed
 
+    @pytest.mark.parametrize("kind", ["thread", "auto"])
+    def test_only_the_two_executor_kinds(self, kind):
+        assert AuditScheduler(workers=2).executor == "process"
+        with pytest.raises(ValueError, match="unknown executor kind"):
+            AuditScheduler(workers=2, executor=kind)
 
-class TestParallelSpotChecker:
-    def test_parallel_spot_check_matches_serial(self, honest_session):
-        machine = "server"
-        serial_checker = SpotChecker(honest_session.make_auditor("player1", machine))
-        parallel_checker = SpotChecker(
-            honest_session.make_auditor("player1", machine),
-            engine=AuditScheduler(workers=4))
-        serial_results = serial_checker.check_all_chunks(
-            honest_session.monitors[machine], k=1)
-        parallel_results = parallel_checker.check_all_chunks(
-            honest_session.monitors[machine], k=1)
-        assert len(serial_results) == len(parallel_results) >= 1
-        for serial_result, parallel_result in zip(serial_results, parallel_results):
-            assert serial_result.chunk_start_index == parallel_result.chunk_start_index
-            assert serial_result.ok and parallel_result.ok
-            assert serial_result.snapshot_bytes == parallel_result.snapshot_bytes
-            assert serial_result.log_bytes == parallel_result.log_bytes
+    @pytest.mark.parametrize("workers, executor, used", [
+        (1, "process", "inline"), (1, "inline", "inline"),
+        (2, "inline", "inline"), (2, "process", "process")])
+    def test_more_than_one_worker_means_the_pool_unless_inline(
+            self, honest_session, workers, executor, used):
+        starts = pool_starts_total()
+        report, _ = _fleet_audit(honest_session, "player1", workers=workers,
+                                 executor=executor)
+        assert report.executor_used == used
+        assert report.all_passed
+        assert pool_starts_total() - starts == (used == "process")
 
 
 class TestChunkJobPickling:

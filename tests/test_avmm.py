@@ -136,12 +136,15 @@ def build_echo_pair(configuration=Configuration.AVMM_RSA768, snapshot_interval=N
 
 
 class TestMonitor:
-    def test_start_and_stop(self):
-        scheduler, network, keystore, alpha, beta = build_echo_pair()
+    def test_stop_halts_the_snapshot_process(self):
+        scheduler, network, keystore, alpha, beta = build_echo_pair(
+            snapshot_interval=1.0)
         alpha.start()
-        assert alpha.running
+        scheduler.run_until(2.5)
+        assert alpha.snapshots.count == 2
         alpha.stop()
-        assert not alpha.running
+        scheduler.run_until(5.5)
+        assert alpha.snapshots.count == 2
 
     def test_double_start_rejected(self):
         _, _, _, alpha, _ = build_echo_pair()
@@ -259,13 +262,6 @@ class TestMonitor:
         assert len(nondet) == 1
         assert nondet[0].content["data"]["command"] == "fire"
 
-    def test_describe(self):
-        _, _, _, alpha, _ = build_echo_pair()
-        alpha.start()
-        info = alpha.describe()
-        assert info["identity"] == "alpha"
-        assert info["configuration"] == "avmm-rsa768"
-
 
 class TestReplayer:
     @staticmethod
@@ -282,7 +278,7 @@ class TestReplayer:
         beta.start()
         self._run_exchange(scheduler, alpha, beta)
         report = DeterministicReplayer(make_echo_image()).replay(beta.get_log_segment())
-        assert report.ok
+        assert report.divergence is None
         assert report.events_injected > 0
         assert report.outputs_checked >= 3
 

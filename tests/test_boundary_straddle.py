@@ -13,7 +13,7 @@ here imports ``bench/``.
 
 The same boundary is the one an *accuser* can lie about: evidence for the
 chunk after it is anchored to the chain, and every forgery of its start —
-the accuser adversaries of :mod:`repro.adversary.accuser` — is rejected.
+the accuser adversaries of ``tests/accuser.py`` — is rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.adversary.accuser import ACCUSER_ADVERSARIES
+from accuser import ACCUSER_ADVERSARIES
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.engine import (AuditAssignment, AuditScheduler, _ChunkRun,
@@ -170,7 +170,7 @@ class TestHonestStraddlePasses:
     @pytest.mark.parametrize("source", ["live", "archive"])
     def test_engine_at_two_chunks_and_at_the_finest(self, honest, source):
         make_auditor, target = _targets(honest)[source]
-        finest = len(target.get_snapshot_segments())
+        finest = len(honest[2].monitors[SERVER].get_snapshot_segments())
         assert finest >= 4
         for chunks in (2, finest):
             engine = AuditScheduler(workers=2, executor="inline",
@@ -186,13 +186,12 @@ class TestHonestStraddlePasses:
     @pytest.mark.parametrize("k", [1, 3])
     def test_every_spot_check(self, honest, source, k):
         make_auditor, target = _targets(honest)[source]
-        for engine in (None, AuditScheduler(workers=2, executor="inline")):
-            checker = SpotChecker(make_auditor(honest), engine=engine)
-            results = checker.check_all_chunks(target, k=k, skip_initial=False)
-            assert len(results) >= 2
-            assert all(result.ok for result in results), \
-                [(r.chunk_start_index, r.result.reason) for r in results
-                 if not r.ok]
+        checker = SpotChecker(make_auditor(honest))
+        results = checker.check_all_chunks(target, k=k, skip_initial=False)
+        assert len(results) >= 2
+        assert all(result.ok for result in results), \
+            [(r.chunk_start_index, r.result.reason) for r in results
+             if not r.ok]
 
     def test_the_honest_client_too(self, honest):
         ctx = honest[2]
@@ -237,15 +236,14 @@ class TestDroppedInjectionIsConvicted:
     @pytest.mark.parametrize("source", ["live", "archive"])
     def test_full_coverage_spot_check(self, cheat, window, source):
         make_auditor, target = _targets(cheat)[source]
-        for engine in (None, AuditScheduler(workers=2, executor="inline")):
-            checker = SpotChecker(make_auditor(cheat), engine=engine)
-            results = checker.check_all_chunks(target, k=1, skip_initial=False)
-            failed = [result for result in results if not result.ok]
-            # the chunk that should contain the injection, and only that one
-            assert len(failed) == 1
-            assert failed[0].chunk_start_index > 0
-            self._check(cheat, failed[0].result, window)
-            self._check_anchor(failed[0].result.evidence, window)
+        checker = SpotChecker(make_auditor(cheat))
+        results = checker.check_all_chunks(target, k=1, skip_initial=False)
+        failed = [result for result in results if not result.ok]
+        # the chunk that should contain the injection, and only that one
+        assert len(failed) == 1
+        assert failed[0].chunk_start_index > 0
+        self._check(cheat, failed[0].result, window)
+        self._check_anchor(failed[0].result.evidence, window)
 
     def _check_anchor(self, evidence, window):
         """Evidence for a mid-log chunk is anchored: it carries the log from

@@ -37,7 +37,7 @@ from repro.store.archive import LogArchive
 from repro.store.manifest import (SegmentRecord, parse_checkpoint,
                                   read_checkpoint)
 
-from archive_tools import rebuild_frame_file, replace_payload, ship
+from archive_tools import archived_log, rebuild_frame_file, replace_payload, ship
 from codec_tools import ExplicitTypedCodec, per_frame_v3_blob, segment_to_bytes
 
 
@@ -151,8 +151,8 @@ class TestReencodedArchiveEquivalence:
         for other_root in (explicit_root, v3_root):
             other = LogArchive(other_root)
             for machine in fleet.machines:
-                assert segment_to_bytes(v1.materialized_log(machine)) == \
-                    segment_to_bytes(other.materialized_log(machine))
+                assert segment_to_bytes(archived_log(v1, machine)) == \
+                    segment_to_bytes(archived_log(other, machine))
                 assert v1.authenticators_for(machine) == \
                     other.authenticators_for(machine)
 
@@ -208,8 +208,8 @@ class TestMixedFormatIngest:
         assert ingest.stats.segments_rejected == 0
         replayed = LogArchive(replayed_root)
         for machine in fleet.machines:
-            assert segment_to_bytes(replayed.materialized_log(machine)) == \
-                segment_to_bytes(v1.materialized_log(machine))
+            assert segment_to_bytes(archived_log(replayed, machine)) == \
+                segment_to_bytes(archived_log(v1, machine))
 
     @pytest.mark.parametrize("magic", [b"AVMLOGB2", b"AVMLOGT3"])
     def test_garbage_shipment_is_quarantined(self, tmp_path, magic):

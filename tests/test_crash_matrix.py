@@ -38,7 +38,7 @@ from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 from repro.store.manifest import MANIFEST_NAME
 
-from archive_tools import World, shipment, summary
+from archive_tools import World, archived_entry_count, shipment, summary
 
 @pytest.fixture(scope="module")
 def world():
@@ -366,7 +366,7 @@ class TestByHand:
                          ("fsync", "frames-000001.avmf")]
         # ... and all of it is on disk when the call returns.
         reopened = LogArchive(tmp_path / "a")
-        assert reopened.entry_count("alpha") == 12
+        assert archived_entry_count(reopened, "alpha") == 12
         assert reopened.snapshot_store("alpha").snapshot_ids() == [1, 2]
         assert len(reopened.authenticators_for("beta")) == 3
 

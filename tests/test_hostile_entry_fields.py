@@ -162,7 +162,7 @@ def _audit_on(front_end, recording, tmp_path):
         return auditor.audit_segment(recording.machine,
                                      recording.monitor.get_log_segment())
     if front_end == "engine_live":
-        return AuditScheduler(workers=2, executor="thread").audit_machine(
+        return AuditScheduler(workers=2, executor="process").audit_machine(
             auditor, recording.monitor)
     root = recording.root
     if front_end == "archive_v3":

@@ -16,7 +16,7 @@ from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService, QuarantinedShipment
 from repro.store.archive import LogArchive
 
-from archive_tools import World, ship, shipment
+from archive_tools import World, archived_entry_count, ship, shipment
 
 
 @pytest.fixture()
@@ -56,7 +56,7 @@ class TestQuarantinePersistence:
         assert persisted.reason == record.reason
         assert (persisted.first_sequence, persisted.last_sequence) == (4, 6)
         # The archived honest prefix is intact.
-        assert recovered_archive.entry_count("shipper") == 3
+        assert archived_entry_count(recovered_archive, "shipper") == 3
 
     def test_records_accumulate_across_incarnations(self, archive, tmp_path):
         service = AuditIngestService(archive)

@@ -51,7 +51,7 @@ from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
-from archive_tools import replace_payload, ship
+from archive_tools import archived_log, replace_payload, ship
 from codec_tools import (ExplicitTypedCodec, PerFrameTypedCodec,
                          per_frame_v3_blob, retired_v2_blob)
 
@@ -518,7 +518,7 @@ class TestPerFrameIsReadOnly:
             assert len(data) < seed_record.stored_bytes
             assert migrated.read_segment(record).entries == \
                 seed.read_segment(seed_record).entries
-        log = migrated.materialized_log(machine)
+        log = archived_log(migrated, machine)
         assert verify_chain_incremental(
             log.entries, log.start_checkpoint()).chain_hash == \
             records[-1].end_hash

@@ -34,7 +34,7 @@ class TestSegments:
         log = build_log_with_snapshots()
         segments = log.segments_between_snapshots()
         chunk = concatenate_segments(segments[:2])
-        assert len(chunk) == len(segments[0]) + len(segments[1])
+        assert len(chunk.entries) == len(segments[0].entries) + len(segments[1].entries)
         verify_chain_incremental(chunk.entries, chunk.start_checkpoint())
 
     def test_concatenate_rejects_gap(self):
@@ -226,7 +226,7 @@ class TestCompression:
         segment = build_log_with_snapshots().full_segment()
         compressor = JsonBz2Codec()
         restored = compressor.decode_segment(compressor.encode_segment(segment))
-        assert restored.to_dict() == segment.to_dict()
+        assert restored == segment
 
     def test_vmm_compressor_shrinks_replay_logs(self):
         segment = build_log_with_snapshots(segments=8, entries_per_segment=40).full_segment()
@@ -260,4 +260,4 @@ class TestCompression:
         segment = log.full_segment()
         compressor = JsonBz2Codec()
         restored = compressor.decode_segment(compressor.encode_segment(segment))
-        assert restored.to_dict() == segment.to_dict()
+        assert restored == segment

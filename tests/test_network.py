@@ -11,6 +11,12 @@ from repro.service.fleet import build_fleet
 from repro.sim.scheduler import Scheduler
 
 
+def drain(scheduler):
+    """Run events until the queue is empty."""
+    while scheduler.step():
+        pass
+
+
 def make_network():
     scheduler = Scheduler()
     network = SimulatedNetwork(scheduler)
@@ -76,7 +82,7 @@ class TestSimulatedNetwork:
         network.register("bob", received.append)
         network.send(NetworkMessage(source="alice", destination="bob", payload=b"hi"))
         assert received == []  # not delivered synchronously
-        scheduler.run_all()
+        drain(scheduler)
         assert len(received) == 1
         assert scheduler.clock.now > 0
 
@@ -92,12 +98,12 @@ class TestSimulatedNetwork:
         network.cut_links |= {("alice", "bob"), ("bob", "alice")}
         assert network.send(NetworkMessage(source="alice", destination="bob",
                                            payload=b"x")) is False
-        scheduler.run_all()
+        drain(scheduler)
         assert received == []
         network.cut_links.clear()
         assert network.send(NetworkMessage(source="alice", destination="bob",
                                            payload=b"x")) is True
-        scheduler.run_all()
+        drain(scheduler)
         assert len(received) == 1
 
     def test_lossy_link_drops_some(self):
@@ -107,7 +113,7 @@ class TestSimulatedNetwork:
         network.register("bob", received.append)
         assert not network.send(NetworkMessage(source="alice", destination="bob",
                                                payload=b"x"))
-        scheduler.run_all()
+        drain(scheduler)
         assert received == []
 
     def test_stats_accounting(self):
@@ -115,7 +121,7 @@ class TestSimulatedNetwork:
         network.register("bob", lambda m: None)
         network.register("alice", lambda m: None)
         network.send(NetworkMessage(source="alice", destination="bob", payload=b"x" * 100))
-        scheduler.run_all()
+        drain(scheduler)
         alice = network.stats_for("alice")
         bob = network.stats_for("bob")
         assert alice.messages_sent == 1 and bob.messages_received == 1
@@ -131,7 +137,7 @@ class TestSimulatedNetwork:
         scheduler, network = make_network()
         network.register("bob", lambda m: None)
         network.send(NetworkMessage(source="alice", destination="bob", payload=b"x"))
-        scheduler.run_all()
+        drain(scheduler)
         assert len(network.deliveries) == 1
         time, message = network.deliveries[0]
         assert message.destination == "bob"

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from archive_tools import archived_entry_count, archived_log
 from repro.log.codec import (V3_FLAG_CHAIN_BREAKS_ONLY, V3_FLAG_COMPRESSED,
                              TypedCodec, modelled_compressed_log_bytes,
                              sniff_format_version)
@@ -81,7 +82,7 @@ def seed_archive():
 
 def test_seed_archive_decodes_byte_identically(seed_archive):
     expected = (SEED_ROOT / "expected_segment.jsonl").read_bytes()
-    assert segment_to_bytes(seed_archive.materialized_log(MACHINE)) == expected
+    assert segment_to_bytes(archived_log(seed_archive, MACHINE)) == expected
 
 
 def test_seed_archive_serves_all_read_paths(seed_archive):
@@ -97,8 +98,8 @@ def test_seed_archive_serves_all_read_paths(seed_archive):
         streamed = list(seed_archive.stream_segment(record))
         assert streamed == segment.entries
         total += len(segment.entries)
-    assert total == seed_archive.entry_count(MACHINE)
-    log = seed_archive.materialized_log(MACHINE)
+    assert total == archived_entry_count(seed_archive, MACHINE)
+    log = archived_log(seed_archive, MACHINE)
     verify_chain_incremental(log.entries, log.start_checkpoint())
     auths = seed_archive.authenticators_for(MACHINE)
     assert auths and all(auth.machine == MACHINE for auth in auths)
@@ -139,7 +140,7 @@ def test_v3_seed_archive_decodes_byte_identically(seed_v3_archive):
     # Same expected segment as the v1 seed: the typed wire is a pure
     # re-encoding of the same log.
     expected = (SEED_V3_ROOT / "expected_segment.jsonl").read_bytes()
-    assert segment_to_bytes(seed_v3_archive.materialized_log(MACHINE)) == \
+    assert segment_to_bytes(archived_log(seed_v3_archive, MACHINE)) == \
         expected
     assert expected == (SEED_ROOT / "expected_segment.jsonl").read_bytes()
 
@@ -156,8 +157,8 @@ def test_v3_seed_archive_serves_all_read_paths(seed_v3_archive):
         streamed = list(seed_v3_archive.stream_segment(record))
         assert streamed == segment.entries
         total += len(segment.entries)
-    assert total == seed_v3_archive.entry_count(MACHINE)
-    log = seed_v3_archive.materialized_log(MACHINE)
+    assert total == archived_entry_count(seed_v3_archive, MACHINE)
+    log = archived_log(seed_v3_archive, MACHINE)
     verify_chain_incremental(log.entries, log.start_checkpoint())
     auths = seed_v3_archive.authenticators_for(MACHINE)
     assert auths and all(auth.machine == MACHINE for auth in auths)
@@ -229,7 +230,7 @@ def test_seed_archive_reencodes_to_v3_and_back(seed_archive, tmp_path):
     # zlib output may vary per build.)
     v3 = seed_archive.reencode_segments(tmp_path / "v3", format_version=3)
     expected = (SEED_ROOT / "expected_segment.jsonl").read_bytes()
-    assert segment_to_bytes(v3.materialized_log(MACHINE)) == expected
+    assert segment_to_bytes(archived_log(v3, MACHINE)) == expected
     for record, seed_record in zip(
             v3.segment_records(MACHINE),
             LogArchive(SEED_V3_ROOT).segment_records(MACHINE)):
@@ -237,7 +238,7 @@ def test_seed_archive_reencodes_to_v3_and_back(seed_archive, tmp_path):
         assert record.stored_bytes < seed_record.stored_bytes
     back = LogArchive(SEED_V3_ROOT).reencode_segments(
         tmp_path / "v1-again", format_version=1)
-    assert segment_to_bytes(back.materialized_log(MACHINE)) == expected
+    assert segment_to_bytes(archived_log(back, MACHINE)) == expected
     for seed_record, record, digest in zip(
             seed_archive.segment_records(MACHINE),
             back.segment_records(MACHINE), SEED_SHORT_FORM_V1_DIGESTS):
@@ -270,7 +271,7 @@ def test_seed_archives_accept_an_append(seed_root, tmp_path):
     assert grown.startswith(frames) and len(grown) > len(frames)
     for reopened in (archive, LogArchive(work)):
         assert reopened.recovery.clean
-        assert segment_to_bytes(reopened.materialized_log(MACHINE)) == expected
+        assert segment_to_bytes(archived_log(reopened, MACHINE)) == expected
         assert [reopened.stored_bytes_of(record) for record
                 in reopened.segment_records(MACHINE)] == stored
         assert reopened.segment_records(MACHINE) == records

@@ -11,7 +11,6 @@ import pytest
 
 from repro.adversary.tampering import TamperingVMM
 from repro.audit.auditor import Auditor
-from repro.audit.engine import AuditScheduler
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import Verdict
 
@@ -39,12 +38,12 @@ def tampered_scenario():
     return ctx, target_index
 
 
-def _make_checker(ctx, engine=None):
+def _make_checker(ctx):
     auditor = Auditor("auditor", ctx.keystore,
                       ctx.reference_images[ctx.byzantine])
     for machine in ctx.honest_machines:
         auditor.collect_from_peer(ctx.monitors[machine], ctx.byzantine)
-    return SpotChecker(auditor, engine=engine)
+    return SpotChecker(auditor)
 
 
 class TestEveryChunk:
@@ -67,21 +66,15 @@ class TestReportedTransferFigures:
     signed, not at RECV time, and numbers fewer envelopes; CHANGES.md records
     each re-pin) plus the boundary snapshot."""
 
-    @pytest.fixture(params=["serial", "engine"])
-    def engine(self, request):
-        if request.param == "engine":
-            return AuditScheduler(workers=2, executor="inline")
-        return None
-
     @staticmethod
     def _figures(results):
         return [(r.compressed_log_bytes, r.total_bytes_transferred)
                 for r in results]
 
-    def test_honest_chunks(self, engine):
+    def test_honest_chunks(self):
         ctx = record_scenario(workload="kv", fleet_size=2, seed=43,
                               duration=3.0)
-        checker = _make_checker(ctx, engine)
+        checker = _make_checker(ctx)
         k1 = checker.check_all_chunks(ctx.monitor, k=1, skip_initial=False)
         assert all(r.ok for r in k1)
         assert self._figures(k1) == [
@@ -92,9 +85,9 @@ class TestReportedTransferFigures:
             (7197, 7197), (7977, 536879881), (4184, 536876094)]
 
     def test_a_failing_chunk_is_priced_like_a_passing_one(
-            self, tampered_scenario, engine):
+            self, tampered_scenario):
         ctx, tampered_index = tampered_scenario
-        results = _make_checker(ctx, engine).check_all_chunks(
+        results = _make_checker(ctx).check_all_chunks(
             ctx.monitor, k=1, skip_initial=False)
         assert [r.ok for r in results] == [
             index != tampered_index for index in range(len(results))]

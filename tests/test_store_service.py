@@ -13,7 +13,6 @@ import shutil
 import pytest
 
 from repro.audit.engine import AuditAssignment, AuditScheduler
-from repro.audit.online import OnlineAuditor
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import Verdict
 from repro.crypto import hashing
@@ -32,7 +31,7 @@ from repro.service.fleet import build_fleet
 from repro.store import LogArchive
 from repro.store.manifest import MANIFEST_NAME
 
-from archive_tools import replace_payload, scribble, ship
+from archive_tools import (archived_entry_count, archived_log, archived_segments, replace_payload, scribble, ship)
 
 
 def build_sealed_log(machine="machine", segments=3, entries_per_segment=6):
@@ -60,7 +59,8 @@ def archive_sealed_log(archive, log, with_snapshots=True):
     """
     records = []
     for segment in log.segments_between_snapshots():
-        seals = segment.entries_of_type(EntryType.SNAPSHOT)
+        seals = [entry for entry in segment.entries
+                 if entry.entry_type is EntryType.SNAPSHOT]
         sealed_by = None
         if seals and seals[-1] is segment.entries[-1]:
             sealed_by = int(seals[-1].content["snapshot_id"])
@@ -79,8 +79,8 @@ class TestArchiveRoundTrip:
         log = build_sealed_log()
         archive = LogArchive(tmp_path / "a")
         archive_sealed_log(archive, log)
-        assert archive.materialized_log("machine").entries == log.entries
-        assert [s.entries for s in archive.segments_for("machine")] == \
+        assert archived_log(archive, "machine").entries == log.entries
+        assert [s.entries for s in archived_segments(archive, "machine")] == \
             [s.entries for s in log.segments_between_snapshots()]
 
     def test_reopen_from_manifest(self, tmp_path):
@@ -89,25 +89,20 @@ class TestArchiveRoundTrip:
         reopened = LogArchive(tmp_path / "a")
         assert reopened.recovery.clean
         assert reopened.recovery.machines == 1
-        assert reopened.entry_count("machine") == len(log)
-        assert reopened.materialized_log("machine").entries == log.entries
+        assert archived_entry_count(reopened, "machine") == len(log)
+        assert archived_log(reopened, "machine").entries == log.entries
         assert reopened.head_checkpoint("machine").chain_hash == log.head_hash
 
     def test_deep_verify_on_open(self, tmp_path):
         archive_sealed_log(LogArchive(tmp_path / "a"), build_sealed_log())
         assert LogArchive(tmp_path / "a", deep_verify=True).recovery.clean
 
-    def test_range_lookup(self, tmp_path):
-        log = build_sealed_log(segments=5)
+    def test_an_unarchived_machine_has_no_log_segment(self, tmp_path):
         archive = LogArchive(tmp_path / "a")
-        archive_sealed_log(archive, log)
-        record = archive.record_covering("machine", 15)
-        assert record.first_sequence <= 15 <= record.last_sequence
-        chunk = archive.read_range("machine", 3, 17)
-        assert [e.sequence for e in chunk.entries] == list(range(3, 18))
-        verify_chain_incremental(chunk.entries, chunk.start_checkpoint())
-        with pytest.raises(StoreError):
-            archive.record_covering("machine", 10_000)
+        archive_sealed_log(archive, build_sealed_log())
+        assert archived_log(archive, "machine").entries
+        with pytest.raises(StoreError, match="no archived segments"):
+            archived_log(archive, "stranger")
 
     def test_rejects_noncontiguous_and_forked_segments(self, tmp_path):
         log = build_sealed_log()
@@ -182,7 +177,7 @@ class TestCrashRecoveryAndCorruption:
         assert sorted(reopened.recovery.orphan_files) == sorted(orphans)
         assert not reopened.recovery.clean
         assert not any((root / name).exists() for name in orphans)
-        assert reopened.materialized_log("machine").entries
+        assert archived_log(reopened, "machine").entries
         assert LogArchive(root).recovery.clean
 
     def test_foreign_files_are_never_deleted(self, tmp_path):
@@ -275,12 +270,12 @@ class TestCrashRecoveryAndCorruption:
             "format_version": 3, "kind": "avm_log_archive", "generation": 1,
             "machines": {"machine": {"file": "machine/frames-000001.avmf",
                                      "retained": None}}}
-        before = LogArchive(root).materialized_log("machine")
+        before = archived_log(LogArchive(root), "machine")
         path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True),
                         encoding="utf-8")
         reopened = LogArchive(root)
         assert reopened.recovery.clean
-        assert reopened.materialized_log("machine") == before
+        assert archived_log(reopened, "machine") == before
 
     def test_corrupt_auth_batch_is_detected(self, tmp_path, ca):
         root = tmp_path / "a"
@@ -304,7 +299,7 @@ class TestCrashRecoveryAndCorruption:
         reopened = LogArchive(root)
         assert reopened.recovery.clean and reopened.machines() == ["a/b", "a_b"]
         for machine in ("a/b", "a_b"):
-            assert reopened.materialized_log(machine).machine == machine
+            assert archived_log(reopened, machine).machine == machine
 
 
 class TestRetentionGC:
@@ -330,7 +325,7 @@ class TestRetentionGC:
         assert reopened.recovery.clean
         assert reopened.segment_records("machine") == kept
         assert reopened.retained_checkpoint("machine") == checkpoint
-        suffix = reopened.materialized_log("machine")
+        suffix = archived_log(reopened, "machine")
         assert suffix.first_sequence == checkpoint.sequence + 1
         verify_chain_incremental(suffix.entries, suffix.start_checkpoint())
 
@@ -349,7 +344,7 @@ class TestRetentionGC:
         checkpoint = archive.truncate("machine",
                                       records[0].last_sequence - 1)
         assert checkpoint.sequence == 0
-        assert archive.entry_count("machine") == \
+        assert archived_entry_count(archive, "machine") == \
             sum(record.entry_count for record in records)
 
     def test_truncate_skips_boundary_whose_snapshot_is_missing(self, tmp_path):
@@ -361,7 +356,7 @@ class TestRetentionGC:
                                      with_snapshots=False)
         checkpoint = archive.truncate("machine", records[-1].last_sequence)
         assert checkpoint.sequence == 0
-        assert archive.entry_count("machine") == \
+        assert archived_entry_count(archive, "machine") == \
             sum(record.entry_count for record in records)
 
     def test_truncate_regression_rejected(self, tmp_path):
@@ -452,7 +447,7 @@ class TestIngestService:
         assert service.stats.segments_rejected == 1
         assert service.quarantine[0].machine == "machine"
         # The archive is untouched by the rejected shipment.
-        assert service.archive.entry_count("machine") == len(segments[0].entries)
+        assert archived_entry_count(service.archive, "machine") == len(segments[0].entries)
 
     def test_garbage_network_payloads_quarantine_not_crash(self, tmp_path):
         from repro.log.codec import JsonBz2Codec
@@ -530,7 +525,7 @@ class TestIngestService:
         assert [q.reason[:20] for q in service.quarantine] == \
             ["undecodable snapshot"]
         reopened = LogArchive(tmp_path / "a")
-        assert reopened.entry_count("machine") == len(first.entries)
+        assert archived_entry_count(reopened, "machine") == len(first.entries)
         assert reopened.authenticators_for("machine") == auths[:3]
         # ... the segment is sealed by a snapshot the archive does not hold:
         # not a GC boundary
@@ -543,7 +538,7 @@ class TestIngestService:
         assert len(service.quarantine) == 2 and service.stats.segments_rejected == 1
         reopened = LogArchive(tmp_path / "a")
         assert reopened.recovery.clean
-        assert reopened.materialized_log("machine").entries == log.entries
+        assert archived_log(reopened, "machine").entries == log.entries
         assert reopened.authenticators_for("machine") == auths[:5]
 
     def test_claimed_identity_mismatch_is_quarantined(self, tmp_path):
@@ -628,7 +623,7 @@ class TestIngestService:
         (record,) = reopened.segment_records("machine")
         assert reopened.read_segment(record).entries == segment.entries
         assert list(reopened.stream_segment(record)) == segment.entries
-        log = reopened.materialized_log("machine")
+        log = archived_log(reopened, "machine")
         assert verify_chain_incremental(
             log.entries, log.start_checkpoint()).chain_hash == \
             segment.entries[-1].chain_hash == record.end_hash
@@ -694,7 +689,7 @@ class TestIngestService:
         assert service.pending_machines() == sorted(fleet.machines)
         for machine in fleet.machines:
             assert service.pending_segments(machine) == \
-                len(service.archive.segments_for(machine))
+                len(archived_segments(service.archive, machine))
         results = service.audit_pending(
             lambda machine: fleet.make_auditor(machine, collect=False))
         assert sorted(results) == sorted(fleet.machines)
@@ -731,7 +726,7 @@ class TestIngestService:
         assert second.pending_machines() == []
         assert second.stats.segments_ingested == 0
         assert second.quarantined_machines() == ["machine"]
-        assert first.archive.entry_count("machine") == \
+        assert archived_entry_count(first.archive, "machine") == \
             len(segments[0].entries) + len(segments[1].entries)
 
     def test_format_ingest_report_lists_machines(self, tmp_path):
@@ -763,7 +758,7 @@ class TestReopenedQueue:
         results = reopened.audit_pending(
             lambda machine: fleet.make_auditor(machine, collect=False),
             engine=engine and AuditScheduler(workers=engine,
-                                             executor="thread"))
+                                             executor="process"))
         assert sorted(results) == fleet.machines
         assert all(result.ok for result in results.values())
         assert reopened.pending_machines() == []
@@ -849,7 +844,7 @@ class TestArchivePicklableLog:
     def test_archived_entries_pickle_for_worker_pools(self, tmp_path):
         archive = LogArchive(tmp_path / "a")
         archive_sealed_log(archive, build_sealed_log())
-        segment = archive.materialized_log("machine")
+        segment = archived_log(archive, "machine")
         assert pickle.loads(pickle.dumps(segment)).entries == segment.entries
 
 
@@ -878,7 +873,7 @@ def _archive(fleet, root):
 
 
 def _engine(fleet, root):
-    report = AuditScheduler(workers=2, executor="thread").audit_fleet(
+    report = AuditScheduler(workers=2, executor="process").audit_fleet(
         fleet.assignments())
     return [report.results[machine] for machine in fleet.machines]
 
@@ -926,9 +921,9 @@ class TestFleetArchiveEquivalence:
         for machine in fleet.machines:
             monitor = fleet.monitors[machine]
             assert monitor.shipped_through == len(monitor.log)
-            assert archive.materialized_log(machine).entries == \
+            assert archived_log(archive, machine).entries == \
                 monitor.log.full_segment().entries
-            assert [s.entries for s in archive.segments_for(machine)] == \
+            assert [s.entries for s in archived_segments(archive, machine)] == \
                 [s.entries for s in monitor.log.segments_between_snapshots()]
             peer = fleet.monitors[fleet.peers[machine]]
             assert archive.authenticators_for(machine) == \
@@ -958,7 +953,7 @@ class TestFleetArchiveEquivalence:
             service.prepare_auditor(auditor, machine)
             assignments.append(AuditAssignment(auditor,
                                                service.target_for(machine)))
-        report = AuditScheduler(workers=2, executor="thread").audit_fleet(
+        report = AuditScheduler(workers=2, executor="process").audit_fleet(
             assignments)
         assert report.all_passed
         machine = fleet.machines[0]
@@ -970,17 +965,6 @@ class TestFleetArchiveEquivalence:
             service.target_for(machine), 1, 1)
         assert live.result == archived.result
         assert live.snapshot_bytes == archived.snapshot_bytes
-
-    def test_online_auditor_runs_from_archive(self, archived_fleet):
-        fleet, root = archived_fleet
-        service = AuditIngestService(LogArchive(root))
-        machine = fleet.machines[0]
-        auditor = fleet.make_auditor(machine, collect=False)
-        target = service.target_for(machine)
-        online = OnlineAuditor(auditor, target, fleet.scheduler, [target])
-        record = online.run_once()
-        assert record is not None and record.verdict is Verdict.PASS
-        assert online.lag_entries == 0
 
     def test_gc_then_audit_equivalence(self, archived_fleet, tmp_path):
         fleet, root = archived_fleet
@@ -1037,7 +1021,7 @@ class TestLossyShipping:
         assert monitor.archive_shipping_complete
         fleet.scheduler.run_until(fleet.scheduler.clock.now + 1.0)
         assert monitor.shipped_through == len(monitor.log)
-        assert archive.materialized_log(machine).entries == \
+        assert archived_log(archive, machine).entries == \
             monitor.log.full_segment().entries
         assert not fleet.ingest.quarantine
 
@@ -1067,7 +1051,8 @@ class TestFleetArchiveTamperEvidence:
         for name in fleet.machines:
             mon = fleet.monitors[name]
             for segment in mon.log.segments_between_snapshots():
-                seals = segment.entries_of_type(EntryType.SNAPSHOT)
+                seals = [entry for entry in segment.entries
+                         if entry.entry_type is EntryType.SNAPSHOT]
                 sealed_by = None
                 if seals and seals[-1] is segment.entries[-1]:
                     sealed_by = int(seals[-1].content["snapshot_id"])

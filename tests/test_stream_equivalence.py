@@ -25,6 +25,7 @@ import tempfile
 
 import pytest
 
+from archive_tools import archived_entry_count, archived_log, archived_segments
 from repro.adversary.catalog import adversary_names, make_adversary
 from repro.adversary.matrix import WORKLOADS, CellSpec, ScenarioMatrix
 from repro.audit.engine import AuditAssignment, AuditScheduler
@@ -116,7 +117,7 @@ class TestArchivedFleetEquivalence:
             auditor = _prepared_auditor(fleet, service, machine)
             assignments.append(
                 AuditAssignment(auditor, service.target_for(machine)))
-        engine_report = AuditScheduler(workers=workers, executor="thread") \
+        engine_report = AuditScheduler(workers=workers, executor="process") \
             .audit_fleet(assignments)
         assert engine_report.chunk_count > len(fleet.machines)
         for machine in fleet.machines:
@@ -133,14 +134,14 @@ class TestArchivedFleetEquivalence:
         checker = SpotChecker(_prepared_auditor(fleet, service, machine))
         # Lazy (archive-backed) source vs an explicitly materialized list.
         lazy = checker.check_chunk(target, 1, 2)
-        eager = checker.check_chunk(target, 1, 2,
-                                    segments=target.get_snapshot_segments())
+        segments = archived_segments(service.archive, machine)
+        eager = checker.check_chunk(target, 1, 2, segments=segments)
         assert lazy.result == eager.result
         assert lazy.log_bytes == eager.log_bytes
         every = checker.check_all_chunks(target, k=2, skip_initial=False)
         assert all(result.ok for result in every)
         assert [result.chunk_start_index for result in every] == list(
-            range(len(target.get_snapshot_segments()) - 1))
+            range(len(segments) - 1))
 
 
 class TestReviewRegressions:
@@ -224,14 +225,15 @@ class TestReviewRegressions:
 
 
 def test_full_segment_shim_is_gone(archived_fleet):
-    """The deprecated materializing shim was removed; materialized_log is
-    the one explicit-materialization entry point."""
+    """The archive has no materializing reader; the archive target's
+    get_log_segment is the one explicit materialization."""
     fleet, root = archived_fleet
     archive = LogArchive(root)
     machine = fleet.machines[0]
     assert not hasattr(archive, "full_segment")
-    full = archive.materialized_log(machine)
-    assert len(full.entries) == archive.entry_count(machine)
+    assert not hasattr(archive, "materialized_log")
+    full = archived_log(archive, machine)
+    assert len(full.entries) == archived_entry_count(archive, machine)
 
 
 class TestTruncatedArchiveEquivalence:
@@ -279,7 +281,7 @@ class TestTruncatedArchiveEquivalence:
 
         drained = service.audit_pending(
             make_auditor, engine=engine and AuditScheduler(
-                workers=engine, executor="thread"))
+                workers=engine, executor="process"))
         assert sorted(drained) == fleet.machines
         assert service.pending_machines() == []
         one_by_one = {machine: service.audit_machine(make_auditor(machine),
@@ -306,7 +308,7 @@ def test_an_empty_archive_is_an_error_before_any_work(
                         service.target_for(audited)),
         AuditAssignment(fleet.make_auditor(absent, collect=False),
                         empty.target_for(absent))]
-    engine = AuditScheduler(workers=workers, executor="thread")
+    engine = AuditScheduler(workers=workers, executor="process")
     with pytest.raises(StoreError, match="no archived segments"):
         engine.audit_fleet(assignments)
     assert ran == []
@@ -427,7 +429,7 @@ def test_the_engine_is_the_same_on_every_executor(adversary_name, workload):
                         workers=workers, executor=executor,
                         chunks_per_machine=chunks)
                     for workers in (1, 2, 4)
-                    for executor in ("inline", "thread", "process")}
+                    for executor in ("inline", "process")}
                 reference = serial if serial.ok \
                     else results[1, "inline"] if chunks else None
                 for where, result in results.items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -39,7 +40,7 @@ CHUNK_MULTIPLE = 6
 FIXED_OVERHEAD = 1_200_000
 
 WORKERS = pytest.mark.parametrize("workers,executor",
-                                  [(1, "inline"), (2, "thread")])
+                                  [(1, "inline"), (2, "process")])
 
 
 def _traced_peak(fn) -> int:
@@ -53,13 +54,17 @@ def _traced_peak(fn) -> int:
 
 class _LateSweetener(CheatingKvServerGuest):
     """The agreed image answers SELECTs its own way from request
-    ``FROM_REQUEST`` on; a server that keeps answering like the stock image
-    stops matching the reference there, two thirds into its log."""
+    ``from_request`` on; a server that keeps answering like the stock image
+    stops matching the reference there, two thirds into its log.  The
+    threshold is an argument, so a process worker's replay gets it with the
+    pickled image."""
 
-    FROM_REQUEST = 0
+    def __init__(self, from_request: int) -> None:
+        super().__init__()
+        self.from_request = from_request
 
     def execute(self, query):
-        if query.get("request_id", 0) < self.FROM_REQUEST:
+        if query.get("request_id", 0) < self.from_request:
             return KvServerGuest.execute(self, query)
         return super().execute(query)
 
@@ -92,8 +97,8 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
 
     reference = fleet.reference_images[machine]
     if convicted:   # same disk, another query engine (24 requests a second)
-        _LateSweetener.FROM_REQUEST = round(duration * 24 * 2 / 3)
-        reference = replace(reference, guest_factory=_LateSweetener)
+        reference = replace(reference, guest_factory=partial(
+            _LateSweetener, round(duration * 24 * 2 / 3)))
 
     def prepared_auditor():
         auditor = fleet.make_auditor(machine, collect=False)

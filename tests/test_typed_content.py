@@ -47,10 +47,8 @@ from repro.log.entries import (
     encode_recv_content,
     lazy_entry,
     recv_content,
-    seed_encoded_content,
 )
 from repro.log.hashchain import verify_chain_incremental
-from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 
 DIGEST = hashing.hash_bytes(b"typed").hex()

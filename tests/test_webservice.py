@@ -25,9 +25,9 @@ from repro.crypto import hashing
 from repro.errors import VMError
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.events import KeyboardInput, PacketDelivery, TimerInterrupt
-from repro.vm.machine import (FixedNondeterminismSource,
-                              LiveNondeterminismSource, UpstreamResponse,
+from repro.vm.machine import (LiveNondeterminismSource, UpstreamResponse,
                               VirtualMachine)
+from vm_tools import FixedNondeterminismSource
 from repro.workloads.webservice import (SimulatedUpstreamBackend,
                                         WebClientGuest, WebServiceGuest,
                                         WebServiceSettings,

@@ -4,7 +4,8 @@ import json
 
 
 from repro.vm.events import KeyboardInput, PacketDelivery, TimerInterrupt
-from repro.vm.machine import FixedNondeterminismSource, VirtualMachine
+from repro.vm.machine import VirtualMachine
+from vm_tools import FixedNondeterminismSource
 from repro.workloads.echo import EchoGuest, PingSenderGuest, make_echo_image, make_ping_sender_image
 from repro.workloads.kvstore import KvServerGuest, make_kvserver_image
 from repro.workloads.sqlbench import SqlBenchClientGuest, SqlBenchSettings, make_sqlbench_image
