@@ -10,11 +10,13 @@ configurable so experiments can compare RSA-768 against larger keys.
 
 The encoding, CRT signing and seeded key generation are written from scratch;
 each modular exponentiation is libcrypto's (:mod:`repro.crypto.modexp`),
-byte-identical to ``pow``.
+byte-identical to ``pow``.  A seeded key pair is generated once per process and
+memoised (at most :data:`KEY_MEMO_BOUND` of them); an unseeded one never is.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ from repro.crypto.primes import generate_prime
 from repro.errors import KeyGenerationError, SignatureError
 
 _PUBLIC_EXPONENT = 65537
+
+#: Seeded key pairs kept, least recently used evicted; the full adversary
+#: matrix, the largest run, makes 283 distinct ones.
+KEY_MEMO_BOUND = 512
 
 #: the fixed length-framing bytes of ``hash_concat(digest, counter)`` —
 #: ``encode_digest`` runs once per signature on the audit hot path, so each
@@ -95,8 +101,16 @@ def generate_keypair(bits: int = 768, seed: int | None = None) -> RsaPrivateKey:
     """Generate an RSA key pair with a modulus of roughly ``bits`` bits.
 
     ``seed`` makes generation deterministic, which the experiment harness uses
-    so repeated runs produce identical logs and signatures.
+    so repeated runs produce identical logs and signatures.  A seeded pair is
+    searched for once per process and then returned from a bounded memo keyed
+    by ``(bits, seed)``; ``seed=None`` always draws a fresh pair.
     """
+    if seed is None:
+        return _search_keypair(bits, None)
+    return _seeded_keypairs(bits, seed)
+
+
+def _search_keypair(bits: int, seed: int | None) -> RsaPrivateKey:
     if bits < 256:
         raise KeyGenerationError(f"RSA modulus too small: {bits} bits")
     rng = random.Random(seed)
@@ -119,6 +133,11 @@ def generate_keypair(bits: int = 768, seed: int | None = None) -> RsaPrivateKey:
             exponent_dp=d % (p - 1), exponent_dq=d % (q - 1),
             q_inverse=pow(q, -1, p))
     raise KeyGenerationError("failed to generate an RSA key pair")
+
+
+#: ``typed``: equal seeds of two types can seed ``random.Random`` differently
+#: (``-1`` and ``-1.0``), so each type gets entries of its own.
+_seeded_keypairs = functools.lru_cache(maxsize=KEY_MEMO_BOUND, typed=True)(_search_keypair)
 
 
 def encode_digest(message: bytes, modulus: int) -> int:

@@ -1,5 +1,6 @@
 """Tests for the cryptographic substrate: hashing, primes, RSA, keys, schemes."""
 
+import functools
 import multiprocessing
 import pickle
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from repro.crypto import hashing
 from repro.crypto import modexp as native
-from repro.crypto.keys import CertificateAuthority, KeyStore
+from repro.crypto import rsa
+from repro.crypto.keys import CertificateAuthority, KeyStore, build_trust
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import encode_digest, generate_keypair
 from repro.crypto.signatures import RsaScheme, get_scheme
@@ -161,12 +163,33 @@ _PINS = {
 }
 
 
+def _empty_key_memo(patch):
+    """Put an empty key memo, built like the process one, in its place until
+    ``patch`` is undone: seeded keys are searched for again meanwhile, and the
+    process memo comes back untouched, so later tests keep its keys and never
+    see the ones made here."""
+    patch.setattr(rsa, "_seeded_keypairs", functools.lru_cache(
+        **rsa._seeded_keypairs.cache_parameters())(rsa._search_keypair))
+    return rsa._seeded_keypairs
+
+
 @pytest.fixture(params=["native", "fallback"])
 def backend(request, monkeypatch):
-    """Run a test on libcrypto (where this build has it) and on ``pow``."""
+    """Run a test on libcrypto (where this build has it) and on ``pow``.
+
+    The fallback side has an empty key memo of its own: its seeded keys are
+    searched for under ``pow``, not handed back from a native run.
+    """
     if request.param == "fallback":
         monkeypatch.setattr(native, "_libcrypto", lambda: None)
+        _empty_key_memo(monkeypatch)
     return request.param
+
+
+@pytest.fixture
+def key_memo(monkeypatch):
+    """An empty key memo for this test, built like the process one."""
+    return _empty_key_memo(monkeypatch)
 
 
 def _batch_with_culprit(key, count=16, culprit=11):
@@ -231,23 +254,27 @@ class TestModexp:
         assert key.sign(_PIN_MESSAGE).hex() == signature
         assert key.public.verify(_PIN_MESSAGE, bytes.fromhex(signature))
 
-    def test_modexp_fallback_gives_the_same_keys_and_verdicts(self, monkeypatch):
+    def test_modexp_fallback_gives_the_same_keys_and_verdicts(self, monkeypatch, key_memo):
         def run():
             key = RsaScheme(768).generate("alice", seed=7)
             items = _batch_with_culprit(key)
             return (key._private, [signature for _, signature in items],
                     _verdicts(key, items))
 
+        # An empty key memo for each run: both sides search for the primes.
         native_run = run()
-        monkeypatch.setattr(native, "_libcrypto", lambda: None)
-        fallback_run = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "_libcrypto", lambda: None)
+            fallback_memo = _empty_key_memo(patch)
+            fallback_run = run()
+        assert key_memo.cache_info().misses == fallback_memo.cache_info().misses == 1
         assert native_run == fallback_run
         verdicts = fallback_run[2]
         assert [i for i, ok in enumerate(verdicts) if not ok] == [11]
 
     def test_modexp_threads_agree_with_the_serial_run(self):
-        # ctypes releases the GIL around each libcrypto call, and the audit
-        # engine's thread executor verifies signatures concurrently.
+        # ctypes releases the GIL around each libcrypto call, so threads of
+        # one process can be inside libcrypto at the same time.
         key = RsaScheme(768).generate("alice", seed=7)
         messages = [b"message %d" % i for i in range(12)]
         items = _batch_with_culprit(key, count=12, culprit=5)
@@ -359,6 +386,88 @@ class TestModexp:
             signed, verified = pool.submit(_sign_and_verify, pair, messages).result(timeout=120)
         assert signed == signatures
         assert verified == [True] * len(messages)
+
+
+@pytest.fixture
+def prime_searches(monkeypatch):
+    """The bit sizes of every prime search key generation runs, in order."""
+    calls = []
+    search = rsa.generate_prime
+
+    def spy(bits, rng):
+        calls.append(bits)
+        return search(bits, rng)
+
+    monkeypatch.setattr(rsa, "generate_prime", spy)
+    return calls
+
+
+class TestKeygenMemo:
+    """A seeded key pair is searched for once per process, an unseeded one on
+    every call, and the memo holds at most ``KEY_MEMO_BOUND`` pairs."""
+
+    def test_keygen_second_seeded_call_runs_no_prime_search(self, key_memo, prime_searches):
+        first = generate_keypair(768, seed=42)
+        assert len(prime_searches) >= 2
+        prime_searches.clear()
+        second = generate_keypair(768, seed=42)
+        assert prime_searches == []
+        assert second == first
+        modulus, signature = _PINS[42]
+        assert format(second.modulus, "x") == modulus
+        assert second.sign(_PIN_MESSAGE).hex() == signature
+
+    def test_keygen_unseeded_calls_are_fresh_and_not_memoised(self, key_memo, prime_searches):
+        first, second = generate_keypair(512), generate_keypair(512)
+        assert first.modulus != second.modulus
+        assert len(prime_searches) >= 4
+        assert key_memo.cache_info().currsize == 0
+
+    def test_keygen_equal_seeds_that_seed_differently_do_not_share(self, key_memo,
+                                                                    prime_searches):
+        # -1 == -1.0 and they hash alike, but random.Random takes the
+        # absolute value of an int and the hash of a float.
+        assert random.Random(-1).random() != random.Random(-1.0).random()
+        by_int = generate_keypair(512, seed=-1)
+        prime_searches.clear()
+        by_float = generate_keypair(512, seed=-1.0)
+        assert prime_searches
+        assert by_float != by_int
+        assert by_float == rsa._search_keypair(512, -1.0)
+
+    def test_keygen_build_trust_twice_searches_once(self, key_memo, prime_searches):
+        identities = ["alice", "bob", "charlie"]
+        ca, pairs, _ = build_trust(identities, seed=4321)
+        assert len(prime_searches) >= 2 * (len(identities) + 1)  # the CA's too
+        prime_searches.clear()
+        ca_again, pairs_again, _ = build_trust(identities, seed=4321)
+        assert prime_searches == []
+        assert [pairs_again[i].certificate for i in identities] == [
+            pairs[i].certificate for i in identities]
+        assert ca_again.verify_certificate(pairs["bob"].certificate)
+
+    def test_keygen_memo_stays_within_its_bound(self, monkeypatch, key_memo):
+        # Stand-in primes drawn by the seeded generator: sweeping past the
+        # bound costs no real prime search.
+        primes = [generate_prime(128, random.Random(i)) for i in range(16)]
+        searches = []
+
+        def stand_in(bits, rng):
+            searches.append(bits)
+            return rng.choice(primes)
+
+        monkeypatch.setattr(rsa, "generate_prime", stand_in)
+        first = generate_keypair(256, seed=0)
+        kept = generate_keypair(256, seed=-7)
+        for seed in range(1, rsa.KEY_MEMO_BOUND + 10):
+            generate_keypair(256, seed=seed)
+            assert generate_keypair(256, seed=-7) is kept  # recently used
+            assert key_memo.cache_info().currsize <= rsa.KEY_MEMO_BOUND
+        assert key_memo.cache_info().currsize == rsa.KEY_MEMO_BOUND
+        searches.clear()
+        again = generate_keypair(256, seed=0)  # the least recently used went
+        assert searches
+        assert again == first and again is not first
 
 
 class TestSignatureSchemes:
