@@ -138,10 +138,6 @@ class MatrixReport:
         return [cell for cell in self.cells if cell.expect_detection]
 
     @property
-    def honest_cells(self) -> List[CellOutcome]:
-        return [cell for cell in self.cells if not cell.expect_detection]
-
-    @property
     def detection_rate(self) -> float:
         cells = self.misbehaving_cells
         if not cells:

@@ -19,6 +19,7 @@ an auditor without one takes the serial path below.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.audit.evidence import Evidence
@@ -167,27 +168,27 @@ class Auditor:
         is the same at every worker count, costs a third party one chunk,
         and never needs the log re-read.  An authenticator commits the
         machine to every entry before it: once the chunk has passed the
-        tamper check, the last one on it is all a third party needs.  A
-        chunk no authenticator covers proves nothing to a third party; it is
-        extended, through ``following`` (the segments after it, in log
-        order), up to the next entry one does cover.
+        tamper check, the newest valid one on it is all a third party needs.
+        A chunk no valid authenticator covers proves nothing to a third
+        party; it is extended, through ``following`` (the segments after it,
+        in log order), up to the next entry a valid one does cover.
+        Candidates are verified newest first, on a conviction only, so a
+        peer's junk cannot spoil the evidence.
         """
         machine = job.segment.machine
         entries, authenticators = job.segment.entries, job.authenticators
-        if authenticators and failed.phase is not AuditPhase.AUTHENTICATOR_CHECK:
-            authenticators = [max(authenticators, key=lambda a: a.sequence)]
-        elif not authenticators:
-            mine = self.authenticators_for(machine)
-            signed = {auth.sequence for auth in mine}
+        if failed.phase is not AuditPhase.AUTHENTICATOR_CHECK:
+            authenticators = self._newest_valid(authenticators)
+        if not authenticators:
+            mine: Dict[int, List[Authenticator]] = {}
+            for auth in self.authenticators_for(machine):
+                mine.setdefault(auth.sequence, []).append(auth)
             extended = list(entries)
-            for more in following:
-                cut = next((index for index, entry in enumerate(more.entries)
-                            if entry.sequence in signed), None)
-                extended += more.entries[:None if cut is None else cut + 1]
-                if cut is not None:
+            for entry in chain.from_iterable(more.entries for more in following):
+                extended.append(entry)
+                authenticators = self._newest_valid(mine.get(entry.sequence, ()))
+                if authenticators:
                     entries = extended
-                    authenticators = [auth for auth in mine
-                                      if auth.sequence == entries[-1].sequence]
                     break
         return Evidence(
             machine=machine, accuser=self.identity, reason=failed.reason,
@@ -197,6 +198,14 @@ class Auditor:
             reference_image_hash=self.reference_image.image_hash(),
             initial_state=job.initial_state, anchor=job.context.anchor,
             ends_log=job.context.ends_log)
+
+    def _newest_valid(self, candidates: Iterable[Authenticator]) -> List[Authenticator]:
+        """The newest of ``candidates`` whose own verification holds, alone,
+        or nothing when none does."""
+        for auth in sorted(candidates, key=lambda a: a.sequence, reverse=True):
+            if auth.verify(self.keystore):
+                return [auth]
+        return []
 
     def suspect(self, machine: str, reason: str = "no response to audit challenge") -> AuditResult:
         """Report an unresponsive machine (Section 4.5: 'Alice will suspect Bob')."""

@@ -1,9 +1,11 @@
 """Experiment harness: one module per table / figure of the paper.
 
 Every module exposes a ``run_*`` function returning plain result objects and a
-``main()`` that prints the same rows/series the paper reports.  The benchmark
-suite (``benchmarks/``) calls the ``run_*`` functions with reduced durations;
-the examples and EXPERIMENTS.md use the same code paths.
+``main()`` that prints the same rows/series the paper reports.  There is one
+way to regenerate the paper: ``python -m repro.experiments.<module>`` for the
+numbers, and ``python -m pytest -q -m slow`` for the shapes asserted of them
+(``tests/test_experiments.py`` calls the ``run_*`` functions with reduced
+durations).
 
 | Paper artefact | Module |
 |---|---|

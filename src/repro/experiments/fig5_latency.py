@@ -10,7 +10,7 @@ both acknowledgments; three here — the pong carries the ping's).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
@@ -29,16 +29,11 @@ class LatencyResult:
     pings_per_configuration: int
     summaries: Dict[Configuration, RttSummary]
 
-    def median_ms(self, configuration: Configuration) -> float:
-        return self.summaries[configuration].median * 1000.0
 
-
-def run_latency(pings: int = 100, ping_interval: float = 0.1,
-                configurations: List[Configuration] = None) -> LatencyResult:
+def run_latency(pings: int = 100, ping_interval: float = 0.1) -> LatencyResult:
     """Measure echo RTTs under every configuration."""
-    configurations = configurations or list(Configuration)
     summaries: Dict[Configuration, RttSummary] = {}
-    for configuration in configurations:
+    for configuration in Configuration:
         summaries[configuration] = _measure_configuration(configuration, pings,
                                                           ping_interval)
     return LatencyResult(pings_per_configuration=pings, summaries=summaries)

@@ -10,7 +10,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.avmm.config import Configuration
 from repro.experiments.harness import format_table
@@ -27,13 +27,11 @@ class CpuResult:
 
 
 def run_cpu(duration: float = 60.0, num_players: int = 3, seed: int = 42,
-            machine: str = "server",
-            configurations: List[Configuration] = None) -> CpuResult:
+            machine: str = "server") -> CpuResult:
     """Measure CPU utilisation under every configuration."""
-    configurations = configurations or list(Configuration)
     model = CpuModel()
     utilizations: Dict[Configuration, CpuUtilization] = {}
-    for configuration in configurations:
+    for configuration in Configuration:
         settings = GameSessionSettings(configuration=configuration,
                                        num_players=num_players, duration=duration,
                                        seed=seed, snapshot_interval=None)

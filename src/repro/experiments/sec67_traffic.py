@@ -10,7 +10,7 @@ paper) while remaining far below broadband capacity in absolute terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.avmm.config import Configuration
 from repro.experiments.harness import format_table
@@ -34,13 +34,12 @@ class TrafficResult:
 
 
 def run_traffic(duration: float = 60.0, num_players: int = 3, seed: int = 42,
-                machine: str = "server",
-                configurations: List[Configuration] = None) -> TrafficResult:
-    """Measure the server machine's outbound traffic under each configuration."""
-    configurations = configurations or [Configuration.BARE_HW, Configuration.AVMM_RSA768]
+                machine: str = "server") -> TrafficResult:
+    """Measure the server machine's outbound traffic on bare hardware and
+    under the full AVMM."""
     kbps: Dict[Configuration, float] = {}
     pps: Dict[Configuration, float] = {}
-    for configuration in configurations:
+    for configuration in (Configuration.BARE_HW, Configuration.AVMM_RSA768):
         settings = GameSessionSettings(configuration=configuration,
                                        num_players=num_players, duration=duration,
                                        seed=seed, snapshot_interval=None)

@@ -11,7 +11,7 @@ reports for the four non-OpenGL cheats it tried.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.audit.verdict import Verdict
 from repro.avmm.config import Configuration
@@ -69,22 +69,18 @@ def run_functional_check(cheat: Cheat, duration: float = 10.0,
     )
 
 
-def run_table1(run_functional: bool = True, functional_duration: float = 10.0,
-               functional_cheats: Optional[List[Cheat]] = None) -> Table1Result:
+def run_table1(run_functional: bool = True,
+               functional_duration: float = 10.0) -> Table1Result:
     """Reproduce Table 1 and the Section 6.3 functionality check."""
     result = Table1Result(summary=catalog_summary())
     if not run_functional:
         return result
-    cheats = functional_cheats
-    if cheats is None:
-        # Like the paper, run the cheats that do not depend on the rendering
-        # pipeline (OpenGL) end to end.
-        opengl_specs = {spec.name for spec in CHEAT_CATALOG if spec.requires_opengl}
-        cheats = [cheat for cheat in implemented_cheats()
-                  if cheat.spec_name not in opengl_specs]
-    for cheat in cheats:
-        result.functional_checks.append(
-            run_functional_check(cheat, duration=functional_duration))
+    # Like the paper, run the cheats that do not depend on the rendering
+    # pipeline (OpenGL) end to end.
+    opengl_specs = {spec.name for spec in CHEAT_CATALOG if spec.requires_opengl}
+    result.functional_checks = [
+        run_functional_check(cheat, duration=functional_duration)
+        for cheat in implemented_cheats() if cheat.spec_name not in opengl_specs]
     return result
 
 

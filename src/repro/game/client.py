@@ -85,7 +85,6 @@ class GameClientGuest(GuestProgram):
             "update_every_ticks": self.settings.update_every_ticks,
             "frames_per_tick": self.settings.frames_per_tick,
             "frame_cap_fps": self.settings.frame_cap_fps,
-            "hooks": self.hook_fingerprint(),
         }
 
     # -- state (snapshots) ---------------------------------------------------------------
@@ -115,10 +114,6 @@ class GameClientGuest(GuestProgram):
         self.last_frame_time = float(state["last_frame_time"])
 
     # -- cheat hook surface ----------------------------------------------------------------
-
-    def hook_fingerprint(self) -> str:
-        """Identifies the behaviour-relevant code; cheats change this implicitly."""
-        return "reference"
 
     def hook_transform_commands(self, commands: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Last chance to rewrite the command list before it is sent (aimbots)."""

@@ -14,8 +14,8 @@ enters is *never entered*.  It is deleted, moved into ``tests/``, or named
 in :data:`KEPT` with one of the reasons below.  Where a reason can be
 checked, it is: a wrap target is in ``bench/trace.py``'s table, an
 allowance is in ``test_only_what_runs.ALLOWED``, an abstract method raises
-``NotImplementedError``, a ``benchmarks/`` caller names it.  A kept entry
-that some run does enter, or that is gone, is stale and fails the check.
+``NotImplementedError``.  A kept entry that some run does enter, or that is
+gone, is stale and fails the check.
 
 Unlike the static scan (``tests/test_only_what_runs.py``), which keeps a
 definition alive when anything live shares its name, the census sees what
@@ -100,10 +100,8 @@ ABSTRACT = "an abstract protocol method"
 FAILURE = "a failure, recovery or hostile-input branch"
 #: the plain form of an optimised path, which tests compare it against
 REFERENCE = "a reference implementation tests compare against"
-#: called by a paper benchmark wrapper under ``benchmarks/`` (ROADMAP item 15)
-BENCHMARKS = "called by benchmarks/"
 
-REASONS = (WRAPPED, ALLOWANCE, ABSTRACT, FAILURE, REFERENCE, BENCHMARKS)
+REASONS = (WRAPPED, ALLOWANCE, ABSTRACT, FAILURE, REFERENCE)
 
 #: never-entered definitions that stay: key -> (reason, what it is for)
 KEPT: Dict[str, Tuple[str, str]] = {
@@ -218,11 +216,6 @@ KEPT: Dict[str, Tuple[str, str]] = {
     "repro.log.entries:recv_content": (
         REFERENCE, "the RECV content dict encode_recv_content must match byte "
         "for byte (docs/message-protocol.md)"),
-    # -- benchmarks/
-    "repro.adversary.matrix:MatrixReport.honest_cells": (
-        BENCHMARKS, "bench_adversary_matrix.py"),
-    "repro.experiments.fig5_latency:LatencyResult.median_ms": (
-        BENCHMARKS, "bench_fig5_latency.py"),
 }
 
 
@@ -435,10 +428,6 @@ def reason_problem(definition: Definition, reason: str, note: str,
     if reason == ABSTRACT and not (_has_no_body(definition.node)
                                    or _implements_a_protocol_method(definition)):
         return "it has a body and overrides no bodiless protocol method"
-    if reason == BENCHMARKS and not any(
-            re.search(rf"\.{definition.name}\b", path.read_text())
-            for path in (ROOT / "benchmarks").glob("*.py")):
-        return "no benchmarks/ file names it"
     return None
 
 

@@ -384,6 +384,8 @@ class TestFullMatrix:
         assert not failures, "\n".join(failures)
         assert report.detection_rate == 1.0
         assert report.false_accusation_count == 0
+        assert not any(cell.detected for cell in report.cells
+                       if not cell.expect_detection)
         assert report.all_evidence_verified
         assert report.ok
 

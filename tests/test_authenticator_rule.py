@@ -9,7 +9,8 @@ still verifies, an inconsistent chain hash — proves nothing about the machine
 and is ignored; only a valid authenticator the log contradicts convicts.
 Here: the rule as a property, the missing certificate as a refusal, a
 peer's junk handed to the auditor of an honest machine on every audit path,
-and a third party re-verifying evidence at one verification per authenticator.
+junk about a cheater that must not make its evidence unprovable, and a third
+party re-verifying evidence at one verification per authenticator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.errors import CertificateError, EvidenceError
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.entries import EntryType
+from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService
 from repro.workloads.echo import make_echo_image
@@ -219,6 +221,74 @@ class TestJunkOnEveryPath:
         assert f"log entry {ctx.notes['forged_sequence']} " in result.reason
         assert result.evidence.verify(ctx.keystore,
                                       ctx.reference_images[ctx.byzantine])
+
+
+# ---------------------------------------------------------------------------
+# A peer's junk about a cheater cannot make its conviction unprovable
+# ---------------------------------------------------------------------------
+
+def _zeroed(log, entry):
+    """A junk authenticator for ``entry``: its true chain hash, consistent,
+    and a zeroed signature."""
+    genuine = log.authenticator_for(entry)
+    return replace(genuine, signature=bytes(len(genuine.signature)))
+
+
+class TestJunkCannotSpoilEvidence:
+    @pytest.fixture(scope="class")
+    def cheat(self, tmp_path_factory):
+        return _recorded("cheating-guest", tmp_path_factory.mktemp("cheat"))
+
+    @pytest.mark.parametrize("path", ["segment", "engine-process",
+                                      "engine-inline", "archive-v1",
+                                      "archive-v3"])
+    def test_junk_on_the_last_entry_of_the_convicting_chunk(self, cheat, path):
+        matrix, adversary, ctx, v3 = cheat
+        machine = ctx.byzantine
+        auditor, audit = _paths(matrix, adversary, ctx, v3, machine)[path]
+        clean = audit(auditor)
+        assert clean.phase is AuditPhase.SEMANTIC_CHECK
+        last = clean.evidence.segment.entries[-1]
+        assert max(a.sequence for a in clean.evidence.authenticators) \
+            < last.sequence
+
+        auditor, audit = _paths(matrix, adversary, ctx, v3, machine)[path]
+        auditor.collect_authenticators(
+            machine, [_zeroed(ctx.monitors[machine].log, last)])
+        result = audit(auditor)
+        assert [result.verdict, result.phase, result.reason] == \
+            [clean.verdict, clean.phase, clean.reason]
+        assert result.evidence.authenticators == clean.evidence.authenticators
+        assert result.evidence.verify(ctx.keystore,
+                                      ctx.reference_images[machine])
+
+    def test_a_chunk_only_junk_covers_extends_to_a_valid_one(self, cheat):
+        # The first archive chunk, handed over with no valid authenticator on
+        # it and junk on the entry after it: the evidence runs on to the next
+        # entry a valid authenticator covers.
+        matrix, adversary, ctx, _ = cheat
+        machine = ctx.byzantine
+        log = ctx.monitors[machine].log
+        whole = log.full_segment()
+        cut = 56
+        auditor = matrix._make_auditor(ctx, machine, adversary)
+        junk = _zeroed(log, whole.entries[cut])
+        later = [auth for auth in auditor.authenticators_for(machine)
+                 if auth.sequence > junk.sequence]
+        auditor.collected_authenticators[machine] = {}
+        auditor.collect_authenticators(machine, later + [junk])
+
+        result = auditor.audit_segment(
+            machine, LogSegment(machine, whole.entries[:cut], whole.start_hash),
+            following=[LogSegment(machine, whole.entries[cut:],
+                                  whole.entries[cut - 1].chain_hash)])
+        assert result.phase is AuditPhase.SEMANTIC_CHECK
+        evidence = result.evidence
+        assert evidence.authenticators == [
+            min(later, key=lambda auth: auth.sequence)]
+        assert evidence.segment.last_sequence == \
+            evidence.authenticators[0].sequence > junk.sequence
+        assert evidence.verify(ctx.keystore, ctx.reference_images[machine])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Smoke tests for the experiment harness and every table/figure runner.
+"""The experiment harness and every table/figure runner, with its asserts.
 
 Each experiment is run at a much smaller scale than the paper's (seconds of
 simulated time instead of half-hour games) — enough to exercise the full code
 path and check that the *shape* of the result matches the paper's claims.
+``python -m repro.experiments.<x>`` prints an artefact's numbers; the
+slow-marked tests here (``python -m pytest -q -m slow``) are where every
+shape the paper claims for it is asserted.  The unmarked ones are the fast
+stage's smaller runs of the same paths.
 """
 
 import pytest
@@ -15,7 +19,7 @@ from repro.experiments import fig7_frame_rate, fig8_online_audit, fig9_spot_chec
 from repro.experiments import fig6_cpu, sec65_frame_cap, sec66_audit_cost, sec67_traffic
 from repro.experiments import table1
 from repro.experiments.harness import format_table
-from repro.game.cheats.implementations import UnlimitedAmmoCheat
+from repro.game.cheats.implementations import AimbotCheat, UnlimitedAmmoCheat
 
 
 class TestHarness:
@@ -44,11 +48,17 @@ class TestTable1:
         assert result.functional_checks == []
 
     @pytest.mark.slow
-    def test_functional_check_detects_cheater(self):
-        check = table1.run_functional_check(UnlimitedAmmoCheat(), duration=6.0,
-                                            num_players=2)
-        assert check.cheater_detected
-        assert check.honest_players_passed
+    def test_catalog_and_functional_checks(self):
+        # Section 6.3: a cheated game is audited and the cheater is caught,
+        # while every honest player's audit passes
+        summary = table1.run_table1(run_functional=False).summary
+        assert summary.total == 26
+        assert summary.detectable == 26
+        assert summary.not_detectable == 0
+        checks = [table1.run_functional_check(cheat, duration=6.0, num_players=2)
+                  for cheat in (UnlimitedAmmoCheat(), AimbotCheat())]
+        assert all(check.cheater_detected and check.honest_players_passed
+                   for check in checks)
 
 
 class TestFigure3And4:
@@ -63,33 +73,40 @@ class TestFigure3And4:
     def test_log_content_shape(self):
         result = fig4_log_content.run_log_content(duration=20.0, num_players=2)
         assert result.replay_fraction > 0.5
-        assert result.compressed_mb_per_minute < result.total_mb_per_minute
+        assert result.compressed_mb_per_minute < 0.7 * result.total_mb_per_minute
         # TimeTracker entries are the single largest category (Figure 4).
         assert result.breakdown.fraction("timetracker") == max(
             result.breakdown.fraction(c) for c in result.breakdown.bytes_by_category)
 
 
+def _median_ms(result, configuration):
+    return result.summaries[configuration].median * 1000.0
+
+
 class TestFigure5:
-    def test_latency_ordering(self):
-        result = fig5_latency.run_latency(pings=10)
-        medians = [result.summaries[c].median for c in (
-            Configuration.BARE_HW, Configuration.VMWARE_NOREC,
-            Configuration.VMWARE_REC, Configuration.AVMM_NOSIG,
-            Configuration.AVMM_RSA768)]
+    @pytest.mark.parametrize("pings", [10, pytest.param(40, marks=pytest.mark.slow)])
+    def test_latency_shape(self, pings):
+        # monotone across the configurations, ~0.2 ms bare hardware, a few
+        # ms for the full system (signatures dominate)
+        result = fig5_latency.run_latency(pings=pings)
+        medians = [result.summaries[c].median for c in Configuration]
         assert medians == sorted(medians)
-        assert result.median_ms(Configuration.BARE_HW) < 0.5
-        assert result.median_ms(Configuration.AVMM_RSA768) > 2.0
+        assert _median_ms(result, Configuration.BARE_HW) < 0.5
+        assert _median_ms(result, Configuration.AVMM_NOSIG) > 1.0
+        assert 2.0 < _median_ms(result, Configuration.AVMM_RSA768) < 20.0
 
 
 class TestFigure6And7:
-    @pytest.fixture(scope="class")
-    def frame_rate_result(self):
-        return fig7_frame_rate.run_frame_rate(duration=8.0, num_players=2)
+    # two players in the fast stage; the paper's three in the slow one
+    @pytest.fixture(scope="class", params=[2, pytest.param(3, marks=pytest.mark.slow)])
+    def frame_rate_result(self, request):
+        return fig7_frame_rate.run_frame_rate(duration=8.0, num_players=request.param)
 
     def test_frame_rate_ordering(self, frame_rate_result):
         fps = [frame_rate_result.average_fps(c) for c in (
             Configuration.BARE_HW, Configuration.VMWARE_REC, Configuration.AVMM_RSA768)]
         assert fps[0] > fps[1] >= fps[2]
+        assert fps[0] > 150  # paper: ~158 fps on bare hardware
 
     def test_total_drop_in_paper_ballpark(self, frame_rate_result):
         drop = frame_rate_result.relative_drop(Configuration.AVMM_RSA768)
@@ -107,9 +124,8 @@ class TestFigure6And7:
 
     @pytest.mark.slow
     def test_cpu_utilisation_shape(self):
-        result = fig6_cpu.run_cpu(duration=8.0, num_players=2,
-                                  configurations=[Configuration.BARE_HW,
-                                                  Configuration.AVMM_RSA768])
+        result = fig6_cpu.run_cpu(duration=8.0, num_players=2)
+        assert set(result.utilizations) == set(Configuration)
         for utilization in result.utilizations.values():
             assert 0.10 < utilization.average < 0.30
         avmm = result.utilizations[Configuration.AVMM_RSA768]
@@ -123,6 +139,7 @@ class TestFigure8:
                                                     audit_interval=5.0)
         fps = result.fps_by_audit_count
         assert fps[0] > fps[1] > fps[2]
+        assert (fps[0] - fps[2]) < 0.5 * fps[0]
         assert result.detection_time is not None
         assert result.detection_time <= 20.0
 
@@ -165,6 +182,7 @@ class TestSection65:
         result = sec65_frame_cap.run_frame_cap(duration=3.0)
         assert result.cap_growth_factor > 5.0
         assert result.optimized_growth_factor < result.cap_growth_factor / 3.0
+        assert result.optimized_growth_factor < 3.0
 
 
 class TestSection66And67:
@@ -172,7 +190,7 @@ class TestSection66And67:
     def test_audit_cost_split(self):
         result = sec66_audit_cost.run_audit_cost(duration=10.0, num_players=2)
         assert result.audit_passed
-        assert result.semantic_seconds > result.syntactic_seconds
+        assert result.semantic_seconds > 10 * result.syntactic_seconds
         assert result.semantic_seconds > result.compression_seconds
         assert 0.5 < result.semantic_fraction_of_recording < 2.0
         # The raw size is the log's; the compressed size is what the v1

@@ -1,11 +1,11 @@
 """Guard: ``src/`` keeps only what runs.
 
 Every function, class and method under ``src/repro/`` must have a user
-outside ``tests/``: the library itself, the benchmark of record
-(``bench/``), the paper's benchmarks (``benchmarks/``) or the examples.  A
-definition that only tests call is code nobody runs; it is deleted, moved
-into ``tests/``, or named in :data:`ALLOWED` with the documented entry point
-it stands for (or as a small accessor tests read running code through).
+outside ``tests/``: the library itself, the benchmark of record (``bench/``)
+or the examples.  A definition that only tests call is code nobody runs; it
+is deleted, moved into ``tests/``, or named in :data:`ALLOWED` with the
+documented entry point it stands for (or as a small accessor tests read
+running code through).
 
 The scan is by name, and transitive.  It starts from what runs anyway —
 every non-import statement of a user file, and the module-level statements
@@ -36,7 +36,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-USER_DIRS = ("bench", "benchmarks", "examples")
+USER_DIRS = ("bench", "examples")
 
 #: the one reason a definition that is no entry point may stay: tests read
 #: running code through it (at most five lines)

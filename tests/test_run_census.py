@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from run_census import (ABSTRACT, BENCHMARKS, FAILURE, KEPT, REASONS, RUNS,
+from run_census import (ABSTRACT, FAILURE, KEPT, REASONS, RUNS,
                         WRAPPED, check, definitions, never_entered, run_census)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -206,11 +206,3 @@ def test_the_runs_cover_every_paper_entry_point():
     workloads = [workload["name"] for workload in
                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert {f"bench:{w}:trace{t}" for w in workloads for t in (0, 1)} <= set(RUNS)
-
-
-def test_benchmarks_reason_needs_a_benchmarks_caller():
-    assert BENCHMARKS in REASONS
-    kept = [key for key, (reason, _) in KEPT.items() if reason == BENCHMARKS]
-    text = " ".join(path.read_text() for path in (ROOT / "benchmarks").glob("*.py"))
-    for key in kept:
-        assert re.search(rf"\.{key.rsplit('.', 1)[-1]}\b", text), key
