@@ -143,8 +143,7 @@ class Adversary:
 
     # -- helpers ------------------------------------------------------------
 
-    def pick_committed_sequence(self, ctx: ScenarioContext,
-                                lower: float = 0.25, upper: float = 0.85) -> int:
+    def pick_committed_sequence(self, ctx: ScenarioContext) -> int:
         """A mid-log sequence number some peer holds an authenticator for.
 
         Targeting a committed sequence makes detection *provable*: whatever
@@ -156,6 +155,6 @@ class Adversary:
             raise RuntimeError(
                 f"no peer-held authenticators for {ctx.byzantine!r}; "
                 f"the workload recorded no committed traffic")
-        lo = int(len(sequences) * lower)
-        hi = max(lo + 1, int(len(sequences) * upper))
+        lo = int(len(sequences) * 0.25)
+        hi = max(lo + 1, int(len(sequences) * 0.85))
         return sequences[self.rng.randrange(lo, min(hi, len(sequences)))]

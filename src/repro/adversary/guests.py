@@ -12,7 +12,6 @@ first dishonest response.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.vm.image import VMImage
@@ -64,9 +63,9 @@ class CheatingWebServiceGuest(WebServiceGuest):
 def make_cheating_webservice_image(
         settings: Optional[WebServiceSettings] = None,
         name: str = "web-service-stale-cache") -> VMImage:
-    """The patched service image a byzantine operator installs."""
+    """The patched service image a byzantine operator installs (``settings``
+    holds nothing: the benchmark's calls pass one)."""
     return VMImage(name=name,
-                   guest_factory=partial(CheatingWebServiceGuest,
-                                         settings or WebServiceSettings()),
+                   guest_factory=CheatingWebServiceGuest,
                    disk_blocks={0: b"nginx-api-standin",
                                 66: b"patch-module:ttl-bypass"})

@@ -175,25 +175,24 @@ class MatrixReport:
         }
 
 
+#: chunks per machine the ``full`` mode's :class:`AuditScheduler` cuts a log
+#: into; they run inline (the cells are small, and a process pool would cost
+#: more than it saves)
+WORKERS = 2
+#: simulated seconds each cell records
+CELL_DURATION = 4.0
+#: simulated seconds between a cell's snapshots
+SNAPSHOT_INTERVAL = 1.0
+#: the first cell's seed; each next cell takes the next one
+BASE_SEED = 1000
+#: wire codec the archive-mode fleets ship segments in
+#: (:mod:`repro.log.codec`); detection rows must not depend on it
+SHIP_FORMAT_VERSION = 1
+
+
 class ScenarioMatrix:
-    """Builds, runs and checks matrix cells.
-
-    ``workers`` is how many chunks per machine the ``full`` mode's
-    :class:`AuditScheduler` cuts a log into; they run inline (the cells are
-    small, and a process pool would cost more than it saves).  All scenario
-    content is derived deterministically from each cell's seed.
-    """
-
-    def __init__(self, workers: int = 2,
-                 duration: float = 4.0, snapshot_interval: float = 1.0,
-                 base_seed: int = 1000, ship_format_version: int = 1) -> None:
-        self.workers = workers
-        self.duration = duration
-        self.snapshot_interval = snapshot_interval
-        self.base_seed = base_seed
-        #: wire codec the archive-mode fleets ship segments in
-        #: (:mod:`repro.log.codec`); detection rows must not depend on it
-        self.ship_format_version = ship_format_version
+    """Builds, runs and checks matrix cells.  All scenario content is derived
+    deterministically from each cell's seed."""
 
     # -- cell enumeration ---------------------------------------------------
 
@@ -216,12 +215,12 @@ class ScenarioMatrix:
         shapes += [shape for name in LATE_ADVERSARY_NAMES
                    if name not in ACK_ADVERSARY_NAMES for shape in grid(name)]
         return [CellSpec(*shape, seed)
-                for seed, shape in enumerate(shapes, self.base_seed)]
+                for seed, shape in enumerate(shapes, BASE_SEED)]
 
     def smoke_cells(self) -> List[CellSpec]:
         """One cheap kv cell per adversary (CI bench smoke subset)."""
         cells: List[CellSpec] = []
-        seed = self.base_seed
+        seed = BASE_SEED
         for name in adversary_names():
             adversary = make_adversary(name)
             cells.append(CellSpec(name, "kv", adversary.modes[0], 2, seed))
@@ -230,10 +229,9 @@ class ScenarioMatrix:
 
     # -- running ------------------------------------------------------------
 
-    def run(self, cells: Optional[List[CellSpec]] = None) -> MatrixReport:
-        specs = self.default_cells() if cells is None else cells
+    def run(self, cells: List[CellSpec]) -> MatrixReport:
         report = MatrixReport()
-        for spec in specs:
+        for spec in cells:
             report.cells.append(self.run_cell(spec))
         return report
 
@@ -277,7 +275,7 @@ class ScenarioMatrix:
         network = SimulatedNetwork(scheduler)
         config = AvmmConfig.for_configuration(
             Configuration.AVMM_RSA768,
-            snapshot_interval=self.snapshot_interval)
+            snapshot_interval=SNAPSHOT_INTERVAL)
         pairs = [(f"db-server-{index:02d}", f"db-client-{index:02d}")
                  for index in range(spec.fleet_size // 2)]
         identities = [identity for pair in pairs for identity in pair]
@@ -315,12 +313,12 @@ class ScenarioMatrix:
             workload="kv", scheduler=scheduler, network=network,
             monitors=monitors, reference_images=references,
             keystore=keystore, keypairs=keypairs, byzantine=byzantine,
-            duration=self.duration, ingest=ingest)
+            duration=CELL_DURATION, ingest=ingest)
 
         def run() -> None:
             for monitor in monitors.values():
                 monitor.start()
-            scheduler.run_until(self.duration)
+            scheduler.run_until(CELL_DURATION)
             for monitor in monitors.values():
                 monitor.stop()
 
@@ -337,8 +335,8 @@ class ScenarioMatrix:
         session = GameSession(GameSessionSettings(
             configuration=Configuration.AVMM_RSA768,
             num_players=spec.fleet_size - 1,
-            duration=self.duration, seed=spec.seed,
-            snapshot_interval=self.snapshot_interval,
+            duration=CELL_DURATION, seed=spec.seed,
+            snapshot_interval=SNAPSHOT_INTERVAL,
             cheats={"player1": cheat} if cheat is not None else {}))
         ingest = self._attach_archive(session.monitors, session.network,
                                       archive_dir)
@@ -347,7 +345,7 @@ class ScenarioMatrix:
             network=session.network, monitors=session.monitors,
             reference_images=session.reference_images,
             keystore=session.keystore, keypairs=session.keypairs,
-            byzantine="player1", duration=self.duration, ingest=ingest)
+            byzantine="player1", duration=CELL_DURATION, ingest=ingest)
         return ctx, session.run
 
     def _attach_archive(self, monitors: Dict[str, AccountableVMM],
@@ -359,7 +357,7 @@ class ScenarioMatrix:
         ingest = AuditIngestService(LogArchive(archive_dir), network=network)
         for monitor in monitors.values():
             monitor.attach_archive_shipper(
-                ingest.identity, format_version=self.ship_format_version)
+                ingest.identity, format_version=SHIP_FORMAT_VERSION)
         return ingest
 
     def _attach_online(self, ctx: ScenarioContext) -> Dict[str, OnlineAuditor]:
@@ -372,7 +370,7 @@ class ScenarioMatrix:
                      if peer != machine]
             watcher = OnlineAuditor(auditor, ctx.monitors[machine],
                                     ctx.scheduler, peers,
-                                    interval=self.duration / 2)
+                                    interval=CELL_DURATION / 2)
             watcher.start()
             online[machine] = watcher
         return online
@@ -424,7 +422,7 @@ class ScenarioMatrix:
     def _audit_full(self, ctx: ScenarioContext,
                     adversary: Adversary) -> Dict[str, AuditResult]:
         """Fleet audit on the engine, ``workers`` chunks per machine, inline."""
-        engine = AuditScheduler(workers=self.workers, executor="inline")
+        engine = AuditScheduler(workers=WORKERS, executor="inline")
         assignments = [AuditAssignment(self._make_auditor(ctx, machine, adversary),
                                        ctx.monitors[machine])
                        for machine in sorted(ctx.monitors)]

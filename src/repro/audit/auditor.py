@@ -31,7 +31,6 @@ from repro.crypto.keys import KeyStore
 from repro.errors import AuditError
 from repro.log.authenticator import Authenticator
 from repro.log.segments import LogSegment
-from repro.metrics.perfmodel import CostParameters
 from repro.vm.image import VMImage
 
 if TYPE_CHECKING:  # pragma: no cover - avoid the auditor<->engine import cycle
@@ -46,12 +45,10 @@ class Auditor:
     """
 
     def __init__(self, identity: str, keystore: KeyStore, reference_image: VMImage,
-                 cost_params: Optional[CostParameters] = None,
                  engine: Optional["AuditScheduler"] = None) -> None:
         self.identity = identity
         self.keystore = keystore
         self.reference_image = reference_image
-        self.cost_params = cost_params or CostParameters()
         #: the audit engine backing this auditor (None: the serial path)
         self.engine = engine
         #: per machine, each held authenticator under its
@@ -87,29 +84,22 @@ class Auditor:
 
     # -- audits ---------------------------------------------------------------------
 
-    def audit(self, target: AccountableVMM,
-              segment: Optional[LogSegment] = None,
-              initial_state: Optional[Dict[str, Any]] = None) -> AuditResult:
-        """Run a full audit of ``target`` (or of a specific segment of its log).
+    def audit(self, target: AccountableVMM) -> AuditResult:
+        """Run a full audit of ``target``.
 
         A whole-machine audit goes through the audit engine
         (:class:`~repro.audit.engine.AuditScheduler`) when the auditor has an
         engine or the target is archive-backed (``supports_streaming``) — at
         one inline worker, an archive is audited one snapshot-sealed chunk
         at a time, in O(chunk) memory whether it passes or is convicted.  A
-        live log without an engine, and an explicit segment, take the serial
-        path.
+        live log without an engine takes the serial path
+        (:meth:`audit_whole_log`); a downloaded segment is audited with
+        :meth:`audit_segment`.
         """
-        if segment is None and initial_state is None:
-            if self.engine is None \
-                    and not getattr(target, "supports_streaming", False):
-                return self.audit_whole_log(target)
-            from repro.audit.engine import AuditScheduler
-            return (self.engine or AuditScheduler()).audit_machine(self, target)
-        if segment is None:
-            segment = target.get_log_segment()
-        return self.audit_segment(target.identity, segment,
-                                  initial_state=initial_state)
+        if self.engine is None and not getattr(target, "supports_streaming", False):
+            return self.audit_whole_log(target)
+        from repro.audit.engine import AuditScheduler
+        return (self.engine or AuditScheduler()).audit_machine(self, target)
 
     def audit_whole_log(self, target: AccountableVMM) -> AuditResult:
         """The serial front-end over ``target``'s whole log, materialized:
@@ -147,7 +137,7 @@ class Auditor:
         job = chunk_job(
             segment, self.authenticators_for(machine), self.keystore,
             self.reference_image, initial_state=initial_state,
-            snapshot_bytes=snapshot_bytes, cost_params=self.cost_params,
+            snapshot_bytes=snapshot_bytes,
             context=context)
         outcome = run_chunk(job)
         result = outcome.as_result(self.identity)

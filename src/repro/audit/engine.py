@@ -560,10 +560,9 @@ class AuditScheduler:
             replayed = result.replay_report
             replayed.active_seconds = float(len(audit.active))
             result.cost = AuditCost.for_download(
-                result.cost.log_bytes_downloaded, audit.start_bytes,
-                auditor.cost_params)
+                result.cost.log_bytes_downloaded, audit.start_bytes)
             result.cost.semantic_seconds = modelled_replay_seconds(
-                replayed.active_seconds, auditor.cost_params)
+                replayed.active_seconds)
         report.result = result
         return report
 
@@ -582,7 +581,6 @@ def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:
         authenticators=auditor.authenticators_for(machine),
         key_view=auditor.keystore.static_view(),
         reference_image=auditor.reference_image,
-        cost_params=auditor.cost_params,
         verify_seconds=scheme_verify_seconds(auditor.keystore, machine))
 
 

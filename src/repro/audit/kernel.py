@@ -36,7 +36,6 @@ from repro.log.authenticator import Authenticator, batch_verify_authenticators
 from repro.log.entries import EntryType, LogEntry
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
 from repro.log.segments import LogSegment
-from repro.metrics.perfmodel import CostParameters
 from repro.vm.image import VMImage
 
 __all__ = [
@@ -119,7 +118,6 @@ class ChunkJob:
     chunk_index: int = 0
     initial_state: Optional[Dict[str, Any]] = None
     snapshot_bytes: int = 0
-    cost_params: CostParameters = field(default_factory=CostParameters)
     #: modelled cost of one signature verification under the target's scheme
     #: (0.0 on the front-ends that do not price signatures)
     verify_seconds: float = 0.0
@@ -198,8 +196,7 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
     the chunk and the keys hold no certificate for its machine.
     """
     segment = job.segment
-    cost = AuditCost.for_download(segment.size_bytes(), job.snapshot_bytes,
-                                  job.cost_params)
+    cost = AuditCost.for_download(segment.size_bytes(), job.snapshot_bytes)
     outcome = ChunkOutcome(machine=segment.machine, chunk_index=job.chunk_index,
                            verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
                            cost=cost, worker_pid=os.getpid())
@@ -249,8 +246,7 @@ def run_chunk(job: ChunkJob) -> ChunkOutcome:
         segment, initial_state=job.initial_state,
         in_flight=job.context.in_flight)
     outcome.replay_report = report
-    cost.semantic_seconds = modelled_replay_seconds(report.active_seconds,
-                                                    job.cost_params)
+    cost.semantic_seconds = modelled_replay_seconds(report.active_seconds)
     if report.diverged:
         return failed(AuditPhase.SEMANTIC_CHECK, report.divergence.describe())
     return outcome

@@ -12,12 +12,11 @@ from typing import Any, Dict, Optional, Sequence
 from repro.avmm.replayer import DeterministicReplayer, ReplayReport
 from repro.log.entries import LogEntry
 from repro.log.segments import LogSegment
-from repro.metrics.perfmodel import CostParameters
+from repro.metrics.perfmodel import REPLAY_SLOWDOWN_FACTOR
 from repro.vm.image import VMImage
 
 
-def modelled_replay_seconds(active_seconds: float,
-                            params: CostParameters) -> float:
+def modelled_replay_seconds(active_seconds: float) -> float:
     """Wall-clock time a semantic check over ``active_seconds`` of recorded
     activity represents.
 
@@ -25,7 +24,7 @@ def modelled_replay_seconds(active_seconds: float,
     periods; the paper measured 1,977 s of replay for 1,987 s of actual
     game play inside a 2,216 s log (Section 6.6).
     """
-    return active_seconds * params.replay_slowdown_factor
+    return active_seconds * REPLAY_SLOWDOWN_FACTOR
 
 
 class SemanticChecker:

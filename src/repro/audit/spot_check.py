@@ -64,7 +64,7 @@ class _SegmentSource:
     segments, not the whole log.
     """
 
-    def __init__(self, target: AccountableVMM, k: int = 1,
+    def __init__(self, target: AccountableVMM, k: int,
                  segments: Optional[List[LogSegment]] = None) -> None:
         self._records = None
         self._archive = None

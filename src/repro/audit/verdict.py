@@ -8,7 +8,8 @@ from typing import Iterable, List, Optional
 
 from repro.audit.evidence import Evidence
 from repro.avmm.replayer import ReplayReport
-from repro.metrics.perfmodel import CostParameters
+from repro.metrics.perfmodel import (COMPRESS_BYTES_PER_SECOND, DECOMPRESS_BYTES_PER_SECOND,
+                                     SYNTACTIC_CHECK_BYTES_PER_SECOND)
 
 
 class Verdict(enum.Enum):
@@ -52,15 +53,14 @@ class AuditCost:
     signatures_verified: int = 0
 
     @classmethod
-    def for_download(cls, raw_bytes: int, snapshot_bytes: int,
-                     params: CostParameters) -> "AuditCost":
+    def for_download(cls, raw_bytes: int, snapshot_bytes: int) -> "AuditCost":
         """Modelled cost of obtaining ``raw_bytes`` of log plus a snapshot."""
         return cls(
             log_bytes_downloaded=raw_bytes,
             snapshot_bytes_downloaded=snapshot_bytes,
-            compression_seconds=raw_bytes / params.compress_bytes_per_second,
-            decompression_seconds=raw_bytes / params.decompress_bytes_per_second,
-            syntactic_seconds=raw_bytes / params.syntactic_check_bytes_per_second,
+            compression_seconds=raw_bytes / COMPRESS_BYTES_PER_SECOND,
+            decompression_seconds=raw_bytes / DECOMPRESS_BYTES_PER_SECOND,
+            syntactic_seconds=raw_bytes / SYNTACTIC_CHECK_BYTES_PER_SECOND,
         )
 
     @property

@@ -29,15 +29,18 @@ class ClockOptimizerStats:
     total_injected_delay: float = 0.0
 
 
+#: reads this close together (seconds) are consecutive
+CONSECUTIVE_THRESHOLD = 5e-6
+#: the second consecutive read's delay; each next one doubles it
+BASE_DELAY = 50e-6
+#: no read is delayed by more than this
+MAX_DELAY = 5e-3
+
+
 class ClockReadOptimizer:
     """Implements the exponential clock-read delay of Section 6.5."""
 
-    def __init__(self, *, consecutive_threshold: float = 5e-6,
-                 base_delay: float = 50e-6, max_delay: float = 5e-3,
-                 enabled: bool = True) -> None:
-        self.consecutive_threshold = consecutive_threshold
-        self.base_delay = base_delay
-        self.max_delay = max_delay
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.stats = ClockOptimizerStats()
         self._last_value: Optional[float] = None
@@ -57,7 +60,7 @@ class ClockReadOptimizer:
 
         adjusted_input = value + self._accumulated_delay
         if (self._last_value is not None
-                and adjusted_input - self._last_value <= self.consecutive_threshold):
+                and adjusted_input - self._last_value <= CONSECUTIVE_THRESHOLD):
             self._consecutive += 1
         else:
             self._consecutive = 1
@@ -65,7 +68,7 @@ class ClockReadOptimizer:
         delay = 0.0
         if self._consecutive >= 2:
             # n-th consecutive read is delayed by 2^(n-2) * base, capped.
-            delay = min(self.base_delay * (2 ** (self._consecutive - 2)), self.max_delay)
+            delay = min(BASE_DELAY * (2 ** (self._consecutive - 2)), MAX_DELAY)
             self.stats.reads_delayed += 1
             self.stats.total_injected_delay += delay
         self._accumulated_delay += delay

@@ -9,8 +9,8 @@ Section 6.2 defines five configurations used throughout the evaluation:
 * ``avmm-rsa768`` — the complete system with 768-bit RSA signatures.
 
 :class:`AvmmConfig` carries the feature switches that distinguish them plus
-the tunables the experiments vary (snapshot interval, clock-read optimisation,
-auditing lag compensation).
+the tunables the experiments vary (snapshot interval, clock-read
+optimisation).
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class AvmmConfig:
     snapshot_interval: Optional[float] = 300.0
     #: enable the Section 6.5 clock-read delay optimisation
     clock_read_optimization: bool = False
-    #: artificial execution slow-down so an online auditor can keep up
-    #: (Section 6.11 found 5 % sufficient); 0.0 disables it
-    audit_slowdown: float = 0.0
-    #: retransmission interval for unacknowledged messages (seconds)
-    retransmit_interval: float = 0.25
-    #: how many times to retransmit before suspecting the peer
-    max_retransmits: int = 5
 
     # -- derived -------------------------------------------------------------
 

@@ -44,7 +44,7 @@ from repro.log.segments import LogSegment
 from repro.log.storage import authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.metrics.perfmodel import PerfModel
-from repro.network.channel import ReliableChannel
+from repro.network.channel import RETRANSMIT_INTERVAL, ReliableChannel
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.shipment import PartKind, ShipmentPart, encode_shipment
 from repro.network.simnet import SimulatedNetwork
@@ -120,11 +120,7 @@ class AccountableVMM:
 
         self.channel: Optional[ReliableChannel] = None
         if network is not None:
-            self.channel = ReliableChannel(
-                network, identity,
-                retransmit_interval=config.retransmit_interval,
-                max_retransmits=config.max_retransmits,
-                on_give_up=self._on_give_up)
+            self.channel = ReliableChannel(network, identity, on_give_up=self._on_give_up)
             network.register(identity, self.on_network_message,
                              uses_tcp=config.tamper_evident)
 
@@ -407,7 +403,7 @@ class AccountableVMM:
         """How long a RECV waits for a DATA message to ride before it is
         acknowledged standalone: a quarter of the retransmission interval,
         so holding never causes one (docs/message-protocol.md)."""
-        return self.config.retransmit_interval / 4
+        return RETRANSMIT_INTERVAL / 4
 
     def _owe(self, peer: str, sequence: int, message_id: str) -> None:
         """Note a RECV entry the next signed envelope to ``peer`` acknowledges."""
@@ -687,14 +683,9 @@ class AccountableVMM:
 
     # ------------------------------------------------------------------ audit serving
 
-    def get_log_segment(self, first_sequence: Optional[int] = None,
-                        last_sequence: Optional[int] = None) -> LogSegment:
-        """Return a log segment for an auditor (the whole log by default)."""
-        if first_sequence is None and last_sequence is None:
-            return self.log.full_segment()
-        first = first_sequence if first_sequence is not None else 1
-        last = last_sequence if last_sequence is not None else len(self.log)
-        return self.log.segment(first, last)
+    def get_log_segment(self) -> LogSegment:
+        """Return the whole log as a segment, for an auditor."""
+        return self.log.full_segment()
 
     def get_snapshot_segments(self) -> List[LogSegment]:
         """Snapshot-delimited segments for spot checking."""

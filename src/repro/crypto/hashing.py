@@ -42,9 +42,9 @@ def hash_concat(*parts: bytes) -> bytes:
     return hasher.digest()
 
 
-def encode_int(value: int, width: int = 8) -> bytes:
-    """Encode a non-negative integer as fixed-width big-endian bytes."""
-    return int(value).to_bytes(width, "big")
+def encode_int(value: int) -> bytes:
+    """Encode a non-negative integer as 8 big-endian bytes."""
+    return int(value).to_bytes(8, "big")
 
 
 def hash_object(obj: Any) -> bytes:

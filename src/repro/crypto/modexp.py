@@ -10,6 +10,9 @@ entry is cleared (``BN_clear_free``, ``BN_MONT_CTX_free``: CRT entries hold p,
 q, dp and dq) once no call holds it.  The ``BN_CTX``, operand, result and output
 buffer are per thread, as ctypes releases the GIL around each call; the table
 lock is never held across a libcrypto call.  Keys hold no handle: they pickle.
+A modulus used a few times and never again, a Miller–Rabin candidate's, is
+prepared by :func:`untabled_power` outside the table, so key generation leaves
+no entry behind and evicts no key's.
 """
 
 import ctypes
@@ -84,14 +87,8 @@ def _scratch(library):
     return _local.scratch
 
 
-def _prepared(library, exponent, modulus, context):
-    """``(width, exponentiate, exponent, modulus, mont, owner)`` from the table."""
-    key = (modulus, exponent)
-    with _table_lock:
-        entry = _table.get(key)
-        if entry is not None:
-            _table.move_to_end(key)
-            return entry
+def _prepare(library, exponent, modulus, context):
+    """``(width, exponentiate, exponent, modulus, mont, owner)``, out of any table."""
     owner, width = _Owner(), (modulus.bit_length() + 7) // 8
     numbers = [owner.own(library.BN_bin2bn(raw, len(raw), None), library.BN_clear_free)
                for raw in (exponent.to_bytes(max(1, (exponent.bit_length() + 7) // 8), "big"),
@@ -101,8 +98,19 @@ def _prepared(library, exponent, modulus, context):
         raise CryptoError("libcrypto BN_MONT_CTX_set failed")
     # A short exponent is public (RSA's e) and takes the variable-time ladder,
     # as OpenSSL's RSA does; secret ones are as long as their modulus.
-    prepared = (width, library.BN_mod_exp_mont if exponent.bit_length() <= 64
-                else library.BN_mod_exp_mont_consttime, *numbers, mont, owner)
+    return (width, library.BN_mod_exp_mont if exponent.bit_length() <= 64
+            else library.BN_mod_exp_mont_consttime, *numbers, mont, owner)
+
+
+def _prepared(library, exponent, modulus, context):
+    """:func:`_prepare`'s entry for ``(modulus, exponent)``, from the table."""
+    key = (modulus, exponent)
+    with _table_lock:
+        entry = _table.get(key)
+        if entry is not None:
+            _table.move_to_end(key)
+            return entry
+    prepared = _prepare(library, exponent, modulus, context)
     evicted = []
     with _table_lock:
         entry = _table.setdefault(key, prepared)
@@ -111,21 +119,44 @@ def _prepared(library, exponent, modulus, context):
     return entry  # evicted entries (and a racing loser) are released here, unlocked
 
 
-def modexp(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)`` for an odd ``modulus`` > 1."""
+def _check(exponent: int, modulus: int) -> None:
     if modulus <= 1 or not modulus & 1:
         raise ValueError("modexp needs an odd modulus greater than 1")
     if exponent < 0:
         raise ValueError("modexp needs a non-negative exponent")
-    base %= modulus
-    library = _libcrypto()
-    if library is None:
-        return pow(base, exponent, modulus)
-    context, operand, result, buffers, _ = getattr(_local, "scratch", None) or _scratch(library)
-    width, exponentiate, *operands, mont, _ = _prepared(library, exponent, modulus, context)
+
+
+def _exponentiate(library, scratch, prepared, modulus: int, base: int) -> int:
+    context, operand, result, buffers, _ = scratch
+    width, exponentiate, *operands, mont, _ = prepared
     out = buffers.get(width) or buffers.setdefault(width, ctypes.create_string_buffer(width))
-    if not (library.BN_bin2bn(base.to_bytes(width, "big"), width, operand)
+    if not (library.BN_bin2bn((base % modulus).to_bytes(width, "big"), width, operand)
             and exponentiate(result, operand, *operands, context, mont) == 1
             and library.BN_bn2binpad(result, out, width) == width):
         raise CryptoError("libcrypto modular exponentiation failed")
     return int.from_bytes(out.raw, "big")
+
+
+def modexp(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` for an odd ``modulus`` > 1."""
+    _check(exponent, modulus)
+    library = _libcrypto()
+    if library is None:
+        return pow(base, exponent, modulus)
+    scratch = getattr(_local, "scratch", None) or _scratch(library)
+    return _exponentiate(library, scratch, _prepared(library, exponent, modulus, scratch[0]),
+                         modulus, base)
+
+
+def untabled_power(exponent: int, modulus: int):
+    """``base -> modexp(base, exponent, modulus)`` in the calling thread,
+    prepared for the returned function alone and released with it: for a
+    modulus used a few times and never again, such as a Miller–Rabin
+    candidate, which would otherwise evict a key's entries from the table."""
+    _check(exponent, modulus)
+    library = _libcrypto()
+    if library is None:
+        return lambda base: pow(base, exponent, modulus)
+    scratch = getattr(_local, "scratch", None) or _scratch(library)
+    return functools.partial(_exponentiate, library, scratch,
+                             _prepare(library, exponent, modulus, scratch[0]), modulus)

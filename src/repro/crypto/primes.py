@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.crypto.modexp import modexp
+from repro.crypto.modexp import untabled_power
 from repro.errors import KeyGenerationError
 
 # Small primes used for fast trial division before Miller-Rabin.
@@ -26,11 +26,16 @@ _SMALL_PRIMES = [
 _DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None) -> bool:
+#: pseudo-random Miller–Rabin witnesses tried after the deterministic ones
+RANDOM_ROUNDS = 16
+
+
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Return ``True`` if ``n`` is (very probably) prime.
 
     Uses trial division by small primes, then Miller–Rabin with the standard
-    deterministic witness set plus ``rounds`` extra pseudo-random witnesses.
+    deterministic witness set plus :data:`RANDOM_ROUNDS` pseudo-random
+    witnesses.
     """
     if n < 2:
         return False
@@ -47,8 +52,10 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
         d //= 2
         r += 1
 
+    power = untabled_power(d, n)
+
     def composite_witness(a: int) -> bool:
-        x = modexp(a, d, n)
+        x = power(a)
         if x == 1 or x == n - 1:
             return False
         for _ in range(r - 1):
@@ -64,7 +71,7 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
             return False
 
     rng = rng if rng is not None else random.Random(n)
-    for _ in range(rounds):
+    for _ in range(RANDOM_ROUNDS):
         a = rng.randrange(2, n - 1)
         if composite_witness(a):
             return False

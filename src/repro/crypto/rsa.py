@@ -97,7 +97,7 @@ class RsaPrivateKey:
         return sig_int.to_bytes(self.public.byte_length(), "big")
 
 
-def generate_keypair(bits: int = 768, seed: int | None = None) -> RsaPrivateKey:
+def generate_keypair(bits: int, seed: int | None = None) -> RsaPrivateKey:
     """Generate an RSA key pair with a modulus of roughly ``bits`` bits.
 
     ``seed`` makes generation deterministic, which the experiment harness uses

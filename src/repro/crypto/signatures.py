@@ -96,7 +96,7 @@ class RsaSigningKey(SigningKey):
 class RsaScheme(SignatureScheme):
     """Real RSA signatures at a configurable key size."""
 
-    def __init__(self, bits: int = 768) -> None:
+    def __init__(self, bits: int) -> None:
         self.bits = bits
         self.name = f"rsa{bits}"
 

@@ -19,19 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.adversary.matrix import CellSpec, MatrixReport, ScenarioMatrix
+from repro.adversary.matrix import MatrixReport, ScenarioMatrix
 from repro.experiments.harness import format_table
 
 
-def run_matrix(smoke: bool = False, workers: int = 2,
-               duration: float = 4.0, seed: int = 1000,
-               cells: Optional[Sequence[CellSpec]] = None) -> MatrixReport:
+def run_matrix(smoke: bool = False) -> MatrixReport:
     """Run the scenario matrix (the smoke subset, or the full grid)."""
-    matrix = ScenarioMatrix(workers=workers, duration=duration, base_seed=seed)
-    if cells is not None:
-        return matrix.run(list(cells))
+    matrix = ScenarioMatrix()
     return matrix.run(matrix.smoke_cells() if smoke else matrix.default_cells())
 
 
@@ -62,21 +58,17 @@ def _detection_summary(report: MatrixReport, adversary: str) -> Tuple[str, ...]:
             str(false_accusations))
 
 
-def main(argv: Optional[List[str]] = None) -> MatrixReport:
-    """Print the detection table for the scenario matrix."""
+def main() -> MatrixReport:
+    """Print the detection table for the scenario matrix (``sys.argv``
+    holds the flags)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="run the reduced CI subset of cells")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="audit-engine workers for full-mode cells")
-    parser.add_argument("--duration", type=float, default=4.0,
-                        help="simulated seconds recorded per cell")
     parser.add_argument("--json", action="store_true",
                         help="emit the full report as JSON instead of a table")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
-    report = run_matrix(smoke=args.smoke, workers=args.workers,
-                        duration=args.duration)
+    report = run_matrix(smoke=args.smoke)
     if args.json:
         payload = report.to_dict()
         payload["smoke"] = args.smoke

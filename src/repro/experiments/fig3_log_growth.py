@@ -29,20 +29,16 @@ class LogGrowthResult:
     vmware_mb_per_minute: float
 
 
-def run_log_growth(duration: float = 120.0, num_players: int = 3,
-                   sample_interval: float = 10.0, seed: int = 42,
-                   machine: str = "server") -> LogGrowthResult:
+def run_log_growth(duration: float = 120.0) -> LogGrowthResult:
     """Measure log growth under avmm-rsa768 and under plain VMware recording."""
     series: Dict[Configuration, List[Tuple[float, float]]] = {}
     rates: Dict[Configuration, float] = {}
     for configuration in (Configuration.AVMM_RSA768, Configuration.VMWARE_REC):
         settings = GameSessionSettings(
-            configuration=configuration, num_players=num_players,
-            duration=duration, seed=seed, snapshot_interval=None,
-            log_sample_interval=sample_interval)
+            configuration=configuration, duration=duration, snapshot_interval=None)
         session = GameSession(settings)
         session.run()
-        growth = session.log_growth[machine]
+        growth = session.log_growth["server"]
         series[configuration] = growth.as_rows()
         # The paper measures steady-state growth after the join phase.
         rates[configuration] = growth.growth_rate_mb_per_minute(start_time=duration * 0.2)

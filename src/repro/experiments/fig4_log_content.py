@@ -29,12 +29,11 @@ class LogContentResult:
     tamper_evident_fraction: float
 
 
-def run_log_content(duration: float = 120.0, num_players: int = 3,
-                    seed: int = 42, machine: str = "player1") -> LogContentResult:
+def run_log_content(duration: float = 120.0) -> LogContentResult:
     """Measure the content breakdown of the AVMM log."""
+    machine = "player1"
     settings = GameSessionSettings(
-        configuration=Configuration.AVMM_RSA768, num_players=num_players,
-        duration=duration, seed=seed, snapshot_interval=None)
+        configuration=Configuration.AVMM_RSA768, duration=duration, snapshot_interval=None)
     session = GameSession(settings)
     session.run()
     breakdown = log_content_breakdown(session.monitors[machine].log, duration,

@@ -30,17 +30,19 @@ class LatencyResult:
     summaries: Dict[Configuration, RttSummary]
 
 
-def run_latency(pings: int = 100, ping_interval: float = 0.1) -> LatencyResult:
+#: simulated seconds between two pings
+PING_INTERVAL = 0.1
+
+
+def run_latency(pings: int = 100) -> LatencyResult:
     """Measure echo RTTs under every configuration."""
     summaries: Dict[Configuration, RttSummary] = {}
     for configuration in Configuration:
-        summaries[configuration] = _measure_configuration(configuration, pings,
-                                                          ping_interval)
+        summaries[configuration] = _measure_configuration(configuration, pings)
     return LatencyResult(pings_per_configuration=pings, summaries=summaries)
 
 
-def _measure_configuration(configuration: Configuration, pings: int,
-                           ping_interval: float) -> RttSummary:
+def _measure_configuration(configuration: Configuration, pings: int) -> RttSummary:
     scheduler = Scheduler()
     network = SimulatedNetwork(scheduler)
     config = AvmmConfig.for_configuration(configuration, snapshot_interval=None)
@@ -68,9 +70,9 @@ def _measure_configuration(configuration: Configuration, pings: int,
         pinger_monitor.inject_local_input(f"ping {index}")
 
     for index in range(pings):
-        scheduler.schedule_at(0.05 + index * ping_interval,
+        scheduler.schedule_at(0.05 + index * PING_INTERVAL,
                               lambda i=index: send_ping(i), label=f"ping-{index}")
-    scheduler.run_until(0.05 + pings * ping_interval + 2.0)
+    scheduler.run_until(0.05 + pings * PING_INTERVAL + 2.0)
 
     for time, message in network.deliveries:
         if message.destination == "pinger" and message.source == "echo":

@@ -26,18 +26,16 @@ class CpuResult:
     utilizations: Dict[Configuration, CpuUtilization]
 
 
-def run_cpu(duration: float = 60.0, num_players: int = 3, seed: int = 42,
-            machine: str = "server") -> CpuResult:
+def run_cpu(duration: float = 60.0) -> CpuResult:
     """Measure CPU utilisation under every configuration."""
     model = CpuModel()
     utilizations: Dict[Configuration, CpuUtilization] = {}
     for configuration in Configuration:
-        settings = GameSessionSettings(configuration=configuration,
-                                       num_players=num_players, duration=duration,
-                                       seed=seed, snapshot_interval=None)
+        settings = GameSessionSettings(configuration=configuration, duration=duration,
+                                       snapshot_interval=None)
         session = GameSession(settings)
         session.run()
-        utilizations[configuration] = model.compute(session.monitors[machine], duration)
+        utilizations[configuration] = model.compute(session.monitors["server"], duration)
     return CpuResult(duration=duration, utilizations=utilizations)
 
 

@@ -40,15 +40,13 @@ class FrameRateResult:
         return 1.0 - self.average_fps(configuration) / bare
 
 
-def run_frame_rate(duration: float = 60.0, num_players: int = 3,
-                   seed: int = 42) -> FrameRateResult:
+def run_frame_rate(duration: float = 60.0) -> FrameRateResult:
     """Measure frame rates under every configuration, and the Section 6.10
     ablation: the daemon pinned to the game's hyperthread."""
     samples: Dict[Configuration, Dict[str, FrameRateSample]] = {}
     for configuration in Configuration:
-        settings = GameSessionSettings(configuration=configuration,
-                                       num_players=num_players, duration=duration,
-                                       seed=seed, snapshot_interval=None)
+        settings = GameSessionSettings(configuration=configuration, duration=duration,
+                                       snapshot_interval=None)
         session = GameSession(settings)
         session.run()
         samples[configuration] = {player: session.frame_rate(player)

@@ -13,7 +13,7 @@ normalised to the cost of a full audit, exactly like the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.audit.auditor import Auditor
 from repro.audit.spot_check import SpotChecker
@@ -51,16 +51,20 @@ class SpotCheckExperimentResult:
     points: List[SpotCheckPoint]
 
 
-def run_spot_check(duration: float = 300.0, snapshot_interval: float = 30.0,
-                   k_values: Tuple[int, ...] = (1, 3, 5, 9),
-                   seed: int = 42) -> SpotCheckExperimentResult:
+#: simulated seconds between two snapshots, each a possible chunk boundary
+SNAPSHOT_INTERVAL = 30.0
+#: the chunk lengths, in segments, that are spot-checked
+K_VALUES = (1, 3, 5, 9)
+
+
+def run_spot_check(duration: float = 300.0) -> SpotCheckExperimentResult:
     """Run the client/server workload and audit every possible k-chunk."""
     scheduler = Scheduler()
     network = SimulatedNetwork(scheduler)
     config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768,
-                                          snapshot_interval=snapshot_interval)
+                                          snapshot_interval=SNAPSHOT_INTERVAL)
     ca, keypairs, keystore = build_trust(["db-server", "db-client"],
-                                         scheme=config.signature_scheme, seed=seed)
+                                         scheme=config.signature_scheme, seed=42)
 
     server_image = make_kvserver_image()
     client_image = make_sqlbench_image(SqlBenchSettings(server="db-server"))
@@ -85,7 +89,7 @@ def run_spot_check(duration: float = 300.0, snapshot_interval: float = 30.0,
     checker = SpotChecker(auditor)
     segments = server.get_snapshot_segments()
     points: List[SpotCheckPoint] = []
-    for k in k_values:
+    for k in K_VALUES:
         if k > len(segments) - 1:
             continue
         results = checker.check_all_chunks(server, k, skip_initial=True)
@@ -102,7 +106,7 @@ def run_spot_check(duration: float = 300.0, snapshot_interval: float = 30.0,
         ))
     return SpotCheckExperimentResult(
         duration=duration,
-        snapshot_interval=snapshot_interval,
+        snapshot_interval=SNAPSHOT_INTERVAL,
         segments=len(segments),
         full_audit_seconds=full_seconds,
         full_audit_bytes=full_bytes,

@@ -45,12 +45,11 @@ class AuditCostResult:
         return self.semantic_seconds / self.active_seconds
 
 
-def run_audit_cost(duration: float = 60.0, num_players: int = 3,
-                   seed: int = 42, machine: str = "server") -> AuditCostResult:
+def run_audit_cost(duration: float = 60.0) -> AuditCostResult:
     """Record a game and measure the cost of auditing the server machine."""
+    machine = "server"
     settings = GameSessionSettings(configuration=Configuration.AVMM_RSA768,
-                                   num_players=num_players, duration=duration,
-                                   seed=seed, snapshot_interval=None)
+                                   duration=duration, snapshot_interval=None)
     session = GameSession(settings)
     session.run()
     result = session.audit(machine, auditor_identity="player1")

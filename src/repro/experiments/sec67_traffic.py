@@ -33,19 +33,17 @@ class TrafficResult:
         return avmm / bare if bare > 0 else 0.0
 
 
-def run_traffic(duration: float = 60.0, num_players: int = 3, seed: int = 42,
-                machine: str = "server") -> TrafficResult:
+def run_traffic(duration: float = 60.0) -> TrafficResult:
     """Measure the server machine's outbound traffic on bare hardware and
     under the full AVMM."""
     kbps: Dict[Configuration, float] = {}
     pps: Dict[Configuration, float] = {}
     for configuration in (Configuration.BARE_HW, Configuration.AVMM_RSA768):
-        settings = GameSessionSettings(configuration=configuration,
-                                       num_players=num_players, duration=duration,
-                                       seed=seed, snapshot_interval=None)
+        settings = GameSessionSettings(configuration=configuration, duration=duration,
+                                       snapshot_interval=None)
         session = GameSession(settings)
         session.run()
-        stats = session.network.stats_for(machine)
+        stats = session.network.stats_for("server")
         kbps[configuration] = stats.sent_kbps(duration)
         pps[configuration] = stats.messages_sent / duration
     return TrafficResult(duration=duration, kbps_by_configuration=kbps,

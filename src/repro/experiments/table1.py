@@ -41,15 +41,13 @@ class Table1Result:
     functional_checks: List[FunctionalCheckResult] = field(default_factory=list)
 
 
-def run_functional_check(cheat: Cheat, duration: float = 10.0,
-                         num_players: int = 3, seed: int = 7) -> FunctionalCheckResult:
+def run_functional_check(cheat: Cheat, duration: float = 10.0) -> FunctionalCheckResult:
     """Play one game with a single cheater and audit every player."""
     cheater = "player1"
     settings = GameSessionSettings(
         configuration=Configuration.AVMM_RSA768,
-        num_players=num_players,
         duration=duration,
-        seed=seed,
+        seed=7,
         snapshot_interval=duration / 2.0,
         cheats={cheater: cheat},
     )
@@ -69,12 +67,9 @@ def run_functional_check(cheat: Cheat, duration: float = 10.0,
     )
 
 
-def run_table1(run_functional: bool = True,
-               functional_duration: float = 10.0) -> Table1Result:
+def run_table1(functional_duration: float = 10.0) -> Table1Result:
     """Reproduce Table 1 and the Section 6.3 functionality check."""
     result = Table1Result(summary=catalog_summary())
-    if not run_functional:
-        return result
     # Like the paper, run the cheats that do not depend on the rendering
     # pipeline (OpenGL) end to end.
     opengl_specs = {spec.name for spec in CHEAT_CATALOG if spec.requires_opengl}

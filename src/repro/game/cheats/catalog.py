@@ -15,7 +15,7 @@ non-OpenGL subset end to end, as the paper did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.game.cheats.base import CheatClass, CheatSpec
 
@@ -89,9 +89,9 @@ class CatalogSummary:
         ]
 
 
-def catalog_summary(catalog: Optional[List[CheatSpec]] = None) -> CatalogSummary:
+def catalog_summary() -> CatalogSummary:
     """Aggregate the catalogue into the Table 1 rows."""
-    specs = catalog if catalog is not None else CHEAT_CATALOG
+    specs = CHEAT_CATALOG
     detectable = [s for s in specs if s.detectable]
     any_impl = [s for s in specs if s.detectable_in_any_implementation]
     this_impl_only = [s for s in specs if s.detectable_in_this_implementation_only]

@@ -24,25 +24,27 @@ from repro.vm.events import GuestEvent, KeyboardInput, PacketDelivery, TimerInte
 from repro.vm.guest import GuestProgram, MachineApi
 
 
+#: simulated seconds between client ticks
+TICK_INTERVAL = 1.0 / 64.0
+#: send a command packet every this many ticks (~26 packets/s at 64 Hz)
+UPDATE_EVERY_TICKS = 2
+#: frames rendered per tick when the frame-rate cap is off
+FRAMES_PER_TICK = 2
+#: abstract cycles burned per busy-wait loop iteration (small enough that
+#: consecutive clock reads fall within the optimiser's 5 us window)
+BUSY_WAIT_CYCLES = 200
+
+
 @dataclass(frozen=True)
 class ClientSettings:
     """Static configuration of a game client (part of the image identity)."""
 
     player_id: str
     server: str
-    #: simulated seconds between client ticks
-    tick_interval: float = 1.0 / 64.0
-    #: send a command packet every this many ticks (~26 packets/s at 64 Hz)
-    update_every_ticks: int = 2
-    #: frames rendered per tick when the frame-rate cap is off
-    frames_per_tick: int = 2
     #: frame-rate cap; ``None`` renders as fast as possible (the paper's
     #: measurement configuration), a number reproduces the busy-wait behaviour
     #: of Section 6.5
     frame_cap_fps: Optional[float] = None
-    #: abstract cycles burned per busy-wait loop iteration (small enough that
-    #: consecutive clock reads fall within the optimiser's 5 us window)
-    busy_wait_cycles: int = 200
 
 
 class GameClientGuest(GuestProgram):
@@ -67,7 +69,7 @@ class GameClientGuest(GuestProgram):
     def on_start(self, api: MachineApi) -> None:
         self.last_frame_time = api.read_clock()
         api.send_packet(self.settings.server, protocol.join_packet(self.settings.player_id))
-        api.set_timer(self.settings.tick_interval)
+        api.set_timer(TICK_INTERVAL)
 
     def on_event(self, api: MachineApi, event: GuestEvent) -> None:
         if isinstance(event, TimerInterrupt):
@@ -81,9 +83,9 @@ class GameClientGuest(GuestProgram):
         return {
             "player_id": self.settings.player_id,
             "server": self.settings.server,
-            "tick_interval": self.settings.tick_interval,
-            "update_every_ticks": self.settings.update_every_ticks,
-            "frames_per_tick": self.settings.frames_per_tick,
+            "tick_interval": TICK_INTERVAL,
+            "update_every_ticks": UPDATE_EVERY_TICKS,
+            "frames_per_tick": FRAMES_PER_TICK,
             "frame_cap_fps": self.settings.frame_cap_fps,
         }
 
@@ -191,7 +193,7 @@ class GameClientGuest(GuestProgram):
     def _on_tick(self, api: MachineApi) -> None:
         self.tick += 1
         api.consume_cycles(150)
-        if self.tick % self.settings.update_every_ticks == 0 and self.pending_commands:
+        if self.tick % UPDATE_EVERY_TICKS == 0 and self.pending_commands:
             commands = self.hook_transform_commands(self.pending_commands)
             packet = protocol.commands_packet(self.settings.player_id, self.tick, commands)
             api.send_packet(self.settings.server, packet)
@@ -204,7 +206,7 @@ class GameClientGuest(GuestProgram):
             # Uncapped: render as many frames as the engine is configured for;
             # like the real game, every frame samples the clock for animation
             # and physics interpolation.
-            for _ in range(self.settings.frames_per_tick):
+            for _ in range(FRAMES_PER_TICK):
                 self.last_frame_time = api.read_clock()
                 api.render_frame(complexity)
                 self.frames_rendered += 1
@@ -219,7 +221,7 @@ class GameClientGuest(GuestProgram):
         now = api.read_clock()
         iterations = 0
         while now < target and iterations < 100_000:
-            api.consume_cycles(self.settings.busy_wait_cycles)
+            api.consume_cycles(BUSY_WAIT_CYCLES)
             now = api.read_clock()
             iterations += 1
         self.last_frame_time = now

@@ -43,8 +43,7 @@ class GameEngine:
         """Add a player to the game."""
         return self.state.add_player(player_id)
 
-    def move(self, player_id: str, dx: float, dy: float,
-             speed_multiplier: float = 1.0) -> Tuple[float, float]:
+    def move(self, player_id: str, dx: float, dy: float) -> Tuple[float, float]:
         """Move a player by a unit direction, scaled by the move speed."""
         player = self._require_player(player_id)
         if not player.alive:
@@ -52,9 +51,8 @@ class GameEngine:
         norm = math.hypot(dx, dy)
         if norm == 0:
             return (player.x, player.y)
-        step = MOVE_SPEED * speed_multiplier
-        new_x = player.x + (dx / norm) * step
-        new_y = player.y + (dy / norm) * step
+        new_x = player.x + (dx / norm) * MOVE_SPEED
+        new_y = player.y + (dy / norm) * MOVE_SPEED
         new_x, new_y = self.state.game_map.clamp(new_x, new_y)
         if not self._inside_wall(new_x, new_y):
             player.x, player.y = new_x, new_y
@@ -66,15 +64,14 @@ class GameEngine:
         player.facing = facing % (2.0 * math.pi)
         return player.facing
 
-    def shoot(self, player_id: str, *, ignore_ammo: bool = False) -> ShotResult:
+    def shoot(self, player_id: str) -> ShotResult:
         """Fire the player's weapon along its facing direction."""
         shooter = self._require_player(player_id)
         if not shooter.alive:
             return ShotResult(player_id, None, False, False, False)
-        if shooter.ammo <= 0 and not ignore_ammo:
+        if shooter.ammo <= 0:
             return ShotResult(player_id, None, False, False, out_of_ammo=True)
-        if not ignore_ammo:
-            shooter.ammo -= 1
+        shooter.ammo -= 1
         shooter.shots_fired += 1
 
         target = self._hitscan(shooter)

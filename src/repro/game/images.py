@@ -25,10 +25,9 @@ _OFFICIAL_DISK = {
 }
 
 
-def make_server_image(game_map: Optional[GameMap] = None,
-                      name: str = "cs-server-official") -> VMImage:
+def make_server_image(name: str = "cs-server-official") -> VMImage:
     """The agreed-upon server image."""
-    arena = game_map or GameMap.default_arena()
+    arena = GameMap.default_arena()
     return VMImage(
         name=name,
         # partial() rather than a lambda: reference images must pickle into

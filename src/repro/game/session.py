@@ -46,7 +46,6 @@ class GameSessionSettings:
     cheats: Dict[str, Cheat] = field(default_factory=dict)
     #: sample the log size every this many simulated seconds (Figure 3)
     log_sample_interval: float = 10.0
-    actions_per_second: float = 8.0
 
 
 class GameSession:
@@ -102,8 +101,7 @@ class GameSession:
                 clock_offset=0.001 * (index + 1), clock_drift=1e-6 * (index + 1))
             self.players[player_id] = ScriptedPlayer(
                 self.monitors[player_id], self.scheduler,
-                self.rngs.stream(f"player:{player_id}"),
-                actions_per_second=self.settings.actions_per_second)
+                self.rngs.stream(f"player:{player_id}"))
 
         for identity in self.identities:
             self.log_growth[identity] = LogGrowthSeries(machine=identity)

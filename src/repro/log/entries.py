@@ -497,9 +497,9 @@ class _ContentReader:
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes, pos: int = 1):
+    def __init__(self, data: bytes):
         self.data = data
-        self.pos = pos
+        self.pos = 1  # past the content's type byte
 
     def take(self, count: int) -> bytes:
         end = self.pos + count

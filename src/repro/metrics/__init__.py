@@ -15,7 +15,7 @@ metrics the paper reports:
 * :mod:`repro.metrics.parallel` — modelled makespan/speedup of parallel audits.
 """
 
-from repro.metrics.perfmodel import CostParameters, PerfModel
+from repro.metrics.perfmodel import PerfModel
 from repro.metrics.framerate import FrameRateModel, FrameRateSample
 from repro.metrics.latency import LatencyRecorder, summarize_rtts
 from repro.metrics.cpu import CpuModel, CpuUtilization
@@ -25,7 +25,6 @@ from repro.metrics.parallel import ParallelSchedule, schedule
 __all__ = [
     "ParallelSchedule",
     "schedule",
-    "CostParameters",
     "PerfModel",
     "FrameRateModel",
     "FrameRateSample",

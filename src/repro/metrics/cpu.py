@@ -37,35 +37,28 @@ class CpuUtilization:
 class CpuModel:
     """Distributes measured CPU seconds over the hyperthreads."""
 
-    def __init__(self, hyperthreads: int = HYPERTHREADS) -> None:
-        self.hyperthreads = hyperthreads
-
-    def compute(self, monitor, duration_seconds: float,
-                game_thread_busy_fraction: float = 1.0) -> CpuUtilization:
+    def compute(self, monitor, duration_seconds: float) -> CpuUtilization:
         """Utilisation for ``monitor`` over ``duration_seconds``.
 
-        ``game_thread_busy_fraction`` is how busy the game keeps its single
-        thread (1.0 when the frame-rate cap is off and the game renders as
-        fast as it can).
+        The frame-rate cap is off, so the game renders as fast as it can and
+        keeps its single thread busy whatever the VMM adds to it.
         """
         if duration_seconds <= 0:
             raise ValueError("duration must be positive")
         daemon_fraction = min(1.0, monitor.stats.daemon_cpu_seconds / duration_seconds)
-        vmm_fraction = min(1.0, monitor.stats.vmm_cpu_seconds / duration_seconds)
 
-        utilizations: List[float] = [IRQ_BACKGROUND_UTILIZATION] * self.hyperthreads
+        utilizations: List[float] = [IRQ_BACKGROUND_UTILIZATION] * HYPERTHREADS
         # Daemon work is pinned to HT 0 (plus its hypertwin staying light).
         utilizations[DAEMON_HT] = min(1.0, daemon_fraction + IRQ_BACKGROUND_UTILIZATION)
         utilizations[DAEMON_HYPERTWIN] = IRQ_BACKGROUND_UTILIZATION * 2
         # The single-threaded game (plus the VMM work done in its context)
         # migrates over the remaining hyperthreads; spread it evenly.
-        game_fraction = min(1.0, game_thread_busy_fraction + vmm_fraction)
-        game_hts = [ht for ht in range(self.hyperthreads)
+        game_hts = [ht for ht in range(HYPERTHREADS)
                     if ht not in (DAEMON_HT, DAEMON_HYPERTWIN)]
         for ht in game_hts:
-            utilizations[ht] += game_fraction / len(game_hts)
+            utilizations[ht] += 1.0 / len(game_hts)
 
-        average = sum(utilizations) / self.hyperthreads
+        average = sum(utilizations) / HYPERTHREADS
         return CpuUtilization(
             machine=monitor.identity,
             per_hyperthread=tuple(round(u, 4) for u in utilizations),

@@ -11,9 +11,7 @@ frames per second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.metrics.perfmodel import CostParameters, PerfModel
+from repro.metrics.perfmodel import FRAME_CPU_SECONDS, PerfModel
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,6 @@ class FrameRateModel:
     #: game performance starts degrading proportionally (Section 6.11 expects
     #: 1/a degradation for large a).
     IDLE_CORES = 3
-
-    def __init__(self, params: Optional[CostParameters] = None) -> None:
-        self.params = params or CostParameters()
 
     def compute(self, monitor, duration_seconds: float, *,
                 pinned_same_thread: bool = False,
@@ -82,7 +77,7 @@ class FrameRateModel:
                 # Audits beyond the idle cores compete directly with the game.
                 available_fraction /= (1.0 + extra)
 
-        fps = available_fraction / self.params.frame_cpu_seconds
+        fps = available_fraction / FRAME_CPU_SECONDS
         return FrameRateSample(
             machine=monitor.identity,
             duration_seconds=duration_seconds,

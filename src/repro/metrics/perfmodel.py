@@ -18,65 +18,49 @@ be re-calibrated without touching any mechanism code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
-from repro.crypto.signatures import get_scheme
+from repro.crypto.signatures import SchemeCosts, get_scheme
 
 
-@dataclass(frozen=True)
-class CostParameters:
-    """Per-operation costs, in seconds unless noted."""
+# Per-operation costs, in seconds unless noted.
 
-    # Virtualisation: cost added to each guest event delivery / device exit.
-    virtualization_event_overhead: float = 8.0e-5
-    # Extra cost per packet traversal of the VMM's virtual NIC.
-    virtualization_packet_overhead: float = 1.6e-4
-    # Recording for deterministic replay: CPU charged per log entry / byte,
-    # plus a smaller latency charge on the packet path.
-    recording_per_entry: float = 3.8e-4
-    recording_per_byte: float = 6.0e-9
-    recording_packet_latency: float = 5.0e-5
-    # Hop through the kernel pipe to the logging daemon (per packet, each way).
-    daemon_ipc_delay: float = 5.0e-4
-    # Signature scheme costs.
-    sign_seconds: float = 0.0
-    verify_seconds: float = 0.0
-    signature_bytes: int = 0
-    # Guest work: CPU seconds to render one frame on bare hardware.
-    frame_cpu_seconds: float = 1.0 / 158.0
-    # CPU seconds per abstract guest instruction (work the guest charges).
-    instruction_seconds: float = 2.0e-8
-    # Logging daemon cost per byte appended to the tamper-evident log.
-    daemon_log_per_byte: float = 1.5e-9
-    # Replay executes slightly slower than the original run (Section 6.11:
-    # auditing falls behind by about four seconds per minute of play).
-    replay_slowdown_factor: float = 1.067
-    # Audit-tool throughputs, calibrated from Section 6.6 (34.7 s to compress,
-    # 13.2 s to decompress and 6.9 s to syntactically check a ~300 MB log).
-    compress_bytes_per_second: float = 8.6e6
-    decompress_bytes_per_second: float = 22.6e6
-    syntactic_check_bytes_per_second: float = 43.0e6
-    # Incremental snapshots (Section 4.4): per-snapshot fixed cost (stopping
-    # the AVM, updating tree bookkeeping) plus serialisation+hashing of the
-    # *dirty* bytes and an O(log n) tree-repair charge per dirty page —
-    # snapshot cost scales with what changed, not with the state size.
-    snapshot_fixed_seconds: float = 2.0e-4
-    snapshot_dirty_bytes_per_second: float = 400.0e6
-    snapshot_tree_update_seconds: float = 2.0e-7
-
-    def with_scheme(self, scheme_name: str) -> "CostParameters":
-        """Return a copy with the signature-cost fields set from a scheme."""
-        costs = get_scheme(scheme_name).costs()
-        return replace(self, sign_seconds=costs.sign_seconds,
-                       verify_seconds=costs.verify_seconds,
-                       signature_bytes=costs.signature_bytes)
+# Virtualisation: cost added to each guest event delivery / device exit.
+VIRTUALIZATION_EVENT_OVERHEAD = 8.0e-5
+# Extra cost per packet traversal of the VMM's virtual NIC.
+VIRTUALIZATION_PACKET_OVERHEAD = 1.6e-4
+# Recording for deterministic replay: CPU charged per log entry / byte,
+# plus a smaller latency charge on the packet path.
+RECORDING_PER_ENTRY = 3.8e-4
+RECORDING_PER_BYTE = 6.0e-9
+RECORDING_PACKET_LATENCY = 5.0e-5
+# Hop through the kernel pipe to the logging daemon (per packet, each way).
+DAEMON_IPC_DELAY = 5.0e-4
+# Guest work: CPU seconds to render one frame on bare hardware.
+FRAME_CPU_SECONDS = 1.0 / 158.0
+# CPU seconds per abstract guest instruction (work the guest charges).
+INSTRUCTION_SECONDS = 2.0e-8
+# Logging daemon cost per byte appended to the tamper-evident log.
+DAEMON_LOG_PER_BYTE = 1.5e-9
+# Replay executes slightly slower than the original run (Section 6.11:
+# auditing falls behind by about four seconds per minute of play).
+REPLAY_SLOWDOWN_FACTOR = 1.067
+# Audit-tool throughputs, calibrated from Section 6.6 (34.7 s to compress,
+# 13.2 s to decompress and 6.9 s to syntactically check a ~300 MB log).
+COMPRESS_BYTES_PER_SECOND = 8.6e6
+DECOMPRESS_BYTES_PER_SECOND = 22.6e6
+SYNTACTIC_CHECK_BYTES_PER_SECOND = 43.0e6
+# Incremental snapshots (Section 4.4): per-snapshot fixed cost (stopping
+# the AVM, updating tree bookkeeping) plus serialisation+hashing of the
+# *dirty* bytes and an O(log n) tree-repair charge per dirty page —
+# snapshot cost scales with what changed, not with the state size.
+SNAPSHOT_FIXED_SECONDS = 2.0e-4
+SNAPSHOT_DIRTY_BYTES_PER_SECOND = 400.0e6
+SNAPSHOT_TREE_UPDATE_SECONDS = 2.0e-7
 
 
 class PerfModel:
     """Maps configuration flags + work counts to time charges."""
 
-    def __init__(self, params: CostParameters, *, virtualized: bool,
+    def __init__(self, params: SchemeCosts, *, virtualized: bool,
                  recording: bool, tamper_evident: bool, signs_packets: bool) -> None:
         self.params = params
         self.virtualized = virtualized
@@ -88,10 +72,9 @@ class PerfModel:
 
     @staticmethod
     def for_flags(*, virtualized: bool, recording: bool, tamper_evident: bool,
-                  signature_scheme: str = "nosig",
-                  base_params: Optional[CostParameters] = None) -> "PerfModel":
+                  signature_scheme: str = "nosig") -> "PerfModel":
         """Build a model from raw feature flags (no dependency on AvmmConfig)."""
-        params = (base_params or CostParameters()).with_scheme(signature_scheme)
+        params = get_scheme(signature_scheme).costs()
         signs = tamper_evident and signature_scheme != "nosig"
         return PerfModel(params, virtualized=virtualized, recording=recording,
                          tamper_evident=tamper_evident, signs_packets=signs)
@@ -113,12 +96,12 @@ class PerfModel:
         wire: one signature, which also covers the acknowledgments it carries."""
         delay = 0.0
         if self.virtualized:
-            delay += self.params.virtualization_packet_overhead
+            delay += VIRTUALIZATION_PACKET_OVERHEAD
         if self.recording:
-            delay += self.params.recording_packet_latency
-            delay += self.params.recording_per_byte * payload_size
+            delay += RECORDING_PACKET_LATENCY
+            delay += RECORDING_PER_BYTE * payload_size
         if self.tamper_evident:
-            delay += self.params.daemon_ipc_delay
+            delay += DAEMON_IPC_DELAY
             if self.signs_packets:
                 delay += self.params.sign_seconds
         return delay
@@ -128,12 +111,12 @@ class PerfModel:
         guest: one verification, ack run included."""
         delay = 0.0
         if self.virtualized:
-            delay += self.params.virtualization_packet_overhead
+            delay += VIRTUALIZATION_PACKET_OVERHEAD
         if self.recording:
-            delay += self.params.recording_packet_latency
-            delay += self.params.recording_per_byte * payload_size
+            delay += RECORDING_PACKET_LATENCY
+            delay += RECORDING_PER_BYTE * payload_size
         if self.tamper_evident:
-            delay += self.params.daemon_ipc_delay
+            delay += DAEMON_IPC_DELAY
             if self.signs_packets:
                 delay += self.params.verify_seconds
         return delay
@@ -143,7 +126,7 @@ class PerfModel:
         it); one that rides a data message costs that message nothing."""
         if not self.tamper_evident:
             return 0.0
-        delay = self.params.daemon_ipc_delay * 0.5
+        delay = DAEMON_IPC_DELAY * 0.5
         if self.signs_packets:
             delay += self.params.sign_seconds
         return delay
@@ -152,19 +135,19 @@ class PerfModel:
 
     def vmm_cpu_for_event(self) -> float:
         """Game-thread CPU consumed by the VMM per guest event delivery."""
-        return self.params.virtualization_event_overhead if self.virtualized else 0.0
+        return VIRTUALIZATION_EVENT_OVERHEAD if self.virtualized else 0.0
 
     def vmm_cpu_for_recording(self, entries: int, entry_bytes: int) -> float:
         """Game-thread CPU consumed by replay recording."""
         if not self.recording:
             return 0.0
-        return entries * self.params.recording_per_entry + entry_bytes * self.params.recording_per_byte
+        return entries * RECORDING_PER_ENTRY + entry_bytes * RECORDING_PER_BYTE
 
     def daemon_cpu_for_log(self, log_bytes: int) -> float:
         """Daemon-thread CPU spent appending to the tamper-evident log."""
         if not self.tamper_evident:
             return 0.0
-        return log_bytes * self.params.daemon_log_per_byte
+        return log_bytes * DAEMON_LOG_PER_BYTE
 
     def daemon_cpu_for_signatures(self, signed: int, verified: int) -> float:
         """Daemon-thread CPU spent on cryptography."""
@@ -182,16 +165,16 @@ class PerfModel:
         """
         if not self.virtualized:
             return 0.0
-        cost = self.params.snapshot_fixed_seconds
-        cost += dirty_bytes / self.params.snapshot_dirty_bytes_per_second
+        cost = SNAPSHOT_FIXED_SECONDS
+        cost += dirty_bytes / SNAPSHOT_DIRTY_BYTES_PER_SECOND
         if page_count > 1:
             depth = max(1, page_count.bit_length())
             dirty_pages = max(1, dirty_bytes // 4096)
-            cost += dirty_pages * depth * self.params.snapshot_tree_update_seconds
+            cost += dirty_pages * depth * SNAPSHOT_TREE_UPDATE_SECONDS
         return cost
 
     # -- guest work -------------------------------------------------------------------
 
     def guest_cpu_for_instructions(self, instructions: int) -> float:
         """CPU time corresponding to abstract guest instructions."""
-        return instructions * self.params.instruction_seconds
+        return instructions * INSTRUCTION_SECONDS

@@ -26,6 +26,12 @@ class _PendingMessage:
     timer: Optional[ScheduledEvent] = None
 
 
+#: seconds a sender waits for an acknowledgment before retransmitting
+RETRANSMIT_INTERVAL = 0.25
+#: retransmissions before the sender gives up and suspects the peer
+MAX_RETRANSMITS = 5
+
+
 class ReliableChannel:
     """Retransmission layer for one endpoint.
 
@@ -44,7 +50,8 @@ class ReliableChannel:
     """
 
     def __init__(self, network: SimulatedNetwork, identity: str, *,
-                 retransmit_interval: float = 0.25, max_retransmits: int = 5,
+                 retransmit_interval: float = RETRANSMIT_INTERVAL,
+                 max_retransmits: int = MAX_RETRANSMITS,
                  on_give_up: Optional[Callable[[NetworkMessage], None]] = None) -> None:
         self.network = network
         self.identity = identity

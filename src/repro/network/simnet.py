@@ -21,19 +21,22 @@ from repro.sim.scheduler import Scheduler
 DeliveryCallback = Callable[[NetworkMessage], None]
 
 
+#: one-way LAN latency (~192 us RTT on bare hardware)
+LATENCY = 96e-6
+#: 1 Gbps links, as in the paper's testbed
+BANDWIDTH_BPS = 1e9
+
+
 @dataclass
 class LinkSpec:
-    """Latency/bandwidth/loss characteristics of a (directed) link."""
+    """The loss characteristics of a (directed) link; every link has the
+    testbed's :data:`LATENCY` and :data:`BANDWIDTH_BPS`."""
 
-    latency: float = 96e-6          # one-way LAN latency (~192 us RTT on bare hw)
-    bandwidth_bps: float = 1e9      # 1 Gbps links, as in the paper's testbed
     loss_rate: float = 0.0
 
     def transmission_delay(self, size_bytes: int) -> float:
         """Serialisation delay for a message of ``size_bytes``."""
-        if self.bandwidth_bps <= 0:
-            return 0.0
-        return (size_bytes * 8.0) / self.bandwidth_bps
+        return (size_bytes * 8.0) / BANDWIDTH_BPS
 
 
 @dataclass
@@ -56,11 +59,10 @@ class NetworkStats:
 class SimulatedNetwork:
     """Delivers :class:`NetworkMessage` envelopes between endpoints."""
 
-    def __init__(self, scheduler: Scheduler, default_link: Optional[LinkSpec] = None,
-                 rng: Optional[RngStream] = None) -> None:
+    def __init__(self, scheduler: Scheduler, default_link: Optional[LinkSpec] = None) -> None:
         self.scheduler = scheduler
         self.default_link = default_link or LinkSpec()
-        self._rng = rng or RngStream(seed=0, name="network")
+        self._rng = RngStream(seed=0, name="network")
         self._endpoints: Dict[str, DeliveryCallback] = {}
         #: directed ``(source, destination)`` links that drop every message
         #: at send time (a partition; add both directions to cut both ways)
@@ -116,7 +118,7 @@ class SimulatedNetwork:
             source_stats.messages_dropped += 1
             return False
 
-        delay = link.latency + link.transmission_delay(wire_size)
+        delay = LATENCY + link.transmission_delay(wire_size)
         self.scheduler.schedule_after(delay, lambda: self._deliver(message, wire_size),
                                       label=f"deliver:{message.message_id}")
         return True

@@ -8,7 +8,7 @@ log in a durable :class:`~repro.store.archive.LogArchive`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.audit.auditor import Auditor
@@ -69,12 +69,10 @@ class AuditFleet:
                 for machine in self.machines]
 
 
-def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
+def build_fleet(num_machines: int = 16, duration: float = 30.0,
                 snapshot_interval: Optional[float] = 10.0,
                 archive: Optional[LogArchive] = None,
-                ingest_identity: str = DEFAULT_INGEST_IDENTITY,
-                client_settings: Optional[SqlBenchSettings] = None,
-                ship_format_version: int = 1) -> AuditFleet:
+                ingest_identity: str = DEFAULT_INGEST_IDENTITY) -> AuditFleet:
     """Record a fleet of ``num_machines`` (server+client pairs) for auditing.
 
     With an ``archive``, an :class:`~repro.service.ingest.AuditIngestService`
@@ -82,12 +80,8 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
     sealed segments (plus boundary snapshots and collected peer
     authenticators) to it during the run; the unsealed log tails are shipped
     and drained before the fleet is returned, so the archive holds each
-    machine's complete log.  ``client_settings`` overrides the benchmark
-    clients' workload shape (its ``server`` field is replaced per pair), e.g.
-    fatter row payloads, so raw log bytes grow without growing entry counts.  ``ship_format_version`` selects the
-    wire codec the monitors ship segments in (:mod:`repro.log.codec`); the
-    archive's own ``format_version`` independently controls the stored
-    format, so mixed ship/store configurations are expressible.
+    machine's complete log, shipped in the v1 codec (:mod:`repro.log.codec`)
+    whatever format the archive stores.  The keys come from seed 7.
     """
     if num_machines < 2 or num_machines % 2:
         raise ValueError(f"fleet size must be an even number >= 2, got {num_machines}")
@@ -100,18 +94,14 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
              for index in range(num_machines // 2)]
     identities = [identity for pair in pairs for identity in pair]
     _, keypairs, keystore = build_trust(identities + ["auditor"],
-                                        scheme=config.signature_scheme, seed=seed)
+                                        scheme=config.signature_scheme, seed=7)
 
     monitors: Dict[str, AccountableVMM] = {}
     reference_images: Dict[str, VMImage] = {}
     peers: Dict[str, str] = {}
     for index, (server, client) in enumerate(pairs):
         server_image = make_kvserver_image()
-        if client_settings is None:
-            pair_settings = SqlBenchSettings(server=server)
-        else:
-            pair_settings = replace(client_settings, server=server)
-        client_image = make_sqlbench_image(pair_settings)
+        client_image = make_sqlbench_image(SqlBenchSettings(server=server))
         reference_images[server] = server_image
         reference_images[client] = client_image
         peers[server] = client
@@ -130,8 +120,7 @@ def build_fleet(num_machines: int = 16, duration: float = 30.0, seed: int = 7,
         ingest = AuditIngestService(archive, identity=ingest_identity,
                                     network=network)
         for monitor in monitors.values():
-            monitor.attach_archive_shipper(
-                ingest_identity, format_version=ship_format_version)
+            monitor.attach_archive_shipper(ingest_identity)
 
     for monitor in monitors.values():
         monitor.start()

@@ -21,10 +21,8 @@ class SimClock:
     scheduler; user code normally only reads :attr:`now`.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start!r}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -38,8 +38,8 @@ class ScheduledEvent:
 class Scheduler:
     """Deterministic discrete-event loop."""
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: list[ScheduledEvent] = []
         self._counter = itertools.count()
         self._events_run = 0

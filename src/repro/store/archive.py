@@ -23,8 +23,6 @@ file and retention anchor (``docs/log-archive.md``).  It guarantees:
   headers (no payload is read), proves each machine's segments tile into
   one unbroken chain, cuts the torn tail a crash left, refuses damage
   before it, and sweeps the files a crash inside a rewrite orphaned.
-* **Indexed range lookup.**  The per-machine index is kept sorted, so the
-  segment covering a sequence number is a binary search away.
 * **Checkpoint retention (GC).**  :meth:`truncate` mirrors the paper's log
   truncation: the frames retained past a mutually-agreed checkpoint are
   rewritten into the next generation's file, the checkpoint (sequence +
@@ -455,16 +453,15 @@ class LogArchive:
     def store_snapshot(self, machine: str, snapshot_id: int,
                        state: Dict[str, Any], state_root: bytes,
                        transfer_bytes: int,
-                       execution: Optional[Dict[str, int]] = None,
-                       page_size: int = PAGE_SIZE) -> SnapshotRecord:
+                       execution: Optional[Dict[str, int]] = None) -> SnapshotRecord:
         """Archive a full state as a keyframe: a replay start point."""
-        pages = paginate(serialize_state(state), page_size)
+        pages = paginate(serialize_state(state))
         return self.store_snapshot_delta(machine, IncrementalSnapshot(
             snapshot_id=snapshot_id,
             execution=ExecutionTimestamp.from_dict(execution or {}),
             base_snapshot_id=None, changed_pages=dict(enumerate(pages)),
             page_count=len(pages), state_root=state_root,
-            page_size=page_size, transfer_bytes=transfer_bytes))
+            page_size=PAGE_SIZE, transfer_bytes=transfer_bytes))
 
     def store_snapshot_delta(self, machine: str,
                              snapshot: IncrementalSnapshot, *,
@@ -666,13 +663,12 @@ class LogArchive:
             cache[record.file_name, record.offset] = tuple(pages)
             while len(cache) > self._SNAPSHOT_PAGES_CACHE_LIMIT:
                 cache.pop(next(iter(cache)))
-        # state=None: the Snapshot parses its state dict lazily from the
-        # canonical pages, so every caller gets a fresh dict even when the
-        # pages came out of the cache.
+        # The Snapshot parses its state dict lazily from the canonical pages,
+        # so every caller gets a fresh dict even when the pages came out of
+        # the cache.
         return Snapshot(snapshot_id=snapshot_id,
                         execution=ExecutionTimestamp.from_dict(record.execution),
-                        pages=pages, state_root=record.state_root,
-                        state=None)
+                        pages=pages, state_root=record.state_root)
 
     #: reconstructed delta snapshots held (see :meth:`load_snapshot`)
     _SNAPSHOT_PAGES_CACHE_LIMIT = 4
@@ -903,6 +899,5 @@ class ArchiveSnapshotStore:
     def get(self, snapshot_id: int) -> Snapshot:
         return self._archive.load_snapshot(self._machine, snapshot_id)
 
-    def transfer_cost_bytes(self, snapshot_id: int,
-                            include_memory_dump: bool = True) -> int:
+    def transfer_cost_bytes(self, snapshot_id: int) -> int:
         return self._archive.snapshot_transfer_bytes(self._machine, snapshot_id)

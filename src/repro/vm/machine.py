@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import GuestError, VMError
+from repro.metrics.perfmodel import INSTRUCTION_SECONDS
 from repro.vm.devices import FrameCounter, VirtualDisk, VirtualNic, VirtualTimer
 from repro.vm.events import GuestEvent, PacketDelivery, TimerInterrupt
 from repro.vm.execution import ExecutionTimestamp
@@ -74,14 +75,12 @@ class LiveNondeterminismSource(NondeterminismSource):
     so guest-visible time never goes backwards.
     """
 
-    def __init__(self, host_clock: Callable[[], float],
-                 instruction_seconds: float = 2.0e-8) -> None:
+    def __init__(self, host_clock: Callable[[], float]) -> None:
         self._host_clock = host_clock
-        self._instruction_seconds = instruction_seconds
         self._upstream_backend: Optional[UpstreamBackend] = None
 
     def clock_read(self, timestamp: ExecutionTimestamp) -> float:
-        return self._host_clock() + timestamp.instruction_count * self._instruction_seconds
+        return self._host_clock() + timestamp.instruction_count * INSTRUCTION_SECONDS
 
     def attach_upstream_backend(self, backend: UpstreamBackend) -> None:
         """Route the guest's upstream calls to ``backend``."""

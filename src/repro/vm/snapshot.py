@@ -39,14 +39,15 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import SnapshotError
 from repro.vm.execution import ExecutionTimestamp
 
+#: bytes per page of a serialised state
 PAGE_SIZE = 4096
 
 #: full snapshots are materialised on demand; this many stay cached
-DEFAULT_MATERIALIZED_CACHE = 4
+MATERIALIZED_CACHE = 4
 
 #: a full page list (keyframe) is retained every this-many snapshots;
 #: everything in between lives as deltas only
-DEFAULT_KEYFRAME_INTERVAL = 16
+KEYFRAME_INTERVAL = 16
 
 # The paper notes (Section 6.12) that VMware Workstation dumps the AVM's full
 # main memory (512 MB) for every snapshot; we carry that figure in the cost
@@ -73,13 +74,11 @@ def serialize_state(state: Dict[str, Any]) -> bytes:
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def paginate(data: bytes, page_size: int = PAGE_SIZE) -> List[bytes]:
-    """Split ``data`` into fixed-size pages (last page may be short)."""
-    if page_size <= 0:
-        raise SnapshotError(f"page size must be positive, got {page_size}")
+def paginate(data: bytes) -> List[bytes]:
+    """Split ``data`` into :data:`PAGE_SIZE` pages (last page may be short)."""
     if not data:
         return [b""]
-    return [data[i:i + page_size] for i in range(0, len(data), page_size)]
+    return [data[i:i + PAGE_SIZE] for i in range(0, len(data), PAGE_SIZE)]
 
 
 class Snapshot:
@@ -91,13 +90,12 @@ class Snapshot:
     """
 
     def __init__(self, snapshot_id: int, execution: ExecutionTimestamp,
-                 pages: List[bytes], state_root: bytes,
-                 state: Optional[Dict[str, Any]] = None) -> None:
+                 pages: List[bytes], state_root: bytes) -> None:
         self.snapshot_id = snapshot_id
         self.execution = execution
         self.pages = pages
         self.state_root = state_root
-        self._state = state
+        self._state: Optional[Dict[str, Any]] = None
 
     @property
     def state(self) -> Dict[str, Any]:
@@ -272,10 +270,7 @@ class IncrementalStateHasher:
     always the root of the state the machine holds.
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE) -> None:
-        if page_size <= 0:
-            raise SnapshotError(f"page size must be positive, got {page_size}")
-        self.page_size = page_size
+    def __init__(self) -> None:
         self._tree: Optional[MerkleTree] = None
         self._pages: Optional[List[bytes]] = None
 
@@ -292,7 +287,7 @@ class IncrementalStateHasher:
         ``changed_pages`` iff its bytes differ from the previous snapshot's
         page at the same index, or it lies beyond the previous page count.
         """
-        pages = paginate(serialize_state(state), self.page_size)
+        pages = paginate(serialize_state(state))
         changed = self._diff_pages(pages)
         self._apply_to_tree(pages, changed)
         self._pages = pages
@@ -339,29 +334,21 @@ class SnapshotManager:
     """Takes incremental snapshots and reconstructs full state for audits.
 
     Storage layout: every snapshot is a delta (changed pages); every
-    ``keyframe_interval``-th snapshot additionally pins its full page list.
-    Materialising snapshot *s* loads the nearest keyframe at or below *s*
-    and applies at most ``keyframe_interval - 1`` deltas, verifying page
+    :data:`KEYFRAME_INTERVAL`-th snapshot additionally pins its full page
+    list.  Materialising snapshot *s* loads the nearest keyframe at or below
+    *s* and applies at most ``KEYFRAME_INTERVAL - 1`` deltas, verifying page
     count and Merkle root at each step; a bounded LRU keeps recently
     materialised snapshots hot for audit bursts.  Resident memory is
     therefore O(keyframes + deltas), not O(snapshots x state).
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE,
-                 keyframe_interval: int = DEFAULT_KEYFRAME_INTERVAL,
-                 materialized_cache: int = DEFAULT_MATERIALIZED_CACHE) -> None:
-        if keyframe_interval < 1:
-            raise SnapshotError(
-                f"keyframe interval must be >= 1, got {keyframe_interval}")
-        self.page_size = page_size
-        self.keyframe_interval = keyframe_interval
+    def __init__(self) -> None:
         self.stats = SnapshotStats()
-        self._hasher = IncrementalStateHasher(page_size)
+        self._hasher = IncrementalStateHasher()
         self._deltas: Dict[int, IncrementalSnapshot] = {}
         self._keyframes: Dict[int, List[bytes]] = {}
         self._executions: Dict[int, ExecutionTimestamp] = {}
         self._materialized: "OrderedDict[int, Snapshot]" = OrderedDict()
-        self._materialized_limit = max(1, materialized_cache)
         self._next_id = 1
 
     # -- taking snapshots -----------------------------------------------------
@@ -384,7 +371,7 @@ class SnapshotManager:
             changed_pages=changed,
             page_count=len(pages),
             state_root=root,
-            page_size=self.page_size,
+            page_size=PAGE_SIZE,
             transfer_bytes=dirty_bytes + FULL_MEMORY_DUMP_BYTES,
         )
         self._deltas[snapshot_id] = delta
@@ -400,7 +387,7 @@ class SnapshotManager:
                         pages=list(pages), state_root=root)
 
     def _is_keyframe(self, snapshot_id: int) -> bool:
-        return (snapshot_id - 1) % self.keyframe_interval == 0
+        return (snapshot_id - 1) % KEYFRAME_INTERVAL == 0
 
     # -- queries --------------------------------------------------------------
 
@@ -422,7 +409,7 @@ class SnapshotManager:
                             execution=self._executions[snapshot_id],
                             pages=pages, state_root=delta.state_root)
         self._materialized[snapshot_id] = snapshot
-        while len(self._materialized) > self._materialized_limit:
+        while len(self._materialized) > MATERIALIZED_CACHE:
             self._materialized.popitem(last=False)
         return snapshot
 
@@ -431,7 +418,7 @@ class SnapshotManager:
         latest = self._next_id - 1
         if snapshot_id == latest and self._hasher.pages is not None:
             return list(self._hasher.pages)
-        base_id = snapshot_id - (snapshot_id - 1) % self.keyframe_interval
+        base_id = snapshot_id - (snapshot_id - 1) % KEYFRAME_INTERVAL
         keyframe = self._keyframes.get(base_id)
         if keyframe is None:
             raise SnapshotError(
@@ -459,12 +446,10 @@ class SnapshotManager:
             raise SnapshotError(f"no snapshot with id {snapshot_id}")
         return snapshot_id in self._keyframes
 
-    def transfer_cost_bytes(self, snapshot_id: int,
-                            include_memory_dump: bool = True) -> int:
-        """Bytes an auditor must download to start replay at ``snapshot_id``."""
-        incremental = self.get_incremental(snapshot_id)
-        return incremental.transfer_bytes if include_memory_dump \
-            else incremental.incremental_bytes
+    def transfer_cost_bytes(self, snapshot_id: int) -> int:
+        """Bytes an auditor must download to start replay at ``snapshot_id``
+        (its incremental pages and the memory dump)."""
+        return self.get_incremental(snapshot_id).transfer_bytes
 
     # -- memory accounting ----------------------------------------------------
 

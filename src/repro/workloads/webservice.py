@@ -32,20 +32,23 @@ from repro.vm.image import VMImage
 from repro.vm.machine import UpstreamResponse
 
 
+#: guest-visible seconds a cached response stays fresh
+CACHE_TTL = 0.5
+#: maximum cached responses before the earliest-expiring one is evicted
+CACHE_CAPACITY = 512
+#: cycles a handler charges on a cache miss (excludes upstream latency)
+HANDLER_CYCLES = 400
+#: cycles charged when a cache hit skips the handler entirely
+CACHE_HIT_CYCLES = 40
+#: simulated seconds between maintenance ticks (expired-entry purge)
+TICK_INTERVAL = 0.5
+
+
 @dataclass(frozen=True)
 class WebServiceSettings:
-    """Static configuration of the service (part of the image identity)."""
-
-    #: guest-visible seconds a cached response stays fresh
-    cache_ttl: float = 0.5
-    #: maximum cached responses before the earliest-expiring one is evicted
-    cache_capacity: int = 512
-    #: cycles a handler charges on a cache miss (excludes upstream latency)
-    handler_cycles: int = 400
-    #: cycles charged when a cache hit skips the handler entirely
-    cache_hit_cycles: int = 40
-    #: simulated seconds between maintenance ticks (expired-entry purge)
-    tick_interval: float = 0.5
+    """The service's settings: none that a run varies (the constants above
+    are part of the image identity).  The benchmark still builds one and
+    hands it to :func:`make_webservice_image`."""
 
 
 class WebServiceGuest(GuestProgram):
@@ -59,8 +62,7 @@ class WebServiceGuest(GuestProgram):
 
     name = "web-service"
 
-    def __init__(self, settings: Optional[WebServiceSettings] = None) -> None:
-        self.settings = settings or WebServiceSettings()
+    def __init__(self) -> None:
         self.cache: Dict[str, List[Any]] = {}
         self.orders: Dict[str, Dict[str, str]] = {}
         self.requests = 0
@@ -78,7 +80,7 @@ class WebServiceGuest(GuestProgram):
     # -- guest interface -----------------------------------------------------
 
     def on_start(self, api: MachineApi) -> None:
-        api.set_timer(self.settings.tick_interval)
+        api.set_timer(TICK_INTERVAL)
         api.consume_cycles(100)
 
     def on_event(self, api: MachineApi, event: GuestEvent) -> None:
@@ -101,10 +103,10 @@ class WebServiceGuest(GuestProgram):
         self.ticks = int(state["ticks"])
 
     def config_fingerprint(self) -> Dict[str, Any]:
-        return {"cache_ttl": self.settings.cache_ttl,
-                "cache_capacity": self.settings.cache_capacity,
-                "handler_cycles": self.settings.handler_cycles,
-                "cache_hit_cycles": self.settings.cache_hit_cycles}
+        return {"cache_ttl": CACHE_TTL,
+                "cache_capacity": CACHE_CAPACITY,
+                "handler_cycles": HANDLER_CYCLES,
+                "cache_hit_cycles": CACHE_HIT_CYCLES}
 
     # -- request path --------------------------------------------------------
 
@@ -126,7 +128,7 @@ class WebServiceGuest(GuestProgram):
             if entry is not None and self._cache_fresh(entry, now):
                 # Cache hit: the handler (and its upstream call) is skipped.
                 self.cache_hits += 1
-                api.consume_cycles(self.settings.cache_hit_cycles)
+                api.consume_cycles(CACHE_HIT_CYCLES)
                 self._respond(api, event, request, int(entry[1]),
                               str(entry[2]), "hit")
                 return
@@ -134,7 +136,7 @@ class WebServiceGuest(GuestProgram):
 
         status, body = handler(api, request, path)
         if cacheable:
-            self.cache[cache_key] = [now + self.settings.cache_ttl,
+            self.cache[cache_key] = [now + CACHE_TTL,
                                      status, body]
             self._evict_if_needed()
         self._respond(api, event, request, status, body,
@@ -145,7 +147,7 @@ class WebServiceGuest(GuestProgram):
         return now <= float(entry[0])
 
     def _evict_if_needed(self) -> None:
-        while len(self.cache) > self.settings.cache_capacity:
+        while len(self.cache) > CACHE_CAPACITY:
             victim = min(self.cache.items(),
                          key=lambda item: (float(item[1][0]), item[0]))[0]
             self.cache.pop(victim)
@@ -173,7 +175,7 @@ class WebServiceGuest(GuestProgram):
 
     def _handle_item(self, api: MachineApi, request: Dict[str, Any],
                      path: str) -> Tuple[int, str]:
-        api.consume_cycles(self.settings.handler_cycles)
+        api.consume_cycles(HANDLER_CYCLES)
         catalog = api.upstream_call("catalog", path.encode("utf-8"))
         item_id = path.rsplit("/", 1)[-1]
         return 200, json.dumps({"item": item_id,
@@ -182,7 +184,7 @@ class WebServiceGuest(GuestProgram):
 
     def _handle_user(self, api: MachineApi, request: Dict[str, Any],
                      path: str) -> Tuple[int, str]:
-        api.consume_cycles(self.settings.handler_cycles)
+        api.consume_cycles(HANDLER_CYCLES)
         profile = api.upstream_call("profile", path.encode("utf-8"))
         user_id = path.rsplit("/", 1)[-1]
         return 200, json.dumps({"user": user_id,
@@ -191,7 +193,7 @@ class WebServiceGuest(GuestProgram):
 
     def _handle_order(self, api: MachineApi, request: Dict[str, Any],
                       path: str) -> Tuple[int, str]:
-        api.consume_cycles(self.settings.handler_cycles * 2)
+        api.consume_cycles(HANDLER_CYCLES * 2)
         payment = api.upstream_call(
             "payment", json.dumps(request.get("body", {}), sort_keys=True,
                                   separators=(",", ":")).encode("utf-8"))
@@ -273,14 +275,17 @@ class SimulatedUpstreamBackend:
     replay never consults it at all.
     """
 
-    def __init__(self, seed: int = 0, base_latency_cycles: int = 240,
-                 jitter_cycles: int = 600, tail_alpha: float = 1.6,
-                 max_latency_cycles: int = 50_000) -> None:
+    #: cycles every call takes at least
+    BASE_LATENCY_CYCLES = 240
+    #: scale of the Pareto-distributed extra latency
+    JITTER_CYCLES = 600
+    #: the Pareto tail's shape
+    TAIL_ALPHA = 1.6
+    #: no call takes longer than this
+    MAX_LATENCY_CYCLES = 50_000
+
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self.base_latency_cycles = base_latency_cycles
-        self.jitter_cycles = jitter_cycles
-        self.tail_alpha = tail_alpha
-        self.max_latency_cycles = max_latency_cycles
         self.calls = 0
 
     def __call__(self, service: str, request: bytes) -> UpstreamResponse:
@@ -288,9 +293,9 @@ class SimulatedUpstreamBackend:
         # Pareto-style jitter via inverse CDF; clamped so a single unlucky
         # draw cannot stall the simulated service forever.
         draw = self._rng.random()
-        pareto = (1.0 - draw) ** (-1.0 / self.tail_alpha) - 1.0
-        latency = self.base_latency_cycles + int(self.jitter_cycles * pareto)
-        latency = min(latency, self.max_latency_cycles)
+        pareto = (1.0 - draw) ** (-1.0 / self.TAIL_ALPHA) - 1.0
+        latency = self.BASE_LATENCY_CYCLES + int(self.JITTER_CYCLES * pareto)
+        latency = min(latency, self.MAX_LATENCY_CYCLES)
         body = json.dumps({"service": service, "call": self.calls,
                            "token": f"{self._rng.getrandbits(48):012x}"},
                           sort_keys=True, separators=(",", ":"))
@@ -300,10 +305,9 @@ class SimulatedUpstreamBackend:
 
 def make_webservice_image(settings: Optional[WebServiceSettings] = None,
                           name: str = "web-service-official") -> VMImage:
-    """Image containing the API server."""
-    return VMImage(name=name,
-                   guest_factory=partial(WebServiceGuest,
-                                         settings or WebServiceSettings()),
+    """Image containing the API server (``settings`` holds nothing: the
+    benchmark's calls pass one)."""
+    return VMImage(name=name, guest_factory=WebServiceGuest,
                    disk_blocks={0: b"nginx-api-standin"})
 
 

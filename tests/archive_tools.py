@@ -98,7 +98,7 @@ class World:
         self.logs = {machine: TamperEvidentLog(machine) for machine in MACHINES}
         self.states = {machine: {} for machine in MACHINES}
         self.shipments = {machine: [] for machine in MACHINES}
-        managers = {machine: SnapshotManager(page_size=64, keyframe_interval=16)
+        managers = {machine: SnapshotManager()
                     for machine in MACHINES}
         shipped = {machine: 0 for machine in MACHINES}
         for seal in range(1, self.SEALS + 1):

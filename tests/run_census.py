@@ -1,4 +1,5 @@
-"""Run census: which definitions in ``src/`` does a paper run enter?
+"""Run census: which definitions in ``src/`` does a paper run enter, and
+which of their options does it set?
 
 The paper's claims are checked by a fixed set of runs (:data:`RUNS`): the
 table 1, fig. 3-9 and section 6.5-6.7 experiments, the adversary matrix (full
@@ -19,10 +20,24 @@ gone, is stale and fails the check.
 
 Unlike the static scan (``tests/test_only_what_runs.py``), which keeps a
 definition alive when anything live shares its name, the census sees what
-actually runs: a reused method name such as ``to_dict`` or an option no
-caller sets is found here.
+actually runs: a reused method name such as ``to_dict`` is found here.
+
+Options are counted the same way.  An option is a parameter with a default
+of a ``def`` under ``src/repro/``, or a field with a default of an option
+record (:data:`OPTION_RECORD`: ``AvmmConfig``, ``LinkSpec`` and the
+``*Settings`` dataclasses, whose generated ``__init__`` the profiler finds
+through the instance it builds).  The first
+call in any process that passes an option a value other than its default
+(an equal value does not count) sets it.  An option of an entered definition
+that no run sets is *unset*: it becomes a constant, or is named in
+:data:`KEPT_OPTIONS` with a reason the check verifies — ``bench/`` passes it
+(its calls must keep working), a deployment identity or path (the
+parameter's name says which), or a failure branch a test drives (a test
+passes it).  A call passes an option only if :func:`passed_by` resolves it
+to the option's own function, class or method.
 
     python tests/run_census.py            # list never-entered definitions
+                                          # and unset options
     python tests/run_census.py --check    # fail on an unexplained or stale one
     python tests/run_census.py --only table1 --only example:quickstart
 
@@ -33,6 +48,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import functools
+import gc
 import importlib
 import inspect
 import os
@@ -44,9 +62,11 @@ import tempfile
 import textwrap
 import threading
 import time
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -227,29 +247,107 @@ def install_profiler(out_dir: Path, prefix: str) -> None:
     """Record every code object under ``prefix`` that this process, its
     threads and its forked children enter, one line per first entry, into
     ``out_dir/<pid>.txt``.  Lines go out with one ``os.write`` each, so a
-    child forked at any moment, or ended by ``os._exit``, loses nothing."""
+    child forked at any moment, or ended by ``os._exit``, loses nothing.
+
+    For each option (:func:`option_sites`), the first call that passes it a
+    value other than its default records ``=\t<option>`` in the same file."""
     seen: Set[object] = set()
     files: Dict[int, int] = {}
+    defs, records = option_sites(Path(prefix))
+    #: code object -> [(option, parameter, default)] not yet seen set
+    watched: Dict[object, List[Tuple[str, str, object]]] = {}
 
-    def record(code) -> None:
+    def write(line: str) -> None:
         pid = os.getpid()
         fd = files.get(pid)
         if fd is None:
             fd = files[pid] = os.open(out_dir / f"{pid}.txt",
                                       os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        os.write(fd, f"{code.co_filename}\t{code.co_firstlineno}\t"
-                     f"{code.co_name}\n".encode())
+        os.write(fd, line.encode())
+
+    def first_call(frame, code) -> None:
+        if code.co_filename.startswith(prefix):
+            write(f"{code.co_filename}\t{code.co_firstlineno}\t{code.co_name}\n")
+            site = defs.get((code.co_filename, code.co_firstlineno, code.co_name))
+            if site is not None:
+                key, params = site
+                watch(code, key, _function_of(code, frame.f_globals, key), params)
+        elif code.co_filename == "<string>" and code.co_name == "__init__" and records:
+            # a dataclass's generated __init__: find the record it builds
+            for cls in type(frame.f_locals.get("self")).__mro__:
+                init = cls.__dict__.get("__init__")
+                key = f"{cls.__module__}:{cls.__qualname__}"
+                if getattr(init, "__code__", None) is code and key in records:
+                    factories = {f.name: f.default_factory for f in fields(cls)}
+                    watch(code, key, init, None, factories)
+                    break
+
+    def watch(code, key, function, params, factories=None) -> None:
+        if function is None:
+            return
+        names = code.co_varnames
+        positional = names[:code.co_argcount]
+        defaults = dict(zip(positional[len(positional) - len(function.__defaults__ or ()):],
+                            function.__defaults__ or ()))
+        defaults.update(function.__kwdefaults__ or {})
+        pending = []
+        for name, default in defaults.items():
+            if params is not None and name not in params:
+                continue
+            if factories and factories.get(name, MISSING) is not MISSING:
+                default = factories[name]()
+            pending.append((f"{key}({name})", name, default))
+        if pending:
+            watched[code] = pending
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
             if code not in seen:
                 seen.add(code)
-                if code.co_filename.startswith(prefix):
-                    record(code)
+                first_call(frame, code)
+            pending = watched.get(code)
+            if pending is not None:
+                values = frame.f_locals
+                # another thread may set the same option at once: a line
+                # written twice is harmless, a failed remove is ignored
+                for option in [o for o in pending if not _same(values[o[1]], o[2])]:
+                    write(f"=\t{option[0]}\n")
+                    with contextlib.suppress(ValueError):
+                        pending.remove(option)
+                if not pending:
+                    watched.pop(code, None)
 
     threading.setprofile(profile)
     sys.setprofile(profile)
+
+
+def _same(value, default) -> bool:
+    """Whether ``value`` leaves an option at its default: an equal value
+    does (``3`` for ``3.0``), a bool for a number does not."""
+    if value is default:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:   # an __eq__ that refuses: a different value
+        return False
+
+
+def _function_of(code, module_globals, key: str):
+    """The function object whose code ``code`` is: by its qualified name
+    in its module, or else by what refers to the code object."""
+    target: object = module_globals
+    for part in key.split(":")[1].split("."):
+        space = target if isinstance(target, dict) else getattr(target, "__dict__", {})
+        target = space.get(part)
+        for unwrap in ("__func__", "fget", "__wrapped__"):
+            target = getattr(target, unwrap, target)
+    if getattr(target, "__code__", None) is code:
+        return target
+    return next((ref for ref in gc.get_referrers(code)
+                 if isinstance(ref, types.FunctionType) and ref.__code__ is code), None)
 
 
 def trace_run(out_dir: Path, prefix: str, argv: Sequence[str]) -> None:
@@ -278,12 +376,21 @@ def trace_run(out_dir: Path, prefix: str, argv: Sequence[str]) -> None:
 Entered = Set[Tuple[str, int, str]]
 
 
+@dataclass
+class Census:
+    #: ``(file, first line, name)`` of every code object a run entered
+    entered: Entered
+    #: every option (:attr:`Option.key`) some call set to a value other
+    #: than its default
+    options_set: Set[str]
+
+
 def run_census(runs: Dict[str, List[str]], package: Path = PACKAGE,
                path: Sequence[Path] = (SRC,), cwd: Path = ROOT,
-               timeout: float = 1800.0) -> Entered:
-    """``(file, first line, name)`` of every code object under ``package``
-    that some run enters, in any of its processes."""
-    entered: Entered = set()
+               timeout: float = 1800.0) -> Census:
+    """What the runs enter and which options they set, in any of their
+    processes, under ``package``."""
+    census = Census(set(), set())
     env = {**os.environ, "PYTHONHASHSEED": "0",
            "PYTHONPATH": os.pathsep.join(
                [*map(str, path), os.environ.get("PYTHONPATH", "")])}
@@ -300,11 +407,14 @@ def run_census(runs: Dict[str, List[str]], package: Path = PACKAGE,
                                    f"({result.returncode}):\n{result.stderr}")
             for part in Path(out).glob("*.txt"):
                 for line in part.read_text().splitlines():
-                    filename, lineno, code_name = line.split("\t")
-                    entered.add((filename, int(lineno), code_name))
+                    fields_ = line.split("\t")
+                    if fields_[0] == "=":
+                        census.options_set.add(fields_[1])
+                    else:
+                        census.entered.add((fields_[0], int(fields_[1]), fields_[2]))
         print(f"census: {name} {time.perf_counter() - started:.1f} s",
               file=sys.stderr)
-    return entered
+    return census
 
 
 @dataclass(eq=False)
@@ -329,6 +439,12 @@ class Definition:
         return self.filename, self.first_line, self.name
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(path: Path) -> ast.Module:
+    """A source file's syntax tree, parsed once per process."""
+    return ast.parse(path.read_text())
+
+
 def definitions(package: Path = PACKAGE) -> List[Definition]:
     """Every function, method and nested function under ``package``."""
     found: List[Definition] = []
@@ -351,8 +467,94 @@ def definitions(package: Path = PACKAGE) -> List[Definition]:
     for path in sorted(package.resolve().rglob("*.py")):
         parts = path.relative_to(base).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        visit(ast.parse(path.read_text()), str(path), module, "", None)
+        visit(_parsed(path), str(path), module, "", None)
     return found
+
+
+#: the option records: every field with a default is an option
+OPTION_RECORD = re.compile(r"^(AvmmConfig|LinkSpec|\w+Settings)$")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One parameter with a default, or one option-record field."""
+
+    #: ``<definition or record key>(<parameter>)``
+    key: str
+    #: the definition's or record's key
+    owner: str
+    param: str
+    #: the index a caller passes it at positionally, or None (keyword-only)
+    position: Optional[int]
+    #: the definition (None for a record field)
+    definition: Optional[Definition]
+    #: the most arguments a call passes by position (None: ``*args``)
+    max_positional: Optional[int]
+    #: the names a call may pass by keyword (None: ``**kwargs``)
+    keywords: Optional[FrozenSet[str]]
+
+
+def _option_records(package: Path) -> List[Tuple[str, ast.ClassDef]]:
+    """``(key, class node)`` of every option-record dataclass at the top
+    level of a module under ``package``."""
+    found = []
+    base = package.resolve().parent
+    for path in sorted(package.resolve().rglob("*.py")):
+        parts = path.relative_to(base).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in _parsed(path).body:
+            if (isinstance(node, ast.ClassDef) and OPTION_RECORD.match(node.name)
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                found.append((f"{module}:{node.name}", node))
+    return found
+
+
+def options(defs: List[Definition], package: Path = PACKAGE) -> List[Option]:
+    """Every option under ``package``: each parameter with a default of a
+    ``def``, and each field with a default of an option record."""
+    found: List[Option] = []
+    for d in defs:
+        args = d.node.args
+        positional = [*args.posonlyargs, *args.args]
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        most = None if args.vararg else len(positional) - skip
+        names = None if args.kwarg else frozenset(
+            a.arg for a in [*args.args, *args.kwonlyargs]
+            if not (skip and a is positional[0]))
+        for index, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    len(positional) - len(args.defaults)):
+            found.append(Option(f"{d.key}({arg.arg})", d.key, arg.arg,
+                                index - skip, d, most, names))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append(Option(f"{d.key}({arg.arg})", d.key, arg.arg, None, d,
+                                    most, names))
+    for key, node in _option_records(package):
+        fields_ = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                   and "ClassVar" not in ast.unparse(stmt.annotation)
+                   and "init=False" not in ast.unparse(stmt.value or ast.Pass())]
+        names = frozenset(stmt.target.id for stmt in fields_)
+        for index, stmt in enumerate(fields_):
+            if stmt.value is not None:
+                found.append(Option(f"{key}({stmt.target.id})", key, stmt.target.id,
+                                    index, None, len(fields_), names))
+    return found
+
+
+def option_sites(package: Path
+                 ) -> Tuple[Dict[Tuple[str, int, str], Tuple[str, Set[str]]], Set[str]]:
+    """What the profiler watches under ``package``: each ``def`` with an
+    option, by code key, with its key and parameters; and the option
+    records' keys."""
+    defs: Dict[Tuple[str, int, str], Tuple[str, Set[str]]] = {}
+    records: Set[str] = set()
+    for option in options(definitions(package), package):
+        if option.definition is None:
+            records.add(option.owner)
+        else:
+            defs.setdefault(option.definition.code_key, (option.owner, set()))[1].add(
+                option.param)
+    return defs, records
 
 
 def never_entered(defs: Iterable[Definition], entered: Entered) -> List[Definition]:
@@ -460,11 +662,325 @@ def check(defs: List[Definition], missed: List[Definition],
                    unfounded=unfounded)
 
 
+# -- options ------------------------------------------------------------------
+
+#: ``bench/`` passes it, and ``bench/`` is the benchmark's: its calls must
+#: keep working unedited
+BENCH_CALLER = "bench/ passes it by name or position"
+#: where a deployment puts a machine, or what it calls it
+DEPLOYMENT = "a deployment identity or path"
+#: the failure, recovery or hostile-input branch it drives (FAILURE above)
+#: is what a test passes it for
+
+OPTION_REASONS = (BENCH_CALLER, DEPLOYMENT, FAILURE)
+
+#: the words a deployment identity's or path's parameter name is made of
+IDENTITY_WORDS = {"path", "root", "dir", "name", "identity", "address", "host", "port"}
+
+#: options no run sets that stay: key -> (reason, what it is for)
+KEPT_OPTIONS: Dict[str, Tuple[str, str]] = {
+    # -- bench/'s calls
+    "repro.crypto.keys:CertificateAuthority.__init__(scheme)": (
+        BENCH_CALLER, "the CA's signature scheme"),
+    "repro.game.bots:ScriptedPlayer.__init__(actions_per_second)": (
+        BENCH_CALLER, "how often the bot acts"),
+    "repro.game.bots:ScriptedPlayer.start(delay)": (
+        BENCH_CALLER, "when the bot starts acting"),
+    "repro.log.codec:encode_segment(format_version)": (
+        BENCH_CALLER, "the codec a segment is written in"),
+    "repro.workloads.sqlbench:SqlBenchSettings(tick_interval)": (
+        BENCH_CALLER, "seconds between the client's ticks"),
+    # -- deployment identities
+    "repro.adversary.guests:make_cheating_kvserver_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.adversary.guests:make_cheating_webservice_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.crypto.keys:CertificateAuthority.__init__(identity)": (
+        DEPLOYMENT, "the CA's identity"),
+    "repro.game.images:make_client_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.game.images:make_server_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.service.fleet:AuditFleet.make_auditor(identity)": (
+        DEPLOYMENT, "who audits"),
+    "repro.service.fleet:build_fleet(ingest_identity)": (
+        DEPLOYMENT, "the ingest service's network identity"),
+    "repro.service.ingest:AuditIngestService.__init__(identity)": (
+        DEPLOYMENT, "the ingest service's network identity"),
+    "repro.workloads.echo:make_echo_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.echo:make_ping_sender_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.workloads.kvstore:make_kvserver_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.sqlbench:make_sqlbench_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.webservice:make_webclient_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.workloads.webservice:make_webservice_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    # -- failure, recovery and hostile input
+    "repro.audit.stream:iter_stream_chunks(start)": (
+        FAILURE, "resumes a stream at a checkpoint; an off-boundary or forged "
+        "one is refused"),
+    "repro.network.channel:ReliableChannel.__init__(max_retransmits)": (
+        FAILURE, "how soon a sender gives up on a silent peer"),
+    "repro.network.channel:ReliableChannel.__init__(retransmit_interval)": (
+        FAILURE, "how soon a sender retransmits"),
+    "repro.network.simnet:LinkSpec(loss_rate)": (FAILURE, "a lossy link"),
+    "repro.network.simnet:SimulatedNetwork.__init__(default_link)": (
+        FAILURE, "the lossy link a network is built with"),
+    "repro.store.archive:LogArchive.__init__(deep_verify)": (
+        FAILURE, "decodes every segment at open and re-verifies its chain; "
+        "the crash matrix reopens with it after every kill"),
+}
+
+
+def unset_options(defs: List[Definition], census: Census,
+                  package: Path = PACKAGE) -> List[Option]:
+    """The options of every entered definition and of every option record
+    that no run set to a value other than their default."""
+    return [o for o in options(defs, package)
+            if o.key not in census.options_set
+            and (o.definition is None or o.definition.code_key in census.entered)]
+
+
+#: the annotations whose argument is what a loop over the value yields
+COLLECTIONS = {"List", "Sequence", "Iterable", "Iterator", "Tuple", "list", "tuple"}
+
+#: a value's static type: ``("module:Class", whether it is a collection of them)``
+Type = Tuple[str, bool]
+
+
+def _imports(tree: ast.Module) -> Callable[[ast.AST], Optional[str]]:
+    """A resolver of the names ``tree`` imports: an expression naming an
+    imported callable (``Auditor``, ``simnet.LinkSpec``) to
+    ``"module:name"``, a class of its own to ``":name"``, anything else to
+    None."""
+    names: Dict[str, str] = {node.name: f":{node.name}" for node in tree.body
+                             if isinstance(node, ast.ClassDef)}
+    modules: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}:{alias.name}"
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                modules[local] = alias.name if alias.asname else local
+
+    def resolve(expr: ast.AST) -> Optional[str]:
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            dotted = ast.unparse(expr.value)
+            head, _, rest = dotted.partition(".")
+            if head in modules:
+                return f"{modules[head]}{'.' + rest if rest else ''}:{expr.attr}"
+        return None
+
+    return resolve
+
+
+def _annotation_type(annotation: Optional[ast.AST], resolve) -> Optional[Type]:
+    """The type an annotation names: ``Auditor`` or ``List[Auditor]``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.Subscript):
+        container = ast.unparse(annotation.value).split(".")[-1]
+        inner = annotation.slice
+        return ((resolve(inner), True)
+                if container in COLLECTIONS and resolve(inner) else None)
+    ref = resolve(annotation) if annotation is not None else None
+    return (ref, False) if ref else None
+
+
+def _field_types(trees: Dict[Path, ast.Module]) -> Dict[str, Dict[str, Type]]:
+    """Every class's annotated attributes in ``trees``, by the class's bare
+    name: the dataclass fields a call's receiver may be reached through."""
+    found: Dict[str, Dict[str, Type]] = {}
+    for tree in trees.values():
+        resolve = _imports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        kind = _annotation_type(stmt.annotation, resolve)
+                        if kind:
+                            found.setdefault(node.name, {})[stmt.target.id] = kind
+    return found
+
+
+def _type_of(expr: ast.AST, scope: Dict[str, Type], resolve,
+             fields_: Dict[str, Dict[str, Type]]) -> Optional[Type]:
+    """What ``expr`` evaluates to, where a scope's bindings say."""
+    if isinstance(expr, ast.Name):
+        return scope.get(expr.id)
+    if isinstance(expr, ast.Call):
+        ref = resolve(expr.func)
+        return (ref, False) if ref else None
+    if isinstance(expr, ast.Attribute):
+        owner = _type_of(expr.value, scope, resolve, fields_)
+        if owner and not owner[1]:
+            return fields_.get(owner[0].split(":")[-1], {}).get(expr.attr)
+    return None
+
+
+def _own_nodes(function: ast.AST) -> List[ast.AST]:
+    """The nodes of a function's (or module's) body, but not those of the
+    functions defined in it."""
+    found, todo = [], list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _scope(function: ast.AST, resolve, fields_,
+           outer: Optional[Dict[str, Type]] = None) -> Dict[str, Type]:
+    """The types a function's (or module's) names are bound to, on top of
+    the module's (``outer``): annotated parameters and assignments, calls of
+    an imported callable, and loops over a collection (flow-insensitive: a
+    name bound twice keeps one)."""
+    scope: Dict[str, Type] = dict(outer or {})
+    if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for arg in [*function.args.args, *function.args.kwonlyargs]:
+            kind = _annotation_type(arg.annotation, resolve)
+            if kind:
+                scope[arg.arg] = kind
+    for _ in range(2):    # a loop may range over a name bound further down
+        for node in _own_nodes(function):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                kind = _annotation_type(node.annotation, resolve)
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                kind = _type_of(node.value, scope, resolve, fields_)
+            elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+                kind = _type_of(node.iter, scope, resolve, fields_)
+                kind = (kind[0], False) if kind and kind[1] else None
+            else:
+                continue
+            name = getattr(node, "target", None) or node.targets[0]
+            if kind:
+                scope[name.id] = kind
+    return scope
+
+
+def _names(ref: Optional[str], module: str, name: str) -> bool:
+    """Whether an imported ``"module:name"`` is ``name`` of ``module``, or a
+    package above it that re-exports it."""
+    if ref is None:
+        return False
+    where, _, what = ref.partition(":")
+    return what == name and (module == where or module.startswith(where + "."))
+
+
+def _calls_it(call: ast.Call, option: Option, scope, resolve, fields_) -> bool:
+    """Whether ``call`` calls the option's function, class or method."""
+    module, _, qualname = option.owner.partition(":")
+    if option.definition is not None and option.definition.parent is not None:
+        return False                      # a nested function: no caller outside
+    owner, _, method = qualname.partition(".")
+    if not method or method == "__init__":
+        return _names(resolve(call.func), module, owner)
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == method):
+        return False
+    receiver = call.func.value
+    kind = _type_of(receiver, scope, resolve, fields_)
+    return (_names(resolve(receiver), module, owner)
+            or (kind is not None and not kind[1] and _names(kind[0], module, owner)))
+
+
+@functools.lru_cache(maxsize=None)
+def _typed_calls(sources: Tuple[Path, ...]) -> List[tuple]:
+    """Every call in ``sources``, with the bindings of the function it is in,
+    its file's import resolver and the field types; built once per set of
+    sources."""
+    trees = {path: _parsed(path) for path in sources}
+    fields_ = _field_types(trees)
+    found = []
+    for tree in trees.values():
+        resolve = _imports(tree)
+        module_scope = _scope(tree, resolve, fields_)
+        found.extend((node, module_scope, resolve, fields_)
+                     for node in _own_nodes(tree) if isinstance(node, ast.Call))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = _scope(function, resolve, fields_, module_scope)
+                found.extend((node, scope, resolve, fields_)
+                             for node in _own_nodes(function)
+                             if isinstance(node, ast.Call))
+    return found
+
+
+def passed_by(option: Option, sources: Iterable[Path]) -> bool:
+    """Whether some call in ``sources`` passes the option, by keyword or by
+    position.  The call must be to the option's own function or class (an
+    imported name, from its module or a package above it) or, for a
+    method, on a receiver the file types as an instance of the class; and
+    its arguments must fit the signature.  A same-named method of another
+    class does not count."""
+    for call, scope, resolve, fields_ in _typed_calls(tuple(sources)):
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or not _calls_it(call, option, scope, resolve, fields_):
+            continue
+        if option.max_positional is not None and len(call.args) > option.max_positional:
+            continue
+        if option.keywords is not None and any(
+                k.arg is not None and k.arg not in option.keywords for k in call.keywords):
+            continue
+        if any(k.arg == option.param for k in call.keywords) \
+                or (option.position is not None and len(call.args) > option.position):
+            return True
+    return False
+
+
+def option_reason_problem(option: Option, reason: str, note: str) -> Optional[str]:
+    """Why ``reason`` does not hold for ``option``, or None."""
+    if reason not in OPTION_REASONS:
+        return f"unknown reason {reason!r}"
+    if not note.strip():
+        return "no note on what it is for"
+    if reason == BENCH_CALLER and not passed_by(option, sorted((ROOT / "bench").rglob("*.py"))):
+        return f"no call in bench/ passes {option.param}"
+    if reason == DEPLOYMENT and not IDENTITY_WORDS & set(option.param.split("_")):
+        return f"{option.param!r} names no identity or path"
+    if reason == FAILURE and not passed_by(option, sorted((ROOT / "tests").rglob("*.py"))):
+        return f"no test passes {option.param}"
+    return None
+
+
+@dataclass
+class OptionVerdict:
+    unexplained: List[Option]
+    #: kept keys some run set, or that name no unset option of an entered
+    #: definition
+    stale: List[str]
+    #: kept keys whose reason does not hold, with why
+    unfounded: List[Tuple[str, str]]
+
+    @property
+    def ok(self) -> bool:
+        return not (self.unexplained or self.stale or self.unfounded)
+
+
+def check_options(unset: List[Option], kept: Dict[str, Tuple[str, str]]) -> OptionVerdict:
+    by_key = {o.key: o for o in unset}
+    unfounded = []
+    for key, (reason, note) in sorted(kept.items()):
+        if key in by_key:
+            problem = option_reason_problem(by_key[key], reason, note)
+            if problem:
+                unfounded.append((key, problem))
+    return OptionVerdict(unexplained=[o for o in unset if o.key not in kept],
+                         stale=sorted(key for key in kept if key not in by_key),
+                         unfounded=unfounded)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on an unexplained never-entered definition, "
-                             "a stale kept entry or a reason that does not hold")
+                        help="exit 1 on an unexplained never-entered definition or "
+                             "unset option, a stale kept entry or a reason that "
+                             "does not hold")
     parser.add_argument("--only", action="append", choices=sorted(RUNS),
                         help="run only these (listing mode; --check needs all)")
     parser.add_argument("--trace", help=argparse.SUPPRESS)
@@ -479,15 +995,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     runs = {name: RUNS[name] for name in args.only} if args.only else RUNS
     sys.path.insert(0, str(SRC))   # the reason checks import what they keep
     defs = definitions()
-    missed = never_entered(defs, run_census(runs))
+    census = run_census(runs)
+    missed = never_entered(defs, census.entered)
     verdict = check(defs, missed, KEPT)
+    unset = unset_options(defs, census)
+    option_verdict = check_options(unset, KEPT_OPTIONS)
     for d in sorted(missed, key=lambda d: d.key):
         mark = f"  [kept: {KEPT[d.key][0]}]" if d.key in KEPT else ""
         print(f"{d.lines:5d}  {d.key}{mark}")
+    for o in sorted(unset, key=lambda o: o.key):
+        mark = f"  [kept: {KEPT_OPTIONS[o.key][0]}]" if o.key in KEPT_OPTIONS else ""
+        print(f"unset  {o.key}{mark}")
     print(f"{len(missed)} never-entered definitions, "
           f"{sum(d.lines for d in missed)} lines; "
           f"{len(verdict.unexplained)} not kept, "
           f"{sum(d.lines for d in verdict.unexplained)} lines", file=sys.stderr)
+    print(f"{len(options(defs))} options; {len(unset)} unset by every run, "
+          f"{len(option_verdict.unexplained)} not kept", file=sys.stderr)
     if not args.check:
         return 0
     for key in verdict.stale:
@@ -498,7 +1022,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     for d in verdict.unexplained:
         print(f"NEVER ENTERED: {d.key} ({d.lines} lines) — delete it, move it "
               f"into tests/, or keep it in KEPT with a reason", file=sys.stderr)
-    return 0 if verdict.ok else 1
+    for key in option_verdict.stale:
+        print(f"STALE OPTION: {key} is kept but a run sets it, or it is gone",
+              file=sys.stderr)
+    for key, problem in option_verdict.unfounded:
+        print(f"UNFOUNDED OPTION: {key}: {problem}", file=sys.stderr)
+    for o in option_verdict.unexplained:
+        print(f"UNSET OPTION: {o.key} — make it a constant, or keep it in "
+              f"KEPT_OPTIONS with a reason", file=sys.stderr)
+    return 0 if verdict.ok and option_verdict.ok else 1
 
 
 if __name__ == "__main__":

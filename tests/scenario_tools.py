@@ -7,12 +7,11 @@ from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 
 
-def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7,
-                    duration: float = 4.0, snapshot_interval: float = 1.0
+def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7
                     ) -> ScenarioContext:
-    """Record one honest fleet and return its context."""
-    matrix = ScenarioMatrix(duration=duration,
-                            snapshot_interval=snapshot_interval)
+    """Record one honest fleet, as a matrix cell records it, and return its
+    context."""
+    matrix = ScenarioMatrix()
     spec = CellSpec("honest", workload, "full", fleet_size, seed)
     ctx, run = matrix._build(spec, make_adversary("honest", seed), None)
     run()

@@ -30,6 +30,7 @@ import pytest
 
 from repro.adversary.catalog import adversary_names, make_adversary
 from repro.adversary.matrix import (
+    CELL_DURATION,
     MODES,
     WORKLOADS,
     CellSpec,
@@ -202,7 +203,7 @@ class TestRepresentativeCells:
         assert outcome.expectation_met, outcome.describe()
 
     def test_lying_shipper_segments_are_quarantined(self):
-        matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+        matrix = ScenarioMatrix()
         name = "lying-shipper-segments"
         adversary = make_adversary(name, seed=4321)
         assert "archive" in adversary.modes
@@ -224,7 +225,7 @@ class TestRepresentativeCells:
                                            2, 2009))
         assert outcome.expectation_met, outcome.describe()
         assert outcome.detection_time is not None
-        assert outcome.detection_time <= matrix.duration
+        assert outcome.detection_time <= CELL_DURATION
 
     def test_cells_are_deterministic(self, matrix):
         spec = CellSpec("tamper-forge", "kv", "full", 2, 2010)
@@ -246,7 +247,7 @@ class TestArchiveCellDeterminism:
         assert "archive" in make_adversary(adversary_name).modes
         spec = CellSpec(adversary_name, "kv", "archive", 2, 2024)
         first, second = (
-            ScenarioMatrix(duration=3.0, snapshot_interval=1.0).run_cell(spec)
+            ScenarioMatrix().run_cell(spec)
             for _ in range(2))
         assert first.expectation_met, first.describe()
         assert first.to_dict() == second.to_dict()
@@ -357,7 +358,7 @@ class TestCatalog:
                 CellSpec("tamper-modify", "kv", "archive", 2, 2011))
 
     def test_record_scenario_helper(self):
-        ctx = record_scenario(fleet_size=2, seed=31, duration=2.0)
+        ctx = record_scenario(fleet_size=2, seed=31)
         assert len(ctx.monitors) == 2
         assert ctx.byzantine == "db-server-00"
         assert len(ctx.monitor.log) > 0
@@ -551,14 +552,15 @@ class TestJsonOutput:
         report = MatrixReport()
         monkeypatch.setattr(adversary_matrix, "run_matrix",
                             lambda **kwargs: report)
-        adversary_matrix.main(["--json", "--smoke"])
+        monkeypatch.setattr(sys, "argv", ["adversary_matrix", "--json", "--smoke"])
+        adversary_matrix.main()
         payload = json.loads(capsys.readouterr().out)
         assert payload["cells"] == []
         assert payload["ok"] is True
         assert payload["smoke"] is True
 
     def test_matrix_report_to_dict_round_trips(self):
-        matrix = ScenarioMatrix(duration=2.0, snapshot_interval=1.0)
+        matrix = ScenarioMatrix()
         outcome = matrix.run_cell(CellSpec("honest", "kv", "full", 2, 77))
         payload = MatrixReport(cells=[outcome]).to_dict()
         json.dumps(payload)  # JSON-ready

@@ -42,20 +42,22 @@ from repro.service.ingest import AuditIngestService
 from repro.store.archive import _OWNED_NAME_RE, LogArchive
 from repro.store.manifest import COMMIT_SIZE, file_header, read_frames
 from repro.vm.execution import ExecutionTimestamp
-from repro.vm.snapshot import (SNAPSHOT_MAGIC, IncrementalSnapshot,
-                               SnapshotManager, apply_delta)
+from repro.vm.snapshot import SNAPSHOT_MAGIC, IncrementalSnapshot, apply_delta
 
 from archive_tools import World, archived_entry_count, ship, shipment, summary
 from codec_tools import per_frame_v3_blob, retired_v2_blob, segment_to_bytes
+from vm_tools import small_snapshots
 
 _HEADER = struct.Struct("<8sBQqIIIQQQ32s")  # the page file's, spelled out
 
 
-def _managed_snapshots():
+def _managed_snapshots(patch):
     """Every shape the manager produces: the first snapshot (a keyframe by
     construction), deltas that grow and shrink the page count, an empty
-    delta, and an interval keyframe re-shipped with every page."""
-    manager = SnapshotManager(page_size=64, keyframe_interval=3)
+    delta, and an interval keyframe re-shipped with every page.  The
+    manager runs on 64-byte pages and a keyframe every 3 snapshots, which
+    ``patch`` (a monkeypatch) holds for as long as the manager is used."""
+    manager = small_snapshots(patch, page_size=64, keyframe_interval=3)
     rows = {f"r{i}": "x" * 30 for i in range(8)}
     for step, mutate in enumerate((
             lambda: None,
@@ -70,6 +72,12 @@ def _managed_snapshots():
     shipped = [IncrementalSnapshot.from_bytes(manager.ship_payload(i))
                for i in range(1, manager.count + 1)]
     return manager, snapshots, shipped
+
+
+@pytest.fixture
+def managed(monkeypatch):
+    """:func:`_managed_snapshots` under the test's own monkeypatch."""
+    return _managed_snapshots(monkeypatch)
 
 
 def _batch(keypair=None):
@@ -91,8 +99,8 @@ def _batch(keypair=None):
 # ---------------------------------------------------------------------------
 
 class TestSnapshotPageFile:
-    def test_every_managed_snapshot_round_trips(self):
-        manager, snapshots, shipped = _managed_snapshots()
+    def test_every_managed_snapshot_round_trips(self, managed):
+        manager, snapshots, shipped = managed
         counts = [snapshot.page_count for snapshot in snapshots]
         assert counts[1] > counts[0] and counts[2] < counts[1]  # grew, shrank
         assert snapshots[3].changed_pages == {}                  # empty delta
@@ -120,8 +128,8 @@ class TestSnapshotPageFile:
             state_root=bytes(32), transfer_bytes=0)
         assert IncrementalSnapshot.from_bytes(empty.to_bytes()) == empty
 
-    def test_values_the_header_cannot_hold_are_refused_by_the_writer(self):
-        snapshot = _managed_snapshots()[1][0]
+    def test_values_the_header_cannot_hold_are_refused_by_the_writer(self, managed):
+        snapshot = managed[1][0]
         for broken in (replace(snapshot, state_root=b"short"),
                        replace(snapshot, snapshot_id=-1),
                        replace(snapshot, transfer_bytes=1 << 64),
@@ -129,8 +137,8 @@ class TestSnapshotPageFile:
             with pytest.raises(SnapshotError):
                 broken.to_bytes()
 
-    def test_strict(self):
-        snapshot = _managed_snapshots()[1][4]  # a delta carrying a few pages
+    def test_strict(self, managed):
+        snapshot = managed[1][4]  # a delta carrying a few pages
         assert 0 < len(snapshot.changed_pages) < snapshot.page_count
         data = snapshot.to_bytes()
         size = _HEADER.size
@@ -182,8 +190,8 @@ class TestSnapshotPageFile:
                 IncrementalSnapshot.from_bytes(blob)
                 pytest.fail(f"accepted: {what}")
 
-    def test_nothing_is_allocated_on_the_header_s_word(self):
-        snapshot = _managed_snapshots()[1][0]
+    def test_nothing_is_allocated_on_the_header_s_word(self, managed):
+        snapshot = managed[1][0]
         fields = list(_HEADER.unpack_from(snapshot.to_bytes()))
         # 1 kB claiming 2^24 pages of 1 MiB, all carried
         fields[4:7] = [1 << 24, 1 << 20, 1 << 24]
@@ -195,7 +203,7 @@ class TestSnapshotPageFile:
         assert len(bomb) < 100_000
         # ... and a delta that "grows" a snapshot by 2^24 pages it does not
         # supply is refused before any list is sized by it.
-        grows = replace(_managed_snapshots()[1][4], page_count=1 << 24)
+        grows = replace(managed[1][4], page_count=1 << 24)
         for attempt in (
                 lambda: IncrementalSnapshot.from_bytes(huge_claim),
                 lambda: IncrementalSnapshot.from_bytes(bomb),
@@ -289,7 +297,9 @@ class TestPackedAuthenticatorBatch:
 # deflate's unused bits, the same one) — never a stray exception
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_BLOBS = [snapshot.to_bytes() for snapshot in _managed_snapshots()[2]]
+with pytest.MonkeyPatch.context() as _patch:
+    _SNAPSHOT_BLOBS = [snapshot.to_bytes()
+                       for snapshot in _managed_snapshots(_patch)[2]]
 _BATCH_BLOB = authenticators_to_bytes(_batch())
 
 

@@ -40,7 +40,7 @@ ALL_SOURCES = sorted(REPRO.rglob("*.py"))
 
 
 def _record(archive_dir, adversary_name):
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    matrix = ScenarioMatrix()
     adversary = make_adversary(adversary_name, seed=5300)
     spec = CellSpec(adversary_name, "kv", "archive", 2, 5300)
     ctx, run = matrix._build(spec, adversary, str(archive_dir))

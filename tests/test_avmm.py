@@ -70,7 +70,7 @@ class TestClockOptimizer:
         assert optimizer.stats.reads_delayed >= 4
 
     def test_delay_capped(self):
-        optimizer = ClockReadOptimizer(max_delay=5e-3)
+        optimizer = ClockReadOptimizer()
         previous = 0.0
         for i in range(40):
             value = optimizer.observe(i * 1e-6)

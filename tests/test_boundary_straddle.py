@@ -42,7 +42,7 @@ SERVER = "db-server-00"
 
 
 def _build(archive_dir):
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    matrix = ScenarioMatrix()
     adversary = make_adversary("honest", seed=SEED)
     spec = CellSpec("honest", "kv", "archive", 2, SEED)
     ctx, run = matrix._build(spec, adversary, str(archive_dir))

@@ -44,7 +44,7 @@ from codec_tools import ExplicitTypedCodec, per_frame_v3_blob, segment_to_bytes
 @pytest.fixture(scope="module")
 def recorded_fleet(tmp_path_factory):
     root = tmp_path_factory.mktemp("codec-diff") / "archive-v1"
-    fleet = build_fleet(num_machines=2, duration=8.0, seed=13,
+    fleet = build_fleet(num_machines=2, duration=8.0,
                         snapshot_interval=2.0, archive=LogArchive(root))
     return fleet, root
 
@@ -230,7 +230,8 @@ class TestAdversaryMatrixAcrossFormats:
                   "quarantined_shipments", "equivocation_proof",
                   "expectation_met")
 
-    def test_archive_mode_detection_rows_match(self):
+    def test_archive_mode_detection_rows_match(self, monkeypatch):
+        from repro.adversary import matrix as matrix_module
         from repro.adversary.catalog import adversary_names, make_adversary
         from repro.adversary.matrix import CellSpec, ScenarioMatrix
 
@@ -243,7 +244,8 @@ class TestAdversaryMatrixAcrossFormats:
             + [name for name in archive_capable if name != "honest"][:2]
         rows = {}
         for version in (1, 3):
-            matrix = ScenarioMatrix(ship_format_version=version)
+            monkeypatch.setattr(matrix_module, "SHIP_FORMAT_VERSION", version)
+            matrix = ScenarioMatrix()
             rows[version] = [
                 matrix.run_cell(CellSpec(name, "kv", "archive", 2,
                                          5000 + index))

@@ -469,6 +469,19 @@ class TestKeygenMemo:
         assert searches
         assert again == first and again is not first
 
+    def test_keygen_leaves_a_signing_keys_prepared_entries_in_place(self, key_memo):
+        # Miller–Rabin's candidates are prepared outside the modexp table, so
+        # fresh key generations neither add entries nor evict a key's.
+        key = generate_keypair(768, seed=8_675_309)
+        key.sign(_PIN_MESSAGE)
+        crt = {(key.prime_p, key.exponent_dp): native._table[(key.prime_p, key.exponent_dp)],
+               (key.prime_q, key.exponent_dq): native._table[(key.prime_q, key.exponent_dq)]}
+        before = set(native._table)
+        for seed in range(6):
+            generate_keypair(768, seed=9_000_000 + seed)
+        assert set(native._table) == before
+        assert all(native._table.get(pair) is entry for pair, entry in crt.items())
+
 
 class TestSignatureSchemes:
     def test_get_scheme_rsa(self):

@@ -121,7 +121,7 @@ class _Recording:
         self.monitor = self.monitors[self.machine]
 
     def _record_game(self):
-        matrix = ScenarioMatrix(duration=4.0, snapshot_interval=1.0)
+        matrix = ScenarioMatrix()
         spec = CellSpec("honest", "game", "archive", 3, 5)
         ctx, run = matrix._build(spec, make_adversary("honest", 5),
                                  str(self.root))
@@ -197,7 +197,7 @@ class TestMalformedFields:
 
 @pytest.fixture(scope="module")
 def game(tmp_path_factory):
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    matrix = ScenarioMatrix()
     ctx, run = matrix._build(CellSpec("honest", "game", "full", 3, 5),
                              make_adversary("honest", 5), None)
     run()

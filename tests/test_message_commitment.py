@@ -40,6 +40,7 @@ from repro.log.authenticator import (MAX_ACK_RUN_LINKS, Authenticator,
                                      build_run, recv_commitment)
 from repro.log.entries import EntryType, recv_content
 from repro.log.hashchain import verify_chain_incremental
+from repro.network.channel import RETRANSMIT_INTERVAL
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.network.message import MessageKind, NetworkMessage
 from repro.network.simnet import SimulatedNetwork
@@ -476,7 +477,7 @@ class TestHoldAndLoss:
                                 keypair=keypairs["pinger"], keystore=keystore)
         echo.start(), pinger.start()
         pinger.inject_local_input("ping 0")
-        assert pinger.ack_hold == config.retransmit_interval / 4
+        assert pinger.ack_hold == RETRANSMIT_INTERVAL / 4
         scheduler.run_until(pinger.ack_hold)
         (pong_at,) = (at for at, m in network.deliveries
                       if m.destination == "pinger")

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.avmm.config import AvmmConfig, Configuration
+from repro.crypto.signatures import get_scheme
 from repro.metrics.cpu import CpuModel
 from repro.metrics.framerate import FrameRateModel
 from repro.errors import DuplicateRequestError
 from repro.metrics.latency import LatencyRecorder, percentile, summarize_rtts
 from repro.metrics.logstats import LogGrowthSeries, log_content_breakdown
-from repro.metrics.perfmodel import CostParameters, PerfModel
+from repro.metrics.perfmodel import FRAME_CPU_SECONDS, PerfModel
 
 
 def model_for(configuration):
@@ -39,8 +40,11 @@ class TestPerfModel:
         rsa = model_for(Configuration.AVMM_RSA768)
         assert rsa.daemon_cpu_for_signatures(10, 10) > 0.0
 
-    def test_with_scheme_sets_costs(self):
-        params = CostParameters().with_scheme("rsa768")
+    def test_rsa768_model_charges_the_schemes_costs(self):
+        params = PerfModel.for_flags(virtualized=True, recording=True,
+                                     tamper_evident=True,
+                                     signature_scheme="rsa768").params
+        assert params == get_scheme("rsa768").costs()
         assert params.sign_seconds > 0
         assert params.signature_bytes == 96
 
@@ -56,7 +60,7 @@ class TestFrameRateModel:
         # honest_session runs avmm-rsa768; its overhead must lower the frame
         # rate below the bare-hardware maximum.
         sample = honest_session.frame_rate("player1")
-        bare_max = 1.0 / CostParameters().frame_cpu_seconds
+        bare_max = 1.0 / FRAME_CPU_SECONDS
         assert 0 < sample.frames_per_second < bare_max
         assert 0 < sample.game_thread_overhead_seconds < 0.5 * sample.duration_seconds
 

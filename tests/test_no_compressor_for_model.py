@@ -60,7 +60,7 @@ def cheat_scenario(tmp_path_factory):
     """One honest client and one convicted server (a cheating guest),
     recorded once; the v1 archive the fleet shipped to, and a v3 copy."""
     root = tmp_path_factory.mktemp("no-compressor")
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    matrix = ScenarioMatrix()
     adversary = make_adversary("cheating-guest", seed=5000)
     spec = CellSpec("cheating-guest", "kv", "archive", 2, 5000)
     ctx, run = matrix._build(spec, adversary, str(root / "archive-v1"))

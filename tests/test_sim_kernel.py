@@ -19,12 +19,9 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
 
-    def test_starts_at_given_time(self):
-        assert SimClock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
+    def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            SimClock(-1.0)
+            SimClock().advance_to(-1.0)
 
     def test_advance_to(self):
         clock = SimClock()
@@ -32,14 +29,16 @@ class TestSimClock:
         assert clock.now == 3.5
 
     def test_cannot_go_backwards(self):
-        clock = SimClock(2.0)
+        clock = SimClock()
+        clock.advance_to(2.0)
         with pytest.raises(SimulationError):
             clock.advance_to(1.0)
 
 
 class TestHostClock:
     def test_reads_apply_offset_and_drift(self):
-        sim = SimClock(10.0)
+        sim = SimClock()
+        sim.advance_to(10.0)
         host = HostClock(sim, offset=1.0, drift=0.1)
         assert host.read() == pytest.approx(1.0 + 11.0)
 

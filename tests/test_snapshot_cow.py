@@ -25,11 +25,10 @@ from repro.store.archive import LogArchive
 from repro.vm.events import PacketDelivery, TimerInterrupt
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.machine import VirtualMachine
-from vm_tools import FixedNondeterminismSource
+from vm_tools import FixedNondeterminismSource, small_snapshots
 from repro.vm.snapshot import (
     IncrementalSnapshot,
     IncrementalStateHasher,
-    SnapshotManager,
     apply_delta,
     paginate,
     serialize_state,
@@ -160,16 +159,16 @@ class TestApplyDelta:
 # ---------------------------------------------------------------------------
 
 class TestSnapshotManagerCow:
-    def test_keyframe_layout(self):
-        manager = SnapshotManager(page_size=32, keyframe_interval=4)
+    def test_keyframe_layout(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=32, keyframe_interval=4)
         for i in range(9):
             manager.take({"v": i}, ts(i))
         assert [sid for sid in range(1, manager.count + 1)
                 if manager.is_keyframe(sid)] == [1, 5, 9]
 
-    def test_reconstruct_across_keyframe_boundaries_and_eviction(self):
+    def test_reconstruct_across_keyframe_boundaries_and_eviction(self, monkeypatch):
         rng = random.Random(42)
-        manager = SnapshotManager(page_size=64, keyframe_interval=5,
+        manager = small_snapshots(monkeypatch, page_size=64, keyframe_interval=5,
                                   materialized_cache=1)
         state = {"rows": {f"r{i}": "x" * 40 for i in range(30)}, "n": 0}
         expected = []
@@ -189,11 +188,11 @@ class TestSnapshotManagerCow:
                 expected[snapshot_id - 1]
             root = manager.get_incremental(snapshot_id).state_root
             reference = merkle_root(
-                paginate(serialize_state(expected[snapshot_id - 1]), 64))
+                paginate(serialize_state(expected[snapshot_id - 1])))
             assert root == reference
 
-    def test_corrupted_delta_chain_raises(self):
-        manager = SnapshotManager(page_size=32, keyframe_interval=10,
+    def test_corrupted_delta_chain_raises(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=32, keyframe_interval=10,
                                   materialized_cache=1)
         state = {"k": "a" * 200}
         manager.take(state, ts(1))
@@ -210,8 +209,8 @@ class TestSnapshotManagerCow:
         with pytest.raises(SnapshotError):
             manager.get(victim.snapshot_id).state
 
-    def test_resident_bytes_bounded(self):
-        manager = SnapshotManager(page_size=256, keyframe_interval=25,
+    def test_resident_bytes_bounded(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=256, keyframe_interval=25,
                                   materialized_cache=2)
         state = {"blob": {f"b{i}": "z" * 100 for i in range(50)}, "n": 0}
         state_bytes = len(serialize_state(state))
@@ -225,7 +224,7 @@ class TestSnapshotManagerCow:
         assert manager.resident_bytes() < full_retention / 10
         assert manager.count == 200
 
-    def test_resident_bytes_are_keyframes_deltas_and_working_copy(self):
+    def test_resident_bytes_are_keyframes_deltas_and_working_copy(self, monkeypatch):
         # A kv-server-shaped state of many mostly-idle tables, one table
         # rewritten per snapshot: the spot-check regime of Section 6.
         tables, row_bytes, keyframe_interval, cache = 500, 256, 25, 2
@@ -235,7 +234,7 @@ class TestSnapshotManagerCow:
                       "operations": 10_000_000},
             "instruction_count": 10 ** 12,
         }
-        manager = SnapshotManager(keyframe_interval=keyframe_interval,
+        manager = small_snapshots(monkeypatch, keyframe_interval=keyframe_interval,
                                   materialized_cache=cache)
         state_bytes = len(serialize_state(state))
         for step in range(200):
@@ -256,8 +255,8 @@ class TestSnapshotManagerCow:
         assert manager.resident_bytes() <= cap * 1.05
         assert manager.get(ids[len(ids) // 2]).verify_root()
 
-    def test_resident_bytes_count_the_materialised_lru(self):
-        manager = SnapshotManager(page_size=64, keyframe_interval=10,
+    def test_resident_bytes_count_the_materialised_lru(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=64, keyframe_interval=10,
                                   materialized_cache=2)
         state = {"k": "a" * 300, "n": 0}
         for step in range(12):
@@ -274,21 +273,21 @@ class TestSnapshotManagerCow:
             len(page) for page in first.pages) + sum(
             len(page) for page in manager.get(5).pages)
 
-    def test_legacy_take_signature_still_works(self):
+    def test_legacy_take_signature_still_works(self, monkeypatch):
         # take(state, execution) is the whole signature: no dirt to report.
-        manager = SnapshotManager(page_size=64)
+        manager = small_snapshots(monkeypatch, page_size=64)
         state = {"a": 1, "nested": {"b": [1, 2, 3]}}
         snapshot = manager.take(state, ts(10))
         assert snapshot.verify_root()
         assert manager.get(snapshot.snapshot_id).state == state
 
-    def test_changed_pages_cover_all_byte_differences(self):
+    def test_changed_pages_cover_all_byte_differences(self, monkeypatch):
         rng = random.Random(99)
-        manager = SnapshotManager(page_size=32, keyframe_interval=7)
+        manager = small_snapshots(monkeypatch, page_size=32, keyframe_interval=7)
         state = {"guest": {"tables": {f"t{i}": {"k": "v" * i} for i in range(12)},
                            "ops": 0},
                  "counter": 0, "tail": "z" * 100}
-        previous = paginate(serialize_state(state), 32)
+        previous = paginate(serialize_state(state))
         manager.take(state, ts(0))
         for step in range(1, 200):
             state["counter"] += rng.choice((1, 10 ** rng.randrange(1, 6)))
@@ -300,7 +299,7 @@ class TestSnapshotManagerCow:
                 else:
                     tables[name] = {"k": "x" * rng.randrange(0, 80)}
             manager.take(state, ts(step))
-            current = paginate(serialize_state(state), 32)
+            current = paginate(serialize_state(state))
             delta = manager.get_incremental(step + 1)
             # Exactly the pages whose bytes differ from the previous
             # snapshot's are shipped, each as it now reads.
@@ -310,26 +309,26 @@ class TestSnapshotManagerCow:
             assert delta.page_count == len(current), step
             previous = current
 
-    def test_non_string_keyed_dicts(self):
-        manager = SnapshotManager(page_size=16)
+    def test_non_string_keyed_dicts(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=16)
         state = {"blocks": {2: "b", 10: "a"}}
         first = manager.take(state, ts(1))
-        assert first.pages == paginate(serialize_state(state), 16)
+        assert first.pages == paginate(serialize_state(state))
         state["blocks"][7] = "c"
         second = manager.take(state, ts(2))
-        assert second.pages == paginate(serialize_state(state), 16)
+        assert second.pages == paginate(serialize_state(state))
         assert manager.get(second.snapshot_id).state == \
             json.loads(serialize_state(state))
 
-    def test_unreported_in_place_write_is_in_the_next_snapshot(self):
-        manager = SnapshotManager(page_size=64)
+    def test_unreported_in_place_write_is_in_the_next_snapshot(self, monkeypatch):
+        manager = small_snapshots(monkeypatch, page_size=64)
         state = {"a": {"row": "x" * 40}, "b": 1}
         manager.take(state, ts(1))
         state["a"]["row"] = "y" * 40  # same length, nothing told the manager
         second = manager.take(state, ts(2))
         assert manager.get_incremental(second.snapshot_id).changed_pages
         assert second.state_root == \
-            merkle_root(paginate(serialize_state(state), 64))
+            merkle_root(paginate(serialize_state(state)))
         assert manager.get(second.snapshot_id).state == state
 
 
@@ -360,12 +359,12 @@ class TestVmDirtyTracking:
     """Dirty pages are found by diffing: each take serialises the VM's whole
     state and keeps the pages that differ from the previous snapshot's."""
 
-    def test_randomized_vm_equivalence(self):
+    def test_randomized_vm_equivalence(self, monkeypatch):
         rng = random.Random(7)
         vm = VirtualMachine(make_kvserver_image(),
                             nondet_source=FixedNondeterminismSource(default=1.0))
         vm.start()
-        manager = SnapshotManager(page_size=128, keyframe_interval=4,
+        manager = small_snapshots(monkeypatch, page_size=128, keyframe_interval=4,
                                   materialized_cache=2)
         expected = []
         tick = 0
@@ -384,8 +383,7 @@ class TestVmDirtyTracking:
             if step % 5 == 4:
                 snapshot = manager.take(vm.get_full_state(),
                                         vm.execution_timestamp)
-                reference_pages = paginate(
-                    serialize_state(vm.get_full_state()), 128)
+                reference_pages = paginate(serialize_state(vm.get_full_state()))
                 assert snapshot.pages == reference_pages, step
                 assert snapshot.state_root == \
                     merkle_root(reference_pages), step
@@ -394,11 +392,11 @@ class TestVmDirtyTracking:
             assert manager.get(snapshot_id).state == \
                 expected[snapshot_id - 1]
 
-    def test_idle_vm_produces_empty_delta(self):
+    def test_idle_vm_produces_empty_delta(self, monkeypatch):
         vm = VirtualMachine(make_echo_image(),
                             nondet_source=FixedNondeterminismSource())
         vm.start()
-        manager = SnapshotManager(page_size=64)
+        manager = small_snapshots(monkeypatch, page_size=64)
         manager.take(vm.get_full_state(), vm.execution_timestamp)
         # No events in between: the second snapshot must ship zero pages.
         second = manager.take(vm.get_full_state(), vm.execution_timestamp)
@@ -474,8 +472,8 @@ def _ship_all(manager, service, machine="m"):
 
 
 class TestArchiveDeltaChain:
-    def _manager_with_history(self, steps=9):
-        manager = SnapshotManager(page_size=64, keyframe_interval=4)
+    def _manager_with_history(self, monkeypatch, steps=9):
+        manager = small_snapshots(monkeypatch, page_size=64, keyframe_interval=4)
         state = {"rows": {f"r{i}": "x" * 30 for i in range(12)}, "n": 0}
         states = []
         for step in range(steps):
@@ -485,8 +483,8 @@ class TestArchiveDeltaChain:
             states.append(json.loads(serialize_state(state)))
         return manager, states
 
-    def test_shipped_deltas_materialise_identically(self, tmp_path):
-        manager, states = self._manager_with_history()
+    def test_shipped_deltas_materialise_identically(self, monkeypatch, tmp_path):
+        manager, states = self._manager_with_history(monkeypatch)
         archive = LogArchive(tmp_path / "a")
         service = AuditIngestService(archive)
         _ship_all(manager, service)
@@ -504,16 +502,16 @@ class TestArchiveDeltaChain:
         assert reopened.recovery.clean
         assert reopened.load_snapshot("m", 7).state == states[6]
 
-    def test_delta_without_base_quarantined(self, tmp_path):
-        manager, _ = self._manager_with_history()
+    def test_delta_without_base_quarantined(self, monkeypatch, tmp_path):
+        manager, _ = self._manager_with_history(monkeypatch)
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         # a delta; its base, 5, never shipped
         ship(service, "m", snapshots=[manager.ship_payload(6)])
         assert len(service.quarantine) == 1
         assert "base" in service.quarantine[0].reason
 
-    def test_corrupt_delta_file_detected(self, tmp_path):
-        manager, _ = self._manager_with_history()
+    def test_corrupt_delta_file_detected(self, monkeypatch, tmp_path):
+        manager, _ = self._manager_with_history(monkeypatch)
         archive = LogArchive(tmp_path / "a")
         service = AuditIngestService(archive)
         _ship_all(manager, service)
@@ -539,11 +537,11 @@ class TestArchiveDeltaChain:
         with pytest.raises(ArchiveIntegrityError, match="checksum"):
             LogArchive(archive.root).load_snapshot("m", 7)
 
-    def test_truncation_boundary_becomes_keyframe(self, tmp_path):
+    def test_truncation_boundary_becomes_keyframe(self, monkeypatch, tmp_path):
         from repro.log.entries import snapshot_content
         from repro.log.tamper_evident import TamperEvidentLog
 
-        manager, states = self._manager_with_history(steps=3)
+        manager, states = self._manager_with_history(monkeypatch, steps=3)
         log = TamperEvidentLog("m")
         for snapshot_id in (1, 2, 3):
             log.append(EntryType.TIMETRACKER, {

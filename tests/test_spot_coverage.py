@@ -20,7 +20,7 @@ from scenario_tools import record_scenario
 @pytest.fixture(scope="module")
 def tampered_scenario():
     """A recorded kv pair where the server tampered inside one known segment."""
-    ctx = record_scenario(workload="kv", fleet_size=2, seed=41, duration=4.0)
+    ctx = record_scenario(workload="kv", fleet_size=2, seed=41)
     monitor = ctx.monitor
     segments = monitor.get_snapshot_segments()
     assert len(segments) >= 4
@@ -72,17 +72,16 @@ class TestReportedTransferFigures:
                 for r in results]
 
     def test_honest_chunks(self):
-        ctx = record_scenario(workload="kv", fleet_size=2, seed=43,
-                              duration=3.0)
+        ctx = record_scenario(workload="kv", fleet_size=2, seed=43)
         checker = _make_checker(ctx)
         k1 = checker.check_all_chunks(ctx.monitor, k=1, skip_initial=False)
         assert all(r.ok for r in k1)
         assert self._figures(k1) == [
             (3177, 3177), (4020, 536875924), (3957, 536875867),
-            (227, 536871448)]
+            (4011, 536875232), (229, 536872150)]
         k2 = checker.check_all_chunks(ctx.monitor, k=2, skip_initial=False)
         assert self._figures(k2) == [
-            (7197, 7197), (7977, 536879881), (4184, 536876094)]
+            (7197, 7197), (7977, 536879881), (7968, 536879878), (4240, 536875461)]
 
     def test_a_failing_chunk_is_priced_like_a_passing_one(
             self, tampered_scenario):

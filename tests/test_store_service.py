@@ -470,7 +470,7 @@ class TestIngestService:
         from repro.log.storage import authenticators_to_bytes
         from repro.vm.execution import ExecutionTimestamp
         from repro.vm.snapshot import SnapshotManager
-        manager = SnapshotManager(page_size=64)
+        manager = SnapshotManager()
         for step in range(2):
             manager.take({"rows": ["x" * 200], "step": step},
                          ExecutionTimestamp(step, step))
@@ -682,7 +682,7 @@ class TestIngestService:
 
     def test_pending_queue_fills_on_shipment_and_drains_on_audit(
             self, tmp_path):
-        fleet = build_fleet(num_machines=2, duration=2.0, seed=5,
+        fleet = build_fleet(num_machines=2, duration=2.0,
                             snapshot_interval=1.0,
                             archive=LogArchive(tmp_path / "a"))
         service = fleet.ingest
@@ -700,7 +700,7 @@ class TestIngestService:
     def test_audit_machine_checks_the_archived_authenticators(self, tmp_path):
         # The auditor starts empty-handed: every commitment it checks came
         # out of the archive.
-        fleet = build_fleet(num_machines=2, duration=1.0, seed=5,
+        fleet = build_fleet(num_machines=2, duration=1.0,
                             snapshot_interval=0.5,
                             archive=LogArchive(tmp_path / "a"))
         for machine in fleet.machines:
@@ -746,7 +746,7 @@ class TestReopenedQueue:
     @pytest.mark.parametrize("engine", [None, 2], ids=["default", "2-workers"])
     def test_a_reopened_service_still_owes_every_archived_machine_an_audit(
             self, tmp_path, engine):
-        fleet = build_fleet(num_machines=4, duration=1.5, seed=5,
+        fleet = build_fleet(num_machines=4, duration=1.5,
                             snapshot_interval=0.5,
                             archive=LogArchive(tmp_path / "a"))
         reopened = AuditIngestService(LogArchive(tmp_path / "a"))
@@ -765,7 +765,7 @@ class TestReopenedQueue:
 
     def test_a_machine_audited_before_a_restart_is_queued_again(
             self, tmp_path):
-        fleet = build_fleet(num_machines=2, duration=1.0, seed=5,
+        fleet = build_fleet(num_machines=2, duration=1.0,
                             snapshot_interval=0.5,
                             archive=LogArchive(tmp_path / "a"))
         audited, waiting = fleet.machines
@@ -855,7 +855,7 @@ class TestArchivePicklableLog:
 @pytest.fixture(scope="module")
 def small_archived_fleet(tmp_path_factory):
     root = tmp_path_factory.mktemp("repeat-fleet") / "archive"
-    fleet = build_fleet(num_machines=4, duration=6.0, seed=11,
+    fleet = build_fleet(num_machines=4, duration=6.0,
                         snapshot_interval=2.0, archive=LogArchive(root))
     return fleet, root
 
@@ -1089,7 +1089,7 @@ class TestSnapshotPagesMemo:
     def _snapshot_chain(self, root, machine="machine", snapshots=4):
         from repro.vm.execution import ExecutionTimestamp
         from repro.vm.snapshot import SnapshotManager
-        manager = SnapshotManager(keyframe_interval=10)
+        manager = SnapshotManager()
         archive = LogArchive(root)
         for index in range(snapshots):
             state = {"counter": index,

@@ -44,7 +44,7 @@ from repro.store.archive import LogArchive
 @pytest.fixture(scope="module")
 def archived_fleet(tmp_path_factory):
     root = tmp_path_factory.mktemp("stream-fleet") / "archive"
-    fleet = build_fleet(num_machines=4, duration=8.0, seed=7,
+    fleet = build_fleet(num_machines=4, duration=8.0,
                         snapshot_interval=2.0, archive=LogArchive(root))
     return fleet, root
 
@@ -205,9 +205,9 @@ class TestReviewRegressions:
 
     def test_explicit_initial_state_wins_on_truncated_targets(
             self, archived_fleet, tmp_path):
-        """A caller-supplied initial_state must reach the replay unchanged
-        (a wrong state must fail; target.initial_state() must not silently
-        replace it)."""
+        """A caller-supplied initial_state must reach the replay of a
+        truncated archive's log unchanged (a wrong state must fail; the
+        boundary snapshot must not silently replace it)."""
         import shutil
         fleet, root = archived_fleet
         clone_root = tmp_path / "archive"
@@ -219,9 +219,10 @@ class TestReviewRegressions:
         wrong_state = {"bogus": True}
         # The bogus state must reach the replay VM (which rejects it) —
         # were target.initial_state() to silently win, the audit would PASS.
+        target = service.target_for(machine)
         with pytest.raises(ReproError):
-            _prepared_auditor(fleet, service, machine).audit(
-                service.target_for(machine), initial_state=wrong_state)
+            _prepared_auditor(fleet, service, machine).audit_segment(
+                machine, target.get_log_segment(), initial_state=wrong_state)
 
 
 def test_full_segment_shim_is_gone(archived_fleet):
@@ -321,7 +322,7 @@ def test_an_empty_archive_is_an_error_before_any_work(
 def _run_archived_scenario(adversary_name: str, workload: str, seed: int,
                            archive_dir: str):
     """Record one adversary cell with archive shipping attached."""
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=1.0)
+    matrix = ScenarioMatrix()
     adversary = make_adversary(adversary_name, seed=seed)
     fleet_size = 2 if workload == "kv" else 3
     spec = CellSpec(adversary_name, workload, "archive", fleet_size, seed)
@@ -450,7 +451,7 @@ def test_adversary_matrix_differential(adversary_name, workload):
 @pytest.mark.slow
 def test_sixteen_machine_archived_fleet_differential(tmp_path):
     root = tmp_path / "archive"
-    fleet = build_fleet(num_machines=16, duration=12.0, seed=11,
+    fleet = build_fleet(num_machines=16, duration=12.0,
                         snapshot_interval=4.0, archive=LogArchive(root))
     service = _service(root)
     for machine in fleet.machines:

@@ -28,11 +28,16 @@ from dataclasses import replace
 from repro.adversary.guests import CheatingKvServerGuest
 from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.verdict import AuditPhase, Verdict
-from repro.service.fleet import build_fleet
-from repro.service.ingest import AuditIngestService
+from repro.avmm.config import AvmmConfig, Configuration
+from repro.avmm.monitor import AccountableVMM
+from repro.crypto.keys import build_trust
+from repro.network.simnet import SimulatedNetwork
+from repro.service.fleet import AuditFleet, drain_fleet_to_archive
+from repro.service.ingest import DEFAULT_INGEST_IDENTITY, AuditIngestService
+from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
-from repro.workloads.kvstore import KvServerGuest
-from repro.workloads.sqlbench import SqlBenchSettings
+from repro.workloads.kvstore import KvServerGuest, make_kvserver_image
+from repro.workloads.sqlbench import SqlBenchSettings, make_sqlbench_image
 
 #: the traced peak must stay under this multiple of the largest chunk's raw
 #: bytes per chunk in flight, plus a small fixed overhead
@@ -69,18 +74,45 @@ class _LateSweetener(CheatingKvServerGuest):
         return super().execute(query)
 
 
+def _fat_row_fleet(root, duration: float, snapshot_interval: float) -> AuditFleet:
+    """One kv-server / sql-bench pair recorded into an archive at ``root``,
+    as ``build_fleet`` records one, but with fat row payloads: raw log
+    bytes grow, entry counts do not."""
+    server, client = "db-server-00", "db-client-00"
+    scheduler = Scheduler()
+    network = SimulatedNetwork(scheduler)
+    config = AvmmConfig.for_configuration(Configuration.AVMM_RSA768,
+                                          snapshot_interval=snapshot_interval)
+    _, keypairs, keystore = build_trust([server, client, "auditor"],
+                                        scheme=config.signature_scheme, seed=7)
+    images = {server: make_kvserver_image(),
+              client: make_sqlbench_image(SqlBenchSettings(
+                  server=server, operations_per_tick=6, tick_interval=0.25,
+                  rows_per_phase=4, payload_bytes=8000))}
+    monitors = {name: AccountableVMM(name, image, config, scheduler, network,
+                                     keypair=keypairs[name], keystore=keystore,
+                                     clock_offset=offset)
+                for (name, image), offset in zip(images.items(), (0.0, 0.0002))}
+    ingest = AuditIngestService(LogArchive(root), identity=DEFAULT_INGEST_IDENTITY,
+                                network=network)
+    for monitor in monitors.values():
+        monitor.attach_archive_shipper(DEFAULT_INGEST_IDENTITY)
+        monitor.start()
+    scheduler.run_until(duration)
+    for monitor in monitors.values():
+        monitor.stop()
+    drain_fleet_to_archive(scheduler, monitors)
+    return AuditFleet(monitors=monitors, reference_images=images,
+                      keystore=keystore, peers={server: client, client: server},
+                      ingest=ingest, scheduler=scheduler)
+
+
 def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
                             workers: int, executor: str,
                             convicted: bool = False):
     snapshot_interval = duration / snapshots
     root = tmp_path / "archive"
-    fleet = build_fleet(num_machines=2, duration=duration, seed=19,
-                        snapshot_interval=snapshot_interval,
-                        archive=LogArchive(root),
-                        client_settings=SqlBenchSettings(
-                            server="", operations_per_tick=6,
-                            tick_interval=0.25, rows_per_phase=4,
-                            payload_bytes=8000))
+    fleet = _fat_row_fleet(root, duration, snapshot_interval)
     archive = LogArchive(root)
     service = AuditIngestService(archive)
     machine = next(name for name in archive.machines() if "server" in name)

@@ -28,6 +28,7 @@ import random
 
 import pytest
 
+from repro.adversary import matrix as matrix_module
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.kernel import (BoundaryContext, chunk_job,
@@ -53,7 +54,7 @@ from compression_meter import IncrementalCompressionMeter
 def archived_run(tmp_path_factory):
     """A short honest archived run with a dozen-odd segments per machine."""
     root = tmp_path_factory.mktemp("stream-props") / "archive"
-    build_fleet(num_machines=2, duration=10.0, seed=13,
+    build_fleet(num_machines=2, duration=10.0,
                 snapshot_interval=1.0, archive=LogArchive(root))
     archive = LogArchive(root)
     machine = archive.machines()[0]
@@ -116,10 +117,13 @@ class TestResumeProperty:
 # Property: the fold of the kernel does not depend on the chunking
 # ---------------------------------------------------------------------------
 
-def _recorded(adversary_name):
-    """The kv server of one recorded pair (honest, or running a cheating
-    guest), an auditor holding its authenticators, and its segments."""
-    matrix = ScenarioMatrix(duration=3.0, snapshot_interval=0.5)
+def _recorded(monkeypatch, adversary_name):
+    """The kv server of one recorded 3 s pair (honest, or running a cheating
+    guest) with a snapshot every 0.5 s, an auditor holding its
+    authenticators, and its segments."""
+    monkeypatch.setattr(matrix_module, "CELL_DURATION", 3.0)
+    monkeypatch.setattr(matrix_module, "SNAPSHOT_INTERVAL", 0.5)
+    matrix = ScenarioMatrix()
     adversary = make_adversary(adversary_name, seed=5200)
     ctx, run = matrix._build(CellSpec(adversary_name, "kv", "full", 2, 5200),
                              adversary, None)
@@ -171,8 +175,8 @@ COUNTERS = ("events_injected", "outputs_checked", "snapshots_checked",
 
 
 class TestChunkingInvariance:
-    def test_honest_log_folds_the_same_however_it_is_cut(self):
-        auditor, target, segments = _recorded("honest")
+    def test_honest_log_folds_the_same_however_it_is_cut(self, monkeypatch):
+        auditor, target, segments = _recorded(monkeypatch, "honest")
         assert len(segments) >= 6
         whole = target.get_log_segment()
         serial = auditor.audit(target)
@@ -196,8 +200,8 @@ class TestChunkingInvariance:
             counters["log_bytes"] = result.cost.log_bytes_downloaded
             assert counters == reference, tiling
 
-    def test_cheating_log_fails_the_same_however_it_is_cut(self):
-        auditor, target, segments = _recorded("cheating-guest")
+    def test_cheating_log_fails_the_same_however_it_is_cut(self, monkeypatch):
+        auditor, target, segments = _recorded(monkeypatch, "cheating-guest")
         serial = auditor.audit(target)
         assert serial.phase is AuditPhase.SEMANTIC_CHECK
         keystore, image = auditor.keystore, auditor.reference_image

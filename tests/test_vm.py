@@ -255,27 +255,23 @@ class TestVMImage:
 class TestSnapshots:
     def test_paginate_covers_data(self):
         data = b"x" * 10000
-        pages = paginate(data, page_size=4096)
+        pages = paginate(data)
         assert b"".join(pages) == data
         assert len(pages) == 3
 
     def test_paginate_empty(self):
         assert paginate(b"") == [b""]
 
-    def test_paginate_rejects_bad_page_size(self):
-        with pytest.raises(SnapshotError):
-            paginate(b"x", page_size=0)
-
     def test_take_and_reconstruct(self):
-        manager = SnapshotManager(page_size=64)
+        manager = SnapshotManager()
         state = {"a": 1, "nested": {"b": [1, 2, 3]}}
         snapshot = manager.take(state, ExecutionTimestamp(10, 1))
         assert snapshot.verify_root()
         assert manager.get(snapshot.snapshot_id).state == state
 
     def test_incremental_only_stores_changed_pages(self):
-        manager = SnapshotManager(page_size=32)
-        base = {"key": "A" * 200, "counter": 0}
+        manager = SnapshotManager()
+        base = {"key": "A" * 10000, "counter": 0}
         manager.take(base, ExecutionTimestamp(1, 0))
         base["counter"] = 1
         second = manager.take(base, ExecutionTimestamp(2, 0))
@@ -286,9 +282,9 @@ class TestSnapshots:
     def test_transfer_cost_includes_memory_dump(self):
         manager = SnapshotManager()
         manager.take({"a": 1}, ExecutionTimestamp(1, 0))
-        with_dump = manager.transfer_cost_bytes(1)
-        without = manager.transfer_cost_bytes(1, include_memory_dump=False)
-        assert with_dump > without
+        incremental = manager.get_incremental(1)
+        assert manager.transfer_cost_bytes(1) == incremental.transfer_bytes \
+            > incremental.incremental_bytes
 
     def test_missing_snapshot_rejected(self):
         manager = SnapshotManager()

@@ -28,9 +28,9 @@ from repro.vm.events import KeyboardInput, PacketDelivery, TimerInterrupt
 from repro.vm.machine import (LiveNondeterminismSource, UpstreamResponse,
                               VirtualMachine)
 from vm_tools import FixedNondeterminismSource
-from repro.workloads.webservice import (SimulatedUpstreamBackend,
+from repro.workloads.webservice import (CACHE_CAPACITY, HANDLER_CYCLES,
+                                        SimulatedUpstreamBackend,
                                         WebClientGuest, WebServiceGuest,
-                                        WebServiceSettings,
                                         make_webclient_image,
                                         make_webservice_image)
 
@@ -90,11 +90,10 @@ class TestWebServiceGuest:
         # FixedNondeterminismSource would have served an empty body had the
         # guest asked upstream again.
         assert json.loads(hit["body"])["catalog"] == "catalog-7"
-        assert hit_cost < vm.guest.settings.handler_cycles
+        assert hit_cost < HANDLER_CYCLES
 
     def test_expired_entry_misses_again(self):
-        settings = WebServiceSettings(cache_ttl=0.5)
-        vm = boot(make_webservice_image(settings),
+        vm = boot(make_webservice_image(),
                   upstream_responses=[UpstreamResponse(body=b"v1"),
                                       UpstreamResponse(body=b"v2")],
                   clock_values=[1.0, 9.0])
@@ -104,8 +103,7 @@ class TestWebServiceGuest:
         assert first["body"] != second["body"]
 
     def test_cheating_guest_serves_stale(self):
-        settings = WebServiceSettings(cache_ttl=0.5)
-        vm = boot(make_cheating_webservice_image(settings),
+        vm = boot(make_cheating_webservice_image(),
                   upstream_responses=[UpstreamResponse(body=b"v1")],
                   clock_values=[1.0, 9.0])
         first = request(vm, "r1", "GET", "/api/item/1")
@@ -115,16 +113,15 @@ class TestWebServiceGuest:
         assert stale["body"] == first["body"]
 
     def test_eviction_keeps_capacity(self):
-        settings = WebServiceSettings(cache_capacity=3)
-        vm = boot(make_webservice_image(settings), upstream_responses=[
-            UpstreamResponse(body=f"v{i}".encode()) for i in range(5)])
-        for i in range(5):
+        count = CACHE_CAPACITY + 2
+        vm = boot(make_webservice_image(), upstream_responses=[
+            UpstreamResponse(body=f"v{i}".encode()) for i in range(count)])
+        for i in range(count):
             request(vm, f"r{i}", "GET", f"/api/item/{i}")
-        assert len(vm.guest.cache) == 3
+        assert len(vm.guest.cache) == CACHE_CAPACITY
 
     def test_purge_tick_drops_expired_entries(self):
-        settings = WebServiceSettings(cache_ttl=0.5)
-        vm = boot(make_webservice_image(settings),
+        vm = boot(make_webservice_image(),
                   upstream_responses=[UpstreamResponse(body=b"v1")],
                   clock_values=[1.0, 9.0])
         request(vm, "r1", "GET", "/api/item/1")

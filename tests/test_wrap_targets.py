@@ -81,7 +81,7 @@ def test_traced_fleet_covers_every_layer(tmp_path):
     unwrapped = LogArchive.append_segment
     with TRACE.installed(tracer):
         assert LogArchive.append_segment is not unwrapped
-        fleet = build_fleet(num_machines=2, duration=4.0, seed=23,
+        fleet = build_fleet(num_machines=2, duration=4.0,
                             snapshot_interval=2.0,
                             archive=LogArchive(tmp_path / "archive"))
         tracer.phase = "audit"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.vm import snapshot
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.machine import NondeterminismSource, UpstreamResponse
 
@@ -38,3 +39,16 @@ class FixedNondeterminismSource(NondeterminismSource):
             self._upstream_index += 1
             return response
         return UpstreamResponse(body=b"", latency_cycles=0)
+
+
+def small_snapshots(patch, page_size: int = snapshot.PAGE_SIZE,
+                    keyframe_interval: int = snapshot.KEYFRAME_INTERVAL,
+                    materialized_cache: int = snapshot.MATERIALIZED_CACHE
+                    ) -> snapshot.SnapshotManager:
+    """A snapshot manager under smaller snapshot constants, which ``patch``
+    (a monkeypatch) holds until it is undone: a small state then spans the
+    pages, keyframes and cache evictions a large one would."""
+    patch.setattr(snapshot, "PAGE_SIZE", page_size)
+    patch.setattr(snapshot, "KEYFRAME_INTERVAL", keyframe_interval)
+    patch.setattr(snapshot, "MATERIALIZED_CACHE", materialized_cache)
+    return snapshot.SnapshotManager()
