@@ -51,7 +51,7 @@ def main() -> None:
     segments = server.get_snapshot_segments()
     print(f"\nspot-checking 2 of the {len(segments)} snapshot-delimited segments...")
     for index in (1, len(segments) - 2):
-        result = checker.check_chunk(server, index, 1, segments=segments)
+        result = checker.check_chunk(server, index, 1)
         print(f"  chunk starting at segment {index}: "
               f"{'pass' if result.ok else 'FAULT'}; "
               f"{result.total_bytes_transferred / 1e6:.1f} MB transferred "

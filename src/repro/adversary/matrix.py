@@ -435,8 +435,8 @@ class ScenarioMatrix:
             for assignment in assignments:
                 machine = assignment.target.identity
                 try:
-                    results[machine] = engine.audit_machine(
-                        assignment.auditor, assignment.target)
+                    results[machine] = engine.audit_fleet(
+                        [assignment]).results[machine]
                 except ReproError as exc:
                     results[machine] = assignment.auditor.suspect(
                         machine, reason=f"audit could not be carried out: {exc}")

@@ -7,28 +7,22 @@ produces :class:`~repro.audit.evidence.Evidence`; an unresponsive machine is
 *suspected* and the most recent authenticator becomes the evidence.
 
 The three steps themselves are the audit kernel
-(:func:`repro.audit.kernel.run_chunk`); :meth:`Auditor.audit_segment` is the
-serial front-end — the kernel over the whole segment as one chunk — and
-:meth:`Auditor.evidence_for` the one place evidence is built, on every
-front-end, from the chunk that failed.  Whole-machine audits of an archive,
-or by an auditor given an ``engine``, go to the audit engine
-(:class:`repro.audit.engine.AuditScheduler`) instead; a live log audited by
-an auditor without one takes the serial path below.
+(:func:`repro.audit.kernel.run_chunk`); every audit — a whole log, or a spot
+check's range of it — is the audit engine's plan
+(:class:`repro.audit.engine.AuditScheduler`), and :meth:`Auditor.evidence_for`
+the one place evidence is built, from the chunk that failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.audit.evidence import Evidence
-from repro.audit.kernel import (BoundaryContext, ChunkJob, chunk_job,
-                                replay_start, run_chunk)
+from repro.audit.kernel import ChunkJob
 from repro.audit.verdict import AuditPhase, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.keys import KeyStore
-from repro.errors import AuditError
 from repro.log.authenticator import Authenticator
 from repro.log.segments import LogSegment
 from repro.vm.image import VMImage
@@ -41,7 +35,7 @@ class Auditor:
     """An auditing party (Alice, or any player auditing another).
 
     ``engine`` is the :class:`~repro.audit.engine.AuditScheduler` its
-    whole-machine audits run on; without one a live log is audited serially.
+    audits run on; without one, one inline worker.
     """
 
     def __init__(self, identity: str, keystore: KeyStore, reference_image: VMImage,
@@ -49,7 +43,7 @@ class Auditor:
         self.identity = identity
         self.keystore = keystore
         self.reference_image = reference_image
-        #: the audit engine backing this auditor (None: the serial path)
+        #: the audit engine backing this auditor (None: one inline worker)
         self.engine = engine
         #: per machine, each held authenticator under its
         #: ``(sequence, chain_hash, signature)``
@@ -84,74 +78,30 @@ class Auditor:
 
     # -- audits ---------------------------------------------------------------------
 
-    def audit(self, target: AccountableVMM) -> AuditResult:
-        """Run a full audit of ``target``.
+    def audit(self, target: AccountableVMM, start: Optional[int] = None,
+              until: Optional[int] = None) -> AuditResult:
+        """Audit ``target``'s whole log, or its snapshot-delimited segments
+        ``[start, until)`` (0 starts the log; a missing bound is the log's
+        start or end): a spot check's k-chunk is ``start=i, until=i + k``.
 
-        A whole-machine audit goes through the audit engine
-        (:class:`~repro.audit.engine.AuditScheduler`) when the auditor has an
-        engine or the target is archive-backed (``supports_streaming``) — at
-        one inline worker, an archive is audited one snapshot-sealed chunk
-        at a time, in O(chunk) memory whether it passes or is convicted.  A
-        live log without an engine takes the serial path
-        (:meth:`audit_whole_log`); a downloaded segment is audited with
-        :meth:`audit_segment`.
+        Every audit is the plan of the auditor's ``engine``
+        (:class:`~repro.audit.engine.AuditScheduler`; by default one inline
+        worker: a live log or a range is one chunk, an archive is audited one
+        archived sealing snapshot at a time).  A range starts from the
+        snapshot sealing the segment before it, verified; a bound outside
+        the segments, or an empty range, raises
+        :class:`~repro.errors.SegmentError`, and a segment claiming another
+        machine's identity :class:`~repro.errors.AuditError`.
         """
-        if self.engine is None and not getattr(target, "supports_streaming", False):
-            return self.audit_whole_log(target)
-        from repro.audit.engine import AuditScheduler
-        return (self.engine or AuditScheduler()).audit_machine(self, target)
-
-    def audit_whole_log(self, target: AccountableVMM) -> AuditResult:
-        """The serial front-end over ``target``'s whole log, materialized:
-        one chunk, replayed from the reference image or, for a GC-truncated
-        archive, from its boundary snapshot.  Also where the engine hands a
-        log that cannot be chunked."""
-        state, snapshot_bytes = replay_start(target)
-        return self.audit_segment(target.identity, target.get_log_segment(),
-                                  initial_state=state,
-                                  snapshot_bytes=snapshot_bytes)
-
-    def audit_segment(self, machine: str, segment: LogSegment,
-                      initial_state: Optional[Dict[str, Any]] = None,
-                      snapshot_bytes: int = 0,
-                      context: Optional[BoundaryContext] = None,
-                      following: Iterable[LogSegment] = ()) -> AuditResult:
-        """Audit a log segment that has already been downloaded.
-
-        ``context`` is what was in flight at the segment's edges when it is
-        a chunk of a longer log (a spot check), and ``following`` the
-        segments after it, should its evidence need them
-        (:meth:`evidence_for`).
-
-        This is the serial front-end (plain audits of a live log, explicit
-        segments, spot-check chunks, a log that cannot be chunked): the
-        kernel over the whole segment as one chunk.
-        """
-        if segment.machine != machine:
-            # A segment claiming another identity would sidestep every
-            # authenticator check (none would apply) and could replay
-            # cleanly; refusing it is an operational error, not a verdict.
-            raise AuditError(
-                f"segment claims to be from {segment.machine!r}, "
-                f"but the audit target is {machine!r}")
-        job = chunk_job(
-            segment, self.authenticators_for(machine), self.keystore,
-            self.reference_image, initial_state=initial_state,
-            snapshot_bytes=snapshot_bytes,
-            context=context)
-        outcome = run_chunk(job)
-        result = outcome.as_result(self.identity)
-        # the serial path reports no signature figures: the paper folds that
-        # work into the syntactic check
-        result.cost = replace(outcome.cost, signatures_verified=0)
-        if not outcome.ok:
-            result.evidence = self.evidence_for(job, result, following)
-        return result
+        from repro.audit.engine import AuditAssignment, AuditScheduler
+        report = (self.engine or AuditScheduler()).audit_fleet(
+            [AuditAssignment(self, target, start, until)])
+        return report.results[target.identity]
 
     def evidence_for(self, job: ChunkJob, failed: AuditResult,
                      following: Iterable[LogSegment] = ()) -> Evidence:
-        """The failing chunk as evidence: the one place it is built, on every
-        front-end, from the chunk's job and its ``failed`` result.
+        """The failing chunk as evidence: the one place it is built, from the
+        chunk's job and its ``failed`` result.
 
         It carries the chunk, authenticators that cover it (the job's), the
         verified boundary state and the anchor from the job's context, so it

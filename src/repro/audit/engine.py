@@ -1,4 +1,4 @@
-"""The audit engine: every whole-machine audit runs on this one loop.
+"""The audit engine: every audit runs on this one loop.
 
 Section 6.6 puts the price tag on accountability: auditing a machine means
 downloading its log, verifying it against the authenticators, and replaying
@@ -6,7 +6,8 @@ it.  Its remedy is that audits parallelise: other machines' logs are
 independent, and with periodic snapshots so are the chunks of one log
 (Sections 3.5 and 6.12).  :class:`AuditScheduler` drives both axes:
 
-1. each target's log is cut at snapshot boundaries into chunks
+1. each target's log — or a range of its snapshot-delimited segments, a
+   spot check's k-chunk — is cut at snapshot boundaries into chunks
    (:func:`repro.log.segments.partition_segments` for a live log,
    :func:`repro.audit.stream.iter_stream_chunks` for an archived one);
 2. every chunk becomes a self-contained, picklable
@@ -28,19 +29,18 @@ are process-wide and warm (:data:`_POOLS`, one per worker count, until
 
 A machine stops being planned at its first failing chunk in log order: it is
 the verdict and its job the evidence (:meth:`Auditor.evidence_for
-<repro.audit.auditor.Auditor.evidence_for>`).  A log that cannot be chunked
-is handed to the serial front-end (:meth:`Auditor.audit_whole_log
-<repro.audit.auditor.Auditor.audit_whole_log>`) unless a chunk before that
-point failed.  No timing enters either rule.  Nor does the worker count
-enter the cost: a machine's :class:`~repro.audit.verdict.AuditResult`
-carries no signature figures, as the serial front-end's does not; a pass
-costs the whole log's serial figure (one download from its replay start,
-replay priced on its active seconds) and so equals ``audit_whole_log``'s;
-a conviction costs the chunks up to the fault.  Per-chunk costs, each
-signature priced, stay on :attr:`MachineAuditReport.chunk_outcomes`, and the
-fleet's ``total_cost`` and *modelled* serial-vs-parallel wall-clock
-(:mod:`repro.metrics.parallel`) are built from them — hardware-independent,
-like every other number this reproduction reports.
+<repro.audit.auditor.Auditor.evidence_for>`).  A log whose chunk boundary
+cannot be planned is re-planned by the same loop as one chunk from its
+replay start, unless a chunk before that point failed.  No timing enters
+either rule.  Nor does the worker count enter the cost: a machine's
+:class:`~repro.audit.verdict.AuditResult` carries no signature figures; a
+pass costs one download of the range from its replay start, replay priced
+on its active seconds, at every worker count; a conviction costs the chunks
+up to the fault.  Per-chunk costs, each signature priced, stay on
+:attr:`MachineAuditReport.chunk_outcomes`, and the fleet's ``total_cost``
+and *modelled* serial-vs-parallel wall-clock (:mod:`repro.metrics.parallel`)
+are built from them — hardware-independent, like every other number this
+reproduction reports.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple, Union)
 
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
@@ -68,9 +68,9 @@ from repro.audit.stream import iter_stream_chunks
 from repro.audit.verdict import AuditCost, AuditResult, Verdict
 from repro.avmm.monitor import AccountableVMM
 from repro.crypto.signatures import get_scheme
-from repro.errors import (CryptoError, HashChainError, LogFormatError,
-                          MissingSnapshotError, SegmentError, SnapshotError,
-                          StoreError)
+from repro.errors import (AuditError, CryptoError, HashChainError,
+                          LogFormatError, MissingSnapshotError, SegmentError,
+                          SnapshotError, StoreError)
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint
 from repro.log.segments import LogSegment, partition_segments
@@ -87,13 +87,14 @@ __all__ = [
     "run_chunk",
     "scheme_verify_seconds",
     "shutdown_worker_pools",
+    "snapshot_segments",
 ]
 
 
-#: what, raised while a log is planned, hands it to the serial front-end: no
+#: what, raised while a log is planned, re-plans it as one chunk: no
 #: verifiable snapshot at a chunk boundary, entries that do not parse or chain
-_HAND_OVER = (MissingSnapshotError, SnapshotError, SegmentError,
-              HashChainError, LogFormatError)
+_REPLAN = (MissingSnapshotError, SnapshotError, SegmentError,
+           HashChainError, LogFormatError)
 
 
 def _run_pickled_chunk(pickled_job: bytes) -> ChunkOutcome:
@@ -104,18 +105,6 @@ def _run_pickled_chunk(pickled_job: bytes) -> ChunkOutcome:
 # ---------------------------------------------------------------------------
 # Execution: warm executors, and one call's jobs on them
 # ---------------------------------------------------------------------------
-
-class _InlineExecutor(Executor):
-    """Runs the job inside ``submit``: the pooled code path, no concurrency."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # noqa: BLE001 - re-raised by result(), as a pool would
-            future.set_exception(exc)
-        return future
-
 
 class _WorkerPools:
     """The process's worker pools, one per worker count, started on demand.
@@ -174,7 +163,6 @@ class _WorkerPools:
 
 
 _POOLS = _WorkerPools()
-_INLINE = _InlineExecutor()
 os.register_at_fork(after_in_child=_POOLS.forget)
 
 
@@ -198,11 +186,21 @@ def pool_starts_total() -> int:
 
 @dataclass
 class _Submitted:
-    """A job on the executor whose outcome has not been taken back yet."""
+    """A job on the executor whose outcome has not been taken back yet.
+
+    On a pool it is held pickled, as it was submitted: the parent holds no
+    decoded chunk while a worker runs it, and unpickles one only for
+    evidence (:meth:`unpacked`).
+    """
 
     owner: object
-    job: ChunkJob
-    future: Future
+    job: Union[ChunkJob, bytes]
+    #: entries in the chunk
+    entries: int
+    future: Optional[Future] = None
+
+    def unpacked(self) -> ChunkJob:
+        return pickle.loads(self.job) if isinstance(self.job, bytes) else self.job
 
 
 class _ChunkRun:
@@ -224,36 +222,41 @@ class _ChunkRun:
         one inline, where a job has run by the time it is submitted."""
         return 1 if self.kind == "inline" else 2 * self.workers
 
-    def submit(self, job: ChunkJob, owner: object = None) -> None:
-        if self._pool is None:
-            self._pool = (_INLINE if self.kind == "inline"
-                          else _POOLS.get(self.workers))
-        future = self._rebuilt_once(lambda: self._submit(job))
-        self.pending.append(_Submitted(owner, job, future))
+    def submit(self, job: ChunkJob, owner: object) -> None:
+        if self._pool is None and self.kind == "process":
+            self._pool = _POOLS.get(self.workers)
+        # Pickled here rather than by the pool's feeder thread, which would
+        # be walking these entries' ``__dict__`` while the parent, already
+        # threading the next chunk's context, adds lazily decoded
+        # ``content`` to them.
+        submitted = _Submitted(owner, job if self.kind == "inline"
+                               else pickle.dumps(job), len(job.segment.entries))
+        submitted.future = self._rebuilt_once(lambda: self._submit(submitted))
+        self.pending.append(submitted)
 
     def take(self) -> Tuple[_Submitted, ChunkOutcome]:
         """The oldest submitted job and its outcome, waiting for it."""
         outcome = self._rebuilt_once(lambda: self.pending[0].future.result())
         return self.pending.popleft(), outcome
 
-    def drop(self, owner: object) -> List[ChunkJob]:
+    def drop(self, owner: object) -> List[_Submitted]:
         """Cancel ``owner``'s jobs at the head of the queue; returns them.
         They follow a failing chunk: what they return or raise is no audit's."""
         dropped = []
         while self.pending and self.pending[0].owner is owner:
-            submitted = self.pending.popleft()
-            submitted.future.cancel()
-            dropped.append(submitted.job)
+            dropped.append(self.pending.popleft())
+            dropped[-1].future.cancel()
         return dropped
 
-    def _submit(self, job: ChunkJob) -> Future:
+    def _submit(self, submitted: _Submitted) -> Future:
         if self.kind == "process":
-            # Pickled here rather than by the pool's feeder thread, which
-            # would be walking these entries' ``__dict__`` while the parent,
-            # already threading the next chunk's context, adds lazily
-            # decoded ``content`` to them.
-            return self._pool.submit(_run_pickled_chunk, pickle.dumps(job))
-        return self._pool.submit(run_chunk, job)
+            return self._pool.submit(_run_pickled_chunk, submitted.job)
+        future: Future = Future()   # inline: the job runs here and now
+        try:
+            future.set_result(run_chunk(submitted.job))
+        except Exception as exc:  # noqa: BLE001 - re-raised by result(), as a pool would
+            future.set_exception(exc)
+        return future
 
     def _rebuilt_once(self, attempt: Callable[[], object]):
         """``attempt()``, tried again on a rebuilt pool if a worker died.
@@ -275,7 +278,7 @@ class _ChunkRun:
         self._pool = _POOLS.replace(self.workers, self._pool)
         for submitted in self.pending:
             if isinstance(submitted.future.exception(), BrokenProcessPool):
-                submitted.future = self._submit(submitted.job)
+                submitted.future = self._submit(submitted)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +297,8 @@ class MachineAuditReport:
     #: entries in those chunks, and in the largest of them (the memory bound)
     entries: int = 0
     peak_chunk_entries: int = 0
-    #: why the log could not be chunked and was audited by the serial
-    #: front-end instead (None = its chunks are the audit, pass or fail)
+    #: why the log could not be planned in chunks and was re-planned as one
+    #: (None = its chunks as planned are the audit, pass or fail)
     unchunkable_reason: Optional[str] = None
 
     @property
@@ -323,44 +326,45 @@ class FleetAuditReport:
 
 @dataclass
 class AuditAssignment:
-    """One unit of fleet work: this auditor audits this machine."""
+    """One unit of fleet work: this auditor audits this machine — its whole
+    log, or the snapshot-delimited segments ``[start, until)`` of it."""
 
     auditor: Auditor
     target: AccountableVMM
+    start: Optional[int] = None
+    until: Optional[int] = None
 
 
 class _MachineAudit:
     """One machine's audit in progress (parent side; never pickled)."""
 
-    def __init__(self, auditor: Auditor, target,
-                 chunks: Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]
-                 ) -> None:
-        self.auditor = auditor
-        self.target = target
-        self.machine = target.identity
-        #: the log as ``(chunk, checkpoint before it, whether it ends the
-        #: log)``; what planning has not reached is what evidence extends into
-        self.chunks = chunks
+    def __init__(self, assignment: AuditAssignment,
+                 budget: Optional[int]) -> None:
+        self.assignment = assignment
+        self.auditor, self.target = assignment.auditor, assignment.target
+        self.machine = self.target.identity
+        #: at most this many chunks (None: one per archived sealing snapshot)
+        self.budget = budget
+        #: the range's ``(chunk, checkpoint before it, whether it ends the
+        #: log)``, then the segments after it, for evidence to extend into
+        self.chunks: Iterator[Tuple[LogSegment, ChainCheckpoint, bool]] = iter(())
+        self.following: Iterator[LogSegment] = iter(())
         #: filled in chunk by chunk; its result is the fold's
         self.report = MachineAuditReport(self.machine, result=None)
-        #: the one-second buckets holding an entry: the log's active seconds
-        self.active: Set[int] = set()
-        #: transfer bytes of the snapshot the log's replay starts from
+        #: transfer bytes of the snapshot the range's replay starts from
         self.start_bytes = 0
         #: folded (planning stops)
         self.done = False
 
-    def note(self, submitted: _Submitted,
-             outcome: ChunkOutcome) -> Tuple[ChunkJob, ChunkOutcome]:
+    def note(self, submitted: _Submitted, outcome: ChunkOutcome
+             ) -> Tuple[_Submitted, ChunkOutcome]:
         """Book a chunk on its way into the fold; returns the fold's pair."""
-        job = submitted.job
-        entries = job.segment.entries
         report = self.report
         report.chunk_outcomes.append(outcome)
-        report.entries += len(entries)
-        report.peak_chunk_entries = max(report.peak_chunk_entries, len(entries))
-        self.active.update(int(entry.timestamp) for entry in entries)
-        return job, outcome
+        report.entries += submitted.entries
+        report.peak_chunk_entries = max(report.peak_chunk_entries,
+                                        submitted.entries)
+        return submitted, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +374,18 @@ class _MachineAudit:
 class AuditScheduler:
     """The audit engine: chunked audits of many machines over an executor.
 
-    With one worker (the default) the jobs run inline: a live log is one
-    chunk — the serial audit — and an archived one is cut at every archived
-    sealing snapshot, so it is audited one chunk at a time.  Otherwise each
-    log is cut into ``chunks_per_machine`` chunks (one per worker by
-    default) that run concurrently.  ``executor`` is ``"process"`` (a pool of
-    ``workers`` processes, the default) or ``"inline"`` (the same chunks,
-    run one by one in this process); with one worker it is always inline.
-    A job is pickled when it is submitted to the pool, so one that does not
-    pickle fails there.  A scheduler owns no workers: the pool comes from
-    the process-wide registry, so every instance with the same worker count
-    shares one warm pool (see :func:`shutdown_worker_pools`).
+    With one worker (the default) the jobs run inline: a live log, or a
+    range of any log, is one chunk, and an archived log is cut at every
+    archived sealing snapshot, so it is audited one chunk at a time.
+    Otherwise each log or range is cut into ``chunks_per_machine`` chunks
+    (one per worker by default) that run concurrently.  ``executor`` is
+    ``"process"`` (a pool of ``workers`` processes, the default) or
+    ``"inline"`` (the same chunks, run one by one in this process); with one
+    worker it is always inline.  A job is pickled when it is submitted to
+    the pool, so one that does not pickle fails there.  A scheduler owns no
+    workers: the pool comes from the process-wide registry, so every
+    instance with the same worker count shares one warm pool (see
+    :func:`shutdown_worker_pools`).
     """
 
     def __init__(self, workers: int = 1, executor: str = "process",
@@ -396,11 +401,6 @@ class AuditScheduler:
 
     # -- public API ---------------------------------------------------------
 
-    def audit_machine(self, auditor: Auditor, target: AccountableVMM) -> AuditResult:
-        """Audit one machine on the engine; returns the merged result."""
-        report = self.audit_fleet([AuditAssignment(auditor, target)])
-        return report.results[target.identity]
-
     def audit_fleet(self, assignments: Sequence[AuditAssignment]) -> FleetAuditReport:
         """Audit every assignment, the machines' chunks sharing one executor.
 
@@ -414,72 +414,76 @@ class AuditScheduler:
             raise ValueError(
                 f"fleet contains duplicate audit targets: {duplicates}; "
                 f"run one fleet audit per auditor instead")
+        audits = []
         for assignment in assignments:
             target = assignment.target
-            if getattr(target, "supports_streaming", False) \
-                    and not target.archive.segment_records(target.identity):
+            archived = getattr(target, "supports_streaming", False)
+            if archived and not target.archive.segment_records(target.identity):
                 # an operational error, not a verdict
                 raise StoreError(f"no archived segments for {target.identity!r}")
+            whole = assignment.start is None and assignment.until is None
+            # None: the finest chunking, one archived sealing snapshot per chunk
+            audits.append(_MachineAudit(assignment, self.chunks_per_machine or (
+                None if archived and whole and self.workers == 1
+                else self.workers)))
         run = _ChunkRun(self.executor, self.workers)
-        audits = [_MachineAudit(assignment.auditor, assignment.target,
-                                self._chunks(assignment.target))
-                  for assignment in assignments]
         planner = chain.from_iterable(self._plan(audit, run) for audit in audits)
         reports = [self._fold(audit, run, planner) for audit in audits]
 
         fleet = FleetAuditReport(workers=self.workers, executor_used=run.kind)
         chunk_costs: List[AuditCost] = []
-        whole_logs: List[AuditCost] = []
         machine_costs: List[AuditCost] = []
         for report in reports:
-            result = report.result
             fleet.machine_reports[report.machine] = report
-            fleet.results[report.machine] = result
+            fleet.results[report.machine] = report.result
             fleet.chunk_count += report.chunk_count
-            if report.unchunkable_reason is None:
-                costs = [outcome.cost for outcome in report.chunk_outcomes]
-                chunk_costs += costs
-            else:
-                # The serial front-end ran in the parent for this machine; it
-                # is one unsplittable work item, and leaving it out would make
-                # the modelled speedup look better than the audit really was.
-                costs = [result.cost]
-                whole_logs += costs
+            costs = [outcome.cost for outcome in report.chunk_outcomes]
+            chunk_costs += costs
             machine_costs.append(AuditCost.total(costs))
         fleet.total_cost = AuditCost.total(machine_costs)
         fleet.modelled = schedule(
-            [cost.total_seconds for cost in chunk_costs + whole_logs],
-            self.workers)
+            [cost.total_seconds for cost in chunk_costs], self.workers)
         return fleet
 
     # -- planning -----------------------------------------------------------
 
-    def _chunks(self, target
-                ) -> Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]:
-        """The target's log as ``(chunk, checkpoint before it, whether it
-        ends the log)`` triples.
-
-        An archive-backed target is read one chunk at a time, straight off
-        its segment files; a live one hands over its snapshot-delimited
-        segments, which are tiled into the chunk budget.  A chunk starts
-        where its predecessor ends, not where it says it does, so a chain
-        broken at a boundary fails the chunk after it.
+    @staticmethod
+    def _cut(audit: _MachineAudit) -> Optional[LogSegment]:
+        """Cut ``audit``'s range into its chunk budget — its ``chunks`` and
+        ``following`` — and return the segment before the range (None: the
+        range starts where the log's replay does).  An archive is read a
+        chunk at a time off its segment files; a live log tiles its
+        snapshot-delimited segments, or, audited whole as one chunk, is
+        taken whole.  A bound outside the segments, or an empty range, is a
+        :class:`SegmentError`.
         """
-        archived = getattr(target, "supports_streaming", False)
-        # None: the finest chunking, one archived sealing snapshot per chunk
-        budget = self.chunks_per_machine or (
-            None if archived and self.workers == 1 else self.workers)
-        if archived:
-            for chunk in iter_stream_chunks(target, max_chunks=budget):
-                yield chunk.segment, chunk.start_checkpoint, chunk.ends_log
-            return
-        segments = [segment for segment in target.get_snapshot_segments()
-                    if segment.entries]
-        chunks = partition_segments(segments, budget)
-        checkpoint = chunks[0].start_checkpoint() if chunks else None
-        for chunk in chunks:
-            yield chunk, checkpoint, chunk is chunks[-1]
-            checkpoint = chunk.end_checkpoint()
+        target, start, until = audit.target, audit.assignment.start, \
+            audit.assignment.until
+        ranged = start is not None or until is not None
+        if getattr(target, "supports_streaming", False):
+            archive = target.archive
+            records = archive.segment_records(audit.machine)
+            start, until = _bounds(start, until, len(records), ranged)
+            audit.chunks = ((chunk.segment, chunk.start_checkpoint, chunk.ends_log)
+                            for chunk in iter_stream_chunks(
+                                target, max_chunks=audit.budget,
+                                start=records[start - 1].end_checkpoint()
+                                if start else None,
+                                until=records[until - 1].end_checkpoint()
+                                if until < len(records) else None))
+            audit.following = (archive.read_segment(record)
+                               for record in records[until:])
+            return archive.read_segment(records[start - 1]) if start else None
+        if ranged or audit.budget != 1:
+            segments = target.get_snapshot_segments()
+        else:
+            segments = [target.get_log_segment()]   # not split to be re-joined
+        start, until = _bounds(start, until, len(segments), ranged)
+        audit.chunks = _tiled([segment for segment in segments[start:until]
+                               if segment.entries],
+                              audit.budget, until == len(segments))
+        audit.following = iter(segments[until:])
+        return segments[start - 1] if start else None
 
     def _plan(self, audit: _MachineAudit, run: _ChunkRun) -> Iterator[ChunkJob]:
         """Plan one machine, submitting each chunk job to ``run`` and then
@@ -489,42 +493,60 @@ class AuditScheduler:
         The parent threads what every chunk needs from its predecessor: the
         snapshot sealing it, verified, and its boundary context (the RECVs
         still in flight at its end, with the log suffix that anchors them).
+        A range's first chunk takes them from the segment before the range.
         """
-        auditor, target = audit.auditor, audit.target
-        make_job = job_factory(auditor, audit.machine)
-        state, snapshot_bytes = replay_start(target)
-        audit.start_bytes = snapshot_bytes
+        target = audit.target
+        make_job = job_factory(audit.auditor, audit.machine)
+        preceding = self._cut(audit)
         context = BoundaryContext()
+        if preceding is None:
+            state, snapshot_bytes = replay_start(target)
+        else:
+            state, snapshot_bytes = fetch_verified_snapshot_entry(
+                target, last_snapshot_entry(preceding))
+            context = context.after(preceding)
+        audit.start_bytes = snapshot_bytes
         boundary: Optional[LogEntry] = None
         try:
             for index, (segment, checkpoint, ends_log) in enumerate(audit.chunks):
                 if index:
                     state, snapshot_bytes = fetch_verified_snapshot_entry(
                         target, boundary)
+                if segment.machine != audit.machine:
+                    # A segment claiming another identity would sidestep
+                    # every authenticator check (none would apply) and could
+                    # replay cleanly; refusing it is an operational error,
+                    # not a verdict.
+                    raise AuditError(
+                        f"segment claims to be from {segment.machine!r}, "
+                        f"but the audit target is {audit.machine!r}")
                 context.ends_log = ends_log
                 job = make_job(segment, chunk_index=index,
                                checkpoint=checkpoint, initial_state=state,
                                snapshot_bytes=snapshot_bytes, context=context)
-                run.submit(job, owner=audit)
+                run.submit(job, audit)
                 yield job
-                if audit.done:   # a chunk failed: nothing after it is planned
+                # a chunk failed, or no chunk follows: nothing more to plan
+                if audit.done or ends_log or audit.budget == 1:
                     return
                 # after the job is pickled: this decodes content lazily
                 context = context.after(segment)
                 boundary = last_snapshot_entry(segment)
                 del job, segment   # the fold holds a chunk while it needs it
-        except _HAND_OVER as exc:
+        except _REPLAN as exc:
+            if audit.budget == 1:   # one chunk has no boundary to plan
+                raise
             # The target could not produce consistent chunks or a verifiable
             # snapshot at a chunk boundary, or its entries do not parse: if
-            # every chunk before this point passes, its log is one chunk,
-            # replayed from the start, which is the serial front-end's.
+            # every chunk before this point passes, the range is re-planned
+            # as one chunk from its start.
             audit.report.unchunkable_reason = str(exc)
 
     # -- folding ------------------------------------------------------------
 
     @staticmethod
     def _taken(audit: _MachineAudit, run: _ChunkRun, planner: Iterator[ChunkJob]
-               ) -> Iterator[Tuple[ChunkJob, ChunkOutcome]]:
+               ) -> Iterator[Tuple[_Submitted, ChunkOutcome]]:
         """``audit``'s jobs with their outcomes, in log order, as they
         complete; planning — of this machine, then of the next — runs ahead
         of them by at most ``run.bound`` jobs."""
@@ -538,38 +560,83 @@ class AuditScheduler:
 
     def _fold(self, audit: _MachineAudit, run: _ChunkRun,
               planner: Iterator[ChunkJob]) -> MachineAuditReport:
-        auditor, report = audit.auditor, audit.report
-        result, failed = fold_outcomes(audit.machine, auditor.identity,
-                                       self._taken(audit, run, planner))
-        audit.done = True
+        while True:
+            result, failed = fold_outcomes(audit.machine, audit.auditor.identity,
+                                           self._taken(audit, run, planner))
+            audit.done = True
+            reason = audit.report.unchunkable_reason
+            if reason is None or audit.budget == 1:
+                break
+            if failed is not None:   # before the boundary it could not plan
+                audit.report.unchunkable_reason = None
+                break
+            # re-planned as one chunk, ahead of the next machine's queued jobs
+            audit = _MachineAudit(audit.assignment, 1)
+            audit.report.unchunkable_reason = reason
+            for _ in self._plan(audit, run):
+                run.pending.rotate(1)
         if failed is not None:
             # a conviction costs the chunks up to the fault
-            report.unchunkable_reason = None
             result.cost = replace(result.cost, signature_seconds=0.0,
                                   signatures_verified=0)
-            result.evidence = auditor.evidence_for(failed, result, chain(
-                (job.segment for job in run.drop(audit)),
-                (segment for segment, _, _ in audit.chunks)))
-        elif report.unchunkable_reason is not None:
-            report.chunk_outcomes = []
-            result = auditor.audit_whole_log(audit.target)
+            result.evidence = audit.auditor.evidence_for(
+                failed.unpacked(), result, chain(
+                    (dropped.unpacked().segment for dropped in run.drop(audit)),
+                    (segment for segment, _, _ in audit.chunks),
+                    audit.following))
         else:
-            # The serial front-end's pass: one download of the whole log from
-            # its replay start, replay priced on the whole log's activity
-            # rather than chunk by chunk, no signature figures.
-            replayed = result.replay_report
-            replayed.active_seconds = float(len(audit.active))
+            # one download of the range from its replay start, replay priced
+            # on the range's activity rather than chunk by chunk
             result.cost = AuditCost.for_download(
                 result.cost.log_bytes_downloaded, audit.start_bytes)
             result.cost.semantic_seconds = modelled_replay_seconds(
-                replayed.active_seconds)
-        report.result = result
-        return report
+                result.replay_report.active_seconds)
+        audit.report.result = result
+        return audit.report
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+def _bounds(start: Optional[int], until: Optional[int], count: int,
+            ranged: bool) -> Tuple[int, int]:
+    """``[start, until)`` of ``count`` segments, a missing bound filled in; a
+    range outside them, or an empty one, is a :class:`SegmentError`."""
+    first = 0 if start is None else start
+    last = count if until is None else until
+    if ranged and not 0 <= first < last <= count:
+        raise SegmentError(
+            f"chunk [{first}, {last}) outside the {count} available segments")
+    return first, last
+
+
+def snapshot_segments(target) -> Tuple[int, Callable[[int], LogSegment]]:
+    """How many snapshot-delimited segments ``target``'s log has, and a
+    reader of each by index (0 starts the log, as :meth:`Auditor.audit
+    <repro.audit.auditor.Auditor.audit>`'s bounds do): a live log is split
+    once, an archived log's segment is read off its file when it is asked
+    for, so a caller holds the segments it keeps, not the log."""
+    if getattr(target, "supports_streaming", False):
+        archive = target.archive
+        records = archive.segment_records(target.identity)
+        return len(records), lambda index: archive.read_segment(records[index])
+    segments = target.get_snapshot_segments()
+    return len(segments), segments.__getitem__
+
+
+def _tiled(segments: List[LogSegment], budget: int, ends_log: bool
+           ) -> Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]:
+    """``segments`` tiled into at most ``budget`` chunks, as ``(chunk,
+    checkpoint before it, whether it ends the log)``.  A chunk starts where
+    its predecessor ends, not where it says it does, so a chain broken at a
+    boundary fails the chunk after it."""
+    chunks = partition_segments(segments, budget)
+    checkpoint = chunks[0].start_checkpoint() if chunks else None
+    for chunk in chunks:
+        yield chunk, checkpoint, ends_log and chunk is chunks[-1]
+        checkpoint = chunk.end_checkpoint()
+
 
 def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:
     """:func:`~repro.audit.kernel.chunk_job` for the chunks of one machine's

@@ -4,21 +4,20 @@ An audit checks a log segment against the authenticators the machine issued
 (tamper check), checks that it is well-formed (syntactic check) and replays it
 from a verified state (semantic check).  Sections 3.5 and 6.12 add that any
 snapshot-delimited chunk of a log can be audited that way on its own.
-:func:`run_chunk` is that procedure for one chunk; every audit front-end is a
-way of cutting a log into chunks, running them through it and folding the
-outcomes back together (:func:`fold_outcomes`).  The serial auditor runs the
-whole segment as one chunk; the audit engine maps it over an executor — inline
-at one worker, which is how an archive is audited one chunk at a time — and
-folds the outcomes in log order; the spot checker runs it on sampled chunks; a
-third party verifying :class:`~repro.audit.evidence.Evidence` runs it under
-its own keys and reference image.
+:func:`run_chunk` is that procedure for one chunk.  It has two callers: the
+audit engine, which cuts every audit — a whole log, or a spot check's range
+of it — into chunks, maps them over an executor (inline at one worker, which
+is how an archive is audited one chunk at a time) and folds the outcomes in
+log order (:func:`fold_outcomes`); and a third party verifying
+:class:`~repro.audit.evidence.Evidence`, which runs it under its own keys and
+reference image.
 
 A chunk is not quite self-contained: the monitor logs a RECV when a packet
 arrives and injects the packet into the AVM about a millisecond later, so a
 snapshot can fall between the two.  What is in flight at a chunk's edges is
 the :class:`BoundaryContext` every job carries.
 
-This module imports none of the front-ends; they all import it.
+This module imports neither of its callers; they both import it.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ class ChunkJob:
     initial_state: Optional[Dict[str, Any]] = None
     snapshot_bytes: int = 0
     #: modelled cost of one signature verification under the target's scheme
-    #: (0.0 on the front-ends that do not price signatures)
+    #: (0.0 where signatures are not priced: a third party's check)
     verify_seconds: float = 0.0
     context: BoundaryContext = field(default_factory=BoundaryContext)
 
@@ -164,7 +163,7 @@ def chunk_job(segment: LogSegment, authenticators: Iterable[Authenticator],
     remaining fields, by name).
 
     ``checkpoint`` defaults to the one the segment itself claims (its
-    ``start_hash``); a front-end that knows the chain state from elsewhere —
+    ``start_hash``); a caller that knows the chain state from elsewhere —
     the archive manifest, the previous chunk — passes that instead.  Only the
     chunk's share of ``authenticators`` goes into the job, so what a job
     pickles to scales with the chunk, not the log.
@@ -257,19 +256,20 @@ def fold_outcomes(machine: str, auditor: str,
                   ) -> Tuple[AuditResult, Optional[ChunkJob]]:
     """Fold one machine's chunk outcomes, in log order, into its result.
 
-    ``audited`` pairs each job with its outcome; each job's checkpoint is
+    ``audited`` pairs each job (or a handle to it, passed back as is) with
+    its outcome; each job's checkpoint is
     where its predecessor's chunk ends.  Returns ``(PASS result, None)``,
     or at the first failing chunk ``(that chunk's result, its job)``: the
     failing chunk is the conviction, and its job is what the evidence is
-    built from.  ``audited`` is not consumed past it, so a front-end that
+    built from.  ``audited`` is not consumed past it, so a caller that
     produces the pairs lazily stops auditing there (and, the fold holding no
     job between turns, keeps one chunk alive at a time).  Work counters and
     modelled costs sum across chunks (a conviction has cost the chunks up to
     the fault).
     Instruction counters are *absolute* (each chunk's VM restores its counter
     from the boundary snapshot), so the last chunk's value is the whole-log
-    count.  ``active_seconds`` sums per-chunk bucket counts, which can exceed
-    the whole-log count by up to one bucket per boundary.
+    count.  ``active_seconds`` counts the union of the chunks' one-second
+    buckets, so it is the whole log's count too.
     """
     result = AuditResult(machine=machine, auditor=auditor,
                          verdict=Verdict.PASS, phase=AuditPhase.COMPLETE,
@@ -290,8 +290,9 @@ def fold_outcomes(machine: str, auditor: str,
         merged.outputs_checked += report.outputs_checked
         merged.snapshots_checked += report.snapshots_checked
         merged.instructions_executed = report.instructions_executed
-        merged.active_seconds += report.active_seconds
+        merged.active_buckets |= report.active_buckets
         del job    # not held while a lazy producer decodes the next chunk
+    merged.active_seconds = float(len(merged.active_buckets))
     return result, None
 
 

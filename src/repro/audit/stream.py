@@ -2,15 +2,17 @@
 
 The paper's accountability guarantee is only deployable at fleet scale if
 auditing a machine's log does not require holding that log in memory.  The
-materializing path (``LogArchive.materialized_log``) inflates every archived
-entry into one in-memory :class:`~repro.log.segments.LogSegment`, so its peak
-memory grows with log *length*.  This module reads the archive's segment
+materializing path (``ArchiveBackedMachine.get_log_segment``) inflates
+every archived entry into one in-memory
+:class:`~repro.log.segments.LogSegment`, so its peak memory grows with log
+*length*.  This module reads the archive's segment
 files incrementally instead (:meth:`LogArchive.stream_segment
 <repro.store.archive.LogArchive.stream_segment>`):
 
 :func:`iter_stream_chunks` yields the retained entries a chunk at a time —
 a run of archived segments that ends at an archived sealing snapshot, so the
-next chunk has a verified replay start — resumable at any chunk boundary.
+next chunk has a verified replay start — between any two segment boundaries,
+so a range of the log streams as the whole log does.
 
 The audit engine (:class:`repro.audit.engine.AuditScheduler`) plans its chunk
 jobs off :func:`iter_stream_chunks`, which is how an archived log is audited
@@ -121,7 +123,8 @@ def _chunk_record_counts(archive, machine: str, records,
 
 
 def iter_stream_chunks(target, max_chunks: Optional[int] = None,
-                       start: Optional[ChainCheckpoint] = None
+                       start: Optional[ChainCheckpoint] = None,
+                       until: Optional[ChainCheckpoint] = None
                        ) -> Iterator[StreamChunk]:
     """Stream an archive-backed target's log as replayable chunks.
 
@@ -129,7 +132,9 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
     previous chunks can be dropped, so a consumer iterating
     this holds O(chunk) entries.  ``max_chunks=None`` yields the finest
     chunking (one chunk per snapshot-sealed segment run), otherwise adjacent
-    runs are merged into at most ``max_chunks`` chunks.
+    runs are merged into at most ``max_chunks`` chunks.  ``start`` and
+    ``until`` are checkpoints on segment boundaries the stream starts and
+    stops at (None: the retention checkpoint, the log's end).
 
     The checkpoints come from the manifest records (whose tiling was proven
     at archive recovery, and whose first/last sequence and end hash
@@ -142,6 +147,15 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
     archive = target.archive
     machine = target.identity
     records, checkpoint = _records_from(archive, machine, start)
+    ends_log = True
+    if until is not None:
+        kept = [record for record in records
+                if record.last_sequence <= until.sequence]
+        if not kept or kept[-1].end_checkpoint() != until:
+            raise StoreError(
+                f"cannot stop the stream of {machine!r} at sequence "
+                f"{until.sequence}: not a segment boundary")
+        ends_log, records = len(kept) == len(records), kept
     counts = _chunk_record_counts(archive, machine, records, max_chunks)
     cursor = 0
     for index, count in enumerate(counts):
@@ -155,4 +169,5 @@ def iter_stream_chunks(target, max_chunks: Optional[int] = None,
                 entries=[entry for record in chunk_records
                          for entry in archive.stream_segment(record)]),
             start_checkpoint=start_checkpoint,
-            end_checkpoint=checkpoint, ends_log=index == len(counts) - 1)
+            end_checkpoint=checkpoint,
+            ends_log=ends_log and index == len(counts) - 1)

@@ -46,8 +46,8 @@ class AuditCost:
     syntactic_seconds: float = 0.0
     semantic_seconds: float = 0.0
     #: modelled cost of checking authenticator signatures, the scheme's verify
-    #: cost per signature verified; 0.0 on the serial path (the paper folds it
-    #: into the syntactic check), filled in per chunk by the engine
+    #: cost per signature verified; 0.0 on a machine's result (the paper folds
+    #: it into the syntactic check), filled in per chunk by the engine
     signature_seconds: float = 0.0
     #: authenticator signatures checked, each verified on its own
     signatures_verified: int = 0

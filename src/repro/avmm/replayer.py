@@ -19,9 +19,9 @@ execution actually did.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto import hashing
 from repro.errors import ReplayInputError
@@ -67,6 +67,8 @@ class ReplayReport:
     instructions_executed: int = 0
     active_seconds: float = 0.0
     divergence: Optional[Divergence] = None
+    #: the one-second buckets holding an entry, which ``active_seconds`` counts
+    active_buckets: Set[int] = field(default_factory=set, compare=False, repr=False)
 
     @property
     def diverged(self) -> bool:
@@ -215,7 +217,7 @@ class DeterministicReplayer:
         report = ReplayReport(machine=segment.machine,
                               entries_replayed=len(segment.entries))
         try:
-            clock_items, upstream_items, schedule, outputs, active_seconds = \
+            clock_items, upstream_items, schedule, outputs, buckets = \
                 self._build_schedule(segment, in_flight)
         except ReplayInputError as exc:
             # A log whose replay stream references messages that were never
@@ -240,7 +242,8 @@ class DeterministicReplayer:
         else:
             start_outputs = [o for o in vm.start() if isinstance(o, PacketOutput)]
 
-        report.active_seconds = active_seconds
+        report.active_buckets = buckets
+        report.active_seconds = float(len(buckets))
 
         divergence = self._check_outputs(start_outputs, outputs, output_cursor, report)
         output_cursor += len(start_outputs)
@@ -314,9 +317,9 @@ class DeterministicReplayer:
     def _build_schedule(self, segment: LogSegment,
                         in_flight: Sequence[LogEntry] = ()) -> Tuple[
             List[_ClockItem], List[_UpstreamItem], List[Any], List[_OutputItem],
-            float]:
+            Set[int]]:
         """Split the log into served inputs, injections/snapshots and
-        outputs, and count its active seconds.
+        outputs, and find its active seconds.
 
         The one parser of replay inputs: an entry field that does not
         convert is a :class:`ReplayInputError` naming the entry.
@@ -403,8 +406,7 @@ class DeterministicReplayer:
                 f"entry {entry.sequence} ({entry.entry_type.wire_name}) "
                 f"carries a replay input that does not parse: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return (clock_items, upstream_items, schedule, outputs,
-                float(len(buckets)))
+        return clock_items, upstream_items, schedule, outputs, buckets
 
     # -- checks ----------------------------------------------------------------------
 

@@ -108,7 +108,8 @@ def partition_segments(segments: Sequence[LogSegment],
     start = 0
     for index in range(count):
         size = base + (1 if index < extra else 0)
-        chunks.append(concatenate_segments(segments[start:start + size]))
+        group = segments[start:start + size]
+        chunks.append(group[0] if size == 1 else concatenate_segments(group))
         start += size
     return chunks
 

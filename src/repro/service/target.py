@@ -48,7 +48,7 @@ class ArchiveBackedMachine:
     def get_log_segment(self) -> LogSegment:
         """The whole retained log as one segment, materialized: peak memory
         grows with its length.  The audit engine reads the log chunk by
-        chunk instead; it calls this only for a log that cannot be chunked.
+        chunk instead.
         """
         records = self.archive.segment_records(self.identity)
         if not records:

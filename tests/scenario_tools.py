@@ -1,10 +1,12 @@
-"""A recorded honest fleet, for tests that tamper with one afterwards."""
+"""A recorded honest fleet, for tests that tamper with one afterwards, and a
+downloaded log as an audit target."""
 
 from __future__ import annotations
 
 from repro.adversary.base import ScenarioContext
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
+from repro.log.segments import LogSegment
 
 
 def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7
@@ -16,3 +18,16 @@ def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7
     ctx, run = matrix._build(spec, make_adversary("honest", seed), None)
     run()
     return ctx
+
+
+class DownloadedLog:
+    """A whole log an auditor already holds, as an audit target
+    (``Auditor.audit(DownloadedLog(segment))``): one chunk, replayed from the
+    reference image."""
+
+    def __init__(self, segment: LogSegment) -> None:
+        self.identity = segment.machine
+        self.segment = segment
+
+    def get_log_segment(self) -> LogSegment:
+        return self.segment

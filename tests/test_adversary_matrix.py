@@ -37,7 +37,7 @@ from repro.adversary.matrix import (
     MatrixReport,
     ScenarioMatrix,
 )
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.multiparty import EquivocationProof, find_equivocation
 from repro.audit.spot_check import SpotChecker
 from repro.audit.verdict import AuditPhase
@@ -474,27 +474,27 @@ def _front_ends(matrix, ctx, adversary, machine, archived):
         return made
 
     def engine(**kwargs):
-        return AuditScheduler(workers=2, **kwargs)
+        scheduler = AuditScheduler(**{"workers": 2, **kwargs})
+        return lambda audit_by, target: scheduler.audit_fleet(
+            [AuditAssignment(audit_by, target)]).results[machine]
 
     live = ctx.monitors[machine]
     ends = {
         "serial": lambda: auditor().audit(live),
-        "engine-inline": lambda: engine(executor="inline")
-        .audit_machine(auditor(), live),
-        "engine-process": lambda: engine(executor="process")
-        .audit_machine(auditor(), live),
+        "engine-inline": lambda: engine(executor="inline")(auditor(), live),
+        "engine-process": lambda: engine(executor="process")(auditor(), live),
         "engine-finest": lambda: engine(executor="inline",
-                                        chunks_per_machine=64)
-        .audit_machine(auditor(), live),
+                                        chunks_per_machine=64)(auditor(), live),
         "spot": lambda: _first_failing(SpotChecker(auditor()), live),
     }
     if archived and not ctx.ingest.quarantine_for(machine):
         target = ctx.ingest.target_for(machine)
         ends.update({
-            "archive-serial": lambda: auditor(True).audit_whole_log(target),
+            "archive-serial": lambda: engine(workers=1, chunks_per_machine=1)(
+                auditor(True), target),
             "archive-default": lambda: auditor(True).audit(target),
-            "archive-engine": lambda: engine(executor="inline")
-            .audit_machine(auditor(True), target),
+            "archive-engine": lambda: engine(executor="inline")(
+                auditor(True), target),
             "archive-spot": lambda: _first_failing(
                 SpotChecker(auditor(True)), target),
         })

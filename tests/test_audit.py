@@ -154,8 +154,7 @@ class TestSpotChecking:
         checker = SpotChecker(auditor)
         segments = honest_session.monitors[target].get_snapshot_segments()
         assert len(segments) >= 2
-        result = checker.check_chunk(honest_session.monitors[target], 1, 1,
-                                     segments=segments)
+        result = checker.check_chunk(honest_session.monitors[target], 1, 1)
         assert result.ok
         assert result.snapshot_bytes > 0  # memory + disk snapshot transferred
 
@@ -170,10 +169,8 @@ class TestSpotChecking:
         target = "server"
         checker = SpotChecker(honest_session.make_auditor("player1", target))
         segments = honest_session.monitors[target].get_snapshot_segments()
-        small = checker.check_chunk(honest_session.monitors[target], 0, 1,
-                                    segments=segments)
-        large = checker.check_chunk(honest_session.monitors[target], 0, len(segments),
-                                    segments=segments)
+        small = checker.check_chunk(honest_session.monitors[target], 0, 1)
+        large = checker.check_chunk(honest_session.monitors[target], 0, len(segments))
         assert large.log_bytes > small.log_bytes
         assert large.replay_seconds >= small.replay_seconds
 

@@ -266,14 +266,14 @@ def _worker_pids():
 class TestAuditScheduler:
     def test_workers_1_and_4_produce_identical_verdicts(self, honest_session):
         for machine in honest_session.player_ids + ["server"]:
-            serial = AuditScheduler(workers=1).audit_machine(
+            serial = AuditScheduler(workers=1).audit_fleet([AuditAssignment(
                 honest_session.make_auditor("player2" if machine != "player2"
                                             else "player1", machine),
-                honest_session.monitors[machine])
-            parallel = AuditScheduler(workers=4).audit_machine(
+                honest_session.monitors[machine])]).results[machine]
+            parallel = AuditScheduler(workers=4).audit_fleet([AuditAssignment(
                 honest_session.make_auditor("player2" if machine != "player2"
                                             else "player1", machine),
-                honest_session.monitors[machine])
+                honest_session.monitors[machine])]).results[machine]
             assert serial.verdict is parallel.verdict is Verdict.PASS
             assert serial.phase is parallel.phase
             assert serial.authenticators_checked == parallel.authenticators_checked
@@ -283,9 +283,9 @@ class TestAuditScheduler:
     def test_cheater_chunked_audit_matches_serial_evidence(self, cheater_session):
         machine = "player1"
         serial = cheater_session.audit(machine)
-        parallel = AuditScheduler(workers=4).audit_machine(
+        parallel = AuditScheduler(workers=4).audit_fleet([AuditAssignment(
             cheater_session.make_auditor("server", machine),
-            cheater_session.monitors[machine])
+            cheater_session.monitors[machine])]).results[machine]
         assert parallel.verdict is serial.verdict is Verdict.FAIL
         assert parallel.phase is serial.phase
         assert parallel.reason == serial.reason
@@ -299,8 +299,8 @@ class TestAuditScheduler:
         session, machine = _tampered_session()
         monitor = session.monitors[machine]
         serial = session.audit(machine)
-        parallel = AuditScheduler(workers=4).audit_machine(
-            session.make_auditor("server", machine), monitor)
+        parallel = AuditScheduler(workers=4).audit_fleet([AuditAssignment(
+            session.make_auditor("server", machine), monitor)]).results[machine]
         assert parallel.verdict is serial.verdict is Verdict.FAIL
         assert parallel.phase is serial.phase is AuditPhase.AUTHENTICATOR_CHECK
         assert parallel.reason == serial.reason
@@ -346,9 +346,9 @@ class TestAuditScheduler:
         results = {}
         for executor in ("inline", "process"):
             engine = AuditScheduler(workers=2, executor=executor)
-            results[executor] = engine.audit_machine(
+            results[executor] = engine.audit_fleet([AuditAssignment(
                 honest_session.make_auditor("server", machine),
-                honest_session.monitors[machine])
+                honest_session.monitors[machine])]).results[machine]
         verdicts = {result.verdict for result in results.values()}
         assert verdicts == {Verdict.PASS}
         counts = {result.authenticators_checked for result in results.values()}
@@ -384,24 +384,27 @@ class TestAuditScheduler:
         with pytest.raises(ValueError, match="duplicate"):
             AuditScheduler(workers=2).audit_fleet(assignments)
 
-    def test_corrupt_stored_snapshot_is_handed_to_the_serial_front_end(self):
-        # A target whose *stored* snapshot does not verify cannot be chunked,
-        # but the serial audit replays from the start and does not need it —
-        # the engine must produce the same verdict as workers=1, not crash.
+    def test_corrupt_stored_snapshot_is_re_planned_as_one_chunk(self):
+        # A target whose *stored* snapshot does not verify cannot be chunked
+        # there, but one chunk replays from the start and does not need it —
+        # the engine re-plans the log so and gives the one-chunk audit's
+        # result, not a crash.
         session = _short_session(seed=41)
         session.run()
         machine = "player1"
         monitor = session.monitors[machine]
         snapshot = monitor.snapshots.get(1)
         snapshot.state_root = b"\x00" * 32
-        serial = session.audit(machine)
+        one_chunk = session.audit(machine)
         engine = AuditScheduler(workers=4)
         report = engine.audit_fleet([AuditAssignment(
             session.make_auditor("server", machine), monitor)])
-        assert "does not match the root" in \
-            report.machine_reports[machine].unchunkable_reason
-        assert report.results[machine].verdict is serial.verdict
-        assert report.results[machine].phase is serial.phase
+        machine_report = report.machine_reports[machine]
+        assert "does not match the root" in machine_report.unchunkable_reason
+        assert machine_report.chunk_count == 1
+        assert report.results[machine].verdict is one_chunk.verdict
+        assert report.results[machine].phase is one_chunk.phase
+        assert report.results[machine] == one_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +537,13 @@ class TestWarmPool:
             assert result.evidence.verify(session.keystore,
                                           session.reference_images[machine])
         assert results[0].cost == results[1].cost
-        assert results[0].evidence.segment.entries \
-            == results[1].evidence.segment.entries
+        # a pool's evidence is built from the job as it was pickled: the
+        # same entries, byte for byte (content that does not parse cannot
+        # be compared decoded)
+        assert [(entry.sequence, entry.encoded_content(), entry.chain_hash)
+                for entry in results[0].evidence.segment.entries] \
+            == [(entry.sequence, entry.encoded_content(), entry.chain_hash)
+                for entry in results[1].evidence.segment.entries]
 
     def test_forked_child_does_not_reuse_the_parents_pool(self, honest_session):
         _fleet_audit(honest_session, "player1", workers=2, executor="process")
@@ -667,8 +675,8 @@ class TestChunkJobPickling:
         machine = "player1"
         engine = AuditScheduler(workers=4)
         target = honest_session.monitors[machine]
-        audit = _MachineAudit(honest_session.make_auditor("server", machine),
-                              target, engine._chunks(target))
+        audit = _MachineAudit(AuditAssignment(
+            honest_session.make_auditor("server", machine), target), budget=4)
         jobs = list(engine._plan(audit, _ChunkRun("inline", 1)))
         assert len(jobs) > 1
         job = pickle.loads(pickle.dumps(jobs[-1]))

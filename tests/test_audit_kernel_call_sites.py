@@ -1,13 +1,15 @@
 """Guard: the three audit steps are written once, in the audit kernel.
 
 "Tamper check → syntactic check → replay" used to exist in four copies that
-drifted apart.  Now it is :func:`repro.audit.kernel.run_chunk`, and every
-front-end — serial, the audit engine, spot check, online — and a third
-party's ``Evidence.verify`` are ways of calling it.  These tests count: every
-replay and every syntactic check an audit performs happens inside a kernel
-run, and the source has one call site for each step.  A fifth copy fails
-here by name.  The engine loop is written once too: one place folds chunk
-outcomes and one reads an archive's chunks.
+drifted apart.  Now it is :func:`repro.audit.kernel.run_chunk`, and it has
+two callers: the one audit driver, the engine's plan — which every audit is,
+whole log or spot-check range, serial, online or over an archive — and a
+third party's ``Evidence.verify``.  These tests count: every replay and
+every syntactic check an audit performs happens inside a kernel run, and the
+source has one call site for each step.  A fifth copy fails here by name.
+The engine loop is written once too: one place folds chunk outcomes, one
+reads an archive's chunks, and only the engine and the evidence build and
+run chunk jobs.
 
 They also count *entries*: a conviction costs the auditor the chunks up to
 the fault and a third party the evidence's own entries.  A second pass over
@@ -92,9 +94,8 @@ def calls(monkeypatch) -> Counter:
         return wrapper
 
     # every importer-by-name of run_chunk, and the kernel module itself
-    import repro.audit.auditor as auditor_module
     import repro.audit.engine as engine_module
-    for module in (kernel, auditor_module, engine_module):
+    for module in (kernel, engine_module):
         monkeypatch.setattr(module, "run_chunk", run_chunk)
     monkeypatch.setattr(DeterministicReplayer, "replay",
                         step("replay", DeterministicReplayer.replay))
@@ -135,7 +136,8 @@ class TestEveryFrontEndReachesTheKernel:
         ctx = scenario[2]
         engine = AuditScheduler(workers=2, executor="inline")
         for machine, monitor in sorted(ctx.monitors.items()):
-            engine.audit_machine(_auditor(scenario, machine), monitor)
+            engine.audit_fleet([AuditAssignment(_auditor(scenario, machine),
+                                                monitor)])
         # at most two chunks per machine: the honest one's both, the
         # cheater's up to the one that fails — and no second pass
         _assert_all_in_kernel(calls, at_least=len(ctx.monitors) + 1)
@@ -312,6 +314,15 @@ class TestOneCallSitePerStep:
         read in one: the engine's, whatever the worker count."""
         sites = _call_sites(name)
         assert len(sites) == 1 and sites[0].startswith("audit/engine.py:"), sites
+
+    @pytest.mark.parametrize("name", ["run_chunk", "chunk_job"])
+    def test_one_driver_and_the_evidence_run_chunks(self, name):
+        """Chunk jobs are built and run by the engine's plan and by
+        ``Evidence.verify`` only: there is no second audit driver."""
+        sites = _call_sites(name, ALL_SOURCES)
+        assert sites and all(site.startswith(("audit/engine.py:",
+                                              "audit/evidence.py:"))
+                             for site in sites), sites
 
     def test_the_kernel_is_a_leaf(self):
         """It imports no front-end, so every front-end can import it."""

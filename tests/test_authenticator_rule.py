@@ -25,7 +25,7 @@ from repro.adversary.catalog import make_adversary
 from repro.adversary.equivocation import cancelling_twins, flipped_signature
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.auditor import Auditor
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.kernel import chunk_job, run_chunk
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto import hashing
@@ -34,10 +34,11 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.errors import CertificateError, EvidenceError
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.entries import EntryType
-from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService
 from repro.workloads.echo import make_echo_image
+
+from scenario_tools import DownloadedLog
 
 MACHINE, FOREIGN, UNKNOWN = "rule-machine", "rule-foreign", "rule-unknown"
 KINDS = ("genuine", "flipped", "cancelling", "inconsistent", "foreign",
@@ -111,7 +112,7 @@ class TestTheRule:
         auditor = Auditor("auditor", keys, make_echo_image())
         auditor.collect_authenticators(UNKNOWN, by_machine[UNKNOWN])
         with pytest.raises(CertificateError):
-            auditor.audit_segment(UNKNOWN, _log_of(by_machine[UNKNOWN]))
+            auditor.audit(DownloadedLog(_log_of(by_machine[UNKNOWN])))
 
 
 def _log_of(authenticators):
@@ -160,11 +161,13 @@ def _paths(matrix, adversary, ctx, v3, machine):
 
     def engine(executor):
         return lambda audit_by: AuditScheduler(
-            workers=2, executor=executor).audit_machine(audit_by, live)
+            workers=2, executor=executor).audit_fleet(
+                [AuditAssignment(audit_by, live)]).results[machine]
 
     return {
-        "segment": (auditor(), lambda audit_by: audit_by.audit_segment(
-            machine, live.get_log_segment())),
+        "one-chunk": (auditor(), lambda audit_by: AuditScheduler(
+            chunks_per_machine=1).audit_fleet(
+                [AuditAssignment(audit_by, live)]).results[machine]),
         "engine-process": (auditor(), engine("process")),
         "engine-inline": (auditor(), engine("inline")),
         "archive-v1": (auditor(ctx.ingest), lambda audit_by: audit_by.audit(
@@ -189,7 +192,7 @@ class TestJunkOnEveryPath:
         archived = ctx.ingest.archive.authenticators_for(victim)
         assert all(auth in archived for auth in junk_auths)
 
-    @pytest.mark.parametrize("path", ["segment", "engine-process",
+    @pytest.mark.parametrize("path", ["one-chunk", "engine-process",
                                       "engine-inline", "archive-v1",
                                       "archive-v3"])
     def test_the_honest_machine_passes(self, junk, path):
@@ -208,7 +211,7 @@ class TestJunkOnEveryPath:
         return _recorded("forged-authenticator",
                          tmp_path_factory.mktemp("forged"))
 
-    @pytest.mark.parametrize("path", ["segment", "engine-process",
+    @pytest.mark.parametrize("path", ["one-chunk", "engine-process",
                                       "engine-inline", "archive-v1",
                                       "archive-v3"])
     def test_a_valid_forged_authenticator_still_convicts(self, forged, path):
@@ -239,7 +242,7 @@ class TestJunkCannotSpoilEvidence:
     def cheat(self, tmp_path_factory):
         return _recorded("cheating-guest", tmp_path_factory.mktemp("cheat"))
 
-    @pytest.mark.parametrize("path", ["segment", "engine-process",
+    @pytest.mark.parametrize("path", ["one-chunk", "engine-process",
                                       "engine-inline", "archive-v1",
                                       "archive-v3"])
     def test_junk_on_the_last_entry_of_the_convicting_chunk(self, cheat, path):
@@ -268,9 +271,10 @@ class TestJunkCannotSpoilEvidence:
         # entry a valid authenticator covers.
         matrix, adversary, ctx, _ = cheat
         machine = ctx.byzantine
-        log = ctx.monitors[machine].log
+        live = ctx.monitors[machine]
+        log = live.log
         whole = log.full_segment()
-        cut = 56
+        cut = len(live.get_snapshot_segments()[0].entries)
         auditor = matrix._make_auditor(ctx, machine, adversary)
         junk = _zeroed(log, whole.entries[cut])
         later = [auth for auth in auditor.authenticators_for(machine)
@@ -278,10 +282,7 @@ class TestJunkCannotSpoilEvidence:
         auditor.collected_authenticators[machine] = {}
         auditor.collect_authenticators(machine, later + [junk])
 
-        result = auditor.audit_segment(
-            machine, LogSegment(machine, whole.entries[:cut], whole.start_hash),
-            following=[LogSegment(machine, whole.entries[cut:],
-                                  whole.entries[cut - 1].chain_hash)])
+        result = auditor.audit(live, start=0, until=1)
         assert result.phase is AuditPhase.SEMANTIC_CHECK
         evidence = result.evidence
         assert evidence.authenticators == [

@@ -159,7 +159,8 @@ def test_the_recording_has_the_straddle(honest, window):
 class TestHonestStraddlePasses:
     def test_serial_and_streamed(self, honest):
         for name, (make_auditor, target) in _targets(honest).items():
-            result = make_auditor(honest).audit_whole_log(target)
+            result = AuditScheduler(chunks_per_machine=1).audit_fleet(
+                [AuditAssignment(make_auditor(honest), target)]).results[SERVER]
             assert result.verdict is Verdict.PASS, name
         report = _streamed(_archive_auditor(honest),
                            honest[2].ingest.target_for(SERVER))
@@ -284,8 +285,8 @@ class TestAccuserAdversaries:
         ctx = honest[2]
         auditor = _live_auditor(honest)
         engine = AuditScheduler(workers=2, chunks_per_machine=64)
-        target = ctx.monitors[SERVER]
-        audit = _MachineAudit(auditor, target, engine._chunks(target))
+        audit = _MachineAudit(
+            AuditAssignment(auditor, ctx.monitors[SERVER]), budget=64)
         job = next(job for job in engine._plan(audit, _ChunkRun("inline", 1))
                    if job.context.in_flight)
         assert job.chunk_index > 0 and job.initial_state is not None

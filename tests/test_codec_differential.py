@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import ArchiveIntegrityError
 from repro.log.codec import (MAGIC_LENGTH, V3_FLAG_CHAIN_BREAKS_ONLY,
@@ -83,7 +84,7 @@ def v3_root(explicit_root, tmp_path_factory):
 
 def _audit_all(fleet, root, streaming: bool):
     """Audit every machine of an archive — chunk by chunk on the engine, or
-    materialized on the serial front-end; returns {machine: AuditResult}."""
+    materialized as one chunk; returns {machine: AuditResult}."""
     results = {}
     service = AuditIngestService(LogArchive(root))
     for machine in fleet.machines:
@@ -93,7 +94,8 @@ def _audit_all(fleet, root, streaming: bool):
         if streaming:
             results[machine] = auditor.audit(target)
         else:
-            results[machine] = auditor.audit_whole_log(target)
+            results[machine] = AuditScheduler(chunks_per_machine=1) \
+                .audit_fleet([AuditAssignment(auditor, target)]).results[machine]
     return results
 
 

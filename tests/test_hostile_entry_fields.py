@@ -6,7 +6,7 @@ wrongly — a clock-read value that is not a number, a counter, a tick number,
 a MAC-layer entry's source, an upstream call's body or data, a snapshot id —
 still presents its own, consistently chained and signed log.  The replay
 schedule is the one parser of those fields; each such entry is a divergence
-that names it, on the serial front-end, on the engine over the live log and
+that names it, on the one-chunk plan, on the engine over the live log and
 on a v1 and a v3 archive, and a third party confirms the evidence.
 
 *Non-finite timestamps.*  Timestamps are not chained, so anyone holding a
@@ -27,7 +27,7 @@ from bench.workloads import SERVER, WORKLOADS
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.auditor import Auditor
-from repro.audit.engine import AuditScheduler
+from repro.audit.engine import AuditAssignment, AuditScheduler
 from repro.audit.kernel import fetch_verified_snapshot_entry
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.errors import LogFormatError, MissingSnapshotError
@@ -39,6 +39,7 @@ from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
 from archive_tools import ship
+from scenario_tools import DownloadedLog
 
 
 def _kind(entry_type, kind):
@@ -158,12 +159,14 @@ def recording(request, tmp_path_factory):
 
 def _audit_on(front_end, recording, tmp_path):
     auditor = recording.auditor()
-    if front_end == "audit_segment":
-        return auditor.audit_segment(recording.machine,
-                                     recording.monitor.get_log_segment())
+    if front_end == "one_chunk":
+        return AuditScheduler(chunks_per_machine=1).audit_fleet(
+            [AuditAssignment(auditor, recording.monitor)]).results[
+                recording.monitor.identity]
     if front_end == "engine_live":
-        return AuditScheduler(workers=2, executor="process").audit_machine(
-            auditor, recording.monitor)
+        return AuditScheduler(workers=2, executor="process").audit_fleet(
+            [AuditAssignment(auditor, recording.monitor)]).results[
+                recording.monitor.identity]
     root = recording.root
     if front_end == "archive_v3":
         root = tmp_path / "v3"
@@ -172,7 +175,7 @@ def _audit_on(front_end, recording, tmp_path):
 
 
 class TestMalformedFields:
-    @pytest.mark.parametrize("front_end", ["audit_segment", "engine_live",
+    @pytest.mark.parametrize("front_end", ["one_chunk", "engine_live",
                                            "archive_v1", "archive_v3"])
     def test_a_verdict_naming_the_entry(self, recording, front_end, tmp_path):
         result = _audit_on(front_end, recording, tmp_path)
@@ -246,7 +249,7 @@ class TestNonFiniteTimestamps:
             auditor.collect_from_peer(game.monitors[peer], "player1")
         segment = _with_timestamp(
             game.monitors["player1"].get_log_segment(), value)
-        result = auditor.audit_segment("player1", segment)
+        result = auditor.audit(DownloadedLog(segment))
         assert result.verdict is Verdict.FAIL
         assert result.phase is AuditPhase.SYNTACTIC_CHECK
         sequence = segment.entries[5].sequence

@@ -980,18 +980,18 @@ class TestFleetArchiveEquivalence:
             archived = service.audit_machine(
                 fleet.make_auditor(machine, collect=False), machine)
             assert archived.verdict is Verdict.PASS
-            # In-memory equivalent: audit the same suffix from the boundary
-            # snapshot, with the same (GC-surviving) authenticators.
+            # In-memory equivalent: audit the live log from the same
+            # boundary snapshot on, with the same (GC-surviving)
+            # authenticators.
             monitor = fleet.monitors[machine]
-            suffix = monitor.log.segment(checkpoint.sequence + 1,
-                                         len(monitor.log))
-            state, snapshot_bytes = archive.initial_state_for(machine)
+            start = next(
+                index for index, segment
+                in enumerate(monitor.get_snapshot_segments())
+                if segment.first_sequence == checkpoint.sequence + 1)
             auditor = fleet.make_auditor(machine, collect=False)
             auditor.collect_authenticators(
                 machine, archive.authenticators_for(machine))
-            memory = auditor.audit_segment(machine, suffix,
-                                           initial_state=state,
-                                           snapshot_bytes=snapshot_bytes)
+            memory = auditor.audit(monitor, start=start)
             assert memory == archived
 
 

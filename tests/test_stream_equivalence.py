@@ -4,7 +4,7 @@ The engine's contract (:mod:`repro.audit.engine`) is that a passing audit of
 an archived log — streamed one chunk at a time at one inline worker, or
 chunked over a pool — is *structurally identical* — verdict, counters,
 replay report and modelled costs — to the serial materializing audit of the
-same archive (``Auditor.audit_whole_log``), which in turn equals the
+same archive (the engine's one-chunk plan), which in turn equals the
 in-memory audit of the live machine; and that a failing one reaches the
 same verdict, phase and reason with the failing chunk, not the whole log,
 as evidence a third party confirms.  (Re-pinned when the serial
@@ -59,6 +59,13 @@ def _prepared_auditor(fleet, service, machine):
     return auditor
 
 
+def _one_chunk(auditor, target):
+    """The engine's one-chunk plan: the whole log, materialized, as one
+    chunk (the reference the chunked audits are held to)."""
+    return AuditScheduler(chunks_per_machine=1).audit_fleet(
+        [AuditAssignment(auditor, target)]).results[target.identity]
+
+
 def _engine_report(auditor, target, **engine):
     """The engine's report on one machine (one inline worker by default)."""
     return AuditScheduler(**engine).audit_fleet(
@@ -70,8 +77,9 @@ class TestArchivedFleetEquivalence:
         fleet, root = archived_fleet
         service = _service(root)
         for machine in fleet.machines:
-            materialized = _prepared_auditor(fleet, service, machine) \
-                .audit_whole_log(service.target_for(machine))
+            materialized = _one_chunk(
+                _prepared_auditor(fleet, service, machine),
+                service.target_for(machine))
             report = _engine_report(_prepared_auditor(fleet, service, machine),
                              service.target_for(machine))
             in_memory = fleet.make_auditor(machine).audit(
@@ -121,24 +129,30 @@ class TestArchivedFleetEquivalence:
             .audit_fleet(assignments)
         assert engine_report.chunk_count > len(fleet.machines)
         for machine in fleet.machines:
-            serial = _prepared_auditor(fleet, service, machine) \
-                .audit_whole_log(service.target_for(machine))
+            serial = _one_chunk(
+                _prepared_auditor(fleet, service, machine),
+                service.target_for(machine))
             assert serial.verdict is Verdict.PASS
             assert engine_report.results[machine] == serial
 
-    def test_spot_checker_lazy_source_matches(self, archived_fleet):
+    def test_spot_checker_reads_the_archive_as_the_live_log(
+            self, archived_fleet):
+        """A k-chunk of the archive — a range read off its segment files —
+        is the same range of the live log: result and price."""
         fleet, root = archived_fleet
         service = _service(root)
         machine = fleet.machines[0]
         target = service.target_for(machine)
-        checker = SpotChecker(_prepared_auditor(fleet, service, machine))
-        # Lazy (archive-backed) source vs an explicitly materialized list.
-        lazy = checker.check_chunk(target, 1, 2)
+        archived = SpotChecker(_prepared_auditor(fleet, service, machine)) \
+            .check_chunk(target, 1, 2)
+        live = SpotChecker(fleet.make_auditor(machine)).check_chunk(
+            fleet.monitors[machine], 1, 2)
+        assert archived.result.ok and archived.result == live.result
+        assert (archived.log_bytes, archived.compressed_log_bytes) \
+            == (live.log_bytes, live.compressed_log_bytes)
         segments = archived_segments(service.archive, machine)
-        eager = checker.check_chunk(target, 1, 2, segments=segments)
-        assert lazy.result == eager.result
-        assert lazy.log_bytes == eager.log_bytes
-        every = checker.check_all_chunks(target, k=2, skip_initial=False)
+        every = SpotChecker(_prepared_auditor(fleet, service, machine)) \
+            .check_all_chunks(target, k=2, skip_initial=False)
         assert all(result.ok for result in every)
         assert [result.chunk_start_index for result in every] == list(
             range(len(segments) - 1))
@@ -181,10 +195,10 @@ class TestReviewRegressions:
         assert [problem for problem in chunk.problems
                 if "was sent" in problem and "never left the AVM" in problem]
 
-    def test_unverifiable_boundary_snapshot_is_handed_over(
+    def test_unverifiable_boundary_snapshot_is_re_planned(
             self, archived_fleet, monkeypatch):
-        """A log that cannot be chunked goes to the materializing audit
-        instead of raising out of the engine."""
+        """A log whose chunk boundary cannot be planned is re-planned as one
+        chunk instead of raising out of the engine."""
         import repro.audit.engine as engine_module
         from repro.errors import MissingSnapshotError
 
@@ -199,15 +213,16 @@ class TestReviewRegressions:
         report = _engine_report(_prepared_auditor(fleet, service, machine),
                          service.target_for(machine))
         assert report.unchunkable_reason == "simulated unverifiable snapshot"
-        materialized = _prepared_auditor(fleet, service, machine) \
-            .audit_whole_log(service.target_for(machine))
-        assert report.result == materialized
+        assert report.chunk_count == 1
+        one_chunk = _one_chunk(_prepared_auditor(fleet, service, machine),
+                               service.target_for(machine))
+        assert report.result == one_chunk
 
-    def test_explicit_initial_state_wins_on_truncated_targets(
-            self, archived_fleet, tmp_path):
-        """A caller-supplied initial_state must reach the replay of a
-        truncated archive's log unchanged (a wrong state must fail; the
-        boundary snapshot must not silently replace it)."""
+    def test_the_retention_state_reaches_the_replay_of_a_truncated_archive(
+            self, archived_fleet, tmp_path, monkeypatch):
+        """The state a truncated archive's replay starts from must reach the
+        replay unchanged (a wrong one must fail; nothing may silently
+        replace it with another)."""
         import shutil
         fleet, root = archived_fleet
         clone_root = tmp_path / "archive"
@@ -216,13 +231,12 @@ class TestReviewRegressions:
         service = AuditIngestService(archive)
         machine = fleet.machines[0]
         archive.truncate(machine, archive.head_checkpoint(machine).sequence // 2)
-        wrong_state = {"bogus": True}
-        # The bogus state must reach the replay VM (which rejects it) —
-        # were target.initial_state() to silently win, the audit would PASS.
         target = service.target_for(machine)
+        monkeypatch.setattr(target, "initial_state",
+                            lambda: ({"bogus": True}, 0))
+        # The bogus state must reach the replay VM, which rejects it.
         with pytest.raises(ReproError):
-            _prepared_auditor(fleet, service, machine).audit_segment(
-                machine, target.get_log_segment(), initial_state=wrong_state)
+            _one_chunk(_prepared_auditor(fleet, service, machine), target)
 
 
 def test_full_segment_shim_is_gone(archived_fleet):
@@ -250,8 +264,9 @@ class TestTruncatedArchiveEquivalence:
                 head = archive.head_checkpoint(machine)
                 archive.truncate(machine, head.sequence // 2)
                 assert archive.retained_checkpoint(machine) is not None
-                materialized = _prepared_auditor(fleet, service, machine) \
-                    .audit_whole_log(service.target_for(machine))
+                materialized = _one_chunk(
+                    _prepared_auditor(fleet, service, machine),
+                    service.target_for(machine))
                 report = _engine_report(_prepared_auditor(fleet, service, machine),
                                  service.target_for(machine))
                 assert report.unchunkable_reason is None
@@ -365,7 +380,7 @@ def _compare_cell(adversary_name: str, workload: str, seed: int) -> None:
                 return auditor
 
             try:
-                materialized = _prepared().audit_whole_log(target)
+                materialized = _one_chunk(_prepared(), target)
                 materialized_error = None
             except ReproError as exc:
                 materialized, materialized_error = None, exc
@@ -405,7 +420,7 @@ def test_adversary_cell_differential_fast(adversary_name, workload):
 
 @pytest.mark.parametrize("adversary_name,workload", _FAST_CELLS)
 def test_the_engine_is_the_same_on_every_executor(adversary_name, workload):
-    """A pass is ``audit_whole_log``'s at every worker count and executor; a
+    """A pass is the one-chunk plan's at every worker count and executor; a
     conviction, at one chunking, is one result — verdict, phase, reason,
     cost and evidence — whatever runs the chunks."""
     with tempfile.TemporaryDirectory(prefix="engine-diff-") as tmp:
@@ -420,8 +435,9 @@ def test_the_engine_is_the_same_on_every_executor(adversary_name, workload):
                 auditor = matrix._make_auditor(ctx, machine, adversary)
                 ctx.ingest.prepare_auditor(auditor, machine)
                 if not engine:
-                    return auditor.audit_whole_log(target)
-                return AuditScheduler(**engine).audit_machine(auditor, target)
+                    return _one_chunk(auditor, target)
+                return AuditScheduler(**engine).audit_fleet(
+                    [AuditAssignment(auditor, target)]).results[machine]
 
             serial = audit()
             for chunks in ((None,) if serial.ok else (None, 64)):
@@ -472,7 +488,8 @@ def test_sixteen_machine_archived_fleet_differential(tmp_path):
         engine_report = AuditScheduler(workers=workers).audit_fleet(
             assignments)
         for machine in fleet.machines:
-            serial = _prepared_auditor(fleet, service, machine) \
-                .audit_whole_log(service.target_for(machine))
+            serial = _one_chunk(
+                _prepared_auditor(fleet, service, machine),
+                service.target_for(machine))
             assert engine_report.results[machine] == serial, \
                 f"{workers} workers, machine {machine}"

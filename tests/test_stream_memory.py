@@ -146,7 +146,9 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
     streamed = engine_report(prepared_auditor())
     assert streamed.unchunkable_reason is None
     assert streamed.chunk_count <= chunks
-    materialized = prepared_auditor().audit_whole_log(target)
+    one_chunk = AuditScheduler(chunks_per_machine=1)   # still materializes
+    materialized = one_chunk.audit_fleet(
+        [AuditAssignment(prepared_auditor(), target)]).results[machine]
     if convicted:
         result = streamed.result
         assert result.verdict is materialized.verdict is Verdict.FAIL
@@ -167,7 +169,8 @@ def _run_memory_bound_check(tmp_path, duration: float, snapshots: int,
     stream_peak = _traced_peak(lambda: engine_report(stream_auditor))
     materializing_auditor = prepared_auditor()
     materializing_peak = _traced_peak(
-        lambda: materializing_auditor.audit_whole_log(target))
+        lambda: one_chunk.audit_fleet(
+            [AuditAssignment(materializing_auditor, target)]))
     bound = CHUNK_MULTIPLE * chunk_raw * in_flight + FIXED_OVERHEAD
 
     assert stream_peak <= bound, (

@@ -81,6 +81,36 @@ class TestResumeProperty:
             assert [c.end_checkpoint for c in resumed] == \
                 [c.end_checkpoint for c in chunks[cut:]]
 
+    def test_a_stream_between_two_boundaries_is_that_run_of_chunks(
+            self, archived_run):
+        """``start`` and ``until`` cut the uninterrupted stream at chunk
+        boundaries; only the last chunk of the log ends it."""
+        archive, machine = archived_run
+        target = ArchiveBackedMachine(archive, machine)
+        chunks = list(iter_stream_chunks(target))
+        rng = random.Random(11)
+        for _ in range(4):
+            first, last = sorted(rng.sample(range(len(chunks) + 1), 2))
+            cut = list(iter_stream_chunks(
+                target, start=chunks[first - 1].end_checkpoint if first
+                else None, until=chunks[last - 1].end_checkpoint))
+            assert [c.segment.entries for c in cut] == \
+                [c.segment.entries for c in chunks[first:last]]
+            assert [c.ends_log for c in cut] == \
+                [c.ends_log for c in chunks[first:last]]
+
+    def test_a_stop_off_boundary_is_refused(self, archived_run):
+        archive, machine = archived_run
+        wide = [r for r in archive.segment_records(machine)
+                if r.entry_count > 1]
+        from repro.log.hashchain import ChainCheckpoint
+        target = ArchiveBackedMachine(archive, machine)
+        for until in (ChainCheckpoint(wide[0].first_sequence,
+                                      wide[0].start_hash),
+                      ChainCheckpoint(wide[0].last_sequence, b"\x00" * 32)):
+            with pytest.raises(ReproError, match="not a segment boundary"):
+                list(iter_stream_chunks(target, until=until))
+
     def test_resume_off_boundary_is_refused(self, archived_run):
         archive, machine = archived_run
         records = archive.segment_records(machine)

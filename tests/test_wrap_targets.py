@@ -25,9 +25,11 @@ from repro.store.archive import LogArchive
 ROOT = Path(__file__).resolve().parents[1]
 
 #: targets ``bench/trace.py`` still names whose code is gone from ``src/``:
-#: the v2 binary codec (deleted with format 2) and the streaming
-#: cross-checker and batched RSA verification (folded into the audit kernel)
+#: the v2 binary codec (deleted with format 2), the streaming cross-checker
+#: and batched RSA verification (folded into the audit kernel), and the
+#: serial front-end (every audit is the engine's plan)
 KNOWN_MISSING = {
+    "repro.audit.auditor.Auditor.audit_segment",
     "repro.log.codec.BinaryCodec.encode_segment",
     "repro.log.codec.BinaryCodec.decode_segment",
     "repro.audit.stream.StreamingCrossChecker.feed",
