@@ -93,12 +93,19 @@ class QuarantinedShipment:
         return asdict(self)
 
     @staticmethod
-    def from_dict(data: Dict[str, object]) -> "QuarantinedShipment":
-        return QuarantinedShipment(
-            machine=str(data.get("machine", "")),
-            reason=str(data.get("reason", "")),
-            first_sequence=int(data.get("first_sequence", 0) or 0),
-            last_sequence=int(data.get("last_sequence", 0) or 0))
+    def from_dict(data: object) -> "QuarantinedShipment":
+        """The record a JSON value holds; ``ValueError`` for anything that
+        is no object, or whose sequence is no finite number."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a quarantine record is an object, not {type(data).__name__}")
+        try:
+            return QuarantinedShipment(
+                machine=str(data.get("machine", "")),
+                reason=str(data.get("reason", "")),
+                first_sequence=int(data.get("first_sequence", 0) or 0),
+                last_sequence=int(data.get("last_sequence", 0) or 0))
+        except OverflowError as exc:     # int(1e999)
+            raise ValueError(f"a quarantine record's sequence: {exc}") from None
 
 
 class AuditIngestService:

@@ -11,16 +11,22 @@ process appends what it enters to a file of its own, so a function that only
 a worker runs counts as entered.
 
 A function, method or nested function under ``src/repro/`` that no run
-enters is *never entered*.  It is deleted, moved into ``tests/``, or named
-in :data:`KEPT` with one of the reasons below.  Where a reason can be
-checked, it is: a wrap target is in ``bench/trace.py``'s table, an
-allowance is in ``test_only_what_runs.ALLOWED``, an abstract method raises
-``NotImplementedError``.  A kept entry that some run does enter, or that is
-gone, is stale and fails the check.
-
-Unlike the static scan (``tests/test_only_what_runs.py``), which keeps a
-definition alive when anything live shares its name, the census sees what
-actually runs: a reused method name such as ``to_dict`` is found here.
+enters is *never entered* (a method that only raises
+``NotImplementedError`` has nothing to run, and is not listed while code
+outside ``tests/`` names it).  It is deleted, moved into ``tests/``, or
+named in :data:`KEPT`, the one table of exceptions, with one of the
+reasons below; what a kept definition calls in its own module is kept with
+it.  Where a reason can be checked, it is: a wrap target is in
+``bench/trace.py``'s table, a documented entry point is named as code by
+the ``docs/`` file its note cites, an accessor is read-only and at most
+five lines, an abstract method is empty or overrides one that is.  A kept
+entry that some run does enter, that is gone, or that another kept entry
+already keeps, is stale.  A class with no ``def`` of its own runs no code
+the profiler could see, so :func:`unnamed_classes` checks it by name: code
+outside ``tests/`` must name it.  This is the one guard on "``src/`` keeps
+only what runs", and it sees what actually runs: a definition used only by
+tests, named only by a string, or sharing its name with a live method of
+another class is found.
 
 Options are counted the same way.  An option is a parameter with a default
 of a ``def`` under ``src/repro/``, or a field with a default of an option
@@ -30,7 +36,7 @@ through the instance it builds).  The first
 call in any process that passes an option a value other than its default
 (an equal value does not count) sets it.  An option of an entered definition
 that no run sets is *unset*: it becomes a constant, or is named in
-:data:`KEPT_OPTIONS` with a reason the check verifies — ``bench/`` passes it
+:data:`KEPT` too, with a reason the check verifies — ``bench/`` passes it
 (its calls must keep working), a deployment identity or path (the
 parameter's name says which), or a failure branch a test drives (a test
 passes it).  A call passes an option only if :func:`passed_by` resolves it
@@ -107,95 +113,77 @@ RUNS: Dict[str, List[str]] = {
        for trace in (0, 1)},
 }
 
-# -- the reasons a never-entered definition may stay -------------------------
+# -- the reasons a never-entered definition or an unset option may stay ------
 
 #: named in ``bench/trace.py``'s wrap table (``tests/test_wrap_targets.py``
 #: pins that every name there resolves)
 WRAPPED = "a bench/trace.py wrap target"
-#: named in ``tests/test_only_what_runs.py``'s ``ALLOWED``, with its own
-#: reason, or called by one that is (what a kept definition uses is kept)
-ALLOWANCE = "a documented entry point or accessor in test_only_what_runs.ALLOWED"
-#: a protocol method with no body of its own (it raises
-#: ``NotImplementedError`` or is empty), or a class's implementation of one
+#: an entry point a ``docs/`` file documents: the note starts with
+#: ``docs/<file>.md``, and that file names the definition as code, in
+#: backticks
+DOCUMENTED = "a documented entry point"
+#: a read-only accessor of at most five lines, which tests read running code
+#: through
+ACCESSOR = "a read-only accessor tests use to observe code that runs"
+#: a protocol method with no body of its own (it is empty; one that only
+#: raises ``NotImplementedError`` is listed only when nothing names it), or
+#: a class's implementation of one
 ABSTRACT = "an abstract protocol method"
 #: what a failure, a crash recovery or hostile input takes, which no honest
 #: seeded run does; the matrix, the fuzzers and the crash matrix are its users
 FAILURE = "a failure, recovery or hostile-input branch"
 #: the plain form of an optimised path, which tests compare it against
 REFERENCE = "a reference implementation tests compare against"
+#: (an option) ``bench/`` passes it, and ``bench/`` is the benchmark's: its
+#: calls must keep working unedited
+BENCH_CALLER = "bench/ passes it by name or position"
+#: (an option) where a deployment puts a machine, or what it calls it
+DEPLOYMENT = "a deployment identity or path"
 
-REASONS = (WRAPPED, ALLOWANCE, ABSTRACT, FAILURE, REFERENCE)
+#: what an option may be kept for (for FAILURE, a test passes it)
+OPTION_REASONS = (BENCH_CALLER, DEPLOYMENT, FAILURE)
+REASONS = (WRAPPED, DOCUMENTED, ACCESSOR, ABSTRACT, REFERENCE, *OPTION_REASONS)
 
-#: never-entered definitions that stay: key -> (reason, what it is for)
+#: the words a deployment identity's or path's parameter name is made of
+IDENTITY_WORDS = {"path", "root", "dir", "name", "identity", "address", "host", "port"}
+
+#: the one table of exceptions: never-entered definitions and unset options
+#: that stay, key -> (reason, what it is for).  What a kept definition calls
+#: is kept with it (:func:`kept_with`), and needs no entry of its own.
 KEPT: Dict[str, Tuple[str, str]] = {
     # -- bench/trace.py's wrap table
-    "repro.store.archive:LogArchive.read_segment": (
-        WRAPPED, "reads one archived segment whole; a range of an archived "
-        "log reads the segment before it and, for evidence, those after "
-        "it, and a spot check prices its chunk with it"),
     "repro.store.archive:LogArchive.store_snapshot": (
         WRAPPED, "archives a full snapshot; shipments carry deltas"),
-    # -- test_only_what_runs.ALLOWED, and what those entries call
-    "repro.audit.engine:pool_starts_total": (ALLOWANCE, "pool warmth"),
-    "repro.audit.online:OnlineAuditor.fault_detected": (ALLOWANCE, "detection flag"),
-    "repro.avmm.monitor:AccountableVMM.shipped_through": (ALLOWANCE, "shipping progress"),
-    "repro.log.entries:content_materializations_total": (ALLOWANCE, "lazy-decode counter"),
-    "repro.log.hashchain:verify_entry": (ALLOWANCE, "one entry's link"),
-    "repro.log.tamper_evident:TamperEvidentLog.head_hash": (ALLOWANCE, "chain head"),
-    "repro.metrics.latency:LatencyRecorder.unmatched_received": (
-        ALLOWANCE, "stray replies"),
-    "repro.network.channel:ReliableChannel.gave_up_on": (ALLOWANCE, "abandoned sends"),
-    "repro.network.channel:ReliableChannel.retransmissions": (
-        ALLOWANCE, "retransmission count"),
-    "repro.network.channel:ReliableChannel.unacknowledged": (ALLOWANCE, "pending sends"),
+    # -- documented entry points
     "repro.service.ingest:AuditIngestService.audit_pending": (
-        ALLOWANCE, "drains the audit queue in one fleet call"),
-    "repro.service.ingest:AuditIngestService.assignments": (
-        ALLOWANCE, "audit_pending's fleet assignments"),
-    "repro.service.ingest:AuditIngestService.pending_machines": (
-        ALLOWANCE, "the audit queue, for assignments"),
-    "repro.service.ingest:AuditIngestService.pending_segments": (
-        ALLOWANCE, "one machine's queue depth"),
-    "repro.service.ingest:AuditIngestService.quarantined_machines": (
-        ALLOWANCE, "who was quarantined"),
-    "repro.sim.clock:HostClock.reads": (ALLOWANCE, "clock-read count"),
+        DOCUMENTED, "docs/log-archive.md — drains the audit queue in one fleet call"),
     "repro.store.archive:LogArchive.reencode_segments": (
-        ALLOWANCE, "the v1 -> v3 archive migration"),
-    "repro.store.archive:LogArchive.adopt_retention_checkpoint": (
-        ALLOWANCE, "reencode_segments' first step on a truncated archive"),
-    "repro.store.archive:LogArchive.copy_snapshots_to": (
-        ALLOWANCE, "reencode_segments copies the snapshots with it"),
-    "repro.vm.devices:VirtualDisk.writes": (ALLOWANCE, "disk-write count"),
+        DOCUMENTED, "docs/log-format.md — the v1 -> v3 archive migration; "
+        "also keeps read_segment (a bench/trace.py wrap target, which a "
+        "range of an archived log and a spot check's price read through)"),
     "repro.vm.snapshot:SnapshotManager.resident_bytes": (
-        ALLOWANCE, "the snapshot manager's memory bound"),
+        DOCUMENTED, "docs/snapshots.md — the snapshot manager's memory bound"),
+    # -- accessors
+    "repro.audit.engine:pool_starts_total": (ACCESSOR, "pool warmth"),
+    "repro.audit.online:OnlineAuditor.fault_detected": (ACCESSOR, "detection flag"),
+    "repro.avmm.monitor:AccountableVMM.shipped_through": (ACCESSOR, "shipping progress"),
+    "repro.log.entries:content_materializations_total": (ACCESSOR, "lazy-decode counter"),
+    "repro.log.hashchain:verify_entry": (ACCESSOR, "one entry's link"),
+    "repro.log.tamper_evident:TamperEvidentLog.head_hash": (ACCESSOR, "chain head"),
+    "repro.metrics.latency:LatencyRecorder.unmatched_received": (
+        ACCESSOR, "stray replies"),
+    "repro.network.channel:ReliableChannel.gave_up_on": (ACCESSOR, "abandoned sends"),
+    "repro.network.channel:ReliableChannel.retransmissions": (
+        ACCESSOR, "retransmission count"),
+    "repro.network.channel:ReliableChannel.unacknowledged": (ACCESSOR, "pending sends"),
+    "repro.service.ingest:AuditIngestService.pending_segments": (
+        ACCESSOR, "one machine's queue depth"),
+    "repro.service.ingest:AuditIngestService.quarantined_machines": (
+        ACCESSOR, "who was quarantined"),
+    "repro.sim.clock:HostClock.reads": (ACCESSOR, "clock-read count"),
+    "repro.vm.devices:VirtualDisk.writes": (ACCESSOR, "disk-write count"),
     # -- protocol methods
-    "repro.adversary.shipping:_LyingShipper.corrupt_part": (
-        ABSTRACT, "each lying shipper corrupts its own part"),
-    "repro.adversary.tampering:_LogTamperAdversary.apply": (
-        ABSTRACT, "each tampering adversary applies its own edit"),
-    "repro.crypto.signatures:SignatureScheme.costs": (ABSTRACT, "a scheme's cost model"),
-    "repro.crypto.signatures:SignatureScheme.generate": (ABSTRACT, "a scheme's keys"),
-    "repro.crypto.signatures:SigningKey.sign": (ABSTRACT, "RSA signs"),
-    "repro.crypto.signatures:VerifyKey.fingerprint": (ABSTRACT, "RSA fingerprints"),
-    "repro.crypto.signatures:VerifyKey.verify": (ABSTRACT, "RSA verifies"),
-    "repro.game.cheats.base:Cheat.patch_image": (ABSTRACT, "each cheat's image"),
-    "repro.log.codec:LogCodec.decode_segment": (ABSTRACT, "each format's reader"),
-    "repro.log.codec:LogCodec.encode_segment": (ABSTRACT, "each format's writer"),
-    "repro.log.codec:LogCodec.stream_decoder": (ABSTRACT, "each format's stream"),
-    "repro.log.codec:_StreamDecoderBase.entries": (ABSTRACT, "each stream's entries"),
-    "repro.vm.guest:GuestProgram.get_state": (ABSTRACT, "a guest's snapshot state"),
-    "repro.vm.guest:GuestProgram.on_event": (ABSTRACT, "a guest's event handler"),
     "repro.vm.guest:GuestProgram.on_start": (ABSTRACT, "a guest's boot hook"),
-    "repro.vm.guest:GuestProgram.set_state": (ABSTRACT, "a guest's restore"),
-    "repro.vm.guest:MachineApi.consume_cycles": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.read_clock": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.render_frame": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.send_packet": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.set_timer": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.upstream_call": (ABSTRACT, "the VM's API"),
-    "repro.vm.guest:MachineApi.write_disk": (ABSTRACT, "the VM's API"),
-    "repro.vm.machine:NondeterminismSource.clock_read": (
-        ABSTRACT, "live and replayed clock reads"),
     "repro.workloads.echo:EchoGuest.get_state": (
         ABSTRACT, "the echo guest's snapshot state (fig. 5 takes none)"),
     "repro.workloads.echo:EchoGuest.set_state": (ABSTRACT, "its restore"),
@@ -204,25 +192,18 @@ KEPT: Dict[str, Tuple[str, str]] = {
     "repro.workloads.echo:PingSenderGuest.set_state": (ABSTRACT, "its restore"),
     # -- failure, recovery and hostile input
     "repro.adversary.matrix:CellOutcome.describe": (
-        FAILURE, "the matrix prints a cell whose expectation was not met"),
-    "repro.adversary.matrix:CellSpec.label": (FAILURE, "names that cell"),
+        FAILURE, "the matrix prints a cell whose expectation was not met, "
+        "by its label"),
     "repro.audit.syntactic:SyntacticReport.add": (
         FAILURE, "records a syntactic problem (a log whose messages do not "
         "pair); no paper run's first failing chunk fails at this step"),
     "repro.audit.engine:_ChunkRun._rebuild": (
         FAILURE, "a worker process died: resubmit on a new pool"),
-    "repro.audit.engine:_WorkerPools.replace": (FAILURE, "the new pool"),
     "repro.log.codec:_noncanonical": (
         FAILURE, "a v1 blob not in the writer's layout"),
-    "repro.log.entries:_ContentReader.f64": (FAILURE, "a row value, see _read_row_value"),
-    "repro.log.entries:_ContentReader.i64": (FAILURE, "a row value, see _read_row_value"),
-    "repro.log.entries:_ContentReader.long_str": (
-        FAILURE, "a row value, see _read_row_value"),
-    "repro.log.entries:_read_row_value": (
-        FAILURE, "parses one value of generic-row content from untrusted v3 "
-        "bytes; no paper run reads such an entry's content"),
     "repro.log.entries:_unpack_row_body": (
-        FAILURE, "parses generic-row content, see _read_row_value"),
+        FAILURE, "parses generic-row content from untrusted v3 bytes, value "
+        "by value; no paper run reads such an entry's content"),
     "repro.service.ingest:QuarantinedShipment.from_dict": (
         FAILURE, "the quarantine reloaded after a restart"),
     "repro.store.archive:LogArchive._abandon": (
@@ -241,6 +222,58 @@ KEPT: Dict[str, Tuple[str, str]] = {
     "repro.log.entries:recv_content": (
         REFERENCE, "the RECV content dict encode_recv_content must match byte "
         "for byte (docs/message-protocol.md)"),
+    # -- options bench/ passes
+    "repro.crypto.keys:CertificateAuthority.__init__(scheme)": (
+        BENCH_CALLER, "the CA's signature scheme"),
+    "repro.game.bots:ScriptedPlayer.__init__(actions_per_second)": (
+        BENCH_CALLER, "how often the bot acts"),
+    "repro.game.bots:ScriptedPlayer.start(delay)": (
+        BENCH_CALLER, "when the bot starts acting"),
+    "repro.log.codec:encode_segment(format_version)": (
+        BENCH_CALLER, "the codec a segment is written in"),
+    "repro.workloads.sqlbench:SqlBenchSettings(tick_interval)": (
+        BENCH_CALLER, "seconds between the client's ticks"),
+    # -- options that are deployment identities
+    "repro.adversary.guests:make_cheating_kvserver_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.adversary.guests:make_cheating_webservice_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.crypto.keys:CertificateAuthority.__init__(identity)": (
+        DEPLOYMENT, "the CA's identity"),
+    "repro.game.images:make_client_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.game.images:make_server_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.service.fleet:AuditFleet.make_auditor(identity)": (
+        DEPLOYMENT, "who audits"),
+    "repro.service.fleet:build_fleet(ingest_identity)": (
+        DEPLOYMENT, "the ingest service's network identity"),
+    "repro.service.ingest:AuditIngestService.__init__(identity)": (
+        DEPLOYMENT, "the ingest service's network identity"),
+    "repro.workloads.echo:make_echo_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.echo:make_ping_sender_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.workloads.kvstore:make_kvserver_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.sqlbench:make_sqlbench_image(name)": (DEPLOYMENT, "the image's name"),
+    "repro.workloads.webservice:make_webclient_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    "repro.workloads.webservice:make_webservice_image(name)": (
+        DEPLOYMENT, "the image's name"),
+    # -- options that failure, recovery or hostile-input branches take
+    "repro.audit.stream:iter_stream_chunks(start)": (
+        FAILURE, "resumes a stream at a checkpoint, as a range of an "
+        "archived log starts; an off-boundary or forged one is refused"),
+    "repro.audit.stream:iter_stream_chunks(until)": (
+        FAILURE, "stops a stream at a checkpoint, as a range of an archived "
+        "log ends; an off-boundary one is refused"),
+    "repro.network.channel:ReliableChannel.__init__(max_retransmits)": (
+        FAILURE, "how soon a sender gives up on a silent peer"),
+    "repro.network.channel:ReliableChannel.__init__(retransmit_interval)": (
+        FAILURE, "how soon a sender retransmits"),
+    "repro.network.simnet:LinkSpec(loss_rate)": (FAILURE, "a lossy link"),
+    "repro.network.simnet:SimulatedNetwork.__init__(default_link)": (
+        FAILURE, "the lossy link a network is built with"),
+    "repro.store.archive:LogArchive.__init__(deep_verify)": (
+        FAILURE, "decodes every segment at open and re-verifies its chain; "
+        "the crash matrix reopens with it after every kill"),
 }
 
 
@@ -424,24 +457,27 @@ def run_census(runs: Dict[str, List[str]], package: Path = PACKAGE,
 
 @dataclass(eq=False)
 class Definition:
-    """One ``def`` under the package: its key, lines and code-object match."""
+    """One ``def`` (or class) under the package: its key, node and
+    code-object match."""
 
     key: str
     filename: str
-    first_line: int          # the first decorator's line, as ``co_firstlineno``
-    name: str
-    lineno: int
-    end_lineno: int
-    parent: Optional["Definition"]
     node: ast.AST
+    parent: Optional["Definition"] = None
+
+    @property
+    def name(self) -> str:
+        return self.node.name
 
     @property
     def lines(self) -> int:
-        return self.end_lineno - self.lineno + 1
+        return self.node.end_lineno - self.node.lineno + 1
 
     @property
     def code_key(self) -> Tuple[str, int, str]:
-        return self.filename, self.first_line, self.name
+        # a code object's first line is its first decorator's
+        first = min([self.node.lineno] + [d.lineno for d in self.node.decorator_list])
+        return self.filename, first, self.node.name
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,30 +486,71 @@ def _parsed(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
 
 
+def _modules(package: Path) -> List[Tuple[Path, str]]:
+    """Every source file under ``package``, with its module name."""
+    base = package.resolve().parent
+    found = []
+    for path in sorted(package.resolve().rglob("*.py")):
+        parts = path.relative_to(base).with_suffix("").parts
+        found.append((path, ".".join(parts[:-1] if parts[-1] == "__init__" else parts)))
+    return found
+
+
 def definitions(package: Path = PACKAGE) -> List[Definition]:
     """Every function, method and nested function under ``package``."""
     found: List[Definition] = []
-    base = package.resolve().parent
 
     def visit(node, filename, module, prefix, parent):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, filename, module, f"{prefix}{child.name}.", parent)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 definition = Definition(f"{module}:{prefix}{child.name}", filename,
-                                        first, child.name, child.lineno,
-                                        child.end_lineno, parent, child)
+                                        child, parent)
                 found.append(definition)
                 visit(child, filename, module, f"{prefix}{child.name}.", definition)
             else:
                 visit(child, filename, module, prefix, parent)
 
-    for path in sorted(package.resolve().rglob("*.py")):
-        parts = path.relative_to(base).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for path, module in _modules(package):
         visit(_parsed(path), str(path), module, "", None)
     return found
+
+
+def names_used(package: Path = PACKAGE, users: Sequence[Path] = (
+        ROOT / "bench", ROOT / "examples")) -> Set[str]:
+    """Every name an expression in ``package`` or ``users`` (their tests
+    excluded) uses, as a variable or an attribute: an import, an
+    ``__all__`` entry or a string names nothing, and neither does a test."""
+    files = [path for path, _ in _modules(package)] + [
+        path for user in users for path in sorted(user.rglob("*.py"))
+        if "tests" not in path.relative_to(user).parts]
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            for path in files for node in ast.walk(_parsed(path))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unnamed_classes(named: Set[str], package: Path = PACKAGE) -> List[Definition]:
+    """Classes with no ``def`` of their own (or only abstract ones) whose
+    name is not in ``named`` (:func:`names_used`).
+
+    Such a class (an exception, an enum, a dataclass of fields only) runs no
+    code the profiler could see entered, so it is checked by name.  This is
+    a static scan: a name used by a never-entered definition counts until
+    that definition goes."""
+    found: List[Definition] = []
+    for path, module in _modules(package):
+        todo = [(node, "") for node in _parsed(path).body]
+        while todo:
+            node, prefix = todo.pop()
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name not in named and not any(
+                    isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not _abstract(child) for child in node.body):
+                found.append(Definition(f"{module}:{prefix}{node.name}", str(path), node))
+            todo.extend((child, f"{prefix}{node.name}.") for child in node.body)
+    return sorted(found, key=lambda d: d.key)
 
 
 #: the option records: every field with a default is an option
@@ -503,10 +580,7 @@ def _option_records(package: Path) -> List[Tuple[str, ast.ClassDef]]:
     """``(key, class node)`` of every option-record dataclass at the top
     level of a module under ``package``."""
     found = []
-    base = package.resolve().parent
-    for path in sorted(package.resolve().rglob("*.py")):
-        parts = path.relative_to(base).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    for path, module in _modules(package):
         for node in _parsed(path).body:
             if (isinstance(node, ast.ClassDef) and OPTION_RECORD.match(node.name)
                     and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
@@ -562,21 +636,36 @@ def option_sites(package: Path
     return defs, records
 
 
-def never_entered(defs: Iterable[Definition], entered: Entered) -> List[Definition]:
+def never_entered(defs: Iterable[Definition], entered: Entered,
+                  named: Set[str]) -> List[Definition]:
     """The outermost definitions no run entered (one inside a never-entered
-    definition is never entered either, and not listed again)."""
-    missed = [d for d in defs if d.code_key not in entered]
+    definition is never entered either, and not listed again), but for a
+    method that only raises ``NotImplementedError`` and whose name is in
+    ``named`` (:func:`names_used`): it has nothing to run, and the code that
+    names it is checked itself."""
+    missed = [d for d in defs if d.code_key not in entered
+              and not (d.parent is None and "." in d.key.partition(":")[2]
+                       and _abstract(d.node) and d.name in named)]
     missed_set = set(missed)
     return [d for d in missed if d.parent not in missed_set]
 
 
-def _has_no_body(node) -> bool:
-    """Whether a function only raises ``NotImplementedError`` or is empty."""
-    body = [stmt for stmt in node.body
+def _statements(node) -> list:
+    """A function's statements, but its docstring."""
+    return [stmt for stmt in node.body
             if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
-    return not body or all(isinstance(stmt, ast.Pass) for stmt in body) or (
-        len(body) == 1 and isinstance(body[0], ast.Raise)
-        and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def _abstract(node) -> bool:
+    """Whether a function only raises ``NotImplementedError``."""
+    body = _statements(node)
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def _has_no_body(node) -> bool:
+    """Whether a function is empty or abstract."""
+    return all(isinstance(stmt, ast.Pass) for stmt in _statements(node)) or _abstract(node)
 
 
 def _implements_a_protocol_method(definition: Definition) -> bool:
@@ -597,51 +686,82 @@ def _implements_a_protocol_method(definition: Definition) -> bool:
     return False
 
 
-def _allowed_closure(defs: List[Definition], kept: Dict[str, Tuple[str, str]]) -> Set[str]:
-    """Keys in ``ALLOWED``, and the kept definitions they call, transitively."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    try:
-        from test_only_what_runs import ALLOWED
-    finally:
-        sys.path.remove(str(ROOT / "tests"))
-    by_key = {d.key: d for d in defs}
-    closure = {key for key in ALLOWED if key in by_key}
-    candidates = {key for key, (reason, _) in kept.items()
-                  if reason == ALLOWANCE and key in by_key} - closure
-    grown = True
-    while grown:
-        sources = " ".join(ast.unparse(by_key[key].node) for key in closure)
-        reached = {key for key in candidates
-                   if re.search(rf"\b{by_key[key].name}\b", sources)}
-        grown = bool(reached)
-        closure |= reached
-        candidates -= reached
-    return closure
+def kept_with(missed: List[Definition], kept: Iterable[str]) -> Set[str]:
+    """The keys of the never-entered definitions that the ``kept`` ones
+    call, transitively: a name a kept definition calls keeps every
+    never-entered definition of that name in its own module."""
+    by_name: Dict[Tuple[str, str], List[Definition]] = {}
+    for d in missed:
+        by_name.setdefault((d.filename, d.name), []).append(d)
+    todo = [d for d in missed if d.key in kept]
+    reached: Set[str] = set()
+    while todo:
+        caller = todo.pop()
+        for node in ast.walk(caller.node):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for d in by_name.pop((caller.filename, name), []):
+                reached.add(d.key)
+                todo.append(d)
+    return reached
 
 
-def reason_problem(definition: Definition, reason: str, note: str,
-                   allowed: Set[str] = frozenset()) -> Optional[str]:
-    """Why ``reason`` does not hold for ``definition``, or None; ``allowed``
-    is :func:`_allowed_closure`'s."""
-    if reason not in REASONS:
-        return f"unknown reason {reason!r}"
-    if not note.strip():
-        return "no note on what it is for"
-    dotted = definition.key.replace(":", ".")
-    if reason == WRAPPED and f'"{dotted}"' not in (ROOT / "bench" / "trace.py").read_text():
+_DOC_REF = re.compile(r"docs/[\w.-]+\.md(?= )")
+
+
+def named_as_code(text: str, name: str) -> bool:
+    """Whether ``name`` appears as code in ``text``: in a fenced block or
+    an inline backtick span."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return any(word.search(span)
+               for span in re.findall(r"```.*?```|`[^`\n]+`", text, re.S))
+
+
+def _stores(node: ast.AST) -> bool:
+    """Whether a function assigns to or deletes an attribute or an item."""
+    return any(isinstance(n, (ast.Attribute, ast.Subscript))
+               and isinstance(n.ctx, (ast.Store, ast.Del)) for n in ast.walk(node))
+
+
+def reason_problem(item, reason: str, note: str) -> Optional[str]:
+    """Why ``reason`` does not hold for ``item``, a never-entered
+    :class:`Definition` or an unset :class:`Option`, or None."""
+    if isinstance(item, Option):
+        if reason not in OPTION_REASONS:
+            return "no reason an option may stay"
+        callers = {BENCH_CALLER: "bench", FAILURE: "tests"}.get(reason)
+        if callers and not passed_by(item, sorted((ROOT / callers).rglob("*.py"))):
+            return f"no call in {callers}/ passes {item.param}"
+        if reason == DEPLOYMENT and not IDENTITY_WORDS & set(item.param.split("_")):
+            return f"{item.param!r} names no identity or path"
+        return None
+    if reason in (BENCH_CALLER, DEPLOYMENT):
+        return "no reason a definition may stay"
+    if reason == WRAPPED and f'"{item.key.replace(":", ".")}"' not in (
+            ROOT / "bench" / "trace.py").read_text():
         return "not in bench/trace.py's wrap table"
-    if reason == ALLOWANCE and definition.key not in allowed:
-        return "neither in test_only_what_runs.ALLOWED nor called by an entry there"
-    if reason == ABSTRACT and not (_has_no_body(definition.node)
-                                   or _implements_a_protocol_method(definition)):
+    if reason == DOCUMENTED:
+        doc = _DOC_REF.match(note)
+        if not doc:
+            return "the note must start with docs/<file>.md"
+        if not named_as_code((ROOT / doc[0]).read_text(), item.name):
+            return f"{doc[0]} does not name {item.name} as code"
+    if reason == ACCESSOR and (isinstance(item.node, ast.ClassDef) or item.lines > 5
+                               or _stores(item.node)):
+        return "no read-only accessor of at most 5 lines"
+    if reason == ABSTRACT and (isinstance(item.node, ast.ClassDef) or not (
+            _has_no_body(item.node) or _implements_a_protocol_method(item))):
         return "it has a body and overrides no bodiless protocol method"
     return None
 
 
 @dataclass
 class Verdict:
-    unexplained: List[Definition]
-    #: kept keys some run entered, or that name no definition
+    #: never-entered definitions and unset options that nothing keeps
+    unexplained: list
+    #: kept keys some run entered or set, that name nothing found, or that
+    #: another kept entry calls (and so keeps)
     stale: List[str]
     #: kept keys whose reason does not hold, with why
     unfounded: List[Tuple[str, str]]
@@ -651,93 +771,27 @@ class Verdict:
         return not (self.unexplained or self.stale or self.unfounded)
 
 
-def check(defs: List[Definition], missed: List[Definition],
-          kept: Dict[str, Tuple[str, str]]) -> Verdict:
-    by_key = {d.key: d for d in defs}
-    missed_keys = {d.key for d in missed}
-    allowed = _allowed_closure(defs, kept)
+def check(found: list, kept: Dict[str, Tuple[str, str]]) -> Verdict:
+    """What ``kept`` leaves unexplained of ``found`` (never-entered
+    definitions and unset options), which of its entries are stale, and
+    which of its reasons do not hold."""
+    by_key = {f.key: f for f in found}
+    missed = [f for f in found if isinstance(f, Definition)]
     unfounded = []
     for key, (reason, note) in sorted(kept.items()):
-        if key in missed_keys:
-            problem = reason_problem(by_key[key], reason, note, allowed)
-            if problem:
-                unfounded.append((key, problem))
-    return Verdict(unexplained=[d for d in missed if d.key not in kept],
-                   stale=sorted(key for key in kept if key not in missed_keys),
-                   unfounded=unfounded)
+        why = (f"unknown reason {reason!r}" if reason not in REASONS
+               else "no note on what it is for" if not note.strip()
+               else reason_problem(by_key[key], reason, note) if key in by_key else None)
+        if why:
+            unfounded.append((key, why))
+    covered = kept_with(missed, kept)
+    redundant = {key for key in kept if key in kept_with(missed, set(kept) - {key})}
+    return Verdict([f for f in found if f.key not in kept and f.key not in covered],
+                   sorted(key for key in kept if key not in by_key or key in redundant),
+                   unfounded)
 
 
 # -- options ------------------------------------------------------------------
-
-#: ``bench/`` passes it, and ``bench/`` is the benchmark's: its calls must
-#: keep working unedited
-BENCH_CALLER = "bench/ passes it by name or position"
-#: where a deployment puts a machine, or what it calls it
-DEPLOYMENT = "a deployment identity or path"
-#: the failure, recovery or hostile-input branch it drives (FAILURE above)
-#: is what a test passes it for
-
-OPTION_REASONS = (BENCH_CALLER, DEPLOYMENT, FAILURE)
-
-#: the words a deployment identity's or path's parameter name is made of
-IDENTITY_WORDS = {"path", "root", "dir", "name", "identity", "address", "host", "port"}
-
-#: options no run sets that stay: key -> (reason, what it is for)
-KEPT_OPTIONS: Dict[str, Tuple[str, str]] = {
-    # -- bench/'s calls
-    "repro.crypto.keys:CertificateAuthority.__init__(scheme)": (
-        BENCH_CALLER, "the CA's signature scheme"),
-    "repro.game.bots:ScriptedPlayer.__init__(actions_per_second)": (
-        BENCH_CALLER, "how often the bot acts"),
-    "repro.game.bots:ScriptedPlayer.start(delay)": (
-        BENCH_CALLER, "when the bot starts acting"),
-    "repro.log.codec:encode_segment(format_version)": (
-        BENCH_CALLER, "the codec a segment is written in"),
-    "repro.workloads.sqlbench:SqlBenchSettings(tick_interval)": (
-        BENCH_CALLER, "seconds between the client's ticks"),
-    # -- deployment identities
-    "repro.adversary.guests:make_cheating_kvserver_image(name)": (
-        DEPLOYMENT, "the image's name"),
-    "repro.adversary.guests:make_cheating_webservice_image(name)": (
-        DEPLOYMENT, "the image's name"),
-    "repro.crypto.keys:CertificateAuthority.__init__(identity)": (
-        DEPLOYMENT, "the CA's identity"),
-    "repro.game.images:make_client_image(name)": (DEPLOYMENT, "the image's name"),
-    "repro.game.images:make_server_image(name)": (DEPLOYMENT, "the image's name"),
-    "repro.service.fleet:AuditFleet.make_auditor(identity)": (
-        DEPLOYMENT, "who audits"),
-    "repro.service.fleet:build_fleet(ingest_identity)": (
-        DEPLOYMENT, "the ingest service's network identity"),
-    "repro.service.ingest:AuditIngestService.__init__(identity)": (
-        DEPLOYMENT, "the ingest service's network identity"),
-    "repro.workloads.echo:make_echo_image(name)": (DEPLOYMENT, "the image's name"),
-    "repro.workloads.echo:make_ping_sender_image(name)": (
-        DEPLOYMENT, "the image's name"),
-    "repro.workloads.kvstore:make_kvserver_image(name)": (DEPLOYMENT, "the image's name"),
-    "repro.workloads.sqlbench:make_sqlbench_image(name)": (DEPLOYMENT, "the image's name"),
-    "repro.workloads.webservice:make_webclient_image(name)": (
-        DEPLOYMENT, "the image's name"),
-    "repro.workloads.webservice:make_webservice_image(name)": (
-        DEPLOYMENT, "the image's name"),
-    # -- failure, recovery and hostile input
-    "repro.audit.stream:iter_stream_chunks(start)": (
-        FAILURE, "resumes a stream at a checkpoint, as a range of an "
-        "archived log starts; an off-boundary or forged one is refused"),
-    "repro.audit.stream:iter_stream_chunks(until)": (
-        FAILURE, "stops a stream at a checkpoint, as a range of an archived "
-        "log ends; an off-boundary one is refused"),
-    "repro.network.channel:ReliableChannel.__init__(max_retransmits)": (
-        FAILURE, "how soon a sender gives up on a silent peer"),
-    "repro.network.channel:ReliableChannel.__init__(retransmit_interval)": (
-        FAILURE, "how soon a sender retransmits"),
-    "repro.network.simnet:LinkSpec(loss_rate)": (FAILURE, "a lossy link"),
-    "repro.network.simnet:SimulatedNetwork.__init__(default_link)": (
-        FAILURE, "the lossy link a network is built with"),
-    "repro.store.archive:LogArchive.__init__(deep_verify)": (
-        FAILURE, "decodes every segment at open and re-verifies its chain; "
-        "the crash matrix reopens with it after every kill"),
-}
-
 
 def unset_options(defs: List[Definition], census: Census,
                   package: Path = PACKAGE) -> List[Option]:
@@ -941,48 +995,6 @@ def passed_by(option: Option, sources: Iterable[Path]) -> bool:
     return False
 
 
-def option_reason_problem(option: Option, reason: str, note: str) -> Optional[str]:
-    """Why ``reason`` does not hold for ``option``, or None."""
-    if reason not in OPTION_REASONS:
-        return f"unknown reason {reason!r}"
-    if not note.strip():
-        return "no note on what it is for"
-    if reason == BENCH_CALLER and not passed_by(option, sorted((ROOT / "bench").rglob("*.py"))):
-        return f"no call in bench/ passes {option.param}"
-    if reason == DEPLOYMENT and not IDENTITY_WORDS & set(option.param.split("_")):
-        return f"{option.param!r} names no identity or path"
-    if reason == FAILURE and not passed_by(option, sorted((ROOT / "tests").rglob("*.py"))):
-        return f"no test passes {option.param}"
-    return None
-
-
-@dataclass
-class OptionVerdict:
-    unexplained: List[Option]
-    #: kept keys some run set, or that name no unset option of an entered
-    #: definition
-    stale: List[str]
-    #: kept keys whose reason does not hold, with why
-    unfounded: List[Tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.unexplained or self.stale or self.unfounded)
-
-
-def check_options(unset: List[Option], kept: Dict[str, Tuple[str, str]]) -> OptionVerdict:
-    by_key = {o.key: o for o in unset}
-    unfounded = []
-    for key, (reason, note) in sorted(kept.items()):
-        if key in by_key:
-            problem = option_reason_problem(by_key[key], reason, note)
-            if problem:
-                unfounded.append((key, problem))
-    return OptionVerdict(unexplained=[o for o in unset if o.key not in kept],
-                         stale=sorted(key for key in kept if key not in by_key),
-                         unfounded=unfounded)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
@@ -1004,41 +1016,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     sys.path.insert(0, str(SRC))   # the reason checks import what they keep
     defs = definitions()
     census = run_census(runs)
-    missed = never_entered(defs, census.entered)
-    verdict = check(defs, missed, KEPT)
+    named = names_used()
+    missed = never_entered(defs, census.entered, named) + unnamed_classes(named)
     unset = unset_options(defs, census)
-    option_verdict = check_options(unset, KEPT_OPTIONS)
+    verdict = check(missed + unset, KEPT)
+    covered = kept_with(missed, KEPT)
     for d in sorted(missed, key=lambda d: d.key):
-        mark = f"  [kept: {KEPT[d.key][0]}]" if d.key in KEPT else ""
+        mark = (f"  [kept: {KEPT[d.key][0]}]" if d.key in KEPT
+                else "  [kept with a kept entry]" if d.key in covered else "")
         print(f"{d.lines:5d}  {d.key}{mark}")
     for o in sorted(unset, key=lambda o: o.key):
-        mark = f"  [kept: {KEPT_OPTIONS[o.key][0]}]" if o.key in KEPT_OPTIONS else ""
+        mark = f"  [kept: {KEPT[o.key][0]}]" if o.key in KEPT else ""
         print(f"unset  {o.key}{mark}")
+    lost = [d for d in verdict.unexplained if isinstance(d, Definition)]
     print(f"{len(missed)} never-entered definitions, "
-          f"{sum(d.lines for d in missed)} lines; "
-          f"{len(verdict.unexplained)} not kept, "
-          f"{sum(d.lines for d in verdict.unexplained)} lines", file=sys.stderr)
+          f"{sum(d.lines for d in missed)} lines; {len(lost)} not kept, "
+          f"{sum(d.lines for d in lost)} lines", file=sys.stderr)
     print(f"{len(options(defs))} options; {len(unset)} unset by every run, "
-          f"{len(option_verdict.unexplained)} not kept", file=sys.stderr)
+          f"{len(verdict.unexplained) - len(lost)} not kept", file=sys.stderr)
     if not args.check:
         return 0
     for key in verdict.stale:
-        print(f"STALE: {key} is kept but a run enters it, or it is gone",
-              file=sys.stderr)
+        print(f"STALE: {key} is kept but a run enters or sets it, it is gone, or "
+              f"a kept entry calls it", file=sys.stderr)
     for key, problem in verdict.unfounded:
         print(f"UNFOUNDED: {key}: {problem}", file=sys.stderr)
-    for d in verdict.unexplained:
-        print(f"NEVER ENTERED: {d.key} ({d.lines} lines) — delete it, move it "
-              f"into tests/, or keep it in KEPT with a reason", file=sys.stderr)
-    for key in option_verdict.stale:
-        print(f"STALE OPTION: {key} is kept but a run sets it, or it is gone",
-              file=sys.stderr)
-    for key, problem in option_verdict.unfounded:
-        print(f"UNFOUNDED OPTION: {key}: {problem}", file=sys.stderr)
-    for o in option_verdict.unexplained:
-        print(f"UNSET OPTION: {o.key} — make it a constant, or keep it in "
-              f"KEPT_OPTIONS with a reason", file=sys.stderr)
-    return 0 if verdict.ok and option_verdict.ok else 1
+    for m in verdict.unexplained:
+        print(f"NEVER ENTERED: {m.key} ({m.lines} lines) — delete it, move it into "
+              f"tests/, or keep it in KEPT with a reason" if isinstance(m, Definition) else
+              f"UNSET OPTION: {m.key} — make it a constant, or keep it in KEPT "
+              f"with a reason", file=sys.stderr)
+    return 0 if verdict.ok else 1
 
 
 if __name__ == "__main__":

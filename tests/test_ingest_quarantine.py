@@ -7,6 +7,8 @@ an archive recovery, so a crash between ingest and audit cannot launder a
 rejected shipment.
 """
 
+import json
+
 import pytest
 
 from repro.adversary.catalog import make_adversary
@@ -76,6 +78,24 @@ class TestQuarantinePersistence:
         record = QuarantinedShipment(machine="m", reason="r",
                                      first_sequence=3, last_sequence=9)
         assert QuarantinedShipment.from_dict(record.to_dict()) == record
+
+    @pytest.mark.parametrize("line", [
+        '[1]',                                       # JSON, but no object
+        '"text"',
+        '{"machine": "m", "first_sequence": 1e999}',  # a sequence of inf
+    ])
+    def test_a_line_that_is_json_but_no_record_is_skipped(self, archive, line):
+        service = AuditIngestService(archive)
+        log = _log_with_entries()
+        assert service.ingest_segment(log.segment(1, 2))
+        assert not service.ingest_segment(log.segment(4, 5))
+        path = archive.root / "quarantine.jsonl"
+        path.write_text(line + "\n" + path.read_text())
+        reopened = AuditIngestService(LogArchive(archive.root))
+        assert [(r.machine, r.first_sequence) for r in reopened.quarantine] == [
+            ("shipper", 4)]
+        with pytest.raises(ValueError):
+            QuarantinedShipment.from_dict(json.loads(line))
 
 
 class TestAdversaryDrivenQuarantine:
