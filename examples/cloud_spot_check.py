@@ -48,7 +48,7 @@ def main() -> None:
     auditor = Auditor("db-client", keystore, server_image)
     auditor.collect_from_peer(client, "db-server")
     checker = SpotChecker(auditor)
-    segments = server.get_snapshot_segments()
+    segments = server.segment_records()
     print(f"\nspot-checking 2 of the {len(segments)} snapshot-delimited segments...")
     for index in (1, len(segments) - 2):
         result = checker.check_chunk(server, index, 1)

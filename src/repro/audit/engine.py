@@ -7,9 +7,9 @@ independent, and with periodic snapshots so are the chunks of one log
 (Sections 3.5 and 6.12).  :class:`AuditScheduler` drives both axes:
 
 1. each target's log — or a range of its snapshot-delimited segments, a
-   spot check's k-chunk — is cut at snapshot boundaries into chunks
-   (:func:`repro.log.segments.partition_segments` for a live log,
-   :func:`repro.audit.stream.iter_stream_chunks` for an archived one);
+   spot check's k-chunk — is cut at snapshot boundaries into chunks, off
+   the records every target lists, live or archived
+   (:func:`repro.audit.stream.iter_stream_chunks`);
 2. every chunk becomes a self-contained, picklable
    :class:`~repro.audit.kernel.ChunkJob`; what it needs from its predecessor
    — the verified snapshot state at the boundary and the RECVs in flight
@@ -61,8 +61,7 @@ from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
 from repro.audit.auditor import Auditor
 from repro.audit.kernel import (BoundaryContext, ChunkJob, ChunkOutcome,
                                 chunk_job, fetch_verified_snapshot_entry,
-                                fold_outcomes, last_snapshot_entry, replay_start,
-                                run_chunk)
+                                fold_outcomes, last_snapshot_entry, run_chunk)
 from repro.audit.semantic import modelled_replay_seconds
 from repro.audit.stream import iter_stream_chunks
 from repro.audit.verdict import AuditCost, AuditResult, Verdict
@@ -70,10 +69,10 @@ from repro.avmm.monitor import AccountableVMM
 from repro.crypto.signatures import get_scheme
 from repro.errors import (AuditError, CryptoError, HashChainError,
                           LogFormatError, MissingSnapshotError, SegmentError,
-                          SnapshotError, StoreError)
+                          SnapshotError)
 from repro.log.entries import LogEntry
 from repro.log.hashchain import ChainCheckpoint
-from repro.log.segments import LogSegment, partition_segments
+from repro.log.segments import LogSegment
 from repro.metrics.parallel import ParallelSchedule, schedule
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "run_chunk",
     "scheme_verify_seconds",
     "shutdown_worker_pools",
-    "snapshot_segments",
 ]
 
 
@@ -343,7 +341,11 @@ class _MachineAudit:
         self.assignment = assignment
         self.auditor, self.target = assignment.auditor, assignment.target
         self.machine = self.target.identity
-        #: at most this many chunks (None: one per archived sealing snapshot)
+        #: the target's segment records, listed once, before any chunk runs:
+        #: a target with nothing to list (an archive with no segments)
+        #: raises, an operational error rather than a verdict
+        self.records = self.target.segment_records()
+        #: at most this many chunks (None: one per served sealing snapshot)
         self.budget = budget
         #: the range's ``(chunk, checkpoint before it, whether it ends the
         #: log)``, then the segments after it, for evidence to extend into
@@ -416,15 +418,9 @@ class AuditScheduler:
                 f"run one fleet audit per auditor instead")
         audits = []
         for assignment in assignments:
-            target = assignment.target
-            archived = getattr(target, "supports_streaming", False)
-            if archived and not target.archive.segment_records(target.identity):
-                # an operational error, not a verdict
-                raise StoreError(f"no archived segments for {target.identity!r}")
             whole = assignment.start is None and assignment.until is None
-            # None: the finest chunking, one archived sealing snapshot per chunk
             audits.append(_MachineAudit(assignment, self.chunks_per_machine or (
-                None if archived and whole and self.workers == 1
+                assignment.target.audit_chunks if whole and self.workers == 1
                 else self.workers)))
         run = _ChunkRun(self.executor, self.workers)
         planner = chain.from_iterable(self._plan(audit, run) for audit in audits)
@@ -451,39 +447,20 @@ class AuditScheduler:
     def _cut(audit: _MachineAudit) -> Optional[LogSegment]:
         """Cut ``audit``'s range into its chunk budget — its ``chunks`` and
         ``following`` — and return the segment before the range (None: the
-        range starts where the log's replay does).  An archive is read a
-        chunk at a time off its segment files; a live log tiles its
-        snapshot-delimited segments, or, audited whole as one chunk, is
-        taken whole.  A bound outside the segments, or an empty range, is a
-        :class:`SegmentError`.
+        range starts where the log's replay does).  Every target is read the
+        same way, a run of its segment records per chunk.  A bound outside
+        the segments, or an empty range, is a :class:`SegmentError`.
         """
-        target, start, until = audit.target, audit.assignment.start, \
-            audit.assignment.until
-        ranged = start is not None or until is not None
-        if getattr(target, "supports_streaming", False):
-            archive = target.archive
-            records = archive.segment_records(audit.machine)
-            start, until = _bounds(start, until, len(records), ranged)
-            audit.chunks = ((chunk.segment, chunk.start_checkpoint, chunk.ends_log)
-                            for chunk in iter_stream_chunks(
-                                target, max_chunks=audit.budget,
-                                start=records[start - 1].end_checkpoint()
-                                if start else None,
-                                until=records[until - 1].end_checkpoint()
-                                if until < len(records) else None))
-            audit.following = (archive.read_segment(record)
-                               for record in records[until:])
-            return archive.read_segment(records[start - 1]) if start else None
-        if ranged or audit.budget != 1:
-            segments = target.get_snapshot_segments()
-        else:
-            segments = [target.get_log_segment()]   # not split to be re-joined
-        start, until = _bounds(start, until, len(segments), ranged)
-        audit.chunks = _tiled([segment for segment in segments[start:until]
-                               if segment.entries],
-                              audit.budget, until == len(segments))
-        audit.following = iter(segments[until:])
-        return segments[start - 1] if start else None
+        target, records = audit.target, audit.records
+        start, until = _bounds(audit.assignment.start, audit.assignment.until,
+                               len(records))
+        audit.chunks = ((chunk.segment, chunk.start_checkpoint, chunk.ends_log)
+                        for chunk in iter_stream_chunks(
+                            target, records[start:until], audit.budget,
+                            until == len(records)))
+        audit.following = (target.read_segments([record])
+                           for record in records[until:])
+        return target.read_segments([records[start - 1]]) if start else None
 
     def _plan(self, audit: _MachineAudit, run: _ChunkRun) -> Iterator[ChunkJob]:
         """Plan one machine, submitting each chunk job to ``run`` and then
@@ -500,7 +477,7 @@ class AuditScheduler:
         preceding = self._cut(audit)
         context = BoundaryContext()
         if preceding is None:
-            state, snapshot_bytes = replay_start(target)
+            state, snapshot_bytes = target.replay_start()
         else:
             state, snapshot_bytes = fetch_verified_snapshot_entry(
                 target, last_snapshot_entry(preceding))
@@ -599,43 +576,18 @@ class AuditScheduler:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _bounds(start: Optional[int], until: Optional[int], count: int,
-            ranged: bool) -> Tuple[int, int]:
+def _bounds(start: Optional[int], until: Optional[int], count: int
+            ) -> Tuple[int, int]:
     """``[start, until)`` of ``count`` segments, a missing bound filled in; a
     range outside them, or an empty one, is a :class:`SegmentError`."""
+    if start is None and until is None:
+        return 0, count
     first = 0 if start is None else start
     last = count if until is None else until
-    if ranged and not 0 <= first < last <= count:
+    if not 0 <= first < last <= count:
         raise SegmentError(
             f"chunk [{first}, {last}) outside the {count} available segments")
     return first, last
-
-
-def snapshot_segments(target) -> Tuple[int, Callable[[int], LogSegment]]:
-    """How many snapshot-delimited segments ``target``'s log has, and a
-    reader of each by index (0 starts the log, as :meth:`Auditor.audit
-    <repro.audit.auditor.Auditor.audit>`'s bounds do): a live log is split
-    once, an archived log's segment is read off its file when it is asked
-    for, so a caller holds the segments it keeps, not the log."""
-    if getattr(target, "supports_streaming", False):
-        archive = target.archive
-        records = archive.segment_records(target.identity)
-        return len(records), lambda index: archive.read_segment(records[index])
-    segments = target.get_snapshot_segments()
-    return len(segments), segments.__getitem__
-
-
-def _tiled(segments: List[LogSegment], budget: int, ends_log: bool
-           ) -> Iterator[Tuple[LogSegment, ChainCheckpoint, bool]]:
-    """``segments`` tiled into at most ``budget`` chunks, as ``(chunk,
-    checkpoint before it, whether it ends the log)``.  A chunk starts where
-    its predecessor ends, not where it says it does, so a chain broken at a
-    boundary fails the chunk after it."""
-    chunks = partition_segments(segments, budget)
-    checkpoint = chunks[0].start_checkpoint() if chunks else None
-    for chunk in chunks:
-        yield chunk, checkpoint, ends_log and chunk is chunks[-1]
-        checkpoint = chunk.end_checkpoint()
 
 
 def job_factory(auditor: Auditor, machine: str) -> Callable[..., ChunkJob]:

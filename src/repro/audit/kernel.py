@@ -45,7 +45,6 @@ __all__ = [
     "fetch_verified_snapshot_entry",
     "fold_outcomes",
     "last_snapshot_entry",
-    "replay_start",
     "run_chunk",
 ]
 
@@ -299,16 +298,6 @@ def fold_outcomes(machine: str, auditor: str,
 # ---------------------------------------------------------------------------
 # Boundary snapshots
 # ---------------------------------------------------------------------------
-
-def replay_start(target) -> Tuple[Optional[Dict[str, Any]], int]:
-    """Where the replay of ``target``'s whole log starts: ``(state,
-    transfer_bytes)`` of the GC boundary snapshot when an archive has
-    discarded a prefix of the log, else ``(None, 0)`` — the reference image."""
-    if getattr(target, "is_truncated", None) is not None \
-            and target.is_truncated():
-        return target.initial_state()
-    return None, 0
-
 
 def last_snapshot_entry(segment: LogSegment) -> Optional[LogEntry]:
     """The SNAPSHOT entry that seals ``segment`` (its last one), if any."""

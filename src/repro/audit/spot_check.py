@@ -16,14 +16,12 @@ before it.  This module adds the Figure 9 price of the chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List, Sequence
 
 from repro.audit.auditor import Auditor
-from repro.audit.engine import snapshot_segments
 from repro.audit.verdict import AuditResult
 from repro.avmm.monitor import AccountableVMM
 from repro.log.codec import modelled_compressed_log_bytes
-from repro.log.segments import LogSegment, concatenate_segments
 
 
 @dataclass
@@ -72,8 +70,7 @@ class SpotChecker:
         ``start_index`` is an index into the list of snapshot-delimited
         segments (0 = the segment that starts at the beginning of the log).
         """
-        _, read = snapshot_segments(target)
-        return self._checked(target, start_index, k, read)
+        return self._checked(target, start_index, k, target.segment_records())
 
     def check_all_chunks(self, target: AccountableVMM, k: int,
                          skip_initial: bool = True) -> List[SpotCheckResult]:
@@ -84,20 +81,19 @@ class SpotChecker:
         to be transferred and there is little activity yet.  Results are
         returned in chunk order.
         """
-        count, read = snapshot_segments(target)
+        records = target.segment_records()
         start = 1 if skip_initial else 0
-        return [self._checked(target, index, k, read)
-                for index in range(start, count - k + 1)]
+        return [self._checked(target, index, k, records)
+                for index in range(start, len(records) - k + 1)]
 
     def _checked(self, target: AccountableVMM, start_index: int, k: int,
-                 read: Callable[[int], LogSegment]) -> SpotCheckResult:
+                 records: Sequence) -> SpotCheckResult:
         """The range ``[start_index, start_index + k)`` audited, with its
         Figure 9 price next to it: the compressed size of the chunk, read
-        through ``read`` (the segments of the sweep, split once)."""
+        as one run of ``records`` (the target's, listed once per sweep)."""
         until = start_index + k
         result = self.auditor.audit(target, start=start_index, until=until)
-        chunk = concatenate_segments([read(index)
-                                      for index in range(start_index, until)])
+        chunk = target.read_segments(records[start_index:until])
         return SpotCheckResult(
             chunk_start_index=start_index,
             k=k,

@@ -25,8 +25,8 @@ recording features off, which lets every experiment use identical wiring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.avmm.clockopt import ClockReadOptimizer
 from repro.avmm.config import AvmmConfig
@@ -40,7 +40,7 @@ from repro.log.authenticator import (MAX_ACK_RUN_LINKS, AckRun, Authenticator,
 from repro.log.codec import get_codec, require_format_version
 from repro.log.entries import (EntryType, LogEntry, ack_content,
                                encode_recv_content, send_content)
-from repro.log.segments import LogSegment
+from repro.log.segments import LogSegment, split_at_snapshots
 from repro.log.storage import authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.metrics.perfmodel import PerfModel
@@ -683,13 +683,29 @@ class AccountableVMM:
 
     # ------------------------------------------------------------------ audit serving
 
+    #: a whole-log audit at one worker reads the log, held in memory, as
+    #: one chunk (an archived one is read a sealed run at a time)
+    audit_chunks: Optional[int] = 1
+
     def get_log_segment(self) -> LogSegment:
         """Return the whole log as a segment, for an auditor."""
         return self.log.full_segment()
 
-    def get_snapshot_segments(self) -> List[LogSegment]:
-        """Snapshot-delimited segments for spot checking."""
-        return self.log.segments_between_snapshots()
+    def segment_records(self) -> List[LogSegment]:
+        """The log's snapshot-delimited segments, in order: the audit
+        target's records (``docs/streaming-audit.md``)."""
+        return list(split_at_snapshots(self.log.full_segment()))
+
+    def read_segments(self, records: Sequence[LogSegment]) -> LogSegment:
+        """A run of :meth:`segment_records` as one slice of the log, which
+        starts where the run's first record does."""
+        return replace(self.log.segment(records[0].first_sequence,
+                                        records[-1].last_sequence),
+                       start_hash=records[0].start_hash)
+
+    def replay_start(self) -> Tuple[Optional[Dict[str, Any]], int]:
+        """A live log is whole: its replay starts from the reference image."""
+        return None, 0
 
     def authenticators_from(self, peer: str) -> List[Authenticator]:
         """Authenticators this machine has collected from ``peer``."""

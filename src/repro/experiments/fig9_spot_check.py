@@ -87,7 +87,7 @@ def run_spot_check(duration: float = 300.0) -> SpotCheckExperimentResult:
                      + full.cost.snapshot_bytes_downloaded)
 
     checker = SpotChecker(auditor)
-    segments = server.get_snapshot_segments()
+    segments = server.segment_records()
     points: List[SpotCheckPoint] = []
     for k in K_VALUES:
         if k > len(segments) - 1:

@@ -85,7 +85,7 @@ from repro.log.entries import (
     lazy_entry,
 )
 from repro.log.hashchain import entry_link_hash, memoise_link
-from repro.log.segments import LogSegment
+from repro.log.segments import LogSegment, split_at_snapshots
 
 __all__ = [
     "LogCodec",
@@ -100,7 +100,6 @@ __all__ = [
     "require_format_version",
     "encode_segment",
     "decode_segment",
-    "iter_snapshot_subsegments",
     "modelled_compressed_log_bytes",
 ]
 
@@ -930,30 +929,6 @@ class SegmentStreamDecoder(_StreamDecoderBase):
 # The canonical modelled compressed-log size (audit cost model)
 # ---------------------------------------------------------------------------
 
-def iter_snapshot_subsegments(segment: LogSegment) -> Iterator[LogSegment]:
-    """Split a segment at SNAPSHOT entries (each sub-segment ends at one).
-
-    This is the shipping granularity of Section 4.2 — a monitor seals and
-    ships the entries since the previous snapshot, ending with the SNAPSHOT
-    entry — re-derived from the entries alone, so it is independent of how
-    the log was actually chunked, shipped or re-shipped.  Entries after the
-    last snapshot form a final tail sub-segment.
-    """
-    entries = segment.entries
-    start = 0
-    start_hash = segment.start_hash
-    for index, entry in enumerate(entries):
-        if entry.entry_type is EntryType.SNAPSHOT:
-            yield LogSegment(machine=segment.machine,
-                             entries=entries[start:index + 1],
-                             start_hash=start_hash)
-            start = index + 1
-            start_hash = entry.chain_hash
-    if start < len(entries):
-        yield LogSegment(machine=segment.machine, entries=entries[start:],
-                         start_hash=start_hash)
-
-
 def modelled_compressed_log_bytes(segment: LogSegment) -> int:
     """The audit cost model's compressed size of downloading ``segment``.
 
@@ -969,4 +944,4 @@ def modelled_compressed_log_bytes(segment: LogSegment) -> int:
     """
     v1 = JsonBz2Codec()
     return sum(len(v1.encode_segment(sub))
-               for sub in iter_snapshot_subsegments(segment))
+               for sub in split_at_snapshots(segment))

@@ -118,6 +118,20 @@ class LogEntry:
         """Approximate on-disk size of the entry (content + fixed overhead)."""
         return len(self.encoded_content()) + ENTRY_OVERHEAD_BYTES
 
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        # An entry holding its encoded content crosses a process boundary as
+        # its wire fields, rebuilt by ``lazy_entry`` on the far side: the
+        # decoded ``content`` is not pickled beside its bytes, and is parsed
+        # again only if something there reads it.
+        fields = self.__dict__
+        encoded = fields.get("_encoded_content")
+        if encoded is None:
+            return super().__reduce_ex__(protocol)
+        return _rebuilt_entry, (
+            fields.get("_link"), fields["sequence"], fields["entry_type"],
+            encoded, fields["chain_hash"], fields["previous_hash"],
+            fields["timestamp"], fields["_content_hash"], fields["_canonical"])
+
     def __getattr__(self, name: str) -> Any:
         # Lazy content materialization: entries decoded from the v3 wire
         # format carry only the verbatim canonical bytes (seeded into
@@ -207,6 +221,15 @@ def lazy_entry(sequence: int, entry_type: EntryType, encoded_content: bytes,
     fields["previous_hash"] = previous_hash
     fields["timestamp"] = timestamp
     seed_encoded_content(entry, encoded_content, content_hash, canonical)
+    return entry
+
+
+def _rebuilt_entry(link: Optional[Tuple[Any, ...]], *wire: Any) -> LogEntry:
+    """The far side of :meth:`LogEntry.__reduce_ex__`: the entry from its
+    wire fields, with the memo of its chain link if it had one."""
+    entry = lazy_entry(*wire)
+    if link is not None:
+        entry.__dict__["_link"] = link
     return entry
 
 

@@ -1,19 +1,20 @@
 """Log segments and chunks.
 
 A :class:`LogSegment` is the unit an auditor downloads: a contiguous run of
-entries plus the chain hash immediately before the first entry.  A *chunk*
-is consecutive snapshot-delimited segments audited together; the
-authenticator check, the syntactic check and replay of one are
-:func:`repro.audit.kernel.run_chunk`.
+entries plus the chain hash immediately before the first entry.
+:func:`split_at_snapshots` cuts a log into its snapshot-delimited segments.
+A *chunk* is consecutive snapshot-delimited segments audited together
+(:func:`repro.audit.stream.iter_stream_chunks`); the authenticator check,
+the syntactic check and replay of one are :func:`repro.audit.kernel.run_chunk`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import SegmentError
-from repro.log.entries import ENTRY_OVERHEAD_BYTES, LogEntry
+from repro.log.entries import ENTRY_OVERHEAD_BYTES, EntryType, LogEntry
 from repro.log.hashchain import ChainCheckpoint
 
 
@@ -64,52 +65,37 @@ class LogSegment:
         return sum(map(len, map(LogEntry.encoded_content, entries))) \
             + ENTRY_OVERHEAD_BYTES * len(entries)
 
-    # -- serialisation ------------------------------------------------------
+    @property
+    def sealed_by_snapshot(self) -> Optional[int]:
+        """The id of the snapshot whose SNAPSHOT entry ends this segment
+        (None: it ends with another entry, or one that names no snapshot)."""
+        last = self.entries[-1] if self.entries else None
+        if last is None or last.entry_type is not EntryType.SNAPSHOT:
+            return None
+        snapshot_id = last.content.get("snapshot_id")
+        return snapshot_id if isinstance(snapshot_id, int) else None
 
-def concatenate_segments(segments: Sequence[LogSegment]) -> LogSegment:
-    """Join consecutive segments into one (used to build chunks).
 
-    The segments must belong to the same machine and be contiguous: each
-    segment's ``start_hash`` must equal the previous segment's ``end_hash``.
+def split_at_snapshots(segment: LogSegment) -> Iterator[LogSegment]:
+    """The snapshot-delimited segments of ``segment`` (Section 6.12).
+
+    Each ends at a SNAPSHOT entry, but for a last one holding what follows
+    the last SNAPSHOT entry: the shipping granularity of Section 4.2,
+    derived from the entries alone.  A segment starts where its predecessor
+    ends — at the chain hash of the SNAPSHOT entry before it — not where its
+    first entry claims to, so a chain broken at a boundary fails the segment
+    after it (the first starts where ``segment`` does).
     """
-    if not segments:
-        raise SegmentError("cannot concatenate zero segments")
-    machine = segments[0].machine
-    entries: List[LogEntry] = []
-    expected_hash = segments[0].start_hash
-    for segment in segments:
-        if segment.machine != machine:
-            raise SegmentError("cannot concatenate segments from different machines")
-        if segment.start_hash != expected_hash:
-            raise SegmentError("segments are not contiguous (start hash mismatch)")
-        entries.extend(segment.entries)
-        expected_hash = segment.end_hash
-    return LogSegment(machine=machine, entries=entries,
-                      start_hash=segments[0].start_hash)
-
-
-def partition_segments(segments: Sequence[LogSegment],
-                       max_chunks: int) -> List[LogSegment]:
-    """Group consecutive segments into at most ``max_chunks`` contiguous chunks.
-
-    This is the audit engine's work division: the snapshot-delimited segments
-    of one log are tiled into chunks
-    of near-equal segment count, each of which can be verified — and, because
-    chunk boundaries sit on snapshots, replayed — independently.  Returns
-    fewer chunks when there are fewer segments than ``max_chunks``.
-    """
-    if max_chunks < 1:
-        raise SegmentError(f"chunk count must be >= 1, got {max_chunks}")
-    if not segments:
-        return []
-    count = min(max_chunks, len(segments))
-    base, extra = divmod(len(segments), count)
-    chunks: List[LogSegment] = []
+    entries = segment.entries
     start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        group = segments[start:start + size]
-        chunks.append(group[0] if size == 1 else concatenate_segments(group))
-        start += size
-    return chunks
-
+    start_hash = segment.start_hash
+    for index, entry in enumerate(entries):
+        if entry.entry_type is EntryType.SNAPSHOT:
+            yield LogSegment(machine=segment.machine,
+                             entries=entries[start:index + 1],
+                             start_hash=start_hash)
+            start = index + 1
+            start_hash = entry.chain_hash
+    if start < len(entries):
+        yield LogSegment(machine=segment.machine, entries=entries[start:],
+                         start_hash=start_hash)

@@ -3,7 +3,7 @@
 This is the data structure the AVMM writes during recording and an auditor
 verifies during an audit.  It owns the hash chain state, produces
 authenticators on demand (for SEND and ACK entries), and hands out segments
-for audits and spot checks.
+for audits and shipping.
 """
 
 from __future__ import annotations
@@ -171,27 +171,6 @@ class TamperEvidentLog:
             return LogSegment(machine=self.machine, entries=[],
                               start_hash=hashing.ZERO_HASH)
         return self.segment(1, len(self._entries))
-
-    def segments_between_snapshots(self) -> List[LogSegment]:
-        """Split the log into segments delimited by SNAPSHOT entries.
-
-        Section 6.12 calls the part of the log between two consecutive
-        snapshots a *segment*; this helper produces them for spot checking.
-        """
-        snapshot_sequences = [e.sequence for e in self._entries
-                              if e.entry_type is EntryType.SNAPSHOT]
-        if not snapshot_sequences:
-            return [self.full_segment()] if self._entries else []
-        segments: List[LogSegment] = []
-        boundaries = [0] + snapshot_sequences
-        for start, end in zip(boundaries, boundaries[1:]):
-            first = start + 1
-            if first <= end:
-                segments.append(self.segment(first, end))
-        last_snapshot = snapshot_sequences[-1]
-        if last_snapshot < len(self._entries):
-            segments.append(self.segment(last_snapshot + 1, len(self._entries)))
-        return segments
 
     # -- tampering (test / adversary support) -------------------------------
 

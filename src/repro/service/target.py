@@ -1,67 +1,74 @@
 """Archive-backed audit targets.
 
-:class:`ArchiveBackedMachine` presents a machine's *archived* log through the
-part of the audit-serving surface :class:`~repro.avmm.monitor.AccountableVMM`
-exposes that audits read (``identity``, ``get_log_segment``, ``snapshots``),
-so :class:`~repro.audit.auditor.Auditor`,
-:class:`~repro.audit.engine.AuditScheduler` and
-:class:`~repro.audit.spot_check.SpotChecker` gain an archive-backed mode
-without changing a line of audit code — the auditor cannot tell whether the
-segments it verifies came from a live machine or from disk, and because the
-archive round-trip is bit-exact, verdicts and evidence are identical.
+An audit reads one surface from its target, whichever kind it is
+(``docs/streaming-audit.md``): ``identity``; ``segment_records()``, the
+log's snapshot-delimited segments in order, each with its end checkpoint
+and the id of the snapshot sealing it; ``read_segments(run)``, a run of
+those as one segment that starts where the run's first record does;
+``snapshots``, the snapshots it serves; ``replay_start()``, where the
+replay of the whole log starts; and ``audit_chunks``, how many chunks a
+whole-log audit at one worker reads it in.
 
-Archive-backed targets additionally advertise ``supports_streaming``:
-``Auditor.audit`` sends them to the audit engine
-(:class:`~repro.audit.engine.AuditScheduler`), which decodes, verifies and
-replays their logs chunk by chunk (:mod:`repro.audit.stream`) instead of
-materializing the whole retained log, so peak auditor memory is O(chunk)
-rather than O(log).
+:class:`ArchiveBackedMachine` serves that surface from the durable archive,
+:class:`~repro.avmm.monitor.AccountableVMM` from its live log.  The audit
+engine (:class:`~repro.audit.engine.AuditScheduler`) plans both one way
+(:func:`repro.audit.stream.iter_stream_chunks`): an archived log is read a
+sealed run at a time off its segment files, so peak auditor memory is
+O(chunk) rather than O(log), and because the archive round-trip is
+bit-exact, verdicts and evidence are identical to the live log's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
-from repro.log.segments import LogSegment, concatenate_segments
+from repro.log.segments import LogSegment
 from repro.store.archive import ArchiveSnapshotStore, LogArchive
+from repro.store.manifest import SegmentRecord
 
 
 class ArchiveBackedMachine:
     """An audit target served from the durable archive instead of a live VMM."""
 
-    #: the audit engine reads this target's log chunk by chunk instead of
-    #: materializing it (:mod:`repro.audit.stream`); duck-typed so audit
-    #: code never has to import the store layer
-    supports_streaming = True
+    #: a whole-log audit at one worker reads one sealed run per chunk, so
+    #: the auditor holds one chunk of the archived log at a time
+    audit_chunks: Optional[int] = None
 
     def __init__(self, archive: LogArchive, identity: str) -> None:
         self.archive = archive
         self.identity = identity
 
-    # -- audit serving (mirrors AccountableVMM) ------------------------------
-
     @property
     def snapshots(self) -> ArchiveSnapshotStore:
         return self.archive.snapshot_store(self.identity)
 
-    def get_log_segment(self) -> LogSegment:
-        """The whole retained log as one segment, materialized: peak memory
-        grows with its length.  The audit engine reads the log chunk by
-        chunk instead.
-        """
+    def segment_records(self) -> List[SegmentRecord]:
+        """The archived segments' index records, oldest first."""
         records = self.archive.segment_records(self.identity)
         if not records:
             raise StoreError(f"no archived segments for {self.identity!r}")
-        return concatenate_segments([self.archive.read_segment(record)
-                                     for record in records])
+        return records
 
-    # -- retention-aware helpers ---------------------------------------------
+    def read_segments(self, records: Sequence[SegmentRecord]) -> LogSegment:
+        """A run of records' entries, streamed off their segment files."""
+        return LogSegment(
+            machine=self.identity, start_hash=records[0].start_hash,
+            entries=[entry for record in records
+                     for entry in self.archive.stream_segment(record)])
 
-    def is_truncated(self) -> bool:
-        """True when GC has discarded a prefix of this machine's log."""
-        return self.archive.retained_checkpoint(self.identity) is not None
+    def get_log_segment(self) -> LogSegment:
+        """The whole retained log as one segment, materialized by the
+        archive's other reader (:meth:`LogArchive.read_segment`): peak
+        memory grows with its length.  The audit engine reads the log chunk
+        by chunk instead.
+        """
+        records = self.segment_records()
+        return LogSegment(
+            machine=self.identity, start_hash=records[0].start_hash,
+            entries=[entry for record in records
+                     for entry in self.archive.read_segment(record).entries])
 
-    def initial_state(self) -> Tuple[Optional[Dict[str, Any]], int]:
+    def replay_start(self) -> Tuple[Optional[Dict[str, Any]], int]:
         """Replay start state and transfer cost for the retained suffix."""
         return self.archive.initial_state_for(self.identity)

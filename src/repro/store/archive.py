@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
+from collections import OrderedDict
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -66,7 +67,8 @@ from repro.store.manifest import (
     read_checkpoint, read_frames, write_checkpoint, write_durably)
 from repro.vm.execution import ExecutionTimestamp
 from repro.vm.snapshot import (PAGE_SIZE, IncrementalSnapshot, Snapshot,
-                               apply_delta, paginate, serialize_state)
+                               materialize, paginate, remember,
+                               serialize_state)
 
 #: the file names the archive writes — the orphan sweep touches nothing else,
 #: so opening an archive in the wrong directory cannot destroy foreign data
@@ -154,8 +156,9 @@ class LogArchive:
         self._auth_index: Dict[str, List[AuthBatchRecord]] = {}
         self._snapshot_index: Dict[str, Dict[int, SnapshotRecord]] = {}
         #: reconstructed delta snapshots by ``(file, offset)`` of their frame
-        #: — committed frames are immutable, so an entry never goes stale
-        self._snapshot_pages_cache: Dict[Tuple[str, int], Tuple[bytes, ...]] = {}
+        #: (see :meth:`load_snapshot`)
+        self._snapshot_pages_cache: "OrderedDict[Tuple[str, int], Tuple[bytes, ...]]" \
+            = OrderedDict()
         self.recovery = self._recover(deep_verify)
 
     # -- recovery ------------------------------------------------------------
@@ -455,13 +458,13 @@ class LogArchive:
                        transfer_bytes: int,
                        execution: Optional[Dict[str, int]] = None) -> SnapshotRecord:
         """Archive a full state as a keyframe: a replay start point."""
-        pages = paginate(serialize_state(state))
         return self.store_snapshot_delta(machine, IncrementalSnapshot(
             snapshot_id=snapshot_id,
             execution=ExecutionTimestamp.from_dict(execution or {}),
-            base_snapshot_id=None, changed_pages=dict(enumerate(pages)),
-            page_count=len(pages), state_root=state_root,
-            page_size=PAGE_SIZE, transfer_bytes=transfer_bytes))
+            base_snapshot_id=None, changed_pages={}, page_count=0,
+            state_root=state_root, page_size=PAGE_SIZE,
+            transfer_bytes=transfer_bytes,
+        ).as_keyframe(paginate(serialize_state(state))))
 
     def store_snapshot_delta(self, machine: str,
                              snapshot: IncrementalSnapshot, *,
@@ -626,52 +629,45 @@ class LogArchive:
     def load_snapshot(self, machine: str, snapshot_id: int) -> Snapshot:
         """Rebuild a full :class:`~repro.vm.snapshot.Snapshot` from the archive.
 
-        A keyframe carries every page; a delta is materialised by walking
-        back to the nearest archived keyframe and replaying the changed
-        pages forward, page count and Merkle root verified at every step —
-        a corrupt chain surfaces as :class:`SnapshotError`, never as a
-        silently wrong state.  An audit fetches snapshots in chunk order,
-        each fetch walking the chain back — quadratic re-application of the
-        same deltas — so the page tuples of the deltas reconstructed (and
-        verified) last are kept, LRU.
+        A keyframe carries every page; a delta is materialised by the one
+        walk of a delta chain (:func:`~repro.vm.snapshot.materialize`) —
+        page count and Merkle root verified at every step, so a corrupt
+        chain surfaces as :class:`SnapshotError`, never as a silently wrong
+        state.  An audit fetches snapshots in chunk order, each fetch
+        walking the chain back, so the pages of the deltas reconstructed
+        (and verified) last are kept, LRU, by the position of their frame:
+        committed frames are immutable, so an entry never goes stale.
         """
         record = self._snapshot_record(machine, snapshot_id)
+        known = self._snapshot_index.get(machine, {})
         cache = self._snapshot_pages_cache
-        chain: List[SnapshotRecord] = []
-        base = record
-        pages: Optional[List[bytes]] = None
-        while base.kind == "delta":
-            cached = cache.pop((base.file_name, base.offset), None)
-            if cached is not None:
-                cache[base.file_name, base.offset] = cached  # refresh LRU
-                pages = list(cached)
-                break
-            chain.append(base)
-            parent = self._snapshot_index.get(machine, {}).get(base.base_snapshot_id)
-            if parent is None:
+
+        def held(wanted: int) -> Optional[List[bytes]]:
+            frame = known[wanted].file_name, known[wanted].offset
+            if frame in cache:
+                cache.move_to_end(frame)
+                return list(cache[frame])
+            return None
+
+        def base_of(wanted: int) -> Optional[int]:
+            base = known[wanted].base_snapshot_id
+            if base is not None and base not in known:
                 raise ArchiveIntegrityError(
-                    f"delta snapshot {base.snapshot_id} of {machine!r} "
-                    f"references missing base {base.base_snapshot_id}")
-            base = parent
-        if pages is None:
-            keyframe = self._read_snapshot_file(base)  # carries every page
-            pages = [keyframe.changed_pages[index]
-                     for index in range(keyframe.page_count)]
-        for delta_record in reversed(chain):
-            pages = apply_delta(pages, self._read_snapshot_file(delta_record))
-        if chain:
-            cache[record.file_name, record.offset] = tuple(pages)
-            while len(cache) > self._SNAPSHOT_PAGES_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
+                    f"delta snapshot {wanted} of {machine!r} references "
+                    f"missing base {base}")
+            return base
+
+        pages, applied = materialize(
+            snapshot_id, held, base_of,
+            lambda wanted: self._read_snapshot_file(known[wanted]))
+        if applied:
+            remember(cache, (record.file_name, record.offset), tuple(pages))
         # The Snapshot parses its state dict lazily from the canonical pages,
         # so every caller gets a fresh dict even when the pages came out of
         # the cache.
         return Snapshot(snapshot_id=snapshot_id,
                         execution=ExecutionTimestamp.from_dict(record.execution),
                         pages=pages, state_root=record.state_root)
-
-    #: reconstructed delta snapshots held (see :meth:`load_snapshot`)
-    _SNAPSHOT_PAGES_CACHE_LIMIT = 4
 
     def _read_snapshot_file(self, record: SnapshotRecord) -> IncrementalSnapshot:
         """One archived snapshot's page file, decoded."""
@@ -855,14 +851,8 @@ class LogArchive:
         payloads: Dict[int, bytes] = {}
         old = snaps[boundary.sealed_by_snapshot]
         if old.kind == "delta":
-            snapshot = self.load_snapshot(machine, old.snapshot_id)  # verifies
-            keyframe = IncrementalSnapshot(
-                snapshot_id=old.snapshot_id, execution=snapshot.execution,
-                base_snapshot_id=None,
-                changed_pages=dict(enumerate(snapshot.pages)),
-                page_count=len(snapshot.pages), state_root=old.state_root,
-                page_size=old.page_size or PAGE_SIZE,
-                transfer_bytes=old.transfer_bytes)
+            keyframe = self._read_snapshot_file(old).as_keyframe(
+                self.load_snapshot(machine, old.snapshot_id).pages)  # verifies
             snaps[old.snapshot_id] = record = _snapshot_record(
                 machine, keyframe, file_name=old.file_name, offset=old.offset,
                 commit=old.commit)
@@ -882,12 +872,12 @@ class LogArchive:
 
 
 class ArchiveSnapshotStore:
-    """Duck-typed stand-in for :class:`~repro.vm.snapshot.SnapshotManager`:
-    the audit front-ends' boundary-snapshot fetch
-    (:func:`repro.audit.kernel.fetch_verified_snapshot_entry`) calls only
-    :meth:`get` and :meth:`transfer_cost_bytes`, served here from the
-    archive — with the transfer cost the *source machine* recorded, so
-    archive-backed audit costs equal in-memory ones."""
+    """One machine's archived snapshots, as an audit of its archived log sees
+    them (:attr:`ArchiveBackedMachine.snapshots
+    <repro.service.target.ArchiveBackedMachine.snapshots>`): which ids are
+    held, each one materialised by :meth:`LogArchive.load_snapshot`, and its
+    transfer cost as the *source machine* recorded it, so archive-backed
+    audit costs equal in-memory ones."""
 
     def __init__(self, archive: LogArchive, machine: str) -> None:
         self._archive = archive
@@ -895,6 +885,9 @@ class ArchiveSnapshotStore:
 
     def snapshot_ids(self) -> List[int]:
         return sorted(self._archive._snapshot_index.get(self._machine, {}))
+
+    def __contains__(self, snapshot_id: object) -> bool:
+        return snapshot_id in self._archive._snapshot_index.get(self._machine, {})
 
     def get(self, snapshot_id: int) -> Snapshot:
         return self._archive.load_snapshot(self._machine, snapshot_id)

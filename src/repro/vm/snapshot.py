@@ -20,9 +20,9 @@ The manager implements the paper's design literally:
 * storage is a **delta chain**: every snapshot is kept as its changed pages
   (:class:`IncrementalSnapshot`); full page lists exist only at periodic
   *keyframes* plus a small LRU of materialised states, so resident memory is
-  bounded for unbounded runs.  :meth:`SnapshotManager.get`
-  materialises any snapshot on demand by replaying the delta chain from the
-  nearest keyframe, verifying the page count and Merkle root at every step.
+  bounded for unbounded runs.  :func:`materialize` is the one walk of a
+  delta chain — here and in the archive — back to the nearest keyframe and
+  forward again, verifying the page count and Merkle root at every step.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.crypto.hashing import HASH_SIZE_BYTES
 from repro.crypto.merkle import MerkleTree
@@ -136,6 +136,13 @@ class IncrementalSnapshot:
     def incremental_bytes(self) -> int:
         """Size of the incremental (changed-page) data."""
         return sum(len(page) for page in self.changed_pages.values())
+
+    def as_keyframe(self, pages: List[bytes]) -> "IncrementalSnapshot":
+        """This snapshot as a keyframe: every page of ``pages`` (its state,
+        materialised) and no base.  Its transfer price stays its own."""
+        return replace(self, base_snapshot_id=None,
+                       changed_pages=dict(enumerate(pages)),
+                       page_count=len(pages))
 
     def to_bytes(self) -> bytes:
         """This snapshot as a page file (pages in index order, deflated)."""
@@ -255,6 +262,46 @@ def apply_delta(pages: List[bytes], delta: IncrementalSnapshot) -> List[bytes]:
             f"delta {delta.snapshot_id} reconstruction fails hash-tree "
             f"verification (page count {delta.page_count})")
     return applied
+
+
+def materialize(snapshot_id: int,
+                held: Callable[[int], Optional[List[bytes]]],
+                base_of: Callable[[int], Optional[int]],
+                delta: Callable[[int], IncrementalSnapshot]
+                ) -> Tuple[List[bytes], int]:
+    """The one walk of a delta chain: the pages of ``snapshot_id``.
+
+    It walks back through each snapshot's base (``base_of``) to one whose
+    every page is at hand — ``held`` (a keyframe kept whole, a
+    reconstruction still cached) or a keyframe's page file (no base: its
+    ``delta`` carries every page) — then forward, each ``delta`` applied by
+    :func:`apply_delta`, which checks the page count and the Merkle root.
+    Returns the pages (a list of the caller's own) and how many deltas were
+    applied; pages taken as they were held are the caller's to check.
+    """
+    chain: List[int] = []
+    while (pages := held(snapshot_id)) is None:
+        base = base_of(snapshot_id)
+        if base is None:
+            keyframe = delta(snapshot_id)
+            pages = [keyframe.changed_pages[index]
+                     for index in range(keyframe.page_count)]
+            break
+        chain.append(snapshot_id)
+        snapshot_id = base
+    for step in reversed(chain):
+        pages = apply_delta(pages, delta(step))
+    return list(pages), len(chain)
+
+
+def remember(recent: "OrderedDict[Hashable, Any]", key: Hashable,
+             value: Any) -> None:
+    """Keep ``value`` as the most recent of at most
+    :data:`MATERIALIZED_CACHE` reconstructions."""
+    recent[key] = value
+    recent.move_to_end(key)
+    while len(recent) > MATERIALIZED_CACHE:
+        recent.popitem(last=False)
 
 
 class IncrementalStateHasher:
@@ -395,6 +442,9 @@ class SnapshotManager:
     def count(self) -> int:
         return len(self._deltas)
 
+    def __contains__(self, snapshot_id: object) -> bool:
+        return snapshot_id in self._deltas
+
     def get(self, snapshot_id: int) -> Snapshot:
         """Materialise the full snapshot ``snapshot_id`` (LRU-cached)."""
         cached = self._materialized.get(snapshot_id)
@@ -404,35 +454,28 @@ class SnapshotManager:
         delta = self._deltas.get(snapshot_id)
         if delta is None:
             raise SnapshotError(f"no snapshot with id {snapshot_id}")
-        pages = self._materialize_pages(snapshot_id)
+        if snapshot_id == self._next_id - 1 and self._hasher.pages is not None:
+            pages = list(self._hasher.pages)
+        else:
+            self.stats.materializations += 1
+            pages, applied = materialize(
+                snapshot_id, self._held,
+                lambda step: self._deltas[step].base_snapshot_id,
+                self._deltas.__getitem__)
+            if not applied and MerkleTree(pages).root != delta.state_root:
+                raise SnapshotError(
+                    f"keyframe {snapshot_id} fails hash-tree verification")
         snapshot = Snapshot(snapshot_id=snapshot_id,
                             execution=self._executions[snapshot_id],
                             pages=pages, state_root=delta.state_root)
-        self._materialized[snapshot_id] = snapshot
-        while len(self._materialized) > MATERIALIZED_CACHE:
-            self._materialized.popitem(last=False)
+        remember(self._materialized, snapshot_id, snapshot)
         return snapshot
 
-    def _materialize_pages(self, snapshot_id: int) -> List[bytes]:
-        """Replay the delta chain from the nearest keyframe, verified."""
-        latest = self._next_id - 1
-        if snapshot_id == latest and self._hasher.pages is not None:
-            return list(self._hasher.pages)
-        base_id = snapshot_id - (snapshot_id - 1) % KEYFRAME_INTERVAL
-        keyframe = self._keyframes.get(base_id)
-        if keyframe is None:
-            raise SnapshotError(
-                f"keyframe {base_id} needed to materialise snapshot "
-                f"{snapshot_id} is missing")
-        self.stats.materializations += 1
-        pages = list(keyframe)
-        for delta_id in range(base_id + 1, snapshot_id + 1):
-            pages = apply_delta(pages, self._deltas[delta_id])
-        if snapshot_id == base_id \
-                and MerkleTree(pages).root != self._deltas[base_id].state_root:
-            raise SnapshotError(
-                f"keyframe {base_id} fails hash-tree verification")
-        return pages
+    def _held(self, snapshot_id: int) -> Optional[List[bytes]]:
+        """A snapshot's every page, if kept: a reconstruction, a keyframe."""
+        cached = self._materialized.get(snapshot_id)
+        return cached.pages if cached is not None \
+            else self._keyframes.get(snapshot_id)
 
     def get_incremental(self, snapshot_id: int) -> IncrementalSnapshot:
         incremental = self._deltas.get(snapshot_id)
@@ -485,7 +528,5 @@ class SnapshotManager:
         delta = self.get_incremental(snapshot_id)
         if delta.base_snapshot_id is not None \
                 and (force_keyframe or self.is_keyframe(snapshot_id)):
-            delta = replace(
-                delta, base_snapshot_id=None,
-                changed_pages=dict(enumerate(self.get(snapshot_id).pages)))
+            delta = delta.as_keyframe(self.get(snapshot_id).pages)
         return delta.to_bytes()

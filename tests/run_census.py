@@ -163,6 +163,11 @@ KEPT: Dict[str, Tuple[str, str]] = {
         "range of an archived log and a spot check's price read through)"),
     "repro.vm.snapshot:SnapshotManager.resident_bytes": (
         DOCUMENTED, "docs/snapshots.md — the snapshot manager's memory bound"),
+    "repro.vm.snapshot:IncrementalSnapshot.as_keyframe": (
+        DOCUMENTED, "docs/snapshots.md — the one way a delta becomes a "
+        "keyframe: a shipped keyframe after the first, a fresh archive's "
+        "first snapshot, a GC boundary; no paper run ships 17 snapshots or "
+        "truncates a delta boundary"),
     # -- accessors
     "repro.audit.engine:pool_starts_total": (ACCESSOR, "pool warmth"),
     "repro.audit.online:OnlineAuditor.fault_detected": (ACCESSOR, "detection flag"),
@@ -180,6 +185,8 @@ KEPT: Dict[str, Tuple[str, str]] = {
         ACCESSOR, "one machine's queue depth"),
     "repro.service.ingest:AuditIngestService.quarantined_machines": (
         ACCESSOR, "who was quarantined"),
+    "repro.store.archive:ArchiveSnapshotStore.snapshot_ids": (
+        ACCESSOR, "which snapshots an archive holds"),
     "repro.sim.clock:HostClock.reads": (ACCESSOR, "clock-read count"),
     "repro.vm.devices:VirtualDisk.writes": (ACCESSOR, "disk-write count"),
     # -- protocol methods
@@ -258,12 +265,6 @@ KEPT: Dict[str, Tuple[str, str]] = {
     "repro.workloads.webservice:make_webservice_image(name)": (
         DEPLOYMENT, "the image's name"),
     # -- options that failure, recovery or hostile-input branches take
-    "repro.audit.stream:iter_stream_chunks(start)": (
-        FAILURE, "resumes a stream at a checkpoint, as a range of an "
-        "archived log starts; an off-boundary or forged one is refused"),
-    "repro.audit.stream:iter_stream_chunks(until)": (
-        FAILURE, "stops a stream at a checkpoint, as a range of an archived "
-        "log ends; an off-boundary one is refused"),
     "repro.network.channel:ReliableChannel.__init__(max_retransmits)": (
         FAILURE, "how soon a sender gives up on a silent peer"),
     "repro.network.channel:ReliableChannel.__init__(retransmit_interval)": (

@@ -3,6 +3,8 @@ downloaded log as an audit target."""
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.adversary.base import ScenarioContext
 from repro.adversary.catalog import make_adversary
 from repro.adversary.matrix import CellSpec, ScenarioMatrix
@@ -23,11 +25,20 @@ def record_scenario(workload: str = "kv", fleet_size: int = 2, seed: int = 7
 class DownloadedLog:
     """A whole log an auditor already holds, as an audit target
     (``Auditor.audit(DownloadedLog(segment))``): one chunk, replayed from the
-    reference image."""
+    reference image.  It serves no snapshot, so it has no chunk boundary."""
+
+    audit_chunks = 1
+    snapshots = ()
 
     def __init__(self, segment: LogSegment) -> None:
         self.identity = segment.machine
         self.segment = segment
 
-    def get_log_segment(self) -> LogSegment:
+    def segment_records(self) -> List[LogSegment]:
+        return [self.segment] if self.segment.entries else []
+
+    def read_segments(self, records) -> LogSegment:
         return self.segment
+
+    def replay_start(self):
+        return None, 0

@@ -152,7 +152,7 @@ class TestSpotChecking:
         target = "server"
         auditor = honest_session.make_auditor("player1", target)
         checker = SpotChecker(auditor)
-        segments = honest_session.monitors[target].get_snapshot_segments()
+        segments = honest_session.monitors[target].segment_records()
         assert len(segments) >= 2
         result = checker.check_chunk(honest_session.monitors[target], 1, 1)
         assert result.ok
@@ -168,7 +168,7 @@ class TestSpotChecking:
     def test_bigger_chunks_cost_more(self, honest_session):
         target = "server"
         checker = SpotChecker(honest_session.make_auditor("player1", target))
-        segments = honest_session.monitors[target].get_snapshot_segments()
+        segments = honest_session.monitors[target].segment_records()
         small = checker.check_chunk(honest_session.monitors[target], 0, 1)
         large = checker.check_chunk(honest_session.monitors[target], 0, len(segments))
         assert large.log_bytes > small.log_bytes

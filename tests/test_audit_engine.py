@@ -33,12 +33,12 @@ from repro.audit.engine import (
     run_chunk,
     shutdown_worker_pools,
 )
+from repro.audit.stream import chunk_runs
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.crypto.signatures import get_scheme
 from repro.errors import HashChainError
 from repro.log.authenticator import batch_verify_authenticators
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
-from repro.log.segments import concatenate_segments, partition_segments
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +123,13 @@ class TestBatchVerifyAuthenticators:
 
 class TestIncrementalChain:
     def test_chunks_tile_into_a_full_proof(self, honest_session):
-        segment = honest_session.monitors["server"].get_log_segment()
-        segments = honest_session.monitors["server"].get_snapshot_segments()
-        chunks = partition_segments(segments, 3)
-        assert 1 < len(chunks) <= 3
-        assert concatenate_segments(chunks) == segment
+        monitor = honest_session.monitors["server"]
+        segment = monitor.get_log_segment()
+        runs = chunk_runs(monitor.segment_records(), monitor.snapshots, 3)
+        assert 1 < len(runs) <= 3
+        chunks = [monitor.read_segments(run) for run in runs]
+        assert [entry for chunk in chunks for entry in chunk.entries] \
+            == segment.entries
         checkpoint = ChainCheckpoint.genesis()
         for chunk in chunks:
             assert chunk.start_checkpoint() == checkpoint
@@ -135,7 +137,7 @@ class TestIncrementalChain:
         assert checkpoint == segment.end_checkpoint()
 
     def test_wrong_checkpoint_is_rejected(self, honest_session):
-        segments = honest_session.monitors["server"].get_snapshot_segments()
+        segments = honest_session.monitors["server"].segment_records()
         chunk = segments[1]
         with pytest.raises(HashChainError):
             verify_chain_incremental(chunk.entries, ChainCheckpoint.genesis())

@@ -117,8 +117,7 @@ def test_a_bound_outside_the_segments_or_an_empty_range_is_refused(
     machine = sorted(cell[3].monitors)[0]
     target = _target(cell, machine, archived)
     auditor = _auditor(cell, machine, archived)
-    count = len(target.archive.segment_records(machine)) if archived \
-        else len(target.get_snapshot_segments())
+    count = len(target.segment_records())
     for start, until in ((-1, 1), (0, count + 1), (2, 2), (3, 1),
                          (count, None)):
         with pytest.raises(SegmentError, match="outside the"):
@@ -143,12 +142,8 @@ class _Renamed:
         return LogSegment(machine="impostor", entries=segment.entries,
                           start_hash=segment.start_hash)
 
-    def get_log_segment(self):
-        return self._renamed(self._monitor.get_log_segment())
-
-    def get_snapshot_segments(self):
-        return [self._renamed(segment)
-                for segment in self._monitor.get_snapshot_segments()]
+    def read_segments(self, records):
+        return self._renamed(self._monitor.read_segments(records))
 
 
 def test_a_log_served_under_another_name_is_refused(cell):

@@ -274,7 +274,7 @@ class TestJunkCannotSpoilEvidence:
         live = ctx.monitors[machine]
         log = live.log
         whole = log.full_segment()
-        cut = len(live.get_snapshot_segments()[0].entries)
+        cut = len(live.segment_records()[0].entries)
         auditor = matrix._make_auditor(ctx, machine, adversary)
         junk = _zeroed(log, whole.entries[cut])
         later = [auth for auth in auditor.authenticators_for(machine)

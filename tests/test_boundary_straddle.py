@@ -171,7 +171,7 @@ class TestHonestStraddlePasses:
     @pytest.mark.parametrize("source", ["live", "archive"])
     def test_engine_at_two_chunks_and_at_the_finest(self, honest, source):
         make_auditor, target = _targets(honest)[source]
-        finest = len(honest[2].monitors[SERVER].get_snapshot_segments())
+        finest = len(honest[2].monitors[SERVER].segment_records())
         assert finest >= 4
         for chunks in (2, finest):
             engine = AuditScheduler(workers=2, executor="inline",
@@ -259,7 +259,7 @@ class TestDroppedInjectionIsConvicted:
 
     def test_the_engine_convicts_on_the_failing_chunk(self, cheat, window):
         ctx = cheat[2]
-        finest = len(ctx.monitors[SERVER].get_snapshot_segments())
+        finest = len(ctx.monitors[SERVER].segment_records())
         engine = AuditScheduler(workers=2, executor="inline",
                                 chunks_per_machine=finest)
         report = engine.audit_fleet(

@@ -154,7 +154,7 @@ def test_a_shipper_that_leaves_the_snapshot_part_out(tmp_path):
     """Withholding is not a decoding failure: the segment lands, sealed by a
     snapshot the archive does not hold — which is then neither a GC boundary
     nor a chunk boundary, and everything based on it is refused."""
-    from repro.audit.stream import _chunk_record_counts
+    from repro.audit.stream import chunk_runs
     from repro.network.shipment import PartKind, decode_shipment
     world = World()
     service = AuditIngestService(LogArchive(tmp_path / "archive"))
@@ -174,7 +174,8 @@ def test_a_shipper_that_leaves_the_snapshot_part_out(tmp_path):
     assert archive.snapshot_store("alpha").snapshot_ids() == [1]
     assert archive.head_checkpoint("alpha").sequence == len(world.logs["alpha"])
     # one replayable boundary: the audit takes the rest as one chunk ...
-    assert _chunk_record_counts(archive, "alpha", records, None) == [1, 3]
+    assert [len(run) for run in chunk_runs(
+        records, archive.snapshot_store("alpha"), None)] == [1, 3]
     # ... and GC cannot pass it
     checkpoint = archive.truncate("alpha", records[-1].last_sequence)
     assert checkpoint == records[0].end_checkpoint()

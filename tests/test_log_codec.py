@@ -38,7 +38,6 @@ from repro.log.codec import (
     decode_segment,
     encode_segment,
     get_codec,
-    iter_snapshot_subsegments,
     modelled_compressed_log_bytes,
     require_format_version,
     sniff_format_version,
@@ -46,7 +45,7 @@ from repro.log.codec import (
 )
 from repro.log.entries import EntryType, snapshot_content
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
-from repro.log.segments import LogSegment
+from repro.log.segments import LogSegment, split_at_snapshots
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
@@ -545,7 +544,7 @@ class TestCacheSeeding:
 
 class TestCostModel:
     def test_subsegments_tile_the_log(self, sample_segment):
-        subs = list(iter_snapshot_subsegments(sample_segment))
+        subs = list(split_at_snapshots(sample_segment))
         assert sum(len(s.entries) for s in subs) == \
             len(sample_segment.entries)
         assert subs[0].start_hash == sample_segment.start_hash
@@ -557,7 +556,7 @@ class TestCostModel:
     def test_modelled_size_is_chunking_independent(self, sample_segment):
         whole = modelled_compressed_log_bytes(sample_segment)
         total = sum(modelled_compressed_log_bytes(sub)
-                    for sub in iter_snapshot_subsegments(sample_segment))
+                    for sub in split_at_snapshots(sample_segment))
         assert whole == total
         assert modelled_compressed_log_bytes(
             LogSegment(machine="m", entries=[], start_hash=bytes(32))) == 0

@@ -22,6 +22,7 @@ from repro.log.entries import (
 )
 from repro.log.hashchain import (ChainCheckpoint, chain_hash,
                                  verify_chain_incremental, verify_entry)
+from repro.log.segments import split_at_snapshots
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.workloads.echo import make_echo_image
 
@@ -167,14 +168,14 @@ class TestTamperEvidentLog:
             log.append(EntryType.NONDET, nondet_content("tick", 100 + i))
         log.append(EntryType.SNAPSHOT, snapshot_content(2, b"\x00" * 32, 20))
         log.append(EntryType.NONDET, nondet_content("tick", 200))
-        segments = log.segments_between_snapshots()
+        segments = list(split_at_snapshots(log.full_segment()))
         assert len(segments) == 3
         assert segments[0].entries[-1].entry_type is EntryType.SNAPSHOT
         assert segments[-1].entries[-1].entry_type is EntryType.NONDET
 
     def test_segments_without_snapshots_is_whole_log(self):
         log = make_log(entries=4)
-        segments = log.segments_between_snapshots()
+        segments = list(split_at_snapshots(log.full_segment()))
         assert len(segments) == 1
         assert len(segments[0].entries) == 4
 

@@ -1,14 +1,14 @@
-"""Tests for segment concatenation/chunking, serialisation and compression."""
+"""Tests for splitting a log at snapshots, serialisation and compression."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LogFormatError, SegmentError
+from repro.errors import HashChainError, LogFormatError, SegmentError
 from repro.log.codec import (JsonBz2Codec, SegmentStreamDecoder, TypedCodec,
                              decode_segment, get_codec)
 from repro.log.entries import EntryType, nondet_content, snapshot_content
 from repro.log.hashchain import verify_chain_incremental
-from repro.log.segments import concatenate_segments
+from repro.log.segments import split_at_snapshots
 from repro.log.storage import authenticators_from_bytes, authenticators_to_bytes
 from repro.log.tamper_evident import TamperEvidentLog
 
@@ -30,29 +30,33 @@ def build_log_with_snapshots(segments=4, entries_per_segment=5):
 
 
 class TestSegments:
-    def test_concatenate_contiguous(self):
+    def test_split_segments_tile_the_log(self):
         log = build_log_with_snapshots()
-        segments = log.segments_between_snapshots()
-        chunk = concatenate_segments(segments[:2])
-        assert len(chunk.entries) == len(segments[0].entries) + len(segments[1].entries)
-        verify_chain_incremental(chunk.entries, chunk.start_checkpoint())
+        segments = list(split_at_snapshots(log.full_segment()))
+        assert [entry for segment in segments for entry in segment.entries] \
+            == log.entries
+        checkpoint = log.full_segment().start_checkpoint()
+        for segment in segments:
+            assert segment.start_checkpoint() == checkpoint
+            checkpoint = verify_chain_incremental(segment.entries, checkpoint)
+        assert [segment.sealed_by_snapshot for segment in segments] == [1, 2, 3, 4]
 
-    def test_concatenate_rejects_gap(self):
+    def test_a_split_segment_starts_where_its_predecessor_ends(self):
+        """Not where its first entry claims to: an entry removed after a
+        SNAPSHOT leaves the next one claiming the removed entry's hash, and
+        the segment it opens must still start at the SNAPSHOT entry's."""
         log = build_log_with_snapshots()
-        segments = log.segments_between_snapshots()
-        with pytest.raises(SegmentError):
-            concatenate_segments([segments[0], segments[2]])
+        boundary = log.entry_at(6)
+        assert boundary.entry_type is EntryType.SNAPSHOT
+        log.tamper_remove_entry(7)
+        second = list(split_at_snapshots(log.full_segment()))[1]
+        assert second.start_hash == boundary.chain_hash \
+            != second.entries[0].previous_hash
+        with pytest.raises(HashChainError, match="chain break at sequence 7"):
+            verify_chain_incremental(second.entries, second.start_checkpoint())
 
-    def test_concatenate_rejects_mixed_machines(self):
-        log_a = build_log_with_snapshots(segments=1)
-        log_b = TamperEvidentLog("other")
-        log_b.append(EntryType.NONDET, nondet_content("x", 1))
-        with pytest.raises(SegmentError):
-            concatenate_segments([log_a.full_segment(), log_b.full_segment()])
-
-    def test_concatenate_empty_rejected(self):
-        with pytest.raises(SegmentError):
-            concatenate_segments([])
+    def test_an_empty_log_splits_into_nothing(self):
+        assert list(split_at_snapshots(TamperEvidentLog("m").full_segment())) == []
 
     def test_segment_size_bytes(self):
         log = build_log_with_snapshots(segments=1)

@@ -21,7 +21,8 @@ from repro.adversary.matrix import CellSpec, ScenarioMatrix
 from repro.audit.auditor import Auditor
 from repro.audit.engine import AuditScheduler
 from repro.audit.verdict import Verdict
-from repro.log.codec import decode_segment, get_codec, iter_snapshot_subsegments
+from repro.log.codec import decode_segment, get_codec
+from repro.log.segments import split_at_snapshots
 from repro.service.ingest import AuditIngestService
 from repro.store.archive import LogArchive
 
@@ -122,7 +123,7 @@ class TestIngestCompressesOnlyWhatItStores:
         """The first sealed sub-segment of the honest machine's log."""
         _, _, ctx, _ = cheat_scenario
         honest = next(m for m in sorted(ctx.monitors) if m != ctx.byzantine)
-        return next(iter_snapshot_subsegments(
+        return next(split_at_snapshots(
             ctx.monitors[honest].get_log_segment()))
 
     def test_same_layout_v3_shipment_is_stored_as_it_arrived(

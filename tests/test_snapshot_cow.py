@@ -19,6 +19,7 @@ from repro.avmm.replayer import DeterministicReplayer, _SnapshotItem
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ArchiveIntegrityError, SnapshotError
 from repro.log.entries import EntryType
+from repro.log.segments import split_at_snapshots
 from repro.service.ingest import AuditIngestService
 from repro.sim.scheduler import Scheduler
 from repro.store.archive import LogArchive
@@ -553,7 +554,7 @@ class TestArchiveDeltaChain:
         archive = LogArchive(tmp_path / "a")
         service = AuditIngestService(archive)
         _ship_all(manager, service)
-        for segment in log.segments_between_snapshots():
+        for segment in split_at_snapshots(log.full_segment()):
             seals = [entry for entry in segment.entries
                      if entry.entry_type is EntryType.SNAPSHOT]
             sealed = int(seals[-1].content["snapshot_id"]) \

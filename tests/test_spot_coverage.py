@@ -22,7 +22,7 @@ def tampered_scenario():
     """A recorded kv pair where the server tampered inside one known segment."""
     ctx = record_scenario(workload="kv", fleet_size=2, seed=41)
     monitor = ctx.monitor
-    segments = monitor.get_snapshot_segments()
+    segments = monitor.segment_records()
     assert len(segments) >= 4
     # Tamper with an entry in the *last* segment; recompute the chain so the
     # log stays internally consistent (only the authenticator check can see

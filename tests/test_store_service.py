@@ -24,12 +24,13 @@ from repro.errors import (
 )
 from repro.log.entries import EntryType, nondet_content, snapshot_content
 from repro.log.hashchain import ChainCheckpoint, verify_chain_incremental
-from repro.log.segments import LogSegment
+from repro.log.segments import LogSegment, split_at_snapshots
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service import AuditIngestService, format_ingest_report
 from repro.service.fleet import build_fleet
 from repro.store import LogArchive
 from repro.store.manifest import MANIFEST_NAME
+from repro.vm.snapshot import MATERIALIZED_CACHE
 
 from archive_tools import (archived_entry_count, archived_log, archived_segments, replace_payload, scribble, ship)
 
@@ -58,7 +59,7 @@ def archive_sealed_log(archive, log, with_snapshots=True):
     snapshot to be present.
     """
     records = []
-    for segment in log.segments_between_snapshots():
+    for segment in split_at_snapshots(log.full_segment()):
         seals = [entry for entry in segment.entries
                  if entry.entry_type is EntryType.SNAPSHOT]
         sealed_by = None
@@ -81,7 +82,7 @@ class TestArchiveRoundTrip:
         archive_sealed_log(archive, log)
         assert archived_log(archive, "machine").entries == log.entries
         assert [s.entries for s in archived_segments(archive, "machine")] == \
-            [s.entries for s in log.segments_between_snapshots()]
+            [s.entries for s in split_at_snapshots(log.full_segment())]
 
     def test_reopen_from_manifest(self, tmp_path):
         log = build_sealed_log()
@@ -107,7 +108,7 @@ class TestArchiveRoundTrip:
     def test_rejects_noncontiguous_and_forked_segments(self, tmp_path):
         log = build_sealed_log()
         archive = LogArchive(tmp_path / "a")
-        segments = log.segments_between_snapshots()
+        segments = list(split_at_snapshots(log.full_segment()))
         archive.append_segment(segments[0], sealed_by_snapshot=1)
         with pytest.raises(HashChainError):
             archive.append_segment(segments[2])  # gap
@@ -431,7 +432,7 @@ class TestIngestService:
     def test_direct_ingest_and_queue(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        for segment in log.segments_between_snapshots():
+        for segment in split_at_snapshots(log.full_segment()):
             assert service.ingest_segment(segment)
         assert service.pending_machines() == ["machine"]
         assert service.pending_segments("machine") == 3
@@ -441,7 +442,7 @@ class TestIngestService:
     def test_tampered_shipment_is_quarantined(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        segments = log.segments_between_snapshots()
+        segments = list(split_at_snapshots(log.full_segment()))
         assert service.ingest_segment(segments[0])
         assert not service.ingest_segment(segments[2])  # gap == fork attempt
         assert service.stats.segments_rejected == 1
@@ -516,7 +517,7 @@ class TestIngestService:
         from repro.log.codec import encode_segment
         from repro.log.storage import authenticators_to_bytes
         log = build_sealed_log(segments=2)
-        first, second = log.segments_between_snapshots()
+        first, second = list(split_at_snapshots(log.full_segment()))
         auths = [log.authenticator_for(entry) for entry in log.entries]
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         ship(service, "machine", segment=encode_segment(first),
@@ -712,7 +713,7 @@ class TestIngestService:
 
     def test_two_services_keep_their_own_state(self, tmp_path):
         log = build_sealed_log()
-        segments = log.segments_between_snapshots()
+        segments = list(split_at_snapshots(log.full_segment()))
         first = AuditIngestService(LogArchive(tmp_path / "a"),
                                    identity="ingest-a")
         second = AuditIngestService(LogArchive(tmp_path / "b"),
@@ -732,7 +733,7 @@ class TestIngestService:
     def test_format_ingest_report_lists_machines(self, tmp_path):
         log = build_sealed_log()
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        for segment in log.segments_between_snapshots():
+        for segment in split_at_snapshots(log.full_segment()):
             service.ingest_segment(segment)
         report = format_ingest_report(service)
         assert "machine" in report and "segments" in report
@@ -790,7 +791,7 @@ class TestReopenedQueue:
         assert service.pending_machines() == []
 
     def test_ingest_after_a_reopen_adds_to_the_rebuilt_count(self, tmp_path):
-        segments = build_sealed_log().segments_between_snapshots()
+        segments = list(split_at_snapshots(build_sealed_log().full_segment()))
         first = AuditIngestService(LogArchive(tmp_path / "a"))
         assert first.ingest_segment(segments[0])
         assert first.ingest_segment(segments[1])
@@ -804,7 +805,7 @@ class TestReopenedQueue:
         issuer = TamperEvidentLog("issuer", keypair=ca.issue("issuer"))
         entry = issuer.append(EntryType.NONDET, nondet_content("x", 1))
         service = AuditIngestService(LogArchive(tmp_path / "a"))
-        for segment in build_sealed_log().segments_between_snapshots():
+        for segment in split_at_snapshots(build_sealed_log().full_segment()):
             assert service.ingest_segment(segment)
         service.ingest_authenticators("issuer",
                                       [issuer.authenticator_for(entry)])
@@ -814,7 +815,7 @@ class TestReopenedQueue:
 
     def test_a_quarantined_machine_without_segments_is_not_queued(
             self, tmp_path):
-        segments = build_sealed_log().segments_between_snapshots()
+        segments = list(split_at_snapshots(build_sealed_log().full_segment()))
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         assert not service.ingest_segment(segments[1])  # extends no chain
         reopened = AuditIngestService(LogArchive(tmp_path / "a"))
@@ -924,7 +925,7 @@ class TestFleetArchiveEquivalence:
             assert archived_log(archive, machine).entries == \
                 monitor.log.full_segment().entries
             assert [s.entries for s in archived_segments(archive, machine)] == \
-                [s.entries for s in monitor.log.segments_between_snapshots()]
+                [s.entries for s in split_at_snapshots(monitor.log.full_segment())]
             peer = fleet.monitors[fleet.peers[machine]]
             assert archive.authenticators_for(machine) == \
                 peer.authenticators_from(machine)
@@ -986,7 +987,7 @@ class TestFleetArchiveEquivalence:
             monitor = fleet.monitors[machine]
             start = next(
                 index for index, segment
-                in enumerate(monitor.get_snapshot_segments())
+                in enumerate(monitor.segment_records())
                 if segment.first_sequence == checkpoint.sequence + 1)
             auditor = fleet.make_auditor(machine, collect=False)
             auditor.collect_authenticators(
@@ -1050,7 +1051,7 @@ class TestFleetArchiveTamperEvidence:
         service = AuditIngestService(LogArchive(tmp_path / "a"))
         for name in fleet.machines:
             mon = fleet.monitors[name]
-            for segment in mon.log.segments_between_snapshots():
+            for segment in split_at_snapshots(mon.log.full_segment()):
                 seals = [entry for entry in segment.entries
                          if entry.entry_type is EntryType.SNAPSHOT]
                 sealed_by = None
@@ -1123,8 +1124,8 @@ class TestSnapshotPagesMemo:
         archive, manager = self._snapshot_chain(tmp_path / "a")
         # segments sealed by snapshots 1-4, so GC has boundaries to land on
         records = [archive.append_segment(segment, sealed_by_snapshot=index + 1)
-                   for index, segment in enumerate(build_sealed_log(
-                       segments=4).segments_between_snapshots())]
+                   for index, segment in enumerate(split_at_snapshots(
+                       build_sealed_log(segments=4).full_segment()))]
         archive.load_snapshot("machine", 4)  # warm the memo
         stale = set(archive._snapshot_pages_cache)
         archive.truncate("machine", records[1].last_sequence)
@@ -1140,5 +1141,4 @@ class TestSnapshotPagesMemo:
         archive, _ = self._snapshot_chain(tmp_path / "a", snapshots=12)
         for snapshot_id in range(2, 13):
             archive.load_snapshot("machine", snapshot_id)
-        assert len(archive._snapshot_pages_cache) == \
-            archive._SNAPSHOT_PAGES_CACHE_LIMIT
+        assert len(archive._snapshot_pages_cache) == MATERIALIZED_CACHE

@@ -232,7 +232,7 @@ class TestReviewRegressions:
         machine = fleet.machines[0]
         archive.truncate(machine, archive.head_checkpoint(machine).sequence // 2)
         target = service.target_for(machine)
-        monkeypatch.setattr(target, "initial_state",
+        monkeypatch.setattr(target, "replay_start",
                             lambda: ({"bogus": True}, 0))
         # The bogus state must reach the replay VM, which rejects it.
         with pytest.raises(ReproError):

@@ -7,7 +7,7 @@ must stay under a fixed multiple of the chunk size times that window
 (nothing on the audit path runs a compressor, so there is no constant
 working set to discount), while the materializing path — which inflates the
 whole archived log before any check runs — blows through the same bound.
-Each test runs at one inline worker and at two thread workers.  The slow
+Each test runs at one inline worker and at two process workers.  The slow
 tests pin this on a 200-snapshot archived run; the fast variants are the
 same assertion at smoke scale.  The promise holds for the machine that gets
 convicted as much as for the honest one: the *convicted* variants audit a
@@ -18,6 +18,7 @@ evidence included — to the same bound.
 from __future__ import annotations
 
 import gc
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -26,7 +27,9 @@ import pytest
 from dataclasses import replace
 
 from repro.adversary.guests import CheatingKvServerGuest
-from repro.audit.engine import AuditAssignment, AuditScheduler
+from repro.audit.engine import (AuditAssignment, AuditScheduler, _ChunkRun,
+                                _MachineAudit)
+from repro.audit.kernel import run_chunk
 from repro.audit.verdict import AuditPhase, Verdict
 from repro.avmm.config import AvmmConfig, Configuration
 from repro.avmm.monitor import AccountableVMM
@@ -216,3 +219,43 @@ def test_convicted_stream_memory_bound_smoke(tmp_path, workers, executor):
     _run_memory_bound_check(tmp_path, duration=10.0, snapshots=40,
                             workers=workers, executor=executor,
                             convicted=True)
+
+
+#: what a pickled chunk job may carry per entry beyond the entry's encoded
+#: content: its wire fields and the job's share of authenticators, keys and
+#: image (about 230 B here; with each entry's decoded content beside its
+#: bytes, about 1,700 B)
+JOB_BYTES_PER_ENTRY = 400
+
+
+@pytest.mark.parametrize("archived", [False, True], ids=["live", "archive"])
+def test_a_chunk_job_pickles_each_entry_as_its_wire_fields(tmp_path, archived):
+    """A job crosses to a pool worker pickled: each entry goes as its
+    encoded content and hashes, not also as the content dict decoded from
+    them, and comes back the same entry with the same outcome."""
+    root = tmp_path / "archive"
+    fleet = _fat_row_fleet(root, duration=10.0, snapshot_interval=0.25)
+    service = AuditIngestService(LogArchive(root))
+    machine = "db-server-00"
+    auditor = fleet.make_auditor(machine, collect=False)
+    service.prepare_auditor(auditor, machine)
+    target = service.target_for(machine) if archived \
+        else fleet.monitors[machine]
+    audit = _MachineAudit(AuditAssignment(auditor, target), budget=4)
+    jobs = list(AuditScheduler()._plan(audit, _ChunkRun("inline", 1)))
+    assert len(jobs) == 4
+    for job in jobs:
+        entries = job.segment.entries
+        blob = pickle.dumps(job)
+        content = sum(len(entry.encoded_content()) for entry in entries)
+        assert len(blob) <= content + JOB_BYTES_PER_ENTRY * len(entries)
+        copy = pickle.loads(blob)
+        assert [(entry.sequence, entry.entry_type, entry.chain_hash,
+                 entry.previous_hash, entry.timestamp, entry.encoded_content())
+                for entry in copy.segment.entries] == \
+            [(entry.sequence, entry.entry_type, entry.chain_hash,
+              entry.previous_hash, entry.timestamp, entry.encoded_content())
+             for entry in entries]
+        assert all("content" not in entry.__dict__
+                   for entry in copy.segment.entries)
+        assert run_chunk(copy) == run_chunk(job)

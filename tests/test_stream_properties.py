@@ -4,10 +4,10 @@ Three properties pin the stream's correctness (stdlib ``random`` only — the
 container has no network, so no hypothesis):
 
 * **Resumability** — interrupting the chunk stream at any chunk boundary
-  and resuming from the persisted
-  :class:`~repro.log.hashchain.ChainCheckpoint` yields exactly the entry
-  sequence and checkpoints of one uninterrupted pass; a checkpoint off a
-  segment boundary, or off the archived chain, is refused.
+  and resuming from the segment record after it yields exactly the entry
+  sequence and checkpoints of one uninterrupted pass, starting at the
+  :class:`~repro.log.hashchain.ChainCheckpoint` the interrupted pass ended
+  at.
 * **Chunking invariance** — folding the audit kernel over a log cut into one
   chunk, into every snapshot chunk, or into any merge of adjacent chunks gives
   the same verdict and phase, checkpoints that tile, and the same replay
@@ -36,11 +36,11 @@ from repro.audit.kernel import (BoundaryContext, chunk_job,
                                 last_snapshot_entry, run_chunk)
 from repro.audit.stream import iter_stream_chunks
 from repro.audit.verdict import AuditPhase
-from repro.errors import HashChainError, ReproError
+from repro.errors import HashChainError
 from repro.log.codec import JsonBz2Codec, SegmentStreamDecoder
 from repro.log.entries import EntryType
 from repro.log.hashchain import verify_chain_incremental
-from repro.log.segments import LogSegment, concatenate_segments
+from repro.log.segments import LogSegment
 from repro.log.tamper_evident import TamperEvidentLog
 from repro.service.fleet import build_fleet
 from repro.service.target import ArchiveBackedMachine
@@ -66,16 +66,32 @@ def archived_run(tmp_path_factory):
 # Property (a): resuming at any boundary reproduces the uninterrupted pass
 # ---------------------------------------------------------------------------
 
+def _stream(target, first=0, last=None):
+    """``target``'s records ``[first, last)`` as chunks at the finest
+    chunking, as the engine reads a range."""
+    records = target.segment_records()
+    last = len(records) if last is None else last
+    return list(iter_stream_chunks(target, records[first:last], None,
+                                   last == len(records)))
+
+
+def _record_ends(records, chunks):
+    """The index of the record after each chunk's last one."""
+    ends = [record.end_checkpoint() for record in records]
+    return [ends.index(chunk.end_checkpoint) + 1 for chunk in chunks]
+
+
 class TestResumeProperty:
     def test_resume_chunk_iterator_at_chunk_boundaries(self, archived_run):
         archive, machine = archived_run
         target = ArchiveBackedMachine(archive, machine)
-        chunks = list(iter_stream_chunks(target))
+        chunks = _stream(target)
         assert len(chunks) > 2
+        ends = _record_ends(target.segment_records(), chunks)
         rng = random.Random(7)
         for cut in rng.sample(range(1, len(chunks)), min(4, len(chunks) - 1)):
-            resumed = list(iter_stream_chunks(
-                target, start=chunks[cut - 1].end_checkpoint))
+            resumed = _stream(target, ends[cut - 1])
+            assert resumed[0].start_checkpoint == chunks[cut - 1].end_checkpoint
             assert [c.segment.entries for c in resumed] == \
                 [c.segment.entries for c in chunks[cut:]]
             assert [c.end_checkpoint for c in resumed] == \
@@ -83,64 +99,20 @@ class TestResumeProperty:
 
     def test_a_stream_between_two_boundaries_is_that_run_of_chunks(
             self, archived_run):
-        """``start`` and ``until`` cut the uninterrupted stream at chunk
-        boundaries; only the last chunk of the log ends it."""
+        """A range cuts the uninterrupted stream at chunk boundaries; only
+        the last chunk of the log ends it."""
         archive, machine = archived_run
         target = ArchiveBackedMachine(archive, machine)
-        chunks = list(iter_stream_chunks(target))
+        chunks = _stream(target)
+        ends = [0] + _record_ends(target.segment_records(), chunks)
         rng = random.Random(11)
         for _ in range(4):
             first, last = sorted(rng.sample(range(len(chunks) + 1), 2))
-            cut = list(iter_stream_chunks(
-                target, start=chunks[first - 1].end_checkpoint if first
-                else None, until=chunks[last - 1].end_checkpoint))
+            cut = _stream(target, ends[first], ends[last])
             assert [c.segment.entries for c in cut] == \
                 [c.segment.entries for c in chunks[first:last]]
             assert [c.ends_log for c in cut] == \
                 [c.ends_log for c in chunks[first:last]]
-
-    def test_a_stop_off_boundary_is_refused(self, archived_run):
-        archive, machine = archived_run
-        wide = [r for r in archive.segment_records(machine)
-                if r.entry_count > 1]
-        from repro.log.hashchain import ChainCheckpoint
-        target = ArchiveBackedMachine(archive, machine)
-        for until in (ChainCheckpoint(wide[0].first_sequence,
-                                      wide[0].start_hash),
-                      ChainCheckpoint(wide[0].last_sequence, b"\x00" * 32)):
-            with pytest.raises(ReproError, match="not a segment boundary"):
-                list(iter_stream_chunks(target, until=until))
-
-    def test_resume_off_boundary_is_refused(self, archived_run):
-        archive, machine = archived_run
-        records = archive.segment_records(machine)
-        wide = [r for r in records if r.entry_count > 1]
-        assert wide
-        from repro.log.hashchain import ChainCheckpoint
-        mid = ChainCheckpoint(sequence=wide[0].first_sequence,
-                              chain_hash=b"\x00" * 32)
-        target = ArchiveBackedMachine(archive, machine)
-        with pytest.raises(ReproError):
-            list(iter_stream_chunks(target, start=mid))
-        # Mid-segment inside the LAST record and past-the-end checkpoints
-        # must also refuse — an empty stream would let the suffix pass as
-        # "fully audited".
-        head = records[-1].end_checkpoint()
-        inside_last = ChainCheckpoint(sequence=head.sequence - 1,
-                                      chain_hash=b"\x11" * 32)
-        with pytest.raises(ReproError):
-            list(iter_stream_chunks(target, start=inside_last))
-        beyond = ChainCheckpoint(sequence=head.sequence + 99,
-                                 chain_hash=b"\x22" * 32)
-        with pytest.raises(ReproError):
-            list(iter_stream_chunks(target, start=beyond))
-        # Resume exactly at the head is the legitimate empty suffix...
-        assert list(iter_stream_chunks(target, start=head)) == []
-        # ...but only with the matching chain hash.
-        forged_head = ChainCheckpoint(sequence=head.sequence,
-                                      chain_hash=b"\x33" * 32)
-        with pytest.raises(ReproError):
-            list(iter_stream_chunks(target, start=forged_head))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +134,7 @@ def _recorded(monkeypatch, adversary_name):
     adversary.corrupt(ctx)
     target = ctx.monitor
     return (matrix._make_auditor(ctx, target.identity, adversary), target,
-            target.get_snapshot_segments())
+            target.segment_records())
 
 
 def _fold(auditor, target, segments, tiling):
@@ -173,7 +145,7 @@ def _fold(auditor, target, segments, tiling):
     audited = []
     state, snapshot_bytes, context, boundary = None, 0, BoundaryContext(), None
     for index, group in enumerate(tiling):
-        chunk = concatenate_segments([segments[i] for i in group])
+        chunk = target.read_segments([segments[i] for i in group])
         if index:
             state, snapshot_bytes = fetch_verified_snapshot_entry(target,
                                                                   boundary)
@@ -268,7 +240,7 @@ def _read_materializing(archive, machine):
 
 def _read_streaming(archive, machine):
     entries = []
-    for chunk in iter_stream_chunks(ArchiveBackedMachine(archive, machine)):
+    for chunk in _stream(ArchiveBackedMachine(archive, machine)):
         verify_chain_incremental(chunk.segment.entries, chunk.start_checkpoint)
         entries.extend(chunk.segment.entries)
     return entries
